@@ -1,10 +1,9 @@
-//! E14 bench (e06-style): concurrent sharded query serving. First prints a
+//! E14 bench (e06-style): concurrent batched query serving. First prints a
 //! measured-qps table for the broker at 1/2/4 workers on one Zipf batch
 //! (the E1 ">1000 qps" claim, now with a concurrency axis), then times the
 //! serving kernels: whole batches at each worker count (each worker reusing
-//! one `QueryScratch` across its share of the batch), the auto-sized pool
-//! (`workers = 0`), and the per-shard `TermId` scatter path for a single
-//! query.
+//! one `QueryScratch` across its share of the batch) and the auto-sized pool
+//! (`workers = 0`).
 //!
 //! Like `e06_pipeline_*`, the speedup must be read off multi-core CI
 //! runners; output equality between every path is enforced by the serving
@@ -60,11 +59,6 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("e14_serve_batch_w0_auto", |b| {
         b.iter(|| black_box(sys.search_batch(&batch, 10, 0)))
-    });
-    // Intra-query scatter-gather over term shards (single query).
-    let broker = sys.broker(4);
-    c.bench_function("e14_scatter_single_query", |b| {
-        b.iter(|| black_box(broker.search_scatter(black_box("used honda civic springfield"), 10)))
     });
 }
 

@@ -120,8 +120,8 @@ fn bench(c: &mut Criterion) {
         seg
     };
 
-    // Equality first: pending segments, the merged base, and the partitioned
-    // read must all serve the rebuild's exact bytes.
+    // Equality first: pending segments and the merged base must both serve
+    // the rebuild's exact bytes.
     let pending = make_pending();
     assert_eq!(pending.num_segments(), SEGMENTS);
     for (q, want) in queries.iter().zip(&reference) {
@@ -129,11 +129,6 @@ fn bench(c: &mut Criterion) {
             &pending.search(q, K, opts),
             want,
             "pending diverges on {q:?}"
-        );
-        assert_eq!(
-            &pending.search_partitioned(q, K, opts, 4),
-            want,
-            "partitioned diverges on {q:?}"
         );
     }
     let merged = make_pending();

@@ -43,7 +43,6 @@ const DEFAULT_GATED_IDS: &[&str] = &[
     "e14_serve_batch_w1",
     "e14_serve_batch_w2",
     "e14_serve_batch_w4",
-    "e14_scatter_single_query",
     "e15_cluster_batch_p1",
     "e15_cluster_batch_p4",
     "e15_cluster_batch_p4_cache",

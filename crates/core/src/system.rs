@@ -14,6 +14,7 @@ use deepweb_surfacer::{
 use deepweb_webworld::{
     generate, FaultConfig, FaultStats, FaultyFetcher, Fetcher, WebConfig, World,
 };
+use std::sync::Arc;
 
 /// Configuration of a full system build.
 #[derive(Clone, Debug, Default)]
@@ -76,8 +77,9 @@ pub fn quick_config(num_sites: usize) -> SystemConfig {
 pub struct DeepWebSystem {
     /// The simulated web (server + ground truth).
     pub world: World,
-    /// The search index with surfaced content inserted.
-    pub index: SearchIndex,
+    /// The search index with surfaced content inserted — shared, not
+    /// cloned, with generation zero of [`DeepWebSystem::fresh_index`].
+    pub index: Arc<SearchIndex>,
     /// The surfacing outcome (docs + per-site reports).
     pub outcome: SurfacingOutcome,
     /// Total requests the offline phase issued (crawl + analysis +
@@ -175,7 +177,7 @@ impl DeepWebSystem {
         index.enable_pruning();
         DeepWebSystem {
             world,
-            index,
+            index: Arc::new(index),
             robustness: outcome.robustness(),
             outcome,
             offline_requests,
@@ -206,16 +208,6 @@ impl DeepWebSystem {
         req.run(&self.index)
     }
 
-    /// Serve with explicit options (annotation ablations).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SearchRequest` and call \
-        `search_request`, or use `index.searcher(opts)` for a fixed-option tier"
-    )]
-    pub fn search_with(&self, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
-        self.index.searcher(opts).search(query, k)
-    }
-
     /// A concurrent serving broker over this system's index and options,
     /// fanning out across `workers` pool threads (DESIGN.md §9).
     /// `workers = 0` means auto: size the pool to the machine.
@@ -244,8 +236,8 @@ impl DeepWebSystem {
     /// The freshness tier: a [`SegmentedIndex`] serving the build-time base
     /// plus every delta segment appended by [`DeepWebSystem::refresh`].
     ///
-    /// First call initialises the tier: the base is a clone of the batch
-    /// index, and every site's home page is fetched once to establish its
+    /// First call initialises the tier: the base *is* the batch index (one
+    /// shared allocation), and every site's home page is fetched once to establish its
     /// content fingerprint (so refresh rounds only react to changes *after*
     /// this point, not to the build itself). Queries against the returned
     /// index are byte-identical to a from-scratch rebuild over base + delta
@@ -354,7 +346,7 @@ impl DeepWebSystem {
                 })
                 .collect();
             FreshState {
-                segmented: SegmentedIndex::new(index.clone()),
+                segmented: SegmentedIndex::from_shared(Arc::clone(index)),
                 scheduler: ReprobeScheduler::new(),
                 fingerprints,
             }
@@ -456,6 +448,9 @@ mod tests {
         assert_eq!(out.changed, 0);
         assert_eq!(out.new_docs, 0);
         assert_eq!(sys.fresh_index().num_segments(), 0);
+        // Generation zero serves the batch index itself, not a clone.
+        let gen = sys.fresh_index().snapshot();
+        assert!(std::ptr::eq(gen.base(), &*sys.index));
         // Unchanged probes cost one request per site (plus the init
         // fingerprint pass).
         assert!(sys.world.server.total_requests() <= 2 * n as u64 + sys.offline_requests);

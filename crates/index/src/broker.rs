@@ -1,37 +1,19 @@
-//! Concurrent query serving (DESIGN.md §9–§10): a [`QueryBroker`] fans
-//! batches of queries across the work-stealing pool and scatter-gathers
-//! per-shard candidates for single queries — the paper's ">1000 queries per
-//! second" serving path (§3.2), built determinism-first.
+//! Concurrent query serving (DESIGN.md §10): a [`QueryBroker`] is a pool
+//! over queries — it fans a batch across the work-stealing pool, the paper's
+//! ">1000 queries per second" serving path (§3.2), built determinism-first.
 //!
-//! Both modes are byte-identical to the sequential [`search`] reference for
-//! every query:
+//! Every worker runs the sequential scoring kernel itself on its share of
+//! the batch, folding into its own reusable [`QueryScratch`] (one scratch per
+//! *worker*, not per query — the allocation-free steady state); only *which
+//! thread* runs a query varies, and results are reassembled in batch order,
+//! so a batch is byte-identical to calling [`search`] per query at any worker
+//! count. A single query is the sequential kernel.
 //!
-//! - **Batch mode** runs the sequential scoring kernel itself on every query,
-//!   each worker folding into its own reusable [`QueryScratch`] (one scratch
-//!   per *worker*, not per query — the allocation-free steady state); only
-//!   *which thread* runs a query varies, and results are reassembled in
-//!   batch order.
-//! - **Scatter mode** resolves a query's distinct terms to [`TermId`]s,
-//!   splits them by owning term shard (a pure function of the id), computes
-//!   each shard's candidate `(doc, contribution)` lists in parallel with the
-//!   same scoring kernel the sequential path uses, then folds the candidates
-//!   back **in query-term order** — the exact floating-point accumulation
-//!   order of the sequential searcher — before one deterministic top-k
-//!   selection.
+//! [`search`]: crate::searcher::search
 
 use crate::index::SearchIndex;
-use crate::pruned::{block_ub, floor_threshold, pruned_term_candidates, PruningIndex};
-use crate::searcher::{
-    accumulate_term, annotation_boost, apply_annotations, apply_annotations_sig,
-    search_with_scratch, top_k_hits, with_thread_scratch, HeapEntry, Hit, PruningMode,
-    QueryScratch, SearchOptions,
-};
-use deepweb_common::ids::{DocId, TermId};
+use crate::searcher::{search_with_scratch, Hit, QueryScratch, SearchOptions};
 use deepweb_common::ThreadPool;
-
-/// One term's scored candidates, tagged with the term's position in the
-/// query's distinct-term order (the gather key).
-type TermCandidates = (usize, Vec<(DocId, f64)>);
 
 /// A concurrent query-serving front end over one [`SearchIndex`].
 ///
@@ -69,209 +51,13 @@ impl<'a> QueryBroker<'a> {
     /// Serve a batch of queries concurrently, one result list per query, in
     /// batch order. Each worker runs the sequential scoring kernel against
     /// its own reusable [`QueryScratch`], so the result is byte-identical to
-    /// calling [`search`] per query — at any worker count — while scratch
-    /// allocation stays per-worker, not per-query.
+    /// calling [`search`](crate::searcher::search) per query — at any worker
+    /// count — while scratch allocation stays per-worker, not per-query.
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
                 search_with_scratch(self.index, &queries[qi], k, self.opts, scratch)
             })
-    }
-
-    /// Serve one query by scattering its distinct terms across the postings'
-    /// term shards, computing per-shard candidate lists in parallel, and
-    /// gathering with a deterministic merge (query-term accumulation order,
-    /// then top-k with the explicit score-desc / doc-id-asc tie-break).
-    ///
-    /// Byte-identical to [`search`] for any worker count and any shard
-    /// count, enforced by unit tests and the serving proptest.
-    pub fn search_scatter(&self, query: &str, k: usize) -> Vec<Hit> {
-        with_thread_scratch(|scratch| self.scatter_with_scratch(query, k, scratch))
-    }
-
-    fn scatter_with_scratch(&self, query: &str, k: usize, scratch: &mut QueryScratch) -> Vec<Hit> {
-        scratch.analyze(query);
-        let n_terms = scratch.terms().len();
-        if n_terms == 0 || k == 0 {
-            return Vec::new();
-        }
-        let postings = self.index.postings();
-        let avg_len = postings.avg_doc_len().max(1.0);
-        // Resolve each distinct term to its id once via the scratch (the
-        // same resolved slice the annotation pass reads — unknown terms have
-        // no postings and drop out without disturbing the accumulation
-        // order), then scatter: group term indices by owning shard — a pure
-        // function of the id, so the fan-out is stable.
-        scratch.resolve(postings);
-        if self.opts.pruning == PruningMode::BlockMax {
-            if let Some(pr) = self.index.pruning() {
-                return self.scatter_pruned(pr, k, scratch);
-            }
-        }
-        let mut groups: Vec<Vec<(usize, TermId)>> = vec![Vec::new(); postings.num_shards()];
-        for (ti, id) in scratch.resolved_ids().iter().enumerate() {
-            if let Some(id) = *id {
-                groups[postings.shard_of_id(id)].push((ti, id));
-            }
-        }
-        groups.retain(|g| !g.is_empty());
-        let opts = self.opts;
-        let per_group: Vec<Vec<TermCandidates>> = self.pool.map(groups, move |_, group| {
-            group
-                .into_iter()
-                .map(|(ti, id)| {
-                    let mut cands: Vec<(DocId, f64)> = Vec::new();
-                    accumulate_term(postings, id, opts.bm25, avg_len, |doc, c| {
-                        cands.push((doc, c))
-                    });
-                    (ti, cands)
-                })
-                .collect()
-        });
-        // Gather: reorder candidate lists back to query-term order, then
-        // fold — the same `scores[doc] += c` sequence the sequential path
-        // executes, so every f64 comes out bit-identical.
-        let mut by_term: Vec<Vec<(DocId, f64)>> = (0..n_terms).map(|_| Vec::new()).collect();
-        for group in per_group {
-            for (ti, cands) in group {
-                by_term[ti] = cands;
-            }
-        }
-        scratch.prepare(postings.num_docs());
-        for cands in by_term {
-            for (doc, c) in cands {
-                scratch.add(doc, c);
-            }
-        }
-        if opts.use_annotations {
-            apply_annotations(self.index, scratch);
-        }
-        top_k_hits(scratch, k)
-    }
-
-    /// Scatter mode with block-max filtering (DESIGN.md §14). The tightest-
-    /// bound term is scanned in full to seed a threshold estimate with `k`
-    /// exact per-doc lower bounds (its contribution plus the doc's exact
-    /// annotation adjustment — other terms only ever add non-negative
-    /// contributions); every other term then ships only the blocks whose
-    /// guarded bound could still reach that floored estimate. Kept hits get
-    /// complete, identically-ordered folds; filtered docs are provably below
-    /// the k-th hit, so the gathered top-k is byte-identical to exhaustive
-    /// scatter.
-    fn scatter_pruned(&self, pr: &PruningIndex, k: usize, scratch: &mut QueryScratch) -> Vec<Hit> {
-        let postings = self.index.postings();
-        let avg_len = postings.avg_doc_len().max(1.0);
-        let opts = self.opts;
-        let bp = pr.blocks();
-        let params_match = opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b();
-        let ann_ub = if opts.use_annotations {
-            pr.annotation_upper_bound()
-        } else {
-            0.0
-        };
-        let sig = std::mem::take(&mut scratch.sig);
-        if sig.is_empty() {
-            scratch.sig = sig;
-            return Vec::new();
-        }
-        // Per-term score bounds over the whole doc range.
-        let term_ubs: Vec<f64> = sig
-            .iter()
-            .map(|&id| {
-                let idf = postings.idf_id(id);
-                bp.term_blocks(id)
-                    .iter()
-                    .map(|b| block_ub(b, idf, avg_len, opts.bm25, params_match))
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        let boot = (1..sig.len()).fold(0usize, |best, i| {
-            if term_ubs[i] > term_ubs[best] {
-                i
-            } else {
-                best
-            }
-        });
-        let mut boot_cands: Vec<(DocId, f64)> = Vec::new();
-        accumulate_term(postings, sig[boot], opts.bm25, avg_len, |doc, c| {
-            boot_cands.push((doc, c))
-        });
-        scratch.heap.clear();
-        for &(doc, c) in &boot_cands {
-            let lb = if opts.use_annotations {
-                c + annotation_boost(self.index, &sig, doc)
-            } else {
-                c
-            };
-            scratch.heap.push(HeapEntry(lb, doc.0));
-            if scratch.heap.len() > k {
-                scratch.heap.pop();
-            }
-        }
-        let t0 = if scratch.heap.len() == k {
-            scratch
-                .heap
-                .peek()
-                .map_or(f64::NEG_INFINITY, |e| floor_threshold(e.0))
-        } else {
-            f64::NEG_INFINITY
-        };
-        scratch.heap.clear();
-        // Scatter the remaining terms by owning shard, block-filtered.
-        let mut groups: Vec<Vec<(usize, TermId)>> = vec![Vec::new(); postings.num_shards()];
-        for (si, &id) in sig.iter().enumerate() {
-            if si != boot {
-                groups[postings.shard_of_id(id)].push((si, id));
-            }
-        }
-        groups.retain(|g| !g.is_empty());
-        let term_ubs_ref = &term_ubs;
-        let per_group: Vec<Vec<TermCandidates>> = self.pool.map(groups, move |_, group| {
-            group
-                .into_iter()
-                .map(|(si, id)| {
-                    let mut other_ub = ann_ub;
-                    for (j, &ub) in term_ubs_ref.iter().enumerate() {
-                        if j != si {
-                            other_ub += ub;
-                        }
-                    }
-                    let mut cands: Vec<(DocId, f64)> = Vec::new();
-                    pruned_term_candidates(
-                        postings,
-                        bp,
-                        id,
-                        other_ub,
-                        t0,
-                        opts.bm25,
-                        params_match,
-                        avg_len,
-                        &mut cands,
-                    );
-                    (si, cands)
-                })
-                .collect()
-        });
-        // Gather in signature order — the exhaustive scatter's exact fold.
-        let mut by_term: Vec<Vec<(DocId, f64)>> = (0..sig.len()).map(|_| Vec::new()).collect();
-        by_term[boot] = boot_cands;
-        for group in per_group {
-            for (si, cands) in group {
-                by_term[si] = cands;
-            }
-        }
-        scratch.prepare(postings.num_docs());
-        for cands in by_term {
-            for (doc, c) in cands {
-                scratch.add(doc, c);
-            }
-        }
-        if opts.use_annotations {
-            apply_annotations_sig(self.index, &sig, scratch);
-        }
-        let hits = top_k_hits(scratch, k);
-        scratch.sig = sig;
-        hits
     }
 }
 
@@ -282,8 +68,8 @@ mod tests {
     use crate::searcher::search;
     use deepweb_common::Url;
 
-    fn build(shards: usize) -> SearchIndex {
-        let mut idx = SearchIndex::with_shards(shards);
+    fn build() -> SearchIndex {
+        let mut idx = SearchIndex::new();
         let docs = [
             ("a.sim", "honda civics", "1993 honda civic great mileage"),
             (
@@ -317,10 +103,7 @@ mod tests {
 
     #[test]
     fn k_zero_batch_returns_empty_hit_lists() {
-        // Regression: the bootstrap threshold once `expect`ed a non-empty
-        // heap when it held exactly k entries, which is vacuously true at
-        // k = 0.
-        let idx = build(4);
+        let idx = build();
         let queries = vec!["honda civic".to_string(), String::new()];
         let broker = QueryBroker::new(&idx, ThreadPool::new(2), SearchOptions::default());
         assert_eq!(
@@ -331,7 +114,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_for_any_worker_count() {
-        let idx = build(8);
+        let idx = build();
         let queries: Vec<String> = [
             "honda civic",
             "used ford focus 1993",
@@ -352,26 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn scatter_matches_sequential_for_any_shard_and_worker_count() {
-        for shards in [1, 2, 8, 19] {
-            let idx = build(shards);
-            for workers in [1, 2, 4] {
-                let broker =
-                    QueryBroker::new(&idx, ThreadPool::new(workers), SearchOptions::default());
-                for q in ["honda civic", "used ford focus 1993", "ford", "", "zzz"] {
-                    assert_eq!(
-                        broker.search_scatter(q, 10),
-                        search(&idx, q, 10, SearchOptions::default()),
-                        "shards={shards} workers={workers} q={q:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_respects_annotations() {
-        let mut idx = SearchIndex::with_shards(8);
+    fn batch_respects_annotations() {
+        let mut idx = SearchIndex::new();
         idx.add(
             Url::new("a.sim", "/1"),
             "honda civics".into(),
@@ -400,59 +165,9 @@ mod tests {
         };
         let broker = QueryBroker::new(&idx, ThreadPool::new(2), opts);
         let q = "used ford focus 1993";
-        assert_eq!(broker.search_scatter(q, 10), search(&idx, q, 10, opts));
         assert_eq!(
             broker.search_batch(&[q.to_string()], 10)[0],
             search(&idx, q, 10, opts)
         );
-    }
-
-    #[test]
-    fn top_k_ties_across_shards_break_by_doc_id() {
-        // Two docs, one term each, identical tf and doc length: their BM25
-        // scores are exactly equal. With id-hash routing, the two terms get
-        // ids 0 and 1; find a shard count where those ids route to different
-        // shards so the tie is genuinely cross-shard, then assert the merge
-        // prefers the lower doc id at every k.
-        let shards = (2..64)
-            .find(|&n| {
-                crate::postings::term_shard(TermId(0), n)
-                    != crate::postings::term_shard(TermId(1), n)
-            })
-            .expect("some shard count separates ids 0 and 1");
-        let mut idx = SearchIndex::with_shards(shards);
-        idx.add(
-            Url::new("a.sim", "/1"),
-            String::new(),
-            "alpha".to_string(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
-        idx.add(
-            Url::new("b.sim", "/2"),
-            String::new(),
-            "bravo".to_string(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
-        let p = idx.postings();
-        assert_ne!(
-            p.shard_for("alpha"),
-            p.shard_for("bravo"),
-            "need a cross-shard pair"
-        );
-        let broker = QueryBroker::new(&idx, ThreadPool::new(2), SearchOptions::default());
-        let q = "alpha bravo";
-        let full = broker.search_scatter(q, 10);
-        assert_eq!(full.len(), 2);
-        assert_eq!(full[0].score, full[1].score, "scores must tie exactly");
-        assert_eq!(full[0].doc, DocId(0), "tie breaks to the lower doc id");
-        // k=1 keeps the same winner: the heap eviction tie-break agrees
-        // with the final sort's.
-        let top1 = broker.search_scatter(q, 1);
-        assert_eq!(top1, vec![full[0]]);
-        assert_eq!(search(&idx, q, 1, SearchOptions::default()), top1);
     }
 }

@@ -38,6 +38,7 @@ use crate::cache::{CacheConfig, CacheStats, ResultCache};
 use crate::index::SearchIndex;
 use crate::partition::IndexPartition;
 use crate::searcher::{hit_order, with_thread_scratch, Hit, QueryScratch, SearchOptions};
+use crate::view::IndexView;
 use deepweb_common::fxhash::fxhash64;
 use deepweb_common::ids::TermId;
 use deepweb_common::ThreadPool;
@@ -248,30 +249,48 @@ impl<'a> ClusterServer<'a> {
 
     /// Serve one query: resolve once, check the cache, fan the signature out
     /// across all partitions in parallel, merge. Byte-identical to
-    /// sequential [`search`] at any configuration.
+    /// sequential [`search`] at any configuration. Counted as a burst of one
+    /// (always admitted by its routed replica), so the counters do not
+    /// depend on which entry point served a stream.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         with_thread_scratch(|scratch| {
             scratch.analyze(query);
-            if scratch.terms().is_empty() || k == 0 {
-                return Vec::new();
-            }
-            scratch.resolve(self.index.postings());
-            self.queries.fetch_add(1, Ordering::Relaxed);
+            scratch.resolve(&IndexView::sealed(self.index));
             let sig = scratch.resolved_sig();
-            self.routed[self.route(sig)].fetch_add(1, Ordering::Relaxed);
+            let r0 = self.route(sig);
+            self.count(r0, Some(r0));
             self.serve_fanout(sig, k)
         })
+    }
+
+    /// Count one query routed to replica `r0` and admitted by `admitted`
+    /// (`None` = shed) — the one place the serving counters are bumped, for
+    /// single queries and batches alike.
+    fn count(&self, r0: usize, admitted: Option<usize>) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        match admitted {
+            Some(r) => {
+                self.routed[r].fetch_add(1, Ordering::Relaxed);
+                if r != r0 {
+                    self.spilled.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            None => {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Fan one resolved signature across every partition (each on its own
     /// pooled scratch), merge exact local top-k lists, and fill the cache.
     fn serve_fanout(&self, sig: &[TermId], k: usize) -> Vec<Hit> {
-        if sig.is_empty() {
-            // All terms unknown: no postings anywhere, and the annotation
-            // pass only adjusts touched docs — the sequential reference
-            // returns nothing, so neither do we (and nothing is cached).
+        if sig.is_empty() || k == 0 {
+            // No known term (no postings anywhere, and the annotation pass
+            // only adjusts touched docs) or nothing asked for: the
+            // sequential reference returns nothing, so neither do we (and
+            // nothing is cached).
             return Vec::new();
         }
         if let Some(cache) = &self.cache {
@@ -303,12 +322,13 @@ impl<'a> ClusterServer<'a> {
         // replica in-flight counters only grow, a full routed replica spills
         // deterministically to the next, and when all are full the query is
         // shed (in batch order).
+        let view = IndexView::sealed(self.index);
         let sigs: Vec<Vec<TermId>> = with_thread_scratch(|scratch| {
             queries
                 .iter()
                 .map(|q| {
                     scratch.analyze(q);
-                    scratch.resolve(self.index.postings());
+                    scratch.resolve(&view);
                     scratch.resolved_sig().to_vec()
                 })
                 .collect()
@@ -319,32 +339,16 @@ impl<'a> ClusterServer<'a> {
             self.max_in_flight as u64
         };
         let mut in_flight = vec![0u64; self.replicas];
-        let mut routed = vec![0u64; self.replicas];
-        let mut spilled = 0u64;
-        let mut shed = 0u64;
         for sig in &sigs {
             let r0 = self.route(sig);
-            match (0..self.replicas)
+            let admitted = (0..self.replicas)
                 .map(|off| (r0 + off) % self.replicas)
-                .find(|&r| in_flight[r] < cap)
-            {
-                Some(r) => {
-                    in_flight[r] += 1;
-                    routed[r] += 1;
-                    if r != r0 {
-                        spilled += 1;
-                    }
-                }
-                None => shed += 1,
+                .find(|&r| in_flight[r] < cap);
+            if let Some(r) = admitted {
+                in_flight[r] += 1;
             }
+            self.count(r0, admitted);
         }
-        self.queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        for (slot, n) in self.routed.iter().zip(routed) {
-            slot.fetch_add(n, Ordering::Relaxed);
-        }
-        self.spilled.fetch_add(spilled, Ordering::Relaxed);
-        self.shed.fetch_add(shed, Ordering::Relaxed);
 
         // Phase 2 — parallel execution (shed queries included: the results
         // contract outranks the admission model; see module docs).
@@ -519,6 +523,73 @@ mod tests {
         assert_eq!(stats_a.queries, 40);
         // Shed queries are still answered.
         assert_eq!(results_a.len(), batch.len());
+    }
+
+    /// The same stream served singly and as one batch bumps the same
+    /// counters — including queries that analyse to no terms, resolve to no
+    /// known term, or ask for `k == 0`.
+    #[test]
+    fn single_and_batch_entry_points_count_alike() {
+        let idx = build();
+        let batch: Vec<String> = QUERIES.iter().map(|s| s.to_string()).collect();
+        for k in [0usize, 3] {
+            let cfg = ClusterConfig {
+                partitions: 2,
+                replicas: 3,
+                workers: 1,
+                cache: None,
+                max_in_flight: 0,
+            };
+            let singly = ClusterServer::new(&idx, SearchOptions::default(), cfg);
+            for q in &batch {
+                singly.search(q, k);
+            }
+            let batched = ClusterServer::new(&idx, SearchOptions::default(), cfg);
+            batched.search_batch(&batch, k);
+            let (a, b) = (singly.stats(), batched.stats());
+            assert_eq!(a.queries, batch.len() as u64, "k={k}");
+            assert_eq!(a.queries, b.queries, "k={k}");
+            assert_eq!(a.routed, b.routed, "k={k}");
+            assert_eq!((a.spilled, a.shed), (b.spilled, b.shed), "k={k}");
+        }
+    }
+
+    /// Two docs, one term each, identical tf and doc length: their BM25
+    /// scores are exactly equal, and a 2-partition cluster puts them in
+    /// different partitions — so the tie is genuinely cross-partition. The
+    /// merge prefers the lower doc id at every k, like `search()`: the heap
+    /// eviction tie-break agrees with the final sort's.
+    #[test]
+    fn top_k_ties_across_partitions_break_by_doc_id() {
+        let mut idx = SearchIndex::new();
+        for (host, text) in [("a.sim", "alpha"), ("b.sim", "bravo")] {
+            idx.add(
+                Url::new(host, "/1"),
+                String::new(),
+                text.to_string(),
+                DocKind::Surface,
+                None,
+                vec![],
+            );
+        }
+        let opts = SearchOptions::default();
+        let cluster = ClusterServer::new(
+            &idx,
+            opts,
+            ClusterConfig {
+                partitions: 2,
+                cache: None,
+                ..Default::default()
+            },
+        );
+        let q = "alpha bravo";
+        let full = search(&idx, q, 10, opts);
+        assert_eq!(full.len(), 2);
+        assert_eq!(full[0].score, full[1].score, "scores must tie exactly");
+        assert_eq!(full[0].doc.0, 0, "tie breaks to the lower doc id");
+        assert_eq!(cluster.search(q, 10), full);
+        assert_eq!(search(&idx, q, 1, opts), vec![full[0]]);
+        assert_eq!(cluster.search(q, 1), vec![full[0]]);
     }
 
     #[test]

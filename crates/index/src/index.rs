@@ -4,7 +4,7 @@
 
 use crate::analysis::{analyze, analyze_query};
 use crate::docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
-use crate::postings::{Postings, ShardedPostings};
+use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
@@ -28,10 +28,7 @@ pub struct BatchDoc {
     pub annotations: Vec<Annotation>,
 }
 
-/// An in-memory search index. Postings are term-hash sharded
-/// ([`ShardedPostings`]) so the concurrent serving path can scatter query
-/// terms across shards; the shard count is a build-time layout choice that
-/// never changes ranking (DESIGN.md §9).
+/// An in-memory search index.
 ///
 /// Annotations ride the same interned dictionary as body text (DESIGN.md
 /// §12): facet keys intern to [`FacetKeyId`]s, annotation values are
@@ -42,7 +39,7 @@ pub struct BatchDoc {
 #[derive(Default, Clone, Debug)]
 pub struct SearchIndex {
     docs: DocStore,
-    postings: ShardedPostings,
+    postings: Postings,
     by_url: FxHashMap<String, DocId>,
     /// Facet key text → [`FacetKeyId`], first-appearance order.
     facet_keys: TermDict,
@@ -55,19 +52,9 @@ pub struct SearchIndex {
 }
 
 impl SearchIndex {
-    /// Create an empty index with the default term-shard count.
+    /// Create an empty index.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an empty index with an explicit term-shard count (clamped to
-    /// ≥ 1). Ranking is shard-count independent; this only tunes how wide
-    /// the broker's scatter path can fan out.
-    pub fn with_shards(shards: usize) -> Self {
-        SearchIndex {
-            postings: ShardedPostings::new(shards),
-            ..Self::default()
-        }
     }
 
     /// Add a document. Returns the existing id if the URL was already
@@ -150,7 +137,7 @@ impl SearchIndex {
     /// The batch is deduplicated sequentially (URL identity, first occurrence
     /// wins), split into contiguous shards of fresh documents, analysed and
     /// indexed into per-shard postings in parallel, then merged in shard
-    /// order via [`ShardedPostings::absorb`] — so the resulting index is
+    /// order via [`Postings::absorb`] — so the resulting index is
     /// identical to the sequential loop for any worker count.
     pub fn add_batch(&mut self, pool: &ThreadPool, batch: Vec<BatchDoc>) -> Vec<DocId> {
         // 1. Sequential dedup + id assignment in batch order.
@@ -192,7 +179,7 @@ impl SearchIndex {
         // 3. Deterministic merge in shard order + sequential store/facet
         // bookkeeping (identical to what `add` does per document).
         for (shard_postings, shard, shard_ann_local) in built {
-            self.absorb_built(shard_postings, shard, shard_ann_local, false);
+            self.absorb_built(&shard_postings, shard, &shard_ann_local, false);
         }
         debug_assert_eq!(self.docs.len(), self.postings.num_docs());
         ids
@@ -211,9 +198,9 @@ impl SearchIndex {
     /// [`add_batch`]: SearchIndex::add_batch
     pub(crate) fn absorb_built(
         &mut self,
-        shard_postings: Postings,
+        shard_postings: &Postings,
         shard: Vec<BatchDoc>,
-        shard_ann_local: Vec<Vec<Vec<TermId>>>,
+        shard_ann_local: &[Vec<Vec<TermId>>],
         register_urls: bool,
     ) {
         self.pruning = None;
@@ -225,7 +212,7 @@ impl SearchIndex {
                 .zip(ann_local)
                 .map(|(ann, local_ids)| {
                     let terms: Vec<TermId> = local_ids
-                        .into_iter()
+                        .iter()
                         .map(|local| remap[local.as_usize()])
                         .collect();
                     self.record_annotation(&ann.key, terms)
@@ -280,8 +267,8 @@ impl SearchIndex {
         self.docs.get(id)
     }
 
-    /// The term-hash sharded postings.
-    pub fn postings(&self) -> &ShardedPostings {
+    /// The raw postings: dictionary, per-term lists and doc lengths.
+    pub fn postings(&self) -> &Postings {
         &self.postings
     }
 

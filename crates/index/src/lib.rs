@@ -24,6 +24,7 @@ pub mod searcher;
 pub mod segments;
 pub mod service;
 pub mod snippet;
+mod view;
 
 pub use broker::QueryBroker;
 pub use cache::{CacheConfig, CacheStats, ResultCache};
@@ -31,10 +32,7 @@ pub use cluster::{ClusterConfig, ClusterConfigBuilder, ClusterServer, ClusterSta
 pub use docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
 pub use partition::{partition_ranges, IndexPartition};
-pub use postings::{
-    term_shard, BlockPostings, Posting, PostingBlock, Postings, ShardedPostings,
-    POSTINGS_BLOCK_SIZE,
-};
+pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
 pub use pruned::PruningIndex;
 pub use searcher::{
     search, search_with_scratch, Bm25Params, Hit, PruningMode, QueryScratch, SearchOptions,

@@ -3,15 +3,13 @@
 //!
 //! A partition is a contiguous doc-id range `[lo, hi)` over one shared,
 //! immutable [`SearchIndex`]. Splitting by *document* rather than by term
-//! (the split DESIGN.md §9 rejects for top-k pruning) keeps every per-doc
-//! score whole inside exactly one partition: each query term's posting list
-//! is sorted by doc id, so a partition binary-searches its sub-range and
-//! folds contributions in query-term order — the same floating-point
-//! sequence, over the same *global* BM25 statistics (N, df, avg doc length),
-//! as the sequential searcher. Per-partition top-k is therefore **exact**
-//! (never pruned), and the aggregator's merge of exact top-k lists under the
-//! strict score-desc/doc-id-asc order reproduces the global top-k
-//! byte-for-byte.
+//! keeps every per-doc score whole inside exactly one partition: a partition
+//! hands its range to the one kernel ([`top_k_range`]), which folds
+//! contributions in query-term order — the same floating-point sequence,
+//! over the same *global* BM25 statistics (N, df, avg doc length), as the
+//! sequential searcher. Per-partition top-k is therefore **exact**, and the
+//! aggregator's merge of exact top-k lists under the strict
+//! score-desc/doc-id-asc order reproduces the global top-k byte-for-byte.
 //!
 //! Each partition owns its serving state: a pool of reusable
 //! [`QueryScratch`]es (the per-partition broker in miniature) and a served
@@ -19,9 +17,8 @@
 //! shared mutable state.
 
 use crate::index::SearchIndex;
-use crate::searcher::{
-    accumulate_term_range, apply_annotations_sig, top_k_hits, Hit, QueryScratch, SearchOptions,
-};
+use crate::searcher::{top_k_range, Hit, QueryScratch, SearchOptions};
+use crate::view::IndexView;
 use deepweb_common::ids::TermId;
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -129,37 +126,8 @@ impl IndexPartition {
         scratch: &mut QueryScratch,
     ) -> Vec<Hit> {
         self.served.fetch_add(1, Ordering::Relaxed);
-        if sig.is_empty() || k == 0 || self.lo == self.hi {
-            return Vec::new();
-        }
-        if opts.pruning == crate::searcher::PruningMode::BlockMax {
-            if let Some(pr) = index.pruning() {
-                // The pruned kernel intersects each term's block window with
-                // this partition's doc range; its local top-k is exact, so
-                // the aggregator merge is unchanged.
-                return crate::pruned::pruned_topk_range(
-                    index, pr, sig, k, opts, self.lo, self.hi, scratch,
-                );
-            }
-        }
-        let postings = index.postings();
-        let avg_len = postings.avg_doc_len().max(1.0);
-        scratch.prepare(postings.num_docs());
-        for &id in sig {
-            accumulate_term_range(
-                postings,
-                id,
-                opts.bm25,
-                avg_len,
-                self.lo,
-                self.hi,
-                |doc, c| scratch.add(doc, c),
-            );
-        }
-        if opts.use_annotations {
-            apply_annotations_sig(index, sig, scratch);
-        }
-        top_k_hits(scratch, k)
+        let view = IndexView::sealed(index);
+        top_k_range(&view, sig, k, opts, self.lo, self.hi, scratch)
     }
 }
 
@@ -225,7 +193,7 @@ mod tests {
                 let global = search(&idx, q, k, opts);
                 let mut scratch = QueryScratch::new();
                 scratch.analyze(q);
-                scratch.resolve(idx.postings());
+                scratch.resolve(&IndexView::sealed(&idx));
                 let sig = scratch.resolved_sig().to_vec();
                 let mut merged: Vec<Hit> = partitions
                     .iter()

@@ -4,22 +4,20 @@
 //! this is free) and term frequencies are u32. No positions — snippets re-scan
 //! stored text, which is cheaper than positional postings at this scale.
 //!
-//! Both layouts key postings by an interned [`TermId`] out of a single
+//! Postings are keyed by an interned [`TermId`] out of a single
 //! [`TermDict`]: a query term is hashed exactly once (the dictionary lookup)
-//! and every structure after that — posting lists, document frequencies,
-//! shard routing — is a flat `Vec` index. The flat [`Postings`] is the
-//! contiguous build unit the parallel index builder produces per doc range;
-//! the serving-side [`ShardedPostings`] additionally partitions the term-id
-//! space by id hash so a broker can scatter a query's terms across shards
-//! (DESIGN.md §9–§10).
+//! and every structure after that — posting lists, document frequencies —
+//! is a flat `Vec` index. [`Postings`] is at once the index's resident raw
+//! format, the doc-local build unit the parallel index builder and the
+//! freshness tier produce per doc range, and the input [`BlockPostings`] is
+//! built from (DESIGN.md §10, §14).
 
 use deepweb_common::ids::{DocId, TermId};
-use deepweb_common::{fxhash64, TermDict};
+use deepweb_common::TermDict;
 
-/// BM25 inverse document frequency, shared by both postings layouts — one
-/// copy of the formula so a tuning change can never diverge them. Also the
-/// formula the segmented freshness tier evaluates against overlay-adjusted
-/// global statistics, so its scores stay bit-identical to a merged rebuild.
+/// BM25 inverse document frequency — one copy of the formula, evaluated by
+/// the index view against base-plus-segment statistics, so a segmented
+/// generation's scores stay bit-identical to a merged rebuild.
 pub(crate) fn bm25_idf(num_docs: f64, df: f64) -> f64 {
     ((num_docs - df + 0.5) / (df + 0.5) + 1.0).ln()
 }
@@ -34,17 +32,6 @@ pub(crate) fn bm25_idf(num_docs: f64, df: f64) -> f64 {
 pub(crate) fn bm25_contribution(idf: f64, tf: f64, dl: f64, avg_len: f64, k1: f64, b: f64) -> f64 {
     let denom = tf + k1 * (1.0 - b + b * dl / avg_len);
     idf * tf * (k1 + 1.0) / denom
-}
-
-/// The term shard owning an interned term: a pure function of the
-/// [`TermId`] (FxHash with a fixed seed — stable across runs and platforms).
-///
-/// Routing by id instead of by term text means the shard of a term never
-/// needs a second string hash; and because id assignment is itself
-/// deterministic (global first-appearance order), the layout is byte-identical
-/// across builds at any worker count.
-pub fn term_shard(id: TermId, shards: usize) -> usize {
-    (fxhash64(&id.0) % shards.max(1) as u64) as usize
 }
 
 /// One posting: a document and the term's frequency in it.
@@ -62,9 +49,8 @@ pub struct Posting {
 /// is aggregated by sorting the small id buffer and run-length counting —
 /// no string-keyed map, no per-document allocation in steady state.
 ///
-/// This is the **single** indexing kernel both [`Postings`] and
-/// [`ShardedPostings`] run, so the sequential-vs-parallel byte-identity
-/// contract can never be broken by the two layouts drifting apart.
+/// This is the **single** indexing kernel: the sequential build, a parallel
+/// build shard and a delta segment all run it.
 fn index_document(
     dict: &mut TermDict,
     lists: &mut Vec<Vec<Posting>>,
@@ -92,37 +78,6 @@ fn index_document(
         i = j;
     }
     scratch.clear();
-}
-
-/// Re-intern a build shard's dictionary — walked in shard-local id order,
-/// i.e. the shard's first-appearance order — into `dict`, appending each
-/// term's postings with doc ids shifted by `offset`. The shared id-remap
-/// kernel behind both `absorb` impls (determinism argument: DESIGN.md §10).
-///
-/// Returns the remap table: `remap[local_id] = global_id` for every term of
-/// the shard's dictionary. The parallel index build uses it to rewrite the
-/// shard's pre-tokenised annotation ids into global ids — the annotation
-/// layer replays the sequential interning order exactly like postings do
-/// (DESIGN.md §12).
-fn absorb_shard(
-    dict: &mut TermDict,
-    lists: &mut Vec<Vec<Posting>>,
-    shard: &Postings,
-    offset: u32,
-) -> Vec<TermId> {
-    let mut remap = Vec::with_capacity(shard.dict.len());
-    for (local_id, term) in shard.dict.iter() {
-        let id = dict.intern(term);
-        if id.as_usize() >= lists.len() {
-            lists.resize_with(id.as_usize() + 1, Vec::new);
-        }
-        lists[id.as_usize()].extend(shard.lists[local_id.as_usize()].iter().map(|p| Posting {
-            doc: DocId(p.doc.0 + offset),
-            tf: p.tf,
-        }));
-        remap.push(id);
-    }
-    remap
 }
 
 /// The postings lists plus document lengths, keyed by [`TermId`].
@@ -261,213 +216,33 @@ impl Postings {
     /// *contiguous* document ranges, and shards are absorbed in range order.
     /// A shard's dictionary records terms in first-appearance order within the
     /// shard (documents in order, tokens in document order — exactly what
-    /// [`Postings::add_document`] does), so folding shard dictionaries in
+    /// [`Postings::add_document`] does), so re-interning shard dictionaries in
     /// shard order reproduces the sequential build's id assignment, and
     /// concatenating each term's per-shard lists reproduces its doc-sorted
     /// postings. The result is identical to adding every document
     /// sequentially.
     ///
-    /// Returns the shard-local → global [`TermId`] remap table (see
-    /// [`absorb_shard`]); callers that carry no shard-local ids ignore it.
-    pub fn absorb(&mut self, shard: Postings) -> Vec<TermId> {
+    /// Returns the remap table, `remap[local_id] = global_id` for every term
+    /// of the shard's dictionary: the index build rewrites the shard's
+    /// pre-tokenised annotation ids through it, so the annotation layer
+    /// replays the sequential interning order exactly like postings do
+    /// (DESIGN.md §12).
+    pub fn absorb(&mut self, shard: &Postings) -> Vec<TermId> {
         let offset = self.doc_len.len() as u32;
         self.total_len += shard.total_len;
         self.doc_len.extend_from_slice(&shard.doc_len);
-        absorb_shard(&mut self.dict, &mut self.lists, &shard, offset)
-    }
-
-    /// Merge shards of contiguous document ranges, in order, into one
-    /// postings structure (see [`Postings::absorb`]).
-    pub fn merge_shards(shards: Vec<Postings>) -> Postings {
-        let mut merged = Postings::new();
-        for shard in shards {
-            merged.absorb(shard);
+        let mut remap = Vec::with_capacity(shard.dict.len());
+        for (local_id, term) in shard.dict.iter() {
+            let id = self.intern_term(term);
+            self.lists[id.as_usize()].extend(shard.lists[local_id.as_usize()].iter().map(|p| {
+                Posting {
+                    doc: DocId(p.doc.0 + offset),
+                    tf: p.tf,
+                }
+            }));
+            remap.push(id);
         }
-        merged
-    }
-}
-
-/// Default number of term shards for [`ShardedPostings`].
-///
-/// Fixed (not derived from the machine) so the index layout — and therefore
-/// the canonical scoring order — is identical on every host and at every
-/// worker count.
-pub const DEFAULT_TERM_SHARDS: usize = 8;
-
-/// Postings partitioned by term-id hash ([`term_shard`]), the layout the
-/// concurrent serving path reads.
-///
-/// The partition is *virtual*: there is one global [`TermDict`] and one flat
-/// list vector indexed by [`TermId`], and a term's shard is a pure function
-/// of its id. Every term lives in exactly one shard, so point lookups route
-/// directly (one dictionary hash, then flat indexes all the way down) and a
-/// query broker can scatter the distinct terms of a query across shards with
-/// no cross-shard coordination. Whole-dictionary reads go through
-/// [`ShardedPostings::iter_terms`], the dictionary's sorted view, which
-/// yields a shard-count-independent order.
-///
-/// Determinism: id assignment is global first-appearance order — whether
-/// documents are added one by one ([`ShardedPostings::add_document`]) or
-/// absorbed from contiguous doc-range build shards in range order
-/// ([`ShardedPostings::absorb`]) — and shard routing is a pure function of
-/// the id. Two builds of the same corpus are therefore byte-identical, at
-/// any worker count, and the shard count never influences ranking.
-#[derive(Clone, Debug)]
-pub struct ShardedPostings {
-    /// The one physical layout: sharding is a pure view over it, so the
-    /// build unit and the serving layout can never drift apart.
-    inner: Postings,
-    num_shards: usize,
-}
-
-impl Default for ShardedPostings {
-    fn default() -> Self {
-        ShardedPostings::new(DEFAULT_TERM_SHARDS)
-    }
-}
-
-impl ShardedPostings {
-    /// Empty postings with `shards` term shards (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedPostings {
-            inner: Postings::new(),
-            num_shards: shards.max(1),
-        }
-    }
-
-    /// Number of term shards.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// The term dictionary.
-    pub fn dict(&self) -> &TermDict {
-        self.inner.dict()
-    }
-
-    /// Id of a term, if it has been indexed. This is the single string hash
-    /// on the serving path; everything downstream indexes by the id.
-    pub fn term_id(&self, term: &str) -> Option<TermId> {
-        self.inner.term_id(term)
-    }
-
-    /// Intern a term without attaching postings (annotation/facet value
-    /// tokens ride the same global dictionary — see
-    /// [`Postings::intern_term`]).
-    pub(crate) fn intern_term(&mut self, term: &str) -> TermId {
-        self.inner.intern_term(term)
-    }
-
-    /// The shard owning an interned term (pure function of the id).
-    pub fn shard_of_id(&self, id: TermId) -> usize {
-        term_shard(id, self.num_shards)
-    }
-
-    /// The shard owning `term`. Unknown terms have no postings anywhere and
-    /// report shard 0 (any shard answers the lookup with "empty").
-    pub fn shard_for(&self, term: &str) -> usize {
-        match self.term_id(term) {
-            Some(id) => self.shard_of_id(id),
-            None => 0,
-        }
-    }
-
-    /// Add a document's term multiset. `doc` must be the next id in sequence
-    /// (postings stay doc-sorted for free, exactly like [`Postings`]).
-    pub fn add_document(&mut self, doc: DocId, terms: &[String]) {
-        self.inner.add_document(doc, terms);
-    }
-
-    /// Absorb a contiguous doc-range build shard (a flat [`Postings`] over
-    /// doc-local ids `0..shard.num_docs()`); its documents become ids
-    /// `self.num_docs()..` here.
-    ///
-    /// Build shards must be absorbed in range order. The flat shard's
-    /// dictionary records first-appearance order within its range, so walking
-    /// it in id order re-interns every term into the global dictionary in
-    /// exactly the order the sequential [`ShardedPostings::add_document`]
-    /// path would have — same id assignment, same doc-sorted lists. Returns
-    /// the shard-local → global id remap (see [`Postings::absorb`]).
-    pub fn absorb(&mut self, shard: Postings) -> Vec<TermId> {
-        self.inner.absorb(shard)
-    }
-
-    /// Postings for an interned term — a flat index, no hashing.
-    pub fn postings_id(&self, id: TermId) -> &[Posting] {
-        self.inner.postings_id(id)
-    }
-
-    /// Postings for a term (empty if unseen) — one dictionary hash.
-    pub fn postings(&self, term: &str) -> &[Posting] {
-        self.inner.postings(term)
-    }
-
-    /// Document frequency of an interned term.
-    pub fn df_id(&self, id: TermId) -> usize {
-        self.inner.df_id(id)
-    }
-
-    /// Document frequency of a term.
-    pub fn df(&self, term: &str) -> usize {
-        self.inner.df(term)
-    }
-
-    /// Number of indexed documents.
-    pub fn num_docs(&self) -> usize {
-        self.inner.num_docs()
-    }
-
-    /// Number of distinct terms.
-    pub fn num_terms(&self) -> usize {
-        self.inner.num_terms()
-    }
-
-    /// Length (token count) of a document.
-    pub fn doc_len(&self, doc: DocId) -> u32 {
-        self.inner.doc_len(doc)
-    }
-
-    /// Total token count across all documents ([`Postings::total_doc_len`]).
-    pub fn total_doc_len(&self) -> u64 {
-        self.inner.total_doc_len()
-    }
-
-    /// Mean document length.
-    pub fn avg_doc_len(&self) -> f64 {
-        self.inner.avg_doc_len()
-    }
-
-    /// Total number of postings entries (index size proxy).
-    pub fn num_postings(&self) -> usize {
-        self.inner.num_postings()
-    }
-
-    /// BM25 inverse document frequency of an interned term.
-    pub fn idf_id(&self, id: TermId) -> f64 {
-        self.inner.idf_id(id)
-    }
-
-    /// BM25 inverse document frequency of `term`.
-    pub fn idf(&self, term: &str) -> f64 {
-        self.inner.idf(term)
-    }
-
-    /// Terms owned by one shard, in id (first-appearance) order.
-    pub fn shard_terms(&self, shard: usize) -> impl Iterator<Item = &str> {
-        self.dict()
-            .iter()
-            .filter(move |&(id, _)| self.shard_of_id(id) == shard)
-            .map(|(_, t)| t)
-    }
-
-    /// Merged whole-dictionary read path: every `(term, postings)` pair,
-    /// lexicographically sorted (the dictionary's sorted view) — the same
-    /// sequence for any shard count, so dictionary scans stay deterministic
-    /// under resharding.
-    pub fn iter_terms(&self) -> impl Iterator<Item = (&str, &[Posting])> {
-        self.dict()
-            .iter_sorted()
-            .map(|(id, t)| (t, self.inner.postings_id(id)))
+        remap
     }
 }
 
@@ -563,7 +338,7 @@ pub struct PostingBlock {
 }
 
 /// Delta-encoded, bit-packed posting blocks with per-block max-score
-/// metadata, built over a finished [`ShardedPostings`] (DESIGN.md §14).
+/// metadata, built over finished [`Postings`] (DESIGN.md §14).
 ///
 /// Layout: per term, its sorted posting list is chunked into
 /// [`POSTINGS_BLOCK_SIZE`]-posting blocks. Each block stores `first_doc`
@@ -592,7 +367,7 @@ impl BlockPostings {
     /// Build blocks over every term of `postings`, bounding contributions
     /// with BM25 parameters `(k1, b)` — the parameters the stored
     /// `max_contrib` is exact for ([`PostingBlock::max_contrib`]).
-    pub fn build(postings: &ShardedPostings, block_size: usize, k1: f64, b: f64) -> Self {
+    pub fn build(postings: &Postings, block_size: usize, k1: f64, b: f64) -> Self {
         let block_size = block_size.max(1);
         let avg_len = postings.avg_doc_len().max(1.0);
         let num_terms = postings.num_terms();
@@ -815,7 +590,10 @@ mod tests {
             }
             shards.push(shard);
         }
-        let merged = Postings::merge_shards(shards);
+        let mut merged = Postings::new();
+        for shard in &shards {
+            merged.absorb(shard);
+        }
         assert_eq!(format!("{sequential:?}"), format!("{merged:?}"));
         assert_eq!(merged.postings("honda"), sequential.postings("honda"));
         assert_eq!(merged.num_postings(), sequential.num_postings());
@@ -827,7 +605,7 @@ mod tests {
         let mut base = sample();
         let mut shard = Postings::new();
         shard.add_document(DocId(0), &["honda".into(), "tesla".into()]);
-        base.absorb(shard);
+        base.absorb(&shard);
         assert_eq!(base.num_docs(), 4);
         assert_eq!(base.df("honda"), 3);
         assert_eq!(
@@ -839,163 +617,21 @@ mod tests {
         );
     }
 
-    // --- ShardedPostings ---
-
-    fn sharded_sample(shards: usize) -> ShardedPostings {
-        let mut p = ShardedPostings::new(shards);
-        p.add_document(DocId(0), &["honda".into(), "civic".into(), "honda".into()]);
-        p.add_document(DocId(1), &["ford".into(), "focus".into()]);
-        p.add_document(DocId(2), &["honda".into(), "accord".into()]);
-        p
-    }
-
     #[test]
-    fn sharded_matches_flat_stats_and_lookups() {
-        let flat = sample();
-        for shards in [1, 2, 8, 32] {
-            let p = sharded_sample(shards);
-            assert_eq!(p.num_docs(), flat.num_docs());
-            assert_eq!(p.num_terms(), flat.num_terms());
-            assert_eq!(p.num_postings(), flat.num_postings());
-            assert_eq!(p.doc_len(DocId(0)), flat.doc_len(DocId(0)));
-            assert!((p.avg_doc_len() - flat.avg_doc_len()).abs() < 1e-15);
-            for term in ["honda", "civic", "ford", "focus", "accord", "tesla"] {
-                assert_eq!(p.postings(term), flat.postings(term), "term {term:?}");
-                assert!((p.idf(term) - flat.idf(term)).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn id_routing_is_stable_and_in_range() {
-        let p = sharded_sample(8);
-        for term in ["honda", "civic", "ford", "focus", "accord"] {
-            let id = p.term_id(term).unwrap();
-            let s = p.shard_of_id(id);
-            assert!(s < p.num_shards());
-            assert_eq!(s, p.shard_for(term), "routing must agree with lookup");
-            assert_eq!(s, term_shard(id, 8), "routing is the pure id function");
-        }
-        // Unknown terms report shard 0 and empty postings.
-        assert_eq!(p.shard_for("tesla"), 0);
-        assert!(p.postings("tesla").is_empty());
-    }
-
-    #[test]
-    fn empty_shards_answer_lookups() {
-        // 5 distinct terms over 32 shards: most shards are empty. Lookups,
-        // stats and the merged iterator must all survive that.
-        let p = sharded_sample(32);
-        let empty_shards = (0..p.num_shards())
-            .filter(|&s| p.shard_terms(s).count() == 0)
-            .count();
-        assert!(empty_shards >= 32 - 5, "only {empty_shards} empty shards");
-        assert!(p.postings("absent").is_empty());
-        assert_eq!(p.df("absent"), 0);
-        assert_eq!(p.num_terms(), 5);
-        // An entirely empty sharded postings is also fine.
-        let e = ShardedPostings::new(4);
+    fn empty_postings_answer_lookups() {
+        let e = Postings::new();
         assert_eq!(e.num_docs(), 0);
         assert_eq!(e.avg_doc_len(), 0.0);
         assert!(e.postings("x").is_empty());
-        assert_eq!(e.iter_terms().count(), 0);
-    }
-
-    #[test]
-    fn single_doc_shard() {
-        let mut p = ShardedPostings::new(4);
-        p.add_document(DocId(0), &["lonely".into()]);
-        assert_eq!(p.num_docs(), 1);
-        assert_eq!(
-            p.postings("lonely"),
-            &[Posting {
-                doc: DocId(0),
-                tf: 1
-            }]
-        );
-        // Exactly one shard holds the term; the other three are empty.
-        let owner = p.shard_for("lonely");
-        for s in 0..p.num_shards() {
-            let n = p.shard_terms(s).count();
-            assert_eq!(n, usize::from(s == owner), "shard {s}");
-        }
-    }
-
-    #[test]
-    fn every_term_lives_in_exactly_one_shard() {
-        let p = sharded_sample(8);
-        for term in ["honda", "civic", "ford", "focus", "accord"] {
-            let holders: Vec<usize> = (0..p.num_shards())
-                .filter(|&s| p.shard_terms(s).any(|t| t == term))
-                .collect();
-            assert_eq!(holders, vec![p.shard_for(term)], "term {term:?}");
-        }
-    }
-
-    #[test]
-    fn merged_iterator_is_shard_count_independent() {
-        let reference: Vec<(String, Vec<Posting>)> = sharded_sample(1)
-            .iter_terms()
-            .map(|(t, l)| (t.to_string(), l.to_vec()))
-            .collect();
-        assert_eq!(reference.len(), 5);
-        assert!(
-            reference.windows(2).all(|w| w[0].0 < w[1].0),
-            "merged iteration must be sorted"
-        );
-        for shards in [2, 3, 8, 17] {
-            let got: Vec<(String, Vec<Posting>)> = sharded_sample(shards)
-                .iter_terms()
-                .map(|(t, l)| (t.to_string(), l.to_vec()))
-                .collect();
-            assert_eq!(got, reference, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_absorb_equals_sequential_adds() {
-        let docs: Vec<Vec<String>> = vec![
-            vec!["honda".into(), "civic".into(), "honda".into()],
-            vec!["ford".into(), "focus".into()],
-            vec!["honda".into(), "accord".into()],
-            vec!["zip".into(), "ford".into()],
-            vec!["accord".into()],
-        ];
-        for shards in [1, 2, 8] {
-            let mut sequential = ShardedPostings::new(shards);
-            for (i, terms) in docs.iter().enumerate() {
-                sequential.add_document(DocId(i as u32), terms);
-            }
-            let mut absorbed = ShardedPostings::new(shards);
-            for range in [0..2, 2..3, 3..5] {
-                let mut build = Postings::new();
-                for (local, terms) in docs[range].iter().enumerate() {
-                    build.add_document(DocId(local as u32), terms);
-                }
-                absorbed.absorb(build);
-            }
-            // Byte-identical, id assignment included.
-            assert_eq!(
-                format!("{sequential:?}"),
-                format!("{absorbed:?}"),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn sharded_out_of_order_docs_rejected() {
-        let mut p = ShardedPostings::new(4);
-        p.add_document(DocId(1), &["x".into()]);
+        assert_eq!(e.df("x"), 0);
     }
 
     // --- BlockPostings ---
 
     /// A deterministic synthetic corpus with skewed doc gaps and tfs, so the
     /// packed widths actually vary block to block.
-    fn block_corpus() -> ShardedPostings {
-        let mut p = ShardedPostings::new(4);
+    fn block_corpus() -> Postings {
+        let mut p = Postings::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1097,17 +733,17 @@ mod tests {
                 ]
             })
             .collect();
-        let mut sequential = ShardedPostings::new(8);
+        let mut sequential = Postings::new();
         for (i, terms) in docs.iter().enumerate() {
             sequential.add_document(DocId(i as u32), terms);
         }
-        let mut absorbed = ShardedPostings::new(8);
+        let mut absorbed = Postings::new();
         for range in [0..13, 13..25, 25..40] {
             let mut build = Postings::new();
             for (local, terms) in docs[range].iter().enumerate() {
                 build.add_document(DocId(local as u32), terms);
             }
-            absorbed.absorb(build);
+            absorbed.absorb(&build);
         }
         let a = BlockPostings::build(&sequential, 8, 1.2, 0.75);
         let b = BlockPostings::build(&absorbed, 8, 1.2, 0.75);
@@ -1121,21 +757,21 @@ mod tests {
 
     #[test]
     fn unbuilt_and_postingless_terms_own_no_blocks() {
-        let mut p = ShardedPostings::new(2);
+        let mut p = Postings::new();
         p.add_document(DocId(0), &["alpha".into()]);
         let bp = BlockPostings::build(&p, 64, 1.2, 0.75);
         // Interned after the build: out of range, empty.
         let late = p.intern_term("late");
         assert!(bp.term_blocks(late).is_empty());
         // Annotation-only terms (interned, no postings) own zero blocks.
-        let mut q = ShardedPostings::new(2);
+        let mut q = Postings::new();
         q.add_document(DocId(0), &["alpha".into()]);
         let ann = q.intern_term("annotation-only");
         let bq = BlockPostings::build(&q, 64, 1.2, 0.75);
         assert!(bq.term_blocks(ann).is_empty());
         assert_eq!(bq.term_blocks(TermId(0)).len(), 1);
         // An empty postings builds an empty (but valid) structure.
-        let be = BlockPostings::build(&ShardedPostings::new(1), 64, 1.2, 0.75);
+        let be = BlockPostings::build(&Postings::new(), 64, 1.2, 0.75);
         assert_eq!(be.num_blocks(), 0);
         assert!(be.term_blocks(TermId(0)).is_empty());
     }

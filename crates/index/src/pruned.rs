@@ -33,6 +33,7 @@ use crate::searcher::{
     annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch, SearchOptions,
     ANNOTATION_BOOST,
 };
+use crate::view::IndexView;
 use deepweb_common::ids::{DocId, TermId};
 
 /// Doc-id sentinel for an exhausted cursor (beyond any real doc id).
@@ -48,21 +49,13 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
     x * (1.0 + 1e-9) + 1e-12
 }
 
-/// Deflate an *estimated* threshold (one computed in a different summation
-/// order than the final scores, like the scatter path's bootstrap bound)
-/// before using it to skip. Same margin as [`guard_ub`], pointed down.
-#[inline]
-pub(crate) fn floor_threshold(x: f64) -> f64 {
-    x - (x.abs() * 1e-9 + 1e-12)
-}
-
 /// One block's score upper bound under the query's BM25 parameters: the
 /// stored exact maximum when the query runs the build parameters, else a
 /// bound recomputed from the block's `(max_tf, min_dl)` — BM25 contributions
 /// grow with tf and shrink with doc length, so that pair bounds every
 /// posting under any `(k1 > 0, 0 ≤ b ≤ 1)`.
 #[inline]
-pub(crate) fn block_ub(
+fn block_ub(
     block: &PostingBlock,
     idf: f64,
     avg_len: f64,
@@ -275,44 +268,6 @@ impl PrunedCursor {
     }
 }
 
-/// The scatter path's per-term block filter: emit `(doc, contribution)`
-/// candidates for every posting of `id` whose block could still matter —
-/// a block is skipped only when even its max contribution plus the *other*
-/// terms' total bounds (`other_ub`, which already includes the annotation
-/// bound) cannot reach the floored threshold estimate `t0`. Docs of skipped
-/// blocks either never reach the top-k (their total score is provably below
-/// the k-th hit) or appear in kept blocks of every term that matters to
-/// them, so the gathered fold stays byte-identical for every kept hit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pruned_term_candidates(
-    postings: &crate::postings::ShardedPostings,
-    bp: &BlockPostings,
-    id: TermId,
-    other_ub: f64,
-    t0: f64,
-    bm25: Bm25Params,
-    params_match: bool,
-    avg_len: f64,
-    cands: &mut Vec<(DocId, f64)>,
-) {
-    let idf = postings.idf_id(id);
-    let mut decoded: Vec<Posting> = Vec::new();
-    for block in bp.term_blocks(id) {
-        let ub = block_ub(block, idf, avg_len, bm25, params_match);
-        if guard_ub(other_ub + ub) < t0 {
-            continue;
-        }
-        bp.decode_block(block, &mut decoded);
-        for p in &decoded {
-            let dl = f64::from(postings.doc_len(p.doc));
-            cands.push((
-                p.doc,
-                bm25_contribution(idf, f64::from(p.tf), dl, avg_len, bm25.k1, bm25.b),
-            ));
-        }
-    }
-}
-
 /// Recycled state for the pruned kernel: cursors (with their decode
 /// buffers) and the doc-order index, reused across queries like every other
 /// scratch buffer.
@@ -326,10 +281,11 @@ pub(crate) struct PrunedScratch {
 /// sig term's postings in that doc range and selecting top-k — byte-identical
 /// to that exhaustive fold (see module docs for the argument). Runs on the
 /// scratch's recycled heap and cursor buffers; the dense score accumulator
-/// is untouched.
+/// is untouched. `pr` is `view.pruning()`, which exists only for a view with
+/// no pending segments — so the base's postings are the whole index.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pruned_topk_range(
-    index: &SearchIndex,
+    view: &IndexView<'_>,
     pr: &PruningIndex,
     sig: &[TermId],
     k: usize,
@@ -338,11 +294,8 @@ pub(crate) fn pruned_topk_range(
     hi: u32,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    if sig.is_empty() || k == 0 || lo >= hi {
-        return Vec::new();
-    }
-    let postings = index.postings();
-    let avg_len = postings.avg_doc_len().max(1.0);
+    let postings = view.base.postings();
+    let avg_len = view.avg_doc_len();
     let bp = pr.blocks();
     let params_match = opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b();
     let ann_ub = if opts.use_annotations {
@@ -362,7 +315,7 @@ pub(crate) fn pruned_topk_range(
         c.init(
             si,
             id,
-            postings.idf_id(id),
+            view.idf(id),
             bp,
             opts.bm25,
             params_match,
@@ -458,7 +411,7 @@ pub(crate) fn pruned_topk_range(
                     }
                 }
                 if opts.use_annotations {
-                    score += annotation_boost(index, sig, DocId(d_p));
+                    score += annotation_boost(view, sig, DocId(d_p));
                 }
                 scratch.heap.push(HeapEntry(score, d_p));
                 if scratch.heap.len() > k {
@@ -479,7 +432,7 @@ pub(crate) fn pruned_topk_range(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::searcher::{search, PruningMode};
+    use crate::searcher::{search, top_k_range, PruningMode};
     use deepweb_common::Url;
 
     /// A corpus big enough to span many blocks for the common terms, with
@@ -577,31 +530,20 @@ mod tests {
     #[test]
     fn pruned_equals_exhaustive_per_partition_range() {
         let idx = build(300);
-        let pr = idx.pruning().expect("pruning enabled");
+        let view = IndexView::sealed(&idx);
         let mut scratch = QueryScratch::new();
-        let postings = idx.postings();
+        let exhaustive = SearchOptions::default();
+        let pruned = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..exhaustive
+        };
         for q in ["honda listing", "common rareterm", "ford common"] {
             scratch.analyze(q);
-            scratch.resolve(postings);
+            scratch.resolve(&view);
             let sig = scratch.resolved_sig().to_vec();
             for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
-                let opts = SearchOptions::default();
-                // Exhaustive range reference via the partition kernel.
-                let avg_len = postings.avg_doc_len().max(1.0);
-                scratch.prepare(postings.num_docs());
-                for &id in &sig {
-                    crate::searcher::accumulate_term_range(
-                        postings,
-                        id,
-                        opts.bm25,
-                        avg_len,
-                        lo,
-                        hi,
-                        |doc, c| scratch.add(doc, c),
-                    );
-                }
-                let want = crate::searcher::top_k_hits(&mut scratch, 5);
-                let got = pruned_topk_range(&idx, pr, &sig, 5, opts, lo, hi, &mut scratch);
+                let want = top_k_range(&view, &sig, 5, exhaustive, lo, hi, &mut scratch);
+                let got = top_k_range(&view, &sig, 5, pruned, lo, hi, &mut scratch);
                 assert_eq!(got, want, "q={q:?} range={lo}..{hi}");
             }
         }
@@ -657,7 +599,6 @@ mod tests {
     fn guards_are_conservative() {
         for x in [0.0f64, 1e-300, 1.0, 123.456, 1e12] {
             assert!(guard_ub(x) > x);
-            assert!(floor_threshold(x) < x);
         }
         assert!(guard_ub(f64::NEG_INFINITY) == f64::NEG_INFINITY || guard_ub(0.0) > 0.0);
     }

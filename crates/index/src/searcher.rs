@@ -20,8 +20,9 @@
 //! calls is enforced by unit and property tests.
 
 use crate::index::SearchIndex;
-use crate::postings::ShardedPostings;
-use deepweb_common::ids::{DocId, FacetKeyId, TermId};
+use crate::postings::bm25_contribution;
+use crate::view::IndexView;
+use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -185,18 +186,15 @@ pub struct QueryScratch {
     /// canonical scoring order every serving path folds contributions in.
     terms: Vec<String>,
     n_terms: usize,
-    /// Resolved ids of `terms[..n_terms]`, filled by [`QueryScratch::resolve`]
+    /// The query's resolved-id signature, filled by [`QueryScratch::resolve`]:
+    /// the ids of the terms the index knows, in the same distinct-term order
     /// — one dictionary hash per term per query, shared by scoring and the
-    /// annotation pass (`None` = term unknown to the index).
-    ids: Vec<Option<TermId>>,
-    /// The query's resolved-id signature: the `Some` entries of `ids`, in the
-    /// same distinct-term order. Unknown terms contribute nothing to scoring
-    /// or the annotation pass, so this sequence fully determines the result
-    /// for a fixed `(k, SearchOptions)` — it is the cluster tier's cache key
-    /// and replica-routing key (DESIGN.md §13). Order matters: f64
-    /// accumulation folds in exactly this sequence, so the signature is never
-    /// sorted or canonicalised.
-    pub(crate) sig: Vec<TermId>,
+    /// annotation pass. Unknown terms contribute nothing to either, so this
+    /// sequence fully determines the result for a fixed `(k, SearchOptions)`
+    /// — it is the cluster tier's cache key and replica-routing key
+    /// (DESIGN.md §13). Order matters: f64 accumulation folds in exactly
+    /// this sequence, so the signature is never sorted or canonicalised.
+    sig: Vec<TermId>,
     /// Dense score accumulator indexed by doc id. Invariant between queries:
     /// all zeros (only entries listed in `touched` are ever non-zero, and
     /// top-k selection zeroes them while draining).
@@ -234,47 +232,18 @@ impl QueryScratch {
         }
     }
 
-    /// The analysed query terms (distinct, first-occurrence order).
-    pub(crate) fn terms(&self) -> &[String] {
-        &self.terms[..self.n_terms]
-    }
-
-    /// Resolve every analysed term against the index's dictionary into the
-    /// recycled id buffer — the query's single string-hash pass. Scoring
-    /// skips the `None`s (unknown terms have no postings); the annotation
-    /// pass probes the `Some` ids against interned facet structures.
-    pub(crate) fn resolve(&mut self, postings: &ShardedPostings) {
-        self.ids.clear();
-        self.ids.extend(
+    /// Resolve every analysed term against the view's dictionary into the
+    /// recycled signature — the query's single string-hash pass. Unknown
+    /// terms have no postings and drop out without disturbing the
+    /// accumulation order. (Annotation-only terms resolve but own empty
+    /// posting lists.)
+    pub(crate) fn resolve(&mut self, view: &IndexView<'_>) {
+        self.sig.clear();
+        self.sig.extend(
             self.terms[..self.n_terms]
                 .iter()
-                .map(|t| postings.term_id(t)),
+                .filter_map(|t| view.term_id(t)),
         );
-        self.sig.clear();
-        self.sig.extend(self.ids.iter().flatten());
-    }
-
-    /// [`QueryScratch::resolve`] against an arbitrary term-resolution
-    /// function — the segmented freshness tier resolves terms against the
-    /// base dictionary *extended by* a generation's overlay, which is not a
-    /// [`ShardedPostings`]. Fills `ids` and `sig` exactly like `resolve`.
-    pub(crate) fn resolve_with(&mut self, mut f: impl FnMut(&str) -> Option<TermId>) {
-        let QueryScratch {
-            terms,
-            n_terms,
-            ids,
-            ..
-        } = self;
-        ids.clear();
-        ids.extend(terms[..*n_terms].iter().map(|t| f(t)));
-        self.sig.clear();
-        self.sig.extend(self.ids.iter().flatten());
-    }
-
-    /// The resolved query ids, aligned with [`QueryScratch::terms`]. Only
-    /// valid after [`QueryScratch::resolve`] for the current query.
-    pub(crate) fn resolved_ids(&self) -> &[Option<TermId>] {
-        &self.ids
     }
 
     /// The resolved-id signature (known terms only, distinct-term order).
@@ -283,19 +252,11 @@ impl QueryScratch {
         &self.sig
     }
 
-    /// Ensure the dense score vector covers `num_docs` documents. Newly
-    /// exposed entries are zero, preserving the all-zeros invariant.
-    pub(crate) fn prepare(&mut self, num_docs: usize) {
-        if self.scores.len() < num_docs {
-            self.scores.resize(num_docs, 0.0);
-        }
-    }
-
-    /// Accumulate one contribution for `doc` — the exact `scores[doc] += c`
-    /// fold every serving path shares. BM25 contributions are strictly
-    /// positive, so 0.0 doubles as the "untouched" marker.
+    /// Accumulate one contribution for `doc` — the `scores[doc] += c` fold.
+    /// BM25 contributions are strictly positive, so 0.0 doubles as the
+    /// "untouched" marker.
     #[inline]
-    pub(crate) fn add(&mut self, doc: DocId, c: f64) {
+    fn add(&mut self, doc: DocId, c: f64) {
         let s = &mut self.scores[doc.as_usize()];
         if *s == 0.0 {
             self.touched.push(doc);
@@ -304,70 +265,12 @@ impl QueryScratch {
     }
 }
 
-/// Emit one term's BM25 contribution for every posting of the interned term
-/// `id`, in doc-id order. This is the single scoring kernel: the sequential
-/// searcher accumulates straight into its scratch, while the broker's
-/// scatter path collects `(doc, contribution)` candidates per shard — both
-/// run this exact function, so their floating-point values are bit-identical.
-pub(crate) fn accumulate_term(
-    postings: &ShardedPostings,
-    id: TermId,
-    bm25: Bm25Params,
-    avg_len: f64,
-    emit: impl FnMut(DocId, f64),
-) {
-    accumulate_postings(postings, id, postings.postings_id(id), bm25, avg_len, emit)
-}
-
-/// [`accumulate_term`] restricted to documents in `[lo, hi)` — the doc-range
-/// partition kernel. Posting lists are sorted by doc id, so the sub-range is
-/// located by binary search and each posting's contribution is the *same
-/// expression over the same global statistics* (idf, avg doc length) as the
-/// full scan: a doc's score is bit-identical whether it was computed by the
-/// sequential searcher or inside its owning partition.
-pub(crate) fn accumulate_term_range(
-    postings: &ShardedPostings,
-    id: TermId,
-    bm25: Bm25Params,
-    avg_len: f64,
-    lo: u32,
-    hi: u32,
-    emit: impl FnMut(DocId, f64),
-) {
-    let list = postings.postings_id(id);
-    let start = list.partition_point(|p| p.doc.0 < lo);
-    let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
-    accumulate_postings(postings, id, &list[start..end], bm25, avg_len, emit)
-}
-
-/// Shared contribution loop behind [`accumulate_term`] and
-/// [`accumulate_term_range`]: one expression, one place, so no serving path
-/// can drift from the kernel.
-fn accumulate_postings(
-    postings: &ShardedPostings,
-    id: TermId,
-    list: &[crate::postings::Posting],
-    bm25: Bm25Params,
-    avg_len: f64,
-    mut emit: impl FnMut(DocId, f64),
-) {
-    let idf = postings.idf_id(id);
-    for p in list {
-        let dl = postings.doc_len(p.doc) as f64;
-        let tf = p.tf as f64;
-        emit(
-            p.doc,
-            crate::postings::bm25_contribution(idf, tf, dl, avg_len, bm25.k1, bm25.b),
-        );
-    }
-}
-
 /// Fold accumulated scores down to the top `k` hits and reset the scratch
 /// for the next query: score descending, doc id ascending on ties. The
 /// tie-break is explicit at both stages — the bounded heap's eviction order
 /// and the final sort — so the result never depends on accumulation order,
 /// and every serving path returns byte-identical hits.
-pub(crate) fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
+fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
     let QueryScratch {
         scores,
         touched,
@@ -447,95 +350,85 @@ pub fn search_with_scratch(
     opts: SearchOptions,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
+    search_view(&IndexView::sealed(index), query, k, opts, scratch)
+}
+
+/// Analyse, resolve and score `query` over the whole of `view` — the
+/// sequential tier of a sealed index and of a freshness-tier generation.
+pub(crate) fn search_view(
+    view: &IndexView<'_>,
+    query: &str,
+    k: usize,
+    opts: SearchOptions,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
     scratch.analyze(query);
     if scratch.n_terms == 0 || k == 0 {
         return Vec::new();
     }
-    let postings = index.postings();
-    let avg_len = postings.avg_doc_len().max(1.0);
-    scratch.resolve(postings);
+    scratch.resolve(view);
+    // The signature is moved out so the kernel can borrow the rest of the
+    // scratch mutably; it is restored before returning.
+    let sig = std::mem::take(&mut scratch.sig);
+    let hits = top_k_range(view, &sig, k, opts, 0, view.num_docs() as u32, scratch);
+    scratch.sig = sig;
+    hits
+}
+
+/// The one scoring kernel: top `k` of `view`'s global docs `[lo, hi)` for the
+/// resolved signature `sig`. Every doc's postings for every query term lie
+/// inside the one range that owns the doc, so a range's top-k is exact and
+/// per-range lists merge under [`hit_order`] into the full-range result.
+///
+/// [`PruningMode::BlockMax`] runs the block-max kernel when the view has
+/// current pruning structures; otherwise — and always in
+/// [`PruningMode::Exhaustive`], block-max's reference — every posting is
+/// folded: terms in signature order, each term's runs in ascending doc
+/// order, then one annotation pass over the touched docs. The two return
+/// the same bytes.
+pub(crate) fn top_k_range(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    k: usize,
+    opts: SearchOptions,
+    lo: u32,
+    hi: u32,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
+    if sig.is_empty() || k == 0 || lo >= hi {
+        return Vec::new();
+    }
     if opts.pruning == PruningMode::BlockMax {
-        if let Some(pr) = index.pruning() {
-            // The signature is moved out so the kernel can borrow the rest
-            // of the scratch mutably; it is restored before returning.
-            let sig = std::mem::take(&mut scratch.sig);
-            let hits = crate::pruned::pruned_topk_range(
-                index,
-                pr,
-                &sig,
-                k,
-                opts,
-                0,
-                postings.num_docs() as u32,
-                scratch,
-            );
-            scratch.sig = sig;
-            return hits;
+        if let Some(pr) = view.pruning() {
+            return crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, hi, scratch);
         }
     }
-    scratch.prepare(postings.num_docs());
-    for ti in 0..scratch.n_terms {
-        // Unknown terms have no postings and contribute nothing; skipping
-        // them preserves the exact accumulation sequence. (Annotation-only
-        // terms resolve but own empty posting lists — same no-op.)
-        let Some(id) = scratch.ids[ti] else {
-            continue;
-        };
-        accumulate_term(postings, id, opts.bm25, avg_len, |doc, c| {
-            scratch.add(doc, c)
-        });
+    if scratch.scores.len() < view.num_docs() {
+        // Newly exposed entries are zero, preserving the all-zeros invariant.
+        scratch.scores.resize(view.num_docs(), 0.0);
+    }
+    let avg_len = view.avg_doc_len();
+    for &id in sig {
+        let idf = view.idf(id);
+        for (offset, list, lens) in view.runs(id, lo, hi) {
+            for p in list {
+                let dl = f64::from(lens.doc_len(p.doc));
+                let tf = f64::from(p.tf);
+                scratch.add(
+                    DocId(offset + p.doc.0),
+                    bm25_contribution(idf, tf, dl, avg_len, opts.bm25.k1, opts.bm25.b),
+                );
+            }
+        }
     }
     if opts.use_annotations {
-        apply_annotations(index, scratch);
+        // Per-doc adjustments are independent, so iteration order cannot
+        // affect the result.
+        for &doc in &scratch.touched {
+            scratch.scores[doc.as_usize()] += annotation_boost(view, sig, doc);
+        }
     }
     top_k_hits(scratch, k)
-}
-
-/// Apply annotation boosts/penalties to every touched doc in the scratch.
-/// Per-doc adjustments are independent, so iteration order cannot affect the
-/// result. Requires [`QueryScratch::resolve`] to have run for this query
-/// (every serving path resolves right after `analyze`).
-pub(crate) fn apply_annotations(index: &SearchIndex, scratch: &mut QueryScratch) {
-    let QueryScratch {
-        sig,
-        scores,
-        touched,
-        ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += annotation_boost(index, sig, doc);
-    }
-}
-
-/// [`apply_annotations`] against a caller-provided signature — the cluster
-/// path resolves a query once at the aggregator and hands partitions the
-/// bare `TermId` signature, so their scratches never run `resolve` at all.
-pub(crate) fn apply_annotations_sig(
-    index: &SearchIndex,
-    sig: &[TermId],
-    scratch: &mut QueryScratch,
-) {
-    let QueryScratch {
-        scores, touched, ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += annotation_boost(index, sig, doc);
-    }
-}
-
-/// Add a per-doc adjustment to every touched doc in the scratch — the
-/// generic form of the annotation pass, for callers whose documents do not
-/// all live in one [`SearchIndex`] (the segmented freshness tier looks up a
-/// doc's annotations in the base index or its owning delta segment).
-/// Per-doc adjustments are independent, so iteration order cannot affect
-/// the result.
-pub(crate) fn adjust_touched(scratch: &mut QueryScratch, mut f: impl FnMut(DocId) -> f64) {
-    let QueryScratch {
-        scores, touched, ..
-    } = scratch;
-    for &doc in touched.iter() {
-        scores[doc.as_usize()] += f(doc);
-    }
 }
 
 /// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per
@@ -543,41 +436,19 @@ pub(crate) fn adjust_touched(scratch: &mut QueryScratch, mut f: impl FnMut(DocId
 /// facet where a query token is a *known value* of that facet but this page
 /// is annotated with a different one.
 ///
-/// Everything here is interned: annotation values live on the docstore as
-/// pre-tokenised [`TermId`] slices, the facet vocabulary is an id-set keyed
-/// by facet-key id, and `qids` is the query's resolved-id signature — so one
-/// query id compares against annotation tokens by `u32` equality and probes
-/// the vocabulary with one integer hash. Each annotation takes a single pass
+/// Everything here is interned: annotation values are pre-tokenised
+/// [`TermId`] slices, the facet vocabulary is an id-set keyed by facet-key
+/// id, and `qids` is the query's resolved-id signature — so one query id
+/// compares against annotation tokens by `u32` equality and probes the
+/// vocabulary with one integer hash. Each annotation takes a single pass
 /// over the resolved ids (no `terms × values` string rescans): a bitmask
 /// tracks which value tokens the query covers while the same pass flags
-/// conflicting ids. Unknown terms (resolved to `None`) are absent from the
-/// signature; they could never cover a value token or probe the vocabulary,
-/// so dropping them changes nothing.
-pub(crate) fn annotation_boost(index: &SearchIndex, qids: &[TermId], doc: DocId) -> f64 {
-    let facet_values = index.facet_values();
-    annotation_boost_of(&index.docs().get(doc).annotation_ids, qids, |key, qid| {
-        facet_values
-            .get(&key)
-            .is_some_and(|vals| vals.contains(&qid))
-    })
-}
-
-/// [`annotation_boost`] over explicit annotations and an abstract facet
-/// vocabulary probe — the same pass for documents that do not live in a
-/// [`SearchIndex`] docstore (delta-segment docs) or whose facet vocabulary
-/// is a base-plus-overlay union (segmented generations). Everything about
-/// the arithmetic and the probe order is unchanged, so a segmented reader's
-/// adjustments are bit-identical to the merged index's.
-pub(crate) fn annotation_boost_of(
-    annotation_ids: &[crate::docstore::AnnotationIds],
-    qids: &[TermId],
-    facet_has: impl Fn(FacetKeyId, TermId) -> bool,
-) -> f64 {
-    if annotation_ids.is_empty() {
-        return 0.0;
-    }
+/// conflicting ids. Unknown terms are absent from the signature; they could
+/// never cover a value token or probe the vocabulary, so dropping them
+/// changes nothing.
+pub(crate) fn annotation_boost(view: &IndexView<'_>, qids: &[TermId], doc: DocId) -> f64 {
     let mut boost = 0.0;
-    for ann in annotation_ids {
+    for ann in view.annotations(doc) {
         let value_ids = &ann.terms;
         if value_ids.is_empty() || value_ids.len() > 64 {
             // Empty: nothing to match (and nothing to conflict with, since a
@@ -600,7 +471,7 @@ pub(crate) fn annotation_boost_of(
             // Conflict candidate: a query id that is a known value of this
             // facet but not one of this annotation's own tokens.
             if !is_value_token && !conflict {
-                conflict = facet_has(ann.key, qid);
+                conflict = view.facet_has(ann.key, qid);
             }
         }
         if covered == full {
@@ -836,12 +707,12 @@ mod tests {
     fn scratch_analyze_dedups_in_first_occurrence_order() {
         let mut s = QueryScratch::new();
         s.analyze("The Ford ford FOCUS focus 1993 ford");
-        assert_eq!(s.terms(), ["ford", "focus", "1993"]);
+        assert_eq!(s.terms[..s.n_terms], ["ford", "focus", "1993"]);
         // Reuse shrinks as well as grows.
         s.analyze("honda");
-        assert_eq!(s.terms(), ["honda"]);
+        assert_eq!(s.terms[..s.n_terms], ["honda"]);
         s.analyze("");
-        assert!(s.terms().is_empty());
+        assert_eq!(s.n_terms, 0);
     }
 
     #[test]

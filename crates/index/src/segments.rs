@@ -23,17 +23,19 @@
 //!    ids therefore *are* the post-merge global ids, and a segment's interned
 //!    annotation layer ([`SealedSegment`]'s per-doc [`AnnotationIds`]) is the
 //!    one the merged index stores.
-//! 2. **Global statistics.** The segmented kernel evaluates the one BM25
-//!    expression ([`bm25_contribution`]) against generation-wide statistics:
-//!    `N` and the average doc length are recomputed from exact integer totals
-//!    (base + per-segment [`Postings::total_doc_len`]), and `df` is the base
+//! 2. **Global statistics.** The one kernel evaluates the one BM25
+//!    expression against the generation's [`IndexView`]: `N` and the average
+//!    doc length are recomputed from exact integer totals (base +
+//!    per-segment [`Postings::total_doc_len`]), and `df` is the base
 //!    document frequency plus each segment's — the same integers the merged
 //!    index derives, so `idf` and every contribution are bit-identical.
 //! 3. **Fold order.** Contributions fold per doc in query-term order (terms
-//!    outer, postings inner), and within a term the base list is scanned
-//!    before each segment's list in segment order — ascending global doc id,
-//!    i.e. the merged posting list's order. Top-k selection and the
-//!    partition merge reuse the strict [`hit_order`] total order.
+//!    outer, postings inner), and within a term the view yields the base
+//!    list before each segment's list in segment order — ascending global
+//!    doc id, i.e. the merged posting list's order.
+//!
+//! A generation has no kernel of its own: [`Generation::search_with_scratch`]
+//! is the sequential searcher's `search_view` over "view with segments".
 //!
 //! ## Pruning-structure invalidation
 //!
@@ -46,14 +48,11 @@
 
 use crate::docstore::AnnotationIds;
 use crate::index::{build_shard, BatchDoc, SearchIndex};
-use crate::partition::partition_ranges;
-use crate::postings::{bm25_contribution, bm25_idf, Postings};
-use crate::searcher::{
-    adjust_touched, annotation_boost_of, hit_order, top_k_hits, with_thread_scratch, Hit,
-    QueryScratch, SearchOptions,
-};
+use crate::postings::Postings;
+use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use deepweb_common::ids::{DocId, FacetKeyId, TermId};
+use crate::view::IndexView;
+use deepweb_common::ids::{FacetKeyId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
@@ -65,10 +64,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SealedSegment {
     /// Global doc id of the segment's first document.
-    base_doc: u32,
+    pub(crate) base_doc: u32,
     /// Doc-local (ids `0..num_docs`), term-local postings — the exact build
     /// shard a merge absorbs.
-    postings: Postings,
+    pub(crate) postings: Postings,
     /// The raw documents, retained so a merge can replay the canonical
     /// store/facet bookkeeping.
     docs: Vec<BatchDoc>,
@@ -78,10 +77,10 @@ pub struct SealedSegment {
     /// Per doc: the interned annotations in generation-global ids — what the
     /// query-time annotation pass reads. Identical to what the merged index
     /// will store for these docs (id replay, see module docs).
-    ann_global: Vec<Vec<AnnotationIds>>,
+    pub(crate) ann_global: Vec<Vec<AnnotationIds>>,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
-    inv: FxHashMap<TermId, TermId>,
+    pub(crate) inv: FxHashMap<TermId, TermId>,
 }
 
 impl SealedSegment {
@@ -107,22 +106,22 @@ impl SealedSegment {
 /// order), facet-vocabulary additions, the fresh URL set, and exact global
 /// totals for BM25 statistics.
 #[derive(Clone, Debug, Default)]
-struct Overlay {
+pub(crate) struct Overlay {
     /// Terms absent from the base dictionary → their generation id
     /// (`base.num_terms() + insertion order` — the id the merge will assign).
-    terms: FxHashMap<String, TermId>,
+    pub(crate) terms: FxHashMap<String, TermId>,
     /// Facet keys absent from the base → their generation id (same replay).
     facet_keys: FxHashMap<String, FacetKeyId>,
     /// Facet-vocabulary *additions* from segment annotations; probed as a
     /// union with the base's vocabulary.
-    facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
+    pub(crate) facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
     /// URLs of every segment doc (the base's `by_url` covers the rest).
     urls: FxHashSet<String>,
     /// Total documents across base + segments.
-    num_docs: usize,
+    pub(crate) num_docs: usize,
     /// Total tokens across base + segments (integer numerator of the merged
     /// average doc length).
-    total_len: u64,
+    pub(crate) total_len: u64,
 }
 
 /// One immutable snapshot of the freshness tier: a base index plus sealed
@@ -174,148 +173,20 @@ impl Generation {
         self.base.contains_url(url) || self.overlay.urls.contains(&url.to_string())
     }
 
-    /// Resolve a term against the base dictionary extended by the overlay.
-    fn term_id(&self, term: &str) -> Option<TermId> {
-        self.base
-            .postings()
-            .term_id(term)
-            .or_else(|| self.overlay.terms.get(term).copied())
-    }
-
-    /// Generation-wide document frequency: base df (for base-dictionary ids)
-    /// plus each segment's — the same integer the merged list's length would
-    /// be.
-    fn df(&self, id: TermId) -> usize {
-        let mut df = if id.as_usize() < self.base.postings().num_terms() {
-            self.base.postings().df_id(id)
-        } else {
-            0
-        };
-        for seg in &self.segments {
-            if let Some(&local) = seg.inv.get(&id) {
-                df += seg.postings.df_id(local);
-            }
-        }
-        df
-    }
-
-    /// Facet-vocabulary probe over the base ∪ overlay union — the merged
-    /// index's vocabulary, by construction.
-    fn facet_has(&self, key: FacetKeyId, qid: TermId) -> bool {
-        self.base
-            .facet_values()
-            .get(&key)
-            .is_some_and(|vals| vals.contains(&qid))
-            || self
-                .overlay
-                .facet_values
-                .get(&key)
-                .is_some_and(|vals| vals.contains(&qid))
-    }
-
-    /// A doc's interned annotations, wherever the doc lives.
-    fn annotation_ids_of(&self, doc: DocId) -> &[AnnotationIds] {
-        if doc.as_usize() < self.base.len() {
-            return &self.base.docs().get(doc).annotation_ids;
-        }
-        let si = self
-            .segments
-            .partition_point(|s| s.base_doc <= doc.0)
-            .saturating_sub(1);
-        let seg = &self.segments[si];
-        &seg.ann_global[(doc.0 - seg.base_doc) as usize]
-    }
-
-    /// Accumulate one resolved term's contributions over global docs
-    /// `[lo, hi)`: the base's sub-list first, then each overlapping
-    /// segment's, in segment order — ascending global doc id, i.e. exactly
-    /// the merged posting list restricted to the range.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_id_range(
-        &self,
-        id: TermId,
-        idf: f64,
-        opts: SearchOptions,
-        avg_len: f64,
-        lo: u32,
-        hi: u32,
-        scratch: &mut QueryScratch,
-    ) {
-        let (k1, b) = (opts.bm25.k1, opts.bm25.b);
-        if id.as_usize() < self.base.postings().num_terms() {
-            let list = self.base.postings().postings_id(id);
-            let start = list.partition_point(|p| p.doc.0 < lo);
-            let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
-            for p in &list[start..end] {
-                let dl = f64::from(self.base.postings().doc_len(p.doc));
-                scratch.add(
-                    p.doc,
-                    bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b),
-                );
-            }
-        }
-        for seg in &self.segments {
-            let seg_lo = seg.base_doc;
-            let seg_hi = seg.base_doc + seg.postings.num_docs() as u32;
-            if seg_hi <= lo || seg_lo >= hi {
-                continue;
-            }
-            let Some(&local) = seg.inv.get(&id) else {
-                continue;
-            };
-            let (llo, lhi) = (lo.max(seg_lo) - seg_lo, hi.min(seg_hi) - seg_lo);
-            let list = seg.postings.postings_id(local);
-            let start = list.partition_point(|p| p.doc.0 < llo);
-            let end = start + list[start..].partition_point(|p| p.doc.0 < lhi);
-            for p in &list[start..end] {
-                let dl = f64::from(seg.postings.doc_len(p.doc));
-                scratch.add(
-                    DocId(seg_lo + p.doc.0),
-                    bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b),
-                );
-            }
+    /// The read-side view of this generation: base ⊕ segments ⊕ overlay.
+    fn view(&self) -> IndexView<'_> {
+        IndexView {
+            base: &self.base,
+            segments: &self.segments,
+            overlay: Some(&self.overlay),
         }
     }
 
-    /// The segmented exhaustive kernel over global docs `[lo, hi)`,
-    /// assuming `analyze` + `resolve_with` already ran for this query.
-    /// Shared by the sequential path (full range) and the partitioned tier.
-    fn scored_range(
-        &self,
-        k: usize,
-        opts: SearchOptions,
-        avg_len: f64,
-        lo: u32,
-        hi: u32,
-        scratch: &mut QueryScratch,
-    ) -> Vec<Hit> {
-        scratch.prepare(self.overlay.num_docs);
-        // The signature is the resolved ids minus unknown terms, in the
-        // distinct-term order — skipping the `None`s exactly like the
-        // sequential kernel does. Moved out so the loop can borrow the
-        // scratch mutably; restored below.
-        let sig = std::mem::take(&mut scratch.sig);
-        for &id in &sig {
-            let idf = bm25_idf(self.overlay.num_docs as f64, self.df(id) as f64);
-            self.accumulate_id_range(id, idf, opts, avg_len, lo, hi, scratch);
-        }
-        if opts.use_annotations {
-            adjust_touched(scratch, |doc| {
-                annotation_boost_of(self.annotation_ids_of(doc), &sig, |key, qid| {
-                    self.facet_has(key, qid)
-                })
-            });
-        }
-        scratch.sig = sig;
-        top_k_hits(scratch, k)
-    }
-
-    /// Top-`k` hits over this generation, caller-provided scratch.
-    ///
-    /// With no pending segments this delegates to the plain kernel over the
-    /// base (pruning structures and all). With segments it scores
-    /// exhaustively — per-segment pruning invalidation — which is
-    /// byte-identical by the mode-equality contract.
+    /// Top-`k` hits over this generation, caller-provided scratch: the one
+    /// kernel over this generation's view. With no pending segments the
+    /// view carries the base's pruning structures; with segments pending it
+    /// has none and scores exhaustively, which is byte-identical by the
+    /// mode-equality contract.
     pub fn search_with_scratch(
         &self,
         query: &str,
@@ -323,71 +194,12 @@ impl Generation {
         opts: SearchOptions,
         scratch: &mut QueryScratch,
     ) -> Vec<Hit> {
-        if self.segments.is_empty() {
-            return crate::searcher::search_with_scratch(&self.base, query, k, opts, scratch);
-        }
-        scratch.analyze(query);
-        if scratch.terms().is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let avg_len = (self.overlay.total_len as f64 / self.overlay.num_docs as f64).max(1.0);
-        scratch.resolve_with(|t| self.term_id(t));
-        self.scored_range(k, opts, avg_len, 0, self.overlay.num_docs as u32, scratch)
+        search_view(&self.view(), query, k, opts, scratch)
     }
 
     /// Top-`k` hits over this generation (per-thread scratch).
     pub fn search(&self, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
         with_thread_scratch(|s| self.search_with_scratch(query, k, opts, s))
-    }
-
-    /// The cluster-style read: score `parts` contiguous doc-range partitions
-    /// of the generation independently (each partition's top-k is exact —
-    /// every doc's score is whole inside its owning range) and merge under
-    /// the strict [`hit_order`] total order. Byte-identical to
-    /// [`Generation::search`] for any `parts`.
-    pub fn search_partitioned(
-        &self,
-        query: &str,
-        k: usize,
-        opts: SearchOptions,
-        parts: usize,
-    ) -> Vec<Hit> {
-        if self.segments.is_empty() {
-            // Serve through the sealed base's own partition kernel (which may
-            // use pruning); equality with the sequential oracle is its
-            // existing contract.
-            return with_thread_scratch(|scratch| {
-                scratch.analyze(query);
-                if scratch.terms().is_empty() || k == 0 {
-                    return Vec::new();
-                }
-                scratch.resolve(self.base.postings());
-                let sig = std::mem::take(&mut scratch.sig);
-                let mut merged: Vec<Hit> = Vec::new();
-                for part in crate::partition::IndexPartition::layout(&self.base, parts) {
-                    merged.extend(part.search_sig(&self.base, &sig, k, opts, scratch));
-                }
-                scratch.sig = sig;
-                merged.sort_by(hit_order);
-                merged.truncate(k);
-                merged
-            });
-        }
-        with_thread_scratch(|scratch| {
-            scratch.analyze(query);
-            if scratch.terms().is_empty() || k == 0 {
-                return Vec::new();
-            }
-            let avg_len = (self.overlay.total_len as f64 / self.overlay.num_docs as f64).max(1.0);
-            scratch.resolve_with(|t| self.term_id(t));
-            let mut merged: Vec<Hit> = Vec::new();
-            for (lo, hi) in partition_ranges(self.overlay.num_docs, parts) {
-                merged.extend(self.scored_range(k, opts, avg_len, lo, hi, scratch));
-            }
-            merged.sort_by(hit_order);
-            merged.truncate(k);
-            merged
-        })
     }
 }
 
@@ -407,8 +219,14 @@ pub struct SegmentedIndex {
 impl SegmentedIndex {
     /// Wrap a built base index as generation zero (no segments).
     pub fn new(base: SearchIndex) -> Self {
+        Self::from_shared(Arc::new(base))
+    }
+
+    /// [`SegmentedIndex::new`] over a base the caller keeps sharing: the
+    /// tier reads the one allocation instead of serving a clone of it.
+    pub fn from_shared(base: Arc<SearchIndex>) -> Self {
         SegmentedIndex {
-            current: RwLock::new(Arc::new(Generation::from_base(Arc::new(base)))),
+            current: RwLock::new(Arc::new(Generation::from_base(base))),
             writer: Mutex::new(()),
         }
     }
@@ -526,12 +344,7 @@ impl SegmentedIndex {
         let folded = gen.pending_docs();
         let mut merged = (*gen.base).clone();
         for seg in &gen.segments {
-            merged.absorb_built(
-                seg.postings.clone(),
-                seg.docs.clone(),
-                seg.ann_local.clone(),
-                true,
-            );
+            merged.absorb_built(&seg.postings, seg.docs.clone(), &seg.ann_local, true);
         }
         merged.enable_pruning();
         self.publish(Generation::from_base(Arc::new(merged)));
@@ -567,18 +380,6 @@ impl SegmentedIndex {
         pool.map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
             gen.search_with_scratch(&queries[qi], k, opts, scratch)
         })
-    }
-
-    /// The cluster-style partitioned read against the current generation
-    /// (see [`Generation::search_partitioned`]).
-    pub fn search_partitioned(
-        &self,
-        query: &str,
-        k: usize,
-        opts: SearchOptions,
-        parts: usize,
-    ) -> Vec<Hit> {
-        self.snapshot().search_partitioned(query, k, opts, parts)
     }
 
     /// This tier as a [`SearchService`] with fixed serving options.
@@ -624,8 +425,7 @@ impl SearchService for SegmentedSearcher<'_> {
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::searcher::search;
-    use crate::searcher::PruningMode;
+    use crate::searcher::{hit_order, search, top_k_range, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -737,13 +537,6 @@ mod tests {
                 for k in [1, 3, 10] {
                     let want = search(&full, q, k, opts);
                     assert_eq!(seg.search(q, k, opts), want, "pre-merge q={q:?}");
-                    for parts in [1, 2, 5] {
-                        assert_eq!(
-                            seg.search_partitioned(q, k, opts, parts),
-                            want,
-                            "pre-merge partitioned q={q:?} parts={parts}"
-                        );
-                    }
                 }
             }
         }
@@ -754,13 +547,63 @@ mod tests {
             for q in QUERIES {
                 let want = search(&full, q, 10, opts);
                 assert_eq!(seg.search(q, 10, opts), want, "post-merge q={q:?}");
-                for parts in [1, 3] {
-                    assert_eq!(
-                        seg.search_partitioned(q, 10, opts, parts),
-                        want,
-                        "post-merge partitioned q={q:?}"
-                    );
+            }
+        }
+    }
+
+    /// The kernel over doc ranges of a generation with two pending segments
+    /// (base = docs 0..3, segments = 3..5 and 5..6): for cut points inside
+    /// the base, on a segment boundary and inside a segment, per-range top-k
+    /// lists merged under `hit_order` equal the full-range result and the
+    /// from-scratch rebuild — pre- and post-merge.
+    #[test]
+    fn per_range_topk_merges_to_full_range_and_rebuild() {
+        let (base, mut delta) = corpus();
+        let extra = doc(
+            "d.sim",
+            "/x",
+            "honda dealer",
+            "used honda civic dealer listing",
+            &[("make", "honda")],
+        );
+        let seg = SegmentedIndex::new(build_base(&base));
+        seg.apply(delta.clone());
+        seg.apply(vec![extra.clone()]);
+        assert_eq!(seg.num_segments(), 2);
+        delta.push(extra);
+        let full = rebuild(&base, &delta);
+        let cuts: [&[u32]; 4] = [&[2], &[5], &[4], &[1, 3, 4]];
+        for phase in ["pre-merge", "post-merge"] {
+            let gen = seg.snapshot();
+            let view = gen.view();
+            let n = gen.num_docs() as u32;
+            assert_eq!(n, 6);
+            let mut scratch = QueryScratch::new();
+            for opts in all_opts() {
+                for q in QUERIES {
+                    scratch.analyze(q);
+                    scratch.resolve(&view);
+                    let sig = scratch.resolved_sig().to_vec();
+                    let whole = top_k_range(&view, &sig, 10, opts, 0, n, &mut scratch);
+                    assert_eq!(whole, search(&full, q, 10, opts), "{phase} q={q:?}");
+                    for cut in cuts {
+                        let mut bounds = vec![0];
+                        bounds.extend_from_slice(cut);
+                        bounds.push(n);
+                        let mut merged: Vec<Hit> = bounds
+                            .windows(2)
+                            .flat_map(|w| {
+                                top_k_range(&view, &sig, 10, opts, w[0], w[1], &mut scratch)
+                            })
+                            .collect();
+                        merged.sort_by(hit_order);
+                        merged.truncate(10);
+                        assert_eq!(merged, whole, "{phase} q={q:?} cut={cut:?}");
+                    }
                 }
+            }
+            if phase == "pre-merge" {
+                assert_eq!(seg.merge(), 3);
             }
         }
     }

@@ -76,7 +76,7 @@ impl SearchService for IndexSearcher<'_> {
 
 impl SearchService for QueryBroker<'_> {
     fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        self.search_scatter(query, k)
+        search(self.index(), query, k, self.options())
     }
 
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {

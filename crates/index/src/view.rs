@@ -1,0 +1,165 @@
+//! The one read-side view of an index (DESIGN.md §9): a sealed base
+//! [`SearchIndex`] plus the pending delta segments and overlay of a
+//! freshness-tier generation. A sealed index is simply the view with no
+//! segments. Every serving tier reads terms, statistics, postings and
+//! annotations through this struct, so there is one kernel
+//! ([`top_k_range`](crate::searcher::top_k_range)) and the tiers differ only
+//! in which view and which doc range they hand it.
+//!
+//! Byte-identity of a segmented view to a from-scratch rebuild rests on the
+//! three invariants argued in [`segments`](crate::segments): overlay ids
+//! replay the merge's interning order, statistics are exact integer totals
+//! over base + segments, and a term's runs come back in ascending global doc
+//! order — the merged posting list's order.
+
+use crate::docstore::AnnotationIds;
+use crate::index::SearchIndex;
+use crate::postings::{bm25_idf, Posting, Postings};
+use crate::pruned::PruningIndex;
+use crate::segments::{Overlay, SealedSegment};
+use deepweb_common::ids::{DocId, FacetKeyId, TermId};
+use deepweb_common::{FxHashMap, FxHashSet};
+use std::sync::Arc;
+
+/// One contiguous run of a term's postings inside a doc range: the global
+/// doc id of the run's local doc 0, the postings (doc ids local to the run's
+/// owner), and the owner's doc lengths (indexed by the same local ids).
+pub(crate) type PostingRun<'a> = (u32, &'a [Posting], &'a Postings);
+
+/// See the module docs.
+#[derive(Clone, Copy)]
+pub(crate) struct IndexView<'a> {
+    pub(crate) base: &'a SearchIndex,
+    pub(crate) segments: &'a [Arc<SealedSegment>],
+    /// What the segments lay over the base; `None` for a sealed index.
+    pub(crate) overlay: Option<&'a Overlay>,
+}
+
+/// The sub-slice of a doc-sorted posting list with doc ids in `[lo, hi)`.
+fn clip(list: &[Posting], lo: u32, hi: u32) -> &[Posting] {
+    let start = list.partition_point(|p| p.doc.0 < lo);
+    let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
+    &list[start..end]
+}
+
+impl<'a> IndexView<'a> {
+    /// The view of a sealed index: no segments, no overlay.
+    pub(crate) fn sealed(base: &'a SearchIndex) -> Self {
+        IndexView {
+            base,
+            segments: &[],
+            overlay: None,
+        }
+    }
+
+    /// Total documents (base + segments).
+    pub(crate) fn num_docs(&self) -> usize {
+        self.overlay
+            .map_or(self.base.postings().num_docs(), |o| o.num_docs)
+    }
+
+    /// Mean document length over base + segments from the exact integer
+    /// totals, floored at 1.0 (the BM25 normaliser every kernel divides by).
+    pub(crate) fn avg_doc_len(&self) -> f64 {
+        let total = self
+            .overlay
+            .map_or(self.base.postings().total_doc_len(), |o| o.total_len);
+        match self.num_docs() {
+            0 => 1.0,
+            n => (total as f64 / n as f64).max(1.0),
+        }
+    }
+
+    /// Resolve a term against the base dictionary extended by the overlay —
+    /// the query's single string hash.
+    pub(crate) fn term_id(&self, term: &str) -> Option<TermId> {
+        self.base
+            .postings()
+            .term_id(term)
+            .or_else(|| self.overlay?.terms.get(term).copied())
+    }
+
+    /// Document frequency: base df (for base-dictionary ids) plus each
+    /// segment's — the integer the merged list's length would be.
+    pub(crate) fn df(&self, id: TermId) -> usize {
+        let base = self.base.postings();
+        let mut df = if id.as_usize() < base.num_terms() {
+            base.df_id(id)
+        } else {
+            0
+        };
+        for seg in self.segments {
+            if let Some(&local) = seg.inv.get(&id) {
+                df += seg.postings.df_id(local);
+            }
+        }
+        df
+    }
+
+    /// BM25 inverse document frequency over the view-wide statistics.
+    pub(crate) fn idf(&self, id: TermId) -> f64 {
+        bm25_idf(self.num_docs() as f64, self.df(id) as f64)
+    }
+
+    /// The posting runs of `id` inside global docs `[lo, hi)`: the base's
+    /// sub-list first, then each overlapping segment's in segment order —
+    /// ascending global doc id, i.e. the merged posting list restricted to
+    /// the range.
+    pub(crate) fn runs(
+        &self,
+        id: TermId,
+        lo: u32,
+        hi: u32,
+    ) -> impl Iterator<Item = PostingRun<'a>> + 'a {
+        let base = self.base.postings();
+        let base_run = (id.as_usize() < base.num_terms())
+            .then(|| (0, clip(base.postings_id(id), lo, hi), base));
+        let seg_runs = self.segments.iter().filter_map(move |seg| {
+            let docs = seg.doc_range();
+            if docs.end <= lo || docs.start >= hi {
+                return None;
+            }
+            let &local = seg.inv.get(&id)?;
+            let list = clip(
+                seg.postings.postings_id(local),
+                lo.saturating_sub(docs.start),
+                hi.min(docs.end) - docs.start,
+            );
+            Some((docs.start, list, &seg.postings))
+        });
+        base_run.into_iter().chain(seg_runs)
+    }
+
+    /// A doc's interned annotations, wherever the doc lives.
+    pub(crate) fn annotations(&self, doc: DocId) -> &'a [AnnotationIds] {
+        if doc.as_usize() < self.base.len() {
+            return &self.base.docs().get(doc).annotation_ids;
+        }
+        let si = self
+            .segments
+            .partition_point(|s| s.base_doc <= doc.0)
+            .saturating_sub(1);
+        let seg = &self.segments[si];
+        &seg.ann_global[(doc.0 - seg.base_doc) as usize]
+    }
+
+    /// Facet-vocabulary probe over the base ∪ overlay union — the merged
+    /// index's vocabulary, by construction.
+    pub(crate) fn facet_has(&self, key: FacetKeyId, id: TermId) -> bool {
+        let has = |vals: &FxHashMap<FacetKeyId, FxHashSet<TermId>>| {
+            vals.get(&key).is_some_and(|v| v.contains(&id))
+        };
+        has(self.base.facet_values()) || self.overlay.is_some_and(|o| has(&o.facet_values))
+    }
+
+    /// The block-max structures, present only when no segment is pending:
+    /// they are per-base, and a stale block bound could unsafely skip a
+    /// fresh doc.
+    pub(crate) fn pruning(&self) -> Option<&'a PruningIndex> {
+        if self.segments.is_empty() {
+            self.base.pruning()
+        } else {
+            None
+        }
+    }
+}

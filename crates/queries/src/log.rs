@@ -6,7 +6,7 @@
 use crate::workload::Workload;
 use deepweb_common::ids::{QueryId, SiteId};
 use deepweb_common::{stats, FxHashMap, ThreadPool};
-use deepweb_index::{search, DocKind, Hit, QueryBroker, SearchIndex, SearchOptions, SearchService};
+use deepweb_index::{DocKind, Hit, QueryBroker, SearchIndex, SearchOptions, SearchService};
 use rand::rngs::StdRng;
 
 /// Impact accounting for one stream replay.
@@ -108,7 +108,8 @@ fn attribute(
 /// would drive — so replay throughput measures real concurrent serving, not
 /// a one-query-at-a-time loop. Batched serving is byte-identical to
 /// sequential [`search`] for every query (the serving determinism contract),
-/// so the report is identical to [`replay_sequential`]'s — asserted by
+/// so the report is identical to a [`replay_serving`] through the sequential
+/// [`IndexSearcher`](deepweb_index::IndexSearcher) — asserted by
 /// `tests/cluster.rs`.
 pub fn replay(
     index: &SearchIndex,
@@ -157,29 +158,6 @@ pub fn replay_serving(
         for (&qid, hits) in chunk.iter().zip(&results) {
             attribute(&mut report, index, qid, hits, workload);
         }
-    }
-    report
-}
-
-/// The sequential reference replay: one [`search`] call per sampled query.
-/// [`replay`] must produce an identical report — this is the equality anchor
-/// the serving-path replay is tested against.
-pub fn replay_sequential(
-    index: &SearchIndex,
-    workload: &Workload,
-    n: usize,
-    k: usize,
-    opts: SearchOptions,
-    rng: &mut StdRng,
-) -> ImpactReport {
-    let stream: Vec<QueryId> = workload.stream(n, rng);
-    let mut report = ImpactReport {
-        queries: n,
-        ..Default::default()
-    };
-    for qid in stream {
-        let hits = search(index, &workload.query(qid).text, k, opts);
-        attribute(&mut report, index, qid, &hits, workload);
     }
     report
 }

@@ -8,9 +8,7 @@
 
 use deepweb::common::derive_rng;
 use deepweb::index::{CacheConfig, ClusterConfig, Hit};
-use deepweb::queries::{
-    generate_workload, replay, replay_sequential, replay_serving, Workload, WorkloadConfig,
-};
+use deepweb::queries::{generate_workload, replay, replay_serving, Workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 
 fn build_system(sites: usize) -> DeepWebSystem {
@@ -218,13 +216,13 @@ fn batched_and_cluster_replay_match_sequential_replay() {
     let sys = build_system(8);
     let wl = workload(&sys, 150);
     let k = 5;
-    let reference = replay_sequential(
+    let reference = replay_serving(
         &sys.index,
         &wl,
         600,
         k,
-        sys.options,
         &mut derive_rng(7, "replay-eq"),
+        &sys.index.searcher(sys.options),
     );
     assert_eq!(reference.queries, 600);
     assert_eq!(
@@ -257,18 +255,6 @@ fn batched_and_cluster_replay_match_sequential_replay() {
         ),
         reference,
         "cluster-backed replay must reproduce the sequential report"
-    );
-    assert_eq!(
-        replay_serving(
-            &sys.index,
-            &wl,
-            600,
-            k,
-            &mut derive_rng(7, "replay-eq"),
-            &sys.service()
-        ),
-        reference,
-        "sequential-service replay must reproduce the sequential report"
     );
 }
 

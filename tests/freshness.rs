@@ -3,7 +3,7 @@
 //! The contract under test: a [`SegmentedIndex`] serving a base index plus
 //! delta segments ranks **byte-identically** to a from-scratch rebuild over
 //! the same docs — at every serving tier (sequential, pooled batch,
-//! partitioned scatter-gather), at every point in the segment lifecycle
+//! service batch), at every point in the segment lifecycle
 //! (before, during and after a background merge), and for every pruning
 //! mode. Queries must keep serving while a merge runs on another thread.
 
@@ -109,16 +109,6 @@ fn segmented_serving_matches_rebuild_at_every_tier() {
                 expected,
                 "{phase} service opts={opts:?}"
             );
-            // Partitioned scatter-gather tier.
-            for parts in [1, 3, 7] {
-                for q in queries.iter().take(12) {
-                    assert_eq!(
-                        segmented.search_partitioned(q, 10, *opts, parts),
-                        reference.searcher(*opts).search(q, 10),
-                        "{phase} partitioned parts={parts} q={q:?} opts={opts:?}"
-                    );
-                }
-            }
         }
         if phase == "pre-merge" {
             assert_eq!(segmented.merge(), docs.len() - split);

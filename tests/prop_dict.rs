@@ -1,6 +1,6 @@
 //! Property tests for the interned term dictionary and the id-keyed postings
 //! layer (DESIGN.md §10/§12): `TermDict` intern/resolve round-trips, the
-//! `ShardedPostings` whole-dictionary view (`iter_terms`) is identical to a
+//! `Postings` whole-dictionary view (`dict().iter_sorted()`) is identical to a
 //! straightforward string-keyed model of the same corpus — i.e. interning is
 //! invisible to every read path — and the parallel index build replays the
 //! sequential interning order for the annotation layer exactly like it does
@@ -8,7 +8,7 @@
 
 use deepweb::common::ids::DocId;
 use deepweb::common::{TermDict, ThreadPool, Url};
-use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, SearchIndex, ShardedPostings};
+use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -49,19 +49,18 @@ proptest! {
         prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// `iter_terms` over the interned postings is identical — same term
-    /// order, same postings — to a string-keyed model built from the same
-    /// documents: interning changed the storage key, not any observable
-    /// output. Holds at any shard count (routing is virtual).
+    /// The sorted dictionary walk over the interned postings is identical —
+    /// same term order, same postings — to a string-keyed model built from
+    /// the same documents: interning changed the storage key, not any
+    /// observable output.
     #[test]
     fn iter_terms_matches_string_model_pre_interning(
         docs in prop::collection::vec(
             prop::collection::vec("[a-z]{1,4}", 1..10),
             1..12,
         ),
-        shards in 1usize..10,
     ) {
-        let mut postings = ShardedPostings::new(shards);
+        let mut postings = Postings::new();
         // The pre-interning model: term -> sorted (doc, tf) list, exactly
         // what the old string-keyed layout stored, in the lexicographic
         // order the old merged iterator yielded.
@@ -79,17 +78,16 @@ proptest! {
             }
         }
         let got: Vec<(String, Vec<Posting>)> = postings
-            .iter_terms()
-            .map(|(t, l)| (t.to_string(), l.to_vec()))
+            .dict()
+            .iter_sorted()
+            .map(|(id, t)| (t.to_string(), postings.postings_id(id).to_vec()))
             .collect();
         let want: Vec<(String, Vec<Posting>)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
         // Point lookups agree with the dictionary view.
-        for (t, l) in postings.iter_terms() {
-            prop_assert_eq!(postings.postings(t), l);
-            let id = postings.term_id(t).expect("indexed term must resolve");
-            prop_assert_eq!(postings.postings_id(id), l);
-            prop_assert!(postings.shard_of_id(id) < postings.num_shards());
+        for (id, t) in postings.dict().iter_sorted() {
+            prop_assert_eq!(postings.term_id(t), Some(id));
+            prop_assert_eq!(postings.postings(t), postings.postings_id(id));
         }
     }
 

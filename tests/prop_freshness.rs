@@ -2,8 +2,7 @@
 //!
 //! Over randomly generated webworlds and arbitrary base/delta splits, a
 //! [`SegmentedIndex`] must rank byte-identically to a from-scratch rebuild —
-//! sequential and partitioned, plain and annotation-aware, before and after
-//! the merge.
+//! plain and annotation-aware, before and after the merge.
 
 use deepweb::common::{ids::RecordId, ThreadPool, Url};
 use deepweb::html::Document;
@@ -106,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For any world shape, split point and segment count: segmented serving
-    /// == rebuild, pre- and post-merge, sequential and partitioned.
+    /// == rebuild, pre- and post-merge.
     #[test]
     fn segment_merge_equals_full_rebuild(
         num_sites in 2usize..6,
@@ -147,10 +146,6 @@ proptest! {
                 prop_assert!(
                     &segmented.search(q, 10, opts) == want,
                     "{phase} sequential diverges on q={q:?}"
-                );
-                prop_assert!(
-                    &segmented.search_partitioned(q, 10, opts, 3) == want,
-                    "{phase} partitioned diverges on q={q:?}"
                 );
             }
             if phase == "pre-merge" {

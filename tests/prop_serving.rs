@@ -1,14 +1,10 @@
 //! Property tests for concurrent serving: for random webworlds and random
 //! query batches, `search_batch` at any worker count returns identical
 //! `Vec<Hit>` to per-query sequential `search()` — with annotation-aware
-//! scoring as well as plain BM25 — and ranking is invariant under the
-//! postings' term-shard count.
+//! scoring as well as plain BM25.
 
-use deepweb::common::{derive_rng, ThreadPool, Url};
-use deepweb::index::{
-    search, search_with_scratch, DocKind, Hit, QueryBroker, QueryScratch, SearchIndex,
-    SearchOptions,
-};
+use deepweb::common::{derive_rng, ThreadPool};
+use deepweb::index::{search, search_with_scratch, Hit, QueryBroker, QueryScratch, SearchOptions};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use proptest::prelude::*;
@@ -16,7 +12,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random world, random Zipf batch: batched and scattered serving are
+    /// Random world, random Zipf batch: batched serving is
     /// byte-identical to the sequential reference at w ∈ {1, 2, 4} — in
     /// plain BM25 mode *and* with the interned annotation pass enabled.
     #[test]
@@ -45,9 +41,6 @@ proptest! {
             for workers in [1usize, 2, 4] {
                 let broker = QueryBroker::new(&sys.index, ThreadPool::new(workers), opts);
                 prop_assert_eq!(&broker.search_batch(&batch, 10), &expected);
-                for (q, want) in batch.iter().zip(&expected) {
-                    prop_assert_eq!(&broker.search_scatter(q, 10), want);
-                }
             }
             // One reused scratch across the whole batch is byte-identical to
             // the reference (the broker's per-worker scratch lifecycle in
@@ -60,41 +53,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Random tiny corpora: ranking is invariant under the term-shard count
-    /// (the shard layout is a serving detail, never a ranking input).
-    #[test]
-    fn ranking_is_shard_count_invariant(
-        docs in prop::collection::vec(
-            prop::collection::vec("[a-z]{1,5}", 1..8),
-            1..15,
-        ),
-        query_words in prop::collection::vec("[a-z]{1,5}", 1..4),
-        shards in 1usize..12,
-    ) {
-        let build = |shard_count: usize| {
-            let mut idx = SearchIndex::with_shards(shard_count);
-            for (i, words) in docs.iter().enumerate() {
-                idx.add(
-                    Url::new("w.sim", format!("/d{i}")),
-                    String::new(),
-                    words.join(" "),
-                    DocKind::Surface,
-                    None,
-                    vec![],
-                );
-            }
-            idx
-        };
-        let reference = build(1);
-        let sharded = build(shards);
-        let query = query_words.join(" ");
-        let opts = SearchOptions::default();
-        let want = search(&reference, &query, 5, opts);
-        prop_assert_eq!(&search(&sharded, &query, 5, opts), &want);
-        // The scatter path agrees too, even when most shards are empty.
-        let broker = QueryBroker::new(&sharded, ThreadPool::new(2), opts);
-        prop_assert_eq!(&broker.search_scatter(&query, 5), &want);
     }
 }

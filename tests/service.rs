@@ -144,22 +144,3 @@ fn cluster_config_builder_validates() {
     assert!(no_cache.cache.is_none());
     assert!(ClusterConfig::builder().no_cache().build().is_ok());
 }
-
-/// The deprecated `search_with` shim still serves the same bytes as the
-/// request path it forwards to.
-#[test]
-fn deprecated_search_with_still_serves() {
-    let sys = build_system(5, PruningMode::Exhaustive);
-    let opts = SearchOptions {
-        use_annotations: false,
-        ..sys.options
-    };
-    #[allow(deprecated)]
-    let via_shim = sys.search_with("used ford focus 1993", 5, opts);
-    let via_request = sys.search_request(
-        &SearchRequest::new("used ford focus 1993")
-            .k(5)
-            .options(opts),
-    );
-    assert_eq!(via_shim, via_request);
-}
