@@ -121,8 +121,10 @@ mod tests {
         assert_eq!(serving.len(), 2, "{serving:?}");
         let other = analyze_source("crates/common/src/a.rs", src);
         assert_eq!(other.len(), 1, "only wall-clock outside serving crates");
-        let bench = analyze_source("crates/bench/benches/a.rs", src);
-        assert!(bench.is_empty(), "bench crate measures on purpose");
+        let bench = analyze_source("crates/bench/src/bin/deepbench/src/a.rs", src);
+        assert!(bench.is_empty(), "only the deepbench package measures");
+        let report = analyze_source("crates/bench/src/bin/report.rs", src);
+        assert_eq!(report.len(), 1, "the report binary is not exempt");
     }
 
     #[test]

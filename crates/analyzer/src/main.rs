@@ -92,7 +92,7 @@ fn main() -> ExitCode {
         eprintln!("detlint: no workspace root found (pass --root)");
         return ExitCode::FAILURE;
     };
-    // detlint:allow(wall-clock): the CLI times its own scan for the report (EXPERIMENTS.md); never serving logic
+    // detlint:allow(wall-clock): the CLI times its own scan for its summary line; never serving logic
     let t0 = Instant::now();
     let mut report = match scan_workspace(&root) {
         Ok(r) => r,

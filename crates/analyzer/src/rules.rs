@@ -19,9 +19,9 @@ pub enum RuleId {
     /// breaks byte-identity; use `FxHashMap`/`FxHashSet` (deterministic
     /// hasher) with sorted or first-appearance iteration.
     NondetIteration,
-    /// R2: `Instant::now`/`SystemTime::now` outside `crates/bench` — timing
-    /// must be *accounted* (simulated, like `faults.rs` slow responses),
-    /// never measured, or results depend on the wall clock.
+    /// R2: `Instant::now`/`SystemTime::now` outside the deepbench package —
+    /// timing must be *accounted* (simulated, like `faults.rs` slow
+    /// responses), never measured, or results depend on the wall clock.
     WallClock,
     /// R3: `unwrap`/`expect`/panic macros/literal slice-index in `index`,
     /// `surfacer`, `core` library code — serving paths return typed errors
@@ -77,7 +77,7 @@ impl RuleId {
     pub fn describe(self) -> &'static str {
         match self {
             RuleId::NondetIteration => "std HashMap/HashSet in library code",
-            RuleId::WallClock => "wall-clock read outside crates/bench",
+            RuleId::WallClock => "wall-clock read outside the deepbench package",
             RuleId::PanicInServing => "panic path in index/surfacer/core",
             RuleId::UnorderedFloatFold => "float fold over hash-ordered iteration",
             RuleId::LockHygiene => "poisoning lock use / guard across dispatch",
@@ -97,8 +97,9 @@ impl RuleId {
 /// Where a file sits in the workspace — decides which rules apply.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    /// Under `crates/bench/` (exempt from R2: benches measure on purpose).
-    pub bench_crate: bool,
+    /// Under `crates/bench/src/bin/deepbench/` (exempt from R2: only the
+    /// deepbench package measures).
+    pub deepbench: bool,
     /// Path has a `tests`/`benches`/`examples` component — not library
     /// code; only R2 applies.
     pub test_path: bool,
@@ -111,7 +112,7 @@ impl Scope {
     pub fn of_path(rel: &str) -> Scope {
         let comps: Vec<&str> = rel.split('/').collect();
         Scope {
-            bench_crate: rel.starts_with("crates/bench/"),
+            deepbench: rel.starts_with("crates/bench/src/bin/deepbench/"),
             test_path: comps
                 .iter()
                 .any(|c| matches!(*c, "tests" | "benches" | "examples")),
@@ -171,7 +172,7 @@ pub fn check_file(path: &str, scope: Scope, scan: &FileScan<'_>) -> Vec<Finding>
                 push(RuleId::LockHygiene, line);
             }
         }
-        if !scope.bench_crate {
+        if !scope.deepbench {
             if let Some(line) = match_wall_clock(scan, i) {
                 push(RuleId::WallClock, line);
             }
@@ -434,8 +435,8 @@ mod tests {
         assert_eq!(lib_findings(src), vec![(RuleId::WallClock, false)]);
         let scan = FileScan::new(src);
         let bench = check_file(
-            "crates/bench/benches/b.rs",
-            Scope::of_path("crates/bench/benches/b.rs"),
+            "crates/bench/src/bin/deepbench/src/b.rs",
+            Scope::of_path("crates/bench/src/bin/deepbench/src/b.rs"),
             &scan,
         );
         assert!(bench.is_empty());

@@ -55,9 +55,9 @@ fn r2_fires_on_bad_and_respects_allow_twin() {
     assert_eq!(count(&ok, RuleId::WallClock, true), 1, "{ok:?}");
     assert_eq!(unsuppressed(&ok), 0);
 
-    // The same bad source inside crates/bench is exempt by scope.
+    // The same bad source inside the deepbench package is exempt by scope.
     let bench = findings(
-        "crates/bench/src/clock.rs",
+        "crates/bench/src/bin/deepbench/src/clock.rs",
         include_str!("fixtures/r2_bad.rs"),
     );
     assert_eq!(unsuppressed(&bench), 0, "{bench:?}");

@@ -6,63 +6,31 @@
 //! cargo run -p deepweb-bench --bin report --release -- smoke  # all, smoke scale
 //! ```
 
-use deepweb_core::experiments::{self as ex, Scale};
+use deepweb_core::experiments::{Scale, ALL};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Paper
-    };
-    let only: Option<&str> = args
-        .iter()
-        .find(|a| a.starts_with('e') && a.len() == 3)
-        .map(String::as_str);
-    let run = |id: &str| only.is_none_or(|o| o == id);
-
-    let mut all = Vec::new();
-    if run("e01") {
-        all.extend(ex::e01_longtail::run(scale).0);
+fn main() -> ExitCode {
+    let mut scale = Scale::Paper;
+    let mut only = None;
+    for arg in std::env::args().skip(1) {
+        if arg == "smoke" {
+            scale = Scale::Smoke;
+        } else if ALL.iter().any(|(id, _)| *id == arg) {
+            only = Some(arg);
+        } else {
+            eprintln!("report: unknown argument `{arg}` (expected `smoke` or one of e01..e13)");
+            return ExitCode::FAILURE;
+        }
     }
-    if run("e02") {
-        all.extend(ex::e02_urlgen::run(scale).0);
+    let mut tables = 0;
+    for (id, run) in ALL {
+        if only.as_deref().is_none_or(|o| o == id) {
+            for t in run(scale) {
+                println!("{}", t.render());
+                tables += 1;
+            }
+        }
     }
-    if run("e03") {
-        all.extend(ex::e03_ranges::run(scale).0);
-    }
-    if run("e04") {
-        all.extend(ex::e04_typed::run(scale).0);
-    }
-    if run("e05") {
-        all.extend(ex::e05_probing::run(scale).0);
-    }
-    if run("e06") {
-        all.extend(ex::e06_surf_vs_virtual::run(scale).0);
-    }
-    if run("e07") {
-        all.extend(ex::e07_dbselect::run(scale).0);
-    }
-    if run("e08") {
-        all.extend(ex::e08_indexability::run(scale).0);
-    }
-    if run("e09") {
-        all.extend(ex::e09_coverage::run(scale).0);
-    }
-    if run("e10") {
-        all.extend(ex::e10_semantics::run(scale).0);
-    }
-    if run("e11") {
-        all.extend(ex::e11_annotations::run(scale).0);
-    }
-    if run("e12") {
-        all.extend(ex::e12_extraction::run(scale).0);
-    }
-    if run("e13") {
-        all.extend(ex::e13_scenarios::run(scale).0);
-    }
-    for t in &all {
-        println!("{}", t.render());
-    }
-    eprintln!("(generated {} tables at {:?} scale)", all.len(), scale);
+    eprintln!("(generated {tables} tables at {scale:?} scale)");
+    ExitCode::SUCCESS
 }

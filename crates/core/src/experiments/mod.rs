@@ -1,6 +1,6 @@
 //! Experiment drivers, one per paper claim (DESIGN.md §5). Each returns
-//! [`crate::report::TextTable`]s so the `report` binary, the benches and the
-//! integration tests share one implementation.
+//! [`crate::report::TextTable`]s; [`ALL`] is the one registry the `report`
+//! binary and the smoke test both walk.
 
 pub mod e01_longtail;
 pub mod e02_urlgen;
@@ -16,8 +16,28 @@ pub mod e11_annotations;
 pub mod e12_extraction;
 pub mod e13_scenarios;
 
+use crate::report::TextTable;
+
+/// Every experiment driver, as `(id, run)` in paper order.
+#[allow(clippy::type_complexity)]
+pub const ALL: [(&str, fn(Scale) -> Vec<TextTable>); 13] = [
+    ("e01", |s| e01_longtail::run(s).0),
+    ("e02", |s| e02_urlgen::run(s).0),
+    ("e03", |s| e03_ranges::run(s).0),
+    ("e04", |s| e04_typed::run(s).0),
+    ("e05", |s| e05_probing::run(s).0),
+    ("e06", |s| e06_surf_vs_virtual::run(s).0),
+    ("e07", |s| e07_dbselect::run(s).0),
+    ("e08", |s| e08_indexability::run(s).0),
+    ("e09", |s| e09_coverage::run(s).0),
+    ("e10", |s| e10_semantics::run(s).0),
+    ("e11", |s| e11_annotations::run(s).0),
+    ("e12", |s| e12_extraction::run(s).0),
+    ("e13", |s| e13_scenarios::run(s).0),
+];
+
 /// Experiment scale: `Smoke` for unit/integration tests, `Paper` for the
-/// report binary and benches.
+/// report binary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Seconds-fast, tiny web.

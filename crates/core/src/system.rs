@@ -78,7 +78,9 @@ pub struct DeepWebSystem {
     /// The simulated web (server + ground truth).
     pub world: World,
     /// The search index with surfaced content inserted — shared, not
-    /// cloned, with generation zero of [`DeepWebSystem::fresh_index`].
+    /// cloned, with the base of [`DeepWebSystem::fresh_index`]: generation
+    /// zero at build time, the merged base after each
+    /// [`DeepWebSystem::merge_fresh`].
     pub index: Arc<SearchIndex>,
     /// The surfacing outcome (docs + per-site reports).
     pub outcome: SurfacingOutcome,
@@ -250,8 +252,16 @@ impl DeepWebSystem {
     /// Compact the freshness tier: fold all delta segments into the base
     /// (background-mergeable — readers keep serving the old generation until
     /// the one-pointer publish). Returns the number of docs folded in.
+    ///
+    /// [`DeepWebSystem::index`] is re-pointed at the merged base, so
+    /// [`DeepWebSystem::search`], [`DeepWebSystem::broker`] and
+    /// [`DeepWebSystem::cluster`] serve the refreshed content from here on
+    /// (and share one allocation with the freshness tier again).
     pub fn merge_fresh(&mut self) -> usize {
-        self.ensure_fresh().segmented.merge()
+        let segmented = &self.ensure_fresh().segmented;
+        let folded = segmented.merge();
+        self.index = segmented.snapshot().shared_base();
+        folded
     }
 
     /// One incremental re-surfacing round (the freshness loop, §3.2's
@@ -456,8 +466,9 @@ mod tests {
         assert!(sys.world.server.total_requests() <= 2 * n as u64 + sys.offline_requests);
     }
 
-    #[test]
-    fn refresh_surfaces_grown_content_and_merge_preserves_results() {
+    /// Build a 6-site system, grow one surfaced site's backend by 25
+    /// records and run one full refresh round over it.
+    fn grown_and_refreshed() -> (DeepWebSystem, RefreshOutcome) {
         let mut sys = DeepWebSystem::build(&quick_config(6));
         // Pick a GET site the pipeline actually surfaced.
         let grown_host = sys
@@ -483,6 +494,13 @@ mod tests {
         assert_eq!(out.probed, n);
         assert_eq!(out.changed, 1, "only the grown site changed");
         assert!(out.new_docs > 0, "growth should surface new pages: {out:?}");
+        (sys, out)
+    }
+
+    #[test]
+    fn refresh_surfaces_grown_content_and_merge_preserves_results() {
+        let (mut sys, out) = grown_and_refreshed();
+        let n = sys.world.server.sites().len();
         // Re-surfacing revisits known pages too; those stay stale-only.
         assert!(out.stale_docs > 0);
         let opts = sys.options;
@@ -502,6 +520,35 @@ mod tests {
         let again = sys.refresh(n);
         assert_eq!(again.changed, 0);
         assert_eq!(again.new_docs, 0);
+    }
+
+    #[test]
+    fn merge_fresh_repoints_the_serving_tiers_at_the_merged_base() {
+        let (mut sys, out) = grown_and_refreshed();
+        let opts = sys.options;
+        // A term only the grown records carry: the build-time index has no
+        // posting for it, the pending segments do.
+        let pending = sys.fresh_index().snapshot();
+        let query = pending
+            .segments()
+            .iter()
+            .flat_map(|seg| seg.docs())
+            .flat_map(|d| d.text.split_whitespace())
+            .find(|w| sys.search(w, 10).is_empty() && !pending.search(w, 10, opts).is_empty())
+            .expect("grown records carry a term the build never indexed")
+            .to_string();
+        assert_eq!(sys.merge_fresh(), out.new_docs);
+        let merged = sys.fresh_index().snapshot();
+        let want = merged.search(&query, 10, opts);
+        assert!(!want.is_empty());
+        assert_eq!(sys.search(&query, 10), want);
+        assert_eq!(
+            sys.search_batch(std::slice::from_ref(&query), 10, 2),
+            [want]
+        );
+        assert_eq!(sys.index.len(), merged.num_docs());
+        // One allocation again, as at generation zero.
+        assert!(std::ptr::eq(merged.base(), &*sys.index));
     }
 
     #[test]

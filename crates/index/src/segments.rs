@@ -153,6 +153,12 @@ impl Generation {
         &self.base
     }
 
+    /// A shared handle on the base, for a caller that keeps serving it
+    /// beside this generation (one allocation, not a clone).
+    pub fn shared_base(&self) -> Arc<SearchIndex> {
+        Arc::clone(&self.base)
+    }
+
     /// Sealed segments, in doc-range order.
     pub fn segments(&self) -> &[Arc<SealedSegment>] {
         &self.segments

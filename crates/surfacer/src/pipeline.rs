@@ -52,26 +52,10 @@ pub struct SurfacerConfig {
     /// reference path; 0 = auto, sized to the machine; the parallel path is
     /// output-identical to either).
     pub num_workers: usize,
-    /// Site shards the forms are partitioned into (0 = auto: 4 shards per
-    /// worker, so work-stealing can rebalance uneven sites).
-    pub shard_count: usize,
     /// Retry/backoff policy applied to every fetch the pipeline makes
     /// (crawl, probing, surfacing). The default retries transient failures;
     /// honest hosts never trigger it.
     pub fetch_policy: FetchPolicy,
-}
-
-impl SurfacerConfig {
-    /// Effective shard count: the configured value, or 4 shards per worker
-    /// when left at 0 (auto). Worker auto-sizing (`num_workers = 0`) is
-    /// resolved first so the shard width matches the real pool.
-    pub fn effective_shards(&self) -> usize {
-        if self.shard_count > 0 {
-            self.shard_count
-        } else {
-            ThreadPool::new(self.num_workers).workers() * 4
-        }
-    }
 }
 
 impl Default for SurfacerConfig {
@@ -88,7 +72,6 @@ impl Default for SurfacerConfig {
             crawl_depth: 3,
             crawl_budget: 3000,
             num_workers: 1,
-            shard_count: 0,
             fetch_policy: FetchPolicy::default(),
         }
     }
@@ -703,13 +686,13 @@ fn surface_form(
 ///
 /// The surface crawl is a sequential BFS (link-frontier order is part of the
 /// output contract), then form surfacing — the dominant cost — fans out
-/// across [`SurfacerConfig::num_workers`] threads: forms are partitioned into
-/// [`SurfacerConfig::effective_shards`] shards by host hash, shards are
-/// executed by a work-stealing pool, and each form's docs and report are
-/// merged back **in crawl order**. Per-form work reads only shared immutable
-/// state (crawl text, background DF table, value library), so the merged
-/// output is byte-identical to the sequential `num_workers = 1` path — see
-/// the `parallel_matches_sequential` test and DESIGN.md §8.
+/// across [`SurfacerConfig::num_workers`] threads: forms are partitioned by
+/// host hash into 4 shards per worker (so work-stealing can rebalance uneven
+/// sites), shards are executed by the pool, and each form's docs and report
+/// are merged back **in crawl order**. Per-form work reads only shared
+/// immutable state (crawl text, background DF table, value library), so the
+/// merged output is byte-identical to the sequential `num_workers = 1` path —
+/// see the `parallel_matches_sequential` test and DESIGN.md §8.
 pub fn crawl_and_surface(
     fetcher: &dyn Fetcher,
     seeds: &[Url],
@@ -720,14 +703,15 @@ pub fn crawl_and_surface(
 
     // Partition form indices into host-keyed shards. Same-host forms always
     // share a shard, so per-host politeness pacing stays single-threaded.
-    let shard_count = cfg.effective_shards();
+    // The width follows the resolved pool (`num_workers = 0` is auto-sized).
+    let pool = ThreadPool::new(cfg.num_workers);
+    let shard_count = pool.workers() * 4;
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for (i, form) in crawl.forms.iter().enumerate() {
         shards[shard_of(&form.host, shard_count)].push(i);
     }
     shards.retain(|s| !s.is_empty());
 
-    let pool = ThreadPool::new(cfg.num_workers);
     let surfaced: Vec<Vec<(usize, SiteReport, Vec<ProducedDoc>)>> =
         pool.map(shards, |_, form_indices| {
             form_indices
@@ -886,22 +870,21 @@ mod tests {
         });
         let seeds = [Url::new("dir.sim", "/")];
         let sequential = crawl_and_surface(&w.server, &seeds, &quick_cfg());
-        for (workers, shards) in [(4, 0), (4, 3), (2, 16)] {
+        for workers in [2, 4] {
             let cfg = SurfacerConfig {
                 num_workers: workers,
-                shard_count: shards,
                 ..quick_cfg()
             };
             let parallel = crawl_and_surface(&w.server, &seeds, &cfg);
             assert_eq!(
                 format!("{:?}", parallel.docs),
                 format!("{:?}", sequential.docs),
-                "docs must be byte-identical at workers={workers} shards={shards}"
+                "docs must be byte-identical at workers={workers}"
             );
             assert_eq!(
                 format!("{:?}", parallel.reports),
                 format!("{:?}", sequential.reports),
-                "reports must be byte-identical at workers={workers} shards={shards}"
+                "reports must be byte-identical at workers={workers}"
             );
         }
     }

@@ -1,5 +1,5 @@
 //! Property test for the sharded executor: for random small webworlds and
-//! random worker/shard configurations, the parallel pipeline's output is
+//! random worker counts, the parallel pipeline's output is
 //! byte-identical to the sequential reference path.
 
 use deepweb_surfacer::{
@@ -44,7 +44,6 @@ proptest! {
         num_sites in 2usize..6,
         post_tenths in 0usize..5,
         workers in 2usize..6,
-        shard_count in 0usize..9,
     ) {
         let w = generate(&WebConfig {
             seed,
@@ -57,9 +56,9 @@ proptest! {
         let parallel = crawl_and_surface(
             &w.server,
             &seeds,
-            &SurfacerConfig { num_workers: workers, shard_count, ..tiny_cfg() },
+            &SurfacerConfig { num_workers: workers, ..tiny_cfg() },
         );
-        // Failing cases report the generated (seed, sites, workers, shards)
+        // Failing cases report the generated (seed, sites, workers)
         // via the proptest harness' input header.
         prop_assert_eq!(
             format!("{:?}", parallel.docs),

@@ -1,26 +1,19 @@
 //! Every experiment driver must run at smoke scale and produce non-empty
-//! tables — the guarantee that `report` and the benches cannot rot.
+//! tables — the guarantee that `report` cannot rot.
 
-use deepweb::core::experiments::{self as ex, Scale};
+use deepweb::core::experiments::{Scale, ALL};
 
 #[test]
 fn all_experiments_produce_tables() {
-    let mut total_tables = 0;
-    total_tables += ex::e01_longtail::run(Scale::Smoke).0.len();
-    total_tables += ex::e02_urlgen::run(Scale::Smoke).0.len();
-    total_tables += ex::e03_ranges::run(Scale::Smoke).0.len();
-    total_tables += ex::e04_typed::run(Scale::Smoke).0.len();
-    total_tables += ex::e05_probing::run(Scale::Smoke).0.len();
-    total_tables += ex::e06_surf_vs_virtual::run(Scale::Smoke).0.len();
-    total_tables += ex::e07_dbselect::run(Scale::Smoke).0.len();
-    total_tables += ex::e08_indexability::run(Scale::Smoke).0.len();
-    total_tables += ex::e09_coverage::run(Scale::Smoke).0.len();
-    total_tables += ex::e10_semantics::run(Scale::Smoke).0.len();
-    total_tables += ex::e11_annotations::run(Scale::Smoke).0.len();
-    total_tables += ex::e12_extraction::run(Scale::Smoke).0.len();
-    total_tables += ex::e13_scenarios::run(Scale::Smoke).0.len();
-    assert!(
-        total_tables >= 13,
-        "every experiment renders at least one table"
-    );
+    for (id, run) in ALL {
+        let tables = run(Scale::Smoke);
+        assert!(!tables.is_empty(), "{id} renders at least one table");
+        for t in &tables {
+            assert!(
+                !t.is_empty(),
+                "{id} rendered an empty table:\n{}",
+                t.render()
+            );
+        }
+    }
 }

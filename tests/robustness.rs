@@ -102,10 +102,11 @@ fn hostile_corpus_indexes_no_junk_urls_and_matches_honest_twin() {
         c.web.hostile_fraction = 1.0;
     }));
     // No URL built from a suppressed widget may reach the index: the hidden
-    // token, the credential field and the upload never become parameters.
+    // token, the credential field, the upload and the scripted promo box
+    // never become parameters.
     for doc in hostile.index.docs().iter() {
         let url = doc.url.to_string();
-        for junk in ["csrf_token=", "password=", "upload="] {
+        for junk in ["csrf_token=", "password=", "upload=", "promo="] {
             assert!(!url.contains(junk), "junk URL indexed: {url}");
         }
     }
