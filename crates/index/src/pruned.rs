@@ -30,8 +30,8 @@ use crate::postings::{
     bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
-    annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch, SearchOptions,
-    ANNOTATION_BOOST,
+    admit, annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch,
+    SearchOptions, ANNOTATION_BOOST,
 };
 use crate::view::IndexView;
 use deepweb_common::ids::{DocId, TermId};
@@ -49,30 +49,35 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
     x * (1.0 + 1e-9) + 1e-12
 }
 
-/// One block's score upper bound under the query's BM25 parameters: the
-/// stored exact maximum when the query runs the build parameters, else a
-/// bound recomputed from the block's `(max_tf, min_dl)` — BM25 contributions
-/// grow with tf and shrink with doc length, so that pair bounds every
-/// posting under any `(k1 > 0, 0 ≤ b ≤ 1)`.
-#[inline]
-fn block_ub(
-    block: &PostingBlock,
-    idf: f64,
+/// What one query's block bounds are computed from, fixed for the query.
+struct Bounds<'a> {
+    bp: &'a BlockPostings,
     avg_len: f64,
     bm25: Bm25Params,
-    params_match: bool,
-) -> f64 {
-    if params_match {
-        block.max_contrib
-    } else {
-        bm25_contribution(
-            idf,
-            f64::from(block.max_tf),
-            f64::from(block.min_dl),
-            avg_len,
-            bm25.k1,
-            bm25.b,
-        )
+    /// The stored maxima hold for this query: it runs the build `(k1, b)`
+    /// and no pending segment has moved `idf` or `avg_len` since the build.
+    stored_exact: bool,
+}
+
+impl Bounds<'_> {
+    /// One block's score upper bound: the stored exact maximum when it holds,
+    /// else recomputed from the block's `(max_tf, min_dl)` — contributions
+    /// grow with tf and shrink with doc length, so the pair bounds every
+    /// posting at any `idf ≥ 0`, `avg_len > 0` and `(k1 > 0, 0 ≤ b ≤ 1)`.
+    #[inline]
+    fn block_ub(&self, block: &PostingBlock, idf: f64) -> f64 {
+        if self.stored_exact {
+            block.max_contrib
+        } else {
+            bm25_contribution(
+                idf,
+                f64::from(block.max_tf),
+                f64::from(block.min_dl),
+                self.avg_len,
+                self.bm25.k1,
+                self.bm25.b,
+            )
+        }
     }
 }
 
@@ -128,21 +133,19 @@ impl PruningIndex {
 /// decoded posting it currently sits on, plus the term-level bound. Buffers
 /// are recycled across queries via [`PrunedScratch`].
 pub(crate) struct PrunedCursor {
-    /// Index into the query signature — the scoring (fold) order.
-    si: usize,
     id: TermId,
     idf: f64,
     /// Max block bound over this term's in-range blocks.
     term_ub: f64,
-    /// In-range block window `[blocks_lo, blocks_hi)` within the term's
-    /// block slice.
-    blocks_lo: usize,
+    /// End of the in-range block window within the term's block slice.
     blocks_hi: usize,
     /// Current block (absolute index into the term's block slice).
     cur_block: usize,
-    /// Which block `decoded` currently holds (`usize::MAX` = none).
+    /// Which block `decoded` and `block_ub` hold (`usize::MAX` = none).
     decoded_block: usize,
     decoded: Vec<Posting>,
+    /// The decoded block's bound ([`Bounds::block_ub`]).
+    block_ub: f64,
     /// Position within `decoded`.
     pos: usize,
     /// Current doc id ([`EXHAUSTED`] when past the range).
@@ -152,15 +155,14 @@ pub(crate) struct PrunedCursor {
 impl Default for PrunedCursor {
     fn default() -> Self {
         PrunedCursor {
-            si: 0,
             id: TermId(0),
             idf: 0.0,
             term_ub: 0.0,
-            blocks_lo: 0,
             blocks_hi: 0,
             cur_block: 0,
             decoded_block: usize::MAX,
             decoded: Vec::new(),
+            block_ub: 0.0,
             pos: 0,
             cur_doc: EXHAUSTED,
         }
@@ -170,45 +172,40 @@ impl Default for PrunedCursor {
 impl PrunedCursor {
     /// Point the cursor at term `id`'s first posting with doc ≥ `lo` inside
     /// `[lo, hi)`, computing the in-range block window and term bound.
-    #[allow(clippy::too_many_arguments)]
-    fn init(
-        &mut self,
-        si: usize,
-        id: TermId,
-        idf: f64,
-        bp: &BlockPostings,
-        bm25: Bm25Params,
-        params_match: bool,
-        avg_len: f64,
-        lo: u32,
-        hi: u32,
-    ) {
-        self.si = si;
+    fn init(&mut self, id: TermId, idf: f64, cx: &Bounds<'_>, lo: u32, hi: u32) {
         self.id = id;
         self.idf = idf;
-        let blocks = bp.term_blocks(id);
-        self.blocks_lo = blocks.partition_point(|b| b.last_doc < lo);
+        let blocks = cx.bp.term_blocks(id);
+        self.cur_block = blocks.partition_point(|b| b.last_doc < lo);
         self.blocks_hi =
-            self.blocks_lo + blocks[self.blocks_lo..].partition_point(|b| b.first_doc < hi);
-        self.term_ub = blocks[self.blocks_lo..self.blocks_hi]
+            self.cur_block + blocks[self.cur_block..].partition_point(|b| b.first_doc < hi);
+        self.term_ub = blocks[self.cur_block..self.blocks_hi]
             .iter()
-            .map(|b| block_ub(b, idf, avg_len, bm25, params_match))
+            .map(|b| cx.block_ub(b, idf))
             .fold(0.0, f64::max);
-        self.cur_block = self.blocks_lo;
         self.decoded_block = usize::MAX;
-        self.pos = 0;
         self.cur_doc = EXHAUSTED;
-        self.position(bp, lo, hi);
+        self.position(cx, lo, hi);
     }
 
     fn exhausted(&self) -> bool {
         self.cur_doc == EXHAUSTED
     }
 
+    /// Decode the current block and bound it — once per block entered, so
+    /// no pivot test re-evaluates a bound.
+    fn enter_block(&mut self, cx: &Bounds<'_>) {
+        let block = &cx.bp.term_blocks(self.id)[self.cur_block];
+        cx.bp.decode_block(block, &mut self.decoded);
+        self.block_ub = cx.block_ub(block, self.idf);
+        self.decoded_block = self.cur_block;
+        self.pos = 0;
+    }
+
     /// Land on the first posting with doc ≥ `target` (from the current
     /// position forward), decoding at most the block it lives in.
-    fn position(&mut self, bp: &BlockPostings, target: u32, hi: u32) {
-        let blocks = bp.term_blocks(self.id);
+    fn position(&mut self, cx: &Bounds<'_>, target: u32, hi: u32) {
+        let blocks = cx.bp.term_blocks(self.id);
         while self.cur_block < self.blocks_hi && blocks[self.cur_block].last_doc < target {
             self.cur_block += 1;
         }
@@ -217,9 +214,7 @@ impl PrunedCursor {
             return;
         }
         if self.decoded_block != self.cur_block {
-            bp.decode_block(&blocks[self.cur_block], &mut self.decoded);
-            self.decoded_block = self.cur_block;
-            self.pos = 0;
+            self.enter_block(cx);
         }
         // Safe: this block's last_doc ≥ target, so a qualifying posting
         // exists at or after `pos`.
@@ -232,15 +227,15 @@ impl PrunedCursor {
 
     /// Advance to the first posting with doc ≥ `target` (no-op if already
     /// there).
-    fn seek_ge(&mut self, bp: &BlockPostings, target: u32, hi: u32) {
+    fn seek_ge(&mut self, cx: &Bounds<'_>, target: u32, hi: u32) {
         if self.exhausted() || self.cur_doc >= target {
             return;
         }
-        self.position(bp, target, hi);
+        self.position(cx, target, hi);
     }
 
     /// Step to the next posting.
-    fn advance_one(&mut self, bp: &BlockPostings, hi: u32) {
+    fn advance_one(&mut self, cx: &Bounds<'_>, hi: u32) {
         self.pos += 1;
         if self.pos >= self.decoded.len() {
             self.cur_block += 1;
@@ -248,10 +243,7 @@ impl PrunedCursor {
                 self.cur_doc = EXHAUSTED;
                 return;
             }
-            let blocks = bp.term_blocks(self.id);
-            bp.decode_block(&blocks[self.cur_block], &mut self.decoded);
-            self.decoded_block = self.cur_block;
-            self.pos = 0;
+            self.enter_block(cx);
         }
         let d = self.decoded[self.pos].doc.0;
         self.cur_doc = if d >= hi { EXHAUSTED } else { d };
@@ -262,9 +254,9 @@ impl PrunedCursor {
         self.decoded[self.pos].tf
     }
 
-    /// The current block's metadata.
-    fn cur_block_meta<'b>(&self, bp: &'b BlockPostings) -> &'b PostingBlock {
-        &bp.term_blocks(self.id)[self.cur_block]
+    /// Doc id of the current block's last posting (the skip pointer).
+    fn cur_block_last(&self, cx: &Bounds<'_>) -> u32 {
+        cx.bp.term_blocks(self.id)[self.cur_block].last_doc
     }
 }
 
@@ -275,14 +267,18 @@ impl PrunedCursor {
 pub(crate) struct PrunedScratch {
     cursors: Vec<PrunedCursor>,
     order: Vec<usize>,
+    /// Docs the last query scored in full (pruning saved the rest of its
+    /// postings): a pure function of (view, query, k, options).
+    pub(crate) docs_scored: usize,
 }
 
 /// Block-max WAND over `[lo, hi)`: the pruned equivalent of scoring every
 /// sig term's postings in that doc range and selecting top-k — byte-identical
 /// to that exhaustive fold (see module docs for the argument). Runs on the
 /// scratch's recycled heap and cursor buffers; the dense score accumulator
-/// is untouched. `pr` is `view.pruning()`, which exists only for a view with
-/// no pending segments — so the base's postings are the whole index.
+/// is untouched. `pr` indexes the base's postings only, so a non-empty range
+/// must lie inside the base; idf and the average doc length are the *view's*,
+/// and with a segment pending every bound is recomputed under them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pruned_topk_range(
     view: &IndexView<'_>,
@@ -294,10 +290,15 @@ pub(crate) fn pruned_topk_range(
     hi: u32,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
+    debug_assert!(lo >= hi || hi as usize <= view.base.len());
     let postings = view.base.postings();
-    let avg_len = view.avg_doc_len();
     let bp = pr.blocks();
-    let params_match = opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b();
+    let cx = Bounds {
+        bp,
+        avg_len: view.avg_doc_len(),
+        bm25: opts.bm25,
+        stored_exact: view.segments.is_empty() && opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b(),
+    };
     let ann_ub = if opts.use_annotations {
         pr.annotation_upper_bound()
     } else {
@@ -310,25 +311,16 @@ pub(crate) fn pruned_topk_range(
     // One cursor per signature term, in signature (scoring) order; terms
     // with no postings in range drop out immediately.
     let mut n = 0usize;
-    for (si, &id) in sig.iter().enumerate() {
+    for &id in sig {
         let c = &mut state.cursors[n];
-        c.init(
-            si,
-            id,
-            view.idf(id),
-            bp,
-            opts.bm25,
-            params_match,
-            avg_len,
-            lo,
-            hi,
-        );
+        c.init(id, view.idf(id), &cx, lo, hi);
         if !c.exhausted() {
             n += 1;
         }
     }
     scratch.heap.clear();
-    let PrunedScratch { cursors, order } = &mut state;
+    let PrunedScratch { cursors, order, .. } = &mut state;
+    let mut docs_scored = 0usize;
     order.clear();
     order.extend(0..n);
     while !order.is_empty() {
@@ -358,7 +350,7 @@ pub(crate) fn pruned_topk_range(
             // Docs below the pivot doc live only in the lagging prefix,
             // whose bound sum cannot reach the threshold: skip them all.
             for &ci in &order[..p] {
-                cursors[ci].seek_ge(bp, d_p, hi);
+                cursors[ci].seek_ge(&cx, d_p, hi);
             }
         } else {
             // Every cursor containing d_p sits exactly on it (the run).
@@ -371,26 +363,19 @@ pub(crate) fn pruned_topk_range(
             // run's blocks (and the next term's doc) pin down.
             let mut bacc = ann_ub;
             for &ci in &order[..run_end] {
-                let c = &cursors[ci];
-                bacc += block_ub(
-                    c.cur_block_meta(bp),
-                    c.idf,
-                    avg_len,
-                    opts.bm25,
-                    params_match,
-                );
+                bacc += cursors[ci].block_ub;
             }
             if guard_ub(bacc) < threshold {
                 let mut skip_to = hi;
                 for &ci in &order[..run_end] {
-                    let last = cursors[ci].cur_block_meta(bp).last_doc;
+                    let last = cursors[ci].cur_block_last(&cx);
                     skip_to = skip_to.min(last.saturating_add(1));
                 }
                 if run_end < order.len() {
                     skip_to = skip_to.min(cursors[order[run_end]].cur_doc);
                 }
                 for &ci in &order[..run_end] {
-                    cursors[ci].seek_ge(bp, skip_to, hi);
+                    cursors[ci].seek_ge(&cx, skip_to, hi);
                 }
             } else {
                 // Score d_p exactly: contributions in signature order (the
@@ -404,7 +389,7 @@ pub(crate) fn pruned_topk_range(
                             c.idf,
                             f64::from(c.cur_tf()),
                             dl,
-                            avg_len,
+                            cx.avg_len,
                             opts.bm25.k1,
                             opts.bm25.b,
                         );
@@ -413,17 +398,16 @@ pub(crate) fn pruned_topk_range(
                 if opts.use_annotations {
                     score += annotation_boost(view, sig, DocId(d_p));
                 }
-                scratch.heap.push(HeapEntry(score, d_p));
-                if scratch.heap.len() > k {
-                    scratch.heap.pop();
-                }
+                docs_scored += 1;
+                admit(&mut scratch.heap, k, HeapEntry(score, d_p));
                 for &ci in &order[..run_end] {
-                    cursors[ci].advance_one(bp, hi);
+                    cursors[ci].advance_one(&cx, hi);
                 }
             }
         }
         order.retain(|&ci| !cursors[ci].exhausted());
     }
+    state.docs_scored = docs_scored;
     scratch.pruned = state;
     drain_heap_topk(&mut scratch.heap)
 }

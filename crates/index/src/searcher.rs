@@ -282,13 +282,23 @@ fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
         // Zero the entry while draining: the scratch's between-queries
         // invariant (all scores zero) is restored exactly here.
         let score = std::mem::replace(&mut scores[doc.as_usize()], 0.0);
-        heap.push(HeapEntry(score, doc.0));
-        if heap.len() > k {
-            heap.pop();
-        }
+        admit(heap, k, HeapEntry(score, doc.0));
     }
     touched.clear();
     drain_heap_topk(heap)
+}
+
+/// Offer one scored doc to the bounded top-k heap: a full heap takes it only
+/// in place of a root it beats — push-then-pop's result, minus a loser's sifts.
+#[inline]
+pub(crate) fn admit(heap: &mut BinaryHeap<HeapEntry>, k: usize, entry: HeapEntry) {
+    if heap.len() < k {
+        heap.push(entry);
+    } else if let Some(mut root) = heap.peek_mut() {
+        if entry < *root {
+            *root = entry;
+        }
+    }
 }
 
 /// Drain a bounded top-k heap into the final sorted hit list — the selection
@@ -380,12 +390,12 @@ pub(crate) fn search_view(
 /// inside the one range that owns the doc, so a range's top-k is exact and
 /// per-range lists merge under [`hit_order`] into the full-range result.
 ///
-/// [`PruningMode::BlockMax`] runs the block-max kernel when the view has
-/// current pruning structures; otherwise — and always in
-/// [`PruningMode::Exhaustive`], block-max's reference — every posting is
+/// [`PruningMode::BlockMax`] uses that composition when the base has pruning
+/// structures: block-max over the part of the range inside the base, a fold
+/// of any segment docs past `base.len()`, one merge. Otherwise — and always
+/// in [`PruningMode::Exhaustive`], block-max's reference — every posting is
 /// folded: terms in signature order, each term's runs in ascending doc
-/// order, then one annotation pass over the touched docs. The two return
-/// the same bytes.
+/// order, then one annotation pass over the touched docs. Same bytes.
 pub(crate) fn top_k_range(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -400,7 +410,20 @@ pub(crate) fn top_k_range(
     }
     if opts.pruning == PruningMode::BlockMax {
         if let Some(pr) = view.pruning() {
-            return crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, hi, scratch);
+            // Doc ids are `u32`: a base too long for one owns the whole range.
+            let cut = u32::try_from(view.base.len()).map_or(hi, |n| n.clamp(lo, hi));
+            let mut hits =
+                crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, cut, scratch);
+            if cut < hi {
+                let fold = SearchOptions {
+                    pruning: PruningMode::Exhaustive,
+                    ..opts
+                };
+                hits.extend(top_k_range(view, sig, k, fold, cut, hi, scratch));
+                hits.sort_by(hit_order);
+                hits.truncate(k);
+            }
+            return hits;
         }
     }
     if scratch.scores.len() < view.num_docs() {

@@ -39,12 +39,17 @@
 //!
 //! ## Pruning-structure invalidation
 //!
-//! Block-max structures are per-base: a generation with pending segments
-//! always scores exhaustively (a stale block bound could unsafely skip a
-//! fresh doc), which returns the same bytes by the existing mode-equality
-//! contract. [`SegmentedIndex::merge`] rebuilds the structures on the merged
-//! base, so [`BlockMax`](crate::searcher::PruningMode::BlockMax) re-engages
-//! the moment the segment set is empty again.
+//! What pending segments invalidate is a block's stored `max_contrib`, not
+//! its `(max_tf, min_dl)`: the maximum bakes in the sealed base's `idf` and
+//! average doc length, which a segment moves (long fresh docs lacking a term
+//! lift every base contribution for it past the stored value); the pair
+//! describes the block's own postings, which no segment touches. So a
+//! pending generation still prunes its base: the kernel cuts the range at
+//! `base.len()`, runs block-max over the base part with bounds recomputed
+//! from that pair under the generation's statistics, folds the segments' few
+//! hundred docs, and merges the two exact lists under the one hit order.
+//! Segments get no block index (it would tax every `apply`), and
+//! [`SegmentedIndex::merge`] rebuilds the base's, making its maxima exact.
 
 use crate::docstore::AnnotationIds;
 use crate::index::{build_shard, BatchDoc, SearchIndex};
@@ -189,10 +194,8 @@ impl Generation {
     }
 
     /// Top-`k` hits over this generation, caller-provided scratch: the one
-    /// kernel over this generation's view. With no pending segments the
-    /// view carries the base's pruning structures; with segments pending it
-    /// has none and scores exhaustively, which is byte-identical by the
-    /// mode-equality contract.
+    /// kernel over this generation's view, which carries the base's pruning
+    /// structures whether or not segments are pending (module docs).
     pub fn search_with_scratch(
         &self,
         query: &str,
@@ -336,8 +339,7 @@ impl SegmentedIndex {
     /// background merge. The fold is computed entirely off the read lock
     /// (readers keep serving the old generation from their snapshots) and
     /// published with one pointer swap; pruning structures are rebuilt on
-    /// the merged base so [`BlockMax`](crate::searcher::PruningMode::BlockMax)
-    /// re-engages.
+    /// the merged base so its stored block maxima are exact again.
     ///
     /// Returns the number of documents folded out of segments (0 = nothing
     /// to merge).
@@ -372,7 +374,8 @@ impl SegmentedIndex {
         self.snapshot().search(query, k, opts)
     }
 
-    /// The broker-style batched read: one snapshot for the whole batch, one
+    /// The broker-style batched read: one snapshot for the whole batch (a
+    /// mid-batch apply or merge must not split it across generations), one
     /// scratch per worker. Byte-identical to serving each query through
     /// [`SegmentedIndex::search`] against that snapshot.
     pub fn search_batch(
@@ -415,15 +418,8 @@ impl SearchService for SegmentedSearcher<'_> {
     }
 
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        // One snapshot for the whole batch (a mid-batch apply/merge must not
-        // split the batch across generations), served sequentially.
-        let gen = self.index.snapshot();
-        with_thread_scratch(|scratch| {
-            queries
-                .iter()
-                .map(|q| gen.search_with_scratch(q, k, self.opts, scratch))
-                .collect()
-        })
+        self.index
+            .search_batch(&ThreadPool::new(0), queries, k, self.opts)
     }
 }
 
@@ -431,7 +427,8 @@ impl SearchService for SegmentedSearcher<'_> {
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::searcher::{hit_order, search, top_k_range, PruningMode};
+    use crate::postings::bm25_contribution;
+    use crate::searcher::{hit_order, search, top_k_range, Bm25Params, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -612,6 +609,166 @@ mod tests {
                 assert_eq!(seg.merge(), 3);
             }
         }
+    }
+
+    /// A base whose stored block maxima a segment makes stale: 700 docs all
+    /// naming `tee` (six 128-posting blocks), doc lengths 8..=20, with two
+    /// planted docs — 0 (`tf` 2, length 5) leads the sealed ranking, 600
+    /// (`tf` 4, length 40) leads once long fresh docs lift the average
+    /// length, so a kernel trusting block 4's stored maximum would skip the
+    /// new winner. The 60 delta docs are ~1 800 tokens each and lack `tee`;
+    /// `novelterm` and the `pad*` words exist only in them.
+    fn stale_corpus() -> (Vec<BatchDoc>, Vec<BatchDoc>) {
+        let makes = ["honda", "ford", "bmw"];
+        let base = (0..700usize)
+            .map(|i| {
+                let (tf, len) = match i {
+                    0 => (2, 5),
+                    600 => (4, 40),
+                    _ => (1, 8 + i % 13),
+                };
+                let mut words = vec!["tee".to_string(); tf];
+                words.push(makes[i % 3].to_string());
+                words.extend((words.len()..len).map(|j| format!("filler{}", (i + j) % 7)));
+                let anns: &[(&str, &str)] = if i % 4 == 1 {
+                    &[("make", makes[i % 3])]
+                } else {
+                    &[]
+                };
+                doc("s.sim", &format!("/b{i}"), "", &words.join(" "), anns)
+            })
+            .collect();
+        let delta = (0..60usize)
+            .map(|j| {
+                let mut words = vec!["novelterm".to_string(); 1 + j % 3];
+                words.extend((0..1800).map(|p| format!("pad{}", (p * 7 + j) % 50)));
+                let anns: &[(&str, &str)] = if j % 2 == 0 {
+                    words.push("filler3 honda".to_string());
+                    &[("make", "honda"), ("era", "novelterm")]
+                } else {
+                    &[]
+                };
+                doc("s.sim", &format!("/d{j}"), "", &words.join(" "), anns)
+            })
+            .collect();
+        (base, delta)
+    }
+
+    const STALE_QUERIES: &[&str] = &[
+        "tee",
+        "tee filler3",
+        "honda tee",
+        "novelterm",
+        "tee novelterm",
+        "pad7 filler3",
+        "zzz-unknown tee",
+    ];
+
+    fn blockmax(opts: SearchOptions) -> SearchOptions {
+        SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..opts
+        }
+    }
+
+    #[test]
+    fn pending_segments_make_stored_block_maxima_stale() {
+        let (base, delta) = stale_corpus();
+        let full = rebuild(&base, &delta);
+        let params = [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }];
+        for parts in [1usize, 3] {
+            let seg = SegmentedIndex::new(build_base(&base));
+            for chunk in delta.chunks(delta.len() / parts) {
+                assert_eq!(seg.apply(chunk.to_vec()), chunk.len());
+            }
+            assert_eq!(seg.num_segments(), parts);
+            let gen = seg.snapshot();
+            let view = gen.view();
+            // The premise, asserted directly: under the generation's
+            // statistics every block of `tee` holds a posting whose
+            // contribution exceeds the block's stored maximum.
+            let tee = view.term_id("tee").unwrap();
+            let (idf, avg_len) = (view.idf(tee), view.avg_doc_len());
+            let Bm25Params { k1, b } = params[0];
+            let blocks = gen.base().pruning().unwrap().blocks();
+            assert!(blocks.term_blocks(tee).len() >= 4);
+            let mut decoded = Vec::new();
+            for block in blocks.term_blocks(tee) {
+                blocks.decode_block(block, &mut decoded);
+                let best = decoded
+                    .iter()
+                    .map(|p| {
+                        let dl = f64::from(gen.base().postings().doc_len(p.doc));
+                        bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b)
+                    })
+                    .fold(0.0, f64::max);
+                assert!(best > block.max_contrib, "block at {}", block.first_doc);
+            }
+            // A novel overlay term has no blocks at all: segment postings only.
+            let novel = view.term_id("novelterm").unwrap();
+            assert!(novel.as_usize() >= gen.base().postings().num_terms());
+            assert!(blocks.term_blocks(novel).is_empty());
+            let top = seg.search("novelterm", 10, blockmax(SearchOptions::default()));
+            assert!(top.len() == 10 && top.iter().all(|h| h.doc.as_usize() >= base.len()));
+            // The planted doc a stale bound would skip is the new winner.
+            let top = seg.search("tee", 1, blockmax(SearchOptions::default()));
+            assert_eq!(top[0].doc.0, 600);
+            for phase in ["pending", "merged"] {
+                for bm25 in params {
+                    for use_annotations in [false, true] {
+                        let exhaustive = SearchOptions {
+                            bm25,
+                            use_annotations,
+                            ..Default::default()
+                        };
+                        for q in STALE_QUERIES {
+                            for k in [1, 10, 100] {
+                                let want = search(&full, q, k, exhaustive);
+                                let ctx = format!("{phase} parts={parts} q={q:?} k={k}");
+                                assert_eq!(seg.search(q, k, exhaustive), want, "{ctx}");
+                                assert_eq!(seg.search(q, k, blockmax(exhaustive)), want, "{ctx}");
+                            }
+                        }
+                    }
+                }
+                if phase == "pending" {
+                    assert_eq!(seg.merge(), delta.len());
+                }
+            }
+        }
+    }
+
+    /// Equality alone cannot tell block-max from a silent exhaustive
+    /// fallback; the scored-doc count can. Sealed, `tee` at k = 1 scores
+    /// fewer docs than its df — and so it must with segments pending, on a
+    /// fresh scratch (a kernel that never ran would leave the count at 0),
+    /// identically at any worker count.
+    #[test]
+    fn pruning_engages_with_segments_pending() {
+        let (base, delta) = stale_corpus();
+        let seg = SegmentedIndex::new(build_base(&base));
+        let opts = blockmax(SearchOptions::default());
+        let scored = |workers: usize| -> Vec<usize> {
+            let gen = seg.snapshot();
+            ThreadPool::new(workers).map_indices_init(
+                STALE_QUERIES.len(),
+                QueryScratch::new,
+                |scratch, qi| {
+                    gen.search_with_scratch(STALE_QUERIES[qi], 1, opts, scratch);
+                    scratch.pruned.docs_scored
+                },
+            )
+        };
+        let df = base.len();
+        let sealed = scored(1);
+        assert!(0 < sealed[0] && sealed[0] < df, "sealed: {}", sealed[0]);
+        for chunk in delta.chunks(20) {
+            seg.apply(chunk.to_vec());
+        }
+        assert_eq!(seg.num_segments(), 3);
+        let pending = scored(1);
+        assert!(0 < pending[0] && pending[0] < df, "pending: {}", pending[0]);
+        assert_eq!(scored(3), pending);
     }
 
     #[test]

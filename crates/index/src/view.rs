@@ -152,14 +152,11 @@ impl<'a> IndexView<'a> {
         has(self.base.facet_values()) || self.overlay.is_some_and(|o| has(&o.facet_values))
     }
 
-    /// The block-max structures, present only when no segment is pending:
-    /// they are per-base, and a stale block bound could unsafely skip a
-    /// fresh doc.
+    /// The base's block-max structures, valid for docs `[0, base.len())`
+    /// whatever is pending: segments move the statistics a block's stored
+    /// `max_contrib` was computed under, never its `(max_tf, min_dl)`, so
+    /// the kernel re-bounds the base from that pair and folds segment docs.
     pub(crate) fn pruning(&self) -> Option<&'a PruningIndex> {
-        if self.segments.is_empty() {
-            self.base.pruning()
-        } else {
-            None
-        }
+        self.base.pruning()
     }
 }

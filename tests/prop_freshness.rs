@@ -2,12 +2,14 @@
 //!
 //! Over randomly generated webworlds and arbitrary base/delta splits, a
 //! [`SegmentedIndex`] must rank byte-identically to a from-scratch rebuild —
-//! plain and annotation-aware, before and after the merge.
+//! plain and annotation-aware, exhaustive and block-max, before and after the
+//! merge.
 
 use deepweb::common::{ids::RecordId, ThreadPool, Url};
 use deepweb::html::Document;
 use deepweb::index::{
-    Annotation, BatchDoc, DocKind, Hit, SearchIndex, SearchOptions, SearchService, SegmentedIndex,
+    Annotation, BatchDoc, DocKind, PruningMode, SearchIndex, SearchOptions, SearchService,
+    SegmentedIndex,
 };
 use deepweb::webworld::{generate, Fetcher, WebConfig, World};
 use proptest::prelude::*;
@@ -137,16 +139,20 @@ proptest! {
 
         let opts = SearchOptions { use_annotations, ..Default::default() };
         let queries = queries_for(&w);
-        let expected: Vec<Vec<Hit>> = queries
-            .iter()
-            .map(|q| reference.searcher(opts).search(q, 10))
-            .collect();
+        // The reference is the exhaustive rebuild; the tier must match it in
+        // both pruning modes (block-max prunes the base under the pending
+        // generation's statistics) and at a k that keeps only the winner.
         for phase in ["pre-merge", "post-merge"] {
-            for (q, want) in queries.iter().zip(&expected) {
-                prop_assert!(
-                    &segmented.search(q, 10, opts) == want,
-                    "{phase} sequential diverges on q={q:?}"
-                );
+            for k in [1usize, 10] {
+                for q in &queries {
+                    let want = reference.searcher(opts).search(q, k);
+                    for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
+                        prop_assert!(
+                            segmented.search(q, k, SearchOptions { pruning, ..opts }) == want,
+                            "{phase} {pruning:?} diverges on q={q:?} k={k}"
+                        );
+                    }
+                }
             }
             if phase == "pre-merge" {
                 prop_assert_eq!(segmented.merge(), docs.len() - split);
