@@ -1,12 +1,13 @@
-//! A small work-stealing thread pool for shard-parallel batch work.
+//! A small work-stealing thread pool for parallel batch work.
 //!
-//! The surfacing pipeline and the index builder fan work out per *shard* (a
-//! deterministic partition of the input keyed by [`shard_of`]); workers drain
-//! their own queue first and steal from the back of their neighbours' queues
-//! when idle, so uneven shards (one giant site, many tiny ones) still
-//! saturate every core. Results are reassembled **in input order**, which is
-//! what lets callers guarantee parallel output is byte-identical to the
-//! sequential path (see DESIGN.md §8).
+//! Callers hand [`ThreadPool::map`] one task per independent unit — the
+//! surfacing pipeline one per host, the index builder one per doc range, the
+//! broker one per query. Workers drain their own queue first and steal from
+//! the back of their neighbours' queues when idle, so uneven tasks (one giant
+//! site, many tiny ones) still saturate every core. Results are reassembled
+//! **in input order**, which is what lets callers guarantee parallel output
+//! is byte-identical to the sequential path (see DESIGN.md §8) without
+//! tagging or reordering anything themselves.
 //!
 //! The pool is scope-based: [`ThreadPool::map`] spawns its workers inside
 //! `std::thread::scope`, so tasks may borrow caller state (`&dyn Fetcher`,
@@ -49,8 +50,7 @@ fn cached_parallelism() -> usize {
 /// `map` additionally clamps the number of threads it *spawns* to the
 /// machine's available parallelism: on a single-core host a `workers = 4`
 /// pool runs inline instead of paying spawn/steal overhead for zero
-/// concurrency (the `e06_pipeline_parallel_w4 > sequential` inversion on
-/// 1-core bench boxes). Results are worker-count independent by contract, so
+/// concurrency. Results are worker-count independent by contract, so
 /// the clamp can never change output. Corollary: on a 1-core host every
 /// `workers > 1` test/bench exercises the inline path only — the spawn/steal
 /// machinery gets its coverage from multi-core CI runners.

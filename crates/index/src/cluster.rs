@@ -261,7 +261,12 @@ impl<'a> ClusterServer<'a> {
             let sig = scratch.resolved_sig();
             let r0 = self.route(sig);
             self.count(r0, Some(r0));
-            self.serve_fanout(sig, k)
+            self.serve_sig(sig, k, || {
+                self.pool.map_indices(self.partitions.len(), |pi| {
+                    let p = &self.partitions[pi];
+                    p.with_pooled_scratch(|s| p.search_sig(self.index, sig, k, self.opts, s))
+                })
+            })
         })
     }
 
@@ -283,9 +288,15 @@ impl<'a> ClusterServer<'a> {
         }
     }
 
-    /// Fan one resolved signature across every partition (each on its own
-    /// pooled scratch), merge exact local top-k lists, and fill the cache.
-    fn serve_fanout(&self, sig: &[TermId], k: usize) -> Vec<Hit> {
+    /// Serve one resolved signature: guard, cache probe, merge of the exact
+    /// local top-k lists `score_partitions` returns (one per partition), and
+    /// cache fill. Callers differ only in how they walk the partitions.
+    fn serve_sig(
+        &self,
+        sig: &[TermId],
+        k: usize,
+        score_partitions: impl FnOnce() -> Vec<Vec<Hit>>,
+    ) -> Vec<Hit> {
         if sig.is_empty() || k == 0 {
             // No known term (no postings anywhere, and the annotation pass
             // only adjusts touched docs) or nothing asked for: the
@@ -298,11 +309,7 @@ impl<'a> ClusterServer<'a> {
                 return hits;
             }
         }
-        let lists = self.pool.map_indices(self.partitions.len(), |pi| {
-            let p = &self.partitions[pi];
-            p.with_pooled_scratch(|scratch| p.search_sig(self.index, sig, k, self.opts, scratch))
-        });
-        let hits = merge_partition_topk(lists, k);
+        let hits = merge_partition_topk(score_partitions(), k);
         if let Some(cache) = &self.cache {
             cache.insert(sig.to_vec(), k, hits.clone());
         }
@@ -355,24 +362,12 @@ impl<'a> ClusterServer<'a> {
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
                 let sig = &sigs[qi];
-                if sig.is_empty() || k == 0 {
-                    return Vec::new();
-                }
-                if let Some(cache) = &self.cache {
-                    if let Some(hits) = cache.get(sig, k) {
-                        return hits;
-                    }
-                }
-                let lists: Vec<Vec<Hit>> = self
-                    .partitions
-                    .iter()
-                    .map(|p| p.search_sig(self.index, sig, k, self.opts, scratch))
-                    .collect();
-                let hits = merge_partition_topk(lists, k);
-                if let Some(cache) = &self.cache {
-                    cache.insert(sig.clone(), k, hits.clone());
-                }
-                hits
+                self.serve_sig(sig, k, || {
+                    self.partitions
+                        .iter()
+                        .map(|p| p.search_sig(self.index, sig, k, self.opts, scratch))
+                        .collect()
+                })
             })
     }
 

@@ -166,9 +166,14 @@ fn audit_input(i: &deepweb_html::ExtractedInput) -> Option<ThreatKind> {
 
 /// Extract every form on a page, resolving actions against `page_url`.
 pub fn analyze_page(page_url: &Url, html: &str) -> Vec<CrawledForm> {
-    let doc = Document::parse(html);
-    let dependents = parse_dependent_options(&doc);
-    extract_forms(&doc)
+    forms_in(page_url, &Document::parse(html))
+}
+
+/// [`analyze_page`] over an already-parsed page, for callers that read more
+/// than the forms off the same [`Document`].
+pub fn forms_in(page_url: &Url, doc: &Document) -> Vec<CrawledForm> {
+    let dependents = parse_dependent_options(doc);
+    extract_forms(doc)
         .into_iter()
         .map(|f| {
             let action_path = if f.action.is_empty() {

@@ -29,7 +29,7 @@ pub use correlate::{DatabaseSelection, RangePair};
 pub use fetchpolicy::{
     classify_error, classify_status, fetch_with_policy, ErrorClass, FetchAttempt, FetchPolicy,
 };
-pub use formmodel::{analyze_page, CrawledForm, CrawledInput, DependentMap};
+pub use formmodel::{analyze_page, forms_in, CrawledForm, CrawledInput, DependentMap};
 pub use hardening::{is_password_name, is_token_like, ThreatKind};
 pub use indexability::{select_templates, IndexabilityConfig, SelectionOutcome};
 pub use keywords::{iterative_probing, KeywordConfig, KeywordSelection};

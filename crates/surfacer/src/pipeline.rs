@@ -11,17 +11,17 @@ use crate::correlate::{
     aligned_range_assignments, candidate_range_pairs, dependent_assignments,
     detect_database_selection, validate_range, RangePair,
 };
-use crate::fetchpolicy::{fetch_with_policy, FetchPolicy};
-use crate::formmodel::{analyze_page, CrawledForm};
+use crate::fetchpolicy::FetchPolicy;
+use crate::formmodel::{forms_in, CrawledForm};
 use crate::hardening::ThreatKind;
 use crate::indexability::{select_templates, IndexabilityConfig};
 use crate::keywords::{iterative_probing, KeywordConfig};
-use crate::probe::{resolve_href, Prober};
+use crate::probe::{resolve_href, title_of, Assignment, ProbeOutcome, Prober};
 use crate::template::{search_templates, Slot, TemplateConfig};
 use crate::typed::{classify_typed, is_search_box, TypeClass, TypedValueLibrary};
 use crate::urlgen::generate_urls;
 use deepweb_common::text::DfTable;
-use deepweb_common::{shard_of, FxHashSet, ThreadPool, Url};
+use deepweb_common::{FxHashSet, ThreadPool, Url};
 use deepweb_html::Document;
 use deepweb_webworld::Fetcher;
 
@@ -185,7 +185,8 @@ pub struct CrawlStats {
 pub struct SurfacingOutcome {
     /// Everything to index (surface + surfaced + discovered).
     pub docs: Vec<ProducedDoc>,
-    /// Per-site reports, in crawl order.
+    /// Per-form reports: hosts in first-appearance order, a host's forms in
+    /// crawl order.
     pub reports: Vec<SiteReport>,
     /// Surface-crawl robustness accounting.
     pub crawl_stats: CrawlStats,
@@ -294,12 +295,6 @@ impl RobustnessReport {
     }
 }
 
-fn page_title(doc: &Document) -> String {
-    doc.find("title")
-        .map(|t| t.text_content())
-        .unwrap_or_default()
-}
-
 /// Crawl the surface web (BFS from seeds), returning fetched pages and the
 /// set of search-form URLs found.
 struct SurfaceCrawl {
@@ -318,6 +313,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
     let mut per_host_text: deepweb_common::FxHashMap<String, String> =
         deepweb_common::FxHashMap::default();
     let mut background = DfTable::new();
+    let prober = Prober::with_policy(fetcher, cfg.fetch_policy);
     let mut stats = CrawlStats::default();
     let mut qi = 0;
     while qi < queue.len() && visited.len() < cfg.crawl_budget {
@@ -326,12 +322,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
         if !visited.insert(url.to_string()) {
             continue;
         }
-        let (result, attempt) = fetch_with_policy(fetcher, &url, &cfg.fetch_policy);
-        stats.retries += u64::from(attempt.retries);
-        stats.transient_failures += u64::from(attempt.transient_failures);
-        stats.permanent_failures += u64::from(attempt.permanent_failures);
-        stats.backoff_ms += attempt.backoff_ms;
-        let Ok(resp) = result else {
+        let Ok(resp) = prober.fetch_response(&url).0 else {
             // A host that stays down after the retry budget degrades the
             // crawl (its pages are missing) but never aborts it.
             stats.fetch_failures += 1;
@@ -344,15 +335,16 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
         let host_text = per_host_text.entry(url.host.clone()).or_default();
         host_text.push_str(&text);
         host_text.push(' ');
-        let page_forms = analyze_page(&url, &resp.html);
-        for f in page_forms {
+        for f in forms_in(&url, &doc) {
             if !forms.iter().any(|e| e.action_url == f.action_url) {
                 forms.push(f);
             }
         }
+        // A surface page is not a probe outcome: item links on a browse page
+        // are not record ids the surfacer covered.
         pages.push(ProducedDoc {
             url: url.clone(),
-            title: page_title(&doc),
+            title: title_of(&doc),
             text,
             html: resp.html.clone(),
             origin: DocOrigin::Surface,
@@ -361,7 +353,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
             record_ids: Vec::new(),
         });
         if depth < cfg.crawl_depth {
-            for a in Document::parse(&resp.html).find_all("a") {
+            for a in doc.find_all("a") {
                 if let Some(href) = a.attr("href") {
                     // Do not crawl into results pages from browse links; the
                     // surfacer reaches those via form submissions.
@@ -374,6 +366,11 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
             }
         }
     }
+    let tally = prober.stats();
+    stats.retries = tally.retries;
+    stats.transient_failures = tally.transient_failures;
+    stats.permanent_failures = tally.permanent_failures;
+    stats.backoff_ms = tally.backoff_ms;
     SurfaceCrawl {
         pages,
         forms,
@@ -616,11 +613,20 @@ fn surface_form(
     report.analysis_requests = prober.requests();
 
     // Fetch the generated URLs; follow pagination; collect detail links.
-    let surf_prober = Prober::with_policy(fetcher, cfg.fetch_policy);
+    let produced = |out: &ProbeOutcome, origin, annotations: Assignment| ProducedDoc {
+        url: out.url.clone(),
+        title: out.title.clone(),
+        text: out.text.clone(),
+        html: out.html.clone(),
+        origin,
+        host: form.host.clone(),
+        annotations,
+        record_ids: out.record_ids.clone(),
+    };
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut detail_queue: Vec<Url> = Vec::new();
     for g in &urls {
-        let mut out = surf_prober.fetch(&g.url);
+        let mut out = prober.fetch(&g.url);
         let mut hops = 0;
         loop {
             if !out.ok {
@@ -628,21 +634,11 @@ fn surface_form(
             }
             covered.extend(out.record_ids.iter().copied());
             detail_queue.extend(out.detail_urls.iter().cloned());
-            let doc = Document::parse(&out.html);
-            docs.push(ProducedDoc {
-                url: out.url.clone(),
-                title: page_title(&doc),
-                text: out.text.clone(),
-                html: out.html.clone(),
-                origin: DocOrigin::Surfaced,
-                host: form.host.clone(),
-                annotations: g.assignment.clone(),
-                record_ids: out.record_ids.clone(),
-            });
+            docs.push(produced(&out, DocOrigin::Surfaced, g.assignment.clone()));
             report.pages_surfaced += 1;
             hops += 1;
             match (&out.next_page, hops <= cfg.follow_pagination) {
-                (Some(next), true) => out = surf_prober.fetch(next),
+                (Some(next), true) => out = prober.fetch(next),
                 _ => break,
             }
         }
@@ -656,29 +652,18 @@ fn surface_form(
         if !seen.insert(durl.to_string()) {
             continue;
         }
-        let out = surf_prober.fetch(&durl);
+        let out = prober.fetch(&durl);
         if out.ok {
-            let doc = Document::parse(&out.html);
-            docs.push(ProducedDoc {
-                url: out.url.clone(),
-                title: page_title(&doc),
-                text: out.text,
-                html: out.html,
-                origin: DocOrigin::Discovered,
-                host: form.host.clone(),
-                annotations: Vec::new(),
-                record_ids: out.record_ids,
-            });
+            docs.push(produced(&out, DocOrigin::Discovered, Vec::new()));
         }
     }
     report.records_covered = covered.len();
-    report.surfacing_requests = surf_prober.requests();
-    let a = prober.stats();
-    let s = surf_prober.stats();
-    report.retries = a.retries + s.retries;
-    report.transient_failures = a.transient_failures + s.transient_failures;
-    report.permanent_failures = a.permanent_failures + s.permanent_failures;
-    report.backoff_ms = a.backoff_ms + s.backoff_ms;
+    report.surfacing_requests = prober.requests() - report.analysis_requests;
+    let tally = prober.stats();
+    report.retries = tally.retries;
+    report.transient_failures = tally.transient_failures;
+    report.permanent_failures = tally.permanent_failures;
+    report.backoff_ms = tally.backoff_ms;
     report
 }
 
@@ -686,13 +671,15 @@ fn surface_form(
 ///
 /// The surface crawl is a sequential BFS (link-frontier order is part of the
 /// output contract), then form surfacing — the dominant cost — fans out
-/// across [`SurfacerConfig::num_workers`] threads: forms are partitioned by
-/// host hash into 4 shards per worker (so work-stealing can rebalance uneven
-/// sites), shards are executed by the pool, and each form's docs and report
-/// are merged back **in crawl order**. Per-form work reads only shared
-/// immutable state (crawl text, background DF table, value library), so the
-/// merged output is byte-identical to the sequential `num_workers = 1` path —
-/// see the `parallel_matches_sequential` test and DESIGN.md §8.
+/// across [`SurfacerConfig::num_workers`] threads, one pool task per *host*:
+/// hosts in first-appearance order, a host's forms in crawl order inside its
+/// task, so a host is only ever probed from one thread (per-host politeness,
+/// and the fault injector's per-URL failure prefixes, stay sequential). The
+/// pool steals work across uneven sites and returns results in input order.
+/// Per-form work reads only shared immutable state (crawl text, background
+/// DF table, value library), so the output is byte-identical to the
+/// sequential `num_workers = 1` path — see the `parallel_matches_sequential`
+/// test and DESIGN.md §8.
 pub fn crawl_and_surface(
     fetcher: &dyn Fetcher,
     seeds: &[Url],
@@ -701,57 +688,43 @@ pub fn crawl_and_surface(
     let crawl = crawl_surface(fetcher, seeds, cfg);
     let lib = TypedValueLibrary::standard(cfg.seed);
 
-    // Partition form indices into host-keyed shards. Same-host forms always
-    // share a shard, so per-host politeness pacing stays single-threaded.
-    // The width follows the resolved pool (`num_workers = 0` is auto-sized).
-    let pool = ThreadPool::new(cfg.num_workers);
-    let shard_count = pool.workers() * 4;
-    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (i, form) in crawl.forms.iter().enumerate() {
-        shards[shard_of(&form.host, shard_count)].push(i);
+    let mut hosts: Vec<(&str, Vec<&CrawledForm>)> = Vec::new();
+    for form in &crawl.forms {
+        match hosts.iter_mut().find(|(host, _)| *host == form.host) {
+            Some((_, forms)) => forms.push(form),
+            None => hosts.push((&form.host, vec![form])),
+        }
     }
-    shards.retain(|s| !s.is_empty());
 
-    let surfaced: Vec<Vec<(usize, SiteReport, Vec<ProducedDoc>)>> =
-        pool.map(shards, |_, form_indices| {
-            form_indices
-                .into_iter()
-                .map(|i| {
-                    let form = &crawl.forms[i];
-                    let site_text = crawl
-                        .per_host_text
-                        .get(&form.host)
-                        .map(String::as_str)
-                        .unwrap_or_default();
-                    let mut form_docs = Vec::new();
-                    let report = surface_form(
-                        fetcher,
-                        form,
-                        site_text,
-                        &crawl.background,
-                        &lib,
-                        cfg,
-                        &mut form_docs,
-                    );
-                    (i, report, form_docs)
-                })
-                .collect()
-        });
+    let surfaced = ThreadPool::new(cfg.num_workers).map(hosts, |_, (host, forms)| {
+        let site_text = crawl
+            .per_host_text
+            .get(host)
+            .map(String::as_str)
+            .unwrap_or_default();
+        let mut host_docs = Vec::new();
+        let host_reports: Vec<SiteReport> = forms
+            .into_iter()
+            .map(|form| {
+                surface_form(
+                    fetcher,
+                    form,
+                    site_text,
+                    &crawl.background,
+                    &lib,
+                    cfg,
+                    &mut host_docs,
+                )
+            })
+            .collect();
+        (host_reports, host_docs)
+    });
 
-    // Deterministic merge: reassemble by original form index, independent of
-    // shard assignment and worker scheduling.
-    let mut per_form: Vec<Option<(SiteReport, Vec<ProducedDoc>)>> = Vec::new();
-    per_form.resize_with(crawl.forms.len(), || None);
-    for (i, report, form_docs) in surfaced.into_iter().flatten() {
-        per_form[i] = Some((report, form_docs));
-    }
     let mut docs = crawl.pages;
     let mut reports = Vec::new();
-    // The pool maps each form index to exactly one result, so every slot is
-    // populated; `flatten` states that without a panic path.
-    for (report, form_docs) in per_form.into_iter().flatten() {
-        reports.push(report);
-        docs.extend(form_docs);
+    for (host_reports, host_docs) in surfaced {
+        reports.extend(host_reports);
+        docs.extend(host_docs);
     }
     SurfacingOutcome {
         docs,

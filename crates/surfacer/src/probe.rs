@@ -7,12 +7,12 @@
 //! same result set (e.g. both empty) collapse to one signature even though
 //! the pages echo different queries.
 
-use crate::fetchpolicy::{fetch_with_policy, FetchPolicy};
+use crate::fetchpolicy::{fetch_with_policy, FetchAttempt, FetchPolicy};
 use crate::formmodel::CrawledForm;
 use deepweb_common::text::tokenize;
-use deepweb_common::{fxhash64, FxHashSet, Url};
+use deepweb_common::{fxhash64, FxHashSet, Result, Url};
 use deepweb_html::Document;
-use deepweb_webworld::Fetcher;
+use deepweb_webworld::{Fetcher, Response};
 use std::cell::Cell;
 
 /// One value assignment for a form submission: `(input name, value)`.
@@ -37,6 +37,8 @@ pub struct ProbeOutcome {
     pub result_count: Option<usize>,
     /// Record ids linked from the page (`/item?id=N` hrefs).
     pub record_ids: Vec<u32>,
+    /// `<title>` text (empty when the page has none).
+    pub title: String,
     /// Visible page text (source of candidate probe keywords).
     pub text: String,
     /// "next page" link, if present.
@@ -136,7 +138,10 @@ impl<'a> Prober<'a> {
         self.fetch_analyzed(url, &[])
     }
 
-    fn fetch_analyzed(&self, url: &Url, stripped_values: &[&str]) -> ProbeOutcome {
+    /// Fetch `url` under the policy and return the raw response. The one
+    /// place a [`FetchAttempt`] is folded into the request count and the
+    /// retry/failure/backoff tally.
+    pub(crate) fn fetch_response(&self, url: &Url) -> (Result<Response>, FetchAttempt) {
         let (result, attempt) = fetch_with_policy(self.fetcher, url, &self.policy);
         self.requests
             .set(self.requests.get() + 1 + u64::from(attempt.retries));
@@ -146,6 +151,11 @@ impl<'a> Prober<'a> {
         s.permanent_failures += u64::from(attempt.permanent_failures);
         s.backoff_ms += attempt.backoff_ms;
         self.stats.set(s);
+        (result, attempt)
+    }
+
+    fn fetch_analyzed(&self, url: &Url, stripped_values: &[&str]) -> ProbeOutcome {
+        let (result, attempt) = self.fetch_response(url);
         match result {
             Ok(resp) => {
                 let mut out = analyze_response(url.clone(), resp.html, stripped_values);
@@ -161,6 +171,7 @@ impl<'a> Prober<'a> {
                 signature: 0,
                 result_count: None,
                 record_ids: Vec::new(),
+                title: String::new(),
                 text: String::new(),
                 next_page: None,
                 detail_urls: Vec::new(),
@@ -173,6 +184,7 @@ impl<'a> Prober<'a> {
 /// Analyse a fetched page into a [`ProbeOutcome`].
 pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> ProbeOutcome {
     let doc = Document::parse(&html);
+    let title = title_of(&doc);
     let text = doc.text();
 
     // "N results" header (crawler-side heuristic).
@@ -229,11 +241,19 @@ pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> Pro
         signature,
         result_count,
         record_ids,
+        title,
         text,
         next_page,
         detail_urls,
         html,
     }
+}
+
+/// `<title>` text of a parsed page (empty when there is none).
+pub(crate) fn title_of(doc: &Document) -> String {
+    doc.find("title")
+        .map(|t| t.text_content())
+        .unwrap_or_default()
 }
 
 /// Resolve a possibly-relative href against a base URL.

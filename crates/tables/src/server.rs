@@ -7,7 +7,7 @@ use crate::quality::score_table;
 use crate::services;
 use deepweb_common::Url;
 use deepweb_html::{extract_tables, Document};
-use deepweb_surfacer::analyze_page;
+use deepweb_surfacer::forms_in;
 use deepweb_webworld::Fetcher;
 
 /// Harvest statistics.
@@ -45,9 +45,12 @@ impl SemanticServer {
     /// Ingest one HTML page: relational tables (schemas + column values) and
     /// form input groups (schemas only).
     pub fn ingest_page(&mut self, page_url: &Url, html: &str) {
+        self.ingest_document(page_url, &Document::parse(html));
+    }
+
+    fn ingest_document(&mut self, page_url: &Url, doc: &Document) {
         self.stats.pages += 1;
-        let doc = Document::parse(html);
-        for t in extract_tables(&doc) {
+        for t in extract_tables(doc) {
             self.stats.tables_seen += 1;
             if t.header.is_empty() || !score_table(&t).is_relational {
                 continue;
@@ -59,7 +62,7 @@ impl SemanticServer {
                 .collect();
             self.db.add_schema(&t.header, Some(&cols));
         }
-        for form in analyze_page(page_url, html) {
+        for form in forms_in(page_url, doc) {
             let names: Vec<String> = form
                 .fillable_inputs()
                 .iter()
@@ -80,8 +83,9 @@ impl SemanticServer {
             let Ok(home) = fetcher.fetch(&home_url) else {
                 continue;
             };
-            self.ingest_page(&home_url, &home.html);
-            for a in Document::parse(&home.html).find_all("a") {
+            let home_doc = Document::parse(&home.html);
+            self.ingest_document(&home_url, &home_doc);
+            for a in home_doc.find_all("a") {
                 if let Some(href) = a.attr("href") {
                     if let Some(url) = deepweb_surfacer::probe::resolve_href(&home_url, href) {
                         if url.host == *host && url.path != "/" {
