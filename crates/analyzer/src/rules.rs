@@ -24,8 +24,9 @@ pub enum RuleId {
     /// responses), never measured, or results depend on the wall clock.
     WallClock,
     /// R3: `unwrap`/`expect`/panic macros/literal slice-index in `index`,
-    /// `surfacer`, `core` library code — serving paths return typed errors
-    /// or degrade; they do not panic.
+    /// `surfacer`, `core`, `html` library code — serving paths and the
+    /// parser of untrusted bytes return typed errors or degrade; they do
+    /// not panic.
     PanicInServing,
     /// R4: float `sum`/`product`/`fold` over hash-map/set iteration — float
     /// addition is non-associative, so hash order changes the result bytes.
@@ -78,7 +79,7 @@ impl RuleId {
         match self {
             RuleId::NondetIteration => "std HashMap/HashSet in library code",
             RuleId::WallClock => "wall-clock read outside the deepbench package",
-            RuleId::PanicInServing => "panic path in index/surfacer/core",
+            RuleId::PanicInServing => "panic path in index/surfacer/core/html",
             RuleId::UnorderedFloatFold => "float fold over hash-ordered iteration",
             RuleId::LockHygiene => "poisoning lock use / guard across dispatch",
             RuleId::Meta => "detlint:allow annotation hygiene",
@@ -103,7 +104,8 @@ pub struct Scope {
     /// Path has a `tests`/`benches`/`examples` component — not library
     /// code; only R2 applies.
     pub test_path: bool,
-    /// Under `crates/index`, `crates/surfacer` or `crates/core` (R3 scope).
+    /// Under `crates/index`, `crates/surfacer`, `crates/core` or
+    /// `crates/html` — the crate that parses untrusted bytes (R3 scope).
     pub serving_crate: bool,
 }
 
@@ -118,7 +120,8 @@ impl Scope {
                 .any(|c| matches!(*c, "tests" | "benches" | "examples")),
             serving_crate: rel.starts_with("crates/index/")
                 || rel.starts_with("crates/surfacer/")
-                || rel.starts_with("crates/core/"),
+                || rel.starts_with("crates/core/")
+                || rel.starts_with("crates/html/"),
         }
     }
 }
@@ -473,6 +476,15 @@ mod tests {
             &scan,
         );
         assert!(out.is_empty());
+        // ...and in the crate that parses untrusted bytes, but not its tests.
+        for (path, fires) in [
+            ("crates/html/src/x.rs", true),
+            ("crates/html/tests/x.rs", false),
+        ] {
+            assert!(Scope::of_path(path).serving_crate);
+            let out = check_file(path, Scope::of_path(path), &scan);
+            assert_eq!(out.len(), usize::from(fires), "{path}");
+        }
         assert!(lib_findings("#[cfg(test)]\nmod t { fn f() { x.unwrap(); } }\n").is_empty());
     }
 

@@ -78,9 +78,16 @@ fn r3_fires_on_bad_and_respects_allow_twin() {
     assert_eq!(count(&ok, RuleId::PanicInServing, true), 2, "{ok:?}");
     assert_eq!(unsuppressed(&ok), 0);
 
+    // The crate that parses untrusted bytes is in scope too.
+    let html = findings(
+        "crates/html/src/tokenizer.rs",
+        include_str!("fixtures/r3_bad.rs"),
+    );
+    assert_eq!(count(&html, RuleId::PanicInServing, false), 4, "{html:?}");
+
     // Outside the serving crates R3 does not apply at all.
     let other = findings(
-        "crates/html/src/kernel.rs",
+        "crates/webworld/src/render.rs",
         include_str!("fixtures/r3_bad.rs"),
     );
     assert_eq!(unsuppressed(&other), 0, "{other:?}");

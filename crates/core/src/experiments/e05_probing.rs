@@ -7,7 +7,7 @@ use super::Scale;
 use crate::report::{pct, TextTable};
 use deepweb_common::text::DfTable;
 use deepweb_common::{ThreadPool, Url};
-use deepweb_html::Document;
+use deepweb_html::visible_text;
 use deepweb_surfacer::keywords::{frequency_keywords, probe_keyword_coverage};
 use deepweb_surfacer::{analyze_page, iterative_probing, KeywordConfig, Prober};
 use deepweb_webworld::{generate, vocab, Fetcher, InputTruth, WebConfig};
@@ -36,7 +36,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<StrategyResult>) {
         deepweb_common::FxHashMap::default();
     for t in &w.truth.sites {
         if let Ok(resp) = w.server.fetch(&Url::new(t.host.clone(), "/")) {
-            let text = Document::parse(&resp.html).text();
+            let text = visible_text(&resp.html);
             background.add_document(&text);
             home_text.insert(t.host.clone(), text);
         }

@@ -1,15 +1,12 @@
-//! DOM-lite tree built from the token stream.
+//! DOM-lite tree built from the `walker`'s element events.
 //!
-//! Recovery rules: void elements never take children; an unmatched close tag
-//! pops up to its nearest matching ancestor if one exists, else it is ignored;
-//! everything left open at end-of-input is closed implicitly.
+//! The tree is for the callers that model structure — forms, tables, label
+//! association — and it is the reference [`crate::PageFacts`] is tested
+//! against. Malformed markup is recovered by the walker, not here.
 
-use crate::tokenizer::{tokenize, Token};
-
-/// Elements that cannot have children.
-const VOID_ELEMENTS: &[&str] = &[
-    "br", "hr", "img", "input", "meta", "link", "area", "base", "col", "embed", "source", "wbr",
-];
+use crate::tokenizer::OpenTag;
+use crate::walker::{walk, Visitor};
+use std::borrow::Cow;
 
 /// A DOM node.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -153,68 +150,10 @@ pub struct Document {
 impl Document {
     /// Parse HTML into a document. Never fails; bad markup degrades.
     pub fn parse(html: &str) -> Document {
-        let tokens = tokenize(html);
-        let mut stack: Vec<Node> = vec![Node::Element {
-            tag: "#root".to_string(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        }];
-
-        fn push_child(stack: &mut [Node], child: Node) {
-            if let Some(Node::Element { children, .. }) = stack.last_mut() {
-                children.push(child);
-            }
-        }
-
-        for tok in tokens {
-            match tok {
-                Token::Text(t) => {
-                    if !t.trim().is_empty() {
-                        push_child(&mut stack, Node::Text(t));
-                    }
-                }
-                Token::Comment(_) => {}
-                Token::Open {
-                    tag,
-                    attrs,
-                    self_closing,
-                } => {
-                    let void = self_closing || VOID_ELEMENTS.contains(&tag.as_str());
-                    let node = Node::Element {
-                        tag,
-                        attrs,
-                        children: Vec::new(),
-                    };
-                    if void {
-                        push_child(&mut stack, node);
-                    } else {
-                        stack.push(node);
-                    }
-                }
-                Token::Close { tag } => {
-                    // Find matching open element on the stack (skip #root at 0).
-                    if let Some(pos) = stack.iter().rposition(|n| n.tag() == Some(tag.as_str())) {
-                        if pos == 0 {
-                            continue; // close of "#root" impossible; ignore
-                        }
-                        // Implicitly close everything above `pos`.
-                        while stack.len() > pos {
-                            let done = stack.pop().expect("stack non-empty");
-                            push_child(&mut stack, done);
-                        }
-                    }
-                    // No match: stray close tag, ignore.
-                }
-            }
-        }
-        // Close all remaining.
-        while stack.len() > 1 {
-            let done = stack.pop().expect("stack non-empty");
-            push_child(&mut stack, done);
-        }
-        match stack.pop() {
-            Some(Node::Element { children, .. }) => Document { roots: children },
-            _ => Document::default(),
+        let mut builder = TreeBuilder::default();
+        walk(html, &mut builder);
+        Document {
+            roots: builder.roots,
         }
     }
 
@@ -240,6 +179,53 @@ impl Document {
             r.collect_text(&mut out);
         }
         normalize_ws(&out)
+    }
+}
+
+/// Builds the tree: `open` holds the elements still taking children.
+#[derive(Default)]
+struct TreeBuilder {
+    roots: Vec<Node>,
+    open: Vec<Node>,
+}
+
+impl TreeBuilder {
+    fn push_child(&mut self, child: Node) {
+        match self.open.last_mut() {
+            Some(Node::Element { children, .. }) => children.push(child),
+            _ => self.roots.push(child),
+        }
+    }
+}
+
+impl<'a> Visitor<'a> for TreeBuilder {
+    fn open(&mut self, tag: &OpenTag<'a>, void: bool) {
+        let node = Node::Element {
+            tag: tag.name_lower(),
+            attrs: tag.owned_attrs(),
+            children: Vec::new(),
+        };
+        if void {
+            self.push_child(node);
+        } else {
+            self.open.push(node);
+        }
+    }
+
+    fn text(&mut self, text: Cow<'a, str>) {
+        if !text.trim().is_empty() {
+            self.push_child(Node::Text(text.into_owned()));
+        }
+    }
+
+    fn raw_text(&mut self, text: &'a str) {
+        self.text(Cow::Borrowed(text));
+    }
+
+    fn close(&mut self) {
+        if let Some(done) = self.open.pop() {
+            self.push_child(done);
+        }
     }
 }
 

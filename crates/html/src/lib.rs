@@ -1,8 +1,18 @@
 //! # deepweb-html
 //!
-//! HTML both ways: a crawler-grade tokenizer and DOM-lite parser with form,
-//! table and text extraction (the input side of surfacing), and an escaping
-//! page/form builder used by the simulated sites (the output side).
+//! HTML both ways: a crawler-grade reader with form, table and text
+//! extraction (the input side of surfacing), and an escaping page/form
+//! builder used by the simulated sites (the output side).
+//!
+//! The reader is one pass with three consumers. [`tokenizer::Lexer`] is the
+//! only copy of the grammar and borrows from the body; the crate-private
+//! `walker` is the only copy of the recovery rules and turns lexemes into
+//! balanced element events. On those events sit [`PageFacts`] — title,
+//! first heading, anchors and visible text folded without a tree, which is
+//! all a probe response is read for — and [`Document`], the DOM-lite tree
+//! that [`forms`] and [`tables`] model structure on and that `PageFacts` is
+//! tested against. [`tokenizer::tokenize`] collects the lexemes as owned
+//! tokens.
 //!
 //! The invariant the rest of the workspace relies on: pages produced by
 //! [`writer`] parse back losslessly through [`dom`], [`forms`] and [`tables`].
@@ -10,12 +20,15 @@
 #![warn(missing_docs)]
 
 pub mod dom;
+pub mod facts;
 pub mod forms;
 pub mod tables;
 pub mod tokenizer;
+mod walker;
 pub mod writer;
 
 pub use dom::{Document, Node};
+pub use facts::{visible_text, PageFacts};
 pub use forms::{extract_forms, ExtractedForm, ExtractedInput, Method, WidgetKind};
 pub use tables::{extract_tables, ExtractedTable};
 pub use writer::{FormBuilder, PageBuilder};

@@ -1,11 +1,20 @@
-//! HTML tokenizer.
+//! HTML lexer.
 //!
 //! Crawler-grade rather than spec-grade: it never panics, never loses text,
 //! and degrades gracefully on malformed markup (unterminated tags, stray `<`,
 //! unquoted attributes). `script`/`style` bodies are treated as raw text, and
 //! character references for the five XML-ish entities are decoded.
+//!
+//! [`Lexer`] is the one copy of the grammar. It borrows: a [`Lexeme`] is a
+//! handful of slices over the body, tag and attribute names keep their
+//! source case and are compared ASCII-case-insensitively in place,
+//! attributes are parsed only when a consumer asks ([`OpenTag::attrs`]), and
+//! entity decoding copies only when a `&` is present. [`tokenize`] collects
+//! owned copies for callers that want a vector.
 
-/// One lexical token.
+use std::borrow::Cow;
+
+/// One owned lexical token (what [`tokenize`] returns).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Token {
     /// `<tag attr="v" ...>`; `self_closing` for `<tag/>`.
@@ -22,234 +31,384 @@ pub enum Token {
         /// Lowercased tag name.
         tag: String,
     },
-    /// Text between tags, entity-decoded.
+    /// Text between tags, entity-decoded (`script`/`style` bodies verbatim).
     Text(String),
     /// `<!-- ... -->` (content kept for diagnostics).
     Comment(String),
 }
 
+/// One borrowed lexical token: slices over the lexed body.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Lexeme<'a> {
+    /// `<tag attr="v" ...>`.
+    Open(OpenTag<'a>),
+    /// `</tag>`: the trimmed, non-empty name in source case.
+    Close(&'a str),
+    /// Non-empty text between tags, entity-decoded.
+    Text(Cow<'a, str>),
+    /// The verbatim body of a `script`/`style` element.
+    RawText(&'a str),
+    /// `<!-- ... -->` content.
+    Comment(&'a str),
+}
+
+impl From<Lexeme<'_>> for Token {
+    fn from(lexeme: Lexeme<'_>) -> Token {
+        match lexeme {
+            Lexeme::Open(tag) => Token::Open {
+                tag: tag.name_lower(),
+                attrs: tag.owned_attrs(),
+                self_closing: tag.self_closing,
+            },
+            Lexeme::Close(name) => Token::Close {
+                tag: name.to_ascii_lowercase(),
+            },
+            Lexeme::Text(text) => Token::Text(text.into_owned()),
+            Lexeme::RawText(text) => Token::Text(text.to_string()),
+            Lexeme::Comment(text) => Token::Comment(text.to_string()),
+        }
+    }
+}
+
+/// An open tag: its name and the unparsed byte span of its attributes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OpenTag<'a> {
+    name: &'a str,
+    attrs: &'a str,
+    /// True for `<tag ... />` (a `/` anywhere among the attributes of a tag
+    /// that is terminated by `>`).
+    pub self_closing: bool,
+}
+
+impl<'a> OpenTag<'a> {
+    /// Lex the open tag at the start of `s` (`<` then an ASCII letter);
+    /// returns it with the number of bytes it spans.
+    fn lex(s: &'a str) -> (OpenTag<'a>, usize) {
+        let after_lt = s.get(1..).unwrap_or("");
+        let name_len = after_lt
+            .bytes()
+            .position(|b| !(b.is_ascii_alphanumeric() || b == b'-'))
+            .unwrap_or(after_lt.len());
+        let (name, rest) = after_lt.split_at(name_len);
+        let mut scan = Attrs::new(rest);
+        scan.by_ref().for_each(drop);
+        let tag = OpenTag {
+            name,
+            attrs: &rest[..scan.pos],
+            // An unterminated tag is never self-closing.
+            self_closing: scan.slash && scan.closed,
+        };
+        (tag, 1 + name_len + scan.pos)
+    }
+
+    /// Tag name in source case.
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Tag name lowercased.
+    pub(crate) fn name_lower(&self) -> String {
+        self.name.to_ascii_lowercase()
+    }
+
+    /// True if this tag is `name` (ASCII-case-insensitively).
+    pub fn is(&self, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+    }
+
+    /// `(name, value)` pairs in document order: names in source case,
+    /// values not yet entity-decoded.
+    pub fn attrs(&self) -> Attrs<'a> {
+        Attrs::new(self.attrs)
+    }
+
+    /// Decoded value of the first attribute called `name`.
+    pub fn attr(&self, name: &str) -> Option<Cow<'a, str>> {
+        self.attrs()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| decode_entities(v))
+    }
+
+    /// Attributes as owned pairs: names lowercased, values decoded.
+    pub(crate) fn owned_attrs(&self) -> Vec<(String, String)> {
+        self.attrs()
+            .map(|(k, v)| (k.to_ascii_lowercase(), decode_entities(v).into_owned()))
+            .collect()
+    }
+
+    fn is_raw_text(&self) -> bool {
+        self.is("script") || self.is("style")
+    }
+}
+
+/// The attribute grammar, as an iterator over what follows a tag's name.
+///
+/// The lexer drives it once to find where the tag ends; consumers drive it
+/// again over the recorded span when they want the pairs. Attributes with
+/// an empty name (`=junk`) are consumed but not yielded.
+#[derive(Clone, Debug)]
+pub struct Attrs<'a> {
+    s: &'a str,
+    pos: usize,
+    slash: bool,
+    closed: bool,
+}
+
+impl<'a> Attrs<'a> {
+    fn new(s: &'a str) -> Self {
+        Attrs {
+            s,
+            pos: 0,
+            slash: false,
+            closed: false,
+        }
+    }
+
+    /// Advance while `keep` holds; returns the span passed over.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let rest = &self.s[self.pos..];
+        let len = rest.bytes().position(|b| !keep(b)).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
+    }
+}
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
+        while !self.closed {
+            self.take_while(|b| b.is_ascii_whitespace());
+            match self.peek()? {
+                b'>' => {
+                    self.pos += 1;
+                    self.closed = true;
+                }
+                b'/' => {
+                    self.slash = true;
+                    self.pos += 1;
+                }
+                _ => {
+                    let name = self.take_while(|b| {
+                        !b.is_ascii_whitespace() && b != b'=' && b != b'>' && b != b'/'
+                    });
+                    self.take_while(|b| b.is_ascii_whitespace());
+                    let mut value = "";
+                    if self.peek() == Some(b'=') {
+                        self.pos += 1;
+                        self.take_while(|b| b.is_ascii_whitespace());
+                        value = match self.peek() {
+                            Some(quote @ (b'"' | b'\'')) => {
+                                self.pos += 1;
+                                let quoted = self.take_while(|b| b != quote);
+                                // Step over the closing quote, if any.
+                                self.pos = (self.pos + 1).min(self.s.len());
+                                quoted
+                            }
+                            _ => self.take_while(|b| !b.is_ascii_whitespace() && b != b'>'),
+                        };
+                    }
+                    if !name.is_empty() {
+                        return Some((name, value));
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Decode `&amp; &lt; &gt; &quot; &#39;/&apos;` and numeric references.
-pub fn decode_entities(s: &str) -> String {
+/// Borrows when `s` holds no `&`.
+pub fn decode_entities(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' {
-            if let Some(semi) = s[i..].find(';').map(|p| i + p) {
-                let entity = &s[i + 1..semi];
-                let decoded = match entity {
-                    "amp" => Some('&'),
-                    "lt" => Some('<'),
-                    "gt" => Some('>'),
-                    "quot" => Some('"'),
-                    "apos" => Some('\''),
-                    _ => entity
-                        .strip_prefix('#')
-                        .and_then(|n| n.parse::<u32>().ok())
-                        .and_then(char::from_u32),
-                };
-                if let Some(c) = decoded {
-                    out.push(c);
-                    i = semi + 1;
-                    continue;
-                }
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let tail = &rest[amp + 1..];
+        // Every decodable name is alphanumerics, `#` and `+`, so the
+        // terminating `;` is looked for no further than the name could run.
+        let name_len = tail
+            .bytes()
+            .position(|b| !(b.is_ascii_alphanumeric() || b == b'#' || b == b'+'))
+            .unwrap_or(tail.len());
+        let decoded = match tail.as_bytes().get(name_len) {
+            Some(b';') => decode_entity(&tail[..name_len]),
+            _ => None,
+        };
+        match decoded {
+            Some(c) => {
+                out.push(c);
+                rest = &tail[name_len + 1..];
+            }
+            None => {
+                // Not an entity: the `&` is literal.
+                out.push('&');
+                rest = tail;
             }
         }
-        // Not an entity: copy the byte (input is valid UTF-8; copy char-wise).
-        let ch_len = utf8_len(bytes[i]);
-        out.push_str(&s[i..i + ch_len]);
-        i += ch_len;
     }
-    out
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+fn decode_entity(name: &str) -> Option<char> {
+    match name {
+        "amp" => Some('&'),
+        "lt" => Some('<'),
+        "gt" => Some('>'),
+        "quot" => Some('"'),
+        "apos" => Some('\''),
+        _ => name
+            .strip_prefix('#')
+            .and_then(|n| n.parse::<u32>().ok())
+            .and_then(char::from_u32),
     }
 }
 
-/// Tokenize `html` into a token vector.
-pub fn tokenize(html: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'<' {
-            if html[i..].starts_with("<!--") {
-                let end = html[i + 4..].find("-->").map(|p| i + 4 + p);
-                match end {
-                    Some(e) => {
-                        tokens.push(Token::Comment(html[i + 4..e].to_string()));
-                        i = e + 3;
-                    }
-                    None => {
-                        // Unterminated comment swallows the rest.
-                        tokens.push(Token::Comment(html[i + 4..].to_string()));
-                        i = bytes.len();
-                    }
-                }
-            } else if html[i..].starts_with("<!") {
-                // Doctype or other declaration: skip to '>'.
-                match html[i..].find('>') {
-                    Some(p) => i += p + 1,
-                    None => i = bytes.len(),
-                }
-            } else if html[i..].starts_with("</") {
-                match html[i..].find('>') {
-                    Some(p) => {
-                        let name = html[i + 2..i + p].trim().to_ascii_lowercase();
-                        if !name.is_empty() {
-                            tokens.push(Token::Close { tag: name });
-                        }
-                        i += p + 1;
-                    }
-                    None => i = bytes.len(),
-                }
-            } else if i + 1 < bytes.len() && (bytes[i + 1].is_ascii_alphabetic()) {
-                match parse_open_tag(&html[i..]) {
-                    Some((tag, attrs, self_closing, consumed)) => {
-                        let raw_text = matches!(tag.as_str(), "script" | "style");
-                        tokens.push(Token::Open {
-                            tag: tag.clone(),
-                            attrs,
-                            self_closing,
-                        });
-                        i += consumed;
-                        if raw_text && !self_closing {
-                            // Raw text until the matching close tag.
-                            let close = format!("</{tag}");
-                            let lower = html[i..].to_ascii_lowercase();
-                            match lower.find(&close) {
-                                Some(p) => {
-                                    if p > 0 {
-                                        tokens.push(Token::Text(html[i..i + p].to_string()));
-                                    }
-                                    let after = i + p;
-                                    match html[after..].find('>') {
-                                        Some(q) => {
-                                            tokens.push(Token::Close { tag: tag.clone() });
-                                            i = after + q + 1;
-                                        }
-                                        None => i = bytes.len(),
-                                    }
-                                }
-                                None => {
-                                    tokens.push(Token::Text(html[i..].to_string()));
-                                    i = bytes.len();
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        // '<' that does not start a tag: literal text.
-                        tokens.push(Token::Text("<".to_string()));
-                        i += 1;
-                    }
-                }
-            } else {
-                tokens.push(Token::Text("<".to_string()));
-                i += 1;
+/// Byte offset in `s` of the first `</name` (name ASCII-case-insensitive,
+/// as a prefix: `</scriptx` closes `script`).
+fn find_raw_close(s: &str, name: &str) -> Option<usize> {
+    let mut from = 0;
+    while let Some(p) = s[from..].find("</") {
+        let at = from + p;
+        let after = &s.as_bytes()[at + 2..];
+        if after
+            .get(..name.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(name.as_bytes()))
+        {
+            return Some(at);
+        }
+        from = at + 2;
+    }
+    None
+}
+
+/// What the lexer emits next.
+#[derive(Clone, Copy, Debug)]
+enum State<'a> {
+    /// Ordinary markup.
+    Data,
+    /// Just after a `script`/`style` open tag (its name): raw text follows.
+    RawText(&'a str),
+    /// Just after a raw-text body whose close tag was found and stepped over.
+    RawClose(&'a str),
+}
+
+/// Borrowing lexer over an HTML body.
+#[derive(Clone, Debug)]
+pub struct Lexer<'a> {
+    html: &'a str,
+    pos: usize,
+    state: State<'a>,
+}
+
+impl<'a> Lexer<'a> {
+    /// Lex `html` from its start.
+    pub fn new(html: &'a str) -> Self {
+        Lexer {
+            html,
+            pos: 0,
+            state: State::Data,
+        }
+    }
+
+    /// The raw-text rule: everything up to the element's close tag is one
+    /// verbatim text; without a close tag, or with one that never reaches
+    /// its `>`, the rest of the input is consumed.
+    fn raw_text(&mut self, name: &'a str) -> Option<Lexeme<'a>> {
+        let rest = &self.html[self.pos..];
+        let Some(p) = find_raw_close(rest, name) else {
+            self.pos = self.html.len();
+            return Some(Lexeme::RawText(rest));
+        };
+        let closed = rest[p..].find('>');
+        self.pos = closed.map_or(self.html.len(), |q| self.pos + p + q + 1);
+        if p > 0 {
+            if closed.is_some() {
+                self.state = State::RawClose(name);
             }
+            Some(Lexeme::RawText(&rest[..p]))
         } else {
-            let next = html[i..].find('<').map_or(bytes.len(), |p| i + p);
-            let text = decode_entities(&html[i..next]);
-            if !text.is_empty() {
-                tokens.push(Token::Text(text));
-            }
-            i = next;
+            closed.map(|_| Lexeme::Close(name))
         }
     }
-    tokens
+
+    /// Ordinary markup: the next lexeme at `pos`.
+    fn data(&mut self) -> Option<Lexeme<'a>> {
+        while self.pos < self.html.len() {
+            let rest = &self.html[self.pos..];
+            if !rest.starts_with('<') {
+                let len = rest.find('<').unwrap_or(rest.len());
+                self.pos += len;
+                return Some(Lexeme::Text(decode_entities(&rest[..len])));
+            }
+            if let Some(body) = rest.strip_prefix("<!--") {
+                // An unterminated comment swallows the rest.
+                let (len, end) = match body.find("-->") {
+                    Some(e) => (e, self.pos + 4 + e + 3),
+                    None => (body.len(), self.html.len()),
+                };
+                self.pos = end;
+                return Some(Lexeme::Comment(&body[..len]));
+            }
+            if rest.starts_with("<!") {
+                // Doctype or other declaration: skip to '>'.
+                self.pos += rest.find('>').map_or(rest.len(), |p| p + 1);
+            } else if let Some(after) = rest.strip_prefix("</") {
+                // A close tag that never reaches its '>' ends the input.
+                let Some(p) = after.find('>') else {
+                    self.pos = self.html.len();
+                    break;
+                };
+                self.pos += 2 + p + 1;
+                let name = after[..p].trim();
+                if !name.is_empty() {
+                    return Some(Lexeme::Close(name));
+                }
+            } else if rest
+                .as_bytes()
+                .get(1)
+                .is_some_and(|b| b.is_ascii_alphabetic())
+            {
+                let (tag, len) = OpenTag::lex(rest);
+                self.pos += len;
+                if tag.is_raw_text() && !tag.self_closing {
+                    self.state = State::RawText(tag.name);
+                }
+                return Some(Lexeme::Open(tag));
+            } else {
+                // '<' that does not start a tag: literal text.
+                self.pos += 1;
+                return Some(Lexeme::Text(Cow::Borrowed(&rest[..1])));
+            }
+        }
+        None
+    }
 }
 
-/// `(name, attrs, self_closing, bytes_consumed)` of a parsed open tag.
-type OpenTag = (String, Vec<(String, String)>, bool, usize);
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Lexeme<'a>;
 
-/// Parse `<name attrs...>`.
-fn parse_open_tag(s: &str) -> Option<OpenTag> {
-    debug_assert!(s.starts_with('<'));
-    let bytes = s.as_bytes();
-    let mut i = 1;
-    let name_start = i;
-    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'-') {
-        i += 1;
-    }
-    if i == name_start {
-        return None;
-    }
-    let tag = s[name_start..i].to_ascii_lowercase();
-    let mut attrs = Vec::new();
-    let mut self_closing = false;
-    loop {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            // Unterminated tag: accept what we have.
-            return Some((tag, attrs, false, i));
-        }
-        match bytes[i] {
-            b'>' => {
-                i += 1;
-                break;
-            }
-            b'/' => {
-                self_closing = true;
-                i += 1;
-            }
-            _ => {
-                // Attribute name.
-                let an_start = i;
-                while i < bytes.len()
-                    && !bytes[i].is_ascii_whitespace()
-                    && bytes[i] != b'='
-                    && bytes[i] != b'>'
-                    && bytes[i] != b'/'
-                {
-                    i += 1;
-                }
-                let name = s[an_start..i].to_ascii_lowercase();
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                let mut value = String::new();
-                if i < bytes.len() && bytes[i] == b'=' {
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                        i += 1;
-                    }
-                    if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
-                        let quote = bytes[i];
-                        i += 1;
-                        let v_start = i;
-                        while i < bytes.len() && bytes[i] != quote {
-                            i += 1;
-                        }
-                        value = decode_entities(&s[v_start..i]);
-                        i = (i + 1).min(bytes.len());
-                    } else {
-                        let v_start = i;
-                        while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'>'
-                        {
-                            i += 1;
-                        }
-                        value = decode_entities(&s[v_start..i]);
-                    }
-                }
-                if !name.is_empty() {
-                    attrs.push((name, value));
-                }
-            }
+    fn next(&mut self) -> Option<Lexeme<'a>> {
+        match std::mem::replace(&mut self.state, State::Data) {
+            State::Data => self.data(),
+            State::RawText(name) => self.raw_text(name),
+            State::RawClose(name) => Some(Lexeme::Close(name)),
         }
     }
-    Some((tag, attrs, self_closing, i))
+}
+
+/// Tokenize `html` into a vector of owned tokens.
+pub fn tokenize(html: &str) -> Vec<Token> {
+    Lexer::new(html).map(Token::from).collect()
 }
 
 #[cfg(test)]
@@ -349,5 +508,120 @@ mod tests {
             }
         ));
         assert!(matches!(&toks[1], Token::Open { tag, self_closing: true, .. } if tag == "img"));
+    }
+
+    fn open(tag: &str) -> Token {
+        Token::Open {
+            tag: tag.into(),
+            attrs: vec![],
+            self_closing: false,
+        }
+    }
+
+    fn close(tag: &str) -> Token {
+        Token::Close { tag: tag.into() }
+    }
+
+    fn text(t: &str) -> Token {
+        Token::Text(t.into())
+    }
+
+    #[test]
+    fn raw_text_close_is_case_insensitive() {
+        assert_eq!(
+            tokenize("<script>a<b</ScRiPt >x"),
+            vec![open("script"), text("a<b"), close("script"), text("x")]
+        );
+        assert_eq!(
+            tokenize("<STYLE>p{}</style>x"),
+            vec![open("style"), text("p{}"), close("style"), text("x")]
+        );
+    }
+
+    #[test]
+    fn raw_text_close_matches_as_a_prefix() {
+        // `</scriptx>` closes `script`; a close of another element does not.
+        assert_eq!(
+            tokenize("<script>a</p></scriptx>y"),
+            vec![open("script"), text("a</p>"), close("script"), text("y")]
+        );
+    }
+
+    #[test]
+    fn raw_text_close_without_gt_ends_the_input() {
+        assert_eq!(
+            tokenize("<script>a</script <p>lost"),
+            vec![open("script"), text("a"), close("script"), text("lost")]
+        );
+        assert_eq!(
+            tokenize("<script>a</script"),
+            vec![open("script"), text("a")]
+        );
+        assert_eq!(tokenize("<script></script"), vec![open("script")]);
+    }
+
+    #[test]
+    fn raw_text_without_close_takes_the_rest() {
+        assert_eq!(
+            tokenize("<style>a <p>b</p>"),
+            vec![open("style"), text("a <p>b</p>")]
+        );
+        // Even when the rest is empty.
+        assert_eq!(tokenize("<script>"), vec![open("script"), text("")]);
+        // A self-closing raw-text tag has no body.
+        assert_eq!(
+            tokenize("<script/>a</script>"),
+            vec![
+                Token::Open {
+                    tag: "script".into(),
+                    attrs: vec![],
+                    self_closing: true
+                },
+                text("a"),
+                close("script")
+            ]
+        );
+    }
+
+    #[test]
+    fn unclosed_script_opens_lex_in_linear_time() {
+        // 20k unclosed opens: a copy of the rest of the document per open
+        // would move 1.6 GB here.
+        let hostile = "<script>".repeat(20_000);
+        assert_eq!(tokenize(&hostile).len(), 2);
+    }
+
+    #[test]
+    fn attrs_parse_lazily_from_the_tag_span() {
+        let mut lexer = Lexer::new(r#"<A HREF="/x?a=1&amp;b=2" id=k href=/y>t"#);
+        let Some(Lexeme::Open(tag)) = lexer.next() else {
+            panic!("open tag expected");
+        };
+        assert!(tag.is("a") && tag.name() == "A");
+        assert_eq!(tag.attr("href").as_deref(), Some("/x?a=1&b=2"));
+        assert!(matches!(tag.attr("id"), Some(Cow::Borrowed("k"))));
+        assert_eq!(tag.attr("missing"), None);
+        assert_eq!(lexer.next(), Some(Lexeme::Text(Cow::Borrowed("t"))));
+    }
+
+    #[test]
+    fn unterminated_tag_is_never_self_closing() {
+        assert!(matches!(
+            &tokenize("<br/")[0],
+            Token::Open {
+                self_closing: false,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn entity_edge_cases() {
+        assert_eq!(
+            decode_entities("a &amp b; &#x41; &; &#65;&"),
+            "a &amp b; &#x41; &; A&"
+        );
+        assert_eq!(decode_entities("&&&&lt;"), "&&&<");
+        assert!(matches!(decode_entities("plain"), Cow::Borrowed("plain")));
     }
 }

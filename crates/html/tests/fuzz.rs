@@ -10,13 +10,52 @@
 //! prefix truncation. Mutations edit tags only, never text bytes, so the
 //! text-preservation property is exact: every visible word of the clean page
 //! must survive in the mangled one.
+//!
+//! Every case of every generator also checks the one-pass reader against
+//! the tree: [`PageFacts`] must equal the same facts read off
+//! [`Document::parse`] — title, first heading, anchors, visible text.
 
 use deepweb_html::tokenizer::tokenize;
-use deepweb_html::{extract_forms, Document, FormBuilder, PageBuilder};
+use deepweb_html::{extract_forms, Document, FormBuilder, PageBuilder, PageFacts};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// `PageFacts` == the facts of `html` read the slow way off the tree.
+fn facts_equal_tree(html: &str) -> Result<(), TestCaseError> {
+    let doc = Document::parse(html);
+    let title = doc.find("title").map(|t| t.text_content());
+    let h1 = doc.find("h1").map(|h| h.text_content());
+    let anchors: Vec<(String, String)> = doc
+        .find_all("a")
+        .into_iter()
+        .filter_map(|a| Some((a.attr("href")?.to_string(), a.text_content())))
+        .collect();
+    let tree = (title.unwrap_or_default(), h1, anchors, doc.text());
+
+    let facts = PageFacts::read(html);
+    let folded = (
+        facts.title().to_string(),
+        facts.h1().map(str::to_string),
+        facts
+            .anchors()
+            .map(|(href, text)| (href.to_string(), text.to_string()))
+            .collect::<Vec<_>>(),
+        facts.text().to_string(),
+    );
+    prop_assert!(
+        folded == tree,
+        "facts differ on {:?}\n folded: {:?}\n   tree: {:?}",
+        html,
+        folded,
+        tree
+    );
+    prop_assert_eq!(deepweb_html::visible_text(html), tree.3);
+    Ok(())
+}
 
 /// A well-formed page exercising every extractor: heading, paragraph text,
-/// a GET form (text + select + hidden), and a link.
+/// a GET form (text + select + hidden), a link, and — last, so that a
+/// dropped close tag swallows no visible word — invisible raw-text bodies.
 fn base_page(words: &[String], opts: &[String]) -> String {
     let text = words.join(" ");
     let mut pb = PageBuilder::new("fuzz page");
@@ -30,6 +69,7 @@ fn base_page(words: &[String], opts: &[String]) -> String {
             .build(),
     );
     pb.link("/about", "about this site");
+    pb.raw("<style>p{color:red}</style><script>var hidden=1;</script>");
     pb.build()
 }
 
@@ -104,6 +144,11 @@ proptest! {
         let toks = tokenize(&s);
         // Sanity, not just absence of panics: retokenizing is stable.
         prop_assert_eq!(tokenize(&s), toks);
+        facts_equal_tree(&s)?;
+        // The same soup inside the elements the facts are read from.
+        facts_equal_tree(&format!(
+            "<TITLE>{s}</title><h1>{s}</H1><A HREF=\"/item?id=1\">{s}</a><script>{s}</SCRIPT><a href='{s}'>{s}"
+        ))?;
     }
 
     #[test]
@@ -120,6 +165,7 @@ proptest! {
             let doc = Document::parse(&html);
             let _ = doc.text();
             let _ = extract_forms(&doc);
+            facts_equal_tree(&html)?;
         }
     }
 }
@@ -135,6 +181,7 @@ proptest! {
     ) {
         let clean = base_page(&words, &opts);
         let mangled = mutate(&clean, &ops);
+        facts_equal_tree(&mangled)?;
         let doc = Document::parse(&mangled);
         let _ = extract_forms(&doc);
         let text = doc.text();
@@ -155,6 +202,7 @@ proptest! {
     ) {
         let clean = base_page(&["alpha".into(), "beta".into()], &opts);
         let mangled = mutate(&clean, &ops);
+        facts_equal_tree(&mangled)?;
         let forms = extract_forms(&Document::parse(&mangled));
         for f in &forms {
             // The keep-first dedup invariant holds on any markup: no form
@@ -186,5 +234,6 @@ proptest! {
         let doc = Document::parse(prefix);
         let _ = doc.text();
         let _ = extract_forms(&doc);
+        facts_equal_tree(prefix)?;
     }
 }

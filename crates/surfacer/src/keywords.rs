@@ -250,11 +250,11 @@ mod tests {
             .fetch(&Url::new(host.to_string(), "/"))
             .unwrap()
             .html;
-        let text = deepweb_html::Document::parse(&home).text();
+        let text = deepweb_html::visible_text(&home);
         let mut bg = DfTable::new();
         for t in &w.truth.sites {
             let h = w.server.fetch(&Url::new(t.host.clone(), "/")).unwrap().html;
-            bg.add_document(&deepweb_html::Document::parse(&h).text());
+            bg.add_document(&deepweb_html::visible_text(&h));
         }
         (text, bg)
     }

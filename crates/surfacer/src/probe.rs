@@ -11,7 +11,7 @@ use crate::fetchpolicy::{fetch_with_policy, FetchAttempt, FetchPolicy};
 use crate::formmodel::CrawledForm;
 use deepweb_common::text::tokenize;
 use deepweb_common::{fxhash64, FxHashSet, Result, Url};
-use deepweb_html::Document;
+use deepweb_html::{Document, PageFacts};
 use deepweb_webworld::{Fetcher, Response};
 use std::cell::Cell;
 
@@ -183,13 +183,13 @@ impl<'a> Prober<'a> {
 
 /// Analyse a fetched page into a [`ProbeOutcome`].
 pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> ProbeOutcome {
-    let doc = Document::parse(&html);
-    let title = title_of(&doc);
-    let text = doc.text();
+    // One pass, no tree: a response is read for its title, first heading,
+    // anchors and visible text only.
+    let facts = PageFacts::read(&html);
+    let title = facts.title().to_string();
 
     // "N results" header (crawler-side heuristic).
-    let result_count = doc.find("h1").and_then(|h| {
-        let t = h.text_content();
+    let result_count = facts.h1().and_then(|t| {
         let mut it = t.split_whitespace();
         let n = it.next()?.parse::<usize>().ok()?;
         (it.next()? == "results").then_some(n)
@@ -198,8 +198,7 @@ pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> Pro
     let mut record_ids = Vec::new();
     let mut next_page = None;
     let mut detail_urls = Vec::new();
-    for a in doc.find_all("a") {
-        let Some(href) = a.attr("href") else { continue };
+    for (href, label) in facts.anchors() {
         if let Some(idstr) = href.strip_prefix("/item?id=") {
             if let Ok(id) = idstr.parse::<u32>() {
                 record_ids.push(id);
@@ -207,12 +206,13 @@ pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> Pro
                     detail_urls.push(resolved);
                 }
             }
-        } else if a.text_content() == "next page" {
+        } else if label == "next page" {
             next_page = resolve_href(&url, href);
         }
     }
     record_ids.sort_unstable();
     record_ids.dedup();
+    let text = facts.into_text();
 
     // Content signature. A result page's identity is its result set: when
     // the page links records, hash the (ids, total) pair — two submissions
@@ -416,6 +416,91 @@ mod tests {
         assert_eq!(out.status, 200);
         assert_eq!(out.retries, 0);
         assert_eq!(p.stats(), ProbeStats::default());
+    }
+
+    /// `analyze_response` over a literal page served from `/results`.
+    fn analyzed(html: &str) -> ProbeOutcome {
+        analyze_response(Url::new("h.sim", "/results"), html.to_string(), &[])
+    }
+
+    #[test]
+    fn later_unresolvable_next_link_clears_next_page() {
+        let good = r#"<a href="/results?page=2">next page</a>"#;
+        let bad = r#"<a href="mailto:x">next page</a>"#;
+        let next = Url::new("h.sim", "/results").with_param("page", "2");
+        assert_eq!(analyzed(good).next_page, Some(next.clone()));
+        assert_eq!(analyzed(&format!("{good}{bad}")).next_page, None);
+        assert_eq!(analyzed(&format!("{bad}{good}")).next_page, Some(next));
+    }
+
+    #[test]
+    fn non_numeric_item_link_is_neither_record_nor_next() {
+        let out = analyzed(r#"<a href="/item?id=abc">next page</a>"#);
+        assert!(out.record_ids.is_empty() && out.detail_urls.is_empty());
+        assert_eq!(out.next_page, None);
+        assert!(!out.has_results());
+    }
+
+    #[test]
+    fn outer_anchor_text_includes_nested_and_unclosed_anchors() {
+        // Nested: the outer label is "next page", the inner only "page".
+        let nested = analyzed(r#"<a href="/outer">next <a href="/inner">page</a></a>"#);
+        assert_eq!(nested.next_page, Some(Url::new("h.sim", "/outer")));
+        // Unclosed at EOF: both anchors are closed implicitly.
+        let unclosed = analyzed(r#"<p><a href="/outer">next <a href="/inner">page"#);
+        assert_eq!(unclosed.next_page, Some(Url::new("h.sim", "/outer")));
+        // A stray close tag between the words does not split the label.
+        let stray = analyzed(r#"<a href="/n">next</span> <b>page</b></a>"#);
+        assert_eq!(stray.next_page, Some(Url::new("h.sim", "/n")));
+        // An anchor without href is skipped even when its label matches.
+        assert_eq!(analyzed("<a name=x>next page</a>").next_page, None);
+    }
+
+    #[test]
+    fn first_title_wins_even_when_empty() {
+        assert_eq!(analyzed("<title/><title>x</title>").title, "");
+        assert_eq!(
+            analyzed("<title> a\n b </title><title>c</title>").title,
+            "a b"
+        );
+        assert_eq!(analyzed("<p>no title</p>").title, "");
+    }
+
+    #[test]
+    fn only_the_first_h1_declares_the_result_count() {
+        assert_eq!(
+            analyzed("<h1>3 results</h1><h1>9 results</h1>").result_count,
+            Some(3)
+        );
+        assert_eq!(
+            analyzed("<h1>none found</h1><h1>9 results</h1>").result_count,
+            None
+        );
+        assert_eq!(
+            analyzed("<h1><b>12</b> results for x</h1>").result_count,
+            Some(12)
+        );
+    }
+
+    #[test]
+    fn record_ids_are_a_set_and_detail_urls_a_page_order_list() {
+        let out = analyzed(
+            r#"<a href="/item?id=5">a</a><a href="/item?id=2">b</a><a href="/item?id=5">c</a>"#,
+        );
+        assert_eq!(out.record_ids, vec![2, 5]);
+        let ids: Vec<_> = out.detail_urls.iter().map(|u| u.param("id")).collect();
+        assert_eq!(ids, vec![Some("5"), Some("2"), Some("5")]);
+    }
+
+    #[test]
+    fn script_and_style_bodies_reach_neither_text_nor_signature() {
+        let plain = analyzed("<p>hello world</p>");
+        let noisy = analyzed(
+            "<script>var secret = 1;</script><p>hello world</p><style>.secret { x: y }</style>",
+        );
+        assert_eq!(noisy.text, "hello world");
+        assert_eq!(noisy.text, plain.text);
+        assert_eq!(noisy.signature, plain.signature);
     }
 
     #[test]
