@@ -25,7 +25,7 @@ pub use error::{Error, Result};
 pub use fxhash::{fxhash64, FxHashMap, FxHashSet};
 pub use ids::{DocId, FormId, QueryId, RecordId, SiteId, TermId};
 pub use intern::{Interner, Sym, TermDict};
-pub use pool::{shard_of, Sharded, ThreadPool};
+pub use pool::ThreadPool;
 pub use rng::{derive_rng, derive_rng_n, rng_from_seed, DEFAULT_SEED};
 pub use urlcodec::Url;
 pub use zipf::Zipf;

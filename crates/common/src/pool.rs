@@ -14,16 +14,8 @@
 //! value libraries, background statistics) without `'static` bounds or
 //! reference counting.
 
-use crate::fxhash::fxhash64;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-
-/// Deterministic shard assignment for a string key: stable across runs and
-/// platforms (FxHash with fixed seed), uniform enough for host names.
-pub fn shard_of(key: &str, shards: usize) -> usize {
-    debug_assert!(shards > 0, "shard_of needs at least one shard");
-    (fxhash64(&key) % shards.max(1) as u64) as usize
-}
 
 /// Number of workers worth spawning on this machine.
 pub fn default_parallelism() -> usize {
@@ -77,11 +69,6 @@ impl ThreadPool {
                 workers
             },
         }
-    }
-
-    /// A pool sized to the machine.
-    pub fn with_default_parallelism() -> Self {
-        ThreadPool::new(0)
     }
 
     /// Worker count (resolved: never 0).
@@ -199,68 +186,10 @@ fn pop_or_steal<T>(queues: &[Mutex<VecDeque<(usize, T)>>], worker: usize) -> Opt
     None
 }
 
-/// State partitioned across independently locked shards, keyed by string.
-///
-/// Readers that need a global view iterate shards in index order, so
-/// aggregation is deterministic. Used for the web server's per-host request
-/// accounting: fetches from different workers contend only when they hash to
-/// the same shard.
-#[derive(Debug, Default)]
-pub struct Sharded<T> {
-    shards: Vec<Mutex<T>>,
-}
-
-impl<T: Default> Sharded<T> {
-    /// `shards` independently locked cells (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        Sharded {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(T::default()))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Lock the shard owning `key`.
-    pub fn lock(&self, key: &str) -> MutexGuard<'_, T> {
-        self.shards[shard_of(key, self.shards.len())].lock()
-    }
-
-    /// Lock each shard in turn, in index order (deterministic aggregation).
-    pub fn for_each_shard(&self, mut f: impl FnMut(&mut T)) {
-        for shard in &self.shards {
-            f(&mut shard.lock());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1, 2, 7, 16] {
-            for key in ["usedcars-000.sim", "dir.sim", "", "a"] {
-                let s = shard_of(key, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(key, shards), "assignment must be stable");
-            }
-        }
-        // Different keys spread over shards (not all collapsing to one).
-        let hits: std::collections::BTreeSet<usize> = (0..64)
-            .map(|i| shard_of(&format!("host-{i:03}.sim"), 8))
-            .collect();
-        assert!(
-            hits.len() > 4,
-            "64 hosts should hit >4 of 8 shards, got {hits:?}"
-        );
-    }
 
     #[test]
     fn map_preserves_input_order() {
@@ -320,25 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_accumulates_per_key_and_aggregates_deterministically() {
-        let counts: Sharded<crate::FxHashMap<String, u64>> = Sharded::new(4);
-        for key in ["a.sim", "b.sim", "a.sim", "c.sim"] {
-            *counts.lock(key).entry(key.to_string()).or_insert(0) += 1;
-        }
-        let mut total = 0;
-        let mut merged = crate::FxHashMap::default();
-        counts.for_each_shard(|m| {
-            for (k, v) in m.iter() {
-                total += *v;
-                *merged.entry(k.clone()).or_insert(0) += *v;
-            }
-        });
-        assert_eq!(total, 4);
-        assert_eq!(merged["a.sim"], 2);
-        assert_eq!(merged["b.sim"], 1);
-    }
-
-    #[test]
     fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
         assert_eq!(ThreadPool::default().workers(), 1);
@@ -349,10 +259,6 @@ mod tests {
         let auto = ThreadPool::new(0);
         assert_eq!(auto.workers(), default_parallelism());
         assert!(auto.workers() >= 1);
-        assert_eq!(
-            ThreadPool::with_default_parallelism().workers(),
-            auto.workers()
-        );
         // Auto pools still map correctly.
         let out = auto.map((0..10).collect(), |_, x: usize| x + 1);
         assert_eq!(out, (1..11).collect::<Vec<_>>());

@@ -1,6 +1,6 @@
 //! Small statistics helpers used by experiment reporting: percentiles,
 //! cumulative-share curves (the paper's "top 10,000 forms account for 50% of
-//! results" is a point on such a curve), precision/recall, and Gini.
+//! results" is a point on such a curve) and precision/recall.
 
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -9,15 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population standard deviation (0 for fewer than two samples).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// `p`-th percentile (0..=100) using nearest-rank on a sorted copy.
@@ -59,28 +50,6 @@ pub fn rank_reaching_share(weights: &[f64], share: f64) -> usize {
         .iter()
         .position(|&c| c >= share)
         .map_or(curve.len(), |p| p + 1)
-}
-
-/// Gini coefficient of a weight distribution (0 = uniform, →1 = concentrated).
-pub fn gini(weights: &[f64]) -> f64 {
-    let n = weights.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut w = weights.to_vec();
-    w.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let total: f64 = w.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut cum = 0.0;
-    let mut b = 0.0;
-    for x in &w {
-        cum += x;
-        b += cum;
-    }
-    // Gini = 1 - 2*B/(n*total) + 1/n, standard discrete Lorenz form.
-    1.0 - 2.0 * b / (n as f64 * total) + 1.0 / n as f64
 }
 
 /// Precision / recall / F1 over counted outcomes.
@@ -130,9 +99,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_slice_and_empty() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!(stddev(&[2.0, 2.0, 2.0]) < 1e-12);
         assert_eq!(mean(&[]), 0.0);
     }
 
@@ -162,15 +130,6 @@ mod tests {
         let k85 = rank_reaching_share(&w, 0.85);
         assert!(k50 < k85);
         assert!(k85 < 1000);
-    }
-
-    #[test]
-    fn gini_uniform_low_concentrated_high() {
-        let uniform = vec![1.0; 100];
-        let mut concentrated = vec![0.0; 100];
-        concentrated[0] = 100.0;
-        assert!(gini(&uniform) < 0.01);
-        assert!(gini(&concentrated) > 0.9);
     }
 
     #[test]
@@ -207,12 +166,6 @@ mod prop_tests {
             for &v in &c {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
             }
-        }
-
-        #[test]
-        fn gini_in_unit_interval(w in prop::collection::vec(0.0f64..100.0, 1..50)) {
-            let g = gini(&w);
-            prop_assert!((0.0..=1.0).contains(&g), "gini {}", g);
         }
 
         #[test]

@@ -64,11 +64,6 @@ pub fn term_frequencies(text: &str) -> FxHashMap<String, u32> {
     tf
 }
 
-/// Distinct non-stopword terms of `text`.
-pub fn distinct_terms(text: &str) -> FxHashSet<String> {
-    tokenize(text).filter(|t| !is_stopword(t)).collect()
-}
-
 /// Incrementally built document-frequency table over a corpus.
 ///
 /// Used for two things: (1) the index's IDF weights, (2) the surfacer's
@@ -148,40 +143,6 @@ impl DfTable {
     }
 }
 
-/// Jaccard similarity of two term sets.
-pub fn jaccard(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = (a.len() + b.len()) as f64 - inter;
-    inter / union
-}
-
-/// Edit distance (Levenshtein) — used by schema matching for near-identical
-/// attribute names ("zip_code" vs "zipcode").
-pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<u8> = a.bytes().collect();
-    let b: Vec<u8> = b.bytes().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,21 +195,5 @@ mod tests {
         let top = df.characteristic_terms("biographies of csail professors stonebraker", 3);
         assert!(top.contains(&"csail".to_string()) || top.contains(&"stonebraker".to_string()));
         assert!(!top.contains(&"the".to_string()));
-    }
-
-    #[test]
-    fn jaccard_bounds() {
-        let a: FxHashSet<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        let b: FxHashSet<String> = ["y", "z"].iter().map(|s| s.to_string()).collect();
-        let j = jaccard(&a, &b);
-        assert!(j > 0.32 && j < 0.34);
-        assert_eq!(jaccard(&a, &a), 1.0);
-    }
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("zipcode", "zip_code"), 1);
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
     }
 }

@@ -78,7 +78,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<StrategyResult>) {
         });
     }
 
-    let pool = ThreadPool::with_default_parallelism();
+    let pool = ThreadPool::new(0);
     let per_site: Vec<[(f64, f64); 4]> = pool.map(work, |_, sw| {
         let SiteWork {
             form,

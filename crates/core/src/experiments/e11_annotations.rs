@@ -6,7 +6,7 @@
 use super::Scale;
 use crate::report::{pct, TextTable};
 use crate::system::{quick_config, DeepWebSystem};
-use deepweb_index::{SearchOptions, SearchRequest};
+use deepweb_index::{search, SearchOptions};
 use deepweb_webworld::{vocab, DomainKind};
 
 /// Key numbers.
@@ -50,7 +50,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, AnnotationResult) {
                 // naming a different make. A non-annotated top-1 (e.g. a review
                 // page) is not a conflict — that is the fixed outcome.
                 let conflict = |opts: SearchOptions| -> Option<bool> {
-                    let hits = sys.search_request(&SearchRequest::new(&*q).k(1).options(opts));
+                    let hits = search(&sys.index, &q, 1, opts);
                     let top = hits.first()?;
                     let doc = sys.index.doc(top.doc);
                     Some(

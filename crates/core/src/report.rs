@@ -27,13 +27,6 @@ impl TextTable {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn rowd<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -5,7 +5,7 @@ use deepweb_common::{ThreadPool, Url, DEFAULT_SEED};
 use deepweb_coverage::content_hash;
 use deepweb_index::{
     Annotation, BatchDoc, ClusterConfig, ClusterServer, DocKind, Hit, IndexSearcher, PruningMode,
-    QueryBroker, SearchIndex, SearchOptions, SearchRequest, SearchService, SegmentedIndex,
+    QueryBroker, SearchIndex, SearchOptions, SearchService, SegmentedIndex,
 };
 use deepweb_surfacer::{
     crawl_and_surface, fetch_with_policy, resurface_host, DocOrigin, ProducedDoc, ReprobeScheduler,
@@ -202,12 +202,6 @@ impl DeepWebSystem {
     /// (allocation-free kernel, per-thread reusable scratch, DESIGN.md §10).
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         self.service().search(query, k)
-    }
-
-    /// Serve a self-contained [`SearchRequest`], honouring the request's own
-    /// options (annotation ablations, pruning mode, BM25 overrides).
-    pub fn search_request(&self, req: &SearchRequest) -> Vec<Hit> {
-        req.run(&self.index)
     }
 
     /// A concurrent serving broker over this system's index and options,

@@ -81,24 +81,6 @@ impl ExtractedForm {
     pub fn input(&self, name: &str) -> Option<&ExtractedInput> {
         self.inputs.iter().find(|i| i.name == name)
     }
-
-    /// Names of text-box inputs.
-    pub fn text_inputs(&self) -> Vec<&str> {
-        self.inputs
-            .iter()
-            .filter(|i| matches!(i.kind, WidgetKind::TextBox))
-            .map(|i| i.name.as_str())
-            .collect()
-    }
-
-    /// Names of select-menu inputs.
-    pub fn select_inputs(&self) -> Vec<&str> {
-        self.inputs
-            .iter()
-            .filter(|i| matches!(i.kind, WidgetKind::SelectMenu { .. }))
-            .map(|i| i.name.as_str())
-            .collect()
-    }
 }
 
 /// Extract all forms in `doc`.
@@ -356,13 +338,5 @@ mod tests {
         assert!(q.attrs.iter().any(|(k, v)| k == "maxlength" && v == "4"));
         assert!(q.attrs.iter().any(|(k, _)| k == "onchange"));
         assert!(f.attrs.iter().any(|(k, _)| k == "onsubmit"));
-    }
-
-    #[test]
-    fn helpers_list_by_kind() {
-        let doc = Document::parse(CAR_FORM);
-        let f = &extract_forms(&doc)[0];
-        assert_eq!(f.text_inputs(), vec!["min_price", "max_price", "q"]);
-        assert_eq!(f.select_inputs(), vec!["make"]);
     }
 }

@@ -34,7 +34,7 @@ impl<'a> QueryBroker<'a> {
     }
 
     /// The served index.
-    pub fn index(&self) -> &'a SearchIndex {
+    pub(crate) fn index(&self) -> &'a SearchIndex {
         self.index
     }
 
@@ -44,7 +44,7 @@ impl<'a> QueryBroker<'a> {
     }
 
     /// Scoring options used for every query.
-    pub fn options(&self) -> SearchOptions {
+    pub(crate) fn options(&self) -> SearchOptions {
         self.opts
     }
 

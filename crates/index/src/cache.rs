@@ -2,7 +2,7 @@
 //!
 //! The key is the analysed query's resolved [`TermId`] signature — the exact
 //! `Some` ids in distinct-term first-occurrence order, produced by
-//! [`QueryScratch::resolve`] — which fully determines the result for a fixed
+//! `QueryScratch::resolve` — which fully determines the result for a fixed
 //! `(k, SearchOptions)`: scoring folds contributions in that id order, and
 //! unknown terms (absent from the signature) contribute nothing. The
 //! signature is deliberately **not** sorted or deduplicated further: f64

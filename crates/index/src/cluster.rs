@@ -1,9 +1,9 @@
 //! Cluster-scale serving tier (DESIGN.md §13): a [`ClusterServer`] fans
-//! queries across doc-range [`IndexPartition`]s, routes them over a replica
-//! group with deterministic admission control, and fronts the whole thing
-//! with a signature-keyed [`ResultCache`] — the paper's ">1000 queries per
-//! second for millions of users" serving shape (§3.2), still built
-//! determinism-first.
+//! queries across doc-range partitions ([`partition_ranges`]), routes them
+//! over a replica group with deterministic admission control, and fronts the
+//! whole thing with a signature-keyed [`ResultCache`] — the paper's ">1000
+//! queries per second for millions of users" serving shape (§3.2), still
+//! built determinism-first.
 //!
 //! The layering:
 //!
@@ -11,12 +11,13 @@
 //!   distinct terms to the [`TermId`] signature a single time; partitions,
 //!   the replica router, and the cache all consume that signature. No layer
 //!   re-tokenises.
-//! - **Partitions are exact.** Each partition scores its doc range with the
-//!   shared kernel over *global* statistics and returns an exact local
-//!   top-k; the aggregator concatenates partition lists, sorts under the one
-//!   strict total order (score desc, doc id asc) and truncates to k. Every
-//!   global top-k doc is its partition's local top-≤k, so the merge is
-//!   byte-identical to sequential [`search`] — at any partition count.
+//! - **Partitions are exact.** A partition is a `(lo, hi)` doc range, handed
+//!   straight to the shared kernel, which scores it over *global* statistics
+//!   and returns an exact local top-k; the aggregator concatenates the
+//!   lists, sorts under the one strict total order (score desc, doc id asc)
+//!   and truncates to k. Every global top-k doc is its partition's local
+//!   top-≤k, so the merge is byte-identical to sequential [`search`] — at
+//!   any partition count.
 //! - **Replicas are an accounting model.** In-process replicas share the one
 //!   immutable index, so routing cannot change results; what the replica
 //!   layer adds is the *deterministic* routing and admission stream: replica
@@ -36,12 +37,15 @@
 
 use crate::cache::{CacheConfig, CacheStats, ResultCache};
 use crate::index::SearchIndex;
-use crate::partition::IndexPartition;
-use crate::searcher::{hit_order, with_thread_scratch, Hit, QueryScratch, SearchOptions};
+use crate::partition::partition_ranges;
+use crate::searcher::{
+    merge_topk, top_k_range, with_thread_scratch, Hit, QueryScratch, SearchOptions,
+};
 use crate::view::IndexView;
 use deepweb_common::fxhash::fxhash64;
 use deepweb_common::ids::TermId;
-use deepweb_common::ThreadPool;
+use deepweb_common::{Error, ThreadPool};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cluster topology and serving knobs.
@@ -73,94 +77,24 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Start building a validated [`ClusterConfig`].
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder::default()
-    }
-}
-
-/// Validating builder for [`ClusterConfig`] ([`ClusterConfig::builder`]).
-///
-/// The raw struct clamps silently (a zero partition count serves, just as
-/// one partition); the builder instead *rejects* degenerate topologies so a
-/// typo'd config surfaces as an error instead of a quietly different
-/// cluster shape.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClusterConfigBuilder {
-    cfg: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Doc-range partition count (must be ≥ 1).
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.cfg.partitions = partitions;
-        self
-    }
-
-    /// Replica group count (must be ≥ 1).
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.cfg.replicas = replicas;
-        self
-    }
-
-    /// Worker threads for fan-out (0 = auto).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Front the cluster with a result cache of this configuration.
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cfg.cache = Some(cache);
-        self
-    }
-
-    /// Cache with default eviction and the given capacity; `0` disables
-    /// caching entirely.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.cache = if capacity == 0 {
-            None
-        } else {
-            Some(CacheConfig {
-                capacity,
-                ..CacheConfig::default()
-            })
-        };
-        self
-    }
-
-    /// Disable the result cache.
-    pub fn no_cache(mut self) -> Self {
-        self.cfg.cache = None;
-        self
-    }
-
-    /// Per-replica admission bound within a batch burst (0 = unbounded).
-    pub fn max_in_flight(mut self, max_in_flight: usize) -> Self {
-        self.cfg.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> deepweb_common::Result<ClusterConfig> {
-        if self.cfg.partitions == 0 {
-            return Err(deepweb_common::Error::Config(
-                "cluster needs at least one partition".into(),
+    /// Reject degenerate topologies. [`ClusterServer::new`] clamps silently
+    /// (a zero partition count serves, just as one partition); a front end
+    /// that takes a topology from outside calls this first, so a typo'd
+    /// config surfaces as an error instead of a quietly different cluster
+    /// shape — or, for a zero-capacity cache, a cache that always misses.
+    pub fn validate(&self) -> deepweb_common::Result<()> {
+        if self.partitions == 0 {
+            return Err(Error::Config("cluster needs at least one partition".into()));
+        }
+        if self.replicas == 0 {
+            return Err(Error::Config("cluster needs at least one replica".into()));
+        }
+        if self.cache.is_some_and(|cache| cache.capacity == 0) {
+            return Err(Error::Config(
+                "cache capacity must be ≥ 1 (use `cache: None` to disable)".into(),
             ));
         }
-        if self.cfg.replicas == 0 {
-            return Err(deepweb_common::Error::Config(
-                "cluster needs at least one replica".into(),
-            ));
-        }
-        if let Some(cache) = self.cfg.cache {
-            if cache.capacity == 0 {
-                return Err(deepweb_common::Error::Config(
-                    "cache capacity must be ≥ 1 (use no_cache() to disable)".into(),
-                ));
-            }
-        }
-        Ok(self.cfg)
+        Ok(())
     }
 }
 
@@ -184,6 +118,33 @@ pub struct ClusterStats {
     pub cache: Option<CacheStats>,
 }
 
+/// Recycled scratches for the parallel single-query fan-out, where several
+/// partitions of one query score concurrently on pool workers that do not
+/// outlive the call. A fresh [`QueryScratch`] allocates a dense
+/// `num_docs`-long score vector on first use, so every kernel-bound query
+/// would pay that allocation once per worker without the pool. (Batch mode
+/// reuses one worker scratch across a query's whole partition scan instead
+/// — the scratch is fully reset between partitions either way.)
+#[derive(Default)]
+struct ScratchPool(Mutex<Vec<QueryScratch>>);
+
+impl ScratchPool {
+    /// Run `f` against a pooled scratch (allocating one only when every
+    /// pooled scratch is in use by a concurrent partition scan).
+    fn with<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+        let mut scratch = self.0.lock().pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.0.lock().push(scratch);
+        out
+    }
+}
+
+impl std::fmt::Debug for ScratchPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ScratchPool({} idle)", self.0.lock().len())
+    }
+}
+
 /// The cluster aggregator: doc-range partitions + replica routing + result
 /// cache over one immutable [`SearchIndex`]. `Sync` — one instance can be
 /// hammered from many OS threads, like the broker.
@@ -192,7 +153,8 @@ pub struct ClusterServer<'a> {
     index: &'a SearchIndex,
     opts: SearchOptions,
     pool: ThreadPool,
-    partitions: Vec<IndexPartition>,
+    partitions: Vec<(u32, u32)>,
+    scratch: ScratchPool,
     cache: Option<ResultCache>,
     replicas: usize,
     max_in_flight: usize,
@@ -210,7 +172,8 @@ impl<'a> ClusterServer<'a> {
             index,
             opts,
             pool: ThreadPool::new(cfg.workers),
-            partitions: IndexPartition::layout(index, cfg.partitions),
+            partitions: partition_ranges(index.postings().num_docs(), cfg.partitions),
+            scratch: ScratchPool::default(),
             cache: cfg.cache.map(ResultCache::new),
             replicas,
             max_in_flight: cfg.max_in_flight,
@@ -221,29 +184,14 @@ impl<'a> ClusterServer<'a> {
         }
     }
 
-    /// The served index.
-    pub fn index(&self) -> &'a SearchIndex {
-        self.index
-    }
-
-    /// Scoring options used for every query.
-    pub fn options(&self) -> SearchOptions {
-        self.opts
-    }
-
-    /// The doc-range partition layout.
-    pub fn partitions(&self) -> &[IndexPartition] {
+    /// The doc-range partition layout: `(lo, hi)` pairs tiling the docstore.
+    pub fn partitions(&self) -> &[(u32, u32)] {
         &self.partitions
-    }
-
-    /// Replica-group size.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// The replica a signature routes to — a pure function of the signature,
     /// so one query always lands on one replica (cache/session affinity).
-    pub fn route(&self, sig: &[TermId]) -> usize {
+    fn route(&self, sig: &[TermId]) -> usize {
         (fxhash64(sig) % self.replicas as u64) as usize
     }
 
@@ -263,11 +211,26 @@ impl<'a> ClusterServer<'a> {
             self.count(r0, Some(r0));
             self.serve_sig(sig, k, || {
                 self.pool.map_indices(self.partitions.len(), |pi| {
-                    let p = &self.partitions[pi];
-                    p.with_pooled_scratch(|s| p.search_sig(self.index, sig, k, self.opts, s))
+                    self.scratch
+                        .with(|s| self.score_range(self.partitions[pi], sig, k, s))
                 })
             })
         })
+    }
+
+    /// The exact local top `k` of one partition for a resolved signature:
+    /// its doc range handed to the one kernel. Exact because every touched
+    /// doc's score is complete (all of its postings for every query term lie
+    /// inside the range that owns the doc).
+    fn score_range(
+        &self,
+        (lo, hi): (u32, u32),
+        sig: &[TermId],
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Vec<Hit> {
+        let view = IndexView::sealed(self.index);
+        top_k_range(&view, sig, k, self.opts, lo, hi, scratch)
     }
 
     /// Count one query routed to replica `r0` and admitted by `admitted`
@@ -309,7 +272,7 @@ impl<'a> ClusterServer<'a> {
                 return hits;
             }
         }
-        let hits = merge_partition_topk(score_partitions(), k);
+        let hits = merge_topk(&score_partitions(), k);
         if let Some(cache) = &self.cache {
             cache.insert(sig.to_vec(), k, hits.clone());
         }
@@ -365,7 +328,7 @@ impl<'a> ClusterServer<'a> {
                 self.serve_sig(sig, k, || {
                     self.partitions
                         .iter()
-                        .map(|p| p.search_sig(self.index, sig, k, self.opts, scratch))
+                        .map(|&range| self.score_range(range, sig, k, scratch))
                         .collect()
                 })
             })
@@ -392,18 +355,6 @@ impl<'a> ClusterServer<'a> {
             cache: self.cache_stats(),
         }
     }
-}
-
-/// Merge exact per-partition top-k lists into the global top-k: concatenate,
-/// sort under the strict total order, truncate. Partition lists are disjoint
-/// (doc ranges don't overlap) and each contains its range's true top-≤k, so
-/// the global top-k is a subset of the concatenation and the strict order
-/// places it first — byte-identical to the sequential selection.
-fn merge_partition_topk(lists: Vec<Vec<Hit>>, k: usize) -> Vec<Hit> {
-    let mut all: Vec<Hit> = lists.concat();
-    all.sort_by(hit_order);
-    all.truncate(k);
-    all
 }
 
 #[cfg(test)]

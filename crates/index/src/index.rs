@@ -293,7 +293,7 @@ impl SearchIndex {
     /// This index as a [`SearchService`](crate::service::SearchService): the
     /// sequential tier with fixed serving options.
     pub fn searcher(&self, opts: SearchOptions) -> crate::service::IndexSearcher<'_> {
-        crate::service::IndexSearcher::new(self, opts)
+        crate::service::IndexSearcher { index: self, opts }
     }
 
     /// Facet → set of known analysed value tokens, both sides interned;

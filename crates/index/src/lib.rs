@@ -8,6 +8,12 @@
 //! Surfaced deep-web pages are inserted "like any other page" (paper §3.2);
 //! the [`docstore::DocKind`] provenance tag exists only so experiments can
 //! attribute impact back to forms.
+//!
+//! One spelling per thing: a query is `(text, k)` through [`search`] or any
+//! [`SearchService`] tier; a scoring configuration is a [`SearchOptions`]
+//! literal and a cluster topology a [`ClusterConfig`] literal, each checked
+//! by its `validate()` where it arrives from outside; a partition is a
+//! `(lo, hi)` doc range of [`partition_ranges`], scored by the one kernel.
 
 #![warn(missing_docs)]
 
@@ -28,16 +34,15 @@ mod view;
 
 pub use broker::QueryBroker;
 pub use cache::{CacheConfig, CacheStats, ResultCache};
-pub use cluster::{ClusterConfig, ClusterConfigBuilder, ClusterServer, ClusterStats};
+pub use cluster::{ClusterConfig, ClusterServer, ClusterStats};
 pub use docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
-pub use partition::{partition_ranges, IndexPartition};
+pub use partition::partition_ranges;
 pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
 pub use pruned::PruningIndex;
 pub use searcher::{
     search, search_with_scratch, Bm25Params, Hit, PruningMode, QueryScratch, SearchOptions,
-    SearchOptionsBuilder,
 };
 pub use segments::{Generation, SealedSegment, SegmentedIndex, SegmentedSearcher};
-pub use service::{IndexSearcher, SearchRequest, SearchService};
+pub use service::{IndexSearcher, SearchService};
 pub use snippet::snippet;

@@ -326,7 +326,7 @@ pub struct PostingBlock {
     /// recompute a safe upper bound under *any* BM25 parameters.
     pub min_dl: u32,
     /// Max BM25 contribution over the block's postings, computed with the
-    /// build-time parameters via [`bm25_contribution`] — exact (it *is* one
+    /// build-time parameters via `bm25_contribution` — exact (it *is* one
     /// posting's contribution), so the bound is as tight as possible.
     pub max_contrib: f64,
     /// Bit width of each packed doc-id delta (`delta - 1`).
@@ -358,7 +358,6 @@ pub struct BlockPostings {
     term_start: Vec<u32>,
     blocks: Vec<PostingBlock>,
     packed: Vec<u64>,
-    block_size: usize,
     k1: f64,
     b: f64,
 }
@@ -430,7 +429,6 @@ impl BlockPostings {
             term_start,
             blocks,
             packed: writer.words,
-            block_size,
             k1,
             b,
         }
@@ -466,11 +464,6 @@ impl BlockPostings {
                 tf,
             });
         }
-    }
-
-    /// Postings per block the structure was built with.
-    pub fn block_size(&self) -> usize {
-        self.block_size
     }
 
     /// BM25 `k1` the stored block maxima are exact for.

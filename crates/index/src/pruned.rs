@@ -13,7 +13,7 @@
 //!   starting from the same `0.0`. The annotation boost is added after the
 //!   term sum, exactly like the exhaustive pass.
 //! - **Skipped docs could never be kept.** Every skip tests a *guarded*
-//!   upper bound: [`guard_ub`] inflates a bound by a relative `1e-9` plus an
+//!   upper bound: `guard_ub` inflates a bound by a relative `1e-9` plus an
 //!   absolute `1e-12` before comparing — orders of magnitude more than the
 //!   few-ulp wiggle floating-point reordering can introduce — and the test
 //!   is strict (`<` the threshold), so a doc that ties the current k-th hit

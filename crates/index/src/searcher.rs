@@ -21,7 +21,7 @@
 
 use crate::index::SearchIndex;
 use crate::postings::bm25_contribution;
-use crate::view::IndexView;
+use crate::view::{doc_bound, IndexView};
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
 use std::cell::RefCell;
@@ -71,57 +71,13 @@ pub struct SearchOptions {
 }
 
 impl SearchOptions {
-    /// Start building validated [`SearchOptions`].
-    pub fn builder() -> SearchOptionsBuilder {
-        SearchOptionsBuilder::default()
-    }
-}
-
-/// Validating builder for [`SearchOptions`] ([`SearchOptions::builder`]).
-///
-/// BM25 parameters are unchecked in the raw struct (it stays `Copy` and
-/// construction-cheap for the hot path); the builder is the front door that
-/// rejects non-finite `k1`/`b` and out-of-range length normalisation before
-/// they can poison every score in a serving tier.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SearchOptionsBuilder {
-    opts: SearchOptions,
-}
-
-impl SearchOptionsBuilder {
-    /// Term-frequency saturation `k1` (must be finite and positive).
-    pub fn k1(mut self, k1: f64) -> Self {
-        self.opts.bm25.k1 = k1;
-        self
-    }
-
-    /// Length normalisation `b` (must lie in `[0, 1]`).
-    pub fn b(mut self, b: f64) -> Self {
-        self.opts.bm25.b = b;
-        self
-    }
-
-    /// Replace both BM25 parameters at once.
-    pub fn bm25(mut self, bm25: Bm25Params) -> Self {
-        self.opts.bm25 = bm25;
-        self
-    }
-
-    /// Enable or disable annotation-aware scoring.
-    pub fn annotations(mut self, on: bool) -> Self {
-        self.opts.use_annotations = on;
-        self
-    }
-
-    /// Select the top-k evaluation strategy.
-    pub fn pruning(mut self, mode: PruningMode) -> Self {
-        self.opts.pruning = mode;
-        self
-    }
-
-    /// Validate and produce the options.
-    pub fn build(self) -> deepweb_common::Result<SearchOptions> {
-        let Bm25Params { k1, b } = self.opts.bm25;
+    /// Check the BM25 parameters: `k1` finite and > 0, `b` finite in
+    /// `[0, 1]`. The literal is unchecked (it stays `Copy` and free to build
+    /// on the hot path); a front end that takes parameters from outside
+    /// calls this once, before a non-finite `k1` or an out-of-range `b` can
+    /// poison every score a serving tier returns.
+    pub fn validate(&self) -> deepweb_common::Result<()> {
+        let Bm25Params { k1, b } = self.bm25;
         if !k1.is_finite() || k1 <= 0.0 {
             return Err(deepweb_common::Error::Config(format!(
                 "bm25 k1 must be finite and > 0, got {k1}"
@@ -132,7 +88,7 @@ impl SearchOptionsBuilder {
                 "bm25 b must lie in [0, 1], got {b}"
             )));
         }
-        Ok(self.opts)
+        Ok(())
     }
 }
 
@@ -176,9 +132,10 @@ const ANNOTATION_CONFLICT_PENALTY: f64 = 8.0;
 /// dense score accumulator with sparse reset, and the top-k heap.
 ///
 /// One scratch serves any number of queries over any number of indexes; it
-/// is fully reset by [`top_k_hits`] (or the early-exit paths), and results
-/// are byte-identical to using a fresh scratch per query. `Default`/`new`
-/// give an empty scratch that sizes itself lazily on first use.
+/// is fully reset by the top-k selection (or the early-exit paths), and
+/// results are byte-identical to using a fresh scratch per query.
+/// `Default`/`new` give an empty scratch that sizes itself lazily on first
+/// use.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Recycled token buffers; `terms[..n_terms]` are the query's distinct
@@ -317,15 +274,27 @@ pub(crate) fn drain_heap_topk(heap: &mut BinaryHeap<HeapEntry>) -> Vec<Hit> {
 }
 
 /// The one total order on hits: score descending, doc id ascending on ties.
-/// Doc ids are unique, so this is strict — which is what makes the cluster
-/// tier's partition-merge exact (DESIGN.md §13): merging per-partition top-k
-/// lists under a strict total order and truncating to k reproduces the
-/// global top-k byte-for-byte.
-pub(crate) fn hit_order(a: &Hit, b: &Hit) -> Ordering {
+/// Doc ids are unique, so this is strict — which is what makes
+/// [`merge_topk`] exact.
+fn hit_order(a: &Hit, b: &Hit) -> Ordering {
     b.score
         .partial_cmp(&a.score)
         .unwrap_or(Ordering::Equal)
         .then_with(|| a.doc.0.cmp(&b.doc.0))
+}
+
+/// Merge the exact top-k lists of disjoint doc ranges into the top-k of
+/// their union: concatenate, sort under the strict total order, truncate.
+/// Each list holds its range's true top-≤k, so the union's top-k is a subset
+/// of the concatenation and the strict order places it first —
+/// byte-identical to selecting over the whole range at once. The cluster's
+/// partition merge (DESIGN.md §13) and the kernel's base ⊕ segment merge
+/// are both this function.
+pub(crate) fn merge_topk(lists: &[Vec<Hit>], k: usize) -> Vec<Hit> {
+    let mut all = lists.concat();
+    all.sort_by(hit_order);
+    all.truncate(k);
+    all
 }
 
 thread_local! {
@@ -380,7 +349,7 @@ pub(crate) fn search_view(
     // The signature is moved out so the kernel can borrow the rest of the
     // scratch mutably; it is restored before returning.
     let sig = std::mem::take(&mut scratch.sig);
-    let hits = top_k_range(view, &sig, k, opts, 0, view.num_docs() as u32, scratch);
+    let hits = top_k_range(view, &sig, k, opts, 0, doc_bound(view.num_docs()), scratch);
     scratch.sig = sig;
     hits
 }
@@ -410,20 +379,19 @@ pub(crate) fn top_k_range(
     }
     if opts.pruning == PruningMode::BlockMax {
         if let Some(pr) = view.pruning() {
-            // Doc ids are `u32`: a base too long for one owns the whole range.
-            let cut = u32::try_from(view.base.len()).map_or(hi, |n| n.clamp(lo, hi));
-            let mut hits =
-                crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, cut, scratch);
-            if cut < hi {
-                let fold = SearchOptions {
-                    pruning: PruningMode::Exhaustive,
-                    ..opts
-                };
-                hits.extend(top_k_range(view, sig, k, fold, cut, hi, scratch));
-                hits.sort_by(hit_order);
-                hits.truncate(k);
+            // The base's blocks cover docs `[0, base.len())`; a base too long
+            // for a `u32` saturates and so owns the whole range.
+            let cut = doc_bound(view.base.len()).clamp(lo, hi);
+            let hits = crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, cut, scratch);
+            if cut == hi {
+                return hits;
             }
-            return hits;
+            let fold = SearchOptions {
+                pruning: PruningMode::Exhaustive,
+                ..opts
+            };
+            let tail = top_k_range(view, sig, k, fold, cut, hi, scratch);
+            return merge_topk(&[hits, tail], k);
         }
     }
     if scratch.scores.len() < view.num_docs() {

@@ -16,7 +16,7 @@
 //! after a merge. The argument composes three existing invariants:
 //!
 //! 1. **Id replay.** A segment is built by the same doc-local kernel as a
-//!    parallel build shard ([`build_shard`]), and its seal walks the local
+//!    parallel build shard (`build_shard`), and its seal walks the local
 //!    dictionary in id (first-appearance) order, resolving each term against
 //!    the base dictionary *extended by the generation's overlay* — exactly
 //!    the order [`Postings::absorb`] re-interns terms at merge time. Overlay
@@ -24,7 +24,7 @@
 //!    annotation layer ([`SealedSegment`]'s per-doc [`AnnotationIds`]) is the
 //!    one the merged index stores.
 //! 2. **Global statistics.** The one kernel evaluates the one BM25
-//!    expression against the generation's [`IndexView`]: `N` and the average
+//!    expression against the generation's `IndexView`: `N` and the average
 //!    doc length are recomputed from exact integer totals (base +
 //!    per-segment [`Postings::total_doc_len`]), and `df` is the base
 //!    document frequency plus each segment's — the same integers the merged
@@ -56,7 +56,7 @@ use crate::index::{build_shard, BatchDoc, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use crate::view::IndexView;
+use crate::view::{doc_bound, IndexView};
 use deepweb_common::ids::{FacetKeyId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet, ThreadPool};
 use parking_lot::{Mutex, RwLock};
@@ -96,7 +96,7 @@ impl SealedSegment {
 
     /// The global doc-id range this segment owns.
     pub fn doc_range(&self) -> std::ops::Range<u32> {
-        self.base_doc..self.base_doc + self.postings.num_docs() as u32
+        self.base_doc..self.base_doc.saturating_add(doc_bound(self.num_docs()))
     }
 
     /// The raw documents, in segment-local (= global, offset by
@@ -316,7 +316,7 @@ impl SegmentedIndex {
             ann_global.push(out);
         }
         let segment = SealedSegment {
-            base_doc: overlay.num_docs as u32,
+            base_doc: doc_bound(overlay.num_docs),
             docs: fresh,
             ann_local,
             ann_global,
@@ -405,13 +405,6 @@ pub struct SegmentedSearcher<'a> {
     opts: SearchOptions,
 }
 
-impl SegmentedSearcher<'_> {
-    /// The options every query is served with.
-    pub fn options(&self) -> SearchOptions {
-        self.opts
-    }
-}
-
 impl SearchService for SegmentedSearcher<'_> {
     fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         self.index.search(query, k, self.opts)
@@ -428,7 +421,7 @@ mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
     use crate::postings::bm25_contribution;
-    use crate::searcher::{hit_order, search, top_k_range, Bm25Params, PruningMode};
+    use crate::searcher::{merge_topk, search, top_k_range, Bm25Params, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -557,7 +550,7 @@ mod tests {
     /// The kernel over doc ranges of a generation with two pending segments
     /// (base = docs 0..3, segments = 3..5 and 5..6): for cut points inside
     /// the base, on a segment boundary and inside a segment, per-range top-k
-    /// lists merged under `hit_order` equal the full-range result and the
+    /// lists merged by `merge_topk` equal the full-range result and the
     /// from-scratch rebuild — pre- and post-merge.
     #[test]
     fn per_range_topk_merges_to_full_range_and_rebuild() {
@@ -579,7 +572,7 @@ mod tests {
         for phase in ["pre-merge", "post-merge"] {
             let gen = seg.snapshot();
             let view = gen.view();
-            let n = gen.num_docs() as u32;
+            let n = doc_bound(gen.num_docs());
             assert_eq!(n, 6);
             let mut scratch = QueryScratch::new();
             for opts in all_opts() {
@@ -593,15 +586,11 @@ mod tests {
                         let mut bounds = vec![0];
                         bounds.extend_from_slice(cut);
                         bounds.push(n);
-                        let mut merged: Vec<Hit> = bounds
+                        let lists: Vec<Vec<Hit>> = bounds
                             .windows(2)
-                            .flat_map(|w| {
-                                top_k_range(&view, &sig, 10, opts, w[0], w[1], &mut scratch)
-                            })
+                            .map(|w| top_k_range(&view, &sig, 10, opts, w[0], w[1], &mut scratch))
                             .collect();
-                        merged.sort_by(hit_order);
-                        merged.truncate(10);
-                        assert_eq!(merged, whole, "{phase} q={q:?} cut={cut:?}");
+                        assert_eq!(merge_topk(&lists, 10), whole, "{phase} q={q:?} cut={cut:?}");
                     }
                 }
             }

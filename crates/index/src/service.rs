@@ -10,8 +10,10 @@
 //! [`DeepWebSystem`]) program against `&dyn SearchService` and stop caring
 //! which tier is behind it.
 //!
-//! [`SearchRequest`] is the companion builder that replaces the loose
-//! `(query, k, SearchOptions)` argument tuples at call sites.
+//! A query is `(text, k)`; the scoring configuration is a [`SearchOptions`]
+//! literal fixed when a tier is constructed (checked, where it comes from
+//! outside, by [`SearchOptions::validate`]). A caller that wants different
+//! options for one query calls [`search`] with them.
 //!
 //! [`QueryBroker`]: crate::broker::QueryBroker
 //! [`ClusterServer`]: crate::cluster::ClusterServer
@@ -20,7 +22,7 @@
 use crate::broker::QueryBroker;
 use crate::cluster::ClusterServer;
 use crate::index::SearchIndex;
-use crate::searcher::{search, Bm25Params, Hit, PruningMode, SearchOptions};
+use crate::searcher::{search, Hit, SearchOptions};
 
 /// A query-serving tier: anything that can answer `(query, k)` with the
 /// engine's canonical top-k bytes.
@@ -47,25 +49,8 @@ pub trait SearchService: Sync {
 /// [`SearchIndex::searcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct IndexSearcher<'a> {
-    index: &'a SearchIndex,
-    opts: SearchOptions,
-}
-
-impl<'a> IndexSearcher<'a> {
-    /// Wrap `index` with fixed serving options.
-    pub fn new(index: &'a SearchIndex, opts: SearchOptions) -> Self {
-        IndexSearcher { index, opts }
-    }
-
-    /// The index being served.
-    pub fn index(&self) -> &'a SearchIndex {
-        self.index
-    }
-
-    /// The options every query is served with.
-    pub fn options(&self) -> SearchOptions {
-        self.opts
-    }
+    pub(crate) index: &'a SearchIndex,
+    pub(crate) opts: SearchOptions,
 }
 
 impl SearchService for IndexSearcher<'_> {
@@ -94,99 +79,6 @@ impl SearchService for ClusterServer<'_> {
     }
 }
 
-/// A self-contained query: text, result count and scoring options in one
-/// value, built fluently instead of threaded through `(query, k, opts)`
-/// tuples.
-///
-/// ```
-/// use deepweb_index::{SearchIndex, SearchRequest, PruningMode};
-/// let index = SearchIndex::new();
-/// let req = SearchRequest::new("used ford focus")
-///     .k(5)
-///     .annotations(true)
-///     .pruning(PruningMode::BlockMax);
-/// let hits = req.run(&index);
-/// assert!(hits.is_empty());
-/// ```
-#[derive(Clone, Debug)]
-pub struct SearchRequest {
-    query: String,
-    k: usize,
-    opts: SearchOptions,
-}
-
-impl SearchRequest {
-    /// Default result count when [`SearchRequest::k`] is not called.
-    pub const DEFAULT_K: usize = 10;
-
-    /// A request for `query` with `DEFAULT_K` results and default options.
-    pub fn new(query: impl Into<String>) -> Self {
-        SearchRequest {
-            query: query.into(),
-            k: Self::DEFAULT_K,
-            opts: SearchOptions::default(),
-        }
-    }
-
-    /// Number of results to return.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Replace the full option set.
-    pub fn options(mut self, opts: SearchOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Enable or disable annotation-aware scoring.
-    pub fn annotations(mut self, on: bool) -> Self {
-        self.opts.use_annotations = on;
-        self
-    }
-
-    /// Select the top-k evaluation strategy.
-    pub fn pruning(mut self, mode: PruningMode) -> Self {
-        self.opts.pruning = mode;
-        self
-    }
-
-    /// Override the BM25 parameters.
-    pub fn bm25(mut self, bm25: Bm25Params) -> Self {
-        self.opts.bm25 = bm25;
-        self
-    }
-
-    /// The query text.
-    pub fn query(&self) -> &str {
-        &self.query
-    }
-
-    /// The result count this request asks for.
-    pub fn top_k(&self) -> usize {
-        self.k
-    }
-
-    /// The scoring options this request carries.
-    pub fn search_options(&self) -> SearchOptions {
-        self.opts
-    }
-
-    /// Serve this request against `index` with the sequential kernel,
-    /// honouring the request's own options.
-    pub fn run(&self, index: &SearchIndex) -> Vec<Hit> {
-        search(index, &self.query, self.k, self.opts)
-    }
-
-    /// Serve this request through any tier. The request's options are *not*
-    /// applied — a service carries its own (that is its contract); only the
-    /// query text and `k` travel.
-    pub fn run_on(&self, service: &dyn SearchService) -> Vec<Hit> {
-        service.search(&self.query, self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,23 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn request_defaults_and_accessors() {
-        let req = SearchRequest::new("honda").k(2).annotations(true);
-        assert_eq!(req.query(), "honda");
-        assert_eq!(req.top_k(), 2);
-        assert!(req.search_options().use_annotations);
-        assert_eq!(
-            SearchRequest::new("x").top_k(),
-            SearchRequest::DEFAULT_K,
-            "k defaults"
-        );
-    }
-
-    #[test]
     fn searcher_service_matches_sequential_oracle() {
         let idx = tiny_index();
         let opts = SearchOptions::default();
-        let svc = IndexSearcher::new(&idx, opts);
+        let svc = idx.searcher(opts);
         for q in ["honda", "ford focus", "", "zzz"] {
             assert_eq!(
                 SearchService::search(&svc, q, 10),
@@ -241,13 +120,5 @@ mod tests {
         for (q, hits) in batch.iter().zip(&by_batch) {
             assert_eq!(*hits, search(&idx, q, 10, opts));
         }
-    }
-
-    #[test]
-    fn request_run_matches_run_on_index_searcher() {
-        let idx = tiny_index();
-        let req = SearchRequest::new("honda civic").k(3);
-        let svc = IndexSearcher::new(&idx, req.search_options());
-        assert_eq!(req.run(&idx), req.run_on(&svc));
     }
 }

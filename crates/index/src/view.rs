@@ -35,6 +35,14 @@ pub(crate) struct IndexView<'a> {
     pub(crate) overlay: Option<&'a Overlay>,
 }
 
+/// A document count as a doc-id bound. Doc ids are `u32`, so a count past
+/// `u32::MAX` saturates: ranges built from it stay monotone and
+/// non-overlapping (the tail is unreachable, never aliased onto low ids as
+/// a wrapping `as u32` would).
+pub(crate) fn doc_bound(count: usize) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
+}
+
 /// The sub-slice of a doc-sorted posting list with doc ids in `[lo, hi)`.
 fn clip(list: &[Posting], lo: u32, hi: u32) -> &[Posting] {
     let start = list.partition_point(|p| p.doc.0 < lo);

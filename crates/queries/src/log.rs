@@ -104,11 +104,12 @@ fn attribute(
 /// Replay `n` sampled queries against the index, attributing top-`k` hits.
 ///
 /// Serving goes through the batched [`QueryBroker`] path (auto-sized
-/// worker pool) in [`REPLAY_CHUNK`]-query chunks — the same path a front end
+/// worker pool) in `REPLAY_CHUNK`-query chunks — the same path a front end
 /// would drive — so replay throughput measures real concurrent serving, not
 /// a one-query-at-a-time loop. Batched serving is byte-identical to
-/// sequential [`search`] for every query (the serving determinism contract),
-/// so the report is identical to a [`replay_serving`] through the sequential
+/// sequential [`search`](deepweb_index::search) for every query (the serving
+/// determinism contract), so the report is identical to a
+/// [`replay_serving`] through the sequential
 /// [`IndexSearcher`](deepweb_index::IndexSearcher) — asserted by
 /// `tests/cluster.rs`.
 pub fn replay(

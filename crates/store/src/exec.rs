@@ -20,13 +20,6 @@ pub struct Page {
     pub page_size: usize,
 }
 
-impl Page {
-    /// Number of pages the full result occupies.
-    pub fn num_pages(&self) -> usize {
-        self.total.div_ceil(self.page_size.max(1))
-    }
-}
-
 /// A table plus its secondary indexes.
 #[derive(Clone, Debug)]
 pub struct IndexedTable {
@@ -205,7 +198,6 @@ mod tests {
         let p0 = it.select_page(&Conjunction::all(), 0, 2);
         assert_eq!(p0.total, 5);
         assert_eq!(p0.ids, vec![RecordId(0), RecordId(1)]);
-        assert_eq!(p0.num_pages(), 3);
         let p2 = it.select_page(&Conjunction::all(), 2, 2);
         assert_eq!(p2.ids, vec![RecordId(4)]);
         let past = it.select_page(&Conjunction::all(), 9, 2);

@@ -38,11 +38,6 @@ impl HashIndex {
     pub fn lookup(&self, value: &Value) -> &[RecordId] {
         self.map.get(value).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Ordered index over one column.
@@ -118,7 +113,6 @@ mod tests {
         let got = idx.lookup(&Value::Text("honda".into()));
         assert_eq!(got, &[RecordId(0), RecordId(2)]);
         assert!(idx.lookup(&Value::Text("tesla".into())).is_empty());
-        assert_eq!(idx.distinct_keys(), 3);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! A small typed relational engine: the backing database of every simulated
 //! deep-web site. Supports conjunctive selection (equality, inclusive ranges,
-//! keyword containment), hash and B-tree secondary indexes, pagination and
-//! column statistics.
+//! keyword containment), hash and B-tree secondary indexes and pagination.
 //!
 //! Substitutes for the production storage behind the sites the paper crawled
 //! (DESIGN.md §2): form submissions compile to [`predicate::Conjunction`]s and
@@ -16,13 +15,11 @@ pub mod exec;
 pub mod index;
 pub mod predicate;
 pub mod schema;
-pub mod statistics;
 pub mod table;
 pub mod value;
 
 pub use exec::{IndexedTable, Page};
 pub use predicate::{Conjunction, Predicate};
 pub use schema::{Column, Schema};
-pub use statistics::ColumnStats;
 pub use table::Table;
 pub use value::{Date, Value, ValueType};

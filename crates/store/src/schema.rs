@@ -49,11 +49,6 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Index of column `name`.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Column at `idx`.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
@@ -78,8 +73,6 @@ mod tests {
     fn build_and_lookup() {
         let s = Schema::new(vec![("make", ValueType::Text), ("price", ValueType::Money)]).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.column_index("price"), Some(1));
-        assert_eq!(s.column_index("zip"), None);
         assert_eq!(s.column(0).name, "make");
         assert_eq!(s.names(), vec!["make", "price"]);
     }

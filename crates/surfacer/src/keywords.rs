@@ -191,15 +191,6 @@ pub fn frequency_keywords(site_text: &str, n: usize) -> Vec<String> {
     items.into_iter().take(n).map(|(t, _)| t).collect()
 }
 
-/// Coverage accounting shared by experiments: `covered / total`.
-pub fn coverage_fraction(covered: usize, total: usize) -> f64 {
-    if total == 0 {
-        1.0
-    } else {
-        covered as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,11 +331,5 @@ mod tests {
         let sel: Vec<&str> = indices.iter().map(|&i| productive[i].0.as_str()).collect();
         assert_eq!(sel, ["b", "c"]);
         assert_eq!(covered.len(), 5); // {1,2,3,4} ∪ {5}
-    }
-
-    #[test]
-    fn coverage_fraction_edges() {
-        assert_eq!(coverage_fraction(0, 0), 1.0);
-        assert_eq!(coverage_fraction(5, 10), 0.5);
     }
 }

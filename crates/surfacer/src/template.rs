@@ -111,17 +111,6 @@ pub struct TemplateEval {
     pub url_potential: usize,
 }
 
-impl TemplateEval {
-    /// Mean observed result count.
-    pub fn avg_results(&self) -> f64 {
-        if self.result_counts.is_empty() {
-            0.0
-        } else {
-            self.result_counts.iter().sum::<usize>() as f64 / self.result_counts.len() as f64
-        }
-    }
-}
-
 /// Build the combined assignment of `template` for sample index `i`.
 ///
 /// Different strides per slot de-correlate the sampled combinations without

@@ -56,11 +56,6 @@ impl SourceRegistry {
     pub fn total_mappings(&self) -> usize {
         self.sources.iter().map(Source::mapping_count).sum()
     }
-
-    /// Sources of one domain.
-    pub fn of_domain(&self, domain: &str) -> Vec<&Source> {
-        self.sources.iter().filter(|s| s.domain == domain).collect()
-    }
 }
 
 /// Analyse one form against the schemas; returns the best-matching domain
@@ -173,7 +168,7 @@ mod tests {
             );
         }
         // Every registered used-cars source maps its make select.
-        for s in reg.of_domain("usedcars") {
+        for s in reg.sources.iter().filter(|s| s.domain == "usedcars") {
             assert!(s.mappings.iter().any(|m| m.element == "make"));
         }
     }

@@ -11,7 +11,7 @@ use crate::site::{Binding, DomainKind, RenderStyle, Site};
 use crate::surface;
 use crate::vocab;
 use deepweb_common::ids::SiteId;
-use deepweb_common::{derive_rng, derive_rng_n, Zipf};
+use deepweb_common::{derive_rng, derive_rng_n};
 use deepweb_store::{IndexedTable, Table, ValueType};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -129,17 +129,6 @@ pub struct SiteTruth {
 }
 
 impl SiteTruth {
-    /// Names of truly-typed text inputs with their types.
-    pub fn typed_inputs(&self) -> Vec<(&str, ValueType)> {
-        self.inputs
-            .iter()
-            .filter_map(|(n, t)| match t {
-                InputTruth::Typed(ty) => Some((n.as_str(), *ty)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// True if the form has any "common typed" input (zip/city/price/date in
     /// a *text box* — the paper's 6.7% statistic, §4.1). Text-typed boxes
     /// count only for the city concept (author boxes are the paper's example
@@ -172,18 +161,6 @@ impl GroundTruth {
     /// Total records across all sites.
     pub fn total_records(&self) -> usize {
         self.sites.iter().map(|s| s.records).sum()
-    }
-
-    /// Fraction of forms with a true range pair.
-    pub fn range_pair_fraction(&self) -> f64 {
-        if self.sites.is_empty() {
-            return 0.0;
-        }
-        self.sites
-            .iter()
-            .filter(|s| !s.range_pairs.is_empty())
-            .count() as f64
-            / self.sites.len() as f64
     }
 
     /// Distinct languages present.
@@ -495,12 +472,6 @@ pub fn grow_site(world: &mut World, site_idx: usize, extra: usize, seed: u64) ->
     grown
 }
 
-/// Convenience: Zipf popularity over the generated sites (rank = SiteId
-/// order), used by workload generators.
-pub fn site_popularity(num_sites: usize, s: f64) -> Zipf {
-    Zipf::new(num_sites.max(1), s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,7 +633,11 @@ mod tests {
             num_sites: 60,
             ..WebConfig::default()
         });
-        assert!(w.truth.range_pair_fraction() > 0.05);
+        let with_pair = w.truth.sites.iter().filter(|t| !t.range_pairs.is_empty());
+        assert!(
+            with_pair.count() > 3,
+            "over 5% of the 60 forms pair a range"
+        );
         for t in &w.truth.sites {
             for (min_n, max_n) in &t.range_pairs {
                 assert!(t.inputs.iter().any(|(n, _)| n == min_n));

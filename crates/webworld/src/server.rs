@@ -1,13 +1,12 @@
 //! The web server: routes URLs to site pages and surface pages, and accounts
-//! per-host request load (the paper's politeness argument, §3.2, needs load
-//! numbers).
+//! request load (the paper's politeness argument, §3.2, needs load numbers).
 
 use crate::fetch::{http_error, Fetcher, Response};
 use crate::render;
 use crate::site::{CompiledQuery, Site};
 use deepweb_common::ids::{RecordId, SiteId};
-use deepweb_common::pool::Sharded;
 use deepweb_common::{FxHashMap, Result, Url};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A static surface-web page.
 #[derive(Clone, Debug)]
@@ -25,14 +24,12 @@ pub struct WebServer {
     sites: Vec<Site>,
     host_to_site: FxHashMap<String, usize>,
     surface: FxHashMap<String, FxHashMap<String, String>>,
-    // Request accounting is sharded by host so parallel crawl workers
-    // contend only when they hit hosts in the same shard.
-    counts: Sharded<FxHashMap<String, u64>>,
+    /// Requests served, one counter per site (indexed like `sites`) plus a
+    /// last one for every other host — surface pages and 404s to unknown
+    /// hosts count too. A host is probed from one thread, so parallel crawl
+    /// workers bump different counters.
+    counts: Vec<AtomicU64>,
 }
-
-/// Lock shards for the request counters — enough that the parallel pipeline's
-/// workers rarely collide on the same shard.
-const COUNT_SHARDS: usize = 16;
 
 impl WebServer {
     /// Build a server over deep-web sites and surface pages.
@@ -47,10 +44,10 @@ impl WebServer {
             surface.entry(p.host).or_default().insert(p.path, p.html);
         }
         WebServer {
+            counts: (0..=sites.len()).map(|_| AtomicU64::new(0)).collect(),
             sites,
             host_to_site,
             surface,
-            counts: Sharded::new(COUNT_SHARDS),
         }
     }
 
@@ -87,28 +84,16 @@ impl WebServer {
         hosts
     }
 
-    /// Snapshot of per-host request counts (merged across shards).
-    pub fn request_counts(&self) -> FxHashMap<String, u64> {
-        let mut merged = FxHashMap::default();
-        self.counts.for_each_shard(|shard| {
-            for (host, n) in shard.iter() {
-                *merged.entry(host.clone()).or_insert(0) += *n;
-            }
-        });
-        merged
-    }
-
     /// Total requests served.
     pub fn total_requests(&self) -> u64 {
-        let mut total = 0;
-        self.counts
-            .for_each_shard(|shard| total += shard.values().sum::<u64>());
-        total
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Reset load accounting (e.g. between crawl phase and serve phase).
     pub fn reset_counts(&self) {
-        self.counts.for_each_shard(|shard| shard.clear());
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 
     fn serve_site(&self, site: &Site, url: &Url) -> Result<Response> {
@@ -153,12 +138,9 @@ fn ok(html: String) -> Response {
 
 impl Fetcher for WebServer {
     fn fetch(&self, url: &Url) -> Result<Response> {
-        *self
-            .counts
-            .lock(&url.host)
-            .entry(url.host.clone())
-            .or_insert(0) += 1;
-        if let Some(&i) = self.host_to_site.get(&url.host) {
+        let site = self.host_to_site.get(&url.host).copied();
+        self.counts[site.unwrap_or(self.sites.len())].fetch_add(1, Ordering::Relaxed);
+        if let Some(i) = site {
             return self.serve_site(&self.sites[i], url);
         }
         if let Some(pages) = self.surface.get(&url.host) {
@@ -256,10 +238,8 @@ mod tests {
         let _ = s.fetch(&Url::new("usedcars-000.sim", "/"));
         let _ = s.fetch(&Url::new("usedcars-000.sim", "/search"));
         let _ = s.fetch(&Url::new("dir.sim", "/"));
-        let counts = s.request_counts();
-        assert_eq!(counts["usedcars-000.sim"], 2);
-        assert_eq!(counts["dir.sim"], 1);
-        assert_eq!(s.total_requests(), 3);
+        assert!(s.fetch(&Url::new("nowhere.sim", "/")).is_err());
+        assert_eq!(s.total_requests(), 4, "a 404 to an unknown host counts");
         s.reset_counts();
         assert_eq!(s.total_requests(), 0);
     }

@@ -7,7 +7,7 @@
 //! *shape* of the data — formats, cardinalities, co-occurrences — not whether
 //! "Oakville" exists (DESIGN.md §2).
 
-use deepweb_common::{derive_rng, FxHashMap};
+use deepweb_common::derive_rng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -33,11 +33,6 @@ pub fn car_makes() -> Vec<(&'static str, Vec<&'static str>)> {
         ("volvo", vec!["s40", "s60", "v70", "xc90"]),
         ("jeep", vec!["wrangler", "cherokee", "liberty", "patriot"]),
     ]
-}
-
-/// Flat list of all models (used by value libraries).
-pub fn car_models() -> Vec<&'static str> {
-    car_makes().into_iter().flat_map(|(_, m)| m).collect()
 }
 
 /// Cuisines for restaurant-style sites.
@@ -300,19 +295,6 @@ pub fn sentence<R: Rng + ?Sized>(lexicon: &[String], n: usize, rng: &mut R) -> S
     parts.join(" ")
 }
 
-/// Map from make to models as owned strings (convenience).
-pub fn make_model_map() -> FxHashMap<String, Vec<String>> {
-    car_makes()
-        .into_iter()
-        .map(|(m, models)| {
-            (
-                m.to_string(),
-                models.into_iter().map(str::to_string).collect(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,12 +358,5 @@ mod tests {
         let movies: Vec<_> = cats[0].1.clone();
         let software: Vec<_> = cats[2].1.clone();
         assert!(movies.iter().all(|k| !software.contains(k)));
-    }
-
-    #[test]
-    fn make_model_map_complete() {
-        let m = make_model_map();
-        assert_eq!(m.len(), 15);
-        assert!(m["honda"].contains(&"civic".to_string()));
     }
 }

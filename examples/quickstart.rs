@@ -5,7 +5,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use deepweb::index::{PruningMode, SearchRequest};
+use deepweb::index::{search, PruningMode, SearchOptions};
 use deepweb::{quick_config, DeepWebSystem};
 
 fn main() {
@@ -41,12 +41,16 @@ fn main() {
             println!("          {snippet}");
         }
     }
-    // The same query as a self-contained request, served with block-max
-    // pruning — byte-identical to the exhaustive hits above (DESIGN.md §14).
-    let req = SearchRequest::new("used honda civic")
-        .k(3)
-        .pruning(PruningMode::BlockMax);
-    assert_eq!(sys.search_request(&req), sys.search("used honda civic", 3));
+    // The same query served with block-max pruning — byte-identical to the
+    // exhaustive hits above (DESIGN.md §14).
+    let pruned = SearchOptions {
+        pruning: PruningMode::BlockMax,
+        ..sys.options
+    };
+    assert_eq!(
+        search(&sys.index, "used honda civic", 3, pruned),
+        sys.search("used honda civic", 3)
+    );
 
     // Serving never touches the underlying sites — that is the point of
     // surfacing (paper §3.2).

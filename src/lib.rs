@@ -8,9 +8,11 @@
 //! partitions, replica routing, result caching — every configuration
 //! byte-identical to sequential search), block-max pruned top-k over
 //! compressed postings behind one unified `SearchService` API (every
-//! tier — sequential, broker, cluster — is the same trait object, and
-//! `PruningMode::BlockMax` returns the exhaustive kernel's exact bytes
-//! while skipping provably-losing doc regions), WebTables-style semantic
+//! tier — sequential, broker, cluster — is the same trait object, a query
+//! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
+//! literal checked by its `validate()`, and `PruningMode::BlockMax`
+//! returns the exhaustive kernel's exact bytes while skipping
+//! provably-losing doc regions), WebTables-style semantic
 //! services, record extraction and coverage estimation — all over a
 //! deterministic synthetic web. See `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for the paper-vs-measured record.

@@ -111,7 +111,7 @@ fn cluster_serves_annotation_scoring_identically() {
 }
 
 /// The doc-range layout is an internal serving detail: every partition count
-/// covers each doc exactly once, and partition `served` counters tick.
+/// covers each doc exactly once.
 #[test]
 fn partition_layout_covers_every_doc_exactly_once() {
     let sys = build_system(6);
@@ -124,15 +124,16 @@ fn partition_layout_covers_every_doc_exactly_once() {
             cache: None,
             max_in_flight: 0,
         });
+        assert_eq!(cluster.partitions().len(), partitions);
         let mut next = 0u32;
-        for p in cluster.partitions() {
-            assert_eq!(p.doc_range().start, next, "partitions must tile");
-            next = p.doc_range().end;
+        for &(lo, hi) in cluster.partitions() {
+            assert_eq!(lo, next, "partitions must tile");
+            next = hi;
         }
         assert_eq!(next, num_docs, "partitions must cover the docstore");
-        let _ = cluster.search("honda civic", 5);
-        assert!(
-            cluster.partitions().iter().all(|p| p.served() == 1),
+        assert_eq!(
+            cluster.search("honda civic", 5),
+            sys.search("honda civic", 5),
             "every partition scores every served query"
         );
     }

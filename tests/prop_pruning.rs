@@ -58,11 +58,11 @@ proptest! {
                     let cluster = deepweb::index::ClusterServer::new(
                         &sys.index,
                         pruned,
-                        ClusterConfig::builder()
-                            .partitions(partitions)
-                            .no_cache()
-                            .build()
-                            .expect("valid config"),
+                        ClusterConfig {
+                            partitions,
+                            cache: None,
+                            ..Default::default()
+                        },
                     );
                     prop_assert_eq!(&cluster.search_batch(&batch, k), &expected);
                 }

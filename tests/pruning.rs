@@ -9,7 +9,9 @@
 //! bounds.
 
 use deepweb::common::derive_rng;
-use deepweb::index::{search, ClusterConfig, Hit, PruningMode, SearchOptions, SearchService};
+use deepweb::index::{
+    search, CacheConfig, ClusterConfig, Hit, PruningMode, SearchOptions, SearchService,
+};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use std::sync::Arc;
@@ -109,20 +111,19 @@ fn pruned_dump_matches_across_all_serving_tiers() {
     }
     // Cluster tier: partitions × cache on/off.
     for partitions in [1usize, 3, 4] {
-        for cache_capacity in [0usize, 256] {
-            let cfg = match cache_capacity {
-                0 => ClusterConfig::builder().no_cache(),
-                c => ClusterConfig::builder().cache_capacity(c),
-            }
-            .partitions(partitions)
-            .replicas(2)
-            .build()
-            .expect("valid cluster config");
+        for cache in [None, Some(CacheConfig::with_capacity(256))] {
+            let cfg = ClusterConfig {
+                partitions,
+                replicas: 2,
+                cache,
+                ..Default::default()
+            };
+            cfg.validate().expect("valid cluster config");
             let cluster = sys.cluster(cfg);
             assert_eq!(
                 cluster.search_batch(&queries, k),
                 reference,
-                "pruned cluster diverges at partitions={partitions} cache={cache_capacity}"
+                "pruned cluster diverges at partitions={partitions} cache={cache:?}"
             );
         }
     }

@@ -1,13 +1,13 @@
 //! The unified [`SearchService`] contract (DESIGN.md §14): the sequential
 //! searcher, the broker and the cluster are interchangeable *as trait
-//! objects* — same queries, same `k`, same bytes — and the validated
-//! builders reject the configurations the raw structs used to clamp or
+//! objects* — same queries, same `k`, same bytes — and `validate()` on a
+//! config literal rejects the configurations the raw structs clamp or
 //! mis-serve silently.
 
 use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{
-    Bm25Params, ClusterConfig, ClusterServer, Hit, PruningMode, QueryBroker, SearchOptions,
-    SearchRequest, SearchService,
+    Bm25Params, CacheConfig, ClusterConfig, ClusterServer, Hit, PruningMode, QueryBroker,
+    SearchOptions, SearchService,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
@@ -43,16 +43,14 @@ fn all_three_tiers_agree_as_trait_objects() {
         let k = 7;
         let searcher = sys.service();
         let broker = QueryBroker::new(&sys.index, ThreadPool::new(2), sys.options);
-        let cluster = ClusterServer::new(
-            &sys.index,
-            sys.options,
-            ClusterConfig::builder()
-                .partitions(3)
-                .replicas(2)
-                .cache_capacity(64)
-                .build()
-                .expect("valid cluster config"),
-        );
+        let cfg = ClusterConfig {
+            partitions: 3,
+            replicas: 2,
+            cache: Some(CacheConfig::with_capacity(64)),
+            ..Default::default()
+        };
+        cfg.validate().expect("valid cluster config");
+        let cluster = ClusterServer::new(&sys.index, sys.options, cfg);
         let tiers: [(&str, &dyn SearchService); 3] = [
             ("sequential", &searcher),
             ("broker", &broker),
@@ -73,74 +71,71 @@ fn all_three_tiers_agree_as_trait_objects() {
                 "tier={name} pruning={pruning:?} batched"
             );
         }
-        // A request runs identically through any tier object.
-        let req = SearchRequest::new(queries[0].clone()).k(k);
-        for (name, tier) in tiers {
-            assert_eq!(req.run_on(tier), reference[0], "tier={name} via request");
-        }
     }
 }
 
-/// `SearchOptions::builder` accepts the valid envelope and rejects
+/// `SearchOptions::validate` accepts the valid envelope and rejects
 /// non-finite or out-of-range BM25 parameters.
 #[test]
 fn search_options_builder_validates() {
-    let opts = SearchOptions::builder()
-        .k1(0.9)
-        .b(0.4)
-        .annotations(true)
-        .pruning(PruningMode::BlockMax)
-        .build()
-        .expect("valid options");
-    assert_eq!(opts.bm25.k1, 0.9);
-    assert_eq!(opts.bm25.b, 0.4);
-    assert!(opts.use_annotations);
-    assert_eq!(opts.pruning, PruningMode::BlockMax);
+    let with = |k1: f64, b: f64| SearchOptions {
+        bm25: Bm25Params { k1, b },
+        use_annotations: true,
+        pruning: PruningMode::BlockMax,
+    };
+    assert!(with(0.9, 0.4).validate().is_ok());
+    assert!(with(1.2, 0.0).validate().is_ok());
+    assert!(with(1.2, 1.0).validate().is_ok());
+    assert!(SearchOptions::default().validate().is_ok());
 
-    assert!(SearchOptions::builder().k1(0.0).build().is_err());
-    assert!(SearchOptions::builder().k1(-1.0).build().is_err());
-    assert!(SearchOptions::builder().k1(f64::NAN).build().is_err());
-    assert!(SearchOptions::builder().k1(f64::INFINITY).build().is_err());
-    assert!(SearchOptions::builder().b(-0.1).build().is_err());
-    assert!(SearchOptions::builder().b(1.1).build().is_err());
-    assert!(SearchOptions::builder().b(f64::NAN).build().is_err());
-    assert!(SearchOptions::builder()
-        .bm25(Bm25Params { k1: 1.2, b: 0.75 })
-        .build()
-        .is_ok());
+    assert!(with(0.0, 0.75).validate().is_err());
+    assert!(with(-1.0, 0.75).validate().is_err());
+    assert!(with(f64::NAN, 0.75).validate().is_err());
+    assert!(with(f64::INFINITY, 0.75).validate().is_err());
+    assert!(with(1.2, -0.1).validate().is_err());
+    assert!(with(1.2, 1.1).validate().is_err());
+    assert!(with(1.2, f64::NAN).validate().is_err());
+    assert!(matches!(
+        with(1.2, f64::INFINITY).validate(),
+        Err(deepweb::common::Error::Config(_))
+    ));
 }
 
-/// `ClusterConfig::builder` rejects degenerate topologies the raw struct
-/// silently clamps.
+/// `ClusterConfig::validate` rejects degenerate topologies
+/// `ClusterServer::new` silently clamps.
 #[test]
 fn cluster_config_builder_validates() {
-    let cfg = ClusterConfig::builder()
-        .partitions(4)
-        .replicas(2)
-        .workers(1)
-        .max_in_flight(8)
-        .cache_capacity(128)
-        .build()
-        .expect("valid cluster config");
-    assert_eq!(cfg.partitions, 4);
-    assert_eq!(cfg.replicas, 2);
-    assert_eq!(cfg.cache.expect("cache configured").capacity, 128);
+    let cfg = ClusterConfig {
+        partitions: 4,
+        replicas: 2,
+        workers: 1,
+        cache: Some(CacheConfig::with_capacity(128)),
+        max_in_flight: 8,
+    };
+    assert!(cfg.validate().is_ok());
+    assert!(ClusterConfig::default().validate().is_ok());
 
-    assert!(ClusterConfig::builder().partitions(0).build().is_err());
-    assert!(ClusterConfig::builder().replicas(0).build().is_err());
-    // capacity 0 must be an explicit no_cache, not a cache that always
+    let reject = |cfg: ClusterConfig| {
+        let got = cfg.validate();
+        assert!(
+            matches!(got, Err(deepweb::common::Error::Config(_))),
+            "{cfg:?} -> {got:?}"
+        );
+    };
+    reject(ClusterConfig {
+        partitions: 0,
+        ..cfg
+    });
+    reject(ClusterConfig { replicas: 0, ..cfg });
+    // capacity 0 must be an explicit `cache: None`, not a cache that always
     // misses.
-    assert!(ClusterConfig::builder()
-        .cache(deepweb::index::CacheConfig {
+    reject(ClusterConfig {
+        cache: Some(CacheConfig {
             shards: 8,
-            capacity: 0
-        })
-        .build()
-        .is_err());
-    let no_cache = ClusterConfig::builder()
-        .cache_capacity(0)
-        .build()
-        .expect("cache_capacity(0) means no cache");
-    assert!(no_cache.cache.is_none());
-    assert!(ClusterConfig::builder().no_cache().build().is_ok());
+            capacity: 0,
+        }),
+        ..cfg
+    });
+    let no_cache = ClusterConfig { cache: None, ..cfg };
+    assert!(no_cache.validate().is_ok());
 }

@@ -6,7 +6,7 @@
 //! or unstable results.
 
 use deepweb::common::derive_rng;
-use deepweb::index::{search_with_scratch, Hit, QueryScratch, SearchRequest};
+use deepweb::index::{search, search_with_scratch, Hit, QueryScratch};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -117,7 +117,7 @@ fn scratch_reused_across_100_mixed_queries_is_byte_identical() {
         assert_eq!(with_reused, with_fresh, "query #{i} {q:?} k={k}");
         assert_eq!(
             with_reused,
-            sys.search_request(&SearchRequest::new(&**q).k(k).options(opts)),
+            search(&sys.index, q, k, opts),
             "query #{i} {q:?} k={k} diverges from the reference path"
         );
     }
