@@ -40,10 +40,6 @@ id_type!(
     DocId
 );
 id_type!(
-    /// An HTML form (site-local forms get distinct global ids).
-    FormId
-);
-id_type!(
     /// A record in a site's backing table.
     RecordId
 );
@@ -69,7 +65,7 @@ mod tests {
     fn ids_are_ordered_and_displayable() {
         assert!(SiteId(1) < SiteId(2));
         assert_eq!(DocId(7).to_string(), "DocId(7)");
-        assert_eq!(FormId::from(3u32).as_usize(), 3);
+        assert_eq!(QueryId::from(3u32).as_usize(), 3);
     }
 
     #[test]

@@ -1,64 +1,11 @@
 //! String interning.
 //!
-//! The index and the ACSDb hold millions of repeated strings (terms, attribute
-//! names). Interning turns them into `u32` symbols: smaller postings, faster
-//! hashing, and cheap equality.
+//! The index holds millions of repeated strings (terms, facet keys).
+//! Interning turns them into `u32` ids: smaller postings, faster hashing,
+//! and cheap equality.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::TermId;
-
-/// An interned string handle. `Sym(0)` is the first interned string.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct Sym(pub u32);
-
-/// An append-only string interner for generic symbols (attribute names,
-/// schema labels). A thin wrapper over [`TermDict`] — one interning
-/// implementation, two handle types ([`Sym`] here, [`TermId`] for index
-/// terms).
-#[derive(Default, Clone, Debug)]
-pub struct Interner {
-    dict: TermDict,
-}
-
-impl Interner {
-    /// Create an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern `s`, returning its symbol (existing or fresh).
-    pub fn intern(&mut self, s: &str) -> Sym {
-        Sym(self.dict.intern(s).0)
-    }
-
-    /// Look up a symbol without interning.
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.dict.get(s).map(|id| Sym(id.0))
-    }
-
-    /// Resolve a symbol back to its string.
-    ///
-    /// # Panics
-    /// Panics if `sym` was not produced by this interner.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.dict.resolve(TermId(sym.0))
-    }
-
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.dict.is_empty()
-    }
-
-    /// Iterate `(Sym, &str)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.dict.iter().map(|(id, s)| (Sym(id.0), s))
-    }
-}
 
 /// The index's term dictionary: an append-only map from term text to a dense
 /// [`TermId`], plus a sorted-dictionary view for whole-dictionary reads.
@@ -138,42 +85,6 @@ impl TermDict {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intern_is_idempotent() {
-        let mut i = Interner::new();
-        let a = i.intern("honda");
-        let b = i.intern("honda");
-        assert_eq!(a, b);
-        assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn resolve_roundtrip() {
-        let mut i = Interner::new();
-        let syms: Vec<Sym> = (0..100).map(|n| i.intern(&format!("t{n}"))).collect();
-        for (n, s) in syms.iter().enumerate() {
-            assert_eq!(i.resolve(*s), format!("t{n}"));
-        }
-    }
-
-    #[test]
-    fn get_does_not_intern() {
-        let mut i = Interner::new();
-        assert!(i.get("x").is_none());
-        i.intern("x");
-        assert!(i.get("x").is_some());
-        assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn iter_in_order() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let v: Vec<&str> = i.iter().map(|(_, s)| s).collect();
-        assert_eq!(v, vec!["a", "b"]);
-    }
 
     #[test]
     fn termdict_roundtrip_and_idempotence() {

@@ -1,9 +1,10 @@
 //! # deepweb-common
 //!
 //! Shared substrate for the `deepweb` workspace: fast hashing, deterministic
-//! RNG streams, Zipf sampling, tokenisation, string interning, typed ids,
-//! experiment statistics, URL encoding, and the work-stealing [`pool`] the
-//! parallel pipeline and index builders run on.
+//! RNG streams, Zipf sampling, tokenisation, the index's term dictionary
+//! ([`TermDict`] — the one interner), typed ids, experiment statistics, URL
+//! encoding, and the work-stealing [`pool`] the parallel pipeline and index
+//! builders run on.
 //!
 //! Everything here is dependency-light and allocation-conscious; see
 //! `DESIGN.md` §3 for where each module is consumed.
@@ -23,8 +24,8 @@ pub mod zipf;
 
 pub use error::{Error, Result};
 pub use fxhash::{fxhash64, FxHashMap, FxHashSet};
-pub use ids::{DocId, FormId, QueryId, RecordId, SiteId, TermId};
-pub use intern::{Interner, Sym, TermDict};
+pub use ids::{DocId, QueryId, RecordId, SiteId, TermId};
+pub use intern::TermDict;
 pub use pool::ThreadPool;
 pub use rng::{derive_rng, derive_rng_n, rng_from_seed, DEFAULT_SEED};
 pub use urlcodec::Url;

@@ -5,12 +5,11 @@
 
 use super::Scale;
 use crate::report::{f3, TextTable};
-use deepweb_common::Url;
 use deepweb_surfacer::{
-    analyze_page, generate_urls, search_templates, select_templates, IndexabilityConfig, Prober,
+    generate_urls, search_form, search_templates, select_templates, IndexabilityConfig, Prober,
     Slot, TemplateConfig, TypedValueLibrary,
 };
-use deepweb_webworld::{generate, Fetcher, WebConfig};
+use deepweb_webworld::{generate, WebConfig};
 
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
@@ -46,12 +45,10 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<UrlGenPoint>) {
             domain_weights: vec![(deepweb_webworld::DomainKind::UsedCars, 1.0)],
             ..WebConfig::default()
         });
-        // detlint:allow(panic-in-serving): driver precondition — the world was just generated with one site
-        let t = &w.truth.sites[0];
-        let url = Url::new(t.host.clone(), "/search");
-        // detlint:allow(panic-in-serving): every generated UsedCars site serves /search
-        let html = w.server.fetch(&url).expect("search page").html;
-        let form = analyze_page(&url, &html).remove(0);
+        let site = w.truth.sites.first();
+        let Some(form) = site.and_then(|t| search_form(&w.server, &t.host)) else {
+            continue;
+        };
         let prober = Prober::new(&w.server);
         // Slots straight from the form: selects as-is, typed boxes from the
         // library, range pairs aligned (ranges detected in E3; here we use
@@ -82,7 +79,6 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<UrlGenPoint>) {
         let cfg = TemplateConfig {
             test_sample: 6,
             probe_budget: 250,
-            ..Default::default()
         };
         let evals = search_templates(&prober, &form, &slots, &cfg);
         let idx_cfg = IndexabilityConfig {
@@ -90,14 +86,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<UrlGenPoint>) {
             ..Default::default()
         };
         let selection = select_templates(&evals, &idx_cfg);
-        let urls = generate_urls(
-            &prober,
-            &form,
-            &slots,
-            &evals,
-            &selection.chosen,
-            idx_cfg.max_urls,
-        );
+        let urls = generate_urls(&form, &slots, &evals, &selection.chosen, idx_cfg.max_urls);
         points.push(UrlGenPoint {
             records: size,
             generated: urls.len(),

@@ -5,12 +5,12 @@
 use super::Scale;
 use crate::report::{pct, TextTable};
 use deepweb_common::stats::PrecisionRecall;
-use deepweb_common::{FxHashSet, Url};
+use deepweb_common::FxHashSet;
 use deepweb_surfacer::correlate::{
-    aligned_range_assignments, candidate_range_pairs, naive_range_assignments, validate_range,
+    aligned_range_assignments, candidate_range_pairs, confirm_range, naive_range_assignments,
 };
-use deepweb_surfacer::{analyze_page, Prober, TypeClass, TypedValueLibrary};
-use deepweb_webworld::{generate, Fetcher, WebConfig};
+use deepweb_surfacer::{search_form, Prober, TypeClass, TypedValueLibrary};
+use deepweb_webworld::{generate, WebConfig};
 
 /// Key numbers.
 #[derive(Clone, Copy, Debug)]
@@ -19,8 +19,6 @@ pub struct RangeResult {
     pub precision: f64,
     /// Detection recall.
     pub recall: f64,
-    /// Fraction of GET forms with ≥1 true range pair.
-    pub true_fraction: f64,
     /// URLs for a 10-value pair, naive.
     pub naive_urls: usize,
     /// URLs for the same pair, aligned.
@@ -48,31 +46,13 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, RangeResult) {
         if !t.range_pairs.is_empty() {
             forms_with_truth += 1;
         }
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         let prober = Prober::new(&w.server);
         let mut detected: Vec<(String, String)> = Vec::new();
         for pair in candidate_range_pairs(&form) {
-            let class = if pair.stem.contains("year") {
-                TypeClass::Year
-            } else if pair.stem.contains("date") || pair.stem.contains("listed") {
-                TypeClass::DateT
-            } else {
-                TypeClass::Price
-            };
-            let values = lib.sample(class, 10);
-            let (Some(lo), Some(hi)) = (values.first(), values.last()) else {
-                continue;
-            };
-            let (wlo, whi) = deepweb_surfacer::typed::wide_window(class);
-            // Sampled window first; fall back to the class's full domain when
-            // the site's values live outside the ladder (e.g. high salaries).
-            if validate_range(&prober, &form, &pair, lo, hi)
-                || validate_range(&prober, &form, &pair, &wlo, &whi)
-            {
+            if let Some((class, values)) = confirm_range(&prober, &form, &pair, &lib, 10) {
                 detected.push((pair.min_input.clone(), pair.max_input.clone()));
                 // The paper's 120-vs-10 illustration plus live coverage, on
                 // the first detected price-like pair.
@@ -149,7 +129,6 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, RangeResult) {
     let result = RangeResult {
         precision: pr.precision(),
         recall: pr.recall(),
-        true_fraction: forms_with_truth as f64 / forms_total.max(1) as f64,
         naive_urls,
         aligned_urls,
         coverage_ratio,

@@ -5,10 +5,12 @@
 use super::Scale;
 use crate::report::{pct, TextTable};
 use deepweb_common::stats::PrecisionRecall;
-use deepweb_common::{FxHashSet, Url};
+use deepweb_common::FxHashSet;
 use deepweb_store::ValueType;
-use deepweb_surfacer::{analyze_page, classify_typed, Prober, TypeClass, TypedValueLibrary};
-use deepweb_webworld::{generate, Fetcher, InputTruth, WebConfig};
+use deepweb_surfacer::{
+    classify_typed, search_form, CrawledForm, Prober, TypeClass, TypedValueLibrary,
+};
+use deepweb_webworld::{generate, InputTruth, WebConfig};
 
 fn truth_class(name: &str, ty: ValueType) -> Option<TypeClass> {
     match ty {
@@ -65,17 +67,16 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, TypedResult) {
         .collect();
     let mut typed_forms = 0usize;
     let mut forms = 0usize;
-    let mut locator: Option<(String, String)> = None;
+    // The first zip input met: `(its form, the site's record count, its name)`.
+    let mut locator: Option<(CrawledForm, usize, String)> = None;
     for t in &w.truth.sites {
         forms += 1;
         if t.has_common_typed_input() {
             typed_forms += 1;
         }
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         let prober = Prober::new(&w.server);
         for (name, truth) in &t.inputs {
             let InputTruth::Typed(ty) = truth else {
@@ -88,7 +89,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, TypedResult) {
                 continue;
             };
             if locator.is_none() && expected == TypeClass::Zip {
-                locator = Some((t.host.clone(), name.clone()));
+                locator = Some((form.clone(), t.records, name.clone()));
             }
             for e in per_class.iter_mut() {
                 if e.0 == expected {
@@ -96,7 +97,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, TypedResult) {
                 }
             }
             match classify_typed(&prober, &form, input, &lib, 25) {
-                Some(v) if v.class == expected => {
+                Some(class) if class == expected => {
                     pr.tp += 1;
                     for e in per_class.iter_mut() {
                         if e.0 == expected {
@@ -112,18 +113,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, TypedResult) {
 
     // Coverage comparison on a zip input: typed values vs generic keywords.
     let (mut typed_cov, mut kw_cov) = (0.0, 0.0);
-    if let Some((host, input_name)) = locator {
-        let records = w
-            .truth
-            .sites
-            .iter()
-            .find(|t| t.host == host)
-            .map(|t| t.records)
-            .unwrap_or(1);
-        let url = Url::new(host, "/search");
-        // detlint:allow(panic-in-serving): every generated UsedCars site serves /search
-        let html = w.server.fetch(&url).expect("search page").html;
-        let form = analyze_page(&url, &html).remove(0);
+    if let Some((form, records, input_name)) = locator {
         let prober = Prober::new(&w.server);
         let mut covered: FxHashSet<u32> = FxHashSet::default();
         for z in lib.sample(TypeClass::Zip, 60) {

@@ -3,14 +3,12 @@
 //! databases with light load; baselines (seed-only, frequency, random
 //! dictionary words) cover less per probe.
 
-use super::Scale;
+use super::{home_pages, Scale};
 use crate::report::{pct, TextTable};
-use deepweb_common::text::DfTable;
-use deepweb_common::{ThreadPool, Url};
-use deepweb_html::visible_text;
+use deepweb_common::ThreadPool;
 use deepweb_surfacer::keywords::{frequency_keywords, probe_keyword_coverage};
-use deepweb_surfacer::{analyze_page, iterative_probing, KeywordConfig, Prober};
-use deepweb_webworld::{generate, vocab, Fetcher, InputTruth, WebConfig};
+use deepweb_surfacer::{iterative_probing, search_form, KeywordConfig, Prober};
+use deepweb_webworld::{generate, vocab, InputTruth, WebConfig};
 
 /// Strategy outcome averaged over sites.
 #[derive(Clone, Debug)]
@@ -30,17 +28,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<StrategyResult>) {
         post_fraction: 0.0,
         ..WebConfig::default()
     });
-    // Background DF table over all home pages (the "already indexed" web).
-    let mut background = DfTable::new();
-    let mut home_text: deepweb_common::FxHashMap<String, String> =
-        deepweb_common::FxHashMap::default();
-    for t in &w.truth.sites {
-        if let Ok(resp) = w.server.fetch(&Url::new(t.host.clone(), "/")) {
-            let text = visible_text(&resp.html);
-            background.add_document(&text);
-            home_text.insert(t.host.clone(), text);
-        }
-    }
+    let (background, home_text) = home_pages(&w);
 
     // Collect the eligible search-box sites sequentially (truth order), then
     // fan the four probing strategies out per site on the shared pool. The
@@ -65,11 +53,9 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<StrategyResult>) {
         else {
             continue;
         };
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         work.push(SiteWork {
             form,
             input: input.clone(),

@@ -3,14 +3,12 @@
 //! productive keywords differ per select value; per-value keyword sets beat
 //! one global keyword set at equal URL budget.
 
-use super::Scale;
+use super::{home_pages, Scale};
 use crate::report::{pct, TextTable};
-use deepweb_common::text::DfTable;
-use deepweb_common::{FxHashSet, Url};
-use deepweb_html::visible_text;
+use deepweb_common::FxHashSet;
 use deepweb_surfacer::correlate::detect_database_selection;
-use deepweb_surfacer::{analyze_page, iterative_probing, KeywordConfig, Prober};
-use deepweb_webworld::{generate, DomainKind, Fetcher, WebConfig};
+use deepweb_surfacer::{iterative_probing, search_form, KeywordConfig, Prober};
+use deepweb_webworld::{generate, DomainKind, WebConfig};
 
 /// Key numbers.
 #[derive(Clone, Copy, Debug)]
@@ -37,16 +35,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, DbSelectResult) {
         ],
         ..WebConfig::default()
     });
-    let mut background = DfTable::new();
-    let mut home_text: deepweb_common::FxHashMap<String, String> =
-        deepweb_common::FxHashMap::default();
-    for t in &w.truth.sites {
-        if let Ok(resp) = w.server.fetch(&Url::new(t.host.clone(), "/")) {
-            let text = visible_text(&resp.html);
-            background.add_document(&text);
-            home_text.insert(t.host.clone(), text);
-        }
-    }
+    let (background, home_text) = home_pages(&w);
 
     let max_sites = scale.pick(3, 10);
     let mut sites = 0usize;
@@ -64,11 +53,9 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, DbSelectResult) {
         if t.domain != DomainKind::MediaSearch || sites >= max_sites || t.records < 100 {
             continue;
         }
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         let select = form
             .fillable_inputs()
             .iter()
@@ -86,9 +73,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, DbSelectResult) {
         let site_text = home_text.get(&t.host).cloned().unwrap_or_default();
         let prober = Prober::new(&w.server);
         let probe_words = background.characteristic_terms(&site_text, 16);
-        if detect_database_selection(&prober, &form, &select, &text_input, &probe_words, 4)
-            .is_some()
-        {
+        if detect_database_selection(&prober, &form, &select, &text_input, &probe_words, 4) {
             detected += 1;
         }
 

@@ -5,16 +5,17 @@
 use super::Scale;
 use crate::report::{pct, TextTable};
 use deepweb_common::stats::percentile;
-use deepweb_common::Url;
-use deepweb_surfacer::correlate::{aligned_range_assignments, candidate_range_pairs};
-use deepweb_surfacer::{
-    analyze_page, generate_urls, search_templates, select_templates, IndexabilityConfig, Prober,
-    Slot, TemplateConfig, TypeClass, TypedValueLibrary,
+use deepweb_surfacer::correlate::{
+    aligned_range_assignments, candidate_range_pairs, confirm_range,
 };
-use deepweb_webworld::{generate, DomainKind, Fetcher, WebConfig};
+use deepweb_surfacer::{
+    generate_urls, search_form, search_templates, select_templates, IndexabilityConfig, Prober,
+    Slot, TemplateConfig, TypedValueLibrary,
+};
+use deepweb_webworld::{generate, DomainKind, WebConfig};
 
 /// Outcome of one selection policy.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PolicyOutcome {
     /// URLs generated.
     pub urls: usize,
@@ -37,12 +38,10 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, (PolicyOutcome, PolicyOutcome)) {
         domain_weights: vec![(DomainKind::UsedCars, 1.0)],
         ..WebConfig::default()
     });
-    // detlint:allow(panic-in-serving): driver precondition — the world was just generated with one site
-    let t = &w.truth.sites[0];
-    let url = Url::new(t.host.clone(), "/search");
-    // detlint:allow(panic-in-serving): every generated UsedCars site serves /search
-    let html = w.server.fetch(&url).expect("search page").html;
-    let form = analyze_page(&url, &html).remove(0);
+    let site = w.truth.sites.first();
+    let Some(form) = site.and_then(|t| search_form(&w.server, &t.host)) else {
+        return (Vec::new(), Default::default()); // no form, no policies to compare
+    };
     let prober = Prober::new(&w.server);
     let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
     let mut slots: Vec<Slot> = Vec::new();
@@ -58,15 +57,12 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, (PolicyOutcome, PolicyOutcome)) {
     // Range slots give the selector fine-grained (indexable) templates to
     // prefer over whole-database single-select dumps.
     for pair in candidate_range_pairs(&form) {
-        let class = if pair.stem.contains("year") {
-            TypeClass::Year
-        } else {
-            TypeClass::Price
-        };
-        slots.push(Slot::Group {
-            label: format!("range:{}", pair.stem),
-            assignments: aligned_range_assignments(&pair, &lib.sample(class, 10)),
-        });
+        if let Some((_, values)) = confirm_range(&prober, &form, &pair, &lib, 10) {
+            slots.push(Slot::Group {
+                label: format!("range:{}", pair.stem),
+                assignments: aligned_range_assignments(&pair, &values),
+            });
+        }
     }
     let evals = search_templates(
         &prober,
@@ -75,20 +71,12 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, (PolicyOutcome, PolicyOutcome)) {
         &TemplateConfig {
             test_sample: 8,
             probe_budget: 300,
-            ..Default::default()
         },
     );
 
     let run_policy = |cfg: &IndexabilityConfig| -> PolicyOutcome {
         let selection = select_templates(&evals, cfg);
-        let urls = generate_urls(
-            &prober,
-            &form,
-            &slots,
-            &evals,
-            &selection.chosen,
-            cfg.max_urls,
-        );
+        let urls = generate_urls(&form, &slots, &evals, &selection.chosen, cfg.max_urls);
         let mut counts: Vec<f64> = Vec::new();
         for g in &urls {
             let out = prober.fetch(&g.url);

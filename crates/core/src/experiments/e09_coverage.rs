@@ -4,10 +4,10 @@
 
 use super::Scale;
 use crate::report::{pct, TextTable};
-use deepweb_common::{derive_rng, Url};
+use deepweb_common::derive_rng;
 use deepweb_coverage::{coverage_of_surfacing, estimate_size};
-use deepweb_surfacer::{analyze_page, Prober, Slot};
-use deepweb_webworld::{generate, Fetcher, WebConfig};
+use deepweb_surfacer::{search_form, Prober, Slot};
+use deepweb_webworld::{generate, WebConfig};
 
 /// One site's estimation outcome.
 #[derive(Clone, Debug)]
@@ -37,11 +37,9 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<CoveragePoint>) {
     let mut points = Vec::new();
     let probes_per_batch = scale.pick(30, 80);
     for t in w.truth.sites.iter().take(scale.pick(5, 15)) {
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         // Sample via select slots (every site has at least one select or
         // typed input; skip pure-searchbox sites for sampling uniformity).
         let slots: Vec<Slot> = form

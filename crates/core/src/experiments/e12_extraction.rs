@@ -6,9 +6,10 @@ use super::Scale;
 use crate::report::{f3, TextTable};
 use crate::system::{quick_config, DeepWebSystem};
 use deepweb_common::FxHashMap;
-use deepweb_extract::{extract_form_aware, extract_generic, ExtractedRecord};
+use deepweb_extract::{extract_form_aware, extract_generic, field_prf};
+use deepweb_surfacer::probe::analyze_response;
 use deepweb_surfacer::DocOrigin;
-use deepweb_webworld::DomainKind;
+use deepweb_webworld::{DomainKind, Fetcher};
 
 /// Key numbers.
 #[derive(Clone, Copy, Debug)]
@@ -75,40 +76,25 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, ExtractionResult) {
     let mut generic = (0usize, 0usize);
     let mut total_fields = 0usize;
     let mut records = 0usize;
-    let score = |recs: &[ExtractedRecord],
-                 truth: &FxHashMap<String, FxHashMap<String, String>>,
-                 acc: &mut (usize, usize)| {
-        for rec in recs {
-            let Some(truth_fields) = rec
-                .fields
-                .iter()
-                .find_map(|(_, v)| truth.get(&v.to_ascii_lowercase()))
-            else {
-                acc.1 += rec.fields.len();
-                continue;
-            };
-            for (f, v) in &rec.fields {
-                match truth_fields.get(f) {
-                    Some(tv) if tv.eq_ignore_ascii_case(v) => acc.0 += 1,
-                    _ => acc.1 += 1,
-                }
-            }
-        }
-    };
     for site in sys.world.server.sites() {
         let ncols = site.table.table().schema().len();
-        let pages: Vec<(String, Vec<(String, String)>)> = sys
-            .outcome
-            .docs_of(DocOrigin::Surfaced)
-            .filter(|d| d.host == site.host && !d.record_ids.is_empty())
-            .map(|d| (d.html.clone(), d.annotations.clone()))
-            .collect();
-        let rendered_fields: usize = sys
-            .outcome
-            .docs_of(DocOrigin::Surfaced)
-            .filter(|d| d.host == site.host)
-            .map(|d| d.record_ids.len() * ncols)
-            .sum();
+        // A surfaced doc carries what the engine indexes, not the page: the
+        // extractors' input is re-fetched from the live site by its URL.
+        let mut pages: Vec<(String, Vec<(String, String)>)> = Vec::new();
+        let mut rendered_fields = 0usize;
+        for d in sys.outcome.docs_of(DocOrigin::Surfaced) {
+            if d.host != site.host {
+                continue;
+            }
+            let Ok(resp) = sys.world.server.fetch(&d.url) else {
+                continue;
+            };
+            let ids = analyze_response(d.url.clone(), resp.html.clone(), &[]).record_ids;
+            rendered_fields += ids.len() * ncols;
+            if !ids.is_empty() {
+                pages.push((resp.html, d.annotations.clone()));
+            }
+        }
         if pages.is_empty() {
             continue;
         }
@@ -116,12 +102,14 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, ExtractionResult) {
         let truth = site_truth(site);
         let recs_aware = extract_form_aware(&pages);
         records += recs_aware.len();
-        score(&recs_aware, &truth, &mut aware);
+        let pr = field_prf(&recs_aware, &truth);
+        aware = (aware.0 + pr.tp, aware.1 + pr.fp);
         let mut recs_generic = Vec::new();
         for (html, _) in &pages {
             recs_generic.extend(extract_generic(html));
         }
-        score(&recs_generic, &truth, &mut generic);
+        let pr = field_prf(&recs_generic, &truth);
+        generic = (generic.0 + pr.tp, generic.1 + pr.fp);
     }
     let prf = |(tp, fp): (usize, usize)| -> (f64, f64, f64) {
         let p = if tp + fp == 0 {

@@ -19,10 +19,6 @@ pub struct ScenarioResult {
     pub post_forms: usize,
     /// POST forms that yielded surfaced pages (must be 0).
     pub post_surfaced: usize,
-    /// Mean offline requests per GET site.
-    pub mean_requests_per_site: f64,
-    /// Max offline requests on any single site.
-    pub max_requests_per_site: u64,
 }
 
 /// Run E13.
@@ -129,8 +125,6 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, ScenarioResult) {
         fortuitous_sources_vertical: vstats.sources_routed,
         post_forms,
         post_surfaced,
-        mean_requests_per_site: mean_requests,
-        max_requests_per_site: max_requests,
     };
     (vec![t1, t2], result)
 }

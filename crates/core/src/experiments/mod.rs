@@ -17,6 +17,9 @@ pub mod e12_extraction;
 pub mod e13_scenarios;
 
 use crate::report::TextTable;
+use deepweb_common::text::DfTable;
+use deepweb_common::{FxHashMap, Url};
+use deepweb_webworld::{Fetcher, World};
 
 /// Every experiment driver, as `(id, run)` in paper order.
 #[allow(clippy::type_complexity)]
@@ -35,6 +38,22 @@ pub const ALL: [(&str, fn(Scale) -> Vec<TextTable>); 13] = [
     ("e12", |s| e12_extraction::run(s).0),
     ("e13", |s| e13_scenarios::run(s).0),
 ];
+
+/// The "already indexed" web of the keyword experiments (E5, E7): a
+/// background DF table over every site's home page, and each home page's
+/// visible text by host.
+pub fn home_pages(w: &World) -> (DfTable, FxHashMap<String, String>) {
+    let mut background = DfTable::new();
+    let mut home_text = FxHashMap::default();
+    for t in &w.truth.sites {
+        if let Ok(resp) = w.server.fetch(&Url::new(t.host.clone(), "/")) {
+            let text = deepweb_html::visible_text(&resp.html);
+            background.add_document(&text);
+            home_text.insert(t.host.clone(), text);
+        }
+    }
+    (background, home_text)
+}
 
 /// Experiment scale: `Smoke` for unit/integration tests, `Paper` for the
 /// report binary.

@@ -55,7 +55,6 @@ pub fn quick_config(num_sites: usize) -> SystemConfig {
             templates: deepweb_surfacer::TemplateConfig {
                 test_sample: 4,
                 probe_budget: 120,
-                ..Default::default()
             },
             indexability: deepweb_surfacer::IndexabilityConfig {
                 max_urls: 80,

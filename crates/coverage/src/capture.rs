@@ -96,17 +96,6 @@ pub fn content_hash(html: &str) -> u64 {
     deepweb_common::fxhash64(html)
 }
 
-/// Fold per-page content hashes into one site fingerprint. Order-sensitive
-/// on purpose — callers hash a fixed canonical page sequence, so a change on
-/// any probed page changes the fingerprint.
-pub fn combine_hashes(hashes: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    for h in hashes {
-        acc = deepweb_common::fxhash64(&(acc, h));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +160,5 @@ mod tests {
         let b = content_hash("<html>12 listings</html>");
         assert_eq!(a, content_hash("<html>10 listings</html>"));
         assert_ne!(a, b);
-        // Fingerprints fold page order in.
-        assert_eq!(combine_hashes([a, b]), combine_hashes([a, b]));
-        assert_ne!(combine_hashes([a, b]), combine_hashes([b, a]));
-        assert_ne!(combine_hashes([a]), combine_hashes([a, b]));
     }
 }

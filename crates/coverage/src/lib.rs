@@ -10,7 +10,5 @@
 pub mod capture;
 pub mod probing;
 
-pub use capture::{
-    chao1, combine_hashes, content_hash, coverage_statement, lincoln_petersen, CoverageStatement,
-};
+pub use capture::{chao1, content_hash, coverage_statement, lincoln_petersen, CoverageStatement};
 pub use probing::{coverage_of_surfacing, estimate_size, EstimationRun};

@@ -50,8 +50,8 @@ fn sample_batch(
         // retry is one more request through the same prober, so it counts
         // toward [`EstimationRun::probes`] like any other probe.
         let page: usize = rng.gen_range(0..6);
-        let url = prober
-            .submission_url(form, &assignment)
+        let url = form
+            .submission_url(&assignment)
             .with_param("page", page.to_string());
         let mut out = prober.fetch(&url);
         if page > 0 && (!out.ok || out.record_ids.is_empty()) {
@@ -99,7 +99,7 @@ pub fn coverage_of_surfacing(
 mod tests {
     use super::*;
     use deepweb_common::{derive_rng, Url};
-    use deepweb_surfacer::analyze_page;
+    use deepweb_surfacer::search_form;
     use deepweb_webworld::{generate, Fetcher, WebConfig};
 
     fn site_with_select(w: &deepweb_webworld::World) -> (CrawledForm, Vec<Slot>, usize) {
@@ -107,9 +107,9 @@ mod tests {
             if t.post {
                 continue;
             }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let form = analyze_page(&url, &html).remove(0);
+            let Some(form) = search_form(&w.server, &t.host) else {
+                continue;
+            };
             let selects: Vec<Slot> = form
                 .fillable_inputs()
                 .iter()

@@ -2,13 +2,14 @@
 //! pairs, and JS-dependent selects.
 //!
 //! Range pairs are mined from input names (affix decomposition over the form
-//! corpus's naming patterns) and confirmed by probing: a properly ordered
-//! range must behave differently from its inversion. Database-selection pairs
-//! are confirmed by comparing which keywords are productive under different
-//! select values.
+//! corpus's naming patterns) and confirmed by probing ([`confirm_range`], the
+//! one copy the pipeline and E3 share): a properly ordered range must behave
+//! differently from its inversion. Database-selection pairs are confirmed by
+//! comparing which keywords are productive under different select values.
 
 use crate::formmodel::{CrawledForm, CrawledInput};
 use crate::probe::Prober;
+use crate::typed::{wide_window, TypeClass, TypedValueLibrary};
 use deepweb_common::FxHashSet;
 
 /// A detected (min, max) range pair.
@@ -119,6 +120,34 @@ pub fn validate_range(
     proper.ok && inverted.ok && proper.has_results() && !inverted.has_results()
 }
 
+/// Confirm a mined pair as a real range: the stem names its type class, `k`
+/// library values of that class give the sampled `(lo, hi)` window, and the
+/// class's [`wide_window`] is the fallback when the site's values live
+/// outside the ladder (e.g. high salaries). Returns the class and the
+/// sampled values — what the aligned buckets are cut from — or `None` when
+/// neither window validates.
+pub fn confirm_range(
+    prober: &Prober<'_>,
+    form: &CrawledForm,
+    pair: &RangePair,
+    lib: &TypedValueLibrary,
+    k: usize,
+) -> Option<(TypeClass, Vec<String>)> {
+    let class = if pair.stem.contains("year") {
+        TypeClass::Year
+    } else if pair.stem.contains("date") || pair.stem.contains("listed") {
+        TypeClass::DateT
+    } else {
+        TypeClass::Price
+    };
+    let values = lib.sample(class, k);
+    let (lo, hi) = (values.first()?, values.last()?);
+    let (wlo, whi) = wide_window(class);
+    let confirmed = validate_range(prober, form, pair, lo, hi)
+        || validate_range(prober, form, pair, &wlo, &whi);
+    confirmed.then_some((class, values))
+}
+
 /// Aligned range assignments over sorted `values`: consecutive buckets
 /// `[v0,v1], (v1,v2], ...` plus an open tail — `values.len()` URLs instead of
 /// the quadratic cross product (the paper's 120 → 10 example).
@@ -166,17 +195,9 @@ pub fn naive_range_assignments(pair: &RangePair, values: &[String]) -> Vec<Vec<(
     out
 }
 
-/// A detected database-selection pair (paper §4.2): the productive keyword
-/// set for the text box depends on the select value.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DatabaseSelection {
-    /// The select input choosing the underlying database.
-    pub select_input: String,
-    /// The keyword text box.
-    pub text_input: String,
-}
-
-/// Detect database selection between `select_name` and `text_name`.
+/// Detect database selection between `select_name` and `text_name` (paper
+/// §4.2): the productive keyword set for the text box depends on the select
+/// value.
 ///
 /// For each select value, every probe word is submitted and the words are
 /// ranked by how many results they retrieve under that value; the *top*
@@ -193,16 +214,17 @@ pub fn detect_database_selection(
     text_name: &str,
     probe_words: &[String],
     max_values: usize,
-) -> Option<DatabaseSelection> {
+) -> bool {
     let options: Vec<String> = form
-        .input(select_name)?
-        .options()
+        .input(select_name)
+        .map(|i| i.options())
+        .unwrap_or_default()
         .into_iter()
         .take(max_values)
         .map(str::to_string)
         .collect();
     if options.len() < 2 || probe_words.is_empty() {
-        return None;
+        return false;
     }
     const TOP_M: usize = 3;
     let mut top_sets: Vec<FxHashSet<usize>> = Vec::new();
@@ -228,7 +250,7 @@ pub fn detect_database_selection(
     }
     // Need at least two values with productive words.
     if top_sets.iter().filter(|s| !s.is_empty()).count() < 2 {
-        return None;
+        return false;
     }
     let mut pairs = 0usize;
     let mut overlap_sum = 0.0f64;
@@ -249,10 +271,7 @@ pub fn detect_database_selection(
     } else {
         1.0
     };
-    (mean_overlap < 0.34).then(|| DatabaseSelection {
-        select_input: select_name.to_string(),
-        text_input: text_name.to_string(),
-    })
+    mean_overlap < 0.34
 }
 
 /// Aligned assignments for a JS-dependent pair (make → model): only valid
@@ -273,9 +292,7 @@ pub fn dependent_assignments(dep: &crate::formmodel::DependentMap) -> Vec<Vec<(S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formmodel::analyze_page;
-    use deepweb_common::Url;
-    use deepweb_webworld::{generate, Fetcher, WebConfig};
+    use crate::fixtures::{form_of, world};
 
     #[test]
     fn decompose_all_variants() {
@@ -296,9 +313,7 @@ mod tests {
             if t.post || t.range_pairs.is_empty() {
                 continue;
             }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let form = analyze_page(&url, &html).remove(0);
+            let form = form_of(w, &t.host);
             let pairs = candidate_range_pairs(&form);
             if let Some(p) = pairs.first() {
                 return Some((form, p.clone(), t));
@@ -309,10 +324,7 @@ mod tests {
 
     #[test]
     fn mined_pairs_match_ground_truth() {
-        let w = generate(&WebConfig {
-            num_sites: 60,
-            ..WebConfig::default()
-        });
+        let w = world(60);
         let mut tp = 0;
         let mut fp = 0;
         let mut fn_ = 0;
@@ -320,9 +332,7 @@ mod tests {
             if t.post {
                 continue;
             }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let form = analyze_page(&url, &html).remove(0);
+            let form = form_of(&w, &t.host);
             let mined: Vec<(String, String)> = candidate_range_pairs(&form)
                 .into_iter()
                 .map(|p| (p.min_input, p.max_input))
@@ -347,10 +357,7 @@ mod tests {
 
     #[test]
     fn range_validation_confirms_true_pairs() {
-        let w = generate(&WebConfig {
-            num_sites: 60,
-            ..WebConfig::default()
-        });
+        let w = world(60);
         let (form, pair, _t) = form_with_range(&w).expect("range site exists");
         let prober = Prober::new(&w.server);
         // Price/salary stems take dollar ladders; year stems take years.
@@ -410,17 +417,12 @@ mod tests {
 
     #[test]
     fn database_selection_detected_on_media_site() {
-        let w = generate(&WebConfig {
-            num_sites: 80,
-            ..WebConfig::default()
-        });
+        let w = world(80);
         for t in &w.truth.sites {
             if t.post || t.domain != deepweb_webworld::DomainKind::MediaSearch {
                 continue;
             }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let form = analyze_page(&url, &html).remove(0);
+            let form = form_of(&w, &t.host);
             let select = form
                 .inputs
                 .iter()
@@ -442,11 +444,7 @@ mod tests {
             .collect();
             let prober = Prober::new(&w.server);
             let det = detect_database_selection(&prober, &form, &select, &text, &words, 4);
-            assert!(
-                det.is_some(),
-                "media site {} should show db-selection",
-                t.host
-            );
+            assert!(det, "media site {} should show db-selection", t.host);
             return;
         }
         panic!("no media site generated");

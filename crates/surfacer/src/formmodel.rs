@@ -6,12 +6,19 @@
 //! that a JavaScript emulator exposes make→model style correlations; our
 //! emulator is a parser for the declarative `dependentOptions` blob sites
 //! embed).
+//!
+//! A form's action resolves like any href ([`resolve_href`]), so a query
+//! string on the action becomes parameters of every submission;
+//! [`CrawledForm::submission_url`] renders one, and [`search_form`] is the
+//! one "fetch a host's `/search`, model its first form".
 
 use crate::hardening::{
     has_client_validation, is_event_handler, is_password_name, is_token_like, ThreatKind,
 };
+use crate::probe::resolve_href;
 use deepweb_common::Url;
 use deepweb_html::{extract_forms, Document, Method, WidgetKind};
+use deepweb_webworld::Fetcher;
 
 /// A select's dependent-options table recovered from page JavaScript.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -65,9 +72,8 @@ impl CrawledInput {
 pub struct CrawledForm {
     /// Host serving the form.
     pub host: String,
-    /// URL of the page the form was found on.
-    pub source_url: Url,
-    /// Resolved submission URL (host + action path).
+    /// Resolved submission URL (host + action path, plus any parameters the
+    /// action's own query string carries).
     pub action_url: Url,
     /// True for POST forms.
     pub post: bool,
@@ -136,6 +142,25 @@ impl CrawledForm {
     pub fn suppressed_inputs(&self) -> usize {
         self.inputs.iter().filter(|i| Self::suppressing(i)).count()
     }
+
+    /// Build the GET URL a submission would produce (hidden inputs ride
+    /// along; assignment order is the form's input order for URL stability).
+    pub fn submission_url(&self, assignment: &[(String, String)]) -> Url {
+        let mut url = self.action_url.clone();
+        for (k, v) in self.hidden_params() {
+            url = url.with_param(k, v);
+        }
+        // Emit in form-input order so the same assignment always yields the
+        // same URL string (URL identity = dedup key).
+        for input in &self.inputs {
+            if let Some((_, v)) = assignment.iter().find(|(k, _)| k == &input.name) {
+                if !v.is_empty() {
+                    url = url.with_param(input.name.clone(), v.clone());
+                }
+            }
+        }
+        url
+    }
 }
 
 /// Classify one extracted input against the hostile-widget taxonomy.
@@ -169,6 +194,15 @@ pub fn analyze_page(page_url: &Url, html: &str) -> Vec<CrawledForm> {
     forms_in(page_url, &Document::parse(html))
 }
 
+/// The first form on `host`'s `/search` page — where every webworld site
+/// keeps its search form. `None` when the page cannot be fetched or carries
+/// no form.
+pub fn search_form(fetcher: &dyn Fetcher, host: &str) -> Option<CrawledForm> {
+    let url = Url::new(host, "/search");
+    let html = fetcher.fetch(&url).ok()?.html;
+    analyze_page(&url, &html).into_iter().next()
+}
+
 /// [`analyze_page`] over an already-parsed page, for callers that read more
 /// than the forms off the same [`Document`].
 pub fn forms_in(page_url: &Url, doc: &Document) -> Vec<CrawledForm> {
@@ -176,16 +210,16 @@ pub fn forms_in(page_url: &Url, doc: &Document) -> Vec<CrawledForm> {
     extract_forms(doc)
         .into_iter()
         .map(|f| {
-            let action_path = if f.action.is_empty() {
-                page_url.path.clone()
-            } else {
-                f.action.clone()
+            // An empty action submits to the page itself and a bare-relative
+            // one is rooted at the host; from there an action resolves like
+            // any href, query string included.
+            let action = match f.action.as_str() {
+                "" => page_url.path.clone(),
+                a if a.starts_with('/') || a.starts_with("http://") => a.to_string(),
+                a => format!("/{a}"),
             };
-            let action_url = if action_path.starts_with("http://") {
-                Url::parse(&action_path).unwrap_or_else(|| Url::new(page_url.host.clone(), "/"))
-            } else {
-                Url::new(page_url.host.clone(), action_path)
-            };
+            let action_url = resolve_href(page_url, &action)
+                .unwrap_or_else(|| Url::new(page_url.host.clone(), "/"));
             let mut threats: Vec<(String, ThreatKind)> = Vec::new();
             // Form-level audit: absolute actions downgrade scheme/host trust,
             // inline handlers can rewrite the submission.
@@ -213,7 +247,6 @@ pub fn forms_in(page_url: &Url, doc: &Document) -> Vec<CrawledForm> {
                 .collect();
             CrawledForm {
                 host: page_url.host.clone(),
-                source_url: page_url.clone(),
                 action_url,
                 post: f.method == Method::Post,
                 inputs,
@@ -348,6 +381,40 @@ mod tests {
         let url = Url::new("x.sim", "/search");
         let forms = analyze_page(&url, r#"<form><input type=text name=q></form>"#);
         assert_eq!(forms[0].action_url, Url::new("x.sim", "/search"));
+    }
+
+    #[test]
+    fn action_query_string_becomes_params_ahead_of_the_filled_inputs() {
+        let url = Url::new("x.sim", "/search");
+        let page = r#"<form action="/results?lang=en"><input type=text name=q></form>"#;
+        let f = &analyze_page(&url, page)[0];
+        assert_eq!(
+            f.action_url,
+            Url::new("x.sim", "/results").with_param("lang", "en")
+        );
+        let sub = f.submission_url(&[("q".to_string(), "honda".to_string())]);
+        assert_eq!(sub.to_string(), "http://x.sim/results?lang=en&q=honda");
+        assert_eq!(Url::parse(&sub.to_string()), Some(sub));
+        // A bare-relative action is rooted at the host, query string and all.
+        let bare = r#"<form action="results?lang=en"><input type=text name=q></form>"#;
+        assert_eq!(analyze_page(&url, bare)[0].action_url, f.action_url);
+    }
+
+    #[test]
+    fn submission_url_is_deterministic() {
+        let f = &analyze_page(&Url::new("cars.sim", "/search"), PAGE)[0];
+        // Assignment order must not matter; hidden inputs ride along first.
+        let a1 = vec![
+            ("make".to_string(), "honda".to_string()),
+            ("q".to_string(), "x".to_string()),
+        ];
+        let mut a2 = a1.clone();
+        a2.reverse();
+        assert_eq!(f.submission_url(&a1), f.submission_url(&a2));
+        assert_eq!(
+            f.submission_url(&a1).to_string(),
+            "http://cars.sim/results?lang=en&make=honda&q=x"
+        );
     }
 
     const HOSTILE_PAGE: &str = r#"

@@ -50,8 +50,6 @@ pub struct KeywordSelection {
     pub keywords: Vec<String>,
     /// Distinct records covered by the selection (when observable).
     pub covered_records: usize,
-    /// Candidates probed.
-    pub candidates_tried: usize,
     /// Probe requests spent.
     pub probes_used: u64,
 }
@@ -118,7 +116,6 @@ pub fn iterative_probing(
             .map(|i| productive[i].0.clone())
             .collect(),
         covered_records: covered.len(),
-        candidates_tried: tried.len(),
         probes_used: prober.requests() - start_requests,
     }
 }
@@ -194,36 +191,19 @@ pub fn frequency_keywords(site_text: &str, n: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formmodel::analyze_page;
+    use crate::fixtures::{form_of, world};
     use deepweb_common::Url;
-    use deepweb_webworld::{generate, Fetcher, WebConfig};
+    use deepweb_webworld::Fetcher;
 
     /// Find a site with a keyword search box and return (world, form, truth idx).
     fn world_with_search_box() -> (deepweb_webworld::World, CrawledForm, usize) {
-        let w = generate(&WebConfig {
-            num_sites: 30,
-            ..WebConfig::default()
-        });
-        for (i, t) in w.truth.sites.iter().enumerate() {
-            if t.post {
-                continue;
-            }
-            let has_search = t
-                .inputs
-                .iter()
-                .any(|(_, tr)| matches!(tr, deepweb_webworld::InputTruth::Search));
-            if !has_search {
-                continue;
-            }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let forms = analyze_page(&url, &html);
-            if let Some(f) = forms.first() {
-                let form = f.clone();
-                return (w, form, i);
-            }
-        }
-        panic!("no search-box site in world");
+        let w = world(30);
+        let is_search = |(_, tr): &(String, _)| matches!(tr, deepweb_webworld::InputTruth::Search);
+        let i = (w.truth.sites.iter())
+            .position(|t| !t.post && t.inputs.iter().any(is_search))
+            .expect("a search-box site in the world");
+        let form = form_of(&w, &w.truth.sites[i].host);
+        (w, form, i)
     }
 
     fn search_input_name(w: &deepweb_webworld::World, i: usize) -> String {
@@ -310,7 +290,7 @@ mod tests {
         };
         let prober = Prober::new(&w.server);
         let sel = iterative_probing(&prober, &form, &input, &[], &text, &bg, &cfg);
-        assert!(sel.candidates_tried <= 5);
+        assert!(sel.probes_used <= 5);
     }
 
     #[test]

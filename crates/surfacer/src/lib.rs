@@ -25,11 +25,11 @@ pub mod template;
 pub mod typed;
 pub mod urlgen;
 
-pub use correlate::{DatabaseSelection, RangePair};
+pub use correlate::RangePair;
 pub use fetchpolicy::{
     classify_error, classify_status, fetch_with_policy, ErrorClass, FetchAttempt, FetchPolicy,
 };
-pub use formmodel::{analyze_page, forms_in, CrawledForm, CrawledInput, DependentMap};
+pub use formmodel::{analyze_page, forms_in, search_form, CrawledForm, CrawledInput, DependentMap};
 pub use hardening::{is_password_name, is_token_like, ThreatKind};
 pub use indexability::{select_templates, IndexabilityConfig, SelectionOutcome};
 pub use keywords::{iterative_probing, KeywordConfig, KeywordSelection};
@@ -40,5 +40,26 @@ pub use pipeline::{
 pub use probe::{Assignment, ProbeOutcome, ProbeStats, Prober};
 pub use resurface::{resurface_host, ReprobeScheduler};
 pub use template::{search_templates, Slot, Template, TemplateConfig, TemplateEval};
-pub use typed::{classify_typed, TypeClass, TypedValueLibrary, TypedVerdict};
+pub use typed::{classify_typed, TypeClass, TypedValueLibrary};
 pub use urlgen::{generate_urls, GeneratedUrl};
+
+/// What the unit-test modules share: a default-configured world and the
+/// crawler's view of one site's search form.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use crate::formmodel::{search_form, CrawledForm};
+    use deepweb_webworld::{generate, WebConfig, World};
+
+    /// A default world of `num_sites` sites.
+    pub(crate) fn world(num_sites: usize) -> World {
+        generate(&WebConfig {
+            num_sites,
+            ..WebConfig::default()
+        })
+    }
+
+    /// The search form of `host`, as the crawler models it.
+    pub(crate) fn form_of(w: &World, host: &str) -> CrawledForm {
+        search_form(&w.server, host).expect("every generated site serves a search form")
+    }
+}

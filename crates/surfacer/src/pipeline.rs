@@ -6,10 +6,14 @@
 //! URL generation → fetch + annotate the surfaced pages → follow pagination
 //! and detail links ("the web crawler will discover more content over time by
 //! pursuing links from deep-web pages", §3.2).
+//!
+//! What reaches the engine is a page "like any other page" (§3.2): a
+//! [`ProducedDoc`] is a URL, a title, text and the filled inputs (§5.1) —
+//! a probe outcome's strings moved in, not the raw HTML or its record ids.
 
 use crate::correlate::{
-    aligned_range_assignments, candidate_range_pairs, dependent_assignments,
-    detect_database_selection, validate_range, RangePair,
+    aligned_range_assignments, candidate_range_pairs, confirm_range, dependent_assignments,
+    detect_database_selection, RangePair,
 };
 use crate::fetchpolicy::FetchPolicy;
 use crate::formmodel::{forms_in, CrawledForm};
@@ -24,6 +28,12 @@ use deepweb_common::text::DfTable;
 use deepweb_common::{FxHashSet, ThreadPool, Url};
 use deepweb_html::Document;
 use deepweb_webworld::Fetcher;
+
+/// Surface-crawl depth from the seed.
+const CRAWL_DEPTH: usize = 3;
+
+/// Surface-crawl page budget.
+const CRAWL_BUDGET: usize = 3000;
 
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
@@ -44,10 +54,6 @@ pub struct SurfacerConfig {
     pub follow_pagination: usize,
     /// Detail links followed per site.
     pub follow_details: usize,
-    /// Surface-crawl depth from the seed.
-    pub crawl_depth: usize,
-    /// Surface-crawl page budget.
-    pub crawl_budget: usize,
     /// Worker threads for per-site form surfacing (1 = fully sequential
     /// reference path; 0 = auto, sized to the machine; the parallel path is
     /// output-identical to either).
@@ -69,8 +75,6 @@ impl Default for SurfacerConfig {
             samples_per_class: 8,
             follow_pagination: 3,
             follow_details: 20,
-            crawl_depth: 3,
-            crawl_budget: 3000,
             num_workers: 1,
             fetch_policy: FetchPolicy::default(),
         }
@@ -97,16 +101,12 @@ pub struct ProducedDoc {
     pub title: String,
     /// Visible text.
     pub text: String,
-    /// Raw HTML (for downstream extraction experiments).
-    pub html: String,
     /// Origin.
     pub origin: DocOrigin,
     /// Host the page came from.
     pub host: String,
     /// `(input, value)` annotations for surfaced pages (paper §5.1).
     pub annotations: Vec<(String, String)>,
-    /// Record ids visible on the page.
-    pub record_ids: Vec<u32>,
 }
 
 /// Per-site surfacing report.
@@ -215,12 +215,7 @@ impl SurfacingOutcome {
                 HostOutcome {
                     host: r.host.clone(),
                     status,
-                    pages_surfaced: r.pages_surfaced,
                     retries: r.retries,
-                    transient_failures: r.transient_failures,
-                    permanent_failures: r.permanent_failures,
-                    backoff_ms: r.backoff_ms,
-                    junk_suppressed: r.junk_suppressed,
                 }
             })
             .collect();
@@ -251,18 +246,8 @@ pub struct HostOutcome {
     pub host: String,
     /// Overall disposition.
     pub status: HostStatus,
-    /// Pages surfaced.
-    pub pages_surfaced: usize,
     /// Retries the fetch policy spent on the host.
     pub retries: u64,
-    /// Transient failures seen against the host.
-    pub transient_failures: u64,
-    /// Permanent failures seen against the host.
-    pub permanent_failures: u64,
-    /// Simulated backoff charged against the host, in milliseconds.
-    pub backoff_ms: u64,
-    /// Junk widgets the hardening audit suppressed on the host's form.
-    pub junk_suppressed: usize,
 }
 
 /// Whole-run robustness report: every analysed host's disposition plus the
@@ -316,13 +301,13 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
     let prober = Prober::with_policy(fetcher, cfg.fetch_policy);
     let mut stats = CrawlStats::default();
     let mut qi = 0;
-    while qi < queue.len() && visited.len() < cfg.crawl_budget {
+    while qi < queue.len() && visited.len() < CRAWL_BUDGET {
         let (url, depth) = queue[qi].clone();
         qi += 1;
         if !visited.insert(url.to_string()) {
             continue;
         }
-        let Ok(resp) = prober.fetch_response(&url).0 else {
+        let Ok(resp) = prober.fetch_response(&url) else {
             // A host that stays down after the retry budget degrades the
             // crawl (its pages are missing) but never aborts it.
             stats.fetch_failures += 1;
@@ -340,19 +325,15 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
                 forms.push(f);
             }
         }
-        // A surface page is not a probe outcome: item links on a browse page
-        // are not record ids the surfacer covered.
         pages.push(ProducedDoc {
             url: url.clone(),
             title: title_of(&doc),
             text,
-            html: resp.html.clone(),
             origin: DocOrigin::Surface,
             host: url.host.clone(),
             annotations: Vec::new(),
-            record_ids: Vec::new(),
         });
-        if depth < cfg.crawl_depth {
+        if depth < CRAWL_DEPTH {
             for a in doc.find_all("a") {
                 if let Some(href) = a.attr("href") {
                     // Do not crawl into results pages from browse links; the
@@ -413,22 +394,7 @@ fn build_slots(
         if consumed.contains(&pair.min_input) || consumed.contains(&pair.max_input) {
             continue;
         }
-        let class = if pair.stem.contains("year") {
-            TypeClass::Year
-        } else if pair.stem.contains("date") || pair.stem.contains("listed") {
-            TypeClass::DateT
-        } else {
-            TypeClass::Price
-        };
-        let values = lib.sample(class, cap);
-        let (lo, hi) = match (values.first(), values.last()) {
-            (Some(a), Some(b)) => (a.clone(), b.clone()),
-            _ => continue,
-        };
-        let (wlo, whi) = crate::typed::wide_window(class);
-        if validate_range(prober, form, &pair, &lo, &hi)
-            || validate_range(prober, form, &pair, &wlo, &whi)
-        {
+        if let Some((_, values)) = confirm_range(prober, form, &pair, lib, cap) {
             consumed.insert(pair.min_input.clone());
             consumed.insert(pair.max_input.clone());
             report.detected_ranges.push(pair.clone());
@@ -467,13 +433,11 @@ fn build_slots(
         if consumed.contains(&input.name) || !input.is_text() {
             continue;
         }
-        if let Some(verdict) = classify_typed(prober, form, input, lib, cfg.samples_per_class) {
-            report
-                .detected_types
-                .push((input.name.clone(), verdict.class));
+        if let Some(class) = classify_typed(prober, form, input, lib, cfg.samples_per_class) {
+            report.detected_types.push((input.name.clone(), class));
             slots.push(Slot::Single {
                 input: input.name.clone(),
-                values: lib.sample(verdict.class, cap),
+                values: lib.sample(class, cap),
             });
             consumed.insert(input.name.clone());
         } else if is_search_box(prober, form, input, site_words) {
@@ -495,9 +459,7 @@ fn build_slots(
             _ => None,
         });
         if let Some(sel_name) = select_name {
-            if let Some(_dbsel) =
-                detect_database_selection(prober, form, &sel_name, &name, &char_terms, 3)
-            {
+            if detect_database_selection(prober, form, &sel_name, &name, &char_terms, 3) {
                 report.detected_dbsel = true;
                 // Per-select-value keyword sets (paper §4.2).
                 let sel_values: Vec<String> = form
@@ -602,7 +564,6 @@ fn surface_form(
     report.templates_informative = evals.iter().filter(|e| e.informative).count();
     let selection = select_templates(&evals, &cfg.indexability);
     let urls = generate_urls(
-        &prober,
         form,
         &slots,
         &evals,
@@ -612,49 +573,44 @@ fn surface_form(
     report.urls_generated = urls.len();
     report.analysis_requests = prober.requests();
 
-    // Fetch the generated URLs; follow pagination; collect detail links.
-    let produced = |out: &ProbeOutcome, origin, annotations: Assignment| ProducedDoc {
-        url: out.url.clone(),
-        title: out.title.clone(),
-        text: out.text.clone(),
-        html: out.html.clone(),
+    // Fetch the generated URLs; follow pagination; collect the first
+    // `follow_details` distinct detail links, in page order.
+    let produced = |out: ProbeOutcome, origin, annotations: Assignment| ProducedDoc {
+        url: out.url,
+        title: out.title,
+        text: out.text,
         origin,
         host: form.host.clone(),
         annotations,
-        record_ids: out.record_ids.clone(),
     };
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut detail_queue: Vec<Url> = Vec::new();
+    let mut queued: FxHashSet<String> = FxHashSet::default();
     for g in &urls {
         let mut out = prober.fetch(&g.url);
         let mut hops = 0;
-        loop {
-            if !out.ok {
-                break;
-            }
+        while out.ok {
             covered.extend(out.record_ids.iter().copied());
-            detail_queue.extend(out.detail_urls.iter().cloned());
-            docs.push(produced(&out, DocOrigin::Surfaced, g.assignment.clone()));
+            for durl in &out.detail_urls {
+                if detail_queue.len() < cfg.follow_details && queued.insert(durl.to_string()) {
+                    detail_queue.push(durl.clone());
+                }
+            }
+            let next = out.next_page.take();
+            docs.push(produced(out, DocOrigin::Surfaced, g.assignment.clone()));
             report.pages_surfaced += 1;
             hops += 1;
-            match (&out.next_page, hops <= cfg.follow_pagination) {
-                (Some(next), true) => out = prober.fetch(next),
+            match next {
+                Some(next) if hops <= cfg.follow_pagination => out = prober.fetch(&next),
                 _ => break,
             }
         }
     }
-    // Discovered detail pages (dedup, cap).
-    let mut seen: FxHashSet<String> = FxHashSet::default();
-    for durl in detail_queue {
-        if seen.len() >= cfg.follow_details {
-            break;
-        }
-        if !seen.insert(durl.to_string()) {
-            continue;
-        }
-        let out = prober.fetch(&durl);
+    // Discovered detail pages.
+    for durl in &detail_queue {
+        let out = prober.fetch(durl);
         if out.ok {
-            docs.push(produced(&out, DocOrigin::Discovered, Vec::new()));
+            docs.push(produced(out, DocOrigin::Discovered, Vec::new()));
         }
     }
     report.records_covered = covered.len();
@@ -750,7 +706,6 @@ mod tests {
             templates: TemplateConfig {
                 test_sample: 4,
                 probe_budget: 120,
-                ..Default::default()
             },
             indexability: IndexabilityConfig {
                 max_urls: 60,

@@ -6,8 +6,15 @@
 //! from the visible text before hashing, so two submissions that produce the
 //! same result set (e.g. both empty) collapse to one signature even though
 //! the pages echo different queries.
+//!
+//! A [`ProbeOutcome`] carries what those algorithms read — not the page
+//! (the HTML is dropped once analysed) and not the fetch's status or retry
+//! count (tallied on the [`Prober`], asserted on
+//! [`FetchAttempt`](crate::fetchpolicy::FetchAttempt)). [`resolve_href`] is
+//! the one href resolver, for anchors here and form actions in
+//! [`formmodel`](crate::formmodel).
 
-use crate::fetchpolicy::{fetch_with_policy, FetchAttempt, FetchPolicy};
+use crate::fetchpolicy::{fetch_with_policy, FetchPolicy};
 use crate::formmodel::CrawledForm;
 use deepweb_common::text::tokenize;
 use deepweb_common::{fxhash64, FxHashSet, Result, Url};
@@ -25,12 +32,6 @@ pub struct ProbeOutcome {
     pub url: Url,
     /// False when the server answered with an error status.
     pub ok: bool,
-    /// Final HTTP status: 200 on success, the last error status after
-    /// retries otherwise, 0 for non-HTTP failures. Callers can distinguish
-    /// a permanent 404/405 from an exhausted transient 500.
-    pub status: u16,
-    /// Retries the fetch policy spent on this outcome.
-    pub retries: u32,
     /// Content signature (submitted values stripped).
     pub signature: u64,
     /// Declared result count, when the page announces one ("N results").
@@ -45,8 +46,6 @@ pub struct ProbeOutcome {
     pub next_page: Option<Url>,
     /// Detail links on the page.
     pub detail_urls: Vec<Url>,
-    /// The raw HTML (only kept for pages that will be indexed).
-    pub html: String,
 }
 
 impl ProbeOutcome {
@@ -107,28 +106,9 @@ impl<'a> Prober<'a> {
         self.stats.get()
     }
 
-    /// Build the GET URL a submission would produce (hidden inputs ride
-    /// along; assignment order is the form's input order for URL stability).
-    pub fn submission_url(&self, form: &CrawledForm, assignment: &[(String, String)]) -> Url {
-        let mut url = form.action_url.clone();
-        for (k, v) in form.hidden_params() {
-            url = url.with_param(k, v);
-        }
-        // Emit in form-input order so the same assignment always yields the
-        // same URL string (URL identity = dedup key).
-        for input in &form.inputs {
-            if let Some((_, v)) = assignment.iter().find(|(k, _)| k == &input.name) {
-                if !v.is_empty() {
-                    url = url.with_param(input.name.clone(), v.clone());
-                }
-            }
-        }
-        url
-    }
-
     /// Submit a form assignment and analyse the response.
     pub fn submit(&self, form: &CrawledForm, assignment: &[(String, String)]) -> ProbeOutcome {
-        let url = self.submission_url(form, assignment);
+        let url = form.submission_url(assignment);
         let stripped: Vec<&str> = assignment.iter().map(|(_, v)| v.as_str()).collect();
         self.fetch_analyzed(&url, &stripped)
     }
@@ -139,9 +119,9 @@ impl<'a> Prober<'a> {
     }
 
     /// Fetch `url` under the policy and return the raw response. The one
-    /// place a [`FetchAttempt`] is folded into the request count and the
-    /// retry/failure/backoff tally.
-    pub(crate) fn fetch_response(&self, url: &Url) -> (Result<Response>, FetchAttempt) {
+    /// place a [`FetchAttempt`](crate::fetchpolicy::FetchAttempt) is folded
+    /// into the request count and the retry/failure/backoff tally.
+    pub(crate) fn fetch_response(&self, url: &Url) -> Result<Response> {
         let (result, attempt) = fetch_with_policy(self.fetcher, url, &self.policy);
         self.requests
             .set(self.requests.get() + 1 + u64::from(attempt.retries));
@@ -151,23 +131,15 @@ impl<'a> Prober<'a> {
         s.permanent_failures += u64::from(attempt.permanent_failures);
         s.backoff_ms += attempt.backoff_ms;
         self.stats.set(s);
-        (result, attempt)
+        result
     }
 
     fn fetch_analyzed(&self, url: &Url, stripped_values: &[&str]) -> ProbeOutcome {
-        let (result, attempt) = self.fetch_response(url);
-        match result {
-            Ok(resp) => {
-                let mut out = analyze_response(url.clone(), resp.html, stripped_values);
-                out.status = resp.status;
-                out.retries = attempt.retries;
-                out
-            }
+        match self.fetch_response(url) {
+            Ok(resp) => analyze_response(url.clone(), resp.html, stripped_values),
             Err(_) => ProbeOutcome {
                 url: url.clone(),
                 ok: false,
-                status: attempt.status,
-                retries: attempt.retries,
                 signature: 0,
                 result_count: None,
                 record_ids: Vec::new(),
@@ -175,7 +147,6 @@ impl<'a> Prober<'a> {
                 text: String::new(),
                 next_page: None,
                 detail_urls: Vec::new(),
-                html: String::new(),
             },
         }
     }
@@ -236,8 +207,6 @@ pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> Pro
     ProbeOutcome {
         url,
         ok: true,
-        status: 200,
-        retries: 0,
         signature,
         result_count,
         record_ids,
@@ -245,7 +214,6 @@ pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> Pro
         text,
         next_page,
         detail_urls,
-        html,
     }
 }
 
@@ -280,28 +248,15 @@ pub fn resolve_href(base: &Url, href: &str) -> Option<Url> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepweb_webworld::{generate, WebConfig};
+    use crate::fixtures::form_of;
 
     fn world() -> deepweb_webworld::World {
-        generate(&WebConfig {
-            num_sites: 6,
-            ..WebConfig::default()
-        })
+        crate::fixtures::world(6)
     }
 
     fn first_get_form(w: &deepweb_webworld::World) -> CrawledForm {
-        for t in &w.truth.sites {
-            if t.post {
-                continue;
-            }
-            let url = Url::new(t.host.clone(), "/search");
-            let html = w.server.fetch(&url).unwrap().html;
-            let forms = crate::formmodel::analyze_page(&url, &html);
-            if !forms.is_empty() {
-                return forms[0].clone();
-            }
-        }
-        panic!("no GET form found");
+        let t = w.truth.sites.iter().find(|t| !t.post);
+        form_of(w, &t.expect("a GET site").host)
     }
 
     #[test]
@@ -384,8 +339,7 @@ mod tests {
             let p = Prober::new(&f);
             let out = p.fetch(&Url::new("x.sim", "/"));
             assert!(!out.ok);
-            assert_eq!(out.status, status);
-            assert_eq!(out.retries, 0);
+            assert_eq!(p.stats().retries, 0);
             assert_eq!(p.requests(), 1, "permanent {status} must not be retried");
             assert_eq!(p.stats().permanent_failures, 1);
         }
@@ -398,9 +352,8 @@ mod tests {
             let p = Prober::new(&f);
             let out = p.fetch(&Url::new("x.sim", "/"));
             assert!(!out.ok);
-            assert_eq!(out.status, status);
             let policy = crate::fetchpolicy::FetchPolicy::default();
-            assert_eq!(out.retries, policy.max_retries);
+            assert_eq!(p.stats().retries, u64::from(policy.max_retries));
             assert_eq!(p.requests(), u64::from(policy.max_retries) + 1);
             assert!(p.stats().backoff_ms > 0);
         }
@@ -413,8 +366,7 @@ mod tests {
         let p = Prober::new(&w.server);
         let out = p.submit(&form, &[]);
         assert!(out.ok);
-        assert_eq!(out.status, 200);
-        assert_eq!(out.retries, 0);
+        assert_eq!(p.requests(), 1);
         assert_eq!(p.stats(), ProbeStats::default());
     }
 
@@ -501,22 +453,5 @@ mod tests {
         assert_eq!(noisy.text, "hello world");
         assert_eq!(noisy.text, plain.text);
         assert_eq!(noisy.signature, plain.signature);
-    }
-
-    #[test]
-    fn submission_url_is_deterministic() {
-        let w = world();
-        let form = first_get_form(&w);
-        let p = Prober::new(&w.server);
-        let inputs = form.fillable_inputs();
-        let name = inputs[0].name.clone();
-        // Assignment order must not matter.
-        let mut a1 = vec![(name.clone(), "x".to_string())];
-        if inputs.len() > 1 {
-            a1.push((inputs[1].name.clone(), "y".to_string()));
-        }
-        let mut a2 = a1.clone();
-        a2.reverse();
-        assert_eq!(p.submission_url(&form, &a1), p.submission_url(&form, &a2));
     }
 }

@@ -98,7 +98,6 @@ mod tests {
             templates: TemplateConfig {
                 test_sample: 4,
                 probe_budget: 120,
-                ..Default::default()
             },
             indexability: IndexabilityConfig {
                 max_urls: 60,

@@ -60,16 +60,18 @@ impl Slot {
     }
 }
 
+/// Largest number of slots bound at once (the paper finds small templates
+/// suffice).
+const MAX_TEMPLATE_SIZE: usize = 2;
+
+/// Minimum fraction of distinct signatures for "informative".
+const DISTINCTNESS_THRESHOLD: f64 = 0.25;
+
 /// Tuning for template search.
 #[derive(Clone, Copy, Debug)]
 pub struct TemplateConfig {
-    /// Largest number of slots bound at once (the paper finds small
-    /// templates suffice).
-    pub max_template_size: usize,
     /// Submissions sampled per informativeness test.
     pub test_sample: usize,
-    /// Minimum fraction of distinct signatures for "informative".
-    pub distinctness_threshold: f64,
     /// Hard cap on probes spent in template search per form.
     pub probe_budget: usize,
 }
@@ -77,9 +79,7 @@ pub struct TemplateConfig {
 impl Default for TemplateConfig {
     fn default() -> Self {
         TemplateConfig {
-            max_template_size: 2,
             test_sample: 8,
-            distinctness_threshold: 0.25,
             probe_budget: 400,
         }
     }
@@ -183,7 +183,7 @@ pub fn evaluate_template(
         && with_results > 0
         && diverse
         && !all_match_empty
-        && distinct_fraction >= cfg.distinctness_threshold;
+        && distinct_fraction >= DISTINCTNESS_THRESHOLD;
     TemplateEval {
         template,
         informative,
@@ -196,7 +196,7 @@ pub fn evaluate_template(
 }
 
 /// Incremental template search: evaluate singles, extend informative
-/// templates one slot at a time, stop at `max_template_size` or budget.
+/// templates one slot at a time, stop at `MAX_TEMPLATE_SIZE` slots or budget.
 pub fn search_templates(
     prober: &Prober<'_>,
     form: &CrawledForm,
@@ -213,7 +213,7 @@ pub fn search_templates(
         .collect();
     let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
     let mut size = 1;
-    while !frontier.is_empty() && size <= cfg.max_template_size {
+    while !frontier.is_empty() && size <= MAX_TEMPLATE_SIZE {
         let mut informative_here: Vec<Template> = Vec::new();
         for t in std::mem::take(&mut frontier) {
             if !seen.insert(t.slots.clone()) {
@@ -229,7 +229,7 @@ pub fn search_templates(
             evals.push(eval);
         }
         size += 1;
-        if size > cfg.max_template_size {
+        if size > MAX_TEMPLATE_SIZE {
             break;
         }
         // Extend informative templates by one higher-indexed slot (avoids
@@ -251,9 +251,8 @@ pub fn search_templates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formmodel::analyze_page;
-    use deepweb_common::Url;
-    use deepweb_webworld::{generate, Fetcher, InputTruth, WebConfig};
+    use crate::fixtures::{form_of, world};
+    use deepweb_webworld::InputTruth;
 
     fn select_site(
         w: &deepweb_webworld::World,
@@ -267,9 +266,7 @@ mod tests {
                 .iter()
                 .find(|(_, tr)| matches!(tr, InputTruth::Select))
             {
-                let url = Url::new(t.host.clone(), "/search");
-                let html = w.server.fetch(&url).unwrap().html;
-                let form = analyze_page(&url, &html).remove(0);
+                let form = form_of(w, &t.host);
                 if form.input(name).is_some_and(|i| !i.options().is_empty()) {
                     return (form, name.clone(), t);
                 }
@@ -280,10 +277,7 @@ mod tests {
 
     #[test]
     fn select_slot_is_informative() {
-        let w = generate(&WebConfig {
-            num_sites: 20,
-            ..WebConfig::default()
-        });
+        let w = world(20);
         let (form, name, _) = select_site(&w);
         let options: Vec<String> = form
             .input(&name)
@@ -308,10 +302,7 @@ mod tests {
 
     #[test]
     fn ignored_input_is_uninformative() {
-        let w = generate(&WebConfig {
-            num_sites: 60,
-            ..WebConfig::default()
-        });
+        let w = world(60);
         // Find a store locator with a radius input (backend ignores it).
         for t in &w.truth.sites {
             if t.post {
@@ -322,9 +313,7 @@ mod tests {
                 .iter()
                 .find(|(_, tr)| matches!(tr, InputTruth::Ignored))
             {
-                let url = Url::new(t.host.clone(), "/search");
-                let html = w.server.fetch(&url).unwrap().html;
-                let form = analyze_page(&url, &html).remove(0);
+                let form = form_of(&w, &t.host);
                 let options: Vec<String> = form
                     .input(name)
                     .unwrap()
@@ -348,10 +337,7 @@ mod tests {
 
     #[test]
     fn incremental_search_extends_only_informative() {
-        let w = generate(&WebConfig {
-            num_sites: 20,
-            ..WebConfig::default()
-        });
+        let w = world(20);
         let (form, name, _) = select_site(&w);
         let options: Vec<String> = form
             .input(&name)
@@ -371,11 +357,7 @@ mod tests {
             },
         ];
         let prober = Prober::new(&w.server);
-        let cfg = TemplateConfig {
-            max_template_size: 2,
-            ..Default::default()
-        };
-        let evals = search_templates(&prober, &form, &slots, &cfg);
+        let evals = search_templates(&prober, &form, &slots, &TemplateConfig::default());
         // The bogus input is ignored by the server: every value returns the
         // full table → uninformative; the pair template is only reached via
         // the informative select.
@@ -391,10 +373,7 @@ mod tests {
 
     #[test]
     fn budget_stops_search() {
-        let w = generate(&WebConfig {
-            num_sites: 20,
-            ..WebConfig::default()
-        });
+        let w = world(20);
         let (form, name, _) = select_site(&w);
         let options: Vec<String> = form
             .input(&name)

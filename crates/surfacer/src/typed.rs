@@ -6,7 +6,8 @@
 //!
 //! Recognition = name/label pattern hints, confirmed by probing: sample
 //! values of the candidate type must produce results on some probe while a
-//! junk token must not. The value *libraries* are the standard dictionaries a
+//! junk token must not; the verdict is the confirmed [`TypeClass`], or
+//! nothing. The value *libraries* are the standard dictionaries a
 //! search-engine crawler ships (zip lists, city gazetteers, price/date
 //! ladders).
 
@@ -140,15 +141,6 @@ pub fn pattern_hints(input: &CrawledInput) -> Vec<TypeClass> {
     scored.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Result of typed-input classification.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TypedVerdict {
-    /// The confirmed class.
-    pub class: TypeClass,
-    /// How many of the sampled values produced results.
-    pub productive_samples: usize,
-}
-
 /// Classify a text input by pattern hints confirmed with probes.
 ///
 /// Probes per candidate class: `samples_per_class` library values plus one
@@ -160,7 +152,7 @@ pub fn classify_typed(
     input: &CrawledInput,
     lib: &TypedValueLibrary,
     samples_per_class: usize,
-) -> Option<TypedVerdict> {
+) -> Option<TypeClass> {
     if !input.is_text() {
         return None;
     }
@@ -178,10 +170,7 @@ pub fn classify_typed(
             }
         }
         if productive > 0 {
-            return Some(TypedVerdict {
-                class,
-                productive_samples: productive,
-            });
+            return Some(class);
         }
     }
     None
@@ -213,22 +202,12 @@ pub fn is_search_box(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formmodel::analyze_page;
-    use deepweb_common::Url;
+    use crate::fixtures::form_of;
     use deepweb_store::ValueType;
-    use deepweb_webworld::{generate, Fetcher, InputTruth, WebConfig};
+    use deepweb_webworld::InputTruth;
 
     fn world() -> deepweb_webworld::World {
-        generate(&WebConfig {
-            num_sites: 40,
-            ..WebConfig::default()
-        })
-    }
-
-    fn crawled_form(w: &deepweb_webworld::World, host: &str) -> CrawledForm {
-        let url = Url::new(host.to_string(), "/search");
-        let html = w.server.fetch(&url).unwrap().html;
-        analyze_page(&url, &html).remove(0)
+        crate::fixtures::world(40)
     }
 
     #[test]
@@ -242,12 +221,12 @@ mod tests {
             }
             for (name, truth) in &t.inputs {
                 if matches!(truth, InputTruth::Typed(ValueType::Zip)) {
-                    let form = crawled_form(&w, &t.host);
+                    let form = form_of(&w, &t.host);
                     let input = form.input(name).unwrap().clone();
                     let prober = Prober::new(&w.server);
                     let verdict = classify_typed(&prober, &form, &input, &lib, 8);
                     assert_eq!(
-                        verdict.map(|v| v.class),
+                        verdict,
                         Some(TypeClass::Zip),
                         "input {name} on {} misclassified",
                         t.host
@@ -275,7 +254,7 @@ mod tests {
                 .iter()
                 .find(|(_, tr)| matches!(tr, InputTruth::Search))
             {
-                let form = crawled_form(&w, &t.host);
+                let form = form_of(&w, &t.host);
                 let input = form.input(name).unwrap().clone();
                 let prober = Prober::new(&w.server);
                 // Search boxes accept junk (full-text may match nothing, but
@@ -300,7 +279,7 @@ mod tests {
                 .iter()
                 .find(|(_, tr)| matches!(tr, InputTruth::Search))
             {
-                let form = crawled_form(&w, &t.host);
+                let form = form_of(&w, &t.host);
                 let input = form.input(name).unwrap().clone();
                 // Words straight from the site's own records are productive.
                 let site = w.server.site_by_host(&t.host).unwrap();

@@ -2,7 +2,7 @@
 //! submission URLs, deduplicated and budget-capped.
 
 use crate::formmodel::CrawledForm;
-use crate::probe::{Assignment, Prober};
+use crate::probe::Assignment;
 use crate::template::{Slot, TemplateEval};
 use deepweb_common::{FxHashSet, Url};
 
@@ -20,7 +20,6 @@ pub struct GeneratedUrl {
 /// Expand `chosen` templates into URLs, visiting templates round-robin so a
 /// tight budget still samples every chosen template.
 pub fn generate_urls(
-    prober: &Prober<'_>,
     form: &CrawledForm,
     slots: &[Slot],
     evals: &[TemplateEval],
@@ -38,8 +37,10 @@ pub fn generate_urls(
             .iter()
             .map(|&si| slots[si].cardinality().max(1))
             .collect();
-        let total: usize = card.iter().product();
-        for flat in 0..total.min(max_urls * 2) {
+        // Saturating: `max_urls: usize::MAX` means "no cap", and a wide
+        // template's cross product can itself exceed `usize`.
+        let total = card.iter().fold(1usize, |t, &c| t.saturating_mul(c));
+        for flat in 0..total.min(max_urls.saturating_mul(2)) {
             // Odometer decode of `flat` into one index per slot.
             let mut rem = flat;
             let mut assignment = Assignment::new();
@@ -48,9 +49,8 @@ pub fn generate_urls(
                 rem /= card[k];
                 assignment.extend(slots[si].assignment(idx));
             }
-            let url = prober.submission_url(form, &assignment);
             urls.push(GeneratedUrl {
-                url,
+                url: form.submission_url(&assignment),
                 assignment,
                 template: ti,
             });
@@ -92,7 +92,6 @@ mod tests {
     fn fixture() -> (CrawledForm, Vec<Slot>, Vec<TemplateEval>) {
         let form = CrawledForm {
             host: "x.sim".into(),
-            source_url: Url::new("x.sim", "/search"),
             action_url: Url::new("x.sim", "/results"),
             post: false,
             inputs: vec![
@@ -148,9 +147,7 @@ mod tests {
     #[test]
     fn expands_cross_product_with_dedup() {
         let (form, slots, evals) = fixture();
-        let server = deepweb_webworld::WebServer::new(vec![], vec![]);
-        let prober = Prober::new(&server);
-        let urls = generate_urls(&prober, &form, &slots, &evals, &[0, 1], 100);
+        let urls = generate_urls(&form, &slots, &evals, &[0, 1], 100);
         // 2 singles + 6 pairs, all distinct.
         assert_eq!(urls.len(), 8);
         let unique: FxHashSet<String> = urls.iter().map(|g| g.url.to_string()).collect();
@@ -160,9 +157,7 @@ mod tests {
     #[test]
     fn budget_caps_output_round_robin() {
         let (form, slots, evals) = fixture();
-        let server = deepweb_webworld::WebServer::new(vec![], vec![]);
-        let prober = Prober::new(&server);
-        let urls = generate_urls(&prober, &form, &slots, &evals, &[0, 1], 3);
+        let urls = generate_urls(&form, &slots, &evals, &[0, 1], 3);
         assert_eq!(urls.len(), 3);
         // Round-robin means both templates contribute.
         let templates: FxHashSet<usize> = urls.iter().map(|g| g.template).collect();
@@ -172,8 +167,25 @@ mod tests {
     #[test]
     fn empty_choice_empty_output() {
         let (form, slots, evals) = fixture();
-        let server = deepweb_webworld::WebServer::new(vec![], vec![]);
-        let prober = Prober::new(&server);
-        assert!(generate_urls(&prober, &form, &slots, &evals, &[], 10).is_empty());
+        assert!(generate_urls(&form, &slots, &evals, &[], 10).is_empty());
+    }
+
+    #[test]
+    fn no_cap_and_oversized_cross_products_do_not_overflow() {
+        let (form, slots, evals) = fixture();
+        // "No cap": every distinct URL of both templates, as at max_urls = 100.
+        assert_eq!(
+            generate_urls(&form, &slots, &evals, &[0, 1], usize::MAX).len(),
+            8
+        );
+        // A cross product past `usize` saturates; the budget still bounds
+        // the expansion.
+        let wide = Slot::Single {
+            input: "a".into(),
+            values: (0..1usize << 16).map(|i| i.to_string()).collect(),
+        };
+        let mut eval = evals[0].clone();
+        eval.template.slots = vec![0; 4];
+        assert_eq!(generate_urls(&form, &[wide], &[eval], &[0], 5).len(), 5);
     }
 }

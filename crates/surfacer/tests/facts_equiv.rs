@@ -69,7 +69,6 @@ fn check(fetcher: &dyn Fetcher, url: &Url, seen: &mut Seen) -> Option<Url> {
     assert_eq!(out.record_ids, record_ids, "record ids of {url}");
     assert_eq!(out.detail_urls, detail_urls, "detail urls of {url}");
     assert_eq!(out.next_page, next_page, "next page of {url}");
-    assert_eq!(out.html, html);
 
     seen.pages += 1;
     seen.titles += usize::from(!out.title.is_empty());

@@ -26,7 +26,6 @@ fn tiny_cfg() -> SurfacerConfig {
         templates: TemplateConfig {
             test_sample: 3,
             probe_budget: 60,
-            ..Default::default()
         },
         indexability: IndexabilityConfig {
             max_urls: 30,

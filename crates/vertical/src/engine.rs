@@ -44,22 +44,19 @@ pub struct QueryStats {
     pub requests: u64,
 }
 
+/// Sources consulted per query.
+const MAX_SOURCES: usize = 5;
+
 /// The vertical search engine.
 pub struct VerticalEngine<'a> {
     fetcher: &'a dyn Fetcher,
     registry: SourceRegistry,
-    /// Sources consulted per query.
-    pub max_sources: usize,
 }
 
 impl<'a> VerticalEngine<'a> {
     /// Build over a registry.
     pub fn new(fetcher: &'a dyn Fetcher, registry: SourceRegistry) -> Self {
-        VerticalEngine {
-            fetcher,
-            registry,
-            max_sources: 5,
-        }
+        VerticalEngine { fetcher, registry }
     }
 
     /// The registry (for effort accounting).
@@ -68,7 +65,7 @@ impl<'a> VerticalEngine<'a> {
     }
 
     /// Route a keyword query: score sources by vocabulary and domain-keyword
-    /// overlap; return the best `max_sources`.
+    /// overlap; return the best `MAX_SOURCES`.
     pub fn route(&self, query: &str) -> Vec<&Source> {
         let tokens: Vec<String> = tokenize(query).collect();
         let schemas = crate::mediated::builtin_schemas();
@@ -102,7 +99,7 @@ impl<'a> VerticalEngine<'a> {
         });
         scored
             .into_iter()
-            .take(self.max_sources)
+            .take(MAX_SOURCES)
             .map(|(_, s)| s)
             .collect()
     }

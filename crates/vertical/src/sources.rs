@@ -15,10 +15,6 @@ pub struct InputMapping {
     pub input: String,
     /// Mediated element name.
     pub element: String,
-    /// True when this input is a range bound (min side).
-    pub is_range_min: bool,
-    /// True when this input is a range bound (max side).
-    pub is_range_max: bool,
 }
 
 /// A registered deep-web source.
@@ -68,16 +64,9 @@ pub fn classify_form(form: &CrawledForm, schemas: &[MediatedSchema]) -> Option<S
         let mut vocabulary = Vec::new();
         for input in form.fillable_inputs() {
             if let Some(el) = schema.match_input(&input.name, &input.label) {
-                let lname = input.name.to_ascii_lowercase();
                 mappings.push(InputMapping {
                     input: input.name.clone(),
                     element: el.name.to_string(),
-                    is_range_min: lname.contains("min")
-                        || lname.contains("from")
-                        || lname.contains("low"),
-                    is_range_max: lname.contains("max")
-                        || lname.contains("to")
-                        || lname.contains("high"),
                 });
                 if let WidgetKind::SelectMenu { .. } = input.kind {
                     vocabulary.extend(input.options().iter().map(|s| s.to_string()));

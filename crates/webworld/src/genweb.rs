@@ -16,6 +16,12 @@ use deepweb_store::{IndexedTable, Table, ValueType};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// Skew of the site-size distribution (`size ∝ 1/rank^skew`).
+const SIZE_SKEW: f64 = 0.7;
+
+/// Page sizes sites choose from.
+const PAGE_SIZES: [usize; 4] = [5, 10, 10, 20];
+
 /// Configuration of a generated web.
 #[derive(Clone, Debug)]
 pub struct WebConfig {
@@ -31,8 +37,6 @@ pub struct WebConfig {
     pub min_records: usize,
     /// Largest site size in records.
     pub max_records: usize,
-    /// Skew of the site-size distribution (`size ∝ 1/rank^skew`).
-    pub size_skew: f64,
     /// Fraction of forms using POST (not surfaceable).
     pub post_fraction: f64,
     /// Fraction of sites exposing a `/browse` page.
@@ -41,8 +45,6 @@ pub struct WebConfig {
     pub english_fraction: f64,
     /// Relative weights of content domains.
     pub domain_weights: Vec<(DomainKind, f64)>,
-    /// Page sizes sites choose from.
-    pub page_sizes: Vec<usize>,
     /// Fraction of sites generated in hostile mode: broken markup plus junk
     /// form widgets (hidden token, password-named text box, client-side-only
     /// validation, inline handlers, absolute form action). Backends stay
@@ -59,7 +61,6 @@ impl Default for WebConfig {
             table_hosts: 6,
             min_records: 30,
             max_records: 800,
-            size_skew: 0.7,
             post_fraction: 0.08,
             browse_fraction: 0.15,
             english_fraction: 0.75,
@@ -74,7 +75,6 @@ impl Default for WebConfig {
                 (DomainKind::MediaSearch, 1.0),
                 (DomainKind::Faculty, 0.8),
             ],
-            page_sizes: vec![5, 10, 10, 20],
             hostile_fraction: 0.0,
         }
     }
@@ -120,8 +120,6 @@ pub struct SiteTruth {
     pub inputs: Vec<(String, InputTruth)>,
     /// True (min,max) range pairs.
     pub range_pairs: Vec<(String, String)>,
-    /// Whether the form has a JS-dependent select pair.
-    pub has_dependent: bool,
     /// Number of surface-reachable records via `/browse`.
     pub browse_links: usize,
     /// True for hostile-mode sites (broken markup + junk widgets).
@@ -297,7 +295,7 @@ pub fn generate(config: &WebConfig) -> World {
         };
         let lexicon = vocab::lexicon(&language, 120, seed);
         // Size: zipf-ish over shuffled rank.
-        let raw = config.max_records as f64 / ((rank + 1) as f64).powf(config.size_skew);
+        let raw = config.max_records as f64 / ((rank + 1) as f64).powf(SIZE_SKEW);
         let n_records = (raw as usize).clamp(config.min_records, config.max_records);
 
         let mut ctx = GenCtx {
@@ -337,10 +335,7 @@ pub fn generate(config: &WebConfig) -> World {
             }
         }
         form.post = post_flags[i];
-        let page_size = *config
-            .page_sizes
-            .choose(&mut rng)
-            .expect("page_sizes non-empty");
+        let page_size = *PAGE_SIZES.choose(&mut rng).expect("PAGE_SIZES non-empty");
         let style = if rng.gen_bool(0.5) {
             RenderStyle::Table
         } else {
@@ -375,7 +370,6 @@ pub fn generate(config: &WebConfig) -> World {
             page_size,
             inputs: input_truth,
             range_pairs,
-            has_dependent: site.form.dependent.is_some(),
             browse_links,
             hostile: site.hostile,
         });

@@ -6,10 +6,10 @@
 //! cargo run --example coverage_probe --release
 //! ```
 
-use deepweb::common::{derive_rng, Url};
+use deepweb::common::derive_rng;
 use deepweb::coverage::{coverage_of_surfacing, estimate_size};
-use deepweb::surfacer::{analyze_page, Prober, Slot};
-use deepweb::webworld::{generate, Fetcher, WebConfig};
+use deepweb::surfacer::{search_form, Prober, Slot};
+use deepweb::webworld::{generate, WebConfig};
 
 fn main() {
     let w = generate(&WebConfig {
@@ -19,11 +19,9 @@ fn main() {
     });
     let mut rng = derive_rng(7, "coverage-example");
     for t in w.truth.sites.iter().take(5) {
-        let url = Url::new(t.host.clone(), "/search");
-        let Ok(resp) = w.server.fetch(&url) else {
+        let Some(form) = search_form(&w.server, &t.host) else {
             continue;
         };
-        let form = analyze_page(&url, &resp.html).remove(0);
         let slots: Vec<Slot> = form
             .fillable_inputs()
             .iter()

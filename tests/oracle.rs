@@ -1,0 +1,310 @@
+//! An oracle that shares no code with `crates/index` (ROADMAP open item 1,
+//! first half).
+//!
+//! Every other equality suite compares an optimised path with `search()`,
+//! which runs the same kernel, the same `bm25_contribution` and the same
+//! top-k selection as the path under test — a bug in the shared code is
+//! invisible to all of them. This file re-derives a ranking from the raw
+//! strings the index stores (`title`, `text`, `annotations`) and the form
+//! vocabulary the crawler reported, with brute force and `std` collections,
+//! sharing only `common::text::{tokenize, is_stopword}` and the documented
+//! fold order, and demands the same doc ids and the same score bits.
+//!
+//! The fold order it re-states (DESIGN.md §10, §12):
+//!
+//! * a document is `tokenize(title) ++ tokenize(text)`, stopwords kept;
+//!   `N` docs, `df` docs containing a term,
+//!   `avg = max(total tokens / N, 1.0)`;
+//! * `idf = ln((N − df + 0.5) / (df + 0.5) + 1)`, one posting contributes
+//!   `idf · tf · (k1 + 1) / (tf + k1 · (1 − b + b · dl / avg))`;
+//! * a query is its distinct non-stopword tokens in first-occurrence order;
+//!   a document's score is those contributions folded in that order from
+//!   `0.0`, and the candidates are the documents with at least one posting;
+//! * with annotations on, each annotation whose analysed value (1–64
+//!   non-stopword tokens) the query names in full adds `1.5`; otherwise one
+//!   whose facet knows some *other* query token as a value subtracts `8.0`;
+//!   the adjustments are summed from `0.0` and added to the score once. A
+//!   facet's vocabulary is every annotation value token under that key plus
+//!   the form's own options (`SiteReport::facet_values`);
+//! * hits are ordered score descending, doc id ascending, cut at `k`.
+
+use deepweb::common::text::{is_stopword, tokenize};
+use deepweb::index::{search, Bm25Params, PruningMode, SearchOptions};
+use deepweb::queries::{generate_workload, WorkloadConfig};
+use deepweb::{quick_config, DeepWebSystem};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One document as the oracle reads it: term → tf, token count, and each
+/// annotation as `(facet key, analysed value tokens)`.
+struct OracleDoc {
+    tf: BTreeMap<String, u32>,
+    len: usize,
+    annotations: Vec<(String, Vec<String>)>,
+}
+
+struct Oracle {
+    docs: Vec<OracleDoc>,
+    df: BTreeMap<String, usize>,
+    avg_len: f64,
+    /// Facet key → every token known as a value of that facet.
+    vocabulary: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// Query-side analysis, also applied to annotation and facet values.
+fn analysed(value: &str) -> Vec<String> {
+    tokenize(value).filter(|t| !is_stopword(t)).collect()
+}
+
+impl Oracle {
+    fn read(sys: &DeepWebSystem) -> Oracle {
+        let mut docs = Vec::new();
+        let mut df: BTreeMap<String, usize> = BTreeMap::new();
+        let mut vocabulary: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut total_len = 0usize;
+        for stored in sys.index.docs().iter() {
+            let mut tf: BTreeMap<String, u32> = BTreeMap::new();
+            let mut len = 0;
+            for token in tokenize(&stored.title).chain(tokenize(&stored.text)) {
+                *tf.entry(token).or_default() += 1;
+                len += 1;
+            }
+            for term in tf.keys() {
+                *df.entry(term.clone()).or_default() += 1;
+            }
+            total_len += len;
+            let annotations: Vec<(String, Vec<String>)> = stored
+                .annotations
+                .iter()
+                .map(|a| (a.key.clone(), analysed(&a.value)))
+                .collect();
+            for (key, tokens) in &annotations {
+                let known = vocabulary.entry(key.clone()).or_default();
+                known.extend(tokens.iter().cloned());
+            }
+            docs.push(OracleDoc {
+                tf,
+                len,
+                annotations,
+            });
+        }
+        for report in &sys.outcome.reports {
+            for (key, values) in &report.facet_values {
+                let known = vocabulary.entry(key.clone()).or_default();
+                known.extend(values.iter().flat_map(|v| analysed(v)));
+            }
+        }
+        let avg_len = match docs.len() {
+            0 => 1.0,
+            n => (total_len as f64 / n as f64).max(1.0),
+        };
+        Oracle {
+            docs,
+            df,
+            avg_len,
+            vocabulary,
+        }
+    }
+
+    /// `(doc id, score)` of the top `k`, best first.
+    fn search(
+        &self,
+        query: &str,
+        k: usize,
+        bm25: Bm25Params,
+        annotations: bool,
+    ) -> Vec<(u32, f64)> {
+        let mut terms: Vec<String> = Vec::new();
+        for t in analysed(query) {
+            if !terms.contains(&t) {
+                terms.push(t);
+            }
+        }
+        let n = self.docs.len() as f64;
+        let Bm25Params { k1, b } = bm25;
+        let mut hits: Vec<(u32, f64)> = Vec::new();
+        for (id, doc) in self.docs.iter().enumerate() {
+            let dl = doc.len as f64;
+            let mut score = 0.0;
+            let mut matched = false;
+            for term in &terms {
+                let Some(&tf) = doc.tf.get(term) else {
+                    continue;
+                };
+                matched = true;
+                let tf = f64::from(tf);
+                let df = self.df[term] as f64;
+                let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+                score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / self.avg_len));
+            }
+            if !matched {
+                continue;
+            }
+            if annotations {
+                let mut adjustment = 0.0;
+                for (key, value) in &doc.annotations {
+                    if value.is_empty() || value.len() > 64 {
+                        continue;
+                    }
+                    let named = value.iter().all(|v| terms.contains(v));
+                    let conflict = terms.iter().any(|t| {
+                        !value.contains(t)
+                            && self.vocabulary.get(key).is_some_and(|v| v.contains(t))
+                    });
+                    if named {
+                        adjustment += 1.5;
+                    } else if conflict {
+                        adjustment -= 8.0;
+                    }
+                }
+                score += adjustment;
+            }
+            hits.push((id as u32, score));
+        }
+        hits.sort_by(|a, b| {
+            let by_score = b.1.partial_cmp(&a.1).expect("scores are finite");
+            by_score.then(a.0.cmp(&b.0))
+        });
+        hits.truncate(k);
+        hits
+    }
+}
+
+/// Every `(pruning, annotations, k)` cell of the contract: `search` returns
+/// the oracle's doc ids and score bits. The oracle ranks once per query and
+/// annotation mode; each `k` must be a prefix of that ranking. Returns how
+/// many queries retrieved something and how many the annotation pass moved.
+fn assert_search_equals_oracle(
+    sys: &DeepWebSystem,
+    oracle: &Oracle,
+    queries: &[String],
+    bm25: Bm25Params,
+) -> (usize, usize) {
+    let bits = |hits: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+    };
+    let (mut nonempty, mut adjusted) = (0, 0);
+    for q in queries {
+        let plain = oracle.search(q, usize::MAX, bm25, false);
+        let annotated = oracle.search(q, usize::MAX, bm25, true);
+        nonempty += usize::from(!plain.is_empty());
+        adjusted += usize::from(bits(&plain) != bits(&annotated));
+        for (use_annotations, want) in [(false, &plain), (true, &annotated)] {
+            for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
+                let opts = SearchOptions {
+                    bm25,
+                    use_annotations,
+                    pruning,
+                };
+                for k in [1, 10, 1000] {
+                    let got: Vec<(u32, u64)> = search(&sys.index, q, k, opts)
+                        .iter()
+                        .map(|h| (h.doc.0, h.score.to_bits()))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        bits(&want[..k.min(want.len())]),
+                        "query {q:?} k={k} {pruning:?} annotations={use_annotations} {bm25:?}"
+                    );
+                }
+            }
+        }
+    }
+    (nonempty, adjusted)
+}
+
+/// Workload head and tail queries plus the edge cases every serving suite
+/// carries: empty, stopwords only, unknown terms, a repeated term, case
+/// folding, the paper's flagship query.
+fn workload_and_edge_queries(sys: &DeepWebSystem) -> Vec<String> {
+    let workload = generate_workload(
+        &sys.world,
+        &WorkloadConfig {
+            distinct: 120,
+            ..Default::default()
+        },
+    );
+    let tail = workload.queries.iter().filter(|q| q.is_tail).count();
+    assert!(
+        tail >= 10 && workload.queries.len() - tail >= 10,
+        "both classes"
+    );
+    let mut queries: Vec<String> = workload.queries.iter().map(|q| q.text.clone()).collect();
+    queries.extend(
+        [
+            "",
+            "the of and",
+            "zzzzzz qqqqqq",
+            "honda honda civic honda",
+            "HONDA honda HoNdA",
+            "used ford focus 1993",
+        ]
+        .map(String::from),
+    );
+    queries
+}
+
+#[test]
+fn search_equals_the_brute_force_oracle_bit_for_bit() {
+    let sys = DeepWebSystem::build(&quick_config(10));
+    assert!(sys.index.pruning().is_some(), "block index built");
+    let oracle = Oracle::read(&sys);
+    let queries = workload_and_edge_queries(&sys);
+    let (nonempty, adjusted) =
+        assert_search_equals_oracle(&sys, &oracle, &queries, Bm25Params::default());
+    // Not vacuous: most queries retrieve something, and the annotation pass
+    // re-scores a good share of them on this corpus.
+    assert!(nonempty > queries.len() / 2, "non-empty results {nonempty}");
+    assert!(
+        adjusted > 10,
+        "queries the annotation pass moved: {adjusted}"
+    );
+}
+
+/// A form option that no indexed page mentions resolves in the index's
+/// dictionary, owns no posting, and still raises a facet conflict. Honest
+/// default worlds have none (a form's options are drawn from its data, and
+/// the popular-topic hosts review every model), so this world is used-car
+/// sites only, small, with no review hosts: the make → model table the "JS
+/// emulator" recovers then lists models no listing mentions.
+#[test]
+fn a_term_known_only_as_a_facet_value_scores_like_the_oracle() {
+    let mut cfg = quick_config(8);
+    cfg.web.domain_weights = vec![(deepweb::webworld::DomainKind::UsedCars, 1.0)];
+    cfg.web.popular_hosts = 0;
+    cfg.web.table_hosts = 0;
+    cfg.web.min_records = 10;
+    cfg.web.max_records = 30;
+    let sys = DeepWebSystem::build(&cfg);
+    let oracle = Oracle::read(&sys);
+    let facet_only = oracle.vocabulary["model"]
+        .iter()
+        .find(|t| !oracle.df.contains_key(*t))
+        .expect("a model the form offers and no page mentions");
+    assert!(sys.index.facet_value_known("model", facet_only));
+    let queries = [
+        facet_only.clone(),
+        format!("honda {facet_only}"),
+        format!("used {facet_only} honda civic"),
+    ];
+    let (nonempty, adjusted) =
+        assert_search_equals_oracle(&sys, &oracle, &queries, Bm25Params::default());
+    // Alone it retrieves nothing; beside real terms it costs annotated pages
+    // of another model their rank.
+    assert!(oracle
+        .search(facet_only, 10, Bm25Params::default(), true)
+        .is_empty());
+    assert_eq!((nonempty, adjusted), (2, 2));
+}
+
+#[test]
+fn oracle_holds_under_other_bm25_parameters() {
+    let sys = DeepWebSystem::build(&quick_config(6));
+    let oracle = Oracle::read(&sys);
+    let queries = workload_and_edge_queries(&sys);
+    for bm25 in [
+        Bm25Params { k1: 0.4, b: 0.0 },
+        Bm25Params { k1: 2.0, b: 1.0 },
+    ] {
+        assert_search_equals_oracle(&sys, &oracle, &queries, bm25);
+    }
+}

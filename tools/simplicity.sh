@@ -1,0 +1,40 @@
+#!/bin/sh
+# The four numbers a deletion PR in this repository quotes (ISSUEs 13, 15, 17,
+# 18), from one command:
+#
+#   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
+#      file's first `#[cfg(test)]` (the deepbench package is not counted);
+#   2. `pub` fields of each configuration struct (`*Config`, `*Params`,
+#      `*Policy`, `SearchOptions`) — the independently settable values;
+#   3. findings the analyzer suppresses through `detlint:allow` comments;
+#   4. md5 of `report -- smoke` stdout, which must not move across a refactor.
+#
+# Run from anywhere inside the checkout: `tools/simplicity.sh`.
+set -eu
+cd "$(dirname "$0")/.."
+
+echo "== non-test lines per crate"
+total=0
+for dir in crates/*/; do
+    lines=$(find "${dir}src" -name '*.rs' -not -path '*/bin/deepbench/*' |
+        while read -r file; do
+            awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$file"
+        done | awk '{s+=$1} END{print s+0}')
+    printf '%-10s %6d\n' "$(basename "$dir")" "$lines"
+    total=$((total + lines))
+done
+printf '%-10s %6d\n' total "$total"
+
+echo "== pub fields per configuration struct"
+find crates/*/src -name '*.rs' -not -path '*/bin/deepbench/*' | sort | xargs awk '
+    /^pub struct ([A-Za-z0-9]+(Config|Params|Policy)|SearchOptions)( |$)/ { name = $3; fields = 0; next }
+    name != "" && /^    pub [a-z_0-9]+:/ { fields++ }
+    name != "" && /^}/ { printf "%-20s %3d\n", name, fields; name = "" }
+'
+
+echo "== detlint:allow suppressions"
+cargo run -q --release -p analyzer --bin detlint |
+    awk '/^(R[0-9]+|A0) /{s+=$4} END{print s+0}'
+
+echo "== md5 of report -- smoke"
+cargo run -q --release -p deepweb-bench --bin report -- smoke 2>/dev/null | md5sum | cut -d' ' -f1
