@@ -3,9 +3,15 @@
 //! The index holds millions of repeated strings (terms, facet keys).
 //! Interning turns them into `u32` ids: smaller postings, faster hashing,
 //! and cheap equality.
+//!
+//! Each term's text is one shared `Arc<str>` — the map key and the id → text
+//! entry are the same allocation — so a copy of the dictionary (the
+//! freshness tier makes one per merge, DESIGN.md §15) bumps a reference
+//! count per term and allocates no string.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::TermId;
+use std::sync::Arc;
 
 /// The index's term dictionary: an append-only map from term text to a dense
 /// [`TermId`], plus a sorted-dictionary view for whole-dictionary reads.
@@ -19,8 +25,8 @@ use crate::ids::TermId;
 /// DESIGN.md §10).
 #[derive(Default, Clone, Debug)]
 pub struct TermDict {
-    by_name: FxHashMap<String, TermId>,
-    names: Vec<String>,
+    by_name: FxHashMap<Arc<str>, TermId>,
+    names: Vec<Arc<str>>,
 }
 
 impl TermDict {
@@ -35,8 +41,9 @@ impl TermDict {
             return id;
         }
         let id = TermId(self.names.len() as u32);
-        self.names.push(term.to_owned());
-        self.by_name.insert(term.to_owned(), id);
+        let name: Arc<str> = Arc::from(term);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
@@ -68,7 +75,7 @@ impl TermDict {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, s)| (TermId(i as u32), s.as_str()))
+            .map(|(i, s)| (TermId(i as u32), &**s))
     }
 
     /// The sorted-dictionary view: `(TermId, term)` pairs in lexicographic
@@ -76,9 +83,9 @@ impl TermDict {
     /// whole-dictionary scans iterate.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (TermId, &str)> {
         let mut ids: Vec<u32> = (0..self.names.len() as u32).collect();
-        ids.sort_unstable_by_key(|&i| self.names[i as usize].as_str());
+        ids.sort_unstable_by_key(|&i| &*self.names[i as usize]);
         ids.into_iter()
-            .map(|i| (TermId(i), self.names[i as usize].as_str()))
+            .map(|i| (TermId(i), &*self.names[i as usize]))
     }
 }
 
@@ -96,6 +103,17 @@ mod tests {
         assert_eq!(d.resolve(a), "honda");
         assert_eq!(d.get("honda"), Some(a));
         assert!(d.get("ford").is_none());
+    }
+
+    #[test]
+    fn a_copy_shares_every_term_allocation_and_stays_independent() {
+        let mut d = TermDict::new();
+        let honda = d.intern("honda");
+        let mut copy = d.clone();
+        assert!(std::ptr::eq(d.resolve(honda), copy.resolve(honda)));
+        let ford = copy.intern("ford");
+        assert_eq!(copy.resolve(ford), "ford");
+        assert_eq!((d.len(), d.get("ford")), (1, None));
     }
 
     #[test]

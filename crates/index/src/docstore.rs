@@ -1,7 +1,15 @@
 //! Stored documents: everything the serving layer needs to render a hit.
+//!
+//! The store is append-only and its documents never change, so it keeps them
+//! in fixed-size chunks behind `Arc`: a copy of the store shares every chunk,
+//! and appending to a copy clones only the tail chunk it writes into. That is
+//! what lets the freshness tier's merge (DESIGN.md §15) hand the next base
+//! the sealed base's documents instead of a copy of their text.
 
+use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
 use deepweb_common::Url;
+use std::sync::Arc;
 
 /// How a document entered the index (the paper's key distinction: surfaced
 /// deep-web pages are served "like any other page" but we must attribute
@@ -64,10 +72,17 @@ pub struct StoredDoc {
     pub annotation_ids: Vec<AnnotationIds>,
 }
 
-/// Append-only document store.
+/// Documents per chunk, as a shift: a lookup is `id >> CHUNK_BITS` for the
+/// chunk and the low bits inside it.
+const CHUNK_BITS: u32 = 10;
+pub(crate) const CHUNK_DOCS: usize = 1 << CHUNK_BITS;
+
+/// Append-only document store. `clone()` shares every chunk (module docs);
+/// only the last chunk is ever partly filled.
 #[derive(Default, Clone, Debug)]
 pub struct DocStore {
-    docs: Vec<StoredDoc>,
+    chunks: Vec<Arc<Vec<StoredDoc>>>,
+    len: usize,
 }
 
 impl DocStore {
@@ -96,8 +111,8 @@ impl DocStore {
             annotation_ids.len(),
             "annotation_ids must mirror annotations entry for entry"
         );
-        let id = DocId(self.docs.len() as u32);
-        self.docs.push(StoredDoc {
+        let id = DocId(next_id(self.len));
+        let doc = StoredDoc {
             id,
             url,
             title,
@@ -106,28 +121,40 @@ impl DocStore {
             site,
             annotations,
             annotation_ids,
-        });
+        };
+        match self.chunks.last_mut() {
+            // Copy-on-append: a tail chunk another store still reads is
+            // cloned here, so a push never changes what a copy returns.
+            Some(tail) if tail.len() < CHUNK_DOCS => Arc::make_mut(tail).push(doc),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_DOCS);
+                chunk.push(doc);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+        self.len += 1;
         id
     }
 
     /// Document by id.
     pub fn get(&self, id: DocId) -> &StoredDoc {
-        &self.docs[id.as_usize()]
+        let i = id.as_usize();
+        &self.chunks[i >> CHUNK_BITS][i % CHUNK_DOCS]
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.len
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.len == 0
     }
 
     /// Iterate all documents.
     pub fn iter(&self) -> impl Iterator<Item = &StoredDoc> {
-        self.docs.iter()
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 }
 
@@ -150,6 +177,53 @@ mod tests {
         assert_eq!(id, DocId(0));
         assert_eq!(ds.get(id).title, "t");
         assert_eq!(ds.len(), 1);
+    }
+
+    fn push_n(ds: &mut DocStore, n: usize) {
+        for _ in 0..n {
+            let path = format!("/{}", ds.len());
+            ds.push(
+                Url::new("x.sim", path.clone()),
+                path,
+                "body".into(),
+                DocKind::Surface,
+                None,
+                vec![],
+                vec![],
+            );
+        }
+    }
+
+    /// The tail-chunk copy-on-append case on both sides of a chunk boundary:
+    /// a push on a copy never changes what the original returns, and full
+    /// chunks are shared, not copied.
+    #[test]
+    fn push_on_a_copy_leaves_the_original_untouched() {
+        for n in [CHUNK_DOCS - 1, CHUNK_DOCS, CHUNK_DOCS + 1] {
+            let mut original = DocStore::new();
+            push_n(&mut original, n);
+            let mut copy = original.clone();
+            push_n(&mut copy, 3);
+            assert_eq!((original.len(), copy.len()), (n, n + 3));
+            assert_eq!(original.iter().count(), n);
+            for (i, doc) in copy.iter().enumerate() {
+                assert_eq!(
+                    (doc.id.as_usize(), doc.title.as_str()),
+                    (i, &*format!("/{i}"))
+                );
+                assert_eq!(copy.get(doc.id).id, doc.id);
+            }
+            for (a, b) in original.iter().zip(copy.iter()) {
+                assert_eq!((a.id, &a.title), (b.id, &b.title));
+                let in_full_chunk = a.id.as_usize() < n / CHUNK_DOCS * CHUNK_DOCS;
+                assert_eq!(std::ptr::eq(a, b), in_full_chunk, "n={n} doc {}", a.id);
+            }
+            // The original keeps appending on its own tail.
+            push_n(&mut original, 1);
+            assert_eq!(original.get(DocId(next_id(n))).title, format!("/{n}"));
+            assert_eq!(copy.get(DocId(next_id(n))).title, format!("/{n}"));
+            assert_eq!(copy.len(), n + 3);
+        }
     }
 
     #[test]

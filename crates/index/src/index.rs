@@ -7,8 +7,15 @@ use crate::docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
+use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet, TermDict, ThreadPool, Url};
+use std::sync::Arc;
+
+/// One built doc-range shard as the merge fold reads it: its doc-local
+/// postings, its documents, and per doc and annotation the value tokens as
+/// shard-local term ids — what [`build_shard`] made of the documents.
+pub(crate) type BuiltShard<'a> = (&'a Postings, &'a [BatchDoc], &'a [Vec<Vec<TermId>>]);
 
 /// One document of a batch insert (the argument list of [`SearchIndex::add`]
 /// as a struct, so batches can cross thread boundaries).
@@ -40,7 +47,9 @@ pub struct BatchDoc {
 pub struct SearchIndex {
     docs: DocStore,
     postings: Postings,
-    by_url: FxHashMap<String, DocId>,
+    /// Rendered URL → doc id. A key is one shared allocation, so a copy of
+    /// the map (one per merge of the freshness tier) allocates no string.
+    by_url: FxHashMap<Arc<str>, DocId>,
     /// Facet key text → [`FacetKeyId`], first-appearance order.
     facet_keys: TermDict,
     /// Facet → known analysed value tokens, both sides interned.
@@ -69,14 +78,14 @@ impl SearchIndex {
         annotations: Vec<Annotation>,
     ) -> DocId {
         let key = url.to_string();
-        if let Some(&id) = self.by_url.get(&key) {
+        if let Some(&id) = self.by_url.get(key.as_str()) {
             return id;
         }
         self.pruning = None;
         // Index title + body (title terms matter for ranking).
         let mut terms = analyze(&title);
         terms.extend(analyze(&text));
-        let id = DocId(self.docs.len() as u32);
+        let id = DocId(next_id(self.docs.len()));
         // Canonical interning order per document: body terms first, then
         // annotation value tokens — the order the parallel build's id remap
         // replays (DESIGN.md §12).
@@ -84,7 +93,7 @@ impl SearchIndex {
         let annotation_ids = self.intern_annotations(&annotations);
         self.docs
             .push(url, title, text, kind, site, annotations, annotation_ids);
-        self.by_url.insert(key, id);
+        self.by_url.insert(key.into(), id);
         id
     }
 
@@ -145,12 +154,12 @@ impl SearchIndex {
         let mut fresh: Vec<BatchDoc> = Vec::new();
         for doc in batch {
             let key = doc.url.to_string();
-            if let Some(&id) = self.by_url.get(&key) {
+            if let Some(&id) = self.by_url.get(key.as_str()) {
                 ids.push(id);
                 continue;
             }
-            let id = DocId((self.docs.len() + fresh.len()) as u32);
-            self.by_url.insert(key, id);
+            let id = DocId(next_id(self.docs.len() + fresh.len()));
+            self.by_url.insert(key.into(), id);
             ids.push(id);
             fresh.push(doc);
         }
@@ -179,32 +188,29 @@ impl SearchIndex {
         // 3. Deterministic merge in shard order + sequential store/facet
         // bookkeeping (identical to what `add` does per document).
         for (shard_postings, shard, shard_ann_local) in built {
-            self.absorb_built(&shard_postings, shard, &shard_ann_local, false);
+            let remap = self.postings.absorb(&shard_postings);
+            self.store_shard(shard, &shard_ann_local, &remap);
         }
         debug_assert_eq!(self.docs.len(), self.postings.num_docs());
         ids
     }
 
-    /// Fold one pre-built doc-local postings shard into this index. The
-    /// shared phase-3 merge of both batched build paths ([`add_batch`] and
-    /// the delta-segment fold of [`segments`](crate::segments)): absorb
-    /// hands back the shard-local → global id remap, which rewrites the
-    /// pre-tokenised annotation values into global ids before the
-    /// per-document store/facet bookkeeping runs — identical to what `add`
-    /// does per document. `register_urls` is true for callers that have not
-    /// already claimed the URLs in `by_url` (the segment fold); `add_batch`
-    /// registers them during its dedup phase and passes false.
+    /// The store/facet half of folding one built shard in, run after its
+    /// postings were absorbed: `remap` (shard-local → global term id, what
+    /// the absorb handed back) rewrites the pre-tokenised annotation values
+    /// into global ids before the per-document bookkeeping runs — identical
+    /// to what `add` does per document. The one fold both batched paths
+    /// share: [`add_batch`]'s phase 3 and the delta-segment merge
+    /// ([`SearchIndex::merged`]). Neither registers URLs here; both have
+    /// claimed them in `by_url` already.
     ///
     /// [`add_batch`]: SearchIndex::add_batch
-    pub(crate) fn absorb_built(
+    fn store_shard(
         &mut self,
-        shard_postings: &Postings,
-        shard: Vec<BatchDoc>,
+        shard: impl IntoIterator<Item = BatchDoc>,
         shard_ann_local: &[Vec<Vec<TermId>>],
-        register_urls: bool,
+        remap: &[TermId],
     ) {
-        self.pruning = None;
-        let remap = self.postings.absorb(shard_postings);
         for (doc, ann_local) in shard.into_iter().zip(shard_ann_local) {
             let annotation_ids: Vec<AnnotationIds> = doc
                 .annotations
@@ -218,10 +224,6 @@ impl SearchIndex {
                     self.record_annotation(&ann.key, terms)
                 })
                 .collect();
-            if register_urls {
-                self.by_url
-                    .insert(doc.url.to_string(), DocId(self.docs.len() as u32));
-            }
             self.docs.push(
                 doc.url,
                 doc.title,
@@ -232,6 +234,47 @@ impl SearchIndex {
                 annotation_ids,
             );
         }
+    }
+
+    /// This index with `shards` folded in, in order, as a new index — the
+    /// freshness tier's merge (DESIGN.md §15). `self` is only read, and what
+    /// a merge does not change is shared with it or carried over, not
+    /// rebuilt: the next base shares every full docstore chunk, every URL key
+    /// and every dictionary string; each posting list is copied once at its
+    /// final length ([`Postings::absorbed`]); the pruning structures are
+    /// extended over the new docs ([`PruningIndex::extended`]) and are always
+    /// present on the result. `urls` are the shards' `by_url` entries, keyed
+    /// by the strings the tier already rendered when it deduplicated them.
+    ///
+    /// Equal, field for field, to `add_batch` of the same documents onto a
+    /// copy of `self` followed by `enable_pruning`: the id walk, the remap
+    /// and the store/facet bookkeeping are the code `add_batch` runs.
+    pub(crate) fn merged(
+        &self,
+        shards: &[BuiltShard<'_>],
+        urls: &FxHashMap<Arc<str>, DocId>,
+    ) -> SearchIndex {
+        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0).collect();
+        let (postings, remaps) = self.postings.absorbed(&shard_postings);
+        let mut by_url = self.by_url.clone();
+        by_url.extend(urls.iter().map(|(key, &id)| (Arc::clone(key), id)));
+        let mut next = SearchIndex {
+            docs: self.docs.clone(),
+            postings,
+            by_url,
+            facet_keys: self.facet_keys.clone(),
+            facet_values: self.facet_values.clone(),
+            pruning: None,
+        };
+        for (&(_, docs, ann_local), remap) in shards.iter().zip(&remaps) {
+            next.store_shard(docs.iter().cloned(), ann_local, remap);
+        }
+        debug_assert_eq!(next.docs.len(), next.postings.num_docs());
+        next.pruning = Some(match &self.pruning {
+            Some(sealed) => sealed.extended(&next),
+            None => PruningIndex::build(&next),
+        });
+        next
     }
 
     /// Extend the facet vocabulary with externally observed values (e.g.
@@ -254,7 +297,13 @@ impl SearchIndex {
 
     /// True if the URL is already indexed.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.by_url.contains_key(&url.to_string())
+        self.contains_key(&url.to_string())
+    }
+
+    /// [`SearchIndex::contains_url`] for a caller that has rendered the URL
+    /// already.
+    pub(crate) fn contains_key(&self, rendered_url: &str) -> bool {
+        self.by_url.contains_key(rendered_url)
     }
 
     /// Document metadata store.
@@ -353,7 +402,7 @@ pub(crate) fn build_shard(shard: &[BatchDoc]) -> (Postings, Vec<Vec<Vec<TermId>>
     for (local, doc) in shard.iter().enumerate() {
         let mut terms = analyze(&doc.title);
         terms.extend(analyze(&doc.text));
-        postings.add_document(DocId(local as u32), &terms);
+        postings.add_document(DocId(next_id(local)), &terms);
         ann_local.push(
             doc.annotations
                 .iter()
@@ -390,6 +439,47 @@ impl SearchIndex {
             terms: self.postings.num_terms(),
             postings: self.postings.num_postings(),
             avg_doc_len: self.postings.avg_doc_len(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl SearchIndex {
+    /// Structural identity, field for field — what "merged == rebuilt" means
+    /// below ranking. Hash maps compare by content; everything ordered
+    /// compares through `Debug`, which prints every private field of
+    /// `Postings`, `BlockPostings` (packed words, `term_start`, each block
+    /// with its `max_contrib` at round-trip precision) and `PruningIndex`.
+    pub(crate) fn assert_same_as(&self, want: &SearchIndex, ctx: &str) {
+        let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        assert_eq!(dbg(&self.postings), dbg(&want.postings), "{ctx}: postings");
+        assert_eq!(dbg(&self.docs), dbg(&want.docs), "{ctx}: docstore");
+        assert_eq!(self.by_url, want.by_url, "{ctx}: by_url");
+        assert_eq!(
+            dbg(&self.facet_keys),
+            dbg(&want.facet_keys),
+            "{ctx}: facet keys"
+        );
+        assert_eq!(self.facet_values, want.facet_values, "{ctx}: facet values");
+        assert_eq!(dbg(&self.pruning), dbg(&want.pruning), "{ctx}: pruning");
+        let (Some(got), Some(want)) = (self.pruning(), want.pruning()) else {
+            panic!("{ctx}: both sides carry pruning structures");
+        };
+        assert_eq!(
+            got.annotation_upper_bound().to_bits(),
+            want.annotation_upper_bound().to_bits(),
+            "{ctx}: annotation bound"
+        );
+        for (id, term) in self.postings.dict().iter() {
+            let (a, b) = (got.blocks().term_blocks(id), want.blocks().term_blocks(id));
+            assert_eq!(a, b, "{ctx}: blocks of {term:?}");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(
+                    x.max_contrib.to_bits(),
+                    y.max_contrib.to_bits(),
+                    "{ctx}: {term:?}"
+                );
+            }
         }
     }
 }

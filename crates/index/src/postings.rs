@@ -11,7 +11,16 @@
 //! format, the doc-local build unit the parallel index builder and the
 //! freshness tier produce per doc range, and the input [`BlockPostings`] is
 //! built from (DESIGN.md §10, §14).
+//!
+//! Both structures grow by a doc-range suffix without redoing the prefix.
+//! [`Postings::absorb`] appends a shard in place; `Postings::absorbed` is
+//! the same fold onto a copy made *after* the id walk, so each list is
+//! allocated once at its final length. `BlockPostings::extended` carries
+//! every full block of the index it extends over as bits and packs only the
+//! partial tails and the new postings — [`BlockPostings::build`] is that
+//! extension from the empty index, so there is one packer.
 
+use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::TermDict;
 
@@ -28,9 +37,27 @@ pub(crate) fn bm25_idf(num_docs: f64, df: f64) -> f64 {
 /// can never drift apart. The expression is written exactly as the original
 /// kernel computed it; reordering the operations would change low bits and
 /// break the byte-identity contract.
+///
+/// It is spelled in two halves so that a pass over every posting of an index
+/// ([`BlockPostings::extended`]'s exact block maxima) can evaluate the first
+/// half — which depends on the document alone — once per document instead of
+/// once per posting; composing the halves performs the same operations in
+/// the same order as the one-line form.
 #[inline]
 pub(crate) fn bm25_contribution(idf: f64, tf: f64, dl: f64, avg_len: f64, k1: f64, b: f64) -> f64 {
-    let denom = tf + k1 * (1.0 - b + b * dl / avg_len);
+    bm25_normalised(idf, tf, bm25_length_norm(dl, avg_len, k1, b), k1)
+}
+
+/// The document-length term of [`bm25_contribution`]'s denominator.
+#[inline]
+fn bm25_length_norm(dl: f64, avg_len: f64, k1: f64, b: f64) -> f64 {
+    k1 * (1.0 - b + b * dl / avg_len)
+}
+
+/// [`bm25_contribution`] given its document's [`bm25_length_norm`].
+#[inline]
+fn bm25_normalised(idf: f64, tf: f64, length_norm: f64, k1: f64) -> f64 {
+    let denom = tf + length_norm;
     idf * tf * (k1 + 1.0) / denom
 }
 
@@ -228,21 +255,81 @@ impl Postings {
     /// replays the sequential interning order exactly like postings do
     /// (DESIGN.md §12).
     pub fn absorb(&mut self, shard: &Postings) -> Vec<TermId> {
-        let offset = self.doc_len.len() as u32;
+        let remap = self.intern_shard(shard);
+        self.append_shard(shard, &remap);
+        remap
+    }
+
+    /// The id walk of [`Postings::absorb`]: re-intern the shard's dictionary
+    /// in its id (first-appearance) order.
+    fn intern_shard(&mut self, shard: &Postings) -> Vec<TermId> {
+        shard
+            .dict
+            .iter()
+            .map(|(_, term)| self.dict.intern(term))
+            .collect()
+    }
+
+    /// The concatenation of [`Postings::absorb`]: the shard's doc lengths,
+    /// and each of its lists behind the list `remap` names, doc ids lifted
+    /// by the number of docs already here.
+    fn append_shard(&mut self, shard: &Postings, remap: &[TermId]) {
+        let offset = doc_bound(self.doc_len.len());
         self.total_len += shard.total_len;
         self.doc_len.extend_from_slice(&shard.doc_len);
-        let mut remap = Vec::with_capacity(shard.dict.len());
-        for (local_id, term) in shard.dict.iter() {
-            let id = self.intern_term(term);
-            self.lists[id.as_usize()].extend(shard.lists[local_id.as_usize()].iter().map(|p| {
-                Posting {
-                    doc: DocId(p.doc.0 + offset),
-                    tf: p.tf,
-                }
+        self.lists.resize_with(self.dict.len(), Vec::new);
+        for (list, id) in shard.lists.iter().zip(remap) {
+            self.lists[id.as_usize()].extend(list.iter().map(|p| Posting {
+                doc: DocId(p.doc.0 + offset),
+                tf: p.tf,
             }));
-            remap.push(id);
         }
-        remap
+    }
+
+    /// `self` with every shard absorbed in order, as a new `Postings` —
+    /// `self` is only read. Field for field what [`Postings::absorb`] of
+    /// each shard onto `self.clone()` builds (it runs the same id walk and
+    /// the same concatenation), but the copy is made after the walk, when
+    /// every list's final length (its length here plus each shard's) is
+    /// known: a list is allocated once, copied once, and carries no slack.
+    /// Returns one remap table per shard beside it.
+    pub(crate) fn absorbed(&self, shards: &[&Postings]) -> (Postings, Vec<Vec<TermId>>) {
+        let mut out = Postings {
+            dict: self.dict.clone(),
+            total_len: self.total_len,
+            ..Postings::default()
+        };
+        let remaps: Vec<Vec<TermId>> = shards.iter().map(|s| out.intern_shard(s)).collect();
+        let mut final_len: Vec<usize> = self.lists.iter().map(Vec::len).collect();
+        final_len.resize(out.dict.len(), 0);
+        for (shard, remap) in shards.iter().zip(&remaps) {
+            for (list, id) in shard.lists.iter().zip(remap) {
+                final_len[id.as_usize()] += list.len();
+            }
+        }
+        out.lists = final_len
+            .iter()
+            .enumerate()
+            .map(|(t, &len)| {
+                let mut list = Vec::with_capacity(len);
+                list.extend_from_slice(self.lists.get(t).map_or(&[][..], Vec::as_slice));
+                list
+            })
+            .collect();
+        let docs = shards.iter().map(|s| s.doc_len.len()).sum::<usize>();
+        out.doc_len = Vec::with_capacity(self.doc_len.len() + docs);
+        out.doc_len.extend_from_slice(&self.doc_len);
+        for (shard, remap) in shards.iter().zip(&remaps) {
+            out.append_shard(shard, remap);
+        }
+        (out, remaps)
+    }
+
+    /// Bytes the posting lists hold allocated (capacity, not length).
+    #[cfg(test)]
+    pub(crate) fn list_bytes(&self) -> usize {
+        let slots: usize = self.lists.iter().map(Vec::capacity).sum();
+        slots * std::mem::size_of::<Posting>()
     }
 }
 
@@ -264,9 +351,9 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    fn with_capacity(words: usize) -> Self {
         BitWriter {
-            words: Vec::new(),
+            words: Vec::with_capacity(words),
             bit_len: 0,
         }
     }
@@ -286,6 +373,18 @@ impl BitWriter {
             self.words.push(value >> (64 - off));
         }
         self.bit_len += u64::from(bits);
+    }
+
+    /// Append `bits` bits of `src` starting at `bit_pos`, a word at a time —
+    /// how already-packed blocks move to a new offset without being decoded.
+    fn copy_bits(&mut self, src: &[u64], bit_pos: u64, bits: u64) {
+        let whole = bits / 64;
+        for i in 0..whole {
+            self.push(read_bits(src, bit_pos + i * 64, 64), 64);
+        }
+        // The remainder is < 64, so the conversion cannot fail.
+        let rest = u8::try_from(bits % 64).unwrap_or(0);
+        self.push(read_bits(src, bit_pos + whole * 64, rest), rest);
     }
 }
 
@@ -337,6 +436,58 @@ pub struct PostingBlock {
     pub bit_offset: u64,
 }
 
+/// Pack one block's postings (a non-empty run of one term's list) behind
+/// whatever `writer` holds, and describe it. `max_contrib` is left at zero:
+/// it depends on index-wide statistics and is set by the caller.
+fn pack_block(writer: &mut BitWriter, postings: &Postings, chunk: &[Posting]) -> PostingBlock {
+    let first_doc = chunk.first().map_or(0, |p| p.doc.0);
+    let mut count = 0u32;
+    let mut max_delta_m1 = 0u64;
+    let mut max_tf = 0u32;
+    let mut min_dl = u32::MAX;
+    let mut prev = first_doc;
+    for p in chunk {
+        if count > 0 {
+            max_delta_m1 = max_delta_m1.max(u64::from(p.doc.0 - prev - 1));
+            prev = p.doc.0;
+        }
+        count += 1;
+        max_tf = max_tf.max(p.tf);
+        min_dl = min_dl.min(postings.doc_len(p.doc));
+    }
+    let doc_bits = bits_for(max_delta_m1);
+    let tf_bits = bits_for(u64::from(max_tf.saturating_sub(1)));
+    let bit_offset = writer.bit_len;
+    let mut prev = first_doc;
+    for (i, p) in chunk.iter().enumerate() {
+        if i > 0 {
+            writer.push(u64::from(p.doc.0 - prev - 1), doc_bits);
+            prev = p.doc.0;
+        }
+        writer.push(u64::from(p.tf - 1), tf_bits);
+    }
+    PostingBlock {
+        first_doc,
+        last_doc: prev,
+        count,
+        max_tf,
+        min_dl,
+        max_contrib: 0.0,
+        doc_bits,
+        tf_bits,
+        bit_offset,
+    }
+}
+
+impl PostingBlock {
+    /// Bits of packed payload: a delta for every posting but the first, a
+    /// term frequency for each.
+    fn payload_bits(&self) -> u64 {
+        let count = u64::from(self.count);
+        (count - 1) * u64::from(self.doc_bits) + count * u64::from(self.tf_bits)
+    }
+}
+
 /// Delta-encoded, bit-packed posting blocks with per-block max-score
 /// metadata, built over finished [`Postings`] (DESIGN.md §14).
 ///
@@ -351,13 +502,21 @@ pub struct PostingBlock {
 /// [`BlockPostings::decode_block`] reproduces the exact `(doc, tf)` pairs of
 /// the raw list, so any score computed from decoded blocks is bit-identical
 /// to one computed from the raw list.
-#[derive(Clone, Debug, Default)]
+///
+/// Blocks are append-only once full: a full block's span, widths, payload
+/// bits and `(max_tf, min_dl)` are facts about postings that appending
+/// documents never touches, so `BlockPostings::extended` carries them over
+/// verbatim. Only `max_contrib` moves — it bakes in `N`, the term's `df` and
+/// the average doc length — and is recomputed for every block.
+#[derive(Clone, Debug)]
 pub struct BlockPostings {
     /// Prefix offsets into `blocks`: term `t` owns
     /// `blocks[term_start[t] .. term_start[t + 1]]`.
     term_start: Vec<u32>,
     blocks: Vec<PostingBlock>,
     packed: Vec<u64>,
+    /// Postings per full block; only a term's last block may hold fewer.
+    block_size: usize,
     k1: f64,
     b: f64,
 }
@@ -365,72 +524,98 @@ pub struct BlockPostings {
 impl BlockPostings {
     /// Build blocks over every term of `postings`, bounding contributions
     /// with BM25 parameters `(k1, b)` — the parameters the stored
-    /// `max_contrib` is exact for ([`PostingBlock::max_contrib`]).
+    /// `max_contrib` is exact for ([`PostingBlock::max_contrib`]). This is
+    /// `BlockPostings::extended` from the empty index.
     pub fn build(postings: &Postings, block_size: usize, k1: f64, b: f64) -> Self {
-        let block_size = block_size.max(1);
+        Self::empty(block_size, k1, b).extended(postings)
+    }
+
+    /// The block index of no postings, for [`BlockPostings::extended`] to
+    /// start from.
+    pub(crate) fn empty(block_size: usize, k1: f64, b: f64) -> Self {
+        BlockPostings {
+            term_start: Vec::new(),
+            blocks: Vec::new(),
+            packed: Vec::new(),
+            block_size: block_size.max(1),
+            k1,
+            b,
+        }
+    }
+
+    /// The block index over all of `postings`, given `self` over a doc-range
+    /// prefix of it (every list of the prefix is a prefix of the list here —
+    /// what [`Postings::absorb`] guarantees). Identical, packed words
+    /// included, to building over `postings` from empty.
+    ///
+    /// Per term, the blocks that stay as they are — all of them if the term
+    /// gained no posting, else the full ones — are carried over as bits,
+    /// neither decoded nor re-packed; the partial tail and the new postings
+    /// are packed behind them. `max_contrib` is then recomputed for every
+    /// block of the term from the raw list under `postings`' statistics (the
+    /// pair `(max_tf, min_dl)` alone would bound safely but loosely — see
+    /// DESIGN.md §14 for what that cost).
+    pub(crate) fn extended(&self, postings: &Postings) -> Self {
+        let size = self.block_size;
         let avg_len = postings.avg_doc_len().max(1.0);
         let num_terms = postings.num_terms();
+        let terms = (0..next_id(num_terms)).map(TermId);
+        let num_blocks: usize = terms
+            .clone()
+            .map(|id| postings.df_id(id).div_ceil(size))
+            .sum();
+        let length_norm: Vec<f64> = postings
+            .doc_len
+            .iter()
+            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len, self.k1, self.b))
+            .collect();
         let mut term_start = Vec::with_capacity(num_terms + 1);
-        let mut blocks = Vec::new();
-        let mut writer = BitWriter::new();
+        let mut blocks: Vec<PostingBlock> = Vec::with_capacity(num_blocks);
+        let mut writer = BitWriter::with_capacity(self.packed.len());
         term_start.push(0u32);
-        for t in 0..num_terms {
-            let id = TermId(t as u32);
+        for id in terms {
             let list = postings.postings_id(id);
-            let idf = postings.idf_id(id);
-            for chunk in list.chunks(block_size) {
-                let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
-                    continue; // chunks() never yields an empty slice
-                };
-                let first_doc = first.doc.0;
-                let last_doc = last.doc.0;
-                let mut max_delta_m1 = 0u64;
-                let mut max_tf = 0u32;
-                let mut min_dl = u32::MAX;
-                let mut max_contrib = 0.0f64;
-                let mut prev = first_doc;
-                for (i, p) in chunk.iter().enumerate() {
-                    if i > 0 {
-                        max_delta_m1 = max_delta_m1.max(u64::from(p.doc.0 - prev - 1));
-                        prev = p.doc.0;
-                    }
-                    max_tf = max_tf.max(p.tf);
-                    let dl = postings.doc_len(p.doc);
-                    min_dl = min_dl.min(dl);
-                    let c = bm25_contribution(idf, f64::from(p.tf), f64::from(dl), avg_len, k1, b);
-                    max_contrib = max_contrib.max(c);
-                }
-                let doc_bits = bits_for(max_delta_m1);
-                let tf_bits = bits_for(u64::from(max_tf - 1));
-                let bit_offset = writer.bit_len;
-                let mut prev = first_doc;
-                for (i, p) in chunk.iter().enumerate() {
-                    if i > 0 {
-                        writer.push(u64::from(p.doc.0 - prev - 1), doc_bits);
-                        prev = p.doc.0;
-                    }
-                    writer.push(u64::from(p.tf - 1), tf_bits);
-                }
-                blocks.push(PostingBlock {
-                    first_doc,
-                    last_doc,
-                    count: chunk.len() as u32,
-                    max_tf,
-                    min_dl,
-                    max_contrib,
-                    doc_bits,
-                    tf_bits,
-                    bit_offset,
-                });
+            let old = self.term_blocks(id);
+            let old_len: usize = old.iter().map(|b| b.count as usize).sum();
+            // Postings whose blocks stay as they are: all of them if the
+            // term gained none, else those in full blocks.
+            let kept = if list.len() == old_len {
+                old_len
+            } else {
+                old_len / size * size
+            };
+            let carried = &old[..kept.div_ceil(size)];
+            let term_first = blocks.len();
+            if let (Some(first), Some(last)) = (carried.first(), carried.last()) {
+                debug_assert_eq!(list[kept - 1].doc.0, last.last_doc);
+                let shift_to = writer.bit_len;
+                blocks.extend(carried.iter().map(|b| PostingBlock {
+                    bit_offset: shift_to + (b.bit_offset - first.bit_offset),
+                    ..*b
+                }));
+                let bits = last.bit_offset + last.payload_bits() - first.bit_offset;
+                writer.copy_bits(&self.packed, first.bit_offset, bits);
             }
-            term_start.push(blocks.len() as u32);
+            for chunk in list[kept..].chunks(size) {
+                blocks.push(pack_block(&mut writer, postings, chunk));
+            }
+            let idf = postings.idf_id(id);
+            for (block, chunk) in blocks[term_first..].iter_mut().zip(list.chunks(size)) {
+                block.max_contrib = chunk
+                    .iter()
+                    .map(|p| {
+                        let norm = length_norm[p.doc.as_usize()];
+                        bm25_normalised(idf, f64::from(p.tf), norm, self.k1)
+                    })
+                    .fold(0.0, f64::max);
+            }
+            term_start.push(next_id(blocks.len()));
         }
         BlockPostings {
             term_start,
             blocks,
             packed: writer.words,
-            k1,
-            b,
+            ..*self
         }
     }
 
@@ -748,6 +933,92 @@ mod tests {
         assert!(a.packed_bytes() > 0 && a.meta_bytes() > 0);
     }
 
+    /// `absorbed` is `absorb` onto a clone, field for field (the dictionary's
+    /// table layout included — `Debug` prints it), with every list allocated
+    /// at its final length; the base is only read.
+    #[test]
+    fn absorbed_equals_absorb_onto_a_clone_without_slack() {
+        let mut base = sample();
+        base.intern_term("annotation-only");
+        let shards: Vec<Postings> = [
+            vec![vec!["honda", "tesla"], vec!["tesla", "tesla", "zip"]],
+            vec![],
+            vec![vec!["ford"], vec!["novel", "honda"]],
+        ]
+        .iter()
+        .map(|docs: &Vec<Vec<&str>>| {
+            let mut shard = Postings::new();
+            for terms in docs {
+                let terms: Vec<String> = terms.iter().map(|t| t.to_string()).collect();
+                shard.add_document(DocId(doc_bound(shard.num_docs())), &terms);
+            }
+            shard.intern_term("shard-annotation-only");
+            shard
+        })
+        .collect();
+        let before = format!("{base:?}");
+        let mut want = base.clone();
+        let want_remaps: Vec<Vec<TermId>> = shards.iter().map(|s| want.absorb(s)).collect();
+        let (got, remaps) = base.absorbed(&shards.iter().collect::<Vec<_>>());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(remaps, want_remaps);
+        assert_eq!(format!("{base:?}"), before);
+        assert_eq!(got.num_docs(), 7);
+        assert_eq!(
+            got.list_bytes(),
+            got.num_postings() * std::mem::size_of::<Posting>()
+        );
+    }
+
+    /// One step of [`extension_in_any_steps_equals_one_build`]: the docs it
+    /// appends (each a list of small term numbers) and how many terms it
+    /// interns without postings, as an annotation value would.
+    type Step = (Vec<Vec<u8>>, usize);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Extending a block index step by step over any split of a corpus
+        /// into doc ranges — steps that add nothing, steps that only intern
+        /// terms, terms that first appear late, lists that end exactly on a
+        /// block boundary (sizes 1–4 make that common) or in a partial tail —
+        /// equals one build over the whole corpus: every block, `max_contrib`
+        /// included, the packed words and `term_start` (all through `Debug`).
+        #[test]
+        fn extension_in_any_steps_equals_one_build(
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec(proptest::collection::vec(0u8..12, 0..6), 0..40),
+                    0usize..3,
+                ),
+                1..7,
+            ),
+            block_size in 1usize..5,
+            wide in 0usize..2,
+        ) {
+            let steps: Vec<Step> = steps;
+            let block_size = if wide == 1 { 64 } else { block_size };
+            let (k1, b) = (1.2, 0.75);
+            let mut postings = Postings::new();
+            let mut extended = BlockPostings::empty(block_size, k1, b);
+            for (si, (docs, interned)) in steps.iter().enumerate() {
+                for doc in docs {
+                    // Later steps shift their vocabulary, so terms novel to
+                    // the index keep arriving.
+                    let terms: Vec<String> =
+                        doc.iter().map(|t| format!("t{}", usize::from(*t) + 3 * si)).collect();
+                    postings.add_document(DocId(doc_bound(postings.num_docs())), &terms);
+                }
+                for i in 0..*interned {
+                    postings.intern_term(&format!("annotation-only-{si}-{i}"));
+                }
+                extended = extended.extended(&postings);
+                let rebuilt = BlockPostings::build(&postings, block_size, k1, b);
+                proptest::prop_assert_eq!(format!("{extended:?}"), format!("{rebuilt:?}"));
+            }
+        }
+    }
+
     #[test]
     fn unbuilt_and_postingless_terms_own_no_blocks() {
         let mut p = Postings::new();
@@ -771,7 +1042,7 @@ mod tests {
 
     #[test]
     fn bit_packer_roundtrips_edge_widths() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(0);
         let values: Vec<(u64, u8)> = vec![
             (0, 0),
             (1, 1),

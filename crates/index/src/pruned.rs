@@ -25,6 +25,7 @@
 //!   kernel) or in first-touch order (the exhaustive fold) keeps the same k
 //!   entries bit-for-bit.
 
+use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
 use crate::postings::{
     bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
@@ -33,7 +34,7 @@ use crate::searcher::{
     admit, annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch,
     SearchOptions, ANNOTATION_BOOST,
 };
-use crate::view::IndexView;
+use crate::view::{doc_bound, IndexView};
 use deepweb_common::ids::{DocId, TermId};
 
 /// Doc-id sentinel for an exhausted cursor (beyond any real doc id).
@@ -84,7 +85,9 @@ impl Bounds<'_> {
 /// The serving-side pruning structures built over a finished index: the
 /// compressed block index plus the index-wide annotation-boost upper bound.
 /// Built once by [`SearchIndex::enable_pruning`]; any later mutation of the
-/// index drops it (stale bounds could unsafely skip).
+/// index drops it (stale bounds could unsafely skip). The freshness tier's
+/// merge instead *extends* the sealed base's structures over the docs it
+/// folds in (`PruningIndex::extended`).
 ///
 /// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
 #[derive(Clone, Debug)]
@@ -94,27 +97,42 @@ pub struct PruningIndex {
     /// trackable annotation (1–64 value tokens) of the most-annotated doc.
     /// Penalties only lower scores, so they never enter a bound.
     ann_ub: f64,
+    /// Docs of the index these structures cover.
+    docs: usize,
 }
 
 impl PruningIndex {
     /// Build the block index (with [`POSTINGS_BLOCK_SIZE`]-posting blocks
-    /// bounded at the default BM25 parameters) and the annotation bound.
+    /// bounded at the default BM25 parameters) and the annotation bound:
+    /// `PruningIndex::extended` from the structures of the empty index.
     pub fn build(index: &SearchIndex) -> Self {
-        let params = Bm25Params::default();
-        let blocks =
-            BlockPostings::build(index.postings(), POSTINGS_BLOCK_SIZE, params.k1, params.b);
-        let mut max_anns = 0usize;
-        for doc in index.docs().iter() {
-            let trackable = doc
-                .annotation_ids
-                .iter()
-                .filter(|a| (1..=64).contains(&a.terms.len()))
-                .count();
-            max_anns = max_anns.max(trackable);
-        }
+        let Bm25Params { k1, b } = Bm25Params::default();
         PruningIndex {
-            blocks,
-            ann_ub: ANNOTATION_BOOST * max_anns as f64,
+            blocks: BlockPostings::empty(POSTINGS_BLOCK_SIZE, k1, b),
+            ann_ub: 0.0,
+            docs: 0,
+        }
+        .extended(index)
+    }
+
+    /// The structures over all of `index`, given `self` over its first
+    /// `self.docs` documents — equal to [`PruningIndex::build`] of `index`,
+    /// at the cost of what was appended ([`BlockPostings::extended`]) plus
+    /// one pass of exact block maxima. The annotation bound folds only the
+    /// new docs into the stored maximum.
+    pub(crate) fn extended(&self, index: &SearchIndex) -> Self {
+        let trackable = |anns: &[AnnotationIds]| {
+            let boostable = |a: &&AnnotationIds| (1..=64).contains(&a.terms.len());
+            anns.iter().filter(boostable).count()
+        };
+        let max_anns = (doc_bound(self.docs)..doc_bound(index.len()))
+            .map(|id| trackable(&index.doc(DocId(id)).annotation_ids))
+            .max()
+            .unwrap_or(0);
+        PruningIndex {
+            blocks: self.blocks.extended(index.postings()),
+            ann_ub: self.ann_ub.max(ANNOTATION_BOOST * max_anns as f64),
+            docs: index.len(),
         }
     }
 

@@ -49,15 +49,26 @@
 //! from that pair under the generation's statistics, folds the segments' few
 //! hundred docs, and merges the two exact lists under the one hit order.
 //! Segments get no block index (it would tax every `apply`), and
-//! [`SegmentedIndex::merge`] rebuilds the base's, making its maxima exact.
+//! [`SegmentedIndex::merge`] extends the base's over the folded docs,
+//! recomputing every block's maximum so the stored maxima are exact again.
+//!
+//! ## What a merge costs
+//!
+//! A merge builds the next base *from* the sealed base and the segments; it
+//! never clones the base and mutates the copy. What no merge changes is
+//! shared between the two generations (docstore chunks, URL keys, dictionary
+//! strings) or carried over as is (full posting blocks, as bits); each raw
+//! posting list is copied once at its final length; only the delta is
+//! analysed, remapped or packed. What still scales with the base is that one
+//! copy of the raw lists and the exact-maxima pass over them.
 
 use crate::docstore::AnnotationIds;
-use crate::index::{build_shard, BatchDoc, SearchIndex};
+use crate::index::{build_shard, BatchDoc, BuiltShard, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use crate::view::{doc_bound, IndexView};
-use deepweb_common::ids::{FacetKeyId, TermId};
+use crate::view::{doc_bound, next_id, IndexView};
+use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
@@ -77,7 +88,7 @@ pub struct SealedSegment {
     /// store/facet bookkeeping.
     docs: Vec<BatchDoc>,
     /// Per doc, per annotation: value tokens as *segment-local* term ids —
-    /// what [`SearchIndex::absorb_built`] remaps at merge time.
+    /// what [`SearchIndex::merged`] remaps at merge time.
     ann_local: Vec<Vec<Vec<TermId>>>,
     /// Per doc: the interned annotations in generation-global ids — what the
     /// query-time annotation pass reads. Identical to what the merged index
@@ -108,7 +119,7 @@ impl SealedSegment {
 
 /// The cumulative delta a generation's segments lay over the base index:
 /// novel terms and facet keys (with ids that replay the merge's interning
-/// order), facet-vocabulary additions, the fresh URL set, and exact global
+/// order), facet-vocabulary additions, the fresh URLs, and exact global
 /// totals for BM25 statistics.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Overlay {
@@ -120,8 +131,10 @@ pub(crate) struct Overlay {
     /// Facet-vocabulary *additions* from segment annotations; probed as a
     /// union with the base's vocabulary.
     pub(crate) facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
-    /// URLs of every segment doc (the base's `by_url` covers the rest).
-    urls: FxHashSet<String>,
+    /// Rendered URL → global doc id of every segment doc (the base's
+    /// `by_url` covers the rest) — the entries, shared keys included, that
+    /// the merge adds to the next base's `by_url`.
+    urls: FxHashMap<Arc<str>, DocId>,
     /// Total documents across base + segments.
     pub(crate) num_docs: usize,
     /// Total tokens across base + segments (integer numerator of the merged
@@ -181,7 +194,8 @@ impl Generation {
 
     /// True if `url` is indexed in the base or any segment.
     pub fn contains_url(&self, url: &deepweb_common::Url) -> bool {
-        self.base.contains_url(url) || self.overlay.urls.contains(&url.to_string())
+        let key = url.to_string();
+        self.base.contains_key(&key) || self.overlay.urls.contains_key(key.as_str())
     }
 
     /// The read-side view of this generation: base ⊕ segments ⊕ overlay.
@@ -261,10 +275,11 @@ impl SegmentedIndex {
         let mut fresh: Vec<BatchDoc> = Vec::new();
         for doc in batch {
             let key = doc.url.to_string();
-            if gen.base.contains_url(&doc.url) || overlay.urls.contains(&key) {
+            if gen.base.contains_key(&key) || overlay.urls.contains_key(key.as_str()) {
                 continue;
             }
-            overlay.urls.insert(key);
+            let id = DocId(next_id(overlay.num_docs + fresh.len()));
+            overlay.urls.insert(key.into(), id);
             fresh.push(doc);
         }
         if fresh.is_empty() {
@@ -283,7 +298,7 @@ impl SegmentedIndex {
             let id = match gen.base.postings().term_id(term) {
                 Some(id) => id,
                 None => {
-                    let next = TermId((base_terms + overlay.terms.len()) as u32);
+                    let next = TermId(next_id(base_terms + overlay.terms.len()));
                     *overlay.terms.entry(term.to_string()).or_insert(next)
                 }
             };
@@ -302,7 +317,7 @@ impl SegmentedIndex {
                 let key = match gen.base.facet_key_id(&ann.key) {
                     Some(key) => key,
                     None => {
-                        let next = FacetKeyId((base_keys + overlay.facet_keys.len()) as u32);
+                        let next = FacetKeyId(next_id(base_keys + overlay.facet_keys.len()));
                         *overlay.facet_keys.entry(ann.key.clone()).or_insert(next)
                     }
                 };
@@ -338,8 +353,10 @@ impl SegmentedIndex {
     /// Fold every pending segment into a fresh base — the deterministic
     /// background merge. The fold is computed entirely off the read lock
     /// (readers keep serving the old generation from their snapshots) and
-    /// published with one pointer swap; pruning structures are rebuilt on
-    /// the merged base so its stored block maxima are exact again.
+    /// published with one pointer swap. The next base is built from the
+    /// sealed one, sharing what no merge changes (`SearchIndex::merged`,
+    /// module docs); its pruning structures are the sealed base's extended
+    /// over the folded docs, every stored block maximum exact again.
     ///
     /// Returns the number of documents folded out of segments (0 = nothing
     /// to merge).
@@ -350,11 +367,12 @@ impl SegmentedIndex {
             return 0;
         }
         let folded = gen.pending_docs();
-        let mut merged = (*gen.base).clone();
-        for seg in &gen.segments {
-            merged.absorb_built(&seg.postings, seg.docs.clone(), &seg.ann_local, true);
-        }
-        merged.enable_pruning();
+        let shards: Vec<BuiltShard<'_>> = gen
+            .segments
+            .iter()
+            .map(|seg| (&seg.postings, &seg.docs[..], &seg.ann_local[..]))
+            .collect();
+        let merged = gen.base.merged(&shards, &gen.overlay.urls);
         self.publish(Generation::from_base(Arc::new(merged)));
         folded
     }
@@ -420,7 +438,7 @@ impl SearchService for SegmentedSearcher<'_> {
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::postings::bm25_contribution;
+    use crate::postings::{bm25_contribution, Posting};
     use crate::searcher::{merge_topk, search, top_k_range, Bm25Params, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
@@ -793,6 +811,89 @@ mod tests {
             assert_eq!(a.annotation_ids, b.annotation_ids, "doc {}", a.id);
             assert_eq!(a.url, b.url);
         }
+        gen.base().assert_same_as(&full, "two segments");
+    }
+
+    /// A random apply/merge sequence over a corpus that exercises what the
+    /// merge carries over: terms crossing several 64-posting blocks, partial
+    /// tails, terms and facet keys no earlier doc used, annotation-only
+    /// terms, duplicate URLs, a base past one docstore chunk. After every
+    /// `merge()` the base equals a from-scratch `add_batch` +
+    /// `enable_pruning` over the same docs **field for field** — raw lists,
+    /// every block and its exact maximum, the packed words, `by_url`, both
+    /// dictionaries — and holds no slack.
+    #[test]
+    fn every_merge_of_a_random_sequence_equals_a_rebuild_field_for_field() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let make = |i: usize, below: &mut dyn FnMut(usize) -> usize| {
+            let mut words = vec!["shared".to_string()];
+            for _ in 0..below(6) {
+                words.push(format!("w{}", below(9)));
+            }
+            if below(4) == 0 {
+                words.push(format!("novel{i}"));
+            }
+            let anns: Vec<(String, String)> = (0..below(3))
+                .map(|a| match below(5) {
+                    0 => (format!("key{i}"), format!("annonly{i} w{a}")),
+                    1 => ("make".to_string(), String::new()),
+                    _ => ("make".to_string(), format!("w{}", below(9))),
+                })
+                .collect();
+            let anns: Vec<(&str, &str)> = anns.iter().map(|(k, v)| (&**k, &**v)).collect();
+            // One URL in eight repeats an earlier one: skipped by `apply`.
+            let path = if below(8) == 0 { below(i + 1) } else { i };
+            doc("r.sim", &format!("/{path}"), "", &words.join(" "), &anns)
+        };
+        let base_len = crate::docstore::CHUNK_DOCS + 300;
+        let mut all: Vec<BatchDoc> = (0..base_len).map(|i| make(i, &mut below)).collect();
+        let seg = SegmentedIndex::new(rebuild(&all, &[]));
+        assert!(
+            seg.num_docs() > crate::docstore::CHUNK_DOCS,
+            "doc 0 sits in a full chunk"
+        );
+        let mut merges = 0;
+        for step in 0..24 {
+            if below(3) == 0 {
+                let before = seg.snapshot();
+                if seg.merge() == 0 {
+                    continue;
+                }
+                merges += 1;
+                let after = seg.snapshot();
+                let ctx = format!("step {step}, {} docs", after.num_docs());
+                after.base().assert_same_as(&rebuild(&all, &[]), &ctx);
+                let postings = after.base().postings();
+                assert_eq!(
+                    postings.list_bytes(),
+                    postings.num_postings() * std::mem::size_of::<Posting>(),
+                    "{ctx}: a merged list is allocated at its final length"
+                );
+                // No base document was copied: a doc in a full chunk is the
+                // same allocation in both generations.
+                let first = DocId(0);
+                assert!(std::ptr::eq(
+                    before.base().doc(first),
+                    after.base().doc(first)
+                ));
+            } else {
+                let batch: Vec<BatchDoc> = (0..below(90))
+                    .map(|j| make(all.len() + j, &mut below))
+                    .collect();
+                all.extend(batch.iter().cloned());
+                seg.apply(batch);
+            }
+        }
+        assert!(
+            merges >= 3,
+            "the sequence must merge pending docs: {merges}"
+        );
     }
 
     #[test]
@@ -836,6 +937,30 @@ mod tests {
         assert_eq!(pending.search(q, 10, opts), pending_hits);
         assert_eq!(seg.search(q, 10, opts), pending_hits);
         assert_ne!(old_hits, pending_hits, "delta must change this query");
+        // Generations share documents, URL keys and dictionary strings, so
+        // isolation has to survive a second merge (which appends to the tail
+        // chunk the first one copied) and the tier itself going away: the
+        // first snapshot still serves its hits and its docs' own strings.
+        seg.apply(vec![doc("e.sim", "/9", "honda dealer", "honda", &[])]);
+        seg.merge();
+        let merged_twice = seg.snapshot();
+        drop(seg);
+        assert_eq!(before.search(q, 10, opts), old_hits);
+        assert_eq!(pending.search(q, 10, opts), pending_hits);
+        assert_eq!(before.num_docs(), base.len());
+        for (stored, original) in before.base().docs().iter().zip(&base) {
+            assert_eq!(
+                (&stored.url, &stored.title, &stored.text),
+                (&original.url, &original.title, &original.text)
+            );
+            assert_eq!(stored.annotations, original.annotations);
+        }
+        assert!(!before.contains_url(&Url::new("c.sim", "/1")));
+        assert!(pending.contains_url(&Url::new("c.sim", "/1")));
+        assert!(!pending.contains_url(&Url::new("e.sim", "/9")));
+        assert!(merged_twice.contains_url(&Url::new("e.sim", "/9")));
+        assert_eq!(merged_twice.base().postings().df("honda"), 3);
+        assert_eq!(before.base().postings().df("honda"), 1);
     }
 
     #[test]

@@ -43,6 +43,13 @@ pub(crate) fn doc_bound(count: usize) -> u32 {
     u32::try_from(count).unwrap_or(u32::MAX)
 }
 
+/// The id a dense id space (docs, terms, facet keys) assigns next — its
+/// current size — saturating like [`doc_bound`]: past `u32::MAX` entries the
+/// id sticks at the top instead of wrapping onto a live low id.
+pub(crate) fn next_id(len: usize) -> u32 {
+    doc_bound(len)
+}
+
 /// The sub-slice of a doc-sorted posting list with doc ids in `[lo, hi)`.
 fn clip(list: &[Posting], lo: u32, hi: u32) -> &[Posting] {
     let start = list.partition_point(|p| p.doc.0 < lo);
