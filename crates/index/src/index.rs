@@ -242,7 +242,9 @@ impl SearchIndex {
     /// rebuilt: the next base shares every full docstore chunk, every URL key
     /// and every dictionary string; each posting list is copied once at its
     /// final length ([`Postings::absorbed`]); the pruning structures are
-    /// extended over the new docs ([`PruningIndex::extended`]) and are always
+    /// extended over the new docs ([`PruningIndex::extended`]: the block
+    /// index's full blocks carried over as they are, partial tails and new
+    /// postings described, every block maximum recomputed) and are always
     /// present on the result. `urls` are the shards' `by_url` entries, keyed
     /// by the strings the tier already rendered when it deduplicated them.
     ///
@@ -448,7 +450,7 @@ impl SearchIndex {
     /// Structural identity, field for field — what "merged == rebuilt" means
     /// below ranking. Hash maps compare by content; everything ordered
     /// compares through `Debug`, which prints every private field of
-    /// `Postings`, `BlockPostings` (packed words, `term_start`, each block
+    /// `Postings`, `BlockPostings` (`term_start`, each block
     /// with its `max_contrib` at round-trip precision) and `PruningIndex`.
     pub(crate) fn assert_same_as(&self, want: &SearchIndex, ctx: &str) {
         let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");

@@ -1,8 +1,8 @@
 //! Block-max pruned top-k (DESIGN.md §14): a WAND-style document-at-a-time
-//! kernel over the compressed [`BlockPostings`] that skips doc regions whose
-//! guarded score upper bound provably cannot reach the running top-k
-//! threshold — and still returns **byte-identical** hits to the exhaustive
-//! reference.
+//! kernel over the raw posting lists, steered by the [`BlockPostings`]
+//! describing them, that skips doc regions whose guarded score upper bound
+//! provably cannot reach the running top-k threshold — and still returns
+//! **byte-identical** hits to the exhaustive reference.
 //!
 //! Why pruning preserves the determinism contract:
 //!
@@ -28,7 +28,7 @@
 use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
 use crate::postings::{
-    bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
+    bm25_contribution, BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
     admit, annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch,
@@ -50,9 +50,11 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
     x * (1.0 + 1e-9) + 1e-12
 }
 
-/// What one query's block bounds are computed from, fixed for the query.
+/// What one query's cursors walk (the raw `lists`, as `bp` describes them)
+/// and its block bounds are computed from, fixed for the query.
 struct Bounds<'a> {
     bp: &'a BlockPostings,
+    lists: &'a Postings,
     avg_len: f64,
     bm25: Bm25Params,
     /// The stored maxima hold for this query: it runs the build `(k1, b)`
@@ -83,7 +85,7 @@ impl Bounds<'_> {
 }
 
 /// The serving-side pruning structures built over a finished index: the
-/// compressed block index plus the index-wide annotation-boost upper bound.
+/// block index plus the index-wide annotation-boost upper bound.
 /// Built once by [`SearchIndex::enable_pruning`]; any later mutation of the
 /// index drops it (stale bounds could unsafely skip). The freshness tier's
 /// merge instead *extends* the sealed base's structures over the docs it
@@ -106,13 +108,18 @@ impl PruningIndex {
     /// bounded at the default BM25 parameters) and the annotation bound:
     /// `PruningIndex::extended` from the structures of the empty index.
     pub fn build(index: &SearchIndex) -> Self {
+        Self::empty(POSTINGS_BLOCK_SIZE).extended(index)
+    }
+
+    /// The structures of the empty index, its blocks `block_size` postings
+    /// each (tests build other sizes: the kernel serves what it is handed).
+    fn empty(block_size: usize) -> Self {
         let Bm25Params { k1, b } = Bm25Params::default();
         PruningIndex {
-            blocks: BlockPostings::empty(POSTINGS_BLOCK_SIZE, k1, b),
+            blocks: BlockPostings::empty(block_size, k1, b),
             ann_ub: 0.0,
             docs: 0,
         }
-        .extended(index)
     }
 
     /// The structures over all of `index`, given `self` over its first
@@ -136,7 +143,7 @@ impl PruningIndex {
         }
     }
 
-    /// The compressed block index.
+    /// The block index.
     pub fn blocks(&self) -> &BlockPostings {
         &self.blocks
     }
@@ -147,9 +154,10 @@ impl PruningIndex {
     }
 }
 
-/// One query term's position in the block index: which block and which
-/// decoded posting it currently sits on, plus the term-level bound. Buffers
-/// are recycled across queries via [`PrunedScratch`].
+/// One query term's position: which block of the block index and which
+/// posting of the term's raw list it currently sits on, plus the term-level
+/// bound. It holds positions, never postings, so [`PrunedScratch`] recycles
+/// it across queries and indexes.
 pub(crate) struct PrunedCursor {
     id: TermId,
     idf: f64,
@@ -159,15 +167,18 @@ pub(crate) struct PrunedCursor {
     blocks_hi: usize,
     /// Current block (absolute index into the term's block slice).
     cur_block: usize,
-    /// Which block `decoded` and `block_ub` hold (`usize::MAX` = none).
-    decoded_block: usize,
-    decoded: Vec<Posting>,
-    /// The decoded block's bound ([`Bounds::block_ub`]).
+    /// Which block `block_end` and `block_ub` hold (`usize::MAX` = none).
+    entered_block: usize,
+    /// The entered block's bound ([`Bounds::block_ub`]).
     block_ub: f64,
-    /// Position within `decoded`.
+    /// Position within the term's raw list.
     pos: usize,
+    /// Where the entered block ends in the term's raw list.
+    block_end: usize,
     /// Current doc id ([`EXHAUSTED`] when past the range).
     cur_doc: u32,
+    /// Term frequency of the current posting.
+    cur_tf: u32,
 }
 
 impl Default for PrunedCursor {
@@ -178,11 +189,12 @@ impl Default for PrunedCursor {
             term_ub: 0.0,
             blocks_hi: 0,
             cur_block: 0,
-            decoded_block: usize::MAX,
-            decoded: Vec::new(),
+            entered_block: usize::MAX,
             block_ub: 0.0,
             pos: 0,
+            block_end: 0,
             cur_doc: EXHAUSTED,
+            cur_tf: 0,
         }
     }
 }
@@ -201,7 +213,7 @@ impl PrunedCursor {
             .iter()
             .map(|b| cx.block_ub(b, idf))
             .fold(0.0, f64::max);
-        self.decoded_block = usize::MAX;
+        self.entered_block = usize::MAX;
         self.cur_doc = EXHAUSTED;
         self.position(cx, lo, hi);
     }
@@ -210,18 +222,19 @@ impl PrunedCursor {
         self.cur_doc == EXHAUSTED
     }
 
-    /// Decode the current block and bound it — once per block entered, so
-    /// no pivot test re-evaluates a bound.
-    fn enter_block(&mut self, cx: &Bounds<'_>) {
+    /// Find the current block in a raw list of `df` postings and bound it —
+    /// once per block entered, so no pivot test re-evaluates a bound.
+    fn enter_block(&mut self, cx: &Bounds<'_>, df: usize) {
         let block = &cx.bp.term_blocks(self.id)[self.cur_block];
-        cx.bp.decode_block(block, &mut self.decoded);
+        let span = cx.bp.block_span(df, self.cur_block);
         self.block_ub = cx.block_ub(block, self.idf);
-        self.decoded_block = self.cur_block;
-        self.pos = 0;
+        self.entered_block = self.cur_block;
+        self.pos = span.start;
+        self.block_end = span.end;
     }
 
     /// Land on the first posting with doc ≥ `target` (from the current
-    /// position forward), decoding at most the block it lives in.
+    /// position forward), entering at most the block it lives in.
     fn position(&mut self, cx: &Bounds<'_>, target: u32, hi: u32) {
         let blocks = cx.bp.term_blocks(self.id);
         while self.cur_block < self.blocks_hi && blocks[self.cur_block].last_doc < target {
@@ -231,16 +244,16 @@ impl PrunedCursor {
             self.cur_doc = EXHAUSTED;
             return;
         }
-        if self.decoded_block != self.cur_block {
-            self.enter_block(cx);
+        let list = cx.lists.postings_id(self.id);
+        if self.entered_block != self.cur_block {
+            self.enter_block(cx, list.len());
         }
         // Safe: this block's last_doc ≥ target, so a qualifying posting
         // exists at or after `pos`.
-        while self.decoded[self.pos].doc.0 < target {
+        while list[self.pos].doc.0 < target {
             self.pos += 1;
         }
-        let d = self.decoded[self.pos].doc.0;
-        self.cur_doc = if d >= hi { EXHAUSTED } else { d };
+        self.land(list, hi);
     }
 
     /// Advance to the first posting with doc ≥ `target` (no-op if already
@@ -254,22 +267,24 @@ impl PrunedCursor {
 
     /// Step to the next posting.
     fn advance_one(&mut self, cx: &Bounds<'_>, hi: u32) {
+        let list = cx.lists.postings_id(self.id);
         self.pos += 1;
-        if self.pos >= self.decoded.len() {
+        if self.pos >= self.block_end {
             self.cur_block += 1;
             if self.cur_block >= self.blocks_hi {
                 self.cur_doc = EXHAUSTED;
                 return;
             }
-            self.enter_block(cx);
+            self.enter_block(cx, list.len());
         }
-        let d = self.decoded[self.pos].doc.0;
-        self.cur_doc = if d >= hi { EXHAUSTED } else { d };
+        self.land(list, hi);
     }
 
-    /// Term frequency of the current posting.
-    fn cur_tf(&self) -> u32 {
-        self.decoded[self.pos].tf
+    /// Sit on `list[pos]`, or past the range if it lies at or beyond `hi`.
+    fn land(&mut self, list: &[Posting], hi: u32) {
+        let Posting { doc, tf } = list[self.pos];
+        self.cur_doc = if doc.0 >= hi { EXHAUSTED } else { doc.0 };
+        self.cur_tf = tf;
     }
 
     /// Doc id of the current block's last posting (the skip pointer).
@@ -278,9 +293,8 @@ impl PrunedCursor {
     }
 }
 
-/// Recycled state for the pruned kernel: cursors (with their decode
-/// buffers) and the doc-order index, reused across queries like every other
-/// scratch buffer.
+/// Recycled state for the pruned kernel: the cursors and the doc-order
+/// index, reused across queries like every other scratch buffer.
 #[derive(Default)]
 pub(crate) struct PrunedScratch {
     cursors: Vec<PrunedCursor>,
@@ -313,6 +327,7 @@ pub(crate) fn pruned_topk_range(
     let bp = pr.blocks();
     let cx = Bounds {
         bp,
+        lists: postings,
         avg_len: view.avg_doc_len(),
         bm25: opts.bm25,
         stored_exact: view.segments.is_empty() && opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b(),
@@ -405,7 +420,7 @@ pub(crate) fn pruned_topk_range(
                     if c.cur_doc == d_p {
                         score += bm25_contribution(
                             c.idf,
-                            f64::from(c.cur_tf()),
+                            f64::from(c.cur_tf),
                             dl,
                             cx.avg_len,
                             opts.bm25.k1,
@@ -547,6 +562,47 @@ mod tests {
                 let want = top_k_range(&view, &sig, 5, exhaustive, lo, hi, &mut scratch);
                 let got = top_k_range(&view, &sig, 5, pruned, lo, hi, &mut scratch);
                 assert_eq!(got, want, "q={q:?} range={lo}..{hi}");
+            }
+        }
+    }
+
+    /// The kernel asks the index where a block sits; it never assumes
+    /// [`POSTINGS_BLOCK_SIZE`]. Block indexes of one posting, three, the
+    /// serving size and one block per term must all return the exhaustive
+    /// fold's bytes, over the full range and over partition ranges.
+    #[test]
+    fn pruned_equals_exhaustive_at_every_block_size() {
+        let idx = build(300);
+        let view = IndexView::sealed(&idx);
+        let mut scratch = QueryScratch::new();
+        for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
+            let pr = PruningIndex::empty(block_size).extended(&idx);
+            let common = idx.postings().term_id("common").unwrap();
+            assert_eq!(
+                pr.blocks().term_blocks(common).len(),
+                idx.postings().df_id(common).div_ceil(block_size)
+            );
+            for use_annotations in [false, true] {
+                let opts = SearchOptions {
+                    use_annotations,
+                    ..Default::default()
+                };
+                for q in QUERIES {
+                    scratch.analyze(q);
+                    scratch.resolve(&view);
+                    let sig = scratch.resolved_sig().to_vec();
+                    for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
+                        for k in [1usize, 5, 1000] {
+                            let want = top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch);
+                            let got =
+                                pruned_topk_range(&view, &pr, &sig, k, opts, lo, hi, &mut scratch);
+                            assert_eq!(
+                                got, want,
+                                "size={block_size} q={q:?} k={k} range={lo}..{hi} ann={use_annotations}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

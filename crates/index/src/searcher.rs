@@ -50,7 +50,7 @@ pub enum PruningMode {
     /// Score every posting of every query term — the reference oracle.
     #[default]
     Exhaustive,
-    /// Block-max WAND over the compressed block index: skip doc regions
+    /// Block-max WAND steered by the block index: skip doc regions
     /// whose guarded score upper bound cannot reach the running top-k
     /// threshold. Falls back to exhaustive scoring when the index has no
     /// block index built ([`SearchIndex::enable_pruning`]).

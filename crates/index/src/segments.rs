@@ -57,10 +57,11 @@
 //! A merge builds the next base *from* the sealed base and the segments; it
 //! never clones the base and mutates the copy. What no merge changes is
 //! shared between the two generations (docstore chunks, URL keys, dictionary
-//! strings) or carried over as is (full posting blocks, as bits); each raw
-//! posting list is copied once at its final length; only the delta is
-//! analysed, remapped or packed. What still scales with the base is that one
-//! copy of the raw lists and the exact-maxima pass over them.
+//! strings) or carried over as is (the block index's full blocks — spans and
+//! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
+//! copied once at its final length; only the delta is analysed, remapped or
+//! described by new blocks. What still scales with the base is that one copy
+//! of the raw lists and the exact-maxima pass over them.
 
 use crate::docstore::AnnotationIds;
 use crate::index::{build_shard, BatchDoc, BuiltShard, SearchIndex};
@@ -295,11 +296,13 @@ impl SegmentedIndex {
         let mut remap: Vec<TermId> = Vec::with_capacity(postings.num_terms());
         let mut inv = FxHashMap::default();
         for (local, term) in postings.dict().iter() {
-            let id = match gen.base.postings().term_id(term) {
+            let known = gen.base.postings().term_id(term);
+            let id = match known.or_else(|| overlay.terms.get(term).copied()) {
                 Some(id) => id,
                 None => {
                     let next = TermId(next_id(base_terms + overlay.terms.len()));
-                    *overlay.terms.entry(term.to_string()).or_insert(next)
+                    overlay.terms.insert(term.to_string(), next);
+                    next
                 }
             };
             remap.push(id);
@@ -314,11 +317,13 @@ impl SegmentedIndex {
             let mut out = Vec::with_capacity(anns.len());
             for (ann, local_ids) in doc.annotations.iter().zip(anns) {
                 let terms: Vec<TermId> = local_ids.iter().map(|&l| remap[l.as_usize()]).collect();
-                let key = match gen.base.facet_key_id(&ann.key) {
+                let known = gen.base.facet_key_id(&ann.key);
+                let key = match known.or_else(|| overlay.facet_keys.get(&ann.key).copied()) {
                     Some(key) => key,
                     None => {
                         let next = FacetKeyId(next_id(base_keys + overlay.facet_keys.len()));
-                        *overlay.facet_keys.entry(ann.key.clone()).or_insert(next)
+                        overlay.facet_keys.insert(ann.key.clone(), next);
+                        next
                     }
                 };
                 overlay
@@ -699,10 +704,9 @@ mod tests {
             let Bm25Params { k1, b } = params[0];
             let blocks = gen.base().pruning().unwrap().blocks();
             assert!(blocks.term_blocks(tee).len() >= 4);
-            let mut decoded = Vec::new();
-            for block in blocks.term_blocks(tee) {
-                blocks.decode_block(block, &mut decoded);
-                let best = decoded
+            let list = gen.base().postings().postings_id(tee);
+            for (j, block) in blocks.term_blocks(tee).iter().enumerate() {
+                let best = list[blocks.block_span(list.len(), j)]
                     .iter()
                     .map(|p| {
                         let dl = f64::from(gen.base().postings().doc_len(p.doc));
@@ -820,8 +824,8 @@ mod tests {
     /// terms, duplicate URLs, a base past one docstore chunk. After every
     /// `merge()` the base equals a from-scratch `add_batch` +
     /// `enable_pruning` over the same docs **field for field** — raw lists,
-    /// every block and its exact maximum, the packed words, `by_url`, both
-    /// dictionaries — and holds no slack.
+    /// every block and its exact maximum, `by_url`, both dictionaries — and
+    /// holds no slack.
     #[test]
     fn every_merge_of_a_random_sequence_equals_a_rebuild_field_for_field() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;

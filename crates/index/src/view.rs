@@ -45,7 +45,9 @@ pub(crate) fn doc_bound(count: usize) -> u32 {
 
 /// The id a dense id space (docs, terms, facet keys) assigns next — its
 /// current size — saturating like [`doc_bound`]: past `u32::MAX` entries the
-/// id sticks at the top instead of wrapping onto a live low id.
+/// id sticks at the top instead of wrapping onto a live low id. Every other
+/// count stored in 32 bits (a term frequency, a document's length, a block's
+/// postings) is narrowed here too: it is the size of a dense run.
 pub(crate) fn next_id(len: usize) -> u32 {
     doc_bound(len)
 }

@@ -6,8 +6,8 @@
 //! correlated inputs, indexability), a virtual-integration baseline, a
 //! search-engine substrate with a cluster serving tier (doc-range
 //! partitions, replica routing, result caching — every configuration
-//! byte-identical to sequential search), block-max pruned top-k over
-//! compressed postings behind one unified `SearchService` API (every
+//! byte-identical to sequential search), block-max pruned top-k behind
+//! one unified `SearchService` API (every
 //! tier — sequential, broker, cluster — is the same trait object, a query
 //! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
 //! literal checked by its `validate()`, and `PruningMode::BlockMax`

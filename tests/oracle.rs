@@ -29,8 +29,10 @@
 //! * hits are ordered score descending, doc id ascending, cut at `k`.
 
 use deepweb::common::text::{is_stopword, tokenize};
-use deepweb::index::{search, Bm25Params, PruningMode, SearchOptions};
+use deepweb::index::docstore::{Annotation, StoredDoc};
+use deepweb::index::{search, BatchDoc, Bm25Params, Hit, PruningMode, SearchOptions};
 use deepweb::queries::{generate_workload, WorkloadConfig};
+use deepweb::webworld::grow_site;
 use deepweb::{quick_config, DeepWebSystem};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,16 +57,34 @@ fn analysed(value: &str) -> Vec<String> {
     tokenize(value).filter(|t| !is_stopword(t)).collect()
 }
 
+/// One document's raw strings: title, text, annotations.
+type RawDoc<'a> = (&'a str, &'a str, &'a [Annotation]);
+
+fn stored(doc: &StoredDoc) -> RawDoc<'_> {
+    (&doc.title, &doc.text, &doc.annotations)
+}
+
+fn pending(doc: &BatchDoc) -> RawDoc<'_> {
+    (&doc.title, &doc.text, &doc.annotations)
+}
+
 impl Oracle {
+    /// The oracle over the documents `sys.index` stores.
     fn read(sys: &DeepWebSystem) -> Oracle {
+        Oracle::over(sys, sys.index.docs().iter().map(stored))
+    }
+
+    /// The oracle over `raw` documents, in doc-id order, plus the form
+    /// vocabulary `sys`' build reported.
+    fn over<'a>(sys: &DeepWebSystem, raw: impl Iterator<Item = RawDoc<'a>>) -> Oracle {
         let mut docs = Vec::new();
         let mut df: BTreeMap<String, usize> = BTreeMap::new();
         let mut vocabulary: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut total_len = 0usize;
-        for stored in sys.index.docs().iter() {
+        for (title, text, annotations) in raw {
             let mut tf: BTreeMap<String, u32> = BTreeMap::new();
             let mut len = 0;
-            for token in tokenize(&stored.title).chain(tokenize(&stored.text)) {
+            for token in tokenize(title).chain(tokenize(text)) {
                 *tf.entry(token).or_default() += 1;
                 len += 1;
             }
@@ -72,8 +92,7 @@ impl Oracle {
                 *df.entry(term.clone()).or_default() += 1;
             }
             total_len += len;
-            let annotations: Vec<(String, Vec<String>)> = stored
-                .annotations
+            let annotations: Vec<(String, Vec<String>)> = annotations
                 .iter()
                 .map(|a| (a.key.clone(), analysed(&a.value)))
                 .collect();
@@ -169,12 +188,23 @@ impl Oracle {
     }
 }
 
-/// Every `(pruning, annotations, k)` cell of the contract: `search` returns
+/// [`assert_serves_the_oracle`] for `search` over `sys.index`.
+fn assert_search_equals_oracle(
+    sys: &DeepWebSystem,
+    oracle: &Oracle,
+    queries: &[String],
+    bm25: Bm25Params,
+) -> (usize, usize) {
+    let serve = |q: &str, k: usize, opts: SearchOptions| search(&sys.index, q, k, opts);
+    assert_serves_the_oracle(serve, oracle, queries, bm25)
+}
+
+/// Every `(pruning, annotations, k)` cell of the contract: `serve` returns
 /// the oracle's doc ids and score bits. The oracle ranks once per query and
 /// annotation mode; each `k` must be a prefix of that ranking. Returns how
 /// many queries retrieved something and how many the annotation pass moved.
-fn assert_search_equals_oracle(
-    sys: &DeepWebSystem,
+fn assert_serves_the_oracle(
+    serve: impl Fn(&str, usize, SearchOptions) -> Vec<Hit>,
     oracle: &Oracle,
     queries: &[String],
     bm25: Bm25Params,
@@ -196,7 +226,7 @@ fn assert_search_equals_oracle(
                     pruning,
                 };
                 for k in [1, 10, 1000] {
-                    let got: Vec<(u32, u64)> = search(&sys.index, q, k, opts)
+                    let got: Vec<(u32, u64)> = serve(q, k, opts)
                         .iter()
                         .map(|h| (h.doc.0, h.score.to_bits()))
                         .collect();
@@ -306,5 +336,67 @@ fn oracle_holds_under_other_bm25_parameters() {
         Bm25Params { k1: 2.0, b: 1.0 },
     ] {
         assert_search_equals_oracle(&sys, &oracle, &queries, bm25);
+    }
+}
+
+/// The freshness tier against the oracle, not against `search()`: with
+/// segments pending the block-max path bounds every base block from
+/// `(max_tf, min_dl)` under the generation's statistics and folds the
+/// segments' postings beside it; after the merge the extended block index
+/// serves stored maxima again. Both must return the ranking brute force
+/// derives from the raw strings of the base docs plus every pending doc.
+#[test]
+fn pending_segments_and_the_merged_base_serve_the_oracle() {
+    let mut sys = DeepWebSystem::build(&quick_config(6));
+    let mut surfaced = sys.outcome.reports.iter().filter(|r| r.pages_surfaced > 0);
+    let grown_host = &surfaced.next().expect("some site surfaced").host;
+    let sites = sys.world.server.sites();
+    let site_idx = sites.iter().position(|s| &s.host == grown_host);
+    let site_idx = site_idx.expect("site exists");
+    let base_len = sys.index.len();
+    sys.fresh_index(); // pin fingerprints before the world changes
+    grow_site(&mut sys.world, site_idx, 30, 99);
+    let out = sys.refresh(sys.world.server.sites().len());
+    assert!(out.new_docs > 0, "{out:?}");
+    let gen = sys.fresh_index().snapshot();
+    assert!(!gen.segments().is_empty() && gen.base().pruning().is_some());
+    assert_eq!(gen.num_docs(), base_len + out.new_docs);
+
+    let segment_docs = || gen.segments().iter().flat_map(|seg| seg.docs());
+    let base_docs = gen.base().docs().iter().map(stored);
+    let oracle = Oracle::over(&sys, base_docs.chain(segment_docs().map(pending)));
+    assert_eq!(oracle.docs.len(), gen.num_docs());
+    // The workload, the edge cases, and the title of every fifth pending
+    // doc — queries whose best hits live in a segment.
+    let mut queries = workload_and_edge_queries(&sys);
+    queries.extend(segment_docs().step_by(5).map(|d| d.title.clone()));
+    let bm25 = Bm25Params::default();
+    let (nonempty, adjusted) =
+        assert_serves_the_oracle(|q, k, opts| gen.search(q, k, opts), &oracle, &queries, bm25);
+    assert!(nonempty > queries.len() / 2, "non-empty results {nonempty}");
+    assert!(
+        adjusted > 10,
+        "queries the annotation pass moved: {adjusted}"
+    );
+    let served_from_a_segment = queries.iter().any(|q| {
+        let top = gen.search(q, 1, SearchOptions::default());
+        top.first().is_some_and(|h| h.doc.as_usize() >= base_len)
+    });
+    assert!(served_from_a_segment, "no query ranks a pending doc first");
+
+    assert_eq!(sys.merge_fresh(), out.new_docs);
+    assert_eq!(sys.index.len(), oracle.docs.len());
+    assert_eq!(sys.fresh_index().num_segments(), 0);
+    let merged = assert_search_equals_oracle(&sys, &oracle, &queries, bm25);
+    assert_eq!(merged, (nonempty, adjusted));
+    for q in &queries {
+        let want = oracle.search(q, 10, sys.options.bm25, sys.options.use_annotations);
+        let got: Vec<(u32, u64)> = sys
+            .search(q, 10)
+            .iter()
+            .map(|h| (h.doc.0, h.score.to_bits()))
+            .collect();
+        let want: Vec<(u32, u64)> = want.iter().map(|&(d, s)| (d, s.to_bits())).collect();
+        assert_eq!(got, want, "sys.search {q:?}");
     }
 }

@@ -2,7 +2,11 @@
 # Alternating parent/change pairs of one deepbench workload — the table a
 # perf PR in this repository quotes (choosing-metrics guide, section 8):
 #
-#   tools/pairs.sh <parent-ref> <workload> [pairs=10] [seed=11] [seconds=20]
+#   tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20]
+#
+# `all` runs every workload BENCHMARK.json names, back to back, from one
+# build of each side, and prints one table per workload — what a PR that
+# claims no gain quotes to show nothing got worse anywhere.
 #
 # Builds deepbench twice — from the committed files of <parent-ref>, unpacked
 # (`git archive`, so nothing is registered in `.git`) into a temporary
@@ -28,11 +32,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    echo "usage: tools/pairs.sh <parent-ref> <workload> [pairs=10] [seed=11] [seconds=20]" >&2
+    echo "usage: tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20]" >&2
     exit 2
 fi
 ref=$1
-workload=$2
+if [ "$2" = all ]; then
+    workloads=$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json)
+else
+    workloads=$2
+fi
 pairs=${3:-10}
 seed=${4:-11}
 seconds=${5:-20}
@@ -55,46 +63,6 @@ esac
     CARGO_TARGET_DIR="$parent_target" cargo build --release --quiet --offline --manifest-path "$manifest")
 cargo build --release --quiet --offline --manifest-path "$manifest"
 
-# run <side> <checkout> <target dir> <pair>: one run from the side's own
-# checkout root.
-run() {
-    (cd "$2" && "$3/release/deepbench" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds") \
-        >"$work/$1.$4.out" 2>"$work/$1.$4.err"
-}
-
-i=1
-while [ "$i" -le "$pairs" ]; do
-    echo "== pair $i of $pairs" >&2
-    if [ $((i % 2)) -eq 1 ]; then
-        run parent "$work/parent" "$parent_target" "$i"
-        run change "$here" "$change_target" "$i"
-    else
-        run change "$here" "$change_target" "$i"
-        run parent "$work/parent" "$parent_target" "$i"
-    fi
-    i=$((i + 1))
-done
-
-echo "== $workload, seed $seed, $seconds s, $pairs pair(s): parent $ref vs working tree"
-# `side pair metric value` for every metric on the last stdout line of a run.
-for side in parent change; do
-    i=1
-    while [ "$i" -le "$pairs" ]; do
-        tail -n 1 "$work/$side.$i.out" | awk -v side="$side" -v pair="$i" '{
-            s = $0
-            while (match(s, /"[a-z_0-9]+": \{"value": [-+.0-9eE]+/)) {
-                m = substr(s, RSTART, RLENGTH)
-                s = substr(s, RSTART + RLENGTH)
-                name = m; sub(/^"/, "", name); sub(/".*/, "", name)
-                value = m; sub(/.*"value": /, "", value)
-                print side, pair, name, value
-            }
-        }'
-        i=$((i + 1))
-    done
-done >"$work/values"
-
 # Direction of every end-to-end metric, from the benchmark's own declaration.
 awk '/"bound"/ {
     name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
@@ -102,55 +70,103 @@ awk '/"bound"/ {
     print name, better
 }' BENCHMARK.json >"$work/metrics"
 
-awk -v pairs="$pairs" '
-    # Linear-interpolated quantile of v[1..n], sorted ascending.
-    function quantile(v, n, q,    h, lo) {
-        h = (n - 1) * q + 1; lo = int(h)
-        return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-    }
-    function summarise(side, name, out,    i, j, n, v, t) {
-        n = 0
-        for (i = 1; i <= pairs; i++) if ((side, i, name) in val) v[++n] = val[side, i, name]
-        for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
-        out["median"] = quantile(v, n, 0.5)
-        out["iqd"] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
-    }
-    FILENAME ~ /metrics$/ { order[++metrics] = $1; better[$1] = $2; next }
-    { val[$1, $2, $3] = $4 + 0 }
-    END {
-        printf "%-18s %14s %12s %14s %12s %8s  %s\n", "metric", "parent median", "parent Q3-Q1", "change median", "change Q3-Q1", "change/parent", "change wins"
-        for (m = 1; m <= metrics; m++) {
-            name = order[m]
-            summarise("parent", name, p); summarise("change", name, c)
-            wins = 0; losses = 0
-            for (i = 1; i <= pairs; i++) {
-                d = val["change", i, name] - val["parent", i, name]
-                if (better[name] == "lower") d = -d
-                if (d > 0) wins++; else if (d < 0) losses++
-            }
-            ratio = p["median"] != 0 ? sprintf("%.3f", c["median"] / p["median"]) : "-"
-            printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s  %d of %d (%d lost, %s is better)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, wins, pairs, losses, better[name]
-        }
-        print "== every run, in pair order"
-        for (m = 1; m <= metrics; m++) {
-            name = order[m]
-            for (s = 1; s <= 2; s++) {
-                side = s == 1 ? "parent" : "change"
-                line = sprintf("%-18s %-6s", name, side)
-                for (i = 1; i <= pairs; i++) line = line sprintf(" %.4f", val[side, i, name])
-                print line
-            }
-        }
-    }
-' "$work/metrics" "$work/values"
+# run <side> <checkout> <target dir> <pair>: one run of $workload from the
+# side's own checkout root.
+run() {
+    (cd "$2" && "$3/release/deepbench" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds") \
+        >"$work/$workload.$1.$4.out" 2>"$work/$workload.$1.$4.err"
+}
 
 digests() {
-    sed -n 's/.*result_digest \([0-9a-f]*\).*/\1/p' "$work/$1".*.err | sort -u | tr '\n' ' '
+    sed -n 's/.*result_digest \([0-9a-f]*\).*/\1/p' "$work/$workload.$1".*.err | sort -u | tr '\n' ' '
 }
-parent_digest=$(digests parent)
-change_digest=$(digests change)
-if [ "$parent_digest" = "$change_digest" ]; then
-    echo "== result_digest: match ($parent_digest)"
-else
-    echo "== result_digest: DIFFER (parent $parent_digest, change $change_digest)"
-fi
+
+# measure: the pairs of $workload and its table.
+measure() {
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        echo "== $workload: pair $i of $pairs" >&2
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$work/parent" "$parent_target" "$i"
+            run change "$here" "$change_target" "$i"
+        else
+            run change "$here" "$change_target" "$i"
+            run parent "$work/parent" "$parent_target" "$i"
+        fi
+        i=$((i + 1))
+    done
+
+    echo "== $workload, seed $seed, $seconds s, $pairs pair(s): parent $ref vs working tree"
+    # `side pair metric value` for every metric on the last stdout line of a run.
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            tail -n 1 "$work/$workload.$side.$i.out" | awk -v side="$side" -v pair="$i" '{
+                s = $0
+                while (match(s, /"[a-z_0-9]+": \{"value": [-+.0-9eE]+/)) {
+                    m = substr(s, RSTART, RLENGTH)
+                    s = substr(s, RSTART + RLENGTH)
+                    name = m; sub(/^"/, "", name); sub(/".*/, "", name)
+                    value = m; sub(/.*"value": /, "", value)
+                    print side, pair, name, value
+                }
+            }'
+            i=$((i + 1))
+        done
+    done >"$work/values"
+
+    awk -v pairs="$pairs" '
+        # Linear-interpolated quantile of v[1..n], sorted ascending.
+        function quantile(v, n, q,    h, lo) {
+            h = (n - 1) * q + 1; lo = int(h)
+            return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        function summarise(side, name, out,    i, j, n, v, t) {
+            n = 0
+            for (i = 1; i <= pairs; i++) if ((side, i, name) in val) v[++n] = val[side, i, name]
+            for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+            out["median"] = quantile(v, n, 0.5)
+            out["iqd"] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
+        }
+        FILENAME ~ /metrics$/ { order[++metrics] = $1; better[$1] = $2; next }
+        { val[$1, $2, $3] = $4 + 0 }
+        END {
+            printf "%-18s %14s %12s %14s %12s %8s  %s\n", "metric", "parent median", "parent Q3-Q1", "change median", "change Q3-Q1", "change/parent", "change wins"
+            for (m = 1; m <= metrics; m++) {
+                name = order[m]
+                summarise("parent", name, p); summarise("change", name, c)
+                wins = 0; losses = 0
+                for (i = 1; i <= pairs; i++) {
+                    d = val["change", i, name] - val["parent", i, name]
+                    if (better[name] == "lower") d = -d
+                    if (d > 0) wins++; else if (d < 0) losses++
+                }
+                ratio = p["median"] != 0 ? sprintf("%.3f", c["median"] / p["median"]) : "-"
+                printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s  %d of %d (%d lost, %s is better)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, wins, pairs, losses, better[name]
+            }
+            print "== every run, in pair order"
+            for (m = 1; m <= metrics; m++) {
+                name = order[m]
+                for (s = 1; s <= 2; s++) {
+                    side = s == 1 ? "parent" : "change"
+                    line = sprintf("%-18s %-6s", name, side)
+                    for (i = 1; i <= pairs; i++) line = line sprintf(" %.4f", val[side, i, name])
+                    print line
+                }
+            }
+        }
+    ' "$work/metrics" "$work/values"
+
+    parent_digest=$(digests parent)
+    change_digest=$(digests change)
+    if [ "$parent_digest" = "$change_digest" ]; then
+        echo "== result_digest: match ($parent_digest)"
+    else
+        echo "== result_digest: DIFFER (parent $parent_digest, change $change_digest)"
+    fi
+}
+
+for workload in $workloads; do
+    measure
+done
