@@ -17,7 +17,9 @@
 //!   lists, sorts under the one strict total order (score desc, doc id asc)
 //!   and truncates to k. Every global top-k doc is its partition's local
 //!   top-≤k, so the merge is byte-identical to sequential [`search`] — at
-//!   any partition count.
+//!   any partition count. A batch worker, which would walk one query's
+//!   partitions back to back on one thread, scores their union in one
+//!   kernel call instead: the same bytes from one warm threshold.
 //! - **Replicas are an accounting model.** In-process replicas share the one
 //!   immutable index, so routing cannot change results; what the replica
 //!   layer adds is the *deterministic* routing and admission stream: replica
@@ -123,8 +125,7 @@ pub struct ClusterStats {
 /// outlive the call. A fresh [`QueryScratch`] allocates a dense
 /// `num_docs`-long score vector on first use, so every kernel-bound query
 /// would pay that allocation once per worker without the pool. (Batch mode
-/// reuses one worker scratch across a query's whole partition scan instead
-/// — the scratch is fully reset between partitions either way.)
+/// keeps one scratch per worker instead.)
 #[derive(Default)]
 struct ScratchPool(Mutex<Vec<QueryScratch>>);
 
@@ -252,8 +253,9 @@ impl<'a> ClusterServer<'a> {
     }
 
     /// Serve one resolved signature: guard, cache probe, merge of the exact
-    /// local top-k lists `score_partitions` returns (one per partition), and
-    /// cache fill. Callers differ only in how they walk the partitions.
+    /// local top-k lists `score_partitions` returns (one per doc range it
+    /// scored — the ranges tile the index), and cache fill. Callers differ
+    /// only in how they walk the partitions.
     fn serve_sig(
         &self,
         sig: &[TermId],
@@ -281,9 +283,11 @@ impl<'a> ClusterServer<'a> {
 
     /// Serve a batch: one sequential resolve/route/admission pass (the
     /// deterministic part), then parallel execution with one scratch per
-    /// worker, each query scanning the partitions in order. Results come
-    /// back in batch order and are byte-identical to per-query sequential
-    /// [`search`] at any worker/partition/replica/cache configuration.
+    /// worker, each query scored over the union of the partitions in one
+    /// kernel call (queries, not partitions, are the unit of parallelism
+    /// here). Results come back in batch order and are byte-identical to
+    /// per-query sequential [`search`] at any worker/partition/replica/cache
+    /// configuration.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
@@ -322,15 +326,17 @@ impl<'a> ClusterServer<'a> {
 
         // Phase 2 — parallel execution (shed queries included: the results
         // contract outranks the admission model; see module docs).
+        // One worker would walk a query's partitions back to back on one
+        // thread, each from a cold heap, and merge: hand the kernel their
+        // union instead — the sequential reference itself.
+        let whole = match (self.partitions.first(), self.partitions.last()) {
+            (Some(&(lo, _)), Some(&(_, hi))) => (lo, hi),
+            _ => (0, 0),
+        };
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
                 let sig = &sigs[qi];
-                self.serve_sig(sig, k, || {
-                    self.partitions
-                        .iter()
-                        .map(|&range| self.score_range(range, sig, k, scratch))
-                        .collect()
-                })
+                self.serve_sig(sig, k, || vec![self.score_range(whole, sig, k, scratch)])
             })
     }
 

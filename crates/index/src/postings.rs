@@ -440,6 +440,13 @@ impl BlockPostings {
         start..df.min(start + self.block_size)
     }
 
+    /// [`BlockPostings::block_span`] read the other way: the blocks of term
+    /// `id` that postings `span` (not empty) of its raw list fall in.
+    #[inline]
+    pub(crate) fn blocks_over(&self, id: TermId, span: std::ops::Range<usize>) -> &[PostingBlock] {
+        &self.term_blocks(id)[span.start / self.block_size..span.end.div_ceil(self.block_size)]
+    }
+
     /// The block index over all of `postings`, given `self` over a doc-range
     /// prefix of it (every list of the prefix is a prefix of the list here —
     /// what [`Postings::absorb`] guarantees). Identical to building over

@@ -1,24 +1,30 @@
-//! Block-max pruned top-k (DESIGN.md §14): a WAND-style document-at-a-time
-//! kernel over the raw posting lists, steered by the [`BlockPostings`]
-//! describing them, that skips doc regions whose guarded score upper bound
-//! provably cannot reach the running top-k threshold — and still returns
-//! **byte-identical** hits to the exhaustive reference.
+//! Block-max pruned top-k (DESIGN.md §14): windowed MaxScore over the raw
+//! posting lists, steered by the [`BlockPostings`] describing them. The doc
+//! range is walked in windows of `WINDOW` docs; per window the terms whose
+//! block bounds together cannot reach the running top-k threshold are set
+//! aside as *non-essential*, the rest are folded in bulk, and only docs that
+//! hold a folded term and could still reach the threshold are scored — and
+//! the hits are still **byte-identical** to the exhaustive reference's.
 //!
 //! Why pruning preserves the determinism contract:
 //!
 //! - **Scored docs get the exact exhaustive score.** A doc is only scored
-//!   when every query-term cursor that contains it sits exactly on it, and
-//!   its contributions are folded in query-term (signature) order — the same
+//!   once the contribution of every query term that contains it is known —
+//!   folded into its window lane, or sought in a non-essential list — and
+//!   the contributions are folded in query-term (signature) order, an absent
+//!   term as `+ 0.0` (and `x + 0.0 == x` bit for bit) — the same
 //!   floating-point sequence the exhaustive `scores[doc] += c` fold runs,
 //!   starting from the same `0.0`. The annotation boost is added after the
 //!   term sum, exactly like the exhaustive pass.
-//! - **Skipped docs could never be kept.** Every skip tests a *guarded*
-//!   upper bound: `guard_ub` inflates a bound by a relative `1e-9` plus an
-//!   absolute `1e-12` before comparing — orders of magnitude more than the
-//!   few-ulp wiggle floating-point reordering can introduce — and the test
-//!   is strict (`<` the threshold), so a doc that ties the current k-th hit
-//!   is always scored and the heap's explicit tie-break decides, exactly as
-//!   in the exhaustive path.
+//! - **Skipped docs could never be kept.** Every skip — a whole window, a
+//!   doc holding dropped terms only, a candidate discarded on what it is
+//!   known to hold — tests a *guarded* upper bound: `guard_ub` inflates a
+//!   bound by a relative `1e-9` plus an absolute `1e-12` before comparing —
+//!   orders of magnitude more than the few-ulp wiggle floating-point
+//!   reordering can introduce — and the test is strict (`<` the threshold,
+//!   which is `-∞` until the heap holds `k`), so a doc that ties the current
+//!   k-th hit is always scored and the heap's explicit tie-break decides,
+//!   exactly as in the exhaustive path.
 //! - **The heap is insertion-order independent.** The bounded top-k heap
 //!   evicts under the same strict total order (score desc, doc id asc) as
 //!   the final sort, so feeding it the surviving docs in doc-id order (this
@@ -28,7 +34,7 @@
 use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
 use crate::postings::{
-    bm25_contribution, BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE,
+    bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
     admit, annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch,
@@ -36,9 +42,7 @@ use crate::searcher::{
 };
 use crate::view::{doc_bound, IndexView};
 use deepweb_common::ids::{DocId, TermId};
-
-/// Doc-id sentinel for an exhausted cursor (beyond any real doc id).
-const EXHAUSTED: u32 = u32::MAX;
+use std::collections::BinaryHeap;
 
 /// Inflate a computed score upper bound before comparing it against the
 /// running threshold. Real-arithmetic bounds dominate real scores by
@@ -50,11 +54,8 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
     x * (1.0 + 1e-9) + 1e-12
 }
 
-/// What one query's cursors walk (the raw `lists`, as `bp` describes them)
-/// and its block bounds are computed from, fixed for the query.
-struct Bounds<'a> {
-    bp: &'a BlockPostings,
-    lists: &'a Postings,
+/// What one query's block bounds are computed from, fixed for the query.
+struct Bounds {
     avg_len: f64,
     bm25: Bm25Params,
     /// The stored maxima hold for this query: it runs the build `(k1, b)`
@@ -62,7 +63,7 @@ struct Bounds<'a> {
     stored_exact: bool,
 }
 
-impl Bounds<'_> {
+impl Bounds {
     /// One block's score upper bound: the stored exact maximum when it holds,
     /// else recomputed from the block's `(max_tf, min_dl)` — contributions
     /// grow with tf and shrink with doc length, so the pair bounds every
@@ -154,163 +155,96 @@ impl PruningIndex {
     }
 }
 
-/// One query term's position: which block of the block index and which
-/// posting of the term's raw list it currently sits on, plus the term-level
-/// bound. It holds positions, never postings, so [`PrunedScratch`] recycles
-/// it across queries and indexes.
-pub(crate) struct PrunedCursor {
+/// Docs per scoring window. A constant, not a knob. A window's essential
+/// slices are folded whole under the threshold it *starts* with — the first
+/// under none at all — so an index saves fold work only if it spans several
+/// windows: 256 keeps that true of the 700-doc bases the freshness tests seal
+/// (`tests::every_skip_site_engages_and_counts_do_not_depend_on_workers`
+/// pins it). Wider buys per-window set-up only (DESIGN.md §14 has the
+/// probe's readings). A multiple of 64: the window bitmap is whole words.
+const WINDOW: usize = 256;
+
+/// One query term's place in its raw list, fixed for the query (`id`, `idf`,
+/// `range_end`) or for the current window (the rest). Positions, never
+/// postings, so [`PrunedScratch`] recycles it across queries and indexes.
+struct TermWindow {
     id: TermId,
     idf: f64,
-    /// Max block bound over this term's in-range blocks.
-    term_ub: f64,
-    /// End of the in-range block window within the term's block slice.
-    blocks_hi: usize,
-    /// Current block (absolute index into the term's block slice).
-    cur_block: usize,
-    /// Which block `block_end` and `block_ub` hold (`usize::MAX` = none).
-    entered_block: usize,
-    /// The entered block's bound ([`Bounds::block_ub`]).
-    block_ub: f64,
-    /// Position within the term's raw list.
+    /// First posting not yet behind a window or a candidate.
     pos: usize,
-    /// Where the entered block ends in the term's raw list.
-    block_end: usize,
-    /// Current doc id ([`EXHAUSTED`] when past the range).
-    cur_doc: u32,
-    /// Term frequency of the current posting.
-    cur_tf: u32,
+    /// Doc of the first posting not yet behind a window, while one is left
+    /// in range.
+    next_doc: Option<u32>,
+    /// End of the window's slice `list[pos..win_end]`.
+    win_end: usize,
+    /// First posting at or beyond the query's `hi`.
+    range_end: usize,
+    /// Max [`Bounds::block_ub`] over the blocks the window's slice falls in.
+    ub: f64,
+    /// Folded into its lane this window (else sought for surviving
+    /// candidates only).
+    essential: bool,
+    /// Dropped: what the dropped terms after this one in the signature can
+    /// add to a doc, annotation bound included.
+    rest_ub: f64,
+    /// Contribution to the candidate being scored (0.0 where absent).
+    contrib: f64,
 }
 
-impl Default for PrunedCursor {
-    fn default() -> Self {
-        PrunedCursor {
-            id: TermId(0),
-            idf: 0.0,
-            term_ub: 0.0,
-            blocks_hi: 0,
-            cur_block: 0,
-            entered_block: usize::MAX,
-            block_ub: 0.0,
-            pos: 0,
-            block_end: 0,
-            cur_doc: EXHAUSTED,
-            cur_tf: 0,
-        }
-    }
-}
-
-impl PrunedCursor {
-    /// Point the cursor at term `id`'s first posting with doc ≥ `lo` inside
-    /// `[lo, hi)`, computing the in-range block window and term bound.
-    fn init(&mut self, id: TermId, idf: f64, cx: &Bounds<'_>, lo: u32, hi: u32) {
-        self.id = id;
-        self.idf = idf;
-        let blocks = cx.bp.term_blocks(id);
-        self.cur_block = blocks.partition_point(|b| b.last_doc < lo);
-        self.blocks_hi =
-            self.cur_block + blocks[self.cur_block..].partition_point(|b| b.first_doc < hi);
-        self.term_ub = blocks[self.cur_block..self.blocks_hi]
-            .iter()
-            .map(|b| cx.block_ub(b, idf))
-            .fold(0.0, f64::max);
-        self.entered_block = usize::MAX;
-        self.cur_doc = EXHAUSTED;
-        self.position(cx, lo, hi);
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cur_doc == EXHAUSTED
-    }
-
-    /// Find the current block in a raw list of `df` postings and bound it —
-    /// once per block entered, so no pivot test re-evaluates a bound.
-    fn enter_block(&mut self, cx: &Bounds<'_>, df: usize) {
-        let block = &cx.bp.term_blocks(self.id)[self.cur_block];
-        let span = cx.bp.block_span(df, self.cur_block);
-        self.block_ub = cx.block_ub(block, self.idf);
-        self.entered_block = self.cur_block;
-        self.pos = span.start;
-        self.block_end = span.end;
-    }
-
-    /// Land on the first posting with doc ≥ `target` (from the current
-    /// position forward), entering at most the block it lives in.
-    fn position(&mut self, cx: &Bounds<'_>, target: u32, hi: u32) {
-        let blocks = cx.bp.term_blocks(self.id);
-        while self.cur_block < self.blocks_hi && blocks[self.cur_block].last_doc < target {
-            self.cur_block += 1;
-        }
-        if self.cur_block >= self.blocks_hi {
-            self.cur_doc = EXHAUSTED;
-            return;
-        }
-        let list = cx.lists.postings_id(self.id);
-        if self.entered_block != self.cur_block {
-            self.enter_block(cx, list.len());
-        }
-        // Safe: this block's last_doc ≥ target, so a qualifying posting
-        // exists at or after `pos`.
-        while list[self.pos].doc.0 < target {
-            self.pos += 1;
-        }
-        self.land(list, hi);
-    }
-
-    /// Advance to the first posting with doc ≥ `target` (no-op if already
-    /// there).
-    fn seek_ge(&mut self, cx: &Bounds<'_>, target: u32, hi: u32) {
-        if self.exhausted() || self.cur_doc >= target {
-            return;
-        }
-        self.position(cx, target, hi);
-    }
-
-    /// Step to the next posting.
-    fn advance_one(&mut self, cx: &Bounds<'_>, hi: u32) {
-        let list = cx.lists.postings_id(self.id);
-        self.pos += 1;
-        if self.pos >= self.block_end {
-            self.cur_block += 1;
-            if self.cur_block >= self.blocks_hi {
-                self.cur_doc = EXHAUSTED;
-                return;
-            }
-            self.enter_block(cx, list.len());
-        }
-        self.land(list, hi);
-    }
-
-    /// Sit on `list[pos]`, or past the range if it lies at or beyond `hi`.
-    fn land(&mut self, list: &[Posting], hi: u32) {
-        let Posting { doc, tf } = list[self.pos];
-        self.cur_doc = if doc.0 >= hi { EXHAUSTED } else { doc.0 };
-        self.cur_tf = tf;
-    }
-
-    /// Doc id of the current block's last posting (the skip pointer).
-    fn cur_block_last(&self, cx: &Bounds<'_>) -> u32 {
-        cx.bp.term_blocks(self.id)[self.cur_block].last_doc
+impl TermWindow {
+    /// Leave the window behind: the doc of the next posting in range, if any.
+    fn step_over(&mut self, list: &[Posting]) -> Option<u32> {
+        self.pos = self.win_end;
+        self.next_doc = list[..self.range_end].get(self.pos).map(|p| p.doc.0);
+        self.next_doc
     }
 }
 
-/// Recycled state for the pruned kernel: the cursors and the doc-order
-/// index, reused across queries like every other scratch buffer.
+/// Recycled state for the pruned kernel, reused across queries like every
+/// other scratch buffer, and the last query's deterministic counters — each
+/// a pure function of (view, query, k, options), identical at any worker
+/// count.
 #[derive(Default)]
 pub(crate) struct PrunedScratch {
-    cursors: Vec<PrunedCursor>,
-    order: Vec<usize>,
+    /// The signature terms with a posting in range, in signature order.
+    terms: Vec<TermWindow>,
+    /// `WINDOW` rows of one `f64` per term: row `doc - window start` holds
+    /// that doc's contributions in signature order. All zeros between
+    /// windows (a scored or discarded candidate's row is zeroed on the spot).
+    lanes: Vec<f64>,
     /// Docs the last query scored in full (pruning saved the rest of its
-    /// postings): a pure function of (view, query, k, options).
+    /// postings).
     pub(crate) docs_scored: usize,
+    /// Windows stepped over whole: no posting in them was read.
+    pub(crate) windows_skipped: usize,
+    /// Candidates discarded on what they were known to hold, before every
+    /// dropped term had been consulted.
+    pub(crate) candidates_dropped: usize,
+    /// Postings whose contribution was computed: the essential slices, plus
+    /// each non-essential posting a surviving candidate landed on.
+    pub(crate) postings_folded: usize,
 }
 
-/// Block-max WAND over `[lo, hi)`: the pruned equivalent of scoring every
-/// sig term's postings in that doc range and selecting top-k — byte-identical
-/// to that exhaustive fold (see module docs for the argument). Runs on the
-/// scratch's recycled heap and cursor buffers; the dense score accumulator
-/// is untouched. `pr` indexes the base's postings only, so a non-empty range
-/// must lie inside the base; idf and the average doc length are the *view's*,
-/// and with a segment pending every bound is recomputed under them.
+/// First index in `list[from..to]` whose doc is ≥ `doc`, by doubling steps
+/// and then a binary search between the last two: logarithmic in the
+/// distance moved, not in the slice.
+fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= to && list[lo + step - 1].doc.0 < doc {
+        lo += step;
+        step *= 2;
+    }
+    lo + list[lo..to.min(lo + step)].partition_point(|p| p.doc.0 < doc)
+}
+
+/// Windowed block-max MaxScore over `[lo, hi)`: the pruned equivalent of
+/// scoring every sig term's postings in that doc range and selecting top-k —
+/// byte-identical to that exhaustive fold (see module docs for the argument).
+/// Runs on the scratch's recycled heap and window buffers; the dense score
+/// accumulator is untouched. `pr` indexes the base's postings only, so a
+/// non-empty range must lie inside the base; idf and the average doc length
+/// are the *view's*, and with a segment pending every bound is recomputed
+/// under them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pruned_topk_range(
     view: &IndexView<'_>,
@@ -326,8 +260,6 @@ pub(crate) fn pruned_topk_range(
     let postings = view.base.postings();
     let bp = pr.blocks();
     let cx = Bounds {
-        bp,
-        lists: postings,
         avg_len: view.avg_doc_len(),
         bm25: opts.bm25,
         stored_exact: view.segments.is_empty() && opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b(),
@@ -337,112 +269,164 @@ pub(crate) fn pruned_topk_range(
     } else {
         0.0
     };
-    let mut state = std::mem::take(&mut scratch.pruned);
-    if state.cursors.len() < sig.len() {
-        state.cursors.resize_with(sig.len(), Default::default);
-    }
-    // One cursor per signature term, in signature (scoring) order; terms
-    // with no postings in range drop out immediately.
-    let mut n = 0usize;
+    let contribution = |idf: f64, p: &Posting| {
+        let dl = f64::from(postings.doc_len(p.doc));
+        bm25_contribution(idf, f64::from(p.tf), dl, cx.avg_len, cx.bm25.k1, cx.bm25.b)
+    };
+    let PrunedScratch { terms, lanes, .. } = &mut scratch.pruned;
+    // One entry per signature term with a posting in range, in signature
+    // (scoring) order. A term the base never saw (an overlay id) has no
+    // blocks and no list here.
+    terms.clear();
     for &id in sig {
-        let c = &mut state.cursors[n];
-        c.init(id, view.idf(id), &cx, lo, hi);
-        if !c.exhausted() {
-            n += 1;
+        if bp.term_blocks(id).is_empty() {
+            continue;
+        }
+        let list = postings.postings_id(id);
+        let pos = list.partition_point(|p| p.doc.0 < lo);
+        let range_end = pos + list[pos..].partition_point(|p| p.doc.0 < hi);
+        if pos < range_end {
+            terms.push(TermWindow {
+                id,
+                idf: view.idf(id),
+                pos,
+                next_doc: None,
+                win_end: pos,
+                range_end,
+                ub: 0.0,
+                essential: true,
+                rest_ub: 0.0,
+                contrib: 0.0,
+            });
         }
     }
-    scratch.heap.clear();
-    let PrunedScratch { cursors, order, .. } = &mut state;
-    let mut docs_scored = 0usize;
-    order.clear();
-    order.extend(0..n);
-    while !order.is_empty() {
-        order.sort_unstable_by_key(|&ci| cursors[ci].cur_doc);
-        let threshold = if scratch.heap.len() == k {
-            scratch.heap.peek().map_or(f64::NEG_INFINITY, |e| e.0)
-        } else {
-            f64::NEG_INFINITY
-        };
-        // Pivot: the shortest prefix (in doc order) whose guarded term-bound
-        // sum could reach the threshold. No pivot → nothing left can.
-        let mut acc = ann_ub;
-        let mut pivot = None;
-        for (oi, &ci) in order.iter().enumerate() {
-            acc += cursors[ci].term_ub;
-            if guard_ub(acc) >= threshold {
-                pivot = Some(oi);
+    let n = terms.len();
+    if lanes.len() < n * WINDOW {
+        lanes.resize(n * WINDOW, 0.0);
+    }
+    let heap = &mut scratch.heap;
+    heap.clear();
+    // The k-th best score so far; −∞ (nothing is ever skipped) until the
+    // heap holds k.
+    let kth = |heap: &BinaryHeap<HeapEntry>| match heap.peek() {
+        Some(worst) if heap.len() == k => worst.0,
+        _ => f64::NEG_INFINITY,
+    };
+    let mut threshold = kth(heap);
+    let (mut docs_scored, mut windows_skipped) = (0usize, 0usize);
+    let (mut candidates_dropped, mut postings_folded) = (0usize, 0usize);
+    let mut marked = [0u64; WINDOW / 64];
+    // Each window starts at the lowest doc any term holds beyond the last.
+    while let Some(win_lo) = terms
+        .iter_mut()
+        .filter_map(|t| t.step_over(postings.postings_id(t.id)))
+        .min()
+    {
+        let win_hi = hi.min(win_lo.saturating_add(WINDOW as u32));
+        let mut window_ub = ann_ub;
+        for t in terms.iter_mut() {
+            t.essential = true;
+            t.win_end = t.pos;
+            t.ub = 0.0;
+            if t.next_doc.is_some_and(|doc| doc < win_hi) {
+                let list = postings.postings_id(t.id);
+                // Doc ids are distinct: the slice holds at most WINDOW postings.
+                let reach = t.range_end.min(t.pos + WINDOW);
+                t.win_end = gallop(list, t.pos, reach, win_hi);
+                for block in bp.blocks_over(t.id, t.pos..t.win_end) {
+                    t.ub = t.ub.max(cx.block_ub(block, t.idf));
+                }
+                window_ub += t.ub;
+            }
+        }
+        if guard_ub(window_ub) < threshold {
+            // No doc of the window can reach the threshold: step over it.
+            windows_skipped += 1;
+            continue;
+        }
+        // Essential split: drop the lowest-bound terms while a doc holding
+        // only what is dropped still could not reach the threshold.
+        let mut dropped_ub = ann_ub;
+        while let Some(t) = terms
+            .iter_mut()
+            .filter(|t| t.essential)
+            .min_by(|a, b| a.ub.total_cmp(&b.ub))
+        {
+            if guard_ub(dropped_ub + t.ub) < threshold {
+                dropped_ub += t.ub;
+                t.essential = false;
+            } else {
                 break;
             }
         }
-        let Some(p) = pivot else {
-            break;
-        };
-        let d_p = cursors[order[p]].cur_doc;
-        // detlint:allow(panic-in-serving): `order` is non-empty (loop guard) so index 0 exists
-        if cursors[order[0]].cur_doc < d_p {
-            // Docs below the pivot doc live only in the lagging prefix,
-            // whose bound sum cannot reach the threshold: skip them all.
-            for &ci in &order[..p] {
-                cursors[ci].seek_ge(&cx, d_p, hi);
+        // What the dropped terms after each one (in signature order, the
+        // order candidates consult them in) can still add.
+        let mut rest_ub = ann_ub;
+        for t in terms.iter_mut().rev().filter(|t| !t.essential) {
+            t.rest_ub = rest_ub;
+            rest_ub += t.ub;
+        }
+        // Fold the essential slices: one store per posting into the term's
+        // lane of the doc's row, one bit in the window bitmap.
+        for (ti, t) in terms.iter_mut().enumerate().filter(|(_, t)| t.essential) {
+            for p in &postings.postings_id(t.id)[t.pos..t.win_end] {
+                let off = (p.doc.0 - win_lo) as usize;
+                lanes[off * n + ti] = contribution(t.idf, p);
+                marked[off / 64] |= 1 << (off % 64);
             }
-        } else {
-            // Every cursor containing d_p sits exactly on it (the run).
-            let run_end = order
-                .iter()
-                .position(|&ci| cursors[ci].cur_doc != d_p)
-                .unwrap_or(order.len());
-            // Block-max refinement: if even the current blocks' maxima
-            // cannot reach the threshold, jump past the whole region the
-            // run's blocks (and the next term's doc) pin down.
-            let mut bacc = ann_ub;
-            for &ci in &order[..run_end] {
-                bacc += cursors[ci].block_ub;
-            }
-            if guard_ub(bacc) < threshold {
-                let mut skip_to = hi;
-                for &ci in &order[..run_end] {
-                    let last = cursors[ci].cur_block_last(&cx);
-                    skip_to = skip_to.min(last.saturating_add(1));
+            postings_folded += t.win_end - t.pos;
+        }
+        // Candidates — docs holding an essential term — in doc order.
+        for (wi, word) in marked.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let off = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let doc = win_lo + off as u32;
+                // Taking the lanes leaves the row zeroed for the next window.
+                let mut partial = 0.0f64;
+                for (t, lane) in terms.iter_mut().zip(&mut lanes[off * n..][..n]) {
+                    t.contrib = std::mem::take(lane);
+                    partial += t.contrib;
                 }
-                if run_end < order.len() {
-                    skip_to = skip_to.min(cursors[order[run_end]].cur_doc);
-                }
-                for &ci in &order[..run_end] {
-                    cursors[ci].seek_ge(&cx, skip_to, hi);
-                }
-            } else {
-                // Score d_p exactly: contributions in signature order (the
-                // cursors vector is built in that order), then the
-                // annotation boost — the exhaustive fold's f64 sequence.
-                let dl = f64::from(postings.doc_len(DocId(d_p)));
-                let mut score = 0.0f64;
-                for c in cursors[..n].iter() {
-                    if c.cur_doc == d_p {
-                        score += bm25_contribution(
-                            c.idf,
-                            f64::from(c.cur_tf),
-                            dl,
-                            cx.avg_len,
-                            opts.bm25.k1,
-                            opts.bm25.b,
-                        );
+                // Discard the candidate as soon as what it is known to hold,
+                // plus all the dropped terms not yet consulted could add,
+                // cannot reach the threshold.
+                let mut rest_ub = dropped_ub;
+                for t in terms.iter_mut().filter(|t| !t.essential) {
+                    if guard_ub(partial + rest_ub) < threshold {
+                        break;
                     }
+                    let list = postings.postings_id(t.id);
+                    t.pos = gallop(list, t.pos, t.win_end, doc);
+                    if t.pos < t.win_end && list[t.pos].doc.0 == doc {
+                        t.contrib = contribution(t.idf, &list[t.pos]);
+                        partial += t.contrib;
+                        postings_folded += 1;
+                    }
+                    rest_ub = t.rest_ub;
                 }
+                if guard_ub(partial + rest_ub) < threshold {
+                    candidates_dropped += 1;
+                    continue;
+                }
+                // Contributions fold in signature order from 0.0, an absent
+                // one as `+ 0.0`: the exhaustive `scores[doc] += c` sequence.
+                let mut score = terms.iter().fold(0.0, |s, t| s + t.contrib);
                 if opts.use_annotations {
-                    score += annotation_boost(view, sig, DocId(d_p));
+                    score += annotation_boost(view, sig, DocId(doc));
                 }
                 docs_scored += 1;
-                admit(&mut scratch.heap, k, HeapEntry(score, d_p));
-                for &ci in &order[..run_end] {
-                    cursors[ci].advance_one(&cx, hi);
-                }
+                admit(heap, k, HeapEntry(score, doc));
+                threshold = kth(heap);
             }
         }
-        order.retain(|&ci| !cursors[ci].exhausted());
     }
-    state.docs_scored = docs_scored;
-    scratch.pruned = state;
-    drain_heap_topk(&mut scratch.heap)
+    scratch.pruned.docs_scored = docs_scored;
+    scratch.pruned.windows_skipped = windows_skipped;
+    scratch.pruned.candidates_dropped = candidates_dropped;
+    scratch.pruned.postings_folded = postings_folded;
+    drain_heap_topk(heap)
 }
 
 #[cfg(test)]
@@ -653,11 +637,208 @@ mod tests {
         }
     }
 
+    /// The two facts every skip site leans on: a guarded bound is strictly
+    /// above the bound, and nothing finite — guarded or not — is below the
+    /// `-∞` threshold of a heap not yet holding `k`, so an unfilled heap
+    /// never skips.
     #[test]
     fn guards_are_conservative() {
         for x in [0.0f64, 1e-300, 1.0, 123.456, 1e12] {
             assert!(guard_ub(x) > x);
+            let skips_before_the_heap_holds_k = guard_ub(x) < f64::NEG_INFINITY;
+            assert!(!skips_before_the_heap_holds_k);
         }
-        assert!(guard_ub(f64::NEG_INFINITY) == f64::NEG_INFINITY || guard_ub(0.0) > 0.0);
+        assert_eq!(guard_ub(f64::NEG_INFINITY), f64::NEG_INFINITY);
+    }
+
+    /// The four deterministic counts of the last query on `scratch`.
+    fn counts(scratch: &QueryScratch) -> [usize; 4] {
+        let p = &scratch.pruned;
+        [
+            p.docs_scored,
+            p.windows_skipped,
+            p.candidates_dropped,
+            p.postings_folded,
+        ]
+    }
+
+    /// Every doc names `dense` once and the docs that name `rare` (one in
+    /// 41) name it once — except a few docs of the first window, which name
+    /// them five and three times: after one window the threshold is above
+    /// anything a later `tf = 1` posting can reach.
+    fn planted(n: usize) -> SearchIndex {
+        let mut idx = SearchIndex::new();
+        for i in 0..n {
+            let (dense, rare) = match i {
+                0..=4 => (5, 3),
+                _ => (1, usize::from(i % 41 == 7)),
+            };
+            let mut words = vec!["dense"; dense];
+            words.extend(vec!["rare"; rare]);
+            words.extend(["alpha", "beta", "gamma"].iter().take(1 + i % 3));
+            idx.add(
+                Url::new("p.sim", format!("/d{i}")),
+                String::new(),
+                words.join(" "),
+                DocKind::Surface,
+                None,
+                vec![],
+            );
+        }
+        idx.enable_pruning();
+        idx
+    }
+
+    /// Equality cannot tell which of the three skip sites ran; the counts
+    /// can, and they are a pure function of (view, query, k, options):
+    /// identical at 1 and 3 workers.
+    #[test]
+    fn every_skip_site_engages_and_counts_do_not_depend_on_workers() {
+        let n = 12 * WINDOW + 50;
+        let idx = planted(n);
+        let opts = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..Default::default()
+        };
+        let queries = [("dense", 1usize), ("rare dense", 10), ("dense rare", 10)];
+        let run = |workers: usize| -> Vec<[usize; 4]> {
+            deepweb_common::ThreadPool::new(workers).map_indices_init(
+                queries.len(),
+                QueryScratch::new,
+                |scratch, qi| {
+                    let (q, k) = queries[qi];
+                    let hits = crate::searcher::search_with_scratch(&idx, q, k, opts, scratch);
+                    assert_eq!(
+                        hits,
+                        search(&idx, q, k, SearchOptions::default()),
+                        "q={q:?}"
+                    );
+                    counts(scratch)
+                },
+            )
+        };
+        let one = run(1);
+        let [scored, windows_skipped, _, folded] = one[0];
+        assert!(windows_skipped > 0, "single term, k = 1: {:?}", one[0]);
+        assert!(0 < scored && scored < n && folded < n, "{:?}", one[0]);
+        let dfs = idx.postings().df("rare") + idx.postings().df("dense");
+        for pair in &one[1..] {
+            let [scored, _, candidates_dropped, folded] = *pair;
+            assert!(candidates_dropped > 0, "rare + dense: {pair:?}");
+            assert!(
+                0 < scored && folded < dfs,
+                "rare + dense: {pair:?} of {dfs}"
+            );
+        }
+        assert_eq!(run(3), one);
+        // What bounds `WINDOW`: a window's essential slices are folded whole
+        // under the threshold the window starts with, so an index of a few
+        // hundred docs — the 700-doc base the freshness tests seal — saves
+        // fold work only if it spans several windows.
+        let small = planted(700);
+        let mut scratch = QueryScratch::new();
+        crate::searcher::search_with_scratch(&small, "dense", 1, opts, &mut scratch);
+        assert!(
+            scratch.pruned.postings_folded < 700 / 2,
+            "{:?}",
+            counts(&scratch)
+        );
+    }
+
+    /// Window geometry and fold order. `listing` sits in every doc and
+    /// `common` in most, `rareterm` in one of eleven: ranges cut at and
+    /// around window edges (widths 1 and `WINDOW ± 1` included), at every
+    /// block size, must return the exhaustive fold's bytes whether the dense
+    /// term precedes the rare ones in the signature or follows them — a
+    /// non-essential term folded before an essential one is the case a wrong
+    /// fold order gets wrong in the low bits. And the property that makes
+    /// "never worse than the fold" checkable: the kernel scores at most the
+    /// docs of the range that hold a signature term, and exactly those when
+    /// `k` admits them all.
+    #[test]
+    fn window_edges_and_signature_order_equal_the_fold() {
+        let w = doc_bound(WINDOW);
+        let n = 8 * w + 37;
+        let idx = build(n as usize);
+        let view = IndexView::sealed(&idx);
+        let mut scratch = QueryScratch::new();
+        let mut sigs: Vec<Vec<TermId>> = [
+            "listing rareterm honda",
+            "rareterm honda listing",
+            "common rareterm",
+            "rareterm common",
+            "zzz-unknown common bmw rareterm",
+        ]
+        .iter()
+        .map(|q| {
+            scratch.analyze(q);
+            scratch.resolve(&view);
+            scratch.resolved_sig().to_vec()
+        })
+        .collect();
+        // A repeated term, which query analysis would have deduplicated.
+        let (common, rare) = (sigs[2][0], sigs[2][1]);
+        sigs.push(vec![common, rare, common]);
+        let ranges = [
+            (0, n),
+            (0, 1),
+            (0, w - 1),
+            (0, w),
+            (0, w + 1),
+            (1, w + 1),
+            (1, w + 2),
+            (w - 1, w),
+            (w - 1, 2 * w - 2),
+            (w, 2 * w + 1),
+            (w + 1, n),
+            (w + 100, 3 * w + 50),
+            (n - 1, n),
+            (700, 700),
+        ];
+        for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
+            let pr = PruningIndex::empty(block_size).extended(&idx);
+            for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
+                for use_annotations in [false, true] {
+                    let opts = SearchOptions {
+                        bm25,
+                        use_annotations,
+                        ..Default::default()
+                    };
+                    for sig in &sigs {
+                        for (lo, hi) in ranges {
+                            let holding: std::collections::BTreeSet<u32> = sig
+                                .iter()
+                                .flat_map(|&id| idx.postings().postings_id(id))
+                                .map(|p| p.doc.0)
+                                .filter(|d| (lo..hi).contains(d))
+                                .collect();
+                            for k in [1usize, 10, 1000] {
+                                let ctx = format!(
+                                    "size={block_size} {bm25:?} ann={use_annotations} \
+                                     sig={sig:?} range={lo}..{hi} k={k}"
+                                );
+                                let want = top_k_range(&view, sig, k, opts, lo, hi, &mut scratch);
+                                let got = pruned_topk_range(
+                                    &view,
+                                    &pr,
+                                    sig,
+                                    k,
+                                    opts,
+                                    lo,
+                                    hi,
+                                    &mut scratch,
+                                );
+                                assert_eq!(got, want, "{ctx}");
+                                let scored = scratch.pruned.docs_scored;
+                                assert!(scored <= holding.len(), "{ctx}: {scored}");
+                                if k >= holding.len() {
+                                    assert_eq!(scored, holding.len(), "{ctx}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

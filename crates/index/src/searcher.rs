@@ -50,9 +50,9 @@ pub enum PruningMode {
     /// Score every posting of every query term — the reference oracle.
     #[default]
     Exhaustive,
-    /// Block-max WAND steered by the block index: skip doc regions
-    /// whose guarded score upper bound cannot reach the running top-k
-    /// threshold. Falls back to exhaustive scoring when the index has no
+    /// Windowed block-max MaxScore steered by the block index: skip doc
+    /// regions, terms and candidates whose guarded score upper bound cannot
+    /// reach the running top-k threshold. Falls back to exhaustive scoring when the index has no
     /// block index built ([`SearchIndex::enable_pruning`]).
     ///
     /// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
@@ -160,7 +160,7 @@ pub struct QueryScratch {
     touched: Vec<DocId>,
     /// Bounded top-k heap (root = worst kept hit).
     pub(crate) heap: BinaryHeap<HeapEntry>,
-    /// Recycled cursor/order state for the block-max pruned kernel.
+    /// Recycled window state for the block-max pruned kernel.
     pub(crate) pruned: crate::pruned::PrunedScratch,
 }
 

@@ -29,8 +29,9 @@
 //! * hits are ordered score descending, doc id ascending, cut at `k`.
 
 use deepweb::common::text::{is_stopword, tokenize};
-use deepweb::index::docstore::{Annotation, StoredDoc};
-use deepweb::index::{search, BatchDoc, Bm25Params, Hit, PruningMode, SearchOptions};
+use deepweb::common::{derive_rng, ThreadPool, Url, Zipf};
+use deepweb::index::docstore::{Annotation, DocKind, StoredDoc};
+use deepweb::index::{search, BatchDoc, Bm25Params, Hit, PruningMode, SearchIndex, SearchOptions};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::webworld::grow_site;
 use deepweb::{quick_config, DeepWebSystem};
@@ -77,6 +78,19 @@ impl Oracle {
     /// The oracle over `raw` documents, in doc-id order, plus the form
     /// vocabulary `sys`' build reported.
     fn over<'a>(sys: &DeepWebSystem, raw: impl Iterator<Item = RawDoc<'a>>) -> Oracle {
+        let mut oracle = Oracle::of_docs(raw);
+        for report in &sys.outcome.reports {
+            for (key, values) in &report.facet_values {
+                let known = oracle.vocabulary.entry(key.clone()).or_default();
+                known.extend(values.iter().flat_map(|v| analysed(v)));
+            }
+        }
+        oracle
+    }
+
+    /// The oracle over `raw` documents alone, in doc-id order: the only
+    /// facet vocabulary is their own annotation values.
+    fn of_docs<'a>(raw: impl Iterator<Item = RawDoc<'a>>) -> Oracle {
         let mut docs = Vec::new();
         let mut df: BTreeMap<String, usize> = BTreeMap::new();
         let mut vocabulary: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -105,12 +119,6 @@ impl Oracle {
                 len,
                 annotations,
             });
-        }
-        for report in &sys.outcome.reports {
-            for (key, values) in &report.facet_values {
-                let known = vocabulary.entry(key.clone()).or_default();
-                known.extend(values.iter().flat_map(|v| analysed(v)));
-            }
         }
         let avg_len = match docs.len() {
             0 => 1.0,
@@ -324,6 +332,46 @@ fn a_term_known_only_as_a_facet_value_scores_like_the_oracle() {
         .search(facet_only, 10, Bm25Params::default(), true)
         .is_empty());
     assert_eq!((nonempty, adjusted), (2, 2));
+}
+
+/// Webworld pages give almost every term a short posting list, so the
+/// corpora above barely leave the kernel's sparse path. Here 4 000 docs of
+/// 30 Zipf(1.1) tokens over 300 terms put the head terms in nearly every doc
+/// and every doc at one length: the block-max kernel walks many windows,
+/// drops the dense terms as non-essential and seeks them per candidate, and
+/// exact score ties are everywhere — against brute force, bit for bit.
+#[test]
+fn dense_posting_lists_serve_the_oracle() {
+    const DOCS: usize = 4_000;
+    let zipf = Zipf::new(300, 1.1);
+    let mut rng = derive_rng(17, "oracle-dense");
+    let mut draw = |tokens: usize| -> String {
+        let words: Vec<String> = (0..tokens)
+            .map(|_| format!("tok{}", zipf.sample(&mut rng)))
+            .collect();
+        words.join(" ")
+    };
+    let docs: Vec<BatchDoc> = (0..DOCS)
+        .map(|i| BatchDoc {
+            url: Url::new("dense.sim", format!("/d{i}")),
+            title: String::new(),
+            text: draw(30),
+            kind: DocKind::Surface,
+            site: None,
+            annotations: vec![],
+        })
+        .collect();
+    let queries: Vec<String> = (0..60).map(|i| draw(2 + i % 3)).collect();
+    let oracle = Oracle::of_docs(docs.iter().map(pending));
+    assert!(oracle.df["tok0"] * 10 > DOCS * 9 && oracle.df["tok9"] * 10 > DOCS);
+    let mut index = SearchIndex::new();
+    index.add_batch(&ThreadPool::new(2), docs);
+    index.enable_pruning();
+    let serve = |q: &str, k: usize, opts: SearchOptions| search(&index, q, k, opts);
+    for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
+        let (nonempty, adjusted) = assert_serves_the_oracle(serve, &oracle, &queries, bm25);
+        assert_eq!((nonempty, adjusted), (queries.len(), 0));
+    }
 }
 
 #[test]
