@@ -12,7 +12,8 @@
 //! [`search`]: crate::searcher::search
 
 use crate::index::SearchIndex;
-use crate::searcher::{search_with_scratch, Hit, QueryScratch, SearchOptions};
+use crate::searcher::{search, search_with_scratch, Hit, QueryScratch, SearchOptions};
+use crate::service::SearchService;
 use deepweb_common::ThreadPool;
 
 /// A concurrent query-serving front end over one [`SearchIndex`].
@@ -33,26 +34,16 @@ impl<'a> QueryBroker<'a> {
         QueryBroker { index, pool, opts }
     }
 
-    /// The served index.
-    pub(crate) fn index(&self) -> &'a SearchIndex {
-        self.index
-    }
-
     /// Worker count of the serving pool.
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
 
-    /// Scoring options used for every query.
-    pub(crate) fn options(&self) -> SearchOptions {
-        self.opts
-    }
-
     /// Serve a batch of queries concurrently, one result list per query, in
     /// batch order. Each worker runs the sequential scoring kernel against
     /// its own reusable [`QueryScratch`], so the result is byte-identical to
-    /// calling [`search`](crate::searcher::search) per query — at any worker
-    /// count — while scratch allocation stays per-worker, not per-query.
+    /// calling [`search`] per query — at any worker count — while scratch
+    /// allocation stays per-worker, not per-query.
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
@@ -61,11 +52,20 @@ impl<'a> QueryBroker<'a> {
     }
 }
 
+impl SearchService for QueryBroker<'_> {
+    fn search(&self, query: &str, k: usize) -> Vec<Hit> {
+        search(self.index, query, k, self.opts)
+    }
+
+    fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
+        QueryBroker::search_batch(self, queries, k)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::docstore::DocKind;
-    use crate::searcher::search;
     use deepweb_common::Url;
 
     fn build() -> SearchIndex {

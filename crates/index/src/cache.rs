@@ -11,13 +11,14 @@
 //! signature ("honda civic" / "honda honda civic") provably share a result,
 //! so a hit returns byte-identical hits to recomputing.
 //!
-//! Shards are picked by hashing the signature (the same [`fxhash64`] the
-//! rest of the system routes with); each shard is an independent
-//! mutex-guarded LRU map, so concurrent workers contend only when their
-//! queries collide on a shard. Eviction is least-recently-used via a
-//! per-shard logical clock — deterministic under single-threaded access,
-//! and *never* result-changing under any access pattern: the cache only ever
-//! returns values it computed through the one deterministic serving kernel.
+//! One of eight fixed shards is picked by hashing the signature (the same
+//! [`fxhash64`] the rest of the system routes with); each shard is an
+//! independent mutex-guarded LRU map holding an exact share of the capacity,
+//! so concurrent workers contend only when their queries collide on a shard.
+//! Eviction is least-recently-used via a per-shard logical clock —
+//! deterministic under single-threaded access, and *never* result-changing
+//! under any access pattern: the cache only ever returns values it computed
+//! through the one deterministic serving kernel.
 //!
 //! Hit/miss/eviction/insertion counters make cache-size vs hit-rate a
 //! measurable curve under the Zipf workload (EXPERIMENTS.md E15).
@@ -32,8 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Result-cache sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Independent mutex-guarded shards (clamped to ≥ 1).
-    pub shards: usize,
     /// Total cached entries across all shards; 0 disables storage (every
     /// lookup misses, nothing is ever inserted).
     pub capacity: usize,
@@ -41,20 +40,14 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            shards: 8,
-            capacity: 1024,
-        }
+        Self::with_capacity(1024)
     }
 }
 
 impl CacheConfig {
-    /// A cache with `capacity` total entries and the default shard count.
+    /// A cache with `capacity` total entries.
     pub fn with_capacity(capacity: usize) -> Self {
-        CacheConfig {
-            capacity,
-            ..Default::default()
-        }
+        CacheConfig { capacity }
     }
 }
 
@@ -100,7 +93,9 @@ struct Shard {
 /// independently locked and counters are atomic.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
-    per_shard_cap: usize,
+    /// Total entries across the shards, split exactly: shard `i` holds at
+    /// most `capacity / SHARDS`, plus one if `i < capacity % SHARDS`.
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -110,26 +105,27 @@ pub struct ResultCache {
 impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
-            .field("shards", &self.shards.len())
-            .field("per_shard_cap", &self.per_shard_cap)
+            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
+/// Independent mutex-guarded shards of every cache.
+const SHARDS: usize = 8;
+
+/// The shard a signature lives in.
+fn shard_index(sig: &[TermId]) -> usize {
+    (fxhash64(sig) % SHARDS as u64) as usize
+}
+
 impl ResultCache {
-    /// An empty cache sized by `cfg` (capacity split evenly across shards,
-    /// rounding up so `capacity ≥ 1` always stores something).
+    /// An empty cache sized by `cfg`: it never holds more than
+    /// `cfg.capacity` entries.
     pub fn new(cfg: CacheConfig) -> Self {
-        let shards = cfg.shards.max(1);
-        let per_shard_cap = if cfg.capacity == 0 {
-            0
-        } else {
-            cfg.capacity.div_ceil(shards)
-        };
         ResultCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_cap,
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            capacity: cfg.capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -137,15 +133,11 @@ impl ResultCache {
         }
     }
 
-    fn shard_of(&self, sig: &[TermId]) -> &Mutex<Shard> {
-        &self.shards[(fxhash64(sig) % self.shards.len() as u64) as usize]
-    }
-
     /// Look up `(sig, k)`; a hit refreshes the entry's LRU stamp and returns
     /// a byte-identical copy of the stored hits. A stored signature with a
     /// different `k` is a miss (the next insert overwrites it).
     pub fn get(&self, sig: &[TermId], k: usize) -> Option<Vec<Hit>> {
-        let mut shard = self.shard_of(sig).lock();
+        let mut shard = self.shards[shard_index(sig)].lock();
         let shard = &mut *shard;
         if let Some(entry) = shard.map.get_mut(sig) {
             if entry.k == k {
@@ -164,12 +156,14 @@ impl ResultCache {
     /// ever cause future *misses* (recomputation through the deterministic
     /// kernel), never different results.
     pub fn insert(&self, sig: Vec<TermId>, k: usize, hits: Vec<Hit>) {
-        if self.per_shard_cap == 0 {
+        let i = shard_index(&sig);
+        let cap = self.capacity / SHARDS + usize::from(i < self.capacity % SHARDS);
+        if cap == 0 {
             return;
         }
-        let mut shard = self.shard_of(&sig).lock();
+        let mut shard = self.shards[i].lock();
         let shard = &mut *shard;
-        if shard.map.len() >= self.per_shard_cap && !shard.map.contains_key(&sig) {
+        if shard.map.len() >= cap && !shard.map.contains_key(&sig) {
             if let Some(lru) = shard
                 .map
                 .iter()
@@ -210,6 +204,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::next_id;
     use deepweb_common::ids::DocId;
 
     fn sig(ids: &[u32]) -> Vec<TermId> {
@@ -258,28 +253,46 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_within_shard() {
-        // Single shard, capacity 2: touch A, insert C → B (LRU) evicted.
-        let cache = ResultCache::new(CacheConfig {
-            shards: 1,
-            capacity: 2,
-        });
-        cache.insert(sig(&[1]), 5, hits(&[(1, 1.0)]));
-        cache.insert(sig(&[2]), 5, hits(&[(2, 1.0)]));
-        assert_eq!(cache.get(&sig(&[1]), 5), Some(hits(&[(1, 1.0)])));
-        cache.insert(sig(&[3]), 5, hits(&[(3, 1.0)]));
+        // Three signatures of one shard, two entries a shard: touch A,
+        // insert C → B (LRU) evicted.
+        let cache = ResultCache::new(CacheConfig::with_capacity(2 * SHARDS));
+        let shard = shard_index(&sig(&[1]));
+        let ids: Vec<u32> = (1..)
+            .filter(|&i| shard_index(&sig(&[i])) == shard)
+            .take(3)
+            .collect();
+        let (a, b, c) = (sig(&ids[..1]), sig(&ids[1..2]), sig(&ids[2..]));
+        cache.insert(a.clone(), 5, hits(&[(1, 1.0)]));
+        cache.insert(b.clone(), 5, hits(&[(2, 1.0)]));
+        assert_eq!(cache.get(&a, 5), Some(hits(&[(1, 1.0)])));
+        cache.insert(c.clone(), 5, hits(&[(3, 1.0)]));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&sig(&[2]), 5), None, "LRU entry must be gone");
-        assert_eq!(cache.get(&sig(&[1]), 5), Some(hits(&[(1, 1.0)])));
-        assert_eq!(cache.get(&sig(&[3]), 5), Some(hits(&[(3, 1.0)])));
+        assert_eq!(cache.get(&b, 5), None, "LRU entry must be gone");
+        assert_eq!(cache.get(&a, 5), Some(hits(&[(1, 1.0)])));
+        assert_eq!(cache.get(&c, 5), Some(hits(&[(3, 1.0)])));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// `capacity` is the total across shards: split exactly, never rounded
+    /// up per shard.
+    #[test]
+    fn never_holds_more_than_capacity() {
+        for capacity in [1usize, 7, 9, 100, 1024] {
+            let cache = ResultCache::new(CacheConfig::with_capacity(capacity));
+            for i in 0..20 * capacity {
+                cache.insert(sig(&[next_id(i)]), 5, hits(&[(1, 1.0)]));
+            }
+            assert!(
+                cache.len() <= capacity,
+                "capacity {capacity}: {}",
+                cache.len()
+            );
+        }
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let cache = ResultCache::new(CacheConfig {
-            shards: 4,
-            capacity: 0,
-        });
+        let cache = ResultCache::new(CacheConfig::with_capacity(0));
         cache.insert(sig(&[1]), 5, hits(&[(1, 1.0)]));
         assert!(cache.is_empty());
         assert_eq!(cache.get(&sig(&[1]), 5), None);

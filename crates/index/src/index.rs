@@ -55,8 +55,8 @@ pub struct SearchIndex {
     /// Facet → known analysed value tokens, both sides interned.
     facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
     /// Block-max pruning structures (DESIGN.md §14), built on demand by
-    /// [`SearchIndex::enable_pruning`] and dropped by any mutation — a stale
-    /// block bound could unsafely skip, so freshness is structural.
+    /// [`SearchIndex::enable_pruning`] and dropped by any document added — a
+    /// stale block bound could unsafely skip, so freshness is structural.
     pruning: Option<PruningIndex>,
 }
 
@@ -66,8 +66,9 @@ impl SearchIndex {
         Self::default()
     }
 
-    /// Add a document. Returns the existing id if the URL was already
-    /// indexed (no re-indexing; crawlers naturally revisit URLs).
+    /// Add a document: a one-document [`SearchIndex::add_batch`]. Returns the
+    /// existing id if the URL was already indexed (no re-indexing; crawlers
+    /// naturally revisit URLs).
     pub fn add(
         &mut self,
         url: Url,
@@ -77,54 +78,22 @@ impl SearchIndex {
         site: Option<SiteId>,
         annotations: Vec<Annotation>,
     ) -> DocId {
-        let key = url.to_string();
-        if let Some(&id) = self.by_url.get(key.as_str()) {
-            return id;
-        }
-        self.pruning = None;
-        // Index title + body (title terms matter for ranking).
-        let mut terms = analyze(&title);
-        terms.extend(analyze(&text));
-        let id = DocId(next_id(self.docs.len()));
-        // Canonical interning order per document: body terms first, then
-        // annotation value tokens — the order the parallel build's id remap
-        // replays (DESIGN.md §12).
-        self.postings.add_document(id, &terms);
-        let annotation_ids = self.intern_annotations(&annotations);
-        self.docs
-            .push(url, title, text, kind, site, annotations, annotation_ids);
-        self.by_url.insert(key.into(), id);
-        id
+        let doc = BatchDoc {
+            url,
+            title,
+            text,
+            kind,
+            site,
+            annotations,
+        };
+        let mut ids = self.add_batch(&ThreadPool::default(), vec![doc]);
+        // One id per batch entry: the fallback is never taken.
+        ids.pop().unwrap_or(DocId(u32::MAX))
     }
 
-    /// Analyse one document's annotations through the query-side `text`
-    /// pipeline (lowercased, punctuation-split, stopwords dropped — a value
-    /// token kept here must be *matchable*, and query analysis drops
-    /// stopwords, so "out of stock" must become `[out, stock]` for its
-    /// boost to ever fire), intern the value tokens into the global
-    /// dictionary and the key into the facet-key dictionary, and feed the
-    /// facet vocabulary. Must run directly after the document's body terms
-    /// were interned — that per-document order is the canonical one both
-    /// build paths replay.
-    fn intern_annotations(&mut self, annotations: &[Annotation]) -> Vec<AnnotationIds> {
-        annotations
-            .iter()
-            .map(|ann| {
-                let terms: Vec<TermId> = analyze_query(&ann.value)
-                    .iter()
-                    .map(|tok| self.postings.intern_term(tok))
-                    .collect();
-                self.record_annotation(&ann.key, terms)
-            })
-            .collect()
-    }
-
-    /// The shared annotation bookkeeping both build paths run per
-    /// annotation, so the facet vocabulary can never diverge between the
-    /// sequential and the parallel build: intern the facet key, feed the
-    /// analysed value-token ids into the vocabulary, and pair them up.
-    /// Only how the `terms` were produced differs between callers (direct
-    /// interning vs the absorb remap of shard-local ids).
+    /// The bookkeeping of one annotation, run in document order by the
+    /// store/facet fold: intern the facet key, feed the analysed value-token
+    /// ids into the vocabulary, and pair them up.
     fn record_annotation(&mut self, key: &str, terms: Vec<TermId>) -> AnnotationIds {
         let key = self.intern_facet_key(key);
         self.facet_values
@@ -139,9 +108,9 @@ impl SearchIndex {
     }
 
     /// Add a batch of documents with tokenisation and postings construction
-    /// fanned out over `pool`, returning one id per batch entry (existing ids
-    /// for already-indexed URLs, exactly like repeated [`SearchIndex::add`]
-    /// calls).
+    /// fanned out over `pool`, returning one id per batch entry (the existing
+    /// id for an already-indexed URL). The one way a document enters an
+    /// index: [`SearchIndex::add`] is a batch of one.
     ///
     /// The batch is deduplicated sequentially (URL identity, first occurrence
     /// wins), split into contiguous shards of fresh documents, analysed and
@@ -169,11 +138,7 @@ impl SearchIndex {
         self.pruning = None;
         // 2. Contiguous shards (≈4 per worker for stealing headroom), each
         // analysed into a doc-local postings shard in parallel. Split the
-        // owned vec — no re-cloning of document text. Annotation values are
-        // analysed and interned into the shard-local dictionary in the same
-        // per-document order the sequential path uses (body terms, then
-        // annotations), so the absorb-time id remap replays the sequential
-        // interning order for them too.
+        // owned vec — no re-cloning of document text.
         let shard_len = fresh.len().div_ceil(pool.workers().max(1) * 4).max(1);
         let mut shards: Vec<Vec<BatchDoc>> = Vec::new();
         while fresh.len() > shard_len {
@@ -186,7 +151,7 @@ impl SearchIndex {
             (postings, shard, ann_local)
         });
         // 3. Deterministic merge in shard order + sequential store/facet
-        // bookkeeping (identical to what `add` does per document).
+        // bookkeeping.
         for (shard_postings, shard, shard_ann_local) in built {
             let remap = self.postings.absorb(&shard_postings);
             self.store_shard(shard, &shard_ann_local, &remap);
@@ -198,10 +163,9 @@ impl SearchIndex {
     /// The store/facet half of folding one built shard in, run after its
     /// postings were absorbed: `remap` (shard-local → global term id, what
     /// the absorb handed back) rewrites the pre-tokenised annotation values
-    /// into global ids before the per-document bookkeeping runs — identical
-    /// to what `add` does per document. The one fold both batched paths
-    /// share: [`add_batch`]'s phase 3 and the delta-segment merge
-    /// ([`SearchIndex::merged`]). Neither registers URLs here; both have
+    /// into global ids before the per-document bookkeeping runs. The one
+    /// fold both batched paths share: [`add_batch`]'s phase 3 and the
+    /// delta-segment merge ([`SearchIndex::merged`]). Neither registers URLs here; both have
     /// claimed them in `by_url` already.
     ///
     /// [`add_batch`]: SearchIndex::add_batch
@@ -286,8 +250,11 @@ impl SearchIndex {
     /// go through the same analysis as annotation values at ingest
     /// (lowercase, punctuation-split, stopwords dropped), so mixed-case or
     /// punctuated vocabulary still matches analysed query terms.
+    ///
+    /// The pruning structures stay: a term interned here owns no postings
+    /// (so no blocks) and moves no df, and the annotation bound counts
+    /// per-doc annotations only.
     pub fn add_facet_values<I: IntoIterator<Item = String>>(&mut self, key: &str, values: I) {
-        self.pruning = None;
         let key = self.intern_facet_key(key);
         let entry = self.facet_values.entry(key).or_default();
         for v in values {
@@ -325,9 +292,9 @@ impl SearchIndex {
 
     /// Build the block-max pruning structures over the current contents
     /// (idempotent; cheap relative to indexing). Until this runs — or after
-    /// any later mutation drops the structures — [`PruningMode::BlockMax`]
-    /// queries fall back to exhaustive scoring, which returns the same
-    /// bytes.
+    /// a document added later drops the structures —
+    /// [`PruningMode::BlockMax`] queries fall back to exhaustive scoring,
+    /// which returns the same bytes.
     ///
     /// [`PruningMode::BlockMax`]: crate::searcher::PruningMode::BlockMax
     pub fn enable_pruning(&mut self) {
@@ -394,9 +361,12 @@ impl SearchIndex {
 
 /// Analyse a run of documents into a doc-local [`Postings`] plus, per doc
 /// and per annotation, the value's analysed tokens as shard-local term ids.
-/// The per-document interning order is the canonical one (body terms, then
-/// annotation value tokens), so absorbing the result replays the sequential
-/// build exactly. Shared by [`SearchIndex::add_batch`]'s parallel shards and
+/// The per-document interning order — title and body terms, then annotation
+/// value tokens — is the canonical one, spelled only here (DESIGN.md §12),
+/// so absorbing shards in order replays one sequential walk over the docs.
+/// Values go through the query-side pipeline (stopwords dropped): a value
+/// token kept here must be *matchable*, so "out of stock" becomes
+/// `[out, stock]`. Shared by [`SearchIndex::add_batch`]'s parallel shards and
 /// the delta-segment build of [`segments`](crate::segments).
 pub(crate) fn build_shard(shard: &[BatchDoc]) -> (Postings, Vec<Vec<Vec<TermId>>>) {
     let mut postings = Postings::new();
@@ -600,70 +570,66 @@ mod tests {
         assert_eq!(resolved, vec!["new", "york"]);
     }
 
+    /// One way in, field for field: a document sequence (repeated URLs,
+    /// annotations whose value tokens later turn up as body terms) cut into
+    /// runs any way, each run entering by `add` calls or by one `add_batch`
+    /// at 1 or 3 workers, then `enable_pruning`, equals one `add_batch` of
+    /// the whole sequence plus `enable_pruning` — postings, docstore,
+    /// `by_url`, both dictionaries, facet values, every block — and hands
+    /// back the same ids.
     #[test]
-    fn add_batch_parallel_equals_sequential_adds() {
-        let batch: Vec<BatchDoc> = (0..25)
+    fn add_and_add_batch_in_any_split_equal_one_batch() {
+        let docs: Vec<BatchDoc> = (0..40usize)
             .map(|i| BatchDoc {
-                url: Url::new("a.sim", format!("/p{}", i % 20)), // 5 in-batch dupes
+                url: Url::new("a.sim", format!("/p{}", i % 31)),
                 title: format!("title {i}"),
-                text: format!("honda civic doc number {i} zip {}", 90000 + i),
+                text: format!("honda civic doc {i} zip {} value{}", 90000 + i % 7, i % 5),
                 kind: DocKind::Surfaced,
                 site: Some(SiteId(0)),
-                annotations: vec![Annotation {
-                    key: "make".into(),
-                    value: format!("make{}", i % 3),
-                }],
+                annotations: (0..i % 3)
+                    .map(|a| Annotation {
+                        key: format!("key{a}"),
+                        value: format!("Value{} of the lot{i}", (i + 2) % 6),
+                    })
+                    .collect(),
             })
             .collect();
-        let mut sequential = SearchIndex::new();
-        let seq_ids: Vec<DocId> = batch
-            .iter()
-            .cloned()
-            .map(|d| sequential.add(d.url, d.title, d.text, d.kind, d.site, d.annotations))
-            .collect();
-        for workers in [1, 3, 8] {
-            let mut parallel = SearchIndex::new();
-            // Pre-seed one URL so the batch also dedups against prior state.
-            let pre = batch[0].clone();
-            sequentialize(&mut parallel, &pre);
-            let mut pre_seq = SearchIndex::new();
-            sequentialize(&mut pre_seq, &pre);
-            for d in batch.iter().cloned() {
-                pre_seq.add(d.url, d.title, d.text, d.kind, d.site, d.annotations);
-            }
-            let ids = parallel.add_batch(&ThreadPool::new(workers), batch.clone());
-            assert_eq!(ids.len(), seq_ids.len());
-            assert_eq!(parallel.len(), pre_seq.len(), "workers={workers}");
-            assert_eq!(parallel.stats(), pre_seq.stats(), "workers={workers}");
-            for term in ["honda", "civic", "number", "90003", "title"] {
-                assert_eq!(
-                    parallel.postings().postings(term),
-                    pre_seq.postings().postings(term),
-                    "postings for {term:?} diverge at workers={workers}"
-                );
-            }
-            // The whole interned facet layer replays identically: key ids,
-            // value-token ids, and every doc's pre-tokenised annotations.
-            assert_eq!(parallel.facet_values(), pre_seq.facet_values());
-            for (p, s) in parallel.docs().iter().zip(pre_seq.docs().iter()) {
-                assert_eq!(
-                    p.annotation_ids, s.annotation_ids,
-                    "doc {} annotation ids diverge at workers={workers}",
-                    p.id
-                );
+        let mut want = SearchIndex::new();
+        let want_ids = want.add_batch(&ThreadPool::new(1), docs.clone());
+        want.enable_pruning();
+        let splits: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![1],
+            vec![5, 6, 7, 20],
+            vec![13, 14, 39],
+            (1..40).collect(),
+        ];
+        for cuts in &splits {
+            for workers in [1, 3] {
+                for first_by_add in [false, true] {
+                    let mut got = SearchIndex::new();
+                    let mut ids = Vec::new();
+                    let mut bounds = vec![0];
+                    bounds.extend_from_slice(cuts);
+                    bounds.push(docs.len());
+                    for (run, w) in bounds.windows(2).enumerate() {
+                        let run_docs = docs[w[0]..w[1]].to_vec();
+                        if (run % 2 == 0) == first_by_add {
+                            for d in run_docs {
+                                let (url, title, text) = (d.url, d.title, d.text);
+                                ids.push(got.add(url, title, text, d.kind, d.site, d.annotations));
+                            }
+                        } else {
+                            ids.extend(got.add_batch(&ThreadPool::new(workers), run_docs));
+                        }
+                    }
+                    got.enable_pruning();
+                    let ctx = format!("cuts={cuts:?} workers={workers} add first={first_by_add}");
+                    assert_eq!(ids, want_ids, "{ctx}");
+                    got.assert_same_as(&want, &ctx);
+                }
             }
         }
-    }
-
-    fn sequentialize(idx: &mut SearchIndex, d: &BatchDoc) {
-        idx.add(
-            d.url.clone(),
-            d.title.clone(),
-            d.text.clone(),
-            d.kind,
-            d.site,
-            d.annotations.clone(),
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! is a flat `Vec` index. [`Postings`] is at once the index's resident raw
 //! format (the only one: every kernel reads these lists), the doc-local
 //! build unit the parallel index builder and the freshness tier produce per
-//! doc range, and what [`BlockPostings`] describes — skip pointers and block
-//! maxima that hold no postings of their own (DESIGN.md §10, §14).
+//! doc range, and what [`BlockPostings`] describes — block maxima that hold
+//! no postings, and no doc ids, of their own (DESIGN.md §10, §14).
 //!
 //! Both structures grow by a doc-range suffix without redoing the prefix.
 //! [`Postings::absorb`] appends a shard in place; `Postings::absorbed` is
@@ -21,6 +21,7 @@
 //! the partial tails and the new postings — [`BlockPostings::build`] is that
 //! extension from the empty index, so blocks are made in one place.
 
+use crate::searcher::Bm25Params;
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::TermDict;
@@ -340,27 +341,23 @@ impl Postings {
 pub const POSTINGS_BLOCK_SIZE: usize = 64;
 
 /// What the block index knows about one fixed-size run of a term's raw
-/// posting list: the doc-id span it skips by and the block-max statistics it
-/// skips on (DESIGN.md §14). The postings themselves are not stored again —
-/// see [`BlockPostings`] for which slice of the list a block describes.
+/// posting list: the three numbers the pruned kernel bounds it by (DESIGN.md
+/// §14). Neither the postings nor where they sit are stored — see
+/// [`BlockPostings`] for which slice of the list a block describes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PostingBlock {
-    /// Doc id of the block's first posting.
-    pub first_doc: u32,
-    /// Doc id of the block's last posting (skip pointer).
-    pub last_doc: u32,
-    /// Postings in the block (1..=block size).
-    pub count: u32,
     /// Max term frequency in the block.
     pub max_tf: u32,
     /// Min document length over the block's docs — with `max_tf`, enough to
     /// recompute a safe upper bound under *any* BM25 parameters.
     pub min_dl: u32,
-    /// Max BM25 contribution over the block's postings, computed with the
-    /// build-time parameters via `bm25_contribution` — exact (it *is* one
-    /// posting's contribution), so the bound is as tight as possible.
+    /// Max BM25 contribution over the block's postings at the default BM25
+    /// parameters, via `bm25_contribution` — exact (it *is* one posting's
+    /// contribution), so the bound is as tight as possible.
     pub max_contrib: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<PostingBlock>() == 16);
 
 /// Describe one block's postings (a non-empty run of one term's list).
 /// `max_contrib` is left at zero: it depends on index-wide statistics and is
@@ -373,32 +370,28 @@ fn describe_block(postings: &Postings, chunk: &[Posting]) -> PostingBlock {
         min_dl = min_dl.min(postings.doc_len(p.doc));
     }
     PostingBlock {
-        first_doc: chunk.first().map_or(0, |p| p.doc.0),
-        last_doc: chunk.last().map_or(0, |p| p.doc.0),
-        count: next_id(chunk.len()),
         max_tf,
         min_dl,
         max_contrib: 0.0,
     }
 }
 
-/// Per-term skip pointers and block maxima over finished [`Postings`]
-/// (DESIGN.md §14): metadata *describing* the raw lists, not a second copy
-/// of them.
+/// Per-term block maxima over finished [`Postings`] (DESIGN.md §14):
+/// metadata *describing* the raw lists, not a second copy of them.
 ///
 /// Layout: per term, its sorted posting list is cut into runs of
 /// `block_size` postings (only the last may be shorter), one
 /// [`PostingBlock`] each. Block `j` of a term describes
-/// `list[j · block_size ..][.. count]` of that term's raw list — the one
-/// data-format decision here, spelled once in `BlockPostings::block_span`
-/// — so a score computed through the block index reads the very `(doc, tf)`
-/// pairs the exhaustive fold reads.
+/// `list[j · block_size ..]` of that term's raw list, up to `block_size`
+/// postings — the one data-format decision here, spelled once in
+/// `BlockPostings::block_span` — so a score computed through the block index
+/// reads the very `(doc, tf)` pairs the exhaustive fold reads.
 ///
-/// Blocks are append-only once full: a full block's span and
-/// `(max_tf, min_dl)` are facts about postings that appending documents
-/// never touches, so `BlockPostings::extended` carries them over verbatim.
-/// Only `max_contrib` moves — it bakes in `N`, the term's `df` and the
-/// average doc length — and is recomputed for every block.
+/// Blocks are append-only once full: a full block's `(max_tf, min_dl)` is a
+/// fact about postings that appending documents never touches, so
+/// `BlockPostings::extended` carries it over verbatim. Only `max_contrib`
+/// moves — it bakes in `N`, the term's `df` and the average doc length — and
+/// is recomputed for every block.
 #[derive(Clone, Debug)]
 pub struct BlockPostings {
     /// Prefix offsets into `blocks`: term `t` owns
@@ -407,28 +400,28 @@ pub struct BlockPostings {
     blocks: Vec<PostingBlock>,
     /// Postings per full block; only a term's last block may hold fewer.
     block_size: usize,
-    k1: f64,
-    b: f64,
+    /// Documents of the postings the blocks describe: a term's list over
+    /// them is the postings with a lower doc id.
+    pub(crate) docs: u32,
 }
 
 impl BlockPostings {
-    /// Build blocks over every term of `postings`, bounding contributions
-    /// with BM25 parameters `(k1, b)` — the parameters the stored
-    /// `max_contrib` is exact for ([`PostingBlock::max_contrib`]). This is
-    /// `BlockPostings::extended` from the empty index.
-    pub fn build(postings: &Postings, block_size: usize, k1: f64, b: f64) -> Self {
-        Self::empty(block_size, k1, b).extended(postings)
+    /// Build blocks over every term of `postings`, their stored
+    /// `max_contrib` exact at the default BM25 parameters
+    /// ([`PostingBlock::max_contrib`]). This is `BlockPostings::extended`
+    /// from the empty index.
+    pub fn build(postings: &Postings, block_size: usize) -> Self {
+        Self::empty(block_size).extended(postings)
     }
 
     /// The block index of no postings, for [`BlockPostings::extended`] to
     /// start from.
-    pub(crate) fn empty(block_size: usize, k1: f64, b: f64) -> Self {
+    pub(crate) fn empty(block_size: usize) -> Self {
         BlockPostings {
             term_start: Vec::new(),
             blocks: Vec::new(),
             block_size: block_size.max(1),
-            k1,
-            b,
+            docs: 0,
         }
     }
 
@@ -447,10 +440,10 @@ impl BlockPostings {
         &self.term_blocks(id)[span.start / self.block_size..span.end.div_ceil(self.block_size)]
     }
 
-    /// The block index over all of `postings`, given `self` over a doc-range
-    /// prefix of it (every list of the prefix is a prefix of the list here —
-    /// what [`Postings::absorb`] guarantees). Identical to building over
-    /// `postings` from empty.
+    /// The block index over all of `postings`, given `self` over its first
+    /// `self.docs` documents (every list there is the part of the list here
+    /// below that doc id — what [`Postings::absorb`] guarantees). Identical
+    /// to building over `postings` from empty.
     ///
     /// Per term, the blocks that stay as they are — all of them if the term
     /// gained no posting, else the full ones — are carried over; the partial
@@ -460,6 +453,7 @@ impl BlockPostings {
     /// safely but loosely — see DESIGN.md §14 for what that cost).
     pub(crate) fn extended(&self, postings: &Postings) -> Self {
         let size = self.block_size;
+        let Bm25Params { k1, b } = Bm25Params::default();
         let avg_len = postings.avg_doc_len().max(1.0);
         let num_terms = postings.num_terms();
         let terms = (0..next_id(num_terms)).map(TermId);
@@ -470,7 +464,7 @@ impl BlockPostings {
         let length_norm: Vec<f64> = postings
             .doc_len
             .iter()
-            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len, self.k1, self.b))
+            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len, k1, b))
             .collect();
         let mut term_start = Vec::with_capacity(num_terms + 1);
         let mut blocks: Vec<PostingBlock> = Vec::with_capacity(num_blocks);
@@ -478,7 +472,7 @@ impl BlockPostings {
         for id in terms {
             let list = postings.postings_id(id);
             let old = self.term_blocks(id);
-            let old_len: usize = old.iter().map(|b| b.count as usize).sum();
+            let old_len = list.partition_point(|p| p.doc.0 < self.docs);
             // Blocks that stay as they are: all of them if the term gained
             // no posting, else the full ones.
             let carried = if list.len() == old_len {
@@ -498,7 +492,7 @@ impl BlockPostings {
                     .iter()
                     .map(|p| {
                         let norm = length_norm[p.doc.as_usize()];
-                        bm25_normalised(idf, f64::from(p.tf), norm, self.k1)
+                        bm25_normalised(idf, f64::from(p.tf), norm, k1)
                     })
                     .fold(0.0, f64::max);
             }
@@ -507,7 +501,8 @@ impl BlockPostings {
         BlockPostings {
             term_start,
             blocks,
-            ..*self
+            block_size: size,
+            docs: doc_bound(postings.num_docs()),
         }
     }
 
@@ -520,16 +515,6 @@ impl BlockPostings {
             (Some(&lo), Some(&hi)) => &self.blocks[lo as usize..hi as usize],
             _ => &[],
         }
-    }
-
-    /// BM25 `k1` the stored block maxima are exact for.
-    pub fn k1(&self) -> f64 {
-        self.k1
-    }
-
-    /// BM25 `b` the stored block maxima are exact for.
-    pub fn b(&self) -> f64 {
-        self.b
     }
 
     /// Total blocks.
@@ -715,16 +700,13 @@ mod tests {
     fn block_roundtrip_is_exact_for_every_term() {
         let p = block_corpus();
         for block_size in [1usize, 3, 64, 1000] {
-            let bp = BlockPostings::build(&p, block_size, 1.2, 0.75);
+            let bp = BlockPostings::build(&p, block_size);
             for t in 0..p.num_terms() {
                 let id = TermId(t as u32);
                 let raw = p.postings_id(id);
                 let mut tiled: Vec<Posting> = Vec::new();
                 for (j, block) in bp.term_blocks(id).iter().enumerate() {
                     let slice = &raw[bp.block_span(raw.len(), j)];
-                    assert_eq!(slice.len(), block.count as usize);
-                    assert_eq!(slice[0].doc.0, block.first_doc);
-                    assert_eq!(slice[slice.len() - 1].doc.0, block.last_doc);
                     let max_tf = slice.iter().map(|q| q.tf).max();
                     let min_dl = slice.iter().map(|q| p.doc_len(q.doc)).min();
                     assert_eq!((max_tf, min_dl), (Some(block.max_tf), Some(block.min_dl)));
@@ -738,8 +720,8 @@ mod tests {
     #[test]
     fn block_max_dominates_every_contribution() {
         let p = block_corpus();
-        let (k1, b) = (1.2, 0.75);
-        let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE, k1, b);
+        let Bm25Params { k1, b } = Bm25Params::default();
+        let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE);
         let avg_len = p.avg_doc_len().max(1.0);
         let mut saw_exact = 0usize;
         for t in 0..p.num_terms() {
@@ -774,6 +756,19 @@ mod tests {
         assert!(saw_exact > 0);
     }
 
+    /// A block is the three numbers the kernel reads, 16 bytes: the next
+    /// field added to one is a decision, not drift.
+    #[test]
+    fn meta_bytes_are_sixteen_per_block_plus_term_offsets() {
+        let p = block_corpus();
+        let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE);
+        assert!(bp.num_blocks() > p.num_terms());
+        assert_eq!(
+            bp.meta_bytes(),
+            bp.num_blocks() * 16 + (p.num_terms() + 1) * 4
+        );
+    }
+
     #[test]
     fn blocks_built_after_absorb_match_sequential_build() {
         let docs: Vec<Vec<String>> = (0..40)
@@ -797,8 +792,8 @@ mod tests {
             }
             absorbed.absorb(&build);
         }
-        let a = BlockPostings::build(&sequential, 8, 1.2, 0.75);
-        let b = BlockPostings::build(&absorbed, 8, 1.2, 0.75);
+        let a = BlockPostings::build(&sequential, 8);
+        let b = BlockPostings::build(&absorbed, 8);
         for t in 0..sequential.num_terms() {
             let id = TermId(t as u32);
             assert_eq!(a.term_blocks(id), b.term_blocks(id), "term {t}");
@@ -872,9 +867,8 @@ mod tests {
         ) {
             let steps: Vec<Step> = steps;
             let block_size = if wide == 1 { 64 } else { block_size };
-            let (k1, b) = (1.2, 0.75);
             let mut postings = Postings::new();
-            let mut extended = BlockPostings::empty(block_size, k1, b);
+            let mut extended = BlockPostings::empty(block_size);
             for (si, (docs, interned)) in steps.iter().enumerate() {
                 for doc in docs {
                     // Later steps shift their vocabulary, so terms novel to
@@ -887,7 +881,7 @@ mod tests {
                     postings.intern_term(&format!("annotation-only-{si}-{i}"));
                 }
                 extended = extended.extended(&postings);
-                let rebuilt = BlockPostings::build(&postings, block_size, k1, b);
+                let rebuilt = BlockPostings::build(&postings, block_size);
                 proptest::prop_assert_eq!(format!("{extended:?}"), format!("{rebuilt:?}"));
             }
         }
@@ -897,7 +891,7 @@ mod tests {
     fn unbuilt_and_postingless_terms_own_no_blocks() {
         let mut p = Postings::new();
         p.add_document(DocId(0), &["alpha".into()]);
-        let bp = BlockPostings::build(&p, 64, 1.2, 0.75);
+        let bp = BlockPostings::build(&p, 64);
         // Interned after the build: out of range, empty.
         let late = p.intern_term("late");
         assert!(bp.term_blocks(late).is_empty());
@@ -905,11 +899,11 @@ mod tests {
         let mut q = Postings::new();
         q.add_document(DocId(0), &["alpha".into()]);
         let ann = q.intern_term("annotation-only");
-        let bq = BlockPostings::build(&q, 64, 1.2, 0.75);
+        let bq = BlockPostings::build(&q, 64);
         assert!(bq.term_blocks(ann).is_empty());
         assert_eq!(bq.term_blocks(TermId(0)).len(), 1);
         // An empty postings builds an empty (but valid) structure.
-        let be = BlockPostings::build(&Postings::new(), 64, 1.2, 0.75);
+        let be = BlockPostings::build(&Postings::new(), 64);
         assert_eq!(be.num_blocks(), 0);
         assert!(be.term_blocks(TermId(0)).is_empty());
     }

@@ -58,7 +58,7 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
 struct Bounds {
     avg_len: f64,
     bm25: Bm25Params,
-    /// The stored maxima hold for this query: it runs the build `(k1, b)`
+    /// The stored maxima hold for this query: it runs the default `(k1, b)`
     /// and no pending segment has moved `idf` or `avg_len` since the build.
     stored_exact: bool,
 }
@@ -87,8 +87,8 @@ impl Bounds {
 
 /// The serving-side pruning structures built over a finished index: the
 /// block index plus the index-wide annotation-boost upper bound.
-/// Built once by [`SearchIndex::enable_pruning`]; any later mutation of the
-/// index drops it (stale bounds could unsafely skip). The freshness tier's
+/// Built once by [`SearchIndex::enable_pruning`]; a document added later
+/// drops it (stale bounds could unsafely skip). The freshness tier's
 /// merge instead *extends* the sealed base's structures over the docs it
 /// folds in (`PruningIndex::extended`).
 ///
@@ -100,8 +100,6 @@ pub struct PruningIndex {
     /// trackable annotation (1–64 value tokens) of the most-annotated doc.
     /// Penalties only lower scores, so they never enter a bound.
     ann_ub: f64,
-    /// Docs of the index these structures cover.
-    docs: usize,
 }
 
 impl PruningIndex {
@@ -115,32 +113,29 @@ impl PruningIndex {
     /// The structures of the empty index, its blocks `block_size` postings
     /// each (tests build other sizes: the kernel serves what it is handed).
     fn empty(block_size: usize) -> Self {
-        let Bm25Params { k1, b } = Bm25Params::default();
         PruningIndex {
-            blocks: BlockPostings::empty(block_size, k1, b),
+            blocks: BlockPostings::empty(block_size),
             ann_ub: 0.0,
-            docs: 0,
         }
     }
 
     /// The structures over all of `index`, given `self` over its first
-    /// `self.docs` documents — equal to [`PruningIndex::build`] of `index`,
-    /// at the cost of what was appended ([`BlockPostings::extended`]) plus
-    /// one pass of exact block maxima. The annotation bound folds only the
+    /// `self.blocks.docs` documents — equal to [`PruningIndex::build`] of
+    /// `index`, at the cost of what was appended ([`BlockPostings::extended`])
+    /// plus one pass of exact block maxima. The annotation bound folds only the
     /// new docs into the stored maximum.
     pub(crate) fn extended(&self, index: &SearchIndex) -> Self {
         let trackable = |anns: &[AnnotationIds]| {
             let boostable = |a: &&AnnotationIds| (1..=64).contains(&a.terms.len());
             anns.iter().filter(boostable).count()
         };
-        let max_anns = (doc_bound(self.docs)..doc_bound(index.len()))
+        let max_anns = (self.blocks.docs..doc_bound(index.len()))
             .map(|id| trackable(&index.doc(DocId(id)).annotation_ids))
             .max()
             .unwrap_or(0);
         PruningIndex {
             blocks: self.blocks.extended(index.postings()),
             ann_ub: self.ann_ub.max(ANNOTATION_BOOST * max_anns as f64),
-            docs: index.len(),
         }
     }
 
@@ -262,7 +257,7 @@ pub(crate) fn pruned_topk_range(
     let cx = Bounds {
         avg_len: view.avg_doc_len(),
         bm25: opts.bm25,
-        stored_exact: view.segments.is_empty() && opts.bm25.k1 == bp.k1() && opts.bm25.b == bp.b(),
+        stored_exact: view.segments.is_empty() && opts.bm25 == Bm25Params::default(),
     };
     let ann_ub = if opts.use_annotations {
         pr.annotation_upper_bound()
@@ -634,6 +629,54 @@ mod tests {
                 search(&idx, q, 10, SearchOptions::default()),
                 "q={q:?}"
             );
+        }
+    }
+
+    /// Facet vocabulary added after `enable_pruning` — a known key, a new
+    /// key, a value token that is a new term — moves no block maximum, no
+    /// idf and no annotation bound, so the block index stays and the pruned
+    /// kernel keeps serving the exhaustive bytes, conflict penalty included.
+    #[test]
+    fn facet_values_added_after_pruning_keep_the_block_index() {
+        let mut idx = build(300);
+        idx.add_facet_values("make", ["Tesla".to_string(), "honda".to_string()]);
+        idx.add_facet_values("colour", ["red".to_string()]);
+        assert!(idx.pruning().is_some());
+        let tesla = idx.postings().term_id("tesla").unwrap();
+        assert!(idx.postings().postings_id(tesla).is_empty());
+        let queries = QUERIES
+            .iter()
+            .chain(&["tesla listing", "red honda tesla", "tesla"]);
+        for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
+            let exhaustive = SearchOptions {
+                bm25,
+                use_annotations: true,
+                ..Default::default()
+            };
+            let pruned = SearchOptions {
+                pruning: PruningMode::BlockMax,
+                ..exhaustive
+            };
+            for q in queries.clone() {
+                for k in [1usize, 10, 1000] {
+                    let want = search(&idx, q, k, exhaustive);
+                    assert_eq!(search(&idx, q, k, pruned), want, "{bm25:?} q={q:?} k={k}");
+                }
+            }
+            // A doc annotated with another make pays the conflict penalty
+            // for the value only the vocabulary knows.
+            let unannotated = SearchOptions {
+                use_annotations: false,
+                ..pruned
+            };
+            let plain = search(&idx, "tesla listing", 1000, unannotated);
+            let annotated = search(&idx, "tesla listing", 1000, pruned);
+            let doc = (0..idx.len())
+                .map(|d| DocId(d as u32))
+                .find(|&d| !idx.doc(d).annotation_ids.is_empty())
+                .unwrap();
+            let score = |hits: &[Hit]| hits.iter().find(|h| h.doc == doc).map(|h| h.score).unwrap();
+            assert!(score(&annotated) < score(&plain), "{bm25:?} doc {doc:?}");
         }
     }
 

@@ -29,7 +29,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// BM25 parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Bm25Params {
     /// Term-frequency saturation.
     pub k1: f64,

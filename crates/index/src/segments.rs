@@ -57,7 +57,7 @@
 //! A merge builds the next base *from* the sealed base and the segments; it
 //! never clones the base and mutates the copy. What no merge changes is
 //! shared between the two generations (docstore chunks, URL keys, dictionary
-//! strings) or carried over as is (the block index's full blocks — spans and
+//! strings) or carried over as is (the block index's full blocks — the
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
 //! copied once at its final length; only the delta is analysed, remapped or
 //! described by new blocks. What still scales with the base is that one copy
@@ -397,23 +397,6 @@ impl SegmentedIndex {
         self.snapshot().search(query, k, opts)
     }
 
-    /// The broker-style batched read: one snapshot for the whole batch (a
-    /// mid-batch apply or merge must not split it across generations), one
-    /// scratch per worker. Byte-identical to serving each query through
-    /// [`SegmentedIndex::search`] against that snapshot.
-    pub fn search_batch(
-        &self,
-        pool: &ThreadPool,
-        queries: &[String],
-        k: usize,
-        opts: SearchOptions,
-    ) -> Vec<Vec<Hit>> {
-        let gen = self.snapshot();
-        pool.map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-            gen.search_with_scratch(&queries[qi], k, opts, scratch)
-        })
-    }
-
     /// This tier as a [`SearchService`] with fixed serving options.
     pub fn searcher(&self, opts: SearchOptions) -> SegmentedSearcher<'_> {
         SegmentedSearcher { index: self, opts }
@@ -433,9 +416,15 @@ impl SearchService for SegmentedSearcher<'_> {
         self.index.search(query, k, self.opts)
     }
 
+    /// The tier's one batched read: one snapshot for the whole batch (a
+    /// mid-batch apply or merge must not split it across generations),
+    /// served over the machine's cores with one scratch per worker —
+    /// byte-identical to serving each query against that snapshot.
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        self.index
-            .search_batch(&ThreadPool::new(0), queries, k, self.opts)
+        let gen = self.index.snapshot();
+        ThreadPool::new(0).map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
+            gen.search_with_scratch(&queries[qi], k, self.opts, scratch)
+        })
     }
 }
 
@@ -713,7 +702,7 @@ mod tests {
                         bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b)
                     })
                     .fold(0.0, f64::max);
-                assert!(best > block.max_contrib, "block at {}", block.first_doc);
+                assert!(best > block.max_contrib, "block {j}");
             }
             // A novel overlay term has no blocks at all: segment postings only.
             let novel = view.term_id("novelterm").unwrap();
@@ -910,13 +899,10 @@ mod tests {
             use_annotations: true,
             ..Default::default()
         };
-        let pool = ThreadPool::new(3);
-        let batched = seg.search_batch(&pool, &queries, 5, opts);
         let svc = seg.searcher(opts);
         let via_service = SearchService::search_batch(&svc, &queries, 5);
         for (qi, q) in queries.iter().enumerate() {
             let want = seg.search(q, 5, opts);
-            assert_eq!(batched[qi], want, "pooled batch q={q:?}");
             assert_eq!(via_service[qi], want, "service batch q={q:?}");
             assert_eq!(SearchService::search(&svc, q, 5), want);
         }

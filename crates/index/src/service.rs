@@ -19,7 +19,6 @@
 //! [`ClusterServer`]: crate::cluster::ClusterServer
 //! [`DeepWebSystem`]: ../../deepweb_core/struct.DeepWebSystem.html
 
-use crate::broker::QueryBroker;
 use crate::cluster::ClusterServer;
 use crate::index::SearchIndex;
 use crate::searcher::{search, Hit, SearchOptions};
@@ -56,16 +55,6 @@ pub struct IndexSearcher<'a> {
 impl SearchService for IndexSearcher<'_> {
     fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         search(self.index, query, k, self.opts)
-    }
-}
-
-impl SearchService for QueryBroker<'_> {
-    fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        search(self.index(), query, k, self.options())
-    }
-
-    fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        QueryBroker::search_batch(self, queries, k)
     }
 }
 

@@ -192,10 +192,7 @@ fn tiny_cache_eviction_never_changes_results() {
         partitions: 3,
         replicas: 1,
         workers: 1,
-        cache: Some(CacheConfig {
-            shards: 2,
-            capacity: 8,
-        }),
+        cache: Some(CacheConfig::with_capacity(8)),
         max_in_flight: 0,
     });
     for (q, want) in stream.iter().zip(&expected) {

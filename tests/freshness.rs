@@ -2,8 +2,8 @@
 //!
 //! The contract under test: a [`SegmentedIndex`] serving a base index plus
 //! delta segments ranks **byte-identically** to a from-scratch rebuild over
-//! the same docs — at every serving tier (sequential, pooled batch,
-//! service batch), at every point in the segment lifecycle
+//! the same docs — at every serving tier (sequential, and the tier's one
+//! batched read through the service trait), at every point in the segment lifecycle
 //! (before, during and after a background merge), and for every pruning
 //! mode. Queries must keep serving while a merge runs on another thread.
 
@@ -74,7 +74,6 @@ fn segmented_serving_matches_rebuild_at_every_tier() {
     assert_eq!(segmented.num_docs(), docs.len());
 
     let queries = workload(&sys, 40, "freshness-tiers");
-    let pool = ThreadPool::new(4);
     let mut option_sets = Vec::new();
     for use_annotations in [false, true] {
         for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
@@ -97,12 +96,6 @@ fn segmented_serving_matches_rebuild_at_every_tier() {
                 .map(|q| segmented.search(q, 10, *opts))
                 .collect();
             assert_eq!(got, expected, "{phase} sequential opts={opts:?}");
-            // Pooled batch tier.
-            assert_eq!(
-                segmented.search_batch(&pool, &queries, 10, *opts),
-                expected,
-                "{phase} batch opts={opts:?}"
-            );
             // Service-trait tier.
             assert_eq!(
                 segmented.searcher(*opts).search_batch(&queries, 10),

@@ -130,10 +130,7 @@ fn cluster_config_builder_validates() {
     // capacity 0 must be an explicit `cache: None`, not a cache that always
     // misses.
     reject(ClusterConfig {
-        cache: Some(CacheConfig {
-            shards: 8,
-            capacity: 0,
-        }),
+        cache: Some(CacheConfig::with_capacity(0)),
         ..cfg
     });
     let no_cache = ClusterConfig { cache: None, ..cfg };
