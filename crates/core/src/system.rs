@@ -220,10 +220,10 @@ impl DeepWebSystem {
     }
 
     /// A cluster-scale serving tier over this system's index and options:
-    /// doc-range partitions, replica routing with admission accounting, and
-    /// an optional signature-keyed result cache (DESIGN.md §13). Every
-    /// configuration serves byte-identical results to
-    /// [`DeepWebSystem::search`].
+    /// replica routing with admission accounting and an optional
+    /// signature-keyed result cache in front of one kernel call per query
+    /// (DESIGN.md §13). Every configuration serves byte-identical results
+    /// to [`DeepWebSystem::search`].
     pub fn cluster(&self, cfg: ClusterConfig) -> ClusterServer<'_> {
         ClusterServer::new(&self.index, self.options, cfg)
     }

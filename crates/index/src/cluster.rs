@@ -1,25 +1,22 @@
-//! Cluster-scale serving tier (DESIGN.md §13): a [`ClusterServer`] fans
-//! queries across doc-range partitions ([`partition_ranges`]), routes them
-//! over a replica group with deterministic admission control, and fronts the
-//! whole thing with a signature-keyed [`ResultCache`] — the paper's ">1000
-//! queries per second for millions of users" serving shape (§3.2), still
-//! built determinism-first.
+//! Cluster-scale serving tier (DESIGN.md §13): a [`ClusterServer`] routes
+//! queries over a replica group with deterministic admission control and
+//! fronts the one scoring kernel with a signature-keyed [`ResultCache`] — the
+//! paper's ">1000 queries per second for millions of users" serving shape
+//! (§3.2), still built determinism-first.
 //!
 //! The layering:
 //!
-//! - **Resolve once.** The aggregator analyses a query and resolves its
-//!   distinct terms to the [`TermId`] signature a single time; partitions,
+//! - **Resolve once.** The server analyses a query and resolves its
+//!   distinct terms to the [`TermId`] signature a single time; the kernel,
 //!   the replica router, and the cache all consume that signature. No layer
 //!   re-tokenises.
-//! - **Partitions are exact.** A partition is a `(lo, hi)` doc range, handed
-//!   straight to the shared kernel, which scores it over *global* statistics
-//!   and returns an exact local top-k; the aggregator concatenates the
-//!   lists, sorts under the one strict total order (score desc, doc id asc)
-//!   and truncates to k. Every global top-k doc is its partition's local
-//!   top-≤k, so the merge is byte-identical to sequential [`search`] — at
-//!   any partition count. A batch worker, which would walk one query's
-//!   partitions back to back on one thread, scores their union in one
-//!   kernel call instead: the same bytes from one warm threshold.
+//! - **A query is one kernel call.** A cache miss is scored over the whole
+//!   index in one call on the serving thread's scratch — the sequential
+//!   [`search`] itself, so the bytes cannot differ. A single query and a
+//!   batch worker's query take the same path; a batch spreads its queries,
+//!   not their doc ranges, over the pool. (Cutting one query into doc ranges
+//!   scored in parallel gives the same bytes but more work: each range warms
+//!   its own block-max threshold from `-∞`.)
 //! - **Replicas are an accounting model.** In-process replicas share the one
 //!   immutable index, so routing cannot change results; what the replica
 //!   layer adds is the *deterministic* routing and admission stream: replica
@@ -39,25 +36,23 @@
 
 use crate::cache::{CacheConfig, CacheStats, ResultCache};
 use crate::index::SearchIndex;
-use crate::partition::partition_ranges;
-use crate::searcher::{
-    merge_topk, top_k_range, with_thread_scratch, Hit, QueryScratch, SearchOptions,
-};
-use crate::view::IndexView;
+use crate::searcher::{top_k_range, with_thread_scratch, Hit, QueryScratch, SearchOptions};
+use crate::service::SearchService;
+use crate::view::{doc_bound, IndexView};
 use deepweb_common::fxhash::fxhash64;
 use deepweb_common::ids::TermId;
 use deepweb_common::{Error, ThreadPool};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cluster topology and serving knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
-    /// Doc-range partitions (clamped to ≥ 1).
+    /// Nothing reads it: a query is one kernel call over the whole index.
+    /// It remains only so that existing configuration literals compile.
     pub partitions: usize,
     /// Replica groups for routing/admission accounting (clamped to ≥ 1).
     pub replicas: usize,
-    /// Worker threads for fan-out (0 = auto).
+    /// Worker threads a batch is spread over (0 = auto).
     pub workers: usize,
     /// Result cache; `None` serves every query through the kernel.
     pub cache: Option<CacheConfig>,
@@ -69,7 +64,7 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            partitions: 4,
+            partitions: 1,
             replicas: 1,
             workers: 0,
             cache: Some(CacheConfig::default()),
@@ -80,14 +75,11 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Reject degenerate topologies. [`ClusterServer::new`] clamps silently
-    /// (a zero partition count serves, just as one partition); a front end
-    /// that takes a topology from outside calls this first, so a typo'd
-    /// config surfaces as an error instead of a quietly different cluster
-    /// shape — or, for a zero-capacity cache, a cache that always misses.
+    /// (a zero replica count serves, just as one replica); a front end that
+    /// takes a topology from outside calls this first, so a typo'd config
+    /// surfaces as an error instead of a quietly different cluster shape —
+    /// or, for a zero-capacity cache, a cache that always misses.
     pub fn validate(&self) -> deepweb_common::Result<()> {
-        if self.partitions == 0 {
-            return Err(Error::Config("cluster needs at least one partition".into()));
-        }
         if self.replicas == 0 {
             return Err(Error::Config("cluster needs at least one replica".into()));
         }
@@ -112,50 +104,20 @@ pub struct ClusterStats {
     /// Queries that found every replica saturated (still answered; see
     /// module docs).
     pub shed: u64,
-    /// Partition count.
-    pub partitions: usize,
     /// Replica count.
     pub replicas: usize,
     /// Cache counters, when a cache is configured.
     pub cache: Option<CacheStats>,
 }
 
-/// Recycled scratches for the parallel single-query fan-out, where several
-/// partitions of one query score concurrently on pool workers that do not
-/// outlive the call. A fresh [`QueryScratch`] allocates a dense
-/// `num_docs`-long score vector on first use, so every kernel-bound query
-/// would pay that allocation once per worker without the pool. (Batch mode
-/// keeps one scratch per worker instead.)
-#[derive(Default)]
-struct ScratchPool(Mutex<Vec<QueryScratch>>);
-
-impl ScratchPool {
-    /// Run `f` against a pooled scratch (allocating one only when every
-    /// pooled scratch is in use by a concurrent partition scan).
-    fn with<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
-        let mut scratch = self.0.lock().pop().unwrap_or_default();
-        let out = f(&mut scratch);
-        self.0.lock().push(scratch);
-        out
-    }
-}
-
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ScratchPool({} idle)", self.0.lock().len())
-    }
-}
-
-/// The cluster aggregator: doc-range partitions + replica routing + result
-/// cache over one immutable [`SearchIndex`]. `Sync` — one instance can be
-/// hammered from many OS threads, like the broker.
+/// The cluster front end: replica routing + result cache over one immutable
+/// [`SearchIndex`]. `Sync` — one instance can be hammered from many OS
+/// threads, like the broker.
 #[derive(Debug)]
 pub struct ClusterServer<'a> {
     index: &'a SearchIndex,
     opts: SearchOptions,
     pool: ThreadPool,
-    partitions: Vec<(u32, u32)>,
-    scratch: ScratchPool,
     cache: Option<ResultCache>,
     replicas: usize,
     max_in_flight: usize,
@@ -173,8 +135,6 @@ impl<'a> ClusterServer<'a> {
             index,
             opts,
             pool: ThreadPool::new(cfg.workers),
-            partitions: partition_ranges(index.postings().num_docs(), cfg.partitions),
-            scratch: ScratchPool::default(),
             cache: cfg.cache.map(ResultCache::new),
             replicas,
             max_in_flight: cfg.max_in_flight,
@@ -185,53 +145,32 @@ impl<'a> ClusterServer<'a> {
         }
     }
 
-    /// The doc-range partition layout: `(lo, hi)` pairs tiling the docstore.
-    pub fn partitions(&self) -> &[(u32, u32)] {
-        &self.partitions
-    }
-
     /// The replica a signature routes to — a pure function of the signature,
     /// so one query always lands on one replica (cache/session affinity).
     fn route(&self, sig: &[TermId]) -> usize {
         (fxhash64(sig) % self.replicas as u64) as usize
     }
 
-    /// Serve one query: resolve once, check the cache, fan the signature out
-    /// across all partitions in parallel, merge. Byte-identical to
-    /// sequential [`search`] at any configuration. Counted as a burst of one
-    /// (always admitted by its routed replica), so the counters do not
-    /// depend on which entry point served a stream.
+    /// Serve one query on this thread's scratch: resolve once, count it as
+    /// a burst of one (always admitted by its routed replica, so the
+    /// counters do not depend on which entry point served a stream), then
+    /// probe the cache or make the one kernel call. Byte-identical to
+    /// sequential [`search`] at any configuration.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         with_thread_scratch(|scratch| {
             scratch.analyze(query);
             scratch.resolve(&IndexView::sealed(self.index));
-            let sig = scratch.resolved_sig();
-            let r0 = self.route(sig);
+            // Moved out so the kernel can borrow the rest of the scratch;
+            // restored before returning.
+            let sig = std::mem::take(&mut scratch.sig);
+            let r0 = self.route(&sig);
             self.count(r0, Some(r0));
-            self.serve_sig(sig, k, || {
-                self.pool.map_indices(self.partitions.len(), |pi| {
-                    self.scratch
-                        .with(|s| self.score_range(self.partitions[pi], sig, k, s))
-                })
-            })
+            let hits = self.serve(&sig, k, scratch);
+            scratch.sig = sig;
+            hits
         })
-    }
-
-    /// The exact local top `k` of one partition for a resolved signature:
-    /// its doc range handed to the one kernel. Exact because every touched
-    /// doc's score is complete (all of its postings for every query term lie
-    /// inside the range that owns the doc).
-    fn score_range(
-        &self,
-        (lo, hi): (u32, u32),
-        sig: &[TermId],
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Vec<Hit> {
-        let view = IndexView::sealed(self.index);
-        top_k_range(&view, sig, k, self.opts, lo, hi, scratch)
     }
 
     /// Count one query routed to replica `r0` and admitted by `admitted`
@@ -252,16 +191,10 @@ impl<'a> ClusterServer<'a> {
         }
     }
 
-    /// Serve one resolved signature: guard, cache probe, merge of the exact
-    /// local top-k lists `score_partitions` returns (one per doc range it
-    /// scored — the ranges tile the index), and cache fill. Callers differ
-    /// only in how they walk the partitions.
-    fn serve_sig(
-        &self,
-        sig: &[TermId],
-        k: usize,
-        score_partitions: impl FnOnce() -> Vec<Vec<Hit>>,
-    ) -> Vec<Hit> {
+    /// Serve one resolved signature on `scratch`: guard, cache probe, one
+    /// kernel call over the whole index, cache fill. Both entry points call
+    /// it.
+    fn serve(&self, sig: &[TermId], k: usize, scratch: &mut QueryScratch) -> Vec<Hit> {
         if sig.is_empty() || k == 0 {
             // No known term (no postings anywhere, and the annotation pass
             // only adjusts touched docs) or nothing asked for: the
@@ -274,7 +207,16 @@ impl<'a> ClusterServer<'a> {
                 return hits;
             }
         }
-        let hits = merge_topk(&score_partitions(), k);
+        let view = IndexView::sealed(self.index);
+        let hits = top_k_range(
+            &view,
+            sig,
+            k,
+            self.opts,
+            0,
+            doc_bound(view.num_docs()),
+            scratch,
+        );
         if let Some(cache) = &self.cache {
             cache.insert(sig.to_vec(), k, hits.clone());
         }
@@ -283,11 +225,9 @@ impl<'a> ClusterServer<'a> {
 
     /// Serve a batch: one sequential resolve/route/admission pass (the
     /// deterministic part), then parallel execution with one scratch per
-    /// worker, each query scored over the union of the partitions in one
-    /// kernel call (queries, not partitions, are the unit of parallelism
-    /// here). Results come back in batch order and are byte-identical to
-    /// per-query sequential [`search`] at any worker/partition/replica/cache
-    /// configuration.
+    /// worker, each query served as [`ClusterServer::search`] serves it.
+    /// Results come back in batch order and are byte-identical to per-query
+    /// sequential [`search`] at any worker/replica/cache configuration.
     ///
     /// [`search`]: crate::searcher::search
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
@@ -326,17 +266,9 @@ impl<'a> ClusterServer<'a> {
 
         // Phase 2 — parallel execution (shed queries included: the results
         // contract outranks the admission model; see module docs).
-        // One worker would walk a query's partitions back to back on one
-        // thread, each from a cold heap, and merge: hand the kernel their
-        // union instead — the sequential reference itself.
-        let whole = match (self.partitions.first(), self.partitions.last()) {
-            (Some(&(lo, _)), Some(&(_, hi))) => (lo, hi),
-            _ => (0, 0),
-        };
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-                let sig = &sigs[qi];
-                self.serve_sig(sig, k, || vec![self.score_range(whole, sig, k, scratch)])
+                self.serve(&sigs[qi], k, scratch)
             })
     }
 
@@ -356,10 +288,19 @@ impl<'a> ClusterServer<'a> {
                 .collect(),
             spilled: self.spilled.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            partitions: self.partitions.len(),
             replicas: self.replicas,
             cache: self.cache_stats(),
         }
+    }
+}
+
+impl SearchService for ClusterServer<'_> {
+    fn search(&self, query: &str, k: usize) -> Vec<Hit> {
+        ClusterServer::search(self, query, k)
+    }
+
+    fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
+        ClusterServer::search_batch(self, queries, k)
     }
 }
 

@@ -12,8 +12,8 @@
 //! One spelling per thing: a query is `(text, k)` through [`search`] or any
 //! [`SearchService`] tier; a scoring configuration is a [`SearchOptions`]
 //! literal and a cluster topology a [`ClusterConfig`] literal, each checked
-//! by its `validate()` where it arrives from outside; a partition is a
-//! `(lo, hi)` doc range of [`partition_ranges`], scored by the one kernel.
+//! by its `validate()` where it arrives from outside; every tier scores a
+//! query with one call of the one kernel over the whole index.
 
 #![warn(missing_docs)]
 
@@ -23,7 +23,6 @@ pub mod cache;
 pub mod cluster;
 pub mod docstore;
 pub mod index;
-pub mod partition;
 pub mod postings;
 pub mod pruned;
 pub mod searcher;
@@ -37,7 +36,6 @@ pub use cache::{CacheConfig, CacheStats, ResultCache};
 pub use cluster::{ClusterConfig, ClusterServer, ClusterStats};
 pub use docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
-pub use partition::partition_ranges;
 pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
 pub use pruned::PruningIndex;
 pub use searcher::{

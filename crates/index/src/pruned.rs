@@ -428,7 +428,8 @@ pub(crate) fn pruned_topk_range(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::searcher::{search, top_k_range, PruningMode};
+    use crate::index::BatchDoc;
+    use crate::searcher::{merge_topk, search, top_k_range, PruningMode};
     use deepweb_common::Url;
 
     /// A corpus big enough to span many blocks for the common terms, with
@@ -882,6 +883,77 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The count behind the cluster's one kernel call per query (DESIGN.md
+    /// §13). Cut into equal doc ranges, a query returns the same bytes but
+    /// folds more postings and scores more docs than one pass over `[0, n)`:
+    /// each range warms its own threshold from `-∞`. Summed over a fixed
+    /// query set on a dense Zipf corpus at k = 10, at 2, 4 and 7 ranges.
+    #[test]
+    fn one_pass_folds_less_than_any_doc_range_split() {
+        const DOCS: u32 = 4_000;
+        let zipf = deepweb_common::Zipf::new(300, 1.1);
+        let mut rng = deepweb_common::derive_rng(17, "one-pass");
+        let mut draw = |tokens: usize| -> String {
+            let words: Vec<String> = (0..tokens)
+                .map(|_| format!("tok{}", zipf.sample(&mut rng)))
+                .collect();
+            words.join(" ")
+        };
+        let docs: Vec<BatchDoc> = (0..DOCS)
+            .map(|i| BatchDoc {
+                url: Url::new("dense.sim", format!("/d{i}")),
+                title: String::new(),
+                text: draw(30),
+                kind: DocKind::Surface,
+                site: None,
+                annotations: vec![],
+            })
+            .collect();
+        let mut idx = SearchIndex::new();
+        idx.add_batch(&deepweb_common::ThreadPool::new(1), docs);
+        idx.enable_pruning();
+        let view = IndexView::sealed(&idx);
+        let opts = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..Default::default()
+        };
+        let k = 10;
+        let mut scratch = QueryScratch::new();
+        let sigs: Vec<Vec<TermId>> = (0..100)
+            .map(|i| {
+                scratch.analyze(&draw(2 + i % 3));
+                scratch.resolve(&view);
+                scratch.resolved_sig().to_vec()
+            })
+            .collect();
+        assert!(sigs.iter().all(|sig| !sig.is_empty()));
+        // [postings folded, docs scored] summed over the queries, each
+        // query's `[0, n)` cut into `parts` equal ranges.
+        let mut work = |parts: u32| {
+            let mut sum = [0usize; 2];
+            for sig in &sigs {
+                let whole = top_k_range(&view, sig, k, opts, 0, DOCS, &mut scratch);
+                let mut lists = Vec::new();
+                for p in 0..parts {
+                    let (lo, hi) = (DOCS * p / parts, DOCS * (p + 1) / parts);
+                    lists.push(top_k_range(&view, sig, k, opts, lo, hi, &mut scratch));
+                    sum[0] += scratch.pruned.postings_folded;
+                    sum[1] += scratch.pruned.docs_scored;
+                }
+                assert_eq!(merge_topk(&lists, k), whole, "parts={parts} sig={sig:?}");
+            }
+            sum
+        };
+        let one = work(1);
+        for parts in [2, 4, 7] {
+            let split = work(parts);
+            assert!(
+                split[0] > one[0] && split[1] > one[1],
+                "{parts} ranges {split:?} against one pass {one:?}"
+            );
         }
     }
 }

@@ -151,7 +151,7 @@ pub struct QueryScratch {
     /// — it is the cluster tier's cache key and replica-routing key
     /// (DESIGN.md §13). Order matters: f64 accumulation folds in exactly
     /// this sequence, so the signature is never sorted or canonicalised.
-    sig: Vec<TermId>,
+    pub(crate) sig: Vec<TermId>,
     /// Dense score accumulator indexed by doc id. Invariant between queries:
     /// all zeros (only entries listed in `touched` are ever non-zero, and
     /// top-k selection zeroes them while draining).
@@ -287,9 +287,8 @@ fn hit_order(a: &Hit, b: &Hit) -> Ordering {
 /// their union: concatenate, sort under the strict total order, truncate.
 /// Each list holds its range's true top-≤k, so the union's top-k is a subset
 /// of the concatenation and the strict order places it first —
-/// byte-identical to selecting over the whole range at once. The cluster's
-/// partition merge (DESIGN.md §13) and the kernel's base ⊕ segment merge
-/// are both this function.
+/// byte-identical to selecting over the whole range at once. The kernel
+/// joins a generation's base and segment parts with it (DESIGN.md §9).
 pub(crate) fn merge_topk(lists: &[Vec<Hit>], k: usize) -> Vec<Hit> {
     let mut all = lists.concat();
     all.sort_by(hit_order);
@@ -732,6 +731,50 @@ mod tests {
                     assert_eq!(a, b, "q={q:?} k={k}");
                     assert_eq!(a, search(&idx, q, k, opts), "q={q:?} k={k}");
                 }
+            }
+        }
+    }
+
+    /// The kernel's range contract, which the block-max path's base ⊕
+    /// segment cut leans on: the exact top-k lists of equal doc ranges that
+    /// tile the index merge into the whole index's top-k.
+    #[test]
+    fn partition_topk_union_contains_global_topk() {
+        let mut idx = SearchIndex::new();
+        let texts = [
+            "honda civic mileage",
+            "used ford focus",
+            "honda accord review",
+            "ford truck listing",
+            "civic and focus compared",
+            "cooking recipes",
+            "honda focus hybrid rumour",
+        ];
+        for (i, text) in texts.iter().enumerate() {
+            idx.add(
+                Url::new("p.sim", format!("/d{i}")),
+                String::new(),
+                (*text).into(),
+                DocKind::Surface,
+                None,
+                vec![],
+            );
+        }
+        let opts = SearchOptions::default();
+        let view = IndexView::sealed(&idx);
+        let (n, k) = (doc_bound(idx.len()), 3);
+        for parts in [1u32, 2, 3, 7] {
+            for q in ["honda", "ford focus", "honda civic focus"] {
+                let global = search(&idx, q, k, opts);
+                let mut scratch = QueryScratch::new();
+                scratch.analyze(q);
+                scratch.resolve(&view);
+                let sig = scratch.resolved_sig().to_vec();
+                let lists: Vec<Vec<Hit>> = (0..parts)
+                    .map(|p| (n * p / parts, n * (p + 1) / parts))
+                    .map(|(lo, hi)| top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch))
+                    .collect();
+                assert_eq!(merge_topk(&lists, k), global, "parts={parts} q={q:?}");
             }
         }
     }

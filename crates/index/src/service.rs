@@ -1,7 +1,7 @@
 //! One serving API over every tier (DESIGN.md §14).
 //!
 //! The engine grew three ways to answer a query — the sequential searcher,
-//! the multi-worker [`QueryBroker`], and the partitioned [`ClusterServer`] —
+//! the multi-worker [`QueryBroker`], and the caching [`ClusterServer`] —
 //! each with its own entry-point shape. [`SearchService`] is the single
 //! contract they all satisfy: `search(query, k) -> Vec<Hit>` plus a batched
 //! form, with the byte-identity guarantee that every implementation returns
@@ -19,7 +19,6 @@
 //! [`ClusterServer`]: crate::cluster::ClusterServer
 //! [`DeepWebSystem`]: ../../deepweb_core/struct.DeepWebSystem.html
 
-use crate::cluster::ClusterServer;
 use crate::index::SearchIndex;
 use crate::searcher::{search, Hit, SearchOptions};
 
@@ -29,7 +28,7 @@ use crate::searcher::{search, Hit, SearchOptions};
 /// The contract is stronger than the signature: for a fixed index and
 /// [`SearchOptions`], every implementation must return hits byte-identical
 /// to the sequential [`search`] oracle — regardless of worker count,
-/// partition layout, result caching or pruning mode. That is what lets the
+/// replica routing, result caching or pruning mode. That is what lets the
 /// replay harness and the cluster equality tests treat implementations as
 /// interchangeable trait objects.
 pub trait SearchService: Sync {
@@ -55,16 +54,6 @@ pub struct IndexSearcher<'a> {
 impl SearchService for IndexSearcher<'_> {
     fn search(&self, query: &str, k: usize) -> Vec<Hit> {
         search(self.index, query, k, self.opts)
-    }
-}
-
-impl SearchService for ClusterServer<'_> {
-    fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        ClusterServer::search(self, query, k)
-    }
-
-    fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        ClusterServer::search_batch(self, queries, k)
     }
 }
 

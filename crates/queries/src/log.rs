@@ -166,7 +166,6 @@ pub fn replay_serving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepweb_common::ids::DocId;
 
     #[test]
     fn cumulative_share_and_rank() {
@@ -193,23 +192,49 @@ mod tests {
         assert_eq!(ImpactReport::default().tail_share_of_deepweb(), 0.0);
     }
 
+    /// One page per distinct query — a surfaced page from the query's target
+    /// site for a tail query, a surface page for a head query — so every
+    /// replayed query is answered, and every tail query by a deep-web page.
     #[test]
     fn replay_counts_on_tiny_index() {
+        use crate::workload::{generate_workload, WorkloadConfig};
         use deepweb_common::Url;
-        use deepweb_index::Annotation;
-        let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/r?x=1"),
-            "gov bulletin".into(),
-            "rare subject zz11 text".into(),
-            DocKind::Surfaced,
-            Some(SiteId(4)),
-            vec![Annotation {
-                key: "t".into(),
-                value: "v".into(),
-            }],
+        use deepweb_webworld::{generate, WebConfig};
+        let world = generate(&WebConfig {
+            num_sites: 6,
+            ..WebConfig::default()
+        });
+        let wl = generate_workload(
+            &world,
+            &WorkloadConfig {
+                distinct: 40,
+                ..Default::default()
+            },
         );
-        let _ = idx; // replay needs a workload over a world; covered in integration tests.
-        assert_eq!(idx.doc(DocId(0)).site, Some(SiteId(4)));
+        let mut idx = SearchIndex::new();
+        for q in &wl.queries {
+            let kind = if q.is_tail {
+                DocKind::Surfaced
+            } else {
+                DocKind::Surface
+            };
+            idx.add(
+                Url::new("replay.sim", format!("/q{}", q.id.0)),
+                String::new(),
+                q.text.clone(),
+                kind,
+                q.target_site,
+                vec![],
+            );
+        }
+        let n = 300;
+        let mut rng = deepweb_common::derive_rng(5, "replay-tiny");
+        let opts = SearchOptions::default();
+        let r = replay_serving(&idx, &wl, n, 10, &mut rng, &idx.searcher(opts));
+        assert_eq!(r.queries, n);
+        assert_eq!(r.head_queries + r.tail_queries, n);
+        assert!(r.head_queries > 0 && r.tail_queries > 0, "{r:?}");
+        assert_eq!(r.answered, n);
+        assert_eq!(r.tail_with_deepweb, r.tail_queries);
     }
 }

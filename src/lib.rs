@@ -4,10 +4,10 @@
 //! (Madhavan, Afanasiev, Antova, Halevy — CIDR 2009) as a Rust workspace:
 //! deep-web surfacing (form analysis, iterative probing, query templates,
 //! correlated inputs, indexability), a virtual-integration baseline, a
-//! search-engine substrate with a cluster serving tier (doc-range
-//! partitions, replica routing, result caching — every configuration
-//! byte-identical to sequential search), block-max pruned top-k behind
-//! one unified `SearchService` API (every
+//! search-engine substrate with a cluster serving tier (replica routing
+//! and result caching in front of one kernel call per query — every
+//! configuration byte-identical to sequential search), block-max pruned
+//! top-k behind one unified `SearchService` API (every
 //! tier — sequential, broker, cluster — is the same trait object, a query
 //! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
 //! literal checked by its `validate()`, and `PruningMode::BlockMax`

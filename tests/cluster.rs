@@ -78,7 +78,6 @@ fn cluster_is_byte_identical_to_sequential_for_300_query_dump() {
                 );
             }
             let stats = cluster.stats();
-            assert_eq!(stats.partitions, partitions);
             assert_eq!(stats.replicas, replicas);
             assert!(stats.queries > 0);
         }
@@ -107,35 +106,6 @@ fn cluster_serves_annotation_scoring_identically() {
     assert_eq!(cluster.search_batch(&batch, 10), expected);
     for (q, want) in batch.iter().zip(&expected) {
         assert_eq!(&cluster.search(q, 10), want, "q={q:?}");
-    }
-}
-
-/// The doc-range layout is an internal serving detail: every partition count
-/// covers each doc exactly once.
-#[test]
-fn partition_layout_covers_every_doc_exactly_once() {
-    let sys = build_system(6);
-    let num_docs = sys.index.len() as u32;
-    for partitions in [1usize, 2, 4, 7, 13] {
-        let cluster = sys.cluster(ClusterConfig {
-            partitions,
-            replicas: 1,
-            workers: 1,
-            cache: None,
-            max_in_flight: 0,
-        });
-        assert_eq!(cluster.partitions().len(), partitions);
-        let mut next = 0u32;
-        for &(lo, hi) in cluster.partitions() {
-            assert_eq!(lo, next, "partitions must tile");
-            next = hi;
-        }
-        assert_eq!(next, num_docs, "partitions must cover the docstore");
-        assert_eq!(
-            cluster.search("honda civic", 5),
-            sys.search("honda civic", 5),
-            "every partition scores every served query"
-        );
     }
 }
 

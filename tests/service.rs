@@ -122,10 +122,6 @@ fn cluster_config_builder_validates() {
             "{cfg:?} -> {got:?}"
         );
     };
-    reject(ClusterConfig {
-        partitions: 0,
-        ..cfg
-    });
     reject(ClusterConfig { replicas: 0, ..cfg });
     // capacity 0 must be an explicit `cache: None`, not a cache that always
     // misses.
