@@ -5,7 +5,19 @@
 //! them back, and the index uses them as document keys. Encoding must
 //! round-trip exactly or coverage accounting breaks.
 
-use std::fmt;
+use std::fmt::{self, Write};
+
+/// True for the bytes a query component keeps literal: RFC 3986 unreserved.
+fn is_unreserved(b: u8) -> bool {
+    matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~')
+}
+
+/// Length of [`encode_component`]`(s)`, without building it.
+fn encoded_len(s: &str) -> usize {
+    s.bytes()
+        .map(|b| if is_unreserved(b) || b == b' ' { 1 } else { 3 })
+        .sum()
+}
 
 /// Percent-encode a query component (RFC 3986 unreserved kept literal,
 /// space as `+` per form-urlencoding).
@@ -13,9 +25,7 @@ pub fn encode_component(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
         match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
+            b if is_unreserved(b) => out.push(b as char),
             b' ' => out.push('+'),
             _ => {
                 out.push('%');
@@ -113,6 +123,22 @@ impl Url {
             .map(|(_, v)| v.as_str())
     }
 
+    /// This URL as a dedup key: its `Display` spelling, written once into a
+    /// `String` allocated at exactly its length (`to_string` grows its
+    /// buffer through `fmt` several times per URL).
+    pub fn key(&self) -> String {
+        let params: usize = self
+            .params
+            .iter()
+            .map(|(k, v)| 2 + encoded_len(k) + encoded_len(v))
+            .sum();
+        let mut key =
+            String::with_capacity("http://".len() + self.host.len() + self.path.len() + params);
+        // Writing into a `String` cannot fail.
+        let _ = write!(key, "{self}");
+        key
+    }
+
     /// Parse from string form. Returns `None` for anything that is not an
     /// `http://host/path[?query]` URL.
     pub fn parse(s: &str) -> Option<Url> {
@@ -198,6 +224,23 @@ mod tests {
         assert_eq!(s, "http://cars-01.sim/search?make=ford&min+price=1000");
         let back = Url::parse(&s).unwrap();
         assert_eq!(back, u);
+    }
+
+    #[test]
+    fn key_is_the_display_spelling_at_exact_capacity() {
+        let urls = [
+            Url::new("cars-01.sim", "/search"),
+            Url::new("x.sim", "/"),
+            Url::new("cars-01.sim", "/search")
+                .with_param("a&b", "c=d")
+                .with_param("min price", "caf\u{e9} \u{dc}n\u{ef}code")
+                .with_param("", "100%~._-"),
+        ];
+        for u in urls {
+            let key = u.key();
+            assert_eq!(key, u.to_string());
+            assert_eq!(key.capacity(), key.len(), "{key}");
+        }
     }
 
     #[test]

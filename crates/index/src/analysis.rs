@@ -1,24 +1,20 @@
-//! Query/document analysis for the index: shared tokenisation plus term
-//! statistics containers.
+//! Query analysis for the index, allocating one `String` per token — the
+//! reference spelling that snippets, reports and tests read.
 //!
-//! These are the *allocating* entry points (one `String` per token), used at
-//! index-build time and by snippets. The serving hot path tokenises into
-//! recycled buffers instead — see `QueryScratch::analyze` in
-//! [`crate::searcher`] — but both sides agree exactly on token boundaries,
-//! lowercasing and the stopword list, which is what keeps scratch-based
-//! serving byte-identical to this reference analysis.
+//! Neither hot path calls it: the index build streams raw token slices
+//! through one recycled lowercase buffer into the dictionary (see
+//! `Postings::add_document`), and serving tokenises into the recycled
+//! buffers of `QueryScratch::analyze` in [`crate::searcher`]. All three agree
+//! exactly on token boundaries, lowercasing and the stopword list
+//! (`deepweb_common::text`), which is what keeps both byte-identical to this
+//! reference.
 
 use deepweb_common::text::{is_stopword, tokenize};
 
-/// Analyse text into index terms (lowercased alphanumerics; stopwords kept —
-/// BM25's IDF already down-weights them, and dropping them would break
-/// phrase-ish queries like "the hague").
-pub fn analyze(text: &str) -> Vec<String> {
-    tokenize(text).collect()
-}
-
 /// Analyse a user query: stopwords removed (queries are short; stopwords only
-/// add noise there), order preserved, duplicates kept.
+/// add noise there), order preserved, duplicates kept. Documents keep their
+/// stopwords — BM25's IDF already down-weights them, and dropping them would
+/// break phrase-ish queries like "the hague".
 pub fn analyze_query(text: &str) -> Vec<String> {
     tokenize(text).filter(|t| !is_stopword(t)).collect()
 }
@@ -28,8 +24,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn document_keeps_stopwords_query_drops_them() {
-        assert_eq!(analyze("the Honda Civic"), vec!["the", "honda", "civic"]);
+    fn query_drops_stopwords() {
         assert_eq!(analyze_query("the Honda Civic"), vec!["honda", "civic"]);
     }
 

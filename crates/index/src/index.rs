@@ -2,13 +2,13 @@
 //! deduplication (a crawler inserts the same URL only once — URL identity is
 //! the dedup key, as in real surfacing).
 
-use crate::analysis::{analyze, analyze_query};
 use crate::docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
+use deepweb_common::text::raw_tokens;
 use deepweb_common::{FxHashMap, FxHashSet, TermDict, ThreadPool, Url};
 use std::sync::Arc;
 
@@ -121,8 +121,9 @@ impl SearchIndex {
         // 1. Sequential dedup + id assignment in batch order.
         let mut ids = Vec::with_capacity(batch.len());
         let mut fresh: Vec<BatchDoc> = Vec::new();
+        self.by_url.reserve(batch.len());
         for doc in batch {
-            let key = doc.url.to_string();
+            let key = doc.url.key();
             if let Some(&id) = self.by_url.get(key.as_str()) {
                 ids.push(id);
                 continue;
@@ -258,15 +259,13 @@ impl SearchIndex {
         let key = self.intern_facet_key(key);
         let entry = self.facet_values.entry(key).or_default();
         for v in values {
-            for tok in analyze_query(&v) {
-                entry.insert(self.postings.intern_term(&tok));
-            }
+            entry.extend(self.postings.intern_value(&v));
         }
     }
 
     /// True if the URL is already indexed.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.contains_key(&url.to_string())
+        self.contains_key(&url.key())
     }
 
     /// [`SearchIndex::contains_url`] for a caller that has rendered the URL
@@ -359,31 +358,26 @@ impl SearchIndex {
     }
 }
 
-/// Analyse a run of documents into a doc-local [`Postings`] plus, per doc
-/// and per annotation, the value's analysed tokens as shard-local term ids.
-/// The per-document interning order — title and body terms, then annotation
-/// value tokens — is the canonical one, spelled only here (DESIGN.md §12),
-/// so absorbing shards in order replays one sequential walk over the docs.
-/// Values go through the query-side pipeline (stopwords dropped): a value
-/// token kept here must be *matchable*, so "out of stock" becomes
-/// `[out, stock]`. Shared by [`SearchIndex::add_batch`]'s parallel shards and
-/// the delta-segment build of [`segments`](crate::segments).
+/// Index a run of documents into a doc-local [`Postings`] plus, per doc and
+/// per annotation, the value's analysed tokens as shard-local term ids.
+/// Title then body token slices stream from `raw_tokens` straight into
+/// [`Postings::add_document`], and each value into `Postings::intern_value`
+/// (stopwords dropped) — no token is a `String` of its own. The per-document
+/// interning order — title and body terms, then annotation value tokens — is
+/// the canonical one, spelled only here (DESIGN.md §12), so absorbing shards
+/// in order replays one sequential walk over the docs. Shared by
+/// [`SearchIndex::add_batch`]'s parallel shards and the delta-segment build
+/// of [`segments`](crate::segments).
 pub(crate) fn build_shard(shard: &[BatchDoc]) -> (Postings, Vec<Vec<Vec<TermId>>>) {
     let mut postings = Postings::new();
     let mut ann_local: Vec<Vec<Vec<TermId>>> = Vec::with_capacity(shard.len());
     for (local, doc) in shard.iter().enumerate() {
-        let mut terms = analyze(&doc.title);
-        terms.extend(analyze(&doc.text));
-        postings.add_document(DocId(next_id(local)), &terms);
+        let tokens = raw_tokens(&doc.title).chain(raw_tokens(&doc.text));
+        postings.add_document(DocId(next_id(local)), tokens);
         ann_local.push(
             doc.annotations
                 .iter()
-                .map(|ann| {
-                    analyze_query(&ann.value)
-                        .iter()
-                        .map(|tok| postings.intern_term(tok))
-                        .collect()
-                })
+                .map(|ann| postings.intern_value(&ann.value))
                 .collect(),
         );
     }
@@ -589,7 +583,11 @@ mod tests {
                 annotations: (0..i % 3)
                     .map(|a| Annotation {
                         key: format!("key{a}"),
-                        value: format!("Value{} of the lot{i}", (i + 2) % 6),
+                        value: if i == 8 && a == 1 {
+                            "Out-of Stock".to_string()
+                        } else {
+                            format!("Value{} of the lot{i}", (i + 2) % 6)
+                        },
                     })
                     .collect(),
             })

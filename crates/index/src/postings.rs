@@ -24,6 +24,7 @@
 use crate::searcher::Bm25Params;
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
+use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
 use deepweb_common::TermDict;
 
 /// BM25 inverse document frequency — one copy of the formula, evaluated by
@@ -72,43 +73,6 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// Intern one document's tokens and append its per-term postings: ids are
-/// assigned in first-appearance order over the raw token stream (the
-/// discipline the parallel build's deterministic id remap replays), then tf
-/// is aggregated by sorting the small id buffer and run-length counting —
-/// no string-keyed map, no per-document allocation in steady state.
-///
-/// This is the **single** indexing kernel: the sequential build, a parallel
-/// build shard and a delta segment all run it.
-fn index_document(
-    dict: &mut TermDict,
-    lists: &mut Vec<Vec<Posting>>,
-    scratch: &mut Vec<TermId>,
-    doc: DocId,
-    terms: &[String],
-) {
-    scratch.clear();
-    for t in terms {
-        scratch.push(dict.intern(t));
-    }
-    lists.resize_with(dict.len(), Vec::new);
-    scratch.sort_unstable();
-    let mut i = 0;
-    while i < scratch.len() {
-        let id = scratch[i];
-        let mut j = i + 1;
-        while j < scratch.len() && scratch[j] == id {
-            j += 1;
-        }
-        lists[id.as_usize()].push(Posting {
-            doc,
-            tf: next_id(j - i),
-        });
-        i = j;
-    }
-    scratch.clear();
-}
-
 /// The postings lists plus document lengths, keyed by [`TermId`].
 #[derive(Default, Clone, Debug)]
 pub struct Postings {
@@ -116,9 +80,11 @@ pub struct Postings {
     lists: Vec<Vec<Posting>>,
     doc_len: Vec<u32>,
     total_len: u64,
-    /// Per-document interning scratch; always empty between calls (so two
-    /// structurally equal indexes also compare equal via `Debug`).
+    /// Per-document interning scratch and the recycled lowercase token
+    /// buffer; both always empty between calls (so two structurally equal
+    /// indexes also compare equal via `Debug`).
     scratch: Vec<TermId>,
+    buf: String,
 }
 
 impl Postings {
@@ -127,23 +93,49 @@ impl Postings {
         Self::default()
     }
 
-    /// Add a document's term multiset. `doc` must be the next id in sequence
+    /// Add a document from its raw token slices, in order, as
+    /// [`raw_tokens`] yields them. `doc` must be the next id in sequence
     /// (enforced so postings stay sorted).
-    pub fn add_document(&mut self, doc: DocId, terms: &[String]) {
+    ///
+    /// This is the **single** indexing kernel — a parallel build shard and a
+    /// delta segment both run it. Each slice is lowercased into one recycled
+    /// buffer and interned from there, so only a term's first appearance
+    /// allocates (inside the dictionary). Ids are assigned in
+    /// first-appearance order over the token stream (the discipline the
+    /// parallel build's deterministic id remap replays), then tf is
+    /// aggregated by sorting the small id buffer and run-length counting —
+    /// no string-keyed map, no per-document allocation in steady state.
+    pub fn add_document<'a>(&mut self, doc: DocId, tokens: impl IntoIterator<Item = &'a str>) {
         assert_eq!(
             doc.as_usize(),
             self.doc_len.len(),
             "documents must be added in id order"
         );
-        self.doc_len.push(next_id(terms.len()));
-        self.total_len += terms.len() as u64;
-        index_document(
-            &mut self.dict,
-            &mut self.lists,
-            &mut self.scratch,
-            doc,
-            terms,
-        );
+        let ids = &mut self.scratch;
+        ids.clear();
+        for raw in tokens {
+            lower_into(&mut self.buf, raw);
+            ids.push(self.dict.intern(&self.buf));
+        }
+        self.buf.clear();
+        self.doc_len.push(next_id(ids.len()));
+        self.total_len += ids.len() as u64;
+        self.lists.resize_with(self.dict.len(), Vec::new);
+        ids.sort_unstable();
+        let mut i = 0;
+        while i < ids.len() {
+            let id = ids[i];
+            let mut j = i + 1;
+            while j < ids.len() && ids[j] == id {
+                j += 1;
+            }
+            self.lists[id.as_usize()].push(Posting {
+                doc,
+                tf: next_id(j - i),
+            });
+            i = j;
+        }
+        ids.clear();
     }
 
     /// The term dictionary.
@@ -162,6 +154,23 @@ impl Postings {
             self.lists.resize_with(self.dict.len(), Vec::new);
         }
         id
+    }
+
+    /// Intern an annotation or facet value's analysed tokens — lowercased
+    /// through the recycled buffer, stopwords dropped (a value token must be
+    /// *matchable* by an analysed query term, so "Out-of Stock" becomes
+    /// `[out, stock]`) — returning their ids in value order.
+    pub(crate) fn intern_value(&mut self, value: &str) -> Vec<TermId> {
+        let mut buf = std::mem::take(&mut self.buf);
+        let ids = raw_tokens(value)
+            .filter_map(|raw| {
+                lower_into(&mut buf, raw);
+                (!is_stopword(&buf)).then(|| self.intern_term(&buf))
+            })
+            .collect();
+        buf.clear();
+        self.buf = buf;
+        ids
     }
 
     /// Id of a term, if it has been indexed.
@@ -542,9 +551,9 @@ mod tests {
 
     fn sample() -> Postings {
         let mut p = Postings::new();
-        p.add_document(DocId(0), &["honda".into(), "civic".into(), "honda".into()]);
-        p.add_document(DocId(1), &["ford".into(), "focus".into()]);
-        p.add_document(DocId(2), &["honda".into(), "accord".into()]);
+        p.add_document(DocId(0), ["honda", "civic", "honda"]);
+        p.add_document(DocId(1), ["ford", "focus"]);
+        p.add_document(DocId(2), ["honda", "accord"]);
         p
     }
 
@@ -601,7 +610,7 @@ mod tests {
     #[should_panic]
     fn out_of_order_docs_rejected() {
         let mut p = Postings::new();
-        p.add_document(DocId(1), &["x".into()]);
+        p.add_document(DocId(1), ["x"]);
     }
 
     #[test]
@@ -615,14 +624,14 @@ mod tests {
         ];
         let mut sequential = Postings::new();
         for (i, terms) in docs.iter().enumerate() {
-            sequential.add_document(DocId(i as u32), terms);
+            sequential.add_document(DocId(i as u32), terms.iter().map(String::as_str));
         }
         // Shards over contiguous ranges [0..2), [2..3), [3..5).
         let mut shards = Vec::new();
         for range in [0..2, 2..3, 3..5] {
             let mut shard = Postings::new();
             for (local, terms) in docs[range].iter().enumerate() {
-                shard.add_document(DocId(local as u32), terms);
+                shard.add_document(DocId(local as u32), terms.iter().map(String::as_str));
             }
             shards.push(shard);
         }
@@ -640,7 +649,7 @@ mod tests {
     fn absorb_into_nonempty_base() {
         let mut base = sample();
         let mut shard = Postings::new();
-        shard.add_document(DocId(0), &["honda".into(), "tesla".into()]);
+        shard.add_document(DocId(0), ["honda", "tesla"]);
         base.absorb(&shard);
         assert_eq!(base.num_docs(), 4);
         assert_eq!(base.df("honda"), 3);
@@ -691,7 +700,7 @@ mod tests {
                 terms.push(format!("filler{}", (doc as u64 + f) % 23));
             }
             terms.push("anchor".into());
-            p.add_document(DocId(doc), &terms);
+            p.add_document(DocId(doc), terms.iter().map(String::as_str));
         }
         p
     }
@@ -782,13 +791,13 @@ mod tests {
             .collect();
         let mut sequential = Postings::new();
         for (i, terms) in docs.iter().enumerate() {
-            sequential.add_document(DocId(i as u32), terms);
+            sequential.add_document(DocId(i as u32), terms.iter().map(String::as_str));
         }
         let mut absorbed = Postings::new();
         for range in [0..13, 13..25, 25..40] {
             let mut build = Postings::new();
             for (local, terms) in docs[range].iter().enumerate() {
-                build.add_document(DocId(local as u32), terms);
+                build.add_document(DocId(local as u32), terms.iter().map(String::as_str));
             }
             absorbed.absorb(&build);
         }
@@ -818,8 +827,7 @@ mod tests {
         .map(|docs: &Vec<Vec<&str>>| {
             let mut shard = Postings::new();
             for terms in docs {
-                let terms: Vec<String> = terms.iter().map(|t| t.to_string()).collect();
-                shard.add_document(DocId(doc_bound(shard.num_docs())), &terms);
+                shard.add_document(DocId(doc_bound(shard.num_docs())), terms.iter().copied());
             }
             shard.intern_term("shard-annotation-only");
             shard
@@ -875,7 +883,7 @@ mod tests {
                     // the index keep arriving.
                     let terms: Vec<String> =
                         doc.iter().map(|t| format!("t{}", usize::from(*t) + 3 * si)).collect();
-                    postings.add_document(DocId(doc_bound(postings.num_docs())), &terms);
+                    postings.add_document(DocId(doc_bound(postings.num_docs())), terms.iter().map(String::as_str));
                 }
                 for i in 0..*interned {
                     postings.intern_term(&format!("annotation-only-{si}-{i}"));
@@ -890,14 +898,14 @@ mod tests {
     #[test]
     fn unbuilt_and_postingless_terms_own_no_blocks() {
         let mut p = Postings::new();
-        p.add_document(DocId(0), &["alpha".into()]);
+        p.add_document(DocId(0), ["alpha"]);
         let bp = BlockPostings::build(&p, 64);
         // Interned after the build: out of range, empty.
         let late = p.intern_term("late");
         assert!(bp.term_blocks(late).is_empty());
         // Annotation-only terms (interned, no postings) own zero blocks.
         let mut q = Postings::new();
-        q.add_document(DocId(0), &["alpha".into()]);
+        q.add_document(DocId(0), ["alpha"]);
         let ann = q.intern_term("annotation-only");
         let bq = BlockPostings::build(&q, 64);
         assert!(bq.term_blocks(ann).is_empty());

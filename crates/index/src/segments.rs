@@ -195,7 +195,7 @@ impl Generation {
 
     /// True if `url` is indexed in the base or any segment.
     pub fn contains_url(&self, url: &deepweb_common::Url) -> bool {
-        let key = url.to_string();
+        let key = url.key();
         self.base.contains_key(&key) || self.overlay.urls.contains_key(key.as_str())
     }
 
@@ -275,7 +275,7 @@ impl SegmentedIndex {
         let mut overlay = gen.overlay.clone();
         let mut fresh: Vec<BatchDoc> = Vec::new();
         for doc in batch {
-            let key = doc.url.to_string();
+            let key = doc.url.key();
             if gen.base.contains_key(&key) || overlay.urls.contains_key(key.as_str()) {
                 continue;
             }

@@ -4,13 +4,57 @@
 //! straightforward string-keyed model of the same corpus — i.e. interning is
 //! invisible to every read path — and the parallel index build replays the
 //! sequential interning order for the annotation layer exactly like it does
-//! for postings.
+//! for postings. The build's streaming tokeniser is checked against the
+//! allocating reference `common::text::tokenize` on text that exercises
+//! every token-boundary rule.
 
 use deepweb::common::ids::DocId;
+use deepweb::common::text::{is_stopword, tokenize};
 use deepweb::common::{TermDict, ThreadPool, Url};
 use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Text fragments covering every token-boundary rule: case, digits, `-` and
+/// `_` splits, non-ASCII letters (which split ASCII runs and never form a
+/// token of their own), stopwords, and punctuation-only runs.
+const FRAGMENTS: &[&str] = &[
+    "Honda",
+    "CIVIC",
+    "ford",
+    "1993",
+    "Zip94043",
+    "x_y",
+    "Out-of",
+    "Stock",
+    "café",
+    "Ünïcode",
+    "the",
+    "of",
+    "a-B-c",
+    "!!",
+    "...",
+    "--",
+    "é",
+    "ÀB9",
+];
+
+/// Separators between fragments; the empty one glues two into one run.
+const SEPARATORS: &[&str] = &[" ", "-", "_", ", ", "", "?! "];
+
+/// One text field: fragment and separator picks, concatenated.
+type Picks = Vec<(usize, usize)>;
+
+fn compose(picks: &Picks) -> String {
+    picks
+        .iter()
+        .map(|&(f, s)| format!("{}{}", FRAGMENTS[f], SEPARATORS[s]))
+        .collect()
+}
+
+fn field() -> impl Strategy<Value = Picks> {
+    prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..6)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -67,8 +111,7 @@ proptest! {
         let mut model: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
         for (i, words) in docs.iter().enumerate() {
             let doc = DocId(i as u32);
-            let terms: Vec<String> = words.clone();
-            postings.add_document(doc, &terms);
+            postings.add_document(doc, words.iter().map(String::as_str));
             let mut tf: BTreeMap<&String, u32> = BTreeMap::new();
             for w in words {
                 *tf.entry(w).or_insert(0) += 1;
@@ -88,6 +131,95 @@ proptest! {
         for (id, t) in postings.dict().iter_sorted() {
             prop_assert_eq!(postings.term_id(t), Some(id));
             prop_assert_eq!(postings.postings(t), postings.postings_id(id));
+        }
+    }
+
+    /// The index build tokenises exactly as the oracle does (`tests/oracle.rs`):
+    /// a document is `tokenize(title) ++ tokenize(text)` with stopwords
+    /// kept, an annotation value is `tokenize(value)` with stopwords dropped,
+    /// and terms are interned in that order, document by document. At 1 and
+    /// 3 workers the built index equals a model of that rule — dictionary id
+    /// order, every posting list, every `doc_len`, `total_doc_len`, and the
+    /// term ids stored for each annotation. The first document is all
+    /// punctuation and has no annotations: zero tokens, `doc_len` 0.
+    #[test]
+    fn batch_build_tokenises_as_the_oracle(
+        docs in prop::collection::vec(
+            (field(), field(), prop::collection::vec(field(), 0..3)),
+            1..10,
+        ),
+    ) {
+        let mut batch = vec![BatchDoc {
+            url: Url::new("w.sim", "/empty"),
+            title: String::new(),
+            text: "-- ?! ...".to_string(),
+            kind: DocKind::Surfaced,
+            site: None,
+            annotations: Vec::new(),
+        }];
+        batch.extend(docs.iter().enumerate().map(|(i, (title, text, values))| BatchDoc {
+            url: Url::new("w.sim", format!("/d{i}")),
+            title: compose(title),
+            text: compose(text),
+            kind: DocKind::Surfaced,
+            site: None,
+            annotations: values
+                .iter()
+                .map(|v| Annotation { key: "k".to_string(), value: compose(v) })
+                .collect(),
+        }));
+        // The model: first-appearance term order, term → (doc, tf) list,
+        // per-doc lengths, per-annotation analysed values.
+        let mut order: Vec<String> = Vec::new();
+        let mut model: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
+        let mut lens: Vec<u32> = Vec::new();
+        let mut values: Vec<Vec<Vec<String>>> = Vec::new();
+        for (i, d) in batch.iter().enumerate() {
+            let tokens: Vec<String> = tokenize(&d.title).chain(tokenize(&d.text)).collect();
+            let analysed: Vec<Vec<String>> = d
+                .annotations
+                .iter()
+                .map(|a| tokenize(&a.value).filter(|t| !is_stopword(t)).collect())
+                .collect();
+            for t in tokens.iter().chain(analysed.iter().flatten()) {
+                if !order.contains(t) {
+                    order.push(t.clone());
+                }
+            }
+            let mut tf: BTreeMap<&String, u32> = BTreeMap::new();
+            for t in &tokens {
+                *tf.entry(t).or_insert(0) += 1;
+            }
+            for (t, tf) in tf {
+                model.entry(t.clone()).or_default().push(Posting { doc: DocId(i as u32), tf });
+            }
+            lens.push(tokens.len() as u32);
+            values.push(analysed);
+        }
+        prop_assert_eq!(lens[0], 0);
+        for workers in [1, 3] {
+            let mut index = SearchIndex::new();
+            index.add_batch(&ThreadPool::new(workers), batch.clone());
+            let postings = index.postings();
+            let dict: Vec<&str> = postings.dict().iter().map(|(_, t)| t).collect();
+            prop_assert_eq!(&dict, &order);
+            for (id, t) in postings.dict().iter() {
+                let want = model.get(t).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!((t, postings.postings_id(id)), (t, want));
+            }
+            let got_lens: Vec<u32> =
+                (0..batch.len()).map(|d| postings.doc_len(DocId(d as u32))).collect();
+            prop_assert_eq!(&got_lens, &lens);
+            let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
+            prop_assert_eq!(postings.total_doc_len(), total);
+            for (doc, want) in index.docs().iter().zip(&values) {
+                let got: Vec<Vec<&str>> = doc
+                    .annotation_ids
+                    .iter()
+                    .map(|a| a.terms.iter().map(|&t| postings.dict().resolve(t)).collect())
+                    .collect();
+                prop_assert_eq!(&got, want);
+            }
         }
     }
 
