@@ -9,6 +9,7 @@ use super::Scale;
 use crate::report::{pct, TextTable};
 use crate::system::{quick_config, DeepWebSystem};
 use deepweb_common::derive_rng;
+use deepweb_index::ClusterConfig;
 use deepweb_queries::{generate_workload, replay, WorkloadConfig};
 
 /// Key numbers (asserted by tests).
@@ -42,7 +43,8 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, LongtailResult) {
     let mut rng = derive_rng(41, "e01");
     let n = scale.pick(1500, 20_000);
     // k=1: impact is attributed at the click position (the top result).
-    let report = replay(&sys.index, &wl, n, 1, sys.options, &mut rng);
+    let cluster = sys.cluster(ClusterConfig::default());
+    let report = replay(&sys.index, &wl, n, 1, &mut rng, &cluster);
 
     let curve = report.cumulative_share();
     let total_forms = curve.len().max(1);
@@ -104,9 +106,8 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, LongtailResult) {
         pct(tail_rate),
     ]);
 
-    // Concurrent serving: one Zipf batch through the broker, sequential vs
-    // 4 workers — a wrong fast path would invalidate any qps claim made
-    // over it.
+    // Concurrent serving: one Zipf batch through the cluster, 1 worker vs
+    // 4 — a wrong fast path would invalidate any qps claim made over it.
     let batch = wl.sample_batch(scale.pick(600, 5000), &mut rng);
     let sequential = sys.search_batch(&batch, 10, 1);
     let concurrent = sys.search_batch(&batch, 10, 4);

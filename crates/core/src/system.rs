@@ -5,7 +5,7 @@ use deepweb_common::{ThreadPool, Url, DEFAULT_SEED};
 use deepweb_coverage::content_hash;
 use deepweb_index::{
     Annotation, BatchDoc, ClusterConfig, ClusterServer, DocKind, Hit, IndexSearcher, PruningMode,
-    QueryBroker, SearchIndex, SearchOptions, SearchService, SegmentedIndex,
+    SearchIndex, SearchOptions, SearchService, SegmentedIndex,
 };
 use deepweb_surfacer::{
     crawl_and_surface, fetch_with_policy, resurface_host, DocOrigin, ProducedDoc, ReprobeScheduler,
@@ -189,10 +189,8 @@ impl DeepWebSystem {
         }
     }
 
-    /// This system's sequential serving tier as a
-    /// [`SearchService`] — the reference every other tier
-    /// ([`DeepWebSystem::broker`], [`DeepWebSystem::cluster`]) must match
-    /// byte-for-byte.
+    /// This system's sequential serving tier as a [`SearchService`] — the
+    /// reference [`DeepWebSystem::cluster`] must match byte-for-byte.
     pub fn service(&self) -> IndexSearcher<'_> {
         self.index.searcher(self.options)
     }
@@ -203,27 +201,24 @@ impl DeepWebSystem {
         self.service().search(query, k)
     }
 
-    /// A concurrent serving broker over this system's index and options,
-    /// fanning out across `workers` pool threads (DESIGN.md §9).
-    /// `workers = 0` means auto: size the pool to the machine.
-    pub fn broker(&self, workers: usize) -> QueryBroker<'_> {
-        QueryBroker::new(&self.index, ThreadPool::new(workers), self.options)
-    }
-
     /// Serve a batch of queries concurrently over `workers` threads
-    /// (`0` = auto). One result list per query, in batch order —
-    /// byte-identical to calling [`DeepWebSystem::search`] per query, at any
-    /// worker count (the E1 ">1000 qps" serving path). Each worker reuses
-    /// one query scratch for its whole share of the batch.
+    /// (`0` = auto) through an uncached [`DeepWebSystem::cluster`]. One
+    /// result list per query, in batch order — byte-identical to calling
+    /// [`DeepWebSystem::search`] per query, at any worker count. Each worker
+    /// reuses one query scratch for its whole share of the batch.
     pub fn search_batch(&self, queries: &[String], k: usize, workers: usize) -> Vec<Vec<Hit>> {
-        self.broker(workers).search_batch(queries, k)
+        self.cluster(ClusterConfig {
+            workers,
+            cache: None,
+            ..Default::default()
+        })
+        .search_batch(queries, k)
     }
 
-    /// A cluster-scale serving tier over this system's index and options:
-    /// replica routing with admission accounting and an optional
-    /// signature-keyed result cache in front of one kernel call per query
-    /// (DESIGN.md §13). Every configuration serves byte-identical results
-    /// to [`DeepWebSystem::search`].
+    /// A cluster-scale serving tier over this system's index and options: an
+    /// optional signature-keyed result cache and a worker pool in front of
+    /// one kernel call per query (DESIGN.md §13). Every configuration serves
+    /// byte-identical results to [`DeepWebSystem::search`].
     pub fn cluster(&self, cfg: ClusterConfig) -> ClusterServer<'_> {
         ClusterServer::new(&self.index, self.options, cfg)
     }
@@ -247,7 +242,7 @@ impl DeepWebSystem {
     /// the one-pointer publish). Returns the number of docs folded in.
     ///
     /// [`DeepWebSystem::index`] is re-pointed at the merged base, so
-    /// [`DeepWebSystem::search`], [`DeepWebSystem::broker`] and
+    /// [`DeepWebSystem::search`], [`DeepWebSystem::search_batch`] and
     /// [`DeepWebSystem::cluster`] serve the refreshed content from here on
     /// (and share one allocation with the freshness tier again).
     pub fn merge_fresh(&mut self) -> usize {
@@ -439,7 +434,6 @@ mod tests {
                 "workers={workers}"
             );
         }
-        assert_eq!(sys.broker(2).workers(), 2);
     }
 
     #[test]

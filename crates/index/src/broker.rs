@@ -1,26 +1,24 @@
-//! Concurrent query serving (DESIGN.md §10): a [`QueryBroker`] is a pool
-//! over queries — it fans a batch across the work-stealing pool, the paper's
-//! ">1000 queries per second" serving path (§3.2), built determinism-first.
+//! A pool over queries (DESIGN.md §10): a [`QueryBroker`] fans a batch
+//! across the work-stealing pool, each worker running the sequential scoring
+//! kernel on its own reusable [`QueryScratch`] (one scratch per *worker*, not
+//! per query). Only *which thread* runs a query varies, and results are
+//! reassembled in batch order, so a batch is byte-identical to calling
+//! [`search`] per query at any worker count.
 //!
-//! Every worker runs the sequential scoring kernel itself on its share of
-//! the batch, folding into its own reusable [`QueryScratch`] (one scratch per
-//! *worker*, not per query — the allocation-free steady state); only *which
-//! thread* runs a query varies, and results are reassembled in batch order,
-//! so a batch is byte-identical to calling [`search`] per query at any worker
-//! count. A single query is the sequential kernel.
+//! The library serves batches through [`ClusterServer`], which does the same
+//! plus the result cache; nothing in it calls the broker. It stays only for
+//! the benchmark package's `TierKind::Broker`, and goes with it (ROADMAP).
 //!
 //! [`search`]: crate::searcher::search
+//! [`ClusterServer`]: crate::cluster::ClusterServer
 
 use crate::index::SearchIndex;
 use crate::searcher::{search, search_with_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
 use deepweb_common::ThreadPool;
 
-/// A concurrent query-serving front end over one [`SearchIndex`].
-///
-/// The broker is `Sync`: one instance can be hammered from many OS threads
-/// at once (the index is immutable at serve time and the pool is scoped per
-/// call), which is exactly what the concurrency stress tests do.
+/// A concurrent query-serving front end over one [`SearchIndex`]. `Sync`:
+/// the index is immutable at serve time and the pool is scoped per call.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryBroker<'a> {
     index: &'a SearchIndex,
@@ -33,23 +31,6 @@ impl<'a> QueryBroker<'a> {
     pub fn new(index: &'a SearchIndex, pool: ThreadPool, opts: SearchOptions) -> Self {
         QueryBroker { index, pool, opts }
     }
-
-    /// Worker count of the serving pool.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Serve a batch of queries concurrently, one result list per query, in
-    /// batch order. Each worker runs the sequential scoring kernel against
-    /// its own reusable [`QueryScratch`], so the result is byte-identical to
-    /// calling [`search`] per query — at any worker count — while scratch
-    /// allocation stays per-worker, not per-query.
-    pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        self.pool
-            .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-                search_with_scratch(self.index, &queries[qi], k, self.opts, scratch)
-            })
-    }
 }
 
 impl SearchService for QueryBroker<'_> {
@@ -57,8 +38,15 @@ impl SearchService for QueryBroker<'_> {
         search(self.index, query, k, self.opts)
     }
 
+    /// Each worker runs the sequential scoring kernel against its own
+    /// reusable [`QueryScratch`], so the result is byte-identical to calling
+    /// [`search`] per query — at any worker count — while scratch allocation
+    /// stays per-worker, not per-query.
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
-        QueryBroker::search_batch(self, queries, k)
+        self.pool
+            .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
+                search_with_scratch(self.index, &queries[qi], k, self.opts, scratch)
+            })
     }
 }
 

@@ -11,10 +11,10 @@
 //! signature ("honda civic" / "honda honda civic") provably share a result,
 //! so a hit returns byte-identical hits to recomputing.
 //!
-//! One of eight fixed shards is picked by hashing the signature (the same
-//! [`fxhash64`] the rest of the system routes with); each shard is an
-//! independent mutex-guarded LRU map holding an exact share of the capacity,
-//! so concurrent workers contend only when their queries collide on a shard.
+//! One of eight fixed shards is picked by hashing the signature with
+//! [`fxhash64`]; each shard is an independent mutex-guarded LRU map holding
+//! an exact share of the capacity, so concurrent workers contend only when
+//! their queries collide on a shard.
 //! Eviction is least-recently-used via a per-shard logical clock —
 //! deterministic under single-threaded access, and *never* result-changing
 //! under any access pattern: the cache only ever returns values it computed

@@ -10,10 +10,12 @@
 //! attribute impact back to forms.
 //!
 //! One spelling per thing: a query is `(text, k)` through [`search`] or any
-//! [`SearchService`] tier; a scoring configuration is a [`SearchOptions`]
-//! literal and a cluster topology a [`ClusterConfig`] literal, each checked
-//! by its `validate()` where it arrives from outside; every tier scores a
-//! query with one call of the one kernel over the whole index.
+//! [`SearchService`] tier, and a tier answers only through that trait; a
+//! scoring configuration is a [`SearchOptions`] literal and a cluster's pool
+//! and cache a [`ClusterConfig`] literal, each checked by its `validate()`
+//! where it arrives from outside; every tier scores a query with one call of
+//! the one kernel over the whole index. A batch rides [`ClusterServer`]: a
+//! result cache and a pool over that kernel (DESIGN.md §13).
 
 #![warn(missing_docs)]
 

@@ -537,7 +537,7 @@ mod tests {
         for q in ["honda listing", "common rareterm", "ford common"] {
             scratch.analyze(q);
             scratch.resolve(&view);
-            let sig = scratch.resolved_sig().to_vec();
+            let sig = scratch.sig.clone();
             for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
                 let want = top_k_range(&view, &sig, 5, exhaustive, lo, hi, &mut scratch);
                 let got = top_k_range(&view, &sig, 5, pruned, lo, hi, &mut scratch);
@@ -570,7 +570,7 @@ mod tests {
                 for q in QUERIES {
                     scratch.analyze(q);
                     scratch.resolve(&view);
-                    let sig = scratch.resolved_sig().to_vec();
+                    let sig = scratch.sig.clone();
                     for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
                         for k in [1usize, 5, 1000] {
                             let want = top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch);
@@ -817,7 +817,7 @@ mod tests {
         .map(|q| {
             scratch.analyze(q);
             scratch.resolve(&view);
-            scratch.resolved_sig().to_vec()
+            scratch.sig.clone()
         })
         .collect();
         // A repeated term, which query analysis would have deduplicated.
@@ -926,7 +926,7 @@ mod tests {
             .map(|i| {
                 scratch.analyze(&draw(2 + i % 3));
                 scratch.resolve(&view);
-                scratch.resolved_sig().to_vec()
+                scratch.sig.clone()
             })
             .collect();
         assert!(sigs.iter().all(|sig| !sig.is_empty()));

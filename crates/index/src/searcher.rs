@@ -14,7 +14,7 @@
 //! in a dense `Vec<f64>` indexed by doc id (with a touched-list for sparse
 //! reset), and top-k selection reuses one bounded heap. In steady state a
 //! query allocates nothing but its result `Vec<Hit>`. The plain [`search`]
-//! entry point keeps one scratch per thread; the batch broker keeps one per
+//! entry point keeps one scratch per thread; a batch keeps one per pool
 //! worker (DESIGN.md §10). Scratch reuse can never change results — the
 //! scratch is fully reset between queries and equality with fresh-scratch
 //! calls is enforced by unit and property tests.
@@ -148,9 +148,9 @@ pub struct QueryScratch {
     /// — one dictionary hash per term per query, shared by scoring and the
     /// annotation pass. Unknown terms contribute nothing to either, so this
     /// sequence fully determines the result for a fixed `(k, SearchOptions)`
-    /// — it is the cluster tier's cache key and replica-routing key
-    /// (DESIGN.md §13). Order matters: f64 accumulation folds in exactly
-    /// this sequence, so the signature is never sorted or canonicalised.
+    /// — it is the cluster tier's cache key (DESIGN.md §13). Order matters:
+    /// f64 accumulation folds in exactly this sequence, so the signature is
+    /// never sorted or canonicalised.
     pub(crate) sig: Vec<TermId>,
     /// Dense score accumulator indexed by doc id. Invariant between queries:
     /// all zeros (only entries listed in `touched` are ever non-zero, and
@@ -201,12 +201,6 @@ impl QueryScratch {
                 .iter()
                 .filter_map(|t| view.term_id(t)),
         );
-    }
-
-    /// The resolved-id signature (known terms only, distinct-term order).
-    /// Only valid after [`QueryScratch::resolve`] for the current query.
-    pub(crate) fn resolved_sig(&self) -> &[TermId] {
-        &self.sig
     }
 
     /// Accumulate one contribution for `doc` — the `scores[doc] += c` fold.
@@ -312,8 +306,8 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> 
 /// Execute `query` over `index`, returning the top `k` hits (score desc,
 /// doc id asc for ties). This is the sequential reference path every
 /// concurrent serving mode is tested against. Uses a per-thread
-/// [`QueryScratch`]; callers that manage their own workers (the broker) pass
-/// one explicitly via [`search_with_scratch`].
+/// [`QueryScratch`]; callers that manage their own workers pass one
+/// explicitly via [`search_with_scratch`].
 pub fn search(index: &SearchIndex, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
     with_thread_scratch(|s| search_with_scratch(index, query, k, opts, s))
 }
@@ -769,7 +763,7 @@ mod tests {
                 let mut scratch = QueryScratch::new();
                 scratch.analyze(q);
                 scratch.resolve(&view);
-                let sig = scratch.resolved_sig().to_vec();
+                let sig = scratch.sig.clone();
                 let lists: Vec<Vec<Hit>> = (0..parts)
                     .map(|p| (n * p / parts, n * (p + 1) / parts))
                     .map(|(lo, hi)| top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch))

@@ -591,7 +591,7 @@ mod tests {
                 for q in QUERIES {
                     scratch.analyze(q);
                     scratch.resolve(&view);
-                    let sig = scratch.resolved_sig().to_vec();
+                    let sig = scratch.sig.clone();
                     let whole = top_k_range(&view, &sig, 10, opts, 0, n, &mut scratch);
                     assert_eq!(whole, search(&full, q, 10, opts), "{phase} q={q:?}");
                     for cut in cuts {

@@ -1,14 +1,15 @@
 //! One serving API over every tier (DESIGN.md §14).
 //!
-//! The engine grew three ways to answer a query — the sequential searcher,
-//! the multi-worker [`QueryBroker`], and the caching [`ClusterServer`] —
-//! each with its own entry-point shape. [`SearchService`] is the single
-//! contract they all satisfy: `search(query, k) -> Vec<Hit>` plus a batched
-//! form, with the byte-identity guarantee that every implementation returns
-//! exactly the bytes of the sequential reference for the same index and
-//! options. Callers (experiments, the replay harness, the top-level
-//! [`DeepWebSystem`]) program against `&dyn SearchService` and stop caring
-//! which tier is behind it.
+//! A query is answered by the sequential searcher, by the caching
+//! [`ClusterServer`] (the library's batch path), by the freshness tier's
+//! [`SegmentedSearcher`], and — for the benchmark package only — by the
+//! multi-worker [`QueryBroker`]. [`SearchService`] is the single contract
+//! they all satisfy, and their only spelling: `search(query, k) -> Vec<Hit>`
+//! plus a batched form, with the byte-identity guarantee that every
+//! implementation returns exactly the bytes of the sequential reference for
+//! the same index and options. Callers (experiments, the replay harness, the
+//! top-level [`DeepWebSystem`]) program against `&dyn SearchService` and stop
+//! caring which tier is behind it.
 //!
 //! A query is `(text, k)`; the scoring configuration is a [`SearchOptions`]
 //! literal fixed when a tier is constructed (checked, where it comes from
@@ -17,6 +18,7 @@
 //!
 //! [`QueryBroker`]: crate::broker::QueryBroker
 //! [`ClusterServer`]: crate::cluster::ClusterServer
+//! [`SegmentedSearcher`]: crate::segments::SegmentedSearcher
 //! [`DeepWebSystem`]: ../../deepweb_core/struct.DeepWebSystem.html
 
 use crate::index::SearchIndex;
@@ -27,10 +29,10 @@ use crate::searcher::{search, Hit, SearchOptions};
 ///
 /// The contract is stronger than the signature: for a fixed index and
 /// [`SearchOptions`], every implementation must return hits byte-identical
-/// to the sequential [`search`] oracle — regardless of worker count,
-/// replica routing, result caching or pruning mode. That is what lets the
-/// replay harness and the cluster equality tests treat implementations as
-/// interchangeable trait objects.
+/// to the sequential [`search`] oracle — regardless of worker count, result
+/// caching or pruning mode. That is what lets the replay harness and the
+/// cluster equality tests treat implementations as interchangeable trait
+/// objects.
 pub trait SearchService: Sync {
     /// Top-`k` hits for one query.
     fn search(&self, query: &str, k: usize) -> Vec<Hit>;

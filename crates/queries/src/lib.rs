@@ -11,5 +11,5 @@
 pub mod log;
 pub mod workload;
 
-pub use log::{replay, replay_serving, ImpactReport};
+pub use log::{replay, ImpactReport};
 pub use workload::{generate_workload, Query, Workload, WorkloadConfig};

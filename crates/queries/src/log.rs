@@ -5,8 +5,8 @@
 
 use crate::workload::Workload;
 use deepweb_common::ids::{QueryId, SiteId};
-use deepweb_common::{stats, FxHashMap, ThreadPool};
-use deepweb_index::{DocKind, Hit, QueryBroker, SearchIndex, SearchOptions, SearchService};
+use deepweb_common::{stats, FxHashMap};
+use deepweb_index::{DocKind, Hit, SearchIndex, SearchService};
 use rand::rngs::StdRng;
 
 /// Impact accounting for one stream replay.
@@ -56,14 +56,14 @@ impl ImpactReport {
     }
 }
 
-/// Queries per chunk when a replay streams through a batch serving path —
+/// Queries per chunk when a replay streams through a serving tier —
 /// large enough to keep every worker busy, small enough that a million-query
 /// stream never materialises all its query strings at once.
 const REPLAY_CHUNK: usize = 256;
 
 /// Attribute one served query's hits into the report. Attribution is a pure
-/// fold over `(query, hits)` pairs in stream order, so it is shared verbatim
-/// by the sequential reference replay and every batched serving path.
+/// fold over `(query, hits)` pairs in stream order, so it cannot depend on
+/// which tier served them.
 fn attribute(
     report: &mut ImpactReport,
     index: &SearchIndex,
@@ -101,39 +101,19 @@ fn attribute(
     }
 }
 
-/// Replay `n` sampled queries against the index, attributing top-`k` hits.
+/// Replay `n` sampled queries through `service`, attributing top-`k` hits
+/// to the forms whose pages `index` holds.
 ///
-/// Serving goes through the batched [`QueryBroker`] path (auto-sized
-/// worker pool) in `REPLAY_CHUNK`-query chunks — the same path a front end
-/// would drive — so replay throughput measures real concurrent serving, not
-/// a one-query-at-a-time loop. Batched serving is byte-identical to
-/// sequential [`search`](deepweb_index::search) for every query (the serving
-/// determinism contract), so the report is identical to a
-/// [`replay_serving`] through the sequential
-/// [`IndexSearcher`](deepweb_index::IndexSearcher) — asserted by
-/// `tests/cluster.rs`.
-pub fn replay(
-    index: &SearchIndex,
-    workload: &Workload,
-    n: usize,
-    k: usize,
-    opts: SearchOptions,
-    rng: &mut StdRng,
-) -> ImpactReport {
-    let broker = QueryBroker::new(index, ThreadPool::new(0), opts);
-    replay_serving(index, workload, n, k, rng, &broker)
-}
-
-/// Replay through any [`SearchService`] tier: the broker, a
-/// [`ClusterServer`], the sequential [`IndexSearcher`], or anything else
-/// that honours the serving determinism contract. The query stream is
-/// sampled up front from `rng` — the RNG consumption is identical across
-/// every replay variant, so the same seed replays the same stream
-/// everywhere.
+/// The stream is sampled up front from `rng`, so the same seed replays the
+/// same stream through any tier, and served in `REPLAY_CHUNK`-query chunks
+/// through [`SearchService::search_batch`] — the path a front end drives.
+/// Every tier honours the serving determinism contract, so the report is
+/// the same through the sequential [`IndexSearcher`] and through a
+/// [`ClusterServer`] at any worker count — asserted by `tests/cluster.rs`.
 ///
 /// [`ClusterServer`]: deepweb_index::ClusterServer
 /// [`IndexSearcher`]: deepweb_index::IndexSearcher
-pub fn replay_serving(
+pub fn replay(
     index: &SearchIndex,
     workload: &Workload,
     n: usize,
@@ -229,8 +209,8 @@ mod tests {
         }
         let n = 300;
         let mut rng = deepweb_common::derive_rng(5, "replay-tiny");
-        let opts = SearchOptions::default();
-        let r = replay_serving(&idx, &wl, n, 10, &mut rng, &idx.searcher(opts));
+        let opts = deepweb_index::SearchOptions::default();
+        let r = replay(&idx, &wl, n, 10, &mut rng, &idx.searcher(opts));
         assert_eq!(r.queries, n);
         assert_eq!(r.head_queries + r.tail_queries, n);
         assert!(r.head_queries > 0 && r.tail_queries > 0, "{r:?}");

@@ -44,7 +44,7 @@ impl Workload {
     }
 
     /// Sample one serving batch: the texts of `size` Zipf-drawn queries, in
-    /// arrival order — the unit of work a front end hands a `QueryBroker`.
+    /// arrival order — the unit of work a front end hands a serving tier.
     pub fn sample_batch(&self, size: usize, rng: &mut StdRng) -> Vec<String> {
         self.stream(size, rng)
             .into_iter()

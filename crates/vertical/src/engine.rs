@@ -10,7 +10,8 @@
 use crate::sources::{Source, SourceRegistry};
 use deepweb_common::text::{lower_into, raw_tokens, tokenize};
 use deepweb_common::Url;
-use deepweb_html::{Document, WidgetKind};
+use deepweb_extract::extract_generic;
+use deepweb_html::WidgetKind;
 use deepweb_webworld::Fetcher;
 
 /// A routed-and-reformulated submission plan for one source.
@@ -178,15 +179,23 @@ impl<'a> VerticalEngine<'a> {
             let Ok(resp) = self.fetcher.fetch(&url) else {
                 continue;
             };
-            let doc = Document::parse(&resp.html);
-            // Wrapper: each record row/listing becomes a hit. Overlap streams
-            // the row's tokens against a reusable per-query-token match mask
-            // instead of materialising a token vector per row; each query
-            // token (duplicates included, as before) counts once if present.
-            // Row tokens flow through one recycled lowercase buffer (the
-            // same `raw_tokens`/`lower_into` discipline as the query
-            // scratch), so overlap scoring allocates nothing per row.
-            for row_text in extract_result_rows(&doc) {
+            // Wrapper: each record the generic extractor reads (a table row
+            // or a listing div) becomes a hit, its values joined by spaces —
+            // the extraction that is "easier to write or infer" inside one
+            // vertical (paper §3.1). Overlap streams the row's tokens against
+            // a reusable per-query-token match mask instead of materialising
+            // a token vector per row; each query token (duplicates included)
+            // counts once if present. Row tokens flow through one recycled
+            // lowercase buffer (the same `raw_tokens`/`lower_into` discipline
+            // as the query scratch), so overlap scoring allocates nothing per
+            // row.
+            for record in extract_generic(&resp.html) {
+                let row_text = record
+                    .fields
+                    .into_iter()
+                    .map(|(_, value)| value)
+                    .collect::<Vec<_>>()
+                    .join(" ");
                 matched.iter_mut().for_each(|m| *m = false);
                 for raw in raw_tokens(&row_text) {
                     lower_into(&mut tok_buf, raw);
@@ -220,24 +229,6 @@ impl<'a> VerticalEngine<'a> {
         hits.truncate(k);
         (hits, stats)
     }
-}
-
-/// Per-site wrapper: pull result rows out of a result page (table rows or
-/// listing divs). This is the extraction that is "easier to write or infer"
-/// inside one vertical (paper §3.1).
-pub fn extract_result_rows(doc: &Document) -> Vec<String> {
-    let mut rows: Vec<String> = Vec::new();
-    for table in deepweb_html::extract_tables(doc) {
-        for row in table.rows {
-            rows.push(row.join(" "));
-        }
-    }
-    for node in doc.walk() {
-        if node.tag() == Some("div") && node.attr("class") == Some("listing") {
-            rows.push(node.text_content());
-        }
-    }
-    rows
 }
 
 #[cfg(test)]

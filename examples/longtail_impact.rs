@@ -7,6 +7,7 @@
 //! ```
 
 use deepweb::common::derive_rng;
+use deepweb::index::ClusterConfig;
 use deepweb::queries::{generate_workload, replay, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 
@@ -20,7 +21,8 @@ fn main() {
         },
     );
     let mut rng = derive_rng(1, "longtail-example");
-    let report = replay(&sys.index, &wl, 5000, 1, sys.options, &mut rng);
+    let cluster = sys.cluster(ClusterConfig::default());
+    let report = replay(&sys.index, &wl, 5000, 1, &mut rng, &cluster);
 
     println!(
         "replayed 5000 queries (Zipf stream over {} distinct)",

@@ -4,11 +4,11 @@
 //! (Madhavan, Afanasiev, Antova, Halevy — CIDR 2009) as a Rust workspace:
 //! deep-web surfacing (form analysis, iterative probing, query templates,
 //! correlated inputs, indexability), a virtual-integration baseline, a
-//! search-engine substrate with a cluster serving tier (replica routing
-//! and result caching in front of one kernel call per query — every
+//! search-engine substrate with a cluster serving tier (a result cache and
+//! a worker pool in front of one kernel call per query — every
 //! configuration byte-identical to sequential search), block-max pruned
 //! top-k behind one unified `SearchService` API (every
-//! tier — sequential, broker, cluster — is the same trait object, a query
+//! tier — sequential, cluster, freshness — is the same trait object, a query
 //! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
 //! literal checked by its `validate()`, and `PruningMode::BlockMax`
 //! returns the exhaustive kernel's exact bytes while skipping

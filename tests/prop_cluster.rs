@@ -1,11 +1,12 @@
 //! Property tests for the cluster serving tier: for random webworlds and
-//! random Zipf batches, ranking is invariant across partition counts
-//! {1, 2, 4, 7} × replica counts {1, 2, 3} × cache on/off — byte-identical
-//! to the sequential `search()` reference, single-query and batched, plain
-//! BM25 and annotation-aware.
+//! random Zipf batches, ranking is invariant across worker counts
+//! {1, 2, 4} × cache on/off — byte-identical to the sequential `search()`
+//! reference, single-query and batched, plain BM25 and annotation-aware.
 
 use deepweb::common::derive_rng;
-use deepweb::index::{CacheConfig, ClusterConfig, ClusterServer, Hit, SearchOptions};
+use deepweb::index::{
+    CacheConfig, ClusterConfig, ClusterServer, Hit, SearchOptions, SearchService,
+};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use proptest::prelude::*;
@@ -38,24 +39,20 @@ proptest! {
                 .iter()
                 .map(|q| deepweb::index::search(&sys.index, q, 10, opts))
                 .collect();
-            for partitions in [1usize, 2, 4, 7] {
-                for replicas in [1usize, 2, 3] {
-                    for cache in [None, Some(CacheConfig::with_capacity(32))] {
-                        let cluster = ClusterServer::new(&sys.index, opts, ClusterConfig {
-                            partitions,
-                            replicas,
-                            workers: 2,
-                            cache,
-                            max_in_flight: 0,
-                        });
-                        prop_assert_eq!(&cluster.search_batch(&batch, 10), &expected);
-                        // Second pass exercises cache hits (when enabled);
-                        // the failing-config context is carried by the
-                        // proptest input header.
-                        prop_assert_eq!(&cluster.search_batch(&batch, 10), &expected);
-                        for (q, want) in batch.iter().zip(&expected) {
-                            prop_assert_eq!(&cluster.search(q, 10), want);
-                        }
+            for workers in [1usize, 2, 4] {
+                for cache in [None, Some(CacheConfig::with_capacity(32))] {
+                    let cluster = ClusterServer::new(&sys.index, opts, ClusterConfig {
+                        workers,
+                        cache,
+                        ..Default::default()
+                    });
+                    prop_assert_eq!(&cluster.search_batch(&batch, 10), &expected);
+                    // Second pass exercises cache hits (when enabled); the
+                    // failing-config context is carried by the proptest
+                    // input header.
+                    prop_assert_eq!(&cluster.search_batch(&batch, 10), &expected);
+                    for (q, want) in batch.iter().zip(&expected) {
+                        prop_assert_eq!(&cluster.search(q, 10), want);
                     }
                 }
             }

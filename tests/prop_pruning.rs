@@ -1,10 +1,10 @@
 //! Property tests for block-max pruned top-k: for random webworlds and
 //! random Zipf query batches, [`PruningMode::BlockMax`] is byte-identical to
 //! exhaustive scoring at every `k`, in plain and annotation-aware mode,
-//! sequentially and through the partitioned cluster tier.
+//! sequentially and through the cluster tier.
 
 use deepweb::common::derive_rng;
-use deepweb::index::{search, ClusterConfig, Hit, PruningMode, SearchOptions};
+use deepweb::index::{search, ClusterConfig, Hit, PruningMode, SearchOptions, SearchService};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use proptest::prelude::*;
@@ -22,7 +22,7 @@ proptest! {
         distinct in 20usize..60,
         batch_size in 5usize..30,
         stream_seed in 0u64..1_000,
-        partitions in 1usize..5,
+        workers in 1usize..5,
     ) {
         let mut cfg = quick_config(num_sites);
         cfg.web.seed = seed;
@@ -52,14 +52,14 @@ proptest! {
                 for (q, want) in batch.iter().zip(&expected) {
                     prop_assert_eq!(&search(&sys.index, q, k, pruned), want);
                 }
-                // Cluster tier with the pruned options: partition-range
-                // pruning + aggregator merge must still be byte-identical.
+                // Cluster tier with the pruned options: a batch spread over
+                // the pool must still be byte-identical.
                 if k == 10 && use_annotations == (seed % 2 == 0) {
                     let cluster = deepweb::index::ClusterServer::new(
                         &sys.index,
                         pruned,
                         ClusterConfig {
-                            partitions,
+                            workers,
                             cache: None,
                             ..Default::default()
                         },

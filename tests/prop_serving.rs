@@ -4,7 +4,9 @@
 //! scoring as well as plain BM25.
 
 use deepweb::common::{derive_rng, ThreadPool};
-use deepweb::index::{search, search_with_scratch, Hit, QueryBroker, QueryScratch, SearchOptions};
+use deepweb::index::{
+    search, search_with_scratch, Hit, QueryBroker, QueryScratch, SearchOptions, SearchService,
+};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use proptest::prelude::*;

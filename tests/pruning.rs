@@ -3,14 +3,14 @@
 //! The contract under test: [`PruningMode::BlockMax`] returns *byte-identical*
 //! `Vec<Hit>` to exhaustive scoring — for every query, every `k`, with and
 //! without the annotation pass, through every serving tier (sequential
-//! kernel, batched broker, scatter-gather, partitioned cluster) — and any
+//! kernel, batched broker, cluster with and without its cache) — and any
 //! index mutation invalidates the block index so pruned serving silently
 //! falls back to the exhaustive kernel rather than ever serving stale
 //! bounds.
 
-use deepweb::common::derive_rng;
+use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{
-    search, CacheConfig, ClusterConfig, Hit, PruningMode, SearchOptions, SearchService,
+    search, CacheConfig, ClusterConfig, Hit, PruningMode, QueryBroker, SearchOptions, SearchService,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
@@ -78,8 +78,8 @@ fn pruned_dump_is_byte_identical_to_exhaustive() {
 }
 
 /// The same dump through every serving tier built with BlockMax options —
-/// broker batch, broker scatter, cluster fan-out (cache on and off) — must
-/// equal the exhaustive sequential reference.
+/// broker batch and cluster batch (cache on and off) at several worker
+/// counts — must equal the exhaustive sequential reference.
 #[test]
 fn pruned_dump_matches_across_all_serving_tiers() {
     let sys = build_system(8, true);
@@ -104,17 +104,17 @@ fn pruned_dump_matches_across_all_serving_tiers() {
     // Batched broker at several worker counts.
     for workers in [1usize, 2, 4] {
         assert_eq!(
-            sys.broker(workers).search_batch(&queries, k),
+            QueryBroker::new(&sys.index, ThreadPool::new(workers), sys.options)
+                .search_batch(&queries, k),
             reference,
             "pruned broker batch diverges at workers={workers}"
         );
     }
-    // Cluster tier: partitions × cache on/off.
-    for partitions in [1usize, 3, 4] {
+    // Cluster tier: workers × cache on/off.
+    for workers in [1usize, 3] {
         for cache in [None, Some(CacheConfig::with_capacity(256))] {
             let cfg = ClusterConfig {
-                partitions,
-                replicas: 2,
+                workers,
                 cache,
                 ..Default::default()
             };
@@ -123,7 +123,7 @@ fn pruned_dump_matches_across_all_serving_tiers() {
             assert_eq!(
                 cluster.search_batch(&queries, k),
                 reference,
-                "pruned cluster diverges at partitions={partitions} cache={cache:?}"
+                "pruned cluster diverges at workers={workers} cache={cache:?}"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! The unified [`SearchService`] contract (DESIGN.md §14): the sequential
 //! searcher, the broker and the cluster are interchangeable *as trait
 //! objects* — same queries, same `k`, same bytes — and `validate()` on a
-//! config literal rejects the configurations the raw structs clamp or
+//! config literal rejects the configurations the raw structs would
 //! mis-serve silently.
 
 use deepweb::common::{derive_rng, ThreadPool};
@@ -44,8 +44,6 @@ fn all_three_tiers_agree_as_trait_objects() {
         let searcher = sys.service();
         let broker = QueryBroker::new(&sys.index, ThreadPool::new(2), sys.options);
         let cfg = ClusterConfig {
-            partitions: 3,
-            replicas: 2,
             cache: Some(CacheConfig::with_capacity(64)),
             ..Default::default()
         };
@@ -101,16 +99,14 @@ fn search_options_builder_validates() {
     ));
 }
 
-/// `ClusterConfig::validate` rejects degenerate topologies
-/// `ClusterServer::new` silently clamps.
+/// `ClusterConfig::validate` rejects a cache that could never hold an
+/// entry.
 #[test]
 fn cluster_config_builder_validates() {
     let cfg = ClusterConfig {
-        partitions: 4,
-        replicas: 2,
         workers: 1,
         cache: Some(CacheConfig::with_capacity(128)),
-        max_in_flight: 8,
+        ..Default::default()
     };
     assert!(cfg.validate().is_ok());
     assert!(ClusterConfig::default().validate().is_ok());
@@ -122,7 +118,6 @@ fn cluster_config_builder_validates() {
             "{cfg:?} -> {got:?}"
         );
     };
-    reject(ClusterConfig { replicas: 0, ..cfg });
     // capacity 0 must be an explicit `cache: None`, not a cache that always
     // misses.
     reject(ClusterConfig {

@@ -5,8 +5,8 @@
 //! broker can be hammered from many OS threads without panics, lost queries,
 //! or unstable results.
 
-use deepweb::common::derive_rng;
-use deepweb::index::{search, search_with_scratch, Hit, QueryScratch};
+use deepweb::common::{derive_rng, ThreadPool};
+use deepweb::index::{search, search_with_scratch, Hit, QueryBroker, QueryScratch, SearchService};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +51,7 @@ fn search_batch_is_byte_identical_to_sequential_search() {
 #[test]
 fn broker_survives_8_threads_of_interleaved_batches() {
     let sys = build_system(6);
-    let broker = sys.broker(2);
+    let broker = QueryBroker::new(&sys.index, ThreadPool::new(2), sys.options);
     // 8 threads × 4 rounds, each round a different slice of the stream.
     let batches: Vec<Vec<String>> = {
         let wl = generate_workload(
