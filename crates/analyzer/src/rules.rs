@@ -351,7 +351,7 @@ fn match_float_fold(scan: &FileScan<'_>, i: usize) -> Option<u32> {
 }
 
 /// Thread-pool dispatch methods a write guard must never be held across.
-const DISPATCH_METHODS: [&str; 3] = ["map_init", "map_indices", "map_indices_init"];
+const DISPATCH_METHODS: [&str; 2] = ["map_init", "map_indices_init"];
 
 /// R5a: `.lock()/.read()/.write()` chained into `unwrap`/`expect` — the std
 /// poisoning API; the workspace uses non-poisoning `parking_lot` guards.
@@ -515,12 +515,12 @@ mod tests {
                 (RuleId::LockHygiene, false)
             ]
         );
-        let src = "fn f() { let g = state.write(); pool.map_indices(n, |i| i); drop(g); }\n";
+        let src = "fn f() { let g = state.write(); pool.map_indices_init(n, || (), |_, i| i); drop(g); }\n";
         let hits = lib_findings(src);
         assert!(hits.contains(&(RuleId::LockHygiene, false)), "{hits:?}");
         // Guard released before dispatch: clean.
         assert!(lib_findings(
-            "fn f() { { let g = state.write(); } pool.map_indices(n, |i| i); }\n"
+            "fn f() { { let g = state.write(); } pool.map_indices_init(n, || (), |_, i| i); }\n"
         )
         .iter()
         .all(|(r, _)| *r != RuleId::LockHygiene));

@@ -147,20 +147,11 @@ impl ThreadPool {
         out.into_iter().map(|(_, u)| u).collect()
     }
 
-    /// Apply `f` to every index in `0..n`, in parallel, returning results in
-    /// index order — [`ThreadPool::map`] without materialising the inputs.
-    /// This is what batch serving uses to fan out over a borrowed slice of
-    /// queries without cloning them into the task queue.
-    pub fn map_indices<U, F>(&self, n: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.map((0..n).collect(), |_, i| f(i))
-    }
-
-    /// [`ThreadPool::map_indices`] with reusable per-worker state (see
-    /// [`ThreadPool::map_init`]).
+    /// Apply `f` to every index in `0..n`, in parallel, with reusable
+    /// per-worker state, returning results in index order —
+    /// [`ThreadPool::map_init`] without materialising the inputs. This is
+    /// what batch serving uses to fan out over a borrowed slice of queries
+    /// without cloning them into the task queue, one scratch per worker.
     pub fn map_indices_init<U, S, I, F>(&self, n: usize, init: I, f: F) -> Vec<U>
     where
         U: Send,
@@ -234,10 +225,12 @@ mod tests {
         let data = [3usize, 1, 4, 1, 5, 9, 2, 6];
         for workers in [1, 3, 8] {
             let pool = ThreadPool::new(workers);
-            let out = pool.map_indices(data.len(), |i| data[i] * 10);
+            let out = pool.map_indices_init(data.len(), || (), |_, i| data[i] * 10);
             assert_eq!(out, data.iter().map(|x| x * 10).collect::<Vec<_>>());
         }
-        assert!(ThreadPool::new(4).map_indices(0, |i| i).is_empty());
+        assert!(ThreadPool::new(4)
+            .map_indices_init(0, || (), |_, i| i)
+            .is_empty());
     }
 
     #[test]
@@ -290,14 +283,5 @@ mod tests {
                 assert_eq!(out.last().unwrap().2, 50, "inline path reuses one state");
             }
         }
-    }
-
-    #[test]
-    fn map_indices_init_matches_map_indices() {
-        let data = [3usize, 1, 4, 1, 5];
-        let pool = ThreadPool::new(3);
-        let plain = pool.map_indices(data.len(), |i| data[i]);
-        let with_state = pool.map_indices_init(data.len(), || (), |_, i| data[i]);
-        assert_eq!(plain, with_state);
     }
 }

@@ -497,11 +497,17 @@ mod tests {
         assert!(fresh.num_segments() > 0);
         // Merge folds the deltas without changing any served result.
         let queries = ["honda civic", "listings database", ""];
-        let before: Vec<_> = queries.iter().map(|q| fresh.search(q, 10, opts)).collect();
+        let before: Vec<_> = queries
+            .iter()
+            .map(|q| fresh.snapshot().search(q, 10, opts))
+            .collect();
         let folded = fresh.merge();
         assert_eq!(folded, out.new_docs);
         assert_eq!(fresh.num_segments(), 0);
-        let after: Vec<_> = queries.iter().map(|q| fresh.search(q, 10, opts)).collect();
+        let after: Vec<_> = queries
+            .iter()
+            .map(|q| fresh.snapshot().search(q, 10, opts))
+            .collect();
         assert_eq!(before, after);
         // A second refresh round sees the new fingerprint: nothing to do.
         let again = sys.refresh(n);

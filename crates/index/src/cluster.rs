@@ -26,9 +26,9 @@
 
 use crate::cache::{CacheConfig, CacheStats, ResultCache};
 use crate::index::SearchIndex;
-use crate::searcher::{top_k_range, with_thread_scratch, Hit, QueryScratch, SearchOptions};
+use crate::searcher::{top_k, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use crate::view::{doc_bound, IndexView};
+use crate::view::IndexView;
 use deepweb_common::{Error, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,15 +141,7 @@ impl<'a> ClusterServer<'a> {
         // Moved out so the kernel can borrow the rest of the scratch;
         // restored before returning.
         let sig = std::mem::take(&mut scratch.sig);
-        let hits = top_k_range(
-            &view,
-            &sig,
-            k,
-            self.opts,
-            0,
-            doc_bound(view.num_docs()),
-            scratch,
-        );
+        let hits = top_k(&view, &sig, k, self.opts, scratch);
         if let Some(cache) = &self.cache {
             cache.insert(sig.clone(), k, hits.clone());
         }

@@ -1,6 +1,6 @@
 //! Block-max pruned top-k (DESIGN.md §14): windowed MaxScore over the raw
-//! posting lists, steered by the [`BlockPostings`] describing them. The doc
-//! range is walked in windows of `WINDOW` docs; per window the terms whose
+//! posting lists, steered by the [`BlockPostings`] describing them. The base
+//! is walked in windows of `WINDOW` docs; per window the terms whose
 //! block bounds together cannot reach the running top-k threshold are set
 //! aside as *non-essential*, the rest are folded in bulk, and only docs that
 //! hold a folded term and could still reach the threshold are scored — and
@@ -159,21 +159,18 @@ impl PruningIndex {
 /// probe's readings). A multiple of 64: the window bitmap is whole words.
 const WINDOW: usize = 256;
 
-/// One query term's place in its raw list, fixed for the query (`id`, `idf`,
-/// `range_end`) or for the current window (the rest). Positions, never
-/// postings, so [`PrunedScratch`] recycles it across queries and indexes.
+/// One query term's place in its raw list, fixed for the query (`id`, `idf`)
+/// or for the current window (the rest). Positions, never postings, so
+/// [`PrunedScratch`] recycles it across queries and indexes.
 struct TermWindow {
     id: TermId,
     idf: f64,
     /// First posting not yet behind a window or a candidate.
     pos: usize,
-    /// Doc of the first posting not yet behind a window, while one is left
-    /// in range.
+    /// Doc of the first posting not yet behind a window, while one is left.
     next_doc: Option<u32>,
     /// End of the window's slice `list[pos..win_end]`.
     win_end: usize,
-    /// First posting at or beyond the query's `hi`.
-    range_end: usize,
     /// Max [`Bounds::block_ub`] over the blocks the window's slice falls in.
     ub: f64,
     /// Folded into its lane this window (else sought for surviving
@@ -187,10 +184,10 @@ struct TermWindow {
 }
 
 impl TermWindow {
-    /// Leave the window behind: the doc of the next posting in range, if any.
+    /// Leave the window behind: the doc of the next posting, if any.
     fn step_over(&mut self, list: &[Posting]) -> Option<u32> {
         self.pos = self.win_end;
-        self.next_doc = list[..self.range_end].get(self.pos).map(|p| p.doc.0);
+        self.next_doc = list.get(self.pos).map(|p| p.doc.0);
         self.next_doc
     }
 }
@@ -201,7 +198,7 @@ impl TermWindow {
 /// count.
 #[derive(Default)]
 pub(crate) struct PrunedScratch {
-    /// The signature terms with a posting in range, in signature order.
+    /// The signature terms the base holds, in signature order.
     terms: Vec<TermWindow>,
     /// `WINDOW` rows of one `f64` per term: row `doc - window start` holds
     /// that doc's contributions in signature order. All zeros between
@@ -232,26 +229,21 @@ fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
     lo + list[lo..to.min(lo + step)].partition_point(|p| p.doc.0 < doc)
 }
 
-/// Windowed block-max MaxScore over `[lo, hi)`: the pruned equivalent of
-/// scoring every sig term's postings in that doc range and selecting top-k —
-/// byte-identical to that exhaustive fold (see module docs for the argument).
-/// Runs on the scratch's recycled heap and window buffers; the dense score
-/// accumulator is untouched. `pr` indexes the base's postings only, so a
-/// non-empty range must lie inside the base; idf and the average doc length
-/// are the *view's*, and with a segment pending every bound is recomputed
-/// under them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pruned_topk_range(
+/// Windowed block-max MaxScore over the base: the pruned equivalent of
+/// scoring every sig term's base postings and selecting top-k —
+/// byte-identical to that exhaustive fold (see module docs for the
+/// argument). Runs on the scratch's recycled heap and window buffers; the
+/// dense score accumulator is untouched. `pr` indexes the base's postings
+/// only; idf and the average doc length are the *view's*, and with a
+/// segment pending every bound is recomputed under them.
+pub(crate) fn pruned_topk(
     view: &IndexView<'_>,
     pr: &PruningIndex,
     sig: &[TermId],
     k: usize,
     opts: SearchOptions,
-    lo: u32,
-    hi: u32,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    debug_assert!(lo >= hi || hi as usize <= view.base.len());
     let postings = view.base.postings();
     let bp = pr.blocks();
     let cx = Bounds {
@@ -269,25 +261,18 @@ pub(crate) fn pruned_topk_range(
         bm25_contribution(idf, f64::from(p.tf), dl, cx.avg_len, cx.bm25.k1, cx.bm25.b)
     };
     let PrunedScratch { terms, lanes, .. } = &mut scratch.pruned;
-    // One entry per signature term with a posting in range, in signature
-    // (scoring) order. A term the base never saw (an overlay id) has no
-    // blocks and no list here.
+    // One entry per signature term the base holds, in signature (scoring)
+    // order. A term the base never saw (an overlay id) has no blocks and no
+    // list here; a term with blocks has postings.
     terms.clear();
     for &id in sig {
-        if bp.term_blocks(id).is_empty() {
-            continue;
-        }
-        let list = postings.postings_id(id);
-        let pos = list.partition_point(|p| p.doc.0 < lo);
-        let range_end = pos + list[pos..].partition_point(|p| p.doc.0 < hi);
-        if pos < range_end {
+        if !bp.term_blocks(id).is_empty() {
             terms.push(TermWindow {
                 id,
                 idf: view.idf(id),
-                pos,
+                pos: 0,
                 next_doc: None,
-                win_end: pos,
-                range_end,
+                win_end: 0,
                 ub: 0.0,
                 essential: true,
                 rest_ub: 0.0,
@@ -317,7 +302,7 @@ pub(crate) fn pruned_topk_range(
         .filter_map(|t| t.step_over(postings.postings_id(t.id)))
         .min()
     {
-        let win_hi = hi.min(win_lo.saturating_add(WINDOW as u32));
+        let win_hi = win_lo.saturating_add(WINDOW as u32);
         let mut window_ub = ann_ub;
         for t in terms.iter_mut() {
             t.essential = true;
@@ -326,7 +311,7 @@ pub(crate) fn pruned_topk_range(
             if t.next_doc.is_some_and(|doc| doc < win_hi) {
                 let list = postings.postings_id(t.id);
                 // Doc ids are distinct: the slice holds at most WINDOW postings.
-                let reach = t.range_end.min(t.pos + WINDOW);
+                let reach = list.len().min(t.pos + WINDOW);
                 t.win_end = gallop(list, t.pos, reach, win_hi);
                 for block in bp.blocks_over(t.id, t.pos..t.win_end) {
                     t.ub = t.ub.max(cx.block_ub(block, t.idf));
@@ -428,8 +413,7 @@ pub(crate) fn pruned_topk_range(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::index::BatchDoc;
-    use crate::searcher::{merge_topk, search, top_k_range, PruningMode};
+    use crate::searcher::{search, top_k, PruningMode};
     use deepweb_common::Url;
 
     /// A corpus big enough to span many blocks for the common terms, with
@@ -524,32 +508,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pruned_equals_exhaustive_per_partition_range() {
-        let idx = build(300);
-        let view = IndexView::sealed(&idx);
-        let mut scratch = QueryScratch::new();
-        let exhaustive = SearchOptions::default();
-        let pruned = SearchOptions {
-            pruning: PruningMode::BlockMax,
-            ..exhaustive
-        };
-        for q in ["honda listing", "common rareterm", "ford common"] {
-            scratch.analyze(q);
-            scratch.resolve(&view);
-            let sig = scratch.sig.clone();
-            for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
-                let want = top_k_range(&view, &sig, 5, exhaustive, lo, hi, &mut scratch);
-                let got = top_k_range(&view, &sig, 5, pruned, lo, hi, &mut scratch);
-                assert_eq!(got, want, "q={q:?} range={lo}..{hi}");
-            }
-        }
-    }
-
     /// The kernel asks the index where a block sits; it never assumes
     /// [`POSTINGS_BLOCK_SIZE`]. Block indexes of one posting, three, the
     /// serving size and one block per term must all return the exhaustive
-    /// fold's bytes, over the full range and over partition ranges.
+    /// fold's bytes.
     #[test]
     fn pruned_equals_exhaustive_at_every_block_size() {
         let idx = build(300);
@@ -571,16 +533,13 @@ mod tests {
                     scratch.analyze(q);
                     scratch.resolve(&view);
                     let sig = scratch.sig.clone();
-                    for (lo, hi) in [(0u32, 300u32), (0, 77), (77, 150), (150, 300), (299, 300)] {
-                        for k in [1usize, 5, 1000] {
-                            let want = top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch);
-                            let got =
-                                pruned_topk_range(&view, &pr, &sig, k, opts, lo, hi, &mut scratch);
-                            assert_eq!(
-                                got, want,
-                                "size={block_size} q={q:?} k={k} range={lo}..{hi} ann={use_annotations}"
-                            );
-                        }
+                    for k in [1usize, 5, 1000] {
+                        let want = top_k(&view, &sig, k, opts, &mut scratch);
+                        let got = pruned_topk(&view, &pr, &sig, k, opts, &mut scratch);
+                        assert_eq!(
+                            got, want,
+                            "size={block_size} q={q:?} k={k} ann={use_annotations}"
+                        );
                     }
                 }
             }
@@ -790,88 +749,74 @@ mod tests {
     }
 
     /// Window geometry and fold order. `listing` sits in every doc and
-    /// `common` in most, `rareterm` in one of eleven: ranges cut at and
-    /// around window edges (widths 1 and `WINDOW ± 1` included), at every
+    /// `common` in most, `rareterm` in one of eleven: indexes sized at and
+    /// around window edges (one doc and `WINDOW ± 1` included), at every
     /// block size, must return the exhaustive fold's bytes whether the dense
     /// term precedes the rare ones in the signature or follows them — a
     /// non-essential term folded before an essential one is the case a wrong
     /// fold order gets wrong in the low bits. And the property that makes
     /// "never worse than the fold" checkable: the kernel scores at most the
-    /// docs of the range that hold a signature term, and exactly those when
-    /// `k` admits them all.
+    /// docs that hold a signature term, and exactly those when `k` admits
+    /// them all.
     #[test]
     fn window_edges_and_signature_order_equal_the_fold() {
-        let w = doc_bound(WINDOW);
-        let n = 8 * w + 37;
-        let idx = build(n as usize);
-        let view = IndexView::sealed(&idx);
-        let mut scratch = QueryScratch::new();
-        let mut sigs: Vec<Vec<TermId>> = [
-            "listing rareterm honda",
-            "rareterm honda listing",
-            "common rareterm",
-            "rareterm common",
-            "zzz-unknown common bmw rareterm",
-        ]
-        .iter()
-        .map(|q| {
-            scratch.analyze(q);
-            scratch.resolve(&view);
-            scratch.sig.clone()
-        })
-        .collect();
-        // A repeated term, which query analysis would have deduplicated.
-        let (common, rare) = (sigs[2][0], sigs[2][1]);
-        sigs.push(vec![common, rare, common]);
-        let ranges = [
-            (0, n),
-            (0, 1),
-            (0, w - 1),
-            (0, w),
-            (0, w + 1),
-            (1, w + 1),
-            (1, w + 2),
-            (w - 1, w),
-            (w - 1, 2 * w - 2),
-            (w, 2 * w + 1),
-            (w + 1, n),
-            (w + 100, 3 * w + 50),
-            (n - 1, n),
-            (700, 700),
+        let w = WINDOW;
+        let sizes = [
+            1,
+            w - 1,
+            w,
+            w + 1,
+            w + 2,
+            2 * w - 2,
+            2 * w + 1,
+            3 * w + 50,
+            8 * w + 37,
         ];
-        for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
-            let pr = PruningIndex::empty(block_size).extended(&idx);
-            for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
-                for use_annotations in [false, true] {
-                    let opts = SearchOptions {
-                        bm25,
-                        use_annotations,
-                        ..Default::default()
-                    };
-                    for sig in &sigs {
-                        for (lo, hi) in ranges {
+        for n in sizes {
+            let idx = build(n);
+            let view = IndexView::sealed(&idx);
+            let mut scratch = QueryScratch::new();
+            let mut sigs: Vec<Vec<TermId>> = [
+                "listing rareterm honda",
+                "rareterm honda listing",
+                "common rareterm",
+                "rareterm common",
+                "zzz-unknown common bmw rareterm",
+            ]
+            .iter()
+            .map(|q| {
+                scratch.analyze(q);
+                scratch.resolve(&view);
+                scratch.sig.clone()
+            })
+            .collect();
+            // A repeated term, which query analysis would have deduplicated:
+            // `common, rareterm, common` wherever both occur.
+            let mut repeated = sigs[2].clone();
+            repeated.extend(sigs[2].first());
+            sigs.push(repeated);
+            for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
+                let pr = PruningIndex::empty(block_size).extended(&idx);
+                for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
+                    for use_annotations in [false, true] {
+                        let opts = SearchOptions {
+                            bm25,
+                            use_annotations,
+                            ..Default::default()
+                        };
+                        for sig in &sigs {
                             let holding: std::collections::BTreeSet<u32> = sig
                                 .iter()
                                 .flat_map(|&id| idx.postings().postings_id(id))
                                 .map(|p| p.doc.0)
-                                .filter(|d| (lo..hi).contains(d))
                                 .collect();
                             for k in [1usize, 10, 1000] {
                                 let ctx = format!(
-                                    "size={block_size} {bm25:?} ann={use_annotations} \
-                                     sig={sig:?} range={lo}..{hi} k={k}"
+                                    "n={n} size={block_size} {bm25:?} ann={use_annotations} \
+                                     sig={sig:?} k={k}"
                                 );
-                                let want = top_k_range(&view, sig, k, opts, lo, hi, &mut scratch);
-                                let got = pruned_topk_range(
-                                    &view,
-                                    &pr,
-                                    sig,
-                                    k,
-                                    opts,
-                                    lo,
-                                    hi,
-                                    &mut scratch,
-                                );
+                                let want = top_k(&view, sig, k, opts, &mut scratch);
+                                let got = pruned_topk(&view, &pr, sig, k, opts, &mut scratch);
                                 assert_eq!(got, want, "{ctx}");
                                 let scored = scratch.pruned.docs_scored;
                                 assert!(scored <= holding.len(), "{ctx}: {scored}");
@@ -883,77 +828,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// The count behind the cluster's one kernel call per query (DESIGN.md
-    /// §13). Cut into equal doc ranges, a query returns the same bytes but
-    /// folds more postings and scores more docs than one pass over `[0, n)`:
-    /// each range warms its own threshold from `-∞`. Summed over a fixed
-    /// query set on a dense Zipf corpus at k = 10, at 2, 4 and 7 ranges.
-    #[test]
-    fn one_pass_folds_less_than_any_doc_range_split() {
-        const DOCS: u32 = 4_000;
-        let zipf = deepweb_common::Zipf::new(300, 1.1);
-        let mut rng = deepweb_common::derive_rng(17, "one-pass");
-        let mut draw = |tokens: usize| -> String {
-            let words: Vec<String> = (0..tokens)
-                .map(|_| format!("tok{}", zipf.sample(&mut rng)))
-                .collect();
-            words.join(" ")
-        };
-        let docs: Vec<BatchDoc> = (0..DOCS)
-            .map(|i| BatchDoc {
-                url: Url::new("dense.sim", format!("/d{i}")),
-                title: String::new(),
-                text: draw(30),
-                kind: DocKind::Surface,
-                site: None,
-                annotations: vec![],
-            })
-            .collect();
-        let mut idx = SearchIndex::new();
-        idx.add_batch(&deepweb_common::ThreadPool::new(1), docs);
-        idx.enable_pruning();
-        let view = IndexView::sealed(&idx);
-        let opts = SearchOptions {
-            pruning: PruningMode::BlockMax,
-            ..Default::default()
-        };
-        let k = 10;
-        let mut scratch = QueryScratch::new();
-        let sigs: Vec<Vec<TermId>> = (0..100)
-            .map(|i| {
-                scratch.analyze(&draw(2 + i % 3));
-                scratch.resolve(&view);
-                scratch.sig.clone()
-            })
-            .collect();
-        assert!(sigs.iter().all(|sig| !sig.is_empty()));
-        // [postings folded, docs scored] summed over the queries, each
-        // query's `[0, n)` cut into `parts` equal ranges.
-        let mut work = |parts: u32| {
-            let mut sum = [0usize; 2];
-            for sig in &sigs {
-                let whole = top_k_range(&view, sig, k, opts, 0, DOCS, &mut scratch);
-                let mut lists = Vec::new();
-                for p in 0..parts {
-                    let (lo, hi) = (DOCS * p / parts, DOCS * (p + 1) / parts);
-                    lists.push(top_k_range(&view, sig, k, opts, lo, hi, &mut scratch));
-                    sum[0] += scratch.pruned.postings_folded;
-                    sum[1] += scratch.pruned.docs_scored;
-                }
-                assert_eq!(merge_topk(&lists, k), whole, "parts={parts} sig={sig:?}");
-            }
-            sum
-        };
-        let one = work(1);
-        for parts in [2, 4, 7] {
-            let split = work(parts);
-            assert!(
-                split[0] > one[0] && split[1] > one[1],
-                "{parts} ranges {split:?} against one pass {one:?}"
-            );
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::index::SearchIndex;
 use crate::postings::bm25_contribution;
-use crate::view::{doc_bound, IndexView};
+use crate::view::IndexView;
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
 use std::cell::RefCell;
@@ -277,12 +277,12 @@ fn hit_order(a: &Hit, b: &Hit) -> Ordering {
         .then_with(|| a.doc.0.cmp(&b.doc.0))
 }
 
-/// Merge the exact top-k lists of disjoint doc ranges into the top-k of
-/// their union: concatenate, sort under the strict total order, truncate.
-/// Each list holds its range's true top-≤k, so the union's top-k is a subset
-/// of the concatenation and the strict order places it first —
-/// byte-identical to selecting over the whole range at once. The kernel
-/// joins a generation's base and segment parts with it (DESIGN.md §9).
+/// Merge the exact top-k lists of disjoint doc sets into the top-k of their
+/// union: concatenate, sort under the strict total order, truncate. Each
+/// list holds its set's true top-≤k, so the union's top-k is a subset of the
+/// concatenation and the strict order places it first — byte-identical to
+/// selecting over the union at once. The kernel joins a generation's base
+/// and segment parts with it (DESIGN.md §9).
 pub(crate) fn merge_topk(lists: &[Vec<Hit>], k: usize) -> Vec<Hit> {
     let mut all = lists.concat();
     all.sort_by(hit_order);
@@ -342,59 +342,52 @@ pub(crate) fn search_view(
     // The signature is moved out so the kernel can borrow the rest of the
     // scratch mutably; it is restored before returning.
     let sig = std::mem::take(&mut scratch.sig);
-    let hits = top_k_range(view, &sig, k, opts, 0, doc_bound(view.num_docs()), scratch);
+    let hits = top_k(view, &sig, k, opts, scratch);
     scratch.sig = sig;
     hits
 }
 
-/// The one scoring kernel: top `k` of `view`'s global docs `[lo, hi)` for the
-/// resolved signature `sig`. Every doc's postings for every query term lie
-/// inside the one range that owns the doc, so a range's top-k is exact and
-/// per-range lists merge under [`hit_order`] into the full-range result.
+/// The one scoring kernel: top `k` of `view`'s docs for the resolved
+/// signature `sig`.
 ///
-/// [`PruningMode::BlockMax`] uses that composition when the base has pruning
-/// structures: block-max over the part of the range inside the base, a fold
-/// of any segment docs past `base.len()`, one merge. Otherwise — and always
-/// in [`PruningMode::Exhaustive`], block-max's reference — every posting is
-/// folded: terms in signature order, each term's runs in ascending doc
-/// order, then one annotation pass over the touched docs. Same bytes.
-pub(crate) fn top_k_range(
+/// [`PruningMode::BlockMax`] over a base with pruning structures is a
+/// composition: block-max scores the base's docs, the fold scores any
+/// segment docs, and [`merge_topk`] joins the two lists — a doc's postings
+/// for every query term lie on one side of that cut, so both lists are
+/// exact. Otherwise — and always in [`PruningMode::Exhaustive`], block-max's
+/// reference — every posting is folded: terms in signature order, each
+/// term's runs in ascending doc order, then one annotation pass over the
+/// touched docs. Same bytes.
+pub(crate) fn top_k(
     view: &IndexView<'_>,
     sig: &[TermId],
     k: usize,
     opts: SearchOptions,
-    lo: u32,
-    hi: u32,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    if sig.is_empty() || k == 0 || lo >= hi {
+    if sig.is_empty() || k == 0 {
         return Vec::new();
     }
-    if opts.pruning == PruningMode::BlockMax {
-        if let Some(pr) = view.pruning() {
-            // The base's blocks cover docs `[0, base.len())`; a base too long
-            // for a `u32` saturates and so owns the whole range.
-            let cut = doc_bound(view.base.len()).clamp(lo, hi);
-            let hits = crate::pruned::pruned_topk_range(view, pr, sig, k, opts, lo, cut, scratch);
-            if cut == hi {
+    let base = match (opts.pruning, view.pruning()) {
+        (PruningMode::BlockMax, Some(pr)) => {
+            let hits = crate::pruned::pruned_topk(view, pr, sig, k, opts, scratch);
+            if view.segments.is_empty() {
                 return hits;
             }
-            let fold = SearchOptions {
-                pruning: PruningMode::Exhaustive,
-                ..opts
-            };
-            let tail = top_k_range(view, sig, k, fold, cut, hi, scratch);
-            return merge_topk(&[hits, tail], k);
+            Some(hits)
         }
-    }
+        _ => None,
+    };
     if scratch.scores.len() < view.num_docs() {
         // Newly exposed entries are zero, preserving the all-zeros invariant.
         scratch.scores.resize(view.num_docs(), 0.0);
     }
     let avg_len = view.avg_doc_len();
+    // With the base scored by block-max, fold the segments' runs only.
+    let skip = usize::from(base.is_some());
     for &id in sig {
         let idf = view.idf(id);
-        for (offset, list, lens) in view.runs(id, lo, hi) {
+        for (offset, list, lens) in view.runs(id).skip(skip) {
             for p in list {
                 let dl = f64::from(lens.doc_len(p.doc));
                 let tf = f64::from(p.tf);
@@ -412,7 +405,11 @@ pub(crate) fn top_k_range(
             scratch.scores[doc.as_usize()] += annotation_boost(view, sig, doc);
         }
     }
-    top_k_hits(scratch, k)
+    let folded = top_k_hits(scratch, k);
+    match base {
+        Some(base) => merge_topk(&[base, folded], k),
+        None => folded,
+    }
 }
 
 /// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per
@@ -725,50 +722,6 @@ mod tests {
                     assert_eq!(a, b, "q={q:?} k={k}");
                     assert_eq!(a, search(&idx, q, k, opts), "q={q:?} k={k}");
                 }
-            }
-        }
-    }
-
-    /// The kernel's range contract, which the block-max path's base ⊕
-    /// segment cut leans on: the exact top-k lists of equal doc ranges that
-    /// tile the index merge into the whole index's top-k.
-    #[test]
-    fn partition_topk_union_contains_global_topk() {
-        let mut idx = SearchIndex::new();
-        let texts = [
-            "honda civic mileage",
-            "used ford focus",
-            "honda accord review",
-            "ford truck listing",
-            "civic and focus compared",
-            "cooking recipes",
-            "honda focus hybrid rumour",
-        ];
-        for (i, text) in texts.iter().enumerate() {
-            idx.add(
-                Url::new("p.sim", format!("/d{i}")),
-                String::new(),
-                (*text).into(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
-        }
-        let opts = SearchOptions::default();
-        let view = IndexView::sealed(&idx);
-        let (n, k) = (doc_bound(idx.len()), 3);
-        for parts in [1u32, 2, 3, 7] {
-            for q in ["honda", "ford focus", "honda civic focus"] {
-                let global = search(&idx, q, k, opts);
-                let mut scratch = QueryScratch::new();
-                scratch.analyze(q);
-                scratch.resolve(&view);
-                let sig = scratch.sig.clone();
-                let lists: Vec<Vec<Hit>> = (0..parts)
-                    .map(|p| (n * p / parts, n * (p + 1) / parts))
-                    .map(|(lo, hi)| top_k_range(&view, &sig, k, opts, lo, hi, &mut scratch))
-                    .collect();
-                assert_eq!(merge_topk(&lists, k), global, "parts={parts} q={q:?}");
             }
         }
     }

@@ -34,8 +34,8 @@
 //!    list before each segment's list in segment order — ascending global
 //!    doc id, i.e. the merged posting list's order.
 //!
-//! A generation has no kernel of its own: [`Generation::search_with_scratch`]
-//! is the sequential searcher's `search_view` over "view with segments".
+//! A generation has no kernel of its own: [`Generation::search`] is the
+//! sequential searcher's `search_view` over "view with segments".
 //!
 //! ## Pruning-structure invalidation
 //!
@@ -44,10 +44,10 @@
 //! average doc length, which a segment moves (long fresh docs lacking a term
 //! lift every base contribution for it past the stored value); the pair
 //! describes the block's own postings, which no segment touches. So a
-//! pending generation still prunes its base: the kernel cuts the range at
-//! `base.len()`, runs block-max over the base part with bounds recomputed
-//! from that pair under the generation's statistics, folds the segments' few
-//! hundred docs, and merges the two exact lists under the one hit order.
+//! pending generation still prunes its base: the kernel runs block-max over
+//! the base with bounds recomputed from that pair under the generation's
+//! statistics, folds the segments' few hundred docs, and merges the two
+//! exact lists under the one hit order.
 //! Segments get no block index (it would tax every `apply`), and
 //! [`SegmentedIndex::merge`] extends the base's over the folded docs,
 //! recomputing every block's maximum so the stored maxima are exact again.
@@ -106,13 +106,8 @@ impl SealedSegment {
         self.postings.num_docs()
     }
 
-    /// The global doc-id range this segment owns.
-    pub fn doc_range(&self) -> std::ops::Range<u32> {
-        self.base_doc..self.base_doc.saturating_add(doc_bound(self.num_docs()))
-    }
-
-    /// The raw documents, in segment-local (= global, offset by
-    /// [`SealedSegment::doc_range`]) order.
+    /// The raw documents, in segment-local order (= global, offset by the
+    /// segment's first doc id).
     pub fn docs(&self) -> &[BatchDoc] {
         &self.docs
     }
@@ -208,22 +203,11 @@ impl Generation {
         }
     }
 
-    /// Top-`k` hits over this generation, caller-provided scratch: the one
+    /// Top-`k` hits over this pinned snapshot (per-thread scratch): the one
     /// kernel over this generation's view, which carries the base's pruning
     /// structures whether or not segments are pending (module docs).
-    pub fn search_with_scratch(
-        &self,
-        query: &str,
-        k: usize,
-        opts: SearchOptions,
-        scratch: &mut QueryScratch,
-    ) -> Vec<Hit> {
-        search_view(&self.view(), query, k, opts, scratch)
-    }
-
-    /// Top-`k` hits over this generation (per-thread scratch).
     pub fn search(&self, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
-        with_thread_scratch(|s| self.search_with_scratch(query, k, opts, s))
+        with_thread_scratch(|s| search_view(&self.view(), query, k, opts, s))
     }
 }
 
@@ -392,11 +376,6 @@ impl SegmentedIndex {
         self.snapshot().segments.len()
     }
 
-    /// Top-`k` hits against the current generation.
-    pub fn search(&self, query: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
-        self.snapshot().search(query, k, opts)
-    }
-
     /// This tier as a [`SearchService`] with fixed serving options.
     pub fn searcher(&self, opts: SearchOptions) -> SegmentedSearcher<'_> {
         SegmentedSearcher { index: self, opts }
@@ -413,7 +392,7 @@ pub struct SegmentedSearcher<'a> {
 
 impl SearchService for SegmentedSearcher<'_> {
     fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        self.index.search(query, k, self.opts)
+        self.index.snapshot().search(query, k, self.opts)
     }
 
     /// The tier's one batched read: one snapshot for the whole batch (a
@@ -422,8 +401,9 @@ impl SearchService for SegmentedSearcher<'_> {
     /// byte-identical to serving each query against that snapshot.
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         let gen = self.index.snapshot();
+        let view = gen.view();
         ThreadPool::new(0).map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-            gen.search_with_scratch(&queries[qi], k, self.opts, scratch)
+            search_view(&view, &queries[qi], k, self.opts, scratch)
         })
     }
 }
@@ -433,7 +413,7 @@ mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
     use crate::postings::{bm25_contribution, Posting};
-    use crate::searcher::{merge_topk, search, top_k_range, Bm25Params, PruningMode};
+    use crate::searcher::{search, Bm25Params, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -544,7 +524,7 @@ mod tests {
             for q in QUERIES {
                 for k in [1, 3, 10] {
                     let want = search(&full, q, k, opts);
-                    assert_eq!(seg.search(q, k, opts), want, "pre-merge q={q:?}");
+                    assert_eq!(seg.snapshot().search(q, k, opts), want, "pre-merge q={q:?}");
                 }
             }
         }
@@ -554,60 +534,11 @@ mod tests {
         for opts in all_opts() {
             for q in QUERIES {
                 let want = search(&full, q, 10, opts);
-                assert_eq!(seg.search(q, 10, opts), want, "post-merge q={q:?}");
-            }
-        }
-    }
-
-    /// The kernel over doc ranges of a generation with two pending segments
-    /// (base = docs 0..3, segments = 3..5 and 5..6): for cut points inside
-    /// the base, on a segment boundary and inside a segment, per-range top-k
-    /// lists merged by `merge_topk` equal the full-range result and the
-    /// from-scratch rebuild — pre- and post-merge.
-    #[test]
-    fn per_range_topk_merges_to_full_range_and_rebuild() {
-        let (base, mut delta) = corpus();
-        let extra = doc(
-            "d.sim",
-            "/x",
-            "honda dealer",
-            "used honda civic dealer listing",
-            &[("make", "honda")],
-        );
-        let seg = SegmentedIndex::new(build_base(&base));
-        seg.apply(delta.clone());
-        seg.apply(vec![extra.clone()]);
-        assert_eq!(seg.num_segments(), 2);
-        delta.push(extra);
-        let full = rebuild(&base, &delta);
-        let cuts: [&[u32]; 4] = [&[2], &[5], &[4], &[1, 3, 4]];
-        for phase in ["pre-merge", "post-merge"] {
-            let gen = seg.snapshot();
-            let view = gen.view();
-            let n = doc_bound(gen.num_docs());
-            assert_eq!(n, 6);
-            let mut scratch = QueryScratch::new();
-            for opts in all_opts() {
-                for q in QUERIES {
-                    scratch.analyze(q);
-                    scratch.resolve(&view);
-                    let sig = scratch.sig.clone();
-                    let whole = top_k_range(&view, &sig, 10, opts, 0, n, &mut scratch);
-                    assert_eq!(whole, search(&full, q, 10, opts), "{phase} q={q:?}");
-                    for cut in cuts {
-                        let mut bounds = vec![0];
-                        bounds.extend_from_slice(cut);
-                        bounds.push(n);
-                        let lists: Vec<Vec<Hit>> = bounds
-                            .windows(2)
-                            .map(|w| top_k_range(&view, &sig, 10, opts, w[0], w[1], &mut scratch))
-                            .collect();
-                        assert_eq!(merge_topk(&lists, 10), whole, "{phase} q={q:?} cut={cut:?}");
-                    }
-                }
-            }
-            if phase == "pre-merge" {
-                assert_eq!(seg.merge(), 3);
+                assert_eq!(
+                    seg.snapshot().search(q, 10, opts),
+                    want,
+                    "post-merge q={q:?}"
+                );
             }
         }
     }
@@ -708,10 +639,14 @@ mod tests {
             let novel = view.term_id("novelterm").unwrap();
             assert!(novel.as_usize() >= gen.base().postings().num_terms());
             assert!(blocks.term_blocks(novel).is_empty());
-            let top = seg.search("novelterm", 10, blockmax(SearchOptions::default()));
+            let top = seg
+                .snapshot()
+                .search("novelterm", 10, blockmax(SearchOptions::default()));
             assert!(top.len() == 10 && top.iter().all(|h| h.doc.as_usize() >= base.len()));
             // The planted doc a stale bound would skip is the new winner.
-            let top = seg.search("tee", 1, blockmax(SearchOptions::default()));
+            let top = seg
+                .snapshot()
+                .search("tee", 1, blockmax(SearchOptions::default()));
             assert_eq!(top[0].doc.0, 600);
             for phase in ["pending", "merged"] {
                 for bm25 in params {
@@ -725,8 +660,12 @@ mod tests {
                             for k in [1, 10, 100] {
                                 let want = search(&full, q, k, exhaustive);
                                 let ctx = format!("{phase} parts={parts} q={q:?} k={k}");
-                                assert_eq!(seg.search(q, k, exhaustive), want, "{ctx}");
-                                assert_eq!(seg.search(q, k, blockmax(exhaustive)), want, "{ctx}");
+                                assert_eq!(seg.snapshot().search(q, k, exhaustive), want, "{ctx}");
+                                assert_eq!(
+                                    seg.snapshot().search(q, k, blockmax(exhaustive)),
+                                    want,
+                                    "{ctx}"
+                                );
                             }
                         }
                     }
@@ -754,7 +693,7 @@ mod tests {
                 STALE_QUERIES.len(),
                 QueryScratch::new,
                 |scratch, qi| {
-                    gen.search_with_scratch(STALE_QUERIES[qi], 1, opts, scratch);
+                    search_view(&gen.view(), STALE_QUERIES[qi], 1, opts, scratch);
                     scratch.pruned.docs_scored
                 },
             )
@@ -902,7 +841,7 @@ mod tests {
         let svc = seg.searcher(opts);
         let via_service = SearchService::search_batch(&svc, &queries, 5);
         for (qi, q) in queries.iter().enumerate() {
-            let want = seg.search(q, 5, opts);
+            let want = seg.snapshot().search(q, 5, opts);
             assert_eq!(via_service[qi], want, "service batch q={q:?}");
             assert_eq!(SearchService::search(&svc, q, 5), want);
         }
@@ -925,7 +864,7 @@ mod tests {
         // The pending snapshot keeps serving base+segments after the merge
         // swapped the current generation, and agrees with the merged result.
         assert_eq!(pending.search(q, 10, opts), pending_hits);
-        assert_eq!(seg.search(q, 10, opts), pending_hits);
+        assert_eq!(seg.snapshot().search(q, 10, opts), pending_hits);
         assert_ne!(old_hits, pending_hits, "delta must change this query");
         // Generations share documents, URL keys and dictionary strings, so
         // isolation has to survive a second merge (which appends to the tail

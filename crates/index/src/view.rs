@@ -3,8 +3,8 @@
 //! freshness-tier generation. A sealed index is simply the view with no
 //! segments. Every serving tier reads terms, statistics, postings and
 //! annotations through this struct, so there is one kernel
-//! ([`top_k_range`](crate::searcher::top_k_range)) and the tiers differ only
-//! in which view and which doc range they hand it.
+//! ([`top_k`](crate::searcher::top_k)) and the tiers differ only in which
+//! view they hand it.
 //!
 //! Byte-identity of a segmented view to a from-scratch rebuild rests on the
 //! three invariants argued in [`segments`](crate::segments): overlay ids
@@ -21,9 +21,9 @@ use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
-/// One contiguous run of a term's postings inside a doc range: the global
-/// doc id of the run's local doc 0, the postings (doc ids local to the run's
-/// owner), and the owner's doc lengths (indexed by the same local ids).
+/// One contiguous run of a term's postings: the global doc id of the run's
+/// local doc 0, the postings (doc ids local to the run's owner), and the
+/// owner's doc lengths (indexed by the same local ids).
 pub(crate) type PostingRun<'a> = (u32, &'a [Posting], &'a Postings);
 
 /// See the module docs.
@@ -50,13 +50,6 @@ pub(crate) fn doc_bound(count: usize) -> u32 {
 /// postings) is narrowed here too: it is the size of a dense run.
 pub(crate) fn next_id(len: usize) -> u32 {
     doc_bound(len)
-}
-
-/// The sub-slice of a doc-sorted posting list with doc ids in `[lo, hi)`.
-fn clip(list: &[Posting], lo: u32, hi: u32) -> &[Posting] {
-    let start = list.partition_point(|p| p.doc.0 < lo);
-    let end = start + list[start..].partition_point(|p| p.doc.0 < hi);
-    &list[start..end]
 }
 
 impl<'a> IndexView<'a> {
@@ -118,33 +111,22 @@ impl<'a> IndexView<'a> {
         bm25_idf(self.num_docs() as f64, self.df(id) as f64)
     }
 
-    /// The posting runs of `id` inside global docs `[lo, hi)`: the base's
-    /// sub-list first, then each overlapping segment's in segment order —
-    /// ascending global doc id, i.e. the merged posting list restricted to
-    /// the range.
-    pub(crate) fn runs(
-        &self,
-        id: TermId,
-        lo: u32,
-        hi: u32,
-    ) -> impl Iterator<Item = PostingRun<'a>> + 'a {
+    /// The posting runs of `id`: the base's list first (empty for a term
+    /// only the overlay knows), then each segment holding the term, in
+    /// segment order — ascending global doc id, i.e. the merged posting
+    /// list.
+    pub(crate) fn runs(&self, id: TermId) -> impl Iterator<Item = PostingRun<'a>> + 'a {
         let base = self.base.postings();
-        let base_run = (id.as_usize() < base.num_terms())
-            .then(|| (0, clip(base.postings_id(id), lo, hi), base));
+        let base_list = if id.as_usize() < base.num_terms() {
+            base.postings_id(id)
+        } else {
+            &[]
+        };
         let seg_runs = self.segments.iter().filter_map(move |seg| {
-            let docs = seg.doc_range();
-            if docs.end <= lo || docs.start >= hi {
-                return None;
-            }
             let &local = seg.inv.get(&id)?;
-            let list = clip(
-                seg.postings.postings_id(local),
-                lo.saturating_sub(docs.start),
-                hi.min(docs.end) - docs.start,
-            );
-            Some((docs.start, list, &seg.postings))
+            Some((seg.base_doc, seg.postings.postings_id(local), &seg.postings))
         });
-        base_run.into_iter().chain(seg_runs)
+        std::iter::once((0, base_list, base)).chain(seg_runs)
     }
 
     /// A doc's interned annotations, wherever the doc lives.

@@ -93,7 +93,7 @@ fn segmented_serving_matches_rebuild_at_every_tier() {
             // Sequential tier.
             let got: Vec<Vec<Hit>> = queries
                 .iter()
-                .map(|q| segmented.search(q, 10, *opts))
+                .map(|q| segmented.snapshot().search(q, 10, *opts))
                 .collect();
             assert_eq!(got, expected, "{phase} sequential opts={opts:?}");
             // Service-trait tier.
@@ -140,7 +140,7 @@ fn queries_serve_identically_while_a_merge_runs() {
         for round in 0..6 {
             for (q, want) in queries.iter().zip(&expected) {
                 assert_eq!(
-                    &segmented.search(q, 10, opts),
+                    &segmented.snapshot().search(q, 10, opts),
                     want,
                     "round {round} q={q:?}"
                 );
@@ -150,7 +150,11 @@ fn queries_serve_identically_while_a_merge_runs() {
     });
     assert_eq!(segmented.num_segments(), 0);
     for (q, want) in queries.iter().zip(&expected) {
-        assert_eq!(&segmented.search(q, 10, opts), want, "post-merge q={q:?}");
+        assert_eq!(
+            &segmented.snapshot().search(q, 10, opts),
+            want,
+            "post-merge q={q:?}"
+        );
     }
 }
 

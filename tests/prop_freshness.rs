@@ -148,7 +148,7 @@ proptest! {
                     let want = reference.searcher(opts).search(q, k);
                     for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
                         prop_assert!(
-                            segmented.search(q, k, SearchOptions { pruning, ..opts }) == want,
+                            segmented.snapshot().search(q, k, SearchOptions { pruning, ..opts }) == want,
                             "{phase} {pruning:?} diverges on q={q:?} k={k}"
                         );
                     }

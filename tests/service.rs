@@ -1,16 +1,17 @@
 //! The unified [`SearchService`] contract (DESIGN.md §14): the sequential
-//! searcher, the broker and the cluster are interchangeable *as trait
-//! objects* — same queries, same `k`, same bytes — and `validate()` on a
-//! config literal rejects the configurations the raw structs would
-//! mis-serve silently.
+//! searcher, the broker, the cluster and the freshness tier are
+//! interchangeable *as trait objects* — same queries, same `k`, same bytes —
+//! and `validate()` on a config literal rejects the configurations the raw
+//! structs would mis-serve silently.
 
 use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{
     Bm25Params, CacheConfig, ClusterConfig, ClusterServer, Hit, PruningMode, QueryBroker,
-    SearchOptions, SearchService,
+    SearchOptions, SearchService, SegmentedIndex,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
+use std::sync::Arc;
 
 fn build_system(sites: usize, pruning: PruningMode) -> DeepWebSystem {
     let mut cfg = quick_config(sites);
@@ -33,10 +34,12 @@ fn sample_queries(sys: &DeepWebSystem, n: usize, label: &str) -> Vec<String> {
     queries
 }
 
-/// All three tiers behind `&dyn SearchService` — exhaustive and pruned —
-/// return the same bytes for the same stream, per query and batched.
+/// Every tier behind `&dyn SearchService` — exhaustive and pruned — returns
+/// the same bytes for the same stream, per query and batched. The freshness
+/// tier serves generation zero: the system's own index, shared, nothing
+/// pending.
 #[test]
-fn all_three_tiers_agree_as_trait_objects() {
+fn every_tier_agrees_as_trait_objects() {
     for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
         let sys = build_system(6, pruning);
         let queries = sample_queries(&sys, 40, "service-eq");
@@ -49,10 +52,13 @@ fn all_three_tiers_agree_as_trait_objects() {
         };
         cfg.validate().expect("valid cluster config");
         let cluster = ClusterServer::new(&sys.index, sys.options, cfg);
-        let tiers: [(&str, &dyn SearchService); 3] = [
+        let fresh = SegmentedIndex::from_shared(Arc::clone(&sys.index));
+        let segmented = fresh.searcher(sys.options);
+        let tiers: [(&str, &dyn SearchService); 4] = [
             ("sequential", &searcher),
             ("broker", &broker),
             ("cluster", &cluster),
+            ("segmented", &segmented),
         ];
         let reference: Vec<Vec<Hit>> = queries.iter().map(|q| tiers[0].1.search(q, k)).collect();
         for (name, tier) in tiers {
