@@ -20,7 +20,7 @@ pub struct CoveragePoint {
     pub estimated: Option<f64>,
     /// Relative error |est - truth| / truth (when estimated).
     pub rel_error: Option<f64>,
-    /// Probes spent.
+    /// Probes that reached the site: [`deepweb_coverage::EstimationRun::probes`].
     pub probes: u64,
 }
 

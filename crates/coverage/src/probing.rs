@@ -2,6 +2,11 @@
 //! random probe batches, treat the record ids they expose as
 //! capture/recapture samples, and estimate database size and surfacing
 //! coverage.
+//!
+//! The probe count is the requests that reached the site. A draw that
+//! repeats a URL, within a batch or across the two, is answered from the
+//! prober's memo and costs nothing; it reads the same records, so the
+//! estimate is what it would be had the site been asked again.
 
 use crate::capture::{coverage_statement, lincoln_petersen, CoverageStatement};
 use deepweb_common::FxHashSet;
@@ -21,7 +26,8 @@ pub struct EstimationRun {
     pub overlap: usize,
     /// Estimated database size (None if overlap was empty).
     pub estimated_size: Option<f64>,
-    /// Probes issued.
+    /// Probes that reached the site, retries included; a repeated draw
+    /// answered from the prober's memo is not one.
     pub probes: u64,
 }
 
@@ -47,8 +53,8 @@ fn sample_batch(
         // empty and failed fetches come back `!ok`; either way the draw
         // would be wasted, so both are retried at page 0. (Failures used to
         // be dropped on the floor, silently burning the probe budget.) The
-        // retry is one more request through the same prober, so it counts
-        // toward [`EstimationRun::probes`] like any other probe.
+        // retry goes through the same prober, so it counts toward
+        // [`EstimationRun::probes`] unless page 0 was already fetched.
         let page: usize = rng.gen_range(0..6);
         let url = form
             .submission_url(&assignment)

@@ -8,19 +8,26 @@
 //! the pages echo different queries.
 //!
 //! A [`ProbeOutcome`] carries what those algorithms read — not the page
-//! (the HTML is dropped once analysed) and not the fetch's status or retry
-//! count (tallied on the [`Prober`], asserted on
+//! (the HTML stays only in the prober's memo) and not the fetch's status or
+//! retry count (tallied on the [`Prober`], asserted on
 //! [`FetchAttempt`](crate::fetchpolicy::FetchAttempt)). [`resolve_href`] is
 //! the one href resolver, for anchors here and form actions in
 //! [`formmodel`](crate::formmodel).
+//!
+//! A [`Prober`] never sends one URL to the site twice: it keeps each
+//! successful response body, keyed by URL, for its own lifetime (one form's
+//! work), and answers a repeat from that memo. The analysis is re-run on
+//! every call, because the signature strips the values of *that*
+//! submission. A failed fetch is not kept, so the next call goes to the
+//! site again under the retry policy.
 
 use crate::fetchpolicy::{fetch_with_policy, FetchPolicy};
 use crate::formmodel::CrawledForm;
 use deepweb_common::text::tokenize;
-use deepweb_common::{fxhash64, FxHashSet, Result, Url};
+use deepweb_common::{fxhash64, FxHashMap, FxHashSet, Result, Url};
 use deepweb_html::{Document, PageFacts};
 use deepweb_webworld::{Fetcher, Response};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// One value assignment for a form submission: `(input name, value)`.
 pub type Assignment = Vec<(String, String)>;
@@ -68,12 +75,16 @@ pub struct ProbeStats {
     pub backoff_ms: u64,
 }
 
-/// Wraps a fetcher with request accounting and response analysis.
+/// Wraps a fetcher with request accounting, a per-URL response memo and
+/// response analysis.
 pub struct Prober<'a> {
     fetcher: &'a dyn Fetcher,
     policy: FetchPolicy,
     requests: Cell<u64>,
     stats: Cell<ProbeStats>,
+    /// Body of every successful [`submit`](Self::submit) or
+    /// [`fetch`](Self::fetch), by URL.
+    memo: RefCell<FxHashMap<Url, String>>,
 }
 
 impl<'a> Prober<'a> {
@@ -92,11 +103,13 @@ impl<'a> Prober<'a> {
             policy,
             requests: Cell::new(0),
             stats: Cell::new(ProbeStats::default()),
+            memo: RefCell::default(),
         }
     }
 
     /// Requests issued so far (the per-site load the paper argues is light).
-    /// Retries count as additional requests.
+    /// Retries count as additional requests; a call answered from the memo
+    /// counts nothing.
     pub fn requests(&self) -> u64 {
         self.requests.get()
     }
@@ -120,7 +133,9 @@ impl<'a> Prober<'a> {
 
     /// Fetch `url` under the policy and return the raw response. The one
     /// place a [`FetchAttempt`](crate::fetchpolicy::FetchAttempt) is folded
-    /// into the request count and the retry/failure/backoff tally.
+    /// into the request count and the retry/failure/backoff tally. It
+    /// bypasses the memo: the crawl, its one caller outside this module,
+    /// never fetches a URL twice.
     pub(crate) fn fetch_response(&self, url: &Url) -> Result<Response> {
         let (result, attempt) = fetch_with_policy(self.fetcher, url, &self.policy);
         self.requests
@@ -135,8 +150,15 @@ impl<'a> Prober<'a> {
     }
 
     fn fetch_analyzed(&self, url: &Url, stripped_values: &[&str]) -> ProbeOutcome {
+        if let Some(html) = self.memo.borrow().get(url) {
+            return analyze(url.clone(), html, stripped_values);
+        }
         match self.fetch_response(url) {
-            Ok(resp) => analyze_response(url.clone(), resp.html, stripped_values),
+            Ok(resp) => {
+                let out = analyze(url.clone(), &resp.html, stripped_values);
+                self.memo.borrow_mut().insert(url.clone(), resp.html);
+                out
+            }
             Err(_) => ProbeOutcome {
                 url: url.clone(),
                 ok: false,
@@ -154,9 +176,13 @@ impl<'a> Prober<'a> {
 
 /// Analyse a fetched page into a [`ProbeOutcome`].
 pub fn analyze_response(url: Url, html: String, stripped_values: &[&str]) -> ProbeOutcome {
+    analyze(url, &html, stripped_values)
+}
+
+fn analyze(url: Url, html: &str, stripped_values: &[&str]) -> ProbeOutcome {
     // One pass, no tree: a response is read for its title, first heading,
     // anchors and visible text only.
-    let facts = PageFacts::read(&html);
+    let facts = PageFacts::read(html);
     let title = facts.title().to_string();
 
     // "N results" header (crawler-side heuristic).
@@ -368,6 +394,59 @@ mod tests {
         assert!(out.ok);
         assert_eq!(p.requests(), 1);
         assert_eq!(p.stats(), ProbeStats::default());
+    }
+
+    #[test]
+    fn a_memo_hit_reads_what_a_fresh_prober_reads() {
+        let w = world();
+        let form = first_get_form(&w);
+        let keyword = form
+            .fillable_inputs()
+            .into_iter()
+            .find(|i| i.is_text())
+            .map(|i| vec![(i.name.clone(), "qqqqzz".to_string())]);
+        for a in [Vec::new()].into_iter().chain(keyword) {
+            let url = form.submission_url(&a);
+            let p = Prober::new(&w.server);
+            let submitted = p.submit(&form, &a);
+            let fetched = p.fetch(&url);
+            assert_eq!(p.requests(), 1, "{url}: the second call is a memo hit");
+            let fresh_submit = Prober::new(&w.server).submit(&form, &a);
+            let fresh_fetch = Prober::new(&w.server).fetch(&url);
+            assert_eq!(format!("{submitted:?}"), format!("{fresh_submit:?}"));
+            assert_eq!(format!("{fetched:?}"), format!("{fresh_fetch:?}"));
+        }
+    }
+
+    /// Fails its first call with a permanent 404, then serves `inner`.
+    struct FailsOnce<'a> {
+        inner: &'a deepweb_webworld::WebServer,
+        calls: std::sync::atomic::AtomicU32,
+    }
+    impl Fetcher for FailsOnce<'_> {
+        fn fetch(&self, url: &Url) -> deepweb_common::Result<deepweb_webworld::Response> {
+            use std::sync::atomic::Ordering;
+            if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                return Err(deepweb_webworld::http_error(404, url));
+            }
+            self.inner.fetch(url)
+        }
+    }
+
+    #[test]
+    fn a_failed_fetch_is_not_kept() {
+        let w = world();
+        let form = first_get_form(&w);
+        let f = FailsOnce {
+            inner: &w.server,
+            calls: Default::default(),
+        };
+        let p = Prober::new(&f);
+        assert!(!p.submit(&form, &[]).ok);
+        assert!(p.submit(&form, &[]).ok, "the retry reaches the site");
+        assert_eq!(p.requests(), 2);
+        assert_eq!(f.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(p.stats().permanent_failures, 1);
     }
 
     /// `analyze_response` over a literal page served from `/results`.

@@ -1,9 +1,10 @@
 //! The parallel pipeline against the sequential reference path: for random
 //! small webworlds and random worker counts the output is byte-identical;
-//! two forms on one host never race on the URLs they share; and every fetch
-//! the run makes is accounted exactly once.
+//! two forms on one host never race on the URLs they share; every fetch
+//! the run makes is accounted exactly once; and no result page is fetched
+//! twice.
 
-use deepweb_common::{Result, Url};
+use deepweb_common::{FxHashMap, Result, Url};
 use deepweb_surfacer::{
     crawl_and_surface, DocOrigin, IndexabilityConfig, KeywordConfig, SurfacerConfig,
     SurfacingOutcome, TemplateConfig,
@@ -12,6 +13,7 @@ use deepweb_webworld::{
     generate, http_error, FaultConfig, FaultKind, FaultyFetcher, Fetcher, Response, WebConfig,
 };
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 /// Tight budgets so each generated web surfaces in well under a second.
 fn tiny_cfg() -> SurfacerConfig {
@@ -214,6 +216,45 @@ fn request_accounting_closes() {
                 "faults={faults:?} workers={workers}"
             );
             assert!(o.reports.iter().any(|r| r.surfacing_requests > 0));
+        }
+    }
+}
+
+/// Counts the fetches of each URL that reach the wrapped fetcher.
+struct UrlCounter<F> {
+    inner: F,
+    seen: Mutex<FxHashMap<Url, u32>>,
+}
+
+impl<F: Fetcher> Fetcher for UrlCounter<F> {
+    fn fetch(&self, url: &Url) -> Result<Response> {
+        *self.seen.lock().unwrap().entry(url.clone()).or_default() += 1;
+        self.inner.fetch(url)
+    }
+}
+
+#[test]
+fn no_result_page_reaches_the_web_twice() {
+    let w = generate(&WebConfig {
+        num_sites: 8,
+        ..WebConfig::default()
+    });
+    let seeds = [Url::new("dir.sim", "/")];
+    for workers in [1, 2, 4] {
+        let web = UrlCounter {
+            inner: &w.server,
+            seen: Mutex::default(),
+        };
+        let cfg = SurfacerConfig {
+            num_workers: workers,
+            ..tiny_cfg()
+        };
+        crawl_and_surface(&web, &seeds, &cfg);
+        let seen = web.seen.into_inner().unwrap();
+        let results: Vec<_> = seen.iter().filter(|(u, _)| u.path == "/results").collect();
+        assert!(!results.is_empty(), "workers={workers}");
+        for (url, n) in results {
+            assert_eq!(*n, 1, "{url} fetched {n} times, workers={workers}");
         }
     }
 }
