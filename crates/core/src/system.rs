@@ -110,6 +110,16 @@ struct FreshState {
     fingerprints: Vec<u64>,
 }
 
+/// What one refresh task hands back for its site: the home-page fingerprint
+/// and, when it changed, the re-surface's stale count and its fresh docs
+/// already converted — never the whole [`SurfacingOutcome`].
+struct SiteProbe {
+    idx: usize,
+    fingerprint: u64,
+    stale: usize,
+    fresh: Vec<BatchDoc>,
+}
+
 /// What one [`DeepWebSystem::refresh`] round did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RefreshOutcome {
@@ -117,11 +127,12 @@ pub struct RefreshOutcome {
     pub probed: usize,
     /// Sites whose fingerprint changed (re-surfaced this round).
     pub changed: usize,
-    /// Documents appended to the delta segments (previously unknown URLs).
+    /// Documents appended to the round's delta segment: re-surfaced URLs
+    /// the index did not hold before the round.
     pub new_docs: usize,
-    /// Re-surfaced documents whose URL was already indexed. The delta tier
-    /// is append-only: these keep their original content until the next full
-    /// rebuild (DESIGN.md §15).
+    /// Re-surfaced documents whose URL was already indexed before the
+    /// round. The delta tier is append-only: these keep their original
+    /// content until the next full rebuild (DESIGN.md §15).
     pub stale_docs: usize,
     /// Sites whose fingerprint probe still failed after the retry policy ran
     /// out. They stay schedulable: the next round probes them again.
@@ -259,10 +270,11 @@ impl DeepWebSystem {
     /// fetches the site's home page and compares its
     /// [`content_hash`] fingerprint. Unchanged sites cost exactly one
     /// request. Changed sites are re-surfaced with the build-time budgets
-    /// ([`resurface_host`]) and every previously-unknown URL is appended to
-    /// the freshness tier as a delta segment; already-indexed URLs are
-    /// counted stale instead (append-only tier — see
-    /// [`RefreshOutcome::stale_docs`]).
+    /// ([`resurface_host`]), one pool task per scheduled site over
+    /// [`SurfacerConfig::num_workers`] threads. Every previously-unknown URL
+    /// of the round is appended to the freshness tier in schedule order, one
+    /// delta segment per round; already-indexed URLs are counted stale
+    /// instead (append-only tier — see [`RefreshOutcome::stale_docs`]).
     pub fn refresh(&mut self, batch: usize) -> RefreshOutcome {
         self.ensure_fresh();
         let hosts: Vec<String> = self
@@ -283,7 +295,8 @@ impl DeepWebSystem {
             Some(f) => f,
             None => &self.world.server,
         };
-        let policy = self.config.surfacer.fetch_policy;
+        let world = &self.world;
+        let surfacer = &self.config.surfacer;
         let mut out = RefreshOutcome::default();
         let Some(state) = self.fresh.as_mut() else {
             return out; // ensure_fresh populated the tier above
@@ -291,32 +304,57 @@ impl DeepWebSystem {
         // Sites can join the world after init (content growth never removes
         // sites); give them a fingerprint slot so they re-probe cleanly.
         state.fingerprints.resize(hosts.len(), 0);
-        for idx in state.scheduler.next_batch(hosts.len(), batch) {
+        let scheduled = state.scheduler.next_batch(hosts.len(), batch);
+        // One task per scheduled site (DESIGN.md §8). A task fetches only its
+        // own host and a batch never repeats a site, so each host is probed
+        // from one thread in the order a sequential round would use. Every
+        // URL a task re-surfaces is on its host, so testing staleness against
+        // the pre-round snapshot equals testing it after the earlier sites'
+        // docs were applied.
+        let known = state.segmented.snapshot();
+        let fingerprints = &state.fingerprints;
+        let probes = ThreadPool::new(surfacer.num_workers).map(scheduled, |_, idx| {
+            let host = &hosts[idx];
+            let (resp, _attempt) = fetch_with_policy(
+                fetcher,
+                &Url::new(host.clone(), "/"),
+                &surfacer.fetch_policy,
+            );
+            let mut probe = SiteProbe {
+                idx,
+                fingerprint: content_hash(&resp.ok()?.html),
+                stale: 0,
+                fresh: Vec::new(),
+            };
+            if probe.fingerprint == fingerprints[idx] {
+                return Some(probe);
+            }
+            for doc in &resurface_host(fetcher, host, surfacer).docs {
+                debug_assert_eq!(&doc.host, host, "a re-surface stays on its host");
+                if known.contains_url(&doc.url) {
+                    probe.stale += 1;
+                } else {
+                    probe.fresh.push(to_batch_doc(world, doc));
+                }
+            }
+            Some(probe)
+        });
+        let mut fresh_docs = Vec::new();
+        for probe in probes {
             out.probed += 1;
-            let (resp, _attempt) =
-                fetch_with_policy(fetcher, &Url::new(hosts[idx].clone(), "/"), &policy);
-            let Ok(resp) = resp else {
+            let Some(probe) = probe else {
                 out.failed += 1;
                 continue;
             };
-            let fingerprint = content_hash(&resp.html);
-            if fingerprint == state.fingerprints[idx] {
+            if probe.fingerprint == state.fingerprints[probe.idx] {
                 continue;
             }
-            state.fingerprints[idx] = fingerprint;
+            state.fingerprints[probe.idx] = probe.fingerprint;
             out.changed += 1;
-            let delta = resurface_host(fetcher, &hosts[idx], &self.config.surfacer);
-            let snapshot = state.segmented.snapshot();
-            let mut fresh_docs = Vec::new();
-            for doc in &delta.docs {
-                if snapshot.contains_url(&doc.url) {
-                    out.stale_docs += 1;
-                } else {
-                    fresh_docs.push(to_batch_doc(&self.world, doc));
-                }
-            }
-            out.new_docs += state.segmented.apply(fresh_docs);
+            out.stale_docs += probe.stale;
+            fresh_docs.extend(probe.fresh);
         }
+        out.new_docs = state.segmented.apply(fresh_docs);
         if let Some(f) = &faulty {
             let s = f.stats();
             match &mut self.fault_stats {
@@ -513,6 +551,58 @@ mod tests {
         let again = sys.refresh(n);
         assert_eq!(again.changed, 0);
         assert_eq!(again.new_docs, 0);
+    }
+
+    #[test]
+    fn one_round_seals_one_segment_in_schedule_order() {
+        let mut sys = DeepWebSystem::build(&quick_config(8));
+        let sites = sys.world.server.sites();
+        let mut grown: Vec<usize> = sys
+            .outcome
+            .reports
+            .iter()
+            .filter(|r| r.pages_surfaced > 0)
+            .filter_map(|r| sites.iter().position(|s| s.host == r.host))
+            .collect();
+        grown.sort_unstable();
+        grown.dedup();
+        let hosts: Vec<String> = grown.iter().map(|&i| sites[i].host.clone()).collect();
+        sys.fresh_index();
+        // Grow the later sites first: the segment follows the schedule, not
+        // the order the sites changed in.
+        for &idx in grown.iter().rev() {
+            deepweb_webworld::grow_site(&mut sys.world, idx, 40, SEED);
+        }
+        let n = sys.world.server.sites().len();
+        let out = sys.refresh(n);
+        assert_eq!(out.changed, grown.len());
+        let gen = sys.fresh_index().snapshot();
+        assert_eq!(gen.segments().len(), 1, "one round, one segment");
+        let mut seg_hosts: Vec<&str> = gen.segments()[0]
+            .docs()
+            .iter()
+            .map(|d| d.url.host.as_str())
+            .collect();
+        assert_eq!(seg_hosts.len(), out.new_docs);
+        seg_hosts.dedup();
+        assert!(
+            seg_hosts.len() >= 2,
+            "two grown sites add docs: {seg_hosts:?}"
+        );
+        // Each host's docs form one run, and the runs are in schedule order.
+        let order: Vec<usize> = seg_hosts
+            .iter()
+            .map(|h| hosts.iter().position(|g| g == h).expect("a grown host"))
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{seg_hosts:?}");
+        // The next round with growth seals exactly one more segment.
+        for &idx in &grown {
+            deepweb_webworld::grow_site(&mut sys.world, idx, 40, SEED);
+        }
+        let again = sys.refresh(n);
+        assert_eq!(again.changed, grown.len());
+        assert!(again.new_docs > 0);
+        assert_eq!(sys.fresh_index().num_segments(), 2);
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! tier re-probes a scheduled subset of known hosts per round: a cheap
 //! fingerprint fetch decides whether a host changed at all, and only changed
 //! hosts pay for a full per-host re-surface. The caller (deepweb-core)
-//! owns fingerprinting and delta-segment construction; this module owns the
-//! schedule and the per-host pipeline run.
+//! fans a round out as one pool task per scheduled site (fingerprint, and
+//! re-surface if it changed), then seals the round's fresh docs as one
+//! delta segment; this module owns the schedule and the per-host pipeline
+//! run. Parallel rounds rely on two facts from here: a batch never names a
+//! site twice, and a re-surface fetches only its own host.
 
 use crate::pipeline::{crawl_and_surface, SurfacerConfig, SurfacingOutcome};
 use deepweb_common::Url;
@@ -77,6 +80,29 @@ mod tests {
         assert_eq!(s.next_batch(5, 0), Vec::<usize>::new());
         // Universe growth keeps the cursor meaningful.
         assert_eq!(s.next_batch(7, 3), vec![1, 2, 3]);
+    }
+
+    /// A refresh round probes its batch in parallel, one task per site; one
+    /// thread per host holds only if no batch names a site twice.
+    #[test]
+    fn a_batch_never_repeats_a_site() {
+        for num_sites in 1..=12 {
+            for batch in 1..=15 {
+                let mut s = ReprobeScheduler::new();
+                for round in 0..2 * num_sites + 1 {
+                    let mut picks = s.next_batch(num_sites, batch);
+                    assert_eq!(picks.len(), batch.min(num_sites));
+                    picks.sort_unstable();
+                    picks.dedup();
+                    assert_eq!(
+                        picks.len(),
+                        batch.min(num_sites),
+                        "sites={num_sites} batch={batch} round={round}"
+                    );
+                    assert!(picks.iter().all(|&i| i < num_sites));
+                }
+            }
+        }
     }
 
     #[test]

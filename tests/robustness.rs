@@ -2,7 +2,8 @@
 //!
 //! Three system-level claims:
 //! 1. **Determinism under faults**: the same seed and fault schedule produce
-//!    a byte-identical index at any worker count.
+//!    a byte-identical index at any worker count, after the build and after
+//!    a refresh round.
 //! 2. **Retry absorption**: when every fault's failure prefix fits inside the
 //!    retry budget, a faulty build indexes *exactly* what a clean build does
 //!    — the fetch policy makes transient chaos invisible downstream.
@@ -11,9 +12,10 @@
 //!    URLs, while the robustness report records what was suppressed.
 
 use deepweb::common::{Result, Url};
+use deepweb::index::{BatchDoc, Hit};
 use deepweb::surfacer::{crawl_and_surface, HostStatus};
-use deepweb::webworld::{http_error, FaultConfig, Fetcher, Response};
-use deepweb::{quick_config, DeepWebSystem, SystemConfig};
+use deepweb::webworld::{grow_site, http_error, FaultConfig, FaultStats, Fetcher, Response};
+use deepweb::{quick_config, DeepWebSystem, RefreshOutcome, SystemConfig};
 
 fn cfg_with(num_sites: usize, f: impl FnOnce(&mut SystemConfig)) -> SystemConfig {
     let mut cfg = quick_config(num_sites);
@@ -67,6 +69,79 @@ fn faulty_builds_are_deterministic_at_any_worker_count() {
         format!("{:?}", other.fault_stats),
         format!("{:?}", reference.fault_stats)
     );
+}
+
+/// Everything one refresh round leaves behind that must not depend on the
+/// worker count.
+struct RefreshRound {
+    outcome: RefreshOutcome,
+    fault_stats: Option<FaultStats>,
+    requests: u64,
+    pending_docs: String,
+    merged_hits: Vec<Vec<Hit>>,
+}
+
+/// Build an 8-site world, grow three sites (two of them surfaced), run one
+/// full refresh round at `workers`, then merge and serve.
+fn refresh_round(workers: usize, faults: Option<FaultConfig>) -> RefreshRound {
+    let mut sys = DeepWebSystem::build(&cfg_with(8, |c| {
+        c.faults = faults;
+        c.surfacer.num_workers = workers;
+    }));
+    let sites = sys.world.server.sites();
+    let mut surfaced: Vec<usize> = sys
+        .outcome
+        .reports
+        .iter()
+        .filter(|r| r.pages_surfaced > 0)
+        .filter_map(|r| sites.iter().position(|s| s.host == r.host))
+        .collect();
+    surfaced.dedup();
+    // The last two surfaced sites grow pages the index has not seen; the
+    // first other site changes its fingerprint too.
+    let last_two = &surfaced[surfaced.len().saturating_sub(2)..];
+    assert_eq!(last_two.len(), 2, "two surfaced sites: {surfaced:?}");
+    let other = (0..sites.len())
+        .find(|i| !last_two.contains(i))
+        .expect("a third site");
+    let grown = [other, last_two[0], last_two[1]];
+    sys.fresh_index();
+    for idx in grown {
+        grow_site(&mut sys.world, idx, 40, 3);
+    }
+    let n = sys.world.server.sites().len();
+    let outcome = sys.refresh(n);
+    assert!(outcome.changed >= 3 && outcome.new_docs > 0, "{outcome:?}");
+    let requests = sys.world.server.total_requests();
+    let pending = sys.fresh_index().snapshot();
+    let docs: Vec<&BatchDoc> = pending.segments().iter().flat_map(|s| s.docs()).collect();
+    let mut queries: Vec<String> = docs.iter().take(6).map(|d| d.title.clone()).collect();
+    queries.push("listings database".to_string());
+    let pending_docs = format!("{docs:?}");
+    sys.merge_fresh();
+    RefreshRound {
+        outcome,
+        fault_stats: sys.fault_stats,
+        requests,
+        pending_docs,
+        merged_hits: sys.search_batch(&queries, 10, 2),
+    }
+}
+
+#[test]
+fn faulty_refresh_is_deterministic_at_any_worker_count() {
+    for faults in [None, Some(FaultConfig::transient(7, 0.3))] {
+        let want = refresh_round(1, faults);
+        for workers in [2, 4] {
+            let got = refresh_round(workers, faults);
+            let ctx = format!("workers={workers} faults={faults:?}");
+            assert_eq!(got.outcome, want.outcome, "{ctx}");
+            assert_eq!(got.fault_stats, want.fault_stats, "{ctx}");
+            assert_eq!(got.requests, want.requests, "{ctx}");
+            assert_eq!(got.pending_docs, want.pending_docs, "{ctx}");
+            assert_eq!(got.merged_hits, want.merged_hits, "{ctx}");
+        }
+    }
 }
 
 #[test]
