@@ -20,8 +20,8 @@ pub enum RuleId {
     /// hasher) with sorted or first-appearance iteration.
     NondetIteration,
     /// R2: `Instant::now`/`SystemTime::now` outside the deepbench package —
-    /// timing must be *accounted* (simulated, like `faults.rs` slow
-    /// responses), never measured, or results depend on the wall clock.
+    /// library code counts work, never measures it, or results depend on
+    /// the wall clock.
     WallClock,
     /// R3: `unwrap`/`expect`/panic macros/literal slice-index in `index`,
     /// `surfacer`, `core`, `html` library code — serving paths and the

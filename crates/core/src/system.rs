@@ -8,8 +8,8 @@ use deepweb_index::{
     SearchIndex, SearchOptions, SearchService, SegmentedIndex,
 };
 use deepweb_surfacer::{
-    crawl_and_surface, fetch_with_policy, resurface_host, DocOrigin, ProducedDoc, ReprobeScheduler,
-    RobustnessReport, SurfacerConfig, SurfacingOutcome,
+    crawl_and_surface, fetch_with_retries, resurface_host, DocOrigin, ProducedDoc,
+    ReprobeScheduler, RobustnessReport, SurfacerConfig, SurfacingOutcome,
 };
 use deepweb_webworld::{
     generate, FaultConfig, FaultStats, FaultyFetcher, Fetcher, WebConfig, World,
@@ -31,9 +31,10 @@ pub struct SystemConfig {
     /// the end of [`DeepWebSystem::build`].
     pub pruning: PruningMode,
     /// Optional fault injection: when set, every build/refresh fetch goes
-    /// through a [`FaultyFetcher`] with this schedule. The retry policy in
-    /// [`SurfacerConfig::fetch_policy`] absorbs transient faults; the build
-    /// never aborts on a failing host (see [`DeepWebSystem::robustness`]).
+    /// through a [`FaultyFetcher`] with this schedule. The surfacer's
+    /// [`MAX_RETRIES`](deepweb_surfacer::MAX_RETRIES) absorbs transient
+    /// faults; the build never aborts on a failing host (see
+    /// [`DeepWebSystem::robustness`]).
     pub faults: Option<FaultConfig>,
 }
 
@@ -87,7 +88,7 @@ pub struct DeepWebSystem {
     /// surfacing) — the paper's "light load" accounting.
     pub offline_requests: u64,
     /// Per-host robustness outcomes of the build (who surfaced, who
-    /// degraded, who was skipped, and how much retry/backoff it cost).
+    /// degraded, who was skipped, and how many retries it cost).
     pub robustness: RobustnessReport,
     /// Fault counters accumulated by the injected [`FaultyFetcher`] across
     /// build and refresh rounds; `None` when no fault schedule is configured.
@@ -97,9 +98,9 @@ pub struct DeepWebSystem {
     /// The build configuration, retained so incremental re-surfacing probes
     /// with the same budgets the batch pipeline used.
     config: SystemConfig,
-    /// Freshness tier (delta segments + re-probe schedule), built lazily on
-    /// the first [`DeepWebSystem::refresh`] / [`DeepWebSystem::fresh_index`].
-    fresh: Option<FreshState>,
+    /// Freshness tier (delta segments + re-probe schedule + the home-page
+    /// fingerprints taken at build).
+    fresh: FreshState,
 }
 
 /// Freshness-tier state: the segmented index serving base + deltas, the
@@ -134,8 +135,8 @@ pub struct RefreshOutcome {
     /// round. The delta tier is append-only: these keep their original
     /// content until the next full rebuild (DESIGN.md §15).
     pub stale_docs: usize,
-    /// Sites whose fingerprint probe still failed after the retry policy ran
-    /// out. They stay schedulable: the next round probes them again.
+    /// Sites whose fingerprint probe still failed after its last retry.
+    /// They stay schedulable: the next round probes them again.
     pub failed: usize,
 }
 
@@ -158,7 +159,6 @@ impl DeepWebSystem {
         let fault_stats = faulty.as_ref().map(|f| f.stats());
         drop(faulty);
         let offline_requests = world.server.total_requests();
-        world.server.reset_counts();
         // Index build rides the same worker knob as the pipeline: batch the
         // docs and let the pool shard tokenisation + postings construction
         // (deterministic shard merge — identical output at any worker count).
@@ -181,22 +181,46 @@ impl DeepWebSystem {
         let options = SearchOptions {
             use_annotations: cfg.use_annotations,
             pruning: cfg.pruning,
-            ..Default::default()
         };
         // Build the block-max structures unconditionally (cheap relative to
         // indexing): the system can then serve either pruning mode without a
         // rebuild, and BlockMax never silently degrades to the fallback.
         index.enable_pruning();
+        // Every site's home-page fingerprint as the build saw it, so the
+        // first refresh round reacts to any change after the build. Taken
+        // off the healthy server, after `offline_requests` is read and
+        // before the reset: the pass is neither offline nor serve-time load.
+        // It runs after the index is built so the pages it renders and
+        // drops are not interleaved with the index's allocations.
+        let fingerprints = world
+            .server
+            .sites()
+            .iter()
+            .map(|s| {
+                world
+                    .server
+                    .fetch(&Url::new(s.host.clone(), "/"))
+                    .map(|r| content_hash(&r.html))
+                    .unwrap_or(0)
+            })
+            .collect();
+        world.server.reset_counts();
+        let index = Arc::new(index);
+        let fresh = FreshState {
+            segmented: SegmentedIndex::from_shared(Arc::clone(&index)),
+            scheduler: ReprobeScheduler::new(),
+            fingerprints,
+        };
         DeepWebSystem {
             world,
-            index: Arc::new(index),
+            index,
             robustness: outcome.robustness(),
             outcome,
             offline_requests,
             fault_stats,
             options,
             config: cfg.clone(),
-            fresh: None,
+            fresh,
         }
     }
 
@@ -237,15 +261,12 @@ impl DeepWebSystem {
     /// The freshness tier: a [`SegmentedIndex`] serving the build-time base
     /// plus every delta segment appended by [`DeepWebSystem::refresh`].
     ///
-    /// First call initialises the tier: the base *is* the batch index (one
-    /// shared allocation), and every site's home page is fetched once to establish its
-    /// content fingerprint (so refresh rounds only react to changes *after*
-    /// this point, not to the build itself). Queries against the returned
-    /// index are byte-identical to a from-scratch rebuild over base + delta
-    /// docs, before, during and after a [`SegmentedIndex::merge`]
-    /// (DESIGN.md §15).
-    pub fn fresh_index(&mut self) -> &SegmentedIndex {
-        &self.ensure_fresh().segmented
+    /// Its base *is* [`DeepWebSystem::index`] (one shared allocation, also
+    /// after a [`DeepWebSystem::merge_fresh`]). Queries against it are
+    /// byte-identical to a from-scratch rebuild over base + delta docs,
+    /// before, during and after a [`SegmentedIndex::merge`] (DESIGN.md §15).
+    pub fn fresh_index(&self) -> &SegmentedIndex {
+        &self.fresh.segmented
     }
 
     /// Compact the freshness tier: fold all delta segments into the base
@@ -257,7 +278,7 @@ impl DeepWebSystem {
     /// [`DeepWebSystem::cluster`] serve the refreshed content from here on
     /// (and share one allocation with the freshness tier again).
     pub fn merge_fresh(&mut self) -> usize {
-        let segmented = &self.ensure_fresh().segmented;
+        let segmented = &self.fresh.segmented;
         let folded = segmented.merge();
         self.index = segmented.snapshot().shared_base();
         folded
@@ -267,16 +288,16 @@ impl DeepWebSystem {
     /// "discover more content over time").
     ///
     /// Probes the next `batch` sites in round-robin order: each probe
-    /// fetches the site's home page and compares its
-    /// [`content_hash`] fingerprint. Unchanged sites cost exactly one
-    /// request. Changed sites are re-surfaced with the build-time budgets
+    /// fetches the site's home page and compares its [`content_hash`]
+    /// fingerprint with the last one seen — at build, or by an earlier
+    /// round — so a change made before the first round is seen too.
+    /// Unchanged sites cost exactly one request. Changed sites are re-surfaced with the build-time budgets
     /// ([`resurface_host`]), one pool task per scheduled site over
     /// [`SurfacerConfig::num_workers`] threads. Every previously-unknown URL
     /// of the round is appended to the freshness tier in schedule order, one
     /// delta segment per round; already-indexed URLs are counted stale
     /// instead (append-only tier — see [`RefreshOutcome::stale_docs`]).
     pub fn refresh(&mut self, batch: usize) -> RefreshOutcome {
-        self.ensure_fresh();
         let hosts: Vec<String> = self
             .world
             .server
@@ -284,8 +305,8 @@ impl DeepWebSystem {
             .iter()
             .map(|s| s.host.clone())
             .collect();
-        // Refresh rounds run under the same fault schedule (and retry
-        // policy) as the build: transient faults are absorbed, persistent
+        // Refresh rounds run under the same fault schedule (and retries) as
+        // the build: transient faults are absorbed, persistent
         // ones count as `failed` and the site stays on the schedule.
         let faulty = self
             .config
@@ -298,11 +319,10 @@ impl DeepWebSystem {
         let world = &self.world;
         let surfacer = &self.config.surfacer;
         let mut out = RefreshOutcome::default();
-        let Some(state) = self.fresh.as_mut() else {
-            return out; // ensure_fresh populated the tier above
-        };
-        // Sites can join the world after init (content growth never removes
-        // sites); give them a fingerprint slot so they re-probe cleanly.
+        let state = &mut self.fresh;
+        // Sites can join the world after the build (content growth never
+        // removes sites); give them a fingerprint slot so they re-probe
+        // cleanly.
         state.fingerprints.resize(hosts.len(), 0);
         let scheduled = state.scheduler.next_batch(hosts.len(), batch);
         // One task per scheduled site (DESIGN.md §8). A task fetches only its
@@ -315,11 +335,7 @@ impl DeepWebSystem {
         let fingerprints = &state.fingerprints;
         let probes = ThreadPool::new(surfacer.num_workers).map(scheduled, |_, idx| {
             let host = &hosts[idx];
-            let (resp, _attempt) = fetch_with_policy(
-                fetcher,
-                &Url::new(host.clone(), "/"),
-                &surfacer.fetch_policy,
-            );
+            let (resp, _attempt) = fetch_with_retries(fetcher, &Url::new(host.clone(), "/"));
             let mut probe = SiteProbe {
                 idx,
                 fingerprint: content_hash(&resp.ok()?.html),
@@ -363,30 +379,6 @@ impl DeepWebSystem {
             }
         }
         out
-    }
-
-    fn ensure_fresh(&mut self) -> &mut FreshState {
-        let world = &self.world;
-        let index = &self.index;
-        self.fresh.get_or_insert_with(|| {
-            let fingerprints = world
-                .server
-                .sites()
-                .iter()
-                .map(|s| {
-                    world
-                        .server
-                        .fetch(&Url::new(s.host.clone(), "/"))
-                        .map(|r| content_hash(&r.html))
-                        .unwrap_or(0)
-                })
-                .collect();
-            FreshState {
-                segmented: SegmentedIndex::from_shared(Arc::clone(index)),
-                scheduler: ReprobeScheduler::new(),
-                fingerprints,
-            }
-        })
     }
 }
 
@@ -486,33 +478,37 @@ mod tests {
         // Generation zero serves the batch index itself, not a clone.
         let gen = sys.fresh_index().snapshot();
         assert!(std::ptr::eq(gen.base(), &*sys.index));
-        // Unchanged probes cost one request per site (plus the init
-        // fingerprint pass).
-        assert!(sys.world.server.total_requests() <= 2 * n as u64 + sys.offline_requests);
+        // Unchanged probes cost one request per site, and nothing else does.
+        assert_eq!(sys.world.server.total_requests(), n as u64);
+    }
+
+    /// The index of a GET site the pipeline actually surfaced.
+    fn surfaced_site(sys: &DeepWebSystem) -> usize {
+        let report = sys.outcome.reports.iter().find(|r| r.pages_surfaced > 0);
+        let host = &report.expect("some site surfaced").host;
+        let sites = sys.world.server.sites();
+        let idx = sites.iter().position(|s| &s.host == host);
+        idx.expect("site exists")
+    }
+
+    /// The fingerprints are the build's: a site that grows between the
+    /// build and the first round is re-surfaced by that round.
+    #[test]
+    fn growth_before_the_first_round_is_seen() {
+        let mut sys = DeepWebSystem::build(&quick_config(6));
+        let idx = surfaced_site(&sys);
+        deepweb_webworld::grow_site(&mut sys.world, idx, 25, SEED);
+        let n = sys.world.server.sites().len();
+        let out = sys.refresh(n);
+        assert_eq!(out.changed, 1, "{out:?}");
+        assert!(out.new_docs > 0, "{out:?}");
     }
 
     /// Build a 6-site system, grow one surfaced site's backend by 25
     /// records and run one full refresh round over it.
     fn grown_and_refreshed() -> (DeepWebSystem, RefreshOutcome) {
         let mut sys = DeepWebSystem::build(&quick_config(6));
-        // Pick a GET site the pipeline actually surfaced.
-        let grown_host = sys
-            .outcome
-            .reports
-            .iter()
-            .find(|r| r.pages_surfaced > 0)
-            .expect("some site surfaced")
-            .host
-            .clone();
-        let site_idx = sys
-            .world
-            .server
-            .sites()
-            .iter()
-            .position(|s| s.host == grown_host)
-            .expect("site exists");
-        // Initialise fingerprints *before* growing, then grow the backend.
-        sys.fresh_index();
+        let site_idx = surfaced_site(&sys);
         deepweb_webworld::grow_site(&mut sys.world, site_idx, 25, SEED);
         let n = sys.world.server.sites().len();
         let out = sys.refresh(n);
@@ -567,7 +563,6 @@ mod tests {
         grown.sort_unstable();
         grown.dedup();
         let hosts: Vec<String> = grown.iter().map(|&i| sites[i].host.clone()).collect();
-        sys.fresh_index();
         // Grow the later sites first: the segment follows the schedule, not
         // the order the sites changed in.
         for &idx in grown.iter().rev() {
@@ -665,25 +660,40 @@ mod tests {
     #[test]
     fn refresh_counts_probes_that_exhaust_retries() {
         let mut cfg = quick_config(4);
-        // No retry budget + every URL faulty once: fingerprint probes of
-        // fault-marked home pages fail for good this round.
-        cfg.surfacer.fetch_policy = deepweb_surfacer::FetchPolicy::none();
-        cfg.faults = Some(deepweb_webworld::FaultConfig {
+        // Every URL faulty, its failure prefix up to twice the attempts one
+        // fetch makes: a home page whose prefix covers them all fails its
+        // fingerprint probe for good this round.
+        let attempts = deepweb_surfacer::MAX_RETRIES + 1;
+        let faults = deepweb_webworld::FaultConfig {
             seed: 5,
-            transient_rate: 1.0,
-            max_faults_per_url: 1,
-            ..Default::default()
-        });
+            rate: 1.0,
+            max_faults_per_url: 2 * attempts,
+        };
+        cfg.faults = Some(faults);
         let mut sys = DeepWebSystem::build(&cfg);
+        let schedule = FaultyFetcher::new(&sys.world.server, faults);
         let n = sys.world.server.sites().len();
-        sys.fresh_index();
+        let want = sys
+            .world
+            .server
+            .sites()
+            .iter()
+            .filter_map(|s| schedule.schedule_for(&Url::new(s.host.clone(), "/")))
+            .filter(|&(_, prefix)| prefix >= attempts)
+            .count();
+        assert!(want > 0 && want < n, "{want} of {n}");
+        drop(schedule);
         let out = sys.refresh(n);
         assert_eq!(out.probed, n);
-        assert_eq!(out.failed, n, "every first probe fails with no retries");
+        assert_eq!(out.failed, want);
+        assert_eq!(
+            out.changed, 0,
+            "the probes that got through saw the build's page"
+        );
         // The failed sites stay on the schedule: the next round's probes are
-        // fresh fetch sequences, and the fetcher's failure prefix is spent.
+        // fresh fetch sequences with the same failure prefixes.
         let again = sys.refresh(n);
-        assert_eq!(again.failed, n, "new wrapper, new failure prefixes");
+        assert_eq!(again.failed, want, "new wrapper, new failure prefixes");
     }
 
     #[test]

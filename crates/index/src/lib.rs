@@ -11,9 +11,10 @@
 //!
 //! One spelling per thing: a query is `(text, k)` through [`search`] or any
 //! [`SearchService`] tier, and a tier answers only through that trait; a
-//! scoring configuration is a [`SearchOptions`] literal and a cluster's pool
-//! and cache a [`ClusterConfig`] literal, each checked by its `validate()`
-//! where it arrives from outside; every tier scores a query with one call of
+//! scoring configuration is a [`SearchOptions`] literal (BM25 runs at one
+//! fixed `(k1, b)`) and a cluster's pool and cache a [`ClusterConfig`]
+//! literal, checked by its `validate()` where it arrives from outside; every
+//! tier scores a query with one call of
 //! the one kernel over the whole index. A batch rides [`ClusterServer`]: a
 //! result cache and a pool over that kernel (DESIGN.md §13).
 
@@ -40,9 +41,7 @@ pub use docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
 pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
 pub use pruned::PruningIndex;
-pub use searcher::{
-    search, search_with_scratch, Bm25Params, Hit, PruningMode, QueryScratch, SearchOptions,
-};
+pub use searcher::{search, search_with_scratch, Hit, PruningMode, QueryScratch, SearchOptions};
 pub use segments::{Generation, SealedSegment, SegmentedIndex, SegmentedSearcher};
 pub use service::{IndexSearcher, SearchService};
 pub use snippet::snippet;

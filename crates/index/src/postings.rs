@@ -21,7 +21,6 @@
 //! the partial tails and the new postings — [`BlockPostings::build`] is that
 //! extension from the empty index, so blocks are made in one place.
 
-use crate::searcher::Bm25Params;
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
@@ -47,21 +46,28 @@ pub(crate) fn bm25_idf(num_docs: f64, df: f64) -> f64 {
 /// once per posting; composing the halves performs the same operations in
 /// the same order as the one-line form.
 #[inline]
-pub(crate) fn bm25_contribution(idf: f64, tf: f64, dl: f64, avg_len: f64, k1: f64, b: f64) -> f64 {
-    bm25_normalised(idf, tf, bm25_length_norm(dl, avg_len, k1, b), k1)
+pub(crate) fn bm25_contribution(idf: f64, tf: f64, dl: f64, avg_len: f64) -> f64 {
+    bm25_normalised(idf, tf, bm25_length_norm(dl, avg_len))
 }
+
+/// BM25 term-frequency saturation. Every query scores under the one pair
+/// `(K1, B)`, so the block maxima stored at build hold until a pending
+/// segment moves `idf` or the average document length (DESIGN.md §14).
+const K1: f64 = 1.2;
+/// BM25 document-length normalisation.
+const B: f64 = 0.75;
 
 /// The document-length term of [`bm25_contribution`]'s denominator.
 #[inline]
-fn bm25_length_norm(dl: f64, avg_len: f64, k1: f64, b: f64) -> f64 {
-    k1 * (1.0 - b + b * dl / avg_len)
+fn bm25_length_norm(dl: f64, avg_len: f64) -> f64 {
+    K1 * (1.0 - B + B * dl / avg_len)
 }
 
 /// [`bm25_contribution`] given its document's [`bm25_length_norm`].
 #[inline]
-fn bm25_normalised(idf: f64, tf: f64, length_norm: f64, k1: f64) -> f64 {
+fn bm25_normalised(idf: f64, tf: f64, length_norm: f64) -> f64 {
     let denom = tf + length_norm;
-    idf * tf * (k1 + 1.0) / denom
+    idf * tf * (K1 + 1.0) / denom
 }
 
 /// One posting: a document and the term's frequency in it.
@@ -358,10 +364,10 @@ pub struct PostingBlock {
     /// Max term frequency in the block.
     pub max_tf: u32,
     /// Min document length over the block's docs — with `max_tf`, enough to
-    /// recompute a safe upper bound under *any* BM25 parameters.
+    /// recompute a safe upper bound under *any* corpus statistics.
     pub min_dl: u32,
-    /// Max BM25 contribution over the block's postings at the default BM25
-    /// parameters, via `bm25_contribution` — exact (it *is* one posting's
+    /// Max BM25 contribution over the block's postings under the index's own
+    /// statistics, via `bm25_contribution` — exact (it *is* one posting's
     /// contribution), so the bound is as tight as possible.
     pub max_contrib: f64,
 }
@@ -462,7 +468,6 @@ impl BlockPostings {
     /// safely but loosely — see DESIGN.md §14 for what that cost).
     pub(crate) fn extended(&self, postings: &Postings) -> Self {
         let size = self.block_size;
-        let Bm25Params { k1, b } = Bm25Params::default();
         let avg_len = postings.avg_doc_len().max(1.0);
         let num_terms = postings.num_terms();
         let terms = (0..next_id(num_terms)).map(TermId);
@@ -473,7 +478,7 @@ impl BlockPostings {
         let length_norm: Vec<f64> = postings
             .doc_len
             .iter()
-            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len, k1, b))
+            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len))
             .collect();
         let mut term_start = Vec::with_capacity(num_terms + 1);
         let mut blocks: Vec<PostingBlock> = Vec::with_capacity(num_blocks);
@@ -501,7 +506,7 @@ impl BlockPostings {
                     .iter()
                     .map(|p| {
                         let norm = length_norm[p.doc.as_usize()];
-                        bm25_normalised(idf, f64::from(p.tf), norm, k1)
+                        bm25_normalised(idf, f64::from(p.tf), norm)
                     })
                     .fold(0.0, f64::max);
             }
@@ -729,7 +734,6 @@ mod tests {
     #[test]
     fn block_max_dominates_every_contribution() {
         let p = block_corpus();
-        let Bm25Params { k1, b } = Bm25Params::default();
         let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE);
         let avg_len = p.avg_doc_len().max(1.0);
         let mut saw_exact = 0usize;
@@ -745,8 +749,6 @@ mod tests {
                         f64::from(posting.tf),
                         f64::from(p.doc_len(posting.doc)),
                         avg_len,
-                        k1,
-                        b,
                     );
                     assert!(
                         c <= block.max_contrib,

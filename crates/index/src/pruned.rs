@@ -37,8 +37,8 @@ use crate::postings::{
     bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
-    admit, annotation_boost, drain_heap_topk, Bm25Params, HeapEntry, Hit, QueryScratch,
-    SearchOptions, ANNOTATION_BOOST,
+    admit, annotation_boost, drain_heap_topk, HeapEntry, Hit, QueryScratch, SearchOptions,
+    ANNOTATION_BOOST,
 };
 use crate::view::{doc_bound, IndexView};
 use deepweb_common::ids::{DocId, TermId};
@@ -57,9 +57,8 @@ pub(crate) fn guard_ub(x: f64) -> f64 {
 /// What one query's block bounds are computed from, fixed for the query.
 struct Bounds {
     avg_len: f64,
-    bm25: Bm25Params,
-    /// The stored maxima hold for this query: it runs the default `(k1, b)`
-    /// and no pending segment has moved `idf` or `avg_len` since the build.
+    /// The stored maxima hold for this query: no segment is pending, so
+    /// nothing has moved `idf` or `avg_len` since the build.
     stored_exact: bool,
 }
 
@@ -67,7 +66,7 @@ impl Bounds {
     /// One block's score upper bound: the stored exact maximum when it holds,
     /// else recomputed from the block's `(max_tf, min_dl)` — contributions
     /// grow with tf and shrink with doc length, so the pair bounds every
-    /// posting at any `idf ≥ 0`, `avg_len > 0` and `(k1 > 0, 0 ≤ b ≤ 1)`.
+    /// posting at any `idf ≥ 0` and `avg_len > 0`.
     #[inline]
     fn block_ub(&self, block: &PostingBlock, idf: f64) -> f64 {
         if self.stored_exact {
@@ -78,8 +77,6 @@ impl Bounds {
                 f64::from(block.max_tf),
                 f64::from(block.min_dl),
                 self.avg_len,
-                self.bm25.k1,
-                self.bm25.b,
             )
         }
     }
@@ -248,8 +245,7 @@ pub(crate) fn pruned_topk(
     let bp = pr.blocks();
     let cx = Bounds {
         avg_len: view.avg_doc_len(),
-        bm25: opts.bm25,
-        stored_exact: view.segments.is_empty() && opts.bm25 == Bm25Params::default(),
+        stored_exact: view.segments.is_empty(),
     };
     let ann_ub = if opts.use_annotations {
         pr.annotation_upper_bound()
@@ -258,7 +254,7 @@ pub(crate) fn pruned_topk(
     };
     let contribution = |idf: f64, p: &Posting| {
         let dl = f64::from(postings.doc_len(p.doc));
-        bm25_contribution(idf, f64::from(p.tf), dl, cx.avg_len, cx.bm25.k1, cx.bm25.b)
+        bm25_contribution(idf, f64::from(p.tf), dl, cx.avg_len)
     };
     let PrunedScratch { terms, lanes, .. } = &mut scratch.pruned;
     // One entry per signature term the base holds, in signature (scoring)
@@ -547,26 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn non_default_bm25_params_recompute_bounds_and_stay_exact() {
-        let idx = build(250);
-        let base = SearchOptions {
-            bm25: Bm25Params { k1: 0.4, b: 0.2 },
-            ..Default::default()
-        };
-        let pruned = SearchOptions {
-            pruning: PruningMode::BlockMax,
-            ..base
-        };
-        for q in QUERIES {
-            assert_eq!(
-                search(&idx, q, 10, pruned),
-                search(&idx, q, 10, base),
-                "q={q:?}"
-            );
-        }
-    }
-
-    #[test]
     fn blockmax_without_built_index_falls_back_to_exhaustive() {
         let mut idx = build(50);
         // Mutating the index drops the pruning structures.
@@ -607,37 +583,34 @@ mod tests {
         let queries = QUERIES
             .iter()
             .chain(&["tesla listing", "red honda tesla", "tesla"]);
-        for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
-            let exhaustive = SearchOptions {
-                bm25,
-                use_annotations: true,
-                ..Default::default()
-            };
-            let pruned = SearchOptions {
-                pruning: PruningMode::BlockMax,
-                ..exhaustive
-            };
-            for q in queries.clone() {
-                for k in [1usize, 10, 1000] {
-                    let want = search(&idx, q, k, exhaustive);
-                    assert_eq!(search(&idx, q, k, pruned), want, "{bm25:?} q={q:?} k={k}");
-                }
+        let exhaustive = SearchOptions {
+            use_annotations: true,
+            ..Default::default()
+        };
+        let pruned = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..exhaustive
+        };
+        for q in queries {
+            for k in [1usize, 10, 1000] {
+                let want = search(&idx, q, k, exhaustive);
+                assert_eq!(search(&idx, q, k, pruned), want, "q={q:?} k={k}");
             }
-            // A doc annotated with another make pays the conflict penalty
-            // for the value only the vocabulary knows.
-            let unannotated = SearchOptions {
-                use_annotations: false,
-                ..pruned
-            };
-            let plain = search(&idx, "tesla listing", 1000, unannotated);
-            let annotated = search(&idx, "tesla listing", 1000, pruned);
-            let doc = (0..idx.len())
-                .map(|d| DocId(d as u32))
-                .find(|&d| !idx.doc(d).annotation_ids.is_empty())
-                .unwrap();
-            let score = |hits: &[Hit]| hits.iter().find(|h| h.doc == doc).map(|h| h.score).unwrap();
-            assert!(score(&annotated) < score(&plain), "{bm25:?} doc {doc:?}");
         }
+        // A doc annotated with another make pays the conflict penalty for the
+        // value only the vocabulary knows.
+        let unannotated = SearchOptions {
+            use_annotations: false,
+            ..pruned
+        };
+        let plain = search(&idx, "tesla listing", 1000, unannotated);
+        let annotated = search(&idx, "tesla listing", 1000, pruned);
+        let doc = (0..idx.len())
+            .map(|d| DocId(d as u32))
+            .find(|&d| !idx.doc(d).annotation_ids.is_empty())
+            .unwrap();
+        let score = |hits: &[Hit]| hits.iter().find(|h| h.doc == doc).map(|h| h.score).unwrap();
+        assert!(score(&annotated) < score(&plain), "doc {doc:?}");
     }
 
     /// The two facts every skip site leans on: a guarded bound is strictly
@@ -797,32 +770,29 @@ mod tests {
             sigs.push(repeated);
             for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
                 let pr = PruningIndex::empty(block_size).extended(&idx);
-                for bm25 in [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }] {
-                    for use_annotations in [false, true] {
-                        let opts = SearchOptions {
-                            bm25,
-                            use_annotations,
-                            ..Default::default()
-                        };
-                        for sig in &sigs {
-                            let holding: std::collections::BTreeSet<u32> = sig
-                                .iter()
-                                .flat_map(|&id| idx.postings().postings_id(id))
-                                .map(|p| p.doc.0)
-                                .collect();
-                            for k in [1usize, 10, 1000] {
-                                let ctx = format!(
-                                    "n={n} size={block_size} {bm25:?} ann={use_annotations} \
-                                     sig={sig:?} k={k}"
-                                );
-                                let want = top_k(&view, sig, k, opts, &mut scratch);
-                                let got = pruned_topk(&view, &pr, sig, k, opts, &mut scratch);
-                                assert_eq!(got, want, "{ctx}");
-                                let scored = scratch.pruned.docs_scored;
-                                assert!(scored <= holding.len(), "{ctx}: {scored}");
-                                if k >= holding.len() {
-                                    assert_eq!(scored, holding.len(), "{ctx}");
-                                }
+                for use_annotations in [false, true] {
+                    let opts = SearchOptions {
+                        use_annotations,
+                        ..Default::default()
+                    };
+                    for sig in &sigs {
+                        let holding: std::collections::BTreeSet<u32> = sig
+                            .iter()
+                            .flat_map(|&id| idx.postings().postings_id(id))
+                            .map(|p| p.doc.0)
+                            .collect();
+                        for k in [1usize, 10, 1000] {
+                            let ctx = format!(
+                                "n={n} size={block_size} ann={use_annotations} \
+                                 sig={sig:?} k={k}"
+                            );
+                            let want = top_k(&view, sig, k, opts, &mut scratch);
+                            let got = pruned_topk(&view, &pr, sig, k, opts, &mut scratch);
+                            assert_eq!(got, want, "{ctx}");
+                            let scored = scratch.pruned.docs_scored;
+                            assert!(scored <= holding.len(), "{ctx}: {scored}");
+                            if k >= holding.len() {
+                                assert_eq!(scored, holding.len(), "{ctx}");
                             }
                         }
                     }

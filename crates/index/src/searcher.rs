@@ -28,21 +28,6 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// BM25 parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation.
-    pub k1: f64,
-    /// Length normalisation.
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
-
 /// Top-k evaluation strategy (DESIGN.md §14). Every mode returns
 /// byte-identical hits; they differ only in how much work they skip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,34 +47,10 @@ pub enum PruningMode {
 /// Scoring options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchOptions {
-    /// BM25 parameters.
-    pub bm25: Bm25Params,
     /// Enable annotation boosting/penalties.
     pub use_annotations: bool,
     /// Top-k evaluation strategy (result bytes are mode-independent).
     pub pruning: PruningMode,
-}
-
-impl SearchOptions {
-    /// Check the BM25 parameters: `k1` finite and > 0, `b` finite in
-    /// `[0, 1]`. The literal is unchecked (it stays `Copy` and free to build
-    /// on the hot path); a front end that takes parameters from outside
-    /// calls this once, before a non-finite `k1` or an out-of-range `b` can
-    /// poison every score a serving tier returns.
-    pub fn validate(&self) -> deepweb_common::Result<()> {
-        let Bm25Params { k1, b } = self.bm25;
-        if !k1.is_finite() || k1 <= 0.0 {
-            return Err(deepweb_common::Error::Config(format!(
-                "bm25 k1 must be finite and > 0, got {k1}"
-            )));
-        }
-        if !b.is_finite() || !(0.0..=1.0).contains(&b) {
-            return Err(deepweb_common::Error::Config(format!(
-                "bm25 b must lie in [0, 1], got {b}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// One search hit.
@@ -393,7 +354,7 @@ pub(crate) fn top_k(
                 let tf = f64::from(p.tf);
                 scratch.add(
                     DocId(offset + p.doc.0),
-                    bm25_contribution(idf, tf, dl, avg_len, opts.bm25.k1, opts.bm25.b),
+                    bm25_contribution(idf, tf, dl, avg_len),
                 );
             }
         }

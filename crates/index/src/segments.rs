@@ -413,7 +413,7 @@ mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
     use crate::postings::{bm25_contribution, Posting};
-    use crate::searcher::{search, Bm25Params, PruningMode};
+    use crate::searcher::{search, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -509,7 +509,6 @@ mod tests {
             SearchOptions {
                 use_annotations: true,
                 pruning: PruningMode::BlockMax,
-                ..Default::default()
             },
         ]
     }
@@ -607,7 +606,6 @@ mod tests {
     fn pending_segments_make_stored_block_maxima_stale() {
         let (base, delta) = stale_corpus();
         let full = rebuild(&base, &delta);
-        let params = [Bm25Params::default(), Bm25Params { k1: 0.4, b: 0.2 }];
         for parts in [1usize, 3] {
             let seg = SegmentedIndex::new(build_base(&base));
             for chunk in delta.chunks(delta.len() / parts) {
@@ -621,7 +619,6 @@ mod tests {
             // contribution exceeds the block's stored maximum.
             let tee = view.term_id("tee").unwrap();
             let (idf, avg_len) = (view.idf(tee), view.avg_doc_len());
-            let Bm25Params { k1, b } = params[0];
             let blocks = gen.base().pruning().unwrap().blocks();
             assert!(blocks.term_blocks(tee).len() >= 4);
             let list = gen.base().postings().postings_id(tee);
@@ -630,7 +627,7 @@ mod tests {
                     .iter()
                     .map(|p| {
                         let dl = f64::from(gen.base().postings().doc_len(p.doc));
-                        bm25_contribution(idf, f64::from(p.tf), dl, avg_len, k1, b)
+                        bm25_contribution(idf, f64::from(p.tf), dl, avg_len)
                     })
                     .fold(0.0, f64::max);
                 assert!(best > block.max_contrib, "block {j}");
@@ -649,24 +646,21 @@ mod tests {
                 .search("tee", 1, blockmax(SearchOptions::default()));
             assert_eq!(top[0].doc.0, 600);
             for phase in ["pending", "merged"] {
-                for bm25 in params {
-                    for use_annotations in [false, true] {
-                        let exhaustive = SearchOptions {
-                            bm25,
-                            use_annotations,
-                            ..Default::default()
-                        };
-                        for q in STALE_QUERIES {
-                            for k in [1, 10, 100] {
-                                let want = search(&full, q, k, exhaustive);
-                                let ctx = format!("{phase} parts={parts} q={q:?} k={k}");
-                                assert_eq!(seg.snapshot().search(q, k, exhaustive), want, "{ctx}");
-                                assert_eq!(
-                                    seg.snapshot().search(q, k, blockmax(exhaustive)),
-                                    want,
-                                    "{ctx}"
-                                );
-                            }
+                for use_annotations in [false, true] {
+                    let exhaustive = SearchOptions {
+                        use_annotations,
+                        ..Default::default()
+                    };
+                    for q in STALE_QUERIES {
+                        for k in [1, 10, 100] {
+                            let want = search(&full, q, k, exhaustive);
+                            let ctx = format!("{phase} parts={parts} q={q:?} k={k}");
+                            assert_eq!(seg.snapshot().search(q, k, exhaustive), want, "{ctx}");
+                            assert_eq!(
+                                seg.snapshot().search(q, k, blockmax(exhaustive)),
+                                want,
+                                "{ctx}"
+                            );
                         }
                     }
                 }

@@ -12,8 +12,7 @@
 //! caring which tier is behind it.
 //!
 //! A query is `(text, k)`; the scoring configuration is a [`SearchOptions`]
-//! literal fixed when a tier is constructed (checked, where it comes from
-//! outside, by [`SearchOptions::validate`]). A caller that wants different
+//! literal fixed when a tier is constructed. A caller that wants different
 //! options for one query calls [`search`] with them.
 //!
 //! [`QueryBroker`]: crate::broker::QueryBroker

@@ -1,15 +1,14 @@
-//! Retry/backoff fetch policy for a hostile web.
+//! The retry discipline for a hostile web.
 //!
 //! Real deep-web hosts time out, throw transient 500s, and rate-limit; the
 //! surfacer has to distinguish "try again" from "give up" or it either loses
 //! coverage to one flaky response or loops forever on a dead endpoint. This
 //! layer classifies failures off the preserved HTTP status and retries only
-//! transient ones, under a bounded, fully deterministic budget.
+//! transient ones, at most [`MAX_RETRIES`] times per fetch.
 //!
 //! Determinism contract: the retry loop consumes no randomness and no wall
-//! clock. Backoff is *simulated* — the policy charges a doubling per-retry
-//! cost against a budget and records the total as a counter, so two runs
-//! with the same fetcher behavior make byte-identical decisions.
+//! clock, so two runs with the same fetcher behavior make byte-identical
+//! decisions.
 
 use deepweb_common::Url;
 use deepweb_common::{Error, Result};
@@ -45,100 +44,40 @@ pub fn classify_error(err: &Error) -> ErrorClass {
     }
 }
 
-/// HTTP status carried by an error, if any (0 for non-HTTP errors).
-pub fn error_status(err: &Error) -> u16 {
-    match err {
-        Error::Http { status, .. } => *status,
-        _ => 0,
-    }
-}
+/// Retries after the first attempt of one fetch. Every fetch the surfacer
+/// makes — crawl, probing, surfacing, refresh — runs under this one bound.
+pub const MAX_RETRIES: u32 = 3;
 
-/// Bounded deterministic retry policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FetchPolicy {
-    /// Maximum retries after the first attempt (0 = single attempt).
-    pub max_retries: u32,
-    /// Simulated backoff before the first retry, in milliseconds; doubles on
-    /// each subsequent retry.
-    pub backoff_base_ms: u64,
-    /// Total simulated backoff a single URL may consume; once spent, the
-    /// remaining retries are forfeited even if transient errors continue.
-    pub backoff_budget_ms: u64,
-}
-
-impl Default for FetchPolicy {
-    fn default() -> Self {
-        FetchPolicy {
-            max_retries: 3,
-            backoff_base_ms: 100,
-            backoff_budget_ms: 2_000,
-        }
-    }
-}
-
-impl FetchPolicy {
-    /// A policy that never retries (the pre-robustness behavior).
-    pub fn none() -> Self {
-        FetchPolicy {
-            max_retries: 0,
-            backoff_base_ms: 0,
-            backoff_budget_ms: 0,
-        }
-    }
-}
-
-/// Accounting for one policy-driven fetch.
+/// Accounting for one retried fetch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FetchAttempt {
     /// Retries actually performed (not counting the first attempt).
     pub retries: u32,
-    /// Transient failures observed (each either retried or budget-forfeited).
+    /// Transient failures observed (each either retried or the last).
     pub transient_failures: u32,
     /// Permanent failures observed (always exactly 0 or 1).
     pub permanent_failures: u32,
-    /// Total simulated backoff charged, in milliseconds.
-    pub backoff_ms: u64,
-    /// Final HTTP status: 200-class on success, the last error status on
-    /// failure, 0 for non-HTTP errors.
-    pub status: u16,
 }
 
-/// Fetch `url` under `policy`: retry transient failures with doubling
-/// simulated backoff until success, a permanent failure, or budget
-/// exhaustion. Returns the final result plus per-fetch accounting.
-pub fn fetch_with_policy(
-    fetcher: &dyn Fetcher,
-    url: &Url,
-    policy: &FetchPolicy,
-) -> (Result<Response>, FetchAttempt) {
+/// Fetch `url`, retrying transient failures until success, a permanent
+/// failure, or [`MAX_RETRIES`] retries. Returns the final result plus
+/// per-fetch accounting.
+pub fn fetch_with_retries(fetcher: &dyn Fetcher, url: &Url) -> (Result<Response>, FetchAttempt) {
     let mut stats = FetchAttempt::default();
-    let mut backoff = policy.backoff_base_ms;
     loop {
-        match fetcher.fetch(url) {
-            Ok(resp) => {
-                stats.status = resp.status;
-                return (Ok(resp), stats);
-            }
-            Err(err) => {
-                stats.status = error_status(&err);
-                match classify_error(&err) {
-                    ErrorClass::Permanent => {
-                        stats.permanent_failures += 1;
-                        return (Err(err), stats);
-                    }
-                    ErrorClass::Transient => {
-                        stats.transient_failures += 1;
-                        let over_budget = stats.backoff_ms + backoff > policy.backoff_budget_ms;
-                        if stats.retries >= policy.max_retries || over_budget {
-                            return (Err(err), stats);
-                        }
-                        stats.retries += 1;
-                        stats.backoff_ms += backoff;
-                        backoff = backoff.saturating_mul(2);
-                    }
-                }
-            }
+        let err = match fetcher.fetch(url) {
+            Ok(resp) => return (Ok(resp), stats),
+            Err(err) => err,
+        };
+        if classify_error(&err) == ErrorClass::Permanent {
+            stats.permanent_failures += 1;
+            return (Err(err), stats);
         }
+        stats.transient_failures += 1;
+        if stats.retries == MAX_RETRIES {
+            return (Err(err), stats);
+        }
+        stats.retries += 1;
     }
 }
 
@@ -203,74 +142,42 @@ mod tests {
     fn transient_failures_retried_to_success() {
         let f = Flaky::new(2, 500);
         let url = Url::new("a.sim", "/");
-        let (res, stats) = fetch_with_policy(&f, &url, &FetchPolicy::default());
+        let (res, stats) = fetch_with_retries(&f, &url);
         assert!(res.is_ok());
         assert_eq!(f.calls(), 3);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.transient_failures, 2);
         assert_eq!(stats.permanent_failures, 0);
-        assert_eq!(stats.status, 200);
-        // Doubling backoff: 100 + 200.
-        assert_eq!(stats.backoff_ms, 300);
     }
 
     #[test]
     fn permanent_failures_never_retried() {
         let f = Flaky::new(10, 404);
         let url = Url::new("a.sim", "/");
-        let (res, stats) = fetch_with_policy(&f, &url, &FetchPolicy::default());
-        assert!(res.is_err());
+        let (res, stats) = fetch_with_retries(&f, &url);
+        assert!(matches!(res, Err(Error::Http { status: 404, .. })));
         assert_eq!(f.calls(), 1);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.permanent_failures, 1);
-        assert_eq!(stats.status, 404);
     }
 
     #[test]
     fn retry_budget_bounds_transient_loops() {
         let f = Flaky::new(100, 503);
         let url = Url::new("a.sim", "/");
-        let policy = FetchPolicy::default();
-        let (res, stats) = fetch_with_policy(&f, &url, &policy);
-        assert!(res.is_err());
-        assert_eq!(f.calls(), policy.max_retries + 1);
-        assert_eq!(stats.retries, policy.max_retries);
-        assert_eq!(stats.status, 503);
-    }
-
-    #[test]
-    fn backoff_budget_forfeits_remaining_retries() {
-        let f = Flaky::new(100, 500);
-        let url = Url::new("a.sim", "/");
-        let policy = FetchPolicy {
-            max_retries: 10,
-            backoff_base_ms: 400,
-            backoff_budget_ms: 1_000,
-        };
-        let (res, stats) = fetch_with_policy(&f, &url, &policy);
-        assert!(res.is_err());
-        // 400 then 800 would exceed 1000, so exactly one retry happens.
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.backoff_ms, 400);
-        assert!(stats.backoff_ms <= policy.backoff_budget_ms);
+        let (res, stats) = fetch_with_retries(&f, &url);
+        assert!(matches!(res, Err(Error::Http { status: 503, .. })));
+        assert_eq!(f.calls(), MAX_RETRIES + 1);
+        assert_eq!(stats.retries, MAX_RETRIES);
+        assert_eq!(stats.transient_failures, MAX_RETRIES + 1);
     }
 
     #[test]
     fn timeout_408_treated_as_transient() {
         let f = Flaky::new(1, 408);
         let url = Url::new("a.sim", "/");
-        let (res, stats) = fetch_with_policy(&f, &url, &FetchPolicy::default());
+        let (res, stats) = fetch_with_retries(&f, &url);
         assert!(res.is_ok());
         assert_eq!(stats.retries, 1);
-    }
-
-    #[test]
-    fn none_policy_reproduces_single_attempt() {
-        let f = Flaky::new(1, 500);
-        let url = Url::new("a.sim", "/");
-        let (res, stats) = fetch_with_policy(&f, &url, &FetchPolicy::none());
-        assert!(res.is_err());
-        assert_eq!(f.calls(), 1);
-        assert_eq!(stats.retries, 0);
     }
 }

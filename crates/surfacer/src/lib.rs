@@ -27,7 +27,7 @@ pub mod urlgen;
 
 pub use correlate::RangePair;
 pub use fetchpolicy::{
-    classify_error, classify_status, fetch_with_policy, ErrorClass, FetchAttempt, FetchPolicy,
+    classify_error, classify_status, fetch_with_retries, ErrorClass, FetchAttempt, MAX_RETRIES,
 };
 pub use formmodel::{analyze_page, forms_in, search_form, CrawledForm, CrawledInput, DependentMap};
 pub use hardening::{is_password_name, is_token_like, ThreatKind};

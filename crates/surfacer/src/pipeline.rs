@@ -15,7 +15,6 @@ use crate::correlate::{
     aligned_range_assignments, candidate_range_pairs, confirm_range, dependent_assignments,
     detect_database_selection, RangePair,
 };
-use crate::fetchpolicy::FetchPolicy;
 use crate::formmodel::{forms_in, CrawledForm};
 use crate::hardening::ThreatKind;
 use crate::indexability::{select_templates, IndexabilityConfig};
@@ -25,7 +24,7 @@ use crate::template::{search_templates, Slot, TemplateConfig};
 use crate::typed::{classify_typed, is_search_box, TypeClass, TypedValueLibrary};
 use crate::urlgen::generate_urls;
 use deepweb_common::text::DfTable;
-use deepweb_common::{FxHashSet, ThreadPool, Url};
+use deepweb_common::{FxHashSet, ThreadPool, Url, DEFAULT_SEED};
 use deepweb_html::Document;
 use deepweb_webworld::Fetcher;
 
@@ -38,8 +37,6 @@ const CRAWL_BUDGET: usize = 3000;
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct SurfacerConfig {
-    /// Seed for value libraries.
-    pub seed: u64,
     /// Keyword probing tuning.
     pub keywords: KeywordConfig,
     /// Template search tuning.
@@ -58,16 +55,11 @@ pub struct SurfacerConfig {
     /// reference path; 0 = auto, sized to the machine; the parallel path is
     /// output-identical to either).
     pub num_workers: usize,
-    /// Retry/backoff policy applied to every fetch the pipeline makes
-    /// (crawl, probing, surfacing). The default retries transient failures;
-    /// honest hosts never trigger it.
-    pub fetch_policy: FetchPolicy,
 }
 
 impl Default for SurfacerConfig {
     fn default() -> Self {
         SurfacerConfig {
-            seed: deepweb_common::DEFAULT_SEED,
             keywords: KeywordConfig::default(),
             templates: TemplateConfig::default(),
             indexability: IndexabilityConfig::default(),
@@ -76,7 +68,6 @@ impl Default for SurfacerConfig {
             follow_pagination: 3,
             follow_details: 20,
             num_workers: 1,
-            fetch_policy: FetchPolicy::default(),
         }
     }
 }
@@ -146,14 +137,12 @@ pub struct SiteReport {
     /// dependency-map values, per input name (feeds the index's facet
     /// vocabulary for annotation-aware serving).
     pub facet_values: Vec<(String, Vec<String>)>,
-    /// Retries the fetch policy spent on this site (analysis + surfacing).
+    /// Retries spent on this site (analysis + surfacing).
     pub retries: u64,
     /// Transient fetch failures observed against this site.
     pub transient_failures: u64,
     /// Permanent fetch failures observed against this site.
     pub permanent_failures: u64,
-    /// Total simulated backoff charged against this site, in milliseconds.
-    pub backoff_ms: u64,
     /// Widgets the hardening audit removed from probe surface (suppressed
     /// hidden tokens, credential fields, uploads) — each one a family of
     /// junk URLs that never reached the index.
@@ -168,7 +157,7 @@ pub struct SiteReport {
 pub struct CrawlStats {
     /// Pages fetched successfully.
     pub pages_fetched: u64,
-    /// URLs that still failed after the retry policy ran out.
+    /// URLs that still failed after the last retry.
     pub fetch_failures: u64,
     /// Retries spent during the crawl.
     pub retries: u64,
@@ -176,8 +165,6 @@ pub struct CrawlStats {
     pub transient_failures: u64,
     /// Permanent failures observed during the crawl.
     pub permanent_failures: u64,
-    /// Total simulated backoff charged during the crawl, in milliseconds.
-    pub backoff_ms: u64,
 }
 
 /// Whole-run outcome.
@@ -246,7 +233,7 @@ pub struct HostOutcome {
     pub host: String,
     /// Overall disposition.
     pub status: HostStatus,
-    /// Retries the fetch policy spent on the host.
+    /// Retries spent on the host.
     pub retries: u64,
 }
 
@@ -290,7 +277,7 @@ struct SurfaceCrawl {
     stats: CrawlStats,
 }
 
-fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> SurfaceCrawl {
+fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url]) -> SurfaceCrawl {
     let mut queue: Vec<(Url, usize)> = seeds.iter().map(|u| (u.clone(), 0)).collect();
     let mut visited: FxHashSet<String> = FxHashSet::default();
     let mut pages = Vec::new();
@@ -298,7 +285,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
     let mut per_host_text: deepweb_common::FxHashMap<String, String> =
         deepweb_common::FxHashMap::default();
     let mut background = DfTable::new();
-    let prober = Prober::with_policy(fetcher, cfg.fetch_policy);
+    let prober = Prober::new(fetcher);
     let mut stats = CrawlStats::default();
     let mut qi = 0;
     while qi < queue.len() && visited.len() < CRAWL_BUDGET {
@@ -308,7 +295,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
             continue;
         }
         let Ok(resp) = prober.fetch_response(&url) else {
-            // A host that stays down after the retry budget degrades the
+            // A host that stays down after the last retry degrades the
             // crawl (its pages are missing) but never aborts it.
             stats.fetch_failures += 1;
             continue;
@@ -351,7 +338,6 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url], cfg: &SurfacerConfig) -> 
     stats.retries = tally.retries;
     stats.transient_failures = tally.transient_failures;
     stats.permanent_failures = tally.permanent_failures;
-    stats.backoff_ms = tally.backoff_ms;
     SurfaceCrawl {
         pages,
         forms,
@@ -556,7 +542,7 @@ fn surface_form(
             .facet_values
             .push((dep.dependent.clone(), dependents));
     }
-    let prober = Prober::with_policy(fetcher, cfg.fetch_policy);
+    let prober = Prober::new(fetcher);
     let slots = build_slots(&prober, form, site_text, background, lib, cfg, &mut report);
     report.slots = slots.len();
     let evals = search_templates(&prober, form, &slots, &cfg.templates);
@@ -619,7 +605,6 @@ fn surface_form(
     report.retries = tally.retries;
     report.transient_failures = tally.transient_failures;
     report.permanent_failures = tally.permanent_failures;
-    report.backoff_ms = tally.backoff_ms;
     report
 }
 
@@ -641,8 +626,8 @@ pub fn crawl_and_surface(
     seeds: &[Url],
     cfg: &SurfacerConfig,
 ) -> SurfacingOutcome {
-    let crawl = crawl_surface(fetcher, seeds, cfg);
-    let lib = TypedValueLibrary::standard(cfg.seed);
+    let crawl = crawl_surface(fetcher, seeds);
+    let lib = TypedValueLibrary::standard(DEFAULT_SEED);
 
     let mut hosts: Vec<(&str, Vec<&CrawledForm>)> = Vec::new();
     for form in &crawl.forms {

@@ -19,9 +19,9 @@
 //! work), and answers a repeat from that memo. The analysis is re-run on
 //! every call, because the signature strips the values of *that*
 //! submission. A failed fetch is not kept, so the next call goes to the
-//! site again under the retry policy.
+//! site again under the retry discipline.
 
-use crate::fetchpolicy::{fetch_with_policy, FetchPolicy};
+use crate::fetchpolicy::fetch_with_retries;
 use crate::formmodel::CrawledForm;
 use deepweb_common::text::tokenize;
 use deepweb_common::{fxhash64, FxHashMap, FxHashSet, Result, Url};
@@ -67,19 +67,16 @@ impl ProbeOutcome {
 pub struct ProbeStats {
     /// Retries spent across all fetches.
     pub retries: u64,
-    /// Transient failures observed (retried or budget-forfeited).
+    /// Transient failures observed (each retried or the last).
     pub transient_failures: u64,
     /// Permanent failures observed.
     pub permanent_failures: u64,
-    /// Total simulated backoff charged, in milliseconds.
-    pub backoff_ms: u64,
 }
 
 /// Wraps a fetcher with request accounting, a per-URL response memo and
 /// response analysis.
 pub struct Prober<'a> {
     fetcher: &'a dyn Fetcher,
-    policy: FetchPolicy,
     requests: Cell<u64>,
     stats: Cell<ProbeStats>,
     /// Body of every successful [`submit`](Self::submit) or
@@ -88,19 +85,12 @@ pub struct Prober<'a> {
 }
 
 impl<'a> Prober<'a> {
-    /// Create a prober over `fetcher` with the default retry policy.
-    ///
-    /// The default policy only changes behavior against hosts that fail
-    /// transiently; an honest server never triggers a retry.
+    /// Create a prober over `fetcher`. Every fetch retries transient
+    /// failures up to [`MAX_RETRIES`](crate::fetchpolicy::MAX_RETRIES)
+    /// times; an honest server never triggers a retry.
     pub fn new(fetcher: &'a dyn Fetcher) -> Self {
-        Self::with_policy(fetcher, FetchPolicy::default())
-    }
-
-    /// Create a prober with an explicit fetch policy.
-    pub fn with_policy(fetcher: &'a dyn Fetcher, policy: FetchPolicy) -> Self {
         Prober {
             fetcher,
-            policy,
             requests: Cell::new(0),
             stats: Cell::new(ProbeStats::default()),
             memo: RefCell::default(),
@@ -114,7 +104,7 @@ impl<'a> Prober<'a> {
         self.requests.get()
     }
 
-    /// Accumulated retry/failure/backoff accounting.
+    /// Accumulated retry/failure accounting.
     pub fn stats(&self) -> ProbeStats {
         self.stats.get()
     }
@@ -131,20 +121,19 @@ impl<'a> Prober<'a> {
         self.fetch_analyzed(url, &[])
     }
 
-    /// Fetch `url` under the policy and return the raw response. The one
-    /// place a [`FetchAttempt`](crate::fetchpolicy::FetchAttempt) is folded
-    /// into the request count and the retry/failure/backoff tally. It
+    /// Fetch `url` with retries and return the raw response. The one place a
+    /// [`FetchAttempt`](crate::fetchpolicy::FetchAttempt) is folded into the
+    /// request count and the retry/failure tally. It
     /// bypasses the memo: the crawl, its one caller outside this module,
     /// never fetches a URL twice.
     pub(crate) fn fetch_response(&self, url: &Url) -> Result<Response> {
-        let (result, attempt) = fetch_with_policy(self.fetcher, url, &self.policy);
+        let (result, attempt) = fetch_with_retries(self.fetcher, url);
         self.requests
             .set(self.requests.get() + 1 + u64::from(attempt.retries));
         let mut s = self.stats.get();
         s.retries += u64::from(attempt.retries);
         s.transient_failures += u64::from(attempt.transient_failures);
         s.permanent_failures += u64::from(attempt.permanent_failures);
-        s.backoff_ms += attempt.backoff_ms;
         self.stats.set(s);
         result
     }
@@ -378,10 +367,9 @@ mod tests {
             let p = Prober::new(&f);
             let out = p.fetch(&Url::new("x.sim", "/"));
             assert!(!out.ok);
-            let policy = crate::fetchpolicy::FetchPolicy::default();
-            assert_eq!(p.stats().retries, u64::from(policy.max_retries));
-            assert_eq!(p.requests(), u64::from(policy.max_retries) + 1);
-            assert!(p.stats().backoff_ms > 0);
+            let max = u64::from(crate::fetchpolicy::MAX_RETRIES);
+            assert_eq!(p.stats().retries, max);
+            assert_eq!(p.requests(), max + 1);
         }
     }
 

@@ -10,7 +10,7 @@ use deepweb_surfacer::{
     SurfacingOutcome, TemplateConfig,
 };
 use deepweb_webworld::{
-    generate, http_error, FaultConfig, FaultKind, FaultyFetcher, Fetcher, Response, WebConfig,
+    generate, http_error, FaultConfig, FaultyFetcher, Fetcher, Response, WebConfig,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -170,7 +170,6 @@ fn same_host_forms_never_run_concurrently() {
     let shared_retries: u64 = (0..RECORDS)
         .map(|i| Url::new("twoforms.sim", "/item").with_param("id", i.to_string()))
         .filter_map(|u| schedule.schedule_for(&u))
-        .filter(|(kind, _)| *kind != FaultKind::Slow)
         .map(|(_, prefix)| u64::from(prefix))
         .sum();
     assert!(

@@ -14,15 +14,6 @@ use deepweb_extract::extract_generic;
 use deepweb_html::WidgetKind;
 use deepweb_webworld::Fetcher;
 
-/// A routed-and-reformulated submission plan for one source.
-#[derive(Clone, Debug)]
-pub struct Reformulation {
-    /// Parameter assignment for the source's form.
-    pub assignment: Vec<(String, String)>,
-    /// How many query tokens the assignment consumed.
-    pub tokens_bound: usize,
-}
-
 /// One merged result.
 #[derive(Clone, Debug)]
 pub struct VerticalHit {
@@ -107,8 +98,9 @@ impl<'a> VerticalEngine<'a> {
 
     /// Reformulate a keyword query for one source: tokens matching a mapped
     /// select's options bind that select; leftover tokens go to the keyword
-    /// box if one is mapped.
-    pub fn reformulate(source: &Source, query: &str) -> Reformulation {
+    /// box if one is mapped. Returns the parameter assignment for the
+    /// source's form.
+    pub fn reformulate(source: &Source, query: &str) -> Vec<(String, String)> {
         let tokens: Vec<String> = tokenize(query).collect();
         let mut assignment: Vec<(String, String)> = Vec::new();
         let mut consumed = vec![false; tokens.len()];
@@ -135,7 +127,6 @@ impl<'a> VerticalEngine<'a> {
             .filter(|(_, &c)| !c)
             .map(|(t, _)| t.clone())
             .collect();
-        let mut tokens_bound = consumed.iter().filter(|&&c| c).count();
         if !leftover.is_empty() {
             if let Some(kw_input) = source
                 .mappings
@@ -143,14 +134,10 @@ impl<'a> VerticalEngine<'a> {
                 .find(|m| m.element == "keywords")
                 .map(|m| m.input.clone())
             {
-                tokens_bound += leftover.len();
                 assignment.push((kw_input, leftover.join(" ")));
             }
         }
-        Reformulation {
-            assignment,
-            tokens_bound,
-        }
+        assignment
     }
 
     /// Answer a query: route, reformulate, submit live, extract result rows,
@@ -164,15 +151,15 @@ impl<'a> VerticalEngine<'a> {
         let mut tok_buf = String::new();
         let mut hits: Vec<VerticalHit> = Vec::new();
         for source in routed {
-            let reform = Self::reformulate(source, query);
-            if reform.assignment.is_empty() {
+            let assignment = Self::reformulate(source, query);
+            if assignment.is_empty() {
                 continue;
             }
             let mut url = source.form.action_url.clone();
             for (k, v) in source.form.hidden_params() {
                 url = url.with_param(k, v);
             }
-            for (k, v) in &reform.assignment {
+            for (k, v) in &assignment {
                 url = url.with_param(k.clone(), v.clone());
             }
             stats.requests += 1;
@@ -266,11 +253,8 @@ mod tests {
         let e = engine(&w);
         let routed = e.route("honda");
         let src = routed.first().expect("routed source");
-        let r = VerticalEngine::reformulate(src, "honda 1995");
-        assert!(r
-            .assignment
-            .iter()
-            .any(|(k, v)| k == "make" && v == "honda"));
+        let assignment = VerticalEngine::reformulate(src, "honda 1995");
+        assert!(assignment.iter().any(|(k, v)| k == "make" && v == "honda"));
     }
 
     #[test]

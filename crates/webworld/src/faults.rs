@@ -2,20 +2,18 @@
 //!
 //! [`FaultyFetcher`] wraps any [`Fetcher`] and makes a configurable fraction
 //! of URLs misbehave the way hostile or flaky real-web hosts do: transient
-//! 500s, timeouts, connections dropped mid-body, and slow responses. Every
-//! decision is a pure function of `(fault seed, url, attempt number)` — no
-//! wall clock, no global RNG — so a crawl against a faulty web is exactly as
-//! reproducible as one against a healthy web, which is what lets the
-//! robustness tests assert byte-identical indexes across runs and worker
-//! counts.
+//! 500s, timeouts, and connections dropped mid-body. Every decision is a
+//! pure function of `(fault seed, url, attempt number)` — no wall clock, no
+//! global RNG — so a crawl against a faulty web is exactly as reproducible
+//! as one against a healthy web, which is what lets the robustness tests
+//! assert byte-identical indexes across runs and worker counts.
 //!
-//! Failing faults are *failure prefixes*: a fault-marked URL fails its first
-//! `k` fetch attempts (`1 ≤ k ≤ max_faults_per_url`) and then succeeds
-//! forever. Keeping `max_faults_per_url` at or below the fetch policy's retry
-//! budget therefore guarantees a retrying crawler sees the same pages as a
+//! Faults are *failure prefixes*: a fault-marked URL fails its first `k`
+//! fetch attempts (`1 ≤ k ≤ max_faults_per_url`) and then succeeds forever.
+//! Keeping `max_faults_per_url` at or below the surfacer's `MAX_RETRIES`
+//! therefore guarantees a retrying crawler sees the same pages as a
 //! fault-free one — the clean-equals-faulty index equality the robustness
-//! tier is built on. Slow responses never fail; they only accrue simulated
-//! delay in [`FaultStats`].
+//! tier is built on.
 
 use crate::fetch::{http_error, Fetcher, Response};
 use deepweb_common::{fxhash64, FxHashMap, Result, Url};
@@ -28,31 +26,23 @@ pub enum FaultKind {
     Transient500,
     /// Fails the failure prefix with HTTP 408 (simulated timeout).
     Timeout,
-    /// Drops the connection partway through the body: the failure prefix
-    /// returns HTTP 502 after delivering a deterministic truncated prefix of
-    /// the real body (tracked in [`FaultStats::truncated_bytes`]).
+    /// Drops the connection partway through the body: the server serves
+    /// the request, and the failure prefix returns HTTP 502.
     TruncatedBody,
-    /// Succeeds, but slowly; accrues simulated delay without failing.
-    Slow,
 }
 
-/// Configuration for [`FaultyFetcher`]. Rates are fractions of the URL space
-/// (disjoint: a URL has at most one fault kind) and must sum to at most 1.
+/// Configuration for [`FaultyFetcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultConfig {
     /// Seed for the fault schedule, independent of the web seed.
     pub seed: u64,
-    /// Fraction of URLs that fail transiently with HTTP 500.
-    pub transient_rate: f64,
-    /// Fraction of URLs that time out (HTTP 408).
-    pub timeout_rate: f64,
-    /// Fraction of URLs whose body is truncated mid-transfer (HTTP 502).
-    pub truncate_rate: f64,
-    /// Fraction of URLs that respond slowly (never fail).
-    pub slow_rate: f64,
+    /// Fraction of URLs marked with a fault, split 2:1:1 over
+    /// [`FaultKind::Transient500`], [`FaultKind::Timeout`] and
+    /// [`FaultKind::TruncatedBody`].
+    pub rate: f64,
     /// Failure-prefix cap: a faulty URL fails at most this many attempts
-    /// before succeeding. Keep at or below the fetch policy's retry budget
-    /// to guarantee eventual success.
+    /// before succeeding. Keep at or below the surfacer's `MAX_RETRIES` to
+    /// guarantee eventual success.
     pub max_faults_per_url: u32,
 }
 
@@ -60,42 +50,26 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             seed: 0,
-            transient_rate: 0.0,
-            timeout_rate: 0.0,
-            truncate_rate: 0.0,
-            slow_rate: 0.0,
+            rate: 0.0,
             max_faults_per_url: 2,
         }
     }
 }
 
 impl FaultConfig {
-    /// A schedule where `rate` of URLs fail transiently (mixed 500 / timeout /
-    /// truncation in 2:1:1 proportion) and a matching share respond slowly.
+    /// A schedule where `rate` of URLs fail transiently, each at most twice.
     pub fn transient(seed: u64, rate: f64) -> Self {
         FaultConfig {
             seed,
-            transient_rate: rate / 2.0,
-            timeout_rate: rate / 4.0,
-            truncate_rate: rate / 4.0,
-            slow_rate: rate / 2.0,
-            max_faults_per_url: 2,
+            rate,
+            ..FaultConfig::default()
         }
     }
 
     fn validate(&self) {
-        let sum = self.transient_rate + self.timeout_rate + self.truncate_rate + self.slow_rate;
         assert!(
-            (0.0..=1.0 + 1e-9).contains(&sum)
-                && [
-                    self.transient_rate,
-                    self.timeout_rate,
-                    self.truncate_rate,
-                    self.slow_rate,
-                ]
-                .iter()
-                .all(|r| (0.0..=1.0).contains(r)),
-            "fault rates must be in [0, 1] and sum to at most 1, got {self:?}"
+            (0.0..=1.0).contains(&self.rate),
+            "fault rate must be in [0, 1], got {self:?}"
         );
         assert!(
             self.max_faults_per_url >= 1,
@@ -116,12 +90,6 @@ pub struct FaultStats {
     pub timeouts: u64,
     /// Attempts failed mid-body with HTTP 502.
     pub truncated: u64,
-    /// Body bytes delivered before truncation, summed over truncated attempts.
-    pub truncated_bytes: u64,
-    /// Successful-but-slow responses.
-    pub slow_responses: u64,
-    /// Simulated delay accrued by slow responses (never actually slept).
-    pub simulated_delay_ms: u64,
 }
 
 impl FaultStats {
@@ -131,9 +99,6 @@ impl FaultStats {
         self.transient_500s += o.transient_500s;
         self.timeouts += o.timeouts;
         self.truncated += o.truncated;
-        self.truncated_bytes += o.truncated_bytes;
-        self.slow_responses += o.slow_responses;
-        self.simulated_delay_ms += o.simulated_delay_ms;
     }
 }
 
@@ -173,19 +138,17 @@ impl<F: Fetcher> FaultyFetcher<F> {
         let h = fxhash64(&format!("{}|{}", self.cfg.seed, url));
         // Top 32 bits pick the fault kind; low bits size the failure prefix.
         let roll = ((h >> 32) as f64) / (u32::MAX as f64 + 1.0);
-        let c = &self.cfg;
-        let kind = if roll < c.transient_rate {
+        let (half, quarter) = (self.cfg.rate / 2.0, self.cfg.rate / 4.0);
+        let kind = if roll < half {
             FaultKind::Transient500
-        } else if roll < c.transient_rate + c.timeout_rate {
+        } else if roll < half + quarter {
             FaultKind::Timeout
-        } else if roll < c.transient_rate + c.timeout_rate + c.truncate_rate {
+        } else if roll < half + quarter + quarter {
             FaultKind::TruncatedBody
-        } else if roll < c.transient_rate + c.timeout_rate + c.truncate_rate + c.slow_rate {
-            FaultKind::Slow
         } else {
             return None;
         };
-        let prefix = 1 + (h as u32) % c.max_faults_per_url;
+        let prefix = 1 + (h as u32) % self.cfg.max_faults_per_url;
         Some((kind, prefix))
     }
 }
@@ -200,50 +163,32 @@ impl<F: Fetcher> Fetcher for FaultyFetcher<F> {
             a
         };
         self.stats.lock().fetches += 1;
-        let Some((kind, prefix)) = self.schedule_for(url) else {
-            return self.inner.fetch(url);
+        let kind = match self.schedule_for(url) {
+            Some((kind, prefix)) if attempt < prefix => kind,
+            _ => return self.inner.fetch(url),
         };
-        let h = fxhash64(&format!("{}|body|{}", self.cfg.seed, url));
-        match kind {
-            FaultKind::Slow => {
-                let resp = self.inner.fetch(url);
-                let mut s = self.stats.lock();
-                s.slow_responses += 1;
-                s.simulated_delay_ms += 200 + h % 1800;
-                resp
-            }
-            _ if attempt >= prefix => self.inner.fetch(url),
+        if kind == FaultKind::TruncatedBody {
+            // The server served the request; the body never arrived whole,
+            // so the caller sees a transport error, exactly as a real HTTP
+            // client reports a short read.
+            let _ = self.inner.fetch(url);
+        }
+        let mut s = self.stats.lock();
+        let status = match kind {
             FaultKind::Transient500 => {
-                self.stats.lock().transient_500s += 1;
-                Err(http_error(500, url))
+                s.transient_500s += 1;
+                500
             }
             FaultKind::Timeout => {
-                self.stats.lock().timeouts += 1;
-                Err(http_error(408, url))
+                s.timeouts += 1;
+                408
             }
             FaultKind::TruncatedBody => {
-                // Deliver a deterministic prefix of the real body (25–75%),
-                // then "drop the connection": the caller sees a transport
-                // error, exactly as a real HTTP client reports a short read.
-                let delivered = match self.inner.fetch(url) {
-                    Ok(resp) => {
-                        let frac = 0.25 + 0.5 * ((h % 1000) as f64 / 1000.0);
-                        let cut = ((resp.html.len() as f64) * frac) as usize;
-                        let mut end = cut.min(resp.html.len());
-                        while end > 0 && !resp.html.is_char_boundary(end) {
-                            end -= 1;
-                        }
-                        end as u64
-                    }
-                    Err(_) => 0,
-                };
-                let mut s = self.stats.lock();
                 s.truncated += 1;
-                s.truncated_bytes += delivered;
-                drop(s);
-                Err(http_error(502, url))
+                502
             }
-        }
+        };
+        Err(http_error(status, url))
     }
 }
 
@@ -264,6 +209,14 @@ mod tests {
 
     fn faulty(cfg: FaultConfig) -> FaultyFetcher<Fixed> {
         FaultyFetcher::new(Fixed, cfg)
+    }
+
+    fn status_of(kind: FaultKind) -> u16 {
+        match kind {
+            FaultKind::Transient500 => 500,
+            FaultKind::Timeout => 408,
+            FaultKind::TruncatedBody => 502,
+        }
     }
 
     #[test]
@@ -288,23 +241,25 @@ mod tests {
     fn failure_prefix_then_success_forever() {
         let cfg = FaultConfig {
             seed: 7,
-            transient_rate: 1.0,
+            rate: 1.0,
             max_faults_per_url: 3,
-            ..FaultConfig::default()
         };
         let f = faulty(cfg);
         let url = Url::new("a.sim", "/search");
         let (kind, prefix) = f.schedule_for(&url).expect("rate 1.0 marks every URL");
-        assert_eq!(kind, FaultKind::Transient500);
         assert!((1..=3).contains(&prefix));
         for _ in 0..prefix {
             let err = f.fetch(&url).unwrap_err();
-            assert!(matches!(err, Error::Http { status: 500, .. }));
+            assert!(matches!(err, Error::Http { status, .. } if status == status_of(kind)));
         }
         for _ in 0..5 {
             assert!(f.fetch(&url).is_ok(), "post-prefix fetches must succeed");
         }
-        assert_eq!(f.stats().transient_500s, prefix as u64);
+        let s = f.stats();
+        assert_eq!(
+            s.transient_500s + s.timeouts + s.truncated,
+            u64::from(prefix)
+        );
     }
 
     #[test]
@@ -322,92 +277,53 @@ mod tests {
         assert!(differs, "different seeds must produce different schedules");
     }
 
+    /// `rate` of the URL space is marked: half of it 500s, a quarter each
+    /// timeouts and truncations.
     #[test]
     fn rates_hit_roughly_the_configured_fraction() {
-        let cfg = FaultConfig {
-            seed: 1,
-            transient_rate: 0.3,
-            ..FaultConfig::default()
-        };
-        let f = faulty(cfg);
-        let n = 2000;
-        let marked = (0..n)
-            .filter(|i| {
-                f.schedule_for(&Url::new(format!("h{i}.sim"), "/page"))
-                    .is_some()
-            })
-            .count();
-        let frac = marked as f64 / n as f64;
-        assert!((0.25..=0.35).contains(&frac), "got {frac}");
+        let f = faulty(FaultConfig::transient(1, 0.4));
+        let n = 4000;
+        let mut kinds = [0usize; 3];
+        for i in 0..n {
+            if let Some((kind, _)) = f.schedule_for(&Url::new(format!("h{i}.sim"), "/page")) {
+                kinds[kind as usize] += 1;
+            }
+        }
+        let frac = |c: usize| c as f64 / n as f64;
+        let marked = frac(kinds.iter().sum());
+        assert!((0.36..=0.44).contains(&marked), "got {marked}");
+        for (kind, want) in kinds.into_iter().zip([0.2, 0.1, 0.1]) {
+            assert!((frac(kind) - want).abs() < 0.03, "{kinds:?}");
+        }
     }
 
     #[test]
     fn timeout_and_truncation_report_their_statuses() {
-        let base = FaultConfig {
+        let f = faulty(FaultConfig {
             seed: 3,
+            rate: 1.0,
             max_faults_per_url: 1,
-            ..FaultConfig::default()
-        };
-        let f = faulty(FaultConfig {
-            timeout_rate: 1.0,
-            ..base
         });
-        let url = Url::new("t.sim", "/");
-        assert!(matches!(
-            f.fetch(&url).unwrap_err(),
-            Error::Http { status: 408, .. }
-        ));
-        assert!(f.fetch(&url).is_ok());
-        assert_eq!(f.stats().timeouts, 1);
-
-        let f = faulty(FaultConfig {
-            truncate_rate: 1.0,
-            ..base
-        });
-        assert!(matches!(
-            f.fetch(&url).unwrap_err(),
-            Error::Http { status: 502, .. }
-        ));
-        let s = f.stats();
-        assert_eq!(s.truncated, 1);
-        let full = Fixed.fetch(&url).unwrap().html.len() as u64;
-        assert!(s.truncated_bytes > 0 && s.truncated_bytes < full);
-        assert!(f.fetch(&url).is_ok());
-    }
-
-    #[test]
-    fn slow_urls_succeed_and_accrue_delay() {
-        let cfg = FaultConfig {
-            seed: 9,
-            slow_rate: 1.0,
-            ..FaultConfig::default()
-        };
-        let f = faulty(cfg);
-        for i in 0..10 {
-            assert!(f.fetch(&Url::new(format!("s{i}.sim"), "/")).is_ok());
+        for want in [FaultKind::Timeout, FaultKind::TruncatedBody] {
+            let url = (0..)
+                .map(|i| Url::new(format!("t{i}.sim"), "/"))
+                .find(|u| f.schedule_for(u).map(|(kind, _)| kind) == Some(want))
+                .expect("rate 1.0 marks every kind somewhere");
+            let err = f.fetch(&url).unwrap_err();
+            assert!(matches!(err, Error::Http { status, .. } if status == status_of(want)));
+            assert!(f.fetch(&url).is_ok());
         }
         let s = f.stats();
-        assert_eq!(s.slow_responses, 10);
-        assert!(s.simulated_delay_ms >= 10 * 200);
-        assert_eq!(s.transient_500s + s.timeouts + s.truncated, 0);
+        assert_eq!((s.transient_500s, s.timeouts, s.truncated), (0, 1, 1));
     }
 
     #[test]
     fn prefix_never_exceeds_cap() {
-        let cfg = FaultConfig {
-            seed: 11,
-            transient_rate: 0.5,
-            timeout_rate: 0.25,
-            truncate_rate: 0.25,
-            max_faults_per_url: 2,
-            ..FaultConfig::default()
-        };
-        let f = faulty(cfg);
+        let f = faulty(FaultConfig::transient(11, 1.0));
         for i in 0..300 {
             let url = Url::new(format!("p{i}.sim"), "/item").with_param("id", "1");
-            if let Some((_, prefix)) = f.schedule_for(&url) {
-                assert!((1..=2).contains(&prefix));
-            }
+            let (_, prefix) = f.schedule_for(&url).expect("rate 1.0 marks every URL");
+            assert!((1..=2).contains(&prefix));
         }
     }
 }

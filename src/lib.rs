@@ -10,7 +10,7 @@
 //! top-k behind one unified `SearchService` API (every
 //! tier — sequential, cluster, freshness — is the same trait object, a query
 //! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
-//! literal checked by its `validate()`, and `PruningMode::BlockMax`
+//! literal, and `PruningMode::BlockMax`
 //! returns the exhaustive kernel's exact bytes while skipping
 //! provably-losing doc regions), WebTables-style semantic
 //! services, record extraction and coverage estimation — all over a

@@ -80,7 +80,6 @@ fn segmented_serving_matches_rebuild_at_every_tier() {
             option_sets.push(SearchOptions {
                 use_annotations,
                 pruning,
-                ..Default::default()
             });
         }
     }
@@ -179,7 +178,6 @@ fn refresh_makes_grown_content_searchable() {
         .iter()
         .position(|s| s.host == grown_host)
         .expect("site exists");
-    sys.fresh_index(); // pin fingerprints before the world changes
     grow_site(&mut sys.world, site_idx, 30, 99);
     let out = sys.refresh(sys.world.server.sites().len());
     assert_eq!(out.changed, 1);

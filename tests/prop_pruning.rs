@@ -39,12 +39,10 @@ proptest! {
             let exhaustive = SearchOptions {
                 use_annotations,
                 pruning: PruningMode::Exhaustive,
-                ..Default::default()
             };
             let pruned = SearchOptions {
                 use_annotations,
                 pruning: PruningMode::BlockMax,
-                ..Default::default()
             };
             for k in [1usize, 3, 10] {
                 let expected: Vec<Vec<Hit>> =

@@ -58,12 +58,10 @@ fn pruned_dump_is_byte_identical_to_exhaustive() {
         let exhaustive = SearchOptions {
             use_annotations,
             pruning: PruningMode::Exhaustive,
-            ..Default::default()
         };
         let pruned = SearchOptions {
             use_annotations,
             pruning: PruningMode::BlockMax,
-            ..Default::default()
         };
         for k in [1usize, 5, 10] {
             for (i, q) in queries.iter().enumerate() {

@@ -4,17 +4,19 @@
 //! 1. **Determinism under faults**: the same seed and fault schedule produce
 //!    a byte-identical index at any worker count, after the build and after
 //!    a refresh round.
-//! 2. **Retry absorption**: when every fault's failure prefix fits inside the
-//!    retry budget, a faulty build indexes *exactly* what a clean build does
-//!    — the fetch policy makes transient chaos invisible downstream.
+//! 2. **Retry absorption**: when every fault's failure prefix fits inside
+//!    `MAX_RETRIES + 1` attempts, a faulty build indexes *exactly* what a
+//!    clean build does — retries make transient chaos invisible downstream.
 //! 3. **Hardening**: a fully hostile corpus (broken markup, junk widgets)
 //!    surfaces the same URL set as its honest twin and indexes zero junk
 //!    URLs, while the robustness report records what was suppressed.
 
 use deepweb::common::{Result, Url};
 use deepweb::index::{BatchDoc, Hit};
-use deepweb::surfacer::{crawl_and_surface, HostStatus};
-use deepweb::webworld::{grow_site, http_error, FaultConfig, FaultStats, Fetcher, Response};
+use deepweb::surfacer::{crawl_and_surface, DocOrigin, HostStatus, MAX_RETRIES};
+use deepweb::webworld::{
+    grow_site, http_error, FaultConfig, FaultStats, FaultyFetcher, Fetcher, Response,
+};
 use deepweb::{quick_config, DeepWebSystem, RefreshOutcome, SystemConfig};
 
 fn cfg_with(num_sites: usize, f: impl FnOnce(&mut SystemConfig)) -> SystemConfig {
@@ -105,7 +107,6 @@ fn refresh_round(workers: usize, faults: Option<FaultConfig>) -> RefreshRound {
         .find(|i| !last_two.contains(i))
         .expect("a third site");
     let grown = [other, last_two[0], last_two[1]];
-    sys.fresh_index();
     for idx in grown {
         grow_site(&mut sys.world, idx, 40, 3);
     }
@@ -147,8 +148,8 @@ fn faulty_refresh_is_deterministic_at_any_worker_count() {
 #[test]
 fn retry_policy_makes_faulty_build_equal_clean_build() {
     let clean = DeepWebSystem::build(&cfg_with(8, |_| {}));
-    // Failure prefixes (≤ 2) fit inside the default retry budget (3), so
-    // every fetch eventually succeeds and the index must come out identical.
+    // Failure prefixes (≤ 2) fit inside `MAX_RETRIES` (3), so every fetch
+    // eventually succeeds and the index must come out identical.
     for rate in [0.1, 0.3] {
         let faulty = DeepWebSystem::build(&cfg_with(8, |c| {
             c.faults = Some(FaultConfig::transient(7, rate));
@@ -273,27 +274,44 @@ fn permanently_dead_host_degrades_without_aborting_the_run() {
     assert!(healthy.docs.len() > outcome.docs.len());
 }
 
+/// The retry bound reaches every prober end to end. Failure prefixes run up
+/// to twice the `MAX_RETRIES + 1` attempts one fetch makes, so the schedule
+/// alone says which site home pages the crawl loses: exactly those whose
+/// prefix covers every attempt. The build still completes (graceful
+/// degradation, not an abort).
 #[test]
 fn surfacer_config_policy_reaches_probers() {
-    // `SurfacerConfig::fetch_policy` is honoured end to end: with no retry
-    // budget, a 1-prefix schedule turns into permanent-looking skips and the
-    // build still completes (graceful degradation, not an abort).
-    let sys = DeepWebSystem::build(&cfg_with(6, |c| {
-        c.surfacer.fetch_policy = deepweb::surfacer::FetchPolicy::none();
-        c.faults = Some(FaultConfig {
-            seed: 21,
-            transient_rate: 0.4,
-            max_faults_per_url: 1,
-            ..Default::default()
-        });
-    }));
-    let stats = sys.fault_stats.expect("faults configured");
-    assert!(stats.transient_500s > 0);
-    assert_eq!(
-        sys.robustness.total_retries(),
-        0,
-        "FetchPolicy::none() must never retry"
+    let attempts = MAX_RETRIES + 1;
+    let faults = FaultConfig {
+        seed: 21,
+        rate: 0.4,
+        max_faults_per_url: 2 * attempts,
+    };
+    let sys = DeepWebSystem::build(&cfg_with(6, |c| c.faults = Some(faults)));
+    let schedule = FaultyFetcher::new(&sys.world.server, faults);
+    let outlasts = |url: &Url| {
+        schedule
+            .schedule_for(url)
+            .is_some_and(|(_, prefix)| prefix >= attempts)
+    };
+    assert!(!outlasts(&Url::new("dir.sim", "/")), "the seed page loads");
+    let mut lost = 0;
+    for site in sys.world.server.sites() {
+        let home = Url::new(site.host.clone(), "/");
+        let crawled = sys
+            .outcome
+            .docs_of(DocOrigin::Surface)
+            .any(|d| d.url == home);
+        assert_eq!(crawled, !outlasts(&home), "{home}");
+        lost += usize::from(outlasts(&home));
+    }
+    assert!(
+        lost > 0,
+        "the schedule must outlast some home page's retries"
     );
+    let crawl = sys.robustness.crawl;
+    assert!(crawl.fetch_failures >= lost as u64, "{crawl:?}");
+    assert!(sys.robustness.total_retries() > 0);
     // Degradation is visible: fewer docs than the clean twin, but a live
     // index nonetheless.
     let clean = DeepWebSystem::build(&cfg_with(6, |_| {}));

@@ -1,13 +1,13 @@
 //! The unified [`SearchService`] contract (DESIGN.md §14): the sequential
 //! searcher, the broker, the cluster and the freshness tier are
 //! interchangeable *as trait objects* — same queries, same `k`, same bytes —
-//! and `validate()` on a config literal rejects the configurations the raw
-//! structs would mis-serve silently.
+//! and `ClusterConfig::validate` rejects the configurations the raw struct
+//! would mis-serve silently.
 
 use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{
-    Bm25Params, CacheConfig, ClusterConfig, ClusterServer, Hit, PruningMode, QueryBroker,
-    SearchOptions, SearchService, SegmentedIndex,
+    CacheConfig, ClusterConfig, ClusterServer, Hit, PruningMode, QueryBroker, SearchService,
+    SegmentedIndex,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::{quick_config, DeepWebSystem};
@@ -76,33 +76,6 @@ fn every_tier_agrees_as_trait_objects() {
             );
         }
     }
-}
-
-/// `SearchOptions::validate` accepts the valid envelope and rejects
-/// non-finite or out-of-range BM25 parameters.
-#[test]
-fn search_options_builder_validates() {
-    let with = |k1: f64, b: f64| SearchOptions {
-        bm25: Bm25Params { k1, b },
-        use_annotations: true,
-        pruning: PruningMode::BlockMax,
-    };
-    assert!(with(0.9, 0.4).validate().is_ok());
-    assert!(with(1.2, 0.0).validate().is_ok());
-    assert!(with(1.2, 1.0).validate().is_ok());
-    assert!(SearchOptions::default().validate().is_ok());
-
-    assert!(with(0.0, 0.75).validate().is_err());
-    assert!(with(-1.0, 0.75).validate().is_err());
-    assert!(with(f64::NAN, 0.75).validate().is_err());
-    assert!(with(f64::INFINITY, 0.75).validate().is_err());
-    assert!(with(1.2, -0.1).validate().is_err());
-    assert!(with(1.2, 1.1).validate().is_err());
-    assert!(with(1.2, f64::NAN).validate().is_err());
-    assert!(matches!(
-        with(1.2, f64::INFINITY).validate(),
-        Err(deepweb::common::Error::Config(_))
-    ));
 }
 
 /// `ClusterConfig::validate` rejects a cache that could never hold an

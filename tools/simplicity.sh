@@ -5,7 +5,8 @@
 #   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
 #      file's first `#[cfg(test)]` (the deepbench package is not counted);
 #   2. `pub` fields of each configuration struct (`*Config`, `*Params`,
-#      `*Policy`, `SearchOptions`) — the independently settable values;
+#      `*Policy`, `SearchOptions`) — the independently settable values —
+#      and their total;
 #   3. findings the analyzer suppresses through `detlint:allow` comments;
 #   4. md5 of `report -- smoke` stdout, which must not move across a refactor.
 #
@@ -29,7 +30,8 @@ echo "== pub fields per configuration struct"
 find crates/*/src -name '*.rs' -not -path '*/bin/deepbench/*' | sort | xargs awk '
     /^pub struct ([A-Za-z0-9]+(Config|Params|Policy)|SearchOptions)( |$)/ { name = $3; fields = 0; next }
     name != "" && /^    pub [a-z_0-9]+:/ { fields++ }
-    name != "" && /^}/ { printf "%-20s %3d\n", name, fields; name = "" }
+    name != "" && /^}/ { printf "%-20s %3d\n", name, fields; total += fields; name = "" }
+    END { printf "%-20s %3d\n", "total", total }
 '
 
 echo "== detlint:allow suppressions"
