@@ -31,23 +31,71 @@ pub struct Annotation {
     /// Facet name.
     pub key: String,
     /// Facet value, as surfaced (display form; matching runs on the
-    /// analysed [`AnnotationIds`] the index derives at ingest).
+    /// analysed tokens the index keeps in its [`AnnotationColumn`]).
     pub value: String,
 }
 
-/// The interned form of one [`Annotation`], computed once at index time: the
+/// One annotation in an [`AnnotationColumn`]: its facet key and where its
+/// analysed value tokens sit in the column's token array.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct ColumnEntry {
+    key: FacetKeyId,
+    lo: u32,
+    hi: u32,
+}
+
+/// The interned form of every document's annotations, computed once at
+/// index time and kept flat beside the doc lengths: per annotation, the
 /// facet key as a [`FacetKeyId`] and the value analysed through the shared
 /// `text` query pipeline (lowercased, punctuation-split, stopwords dropped —
 /// queries drop stopwords, so a value token kept here must be matchable)
 /// into global [`TermId`]s. This is what the annotation-aware scoring pass
-/// compares against the query's resolved ids — zero tokenisation and zero
-/// allocation at serve time.
+/// reads for a scored doc (DESIGN.md §12): two offsets, then one
+/// `(key, value-token range)` entry per annotation — no pointer into the
+/// store of whole documents, no tokenisation, no allocation at serve time.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AnnotationIds {
-    /// Interned facet key.
-    pub key: FacetKeyId,
-    /// Analysed value tokens as global term ids, in value order.
-    pub terms: Vec<TermId>,
+pub struct AnnotationColumn {
+    /// Doc `d`'s entries are `entries[starts[d]..starts[d + 1]]`; one more
+    /// offset than documents.
+    starts: Vec<u32>,
+    entries: Vec<ColumnEntry>,
+    /// Every entry's value tokens, in document then annotation order.
+    tokens: Vec<TermId>,
+}
+
+impl Default for AnnotationColumn {
+    fn default() -> Self {
+        AnnotationColumn {
+            starts: vec![0],
+            entries: Vec::new(),
+            tokens: Vec::new(),
+        }
+    }
+}
+
+impl AnnotationColumn {
+    /// Document `doc`'s annotations in stored order, each as its facet key
+    /// and its value tokens (doc ids local to the column's owner).
+    pub fn doc(&self, doc: DocId) -> impl Iterator<Item = (FacetKeyId, &[TermId])> + '_ {
+        let (lo, hi) = (self.starts[doc.as_usize()], self.starts[doc.as_usize() + 1]);
+        self.entries[lo as usize..hi as usize]
+            .iter()
+            .map(|e| (e.key, &self.tokens[e.lo as usize..e.hi as usize]))
+    }
+
+    /// Append one annotation to the document being written.
+    pub(crate) fn push(&mut self, key: FacetKeyId, terms: &[TermId]) {
+        let lo = next_id(self.tokens.len());
+        self.tokens.extend_from_slice(terms);
+        let hi = next_id(self.tokens.len());
+        self.entries.push(ColumnEntry { key, lo, hi });
+    }
+
+    /// Close the document being written: its entries are the ones pushed
+    /// since the last call.
+    pub(crate) fn end_doc(&mut self) {
+        self.starts.push(next_id(self.entries.len()));
+    }
 }
 
 /// A stored document.
@@ -67,9 +115,6 @@ pub struct StoredDoc {
     pub site: Option<SiteId>,
     /// Structured annotations (empty for surface pages).
     pub annotations: Vec<Annotation>,
-    /// Pre-tokenised annotations, one per entry of `annotations`, interned
-    /// against the index's global term dictionary at ingest.
-    pub annotation_ids: Vec<AnnotationIds>,
 }
 
 /// Documents per chunk, as a shift: a lookup is `id >> CHUNK_BITS` for the
@@ -91,11 +136,7 @@ impl DocStore {
         Self::default()
     }
 
-    /// Append a document, assigning its id. `annotation_ids` must be the
-    /// interned form of `annotations`, entry for entry (the index computes
-    /// both sides from one pass over the annotations; the length check runs
-    /// in release builds too — a mismatch would silently mis-score).
-    #[allow(clippy::too_many_arguments)]
+    /// Append a document, assigning its id.
     pub fn push(
         &mut self,
         url: Url,
@@ -104,13 +145,7 @@ impl DocStore {
         kind: DocKind,
         site: Option<SiteId>,
         annotations: Vec<Annotation>,
-        annotation_ids: Vec<AnnotationIds>,
     ) -> DocId {
-        assert_eq!(
-            annotations.len(),
-            annotation_ids.len(),
-            "annotation_ids must mirror annotations entry for entry"
-        );
         let id = DocId(next_id(self.len));
         let doc = StoredDoc {
             id,
@@ -120,7 +155,6 @@ impl DocStore {
             kind,
             site,
             annotations,
-            annotation_ids,
         };
         match self.chunks.last_mut() {
             // Copy-on-append: a tail chunk another store still reads is
@@ -172,7 +206,6 @@ mod tests {
             DocKind::Surface,
             None,
             vec![],
-            vec![],
         );
         assert_eq!(id, DocId(0));
         assert_eq!(ds.get(id).title, "t");
@@ -188,7 +221,6 @@ mod tests {
                 "body".into(),
                 DocKind::Surface,
                 None,
-                vec![],
                 vec![],
             );
         }
@@ -226,9 +258,13 @@ mod tests {
         }
     }
 
+    /// The store keeps an annotation as surfaced; its interned form lives
+    /// in the column, one `(key, value-token range)` entry per annotation,
+    /// documents with none included.
     #[test]
     fn annotations_stored_with_interned_form() {
         let mut ds = DocStore::new();
+        let mut column = AnnotationColumn::default();
         let id = ds.push(
             Url::new("x.sim", "/r"),
             "t".into(),
@@ -239,14 +275,26 @@ mod tests {
                 key: "make".into(),
                 value: "honda".into(),
             }],
-            vec![AnnotationIds {
-                key: FacetKeyId(0),
-                terms: vec![TermId(7)],
-            }],
         );
+        column.push(FacetKeyId(0), &[TermId(7)]);
+        column.end_doc();
+        column.end_doc();
+        column.push(FacetKeyId(1), &[TermId(2), TermId(9), TermId(2)]);
+        column.push(FacetKeyId(0), &[]);
+        column.end_doc();
         assert_eq!(ds.get(id).annotations[0].value, "honda");
-        assert_eq!(ds.get(id).annotation_ids[0].key, FacetKeyId(0));
-        assert_eq!(ds.get(id).annotation_ids[0].terms, vec![TermId(7)]);
         assert_eq!(ds.get(id).site, Some(SiteId(3)));
+        let doc = |d: u32| -> Vec<(FacetKeyId, Vec<TermId>)> {
+            column.doc(DocId(d)).map(|(k, v)| (k, v.to_vec())).collect()
+        };
+        assert_eq!(doc(id.0), vec![(FacetKeyId(0), vec![TermId(7)])]);
+        assert_eq!(doc(1), vec![]);
+        assert_eq!(
+            doc(2),
+            vec![
+                (FacetKeyId(1), vec![TermId(2), TermId(9), TermId(2)]),
+                (FacetKeyId(0), vec![])
+            ]
+        );
     }
 }

@@ -2,20 +2,42 @@
 //! deduplication (a crawler inserts the same URL only once — URL identity is
 //! the dedup key, as in real surfacing).
 
-use crate::docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
+use crate::docstore::{Annotation, AnnotationColumn, DocKind, DocStore, StoredDoc};
 use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
 use deepweb_common::text::raw_tokens;
-use deepweb_common::{FxHashMap, FxHashSet, TermDict, ThreadPool, Url};
+use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
 use std::sync::Arc;
 
 /// One built doc-range shard as the merge fold reads it: its doc-local
 /// postings, its documents, and per doc and annotation the value tokens as
 /// shard-local term ids — what [`build_shard`] made of the documents.
 pub(crate) type BuiltShard<'a> = (&'a Postings, &'a [BatchDoc], &'a [Vec<Vec<TermId>>]);
+
+/// The facet vocabulary: each analysed value token → the facet keys it is a
+/// known value of, in first-appearance order. Keyed by token because a
+/// query resolves tokens: one lookup per signature position tells it every
+/// facet the position names a value of (DESIGN.md §12).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct FacetVocabulary(FxHashMap<TermId, Vec<FacetKeyId>>);
+
+impl FacetVocabulary {
+    /// Record `term` as a known value of facet `key`.
+    pub(crate) fn know(&mut self, term: TermId, key: FacetKeyId) {
+        let keys = self.0.entry(term).or_default();
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+
+    /// The facet keys `term` is a known value of (empty for most terms).
+    pub(crate) fn keys_of(&self, term: TermId) -> &[FacetKeyId] {
+        self.0.get(&term).map_or(&[], Vec::as_slice)
+    }
+}
 
 /// One document of a batch insert (the argument list of [`SearchIndex::add`]
 /// as a struct, so batches can cross thread boundaries).
@@ -39,10 +61,11 @@ pub struct BatchDoc {
 ///
 /// Annotations ride the same interned dictionary as body text (DESIGN.md
 /// §12): facet keys intern to [`FacetKeyId`]s, annotation values are
-/// analysed through the `text` pipeline at ingest and stored as
-/// pre-tokenised [`TermId`] slices on the docstore, and the facet
-/// vocabulary is an id-keyed set — the annotation-aware scoring pass is an
-/// id-set probe with zero per-query string work.
+/// analysed through the `text` pipeline at ingest and kept as
+/// pre-tokenised [`TermId`] ranges in a flat [`AnnotationColumn`], and the
+/// facet vocabulary maps a value token to its facet keys — a query resolves
+/// it once, and the annotation-aware scoring pass is a column read and mask
+/// tests with zero per-query string work.
 #[derive(Default, Clone, Debug)]
 pub struct SearchIndex {
     docs: DocStore,
@@ -50,10 +73,12 @@ pub struct SearchIndex {
     /// Rendered URL → doc id. A key is one shared allocation, so a copy of
     /// the map (one per merge of the freshness tier) allocates no string.
     by_url: FxHashMap<Arc<str>, DocId>,
+    /// Per doc, its annotations as `(key, value-token range)` entries.
+    annotations: AnnotationColumn,
     /// Facet key text → [`FacetKeyId`], first-appearance order.
     facet_keys: TermDict,
-    /// Facet → known analysed value tokens, both sides interned.
-    facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
+    /// Value token → the facet keys it is a known value of.
+    vocabulary: FacetVocabulary,
     /// Block-max pruning structures (DESIGN.md §14), built on demand by
     /// [`SearchIndex::enable_pruning`] and dropped by any document added — a
     /// stale block bound could unsafely skip, so freshness is structural.
@@ -93,14 +118,13 @@ impl SearchIndex {
 
     /// The bookkeeping of one annotation, run in document order by the
     /// store/facet fold: intern the facet key, feed the analysed value-token
-    /// ids into the vocabulary, and pair them up.
-    fn record_annotation(&mut self, key: &str, terms: Vec<TermId>) -> AnnotationIds {
+    /// ids into the vocabulary, and append the pair to the column.
+    fn record_annotation(&mut self, key: &str, terms: &[TermId]) {
         let key = self.intern_facet_key(key);
-        self.facet_values
-            .entry(key)
-            .or_default()
-            .extend(terms.iter().copied());
-        AnnotationIds { key, terms }
+        for &term in terms {
+            self.vocabulary.know(term, key);
+        }
+        self.annotations.push(key, terms);
     }
 
     fn intern_facet_key(&mut self, key: &str) -> FacetKeyId {
@@ -176,19 +200,14 @@ impl SearchIndex {
         shard_ann_local: &[Vec<Vec<TermId>>],
         remap: &[TermId],
     ) {
+        let mut terms: Vec<TermId> = Vec::new();
         for (doc, ann_local) in shard.into_iter().zip(shard_ann_local) {
-            let annotation_ids: Vec<AnnotationIds> = doc
-                .annotations
-                .iter()
-                .zip(ann_local)
-                .map(|(ann, local_ids)| {
-                    let terms: Vec<TermId> = local_ids
-                        .iter()
-                        .map(|local| remap[local.as_usize()])
-                        .collect();
-                    self.record_annotation(&ann.key, terms)
-                })
-                .collect();
+            for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
+                terms.clear();
+                terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
+                self.record_annotation(&ann.key, &terms);
+            }
+            self.annotations.end_doc();
             self.docs.push(
                 doc.url,
                 doc.title,
@@ -196,7 +215,6 @@ impl SearchIndex {
                 doc.kind,
                 doc.site,
                 doc.annotations,
-                annotation_ids,
             );
         }
     }
@@ -229,8 +247,9 @@ impl SearchIndex {
             docs: self.docs.clone(),
             postings,
             by_url,
+            annotations: self.annotations.clone(),
             facet_keys: self.facet_keys.clone(),
-            facet_values: self.facet_values.clone(),
+            vocabulary: self.vocabulary.clone(),
             pruning: None,
         };
         for (&(_, docs, ann_local), remap) in shards.iter().zip(&remaps) {
@@ -257,9 +276,10 @@ impl SearchIndex {
     /// per-doc annotations only.
     pub fn add_facet_values<I: IntoIterator<Item = String>>(&mut self, key: &str, values: I) {
         let key = self.intern_facet_key(key);
-        let entry = self.facet_values.entry(key).or_default();
         for v in values {
-            entry.extend(self.postings.intern_value(&v));
+            for term in self.postings.intern_value(&v) {
+                self.vocabulary.know(term, key);
+            }
         }
     }
 
@@ -313,11 +333,14 @@ impl SearchIndex {
         crate::service::IndexSearcher { index: self, opts }
     }
 
-    /// Facet → set of known analysed value tokens, both sides interned;
-    /// the structure annotation-aware scoring probes (one id-set lookup per
-    /// facet, one membership test per resolved query id).
-    pub fn facet_values(&self) -> &FxHashMap<FacetKeyId, FxHashSet<TermId>> {
-        &self.facet_values
+    /// Every document's interned annotations, in doc-id order.
+    pub fn annotation_column(&self) -> &AnnotationColumn {
+        &self.annotations
+    }
+
+    /// The facet keys `id` is a known value of (empty for most terms).
+    pub(crate) fn value_keys(&self, id: TermId) -> &[FacetKeyId] {
+        self.vocabulary.keys_of(id)
     }
 
     /// Id of a facet key, if any annotation or facet vocabulary used it.
@@ -342,9 +365,7 @@ impl SearchIndex {
         let Some(id) = self.postings.term_id(value_token) else {
             return false;
         };
-        self.facet_values
-            .get(&key)
-            .is_some_and(|vals| vals.contains(&id))
+        self.value_keys(id).contains(&key)
     }
 
     /// Number of documents.
@@ -426,7 +447,8 @@ impl SearchIndex {
             dbg(&want.facet_keys),
             "{ctx}: facet keys"
         );
-        assert_eq!(self.facet_values, want.facet_values, "{ctx}: facet values");
+        assert_eq!(self.annotations, want.annotations, "{ctx}: annotations");
+        assert_eq!(self.vocabulary, want.vocabulary, "{ctx}: vocabulary");
         assert_eq!(dbg(&self.pruning), dbg(&want.pruning), "{ctx}: pruning");
         let (Some(got), Some(want)) = (self.pruning(), want.pruning()) else {
             panic!("{ctx}: both sides carry pruning structures");
@@ -524,7 +546,12 @@ mod tests {
         assert!(!idx.facet_value_known("make", "tesla"));
         assert!(!idx.facet_value_known("model", "honda"));
         let key = idx.facet_key_id("make").expect("make interned");
-        assert_eq!(idx.facet_values()[&key].len(), 2);
+        for (doc, value) in [(0, "honda"), (1, "ford")] {
+            let id = idx.postings().term_id(value).expect("value interned");
+            let anns: Vec<_> = idx.annotation_column().doc(DocId(doc)).collect();
+            assert_eq!(anns, vec![(key, &[id][..])]);
+            assert_eq!(idx.value_keys(id), [key]);
+        }
     }
 
     #[test]
@@ -552,16 +579,23 @@ mod tests {
         assert!(idx.facet_value_known("make", "honda"));
         assert!(idx.facet_value_known("city", "new"));
         assert!(idx.facet_value_known("city", "york"));
-        let doc = idx.doc(DocId(0));
-        assert_eq!(doc.annotation_ids.len(), 2);
-        // The stored id slices resolve back to the analysed tokens.
-        let city = &doc.annotation_ids[1];
-        let resolved: Vec<&str> = city
-            .terms
-            .iter()
-            .map(|&t| idx.postings().dict().resolve(t))
+        // The column's id ranges resolve back to the analysed tokens.
+        let resolved: Vec<(FacetKeyId, Vec<&str>)> = idx
+            .annotation_column()
+            .doc(DocId(0))
+            .map(|(key, terms)| {
+                let terms = terms.iter().map(|&t| idx.postings().dict().resolve(t));
+                (key, terms.collect())
+            })
             .collect();
-        assert_eq!(resolved, vec!["new", "york"]);
+        let key = |k: &str| idx.facet_key_id(k).expect("key interned");
+        assert_eq!(
+            resolved,
+            vec![
+                (key("make"), vec!["honda"]),
+                (key("city"), vec!["new", "york"])
+            ]
+        );
     }
 
     /// One way in, field for field: a document sequence (repeated URLs,

@@ -37,7 +37,7 @@ mod view;
 pub use broker::QueryBroker;
 pub use cache::{CacheConfig, CacheStats, ResultCache};
 pub use cluster::{ClusterConfig, ClusterServer, ClusterStats};
-pub use docstore::{Annotation, AnnotationIds, DocKind, DocStore, StoredDoc};
+pub use docstore::{Annotation, AnnotationColumn, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
 pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
 pub use pruned::PruningIndex;

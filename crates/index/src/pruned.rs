@@ -15,7 +15,13 @@
 //!   term as `+ 0.0` (and `x + 0.0 == x` bit for bit) — the same
 //!   floating-point sequence the exhaustive `scores[doc] += c` fold runs,
 //!   starting from the same `0.0`. The annotation boost is added after the
-//!   term sum, exactly like the exhaustive pass.
+//!   term sum, exactly like the exhaustive pass, from the same per-query
+//!   facet masks.
+//! - **The annotation bound is the query's.** A window's bound adds the
+//!   index-wide annotation bound only when the query names some facet value
+//!   (its facet masks are not all empty); otherwise every doc's boost is
+//!   `0.0`, the bound is `0`, and the kernel prunes exactly as with
+//!   annotations off.
 //! - **Skipped docs could never be kept.** Every skip — a whole window, a
 //!   doc holding dropped terms only, a candidate discarded on what it is
 //!   known to hold — tests a *guarded* upper bound: `guard_ub` inflates a
@@ -31,7 +37,6 @@
 //!   kernel) or in first-touch order (the exhaustive fold) keeps the same k
 //!   entries bit-for-bit.
 
-use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
 use crate::postings::{
     bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
@@ -122,12 +127,13 @@ impl PruningIndex {
     /// plus one pass of exact block maxima. The annotation bound folds only the
     /// new docs into the stored maximum.
     pub(crate) fn extended(&self, index: &SearchIndex) -> Self {
-        let trackable = |anns: &[AnnotationIds]| {
-            let boostable = |a: &&AnnotationIds| (1..=64).contains(&a.terms.len());
-            anns.iter().filter(boostable).count()
-        };
+        let column = index.annotation_column();
         let max_anns = (self.blocks.docs..doc_bound(index.len()))
-            .map(|id| trackable(&index.doc(DocId(id)).annotation_ids))
+            .map(|id| {
+                let anns = column.doc(DocId(id));
+                anns.filter(|(_, terms)| (1..=64).contains(&terms.len()))
+                    .count()
+            })
             .max()
             .unwrap_or(0);
         PruningIndex {
@@ -232,7 +238,11 @@ fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
 /// argument). Runs on the scratch's recycled heap and window buffers; the
 /// dense score accumulator is untouched. `pr` indexes the base's postings
 /// only; idf and the average doc length are the *view's*, and with a
-/// segment pending every bound is recomputed under them.
+/// segment pending every bound is recomputed under them. With annotations
+/// on, the scratch's facet masks must be `sig`'s: [`top_k`] fills them, and
+/// turns annotations off for a query they show names no facet value.
+///
+/// [`top_k`]: crate::searcher::top_k
 pub(crate) fn pruned_topk(
     view: &IndexView<'_>,
     pr: &PruningIndex,
@@ -257,6 +267,7 @@ pub(crate) fn pruned_topk(
         bm25_contribution(idf, f64::from(p.tf), dl, cx.avg_len)
     };
     let PrunedScratch { terms, lanes, .. } = &mut scratch.pruned;
+    let masks = &scratch.masks;
     // One entry per signature term the base holds, in signature (scoring)
     // order. A term the base never saw (an overlay id) has no blocks and no
     // list here; a term with blocks has postings.
@@ -390,7 +401,7 @@ pub(crate) fn pruned_topk(
                 // one as `+ 0.0`: the exhaustive `scores[doc] += c` sequence.
                 let mut score = terms.iter().fold(0.0, |s, t| s + t.contrib);
                 if opts.use_annotations {
-                    score += annotation_boost(view, sig, DocId(doc));
+                    score += annotation_boost(view, sig, masks, DocId(doc));
                 }
                 docs_scored += 1;
                 admit(heap, k, HeapEntry(score, doc));
@@ -607,7 +618,7 @@ mod tests {
         let annotated = search(&idx, "tesla listing", 1000, pruned);
         let doc = (0..idx.len())
             .map(|d| DocId(d as u32))
-            .find(|&d| !idx.doc(d).annotation_ids.is_empty())
+            .find(|&d| idx.annotation_column().doc(d).next().is_some())
             .unwrap();
         let score = |hits: &[Hit]| hits.iter().find(|h| h.doc == doc).map(|h| h.score).unwrap();
         assert!(score(&annotated) < score(&plain), "doc {doc:?}");
@@ -636,6 +647,43 @@ mod tests {
             p.candidates_dropped,
             p.postings_folded,
         ]
+    }
+
+    /// A query whose ids are no facet's value gets a `0.0` adjustment on
+    /// every doc, so the annotation bound its windows add is `0`: with
+    /// annotations on it scores, skips, drops and folds exactly what it does
+    /// with them off. A bound of [`ANNOTATION_BOOST`] per annotation on every
+    /// window would score more and skip less.
+    #[test]
+    fn a_query_naming_no_facet_value_prunes_as_if_annotations_were_off() {
+        let idx = build(12 * WINDOW + 50);
+        assert!(idx.pruning().unwrap().annotation_upper_bound() > 0.0);
+        let mut scratch = QueryScratch::new();
+        let mut run = |q: &str, k: usize, use_annotations: bool| {
+            let opts = SearchOptions {
+                use_annotations,
+                pruning: PruningMode::BlockMax,
+            };
+            let hits = crate::searcher::search_with_scratch(&idx, q, k, opts, &mut scratch);
+            (hits, counts(&scratch))
+        };
+        let mut skipped = 0;
+        for q in [
+            "listing",
+            "common",
+            "rareterm common",
+            "listing number common",
+        ] {
+            for value in q.split(' ') {
+                assert!(!idx.facet_value_known("make", value), "{value}");
+            }
+            for k in [1usize, 10] {
+                let off = run(q, k, false);
+                assert_eq!(run(q, k, true), off, "q={q:?} k={k}");
+                skipped += off.1[1] + off.1[2];
+            }
+        }
+        assert!(skipped > 0, "no window skipped and no candidate dropped");
     }
 
     /// Every doc names `dense` once and the docs that name `rare` (one in

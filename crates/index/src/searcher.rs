@@ -7,6 +7,14 @@
 //! rescues the "used ford focus 1993" example from the Honda Civic page whose
 //! free text merely mentions the Ford Focus.
 //!
+//! The facet vocabulary is resolved once per query, not once per doc: after
+//! the signature is resolved, `FacetMasks` records for each facet key the
+//! query names a value of which signature positions those values sit at.
+//! The pass over a scored doc then reads its annotations from a flat column
+//! and tests each against its key's mask — an annotation of a facet the
+//! query never names costs one load — and a query that names no facet value
+//! at all skips the pass (and its block-max bound) outright (DESIGN.md §12).
+//!
 //! ## The zero-allocation kernel
 //!
 //! The scoring kernel runs against a reusable [`QueryScratch`]: lowercased
@@ -22,7 +30,7 @@
 use crate::index::SearchIndex;
 use crate::postings::bm25_contribution;
 use crate::view::IndexView;
-use deepweb_common::ids::{DocId, TermId};
+use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -123,6 +131,60 @@ pub struct QueryScratch {
     pub(crate) heap: BinaryHeap<HeapEntry>,
     /// Recycled window state for the block-max pruned kernel.
     pub(crate) pruned: crate::pruned::PrunedScratch,
+    /// The signature's facet-key masks, filled by [`top_k`] when annotations
+    /// score.
+    pub(crate) masks: FacetMasks,
+}
+
+/// Which signature positions are known values of which facet key, filled
+/// once per query so the annotation pass never probes the vocabulary. One
+/// mask word per 64 positions, so a signature of any length is covered.
+#[derive(Default)]
+pub(crate) struct FacetMasks {
+    /// `words` mask words per facet key id: bit `i % 64` of word
+    /// `key * words + i / 64` is set when signature position `i` is a known
+    /// value of `key`. All zeros outside the keys in `named`.
+    table: Vec<u64>,
+    words: usize,
+    /// The keys with a non-empty mask: what the next fill zeroes.
+    named: Vec<FacetKeyId>,
+}
+
+impl FacetMasks {
+    /// Record, for `sig` over `view`, each position under every facet key
+    /// its id is a known value of — one vocabulary lookup per position.
+    pub(crate) fn fill(&mut self, view: &IndexView<'_>, sig: &[TermId]) {
+        for key in self.named.drain(..) {
+            self.table[key.as_usize() * self.words..][..self.words].fill(0);
+        }
+        self.words = sig.len().div_ceil(64);
+        let len = view.num_facet_keys() * self.words;
+        if self.table.len() < len {
+            // Newly exposed words are zero, preserving the invariant.
+            self.table.resize(len, 0);
+        }
+        for (pos, &id) in sig.iter().enumerate() {
+            for key in view.value_keys(id) {
+                let mask = &mut self.table[key.as_usize() * self.words..][..self.words];
+                if mask.iter().all(|&w| w == 0) {
+                    self.named.push(key);
+                }
+                mask[pos / 64] |= 1 << (pos % 64);
+            }
+        }
+    }
+
+    /// True when no position is a known value of any facet: no annotation
+    /// can boost or conflict, so every adjustment is `0.0`.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.named.is_empty()
+    }
+
+    /// The mask of `key`: the positions that are its known values.
+    #[inline]
+    fn of(&self, key: FacetKeyId) -> &[u64] {
+        &self.table[key.as_usize() * self.words..][..self.words]
+    }
 }
 
 impl QueryScratch {
@@ -319,6 +381,10 @@ pub(crate) fn search_view(
 /// reference — every posting is folded: terms in signature order, each
 /// term's runs in ascending doc order, then one annotation pass over the
 /// touched docs. Same bytes.
+///
+/// With annotations on, the signature's [`FacetMasks`] are filled first. A
+/// query naming no facet value scores as if annotations were off: every
+/// adjustment would be `0.0`, and `x + 0.0 == x`.
 pub(crate) fn top_k(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -329,6 +395,15 @@ pub(crate) fn top_k(
     if sig.is_empty() || k == 0 {
         return Vec::new();
     }
+    let opts = if opts.use_annotations {
+        scratch.masks.fill(view, sig);
+        SearchOptions {
+            use_annotations: !scratch.masks.is_empty(),
+            ..opts
+        }
+    } else {
+        opts
+    };
     let base = match (opts.pruning, view.pruning()) {
         (PruningMode::BlockMax, Some(pr)) => {
             let hits = crate::pruned::pruned_topk(view, pr, sig, k, opts, scratch);
@@ -363,7 +438,7 @@ pub(crate) fn top_k(
         // Per-doc adjustments are independent, so iteration order cannot
         // affect the result.
         for &doc in &scratch.touched {
-            scratch.scores[doc.as_usize()] += annotation_boost(view, sig, doc);
+            scratch.scores[doc.as_usize()] += annotation_boost(view, sig, &scratch.masks, doc);
         }
     }
     let folded = top_k_hits(scratch, k);
@@ -378,42 +453,51 @@ pub(crate) fn top_k(
 /// facet where a query token is a *known value* of that facet but this page
 /// is annotated with a different one.
 ///
-/// Everything here is interned: annotation values are pre-tokenised
-/// [`TermId`] slices, the facet vocabulary is an id-set keyed by facet-key
-/// id, and `qids` is the query's resolved-id signature — so one query id
-/// compares against annotation tokens by `u32` equality and probes the
-/// vocabulary with one integer hash. Each annotation takes a single pass
-/// over the resolved ids (no `terms × values` string rescans): a bitmask
-/// tracks which value tokens the query covers while the same pass flags
-/// conflicting ids. Unknown terms are absent from the signature; they could
-/// never cover a value token or probe the vocabulary, so dropping them
-/// changes nothing.
-pub(crate) fn annotation_boost(view: &IndexView<'_>, qids: &[TermId], doc: DocId) -> f64 {
+/// Everything here is interned and resolved per query: the doc's
+/// annotations are `(key, value tokens)` entries of the annotation column,
+/// and `masks` holds, per facet key, the positions of `sig` that are its
+/// known values. An annotation's own value tokens are known values of its
+/// facet, so only a masked position can cover one of them or conflict: a key
+/// with an empty mask is skipped on one load, and otherwise one pass over
+/// the masked positions marks, in a bitmask over the value tokens, those a
+/// query id equals, and flags a conflict at any position whose id is none of
+/// them. The same decisions, in the same order, as a test of every query id
+/// against the vocabulary; unknown terms are absent from the signature and
+/// could never cover a value token or be a facet value.
+pub(crate) fn annotation_boost(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    masks: &FacetMasks,
+    doc: DocId,
+) -> f64 {
     let mut boost = 0.0;
-    for ann in view.annotations(doc) {
-        let value_ids = &ann.terms;
-        if value_ids.is_empty() || value_ids.len() > 64 {
-            // Empty: nothing to match (and nothing to conflict with, since a
-            // conflict is "a different value of *this* facet"). >64 tokens
-            // cannot happen for form-input values; skip rather than score a
-            // facet we cannot track exactly.
+    for (key, value_ids) in view.annotations(doc) {
+        let mask = masks.of(key);
+        if mask.iter().all(|&w| w == 0) || value_ids.is_empty() || value_ids.len() > 64 {
+            // Empty value: nothing to match (and nothing to conflict with,
+            // since a conflict is "a different value of *this* facet"). >64
+            // tokens cannot happen for form-input values; skip rather than
+            // score a facet we cannot track exactly.
             continue;
         }
         let full: u64 = u64::MAX >> (64 - value_ids.len());
         let mut covered: u64 = 0;
         let mut conflict = false;
-        for &qid in qids {
-            let mut is_value_token = false;
-            for (vi, &v) in value_ids.iter().enumerate() {
-                if v == qid {
-                    covered |= 1 << vi;
-                    is_value_token = true;
+        for (wi, &word) in mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let qid = sig[wi * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                let mut is_value_token = false;
+                for (vi, &v) in value_ids.iter().enumerate() {
+                    if v == qid {
+                        covered |= 1 << vi;
+                        is_value_token = true;
+                    }
                 }
-            }
-            // Conflict candidate: a query id that is a known value of this
-            // facet but not one of this annotation's own tokens.
-            if !is_value_token && !conflict {
-                conflict = view.facet_has(ann.key, qid);
+                // A known value of this facet that is not one of this
+                // annotation's own tokens.
+                conflict |= !is_value_token;
             }
         }
         if covered == full {

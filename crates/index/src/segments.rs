@@ -21,8 +21,8 @@
 //!    the base dictionary *extended by the generation's overlay* — exactly
 //!    the order [`Postings::absorb`] re-interns terms at merge time. Overlay
 //!    ids therefore *are* the post-merge global ids, and a segment's interned
-//!    annotation layer ([`SealedSegment`]'s per-doc [`AnnotationIds`]) is the
-//!    one the merged index stores.
+//!    annotation layer ([`SealedSegment`]'s [`AnnotationColumn`]) holds the
+//!    entries the merged index's column holds for those docs.
 //! 2. **Global statistics.** The one kernel evaluates the one BM25
 //!    expression against the generation's `IndexView`: `N` and the average
 //!    doc length are recomputed from exact integer totals (base +
@@ -61,16 +61,17 @@
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
 //! copied once at its final length; only the delta is analysed, remapped or
 //! described by new blocks. What still scales with the base is that one copy
-//! of the raw lists and the exact-maxima pass over them.
+//! of the raw lists and the exact-maxima pass over them, plus one flat copy
+//! of the annotation column.
 
-use crate::docstore::AnnotationIds;
-use crate::index::{build_shard, BatchDoc, BuiltShard, SearchIndex};
+use crate::docstore::AnnotationColumn;
+use crate::index::{build_shard, BatchDoc, BuiltShard, FacetVocabulary, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
 use crate::view::{doc_bound, next_id, IndexView};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
-use deepweb_common::{FxHashMap, FxHashSet, ThreadPool};
+use deepweb_common::{FxHashMap, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -92,9 +93,9 @@ pub struct SealedSegment {
     /// what [`SearchIndex::merged`] remaps at merge time.
     ann_local: Vec<Vec<Vec<TermId>>>,
     /// Per doc: the interned annotations in generation-global ids — what the
-    /// query-time annotation pass reads. Identical to what the merged index
-    /// will store for these docs (id replay, see module docs).
-    pub(crate) ann_global: Vec<Vec<AnnotationIds>>,
+    /// query-time annotation pass reads. The entries the merged index's
+    /// column will hold for these docs (id replay, see module docs).
+    pub(crate) annotations: AnnotationColumn,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
     pub(crate) inv: FxHashMap<TermId, TermId>,
@@ -124,9 +125,9 @@ pub(crate) struct Overlay {
     pub(crate) terms: FxHashMap<String, TermId>,
     /// Facet keys absent from the base → their generation id (same replay).
     facet_keys: FxHashMap<String, FacetKeyId>,
-    /// Facet-vocabulary *additions* from segment annotations; probed as a
+    /// Facet-vocabulary *additions* from segment annotations; read as a
     /// union with the base's vocabulary.
-    pub(crate) facet_values: FxHashMap<FacetKeyId, FxHashSet<TermId>>,
+    vocabulary: FacetVocabulary,
     /// Rendered URL → global doc id of every segment doc (the base's
     /// `by_url` covers the rest) — the entries, shared keys included, that
     /// the merge adds to the next base's `by_url`.
@@ -136,6 +137,18 @@ pub(crate) struct Overlay {
     /// Total tokens across base + segments (integer numerator of the merged
     /// average doc length).
     pub(crate) total_len: u64,
+}
+
+impl Overlay {
+    /// Facet keys the base does not know.
+    pub(crate) fn num_facet_keys(&self) -> usize {
+        self.facet_keys.len()
+    }
+
+    /// The facet keys the segments made `id` a known value of.
+    pub(crate) fn value_keys(&self, id: TermId) -> &[FacetKeyId] {
+        self.vocabulary.keys_of(id)
+    }
 }
 
 /// One immutable snapshot of the freshness tier: a base index plus sealed
@@ -296,11 +309,12 @@ impl SegmentedIndex {
         // `record_annotation`'s per-doc, per-annotation interning order for
         // facet keys and vocabulary additions.
         let base_keys = gen.base.num_facet_keys();
-        let mut ann_global: Vec<Vec<AnnotationIds>> = Vec::with_capacity(fresh.len());
+        let mut annotations = AnnotationColumn::default();
+        let mut terms: Vec<TermId> = Vec::new();
         for (doc, anns) in fresh.iter().zip(&ann_local) {
-            let mut out = Vec::with_capacity(anns.len());
             for (ann, local_ids) in doc.annotations.iter().zip(anns) {
-                let terms: Vec<TermId> = local_ids.iter().map(|&l| remap[l.as_usize()]).collect();
+                terms.clear();
+                terms.extend(local_ids.iter().map(|&l| remap[l.as_usize()]));
                 let known = gen.base.facet_key_id(&ann.key);
                 let key = match known.or_else(|| overlay.facet_keys.get(&ann.key).copied()) {
                     Some(key) => key,
@@ -310,20 +324,18 @@ impl SegmentedIndex {
                         next
                     }
                 };
-                overlay
-                    .facet_values
-                    .entry(key)
-                    .or_default()
-                    .extend(terms.iter().copied());
-                out.push(AnnotationIds { key, terms });
+                for &term in &terms {
+                    overlay.vocabulary.know(term, key);
+                }
+                annotations.push(key, &terms);
             }
-            ann_global.push(out);
+            annotations.end_doc();
         }
         let segment = SealedSegment {
             base_doc: doc_bound(overlay.num_docs),
             docs: fresh,
             ann_local,
-            ann_global,
+            annotations,
             inv,
             postings,
         };
@@ -732,10 +744,15 @@ mod tests {
         // Structural identity, not just ranking identity: same stats, same
         // facet layer, same per-doc interned annotations.
         assert_eq!(gen.base().stats(), full.stats());
-        assert_eq!(gen.base().facet_values(), full.facet_values());
+        assert_eq!(gen.base().annotation_column(), full.annotation_column());
         for (a, b) in gen.base().docs().iter().zip(full.docs().iter()) {
-            assert_eq!(a.annotation_ids, b.annotation_ids, "doc {}", a.id);
             assert_eq!(a.url, b.url);
+            // Every value here is one token: each is a known value of its
+            // facet on both sides.
+            for ann in &a.annotations {
+                let known = |idx: &SearchIndex| idx.facet_value_known(&ann.key, &ann.value);
+                assert!(known(gen.base()) && known(&full), "doc {}: {ann:?}", a.id);
+            }
         }
         gen.base().assert_same_as(&full, "two segments");
     }

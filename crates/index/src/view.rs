@@ -12,13 +12,11 @@
 //! over base + segments, and a term's runs come back in ascending global doc
 //! order — the merged posting list's order.
 
-use crate::docstore::AnnotationIds;
 use crate::index::SearchIndex;
 use crate::postings::{bm25_idf, Posting, Postings};
 use crate::pruned::PruningIndex;
 use crate::segments::{Overlay, SealedSegment};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
-use deepweb_common::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// One contiguous run of a term's postings: the global doc id of the run's
@@ -129,26 +127,34 @@ impl<'a> IndexView<'a> {
         std::iter::once((0, base_list, base)).chain(seg_runs)
     }
 
-    /// A doc's interned annotations, wherever the doc lives.
-    pub(crate) fn annotations(&self, doc: DocId) -> &'a [AnnotationIds] {
+    /// A doc's interned annotations, `(key, value tokens)` each, read from
+    /// the annotation column of whichever part holds the doc.
+    pub(crate) fn annotations(
+        &self,
+        doc: DocId,
+    ) -> impl Iterator<Item = (FacetKeyId, &'a [TermId])> + 'a {
         if doc.as_usize() < self.base.len() {
-            return &self.base.docs().get(doc).annotation_ids;
+            return self.base.annotation_column().doc(doc);
         }
         let si = self
             .segments
             .partition_point(|s| s.base_doc <= doc.0)
             .saturating_sub(1);
         let seg = &self.segments[si];
-        &seg.ann_global[(doc.0 - seg.base_doc) as usize]
+        seg.annotations.doc(DocId(doc.0 - seg.base_doc))
     }
 
-    /// Facet-vocabulary probe over the base ∪ overlay union — the merged
-    /// index's vocabulary, by construction.
-    pub(crate) fn facet_has(&self, key: FacetKeyId, id: TermId) -> bool {
-        let has = |vals: &FxHashMap<FacetKeyId, FxHashSet<TermId>>| {
-            vals.get(&key).is_some_and(|v| v.contains(&id))
-        };
-        has(self.base.facet_values()) || self.overlay.is_some_and(|o| has(&o.facet_values))
+    /// Interned facet keys over base + overlay: every key id is below it.
+    pub(crate) fn num_facet_keys(&self) -> usize {
+        self.base.num_facet_keys() + self.overlay.map_or(0, |o| o.num_facet_keys())
+    }
+
+    /// The facet keys `id` is a known value of, over the base ∪ overlay
+    /// vocabulary — the merged index's vocabulary, by construction. A key
+    /// may come back twice (once from each side).
+    pub(crate) fn value_keys(&self, id: TermId) -> impl Iterator<Item = FacetKeyId> + 'a {
+        let overlay = self.overlay.map_or(&[][..], |o| o.value_keys(id));
+        self.base.value_keys(id).iter().chain(overlay).copied()
     }
 
     /// The base's block-max structures, valid for docs `[0, base.len())`

@@ -420,3 +420,84 @@ fn pending_segments_and_the_merged_base_serve_the_oracle() {
         assert_eq!(got, want, "sys.search {q:?}");
     }
 }
+
+/// Facet conflicts past the 64th query term. The scoring pass keeps one mask
+/// word per 64 signature positions, so a facet value at position 70 must
+/// boost and conflict exactly as one at position 3. Every query here names
+/// at least 70 distinct known terms, with its facet values after the 64th;
+/// one city value repeats a token (`walla walla`), which a single query
+/// token names in full. Both pruning modes must return the oracle's bits,
+/// and every query must demote some page on a conflict.
+#[test]
+fn queries_past_64_terms_keep_every_facet_conflict() {
+    const DOCS: usize = 300;
+    let makes = ["honda", "ford", "toyota"];
+    let cities = ["walla walla", "new york", "Walla-Walla", ""];
+    let docs: Vec<BatchDoc> = (0..DOCS)
+        .map(|i| {
+            let mut words: Vec<String> =
+                (0..25).map(|j| format!("f{}", (i * 7 + j) % 100)).collect();
+            words.push(makes[i % 3].to_string());
+            let mut annotations = vec![Annotation {
+                key: "make".into(),
+                value: makes[i % 3].into(),
+            }];
+            if !cities[i % 4].is_empty() {
+                annotations.push(Annotation {
+                    key: "city".into(),
+                    value: cities[i % 4].into(),
+                });
+            }
+            BatchDoc {
+                url: Url::new("long.sim", format!("/d{i}")),
+                title: String::new(),
+                text: words.join(" "),
+                kind: DocKind::Surfaced,
+                site: None,
+                annotations,
+            }
+        })
+        .collect();
+    let oracle = Oracle::of_docs(docs.iter().map(pending));
+    let fillers =
+        |range: std::ops::Range<usize>| -> Vec<String> { range.map(|j| format!("f{j}")).collect() };
+    let tail = |values: &[&str]| -> String {
+        let mut words = fillers(0..70);
+        words.extend(values.iter().map(|v| v.to_string()));
+        words.join(" ")
+    };
+    let mut queries: Vec<String> = [
+        &["honda"][..],
+        &["walla"],
+        &["new"],
+        &["new", "york", "ford"],
+        &["toyota", "walla"],
+    ]
+    .iter()
+    .map(|values| tail(values))
+    .collect();
+    // One value before position 64 and one well past it.
+    let mut split = vec!["ford".to_string()];
+    split.extend(fillers(0..80));
+    split.push("york".to_string());
+    queries.push(split.join(" "));
+    let mut index = SearchIndex::new();
+    index.add_batch(&ThreadPool::new(2), docs);
+    index.enable_pruning();
+    for q in &queries {
+        let distinct: BTreeSet<String> = analysed(q).into_iter().collect();
+        let known = |t: &String| index.postings().term_id(t).is_some();
+        assert!(distinct.len() >= 70 && distinct.iter().all(known), "{q:?}");
+    }
+    let serve = |q: &str, k: usize, opts: SearchOptions| search(&index, q, k, opts);
+    let (nonempty, adjusted) = assert_serves_the_oracle(serve, &oracle, &queries);
+    assert_eq!((nonempty, adjusted), (queries.len(), queries.len()));
+    for q in &queries {
+        let plain: BTreeMap<u32, f64> = oracle.search(q, usize::MAX, false).into_iter().collect();
+        let demoted = oracle
+            .search(q, usize::MAX, true)
+            .iter()
+            .any(|&(doc, score)| score < plain[&doc]);
+        assert!(demoted, "no facet conflict for {q:?}");
+    }
+}

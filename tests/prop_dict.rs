@@ -212,11 +212,11 @@ proptest! {
             prop_assert_eq!(&got_lens, &lens);
             let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
             prop_assert_eq!(postings.total_doc_len(), total);
-            for (doc, want) in index.docs().iter().zip(&values) {
-                let got: Vec<Vec<&str>> = doc
-                    .annotation_ids
-                    .iter()
-                    .map(|a| a.terms.iter().map(|&t| postings.dict().resolve(t)).collect())
+            let column = index.annotation_column();
+            for (doc, want) in values.iter().enumerate() {
+                let got: Vec<Vec<&str>> = column
+                    .doc(DocId(doc as u32))
+                    .map(|(_, terms)| terms.iter().map(|&t| postings.dict().resolve(t)).collect())
                     .collect();
                 prop_assert_eq!(&got, want);
             }
@@ -279,10 +279,18 @@ proptest! {
             format!("{:?}", sequential.postings()),
             format!("{:?}", parallel.postings())
         );
-        // … and the annotation layer replays with them.
-        prop_assert_eq!(sequential.facet_values(), parallel.facet_values());
-        for (s, p) in sequential.docs().iter().zip(parallel.docs().iter()) {
-            prop_assert_eq!(&s.annotation_ids, &p.annotation_ids);
+        // … and the annotation layer replays with them: the same column,
+        // and the same known values under every key any doc names.
+        prop_assert_eq!(sequential.annotation_column(), parallel.annotation_column());
+        for doc in sequential.docs().iter() {
+            for ann in &doc.annotations {
+                for (_, term) in sequential.postings().dict().iter() {
+                    prop_assert_eq!(
+                        sequential.facet_value_known(&ann.key, term),
+                        parallel.facet_value_known(&ann.key, term)
+                    );
+                }
+            }
         }
     }
 }
