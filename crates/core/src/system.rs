@@ -27,8 +27,8 @@ pub struct SystemConfig {
     pub use_annotations: bool,
     /// Top-k evaluation strategy for every serving tier (DESIGN.md §14).
     /// Results are byte-identical across modes; [`PruningMode::BlockMax`]
-    /// skips provably-losing doc regions via the block-max index built at
-    /// the end of [`DeepWebSystem::build`].
+    /// skips provably-losing doc regions of a query with long enough lists
+    /// via the block-max index built at the end of [`DeepWebSystem::build`].
     pub pruning: PruningMode,
     /// Optional fault injection: when set, every build/refresh fetch goes
     /// through a [`FaultyFetcher`] with this schedule. The surfacer's

@@ -6,6 +6,13 @@
 //! hold a folded term and could still reach the threshold are scored — and
 //! the hits are still **byte-identical** to the exhaustive reference's.
 //!
+//! The kernel runs only for a query that reads more than
+//! `MAX_FOLDED_POSTINGS` postings over the whole view: at or below that,
+//! `searcher::top_k` folds, because windows over short lists cost more in
+//! set-up than they skip. Its tests reach it through
+//! `searcher::windowed_top_k`, the branch `top_k` takes above the cutoff,
+//! whatever their corpora read.
+//!
 //! Why pruning preserves the determinism contract:
 //!
 //! - **Scored docs get the exact exhaustive score.** A doc is only scored
@@ -162,6 +169,19 @@ impl PruningIndex {
 /// probe's readings). A multiple of 64: the window bitmap is whole words.
 const WINDOW: usize = 256;
 
+/// The most postings a [`PruningMode::BlockMax`] query folds instead of
+/// windowing: 32 windows' worth. A constant, not a knob. At or below it the
+/// sum of the signature's view-wide `df` — every posting the exhaustive fold
+/// reads — is too short for windows to pay: on 811 distinct `offline_build`
+/// queries block-max took 20.6 ms against the fold's 14.2, and on 60 000-
+/// and 40 000-doc corpora choosing by this rule beat always windowing
+/// (232.0 against 237.6 ms, 160.6 against 165.7) while folding 11% and 14%
+/// of the queries. Cutoffs of 4 096 and 16 384 came within 1% of it on all
+/// four probes, 1 024 kept only 28% of the offline gain (DESIGN.md §14).
+///
+/// [`PruningMode::BlockMax`]: crate::searcher::PruningMode::BlockMax
+pub(crate) const MAX_FOLDED_POSTINGS: usize = 32 * WINDOW;
+
 /// One query term's place in its raw list, fixed for the query (`id`, `idf`)
 /// or for the current window (the rest). Positions, never postings, so
 /// [`PrunedScratch`] recycles it across queries and indexes.
@@ -198,7 +218,7 @@ impl TermWindow {
 /// Recycled state for the pruned kernel, reused across queries like every
 /// other scratch buffer, and the last query's deterministic counters — each
 /// a pure function of (view, query, k, options), identical at any worker
-/// count.
+/// count, and all 0 when the query was folded.
 #[derive(Default)]
 pub(crate) struct PrunedScratch {
     /// The signature terms the base holds, in signature order.
@@ -218,6 +238,16 @@ pub(crate) struct PrunedScratch {
     /// Postings whose contribution was computed: the essential slices, plus
     /// each non-essential posting a surviving candidate landed on.
     pub(crate) postings_folded: usize,
+}
+
+impl PrunedScratch {
+    /// Zero the counters: a query the windowed kernel does not run reads 0.
+    pub(crate) fn clear_counts(&mut self) {
+        self.docs_scored = 0;
+        self.windows_skipped = 0;
+        self.candidates_dropped = 0;
+        self.postings_folded = 0;
+    }
 }
 
 /// First index in `list[from..to]` whose doc is ≥ `doc`, by doubling steps
@@ -420,8 +450,21 @@ pub(crate) fn pruned_topk(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
-    use crate::searcher::{search, top_k, PruningMode};
+    use crate::searcher::{search, search_windowed, top_k, PruningMode};
     use deepweb_common::Url;
+
+    /// [`search`] through the windowed kernel whatever the query reads: the
+    /// corpora here sit below [`MAX_FOLDED_POSTINGS`], where [`top_k`]
+    /// would fold.
+    fn windowed(
+        idx: &SearchIndex,
+        q: &str,
+        k: usize,
+        opts: SearchOptions,
+        scratch: &mut QueryScratch,
+    ) -> Vec<Hit> {
+        search_windowed(&IndexView::sealed(idx), q, k, opts, scratch)
+    }
 
     /// A corpus big enough to span many blocks for the common terms, with
     /// annotations on a slice of docs.
@@ -486,14 +529,19 @@ mod tests {
             pruning: PruningMode::BlockMax,
             ..Default::default()
         };
+        let mut scratch = QueryScratch::new();
         for q in QUERIES {
-            assert!(search(&idx, q, 0, pruned).is_empty(), "q={q:?}");
+            assert!(
+                windowed(&idx, q, 0, pruned, &mut scratch).is_empty(),
+                "q={q:?}"
+            );
         }
     }
 
     #[test]
     fn pruned_equals_exhaustive_sequential() {
         let idx = build(400);
+        let mut scratch = QueryScratch::new();
         for use_annotations in [false, true] {
             let exhaustive = SearchOptions {
                 use_annotations,
@@ -506,7 +554,7 @@ mod tests {
             for k in [1usize, 3, 10, 100, 1000] {
                 for q in QUERIES {
                     assert_eq!(
-                        search(&idx, q, k, pruned),
+                        windowed(&idx, q, k, pruned, &mut scratch),
                         search(&idx, q, k, exhaustive),
                         "q={q:?} k={k} ann={use_annotations}"
                     );
@@ -570,9 +618,10 @@ mod tests {
             pruning: PruningMode::BlockMax,
             ..Default::default()
         };
+        let mut scratch = QueryScratch::new();
         for q in QUERIES {
             assert_eq!(
-                search(&idx, q, 10, pruned),
+                windowed(&idx, q, 10, pruned, &mut scratch),
                 search(&idx, q, 10, SearchOptions::default()),
                 "q={q:?}"
             );
@@ -602,10 +651,12 @@ mod tests {
             pruning: PruningMode::BlockMax,
             ..exhaustive
         };
+        let mut scratch = QueryScratch::new();
         for q in queries {
             for k in [1usize, 10, 1000] {
                 let want = search(&idx, q, k, exhaustive);
-                assert_eq!(search(&idx, q, k, pruned), want, "q={q:?} k={k}");
+                let got = windowed(&idx, q, k, pruned, &mut scratch);
+                assert_eq!(got, want, "q={q:?} k={k}");
             }
         }
         // A doc annotated with another make pays the conflict penalty for the
@@ -614,8 +665,8 @@ mod tests {
             use_annotations: false,
             ..pruned
         };
-        let plain = search(&idx, "tesla listing", 1000, unannotated);
-        let annotated = search(&idx, "tesla listing", 1000, pruned);
+        let plain = windowed(&idx, "tesla listing", 1000, unannotated, &mut scratch);
+        let annotated = windowed(&idx, "tesla listing", 1000, pruned, &mut scratch);
         let doc = (0..idx.len())
             .map(|d| DocId(d as u32))
             .find(|&d| idx.annotation_column().doc(d).next().is_some())
@@ -664,7 +715,7 @@ mod tests {
                 use_annotations,
                 pruning: PruningMode::BlockMax,
             };
-            let hits = crate::searcher::search_with_scratch(&idx, q, k, opts, &mut scratch);
+            let hits = windowed(&idx, q, k, opts, &mut scratch);
             (hits, counts(&scratch))
         };
         let mut skipped = 0;
@@ -731,7 +782,7 @@ mod tests {
                 QueryScratch::new,
                 |scratch, qi| {
                     let (q, k) = queries[qi];
-                    let hits = crate::searcher::search_with_scratch(&idx, q, k, opts, scratch);
+                    let hits = windowed(&idx, q, k, opts, scratch);
                     assert_eq!(
                         hits,
                         search(&idx, q, k, SearchOptions::default()),
@@ -761,12 +812,88 @@ mod tests {
         // fold work only if it spans several windows.
         let small = planted(700);
         let mut scratch = QueryScratch::new();
-        crate::searcher::search_with_scratch(&small, "dense", 1, opts, &mut scratch);
+        windowed(&small, "dense", 1, opts, &mut scratch);
         assert!(
             scratch.pruned.postings_folded < 700 / 2,
             "{:?}",
             counts(&scratch)
         );
+    }
+
+    /// The kernel is picked by the postings a query reads — the sum of its
+    /// terms' view-wide `df` — not by the mode alone. `dense` is in every
+    /// doc: at [`MAX_FOLDED_POSTINGS`] docs it is folded and no window runs,
+    /// one doc more and block-max windows it. A pending segment counts: a
+    /// base below the cutoff is windowed once the segments over it push the
+    /// sum past. Every side returns the fold's bytes, with the same counts
+    /// at 1 and 3 workers (a scratch that just windowed reads 0 after a
+    /// folded query).
+    #[test]
+    fn the_kernel_is_chosen_by_the_postings_a_query_reads() {
+        use crate::index::BatchDoc;
+        use crate::searcher::search_view;
+        use crate::segments::SegmentedIndex;
+        let at = planted(MAX_FOLDED_POSTINGS);
+        let above = planted(MAX_FOLDED_POSTINGS + 1);
+        assert_eq!(at.postings().df("dense"), MAX_FOLDED_POSTINGS);
+        let seg = SegmentedIndex::new(planted(MAX_FOLDED_POSTINGS - 100));
+        let dense_docs = |from: usize| -> Vec<BatchDoc> {
+            (from..from + 60)
+                .map(|i| BatchDoc {
+                    url: Url::new("p.sim", format!("/s{i}")),
+                    title: String::new(),
+                    text: "dense alpha".into(),
+                    kind: DocKind::Surface,
+                    site: None,
+                    annotations: vec![],
+                })
+                .collect()
+        };
+        seg.apply(dense_docs(0));
+        let below_with_pending = seg.snapshot();
+        seg.apply(dense_docs(60));
+        let above_with_pending = seg.snapshot();
+        let views = [
+            IndexView::sealed(&above),
+            IndexView::sealed(&at),
+            above_with_pending.view(),
+            below_with_pending.view(),
+        ];
+        let sums: Vec<usize> = views
+            .iter()
+            .map(|v| v.df(v.term_id("dense").unwrap()))
+            .collect();
+        let cut = MAX_FOLDED_POSTINGS;
+        assert_eq!(sums, [cut + 1, cut, cut + 20, cut - 40]);
+        let opts = SearchOptions {
+            pruning: PruningMode::BlockMax,
+            ..Default::default()
+        };
+        let run = |workers: usize| -> Vec<[usize; 4]> {
+            deepweb_common::ThreadPool::new(workers).map_indices_init(
+                views.len(),
+                QueryScratch::new,
+                |scratch, vi| {
+                    let view = &views[vi];
+                    let hits = search_view(view, "dense", 1, opts, scratch);
+                    let got = counts(scratch);
+                    let fold = search_view(view, "dense", 1, SearchOptions::default(), scratch);
+                    assert_eq!(hits, fold, "view {vi}");
+                    got
+                },
+            )
+        };
+        let one = run(1);
+        for (vi, c) in one.iter().enumerate() {
+            if sums[vi] > cut {
+                assert!(c[1] > 0, "view {vi} of {} postings: {c:?}", sums[vi]);
+            } else {
+                assert_eq!(*c, [0; 4], "view {vi} of {} postings", sums[vi]);
+            }
+        }
+        // The pending docs decide: the base alone would be folded.
+        assert!(above_with_pending.base().postings().df("dense") <= cut);
+        assert_eq!(run(3), one);
     }
 
     /// Window geometry and fold order. `listing` sits in every doc and

@@ -15,6 +15,17 @@
 //! query never names costs one load — and a query that names no facet value
 //! at all skips the pass (and its block-max bound) outright (DESIGN.md §12).
 //!
+//! ## Picking the kernel
+//!
+//! `top_k` scores a query one of two ways, with the same bytes. Under
+//! [`PruningMode::BlockMax`] it sums the view-wide `df` of the signature's
+//! terms — exactly the postings the exhaustive fold would read — and above
+//! `pruned::MAX_FOLDED_POSTINGS` (32 windows) runs the windowed block-max
+//! kernel over the base, folding any pending segments beside it; at or
+//! below it, and always under [`PruningMode::Exhaustive`], it folds every
+//! posting. Short lists leave windows nothing to skip that pays for their
+//! bookkeeping (DESIGN.md §14).
+//!
 //! ## The zero-allocation kernel
 //!
 //! The scoring kernel runs against a reusable [`QueryScratch`]: lowercased
@@ -43,10 +54,13 @@ pub enum PruningMode {
     /// Score every posting of every query term — the reference oracle.
     #[default]
     Exhaustive,
-    /// Windowed block-max MaxScore steered by the block index: skip doc
-    /// regions, terms and candidates whose guarded score upper bound cannot
-    /// reach the running top-k threshold. Falls back to exhaustive scoring when the index has no
-    /// block index built ([`SearchIndex::enable_pruning`]).
+    /// Windowed where the lists are long enough to skip: a query whose
+    /// terms hold more than 8 192 postings over the whole view (32 windows
+    /// of 256 docs) runs windowed block-max MaxScore steered by the block
+    /// index, skipping doc regions, terms and candidates whose guarded score
+    /// upper bound cannot reach the running top-k threshold; a shorter one
+    /// is folded exhaustively, which is cheaper there. Also folds when the
+    /// index has no block index built ([`SearchIndex::enable_pruning`]).
     ///
     /// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
     BlockMax,
@@ -371,20 +385,23 @@ pub(crate) fn search_view(
 }
 
 /// The one scoring kernel: top `k` of `view`'s docs for the resolved
-/// signature `sig`.
+/// signature `sig`, by the kernel the query's input size calls for.
 ///
-/// [`PruningMode::BlockMax`] over a base with pruning structures is a
-/// composition: block-max scores the base's docs, the fold scores any
-/// segment docs, and [`merge_topk`] joins the two lists — a doc's postings
-/// for every query term lie on one side of that cut, so both lists are
-/// exact. Otherwise — and always in [`PruningMode::Exhaustive`], block-max's
-/// reference — every posting is folded: terms in signature order, each
-/// term's runs in ascending doc order, then one annotation pass over the
-/// touched docs. Same bytes.
+/// Under [`PruningMode::BlockMax`] it sums the view-wide `df` of the
+/// signature's terms — base plus pending segments, exactly the postings the
+/// exhaustive fold reads. A query reading more than
+/// [`MAX_FOLDED_POSTINGS`] takes [`windowed_top_k`]; any other — and every
+/// query in [`PruningMode::Exhaustive`], block-max's reference — folds every
+/// posting: terms in signature order, each term's runs in ascending doc
+/// order, then one annotation pass over the touched docs. On lists that
+/// short the windows' bookkeeping costs more than they can skip (DESIGN.md
+/// §14). Same bytes either way.
 ///
 /// With annotations on, the signature's [`FacetMasks`] are filled first. A
 /// query naming no facet value scores as if annotations were off: every
 /// adjustment would be `0.0`, and `x + 0.0 == x`.
+///
+/// [`MAX_FOLDED_POSTINGS`]: crate::pruned::MAX_FOLDED_POSTINGS
 pub(crate) fn top_k(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -392,38 +409,91 @@ pub(crate) fn top_k(
     opts: SearchOptions,
     scratch: &mut QueryScratch,
 ) -> Vec<Hit> {
-    if sig.is_empty() || k == 0 {
-        return Vec::new();
+    match opts.pruning {
+        PruningMode::BlockMax
+            if sig.iter().map(|&id| view.df(id)).sum::<usize>()
+                > crate::pruned::MAX_FOLDED_POSTINGS =>
+        {
+            windowed_top_k(view, sig, k, opts, scratch)
+        }
+        _ => match prepare(view, sig, k, opts, scratch) {
+            Some(opts) => fold(view, sig, k, opts, false, scratch),
+            None => Vec::new(),
+        },
     }
-    let opts = if opts.use_annotations {
-        scratch.masks.fill(view, sig);
-        SearchOptions {
-            use_annotations: !scratch.masks.is_empty(),
-            ..opts
-        }
-    } else {
-        opts
+}
+
+/// The branch [`top_k`] takes above the cutoff, whatever the query reads: a
+/// composition over a base with pruning structures. Block-max scores the
+/// base's docs, the fold scores any segment docs, and [`merge_topk`] joins
+/// the two lists — a doc's postings for every query term lie on one side of
+/// that cut, so both lists are exact. Without pruning structures it folds
+/// everything. The windowed kernel's own tests come in here.
+pub(crate) fn windowed_top_k(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    k: usize,
+    opts: SearchOptions,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
+    let Some(opts) = prepare(view, sig, k, opts, scratch) else {
+        return Vec::new();
     };
-    let base = match (opts.pruning, view.pruning()) {
-        (PruningMode::BlockMax, Some(pr)) => {
-            let hits = crate::pruned::pruned_topk(view, pr, sig, k, opts, scratch);
-            if view.segments.is_empty() {
-                return hits;
-            }
-            Some(hits)
-        }
-        _ => None,
+    let Some(pr) = view.pruning() else {
+        return fold(view, sig, k, opts, false, scratch);
     };
+    let base = crate::pruned::pruned_topk(view, pr, sig, k, opts, scratch);
+    if view.segments.is_empty() {
+        return base;
+    }
+    let segments = fold(view, sig, k, opts, true, scratch);
+    merge_topk(&[base, segments], k)
+}
+
+/// Set a query up for either kernel: zero the last query's window counters
+/// (only the windowed kernel sets them), fill the facet masks when
+/// annotations score, and turn annotations off for a query naming no facet
+/// value. `None` when there is nothing to score.
+fn prepare(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    k: usize,
+    opts: SearchOptions,
+    scratch: &mut QueryScratch,
+) -> Option<SearchOptions> {
+    scratch.pruned.clear_counts();
+    if sig.is_empty() || k == 0 {
+        return None;
+    }
+    if !opts.use_annotations {
+        return Some(opts);
+    }
+    scratch.masks.fill(view, sig);
+    Some(SearchOptions {
+        use_annotations: !scratch.masks.is_empty(),
+        ..opts
+    })
+}
+
+/// The exhaustive fold of `sig` over `view` — of the pending segments'
+/// runs only when `segments_only` (block-max scored the base) — and its
+/// top `k`.
+fn fold(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    k: usize,
+    opts: SearchOptions,
+    segments_only: bool,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
     if scratch.scores.len() < view.num_docs() {
         // Newly exposed entries are zero, preserving the all-zeros invariant.
         scratch.scores.resize(view.num_docs(), 0.0);
     }
     let avg_len = view.avg_doc_len();
-    // With the base scored by block-max, fold the segments' runs only.
-    let skip = usize::from(base.is_some());
     for &id in sig {
         let idf = view.idf(id);
-        for (offset, list, lens) in view.runs(id).skip(skip) {
+        for (offset, list, lens) in view.runs(id).skip(usize::from(segments_only)) {
             for p in list {
                 let dl = f64::from(lens.doc_len(p.doc));
                 let tf = f64::from(p.tf);
@@ -441,11 +511,25 @@ pub(crate) fn top_k(
             scratch.scores[doc.as_usize()] += annotation_boost(view, sig, &scratch.masks, doc);
         }
     }
-    let folded = top_k_hits(scratch, k);
-    match base {
-        Some(base) => merge_topk(&[base, folded], k),
-        None => folded,
-    }
+    top_k_hits(scratch, k)
+}
+
+/// [`search_view`] through [`windowed_top_k`] whatever the query reads: how
+/// the windowed kernel's tests reach it on corpora below the cutoff.
+#[cfg(test)]
+pub(crate) fn search_windowed(
+    view: &IndexView<'_>,
+    query: &str,
+    k: usize,
+    opts: SearchOptions,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
+    scratch.analyze(query);
+    scratch.resolve(view);
+    let sig = std::mem::take(&mut scratch.sig);
+    let hits = windowed_top_k(view, &sig, k, opts, scratch);
+    scratch.sig = sig;
+    hits
 }
 
 /// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per

@@ -208,7 +208,7 @@ impl Generation {
     }
 
     /// The read-side view of this generation: base ⊕ segments ⊕ overlay.
-    fn view(&self) -> IndexView<'_> {
+    pub(crate) fn view(&self) -> IndexView<'_> {
         IndexView {
             base: &self.base,
             segments: &self.segments,
@@ -425,7 +425,7 @@ mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
     use crate::postings::{bm25_contribution, Posting};
-    use crate::searcher::{search, PruningMode};
+    use crate::searcher::{search, search_windowed, PruningMode};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -614,6 +614,12 @@ mod tests {
         }
     }
 
+    /// `gen.search` through the windowed kernel whatever the query reads:
+    /// these corpora sit below the postings cutoff, where the kernel folds.
+    fn windowed(gen: &Generation, q: &str, k: usize, opts: SearchOptions) -> Vec<Hit> {
+        search_windowed(&gen.view(), q, k, opts, &mut QueryScratch::new())
+    }
+
     #[test]
     fn pending_segments_make_stored_block_maxima_stale() {
         let (base, delta) = stale_corpus();
@@ -648,14 +654,10 @@ mod tests {
             let novel = view.term_id("novelterm").unwrap();
             assert!(novel.as_usize() >= gen.base().postings().num_terms());
             assert!(blocks.term_blocks(novel).is_empty());
-            let top = seg
-                .snapshot()
-                .search("novelterm", 10, blockmax(SearchOptions::default()));
+            let top = windowed(&gen, "novelterm", 10, blockmax(SearchOptions::default()));
             assert!(top.len() == 10 && top.iter().all(|h| h.doc.as_usize() >= base.len()));
             // The planted doc a stale bound would skip is the new winner.
-            let top = seg
-                .snapshot()
-                .search("tee", 1, blockmax(SearchOptions::default()));
+            let top = windowed(&gen, "tee", 1, blockmax(SearchOptions::default()));
             assert_eq!(top[0].doc.0, 600);
             for phase in ["pending", "merged"] {
                 for use_annotations in [false, true] {
@@ -668,11 +670,8 @@ mod tests {
                             let want = search(&full, q, k, exhaustive);
                             let ctx = format!("{phase} parts={parts} q={q:?} k={k}");
                             assert_eq!(seg.snapshot().search(q, k, exhaustive), want, "{ctx}");
-                            assert_eq!(
-                                seg.snapshot().search(q, k, blockmax(exhaustive)),
-                                want,
-                                "{ctx}"
-                            );
+                            let got = windowed(&seg.snapshot(), q, k, blockmax(exhaustive));
+                            assert_eq!(got, want, "{ctx}");
                         }
                     }
                 }
@@ -699,7 +698,7 @@ mod tests {
                 STALE_QUERIES.len(),
                 QueryScratch::new,
                 |scratch, qi| {
-                    search_view(&gen.view(), STALE_QUERIES[qi], 1, opts, scratch);
+                    search_windowed(&gen.view(), STALE_QUERIES[qi], 1, opts, scratch);
                     scratch.pruned.docs_scored
                 },
             )

@@ -12,7 +12,9 @@
 //! is `(text, k)`, a configuration is a `SearchOptions` / `ClusterConfig`
 //! literal, and `PruningMode::BlockMax`
 //! returns the exhaustive kernel's exact bytes while skipping
-//! provably-losing doc regions), WebTables-style semantic
+//! provably-losing doc regions of any query whose terms hold more than
+//! 8 192 postings, and folding the shorter ones, where skipping does not
+//! pay), WebTables-style semantic
 //! services, record extraction and coverage estimation — all over a
 //! deterministic synthetic web. See `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for the paper-vs-measured record.

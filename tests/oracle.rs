@@ -324,41 +324,62 @@ fn a_term_known_only_as_a_facet_value_scores_like_the_oracle() {
 }
 
 /// Webworld pages give almost every term a short posting list, so the
-/// corpora above barely leave the kernel's sparse path. Here 4 000 docs of
-/// 30 Zipf(1.1) tokens over 300 terms put the head terms in nearly every doc
-/// and every doc at one length: the block-max kernel walks many windows,
-/// drops the dense terms as non-essential and seeks them per candidate, and
-/// exact score ties are everywhere — against brute force, bit for bit.
+/// corpora above barely leave the kernel's sparse path, and a query that
+/// reads at most 8 192 postings — the sum of its terms' document
+/// frequencies, 32 windows of 256 docs — is folded, not windowed. Here docs
+/// of 30 Zipf(1.1) tokens over 300 terms put the head terms in nearly every
+/// doc and every doc at one length, so exact score ties are everywhere. At
+/// 4 000 docs only the queries naming several head terms read past the
+/// cutoff. At 12 000 every query names one of the three head terms and
+/// reads past it, so every query walks the block-max kernel's windows,
+/// drops the dense terms as non-essential and seeks them per candidate —
+/// against brute force, bit for bit.
 #[test]
 fn dense_posting_lists_serve_the_oracle() {
-    const DOCS: usize = 4_000;
+    const MAX_FOLDED_POSTINGS: usize = 8_192;
     let zipf = Zipf::new(300, 1.1);
-    let mut rng = derive_rng(17, "oracle-dense");
-    let mut draw = |tokens: usize| -> String {
-        let words: Vec<String> = (0..tokens)
-            .map(|_| format!("tok{}", zipf.sample(&mut rng)))
+    for (docs, every_query_windowed) in [(4_000, false), (12_000, true)] {
+        let mut rng = derive_rng(17, "oracle-dense");
+        let mut draw = |tokens: usize| -> String {
+            let words: Vec<String> = (0..tokens)
+                .map(|_| format!("tok{}", zipf.sample(&mut rng)))
+                .collect();
+            words.join(" ")
+        };
+        let corpus: Vec<BatchDoc> = (0..docs)
+            .map(|i| BatchDoc {
+                url: Url::new("dense.sim", format!("/d{i}")),
+                title: String::new(),
+                text: draw(30),
+                kind: DocKind::Surface,
+                site: None,
+                annotations: vec![],
+            })
             .collect();
-        words.join(" ")
-    };
-    let docs: Vec<BatchDoc> = (0..DOCS)
-        .map(|i| BatchDoc {
-            url: Url::new("dense.sim", format!("/d{i}")),
-            title: String::new(),
-            text: draw(30),
-            kind: DocKind::Surface,
-            site: None,
-            annotations: vec![],
-        })
-        .collect();
-    let queries: Vec<String> = (0..60).map(|i| draw(2 + i % 3)).collect();
-    let oracle = Oracle::of_docs(docs.iter().map(pending));
-    assert!(oracle.df["tok0"] * 10 > DOCS * 9 && oracle.df["tok9"] * 10 > DOCS);
-    let mut index = SearchIndex::new();
-    index.add_batch(&ThreadPool::new(2), docs);
-    index.enable_pruning();
-    let serve = |q: &str, k: usize, opts: SearchOptions| search(&index, q, k, opts);
-    let (nonempty, adjusted) = assert_serves_the_oracle(serve, &oracle, &queries);
-    assert_eq!((nonempty, adjusted), (queries.len(), 0));
+        let queries: Vec<String> = (0..60)
+            .map(|i| match every_query_windowed {
+                false => draw(2 + i % 3),
+                true => format!("tok{} {}", i % 3, draw(1 + i % 3)),
+            })
+            .collect();
+        let oracle = Oracle::of_docs(corpus.iter().map(pending));
+        assert!(oracle.df["tok0"] * 10 > docs * 9 && oracle.df["tok9"] * 10 > docs);
+        if every_query_windowed {
+            for q in &queries {
+                let mut terms = analysed(q);
+                terms.sort();
+                terms.dedup();
+                let read: usize = terms.iter().filter_map(|t| oracle.df.get(t)).sum();
+                assert!(read > MAX_FOLDED_POSTINGS, "{q:?} reads {read} postings");
+            }
+        }
+        let mut index = SearchIndex::new();
+        index.add_batch(&ThreadPool::new(2), corpus);
+        index.enable_pruning();
+        let serve = |q: &str, k: usize, opts: SearchOptions| search(&index, q, k, opts);
+        let (nonempty, adjusted) = assert_serves_the_oracle(serve, &oracle, &queries);
+        assert_eq!((nonempty, adjusted), (queries.len(), 0), "{docs} docs");
+    }
 }
 
 /// The freshness tier against the oracle, not against `search()`: with
