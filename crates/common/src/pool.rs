@@ -1,10 +1,11 @@
 //! A small work-stealing thread pool for parallel batch work.
 //!
 //! Callers hand [`ThreadPool::map`] one task per independent unit — the
-//! surfacing pipeline one per host, the index builder one per doc range, the
-//! broker one per query. Workers drain their own queue first and steal from
-//! the back of their neighbours' queues when idle, so uneven tasks (one giant
-//! site, many tiny ones) still saturate every core. Results are reassembled
+//! surfacing pipeline one per host, the index builder one per doc range,
+//! batch serving (`ClusterServer::search_batch` in `deepweb-index`) one per
+//! query. Workers drain their own queue first and steal from the back of
+//! their neighbours' queues when idle, so uneven tasks (one giant site, many
+//! tiny ones) still saturate every core. Results are reassembled
 //! **in input order**, which is what lets callers guarantee parallel output
 //! is byte-identical to the sequential path (see DESIGN.md §8) without
 //! tagging or reordering anything themselves.
@@ -59,8 +60,8 @@ impl Default for ThreadPool {
 
 impl ThreadPool {
     /// A pool with `workers` threads. `0` means auto: use the machine's
-    /// available parallelism (probed once per process — brokers construct a
-    /// pool per batch, so this must not syscall every time).
+    /// available parallelism (probed once per process — the segmented tier
+    /// constructs a pool per batch, so this must not syscall every time).
     pub fn new(workers: usize) -> Self {
         ThreadPool {
             workers: if workers == 0 {
@@ -96,10 +97,11 @@ impl ThreadPool {
     /// per worker (once total on the inline fast path) and `f` receives
     /// `&mut` access to its worker's state for every task it executes.
     ///
-    /// This is how the query broker gives each serving worker one
-    /// `QueryScratch` for a whole batch: scratch allocation is per *worker*,
-    /// not per query, and the single-worker path reuses one scratch across
-    /// the entire batch with no thread scope at all.
+    /// This is how batch serving (`ClusterServer::search_batch`, through
+    /// [`ThreadPool::map_indices_init`]) gives each worker one `QueryScratch`
+    /// for a whole batch: scratch allocation is per *worker*, not per query,
+    /// and the single-worker path reuses one scratch across the entire batch
+    /// with no thread scope at all.
     pub fn map_init<T, U, S, I, F>(&self, items: Vec<T>, init: I, f: F) -> Vec<U>
     where
         T: Send,

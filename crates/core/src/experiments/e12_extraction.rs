@@ -28,9 +28,9 @@ pub struct ExtractionResult {
 /// extracted row is matched through its unique cells — typically the
 /// description).
 fn site_truth(site: &deepweb_webworld::Site) -> FxHashMap<String, FxHashMap<String, String>> {
-    let schema = site.table.table().schema();
+    let schema = site.table.schema();
     let mut first_owner: FxHashMap<String, Option<usize>> = FxHashMap::default();
-    for (rid, row) in site.table.table().iter() {
+    for (rid, row) in site.table.iter() {
         for v in row.iter() {
             let key = v.render().to_ascii_lowercase();
             match first_owner.get_mut(&key) {
@@ -48,7 +48,7 @@ fn site_truth(site: &deepweb_webworld::Site) -> FxHashMap<String, FxHashMap<Stri
     let mut truth = FxHashMap::default();
     for (key, owner) in first_owner {
         let Some(rid) = owner else { continue };
-        let row = site.table.table().row(deepweb_common::RecordId(rid as u32));
+        let row = site.table.row(deepweb_common::RecordId(rid as u32));
         let mut fields = FxHashMap::default();
         for (c, v) in row.iter().enumerate() {
             fields.insert(schema.column(c).name.clone(), v.render());
@@ -77,7 +77,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, ExtractionResult) {
     let mut total_fields = 0usize;
     let mut records = 0usize;
     for site in sys.world.server.sites() {
-        let ncols = site.table.table().schema().len();
+        let ncols = site.table.schema().len();
         // A surfaced doc carries what the engine indexes, not the page: the
         // extractors' input is re-fetched from the live site by its URL.
         let mut pages: Vec<(String, Vec<(String, String)>)> = Vec::new();

@@ -436,7 +436,7 @@ mod tests {
         assert!(surfaced > 0);
         // A query over site content returns hits.
         let site = &sys.world.server.sites()[0];
-        let toks = site.table.table().row_tokens(deepweb_common::RecordId(0));
+        let toks = site.table.row_tokens(deepweb_common::RecordId(0));
         if toks.len() >= 2 {
             let q = format!("{} {}", toks[0], toks[1]);
             let _ = sys.search(&q, 5);

@@ -140,7 +140,7 @@ pub fn generate_workload(world: &World, cfg: &WorkloadConfig) -> Workload {
     let sites = world.server.sites();
     while queries.len() < cfg.distinct && !sites.is_empty() {
         let site = sites.choose(&mut rng).expect("nonempty sites");
-        let table = site.table.table();
+        let table = &site.table;
         if table.is_empty() {
             continue;
         }
@@ -267,8 +267,8 @@ mod tests {
         );
         for q in wl.queries.iter().filter(|q| q.is_tail).take(10) {
             let site = w.server.site(q.target_site.unwrap());
-            let found = site.table.table().iter().any(|(id, _)| {
-                let toks = site.table.table().row_tokens(id);
+            let found = site.table.iter().any(|(id, _)| {
+                let toks = site.table.row_tokens(id);
                 q.text.split(' ').all(|t| toks.iter().any(|x| x == t))
             });
             assert!(

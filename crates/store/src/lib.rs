@@ -2,7 +2,9 @@
 //!
 //! A small typed relational engine: the backing database of every simulated
 //! deep-web site. Supports conjunctive selection (equality, inclusive ranges,
-//! keyword containment), hash and B-tree secondary indexes and pagination.
+//! keyword containment) and pagination. A selection scans the table in id
+//! order; there are no indexes, because a site's table holds hundreds of
+//! rows (`WebConfig::max_records` defaults to 800), not millions.
 //!
 //! Substitutes for the production storage behind the sites the paper crawled
 //! (DESIGN.md §2): form submissions compile to [`predicate::Conjunction`]s and
@@ -11,15 +13,12 @@
 
 #![warn(missing_docs)]
 
-pub mod exec;
-pub mod index;
 pub mod predicate;
 pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use exec::{IndexedTable, Page};
 pub use predicate::{Conjunction, Predicate};
 pub use schema::{Column, Schema};
-pub use table::Table;
+pub use table::{Page, Table};
 pub use value::{Date, Value, ValueType};

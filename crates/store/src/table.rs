@@ -1,10 +1,26 @@
-//! In-memory tables with pre-tokenised rows.
+//! In-memory tables with pre-tokenised rows, and query execution over them:
+//! conjunctive selection by table scan plus pagination — exactly the work a
+//! deep-web site's CGI backend performs for a form submission.
 
+use crate::predicate::{Conjunction, Predicate};
 use crate::schema::Schema;
 use crate::value::Value;
 use deepweb_common::ids::RecordId;
 use deepweb_common::text::tokenize;
 use deepweb_common::{Error, Result};
+
+/// A paginated result: the total match count plus one page of record ids.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Page {
+    /// Total number of matching records (before pagination).
+    pub total: usize,
+    /// Record ids on this page, in ascending id order.
+    pub ids: Vec<RecordId>,
+    /// Zero-based page number.
+    pub page: usize,
+    /// Page size used.
+    pub page_size: usize,
+}
 
 /// A table: schema + rows + per-row token cache.
 ///
@@ -104,21 +120,36 @@ impl Table {
         vals
     }
 
-    /// Min and max of a column (`None` for an empty table).
-    pub fn min_max(&self, col: usize) -> Option<(Value, Value)> {
-        let mut it = self.rows.iter().map(|r| &r[col]);
-        let first = it.next()?;
-        let mut lo = first;
-        let mut hi = first;
-        for v in it {
-            if v < lo {
-                lo = v;
-            }
-            if v > hi {
-                hi = v;
-            }
+    /// All record ids matching `conj`, ascending: a scan of every row. A
+    /// vacuous conjunction (an empty range or keyword list) selects nothing.
+    pub fn select(&self, conj: &Conjunction) -> Vec<RecordId> {
+        if conj.is_vacuous() {
+            return Vec::new();
         }
-        Some((lo.clone(), hi.clone()))
+        // A typed conjunct is one comparison, while keyword containment walks
+        // the row's tokens: test the keywords last, on the rows every typed
+        // conjunct admits. Conjuncts commute, so the ids are the same.
+        let mut conj = conj.clone();
+        conj.preds
+            .sort_by_key(|p| matches!(p, Predicate::KeywordsAll(_)));
+        self.iter()
+            .filter(|(id, row)| conj.matches(row, self.row_tokens(*id)))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// One page of the selection.
+    pub fn select_page(&self, conj: &Conjunction, page: usize, page_size: usize) -> Page {
+        let all = self.select(conj);
+        let total = all.len();
+        let start = page.saturating_mul(page_size).min(total);
+        let end = (start + page_size).min(total);
+        Page {
+            total,
+            ids: all[start..end].to_vec(),
+            page,
+            page_size,
+        }
     }
 }
 
@@ -161,14 +192,101 @@ mod tests {
     }
 
     #[test]
-    fn distinct_and_minmax() {
+    fn distinct_values_sorted() {
         let t = car_table();
         assert_eq!(
             t.distinct_values(1),
             vec![Value::Int(1993), Value::Int(1998)]
         );
-        assert_eq!(t.min_max(1), Some((Value::Int(1993), Value::Int(1998))));
-        let empty = Table::new(Schema::new(vec![("x", ValueType::Int)]).unwrap());
-        assert_eq!(empty.min_max(0), None);
+    }
+
+    fn cars() -> Table {
+        let schema = Schema::new(vec![
+            ("make", ValueType::Text),
+            ("year", ValueType::Int),
+            ("price", ValueType::Money),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        let rows = [
+            ("honda civic", 1993, 4500),
+            ("ford focus", 1998, 3000),
+            ("honda accord", 2001, 8000),
+            ("bmw 320", 1995, 9000),
+            ("ford fiesta", 1993, 1500),
+        ];
+        for (m, y, p) in rows {
+            t.insert(vec![
+                Value::Text(m.into()),
+                Value::Int(y),
+                Value::Money(p * 100),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn eq_selects_exact_value() {
+        let t = cars();
+        let conj = Conjunction::new(vec![Predicate::Eq {
+            col: 0,
+            value: Value::Text("ford focus".into()),
+        }]);
+        assert_eq!(t.select(&conj), vec![RecordId(1)]);
+    }
+
+    #[test]
+    fn conjunction_of_range_and_keyword() {
+        let t = cars();
+        let conj = Conjunction::new(vec![
+            Predicate::Range {
+                col: 1,
+                min: Some(Value::Int(1993)),
+                max: Some(Value::Int(1995)),
+            },
+            Predicate::KeywordsAll(vec!["honda".into()]),
+        ]);
+        assert_eq!(t.select(&conj), vec![RecordId(0)]);
+        // Listed first, the keywords are still tested last: same ids.
+        let kw_first = Conjunction::new(conj.preds.iter().rev().cloned().collect());
+        assert_eq!(t.select(&kw_first), vec![RecordId(0)]);
+    }
+
+    #[test]
+    fn keyword_selects_rows_in_id_order() {
+        let t = cars();
+        let conj = Conjunction::new(vec![Predicate::KeywordsAll(vec!["ford".into()])]);
+        assert_eq!(t.select(&conj), vec![RecordId(1), RecordId(4)]);
+    }
+
+    #[test]
+    fn empty_conjunction_returns_everything() {
+        let t = cars();
+        assert_eq!(t.select(&Conjunction::all()).len(), 5);
+    }
+
+    #[test]
+    fn vacuous_returns_nothing() {
+        let t = cars();
+        let conj = Conjunction::new(vec![Predicate::Range {
+            col: 2,
+            min: Some(Value::Money(10_000_000)),
+            max: Some(Value::Money(0)),
+        }]);
+        assert!(t.select(&conj).is_empty());
+    }
+
+    #[test]
+    fn pagination_slices_and_counts() {
+        let t = cars();
+        let p0 = t.select_page(&Conjunction::all(), 0, 2);
+        assert_eq!(p0.total, 5);
+        assert_eq!(p0.ids, vec![RecordId(0), RecordId(1)]);
+        let p2 = t.select_page(&Conjunction::all(), 2, 2);
+        assert_eq!(p2.ids, vec![RecordId(4)]);
+        let past = t.select_page(&Conjunction::all(), 9, 2);
+        assert!(past.ids.is_empty());
+        assert_eq!(past.total, 5);
     }
 }

@@ -283,13 +283,8 @@ mod tests {
                 let input = form.input(name).unwrap().clone();
                 // Words straight from the site's own records are productive.
                 let site = w.server.site_by_host(&t.host).unwrap();
-                let words: Vec<String> = site.table.table().row_tokens(deepweb_common::RecordId(0))
-                    [..3.min(
-                        site.table
-                            .table()
-                            .row_tokens(deepweb_common::RecordId(0))
-                            .len(),
-                    )]
+                let words: Vec<String> = site.table.row_tokens(deepweb_common::RecordId(0))
+                    [..3.min(site.table.row_tokens(deepweb_common::RecordId(0)).len())]
                     .to_vec();
                 let prober = Prober::new(&w.server);
                 assert!(is_search_box(&prober, &form, &input, &words));

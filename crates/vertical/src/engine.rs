@@ -285,7 +285,6 @@ mod tests {
         let exists = w.server.sites().iter().any(|s| {
             s.domain == DomainKind::Faculty
                 && s.table
-                    .table()
                     .iter()
                     .any(|(_, row)| row.iter().any(|v| v.render().contains("sigmod")))
         });

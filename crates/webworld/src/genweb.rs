@@ -12,7 +12,7 @@ use crate::surface;
 use crate::vocab;
 use deepweb_common::ids::SiteId;
 use deepweb_common::{derive_rng, derive_rng_n};
-use deepweb_store::{IndexedTable, Table, ValueType};
+use deepweb_store::ValueType;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -352,7 +352,7 @@ pub fn generate(config: &WebConfig) -> World {
             domain,
             language: language.clone(),
             lexicon,
-            table: IndexedTable::build(table),
+            table,
             form,
             page_size,
             style,
@@ -365,7 +365,7 @@ pub fn generate(config: &WebConfig) -> World {
             host: site.host.clone(),
             domain,
             language,
-            records: site.table.table().len(),
+            records: site.table.len(),
             post: site.form.post,
             page_size,
             inputs: input_truth,
@@ -405,20 +405,14 @@ pub fn generate(config: &WebConfig) -> World {
 /// Fresh rows come from the site's own domain generator (same schema) on a
 /// new RNG stream derived from `seed`, the site index and the current record
 /// count — so repeated growth steps never replay rows, and the same
-/// `(seed, site, size)` state always grows identically. Rows are appended to
-/// the backing table, secondary indexes are rebuilt, and ground truth is
-/// updated. Site home pages advertise their record count, so a re-prober
-/// observes growth as a content-hash delta on `/` without crawling the whole
-/// site.
+/// `(seed, site, size)` state always grows identically. Rows are inserted
+/// into the backing table in place, and ground truth is updated. Site home
+/// pages advertise their record count, so a re-prober observes growth as a
+/// content-hash delta on `/` without crawling the whole site.
 ///
 /// Returns the site's new record count.
 pub fn grow_site(world: &mut World, site_idx: usize, extra: usize, seed: u64) -> usize {
-    let current = world
-        .server
-        .site(SiteId(site_idx as u32))
-        .table
-        .table()
-        .len();
+    let current = world.server.site(SiteId(site_idx as u32)).table.len();
     if extra == 0 {
         return current;
     }
@@ -453,15 +447,12 @@ pub fn grow_site(world: &mut World, site_idx: usize, extra: usize, seed: u64) ->
         DomainKind::MediaSearch => datagen::media_search(&mut ctx),
         DomainKind::Faculty => datagen::faculty(&mut ctx, false),
     };
-    let placeholder = IndexedTable::build(Table::new(site.table.table().schema().clone()));
-    let mut table = std::mem::replace(&mut site.table, placeholder).into_table();
     for (_, row) in fresh.iter() {
-        table
+        site.table
             .insert(row.to_vec())
             .expect("grown rows match the site schema");
     }
-    site.table = IndexedTable::build(table);
-    let grown = site.table.table().len();
+    let grown = site.table.len();
     world.truth.sites[site_idx].records = grown;
     grown
 }
@@ -607,7 +598,7 @@ mod tests {
         let w = small_world();
         for t in &w.truth.sites {
             let site = w.server.site_by_host(&t.host).expect("site exists");
-            assert_eq!(site.table.table().len(), t.records);
+            assert_eq!(site.table.len(), t.records);
             assert_eq!(site.form.post, t.post);
         }
     }
@@ -648,7 +639,7 @@ mod tests {
         });
         let mut hits = 0;
         for s in w.server.sites() {
-            for (_, row) in s.table.table().iter() {
+            for (_, row) in s.table.iter() {
                 if row
                     .iter()
                     .any(|v| v.render().contains("sigmod innovations award"))
@@ -680,7 +671,7 @@ mod tests {
         assert_eq!(grown, before + 7);
         assert_eq!(w.truth.sites[0].records, grown);
         let site = w.server.site_by_host(&host).unwrap();
-        assert_eq!(site.table.table().len(), grown);
+        assert_eq!(site.table.len(), grown);
         // Existing rows are untouched (append-only growth)...
         let fresh = generate(&WebConfig {
             num_sites: 25,
@@ -689,7 +680,7 @@ mod tests {
         let orig = fresh.server.site_by_host(&host).unwrap();
         for i in 0..before {
             let id = deepweb_common::ids::RecordId(i as u32);
-            assert_eq!(site.table.table().row(id), orig.table.table().row(id));
+            assert_eq!(site.table.row(id), orig.table.row(id));
         }
         // ...and the home page observably changed.
         let home_after = w.server.fetch(&Url::new(host.clone(), "/")).unwrap().html;
@@ -708,13 +699,11 @@ mod tests {
             grow_site(&mut w, 1, a, 7);
             grow_site(&mut w, 1, b, 7);
             let site = &w.server.sites()[1];
-            (0..site.table.table().len())
+            (0..site.table.len())
                 .map(|i| {
                     format!(
                         "{:?}",
-                        site.table
-                            .table()
-                            .row(deepweb_common::ids::RecordId(i as u32))
+                        site.table.row(deepweb_common::ids::RecordId(i as u32))
                     )
                 })
                 .collect::<Vec<_>>()

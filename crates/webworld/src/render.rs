@@ -64,7 +64,7 @@ pub fn home_page(site: &Site) -> String {
     // A paragraph of characteristic content: domain words plus a sample of
     // real record values, which is what iterative probing seeds from.
     let mut sample = String::new();
-    for (_, row) in site.table.table().iter().take(5) {
+    for (_, row) in site.table.iter().take(5) {
         for v in row.iter() {
             sample.push_str(&v.render());
             sample.push(' ');
@@ -73,7 +73,7 @@ pub fn home_page(site: &Site) -> String {
     pb.p(&format!(
         "search our {} database of {} listings: {}",
         site.domain.name(),
-        site.table.table().len(),
+        site.table.len(),
         sample
     ));
     let mut links = vec![
@@ -117,7 +117,6 @@ pub fn browse_page(site: &Site) -> String {
     pb.h1("browse listings");
     let links: Vec<(String, String)> = site
         .table
-        .table()
         .iter()
         .take(site.browse_links)
         .map(|(id, row)| {
@@ -152,7 +151,7 @@ pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> St
         pb.link("/search", "back to search");
         return pb.build();
     }
-    let schema = site.table.table().schema();
+    let schema = site.table.schema();
     match site.style {
         RenderStyle::Table => {
             let header: Vec<&str> = schema.names();
@@ -162,7 +161,7 @@ pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> St
             }
             body.push_str("</tr>");
             for id in &page.ids {
-                let row = site.table.table().row(*id);
+                let row = site.table.row(*id);
                 body.push_str("<tr>");
                 let _ = write!(
                     body,
@@ -181,7 +180,7 @@ pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> St
         RenderStyle::List => {
             let mut body = String::new();
             for id in &page.ids {
-                let row = site.table.table().row(*id);
+                let row = site.table.row(*id);
                 let _ = write!(
                     body,
                     "<div class=\"listing\"><a href=\"/item?id={}\"><b>{}</b></a>",
@@ -238,8 +237,8 @@ pub fn invalid_page(site: &Site) -> String {
 
 /// Render a record's detail page.
 pub fn detail_page(site: &Site, id: RecordId) -> String {
-    let row = site.table.table().row(id);
-    let schema = site.table.table().schema();
+    let row = site.table.row(id);
+    let schema = site.table.schema();
     let mut pb = PageBuilder::new(&format!("{} listing {}", site.host, id.0));
     pb.h1(&format!("listing {}", id.0));
     let rows: Vec<Vec<String>> = schema

@@ -121,7 +121,7 @@ impl WebServer {
                     .param("id")
                     .and_then(|p| p.parse().ok())
                     .ok_or_else(|| http_error(404, url))?;
-                if (id as usize) < site.table.table().len() {
+                if (id as usize) < site.table.len() {
                     Ok(ok(render::detail_page(site, RecordId(id))))
                 } else {
                     Err(http_error(404, url))

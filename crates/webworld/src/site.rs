@@ -1,6 +1,6 @@
 //! The deep-web site model.
 //!
-//! A site couples a backing [`IndexedTable`] with a [`FormSpec`] describing
+//! A site couples a backing [`Table`] with a [`FormSpec`] describing
 //! its search form. The spec is the site's *private* CGI logic: it compiles
 //! incoming query parameters into store predicates and renders the form as
 //! HTML. The crawler never sees the spec — it sees only rendered HTML — so
@@ -10,7 +10,7 @@
 use deepweb_common::ids::SiteId;
 use deepweb_common::text::tokenize;
 use deepweb_html::FormBuilder;
-use deepweb_store::{Conjunction, IndexedTable, Predicate, Value, ValueType};
+use deepweb_store::{Conjunction, Predicate, Table, Value, ValueType};
 use std::fmt::Write as _;
 
 /// Content domain of a site.
@@ -180,8 +180,9 @@ pub struct Site {
     pub language: String,
     /// Filler lexicon in the site's language.
     pub lexicon: Vec<String>,
-    /// Backing records.
-    pub table: IndexedTable,
+    /// Backing records. Every form submission is answered by a scan of this
+    /// table ([`Table::select_page`]).
+    pub table: Table,
     /// The search form.
     pub form: FormSpec,
     /// Results per page.
@@ -226,7 +227,7 @@ impl Site {
                     None => return CompiledQuery::Invalid,
                 },
                 Binding::Select { col } => {
-                    let ty = self.table.table().schema().column(*col).ty;
+                    let ty = self.table.schema().column(*col).ty;
                     match Value::parse_as(ty, v) {
                         Some(value) => preds.push(Predicate::Eq { col: *col, value }),
                         None => return CompiledQuery::Invalid,
@@ -318,7 +319,6 @@ impl Site {
                     if !depends {
                         options.extend(
                             self.table
-                                .table()
                                 .distinct_values(*col)
                                 .into_iter()
                                 .map(|v| v.render())
@@ -377,7 +377,7 @@ impl Site {
 #[cfg(test)]
 pub mod tests_support {
     use super::*;
-    use deepweb_store::{Schema, Table};
+    use deepweb_store::Schema;
 
     /// A three-record used-cars site with one of each input kind.
     pub fn mini_site(style: RenderStyle) -> Site {
@@ -410,7 +410,7 @@ pub mod tests_support {
             domain: DomainKind::UsedCars,
             language: "en".into(),
             lexicon: vec!["filler".into()],
-            table: IndexedTable::build(t),
+            table: t,
             form: FormSpec {
                 action: "/results".into(),
                 post: false,

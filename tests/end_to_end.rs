@@ -44,7 +44,7 @@ fn tail_record_content_is_findable() {
             continue;
         }
         let site = sys.world.server.site_by_host(&report.host).unwrap();
-        let toks = site.table.table().row_tokens(deepweb::common::RecordId(0));
+        let toks = site.table.row_tokens(deepweb::common::RecordId(0));
         if toks.len() < 4 {
             continue;
         }

@@ -39,7 +39,7 @@ fn docs_for(w: &World) -> Vec<BatchDoc> {
                 annotations: Vec::new(),
             });
         }
-        for i in 0..site.table.table().len().min(5) {
+        for i in 0..site.table.len().min(5) {
             let url = Url::parse(&format!("http://{}/item?id={i}", site.host)).unwrap();
             let Ok(resp) = w.server.fetch(&url) else {
                 continue;
@@ -49,7 +49,6 @@ fn docs_for(w: &World) -> Vec<BatchDoc> {
             // must replay facet-key and value interning exactly.
             let annotations = site
                 .table
-                .table()
                 .row_tokens(RecordId(i as u32))
                 .iter()
                 .take(2)
@@ -92,7 +91,7 @@ fn queries_for(w: &World) -> Vec<String> {
         "search listings database".into(),
     ];
     for site in w.server.sites().iter().take(4) {
-        let toks = site.table.table().row_tokens(RecordId(0));
+        let toks = site.table.row_tokens(RecordId(0));
         if let Some(t) = toks.first() {
             qs.push(t.clone());
         }
