@@ -410,10 +410,9 @@ fn build_slots(
     //
     // Characteristic terms are computed once per form at the widest width
     // any consumer needs (ranking is total — score desc, term asc — so the
-    // top-6 used for search-box detection is exactly the prefix of the
-    // top-8 used for database-selection probing).
+    // top-`SEARCH_BOX_PROBES` that search-box detection submits are exactly
+    // the prefix of the top-8 used for database-selection probing).
     let char_terms: Vec<String> = background.characteristic_terms(site_text, 8);
-    let site_words = &char_terms[..char_terms.len().min(6)];
     let mut search_box_names: Vec<String> = Vec::new();
     for input in form.fillable_inputs() {
         if consumed.contains(&input.name) || !input.is_text() {
@@ -426,7 +425,7 @@ fn build_slots(
                 values: lib.sample(class, cap),
             });
             consumed.insert(input.name.clone());
-        } else if is_search_box(prober, form, input, site_words) {
+        } else if is_search_box(prober, form, input, &char_terms) {
             search_box_names.push(input.name.clone());
         }
         // Unclassified text boxes (exact-match author boxes etc.) are left

@@ -66,8 +66,9 @@ pub struct TypedValueLibrary {
 
 impl TypedValueLibrary {
     /// The standard library. `seed` controls which zips the dictionary
-    /// carries (the generator and the crawler share the national zip list,
-    /// just as real crawlers ship real gazetteers — DESIGN.md §2).
+    /// carries. A generated world draws its zips under its own seed, so the
+    /// generator and the crawler hold the same zip list only when both seeds
+    /// are `DEFAULT_SEED`, the seed the pipeline passes here (DESIGN.md §2).
     pub fn standard(seed: u64) -> Self {
         TypedValueLibrary {
             zips: vocab::us_zipcodes(seed, 300),
@@ -176,10 +177,13 @@ pub fn classify_typed(
     None
 }
 
+/// Site words a search-box test submits, at most: the first ones given.
+pub const SEARCH_BOX_PROBES: usize = 5;
+
 /// Search-box detection: the input accepts arbitrary site-ish words. Probes
-/// a handful of characteristic site words; a search box is confirmed when at
-/// least one produces results (typed inputs reject words; exact-match
-/// untyped inputs almost never hit).
+/// the first [`SEARCH_BOX_PROBES`] characteristic site words; a search box is
+/// confirmed when at least one produces results (typed inputs reject words;
+/// exact-match untyped inputs almost never hit).
 pub fn is_search_box(
     prober: &Prober<'_>,
     form: &CrawledForm,
@@ -190,7 +194,7 @@ pub fn is_search_box(
         return false;
     }
     let mut hits = 0;
-    for w in site_words.iter().take(5) {
+    for w in site_words.iter().take(SEARCH_BOX_PROBES) {
         let out = prober.submit(form, &[(input.name.clone(), w.clone())]);
         if out.ok && out.has_results() {
             hits += 1;

@@ -5,6 +5,15 @@
 //! variant pools (`min_price` vs `price_from` vs `lowprice`...) so that the
 //! surfacer's pattern mining (paper §4.2: "large collections of forms can be
 //! mined to identify patterns") faces genuine variety.
+//!
+//! Every input and form is made by one of a few constructors: `select` over a
+//! column, `typed_box` for a zip or city column, `keyword_box`,
+//! `hidden_lang`, `push_range` for a min/max pair, `input` for the one-off
+//! rest, and `form` for the [`FormSpec`]. A box draws its name and then its
+//! label from its pool (`ZIP`, `CITY`, `KEYWORD`) through `pool_draw`. A
+//! typed box, a range bound and a select carry only the column they filter:
+//! the values they accept are those of the column's schema type (see
+//! [`Binding`]).
 
 use crate::site::{Binding, DependentOptions, FormSpec, InputSpec};
 use crate::vocab;
@@ -62,7 +71,81 @@ impl GenCtx<'_> {
     }
 }
 
-/// Range-pair name variants: `(min_name, max_name, label_stem)`.
+/// A table over `columns` holding `n` rows, row `i` made by `row(i)`.
+fn table(
+    columns: Vec<(&str, ValueType)>,
+    n: usize,
+    mut row: impl FnMut(usize) -> Vec<Value>,
+) -> Table {
+    let mut t = Table::new(Schema::new(columns).expect("schema"));
+    for i in 0..n {
+        t.insert(row(i)).expect("row matches schema");
+    }
+    t
+}
+
+/// A GET form over `inputs`; the generator sets `post` afterwards.
+fn form(inputs: Vec<InputSpec>, dependent: Option<DependentOptions>) -> FormSpec {
+    FormSpec {
+        post: false,
+        inputs,
+        dependent,
+    }
+}
+
+/// One input.
+fn input(name: impl Into<String>, label: impl Into<String>, binding: Binding) -> InputSpec {
+    InputSpec {
+        name: name.into(),
+        label: label.into(),
+        binding,
+    }
+}
+
+/// A select menu over column `col`.
+fn select(name: &str, label: &str, col: usize) -> InputSpec {
+    input(name, label, Binding::Select { col })
+}
+
+/// The hidden interface-language input.
+fn hidden_lang(lang: &str) -> InputSpec {
+    input("lang", "", Binding::Hidden { value: lang.into() })
+}
+
+/// `(names, labels)` a text box draws its submission name and label from.
+type Pool = (&'static [&'static str], &'static [&'static str]);
+
+const ZIP: Pool = (
+    &["zip", "zipcode", "zip_code", "postalcode"],
+    &["zip code:", "zip:", "postal code:", "enter zip:"],
+);
+const CITY: Pool = (
+    &["city", "town", "location"],
+    &["city:", "city name:", "location:"],
+);
+const KEYWORD: Pool = (
+    &["q", "query", "keywords", "search", "terms"],
+    &["keywords:", "search:", "find:", "search for:"],
+);
+
+/// An input named, then labelled, from `pool`.
+fn pool_draw(rng: &mut StdRng, (names, labels): Pool, binding: Binding) -> InputSpec {
+    let name = *names.choose(rng).expect("nonempty");
+    let label = *labels.choose(rng).expect("nonempty");
+    input(name, label, binding)
+}
+
+/// A typed text box over column `col`, named from `pool` (`ZIP` or `CITY`).
+fn typed_box(rng: &mut StdRng, pool: Pool, col: usize) -> InputSpec {
+    pool_draw(rng, pool, Binding::TypedText { col })
+}
+
+/// A free-keyword search box.
+fn keyword_box(rng: &mut StdRng) -> InputSpec {
+    pool_draw(rng, KEYWORD, Binding::KeywordSearch)
+}
+
+/// Range-pair name variants: `(min_name, max_name)`.
 fn range_names(rng: &mut StdRng, stem: &str) -> (String, String) {
     let variants = [
         (format!("min_{stem}"), format!("max_{stem}")),
@@ -74,56 +157,30 @@ fn range_names(rng: &mut StdRng, stem: &str) -> (String, String) {
     variants.choose(rng).cloned().expect("non-empty variants")
 }
 
-fn zip_name(rng: &mut StdRng) -> (String, String) {
-    let names = ["zip", "zipcode", "zip_code", "postalcode"];
-    let labels = ["zip code:", "zip:", "postal code:", "enter zip:"];
-    (
-        (*names.choose(rng).expect("nonempty")).to_string(),
-        (*labels.choose(rng).expect("nonempty")).to_string(),
-    )
-}
-
-fn city_name(rng: &mut StdRng) -> (String, String) {
-    let names = ["city", "town", "location"];
-    let labels = ["city:", "city name:", "location:"];
-    (
-        (*names.choose(rng).expect("nonempty")).to_string(),
-        (*labels.choose(rng).expect("nonempty")).to_string(),
-    )
-}
-
-fn keyword_name(rng: &mut StdRng) -> (String, String) {
-    let names = ["q", "query", "keywords", "search", "terms"];
-    let labels = ["keywords:", "search:", "find:", "search for:"];
-    (
-        (*names.choose(rng).expect("nonempty")).to_string(),
-        (*labels.choose(rng).expect("nonempty")).to_string(),
-    )
-}
-
-fn push_range(
-    inputs: &mut Vec<InputSpec>,
-    rng: &mut StdRng,
-    stem: &str,
-    col: usize,
-    ty: ValueType,
-) {
+/// A min box and a max box bounding column `col`.
+fn push_range(inputs: &mut Vec<InputSpec>, rng: &mut StdRng, stem: &str, col: usize) {
     let (min_n, max_n) = range_names(rng, stem);
-    inputs.push(InputSpec {
-        name: min_n,
-        label: format!("min {stem}:"),
-        binding: Binding::RangeMin { col, ty },
-    });
-    inputs.push(InputSpec {
-        name: max_n,
-        label: format!("max {stem}:"),
-        binding: Binding::RangeMax { col, ty },
-    });
+    inputs.push(input(
+        min_n,
+        format!("min {stem}:"),
+        Binding::RangeMin { col },
+    ));
+    inputs.push(input(
+        max_n,
+        format!("max {stem}:"),
+        Binding::RangeMax { col },
+    ));
 }
 
 /// Used-car classifieds.
 pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let makes = vocab::car_makes();
+    // The last make never appears as an actual listing — only in cross-make
+    // remarks and surface review pages. This reproduces the scarcity that
+    // makes the paper's §5.1 false-positive scenario possible ("used ford
+    // focus 1993" finding a Honda page).
+    let listed_makes = &makes[..makes.len() - 1];
+    let columns = vec![
         ("make", ValueType::Text),
         ("model", ValueType::Text),
         ("year", ValueType::Int),
@@ -132,16 +189,8 @@ pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         ("city", ValueType::Text),
         ("zip", ValueType::Zip),
         ("description", ValueType::Text),
-    ])
-    .expect("schema");
-    let makes = vocab::car_makes();
-    // The last make never appears as an actual listing — only in cross-make
-    // remarks and surface review pages. This reproduces the scarcity that
-    // makes the paper's §5.1 false-positive scenario possible ("used ford
-    // focus 1993" finding a Honda page).
-    let listed_makes = &makes[..makes.len() - 1];
-    let mut t = Table::new(schema);
-    for _ in 0..ctx.n_records {
+    ];
+    let t = table(columns, ctx.n_records, |_| {
         let (make, models) = listed_makes.choose(ctx.rng).expect("nonempty");
         let model = models.choose(ctx.rng).expect("nonempty");
         let year = ctx.rng.gen_range(1988..=2008);
@@ -162,7 +211,7 @@ pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
                 ));
             }
         }
-        t.insert(vec![
+        vec![
             Value::Text((*make).to_string()),
             Value::Text((*model).to_string()),
             Value::Int(year),
@@ -171,22 +220,13 @@ pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
             Value::Text(city),
             Value::Zip(zip),
             Value::Text(desc),
-        ])
-        .expect("row matches schema");
-    }
+        ]
+    });
 
-    let mut inputs = vec![InputSpec {
-        name: "make".into(),
-        label: "make:".into(),
-        binding: Binding::Select { col: 0 },
-    }];
+    let mut inputs = vec![select("make", "make:", 0)];
     let mut dependent = None;
     if ctx.flip(0.4) {
-        inputs.push(InputSpec {
-            name: "model".into(),
-            label: "model:".into(),
-            binding: Binding::Select { col: 1 },
-        });
+        inputs.push(select("model", "model:", 1));
         dependent = Some(DependentOptions {
             controller: "make".into(),
             dependent: "model".into(),
@@ -202,62 +242,27 @@ pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         });
     }
     if ctx.flip(0.8) {
-        push_range(&mut inputs, ctx.rng, "price", 3, ValueType::Money);
+        push_range(&mut inputs, ctx.rng, "price", 3);
     }
     if ctx.flip(0.4) {
-        push_range(&mut inputs, ctx.rng, "year", 2, ValueType::Int);
+        push_range(&mut inputs, ctx.rng, "year", 2);
     }
     if ctx.flip(0.5) {
-        let (n, l) = zip_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 6,
-                ty: ValueType::Zip,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, ZIP, 6));
     }
     if ctx.flip(0.3) {
-        let (n, l) = city_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 5,
-                ty: ValueType::Text,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, CITY, 5));
     }
     if ctx.flip(0.8) {
-        let (n, l) = keyword_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::KeywordSearch,
-        });
+        inputs.push(keyword_box(ctx.rng));
     }
-    inputs.push(InputSpec {
-        name: "lang".into(),
-        label: String::new(),
-        binding: Binding::Hidden {
-            value: ctx.lang.to_string(),
-        },
-    });
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent,
-        },
-    )
+    inputs.push(hidden_lang(ctx.lang));
+    (t, form(inputs, dependent))
 }
 
 /// Real-estate listings.
 pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("type", ValueType::Text),
         ("bedrooms", ValueType::Int),
         ("price", ValueType::Money),
@@ -265,11 +270,9 @@ pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         ("zip", ValueType::Zip),
         ("listed", ValueType::Date),
         ("description", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let types = ["house", "condo", "apartment", "studio", "loft", "townhouse"];
-    let mut t = Table::new(schema);
-    for _ in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |_| {
         let ty = types.choose(ctx.rng).expect("nonempty");
         let beds = ctx.rng.gen_range(1..=6);
         let price = ctx.rng.gen_range(500..=20_000) * 100;
@@ -278,7 +281,7 @@ pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         let listed = ctx.date();
         let filler = ctx.filler(6);
         let desc = format!("{beds} bedroom {ty} in {city} {filler}");
-        t.insert(vec![
+        vec![
             Value::Text((*ty).to_string()),
             Value::Int(beds),
             Value::Money(price * 100),
@@ -286,89 +289,43 @@ pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
             Value::Zip(zip),
             Value::Date(listed),
             Value::Text(desc),
-        ])
-        .expect("row matches schema");
-    }
-    let mut inputs = vec![InputSpec {
-        name: "type".into(),
-        label: "property type:".into(),
-        binding: Binding::Select { col: 0 },
-    }];
+        ]
+    });
+    let mut inputs = vec![select("type", "property type:", 0)];
     if ctx.flip(0.6) {
-        inputs.push(InputSpec {
-            name: "bedrooms".into(),
-            label: "bedrooms:".into(),
-            binding: Binding::Select { col: 1 },
-        });
+        inputs.push(select("bedrooms", "bedrooms:", 1));
     }
     if ctx.flip(0.8) {
-        push_range(&mut inputs, ctx.rng, "price", 2, ValueType::Money);
+        push_range(&mut inputs, ctx.rng, "price", 2);
     }
     if ctx.flip(0.6) {
-        let (n, l) = zip_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 4,
-                ty: ValueType::Zip,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, ZIP, 4));
     }
     if ctx.flip(0.4) {
-        let (n, l) = city_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 3,
-                ty: ValueType::Text,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, CITY, 3));
     }
     if ctx.flip(0.3) {
-        inputs.push(InputSpec {
-            name: "listed_after".into(),
-            label: "listed after (yyyy-mm-dd):".into(),
-            binding: Binding::RangeMin {
-                col: 5,
-                ty: ValueType::Date,
-            },
-        });
+        let label = "listed after (yyyy-mm-dd):";
+        inputs.push(input("listed_after", label, Binding::RangeMin { col: 5 }));
     }
     if ctx.flip(0.7) {
-        let (n, l) = keyword_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::KeywordSearch,
-        });
+        inputs.push(keyword_box(ctx.rng));
     }
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    (t, form(inputs, None))
 }
 
 /// Job listings.
 pub fn jobs(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("category", ValueType::Text),
         ("title", ValueType::Text),
         ("city", ValueType::Text),
         ("salary", ValueType::Money),
         ("posted", ValueType::Date),
         ("description", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let cats = vocab::job_titles();
-    let mut t = Table::new(schema);
-    for _ in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |_| {
         let cat = cats.choose(ctx.rng).expect("nonempty");
         let seniority = ["junior", "senior", "lead", "staff"]
             .choose(ctx.rng)
@@ -379,66 +336,38 @@ pub fn jobs(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         let posted = ctx.date();
         let filler = ctx.filler(7);
         let desc = format!("{title} position in {city} {filler}");
-        t.insert(vec![
+        vec![
             Value::Text((*cat).to_string()),
             Value::Text(title),
             Value::Text(city),
             Value::Money(salary),
             Value::Date(posted),
             Value::Text(desc),
-        ])
-        .expect("row matches schema");
-    }
-    let mut inputs = vec![InputSpec {
-        name: "category".into(),
-        label: "job category:".into(),
-        binding: Binding::Select { col: 0 },
-    }];
+        ]
+    });
+    let mut inputs = vec![select("category", "job category:", 0)];
     if ctx.flip(0.6) {
-        push_range(&mut inputs, ctx.rng, "salary", 3, ValueType::Money);
+        push_range(&mut inputs, ctx.rng, "salary", 3);
     }
     if ctx.flip(0.5) {
-        let (n, l) = city_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 2,
-                ty: ValueType::Text,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, CITY, 2));
     }
-    let (n, l) = keyword_name(ctx.rng);
-    inputs.push(InputSpec {
-        name: n,
-        label: l,
-        binding: Binding::KeywordSearch,
-    });
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    inputs.push(keyword_box(ctx.rng));
+    (t, form(inputs, None))
 }
 
 /// Restaurant guides.
 pub fn restaurants(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("name", ValueType::Text),
         ("cuisine", ValueType::Text),
         ("city", ValueType::Text),
         ("zip", ValueType::Zip),
         ("price_level", ValueType::Int),
         ("description", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let cuisines = vocab::cuisines();
-    let mut t = Table::new(schema);
-    for i in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |i| {
         let cuisine = cuisines.choose(ctx.rng).expect("nonempty");
         let name = format!(
             "{} {}",
@@ -452,334 +381,199 @@ pub fn restaurants(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
         let level = ctx.rng.gen_range(1..=4);
         let filler = ctx.filler(5);
         let desc = format!("{cuisine} restaurant number {i} in {city} {filler}");
-        t.insert(vec![
+        vec![
             Value::Text(name),
             Value::Text((*cuisine).to_string()),
             Value::Text(city),
             Value::Zip(zip),
             Value::Int(level),
             Value::Text(desc),
-        ])
-        .expect("row matches schema");
-    }
-    let mut inputs = vec![InputSpec {
-        name: "cuisine".into(),
-        label: "cuisine:".into(),
-        binding: Binding::Select { col: 1 },
-    }];
+        ]
+    });
+    let mut inputs = vec![select("cuisine", "cuisine:", 1)];
     if ctx.flip(0.6) {
-        let (n, l) = zip_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::TypedText {
-                col: 3,
-                ty: ValueType::Zip,
-            },
-        });
+        inputs.push(typed_box(ctx.rng, ZIP, 3));
     }
     if ctx.flip(0.5) {
-        inputs.push(InputSpec {
-            name: "price_level".into(),
-            label: "price level:".into(),
-            binding: Binding::Select { col: 4 },
-        });
+        inputs.push(select("price_level", "price level:", 4));
     }
     if ctx.flip(0.8) {
-        let (n, l) = keyword_name(ctx.rng);
-        inputs.push(InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::KeywordSearch,
-        });
+        inputs.push(keyword_box(ctx.rng));
     }
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    (t, form(inputs, None))
 }
 
 /// Store locators: the pure typed-input site (paper §4.1: "we do not need to
 /// know what the form is about ... all we need to know is that the text box
 /// accepts zip code values").
 pub fn store_locator(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("store", ValueType::Text),
         ("street", ValueType::Text),
         ("city", ValueType::Text),
         ("zip", ValueType::Zip),
         ("opened", ValueType::Date),
-    ])
-    .expect("schema");
+    ];
     let streets = vocab::streets();
-    let mut t = Table::new(schema);
-    for i in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |i| {
         let street = streets.choose(ctx.rng).expect("nonempty");
         let number = ctx.rng.gen_range(1..=999);
         let city = ctx.city();
         let zip = ctx.zip();
-        t.insert(vec![
+        vec![
             Value::Text(format!("store {i}")),
             Value::Text(format!("{number} {street} street")),
             Value::Text(city),
             Value::Zip(zip),
             Value::Date(ctx.date()),
-        ])
-        .expect("row matches schema");
-    }
-    let (n, l) = zip_name(ctx.rng);
-    let mut inputs = vec![InputSpec {
-        name: n,
-        label: l,
-        binding: Binding::TypedText {
-            col: 3,
-            ty: ValueType::Zip,
-        },
-    }];
+        ]
+    });
+    let mut inputs = vec![typed_box(ctx.rng, ZIP, 3)];
     if ctx.flip(0.8) {
-        inputs.push(InputSpec {
-            name: "radius".into(),
-            label: "radius (miles):".into(),
-            binding: Binding::Ignored {
-                options: vec!["10".into(), "25".into(), "50".into()],
-            },
-        });
+        let options = vec!["10".into(), "25".into(), "50".into()];
+        inputs.push(input(
+            "radius",
+            "radius (miles):",
+            Binding::Ignored { options },
+        ));
     }
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    (t, form(inputs, None))
 }
 
 /// Government / NGO portals: keyword-searchable document stores.
 pub fn government(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("doc_type", ValueType::Text),
         ("year", ValueType::Int),
         ("title", ValueType::Text),
         ("body", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let types = vocab::gov_doc_types();
-    let mut t = Table::new(schema);
-    for i in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |i| {
         let ty = types.choose(ctx.rng).expect("nonempty");
         let year = ctx.rng.gen_range(1990..=2008);
         let subject = ctx.filler(2);
         let title = format!("{ty} {i} concerning {subject}");
         let body = format!("{} {}", subject, ctx.filler(12));
-        t.insert(vec![
+        vec![
             Value::Text((*ty).to_string()),
             Value::Int(year),
             Value::Text(title),
             Value::Text(body),
-        ])
-        .expect("row matches schema");
-    }
-    let (n, l) = keyword_name(ctx.rng);
-    let mut inputs = vec![InputSpec {
-        name: n,
-        label: l,
-        binding: Binding::KeywordSearch,
-    }];
+        ]
+    });
+    let mut inputs = vec![keyword_box(ctx.rng)];
     if ctx.flip(0.7) {
-        inputs.push(InputSpec {
-            name: "doc_type".into(),
-            label: "document type:".into(),
-            binding: Binding::Select { col: 0 },
-        });
+        inputs.push(select("doc_type", "document type:", 0));
     }
     if ctx.flip(0.5) {
-        inputs.push(InputSpec {
-            name: "year".into(),
-            label: "year:".into(),
-            binding: Binding::Select { col: 1 },
-        });
+        inputs.push(select("year", "year:", 1));
     }
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    (t, form(inputs, None))
 }
 
 /// Library catalogues: keyword box plus an exact-match author text box (an
 /// *untyped* large-domain input, paper §4.1: "people names, ISBN values").
 pub fn library(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("title", ValueType::Text),
         ("author", ValueType::Text),
         ("genre", ValueType::Text),
         ("year", ValueType::Int),
-    ])
-    .expect("schema");
+    ];
     let genres = vocab::book_genres();
     let authors = vocab::surnames();
-    let mut t = Table::new(schema);
-    for _ in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |_| {
         let genre = genres.choose(ctx.rng).expect("nonempty");
         let author = authors.choose(ctx.rng).expect("nonempty");
         let subject = ctx.filler(3);
         let title = format!("the {subject} {genre}");
-        t.insert(vec![
+        vec![
             Value::Text(title),
             Value::Text((*author).to_string()),
             Value::Text((*genre).to_string()),
             Value::Int(ctx.rng.gen_range(1950..=2008)),
-        ])
-        .expect("row matches schema");
-    }
-    let (n, l) = keyword_name(ctx.rng);
-    let mut inputs = vec![InputSpec {
-        name: n,
-        label: l,
-        binding: Binding::KeywordSearch,
-    }];
+        ]
+    });
+    let mut inputs = vec![keyword_box(ctx.rng)];
     if ctx.flip(0.8) {
-        inputs.push(InputSpec {
-            name: "genre".into(),
-            label: "genre:".into(),
-            binding: Binding::Select { col: 2 },
-        });
+        inputs.push(select("genre", "genre:", 2));
     }
     if ctx.flip(0.3) {
-        inputs.push(InputSpec {
-            name: "author".into(),
-            label: "author surname:".into(),
-            binding: Binding::TypedText {
-                col: 1,
-                ty: ValueType::Text,
-            },
-        });
+        inputs.push(input(
+            "author",
+            "author surname:",
+            Binding::TypedText { col: 1 },
+        ));
     }
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+    (t, form(inputs, None))
 }
 
 /// Media search: the database-selection correlation (paper §4.2) — one select
 /// menu chooses the underlying database, one text box takes keywords, and the
 /// productive keyword pools per category are disjoint.
 pub fn media_search(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("category", ValueType::Text),
         ("title", ValueType::Text),
         ("year", ValueType::Int),
         ("description", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let cats = vocab::media_categories();
-    let mut t = Table::new(schema);
-    for _ in 0..ctx.n_records {
+    let t = table(columns, ctx.n_records, |_| {
         let (cat, kws) = cats.choose(ctx.rng).expect("nonempty");
         let k1 = kws.choose(ctx.rng).expect("nonempty");
         let k2 = kws.choose(ctx.rng).expect("nonempty");
         let filler = ctx.filler(3);
         let title = format!("{k1} {filler}");
         let desc = format!("a {cat} item featuring {k1} and {k2}");
-        t.insert(vec![
+        vec![
             Value::Text((*cat).to_string()),
             Value::Text(title),
             Value::Int(ctx.rng.gen_range(1980..=2008)),
             Value::Text(desc),
-        ])
-        .expect("row matches schema");
-    }
-    let (n, l) = keyword_name(ctx.rng);
-    let inputs = vec![
-        InputSpec {
-            name: "category".into(),
-            label: "search in:".into(),
-            binding: Binding::Select { col: 0 },
-        },
-        InputSpec {
-            name: n,
-            label: l,
-            binding: Binding::KeywordSearch,
-        },
-    ];
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+        ]
+    });
+    let inputs = vec![select("category", "search in:", 0), keyword_box(ctx.rng)];
+    (t, form(inputs, None))
 }
 
 /// Faculty directories: the fortuitous-query substrate (paper §3.2). Exactly
 /// one select input (department); one biography mentions the SIGMOD
 /// Innovations Award.
 pub fn faculty(ctx: &mut GenCtx<'_>, plant_award: bool) -> (Table, FormSpec) {
-    let schema = Schema::new(vec![
+    let columns = vec![
         ("department", ValueType::Text),
         ("name", ValueType::Text),
         ("bio", ValueType::Text),
-    ])
-    .expect("schema");
+    ];
     let depts = vocab::departments();
     let names = vocab::surnames();
-    let mut t = Table::new(schema);
-    if plant_award {
-        t.insert(vec![
-            Value::Text("csail".into()),
-            Value::Text("stonebraker".into()),
-            Value::Text(
-                "professor stonebraker is an mit professor in the csail department \
-                 and winner of the sigmod innovations award for database systems"
-                    .into(),
-            ),
-        ])
-        .expect("row matches schema");
-    }
-    for _ in 0..ctx.n_records {
+    // The planted biography, when there is one, is record 0.
+    let planted = usize::from(plant_award);
+    let t = table(columns, planted + ctx.n_records, |i| {
+        if i < planted {
+            return vec![
+                Value::Text("csail".into()),
+                Value::Text("stonebraker".into()),
+                Value::Text(
+                    "professor stonebraker is an mit professor in the csail department \
+                     and winner of the sigmod innovations award for database systems"
+                        .into(),
+                ),
+            ];
+        }
         let dept = depts.choose(ctx.rng).expect("nonempty");
         let name = names.choose(ctx.rng).expect("nonempty");
         let filler = ctx.filler(8);
         let bio = format!("professor {name} of the {dept} department studies {filler}");
-        t.insert(vec![
+        vec![
             Value::Text((*dept).to_string()),
             Value::Text((*name).to_string()),
             Value::Text(bio),
-        ])
-        .expect("row matches schema");
-    }
-    let inputs = vec![InputSpec {
-        name: "department".into(),
-        label: "department:".into(),
-        binding: Binding::Select { col: 0 },
-    }];
-    (
-        t,
-        FormSpec {
-            action: "/results".into(),
-            post: false,
-            inputs,
-            dependent: None,
-        },
-    )
+        ]
+    });
+    (t, form(vec![select("department", "department:", 0)], None))
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 
 use crate::datagen::{self, GenCtx};
 use crate::server::WebServer;
-use crate::site::{Binding, DomainKind, RenderStyle, Site};
+use crate::site::{Binding, DomainKind, FormSpec, RenderStyle, Site};
 use crate::surface;
 use crate::vocab;
 use deepweb_common::ids::SiteId;
 use deepweb_common::{derive_rng, derive_rng_n};
-use deepweb_store::ValueType;
+use deepweb_store::{Table, ValueType};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -102,8 +103,6 @@ pub enum InputTruth {
 /// Ground truth for a whole site.
 #[derive(Clone, Debug)]
 pub struct SiteTruth {
-    /// Site id.
-    pub id: SiteId,
     /// Host name.
     pub host: String,
     /// Content domain.
@@ -114,14 +113,10 @@ pub struct SiteTruth {
     pub records: usize,
     /// True POST-ness.
     pub post: bool,
-    /// Results per page.
-    pub page_size: usize,
     /// Per-input truth, in form order: `(name, truth)`.
     pub inputs: Vec<(String, InputTruth)>,
     /// True (min,max) range pairs.
     pub range_pairs: Vec<(String, String)>,
-    /// Number of surface-reachable records via `/browse`.
-    pub browse_links: usize,
     /// True for hostile-mode sites (broken markup + junk widgets).
     pub hostile: bool,
 }
@@ -189,13 +184,13 @@ fn truth_for(site: &Site) -> FormTruth {
     for i in &site.form.inputs {
         let t = match &i.binding {
             Binding::KeywordSearch => InputTruth::Search,
-            Binding::TypedText { ty, .. } => InputTruth::Typed(*ty),
+            Binding::TypedText { col } => InputTruth::Typed(site.table.schema().column(*col).ty),
             Binding::Select { .. } => InputTruth::Select,
-            Binding::RangeMin { col, .. } => {
+            Binding::RangeMin { col } => {
                 mins.push((*col, i.name.clone()));
                 InputTruth::RangeMin(String::new()) // partner patched below
             }
-            Binding::RangeMax { col, .. } => {
+            Binding::RangeMax { col } => {
                 let partner = mins
                     .iter()
                     .find(|(c, _)| c == col)
@@ -222,11 +217,72 @@ fn truth_for(site: &Site) -> FormTruth {
     (inputs, pairs)
 }
 
+/// The zip and city pools every site of a web draws from.
+struct Pools {
+    zips: Vec<String>,
+    cities: Vec<String>,
+}
+
+impl Pools {
+    fn new(seed: u64) -> Self {
+        Pools {
+            zips: vocab::us_zipcodes(seed, 300),
+            cities: vocab::us_cities(),
+        }
+    }
+}
+
+/// Rows and form of one site of `domain`: the one place a domain picks its
+/// builder. Only a Faculty site reads `plant_award`.
+fn build_site(
+    domain: DomainKind,
+    pools: &Pools,
+    rng: &mut StdRng,
+    lang: &str,
+    lexicon: &[String],
+    n_records: usize,
+    plant_award: bool,
+) -> (Table, FormSpec) {
+    let mut ctx = GenCtx {
+        rng,
+        lang,
+        lexicon,
+        zips: &pools.zips,
+        cities: &pools.cities,
+        n_records,
+    };
+    match domain {
+        DomainKind::UsedCars => datagen::used_cars(&mut ctx),
+        DomainKind::RealEstate => datagen::real_estate(&mut ctx),
+        DomainKind::Jobs => datagen::jobs(&mut ctx),
+        DomainKind::Restaurants => datagen::restaurants(&mut ctx),
+        DomainKind::StoreLocator => datagen::store_locator(&mut ctx),
+        DomainKind::Government => datagen::government(&mut ctx),
+        DomainKind::Library => datagen::library(&mut ctx),
+        DomainKind::MediaSearch => datagen::media_search(&mut ctx),
+        DomainKind::Faculty => datagen::faculty(&mut ctx, plant_award),
+    }
+}
+
+/// Exactly `round(n * fraction)` of `n` flags set (at least one for any
+/// nonzero fraction), placed by a shuffle on the `stream` of `seed`, and
+/// their count. `what` names the fraction in the panic for one outside
+/// `[0, 1]`.
+fn stratified(n: usize, fraction: f64, seed: u64, stream: &str, what: &str) -> (Vec<bool>, usize) {
+    assert!(
+        (0.0..=1.0).contains(&fraction),
+        "{what} must be in [0, 1], got {fraction}"
+    );
+    let set = (((n as f64) * fraction).round() as usize).max((fraction > 0.0 && n > 0) as usize);
+    let mut flags: Vec<bool> = (0..n).map(|i| i < set).collect();
+    flags.shuffle(&mut derive_rng(seed, stream));
+    (flags, set)
+}
+
 /// Generate a world from a config.
 pub fn generate(config: &WebConfig) -> World {
     let seed = config.seed;
-    let zips = vocab::us_zipcodes(seed, 300);
-    let cities = vocab::us_cities();
+    let pools = Pools::new(seed);
     let languages = vocab::languages();
     let weights: Vec<f64> = config.domain_weights.iter().map(|(_, w)| *w).collect();
     let total_w: f64 = weights.iter().sum();
@@ -239,41 +295,26 @@ pub fn generate(config: &WebConfig) -> World {
     let mut truths = Vec::with_capacity(config.num_sites);
     let mut planted_award = false;
 
-    // POST status is stratified, not independently Bernoulli per site: exactly
-    // round(num_sites * post_fraction) sites are POST (at least one for any
-    // nonzero fraction), chosen by a dedicated shuffle stream. Independent
-    // draws can produce zero POST forms in small webs, which breaks the
-    // configured fraction's contract (and the POST exclusion experiment that
-    // relies on POST forms existing).
-    assert!(
-        (0.0..=1.0).contains(&config.post_fraction),
-        "post_fraction must be in [0, 1], got {}",
-        config.post_fraction
+    // POST status is stratified, not independently Bernoulli per site.
+    // Independent draws can produce zero POST forms in small webs, which
+    // breaks the configured fraction's contract (and the POST exclusion
+    // experiment that relies on POST forms existing).
+    let (mut post_flags, n_post) = stratified(
+        config.num_sites,
+        config.post_fraction,
+        seed,
+        "genweb-post",
+        "post_fraction",
     );
-    let n_post = (((config.num_sites as f64) * config.post_fraction).round() as usize)
-        .max((config.post_fraction > 0.0 && config.num_sites > 0) as usize);
-    let mut post_flags = vec![false; config.num_sites];
-    for f in post_flags.iter_mut().take(n_post) {
-        *f = true;
-    }
-    post_flags.shuffle(&mut derive_rng(seed, "genweb-post"));
-
-    // Hostile status is stratified the same way: exactly
-    // round(num_sites * hostile_fraction) sites (at least one for any nonzero
-    // fraction) render broken markup and junk form widgets. Backends stay
-    // honest, so the flag changes presentation only, never ground truth.
-    assert!(
-        (0.0..=1.0).contains(&config.hostile_fraction),
-        "hostile_fraction must be in [0, 1], got {}",
-        config.hostile_fraction
+    // Hostile status is stratified the same way. Backends stay honest, so
+    // the flag changes presentation only, never ground truth.
+    let (hostile_flags, _) = stratified(
+        config.num_sites,
+        config.hostile_fraction,
+        seed,
+        "genweb-hostile",
+        "hostile_fraction",
     );
-    let n_hostile = (((config.num_sites as f64) * config.hostile_fraction).round() as usize)
-        .max((config.hostile_fraction > 0.0 && config.num_sites > 0) as usize);
-    let mut hostile_flags = vec![false; config.num_sites];
-    for f in hostile_flags.iter_mut().take(n_hostile) {
-        *f = true;
-    }
-    hostile_flags.shuffle(&mut derive_rng(seed, "genweb-hostile"));
 
     for (i, &rank) in size_ranks.iter().enumerate() {
         let mut rng = derive_rng_n(seed, "genweb-site", i as u64);
@@ -298,29 +339,11 @@ pub fn generate(config: &WebConfig) -> World {
         let raw = config.max_records as f64 / ((rank + 1) as f64).powf(SIZE_SKEW);
         let n_records = (raw as usize).clamp(config.min_records, config.max_records);
 
-        let mut ctx = GenCtx {
-            rng: &mut rng,
-            lang: &language,
-            lexicon: &lexicon,
-            zips: &zips,
-            cities: &cities,
-            n_records,
-        };
         let plant = domain == DomainKind::Faculty && language == "en" && !planted_award;
-        let (table, mut form) = match domain {
-            DomainKind::UsedCars => datagen::used_cars(&mut ctx),
-            DomainKind::RealEstate => datagen::real_estate(&mut ctx),
-            DomainKind::Jobs => datagen::jobs(&mut ctx),
-            DomainKind::Restaurants => datagen::restaurants(&mut ctx),
-            DomainKind::StoreLocator => datagen::store_locator(&mut ctx),
-            DomainKind::Government => datagen::government(&mut ctx),
-            DomainKind::Library => datagen::library(&mut ctx),
-            DomainKind::MediaSearch => datagen::media_search(&mut ctx),
-            DomainKind::Faculty => {
-                planted_award |= plant;
-                datagen::faculty(&mut ctx, plant)
-            }
-        };
+        planted_award |= plant;
+        let (table, mut form) = build_site(
+            domain, &pools, &mut rng, &language, &lexicon, n_records, plant,
+        );
         // The planted award-bio site should stay GET (the paper's fortuitous
         // query walkthrough depends on it being surfaceable), so hand its
         // POST flag to a later site — or surrender it (one fewer POST form)
@@ -361,16 +384,13 @@ pub fn generate(config: &WebConfig) -> World {
         };
         let (input_truth, range_pairs) = truth_for(&site);
         truths.push(SiteTruth {
-            id: site.id,
             host: site.host.clone(),
             domain,
             language,
             records: site.table.len(),
             post: site.form.post,
-            page_size,
             inputs: input_truth,
             range_pairs,
-            browse_links,
             hostile: site.hostile,
         });
         sites.push(site);
@@ -380,11 +400,9 @@ pub fn generate(config: &WebConfig) -> World {
     let mut pages = surface::popular_pages(seed, config.popular_hosts);
     pages.extend(surface::table_pages(seed, config.table_hosts));
     let popular_hosts: Vec<String> = (0..config.popular_hosts)
-        .map(|k| format!("web-{k:03}.sim"))
+        .map(surface::popular_host)
         .collect();
-    let table_hosts: Vec<String> = (0..config.table_hosts)
-        .map(|k| format!("data-{k:03}.sim"))
-        .collect();
+    let table_hosts: Vec<String> = (0..config.table_hosts).map(surface::table_host).collect();
     let mut all_hosts: Vec<String> = sites.iter().map(|s| s.host.clone()).collect();
     all_hosts.extend(popular_hosts.iter().cloned());
     all_hosts.extend(table_hosts.iter().cloned());
@@ -412,41 +430,28 @@ pub fn generate(config: &WebConfig) -> World {
 ///
 /// Returns the site's new record count.
 pub fn grow_site(world: &mut World, site_idx: usize, extra: usize, seed: u64) -> usize {
-    let current = world.server.site(SiteId(site_idx as u32)).table.len();
+    let site = world.server.site(SiteId(site_idx as u32));
+    let current = site.table.len();
     if extra == 0 {
         return current;
     }
-    let zips = vocab::us_zipcodes(seed, 300);
-    let cities = vocab::us_cities();
-    let site = world.server.site_mut(site_idx);
-    let language = site.language.clone();
-    let lexicon = site.lexicon.clone();
     let mut rng = derive_rng_n(
         seed,
         "genweb-grow",
         ((site_idx as u64) << 32) | current as u64,
     );
-    let mut ctx = GenCtx {
-        rng: &mut rng,
-        lang: &language,
-        lexicon: &lexicon,
-        zips: &zips,
-        cities: &cities,
-        n_records: extra,
-    };
     // The generator also produces a form spec; the site keeps its existing
     // one (forms don't change when content grows), only the rows are taken.
-    let (fresh, _form) = match site.domain {
-        DomainKind::UsedCars => datagen::used_cars(&mut ctx),
-        DomainKind::RealEstate => datagen::real_estate(&mut ctx),
-        DomainKind::Jobs => datagen::jobs(&mut ctx),
-        DomainKind::Restaurants => datagen::restaurants(&mut ctx),
-        DomainKind::StoreLocator => datagen::store_locator(&mut ctx),
-        DomainKind::Government => datagen::government(&mut ctx),
-        DomainKind::Library => datagen::library(&mut ctx),
-        DomainKind::MediaSearch => datagen::media_search(&mut ctx),
-        DomainKind::Faculty => datagen::faculty(&mut ctx, false),
-    };
+    let (fresh, _form) = build_site(
+        site.domain,
+        &Pools::new(seed),
+        &mut rng,
+        &site.language,
+        &site.lexicon,
+        extra,
+        false,
+    );
+    let site = world.server.site_mut(site_idx);
     for (_, row) in fresh.iter() {
         site.table
             .insert(row.to_vec())

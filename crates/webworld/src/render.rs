@@ -5,7 +5,7 @@
 //! exercise the crawler and the informativeness test (identical empty pages
 //! collapse to one signature).
 
-use crate::site::{RenderStyle, Site};
+use crate::site::{RenderStyle, Site, RESULTS_PATH};
 use deepweb_common::urlcodec::encode_component;
 use deepweb_common::{fxhash64, RecordId};
 use deepweb_html::writer::{escape_text, PageBuilder};
@@ -210,13 +210,13 @@ pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> St
     let mut nav: Vec<(String, String)> = Vec::new();
     if page.page > 0 {
         nav.push((
-            format!("/results?{}&page={}", base, page.page - 1),
+            format!("{RESULTS_PATH}?{base}&page={}", page.page - 1),
             "previous page".into(),
         ));
     }
     if (page.page + 1) * page.page_size < page.total {
         nav.push((
-            format!("/results?{}&page={}", base, page.page + 1),
+            format!("{RESULTS_PATH}?{base}&page={}", page.page + 1),
             "next page".into(),
         ));
     }

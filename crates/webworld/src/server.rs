@@ -3,7 +3,7 @@
 
 use crate::fetch::{http_error, Fetcher, Response};
 use crate::render;
-use crate::site::{CompiledQuery, Site};
+use crate::site::{CompiledQuery, Site, RESULTS_PATH};
 use deepweb_common::ids::{RecordId, SiteId};
 use deepweb_common::{FxHashMap, Result, Url};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +102,7 @@ impl WebServer {
             "/about" => Ok(ok(render::about_page(site))),
             "/search" => Ok(ok(render::search_page(site))),
             "/browse" if site.browse_links > 0 => Ok(ok(render::browse_page(site))),
-            "/results" => {
+            RESULTS_PATH => {
                 if site.form.post {
                     // GET against a POST action: method not allowed.
                     return Err(http_error(405, url));

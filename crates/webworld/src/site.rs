@@ -10,7 +10,7 @@
 use deepweb_common::ids::SiteId;
 use deepweb_common::text::tokenize;
 use deepweb_html::FormBuilder;
-use deepweb_store::{Conjunction, Predicate, Table, Value, ValueType};
+use deepweb_store::{Conjunction, Predicate, Table, Value};
 use std::fmt::Write as _;
 
 /// Content domain of a site.
@@ -37,21 +37,6 @@ pub enum DomainKind {
 }
 
 impl DomainKind {
-    /// All domains.
-    pub fn all() -> &'static [DomainKind] {
-        &[
-            DomainKind::UsedCars,
-            DomainKind::RealEstate,
-            DomainKind::Jobs,
-            DomainKind::Restaurants,
-            DomainKind::StoreLocator,
-            DomainKind::Government,
-            DomainKind::Library,
-            DomainKind::MediaSearch,
-            DomainKind::Faculty,
-        ]
-    }
-
     /// Stable lowercase name (used in hostnames).
     pub fn name(self) -> &'static str {
         match self {
@@ -73,12 +58,11 @@ impl DomainKind {
 pub enum Binding {
     /// Free-keyword search over the whole record.
     KeywordSearch,
-    /// A text box accepting values of one type for an equality filter.
+    /// A text box for an equality filter on `col`; it accepts values of the
+    /// column's schema type.
     TypedText {
         /// Column filtered.
         col: usize,
-        /// Expected value type.
-        ty: ValueType,
     },
     /// A select menu over a column's values ("" = no constraint).
     Select {
@@ -89,15 +73,11 @@ pub enum Binding {
     RangeMin {
         /// Column bounded.
         col: usize,
-        /// Value type of the bound.
-        ty: ValueType,
     },
     /// Text box holding the upper bound of a range over `col`.
     RangeMax {
         /// Column bounded.
         col: usize,
-        /// Value type of the bound.
-        ty: ValueType,
     },
     /// A fixed hidden value (e.g. interface language).
     Hidden {
@@ -136,11 +116,13 @@ pub struct DependentOptions {
     pub map: Vec<(String, Vec<String>)>,
 }
 
-/// A site's search form.
+/// The path every form submits to, and the only one the server answers
+/// with results.
+pub const RESULTS_PATH: &str = "/results";
+
+/// A site's search form. It submits to [`RESULTS_PATH`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FormSpec {
-    /// Submission path (always site-relative, e.g. `/results`).
-    pub action: String,
     /// True for POST forms (not surfaceable; paper §3.2).
     pub post: bool,
     /// Inputs in display order.
@@ -222,33 +204,28 @@ impl Site {
                         preds.push(Predicate::KeywordsAll(kws));
                     }
                 }
-                Binding::TypedText { col, ty } => match Value::parse_as(*ty, v) {
-                    Some(value) => preds.push(Predicate::Eq { col: *col, value }),
-                    None => return CompiledQuery::Invalid,
-                },
-                Binding::Select { col } => {
-                    let ty = self.table.schema().column(*col).ty;
-                    match Value::parse_as(ty, v) {
-                        Some(value) => preds.push(Predicate::Eq { col: *col, value }),
-                        None => return CompiledQuery::Invalid,
-                    }
+                Binding::TypedText { col }
+                | Binding::Select { col }
+                | Binding::RangeMin { col }
+                | Binding::RangeMax { col } => {
+                    let col = *col;
+                    let Some(value) = Value::parse_as(self.table.schema().column(col).ty, v) else {
+                        return CompiledQuery::Invalid;
+                    };
+                    preds.push(match input.binding {
+                        Binding::RangeMin { .. } => Predicate::Range {
+                            col,
+                            min: Some(value),
+                            max: None,
+                        },
+                        Binding::RangeMax { .. } => Predicate::Range {
+                            col,
+                            min: None,
+                            max: Some(value),
+                        },
+                        _ => Predicate::Eq { col, value },
+                    });
                 }
-                Binding::RangeMin { col, ty } => match Value::parse_as(*ty, v) {
-                    Some(value) => preds.push(Predicate::Range {
-                        col: *col,
-                        min: Some(value),
-                        max: None,
-                    }),
-                    None => return CompiledQuery::Invalid,
-                },
-                Binding::RangeMax { col, ty } => match Value::parse_as(*ty, v) {
-                    Some(value) => preds.push(Predicate::Range {
-                        col: *col,
-                        min: None,
-                        max: Some(value),
-                    }),
-                    None => return CompiledQuery::Invalid,
-                },
                 Binding::Hidden { .. } | Binding::Ignored { .. } => {}
             }
         }
@@ -271,9 +248,9 @@ impl Site {
         // carry an inline submit handler. The action still resolves to this
         // host, so the backend semantics are untouched.
         let action = if self.hostile {
-            format!("http://{}{}", self.host, self.form.action)
+            format!("http://{}{RESULTS_PATH}", self.host)
         } else {
-            self.form.action.clone()
+            RESULTS_PATH.to_string()
         };
         let mut fb = if self.form.post {
             FormBuilder::post(&action)
@@ -377,7 +354,7 @@ impl Site {
 #[cfg(test)]
 pub mod tests_support {
     use super::*;
-    use deepweb_store::Schema;
+    use deepweb_store::{Schema, ValueType};
 
     /// A three-record used-cars site with one of each input kind.
     pub fn mini_site(style: RenderStyle) -> Site {
@@ -412,7 +389,6 @@ pub mod tests_support {
             lexicon: vec!["filler".into()],
             table: t,
             form: FormSpec {
-                action: "/results".into(),
                 post: false,
                 inputs: vec![
                     InputSpec {
@@ -423,26 +399,17 @@ pub mod tests_support {
                     InputSpec {
                         name: "min_price".into(),
                         label: "min price:".into(),
-                        binding: Binding::RangeMin {
-                            col: 2,
-                            ty: ValueType::Money,
-                        },
+                        binding: Binding::RangeMin { col: 2 },
                     },
                     InputSpec {
                         name: "max_price".into(),
                         label: "max price:".into(),
-                        binding: Binding::RangeMax {
-                            col: 2,
-                            ty: ValueType::Money,
-                        },
+                        binding: Binding::RangeMax { col: 2 },
                     },
                     InputSpec {
                         name: "zip".into(),
                         label: "zip code:".into(),
-                        binding: Binding::TypedText {
-                            col: 3,
-                            ty: ValueType::Zip,
-                        },
+                        binding: Binding::TypedText { col: 3 },
                     },
                     InputSpec {
                         name: "q".into(),
@@ -536,7 +503,7 @@ mod tests {
         let forms = deepweb_html::extract_forms(&doc);
         assert_eq!(forms.len(), 1);
         let f = &forms[0];
-        assert_eq!(f.action, "/results");
+        assert_eq!(f.action, RESULTS_PATH);
         assert_eq!(f.inputs.len(), 6);
         // Select options include distinct makes.
         match &f.input("make").unwrap().kind {

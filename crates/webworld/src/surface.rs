@@ -54,6 +54,16 @@ const SCHEMA_TEMPLATES: &[&[usize]] = &[
     &[12, 2, 5, 6], // bedrooms, price, city, zip    (real estate)
 ];
 
+/// Host name of popular surface host `k`.
+pub fn popular_host(k: usize) -> String {
+    format!("web-{k:03}.sim")
+}
+
+/// Host name of data-table surface host `k`.
+pub fn table_host(k: usize) -> String {
+    format!("data-{k:03}.sim")
+}
+
 /// Generate the SEO'd popular-topic pages for head queries.
 pub fn popular_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
     let mut pages = Vec::new();
@@ -62,7 +72,7 @@ pub fn popular_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
     let cities = vocab::us_cities();
     let lex = vocab::lexicon("en", 300, seed);
     for k in 0..num_hosts {
-        let host = format!("web-{k:03}.sim");
+        let host = popular_host(k);
         let mut rng = derive_rng_n(seed, "surface-popular", k as u64);
         let n_pages = rng.gen_range(3..=8);
         let mut links = Vec::new();
@@ -109,7 +119,7 @@ pub fn table_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
     let cities = vocab::us_cities();
     let lex = vocab::lexicon("en", 200, seed);
     for k in 0..num_hosts {
-        let host = format!("data-{k:03}.sim");
+        let host = table_host(k);
         let mut rng = derive_rng_n(seed, "surface-tables", k as u64);
         let n_pages = rng.gen_range(2..=5);
         let mut links = Vec::new();

@@ -8,7 +8,9 @@
 #      `*Policy`, `SearchOptions`) — the independently settable values —
 #      and their total;
 #   3. findings the analyzer suppresses through `detlint:allow` comments;
-#   4. md5 of `report -- smoke` stdout, which must not move across a refactor.
+#   4. md5 of `report -- smoke` stdout, which must not move across a refactor,
+#      beside the committed `tools/report_smoke.md5` and whether they match
+#      (informational here; CI gates the match in its own step).
 #
 # Run from anywhere inside the checkout: `tools/simplicity.sh`.
 set -eu
@@ -39,4 +41,7 @@ cargo run -q --release -p analyzer --bin detlint |
     awk '/^(R[0-9]+|A0) /{s+=$4} END{print s+0}'
 
 echo "== md5 of report -- smoke"
-cargo run -q --release -p deepweb-bench --bin report -- smoke 2>/dev/null | md5sum | cut -d' ' -f1
+got=$(cargo run -q --release -p deepweb-bench --bin report -- smoke 2>/dev/null | md5sum | cut -d' ' -f1)
+want=$(cat tools/report_smoke.md5)
+if [ "$got" = "$want" ]; then verdict=matches; else verdict=DIFFERS; fi
+printf '%s (tools/report_smoke.md5 %s: %s)\n' "$got" "$want" "$verdict"
