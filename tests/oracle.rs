@@ -522,3 +522,97 @@ fn queries_past_64_terms_keep_every_facet_conflict() {
         assert!(demoted, "no facet conflict for {q:?}");
     }
 }
+
+/// The annotation adjustment at the top-k threshold. 600 docs of one text
+/// shape (`honda ford civic red listing d{i}`: every query term once, six
+/// tokens each) tie on BM25, so only the annotation adjustment orders them:
+/// no annotation, one or two keys, two annotations of one key, an empty
+/// value, a value of 65 tokens. The last doc carries four annotations — the
+/// most any doc holds — and two tokens more text, so its BM25 sum sits just
+/// below everyone else's and only its adjustment lifts it to the top. The
+/// queries name one value, two values of one key (a conflict), a value
+/// beside an unknown term, a value only the facet vocabulary knows, and the
+/// last doc's four values. Served sealed, and through a generation whose
+/// pending segment holds the last docs: there the annotation bound a doc
+/// is measured against must come from the segment, not the base, or the
+/// last doc is passed over. Against brute force, bit for bit.
+#[test]
+fn annotation_adjustments_at_the_threshold_serve_the_oracle() {
+    use deepweb::index::SegmentedIndex;
+    const DOCS: usize = 600;
+    let ann = |key: &str, value: &str| Annotation {
+        key: key.into(),
+        value: value.into(),
+    };
+    let long: Vec<String> = (0..65).map(|t| format!("shade{t}")).collect();
+    let long = long.join(" ");
+    let corpus: Vec<BatchDoc> = (0..DOCS)
+        .map(|i| {
+            let (text, annotations) = if i == DOCS - 1 {
+                let anns = vec![
+                    ann("make", "honda"),
+                    ann("model", "civic"),
+                    ann("colour", "red"),
+                    ann("year", "1993"),
+                ];
+                (format!("honda ford civic red listing d{i} two more"), anns)
+            } else {
+                let anns = match i % 8 {
+                    0 => vec![],
+                    1 => vec![ann("make", "honda")],
+                    2 => vec![ann("make", "ford"), ann("model", "civic")],
+                    3 => vec![ann("make", "honda"), ann("model", "civic")],
+                    4 => vec![ann("make", "honda"), ann("make", "ford")],
+                    5 => vec![ann("make", ""), ann("model", "civic")],
+                    6 => vec![ann("colour", &long), ann("make", "ford")],
+                    _ => vec![ann("colour", "red"), ann("make", "honda")],
+                };
+                (format!("honda ford civic red listing d{i}"), anns)
+            };
+            BatchDoc {
+                url: Url::new("tie.sim", format!("/d{i}")),
+                title: String::new(),
+                text,
+                kind: DocKind::Surfaced,
+                site: None,
+                annotations,
+            }
+        })
+        .collect();
+    let mut oracle = Oracle::of_docs(corpus.iter().map(pending));
+    let make = oracle.vocabulary.get_mut("make").expect("make annotated");
+    make.insert("tesla".to_string());
+    let queries: Vec<String> = [
+        "honda",
+        "honda ford",
+        "honda zzzunknown",
+        "tesla listing",
+        "honda civic red 1993",
+    ]
+    .map(String::from)
+    .to_vec();
+    let build = |docs: &[BatchDoc]| {
+        let mut index = SearchIndex::new();
+        index.add_batch(&ThreadPool::new(2), docs.to_vec());
+        index.add_facet_values("make", ["Tesla".to_string()]);
+        index.enable_pruning();
+        index
+    };
+    let sealed = build(&corpus);
+    let serve = |q: &str, k: usize, opts: SearchOptions| search(&sealed, q, k, opts);
+    let counts = assert_serves_the_oracle(serve, &oracle, &queries);
+    assert_eq!(counts, (queries.len(), queries.len()));
+    // Not vacuous: the last doc ranks last on BM25 and first once adjusted.
+    let last = (DOCS - 1) as u32;
+    let plain = oracle.search("honda civic red 1993", usize::MAX, false);
+    assert_eq!(plain.last().map(|h| h.0), Some(last));
+    let annotated = oracle.search("honda civic red 1993", 1, true);
+    assert_eq!(annotated[0].0, last);
+
+    let fresh = SegmentedIndex::new(build(&corpus[..DOCS - 20]));
+    assert_eq!(fresh.apply(corpus[DOCS - 20..].to_vec()), 20);
+    let gen = fresh.snapshot();
+    assert_eq!(gen.segments().len(), 1);
+    let served = assert_serves_the_oracle(|q, k, opts| gen.search(q, k, opts), &oracle, &queries);
+    assert_eq!(served, counts);
+}
