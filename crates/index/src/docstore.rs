@@ -6,6 +6,7 @@
 //! what lets the freshness tier's merge (DESIGN.md §15) hand the next base
 //! the sealed base's documents instead of a copy of their text.
 
+use crate::searcher::ANNOTATION_BOOST;
 use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
 use deepweb_common::Url;
@@ -61,6 +62,8 @@ pub struct AnnotationColumn {
     entries: Vec<ColumnEntry>,
     /// Every entry's value tokens, in document then annotation order.
     tokens: Vec<TermId>,
+    /// The most boostable entries (1 to 64 value tokens) any document holds.
+    max_boostable: usize,
 }
 
 impl Default for AnnotationColumn {
@@ -69,6 +72,7 @@ impl Default for AnnotationColumn {
             starts: vec![0],
             entries: Vec::new(),
             tokens: Vec::new(),
+            max_boostable: 0,
         }
     }
 }
@@ -94,7 +98,17 @@ impl AnnotationColumn {
     /// Close the document being written: its entries are the ones pushed
     /// since the last call.
     pub(crate) fn end_doc(&mut self) {
+        let lo = self.starts.last().map_or(0, |&lo| lo as usize);
+        let boostable = |e: &&ColumnEntry| (1..=64).contains(&(e.hi - e.lo));
+        let n = self.entries[lo..].iter().filter(boostable).count();
+        self.max_boostable = self.max_boostable.max(n);
         self.starts.push(next_id(self.entries.len()));
+    }
+
+    /// Upper bound on any document's annotation adjustment: [`ANNOTATION_BOOST`]
+    /// per boostable annotation of the document holding the most.
+    pub(crate) fn boost_bound(&self) -> f64 {
+        ANNOTATION_BOOST * self.max_boostable as f64
     }
 }
 
@@ -189,6 +203,20 @@ impl DocStore {
     /// Iterate all documents.
     pub fn iter(&self) -> impl Iterator<Item = &StoredDoc> {
         self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+}
+
+#[cfg(test)]
+impl AnnotationColumn {
+    /// [`AnnotationColumn::boost_bound`] by brute force: every document's
+    /// annotations counted afresh, those of 1 to 64 value tokens kept.
+    pub(crate) fn brute_boost_bound(&self) -> f64 {
+        let docs = 0..self.starts.len() - 1;
+        let per_doc = docs.map(|d| {
+            let anns = self.doc(DocId(next_id(d)));
+            anns.filter(|(_, v)| (1..=64).contains(&v.len())).count()
+        });
+        ANNOTATION_BOOST * per_doc.max().unwrap_or(0) as f64
     }
 }
 
@@ -296,5 +324,13 @@ mod tests {
                 (FacetKeyId(0), vec![])
             ]
         );
+        // Two annotations, but the empty value cannot boost.
+        assert_eq!(column.boost_bound(), ANNOTATION_BOOST);
+        column.push(FacetKeyId(0), &[TermId(7); 65]);
+        column.push(FacetKeyId(1), &[TermId(2)]);
+        column.push(FacetKeyId(2), &[TermId(9); 64]);
+        column.end_doc();
+        assert_eq!(column.boost_bound(), 2.0 * ANNOTATION_BOOST);
+        assert_eq!(column.boost_bound(), column.brute_boost_bound());
     }
 }

@@ -272,8 +272,8 @@ impl SearchIndex {
     /// punctuated vocabulary still matches analysed query terms.
     ///
     /// The pruning structures stay: a term interned here owns no postings
-    /// (so no blocks) and moves no df, and the annotation bound counts
-    /// per-doc annotations only.
+    /// (so no blocks) and moves no df. The annotation bound counts per-doc
+    /// annotations only, so it does not move either.
     pub fn add_facet_values<I: IntoIterator<Item = String>>(&mut self, key: &str, values: I) {
         let key = self.intern_facet_key(key);
         for v in values {
@@ -448,16 +448,16 @@ impl SearchIndex {
             "{ctx}: facet keys"
         );
         assert_eq!(self.annotations, want.annotations, "{ctx}: annotations");
+        assert_eq!(
+            self.annotations.boost_bound().to_bits(),
+            self.annotations.brute_boost_bound().to_bits(),
+            "{ctx}: annotation bound"
+        );
         assert_eq!(self.vocabulary, want.vocabulary, "{ctx}: vocabulary");
         assert_eq!(dbg(&self.pruning), dbg(&want.pruning), "{ctx}: pruning");
         let (Some(got), Some(want)) = (self.pruning(), want.pruning()) else {
             panic!("{ctx}: both sides carry pruning structures");
         };
-        assert_eq!(
-            got.annotation_upper_bound().to_bits(),
-            want.annotation_upper_bound().to_bits(),
-            "{ctx}: annotation bound"
-        );
         for (id, term) in self.postings.dict().iter() {
             let (a, b) = (got.blocks().term_blocks(id), want.blocks().term_blocks(id));
             assert_eq!(a, b, "{ctx}: blocks of {term:?}");
@@ -603,10 +603,13 @@ mod tests {
     /// runs any way, each run entering by `add` calls or by one `add_batch`
     /// at 1 or 3 workers, then `enable_pruning`, equals one `add_batch` of
     /// the whole sequence plus `enable_pruning` — postings, docstore,
-    /// `by_url`, both dictionaries, facet values, every block — and hands
-    /// back the same ids.
+    /// `by_url`, both dictionaries, facet values, the annotation column and
+    /// its bound (a brute-force max over docs: an empty value and one of 65
+    /// tokens do not count), every block — and hands back the same ids.
     #[test]
     fn add_and_add_batch_in_any_split_equal_one_batch() {
+        let long: Vec<String> = (0..65).map(|t| format!("w{t}")).collect();
+        let long = long.join(" ");
         let docs: Vec<BatchDoc> = (0..40usize)
             .map(|i| BatchDoc {
                 url: Url::new("a.sim", format!("/p{}", i % 31)),
@@ -614,13 +617,14 @@ mod tests {
                 text: format!("honda civic doc {i} zip {} value{}", 90000 + i % 7, i % 5),
                 kind: DocKind::Surfaced,
                 site: Some(SiteId(0)),
-                annotations: (0..i % 3)
+                annotations: (0..if i == 17 { 5 } else { i % 3 })
                     .map(|a| Annotation {
                         key: format!("key{a}"),
-                        value: if i == 8 && a == 1 {
-                            "Out-of Stock".to_string()
-                        } else {
-                            format!("Value{} of the lot{i}", (i + 2) % 6)
+                        value: match (i, a) {
+                            (8, 1) => "Out-of Stock".to_string(),
+                            (10, 0) => String::new(),
+                            (11, 1) | (17, 4) => long.clone(),
+                            _ => format!("Value{} of the lot{i}", (i + 2) % 6),
                         },
                     })
                     .collect(),
@@ -629,6 +633,8 @@ mod tests {
         let mut want = SearchIndex::new();
         let want_ids = want.add_batch(&ThreadPool::new(1), docs.clone());
         want.enable_pruning();
+        let bound = want.annotation_column().boost_bound();
+        assert_eq!(bound, 4.0 * crate::searcher::ANNOTATION_BOOST);
         let splits: Vec<Vec<usize>> = vec![
             vec![],
             vec![1],

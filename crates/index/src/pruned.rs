@@ -25,10 +25,11 @@
 //!   term sum, exactly like the exhaustive pass, from the same per-query
 //!   facet masks.
 //! - **The annotation bound is the query's.** A window's bound adds the
-//!   index-wide annotation bound only when the query names some facet value
-//!   (its facet masks are not all empty); otherwise every doc's boost is
-//!   `0.0`, the bound is `0`, and the kernel prunes exactly as with
-//!   annotations off.
+//!   view's annotation bound (`IndexView::annotation_bound`, the largest of
+//!   its annotation columns' — the number the fold's selection pass reads
+//!   too) only when the query names some facet value (its facet masks are
+//!   not all empty); otherwise every doc's boost is `0.0`, the bound is `0`,
+//!   and the kernel prunes exactly as with annotations off.
 //! - **Skipped docs could never be kept.** Every skip — a whole window, a
 //!   doc holding dropped terms only, a candidate discarded on what it is
 //!   known to hold — tests a *guarded* upper bound: `guard_ub` inflates a
@@ -50,9 +51,8 @@ use crate::postings::{
 };
 use crate::searcher::{
     admit, annotation_boost, drain_heap_topk, HeapEntry, Hit, QueryScratch, SearchOptions,
-    ANNOTATION_BOOST,
 };
-use crate::view::{doc_bound, IndexView};
+use crate::view::IndexView;
 use deepweb_common::ids::{DocId, TermId};
 use std::collections::BinaryHeap;
 
@@ -95,26 +95,22 @@ impl Bounds {
 }
 
 /// The serving-side pruning structures built over a finished index: the
-/// block index plus the index-wide annotation-boost upper bound.
-/// Built once by [`SearchIndex::enable_pruning`]; a document added later
-/// drops it (stale bounds could unsafely skip). The freshness tier's
-/// merge instead *extends* the sealed base's structures over the docs it
-/// folds in (`PruningIndex::extended`).
+/// block index. Built once by [`SearchIndex::enable_pruning`]; a document
+/// added later drops it (stale bounds could unsafely skip). The freshness
+/// tier's merge instead *extends* the sealed base's structures over the
+/// docs it folds in (`PruningIndex::extended`). The annotation bound lives
+/// with the annotations, in each part's `AnnotationColumn`.
 ///
 /// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
 #[derive(Clone, Debug)]
 pub struct PruningIndex {
     blocks: BlockPostings,
-    /// Upper bound on any doc's annotation *boost*: [`ANNOTATION_BOOST`] per
-    /// trackable annotation (1–64 value tokens) of the most-annotated doc.
-    /// Penalties only lower scores, so they never enter a bound.
-    ann_ub: f64,
 }
 
 impl PruningIndex {
     /// Build the block index (with [`POSTINGS_BLOCK_SIZE`]-posting blocks
-    /// bounded at the default BM25 parameters) and the annotation bound:
-    /// `PruningIndex::extended` from the structures of the empty index.
+    /// bounded at the default BM25 parameters): `PruningIndex::extended`
+    /// from the structures of the empty index.
     pub fn build(index: &SearchIndex) -> Self {
         Self::empty(POSTINGS_BLOCK_SIZE).extended(index)
     }
@@ -124,39 +120,22 @@ impl PruningIndex {
     fn empty(block_size: usize) -> Self {
         PruningIndex {
             blocks: BlockPostings::empty(block_size),
-            ann_ub: 0.0,
         }
     }
 
     /// The structures over all of `index`, given `self` over its first
     /// `self.blocks.docs` documents — equal to [`PruningIndex::build`] of
     /// `index`, at the cost of what was appended ([`BlockPostings::extended`])
-    /// plus one pass of exact block maxima. The annotation bound folds only the
-    /// new docs into the stored maximum.
+    /// plus one pass of exact block maxima.
     pub(crate) fn extended(&self, index: &SearchIndex) -> Self {
-        let column = index.annotation_column();
-        let max_anns = (self.blocks.docs..doc_bound(index.len()))
-            .map(|id| {
-                let anns = column.doc(DocId(id));
-                anns.filter(|(_, terms)| (1..=64).contains(&terms.len()))
-                    .count()
-            })
-            .max()
-            .unwrap_or(0);
         PruningIndex {
             blocks: self.blocks.extended(index.postings()),
-            ann_ub: self.ann_ub.max(ANNOTATION_BOOST * max_anns as f64),
         }
     }
 
     /// The block index.
     pub fn blocks(&self) -> &BlockPostings {
         &self.blocks
-    }
-
-    /// Upper bound on any single doc's annotation boost.
-    pub fn annotation_upper_bound(&self) -> f64 {
-        self.ann_ub
     }
 }
 
@@ -266,7 +245,8 @@ fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
 /// scoring every sig term's base postings and selecting top-k —
 /// byte-identical to that exhaustive fold (see module docs for the
 /// argument). Runs on the scratch's recycled heap and window buffers; the
-/// dense score accumulator is untouched. `pr` indexes the base's postings
+/// dense score accumulator is untouched; each doc it scores with
+/// annotations on counts toward `annotations_read`. `pr` indexes the base's postings
 /// only; idf and the average doc length are the *view's*, and with a
 /// segment pending every bound is recomputed under them. With annotations
 /// on, the scratch's facet masks must be `sig`'s: [`top_k`] fills them, and
@@ -288,7 +268,7 @@ pub(crate) fn pruned_topk(
         stored_exact: view.segments.is_empty(),
     };
     let ann_ub = if opts.use_annotations {
-        pr.annotation_upper_bound()
+        view.annotation_bound()
     } else {
         0.0
     };
@@ -332,6 +312,7 @@ pub(crate) fn pruned_topk(
     let mut threshold = kth(heap);
     let (mut docs_scored, mut windows_skipped) = (0usize, 0usize);
     let (mut candidates_dropped, mut postings_folded) = (0usize, 0usize);
+    let mut annotations_read = 0usize;
     let mut marked = [0u64; WINDOW / 64];
     // Each window starts at the lowest doc any term holds beyond the last.
     while let Some(win_lo) = terms
@@ -432,6 +413,7 @@ pub(crate) fn pruned_topk(
                 let mut score = terms.iter().fold(0.0, |s, t| s + t.contrib);
                 if opts.use_annotations {
                     score += annotation_boost(view, sig, masks, DocId(doc));
+                    annotations_read += 1;
                 }
                 docs_scored += 1;
                 admit(heap, k, HeapEntry(score, doc));
@@ -443,6 +425,7 @@ pub(crate) fn pruned_topk(
     scratch.pruned.windows_skipped = windows_skipped;
     scratch.pruned.candidates_dropped = candidates_dropped;
     scratch.pruned.postings_folded = postings_folded;
+    scratch.annotations_read += annotations_read;
     drain_heap_topk(heap)
 }
 
@@ -708,7 +691,7 @@ mod tests {
     #[test]
     fn a_query_naming_no_facet_value_prunes_as_if_annotations_were_off() {
         let idx = build(12 * WINDOW + 50);
-        assert!(idx.pruning().unwrap().annotation_upper_bound() > 0.0);
+        assert!(idx.annotation_column().boost_bound() > 0.0);
         let mut scratch = QueryScratch::new();
         let mut run = |q: &str, k: usize, use_annotations: bool| {
             let opts = SearchOptions {

@@ -12,8 +12,9 @@
 //! query names a value of which signature positions those values sit at.
 //! The pass over a scored doc then reads its annotations from a flat column
 //! and tests each against its key's mask — an annotation of a facet the
-//! query never names costs one load — and a query that names no facet value
-//! at all skips the pass (and its block-max bound) outright (DESIGN.md §12).
+//! query never names costs one load; a doc that cannot rank even with the
+//! view's annotation bound added is never read. A query that names no facet
+//! value skips the pass (and its bound) outright (DESIGN.md §12).
 //!
 //! ## Picking the kernel
 //!
@@ -40,6 +41,7 @@
 
 use crate::index::SearchIndex;
 use crate::postings::bm25_contribution;
+use crate::pruned::guard_ub;
 use crate::view::IndexView;
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
@@ -51,7 +53,8 @@ use std::collections::BinaryHeap;
 /// byte-identical hits; they differ only in how much work they skip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PruningMode {
-    /// Score every posting of every query term — the reference oracle.
+    /// Score every posting of every query term — block-max's reference
+    /// fold (the independent oracle is `tests/oracle.rs`).
     #[default]
     Exhaustive,
     /// Windowed where the lists are long enough to skip: a query whose
@@ -148,6 +151,8 @@ pub struct QueryScratch {
     /// The signature's facet-key masks, filled by [`top_k`] when annotations
     /// score.
     pub(crate) masks: FacetMasks,
+    /// Docs whose annotations the last query read (0 when none were scored).
+    pub(crate) annotations_read: usize,
 }
 
 /// Which signature positions are known values of which facet key, filled
@@ -393,9 +398,9 @@ pub(crate) fn search_view(
 /// [`MAX_FOLDED_POSTINGS`] takes [`windowed_top_k`]; any other — and every
 /// query in [`PruningMode::Exhaustive`], block-max's reference — folds every
 /// posting: terms in signature order, each term's runs in ascending doc
-/// order, then one annotation pass over the touched docs. On lists that
-/// short the windows' bookkeeping costs more than they can skip (DESIGN.md
-/// §14). Same bytes either way.
+/// order, then one selection pass reading only rankable docs' annotations.
+/// On lists that short the windows' bookkeeping costs more than they can
+/// skip (DESIGN.md §14). Same bytes either way.
 ///
 /// With annotations on, the signature's [`FacetMasks`] are filled first. A
 /// query naming no facet value scores as if annotations were off: every
@@ -450,10 +455,9 @@ pub(crate) fn windowed_top_k(
     merge_topk(&[base, segments], k)
 }
 
-/// Set a query up for either kernel: zero the last query's window counters
-/// (only the windowed kernel sets them), fill the facet masks when
-/// annotations score, and turn annotations off for a query naming no facet
-/// value. `None` when there is nothing to score.
+/// Set a query up for either kernel: zero the last query's counters, fill
+/// the facet masks when annotations score, and turn annotations off for a
+/// query naming no facet value. `None` when there is nothing to score.
 fn prepare(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -462,6 +466,7 @@ fn prepare(
     scratch: &mut QueryScratch,
 ) -> Option<SearchOptions> {
     scratch.pruned.clear_counts();
+    scratch.annotations_read = 0;
     if sig.is_empty() || k == 0 {
         return None;
     }
@@ -477,7 +482,7 @@ fn prepare(
 
 /// The exhaustive fold of `sig` over `view` — of the pending segments'
 /// runs only when `segments_only` (block-max scored the base) — and its
-/// top `k`.
+/// top `k`, through [`annotated_top_k_hits`] when annotations score.
 fn fold(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -505,13 +510,35 @@ fn fold(
         }
     }
     if opts.use_annotations {
-        // Per-doc adjustments are independent, so iteration order cannot
-        // affect the result.
-        for &doc in &scratch.touched {
-            scratch.scores[doc.as_usize()] += annotation_boost(view, sig, &scratch.masks, doc);
-        }
+        return annotated_top_k_hits(view, sig, k, scratch);
     }
     top_k_hits(scratch, k)
+}
+
+/// [`top_k_hits`] plus [`annotation_boost`], read only for a doc whose sum
+/// plus [`IndexView::annotation_bound`] can still rank (DESIGN.md §12). Out
+/// of line: inlined, it slowed `offline_build`'s short folds 6–7%.
+#[inline(never)]
+fn annotated_top_k_hits(
+    view: &IndexView<'_>,
+    sig: &[TermId],
+    k: usize,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
+    let bound = view.annotation_bound();
+    let heap = &mut scratch.heap;
+    heap.clear();
+    for &doc in &scratch.touched {
+        let sum = std::mem::replace(&mut scratch.scores[doc.as_usize()], 0.0);
+        if heap.len() == k && heap.peek().is_some_and(|kth| guard_ub(sum + bound) < kth.0) {
+            continue;
+        }
+        scratch.annotations_read += 1;
+        let score = sum + annotation_boost(view, sig, &scratch.masks, doc);
+        admit(heap, k, HeapEntry(score, doc.0));
+    }
+    scratch.touched.clear();
+    drain_heap_topk(heap)
 }
 
 /// [`search_view`] through [`windowed_top_k`] whatever the query reads: how
@@ -798,6 +825,87 @@ mod tests {
         let base = search(&idx, q, 10, plain);
         let with = search(&idx, q, 10, ann);
         assert_eq!(base, with);
+    }
+
+    /// One doc in eight says `honda civic` 1 to 6 times and is annotated
+    /// `make: honda`, the rest `make: ford`: the BM25 sums of the docs a
+    /// `honda` query touches lie further apart than the 1.5 annotation
+    /// bound, so a full heap lets the selection pass over some unread.
+    fn graded(n: usize) -> SearchIndex {
+        let mut idx = SearchIndex::new();
+        for i in 0..n {
+            let (make, text) = match i % 8 {
+                0 => ("honda", vec!["honda civic"; 1 + (i / 8) % 6].join(" ")),
+                _ => ("ford", format!("ford focus {i}")),
+            };
+            let annotation = Annotation {
+                key: "make".into(),
+                value: make.into(),
+            };
+            let url = Url::new("g.sim", format!("/{i}"));
+            idx.add(
+                url,
+                String::new(),
+                text + " listing",
+                DocKind::Surfaced,
+                None,
+                vec![annotation],
+            );
+        }
+        idx.enable_pruning();
+        idx
+    }
+
+    /// `annotations_read` counts the docs whose annotations the last query
+    /// read, in both kernels: fewer than the docs it touched at `k = 1`,
+    /// all of them once `k` admits them all, none with annotations off or
+    /// no facet value named — and the same at 1 and 3 workers.
+    #[test]
+    fn the_selection_pass_reads_only_docs_that_can_still_rank() {
+        let idx = graded(400);
+        let touched = idx.postings().df("honda");
+        assert_eq!((touched, idx.postings().df("civic")), (50, 50));
+        let ann = SearchOptions {
+            use_annotations: true,
+            ..Default::default()
+        };
+        // (query, k, annotations on, windowed kernel)
+        let cases = [
+            ("honda civic", 1, true, false),
+            ("honda civic", 1, true, true),
+            ("honda civic", 1000, true, false),
+            ("honda civic", 1000, true, true),
+            ("honda civic", 1, false, false),
+            ("civic listing", 1, true, false),
+            ("civic listing", 1, true, true),
+        ];
+        let run = |workers: usize| -> Vec<usize> {
+            deepweb_common::ThreadPool::new(workers).map_indices_init(
+                cases.len(),
+                QueryScratch::new,
+                |scratch, ci| {
+                    let (q, k, use_annotations, windowed) = cases[ci];
+                    let opts = SearchOptions {
+                        use_annotations,
+                        ..ann
+                    };
+                    let view = IndexView::sealed(&idx);
+                    let hits = match windowed {
+                        false => search_view(&view, q, k, opts, scratch),
+                        true => search_windowed(&view, q, k, opts, scratch),
+                    };
+                    let read = scratch.annotations_read;
+                    assert_eq!(hits, search(&idx, q, k, opts), "{:?}", cases[ci]);
+                    read
+                },
+            )
+        };
+        let one = run(1);
+        assert!(0 < one[0] && one[0] < touched, "fold: {one:?}");
+        assert!(0 < one[1] && one[1] < touched, "windowed: {one:?}");
+        assert_eq!(one[2..4], [touched, touched]);
+        assert_eq!(one[4..], [0, 0, 0]);
+        assert_eq!(run(3), one);
     }
 
     #[test]

@@ -425,7 +425,7 @@ mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
     use crate::postings::{bm25_contribution, Posting};
-    use crate::searcher::{search, search_windowed, PruningMode};
+    use crate::searcher::{search, search_windowed, PruningMode, ANNOTATION_BOOST};
     use deepweb_common::ids::SiteId;
     use deepweb_common::Url;
 
@@ -523,6 +523,58 @@ mod tests {
                 pruning: PruningMode::BlockMax,
             },
         ]
+    }
+
+    /// [`IndexView::annotation_bound`] by brute force: every doc of the view
+    /// counted afresh through whichever part holds it.
+    fn brute_view_bound(view: &IndexView<'_>) -> f64 {
+        let per_doc = (0..view.num_docs()).map(|d| {
+            let anns = view.annotations(DocId(next_id(d)));
+            anns.filter(|(_, v)| (1..=64).contains(&v.len())).count()
+        });
+        ANNOTATION_BOOST * per_doc.max().unwrap_or(0) as f64
+    }
+
+    /// The annotation bound lives with each part's column: a segment's is
+    /// the brute-force max over its own docs, a generation's view reads the
+    /// largest of its parts' — here a segment's, above the base's — and the
+    /// merged base's column, bound included, equals a rebuild's.
+    #[test]
+    fn each_part_bounds_its_own_annotations() {
+        let (base, mut delta) = corpus();
+        let seg = SegmentedIndex::new(build_base(&base));
+        let richer = doc(
+            "d.sim",
+            "/1",
+            "tesla sedan",
+            "red tesla sedan listing",
+            &[
+                ("make", "tesla"),
+                ("model", "three"),
+                ("colour", "red"),
+                ("trim", ""),
+            ],
+        );
+        seg.apply(delta.clone());
+        seg.apply(vec![richer.clone()]);
+        let gen = seg.snapshot();
+        assert_eq!(gen.segments.len(), 2);
+        for part in &gen.segments {
+            let column = &part.annotations;
+            assert_eq!(column.boost_bound(), column.brute_boost_bound());
+        }
+        let view = gen.view();
+        assert_eq!(view.annotation_bound(), brute_view_bound(&view));
+        assert_eq!(view.annotation_bound(), 3.0 * ANNOTATION_BOOST);
+        let base_bound = gen.base().annotation_column().boost_bound();
+        assert_eq!(base_bound, 2.0 * ANNOTATION_BOOST);
+        assert_eq!(seg.merge(), 3);
+        delta.push(richer);
+        let merged = seg.snapshot();
+        merged
+            .base()
+            .assert_same_as(&rebuild(&base, &delta), "merged");
+        assert_eq!(merged.view().annotation_bound(), 3.0 * ANNOTATION_BOOST);
     }
 
     #[test]
@@ -830,6 +882,9 @@ mod tests {
                     .collect();
                 all.extend(batch.iter().cloned());
                 seg.apply(batch);
+                let gen = seg.snapshot();
+                let bound = gen.view().annotation_bound();
+                assert_eq!(bound, brute_view_bound(&gen.view()), "step {step}");
             }
         }
         assert!(

@@ -144,6 +144,12 @@ impl<'a> IndexView<'a> {
         seg.annotations.doc(DocId(doc.0 - seg.base_doc))
     }
 
+    /// Upper bound on any doc's annotation adjustment: the max over its parts.
+    pub(crate) fn annotation_bound(&self) -> f64 {
+        let parts = self.segments.iter().map(|s| s.annotations.boost_bound());
+        parts.fold(self.base.annotation_column().boost_bound(), f64::max)
+    }
+
     /// Interned facet keys over base + overlay: every key id is below it.
     pub(crate) fn num_facet_keys(&self) -> usize {
         self.base.num_facet_keys() + self.overlay.map_or(0, |o| o.num_facet_keys())
