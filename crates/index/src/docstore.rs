@@ -105,8 +105,8 @@ impl AnnotationColumn {
         self.starts.push(next_id(self.entries.len()));
     }
 
-    /// Upper bound on any document's annotation adjustment: [`ANNOTATION_BOOST`]
-    /// per boostable annotation of the document holding the most.
+    /// Upper bound on any document's annotation adjustment: one
+    /// [`ANNOTATION_BOOST`] per boostable annotation of the one holding most.
     pub(crate) fn boost_bound(&self) -> f64 {
         ANNOTATION_BOOST * self.max_boostable as f64
     }

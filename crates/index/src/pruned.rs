@@ -245,12 +245,12 @@ fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
 /// scoring every sig term's base postings and selecting top-k —
 /// byte-identical to that exhaustive fold (see module docs for the
 /// argument). Runs on the scratch's recycled heap and window buffers; the
-/// dense score accumulator is untouched; each doc it scores with
-/// annotations on counts toward `annotations_read`. `pr` indexes the base's postings
+/// dense score accumulator is untouched. `pr` indexes the base's postings
 /// only; idf and the average doc length are the *view's*, and with a
 /// segment pending every bound is recomputed under them. With annotations
 /// on, the scratch's facet masks must be `sig`'s: [`top_k`] fills them, and
-/// turns annotations off for a query they show names no facet value.
+/// turns annotations off for a query they show names no facet value; each
+/// doc scored then counts toward `annotations_read`.
 ///
 /// [`top_k`]: crate::searcher::top_k
 pub(crate) fn pruned_topk(
