@@ -3,7 +3,7 @@
 //! Shared substrate for the `deepweb` workspace: fast hashing, deterministic
 //! RNG streams, Zipf sampling, tokenisation, the index's term dictionary
 //! ([`TermDict`] — the one interner), typed ids, experiment statistics, URL
-//! encoding, and the work-stealing [`pool`] the parallel pipeline and index
+//! encoding, and the self-scheduling [`pool`] the parallel pipeline and index
 //! builders run on.
 //!
 //! Everything here is dependency-light and allocation-conscious; see

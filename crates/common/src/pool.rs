@@ -1,22 +1,22 @@
-//! A small work-stealing thread pool for parallel batch work.
+//! A small self-scheduling thread pool for parallel batch work.
 //!
 //! Callers hand [`ThreadPool::map`] one task per independent unit — the
 //! surfacing pipeline one per host, the index builder one per doc range,
 //! batch serving (`ClusterServer::search_batch` in `deepweb-index`) one per
-//! query. Workers drain their own queue first and steal from the back of
-//! their neighbours' queues when idle, so uneven tasks (one giant site, many
-//! tiny ones) still saturate every core. Results are reassembled
-//! **in input order**, which is what lets callers guarantee parallel output
-//! is byte-identical to the sequential path (see DESIGN.md §8) without
-//! tagging or reordering anything themselves.
+//! query. Every worker takes the next task from one shared queue when it
+//! finishes the last (self-scheduling), so uneven tasks (one giant site,
+//! many tiny ones) still saturate every core. The calling thread is one of
+//! the workers: a call spawns one thread fewer than it runs on. Results are
+//! reassembled **in input order**, which is what lets callers guarantee
+//! parallel output is byte-identical to the sequential path (see DESIGN.md
+//! §8) without tagging or reordering anything themselves.
 //!
-//! The pool is scope-based: [`ThreadPool::map`] spawns its workers inside
+//! The pool is scope-based: [`ThreadPool::map`] spawns its helpers inside
 //! `std::thread::scope`, so tasks may borrow caller state (`&dyn Fetcher`,
 //! value libraries, background statistics) without `'static` bounds or
 //! reference counting.
 
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 
 /// Number of workers worth spawning on this machine.
 pub fn default_parallelism() -> usize {
@@ -33,20 +33,21 @@ fn cached_parallelism() -> usize {
     *CORES.get_or_init(default_parallelism)
 }
 
-/// A fixed-width work-stealing executor.
+/// A fixed-width self-scheduling executor.
 ///
 /// `workers == 1` (the default) never spawns a thread: `map` degenerates to a
 /// plain in-order loop, so the sequential path stays the reference
 /// implementation the parallel path is tested against. `workers == 0` at
 /// construction means "auto": size the pool to the machine.
 ///
-/// `map` additionally clamps the number of threads it *spawns* to the
-/// machine's available parallelism: on a single-core host a `workers = 4`
-/// pool runs inline instead of paying spawn/steal overhead for zero
-/// concurrency. Results are worker-count independent by contract, so
-/// the clamp can never change output. Corollary: on a 1-core host every
-/// `workers > 1` test/bench exercises the inline path only — the spawn/steal
-/// machinery gets its coverage from multi-core CI runners.
+/// A `map` call runs `min(workers, items, cores)` workers, the calling
+/// thread among them, so it spawns one thread fewer than that. On a
+/// single-core host a `workers = 4` pool therefore runs inline instead of
+/// paying spawn overhead for zero concurrency. Results are worker-count
+/// independent by contract, so the clamp can never change output.
+/// Corollary: on a 1-core host every `workers > 1` test/bench exercises the
+/// inline path only — the spawning path gets its coverage from multi-core
+/// CI runners.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadPool {
     workers: usize,
@@ -80,10 +81,10 @@ impl ThreadPool {
     /// Apply `f` to every item, in parallel, returning results **in input
     /// order**. `f` receives `(input index, item)`.
     ///
-    /// Items are dealt round-robin onto per-worker deques; an idle worker
-    /// steals from the *back* of its neighbours' queues (classic
-    /// work-stealing: owners pop oldest-first, thieves take the newest
-    /// assignment, minimising contention on the same end).
+    /// Workers, the calling thread first among them, take items one at a
+    /// time from a shared queue in input order, so a worker stuck on a slow
+    /// item never holds back the others. A panicking task propagates out of
+    /// `map` once every worker has stopped.
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
@@ -110,10 +111,10 @@ impl ThreadPool {
         F: Fn(&mut S, usize, T) -> U + Sync,
     {
         let n = items.len();
-        // Spawning more threads than cores (or items) only adds overhead.
+        // Running more workers than cores (or items) only adds overhead.
         let workers = self.workers.min(n).min(cached_parallelism());
         if workers <= 1 {
-            // Inline fast path: no thread scope, no queues, no locks.
+            // Inline fast path: no thread scope, no queue, no locks.
             let mut state = init();
             return items
                 .into_iter()
@@ -121,27 +122,24 @@ impl ThreadPool {
                 .map(|(i, t)| f(&mut state, i, t))
                 .collect();
         }
-        let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, t) in items.into_iter().enumerate() {
-            queues[i % workers].lock().push_back((i, t));
-        }
+        let queue = Mutex::new(items.into_iter().enumerate());
         let finished: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let finished = &finished;
-                let init = &init;
-                let f = &f;
-                s.spawn(move || {
-                    let mut state = init();
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    while let Some((i, t)) = pop_or_steal(queues, w) {
-                        local.push((i, f(&mut state, i, t)));
-                    }
-                    finished.lock().extend(local);
-                });
+        let work = || {
+            let mut state = init();
+            let mut local: Vec<(usize, U)> = Vec::new();
+            loop {
+                // Its own statement, so the lock is released before `f` runs.
+                let next = queue.lock().next();
+                let Some((i, t)) = next else { break };
+                local.push((i, f(&mut state, i, t)));
             }
+            finished.lock().extend(local);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
         });
         let mut out = finished.into_inner();
         debug_assert_eq!(out.len(), n, "every task must be executed exactly once");
@@ -162,21 +160,6 @@ impl ThreadPool {
     {
         self.map_init((0..n).collect(), init, |state, _, i| f(state, i))
     }
-}
-
-/// Pop from the worker's own queue, else steal from a neighbour. `None` only
-/// when every queue is empty — tasks never respawn, so that state is final.
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<(usize, T)>>], worker: usize) -> Option<(usize, T)> {
-    if let Some(task) = queues[worker].lock().pop_front() {
-        return Some(task);
-    }
-    for offset in 1..queues.len() {
-        let victim = (worker + offset) % queues.len();
-        if let Some(task) = queues[victim].lock().pop_back() {
-            return Some(task);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -206,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn every_task_runs_exactly_once_under_stealing() {
-        // One giant task on worker 0's queue forces the other workers to
-        // steal the rest of worker 0's round-robin share.
+    fn a_slow_task_holds_back_no_other_task() {
+        // While one worker sits on the slow first task, the others must
+        // drain the rest of the queue: every task runs once, output in order.
         let ran = AtomicUsize::new(0);
         let pool = ThreadPool::new(4);
         let out = pool.map((0..40).collect(), |_, x: usize| {
@@ -220,6 +203,59 @@ mod tests {
         });
         assert_eq!(ran.load(Ordering::SeqCst), 40);
         assert_eq!(out, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_calling_thread_is_a_worker() {
+        if cached_parallelism() < 2 {
+            return; // the inline path runs: no helper to meet at the barrier
+        }
+        // Both tasks wait at one barrier, so two threads must run them, one
+        // each; a call that spawns `workers - 1` helpers can only get there
+        // if the caller is the other.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let ids = ThreadPool::new(2).map(vec![0, 1], |_, _: usize| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1], "exactly two threads ran the two tasks");
+        assert!(ids.contains(&caller), "the caller ran one of them");
+    }
+
+    #[test]
+    fn a_panicking_task_propagates_out_of_map() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let caller = std::thread::current().id();
+        for workers in [1, 2] {
+            let pool = ThreadPool::new(workers);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.map((0..4).collect(), |_, x: usize| {
+                    assert_ne!(x, 2, "task 2 panics");
+                    x
+                })
+            }));
+            assert!(result.is_err(), "{workers} worker(s)");
+            if workers == 2 && cached_parallelism() >= 2 {
+                // Two tasks meet at a barrier, so one runs on the caller and
+                // one on the helper; each side panics in turn.
+                for panic_on_caller in [true, false] {
+                    let barrier = std::sync::Barrier::new(2);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        pool.map(vec![0, 1], |_, x: usize| {
+                            barrier.wait();
+                            let on_caller = std::thread::current().id() == caller;
+                            assert_ne!(on_caller, panic_on_caller, "this side panics");
+                            x
+                        })
+                    }));
+                    assert!(result.is_err(), "panic on caller: {panic_on_caller}");
+                }
+            }
+            // The pool holds no state a panic could leave behind.
+            let out = pool.map((0..10).collect(), |_, x: usize| x * 3);
+            assert_eq!(out, (0..10).map(|x| x * 3).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A pool over queries (DESIGN.md §10): a [`QueryBroker`] fans a batch
-//! across the work-stealing pool, each worker running the sequential scoring
+//! across the self-scheduling pool, each worker running the sequential scoring
 //! kernel on its own reusable [`QueryScratch`] (one scratch per *worker*, not
 //! per query). Only *which thread* runs a query varies, and results are
 //! reassembled in batch order, so a batch is byte-identical to calling

@@ -161,7 +161,7 @@ impl SearchIndex {
             return ids;
         }
         self.pruning = None;
-        // 2. Contiguous shards (≈4 per worker for stealing headroom), each
+        // 2. Contiguous shards (≈4 per worker for load-balancing headroom), each
         // analysed into a doc-local postings shard in parallel. Split the
         // owned vec — no re-cloning of document text.
         let shard_len = fresh.len().div_ceil(pool.workers().max(1) * 4).max(1);

@@ -340,7 +340,9 @@ thread_local! {
 }
 
 /// Run `f` against this thread's scratch (shared with [`search`]; never
-/// held across a call that could re-enter the searcher).
+/// held across a call that could re-enter the searcher, nor across a pool
+/// dispatch: the calling thread runs pool tasks itself, and a task that
+/// reaches [`search`] would borrow this scratch again).
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }

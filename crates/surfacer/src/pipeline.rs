@@ -615,7 +615,8 @@ fn surface_form(
 /// hosts in first-appearance order, a host's forms in crawl order inside its
 /// task, so a host is only ever probed from one thread (per-host politeness,
 /// and the fault injector's per-URL failure prefixes, stay sequential). The
-/// pool steals work across uneven sites and returns results in input order.
+/// pool's workers take the next host as each finishes, so uneven sites
+/// balance, and it returns results in input order.
 /// Per-form work reads only shared immutable state (crawl text, background
 /// DF table, value library), so the output is byte-identical to the
 /// sequential `num_workers = 1` path — see the `parallel_matches_sequential`

@@ -15,8 +15,10 @@
 # deepbench steps already made) — then runs <pairs> pairs, parent first in odd
 # pairs and change first in even ones. For every end-to-end metric of
 # BENCHMARK.json it prints both medians, both quartile distances (Q3 - Q1),
-# the pairs the change won (ties count for neither side), every run's value,
-# and whether the two sides agree on `result_digest`.
+# the pairs the change won (ties count for neither side), every run's value
+# with its calibration readings before and after the run (and a line for each
+# run whose calibration moved by more than 5 %), and whether the two sides
+# agree on `result_digest`.
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians are further apart than the parent's own quartile
@@ -157,6 +159,28 @@ measure() {
             }
         }
     ' "$work/metrics" "$work/values"
+
+    # Each run's calibration readings (its `deepbench: env` line) beside the
+    # values above, and any run whose calibration moved: the deepbench README
+    # reads a pair whose readings differ by more than 5 % as unresolved.
+    for side in parent change; do
+        line=$(printf '%-18s %-6s' calib_mops "$side")
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            calib=$(sed -n 's/^deepbench: env .*"calib_mops_before":\([-+.0-9eE]*\),"calib_mops_after":\([-+.0-9eE]*\).*/\1->\2/p' \
+                "$work/$workload.$side.$i.err")
+            line="$line ${calib:--}"
+            i=$((i + 1))
+        done
+        echo "$line"
+    done
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            sed -n "s/^deepbench: \(calibration moved .*\)/$side pair $i: \1/p" "$work/$workload.$side.$i.err"
+            i=$((i + 1))
+        done
+    done
 
     parent_digest=$(digests parent)
     change_digest=$(digests change)
