@@ -81,9 +81,9 @@ impl ThreadPool {
     /// Apply `f` to every item, in parallel, returning results **in input
     /// order**. `f` receives `(input index, item)`.
     ///
-    /// Workers, the calling thread first among them, take items one at a
-    /// time from a shared queue in input order, so a worker stuck on a slow
-    /// item never holds back the others. A panicking task propagates out of
+    /// Workers, the calling thread among them, take items one at a time
+    /// from a shared queue in input order, so a worker stuck on a slow item
+    /// never holds back the others. A panicking task propagates out of
     /// `map` once every worker has stopped.
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
