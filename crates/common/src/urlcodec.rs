@@ -115,6 +115,17 @@ impl Url {
         self
     }
 
+    /// Append the parameters of a `k=v&k2=v2` query string (no leading
+    /// `?`), each component percent-decoded. Empty pairs are skipped; a pair
+    /// without `=` gets an empty value.
+    pub fn with_query(mut self, query: &str) -> Self {
+        for pair in query.split('&').filter(|p| !p.is_empty()) {
+            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+            self.params.push((decode_component(k), decode_component(v)));
+        }
+        self
+    }
+
     /// Value of the first parameter named `k`.
     pub fn param(&self, k: &str) -> Option<&str> {
         self.params
@@ -143,10 +154,7 @@ impl Url {
     /// `http://host/path[?query]` URL.
     pub fn parse(s: &str) -> Option<Url> {
         let rest = s.strip_prefix("http://")?;
-        let (host_path, query) = match rest.split_once('?') {
-            Some((hp, q)) => (hp, Some(q)),
-            None => (rest, None),
-        };
+        let (host_path, query) = rest.split_once('?').unwrap_or((rest, ""));
         let (host, path) = match host_path.split_once('/') {
             Some((h, p)) => (h, format!("/{p}")),
             None => (host_path, "/".to_string()),
@@ -154,18 +162,12 @@ impl Url {
         if host.is_empty() {
             return None;
         }
-        let mut params = Vec::new();
-        if let Some(q) = query {
-            for pair in q.split('&').filter(|p| !p.is_empty()) {
-                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-                params.push((decode_component(k), decode_component(v)));
-            }
-        }
-        Some(Url {
+        let url = Url {
             host: host.to_string(),
             path,
-            params,
-        })
+            params: Vec::new(),
+        };
+        Some(url.with_query(query))
     }
 }
 

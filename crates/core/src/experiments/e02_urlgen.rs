@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<UrlGenPoint>) {
         Scale::Smoke => vec![50, 200],
         Scale::Paper => vec![100, 400, 1600, 6400],
     };
-    let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+    let lib = TypedValueLibrary::standard();
     let mut points = Vec::new();
     for (i, &size) in sizes.iter().enumerate() {
         // One-site world whose single site has exactly `size` records.
@@ -85,8 +85,8 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<UrlGenPoint>) {
             max_urls: size * 4, // generous: the algorithm, not the cap, decides
             ..Default::default()
         };
-        let selection = select_templates(&evals, &idx_cfg);
-        let urls = generate_urls(&form, &slots, &evals, &selection.chosen, idx_cfg.max_urls);
+        let chosen = select_templates(&evals, &idx_cfg);
+        let urls = generate_urls(&form, &slots, &evals, &chosen, idx_cfg.max_urls);
         points.push(UrlGenPoint {
             records: size,
             generated: urls.len(),

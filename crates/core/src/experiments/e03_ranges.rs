@@ -34,7 +34,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, RangeResult) {
         post_fraction: 0.0,
         ..WebConfig::default()
     });
-    let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+    let lib = TypedValueLibrary::standard();
 
     // Corpus-wide detection P/R (name mining + probe validation).
     let mut pr = PrecisionRecall::default();

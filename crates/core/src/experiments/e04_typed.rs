@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, TypedResult) {
         ],
         ..WebConfig::default()
     });
-    let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+    let lib = TypedValueLibrary::standard();
 
     let mut pr = PrecisionRecall::default();
     let mut per_class: Vec<(TypeClass, usize, usize)> = TypeClass::all()

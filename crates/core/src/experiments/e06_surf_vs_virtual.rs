@@ -20,8 +20,6 @@ pub struct SurfVsVirtualResult {
     pub vert_answered: f64,
     /// Mean live site requests per query (vertical).
     pub vert_requests_per_query: f64,
-    /// Offline requests per site record exposed (surfacing amortisation).
-    pub surf_offline_per_record: f64,
     /// Curated mappings the vertical engine needed.
     pub vert_mappings: usize,
     /// Distinct domains with ≥1 registered vertical source.
@@ -131,7 +129,6 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, SurfVsVirtualResult) {
         surf_answered: surf_answered as f64 / n,
         vert_answered: vert_answered as f64 / n,
         vert_requests_per_query: vert_requests as f64 / n,
-        surf_offline_per_record,
         vert_mappings,
         vert_domains: vert_domains.len(),
         surf_domains: surf_domains.len(),

@@ -43,7 +43,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, (PolicyOutcome, PolicyOutcome)) {
         return (Vec::new(), Default::default()); // no form, no policies to compare
     };
     let prober = Prober::new(&w.server);
-    let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+    let lib = TypedValueLibrary::standard();
     let mut slots: Vec<Slot> = Vec::new();
     for input in form.fillable_inputs() {
         let opts = input.options();
@@ -75,8 +75,8 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, (PolicyOutcome, PolicyOutcome)) {
     );
 
     let run_policy = |cfg: &IndexabilityConfig| -> PolicyOutcome {
-        let selection = select_templates(&evals, cfg);
-        let urls = generate_urls(&form, &slots, &evals, &selection.chosen, cfg.max_urls);
+        let chosen = select_templates(&evals, cfg);
+        let urls = generate_urls(&form, &slots, &evals, &chosen, cfg.max_urls);
         let mut counts: Vec<f64> = Vec::new();
         for g in &urls {
             let out = prober.fetch(&g.url);

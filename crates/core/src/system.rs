@@ -335,7 +335,7 @@ impl DeepWebSystem {
         let fingerprints = &state.fingerprints;
         let probes = ThreadPool::new(surfacer.num_workers).map(scheduled, |_, idx| {
             let host = &hosts[idx];
-            let (resp, _attempt) = fetch_with_retries(fetcher, &Url::new(host.clone(), "/"));
+            let resp = fetch_with_retries(fetcher, &Url::new(host.clone(), "/")).0;
             let mut probe = SiteProbe {
                 idx,
                 fingerprint: content_hash(&resp.ok()?.html),

@@ -48,19 +48,9 @@ pub fn indexable_fraction(eval: &TemplateEval, cfg: &IndexabilityConfig) -> f64 
     ok as f64 / eval.sampled as f64
 }
 
-/// Outcome of template selection.
-#[derive(Clone, Debug, Default)]
-pub struct SelectionOutcome {
-    /// Indexes into the eval list, in pick order.
-    pub chosen: Vec<usize>,
-    /// Records covered by the chosen templates' samples.
-    pub covered_records: usize,
-    /// Total URL potential of the chosen set.
-    pub url_cost: usize,
-}
-
-/// Greedy indexability-aware selection over informative templates.
-pub fn select_templates(evals: &[TemplateEval], cfg: &IndexabilityConfig) -> SelectionOutcome {
+/// Greedy indexability-aware selection over informative templates. Returns
+/// the chosen indexes into `evals`, in pick order.
+pub fn select_templates(evals: &[TemplateEval], cfg: &IndexabilityConfig) -> Vec<usize> {
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut chosen: Vec<usize> = Vec::new();
     let mut url_cost = 0usize;
@@ -108,11 +98,7 @@ pub fn select_templates(evals: &[TemplateEval], cfg: &IndexabilityConfig) -> Sel
             break;
         }
     }
-    SelectionOutcome {
-        chosen,
-        covered_records: covered.len(),
-        url_cost,
-    }
+    chosen
 }
 
 #[cfg(test)]
@@ -161,16 +147,14 @@ mod tests {
             eval(vec![0], true, vec![500, 700], &[1, 2, 3, 4, 5, 6], 5), // dumps
             eval(vec![1], true, vec![5, 7, 3], &[1, 2, 3, 4, 5], 10),    // indexable
         ];
-        let out = select_templates(&evals, &cfg);
-        assert_eq!(out.chosen[0], 1);
+        assert_eq!(select_templates(&evals, &cfg)[0], 1);
     }
 
     #[test]
     fn uninformative_never_chosen() {
         let cfg = IndexabilityConfig::default();
         let evals = vec![eval(vec![0], false, vec![5], &[1, 2], 10)];
-        let out = select_templates(&evals, &cfg);
-        assert!(out.chosen.is_empty());
+        assert!(select_templates(&evals, &cfg).is_empty());
     }
 
     #[test]
@@ -185,9 +169,10 @@ mod tests {
             eval(vec![1], true, vec![5], &[4, 5, 6], 10),
             eval(vec![2], true, vec![5], &[7, 8, 9], 10),
         ];
-        let out = select_templates(&evals, &cfg);
-        assert!(out.url_cost <= 20, "one overshoot step allowed, not more");
-        assert!(out.chosen.len() <= 2);
+        let chosen = select_templates(&evals, &cfg);
+        let url_cost: usize = chosen.iter().map(|&i| evals[i].url_potential).sum();
+        assert!(url_cost <= 20, "one overshoot step allowed, not more");
+        assert!(chosen.len() <= 2);
     }
 
     #[test]
@@ -197,8 +182,12 @@ mod tests {
             eval(vec![0], true, vec![5, 5], &[1, 2, 3], 10),
             eval(vec![1], true, vec![5, 5], &[1, 2, 3], 10), // same records
         ];
-        let out = select_templates(&evals, &cfg);
-        assert_eq!(out.chosen.len(), 1);
-        assert_eq!(out.covered_records, 3);
+        let chosen = select_templates(&evals, &cfg);
+        let covered: FxHashSet<u32> = chosen
+            .iter()
+            .flat_map(|&i| evals[i].sample_records.iter().copied())
+            .collect();
+        assert_eq!(chosen.len(), 1);
+        assert_eq!(covered.len(), 3);
     }
 }

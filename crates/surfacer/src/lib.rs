@@ -26,12 +26,10 @@ pub mod typed;
 pub mod urlgen;
 
 pub use correlate::RangePair;
-pub use fetchpolicy::{
-    classify_error, classify_status, fetch_with_retries, ErrorClass, FetchAttempt, MAX_RETRIES,
-};
+pub use fetchpolicy::{fetch_with_retries, MAX_RETRIES};
 pub use formmodel::{analyze_page, forms_in, search_form, CrawledForm, CrawledInput, DependentMap};
 pub use hardening::{is_password_name, is_token_like, ThreatKind};
-pub use indexability::{select_templates, IndexabilityConfig, SelectionOutcome};
+pub use indexability::{select_templates, IndexabilityConfig};
 pub use keywords::{iterative_probing, KeywordConfig, KeywordSelection};
 pub use pipeline::{
     crawl_and_surface, CrawlStats, DocOrigin, HostOutcome, HostStatus, ProducedDoc,

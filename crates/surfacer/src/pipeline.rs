@@ -24,7 +24,7 @@ use crate::template::{search_templates, Slot, TemplateConfig};
 use crate::typed::{classify_typed, is_search_box, TypeClass, TypedValueLibrary};
 use crate::urlgen::generate_urls;
 use deepweb_common::text::DfTable;
-use deepweb_common::{FxHashSet, ThreadPool, Url, DEFAULT_SEED};
+use deepweb_common::{FxHashSet, ThreadPool, Url};
 use deepweb_html::Document;
 use deepweb_webworld::Fetcher;
 
@@ -547,14 +547,8 @@ fn surface_form(
     let evals = search_templates(&prober, form, &slots, &cfg.templates);
     report.templates_tested = evals.len();
     report.templates_informative = evals.iter().filter(|e| e.informative).count();
-    let selection = select_templates(&evals, &cfg.indexability);
-    let urls = generate_urls(
-        form,
-        &slots,
-        &evals,
-        &selection.chosen,
-        cfg.indexability.max_urls,
-    );
+    let chosen = select_templates(&evals, &cfg.indexability);
+    let urls = generate_urls(form, &slots, &evals, &chosen, cfg.indexability.max_urls);
     report.urls_generated = urls.len();
     report.analysis_requests = prober.requests();
 
@@ -627,7 +621,7 @@ pub fn crawl_and_surface(
     cfg: &SurfacerConfig,
 ) -> SurfacingOutcome {
     let crawl = crawl_surface(fetcher, seeds);
-    let lib = TypedValueLibrary::standard(DEFAULT_SEED);
+    let lib = TypedValueLibrary::standard();
 
     let mut hosts: Vec<(&str, Vec<&CrawledForm>)> = Vec::new();
     for form in &crawl.forms {

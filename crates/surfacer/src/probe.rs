@@ -9,10 +9,10 @@
 //!
 //! A [`ProbeOutcome`] carries what those algorithms read — not the page
 //! (the HTML stays only in the prober's memo) and not the fetch's status or
-//! retry count (tallied on the [`Prober`], asserted on
-//! [`FetchAttempt`](crate::fetchpolicy::FetchAttempt)). [`resolve_href`] is
-//! the one href resolver, for anchors here and form actions in
-//! [`formmodel`](crate::formmodel).
+//! retry count (each fetch's [`ProbeStats`] is added to the [`Prober`]'s).
+//! [`resolve_href`] is the one href resolver, for anchors here and form
+//! actions in [`formmodel`](crate::formmodel); it reads a query string with
+//! [`Url::with_query`], the parser [`Url::parse`] uses.
 //!
 //! A [`Prober`] never sends one URL to the site twice: it keeps each
 //! successful response body, keyed by URL, for its own lifetime (one form's
@@ -62,14 +62,15 @@ impl ProbeOutcome {
     }
 }
 
-/// Robustness accounting accumulated across a prober's lifetime.
+/// Retry/failure tally of one fetch ([`fetch_with_retries`]) or of every
+/// fetch across a prober's lifetime ([`Prober::stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ProbeStats {
-    /// Retries spent across all fetches.
+    /// Retries spent (not counting each fetch's first attempt).
     pub retries: u64,
     /// Transient failures observed (each retried or the last).
     pub transient_failures: u64,
-    /// Permanent failures observed.
+    /// Permanent failures observed (at most one per fetch).
     pub permanent_failures: u64,
 }
 
@@ -122,18 +123,16 @@ impl<'a> Prober<'a> {
     }
 
     /// Fetch `url` with retries and return the raw response. The one place a
-    /// [`FetchAttempt`](crate::fetchpolicy::FetchAttempt) is folded into the
-    /// request count and the retry/failure tally. It
-    /// bypasses the memo: the crawl, its one caller outside this module,
+    /// fetch's tally is added to the prober's own and to its request count.
+    /// It bypasses the memo: the crawl, its one caller outside this module,
     /// never fetches a URL twice.
     pub(crate) fn fetch_response(&self, url: &Url) -> Result<Response> {
-        let (result, attempt) = fetch_with_retries(self.fetcher, url);
-        self.requests
-            .set(self.requests.get() + 1 + u64::from(attempt.retries));
+        let (result, tally) = fetch_with_retries(self.fetcher, url);
+        self.requests.set(self.requests.get() + 1 + tally.retries);
         let mut s = self.stats.get();
-        s.retries += u64::from(attempt.retries);
-        s.transient_failures += u64::from(attempt.transient_failures);
-        s.permanent_failures += u64::from(attempt.permanent_failures);
+        s.retries += tally.retries;
+        s.transient_failures += tally.transient_failures;
+        s.permanent_failures += tally.permanent_failures;
         self.stats.set(s);
         result
     }
@@ -246,15 +245,7 @@ pub fn resolve_href(base: &Url, href: &str) -> Option<Url> {
     } else if href.starts_with('/') {
         // Path may carry a query string.
         let (path, query) = href.split_once('?').unwrap_or((href, ""));
-        let mut u = Url::new(base.host.clone(), path);
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            u = u.with_param(
-                deepweb_common::urlcodec::decode_component(k),
-                deepweb_common::urlcodec::decode_component(v),
-            );
-        }
-        Some(u)
+        Some(Url::new(base.host.clone(), path).with_query(query))
     } else {
         None
     }

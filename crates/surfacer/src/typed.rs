@@ -13,6 +13,7 @@
 
 use crate::formmodel::{CrawledForm, CrawledInput};
 use crate::probe::Prober;
+use deepweb_common::DEFAULT_SEED;
 use deepweb_webworld::vocab;
 
 /// The common input data types of paper §4.1.
@@ -65,13 +66,13 @@ pub struct TypedValueLibrary {
 }
 
 impl TypedValueLibrary {
-    /// The standard library. `seed` controls which zips the dictionary
-    /// carries. A generated world draws its zips under its own seed, so the
-    /// generator and the crawler hold the same zip list only when both seeds
-    /// are `DEFAULT_SEED`, the seed the pipeline passes here (DESIGN.md §2).
-    pub fn standard(seed: u64) -> Self {
+    /// The standard library. Its zips are drawn at [`DEFAULT_SEED`]; a
+    /// generated world draws its zips under its own seed, so the generator
+    /// and the crawler hold the same zip list only when the world's seed is
+    /// `DEFAULT_SEED` too (DESIGN.md §2).
+    pub fn standard() -> Self {
         TypedValueLibrary {
-            zips: vocab::us_zipcodes(seed, 300),
+            zips: vocab::us_zipcodes(DEFAULT_SEED, 300),
             cities: vocab::us_cities(),
             prices: (1..=20).map(|i| (i * 2500).to_string()).collect(),
             dates: (1995..=2008)
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn zip_inputs_classified_as_zip() {
         let w = world();
-        let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+        let lib = TypedValueLibrary::standard();
         let mut checked = 0;
         for t in &w.truth.sites {
             if t.post {
@@ -248,7 +249,7 @@ mod tests {
     #[test]
     fn search_boxes_not_typed() {
         let w = world();
-        let lib = TypedValueLibrary::standard(deepweb_common::DEFAULT_SEED);
+        let lib = TypedValueLibrary::standard();
         for t in &w.truth.sites {
             if t.post {
                 continue;
@@ -299,7 +300,7 @@ mod tests {
 
     #[test]
     fn library_sampling_even() {
-        let lib = TypedValueLibrary::standard(1);
+        let lib = TypedValueLibrary::standard();
         let s = lib.sample(TypeClass::Year, 5);
         assert_eq!(s.len(), 5);
         assert!(s[0] < s[4]);

@@ -1,6 +1,6 @@
 #!/bin/sh
-# The four numbers a deletion PR in this repository quotes (ISSUEs 13, 15, 17,
-# 18), from one command:
+# The five numbers a deletion change in this repository quotes, from one
+# command:
 #
 #   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
 #      file's first `#[cfg(test)]` (the deepbench package is not counted);
@@ -10,23 +10,32 @@
 #   3. findings the analyzer suppresses through `detlint:allow` comments;
 #   4. md5 of `report -- smoke` stdout, which must not move across a refactor,
 #      beside the committed `tools/report_smoke.md5` and whether they match
-#      (informational here; CI gates the match in its own step).
+#      (informational here; CI gates the match in its own step);
+#   5. `pub` item lines per crate — the non-test lines of count 1 that declare
+#      a `pub` fn (methods included), struct, enum, trait, type, const, static
+#      or mod — and their total. `pub(crate)` and `pub use` do not count.
 #
 # Run from anywhere inside the checkout: `tools/simplicity.sh`.
 set -eu
 cd "$(dirname "$0")/.."
 
+# Per crate, the sum over its non-deepbench `src/**/*.rs` files of the lines
+# before each file's first `#[cfg(test)]` that match the awk pattern $1.
+per_crate() {
+    total=0
+    for dir in crates/*/; do
+        lines=$(find "${dir}src" -name '*.rs' -not -path '*/bin/deepbench/*' |
+            while read -r file; do
+                awk "/^#\\[cfg\\(test\\)\\]/{exit} $1 {n++} END{print n+0}" "$file"
+            done | awk '{s+=$1} END{print s+0}')
+        printf '%-10s %6d\n' "$(basename "$dir")" "$lines"
+        total=$((total + lines))
+    done
+    printf '%-10s %6d\n' total "$total"
+}
+
 echo "== non-test lines per crate"
-total=0
-for dir in crates/*/; do
-    lines=$(find "${dir}src" -name '*.rs' -not -path '*/bin/deepbench/*' |
-        while read -r file; do
-            awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$file"
-        done | awk '{s+=$1} END{print s+0}')
-    printf '%-10s %6d\n' "$(basename "$dir")" "$lines"
-    total=$((total + lines))
-done
-printf '%-10s %6d\n' total "$total"
+per_crate ''
 
 echo "== pub fields per configuration struct"
 find crates/*/src -name '*.rs' -not -path '*/bin/deepbench/*' | sort | xargs awk '
@@ -45,3 +54,6 @@ got=$(cargo run -q --release -p deepweb-bench --bin report -- smoke 2>/dev/null 
 want=$(cat tools/report_smoke.md5)
 if [ "$got" = "$want" ]; then verdict=matches; else verdict=DIFFERS; fi
 printf '%s (tools/report_smoke.md5 %s: %s)\n' "$got" "$want" "$verdict"
+
+echo "== pub item lines per crate"
+per_crate '/^[ \t]*pub ((const|unsafe|async) )*(fn|struct|enum|trait|type|const|static|mod) /'
