@@ -12,16 +12,35 @@
 //! so a hit returns byte-identical hits to recomputing.
 //!
 //! One of eight fixed shards is picked by hashing the signature with
-//! [`fxhash64`]; each shard is an independent mutex-guarded LRU map holding
-//! an exact share of the capacity, so concurrent workers contend only when
+//! [`fxhash64`]; each shard is an independent mutex-guarded map holding an
+//! exact share of the capacity, so concurrent workers contend only when
 //! their queries collide on a shard.
-//! Eviction is least-recently-used via a per-shard logical clock —
-//! deterministic under single-threaded access, and *never* result-changing
-//! under any access pattern: the cache only ever returns values it computed
-//! through the one deterministic serving kernel.
 //!
-//! Hit/miss/eviction/insertion counters make cache-size vs hit-rate a
-//! measurable curve under the Zipf workload (EXPERIMENTS.md E15).
+//! **Admission is frequency-aware** (TinyLFU's rule: Einziger, Friedman &
+//! Manes, ACM TOS 2017). Every resident entry counts its uses; every shard
+//! counts the misses of signatures it does not hold, keyed by their
+//! `fxhash64` (a collision can only mis-rank an admission). A full shard's
+//! victim is its entry with the lowest `(uses, last use)`, and a newcomer
+//! displaces it only if the newcomer has missed strictly more often than the
+//! victim has been used; an admitted entry starts with its miss count as its
+//! use count. Every `10 ×` the shard's capacity lookups the shard halves
+//! every count and forgets the zeros, so a new head gets in once the old one
+//! stops being asked, and the miss table never holds more than `20 ×` the
+//! shard's capacity signatures (the counts sum to less than that).
+//!
+//! Why not least-recently-used: a stream that cycles over more signatures
+//! than a shard holds — the Zipf body replayed round after round — evicts
+//! each signature just before it is asked again, so LRU hits none of it;
+//! this rule keeps the most-asked part resident and turns the rest away.
+//! `serve_zipf` reads a hit ratio of 0.8535 under LRU and 0.9034 under this
+//! rule (EXPERIMENTS.md E15).
+//!
+//! The rule is deterministic under single-threaded access and *never*
+//! result-changing under any access pattern: the cache only ever returns
+//! values it computed through the one deterministic serving kernel.
+//!
+//! Hit/miss/eviction/insertion/rejection counters make cache-size vs
+//! hit-rate a measurable curve under the Zipf workload (EXPERIMENTS.md E15).
 
 use crate::searcher::Hit;
 use deepweb_common::fxhash::fxhash64;
@@ -58,10 +77,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the serving kernel.
     pub misses: u64,
-    /// Entries displaced by LRU eviction.
+    /// Entries displaced to admit a more often missed signature.
     pub evictions: u64,
     /// Entries stored.
     pub insertions: u64,
+    /// Inserts refused because the shard was full and its victim had been
+    /// used at least as often as the newcomer had missed.
+    pub rejected: u64,
 }
 
 impl CacheStats {
@@ -79,27 +101,70 @@ impl CacheStats {
 struct Entry {
     k: usize,
     hits: Vec<Hit>,
-    /// Last-touched tick of the owning shard's logical clock (LRU stamp).
+    /// Hits since admission, seeded with the miss count that admitted it;
+    /// halved at every aging.
+    uses: u32,
+    /// Last-touched tick of the owning shard's logical clock: among equally
+    /// used entries the least recent is the victim.
     stamp: u64,
 }
 
-#[derive(Default)]
+/// Lookups between two agings, per entry a shard holds.
+const AGING_PERIOD: usize = 10;
+
 struct Shard {
     map: FxHashMap<Vec<TermId>, Entry>,
+    /// Misses per signature not resident, keyed by its `fxhash64`.
+    misses: FxHashMap<u64, u32>,
+    /// Entries this shard may hold.
+    cap: usize,
     clock: u64,
+    /// Lookups since the last aging.
+    lookups: usize,
 }
 
-/// A sharded, LRU, signature-keyed result cache. `Sync`: shards are
-/// independently locked and counters are atomic.
+impl Shard {
+    fn new(cap: usize) -> Self {
+        Shard {
+            map: FxHashMap::default(),
+            misses: FxHashMap::default(),
+            cap,
+            clock: 0,
+            lookups: 0,
+        }
+    }
+
+    /// Count one lookup; every `AGING_PERIOD × cap` of them, halve every
+    /// count and forget the misses that reach zero.
+    fn count_lookup(&mut self) {
+        self.lookups += 1;
+        if self.lookups >= AGING_PERIOD * self.cap {
+            self.lookups = 0;
+            for entry in self.map.values_mut() {
+                entry.uses /= 2;
+            }
+            self.misses.retain(|_, n| {
+                *n /= 2;
+                *n > 0
+            });
+        }
+    }
+}
+
+/// A sharded, signature-keyed result cache whose full shards admit a
+/// newcomer only if it has missed more often than their least-used entry
+/// has been used (module docs). `Sync`: shards are independently locked and
+/// counters are atomic.
 pub struct ResultCache {
+    /// Shard `i` holds at most `capacity / SHARDS`, plus one if
+    /// `i < capacity % SHARDS`: the capacity split exactly.
     shards: Vec<Mutex<Shard>>,
-    /// Total entries across the shards, split exactly: shard `i` holds at
-    /// most `capacity / SHARDS`, plus one if `i < capacity % SHARDS`.
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
+    rejected: AtomicU64,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -114,70 +179,112 @@ impl std::fmt::Debug for ResultCache {
 /// Independent mutex-guarded shards of every cache.
 const SHARDS: usize = 8;
 
-/// The shard a signature lives in.
-fn shard_index(sig: &[TermId]) -> usize {
-    (fxhash64(sig) % SHARDS as u64) as usize
-}
-
 impl ResultCache {
     /// An empty cache sized by `cfg`: it never holds more than
     /// `cfg.capacity` entries.
     pub fn new(cfg: CacheConfig) -> Self {
+        let cap = |i: usize| cfg.capacity / SHARDS + usize::from(i < cfg.capacity % SHARDS);
         ResultCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|i| Mutex::new(Shard::new(cap(i))))
+                .collect(),
             capacity: cfg.capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
         }
     }
 
-    /// Look up `(sig, k)`; a hit refreshes the entry's LRU stamp and returns
-    /// a byte-identical copy of the stored hits. A stored signature with a
-    /// different `k` is a miss (the next insert overwrites it).
+    /// The shard of a signature whose `fxhash64` is `hash`.
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[(hash % SHARDS as u64) as usize]
+    }
+
+    /// Look up `(sig, k)`. A hit counts one use of the entry, refreshes its
+    /// stamp and returns a byte-identical copy of the stored hits; a miss of
+    /// a signature the shard does not hold counts toward its admission. A
+    /// stored signature with a different `k` is a miss (the next insert
+    /// overwrites it).
     pub fn get(&self, sig: &[TermId], k: usize) -> Option<Vec<Hit>> {
-        let mut shard = self.shards[shard_index(sig)].lock();
+        let hash = fxhash64(sig);
+        let mut shard = self.shard(hash).lock();
         let shard = &mut *shard;
-        if let Some(entry) = shard.map.get_mut(sig) {
-            if entry.k == k {
-                shard.clock += 1;
-                entry.stamp = shard.clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.hits.clone());
+        if shard.cap > 0 {
+            shard.count_lookup();
+            match shard.map.get_mut(sig) {
+                Some(entry) if entry.k == k => {
+                    shard.clock += 1;
+                    entry.uses = entry.uses.saturating_add(1);
+                    entry.stamp = shard.clock;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(entry.hits.clone());
+                }
+                Some(_) => {}
+                None => {
+                    let n = shard.misses.entry(hash).or_insert(0);
+                    *n = n.saturating_add(1);
+                }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Store the served result for `(sig, k)`, evicting the shard's
-    /// least-recently-used entry when the shard is full. Eviction can only
-    /// ever cause future *misses* (recomputation through the deterministic
-    /// kernel), never different results.
-    pub fn insert(&self, sig: Vec<TermId>, k: usize, hits: Vec<Hit>) {
-        let i = shard_index(&sig);
-        let cap = self.capacity / SHARDS + usize::from(i < self.capacity % SHARDS);
-        if cap == 0 {
-            return;
-        }
-        let mut shard = self.shards[i].lock();
+    /// Offer the served result for `(sig, k)`, copied only if it is stored.
+    /// A resident signature is overwritten; a shard with room admits it; a
+    /// full shard admits it only if its miss count (from [`ResultCache::get`])
+    /// exceeds the uses of the least-used, least-recent entry, which it then
+    /// evicts, and otherwise counts a rejection. Neither eviction nor
+    /// rejection can do more than cause future *misses* (recomputation
+    /// through the deterministic kernel), never different results.
+    pub fn insert(&self, sig: &[TermId], k: usize, hits: &[Hit]) {
+        let hash = fxhash64(sig);
+        let mut shard = self.shard(hash).lock();
         let shard = &mut *shard;
-        if shard.map.len() >= cap && !shard.map.contains_key(&sig) {
-            if let Some(lru) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(key, _)| key.clone())
-            {
-                shard.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if shard.cap == 0 {
+            return;
         }
         shard.clock += 1;
         let stamp = shard.clock;
-        shard.map.insert(sig, Entry { k, hits, stamp });
+        if let Some(entry) = shard.map.get_mut(sig) {
+            entry.k = k;
+            entry.hits = hits.to_vec();
+            entry.stamp = stamp;
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let uses = shard.misses.get(&hash).copied().unwrap_or(0);
+        if shard.map.len() >= shard.cap {
+            let victim = shard.map.iter().min_by_key(|(_, e)| (e.uses, e.stamp));
+            let Some((key, _)) = victim.filter(|(_, e)| uses > e.uses) else {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            let key = key.clone();
+            shard.map.remove(&key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        shard.misses.remove(&hash);
+        let entry = Entry {
+            k,
+            hits: hits.to_vec(),
+            uses,
+            stamp,
+        };
+        shard.map.insert(sig.to_vec(), entry);
         self.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The most miss counts any shard holds.
+    #[cfg(test)]
+    fn miss_table_max(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().misses.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Entries currently stored.
@@ -197,10 +304,10 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,11 +328,33 @@ mod tests {
             .collect()
     }
 
+    /// `n` one-term signatures that share a shard.
+    fn same_shard(n: usize) -> Vec<Vec<TermId>> {
+        let shard = |s: &Vec<TermId>| fxhash64(s.as_slice()) % SHARDS as u64;
+        let first = shard(&sig(&[1]));
+        (1..)
+            .map(|i| sig(&[i]))
+            .filter(|s| shard(s) == first)
+            .take(n)
+            .collect()
+    }
+
+    /// What `ClusterServer::serve` does: look up, and on a miss offer the
+    /// result (here, one hit naming the signature's first term). True on a
+    /// hit.
+    fn serve(cache: &ResultCache, sig: &[TermId]) -> bool {
+        if cache.get(sig, 5).is_some() {
+            return true;
+        }
+        cache.insert(sig, 5, &hits(&[(sig[0].0, 1.0)]));
+        false
+    }
+
     #[test]
     fn hit_returns_byte_identical_hits() {
         let cache = ResultCache::new(CacheConfig::default());
         let stored = hits(&[(3, 2.5), (1, 2.5), (9, 0.125)]);
-        cache.insert(sig(&[7, 2]), 10, stored.clone());
+        cache.insert(&sig(&[7, 2]), 10, &stored);
         assert_eq!(cache.get(&sig(&[7, 2]), 10), Some(stored));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 0, 1));
@@ -237,7 +366,7 @@ mod tests {
         // [a, b] and [b, a] accumulate f64 contributions in different
         // orders; the cache must never alias them.
         let cache = ResultCache::new(CacheConfig::default());
-        cache.insert(sig(&[1, 2]), 10, hits(&[(0, 1.0)]));
+        cache.insert(&sig(&[1, 2]), 10, &hits(&[(0, 1.0)]));
         assert_eq!(cache.get(&sig(&[2, 1]), 10), None);
         assert_eq!(cache.get(&sig(&[1, 2]), 10), Some(hits(&[(0, 1.0)])));
     }
@@ -245,32 +374,115 @@ mod tests {
     #[test]
     fn k_mismatch_is_a_miss_and_insert_overwrites() {
         let cache = ResultCache::new(CacheConfig::default());
-        cache.insert(sig(&[5]), 10, hits(&[(0, 1.0), (1, 0.5)]));
+        cache.insert(&sig(&[5]), 10, &hits(&[(0, 1.0), (1, 0.5)]));
         assert_eq!(cache.get(&sig(&[5]), 1), None, "different k must miss");
-        cache.insert(sig(&[5]), 1, hits(&[(0, 1.0)]));
+        cache.insert(&sig(&[5]), 1, &hits(&[(0, 1.0)]));
         assert_eq!(cache.get(&sig(&[5]), 1), Some(hits(&[(0, 1.0)])));
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_within_shard() {
-        // Three signatures of one shard, two entries a shard: touch A,
-        // insert C → B (LRU) evicted.
-        let cache = ResultCache::new(CacheConfig::with_capacity(2 * SHARDS));
-        let shard = shard_index(&sig(&[1]));
-        let ids: Vec<u32> = (1..)
-            .filter(|&i| shard_index(&sig(&[i])) == shard)
-            .take(3)
-            .collect();
-        let (a, b, c) = (sig(&ids[..1]), sig(&ids[1..2]), sig(&ids[2..]));
-        cache.insert(a.clone(), 5, hits(&[(1, 1.0)]));
-        cache.insert(b.clone(), 5, hits(&[(2, 1.0)]));
+    fn a_full_shard_evicts_its_least_used_least_recent_entry() {
+        // Three entries a shard, stored unasked (no uses): use A, then ask
+        // for C once and offer it, as `ClusterServer::serve` does. C's one
+        // miss beats B and D's zero uses, and B is the older of the two.
+        let cache = ResultCache::new(CacheConfig::with_capacity(3 * SHARDS));
+        let [a, b, d, c] = <[_; 4]>::try_from(same_shard(4)).unwrap();
+        cache.insert(&a, 5, &hits(&[(1, 1.0)]));
+        cache.insert(&b, 5, &hits(&[(2, 1.0)]));
+        cache.insert(&d, 5, &hits(&[(4, 1.0)]));
         assert_eq!(cache.get(&a, 5), Some(hits(&[(1, 1.0)])));
-        cache.insert(c.clone(), 5, hits(&[(3, 1.0)]));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&b, 5), None, "LRU entry must be gone");
+        assert_eq!(cache.get(&c, 5), None);
+        cache.insert(&c, 5, &hits(&[(3, 1.0)]));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(
+            cache.get(&b, 5),
+            None,
+            "the least-used, least-recent entry must be gone"
+        );
         assert_eq!(cache.get(&a, 5), Some(hits(&[(1, 1.0)])));
+        assert_eq!(cache.get(&d, 5), Some(hits(&[(4, 1.0)])));
         assert_eq!(cache.get(&c, 5), Some(hits(&[(3, 1.0)])));
+        let s = cache.stats();
+        assert_eq!((s.evictions, s.rejected), (1, 0));
+    }
+
+    /// Three signatures asked in turn through a shard of two: LRU evicts
+    /// each one just before it is asked again and never hits; admission
+    /// keeps two resident and turns the third away. An aging can leave the
+    /// third one ahead of a resident, so now and then one round swaps it in.
+    #[test]
+    fn a_loop_wider_than_a_shard_keeps_hitting() {
+        let cache = ResultCache::new(CacheConfig::with_capacity(2 * SHARDS));
+        let ring = same_shard(3);
+        let rounds = 300;
+        for _ in 0..rounds {
+            for s in &ring {
+                serve(&cache, s);
+            }
+        }
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 3 * rounds);
+        assert!(s.hits >= 3 * rounds * 3 / 5, "most lookups must hit: {s:?}");
+        assert!(s.evictions <= rounds / 10, "{s:?}");
+        assert_eq!(s.insertions + s.rejected, s.misses);
+    }
+
+    #[test]
+    fn a_one_off_miss_never_displaces_a_reused_entry() {
+        let cache = ResultCache::new(CacheConfig::with_capacity(2 * SHARDS));
+        let sigs = same_shard(1002);
+        let (reused, one_offs) = sigs.split_at(2);
+        for s in reused {
+            serve(&cache, s);
+        }
+        for one_off in one_offs {
+            for s in reused {
+                assert!(serve(&cache, s), "a reused entry was displaced");
+            }
+            assert!(!serve(&cache, one_off));
+        }
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.evictions), (2, 0));
+        assert_eq!(s.rejected, one_offs.len() as u64);
+    }
+
+    /// A and B were each used a thousand times; C, asked alone from then on,
+    /// gets in within two agings, not after a thousand misses.
+    #[test]
+    fn a_new_head_gets_in_after_aging() {
+        let cap = 2;
+        let cache = ResultCache::new(CacheConfig::with_capacity(cap * SHARDS));
+        let [a, b, c] = <[_; 3]>::try_from(same_shard(3)).unwrap();
+        serve(&cache, &a);
+        serve(&cache, &b);
+        for _ in 0..1000 {
+            assert!(serve(&cache, &a) && serve(&cache, &b));
+        }
+        assert!(!serve(&cache, &c));
+        assert_eq!(
+            cache.stats().rejected,
+            1,
+            "one miss must not displace a head"
+        );
+        let asks = (2..=1000)
+            .find(|_| serve(&cache, &c))
+            .expect("C never got in");
+        assert!(asks <= 2 * AGING_PERIOD * cap, "C got in after {asks} asks");
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn the_miss_table_stays_bounded() {
+        let cap = 4;
+        let cache = ResultCache::new(CacheConfig::with_capacity(cap * SHARDS));
+        for i in 0..100_000u32 {
+            serve(&cache, &sig(&[i]));
+            if i % 1_000 == 0 {
+                assert!(cache.miss_table_max() <= 2 * AGING_PERIOD * cap);
+            }
+        }
+        let most = cache.miss_table_max();
+        assert!(most > 0 && most <= 2 * AGING_PERIOD * cap, "{most}");
     }
 
     /// `capacity` is the total across shards: split exactly, never rounded
@@ -280,7 +492,7 @@ mod tests {
         for capacity in [1usize, 7, 9, 100, 1024] {
             let cache = ResultCache::new(CacheConfig::with_capacity(capacity));
             for i in 0..20 * capacity {
-                cache.insert(sig(&[next_id(i)]), 5, hits(&[(1, 1.0)]));
+                serve(&cache, &sig(&[next_id(i % (3 * capacity))]));
             }
             assert!(
                 cache.len() <= capacity,
@@ -293,10 +505,11 @@ mod tests {
     #[test]
     fn zero_capacity_disables_storage() {
         let cache = ResultCache::new(CacheConfig::with_capacity(0));
-        cache.insert(sig(&[1]), 5, hits(&[(1, 1.0)]));
+        cache.insert(&sig(&[1]), 5, &hits(&[(1, 1.0)]));
         assert!(cache.is_empty());
         assert_eq!(cache.get(&sig(&[1]), 5), None);
         let s = cache.stats();
         assert_eq!((s.insertions, s.misses), (0, 1));
+        assert_eq!(cache.miss_table_max(), 0);
     }
 }

@@ -143,7 +143,7 @@ impl<'a> ClusterServer<'a> {
         let sig = std::mem::take(&mut scratch.sig);
         let hits = top_k(&view, &sig, k, self.opts, scratch);
         if let Some(cache) = &self.cache {
-            cache.insert(sig.clone(), k, hits.clone());
+            cache.insert(&sig, k, &hits);
         }
         scratch.sig = sig;
         hits

@@ -374,21 +374,32 @@ pub struct PostingBlock {
 
 const _: () = assert!(std::mem::size_of::<PostingBlock>() == 16);
 
-/// Describe one block's postings (a non-empty run of one term's list).
-/// `max_contrib` is left at zero: it depends on index-wide statistics and is
-/// set by the caller.
-fn describe_block(postings: &Postings, chunk: &[Posting]) -> PostingBlock {
-    let mut max_tf = 0u32;
-    let mut min_dl = u32::MAX;
-    for p in chunk {
-        max_tf = max_tf.max(p.tf);
-        min_dl = min_dl.min(postings.doc_len(p.doc));
-    }
-    PostingBlock {
-        max_tf,
-        min_dl,
+/// Describe one block's postings (a non-empty run of one term's list) in one
+/// pass: `length_norm` is every doc's BM25 length norm and `idf` the term's,
+/// under the index's own statistics.
+fn describe_block(
+    postings: &Postings,
+    chunk: &[Posting],
+    length_norm: &[f64],
+    idf: f64,
+) -> PostingBlock {
+    let mut block = PostingBlock {
+        max_tf: 0,
+        min_dl: u32::MAX,
         max_contrib: 0.0,
+    };
+    for p in chunk {
+        block.max_tf = block.max_tf.max(p.tf);
+        block.min_dl = block.min_dl.min(postings.doc_len(p.doc));
+        block.max_contrib = block.max_contrib.max(contribution(p, length_norm, idf));
     }
+    block
+}
+
+/// One posting's BM25 contribution, its doc's length norm precomputed.
+#[inline]
+fn contribution(p: &Posting, length_norm: &[f64], idf: f64) -> f64 {
+    bm25_normalised(idf, f64::from(p.tf), length_norm[p.doc.as_usize()])
 }
 
 /// Per-term block maxima over finished [`Postings`] (DESIGN.md §14):
@@ -461,11 +472,13 @@ impl BlockPostings {
     /// to building over `postings` from empty.
     ///
     /// Per term, the blocks that stay as they are — all of them if the term
-    /// gained no posting, else the full ones — are carried over; the partial
-    /// tail and the new postings are described behind them. `max_contrib` is
-    /// then recomputed for every block of the term from the raw list under
+    /// gained no posting, else the full ones — are carried over, and only
+    /// their `max_contrib` is recomputed, from the raw list under
     /// `postings`' statistics (the pair `(max_tf, min_dl)` alone would bound
-    /// safely but loosely — see DESIGN.md §14 for what that cost).
+    /// safely but loosely — see DESIGN.md §14 for what that cost). The
+    /// partial tail and the new postings are described behind them in one
+    /// pass that takes all three numbers, so a build from empty reads each
+    /// posting once.
     pub(crate) fn extended(&self, postings: &Postings) -> Self {
         let size = self.block_size;
         let avg_len = postings.avg_doc_len().max(1.0);
@@ -494,21 +507,19 @@ impl BlockPostings {
             } else {
                 old_len / size
             };
-            let term_first = blocks.len();
-            blocks.extend_from_slice(&old[..carried]);
-            for j in carried..list.len().div_ceil(size) {
-                let chunk = &list[self.block_span(list.len(), j)];
-                blocks.push(describe_block(postings, chunk));
-            }
             let idf = postings.idf_id(id);
-            for (j, block) in blocks[term_first..].iter_mut().enumerate() {
-                block.max_contrib = list[self.block_span(list.len(), j)]
-                    .iter()
-                    .map(|p| {
-                        let norm = length_norm[p.doc.as_usize()];
-                        bm25_normalised(idf, f64::from(p.tf), norm)
-                    })
-                    .fold(0.0, f64::max);
+            for j in 0..list.len().div_ceil(size) {
+                let chunk = &list[self.block_span(list.len(), j)];
+                blocks.push(match old[..carried].get(j) {
+                    Some(&block) => PostingBlock {
+                        max_contrib: chunk
+                            .iter()
+                            .map(|p| contribution(p, &length_norm, idf))
+                            .fold(0.0, f64::max),
+                        ..block
+                    },
+                    None => describe_block(postings, chunk, &length_norm, idf),
+                });
             }
             term_start.push(next_id(blocks.len()));
         }

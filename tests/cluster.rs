@@ -125,6 +125,36 @@ fn tiny_cache_eviction_never_changes_results() {
     );
 }
 
+/// The cache's admission rule is deterministic under one worker: one fixed
+/// Zipf stream through a 16-entry cache gives these exact counters. A
+/// change to the rule moves them; no change may move a result.
+#[test]
+fn one_worker_pins_the_cache_counters() {
+    let sys = build_system(6);
+    let wl = workload(&sys, 80);
+    let mut rng = derive_rng(101, "cluster-cache-counters");
+    let stream = wl.sample_batch(600, &mut rng);
+    let cluster = sys.cluster(ClusterConfig {
+        workers: 1,
+        cache: Some(CacheConfig::with_capacity(16)),
+        ..Default::default()
+    });
+    for q in &stream {
+        assert_eq!(cluster.search(q, 5), sys.search(q, 5), "q={q:?}");
+    }
+    let cache = cluster.cache_stats().expect("cache is configured");
+    assert_eq!(
+        (
+            cache.hits,
+            cache.misses,
+            cache.insertions,
+            cache.evictions,
+            cache.rejected
+        ),
+        (389, 211, 37, 21, 174)
+    );
+}
+
 /// `replay` through the broker and through a cluster produces the exact
 /// report of a replay through the sequential searcher — same seed, same
 /// stream, same attribution.

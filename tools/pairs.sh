@@ -16,9 +16,10 @@
 # pairs and change first in even ones. For every end-to-end metric of
 # BENCHMARK.json it prints both medians, both quartile distances (Q3 - Q1),
 # the pairs the change won (ties count for neither side), every run's value
-# with its calibration readings before and after the run (and a line for each
-# run whose calibration moved by more than 5 %), and whether the two sides
-# agree on `result_digest`.
+# with its calibration readings before and after the run, each run's
+# `deepbench: <workload>:` summary line (the counts behind the timings), a
+# line for each run whose calibration moved by more than 5 %, and whether the
+# two sides agree on `result_digest`.
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians are further apart than the parent's own quartile
@@ -173,6 +174,16 @@ measure() {
             i=$((i + 1))
         done
         echo "$line"
+    done
+    # Each run's own summary line (`deepbench: <workload>: ...`), so a policy
+    # or request-count claim shows its deterministic count (serve_zipf's hit
+    # ratio, offline_build's docs and requests) beside the timings above.
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            sed -n "s/^deepbench: $workload: /$side pair $i: /p" "$work/$workload.$side.$i.err"
+            i=$((i + 1))
+        done
     done
     for side in parent change; do
         i=1
