@@ -9,22 +9,22 @@
 //! float folds, poisoning lock APIs — as a compile-adjacent gate.
 //!
 //! Pipeline: [`lexer`] turns each `.rs` file into tokens (comment/string
-//! aware, so text inside literals can never fire a rule), [`scan`] marks
-//! `#[cfg(test)]`/`#[test]` regions and parses `detlint:allow` annotations,
-//! [`rules`] matches the catalogue (R1–R5) over significant tokens, and
-//! [`report`] aggregates. Findings are suppressible only by an inline
-//! `// detlint:allow(<rule>): <justification>` with a non-empty
+//! aware, so text inside literals can never fire a rule), the crate-private
+//! `scan` marks `#[cfg(test)]`/`#[test]` regions and parses `detlint:allow`
+//! annotations, [`rules`] matches the catalogue (R1–R5) over significant
+//! tokens, and [`Report`] aggregates. Findings are suppressible only by an
+//! inline `// detlint:allow(<rule>): <justification>` with a non-empty
 //! justification; malformed or unused allows are findings themselves (A0).
 //!
 //! The `detlint` binary (`cargo run -p analyzer`) walks the workspace and
 //! exits nonzero on any unsuppressed finding.
 
 pub mod lexer;
-pub mod report;
+mod report;
 pub mod rules;
-pub mod scan;
+mod scan;
 
-use report::Report;
+pub use report::Report;
 use rules::{check_file, Scope};
 use scan::FileScan;
 use std::fs;
@@ -47,7 +47,7 @@ fn skip_dir(rel: &str) -> bool {
 
 /// Recursively collect workspace `.rs` files (workspace-relative,
 /// `/`-separated), sorted for deterministic report order.
-pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+pub(crate) fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![PathBuf::new()];
     while let Some(rel) = stack.pop() {

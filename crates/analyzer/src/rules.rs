@@ -41,7 +41,7 @@ pub enum RuleId {
 }
 
 /// All suppressible rules, in catalogue order.
-pub const RULES: [RuleId; 5] = [
+pub(crate) const RULES: [RuleId; 5] = [
     RuleId::NondetIteration,
     RuleId::WallClock,
     RuleId::PanicInServing,
@@ -97,7 +97,7 @@ impl RuleId {
 
 /// Where a file sits in the workspace — decides which rules apply.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Scope {
+pub(crate) struct Scope {
     /// Under `crates/bench/src/bin/deepbench/` (exempt from R2: only the
     /// deepbench package measures).
     pub deepbench: bool,
@@ -111,7 +111,7 @@ pub struct Scope {
 
 impl Scope {
     /// Classify a workspace-relative path (`/`-separated).
-    pub fn of_path(rel: &str) -> Scope {
+    pub(crate) fn of_path(rel: &str) -> Scope {
         let comps: Vec<&str> = rel.split('/').collect();
         Scope {
             deepbench: rel.starts_with("crates/bench/src/bin/deepbench/"),
@@ -144,7 +144,7 @@ pub struct Finding {
 /// Run every applicable rule over `scan`, then resolve `detlint:allow`
 /// annotations: each finding on an allow's target line with a matching rule
 /// is marked suppressed; malformed or unused allows become A0 findings.
-pub fn check_file(path: &str, scope: Scope, scan: &FileScan<'_>) -> Vec<Finding> {
+pub(crate) fn check_file(path: &str, scope: Scope, scan: &FileScan<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut push = |rule: RuleId, line: u32| {
         findings.push(Finding {

@@ -6,7 +6,7 @@ use crate::lexer::{lex, Token, TokenKind};
 
 /// A parsed `// detlint:allow(<rule>[, <rule>…]): <justification>` comment.
 #[derive(Clone, Debug)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// Rule ids named in the annotation (as written).
     pub rules: Vec<String>,
     /// Justification text after the closing `):` (trimmed).
@@ -21,7 +21,7 @@ pub struct Allow {
 }
 
 /// One file, lexed and annotated, ready for rule matching.
-pub struct FileScan<'a> {
+pub(crate) struct FileScan<'a> {
     /// Code tokens only (whitespace and comments stripped).
     pub toks: Vec<Token<'a>>,
     /// Per-token: inside a `#[cfg(test)]` item or `#[test]` fn.
@@ -36,7 +36,7 @@ pub struct FileScan<'a> {
 
 impl<'a> FileScan<'a> {
     /// Lex and prepare `src` for rule matching.
-    pub fn new(src: &'a str) -> FileScan<'a> {
+    pub(crate) fn new(src: &'a str) -> FileScan<'a> {
         let all = lex(src);
         let mut toks = Vec::new();
         for t in &all {
@@ -58,7 +58,7 @@ impl<'a> FileScan<'a> {
     }
 
     /// The trimmed source line `line` (1-based), truncated for display.
-    pub fn snippet(&self, line: u32) -> String {
+    pub(crate) fn snippet(&self, line: u32) -> String {
         let s = self
             .lines
             .get(line as usize - 1)

@@ -11,22 +11,22 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
+mod error;
 pub mod fxhash;
 pub mod ids;
-pub mod intern;
+mod intern;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod text;
 pub mod urlcodec;
-pub mod zipf;
+mod zipf;
 
 pub use error::{Error, Result};
 pub use fxhash::{fxhash64, FxHashMap, FxHashSet};
 pub use ids::{DocId, QueryId, RecordId, SiteId, TermId};
 pub use intern::TermDict;
 pub use pool::ThreadPool;
-pub use rng::{derive_rng, derive_rng_n, rng_from_seed, DEFAULT_SEED};
+pub use rng::{derive_rng, derive_rng_n, DEFAULT_SEED};
 pub use urlcodec::Url;
 pub use zipf::Zipf;

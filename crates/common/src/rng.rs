@@ -14,11 +14,6 @@ use rand::SeedableRng;
 /// Workspace-wide default seed used by examples and benches.
 pub const DEFAULT_SEED: u64 = 0xD33B_0001;
 
-/// Create a root RNG from a seed.
-pub fn rng_from_seed(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 /// Derive an independent RNG stream for `label` under `seed`.
 ///
 /// The derivation is a hash mix, so streams for distinct labels are

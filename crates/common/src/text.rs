@@ -12,7 +12,7 @@ use crate::intern::TermDict;
 
 /// English-ish stopwords that the keyword selectors must not propose as form
 /// probes and that the index down-weights.
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "has", "in", "is", "it", "its",
     "of", "on", "or", "that", "the", "to", "was", "were", "will", "with", "you", "your", "all",
     "any", "per", "page", "results", "result", "search", "next", "prev", "home",

@@ -47,7 +47,7 @@ pub fn encode_component(s: &str) -> String {
 
 /// Decode a form-urlencoded component. Invalid escapes are passed through
 /// literally (crawler robustness beats strictness).
-pub fn decode_component(s: &str) -> String {
+pub(crate) fn decode_component(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;

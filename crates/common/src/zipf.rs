@@ -63,7 +63,8 @@ impl Zipf {
     }
 
     /// Probability mass of `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, rank: usize) -> f64 {
         if rank == 0 {
             self.cdf[0]
         } else {

@@ -42,7 +42,7 @@ pub const ALL: [(&str, fn(Scale) -> Vec<TextTable>); 13] = [
 /// The "already indexed" web of the keyword experiments (E5, E7): a
 /// background DF table over every site's home page, and each home page's
 /// visible text by host.
-pub fn home_pages(w: &World) -> (DfTable, FxHashMap<String, String>) {
+pub(crate) fn home_pages(w: &World) -> (DfTable, FxHashMap<String, String>) {
     let mut background = DfTable::new();
     let mut home_text = FxHashMap::default();
     for t in &w.truth.sites {

@@ -8,8 +8,8 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod report;
-pub mod system;
+mod report;
+mod system;
 
 pub use report::TextTable;
 pub use system::{quick_config, DeepWebSystem, RefreshOutcome, SystemConfig};

@@ -1,7 +1,7 @@
 //! The end-to-end system: generate a web, surface it, index everything, and
 //! serve keyword queries — the full loop the paper's production system runs.
 
-use deepweb_common::{ThreadPool, Url, DEFAULT_SEED};
+use deepweb_common::{ThreadPool, Url};
 use deepweb_coverage::content_hash;
 use deepweb_index::{
     Annotation, BatchDoc, ClusterConfig, ClusterServer, DocKind, Hit, IndexSearcher, PruningMode,
@@ -413,12 +413,10 @@ fn to_batch_doc(world: &World, doc: &ProducedDoc) -> BatchDoc {
     }
 }
 
-/// Default seed re-export for examples.
-pub const SEED: u64 = DEFAULT_SEED;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepweb_common::DEFAULT_SEED;
     use deepweb_index::DocKind;
 
     #[test]
@@ -497,7 +495,7 @@ mod tests {
     fn growth_before_the_first_round_is_seen() {
         let mut sys = DeepWebSystem::build(&quick_config(6));
         let idx = surfaced_site(&sys);
-        deepweb_webworld::grow_site(&mut sys.world, idx, 25, SEED);
+        deepweb_webworld::grow_site(&mut sys.world, idx, 25, DEFAULT_SEED);
         let n = sys.world.server.sites().len();
         let out = sys.refresh(n);
         assert_eq!(out.changed, 1, "{out:?}");
@@ -509,7 +507,7 @@ mod tests {
     fn grown_and_refreshed() -> (DeepWebSystem, RefreshOutcome) {
         let mut sys = DeepWebSystem::build(&quick_config(6));
         let site_idx = surfaced_site(&sys);
-        deepweb_webworld::grow_site(&mut sys.world, site_idx, 25, SEED);
+        deepweb_webworld::grow_site(&mut sys.world, site_idx, 25, DEFAULT_SEED);
         let n = sys.world.server.sites().len();
         let out = sys.refresh(n);
         assert_eq!(out.probed, n);
@@ -566,7 +564,7 @@ mod tests {
         // Grow the later sites first: the segment follows the schedule, not
         // the order the sites changed in.
         for &idx in grown.iter().rev() {
-            deepweb_webworld::grow_site(&mut sys.world, idx, 40, SEED);
+            deepweb_webworld::grow_site(&mut sys.world, idx, 40, DEFAULT_SEED);
         }
         let n = sys.world.server.sites().len();
         let out = sys.refresh(n);
@@ -592,7 +590,7 @@ mod tests {
         assert!(order.windows(2).all(|w| w[0] < w[1]), "{seg_hosts:?}");
         // The next round with growth seals exactly one more segment.
         for &idx in &grown {
-            deepweb_webworld::grow_site(&mut sys.world, idx, 40, SEED);
+            deepweb_webworld::grow_site(&mut sys.world, idx, 40, DEFAULT_SEED);
         }
         let again = sys.refresh(n);
         assert_eq!(again.changed, grown.len());

@@ -1,13 +1,13 @@
 //! Capture–recapture estimators for deep-web database size (paper §5.2):
 //! the "what portion of the site has been surfaced?" open problem, attacked
-//! with the standard ecology estimators over record samples drawn by
+//! with a standard ecology estimator over record samples drawn by
 //! independent probe batches.
 
 /// Lincoln–Petersen estimate of population size from two independent
 /// samples: `n1` marks, `n2` recaptures, `m` marked recaptures.
 /// Uses the Chapman bias-corrected form; returns `None` when `m == 0` and
 /// the samples do not overlap at all (estimate unbounded).
-pub fn lincoln_petersen(n1: usize, n2: usize, m: usize) -> Option<f64> {
+pub(crate) fn lincoln_petersen(n1: usize, n2: usize, m: usize) -> Option<f64> {
     if n1 == 0 || n2 == 0 {
         return None;
     }
@@ -18,19 +18,6 @@ pub fn lincoln_petersen(n1: usize, n2: usize, m: usize) -> Option<f64> {
     }
     let est = ((n1 + 1) as f64 * (n2 + 1) as f64) / (m + 1) as f64 - 1.0;
     Some(est)
-}
-
-/// Chao1 richness estimate from abundance data: `observed` distinct records,
-/// `f1` seen exactly once, `f2` seen exactly twice.
-pub fn chao1(observed: usize, f1: usize, f2: usize) -> f64 {
-    if f1 == 0 {
-        return observed as f64;
-    }
-    if f2 == 0 {
-        // Bias-corrected form for f2 = 0.
-        return observed as f64 + (f1 * (f1 - 1)) as f64 / 2.0;
-    }
-    observed as f64 + (f1 * f1) as f64 / (2 * f2) as f64
 }
 
 /// A coverage statement in the paper's "with probability M%, more than N% of
@@ -53,7 +40,7 @@ pub struct CoverageStatement {
 /// the count of records in *both* batches, so `m > n1` or `m > n2` is a
 /// caller bug the variance term must not silently swallow), or a confidence
 /// level below the 0.90 floor of the z table.
-pub fn coverage_statement(
+pub(crate) fn coverage_statement(
     surfaced: usize,
     n1: usize,
     n2: usize,
@@ -114,13 +101,6 @@ mod tests {
         // Full overlap → estimate ≈ sample size.
         let est = lincoln_petersen(50, 50, 50).unwrap();
         assert!(est < 51.0 && est > 49.0);
-    }
-
-    #[test]
-    fn chao1_forms() {
-        assert_eq!(chao1(10, 0, 0), 10.0);
-        assert_eq!(chao1(10, 4, 2), 14.0);
-        assert_eq!(chao1(10, 4, 0), 16.0);
     }
 
     #[test]

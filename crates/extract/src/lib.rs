@@ -6,6 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod records;
+mod records;
 
 pub use records::{extract_form_aware, extract_generic, field_prf, ExtractedRecord};

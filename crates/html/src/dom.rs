@@ -120,7 +120,7 @@ impl<'a> Iterator for Walk<'a> {
 }
 
 /// Collapse whitespace runs to single spaces and trim.
-pub fn normalize_ws(s: &str) -> String {
+pub(crate) fn normalize_ws(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut last_space = true;
     for c in s.chars() {

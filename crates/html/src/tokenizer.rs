@@ -5,10 +5,10 @@
 //! unquoted attributes). `script`/`style` bodies are treated as raw text, and
 //! character references for the five XML-ish entities are decoded.
 //!
-//! [`Lexer`] is the one copy of the grammar. It borrows: a [`Lexeme`] is a
+//! `Lexer` is the one copy of the grammar. It borrows: a `Lexeme` is a
 //! handful of slices over the body, tag and attribute names keep their
 //! source case and are compared ASCII-case-insensitively in place,
-//! attributes are parsed only when a consumer asks ([`OpenTag::attrs`]), and
+//! attributes are parsed only when a consumer asks (`OpenTag::attrs`), and
 //! entity decoding copies only when a `&` is present. [`tokenize`] collects
 //! owned copies for callers that want a vector.
 
@@ -39,7 +39,7 @@ pub enum Token {
 
 /// One borrowed lexical token: slices over the lexed body.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Lexeme<'a> {
+pub(crate) enum Lexeme<'a> {
     /// `<tag attr="v" ...>`.
     Open(OpenTag<'a>),
     /// `</tag>`: the trimmed, non-empty name in source case.
@@ -72,7 +72,7 @@ impl From<Lexeme<'_>> for Token {
 
 /// An open tag: its name and the unparsed byte span of its attributes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct OpenTag<'a> {
+pub(crate) struct OpenTag<'a> {
     name: &'a str,
     attrs: &'a str,
     /// True for `<tag ... />` (a `/` anywhere among the attributes of a tag
@@ -102,7 +102,7 @@ impl<'a> OpenTag<'a> {
     }
 
     /// Tag name in source case.
-    pub fn name(&self) -> &'a str {
+    pub(crate) fn name(&self) -> &'a str {
         self.name
     }
 
@@ -112,18 +112,18 @@ impl<'a> OpenTag<'a> {
     }
 
     /// True if this tag is `name` (ASCII-case-insensitively).
-    pub fn is(&self, name: &str) -> bool {
+    pub(crate) fn is(&self, name: &str) -> bool {
         self.name.eq_ignore_ascii_case(name)
     }
 
     /// `(name, value)` pairs in document order: names in source case,
     /// values not yet entity-decoded.
-    pub fn attrs(&self) -> Attrs<'a> {
+    pub(crate) fn attrs(&self) -> Attrs<'a> {
         Attrs::new(self.attrs)
     }
 
     /// Decoded value of the first attribute called `name`.
-    pub fn attr(&self, name: &str) -> Option<Cow<'a, str>> {
+    pub(crate) fn attr(&self, name: &str) -> Option<Cow<'a, str>> {
         self.attrs()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| decode_entities(v))
@@ -147,7 +147,7 @@ impl<'a> OpenTag<'a> {
 /// again over the recorded span when they want the pairs. Attributes with
 /// an empty name (`=junk`) are consumed but not yielded.
 #[derive(Clone, Debug)]
-pub struct Attrs<'a> {
+pub(crate) struct Attrs<'a> {
     s: &'a str,
     pos: usize,
     slash: bool,
@@ -224,7 +224,7 @@ impl<'a> Iterator for Attrs<'a> {
 
 /// Decode `&amp; &lt; &gt; &quot; &#39;/&apos;` and numeric references.
 /// Borrows when `s` holds no `&`.
-pub fn decode_entities(s: &str) -> Cow<'_, str> {
+pub(crate) fn decode_entities(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
         return Cow::Borrowed(s);
     }
@@ -304,7 +304,7 @@ enum State<'a> {
 
 /// Borrowing lexer over an HTML body.
 #[derive(Clone, Debug)]
-pub struct Lexer<'a> {
+pub(crate) struct Lexer<'a> {
     html: &'a str,
     pos: usize,
     state: State<'a>,
@@ -312,7 +312,7 @@ pub struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     /// Lex `html` from its start.
-    pub fn new(html: &'a str) -> Self {
+    pub(crate) fn new(html: &'a str) -> Self {
         Lexer {
             html,
             pos: 0,

@@ -4,7 +4,7 @@
 //! Neither hot path calls it: the index build streams raw token slices
 //! through one recycled lowercase buffer into the dictionary (see
 //! `Postings::add_document`), and serving tokenises into the recycled
-//! buffers of `QueryScratch::analyze` in [`crate::searcher`]. All three agree
+//! buffers of `QueryScratch::analyze` ([`crate::QueryScratch`]). All three agree
 //! exactly on token boundaries, lowercasing and the stopword list
 //! (`deepweb_common::text`), which is what keeps both byte-identical to this
 //! reference.

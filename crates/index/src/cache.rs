@@ -155,7 +155,7 @@ impl Shard {
 /// newcomer only if it has missed more often than their least-used entry
 /// has been used (module docs). `Sync`: shards are independently locked and
 /// counters are atomic.
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     /// Shard `i` holds at most `capacity / SHARDS`, plus one if
     /// `i < capacity % SHARDS`: the capacity split exactly.
     shards: Vec<Mutex<Shard>>,
@@ -182,7 +182,7 @@ const SHARDS: usize = 8;
 impl ResultCache {
     /// An empty cache sized by `cfg`: it never holds more than
     /// `cfg.capacity` entries.
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         let cap = |i: usize| cfg.capacity / SHARDS + usize::from(i < cfg.capacity % SHARDS);
         ResultCache {
             shards: (0..SHARDS)
@@ -207,7 +207,7 @@ impl ResultCache {
     /// a signature the shard does not hold counts toward its admission. A
     /// stored signature with a different `k` is a miss (the next insert
     /// overwrites it).
-    pub fn get(&self, sig: &[TermId], k: usize) -> Option<Vec<Hit>> {
+    pub(crate) fn get(&self, sig: &[TermId], k: usize) -> Option<Vec<Hit>> {
         let hash = fxhash64(sig);
         let mut shard = self.shard(hash).lock();
         let shard = &mut *shard;
@@ -239,7 +239,7 @@ impl ResultCache {
     /// evicts, and otherwise counts a rejection. Neither eviction nor
     /// rejection can do more than cause future *misses* (recomputation
     /// through the deterministic kernel), never different results.
-    pub fn insert(&self, sig: &[TermId], k: usize, hits: &[Hit]) {
+    pub(crate) fn insert(&self, sig: &[TermId], k: usize, hits: &[Hit]) {
         let hash = fxhash64(sig);
         let mut shard = self.shard(hash).lock();
         let shard = &mut *shard;
@@ -288,17 +288,19 @@ impl ResultCache {
     }
 
     /// Entries currently stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -344,7 +344,7 @@ impl SearchIndex {
     }
 
     /// Id of a facet key, if any annotation or facet vocabulary used it.
-    pub fn facet_key_id(&self, key: &str) -> Option<FacetKeyId> {
+    pub(crate) fn facet_key_id(&self, key: &str) -> Option<FacetKeyId> {
         self.facet_keys.get(key).map(|id| FacetKeyId(id.0))
     }
 

@@ -6,7 +6,7 @@
 //! (paper §5.1).
 //!
 //! Surfaced deep-web pages are inserted "like any other page" (paper §3.2);
-//! the [`docstore::DocKind`] provenance tag exists only so experiments can
+//! the [`DocKind`] provenance tag exists only so experiments can
 //! attribute impact back to forms.
 //!
 //! One spelling per thing: a query is `(text, k)` through [`search`] or any
@@ -21,25 +21,25 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod broker;
-pub mod cache;
-pub mod cluster;
-pub mod docstore;
-pub mod index;
-pub mod postings;
-pub mod pruned;
-pub mod searcher;
-pub mod segments;
-pub mod service;
-pub mod snippet;
+mod broker;
+mod cache;
+mod cluster;
+mod docstore;
+mod index;
+mod postings;
+mod pruned;
+mod searcher;
+mod segments;
+mod service;
+mod snippet;
 mod view;
 
 pub use broker::QueryBroker;
-pub use cache::{CacheConfig, CacheStats, ResultCache};
+pub use cache::{CacheConfig, CacheStats};
 pub use cluster::{ClusterConfig, ClusterServer, ClusterStats};
 pub use docstore::{Annotation, AnnotationColumn, DocKind, DocStore, StoredDoc};
 pub use index::{BatchDoc, IndexStats, SearchIndex};
-pub use postings::{BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE};
+pub use postings::{BlockPostings, Posting, Postings};
 pub use pruned::PruningIndex;
 pub use searcher::{search, search_with_scratch, Hit, PruningMode, QueryScratch, SearchOptions};
 pub use segments::{Generation, SealedSegment, SegmentedIndex, SegmentedSearcher};

@@ -198,7 +198,7 @@ impl Postings {
     }
 
     /// Document frequency of an interned term.
-    pub fn df_id(&self, id: TermId) -> usize {
+    pub(crate) fn df_id(&self, id: TermId) -> usize {
         self.lists[id.as_usize()].len()
     }
 
@@ -213,7 +213,7 @@ impl Postings {
     }
 
     /// Number of distinct terms.
-    pub fn num_terms(&self) -> usize {
+    pub(crate) fn num_terms(&self) -> usize {
         self.dict.len()
     }
 
@@ -223,14 +223,14 @@ impl Postings {
     }
 
     /// Total token count across all documents — the exact integer numerator
-    /// of [`Postings::avg_doc_len`], exposed so a segmented reader can
+    /// of `Postings::avg_doc_len`, exposed so a segmented reader can
     /// recompute the merged average from per-segment totals bit-for-bit.
     pub fn total_doc_len(&self) -> u64 {
         self.total_len
     }
 
     /// Mean document length.
-    pub fn avg_doc_len(&self) -> f64 {
+    pub(crate) fn avg_doc_len(&self) -> f64 {
         if self.doc_len.is_empty() {
             0.0
         } else {
@@ -239,12 +239,12 @@ impl Postings {
     }
 
     /// Total number of postings entries (index size proxy).
-    pub fn num_postings(&self) -> usize {
+    pub(crate) fn num_postings(&self) -> usize {
         self.lists.iter().map(Vec::len).sum()
     }
 
     /// BM25 inverse document frequency of an interned term.
-    pub fn idf_id(&self, id: TermId) -> f64 {
+    pub(crate) fn idf_id(&self, id: TermId) -> f64 {
         bm25_idf(self.num_docs() as f64, self.df_id(id) as f64)
     }
 
@@ -353,14 +353,14 @@ impl Postings {
 /// Postings per block (DESIGN.md §14). 64 keeps the per-block metadata at
 /// half a byte per posting of a long list while a block stays small enough
 /// for its maximum to be a useful skip bound.
-pub const POSTINGS_BLOCK_SIZE: usize = 64;
+pub(crate) const POSTINGS_BLOCK_SIZE: usize = 64;
 
 /// What the block index knows about one fixed-size run of a term's raw
 /// posting list: the three numbers the pruned kernel bounds it by (DESIGN.md
 /// §14). Neither the postings nor where they sit are stored — see
 /// [`BlockPostings`] for which slice of the list a block describes.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PostingBlock {
+pub(crate) struct PostingBlock {
     /// Max term frequency in the block.
     pub max_tf: u32,
     /// Min document length over the block's docs — with `max_tf`, enough to
@@ -407,7 +407,7 @@ fn contribution(p: &Posting, length_norm: &[f64], idf: f64) -> f64 {
 ///
 /// Layout: per term, its sorted posting list is cut into runs of
 /// `block_size` postings (only the last may be shorter), one
-/// [`PostingBlock`] each. Block `j` of a term describes
+/// `PostingBlock` each. Block `j` of a term describes
 /// `list[j · block_size ..]` of that term's raw list, up to `block_size`
 /// postings — the one data-format decision here, spelled once in
 /// `BlockPostings::block_span` — so a score computed through the block index
@@ -434,7 +434,7 @@ pub struct BlockPostings {
 impl BlockPostings {
     /// Build blocks over every term of `postings`, their stored
     /// `max_contrib` exact at the default BM25 parameters
-    /// ([`PostingBlock::max_contrib`]). This is `BlockPostings::extended`
+    /// (`PostingBlock::max_contrib`). This is `BlockPostings::extended`
     /// from the empty index.
     pub fn build(postings: &Postings, block_size: usize) -> Self {
         Self::empty(block_size).extended(postings)
@@ -534,7 +534,7 @@ impl BlockPostings {
     /// The blocks of an interned term, in doc-id order. Terms interned after
     /// the build (or annotation-only terms) own no blocks — which is exact,
     /// since they own no postings either.
-    pub fn term_blocks(&self, id: TermId) -> &[PostingBlock] {
+    pub(crate) fn term_blocks(&self, id: TermId) -> &[PostingBlock] {
         let t = id.as_usize();
         match (self.term_start.get(t), self.term_start.get(t + 1)) {
             (Some(&lo), Some(&hi)) => &self.blocks[lo as usize..hi as usize],
@@ -543,7 +543,8 @@ impl BlockPostings {
     }
 
     /// Total blocks.
-    pub fn num_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
 

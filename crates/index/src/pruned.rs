@@ -108,7 +108,7 @@ pub struct PruningIndex {
 }
 
 impl PruningIndex {
-    /// Build the block index (with [`POSTINGS_BLOCK_SIZE`]-posting blocks
+    /// Build the block index (with `POSTINGS_BLOCK_SIZE`-posting blocks
     /// bounded at the default BM25 parameters): `PruningIndex::extended`
     /// from the structures of the empty index.
     pub fn build(index: &SearchIndex) -> Self {

@@ -8,8 +8,8 @@
 
 #![warn(missing_docs)]
 
-pub mod log;
-pub mod workload;
+mod log;
+mod workload;
 
 pub use log::{replay, ImpactReport};
 pub use workload::{generate_workload, Query, Workload, WorkloadConfig};

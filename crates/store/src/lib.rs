@@ -7,16 +7,16 @@
 //! rows (`WebConfig::max_records` defaults to 800), not millions.
 //!
 //! Substitutes for the production storage behind the sites the paper crawled
-//! (DESIGN.md §2): form submissions compile to [`predicate::Conjunction`]s and
+//! (DESIGN.md §2): form submissions compile to [`Conjunction`]s and
 //! are executed here, so surfaced result pages reflect real selection
 //! semantics and coverage is measurable against ground truth.
 
 #![warn(missing_docs)]
 
-pub mod predicate;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod predicate;
+mod schema;
+mod table;
+mod value;
 
 pub use predicate::{Conjunction, Predicate};
 pub use schema::{Column, Schema};

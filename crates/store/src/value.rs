@@ -81,7 +81,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type.
-    pub fn value_type(&self) -> ValueType {
+    pub(crate) fn value_type(&self) -> ValueType {
         match self {
             Value::Int(_) => ValueType::Int,
             Value::Money(_) => ValueType::Money,

@@ -96,7 +96,7 @@ pub fn candidate_range_pairs(form: &CrawledForm) -> Vec<RangePair> {
 /// Probe-validate a candidate range pair: the proper ordering `(lo, hi)` must
 /// return at least as much as the inversion `(hi, lo)`, and the inversion
 /// must return nothing (an inverted range is empty on a real range pair).
-pub fn validate_range(
+pub(crate) fn validate_range(
     prober: &Prober<'_>,
     form: &CrawledForm,
     pair: &RangePair,
@@ -122,7 +122,7 @@ pub fn validate_range(
 
 /// Confirm a mined pair as a real range: the stem names its type class, `k`
 /// library values of that class give the sampled `(lo, hi)` window, and the
-/// class's [`wide_window`] is the fallback when the site's values live
+/// class's `wide_window` is the fallback when the site's values live
 /// outside the ladder (e.g. high salaries). Returns the class and the
 /// sampled values — what the aligned buckets are cut from — or `None` when
 /// neither window validates.
@@ -276,7 +276,9 @@ pub fn detect_database_selection(
 
 /// Aligned assignments for a JS-dependent pair (make → model): only valid
 /// (controller, dependent) combinations, straight from the emulator's map.
-pub fn dependent_assignments(dep: &crate::formmodel::DependentMap) -> Vec<Vec<(String, String)>> {
+pub(crate) fn dependent_assignments(
+    dep: &crate::formmodel::DependentMap,
+) -> Vec<Vec<(String, String)>> {
     let mut out = Vec::new();
     for (ctrl_val, dep_vals) in &dep.map {
         for dv in dep_vals {

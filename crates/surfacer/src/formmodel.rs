@@ -139,7 +139,7 @@ impl CrawledForm {
 
     /// Number of widgets the audit removed from probe surface. Feeds
     /// junk-URL suppression stats.
-    pub fn suppressed_inputs(&self) -> usize {
+    pub(crate) fn suppressed_inputs(&self) -> usize {
         self.inputs.iter().filter(|i| Self::suppressing(i)).count()
     }
 
@@ -262,7 +262,7 @@ pub fn forms_in(page_url: &Url, doc: &Document) -> Vec<CrawledForm> {
 /// Grammar handled (exactly what the simulated sites emit, and a reasonable
 /// stand-in for what a real emulator would recover):
 /// `var dependentOptions = {"controller":"make","dependent":"model","map":{"honda":["civic",...],...}};`
-pub fn parse_dependent_options(doc: &Document) -> Option<DependentMap> {
+pub(crate) fn parse_dependent_options(doc: &Document) -> Option<DependentMap> {
     let script = doc
         .find_all("script")
         .iter()

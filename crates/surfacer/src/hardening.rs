@@ -37,7 +37,7 @@ pub enum ThreatKind {
 /// True for values shaped like session/CSRF tokens: long, opaque, and drawn
 /// from the `[A-Za-z0-9_-]` alphabet (the Rachel checklist's
 /// `^[A-Za-z0-9_\-]{20,}$` default-value-leakage rule).
-pub fn is_token_like(value: &str) -> bool {
+pub(crate) fn is_token_like(value: &str) -> bool {
     value.len() >= 20
         && value
             .chars()
@@ -45,7 +45,7 @@ pub fn is_token_like(value: &str) -> bool {
 }
 
 /// True for names that suggest a credential field.
-pub fn is_password_name(name: &str) -> bool {
+pub(crate) fn is_password_name(name: &str) -> bool {
     let n = name.to_ascii_lowercase();
     ["password", "passwd", "pwd", "pin", "secret", "token"]
         .iter()
@@ -53,12 +53,12 @@ pub fn is_password_name(name: &str) -> bool {
 }
 
 /// True for `on*` inline handler attribute names.
-pub fn is_event_handler(attr: &str) -> bool {
+pub(crate) fn is_event_handler(attr: &str) -> bool {
     attr.len() > 2 && attr.starts_with("on")
 }
 
 /// True when client-side-only validation is declared on a widget.
-pub fn has_client_validation(attrs: &[(String, String)]) -> bool {
+pub(crate) fn has_client_validation(attrs: &[(String, String)]) -> bool {
     attrs
         .iter()
         .any(|(k, _)| k == "pattern" || k == "maxlength" || k == "minlength")

@@ -35,7 +35,7 @@ impl Default for IndexabilityConfig {
 
 /// Fraction of a template's sampled submissions whose result counts fall in
 /// bounds.
-pub fn indexable_fraction(eval: &TemplateEval, cfg: &IndexabilityConfig) -> f64 {
+pub(crate) fn indexable_fraction(eval: &TemplateEval, cfg: &IndexabilityConfig) -> f64 {
     if eval.sampled == 0 {
         return 0.0;
     }

@@ -5,7 +5,7 @@
 //! selection for search boxes, typed-input recognition, correlated-input
 //! detection (ranges, database selection), query-template search with the
 //! informativeness test, indexability-aware template selection, and URL
-//! generation — composed into an end-to-end [`pipeline`].
+//! generation — composed into an end-to-end pipeline, [`crawl_and_surface`].
 //!
 //! Everything operates through [`deepweb_webworld::Fetcher`]: one URL in,
 //! HTML out — structurally identical to crawling the real web.
@@ -13,29 +13,28 @@
 #![warn(missing_docs)]
 
 pub mod correlate;
-pub mod fetchpolicy;
-pub mod formmodel;
-pub mod hardening;
-pub mod indexability;
+mod fetchpolicy;
+mod formmodel;
+mod hardening;
+mod indexability;
 pub mod keywords;
-pub mod pipeline;
+mod pipeline;
 pub mod probe;
-pub mod resurface;
-pub mod template;
+mod resurface;
+mod template;
 pub mod typed;
-pub mod urlgen;
+mod urlgen;
 
-pub use correlate::RangePair;
 pub use fetchpolicy::{fetch_with_retries, MAX_RETRIES};
 pub use formmodel::{analyze_page, forms_in, search_form, CrawledForm, CrawledInput, DependentMap};
-pub use hardening::{is_password_name, is_token_like, ThreatKind};
+pub use hardening::ThreatKind;
 pub use indexability::{select_templates, IndexabilityConfig};
-pub use keywords::{iterative_probing, KeywordConfig, KeywordSelection};
+pub use keywords::{iterative_probing, KeywordConfig};
 pub use pipeline::{
     crawl_and_surface, CrawlStats, DocOrigin, HostOutcome, HostStatus, ProducedDoc,
     RobustnessReport, SiteReport, SurfacerConfig, SurfacingOutcome,
 };
-pub use probe::{Assignment, ProbeOutcome, ProbeStats, Prober};
+pub use probe::{ProbeOutcome, Prober};
 pub use resurface::{resurface_host, ReprobeScheduler};
 pub use template::{search_templates, Slot, Template, TemplateConfig, TemplateEval};
 pub use typed::{classify_typed, TypeClass, TypedValueLibrary};

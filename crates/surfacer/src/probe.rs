@@ -11,7 +11,7 @@
 //! (the HTML stays only in the prober's memo) and not the fetch's status or
 //! retry count (each fetch's [`ProbeStats`] is added to the [`Prober`]'s).
 //! [`resolve_href`] is the one href resolver, for anchors here and form
-//! actions in [`formmodel`](crate::formmodel); it reads a query string with
+//! actions in [`analyze_page`](crate::analyze_page); it reads a query string with
 //! [`Url::with_query`], the parser [`Url::parse`] uses.
 //!
 //! A [`Prober`] never sends one URL to the site twice: it keeps each
@@ -30,7 +30,7 @@ use deepweb_webworld::{Fetcher, Response};
 use std::cell::{Cell, RefCell};
 
 /// One value assignment for a form submission: `(input name, value)`.
-pub type Assignment = Vec<(String, String)>;
+pub(crate) type Assignment = Vec<(String, String)>;
 
 /// Everything the algorithms need to know about one fetched page.
 #[derive(Clone, Debug)]
@@ -57,7 +57,7 @@ pub struct ProbeOutcome {
 
 impl ProbeOutcome {
     /// True if the probe produced at least one visible result.
-    pub fn has_results(&self) -> bool {
+    pub(crate) fn has_results(&self) -> bool {
         self.result_count.unwrap_or(0) > 0 || !self.record_ids.is_empty()
     }
 }

@@ -115,7 +115,7 @@ pub struct TemplateEval {
 ///
 /// Different strides per slot de-correlate the sampled combinations without
 /// enumerating the cross product.
-pub fn template_assignment(template: &Template, slots: &[Slot], i: usize) -> Assignment {
+pub(crate) fn template_assignment(template: &Template, slots: &[Slot], i: usize) -> Assignment {
     let mut assignment = Assignment::new();
     for (k, &si) in template.slots.iter().enumerate() {
         let slot = &slots[si];
@@ -130,7 +130,7 @@ pub fn template_assignment(template: &Template, slots: &[Slot], i: usize) -> Ass
 /// `empty_sig` is the signature of the unconstrained (all-defaults)
 /// submission: a template whose sampled pages never differ from it binds
 /// inputs the backend ignores (the paper's uninformative-input case).
-pub fn evaluate_template(
+pub(crate) fn evaluate_template(
     prober: &Prober<'_>,
     form: &CrawledForm,
     slots: &[Slot],

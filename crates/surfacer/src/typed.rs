@@ -108,7 +108,7 @@ impl TypedValueLibrary {
 /// sampled window misses a site's value distribution entirely (e.g. salaries
 /// living above a car-price ladder). "Even simple strategies for picking
 /// value pairs" (paper §4.2) include trying the full domain.
-pub fn wide_window(class: TypeClass) -> (String, String) {
+pub(crate) fn wide_window(class: TypeClass) -> (String, String) {
     match class {
         TypeClass::Zip => ("00000".into(), "99999".into()),
         TypeClass::Price => ("1".into(), "10000000".into()),
@@ -179,13 +179,13 @@ pub fn classify_typed(
 }
 
 /// Site words a search-box test submits, at most: the first ones given.
-pub const SEARCH_BOX_PROBES: usize = 5;
+pub(crate) const SEARCH_BOX_PROBES: usize = 5;
 
 /// Search-box detection: the input accepts arbitrary site-ish words. Probes
 /// the first [`SEARCH_BOX_PROBES`] characteristic site words; a search box is
 /// confirmed when at least one produces results (typed inputs reject words;
 /// exact-match untyped inputs almost never hit).
-pub fn is_search_box(
+pub(crate) fn is_search_box(
     prober: &Prober<'_>,
     form: &CrawledForm,
     input: &CrawledInput,

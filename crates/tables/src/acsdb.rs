@@ -29,7 +29,7 @@ impl Acsdb {
 
     /// Add one schema occurrence (attribute names, any order), with optional
     /// column values (parallel to `attrs`).
-    pub fn add_schema(&mut self, attrs: &[String], columns: Option<&[Vec<String>]>) {
+    pub(crate) fn add_schema(&mut self, attrs: &[String], columns: Option<&[Vec<String>]>) {
         if attrs.is_empty() {
             return;
         }
@@ -78,7 +78,7 @@ impl Acsdb {
     }
 
     /// Co-occurrence count of two attributes.
-    pub fn pair_count(&self, a: &str, b: &str) -> u32 {
+    pub(crate) fn pair_count(&self, a: &str, b: &str) -> u32 {
         if a == b {
             return self.attr_count(a);
         }
@@ -91,7 +91,7 @@ impl Acsdb {
     }
 
     /// `P(a | b)`: fraction of schemas containing `b` that also contain `a`.
-    pub fn conditional(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn conditional(&self, a: &str, b: &str) -> f64 {
         let cb = self.attr_count(b);
         if cb == 0 {
             0.0
@@ -126,7 +126,7 @@ impl Acsdb {
     }
 
     /// Top values of an attribute's columns.
-    pub fn top_values(&self, attr: &str, k: usize) -> Vec<(String, u32)> {
+    pub(crate) fn top_values(&self, attr: &str, k: usize) -> Vec<(String, u32)> {
         let mut v: Vec<(String, u32)> = self
             .values
             .get(attr)
@@ -138,7 +138,7 @@ impl Acsdb {
     }
 
     /// Attributes whose value sets contain `value` (entity → property edge).
-    pub fn attributes_with_value(&self, value: &str) -> Vec<&str> {
+    pub(crate) fn attributes_with_value(&self, value: &str) -> Vec<&str> {
         let value = value.to_ascii_lowercase();
         let mut out: Vec<&str> = self
             .values
@@ -152,7 +152,7 @@ impl Acsdb {
 
     /// Value overlap (Jaccard over distinct values) between two attributes —
     /// the synonym signal.
-    pub fn value_overlap(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn value_overlap(&self, a: &str, b: &str) -> f64 {
         let (Some(va), Some(vb)) = (self.values.get(a), self.values.get(b)) else {
             return 0.0;
         };

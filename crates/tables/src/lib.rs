@@ -8,12 +8,11 @@
 
 #![warn(missing_docs)]
 
-pub mod acsdb;
-pub mod quality;
-pub mod server;
-pub mod services;
+mod acsdb;
+mod quality;
+mod server;
+mod services;
 
 pub use acsdb::Acsdb;
-pub use quality::{score_table, QualityScore};
 pub use server::{HarvestStats, SemanticServer};
 pub use services::{autocomplete, properties_of, synonyms, values_for};

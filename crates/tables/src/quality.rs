@@ -5,7 +5,7 @@ use deepweb_html::ExtractedTable;
 
 /// Quality verdict for an extracted table.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QualityScore {
+pub(crate) struct QualityScore {
     /// Combined score in `[0, 1]`; tables ≥ 0.5 are kept.
     pub score: f64,
     /// Whether the table passes the relational filter.
@@ -14,7 +14,7 @@ pub struct QualityScore {
 
 /// Score a table: header presence, rectangularity, size, column-type
 /// consistency (cells in a column should agree on looking numeric or not).
-pub fn score_table(t: &ExtractedTable) -> QualityScore {
+pub(crate) fn score_table(t: &ExtractedTable) -> QualityScore {
     if t.num_rows() < 2 || t.num_cols() < 2 {
         return QualityScore {
             score: 0.0,

@@ -44,7 +44,7 @@ impl SemanticServer {
 
     /// Ingest one HTML page: relational tables (schemas + column values) and
     /// form input groups (schemas only).
-    pub fn ingest_page(&mut self, page_url: &Url, html: &str) {
+    pub(crate) fn ingest_page(&mut self, page_url: &Url, html: &str) {
         self.ingest_document(page_url, &Document::parse(html));
     }
 

@@ -11,10 +11,9 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod mediated;
-pub mod sources;
+mod engine;
+mod mediated;
+mod sources;
 
 pub use engine::{QueryStats, VerticalEngine, VerticalHit};
-pub use mediated::{builtin_schemas, ElementKind, MediatedElement, MediatedSchema};
-pub use sources::{classify_form, register_sources, InputMapping, Source, SourceRegistry};
+pub use sources::{register_sources, InputMapping, Source, SourceRegistry};

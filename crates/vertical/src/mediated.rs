@@ -2,32 +2,19 @@
 //! (paper §3.1): one schema per domain, built by hand exactly as a vertical
 //! search company would.
 
-/// Kind of a mediated element.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ElementKind {
-    /// Categorical attribute (maps to selects).
-    Categorical,
-    /// Numeric attribute (maps to range inputs / typed boxes).
-    Numeric,
-    /// Free-text attribute (maps to search boxes).
-    Keyword,
-}
-
 /// One element of a mediated schema.
 #[derive(Clone, Debug)]
-pub struct MediatedElement {
+pub(crate) struct MediatedElement {
     /// Canonical name.
     pub name: &'static str,
     /// Name variants found in the wild (the manual mapping effort the paper
     /// says does not scale — each entry here is curated labour).
     pub synonyms: &'static [&'static str],
-    /// Kind.
-    pub kind: ElementKind,
 }
 
 /// A mediated schema for one vertical.
 #[derive(Clone, Debug)]
-pub struct MediatedSchema {
+pub(crate) struct MediatedSchema {
     /// Domain name ("usedcars", ...).
     pub domain: &'static str,
     /// Elements.
@@ -38,12 +25,13 @@ pub struct MediatedSchema {
 
 impl MediatedSchema {
     /// Element by canonical name.
-    pub fn element(&self, name: &str) -> Option<&MediatedElement> {
+    #[cfg(test)]
+    fn element(&self, name: &str) -> Option<&MediatedElement> {
         self.elements.iter().find(|e| e.name == name)
     }
 
     /// Find the element a raw input name/label maps to, if any.
-    pub fn match_input(&self, input_name: &str, label: &str) -> Option<&MediatedElement> {
+    pub(crate) fn match_input(&self, input_name: &str, label: &str) -> Option<&MediatedElement> {
         let hay = format!("{input_name} {label}").to_ascii_lowercase();
         self.elements.iter().find(|e| {
             std::iter::once(e.name)
@@ -54,7 +42,7 @@ impl MediatedSchema {
 }
 
 /// The hand-built mediated schemas for the verticals we target.
-pub fn builtin_schemas() -> Vec<MediatedSchema> {
+pub(crate) fn builtin_schemas() -> Vec<MediatedSchema> {
     vec![
         MediatedSchema {
             domain: "usedcars",
@@ -62,37 +50,30 @@ pub fn builtin_schemas() -> Vec<MediatedSchema> {
                 MediatedElement {
                     name: "make",
                     synonyms: &["manufacturer", "brand"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "model",
                     synonyms: &[],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "price",
                     synonyms: &["cost", "asking"],
-                    kind: ElementKind::Numeric,
                 },
                 MediatedElement {
                     name: "year",
                     synonyms: &["model year"],
-                    kind: ElementKind::Numeric,
                 },
                 MediatedElement {
                     name: "zip",
                     synonyms: &["zipcode", "zip_code", "postalcode", "postal"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "city",
                     synonyms: &["town", "location"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "keywords",
                     synonyms: &["q", "query", "search", "terms"],
-                    kind: ElementKind::Keyword,
                 },
             ],
             domain_keywords: &["used", "car", "cars", "auto", "civic", "sedan", "mileage"],
@@ -103,32 +84,26 @@ pub fn builtin_schemas() -> Vec<MediatedSchema> {
                 MediatedElement {
                     name: "type",
                     synonyms: &["property type"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "bedrooms",
                     synonyms: &["beds"],
-                    kind: ElementKind::Numeric,
                 },
                 MediatedElement {
                     name: "price",
                     synonyms: &["cost"],
-                    kind: ElementKind::Numeric,
                 },
                 MediatedElement {
                     name: "zip",
                     synonyms: &["zipcode", "zip_code", "postalcode"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "city",
                     synonyms: &["town", "location"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "keywords",
                     synonyms: &["q", "query", "search", "terms"],
-                    kind: ElementKind::Keyword,
                 },
             ],
             domain_keywords: &["house", "condo", "apartment", "rent", "bedroom", "listing"],
@@ -139,22 +114,18 @@ pub fn builtin_schemas() -> Vec<MediatedSchema> {
                 MediatedElement {
                     name: "category",
                     synonyms: &["job category"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "salary",
                     synonyms: &["pay", "compensation"],
-                    kind: ElementKind::Numeric,
                 },
                 MediatedElement {
                     name: "city",
                     synonyms: &["town", "location"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "keywords",
                     synonyms: &["q", "query", "search", "terms"],
-                    kind: ElementKind::Keyword,
                 },
             ],
             domain_keywords: &[
@@ -167,17 +138,14 @@ pub fn builtin_schemas() -> Vec<MediatedSchema> {
                 MediatedElement {
                     name: "cuisine",
                     synonyms: &["food type"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "zip",
                     synonyms: &["zipcode", "zip_code", "postalcode"],
-                    kind: ElementKind::Categorical,
                 },
                 MediatedElement {
                     name: "keywords",
                     synonyms: &["q", "query", "search", "terms"],
-                    kind: ElementKind::Keyword,
                 },
             ],
             domain_keywords: &[

@@ -32,7 +32,7 @@ pub struct Source {
 
 impl Source {
     /// Number of curated mappings (the paper's scale argument counts these).
-    pub fn mapping_count(&self) -> usize {
+    pub(crate) fn mapping_count(&self) -> usize {
         self.mappings.len()
     }
 }
@@ -57,7 +57,7 @@ impl SourceRegistry {
 /// Analyse one form against the schemas; returns the best-matching domain
 /// and mappings when at least two inputs map (one keyword box alone does not
 /// identify a vertical).
-pub fn classify_form(form: &CrawledForm, schemas: &[MediatedSchema]) -> Option<Source> {
+pub(crate) fn classify_form(form: &CrawledForm, schemas: &[MediatedSchema]) -> Option<Source> {
     let mut best: Option<Source> = None;
     for schema in schemas {
         let mut mappings = Vec::new();

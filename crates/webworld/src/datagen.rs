@@ -23,7 +23,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Shared generation context for one site.
-pub struct GenCtx<'a> {
+pub(crate) struct GenCtx<'a> {
     /// Site-specific RNG stream.
     pub rng: &'a mut StdRng,
     /// Language code.
@@ -173,7 +173,7 @@ fn push_range(inputs: &mut Vec<InputSpec>, rng: &mut StdRng, stem: &str, col: us
 }
 
 /// Used-car classifieds.
-pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let makes = vocab::car_makes();
     // The last make never appears as an actual listing — only in cross-make
     // remarks and surface review pages. This reproduces the scarcity that
@@ -261,7 +261,7 @@ pub fn used_cars(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 }
 
 /// Real-estate listings.
-pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("type", ValueType::Text),
         ("bedrooms", ValueType::Int),
@@ -315,7 +315,7 @@ pub fn real_estate(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 }
 
 /// Job listings.
-pub fn jobs(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn jobs(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("category", ValueType::Text),
         ("title", ValueType::Text),
@@ -357,7 +357,7 @@ pub fn jobs(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 }
 
 /// Restaurant guides.
-pub fn restaurants(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn restaurants(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("name", ValueType::Text),
         ("cuisine", ValueType::Text),
@@ -406,7 +406,7 @@ pub fn restaurants(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 /// Store locators: the pure typed-input site (paper §4.1: "we do not need to
 /// know what the form is about ... all we need to know is that the text box
 /// accepts zip code values").
-pub fn store_locator(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn store_locator(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("store", ValueType::Text),
         ("street", ValueType::Text),
@@ -441,7 +441,7 @@ pub fn store_locator(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 }
 
 /// Government / NGO portals: keyword-searchable document stores.
-pub fn government(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn government(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("doc_type", ValueType::Text),
         ("year", ValueType::Int),
@@ -474,7 +474,7 @@ pub fn government(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 
 /// Library catalogues: keyword box plus an exact-match author text box (an
 /// *untyped* large-domain input, paper §4.1: "people names, ISBN values").
-pub fn library(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn library(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("title", ValueType::Text),
         ("author", ValueType::Text),
@@ -512,7 +512,7 @@ pub fn library(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 /// Media search: the database-selection correlation (paper §4.2) — one select
 /// menu chooses the underlying database, one text box takes keywords, and the
 /// productive keyword pools per category are disjoint.
-pub fn media_search(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
+pub(crate) fn media_search(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
     let columns = vec![
         ("category", ValueType::Text),
         ("title", ValueType::Text),
@@ -541,7 +541,7 @@ pub fn media_search(ctx: &mut GenCtx<'_>) -> (Table, FormSpec) {
 /// Faculty directories: the fortuitous-query substrate (paper §3.2). Exactly
 /// one select input (department); one biography mentions the SIGMOD
 /// Innovations Award.
-pub fn faculty(ctx: &mut GenCtx<'_>, plant_award: bool) -> (Table, FormSpec) {
+pub(crate) fn faculty(ctx: &mut GenCtx<'_>, plant_award: bool) -> (Table, FormSpec) {
     let columns = vec![
         ("department", ValueType::Text),
         ("name", ValueType::Text),

@@ -7,17 +7,17 @@
 //!
 //! This crate is the substitution for the live web the paper crawled
 //! (DESIGN.md §2): crawlers see only URLs and HTML; the experiments also get
-//! [`genweb::GroundTruth`] to score against.
+//! [`GroundTruth`] to score against.
 
 #![warn(missing_docs)]
 
-pub mod datagen;
-pub mod faults;
+mod datagen;
+mod faults;
 pub mod fetch;
-pub mod genweb;
-pub mod render;
-pub mod server;
-pub mod site;
+mod genweb;
+mod render;
+mod server;
+mod site;
 pub mod surface;
 pub mod vocab;
 

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 /// element — the recovery parser must still extract the same content — so
 /// the mangles only stress the parser, never the ground truth. Which mangles
 /// apply is a pure function of the host name.
-pub fn mangle_markup(html: &str, host: &str) -> String {
+pub(crate) fn mangle_markup(html: &str, host: &str) -> String {
     let bits = fxhash64(&host);
     let mut out = html.to_string();
     if bits & 1 != 0 {
@@ -58,7 +58,7 @@ fn finish(site: &Site, html: String) -> String {
 
 /// Render the site's home page: characteristic text (the seed-keyword
 /// source), links to the search page and optional browse page.
-pub fn home_page(site: &Site) -> String {
+pub(crate) fn home_page(site: &Site) -> String {
     let mut pb = PageBuilder::new(&format!("{} — {} search", site.host, site.domain.name()));
     pb.h1(&format!("welcome to {}", site.host));
     // A paragraph of characteristic content: domain words plus a sample of
@@ -88,7 +88,7 @@ pub fn home_page(site: &Site) -> String {
 }
 
 /// Render the about page.
-pub fn about_page(site: &Site) -> String {
+pub(crate) fn about_page(site: &Site) -> String {
     let mut pb = PageBuilder::new(&format!("about {}", site.host));
     pb.h1("about");
     pb.p(&format!(
@@ -102,7 +102,7 @@ pub fn about_page(site: &Site) -> String {
 }
 
 /// Render the search page (the form page the crawler analyses).
-pub fn search_page(site: &Site) -> String {
+pub(crate) fn search_page(site: &Site) -> String {
     let mut pb = PageBuilder::new(&format!("{} search", site.host));
     pb.h1(&format!("search {}", site.domain.name()));
     pb.raw(&site.render_form());
@@ -112,7 +112,7 @@ pub fn search_page(site: &Site) -> String {
 
 /// Render the browse page: links to the first `browse_links` detail pages
 /// (these records are surface-reachable without the form, paper §2).
-pub fn browse_page(site: &Site) -> String {
+pub(crate) fn browse_page(site: &Site) -> String {
     let mut pb = PageBuilder::new(&format!("{} browse", site.host));
     pb.h1("browse listings");
     let links: Vec<(String, String)> = site
@@ -134,7 +134,7 @@ pub fn browse_page(site: &Site) -> String {
 ///
 /// `params` are the submission parameters (used to build pagination links and
 /// the page heading); `page` is the store's paginated answer.
-pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> String {
+pub(crate) fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> String {
     let constraint: String = params
         .iter()
         .filter(|(k, v)| k != "page" && !v.is_empty() && v != "any")
@@ -227,7 +227,7 @@ pub fn results_page(site: &Site, params: &[(String, String)], page: &Page) -> St
 }
 
 /// Render the "invalid input" page (same shape as an empty result).
-pub fn invalid_page(site: &Site) -> String {
+pub(crate) fn invalid_page(site: &Site) -> String {
     let mut pb = PageBuilder::new(&format!("{} results", site.host));
     pb.h1("0 results");
     pb.p("No results found.");
@@ -236,7 +236,7 @@ pub fn invalid_page(site: &Site) -> String {
 }
 
 /// Render a record's detail page.
-pub fn detail_page(site: &Site, id: RecordId) -> String {
+pub(crate) fn detail_page(site: &Site, id: RecordId) -> String {
     let row = site.table.row(id);
     let schema = site.table.schema();
     let mut pb = PageBuilder::new(&format!("{} listing {}", site.host, id.0));

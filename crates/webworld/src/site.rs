@@ -118,9 +118,9 @@ pub struct DependentOptions {
 
 /// The path every form submits to, and the only one the server answers
 /// with results.
-pub const RESULTS_PATH: &str = "/results";
+pub(crate) const RESULTS_PATH: &str = "/results";
 
-/// A site's search form. It submits to [`RESULTS_PATH`].
+/// A site's search form. It submits to `RESULTS_PATH`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FormSpec {
     /// True for POST forms (not surfaceable; paper §3.2).
@@ -236,14 +236,14 @@ impl Site {
     /// hidden CSRF input (derived from the host, so re-crawls see the same
     /// token — the *value* is stable; the threat is that a naive surfacer
     /// would propagate it into every generated URL).
-    pub fn hostile_token(&self) -> String {
+    pub(crate) fn hostile_token(&self) -> String {
         let h = deepweb_common::fxhash64(&self.host);
         format!("tok{h:016x}{:08x}", (h >> 32) as u32)
     }
 
     /// Render the search form as HTML (plus the dependency `<script>` blob if
     /// the form has JS-dependent selects).
-    pub fn render_form(&self) -> String {
+    pub(crate) fn render_form(&self) -> String {
         // Hostile forms post to an absolute URL (scheme-downgrade shape) and
         // carry an inline submit handler. The action still resolves to this
         // host, so the backend semantics are untouched.
@@ -352,12 +352,12 @@ impl Site {
 
 /// Test fixtures shared across this crate's unit tests.
 #[cfg(test)]
-pub mod tests_support {
+pub(crate) mod tests_support {
     use super::*;
     use deepweb_store::{Schema, ValueType};
 
     /// A three-record used-cars site with one of each input kind.
-    pub fn mini_site(style: RenderStyle) -> Site {
+    pub(crate) fn mini_site(style: RenderStyle) -> Site {
         let schema = Schema::new(vec![
             ("make", ValueType::Text),
             ("year", ValueType::Int),

@@ -55,17 +55,17 @@ const SCHEMA_TEMPLATES: &[&[usize]] = &[
 ];
 
 /// Host name of popular surface host `k`.
-pub fn popular_host(k: usize) -> String {
+pub(crate) fn popular_host(k: usize) -> String {
     format!("web-{k:03}.sim")
 }
 
 /// Host name of data-table surface host `k`.
-pub fn table_host(k: usize) -> String {
+pub(crate) fn table_host(k: usize) -> String {
     format!("data-{k:03}.sim")
 }
 
 /// Generate the SEO'd popular-topic pages for head queries.
-pub fn popular_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
+pub(crate) fn popular_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
     let mut pages = Vec::new();
     let makes = vocab::car_makes();
     let cuisines = vocab::cuisines();
@@ -112,7 +112,7 @@ pub fn popular_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
 }
 
 /// Generate data-table pages for the WebTables pipeline.
-pub fn table_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
+pub(crate) fn table_pages(seed: u64, num_hosts: usize) -> Vec<SurfacePage> {
     let mut pages = Vec::new();
     let pools = attribute_synonym_pools();
     let makes = vocab::car_makes();
@@ -193,7 +193,7 @@ fn cell_value(
 }
 
 /// Build the `dir.sim` hub page linking every host's home page.
-pub fn directory_page(hosts: &[String]) -> SurfacePage {
+pub(crate) fn directory_page(hosts: &[String]) -> SurfacePage {
     let mut pb = PageBuilder::new("web directory");
     pb.h1("directory of sites");
     let links: Vec<(String, String)> = hosts

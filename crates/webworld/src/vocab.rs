@@ -57,7 +57,7 @@ pub fn cuisines() -> Vec<&'static str> {
 }
 
 /// Job categories for employment sites.
-pub fn job_titles() -> Vec<&'static str> {
+pub(crate) fn job_titles() -> Vec<&'static str> {
     vec![
         "engineer",
         "nurse",
@@ -79,7 +79,7 @@ pub fn job_titles() -> Vec<&'static str> {
 }
 
 /// Book genres for library sites.
-pub fn book_genres() -> Vec<&'static str> {
+pub(crate) fn book_genres() -> Vec<&'static str> {
     vec![
         "mystery",
         "romance",
@@ -98,7 +98,7 @@ pub fn book_genres() -> Vec<&'static str> {
 
 /// Media categories for database-selection sites (paper §4.2: "movies, music,
 /// software, or games") with category-specific keyword pools.
-pub fn media_categories() -> Vec<(&'static str, Vec<&'static str>)> {
+pub(crate) fn media_categories() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
         (
             "movies",
@@ -147,7 +147,7 @@ pub fn media_categories() -> Vec<(&'static str, Vec<&'static str>)> {
 
 /// Government document types (the paper's motivating long-tail content:
 /// "rules and regulations, survey results" on portals with no SEO budget).
-pub fn gov_doc_types() -> Vec<&'static str> {
+pub(crate) fn gov_doc_types() -> Vec<&'static str> {
     vec![
         "regulation",
         "ordinance",
@@ -163,7 +163,7 @@ pub fn gov_doc_types() -> Vec<&'static str> {
 }
 
 /// University departments (for the fortuitous-query scenario, paper §3.2).
-pub fn departments() -> Vec<&'static str> {
+pub(crate) fn departments() -> Vec<&'static str> {
     vec![
         "csail",
         "mathematics",
@@ -208,7 +208,7 @@ pub fn us_zipcodes(seed: u64, n: usize) -> Vec<String> {
 }
 
 /// Street-name parts for address text.
-pub fn streets() -> Vec<&'static str> {
+pub(crate) fn streets() -> Vec<&'static str> {
     vec![
         "main",
         "oak",
@@ -224,7 +224,7 @@ pub fn streets() -> Vec<&'static str> {
 }
 
 /// Surnames for person names (professors, sellers, authors).
-pub fn surnames() -> Vec<&'static str> {
+pub(crate) fn surnames() -> Vec<&'static str> {
     vec![
         "stonebraker",
         "codd",

@@ -32,8 +32,9 @@
 
 use deepweb::common::text::{is_stopword, tokenize};
 use deepweb::common::{derive_rng, ThreadPool, Url, Zipf};
-use deepweb::index::docstore::{Annotation, DocKind, StoredDoc};
-use deepweb::index::{search, BatchDoc, Hit, PruningMode, SearchIndex, SearchOptions};
+use deepweb::index::{
+    search, Annotation, BatchDoc, DocKind, Hit, PruningMode, SearchIndex, SearchOptions, StoredDoc,
+};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::webworld::grow_site;
 use deepweb::{quick_config, DeepWebSystem};

@@ -33,3 +33,62 @@ fn quick_config_builds_small_system_deterministically() {
     let qb: Vec<_> = b.search("used honda", 5).iter().map(|h| h.doc).collect();
     assert_eq!(qa, qb);
 }
+
+/// The `key = value` lines of `[section]` in a manifest, comments and
+/// blank lines dropped, in file order.
+fn section(manifest: &str, name: &str) -> Vec<(String, String)> {
+    let header = format!("[{name}]");
+    manifest
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .skip_while(|line| *line != header)
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once('='))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+        .collect()
+}
+
+/// The compiler holds every library crate to two rules (DESIGN.md §17): a
+/// `pub` item is exactly what its crate root exports (`unreachable_pub`,
+/// an error under `clippy -D warnings`), and no `unsafe`. Both come from one
+/// workspace lints table, so a manifest that does not inherit it — a new
+/// crate, say — escapes them silently. Every `crates/*` package and the root
+/// facade must inherit it.
+#[test]
+fn every_crate_inherits_the_workspace_lints() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let workspace = read(&root.join("Cargo.toml"));
+    let lints = section(&workspace, "workspace.lints.rust");
+    let level = |lint: &str| {
+        lints
+            .iter()
+            .find(|(k, _)| k == lint)
+            .map(|(_, v)| v.as_str())
+    };
+    assert_eq!(level("unreachable_pub"), Some("\"warn\""), "{lints:?}");
+    assert_eq!(level("unsafe_code"), Some("\"forbid\""), "{lints:?}");
+
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("crates/ entry").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.is_file())
+        .collect();
+    crates.sort();
+    assert!(crates.len() >= 14, "found only {} crates", crates.len());
+    manifests.extend(crates);
+    for manifest in &manifests {
+        let inherits = section(&read(manifest), "lints")
+            .iter()
+            .any(|(k, v)| k == "workspace" && v == "true");
+        assert!(
+            inherits,
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
+}

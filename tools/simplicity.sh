@@ -1,5 +1,5 @@
 #!/bin/sh
-# The five numbers a deletion change in this repository quotes, from one
+# The six numbers a deletion change in this repository quotes, from one
 # command:
 #
 #   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
@@ -13,7 +13,15 @@
 #      (informational here; CI gates the match in its own step);
 #   5. `pub` item lines per crate — the non-test lines of count 1 that declare
 #      a `pub` fn (methods included), struct, enum, trait, type, const, static
-#      or mod — and their total. `pub(crate)` and `pub use` do not count.
+#      or mod — and their total. `pub(crate)` and `pub use` do not count;
+#   6. `pub` item names per crate that nothing outside the crate reads — the
+#      distinct names a line of count 5 declares (fn, struct, enum, trait,
+#      type, const, static; methods included) that no `.rs` file outside the
+#      crate's library source mentions as a word. The package's own bins, the
+#      crates' and the root's `tests/`, `examples/` and the deepbench package
+#      all count as outside. The match is lexical, so this is a lower bound
+#      (a name such as `new` always matches somewhere); the names are listed
+#      beside each count as candidates for `pub(crate)` or deletion.
 #
 # Run from anywhere inside the checkout: `tools/simplicity.sh`.
 set -eu
@@ -57,3 +65,26 @@ printf '%s (tools/report_smoke.md5 %s: %s)\n' "$got" "$want" "$verdict"
 
 echo "== pub item lines per crate"
 per_crate '/^[ \t]*pub ((const|unsafe|async) )*(fn|struct|enum|trait|type|const|static|mod) /'
+
+echo "== pub item names no other crate reads"
+inside=$(mktemp)
+words=$(mktemp)
+trap 'rm -f "$inside" "$words"' EXIT
+total=0
+for dir in crates/*/; do
+    # The crate's library source: its `src/` without the package's bins.
+    find "${dir}src" -name '*.rs' -not -path "${dir}src/bin/*" -not -path "${dir}src/main.rs" |
+        sort >"$inside"
+    find crates src tests examples -name '*.rs' | sort | comm -23 - "$inside" |
+        xargs grep -ohw '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$words"
+    unread=$(xargs awk '
+        FNR == 1 { skip = 0 }
+        /^#\[cfg\(test\)\]/ { skip = 1 }
+        !skip && match($0, /^[ \t]*pub ((const|unsafe|async) )*(fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
+            n = split(substr($0, RSTART, RLENGTH), w, " "); print w[n]
+        }' <"$inside" | sort -u | comm -23 - "$words")
+    n=$(printf '%s' "$unread" | grep -c . || true)
+    printf '%-10s %6d %s\n' "$(basename "$dir")" "$n" "$(echo $unread)"
+    total=$((total + n))
+done
+printf '%-10s %6d\n' total "$total"
