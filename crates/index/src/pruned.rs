@@ -217,6 +217,8 @@ pub(crate) struct PrunedScratch {
     /// Postings whose contribution was computed: the essential slices, plus
     /// each non-essential posting a surviving candidate landed on.
     pub(crate) postings_folded: usize,
+    /// Windows not stepped over whose essential split left one term.
+    pub(crate) windows_walked: usize,
 }
 
 impl PrunedScratch {
@@ -226,6 +228,7 @@ impl PrunedScratch {
         self.windows_skipped = 0;
         self.candidates_dropped = 0;
         self.postings_folded = 0;
+        self.windows_walked = 0;
     }
 }
 
@@ -312,7 +315,7 @@ pub(crate) fn pruned_topk(
     let mut threshold = kth(heap);
     let (mut docs_scored, mut windows_skipped) = (0usize, 0usize);
     let (mut candidates_dropped, mut postings_folded) = (0usize, 0usize);
-    let mut annotations_read = 0usize;
+    let (mut windows_walked, mut annotations_read) = (0usize, 0usize);
     let mut marked = [0u64; WINDOW / 64];
     // Each window starts at the lowest doc any term holds beyond the last.
     while let Some(win_lo) = terms
@@ -357,6 +360,7 @@ pub(crate) fn pruned_topk(
                 break;
             }
         }
+        windows_walked += usize::from(terms.iter().filter(|t| t.essential).count() == 1);
         // What the dropped terms after each one (in signature order, the
         // order candidates consult them in) can still add.
         let mut rest_ub = ann_ub;
@@ -425,6 +429,7 @@ pub(crate) fn pruned_topk(
     scratch.pruned.windows_skipped = windows_skipped;
     scratch.pruned.candidates_dropped = candidates_dropped;
     scratch.pruned.postings_folded = postings_folded;
+    scratch.pruned.windows_walked = windows_walked;
     scratch.annotations_read += annotations_read;
     drain_heap_topk(heap)
 }
@@ -672,14 +677,15 @@ mod tests {
         assert_eq!(guard_ub(f64::NEG_INFINITY), f64::NEG_INFINITY);
     }
 
-    /// The four deterministic counts of the last query on `scratch`.
-    fn counts(scratch: &QueryScratch) -> [usize; 4] {
+    /// The five deterministic counts of the last query on `scratch`.
+    fn counts(scratch: &QueryScratch) -> [usize; 5] {
         let p = &scratch.pruned;
         [
             p.docs_scored,
             p.windows_skipped,
             p.candidates_dropped,
             p.postings_folded,
+            p.windows_walked,
         ]
     }
 
@@ -759,7 +765,7 @@ mod tests {
             ..Default::default()
         };
         let queries = [("dense", 1usize), ("rare dense", 10), ("dense rare", 10)];
-        let run = |workers: usize| -> Vec<[usize; 4]> {
+        let run = |workers: usize| -> Vec<[usize; 5]> {
             deepweb_common::ThreadPool::new(workers).map_indices_init(
                 queries.len(),
                 QueryScratch::new,
@@ -776,15 +782,16 @@ mod tests {
             )
         };
         let one = run(1);
-        let [scored, windows_skipped, _, folded] = one[0];
+        let [scored, windows_skipped, _, folded, walked] = one[0];
         assert!(windows_skipped > 0, "single term, k = 1: {:?}", one[0]);
         assert!(0 < scored && scored < n && folded < n, "{:?}", one[0]);
+        assert!(walked > 0, "single term, k = 1: {:?}", one[0]);
         let dfs = idx.postings().df("rare") + idx.postings().df("dense");
         for pair in &one[1..] {
-            let [scored, _, candidates_dropped, folded] = *pair;
+            let [scored, _, candidates_dropped, folded, walked] = *pair;
             assert!(candidates_dropped > 0, "rare + dense: {pair:?}");
             assert!(
-                0 < scored && folded < dfs,
+                0 < scored && folded < dfs && walked > 0,
                 "rare + dense: {pair:?} of {dfs}"
             );
         }
@@ -801,6 +808,132 @@ mod tests {
             "{:?}",
             counts(&scratch)
         );
+    }
+
+    /// Docs `range` of a corpus of three frequency tiers: `dense` in every
+    /// doc, `mid` in one in seven and `rare` in one in 41 — the first five
+    /// docs name them five, two and three times — over one to three filler
+    /// words. One doc in thirteen carries the annotation `tier: rare` and the
+    /// next `tier: mid`, so a query naming `rare` boosts the first and
+    /// demotes the second.
+    fn tiered(range: std::ops::Range<usize>) -> Vec<crate::index::BatchDoc> {
+        range
+            .map(|i| {
+                let (dense, mid, rare) = match i {
+                    0..=4 => (5, 2, 0),
+                    _ => {
+                        let rare = i % 41 == 7 && i / WINDOW % 4 != 2;
+                        (1, usize::from(i % 7 == 3), usize::from(rare))
+                    }
+                };
+                let mut words = vec!["dense"; dense];
+                words.extend(vec!["mid"; mid]);
+                words.extend(vec!["rare"; rare]);
+                words.extend(["alpha", "beta", "gamma"].iter().take(1 + i % 3));
+                let tier = match i % 13 {
+                    0 => vec!["rare"],
+                    1 => vec!["mid"],
+                    _ => vec![],
+                };
+                crate::index::BatchDoc {
+                    url: Url::new("t.sim", format!("/d{i}")),
+                    title: String::new(),
+                    text: words.join(" "),
+                    kind: DocKind::Surfaced,
+                    site: None,
+                    annotations: tier
+                        .into_iter()
+                        .map(|value| Annotation {
+                            key: "tier".into(),
+                            value: value.into(),
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// The five counts of every query pinned, sealed and with a segment
+    /// pending, annotations off and on: what the kernel skips, drops and
+    /// folds is a function of its bounds and the order it meets candidates
+    /// in, so a kernel that reaches the same hits another way reads other
+    /// counts here. `rare dense` leaves `rare` alone essential in most live
+    /// windows, `rare mid dense` two terms, and at `k` past the doc count
+    /// the threshold never rises and every term stays essential.
+    #[test]
+    fn counts_are_pinned_on_three_tiers() {
+        use crate::searcher::search_view;
+        use crate::segments::SegmentedIndex;
+        let n = 12 * WINDOW + 50;
+        let pending = 60;
+        let index_of = |docs: Vec<crate::index::BatchDoc>| {
+            let mut idx = SearchIndex::new();
+            idx.add_batch(&deepweb_common::ThreadPool::new(1), docs);
+            idx.enable_pruning();
+            idx
+        };
+        let sealed = index_of(tiered(0..n));
+        let fresh = SegmentedIndex::new(index_of(tiered(0..n - pending)));
+        assert_eq!(fresh.apply(tiered(n - pending..n)), pending);
+        let gen = fresh.snapshot();
+        let queries = [
+            ("rare dense", 1usize),
+            ("rare dense", 10),
+            ("rare mid dense", 100),
+            ("rare mid dense", n),
+        ];
+        let mut scratch = QueryScratch::new();
+        let mut got = Vec::new();
+        for (vi, view) in [IndexView::sealed(&sealed), gen.view()].iter().enumerate() {
+            for use_annotations in [false, true] {
+                for (q, k) in queries {
+                    let fold = SearchOptions {
+                        use_annotations,
+                        pruning: PruningMode::Exhaustive,
+                    };
+                    let opts = SearchOptions {
+                        pruning: PruningMode::BlockMax,
+                        ..fold
+                    };
+                    let hits = search_windowed(view, q, k, opts, &mut scratch);
+                    let c = counts(&scratch);
+                    let ctx = format!("view {vi} ann={use_annotations} q={q:?} k={k}: {c:?}");
+                    assert_eq!(hits, search_view(view, q, k, fold, &mut scratch), "{ctx}");
+                    let [.., walked] = c;
+                    match (q, k) {
+                        (_, k) if k >= n => assert_eq!(walked, 0, "{ctx}"),
+                        ("rare dense", _) => assert!(walked > 0, "{ctx}"),
+                        _ => {}
+                    }
+                    got.push(c);
+                }
+            }
+        }
+        // `[docs_scored, windows_skipped, candidates_dropped,
+        // postings_folded, windows_walked]` per query, in loop order.
+        let pinned: [[usize; 5]; 16] = [
+            // sealed, annotations off
+            [19, 3, 288, 329, 9],
+            [92, 3, 215, 342, 9],
+            [576, 0, 567, 1467, 2],
+            [3122, 0, 0, 3630, 0],
+            // sealed, annotations on
+            [37, 3, 270, 343, 9],
+            [253, 3, 304, 615, 8],
+            [893, 0, 250, 1645, 2],
+            [3122, 0, 0, 3630, 0],
+            // one segment pending, annotations off
+            [19, 3, 287, 328, 8],
+            [92, 3, 214, 341, 8],
+            [572, 0, 561, 1453, 2],
+            [3062, 0, 0, 3560, 0],
+            // one segment pending, annotations on
+            [37, 3, 269, 342, 8],
+            [252, 3, 304, 613, 7],
+            [886, 0, 247, 1628, 2],
+            [3062, 0, 0, 3560, 0],
+        ];
+        assert_eq!(got, pinned);
     }
 
     /// The kernel is picked by the postings a query reads — the sum of its
@@ -852,7 +985,7 @@ mod tests {
             pruning: PruningMode::BlockMax,
             ..Default::default()
         };
-        let run = |workers: usize| -> Vec<[usize; 4]> {
+        let run = |workers: usize| -> Vec<[usize; 5]> {
             deepweb_common::ThreadPool::new(workers).map_indices_init(
                 views.len(),
                 QueryScratch::new,
@@ -871,7 +1004,7 @@ mod tests {
             if sums[vi] > cut {
                 assert!(c[1] > 0, "view {vi} of {} postings: {c:?}", sums[vi]);
             } else {
-                assert_eq!(*c, [0; 4], "view {vi} of {} postings", sums[vi]);
+                assert_eq!(*c, [0; 5], "view {vi} of {} postings", sums[vi]);
             }
         }
         // The pending docs decide: the base alone would be folded.
