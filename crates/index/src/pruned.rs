@@ -4,7 +4,10 @@
 //! block bounds together cannot reach the running top-k threshold are set
 //! aside as *non-essential*, the rest are folded in bulk, and only docs that
 //! hold a folded term and could still reach the threshold are scored — and
-//! the hits are still **byte-identical** to the exhaustive reference's.
+//! the hits are still **byte-identical** to the exhaustive reference's. A
+//! window whose split leaves one essential term walks that term's slice in
+//! doc order, each posting a candidate on the spot; per-doc lanes and a
+//! window bitmap gather the candidates of a window with two or more.
 //!
 //! The kernel runs only for a query that reads more than
 //! `MAX_FOLDED_POSTINGS` postings over the whole view: at or below that,
@@ -17,7 +20,8 @@
 //!
 //! - **Scored docs get the exact exhaustive score.** A doc is only scored
 //!   once the contribution of every query term that contains it is known —
-//!   folded into its window lane, or sought in a non-essential list — and
+//!   read off the walked slice or its window lane, or sought in a
+//!   non-essential list — and
 //!   the contributions are folded in query-term (signature) order, an absent
 //!   term as `+ 0.0` (and `x + 0.0 == x` bit for bit) — the same
 //!   floating-point sequence the exhaustive `scores[doc] += c` fold runs,
@@ -175,8 +179,8 @@ struct TermWindow {
     win_end: usize,
     /// Max [`Bounds::block_ub`] over the blocks the window's slice falls in.
     ub: f64,
-    /// Folded into its lane this window (else sought for surviving
-    /// candidates only).
+    /// Walked or folded into its lane this window (else sought for
+    /// surviving candidates only).
     essential: bool,
     /// Dropped: what the dropped terms after this one in the signature can
     /// add to a doc, annotation bound included.
@@ -203,8 +207,10 @@ pub(crate) struct PrunedScratch {
     /// The signature terms the base holds, in signature order.
     terms: Vec<TermWindow>,
     /// `WINDOW` rows of one `f64` per term: row `doc - window start` holds
-    /// that doc's contributions in signature order. All zeros between
-    /// windows (a scored or discarded candidate's row is zeroed on the spot).
+    /// that doc's contributions in signature order, for a window with two or
+    /// more essential terms (one essential term is walked, not staged). All
+    /// zeros between windows (a scored or discarded candidate's row is
+    /// zeroed on the spot).
     lanes: Vec<f64>,
     /// Docs the last query scored in full (pruning saved the rest of its
     /// postings).
@@ -217,7 +223,8 @@ pub(crate) struct PrunedScratch {
     /// Postings whose contribution was computed: the essential slices, plus
     /// each non-essential posting a surviving candidate landed on.
     pub(crate) postings_folded: usize,
-    /// Windows not stepped over whose essential split left one term.
+    /// Windows not stepped over whose essential split left one term: their
+    /// slice was walked in doc order, without lanes or bitmap.
     pub(crate) windows_walked: usize,
 }
 
@@ -230,6 +237,18 @@ impl PrunedScratch {
         self.postings_folded = 0;
         self.windows_walked = 0;
     }
+}
+
+/// What scoring a query's candidates moves: the top-k heap, its threshold
+/// and the counts [`PrunedScratch`] reports.
+struct Tally<'h> {
+    heap: &'h mut BinaryHeap<HeapEntry>,
+    /// The heap's k-th best score, re-read after every admission.
+    threshold: f64,
+    docs_scored: usize,
+    candidates_dropped: usize,
+    postings_folded: usize,
+    annotations_read: usize,
 }
 
 /// First index in `list[from..to]` whose doc is ≥ `doc`, by doubling steps
@@ -312,10 +331,56 @@ pub(crate) fn pruned_topk(
         Some(worst) if heap.len() == k => worst.0,
         _ => f64::NEG_INFINITY,
     };
-    let mut threshold = kth(heap);
-    let (mut docs_scored, mut windows_skipped) = (0usize, 0usize);
-    let (mut candidates_dropped, mut postings_folded) = (0usize, 0usize);
-    let (mut windows_walked, mut annotations_read) = (0usize, 0usize);
+    let mut tally = Tally {
+        threshold: kth(heap),
+        heap,
+        docs_scored: 0,
+        candidates_dropped: 0,
+        postings_folded: 0,
+        annotations_read: 0,
+    };
+    // One candidate, a doc holding an essential term: `partial` sums the
+    // essential terms' contributions, each already in its term's `contrib`.
+    // Consult the dropped terms in signature order, discarding the
+    // candidate as soon as what it is known to hold, plus all the dropped
+    // terms not yet consulted could add, cannot reach the threshold; else
+    // score and admit it.
+    let candidate = |terms: &mut [TermWindow],
+                     doc: u32,
+                     mut partial: f64,
+                     dropped_ub: f64,
+                     tally: &mut Tally<'_>| {
+        let mut rest_ub = dropped_ub;
+        for t in terms.iter_mut().filter(|t| !t.essential) {
+            if guard_ub(partial + rest_ub) < tally.threshold {
+                break;
+            }
+            let list = postings.postings_id(t.id);
+            t.pos = gallop(list, t.pos, t.win_end, doc);
+            t.contrib = 0.0;
+            if t.pos < t.win_end && list[t.pos].doc.0 == doc {
+                t.contrib = contribution(t.idf, &list[t.pos]);
+                partial += t.contrib;
+                tally.postings_folded += 1;
+            }
+            rest_ub = t.rest_ub;
+        }
+        if guard_ub(partial + rest_ub) < tally.threshold {
+            tally.candidates_dropped += 1;
+            return;
+        }
+        // Contributions fold in signature order from 0.0, an absent one as
+        // `+ 0.0`: the exhaustive `scores[doc] += c` sequence.
+        let mut score = terms.iter().fold(0.0, |s, t| s + t.contrib);
+        if opts.use_annotations {
+            score += annotation_boost(view, sig, masks, DocId(doc));
+            tally.annotations_read += 1;
+        }
+        tally.docs_scored += 1;
+        admit(tally.heap, k, HeapEntry(score, doc));
+        tally.threshold = kth(tally.heap);
+    };
+    let (mut windows_skipped, mut windows_walked) = (0usize, 0usize);
     let mut marked = [0u64; WINDOW / 64];
     // Each window starts at the lowest doc any term holds beyond the last.
     while let Some(win_lo) = terms
@@ -340,7 +405,7 @@ pub(crate) fn pruned_topk(
                 window_ub += t.ub;
             }
         }
-        if guard_ub(window_ub) < threshold {
+        if guard_ub(window_ub) < tally.threshold {
             // No doc of the window can reach the threshold: step over it.
             windows_skipped += 1;
             continue;
@@ -353,14 +418,13 @@ pub(crate) fn pruned_topk(
             .filter(|t| t.essential)
             .min_by(|a, b| a.ub.total_cmp(&b.ub))
         {
-            if guard_ub(dropped_ub + t.ub) < threshold {
+            if guard_ub(dropped_ub + t.ub) < tally.threshold {
                 dropped_ub += t.ub;
                 t.essential = false;
             } else {
                 break;
             }
         }
-        windows_walked += usize::from(terms.iter().filter(|t| t.essential).count() == 1);
         // What the dropped terms after each one (in signature order, the
         // order candidates consult them in) can still add.
         let mut rest_ub = ann_ub;
@@ -368,15 +432,42 @@ pub(crate) fn pruned_topk(
             t.rest_ub = rest_ub;
             rest_ub += t.ub;
         }
-        // Fold the essential slices: one store per posting into the term's
-        // lane of the doc's row, one bit in the window bitmap.
+        let mut essential = terms.iter().enumerate().filter(|(_, t)| t.essential);
+        if let (Some((ei, _)), None) = (essential.next(), essential.next()) {
+            // One essential term: its slice, in doc order, is the window's
+            // candidates, each with the one contribution it is known to
+            // hold. A doc that cannot reach the threshold with every dropped
+            // term added is discarded before it is stored anywhere.
+            windows_walked += 1;
+            let TermWindow {
+                id,
+                idf,
+                pos,
+                win_end,
+                ..
+            } = terms[ei];
+            let slice = &postings.postings_id(id)[pos..win_end];
+            for p in slice {
+                let c = contribution(idf, p);
+                if guard_ub(c + dropped_ub) < tally.threshold {
+                    tally.candidates_dropped += 1;
+                    continue;
+                }
+                terms[ei].contrib = c;
+                candidate(terms, p.doc.0, c, dropped_ub, &mut tally);
+            }
+            tally.postings_folded += slice.len();
+            continue;
+        }
+        // Two or more: fold the essential slices, one store per posting into
+        // the term's lane of the doc's row and one bit in the window bitmap.
         for (ti, t) in terms.iter_mut().enumerate().filter(|(_, t)| t.essential) {
             for p in &postings.postings_id(t.id)[t.pos..t.win_end] {
                 let off = (p.doc.0 - win_lo) as usize;
                 lanes[off * n + ti] = contribution(t.idf, p);
                 marked[off / 64] |= 1 << (off % 64);
             }
-            postings_folded += t.win_end - t.pos;
+            tally.postings_folded += t.win_end - t.pos;
         }
         // Candidates — docs holding an essential term — in doc order.
         for (wi, word) in marked.iter_mut().enumerate() {
@@ -384,54 +475,23 @@ pub(crate) fn pruned_topk(
             while bits != 0 {
                 let off = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let doc = win_lo + off as u32;
                 // Taking the lanes leaves the row zeroed for the next window.
                 let mut partial = 0.0f64;
                 for (t, lane) in terms.iter_mut().zip(&mut lanes[off * n..][..n]) {
                     t.contrib = std::mem::take(lane);
                     partial += t.contrib;
                 }
-                // Discard the candidate as soon as what it is known to hold,
-                // plus all the dropped terms not yet consulted could add,
-                // cannot reach the threshold.
-                let mut rest_ub = dropped_ub;
-                for t in terms.iter_mut().filter(|t| !t.essential) {
-                    if guard_ub(partial + rest_ub) < threshold {
-                        break;
-                    }
-                    let list = postings.postings_id(t.id);
-                    t.pos = gallop(list, t.pos, t.win_end, doc);
-                    if t.pos < t.win_end && list[t.pos].doc.0 == doc {
-                        t.contrib = contribution(t.idf, &list[t.pos]);
-                        partial += t.contrib;
-                        postings_folded += 1;
-                    }
-                    rest_ub = t.rest_ub;
-                }
-                if guard_ub(partial + rest_ub) < threshold {
-                    candidates_dropped += 1;
-                    continue;
-                }
-                // Contributions fold in signature order from 0.0, an absent
-                // one as `+ 0.0`: the exhaustive `scores[doc] += c` sequence.
-                let mut score = terms.iter().fold(0.0, |s, t| s + t.contrib);
-                if opts.use_annotations {
-                    score += annotation_boost(view, sig, masks, DocId(doc));
-                    annotations_read += 1;
-                }
-                docs_scored += 1;
-                admit(heap, k, HeapEntry(score, doc));
-                threshold = kth(heap);
+                candidate(terms, win_lo + off as u32, partial, dropped_ub, &mut tally);
             }
         }
     }
-    scratch.pruned.docs_scored = docs_scored;
+    scratch.pruned.docs_scored = tally.docs_scored;
     scratch.pruned.windows_skipped = windows_skipped;
-    scratch.pruned.candidates_dropped = candidates_dropped;
-    scratch.pruned.postings_folded = postings_folded;
+    scratch.pruned.candidates_dropped = tally.candidates_dropped;
+    scratch.pruned.postings_folded = tally.postings_folded;
     scratch.pruned.windows_walked = windows_walked;
-    scratch.annotations_read += annotations_read;
-    drain_heap_topk(heap)
+    scratch.annotations_read += tally.annotations_read;
+    drain_heap_topk(tally.heap)
 }
 
 #[cfg(test)]
