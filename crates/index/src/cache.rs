@@ -121,6 +121,14 @@ struct Shard {
     clock: u64,
     /// Lookups since the last aging.
     lookups: usize,
+    /// A lower bound on every resident entry's `uses`: the last victim's
+    /// uses, lowered by a newcomer admitted into room and halved at each
+    /// aging (hits only raise uses). A newcomer that has missed no more
+    /// often than this would lose to any victim, so it is refused unscanned.
+    floor: u32,
+    /// Victim scans that ended in a refusal.
+    #[cfg(test)]
+    refused_scans: usize,
 }
 
 impl Shard {
@@ -131,6 +139,9 @@ impl Shard {
             cap,
             clock: 0,
             lookups: 0,
+            floor: 0,
+            #[cfg(test)]
+            refused_scans: 0,
         }
     }
 
@@ -143,6 +154,7 @@ impl Shard {
             for entry in self.map.values_mut() {
                 entry.uses /= 2;
             }
+            self.floor /= 2;
             self.misses.retain(|_, n| {
                 *n /= 2;
                 *n > 0
@@ -256,9 +268,21 @@ impl ResultCache {
             return;
         }
         let uses = shard.misses.get(&hash).copied().unwrap_or(0);
-        if shard.map.len() >= shard.cap {
+        if shard.map.len() < shard.cap {
+            shard.floor = shard.floor.min(uses);
+        } else {
+            // Admission needs `uses > victim.uses ≥ floor`.
+            if uses <= shard.floor {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
             let victim = shard.map.iter().min_by_key(|(_, e)| (e.uses, e.stamp));
+            shard.floor = victim.map_or(0, |(_, e)| e.uses);
             let Some((key, _)) = victim.filter(|(_, e)| uses > e.uses) else {
+                #[cfg(test)]
+                {
+                    shard.refused_scans += 1;
+                }
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             };
@@ -285,6 +309,12 @@ impl ResultCache {
             .map(|s| s.lock().misses.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// Victim scans that ended in a refusal, over all shards.
+    #[cfg(test)]
+    fn refused_scans(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().refused_scans).sum()
     }
 
     /// Entries currently stored.
@@ -446,6 +476,30 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.insertions, s.evictions), (2, 0));
         assert_eq!(s.rejected, one_offs.len() as u64);
+    }
+
+    /// A full shard of twice-used entries refuses a stream of one-off
+    /// misses after one scan per aging at most: the first scan's victim sets
+    /// the floor, and a newcomer at or below it is refused unscanned.
+    #[test]
+    fn refused_one_offs_do_not_scan_the_shard() {
+        let cap = 64;
+        let cache = ResultCache::new(CacheConfig::with_capacity(cap * SHARDS));
+        let sigs = same_shard(cap + 20_000);
+        let (resident, one_offs) = sigs.split_at(cap);
+        for s in resident {
+            assert!(!serve(&cache, s));
+            assert!(serve(&cache, s));
+        }
+        for s in one_offs {
+            serve(&cache, s);
+        }
+        let lookups = 2 * resident.len() + one_offs.len();
+        let agings = lookups / (AGING_PERIOD * cap);
+        let s = cache.stats();
+        assert!(s.rejected > 10_000, "{s:?}");
+        let scans = cache.refused_scans();
+        assert!(scans <= 1 + agings, "{scans} scans, {agings} agings: {s:?}");
     }
 
     /// A and B were each used a thousand times; C, asked alone from then on,
