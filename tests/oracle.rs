@@ -33,7 +33,8 @@
 use deepweb::common::text::{is_stopword, tokenize};
 use deepweb::common::{derive_rng, ThreadPool, Url, Zipf};
 use deepweb::index::{
-    search, Annotation, BatchDoc, DocKind, Hit, PruningMode, SearchIndex, SearchOptions, StoredDoc,
+    search, Annotation, BatchDoc, DocKind, Hit, PruningMode, SearchIndex, SearchOptions,
+    SegmentedIndex, StoredDoc,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::webworld::grow_site;
@@ -324,110 +325,87 @@ fn a_term_known_only_as_a_facet_value_scores_like_the_oracle() {
     assert_eq!((nonempty, adjusted), (2, 2));
 }
 
-/// The most postings a block-max query folds instead of windowing: 32
-/// windows of 256 docs.
-const MAX_FOLDED_POSTINGS: usize = 8_192;
-
-/// `docs` docs of 30 Zipf(1.1) tokens over 300 terms, and 60 queries: two to
-/// four drawn tokens, or with `every_query_windowed` one of the three head
-/// terms and one to three drawn tokens.
-fn dense_case(docs: usize, every_query_windowed: bool) -> (Vec<BatchDoc>, Vec<String>) {
-    let zipf = Zipf::new(300, 1.1);
-    let mut rng = derive_rng(17, "oracle-dense");
-    let mut draw = |tokens: usize| -> String {
-        let words: Vec<String> = (0..tokens)
-            .map(|_| format!("tok{}", zipf.sample(&mut rng)))
-            .collect();
-        words.join(" ")
-    };
-    let corpus: Vec<BatchDoc> = (0..docs)
-        .map(|i| BatchDoc {
-            url: Url::new("dense.sim", format!("/d{i}")),
-            title: String::new(),
-            text: draw(30),
-            kind: DocKind::Surface,
-            site: None,
-            annotations: vec![],
-        })
-        .collect();
-    let queries: Vec<String> = (0..60)
-        .map(|i| match every_query_windowed {
-            false => draw(2 + i % 3),
-            true => format!("tok{} {}", i % 3, draw(1 + i % 3)),
-        })
-        .collect();
-    (corpus, queries)
-}
-
-/// Every query reads more than [`MAX_FOLDED_POSTINGS`] postings — the sum
-/// of its distinct terms' document frequencies — so block-max windows it.
-fn assert_every_query_windowed(oracle: &Oracle, queries: &[String]) {
-    for q in queries {
-        let mut terms = analysed(q);
-        terms.sort();
-        terms.dedup();
-        let read: usize = terms.iter().filter_map(|t| oracle.df.get(t)).sum();
-        assert!(read > MAX_FOLDED_POSTINGS, "{q:?} reads {read} postings");
-    }
-}
-
 /// Webworld pages give almost every term a short posting list, so the
 /// corpora above barely leave the kernel's sparse path, and a query that
-/// reads at most [`MAX_FOLDED_POSTINGS`] postings is folded, not windowed.
-/// Here docs of 30 Zipf(1.1) tokens over 300 terms put the head terms in
-/// nearly every doc and every doc at one length, so exact score ties are
-/// everywhere. At 4 000 docs only the queries naming several head terms read
-/// past the cutoff. At 12 000 every query names one of the three head terms
-/// and reads past it, so every query walks the block-max kernel's windows,
+/// reads at most 8 192 postings — the sum of its terms' document
+/// frequencies, 32 windows of 256 docs — is folded, not windowed. Here docs
+/// of 30 Zipf(1.1) tokens over 300 terms put the head terms in nearly every
+/// doc and every doc at one length, so exact score ties are everywhere. At
+/// 4 000 docs only the queries naming several head terms read past the
+/// cutoff. At 12 000 every query names one of the three head terms and
+/// reads past it, so every query walks the block-max kernel's windows,
 /// drops the dense terms as non-essential and seeks them per candidate —
-/// against brute force, bit for bit.
+/// against brute force, bit for bit. The 12 000 docs are served once more
+/// through the freshness tier, the first 10 000 sealed and the rest applied
+/// as two deltas: with segments pending every base block is bounded from
+/// `(max_tf, min_dl)` under the generation's statistics, and every query
+/// still windows the base. Then again over the base the merge extends.
 #[test]
 fn dense_posting_lists_serve_the_oracle() {
+    const MAX_FOLDED_POSTINGS: usize = 8_192;
+    let zipf = Zipf::new(300, 1.1);
     for (docs, every_query_windowed) in [(4_000, false), (12_000, true)] {
-        let (corpus, queries) = dense_case(docs, every_query_windowed);
+        let mut rng = derive_rng(17, "oracle-dense");
+        let mut draw = |tokens: usize| -> String {
+            let words: Vec<String> = (0..tokens)
+                .map(|_| format!("tok{}", zipf.sample(&mut rng)))
+                .collect();
+            words.join(" ")
+        };
+        let corpus: Vec<BatchDoc> = (0..docs)
+            .map(|i| BatchDoc {
+                url: Url::new("dense.sim", format!("/d{i}")),
+                title: String::new(),
+                text: draw(30),
+                kind: DocKind::Surface,
+                site: None,
+                annotations: vec![],
+            })
+            .collect();
+        let queries: Vec<String> = (0..60)
+            .map(|i| match every_query_windowed {
+                false => draw(2 + i % 3),
+                true => format!("tok{} {}", i % 3, draw(1 + i % 3)),
+            })
+            .collect();
         let oracle = Oracle::of_docs(corpus.iter().map(pending));
         assert!(oracle.df["tok0"] * 10 > docs * 9 && oracle.df["tok9"] * 10 > docs);
         if every_query_windowed {
-            assert_every_query_windowed(&oracle, &queries);
+            for q in &queries {
+                let mut terms = analysed(q);
+                terms.sort();
+                terms.dedup();
+                let read: usize = terms.iter().filter_map(|t| oracle.df.get(t)).sum();
+                assert!(read > MAX_FOLDED_POSTINGS, "{q:?} reads {read} postings");
+            }
         }
-        let mut index = SearchIndex::new();
-        index.add_batch(&ThreadPool::new(2), corpus);
-        index.enable_pruning();
+        let build = |docs: &[BatchDoc]| {
+            let mut index = SearchIndex::new();
+            index.add_batch(&ThreadPool::new(2), docs.to_vec());
+            index.enable_pruning();
+            index
+        };
+        let index = build(&corpus);
         let serve = |q: &str, k: usize, opts: SearchOptions| search(&index, q, k, opts);
         let (nonempty, adjusted) = assert_serves_the_oracle(serve, &oracle, &queries);
         assert_eq!((nonempty, adjusted), (queries.len(), 0), "{docs} docs");
+        if every_query_windowed {
+            let fresh = SegmentedIndex::new(build(&corpus[..10_000]));
+            for delta in corpus[10_000..].chunks(1_000) {
+                assert_eq!(fresh.apply(delta.to_vec()), delta.len());
+            }
+            let gen = fresh.snapshot();
+            assert_eq!(gen.segments().len(), 2);
+            let pending =
+                assert_serves_the_oracle(|q, k, o| gen.search(q, k, o), &oracle, &queries);
+            assert_eq!(pending, (nonempty, adjusted), "pending");
+            assert_eq!(fresh.merge(), 2_000);
+            let gen = fresh.snapshot();
+            assert!(gen.segments().is_empty() && gen.base().pruning().is_some());
+            let merged = assert_serves_the_oracle(|q, k, o| gen.search(q, k, o), &oracle, &queries);
+            assert_eq!(merged, (nonempty, adjusted), "merged");
+        }
     }
-}
-
-/// The 12 000-doc dense case through the freshness tier: the first 10 000
-/// docs sealed, the other 2 000 applied as two deltas. With segments pending
-/// every base block is bounded from `(max_tf, min_dl)` under the
-/// generation's statistics — the read path of a store taking deltas — while
-/// every query still windows the dense base. Against brute force over all
-/// 12 000 docs, and again over the base the merge extends.
-#[test]
-fn dense_pending_segments_serve_the_oracle() {
-    use deepweb::index::SegmentedIndex;
-    let (corpus, queries) = dense_case(12_000, true);
-    let oracle = Oracle::of_docs(corpus.iter().map(pending));
-    assert_every_query_windowed(&oracle, &queries);
-    let mut base = SearchIndex::new();
-    base.add_batch(&ThreadPool::new(2), corpus[..10_000].to_vec());
-    base.enable_pruning();
-    let fresh = SegmentedIndex::new(base);
-    for delta in corpus[10_000..].chunks(1_000) {
-        assert_eq!(fresh.apply(delta.to_vec()), delta.len());
-    }
-    let gen = fresh.snapshot();
-    assert_eq!(gen.segments().len(), 2);
-    let served = assert_serves_the_oracle(|q, k, opts| gen.search(q, k, opts), &oracle, &queries);
-    assert_eq!(served, (queries.len(), 0), "pending");
-    assert_eq!(fresh.merge(), 2_000);
-    let merged = fresh.snapshot();
-    assert!(merged.segments().is_empty() && merged.base().pruning().is_some());
-    let served =
-        assert_serves_the_oracle(|q, k, opts| merged.search(q, k, opts), &oracle, &queries);
-    assert_eq!(served, (queries.len(), 0), "merged");
 }
 
 /// The freshness tier against the oracle, not against `search()`: with
@@ -586,7 +564,6 @@ fn queries_past_64_terms_keep_every_facet_conflict() {
 /// last doc is passed over. Against brute force, bit for bit.
 #[test]
 fn annotation_adjustments_at_the_threshold_serve_the_oracle() {
-    use deepweb::index::SegmentedIndex;
     const DOCS: usize = 600;
     let ann = |key: &str, value: &str| Annotation {
         key: key.into(),
