@@ -15,7 +15,10 @@
 # deepbench steps already made) — then runs <pairs> pairs, parent first in odd
 # pairs and change first in even ones. For every end-to-end metric of
 # BENCHMARK.json it prints both medians, both quartile distances (Q3 - Q1),
-# the pairs the change won (ties count for neither side), every run's value
+# the metric's bound (the share of the parent's median it may worsen by, as
+# BENCHMARK.json declares it) with `beyond bound` on a row whose change
+# median is worse than the parent's by more than that share, the pairs the
+# change won (ties count for neither side), every run's value
 # with its calibration readings before and after the run, each run's
 # `deepbench: <workload>:` summary line (the counts behind the timings), a
 # line for each run whose calibration moved by more than 5 %, and whether the
@@ -23,7 +26,9 @@
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians are further apart than the parent's own quartile
-# distance; this script prints the numbers, it does not judge them.
+# distance, and a change is refused when any row reads `beyond bound`; this
+# script prints the numbers and that mark, its exit status does not judge
+# them.
 #
 # Metrics are read from the last line of each run's stdout; the digest is on
 # stderr in an untraced run, so stderr is kept beside it. Nothing under
@@ -66,11 +71,13 @@ esac
     CARGO_TARGET_DIR="$parent_target" cargo build --release --quiet --offline --manifest-path "$manifest")
 cargo build --release --quiet --offline --manifest-path "$manifest"
 
-# Direction of every end-to-end metric, from the benchmark's own declaration.
+# Direction and bound of every end-to-end metric, from the benchmark's own
+# declaration.
 awk '/"bound"/ {
     name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
     better = $0; sub(/.*"better": "/, "", better); sub(/".*/, "", better)
-    print name, better
+    bound = $0; sub(/.*"bound": /, "", bound); sub(/[^-+.0-9eE].*/, "", bound)
+    print name, better, bound
 }' BENCHMARK.json >"$work/metrics"
 
 # run <side> <checkout> <target dir> <pair>: one run of $workload from the
@@ -132,10 +139,10 @@ measure() {
             out["median"] = quantile(v, n, 0.5)
             out["iqd"] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
         }
-        FILENAME ~ /metrics$/ { order[++metrics] = $1; better[$1] = $2; next }
+        FILENAME ~ /metrics$/ { order[++metrics] = $1; better[$1] = $2; bound[$1] = $3; next }
         { val[$1, $2, $3] = $4 + 0 }
         END {
-            printf "%-18s %14s %12s %14s %12s %8s  %s\n", "metric", "parent median", "parent Q3-Q1", "change median", "change Q3-Q1", "change/parent", "change wins"
+            printf "%-18s %14s %12s %14s %12s %8s %6s  %s\n", "metric", "parent median", "parent Q3-Q1", "change median", "change Q3-Q1", "change/parent", "bound", "change wins"
             for (m = 1; m <= metrics; m++) {
                 name = order[m]
                 summarise("parent", name, p); summarise("change", name, c)
@@ -146,7 +153,10 @@ measure() {
                     if (d > 0) wins++; else if (d < 0) losses++
                 }
                 ratio = p["median"] != 0 ? sprintf("%.3f", c["median"] / p["median"]) : "-"
-                printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s  %d of %d (%d lost, %s is better)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, wins, pairs, losses, better[name]
+                # Worse by more than the bound, a share of the parent median.
+                worse = better[name] == "lower" ? c["median"] - p["median"] : p["median"] - c["median"]
+                beyond = worse > bound[name] * p["median"] ? ", beyond bound" : ""
+                printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s %6.2f  %d of %d (%d lost, %s is better%s)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, bound[name], wins, pairs, losses, better[name], beyond
             }
             print "== every run, in pair order"
             for (m = 1; m <= metrics; m++) {
