@@ -23,7 +23,9 @@
 //! victim is its entry with the lowest `(uses, last use)`, and a newcomer
 //! displaces it only if the newcomer has missed strictly more often than the
 //! victim has been used; an admitted entry starts with its miss count as its
-//! use count. Every `10 ×` the shard's capacity lookups the shard halves
+//! use count. A shard keeps a lower bound on its residents' uses, so a
+//! newcomer that could not displace even that is refused without scanning
+//! for the victim. Every `10 ×` the shard's capacity lookups the shard halves
 //! every count and forgets the zeros, so a new head gets in once the old one
 //! stops being asked, and the miss table never holds more than `20 ×` the
 //! shard's capacity signatures (the counts sum to less than that).
