@@ -498,6 +498,7 @@ pub(crate) fn pruned_topk(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, DocKind};
+    use crate::index::BatchDoc;
     use crate::searcher::{search, search_windowed, top_k, PruningMode};
     use deepweb_common::Url;
 
@@ -870,13 +871,14 @@ mod tests {
         );
     }
 
-    /// Docs `range` of a corpus of three frequency tiers: `dense` in every
-    /// doc, `mid` in one in seven and `rare` in one in 41 — the first five
-    /// docs name them five, two and three times — over one to three filler
-    /// words. One doc in thirteen carries the annotation `tier: rare` and the
-    /// next `tier: mid`, so a query naming `rare` boosts the first and
-    /// demotes the second.
-    fn tiered(range: std::ops::Range<usize>) -> Vec<crate::index::BatchDoc> {
+    /// Docs `range` of a corpus of three frequency tiers over one to three
+    /// filler words: `dense` in every doc, `mid` in one in seven and `rare`
+    /// in one in 41 but in no doc of every fourth window (windows 2, 6, 10:
+    /// a `rare` query steps over them). The first five docs name `dense`
+    /// five times and `mid` twice. One doc in thirteen carries the
+    /// annotation `tier: rare` and the next `tier: mid`, so a query naming
+    /// `rare` boosts the first and demotes the second.
+    fn tiered(range: std::ops::Range<usize>) -> Vec<BatchDoc> {
         range
             .map(|i| {
                 let (dense, mid, rare) = match i {
@@ -895,7 +897,7 @@ mod tests {
                     1 => vec!["mid"],
                     _ => vec![],
                 };
-                crate::index::BatchDoc {
+                BatchDoc {
                     url: Url::new("t.sim", format!("/d{i}")),
                     title: String::new(),
                     text: words.join(" "),
@@ -926,7 +928,7 @@ mod tests {
         use crate::segments::SegmentedIndex;
         let n = 12 * WINDOW + 50;
         let pending = 60;
-        let index_of = |docs: Vec<crate::index::BatchDoc>| {
+        let index_of = |docs: Vec<BatchDoc>| {
             let mut idx = SearchIndex::new();
             idx.add_batch(&deepweb_common::ThreadPool::new(1), docs);
             idx.enable_pruning();
@@ -1006,7 +1008,6 @@ mod tests {
     /// folded query).
     #[test]
     fn the_kernel_is_chosen_by_the_postings_a_query_reads() {
-        use crate::index::BatchDoc;
         use crate::searcher::search_view;
         use crate::segments::SegmentedIndex;
         let at = planted(MAX_FOLDED_POSTINGS);
