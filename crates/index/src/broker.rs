@@ -53,7 +53,7 @@ impl SearchService for QueryBroker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::docstore::DocKind;
+    use crate::docstore::BatchDoc;
     use deepweb_common::Url;
 
     fn build() -> SearchIndex {
@@ -76,16 +76,9 @@ mod tests {
                 "honda accord versus ford focus review",
             ),
         ];
-        for (host, title, text) in docs {
-            idx.add(
-                Url::new(host, "/p"),
-                title.into(),
-                text.into(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
-        }
+        let docs =
+            docs.map(|(host, title, text)| BatchDoc::page(Url::new(host, "/p"), title, text));
+        idx.add_batch(&ThreadPool::new(1), docs.into());
         idx
     }
 
@@ -125,28 +118,21 @@ mod tests {
     #[test]
     fn batch_respects_annotations() {
         let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "honda civics".into(),
-            "1993 honda civic mentions the ford focus".into(),
-            DocKind::Surfaced,
-            None,
-            vec![crate::docstore::Annotation {
-                key: "make".into(),
-                value: "honda".into(),
-            }],
-        );
-        idx.add(
-            Url::new("b.sim", "/2"),
-            "ford focus".into(),
-            "used ford focus 1993".into(),
-            DocKind::Surfaced,
-            None,
-            vec![crate::docstore::Annotation {
-                key: "make".into(),
-                value: "ford".into(),
-            }],
-        );
+        let docs = vec![
+            BatchDoc::surfaced(
+                Url::new("a.sim", "/1"),
+                "honda civics",
+                "1993 honda civic mentions the ford focus",
+                &[("make", "honda")],
+            ),
+            BatchDoc::surfaced(
+                Url::new("b.sim", "/2"),
+                "ford focus",
+                "used ford focus 1993",
+                &[("make", "ford")],
+            ),
+        ];
+        idx.add_batch(&ThreadPool::new(1), docs);
         let opts = SearchOptions {
             use_annotations: true,
             ..Default::default()

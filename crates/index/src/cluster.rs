@@ -187,7 +187,7 @@ impl SearchService for ClusterServer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::docstore::DocKind;
+    use crate::docstore::BatchDoc;
     use crate::searcher::search;
     use deepweb_common::Url;
 
@@ -203,16 +203,10 @@ mod tests {
                 "used honda civic and used ford focus listings",
             ),
         ];
-        for (i, (title, text)) in docs.iter().enumerate() {
-            idx.add(
-                Url::new("x.sim", format!("/d{i}")),
-                (*title).into(),
-                (*text).into(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
-        }
+        let docs = docs.iter().enumerate().map(|(i, (title, text))| {
+            BatchDoc::page(Url::new("x.sim", format!("/d{i}")), title, text)
+        });
+        idx.add_batch(&ThreadPool::new(1), docs.collect());
         idx
     }
 
@@ -303,16 +297,9 @@ mod tests {
     #[test]
     fn top_k_ties_break_by_doc_id() {
         let mut idx = SearchIndex::new();
-        for (host, text) in [("a.sim", "alpha"), ("b.sim", "bravo")] {
-            idx.add(
-                Url::new(host, "/1"),
-                String::new(),
-                text.to_string(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
-        }
+        let docs = [("a.sim", "alpha"), ("b.sim", "bravo")]
+            .map(|(host, text)| BatchDoc::page(Url::new(host, "/1"), "", text));
+        idx.add_batch(&ThreadPool::new(1), docs.into());
         let opts = SearchOptions::default();
         let cluster = ClusterServer::new(
             &idx,

@@ -112,16 +112,18 @@ impl AnnotationColumn {
     }
 }
 
-/// A stored document.
+/// One document, from the batch that brings it in to the store that keeps
+/// it: surfaced pages enter the index "like any other page" (paper §3.2),
+/// so this one record carries every page. A batch is a `Vec` of them (it
+/// crosses thread boundaries whole); in the [`DocStore`] a document's id is
+/// its position.
 #[derive(Clone, Debug)]
-pub struct StoredDoc {
-    /// Document id.
-    pub id: DocId,
+pub struct BatchDoc {
     /// Source URL (the dedup key).
     pub url: Url,
     /// Page title.
     pub title: String,
-    /// Visible text (what was indexed).
+    /// Visible text (what is indexed).
     pub text: String,
     /// Provenance.
     pub kind: DocKind,
@@ -140,7 +142,7 @@ pub(crate) const CHUNK_DOCS: usize = 1 << CHUNK_BITS;
 /// only the last chunk is ever partly filled.
 #[derive(Default, Clone, Debug)]
 pub struct DocStore {
-    chunks: Vec<Arc<Vec<StoredDoc>>>,
+    chunks: Vec<Arc<Vec<BatchDoc>>>,
     len: usize,
 }
 
@@ -150,26 +152,9 @@ impl DocStore {
         Self::default()
     }
 
-    /// Append a document, assigning its id.
-    pub fn push(
-        &mut self,
-        url: Url,
-        title: String,
-        text: String,
-        kind: DocKind,
-        site: Option<SiteId>,
-        annotations: Vec<Annotation>,
-    ) -> DocId {
+    /// Append a document, assigning its id: the next position.
+    pub fn push(&mut self, doc: BatchDoc) -> DocId {
         let id = DocId(next_id(self.len));
-        let doc = StoredDoc {
-            id,
-            url,
-            title,
-            text,
-            kind,
-            site,
-            annotations,
-        };
         match self.chunks.last_mut() {
             // Copy-on-append: a tail chunk another store still reads is
             // cloned here, so a push never changes what a copy returns.
@@ -185,7 +170,7 @@ impl DocStore {
     }
 
     /// Document by id.
-    pub fn get(&self, id: DocId) -> &StoredDoc {
+    pub fn get(&self, id: DocId) -> &BatchDoc {
         let i = id.as_usize();
         &self.chunks[i >> CHUNK_BITS][i % CHUNK_DOCS]
     }
@@ -200,9 +185,37 @@ impl DocStore {
         self.len == 0
     }
 
-    /// Iterate all documents.
-    pub fn iter(&self) -> impl Iterator<Item = &StoredDoc> {
+    /// Iterate all documents, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &BatchDoc> {
         self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+}
+
+#[cfg(test)]
+impl BatchDoc {
+    /// A surface page with no site and no annotations.
+    pub(crate) fn page(url: Url, title: &str, text: &str) -> BatchDoc {
+        BatchDoc {
+            url,
+            title: title.into(),
+            text: text.into(),
+            kind: DocKind::Surface,
+            site: None,
+            annotations: Vec::new(),
+        }
+    }
+
+    /// A surfaced page with no site, annotated with `(key, value)` pairs.
+    pub(crate) fn surfaced(url: Url, title: &str, text: &str, anns: &[(&str, &str)]) -> BatchDoc {
+        let annotation = |&(key, value): &(&str, &str)| Annotation {
+            key: key.into(),
+            value: value.into(),
+        };
+        BatchDoc {
+            kind: DocKind::Surfaced,
+            annotations: anns.iter().map(annotation).collect(),
+            ..BatchDoc::page(url, title, text)
+        }
     }
 }
 
@@ -227,14 +240,7 @@ mod tests {
     #[test]
     fn push_and_get() {
         let mut ds = DocStore::new();
-        let id = ds.push(
-            Url::new("x.sim", "/"),
-            "t".into(),
-            "body".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
+        let id = ds.push(BatchDoc::page(Url::new("x.sim", "/"), "t", "body"));
         assert_eq!(id, DocId(0));
         assert_eq!(ds.get(id).title, "t");
         assert_eq!(ds.len(), 1);
@@ -243,14 +249,7 @@ mod tests {
     fn push_n(ds: &mut DocStore, n: usize) {
         for _ in 0..n {
             let path = format!("/{}", ds.len());
-            ds.push(
-                Url::new("x.sim", path.clone()),
-                path,
-                "body".into(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
+            ds.push(BatchDoc::page(Url::new("x.sim", &*path), &path, "body"));
         }
     }
 
@@ -267,16 +266,13 @@ mod tests {
             assert_eq!((original.len(), copy.len()), (n, n + 3));
             assert_eq!(original.iter().count(), n);
             for (i, doc) in copy.iter().enumerate() {
-                assert_eq!(
-                    (doc.id.as_usize(), doc.title.as_str()),
-                    (i, &*format!("/{i}"))
-                );
-                assert_eq!(copy.get(doc.id).id, doc.id);
+                assert_eq!(doc.title, format!("/{i}"));
+                assert!(std::ptr::eq(copy.get(DocId(next_id(i))), doc));
             }
-            for (a, b) in original.iter().zip(copy.iter()) {
-                assert_eq!((a.id, &a.title), (b.id, &b.title));
-                let in_full_chunk = a.id.as_usize() < n / CHUNK_DOCS * CHUNK_DOCS;
-                assert_eq!(std::ptr::eq(a, b), in_full_chunk, "n={n} doc {}", a.id);
+            for (i, (a, b)) in original.iter().zip(copy.iter()).enumerate() {
+                assert_eq!(a.title, b.title);
+                let in_full_chunk = i < n / CHUNK_DOCS * CHUNK_DOCS;
+                assert_eq!(std::ptr::eq(a, b), in_full_chunk, "n={n} doc {i}");
             }
             // The original keeps appending on its own tail.
             push_n(&mut original, 1);
@@ -293,17 +289,10 @@ mod tests {
     fn annotations_stored_with_interned_form() {
         let mut ds = DocStore::new();
         let mut column = AnnotationColumn::default();
-        let id = ds.push(
-            Url::new("x.sim", "/r"),
-            "t".into(),
-            "body".into(),
-            DocKind::Surfaced,
-            Some(SiteId(3)),
-            vec![Annotation {
-                key: "make".into(),
-                value: "honda".into(),
-            }],
-        );
+        let id = ds.push(BatchDoc {
+            site: Some(SiteId(3)),
+            ..BatchDoc::surfaced(Url::new("x.sim", "/r"), "t", "body", &[("make", "honda")])
+        });
         column.push(FacetKeyId(0), &[TermId(7)]);
         column.end_doc();
         column.end_doc();

@@ -2,20 +2,20 @@
 //! deduplication (a crawler inserts the same URL only once — URL identity is
 //! the dedup key, as in real surfacing).
 
-use crate::docstore::{Annotation, AnnotationColumn, DocKind, DocStore, StoredDoc};
+use crate::docstore::{AnnotationColumn, BatchDoc, DocStore};
 use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use crate::view::next_id;
-use deepweb_common::ids::{DocId, FacetKeyId, SiteId, TermId};
+use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
 use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
 use std::sync::Arc;
 
-/// One built doc-range shard as the merge fold reads it: its doc-local
-/// postings, its documents, and per doc and annotation the value tokens as
-/// shard-local term ids — what [`build_shard`] made of the documents.
-pub(crate) type BuiltShard<'a> = (&'a Postings, &'a [BatchDoc], &'a [Vec<Vec<TermId>>]);
+/// One built doc-range shard as [`SearchIndex::fold_shards`] reads it: its
+/// doc-local postings and, per doc and annotation, the value tokens as
+/// shard-local term ids — what [`build_shard`] made of its documents.
+pub(crate) type BuiltShard<'a> = (&'a Postings, &'a [Vec<Vec<TermId>>]);
 
 /// The facet vocabulary: each analysed value token → the facet keys it is a
 /// known value of, in first-appearance order. Keyed by token because a
@@ -37,24 +37,6 @@ impl FacetVocabulary {
     pub(crate) fn keys_of(&self, term: TermId) -> &[FacetKeyId] {
         self.0.get(&term).map_or(&[], Vec::as_slice)
     }
-}
-
-/// One document of a batch insert (the argument list of [`SearchIndex::add`]
-/// as a struct, so batches can cross thread boundaries).
-#[derive(Clone, Debug)]
-pub struct BatchDoc {
-    /// Source URL (the dedup key).
-    pub url: Url,
-    /// Page title.
-    pub title: String,
-    /// Visible text.
-    pub text: String,
-    /// Provenance.
-    pub kind: DocKind,
-    /// Originating deep-web site, if any.
-    pub site: Option<SiteId>,
-    /// Structured annotations.
-    pub annotations: Vec<Annotation>,
 }
 
 /// An in-memory search index.
@@ -91,31 +73,6 @@ impl SearchIndex {
         Self::default()
     }
 
-    /// Add a document: a one-document [`SearchIndex::add_batch`]. Returns the
-    /// existing id if the URL was already indexed (no re-indexing; crawlers
-    /// naturally revisit URLs).
-    pub fn add(
-        &mut self,
-        url: Url,
-        title: String,
-        text: String,
-        kind: DocKind,
-        site: Option<SiteId>,
-        annotations: Vec<Annotation>,
-    ) -> DocId {
-        let doc = BatchDoc {
-            url,
-            title,
-            text,
-            kind,
-            site,
-            annotations,
-        };
-        let mut ids = self.add_batch(&ThreadPool::default(), vec![doc]);
-        // One id per batch entry: the fallback is never taken.
-        ids.pop().unwrap_or(DocId(u32::MAX))
-    }
-
     /// The bookkeeping of one annotation, run in document order by the
     /// store/facet fold: intern the facet key, feed the analysed value-token
     /// ids into the vocabulary, and append the pair to the column.
@@ -134,13 +91,16 @@ impl SearchIndex {
     /// Add a batch of documents with tokenisation and postings construction
     /// fanned out over `pool`, returning one id per batch entry (the existing
     /// id for an already-indexed URL). The one way a document enters an
-    /// index: [`SearchIndex::add`] is a batch of one.
+    /// index.
     ///
     /// The batch is deduplicated sequentially (URL identity, first occurrence
     /// wins), split into contiguous shards of fresh documents, analysed and
-    /// indexed into per-shard postings in parallel, then merged in shard
-    /// order via [`Postings::absorb`] — so the resulting index is
-    /// identical to the sequential loop for any worker count.
+    /// indexed into per-shard postings in parallel, then folded in shard
+    /// order by the fold `SearchIndex::merged` runs — so the resulting
+    /// index is identical to the sequential loop for any worker count. The
+    /// fold copies this index's posting lists once; on an empty index it
+    /// allocates each list once, at its final length. Any document added
+    /// drops the pruning structures.
     pub fn add_batch(&mut self, pool: &ThreadPool, batch: Vec<BatchDoc>) -> Vec<DocId> {
         // 1. Sequential dedup + id assignment in batch order.
         let mut ids = Vec::with_capacity(batch.len());
@@ -161,101 +121,86 @@ impl SearchIndex {
             return ids;
         }
         self.pruning = None;
-        // 2. Contiguous shards (≈4 per worker for load-balancing headroom), each
-        // analysed into a doc-local postings shard in parallel. Split the
-        // owned vec — no re-cloning of document text.
+        // 2. Contiguous shards (≈4 per worker for load-balancing headroom),
+        // each analysed into a doc-local postings shard in parallel.
         let shard_len = fresh.len().div_ceil(pool.workers().max(1) * 4).max(1);
-        let mut shards: Vec<Vec<BatchDoc>> = Vec::new();
-        while fresh.len() > shard_len {
-            let tail = fresh.split_off(shard_len);
-            shards.push(std::mem::replace(&mut fresh, tail));
-        }
-        shards.push(fresh);
-        let built = pool.map(shards, |_, shard: Vec<BatchDoc>| {
-            let (postings, ann_local) = build_shard(&shard);
-            (postings, shard, ann_local)
+        let built = pool.map(fresh.chunks(shard_len).collect(), |_, shard| {
+            build_shard(shard)
         });
-        // 3. Deterministic merge in shard order + sequential store/facet
-        // bookkeeping.
-        for (shard_postings, shard, shard_ann_local) in built {
-            let remap = self.postings.absorb(&shard_postings);
-            self.store_shard(shard, &shard_ann_local, &remap);
-        }
-        debug_assert_eq!(self.docs.len(), self.postings.num_docs());
+        // 3. Deterministic fold in shard order.
+        let shards: Vec<BuiltShard<'_>> = built.iter().map(|(p, ann)| (p, &ann[..])).collect();
+        let base = std::mem::take(&mut self.postings);
+        self.fold_shards(&base, &shards, fresh);
         ids
     }
 
-    /// The store/facet half of folding one built shard in, run after its
-    /// postings were absorbed: `remap` (shard-local → global term id, what
-    /// the absorb handed back) rewrites the pre-tokenised annotation values
-    /// into global ids before the per-document bookkeeping runs. The one
-    /// fold both batched paths share: [`add_batch`]'s phase 3 and the
-    /// delta-segment merge ([`SearchIndex::merged`]). Neither registers URLs here; both have
-    /// claimed them in `by_url` already.
-    ///
-    /// [`add_batch`]: SearchIndex::add_batch
-    fn store_shard(
+    /// The one fold of built shards into an index, in shard order, run by
+    /// [`SearchIndex::add_batch`] and [`SearchIndex::merged`]: `self`'s
+    /// postings become `base` with every shard appended
+    /// ([`Postings::absorbed`]), and `docs` — every shard's documents, in
+    /// order — are stored, each annotation value rewritten from shard-local
+    /// into global term ids through its shard's remap for the per-document
+    /// store/facet bookkeeping. Neither caller registers URLs here; both
+    /// have claimed them in `by_url` already.
+    fn fold_shards(
         &mut self,
-        shard: impl IntoIterator<Item = BatchDoc>,
-        shard_ann_local: &[Vec<Vec<TermId>>],
-        remap: &[TermId],
+        base: &Postings,
+        shards: &[BuiltShard<'_>],
+        docs: impl IntoIterator<Item = BatchDoc>,
     ) {
+        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0).collect();
+        let (postings, remaps) = base.absorbed(&shard_postings);
+        self.postings = postings;
+        let mut docs = docs.into_iter();
         let mut terms: Vec<TermId> = Vec::new();
-        for (doc, ann_local) in shard.into_iter().zip(shard_ann_local) {
-            for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
-                terms.clear();
-                terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
-                self.record_annotation(&ann.key, &terms);
+        for (&(_, shard_ann_local), remap) in shards.iter().zip(&remaps) {
+            for (ann_local, doc) in shard_ann_local.iter().zip(&mut docs) {
+                for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
+                    terms.clear();
+                    terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
+                    self.record_annotation(&ann.key, &terms);
+                }
+                self.annotations.end_doc();
+                self.docs.push(doc);
             }
-            self.annotations.end_doc();
-            self.docs.push(
-                doc.url,
-                doc.title,
-                doc.text,
-                doc.kind,
-                doc.site,
-                doc.annotations,
-            );
         }
+        debug_assert_eq!(self.docs.len(), self.postings.num_docs());
     }
 
-    /// This index with `shards` folded in, in order, as a new index — the
-    /// freshness tier's merge (DESIGN.md §15). `self` is only read, and what
-    /// a merge does not change is shared with it or carried over, not
-    /// rebuilt: the next base shares every full docstore chunk, every URL key
-    /// and every dictionary string; each posting list is copied once at its
-    /// final length ([`Postings::absorbed`]); the pruning structures are
-    /// extended over the new docs ([`PruningIndex::extended`]: the block
-    /// index's full blocks carried over as they are, partial tails and new
-    /// postings described, every block maximum recomputed) and are always
-    /// present on the result. `urls` are the shards' `by_url` entries, keyed
-    /// by the strings the tier already rendered when it deduplicated them.
+    /// This index with `shards` and their `docs` folded in, in order, as a
+    /// new index — the freshness tier's merge (DESIGN.md §15). `self` is
+    /// only read, and what a merge does not change is shared with it or
+    /// carried over, not rebuilt: the next base shares every full docstore
+    /// chunk, every URL key and every dictionary string; each posting list is
+    /// copied once at its final length ([`Postings::absorbed`]); the pruning
+    /// structures are extended over the new docs
+    /// ([`PruningIndex::extended`]: the block index's full blocks carried
+    /// over as they are, partial tails and new postings described, every
+    /// block maximum recomputed) and are always present on the result.
+    /// `urls` are the shards' `by_url` entries, keyed by the strings the tier
+    /// already rendered when it deduplicated them.
     ///
     /// Equal, field for field, to `add_batch` of the same documents onto a
-    /// copy of `self` followed by `enable_pruning`: the id walk, the remap
-    /// and the store/facet bookkeeping are the code `add_batch` runs.
+    /// copy of `self` followed by `enable_pruning`: the fold is
+    /// [`SearchIndex::fold_shards`], the one `add_batch` runs.
     pub(crate) fn merged(
         &self,
         shards: &[BuiltShard<'_>],
+        docs: impl IntoIterator<Item = BatchDoc>,
         urls: &FxHashMap<Arc<str>, DocId>,
     ) -> SearchIndex {
-        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0).collect();
-        let (postings, remaps) = self.postings.absorbed(&shard_postings);
         let mut by_url = self.by_url.clone();
         by_url.extend(urls.iter().map(|(key, &id)| (Arc::clone(key), id)));
         let mut next = SearchIndex {
             docs: self.docs.clone(),
-            postings,
+            postings: Postings::default(),
             by_url,
             annotations: self.annotations.clone(),
             facet_keys: self.facet_keys.clone(),
             vocabulary: self.vocabulary.clone(),
             pruning: None,
         };
-        for (&(_, docs, ann_local), remap) in shards.iter().zip(&remaps) {
-            next.store_shard(docs.iter().cloned(), ann_local, remap);
-        }
-        debug_assert_eq!(next.docs.len(), next.postings.num_docs());
+        next.fold_shards(&self.postings, shards, docs);
         next.pruning = Some(match &self.pruning {
             Some(sealed) => sealed.extended(&next),
             None => PruningIndex::build(&next),
@@ -300,7 +245,7 @@ impl SearchIndex {
     }
 
     /// Document by id.
-    pub fn doc(&self, id: DocId) -> &StoredDoc {
+    pub fn doc(&self, id: DocId) -> &BatchDoc {
         self.docs.get(id)
     }
 
@@ -385,7 +330,7 @@ impl SearchIndex {
 /// [`Postings::add_document`], and each value into `Postings::intern_value`
 /// (stopwords dropped) — no token is a `String` of its own. The per-document
 /// interning order — title and body terms, then annotation value tokens — is
-/// the canonical one, spelled only here (DESIGN.md §12), so absorbing shards
+/// the canonical one, spelled only here (DESIGN.md §12), so folding shards
 /// in order replays one sequential walk over the docs. Shared by
 /// [`SearchIndex::add_batch`]'s parallel shards and the delta-segment build
 /// of [`segments`](crate::segments).
@@ -475,28 +420,27 @@ impl SearchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::docstore::{Annotation, DocKind};
+    use deepweb_common::ids::SiteId;
+
+    fn add_batch(idx: &mut SearchIndex, docs: Vec<BatchDoc>) -> Vec<DocId> {
+        idx.add_batch(&ThreadPool::new(1), docs)
+    }
+
+    /// A surfaced page annotated with `(key, value)` pairs.
+    fn surfaced(path: &str, anns: &[(&str, &str)]) -> BatchDoc {
+        BatchDoc::surfaced(Url::new("a.sim", path), "t", "x", anns)
+    }
 
     #[test]
     fn url_dedup() {
         let mut idx = SearchIndex::new();
         let u = Url::new("a.sim", "/p");
-        let id1 = idx.add(
-            u.clone(),
-            "t".into(),
-            "x".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
-        let id2 = idx.add(
-            u.clone(),
-            "other".into(),
-            "y".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
-        assert_eq!(id1, id2);
+        let docs = vec![
+            BatchDoc::page(u.clone(), "t", "x"),
+            BatchDoc::page(u.clone(), "other", "y"),
+        ];
+        assert_eq!(add_batch(&mut idx, docs), [DocId(0), DocId(0)]);
         assert_eq!(idx.len(), 1);
         assert!(idx.contains_url(&u));
     }
@@ -504,14 +448,8 @@ mod tests {
     #[test]
     fn title_terms_indexed() {
         let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/p"),
-            "rare sigmod award".into(),
-            "body text".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
+        let doc = BatchDoc::page(Url::new("a.sim", "/p"), "rare sigmod award", "body text");
+        add_batch(&mut idx, vec![doc]);
         assert_eq!(idx.postings().df("sigmod"), 1);
         assert_eq!(idx.postings().df("body"), 1);
     }
@@ -519,28 +457,11 @@ mod tests {
     #[test]
     fn facet_vocabulary_accumulates() {
         let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "t".into(),
-            "x".into(),
-            DocKind::Surfaced,
-            Some(SiteId(0)),
-            vec![Annotation {
-                key: "make".into(),
-                value: "honda".into(),
-            }],
-        );
-        idx.add(
-            Url::new("a.sim", "/2"),
-            "t".into(),
-            "x".into(),
-            DocKind::Surfaced,
-            Some(SiteId(0)),
-            vec![Annotation {
-                key: "make".into(),
-                value: "ford".into(),
-            }],
-        );
+        let docs = vec![
+            surfaced("/1", &[("make", "honda")]),
+            surfaced("/2", &[("make", "ford")]),
+        ];
+        add_batch(&mut idx, docs);
         assert!(idx.facet_value_known("make", "honda"));
         assert!(idx.facet_value_known("make", "ford"));
         assert!(!idx.facet_value_known("make", "tesla"));
@@ -559,23 +480,8 @@ mod tests {
         // Regression: raw values used to enter the vocabulary unanalysed, so
         // "Honda" or "new-york" could never match a lowercased query term.
         let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "t".into(),
-            "x".into(),
-            DocKind::Surfaced,
-            Some(SiteId(0)),
-            vec![
-                Annotation {
-                    key: "make".into(),
-                    value: "Honda".into(),
-                },
-                Annotation {
-                    key: "city".into(),
-                    value: "New-York".into(),
-                },
-            ],
-        );
+        let doc = surfaced("/1", &[("make", "Honda"), ("city", "New-York")]);
+        add_batch(&mut idx, vec![doc]);
         assert!(idx.facet_value_known("make", "honda"));
         assert!(idx.facet_value_known("city", "new"));
         assert!(idx.facet_value_known("city", "york"));
@@ -600,14 +506,15 @@ mod tests {
 
     /// One way in, field for field: a document sequence (repeated URLs,
     /// annotations whose value tokens later turn up as body terms) cut into
-    /// runs any way, each run entering by `add` calls or by one `add_batch`
-    /// at 1 or 3 workers, then `enable_pruning`, equals one `add_batch` of
+    /// runs any way, each run entering one document per `add_batch` or by
+    /// one `add_batch` at 1 or 3 workers, then `enable_pruning`, equals one
+    /// `add_batch` of
     /// the whole sequence plus `enable_pruning` — postings, docstore,
     /// `by_url`, both dictionaries, facet values, the annotation column and
     /// its bound (a brute-force max over docs: an empty value and one of 65
     /// tokens do not count), every block — and hands back the same ids.
     #[test]
-    fn add_and_add_batch_in_any_split_equal_one_batch() {
+    fn add_batch_in_any_split_equals_one_batch() {
         let long: Vec<String> = (0..65).map(|t| format!("w{t}")).collect();
         let long = long.join(" ");
         let docs: Vec<BatchDoc> = (0..40usize)
@@ -644,7 +551,7 @@ mod tests {
         ];
         for cuts in &splits {
             for workers in [1, 3] {
-                for first_by_add in [false, true] {
+                for first_by_one in [false, true] {
                     let mut got = SearchIndex::new();
                     let mut ids = Vec::new();
                     let mut bounds = vec![0];
@@ -652,17 +559,17 @@ mod tests {
                     bounds.push(docs.len());
                     for (run, w) in bounds.windows(2).enumerate() {
                         let run_docs = docs[w[0]..w[1]].to_vec();
-                        if (run % 2 == 0) == first_by_add {
+                        let pool = ThreadPool::new(workers);
+                        if (run % 2 == 0) == first_by_one {
                             for d in run_docs {
-                                let (url, title, text) = (d.url, d.title, d.text);
-                                ids.push(got.add(url, title, text, d.kind, d.site, d.annotations));
+                                ids.extend(got.add_batch(&pool, vec![d]));
                             }
                         } else {
-                            ids.extend(got.add_batch(&ThreadPool::new(workers), run_docs));
+                            ids.extend(got.add_batch(&pool, run_docs));
                         }
                     }
                     got.enable_pruning();
-                    let ctx = format!("cuts={cuts:?} workers={workers} add first={first_by_add}");
+                    let ctx = format!("cuts={cuts:?} workers={workers} one first={first_by_one}");
                     assert_eq!(ids, want_ids, "{ctx}");
                     got.assert_same_as(&want, &ctx);
                 }
@@ -670,17 +577,31 @@ mod tests {
         }
     }
 
+    /// `add_batch` allocates each posting list once, at its final length:
+    /// a batch cut into three shards, with a term in every doc and terms in
+    /// one doc each, leaves no list with room to spare.
+    #[test]
+    fn add_batch_leaves_no_slack_in_posting_lists() {
+        let doc = |i| {
+            BatchDoc::page(
+                Url::new("a.sim", format!("/{i}")),
+                "shared",
+                &format!("doc{i}"),
+            )
+        };
+        let mut idx = SearchIndex::new();
+        add_batch(&mut idx, (0..9).map(doc).collect());
+        let p = idx.postings();
+        assert_eq!((p.df("shared"), p.df("doc8")), (9, 1));
+        let slots = p.num_postings() * std::mem::size_of::<crate::postings::Posting>();
+        assert_eq!(p.list_bytes(), slots);
+    }
+
     #[test]
     fn stats_reflect_content() {
         let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "alpha".into(),
-            "beta gamma".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
+        let doc = BatchDoc::page(Url::new("a.sim", "/1"), "alpha", "beta gamma");
+        add_batch(&mut idx, vec![doc]);
         let s = idx.stats();
         assert_eq!(s.docs, 1);
         assert_eq!(s.terms, 3);

@@ -37,8 +37,8 @@ mod view;
 pub use broker::QueryBroker;
 pub use cache::{CacheConfig, CacheStats};
 pub use cluster::{ClusterConfig, ClusterServer, ClusterStats};
-pub use docstore::{Annotation, AnnotationColumn, DocKind, DocStore, StoredDoc};
-pub use index::{BatchDoc, IndexStats, SearchIndex};
+pub use docstore::{Annotation, AnnotationColumn, BatchDoc, DocKind, DocStore};
+pub use index::{IndexStats, SearchIndex};
 pub use postings::{BlockPostings, Posting, Postings};
 pub use pruned::PruningIndex;
 pub use searcher::{search, search_with_scratch, Hit, PruningMode, QueryScratch, SearchOptions};

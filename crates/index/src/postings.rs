@@ -14,12 +14,12 @@
 //! no postings, and no doc ids, of their own (DESIGN.md §10, §14).
 //!
 //! Both structures grow by a doc-range suffix without redoing the prefix.
-//! [`Postings::absorb`] appends a shard in place; `Postings::absorbed` is
-//! the same fold onto a copy made *after* the id walk, so each list is
-//! allocated once at its final length. `BlockPostings::extended` carries
-//! every full block of the index it extends over as is and describes only
-//! the partial tails and the new postings — [`BlockPostings::build`] is that
-//! extension from the empty index, so blocks are made in one place.
+//! `Postings::absorbed` appends shards onto a copy made *after* the id
+//! walk, so each list is allocated once at its final length.
+//! `BlockPostings::extended` carries every full block of the index it
+//! extends over as is and describes only the partial tails and the new
+//! postings — [`BlockPostings::build`] is that extension from the empty
+//! index, so blocks are made in one place.
 
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
@@ -153,7 +153,7 @@ impl Postings {
     /// for annotation/facet value tokens, which must live in the same id
     /// space as body terms so the query kernel resolves a term once for
     /// both scoring and facet matching). Keeps the lists vector sized to
-    /// the dictionary, so a later [`Postings::absorb`] walk stays in step.
+    /// the dictionary, so a later `Postings::absorbed` walk stays in step.
     pub(crate) fn intern_term(&mut self, term: &str) -> TermId {
         let id = self.dict.intern(term);
         if self.lists.len() < self.dict.len() {
@@ -253,70 +253,43 @@ impl Postings {
         bm25_idf(self.num_docs() as f64, self.df(term) as f64)
     }
 
-    /// Append a shard's postings built over doc-local ids `0..shard.num_docs()`:
-    /// the shard's documents become ids `self.num_docs()..` here.
+    /// `self` with every shard's postings appended in order, as a new
+    /// `Postings` — `self` is only read. A shard is built over doc-local ids
+    /// `0..shard.num_docs()`; its documents become the ids after those of
+    /// `self` and of the shards before it.
     ///
     /// Merge discipline (determinism argument, DESIGN.md §8/§10): shards hold
-    /// *contiguous* document ranges, and shards are absorbed in range order.
+    /// *contiguous* document ranges, and shards are appended in range order.
     /// A shard's dictionary records terms in first-appearance order within the
     /// shard (documents in order, tokens in document order — exactly what
     /// [`Postings::add_document`] does), so re-interning shard dictionaries in
     /// shard order reproduces the sequential build's id assignment, and
     /// concatenating each term's per-shard lists reproduces its doc-sorted
     /// postings. The result is identical to adding every document
-    /// sequentially.
+    /// sequentially onto `self`.
     ///
-    /// Returns the remap table, `remap[local_id] = global_id` for every term
-    /// of the shard's dictionary: the index build rewrites the shard's
-    /// pre-tokenised annotation ids through it, so the annotation layer
-    /// replays the sequential interning order exactly like postings do
-    /// (DESIGN.md §12).
-    pub fn absorb(&mut self, shard: &Postings) -> Vec<TermId> {
-        let remap = self.intern_shard(shard);
-        self.append_shard(shard, &remap);
-        remap
-    }
-
-    /// The id walk of [`Postings::absorb`]: re-intern the shard's dictionary
-    /// in its id (first-appearance) order.
-    fn intern_shard(&mut self, shard: &Postings) -> Vec<TermId> {
-        shard
-            .dict
-            .iter()
-            .map(|(_, term)| self.dict.intern(term))
-            .collect()
-    }
-
-    /// The concatenation of [`Postings::absorb`]: the shard's doc lengths,
-    /// and each of its lists behind the list `remap` names, doc ids lifted
-    /// by the number of docs already here.
-    fn append_shard(&mut self, shard: &Postings, remap: &[TermId]) {
-        let offset = doc_bound(self.doc_len.len());
-        self.total_len += shard.total_len;
-        self.doc_len.extend_from_slice(&shard.doc_len);
-        self.lists.resize_with(self.dict.len(), Vec::new);
-        for (list, id) in shard.lists.iter().zip(remap) {
-            self.lists[id.as_usize()].extend(list.iter().map(|p| Posting {
-                doc: DocId(p.doc.0 + offset),
-                tf: p.tf,
-            }));
-        }
-    }
-
-    /// `self` with every shard absorbed in order, as a new `Postings` —
-    /// `self` is only read. Field for field what [`Postings::absorb`] of
-    /// each shard onto `self.clone()` builds (it runs the same id walk and
-    /// the same concatenation), but the copy is made after the walk, when
-    /// every list's final length (its length here plus each shard's) is
-    /// known: a list is allocated once, copied once, and carries no slack.
-    /// Returns one remap table per shard beside it.
+    /// The copy is made after that id walk, when every list's final length
+    /// (its length here plus each shard's) is known: a list is allocated
+    /// once, copied once, and carries no slack.
+    ///
+    /// Returns beside it one remap table per shard, `remap[local_id] =
+    /// global_id` for every term of the shard's dictionary: the index
+    /// rewrites the shard's pre-tokenised annotation ids through it, so the
+    /// annotation layer replays the sequential interning order exactly like
+    /// postings do (DESIGN.md §12).
     pub(crate) fn absorbed(&self, shards: &[&Postings]) -> (Postings, Vec<Vec<TermId>>) {
         let mut out = Postings {
             dict: self.dict.clone(),
             total_len: self.total_len,
             ..Postings::default()
         };
-        let remaps: Vec<Vec<TermId>> = shards.iter().map(|s| out.intern_shard(s)).collect();
+        let remaps: Vec<Vec<TermId>> = shards
+            .iter()
+            .map(|shard| {
+                let terms = shard.dict.iter();
+                terms.map(|(_, term)| out.dict.intern(term)).collect()
+            })
+            .collect();
         let mut final_len: Vec<usize> = self.lists.iter().map(Vec::len).collect();
         final_len.resize(out.dict.len(), 0);
         for (shard, remap) in shards.iter().zip(&remaps) {
@@ -337,7 +310,15 @@ impl Postings {
         out.doc_len = Vec::with_capacity(self.doc_len.len() + docs);
         out.doc_len.extend_from_slice(&self.doc_len);
         for (shard, remap) in shards.iter().zip(&remaps) {
-            out.append_shard(shard, remap);
+            let offset = doc_bound(out.doc_len.len());
+            out.total_len += shard.total_len;
+            out.doc_len.extend_from_slice(&shard.doc_len);
+            for (list, id) in shard.lists.iter().zip(remap) {
+                out.lists[id.as_usize()].extend(list.iter().map(|p| Posting {
+                    doc: DocId(p.doc.0 + offset),
+                    tf: p.tf,
+                }));
+            }
         }
         (out, remaps)
     }
@@ -468,7 +449,7 @@ impl BlockPostings {
 
     /// The block index over all of `postings`, given `self` over its first
     /// `self.docs` documents (every list there is the part of the list here
-    /// below that doc id — what [`Postings::absorb`] guarantees). Identical
+    /// below that doc id — what `Postings::absorbed` guarantees). Identical
     /// to building over `postings` from empty.
     ///
     /// Per term, the blocks that stay as they are — all of them if the term
@@ -630,32 +611,41 @@ mod tests {
         p.add_document(DocId(1), ["x"]);
     }
 
+    /// Postings over `docs`, one `add_document` each, doc ids following
+    /// those already in `p`.
+    fn add_all(p: &mut Postings, docs: &[Vec<String>]) {
+        for terms in docs {
+            let doc = DocId(doc_bound(p.num_docs()));
+            p.add_document(doc, terms.iter().map(String::as_str));
+        }
+    }
+
+    fn words(docs: &[&[&str]]) -> Vec<Vec<String>> {
+        let doc = |terms: &&[&str]| terms.iter().map(|t| t.to_string()).collect();
+        docs.iter().map(doc).collect()
+    }
+
     #[test]
     fn shard_merge_equals_sequential_build() {
-        let docs: Vec<Vec<String>> = vec![
-            vec!["honda".into(), "civic".into(), "honda".into()],
-            vec!["ford".into(), "focus".into()],
-            vec!["honda".into(), "accord".into()],
-            vec!["zip".into(), "ford".into()],
-            vec!["accord".into()],
-        ];
+        let docs = words(&[
+            &["honda", "civic", "honda"],
+            &["ford", "focus"],
+            &["honda", "accord"],
+            &["zip", "ford"],
+            &["accord"],
+        ]);
         let mut sequential = Postings::new();
-        for (i, terms) in docs.iter().enumerate() {
-            sequential.add_document(DocId(i as u32), terms.iter().map(String::as_str));
-        }
+        add_all(&mut sequential, &docs);
         // Shards over contiguous ranges [0..2), [2..3), [3..5).
-        let mut shards = Vec::new();
-        for range in [0..2, 2..3, 3..5] {
-            let mut shard = Postings::new();
-            for (local, terms) in docs[range].iter().enumerate() {
-                shard.add_document(DocId(local as u32), terms.iter().map(String::as_str));
-            }
-            shards.push(shard);
-        }
-        let mut merged = Postings::new();
-        for shard in &shards {
-            merged.absorb(shard);
-        }
+        let shards: Vec<Postings> = [0..2, 2..3, 3..5]
+            .into_iter()
+            .map(|range| {
+                let mut shard = Postings::new();
+                add_all(&mut shard, &docs[range]);
+                shard
+            })
+            .collect();
+        let (merged, _) = Postings::new().absorbed(&shards.iter().collect::<Vec<_>>());
         assert_eq!(format!("{sequential:?}"), format!("{merged:?}"));
         assert_eq!(merged.postings("honda"), sequential.postings("honda"));
         assert_eq!(merged.num_postings(), sequential.num_postings());
@@ -664,14 +654,18 @@ mod tests {
 
     #[test]
     fn absorb_into_nonempty_base() {
-        let mut base = sample();
+        let base = sample();
         let mut shard = Postings::new();
         shard.add_document(DocId(0), ["honda", "tesla"]);
-        base.absorb(&shard);
-        assert_eq!(base.num_docs(), 4);
-        assert_eq!(base.df("honda"), 3);
+        let (got, remaps) = base.absorbed(&[&shard]);
+        let mut sequential = sample();
+        sequential.add_document(DocId(3), ["honda", "tesla"]);
+        assert_eq!(format!("{got:?}"), format!("{sequential:?}"));
+        assert_eq!(remaps, [vec![TermId(0), TermId(5)]]);
+        assert_eq!(got.num_docs(), 4);
+        assert_eq!(got.df("honda"), 3);
         assert_eq!(
-            base.postings("tesla"),
+            got.postings("tesla"),
             &[Posting {
                 doc: DocId(3),
                 tf: 1
@@ -804,17 +798,16 @@ mod tests {
             })
             .collect();
         let mut sequential = Postings::new();
-        for (i, terms) in docs.iter().enumerate() {
-            sequential.add_document(DocId(i as u32), terms.iter().map(String::as_str));
-        }
-        let mut absorbed = Postings::new();
-        for range in [0..13, 13..25, 25..40] {
-            let mut build = Postings::new();
-            for (local, terms) in docs[range].iter().enumerate() {
-                build.add_document(DocId(local as u32), terms.iter().map(String::as_str));
-            }
-            absorbed.absorb(&build);
-        }
+        add_all(&mut sequential, &docs);
+        let builds: Vec<Postings> = [0..13, 13..25, 25..40]
+            .into_iter()
+            .map(|range| {
+                let mut build = Postings::new();
+                add_all(&mut build, &docs[range]);
+                build
+            })
+            .collect();
+        let (absorbed, _) = Postings::new().absorbed(&builds.iter().collect::<Vec<_>>());
         let a = BlockPostings::build(&sequential, 8);
         let b = BlockPostings::build(&absorbed, 8);
         for t in 0..sequential.num_terms() {
@@ -825,31 +818,34 @@ mod tests {
         assert!(a.packed_bytes() == 0 && a.meta_bytes() > 0);
     }
 
-    /// `absorbed` is `absorb` onto a clone, field for field (the dictionary's
-    /// table layout included — `Debug` prints it), with every list allocated
-    /// at its final length; the base is only read.
+    /// `absorbed` onto a base equals the sequential `add_document` build
+    /// of the same docs (and the same annotation-only terms, interned in
+    /// the same order), field for field — the dictionary's table layout
+    /// included, `Debug` prints it — with every list allocated at its final
+    /// length; the base is only read.
     #[test]
-    fn absorbed_equals_absorb_onto_a_clone_without_slack() {
+    fn absorbed_equals_a_sequential_build_without_slack() {
         let mut base = sample();
         base.intern_term("annotation-only");
-        let shards: Vec<Postings> = [
-            vec![vec!["honda", "tesla"], vec!["tesla", "tesla", "zip"]],
+        let shard_docs = [
+            words(&[&["honda", "tesla"], &["tesla", "tesla", "zip"]]),
             vec![],
-            vec![vec!["ford"], vec!["novel", "honda"]],
-        ]
-        .iter()
-        .map(|docs: &Vec<Vec<&str>>| {
-            let mut shard = Postings::new();
-            for terms in docs {
-                shard.add_document(DocId(doc_bound(shard.num_docs())), terms.iter().copied());
-            }
-            shard.intern_term("shard-annotation-only");
-            shard
-        })
-        .collect();
-        let before = format!("{base:?}");
+            words(&[&["ford"], &["novel", "honda"]]),
+        ];
         let mut want = base.clone();
-        let want_remaps: Vec<Vec<TermId>> = shards.iter().map(|s| want.absorb(s)).collect();
+        let mut want_remaps = Vec::new();
+        let mut shards = Vec::new();
+        for docs in &shard_docs {
+            let mut shard = Postings::new();
+            add_all(&mut shard, docs);
+            shard.intern_term("shard-annotation-only");
+            add_all(&mut want, docs);
+            want.intern_term("shard-annotation-only");
+            let remap = shard.dict().iter().map(|(_, t)| want.term_id(t));
+            want_remaps.push(remap.collect::<Option<Vec<TermId>>>().expect("interned"));
+            shards.push(shard);
+        }
+        let before = format!("{base:?}");
         let (got, remaps) = base.absorbed(&shards.iter().collect::<Vec<_>>());
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert_eq!(remaps, want_remaps);

@@ -497,10 +497,9 @@ pub(crate) fn pruned_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::docstore::{Annotation, DocKind};
-    use crate::index::BatchDoc;
+    use crate::docstore::{Annotation, BatchDoc, DocKind};
     use crate::searcher::{search, search_windowed, top_k, PruningMode};
-    use deepweb_common::Url;
+    use deepweb_common::{ThreadPool, Url};
 
     /// [`search`] through the windowed kernel whatever the query reads: the
     /// corpora here sit below [`MAX_FOLDED_POSTINGS`], where [`top_k`]
@@ -527,6 +526,7 @@ mod tests {
             state
         };
         let makes = ["honda", "ford", "toyota", "bmw"];
+        let mut docs = Vec::with_capacity(n);
         for i in 0..n {
             let make = makes[(next() % 4) as usize];
             let mut text = format!("{make} listing number {i}");
@@ -536,23 +536,19 @@ mod tests {
             if next() % 11 == 0 {
                 text.push_str(" rareterm");
             }
-            let anns = if next() % 3 == 0 {
-                vec![Annotation {
-                    key: "make".into(),
-                    value: make.to_string(),
-                }]
+            let anns: &[_] = if next() % 3 == 0 {
+                &[("make", make)]
             } else {
-                vec![]
+                &[]
             };
-            idx.add(
+            docs.push(BatchDoc::surfaced(
                 Url::new("x.sim", format!("/d{i}")),
-                String::new(),
-                text,
-                DocKind::Surfaced,
-                None,
+                "",
+                &text,
                 anns,
-            );
+            ));
         }
+        idx.add_batch(&ThreadPool::new(1), docs);
         idx.enable_pruning();
         idx
     }
@@ -654,14 +650,12 @@ mod tests {
     fn blockmax_without_built_index_falls_back_to_exhaustive() {
         let mut idx = build(50);
         // Mutating the index drops the pruning structures.
-        idx.add(
+        let late = BatchDoc::page(
             Url::new("late.sim", "/new"),
-            String::new(),
-            "honda listing late addition".into(),
-            DocKind::Surface,
-            None,
-            vec![],
+            "",
+            "honda listing late addition",
         );
+        idx.add_batch(&ThreadPool::new(1), vec![late]);
         assert!(idx.pruning().is_none(), "mutation must invalidate");
         let pruned = SearchOptions {
             pruning: PruningMode::BlockMax,
@@ -793,6 +787,7 @@ mod tests {
     /// anything a later `tf = 1` posting can reach.
     fn planted(n: usize) -> SearchIndex {
         let mut idx = SearchIndex::new();
+        let mut docs = Vec::with_capacity(n);
         for i in 0..n {
             let (dense, rare) = match i {
                 0..=4 => (5, 3),
@@ -801,15 +796,10 @@ mod tests {
             let mut words = vec!["dense"; dense];
             words.extend(vec!["rare"; rare]);
             words.extend(["alpha", "beta", "gamma"].iter().take(1 + i % 3));
-            idx.add(
-                Url::new("p.sim", format!("/d{i}")),
-                String::new(),
-                words.join(" "),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
+            let url = Url::new("p.sim", format!("/d{i}"));
+            docs.push(BatchDoc::page(url, "", &words.join(" ")));
         }
+        idx.add_batch(&ThreadPool::new(1), docs);
         idx.enable_pruning();
         idx
     }

@@ -626,55 +626,36 @@ pub(crate) fn annotation_boost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::docstore::{Annotation, DocKind};
+    use crate::docstore::BatchDoc;
     use crate::index::SearchIndex;
-    use deepweb_common::Url;
+    use deepweb_common::{ThreadPool, Url};
+
+    fn index_of(docs: Vec<BatchDoc>) -> SearchIndex {
+        let mut idx = SearchIndex::new();
+        idx.add_batch(&ThreadPool::new(1), docs);
+        idx
+    }
 
     fn build() -> SearchIndex {
-        let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "honda civics for sale".into(),
-            "1993 honda civic has better mileage than the ford focus".into(),
-            DocKind::Surfaced,
-            None,
-            vec![
-                Annotation {
-                    key: "make".into(),
-                    value: "honda".into(),
-                },
-                Annotation {
-                    key: "model".into(),
-                    value: "civic".into(),
-                },
-            ],
-        );
-        idx.add(
-            Url::new("b.sim", "/2"),
-            "ford focus listings".into(),
-            "used ford focus 1993 low price".into(),
-            DocKind::Surfaced,
-            None,
-            vec![
-                Annotation {
-                    key: "make".into(),
-                    value: "ford".into(),
-                },
-                Annotation {
-                    key: "model".into(),
-                    value: "focus".into(),
-                },
-            ],
-        );
-        idx.add(
-            Url::new("c.sim", "/3"),
-            "cooking blog".into(),
-            "recipes and stories".into(),
-            DocKind::Surface,
-            None,
-            vec![],
-        );
-        idx
+        index_of(vec![
+            BatchDoc::surfaced(
+                Url::new("a.sim", "/1"),
+                "honda civics for sale",
+                "1993 honda civic has better mileage than the ford focus",
+                &[("make", "honda"), ("model", "civic")],
+            ),
+            BatchDoc::surfaced(
+                Url::new("b.sim", "/2"),
+                "ford focus listings",
+                "used ford focus 1993 low price",
+                &[("make", "ford"), ("model", "focus")],
+            ),
+            BatchDoc::page(
+                Url::new("c.sim", "/3"),
+                "cooking blog",
+                "recipes and stories",
+            ),
+        ])
     }
 
     #[test]
@@ -716,35 +697,20 @@ mod tests {
     /// its boost silently never fired. Values are now analysed at ingest.
     #[test]
     fn mixed_case_and_punctuated_facet_values_boost() {
-        let mut idx = SearchIndex::new();
-        idx.add(
-            Url::new("a.sim", "/1"),
-            "honda civics".into(),
-            "used honda civic listing in new york".into(),
-            DocKind::Surfaced,
-            None,
-            vec![
-                Annotation {
-                    key: "make".into(),
-                    value: "Honda".into(),
-                },
-                Annotation {
-                    key: "city".into(),
-                    value: "new-york".into(),
-                },
-            ],
-        );
-        idx.add(
-            Url::new("b.sim", "/2"),
-            "ford listing".into(),
-            "used ford focus listing in new york".into(),
-            DocKind::Surfaced,
-            None,
-            vec![Annotation {
-                key: "make".into(),
-                value: "Ford".into(),
-            }],
-        );
+        let idx = index_of(vec![
+            BatchDoc::surfaced(
+                Url::new("a.sim", "/1"),
+                "honda civics",
+                "used honda civic listing in new york",
+                &[("make", "Honda"), ("city", "new-york")],
+            ),
+            BatchDoc::surfaced(
+                Url::new("b.sim", "/2"),
+                "ford listing",
+                "used ford focus listing in new york",
+                &[("make", "Ford")],
+            ),
+        ]);
         let plain = SearchOptions::default();
         let ann = SearchOptions {
             use_annotations: true,
@@ -775,18 +741,12 @@ mod tests {
         // Query analysis drops stopwords, so a value like "Out of Stock"
         // must shed its "of" at ingest too — otherwise its boost could
         // never fire (the same silently-dead-boost class as mixed case).
-        let mut idx = SearchIndex::new();
-        idx.add(
+        let idx = index_of(vec![BatchDoc::surfaced(
             Url::new("a.sim", "/1"),
-            "widget listing".into(),
-            "blue widget currently out stock".into(),
-            DocKind::Surfaced,
-            None,
-            vec![Annotation {
-                key: "status".into(),
-                value: "Out of Stock".into(),
-            }],
-        );
+            "widget listing",
+            "blue widget currently out stock",
+            &[("status", "Out of Stock")],
+        )]);
         let plain = SearchOptions::default();
         let ann = SearchOptions {
             use_annotations: true,
@@ -804,18 +764,12 @@ mod tests {
     #[test]
     fn partial_value_match_does_not_boost() {
         // A multi-token value boosts only when the query names it in full.
-        let mut idx = SearchIndex::new();
-        idx.add(
+        let idx = index_of(vec![BatchDoc::surfaced(
             Url::new("a.sim", "/1"),
-            "listing".into(),
-            "apartment in new york city".into(),
-            DocKind::Surfaced,
-            None,
-            vec![Annotation {
-                key: "city".into(),
-                value: "New-York".into(),
-            }],
-        );
+            "listing",
+            "apartment in new york city",
+            &[("city", "New-York")],
+        )]);
         let plain = SearchOptions::default();
         let ann = SearchOptions {
             use_annotations: true,
@@ -834,26 +788,15 @@ mod tests {
     /// `honda` query touches lie further apart than the 1.5 annotation
     /// bound, so a full heap lets the selection pass over some unread.
     fn graded(n: usize) -> SearchIndex {
-        let mut idx = SearchIndex::new();
-        for i in 0..n {
+        let docs = (0..n).map(|i| {
             let (make, text) = match i % 8 {
                 0 => ("honda", vec!["honda civic"; 1 + (i / 8) % 6].join(" ")),
                 _ => ("ford", format!("ford focus {i}")),
             };
-            let annotation = Annotation {
-                key: "make".into(),
-                value: make.into(),
-            };
             let url = Url::new("g.sim", format!("/{i}"));
-            idx.add(
-                url,
-                String::new(),
-                text + " listing",
-                DocKind::Surfaced,
-                None,
-                vec![annotation],
-            );
-        }
+            BatchDoc::surfaced(url, "", &(text + " listing"), &[("make", make)])
+        });
+        let mut idx = index_of(docs.collect());
         idx.enable_pruning();
         idx
     }

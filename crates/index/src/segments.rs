@@ -19,7 +19,7 @@
 //!    parallel build shard (`build_shard`), and its seal walks the local
 //!    dictionary in id (first-appearance) order, resolving each term against
 //!    the base dictionary *extended by the generation's overlay* — exactly
-//!    the order [`Postings::absorb`] re-interns terms at merge time. Overlay
+//!    the order `Postings::absorbed` re-interns terms at merge time. Overlay
 //!    ids therefore *are* the post-merge global ids, and a segment's interned
 //!    annotation layer ([`SealedSegment`]'s [`AnnotationColumn`]) holds the
 //!    entries the merged index's column holds for those docs.
@@ -64,8 +64,8 @@
 //! of the raw lists and the exact-maxima pass over them, plus one flat copy
 //! of the annotation column.
 
-use crate::docstore::AnnotationColumn;
-use crate::index::{build_shard, BatchDoc, BuiltShard, FacetVocabulary, SearchIndex};
+use crate::docstore::{AnnotationColumn, BatchDoc};
+use crate::index::{build_shard, BuiltShard, FacetVocabulary, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
@@ -287,7 +287,7 @@ impl SegmentedIndex {
         let (postings, ann_local) = build_shard(&fresh);
         // Seal: walk the segment's dictionary in local-id (first-appearance)
         // order, resolving each term to its generation id — the exact walk
-        // `Postings::absorb` performs at merge time, so overlay ids replay
+        // `Postings::absorbed` performs at merge time, so overlay ids replay
         // the merge's id assignment.
         let base_terms = gen.base.postings().num_terms();
         let mut remap: Vec<TermId> = Vec::with_capacity(postings.num_terms());
@@ -371,9 +371,10 @@ impl SegmentedIndex {
         let shards: Vec<BuiltShard<'_>> = gen
             .segments
             .iter()
-            .map(|seg| (&seg.postings, &seg.docs[..], &seg.ann_local[..]))
+            .map(|seg| (&seg.postings, &seg.ann_local[..]))
             .collect();
-        let merged = gen.base.merged(&shards, &gen.overlay.urls);
+        let docs = gen.segments.iter().flat_map(|seg| seg.docs.iter().cloned());
+        let merged = gen.base.merged(&shards, docs, &gen.overlay.urls);
         self.publish(Generation::from_base(Arc::new(merged)));
         folded
     }
@@ -802,7 +803,7 @@ mod tests {
             // facet on both sides.
             for ann in &a.annotations {
                 let known = |idx: &SearchIndex| idx.facet_value_known(&ann.key, &ann.value);
-                assert!(known(gen.base()) && known(&full), "doc {}: {ann:?}", a.id);
+                assert!(known(gen.base()) && known(&full), "doc {}: {ann:?}", a.url);
             }
         }
         gen.base().assert_same_as(&full, "two segments");

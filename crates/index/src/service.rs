@@ -61,24 +61,16 @@ impl SearchService for IndexSearcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::docstore::DocKind;
-    use deepweb_common::Url;
+    use crate::docstore::BatchDoc;
+    use deepweb_common::{ThreadPool, Url};
 
     fn tiny_index() -> SearchIndex {
         let mut idx = SearchIndex::new();
-        for (i, text) in ["honda civic mileage", "used ford focus", "honda accord"]
+        let docs = ["honda civic mileage", "used ford focus", "honda accord"]
             .iter()
             .enumerate()
-        {
-            idx.add(
-                Url::new("svc.sim", format!("/d{i}")),
-                String::new(),
-                (*text).into(),
-                DocKind::Surface,
-                None,
-                vec![],
-            );
-        }
+            .map(|(i, text)| BatchDoc::page(Url::new("svc.sim", format!("/d{i}")), "", text));
+        idx.add_batch(&ThreadPool::new(1), docs.collect());
         idx
     }
 

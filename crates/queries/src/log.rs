@@ -178,7 +178,8 @@ mod tests {
     #[test]
     fn replay_counts_on_tiny_index() {
         use crate::workload::{generate_workload, WorkloadConfig};
-        use deepweb_common::Url;
+        use deepweb_common::{ThreadPool, Url};
+        use deepweb_index::BatchDoc;
         use deepweb_webworld::{generate, WebConfig};
         let world = generate(&WebConfig {
             num_sites: 6,
@@ -191,22 +192,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut idx = SearchIndex::new();
-        for q in &wl.queries {
-            let kind = if q.is_tail {
+        let docs = wl.queries.iter().map(|q| BatchDoc {
+            url: Url::new("replay.sim", format!("/q{}", q.id.0)),
+            title: String::new(),
+            text: q.text.clone(),
+            kind: if q.is_tail {
                 DocKind::Surfaced
             } else {
                 DocKind::Surface
-            };
-            idx.add(
-                Url::new("replay.sim", format!("/q{}", q.id.0)),
-                String::new(),
-                q.text.clone(),
-                kind,
-                q.target_site,
-                vec![],
-            );
-        }
+            },
+            site: q.target_site,
+            annotations: vec![],
+        });
+        let mut idx = SearchIndex::new();
+        idx.add_batch(&ThreadPool::new(1), docs.collect());
         let n = 300;
         let mut rng = deepweb_common::derive_rng(5, "replay-tiny");
         let opts = deepweb_index::SearchOptions::default();

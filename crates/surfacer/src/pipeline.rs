@@ -496,6 +496,9 @@ fn build_slots(
             }
         }
     }
+    // A slot with no filling cannot be bound (`Slot::assignment` cycles
+    // through its fillings); a cap of 0 leaves every slot so.
+    slots.retain(|slot| slot.cardinality() > 0);
     slots
 }
 
@@ -725,6 +728,24 @@ mod tests {
                 assert_eq!(r.pages_surfaced, 0);
             }
         }
+    }
+
+    /// A cap of zero values per input leaves every slot without a filling:
+    /// the form is analysed, nothing is bound, and nothing is surfaced.
+    #[test]
+    fn zero_values_per_input_binds_nothing() {
+        let w = generate(&WebConfig {
+            num_sites: 4,
+            ..WebConfig::default()
+        });
+        let cfg = SurfacerConfig {
+            max_values_per_input: 0,
+            ..Default::default()
+        };
+        let outcome = crawl_and_surface(&w.server, &[Url::new("dir.sim", "/")], &cfg);
+        assert!(outcome.docs_of(DocOrigin::Surface).count() > 4);
+        assert!(!outcome.reports.is_empty());
+        assert_eq!(outcome.docs_of(DocOrigin::Surfaced).count(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use deepweb::common::text::{is_stopword, tokenize};
 use deepweb::common::{derive_rng, ThreadPool, Url, Zipf};
 use deepweb::index::{
     search, Annotation, BatchDoc, DocKind, Hit, PruningMode, SearchIndex, SearchOptions,
-    SegmentedIndex, StoredDoc,
+    SegmentedIndex,
 };
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::webworld::grow_site;
@@ -62,26 +62,16 @@ fn analysed(value: &str) -> Vec<String> {
     tokenize(value).filter(|t| !is_stopword(t)).collect()
 }
 
-/// One document's raw strings: title, text, annotations.
-type RawDoc<'a> = (&'a str, &'a str, &'a [Annotation]);
-
-fn stored(doc: &StoredDoc) -> RawDoc<'_> {
-    (&doc.title, &doc.text, &doc.annotations)
-}
-
-fn pending(doc: &BatchDoc) -> RawDoc<'_> {
-    (&doc.title, &doc.text, &doc.annotations)
-}
-
 impl Oracle {
     /// The oracle over the documents `sys.index` stores.
     fn read(sys: &DeepWebSystem) -> Oracle {
-        Oracle::over(sys, sys.index.docs().iter().map(stored))
+        Oracle::over(sys, sys.index.docs().iter())
     }
 
-    /// The oracle over `raw` documents, in doc-id order, plus the form
-    /// vocabulary `sys`' build reported.
-    fn over<'a>(sys: &DeepWebSystem, raw: impl Iterator<Item = RawDoc<'a>>) -> Oracle {
+    /// The oracle over `raw` documents — stored or pending, the index keeps
+    /// both as `BatchDoc`s — in doc-id order, plus the form vocabulary `sys`'
+    /// build reported.
+    fn over<'a>(sys: &DeepWebSystem, raw: impl Iterator<Item = &'a BatchDoc>) -> Oracle {
         let mut oracle = Oracle::of_docs(raw);
         for report in &sys.outcome.reports {
             for (key, values) in &report.facet_values {
@@ -94,15 +84,15 @@ impl Oracle {
 
     /// The oracle over `raw` documents alone, in doc-id order: the only
     /// facet vocabulary is their own annotation values.
-    fn of_docs<'a>(raw: impl Iterator<Item = RawDoc<'a>>) -> Oracle {
+    fn of_docs<'a>(raw: impl Iterator<Item = &'a BatchDoc>) -> Oracle {
         let mut docs = Vec::new();
         let mut df: BTreeMap<String, usize> = BTreeMap::new();
         let mut vocabulary: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut total_len = 0usize;
-        for (title, text, annotations) in raw {
+        for doc in raw {
             let mut tf: BTreeMap<String, u32> = BTreeMap::new();
             let mut len = 0;
-            for token in tokenize(title).chain(tokenize(text)) {
+            for token in tokenize(&doc.title).chain(tokenize(&doc.text)) {
                 *tf.entry(token).or_default() += 1;
                 len += 1;
             }
@@ -110,7 +100,8 @@ impl Oracle {
                 *df.entry(term.clone()).or_default() += 1;
             }
             total_len += len;
-            let annotations: Vec<(String, Vec<String>)> = annotations
+            let annotations: Vec<(String, Vec<String>)> = doc
+                .annotations
                 .iter()
                 .map(|a| (a.key.clone(), analysed(&a.value)))
                 .collect();
@@ -368,7 +359,7 @@ fn dense_posting_lists_serve_the_oracle() {
                 true => format!("tok{} {}", i % 3, draw(1 + i % 3)),
             })
             .collect();
-        let oracle = Oracle::of_docs(corpus.iter().map(pending));
+        let oracle = Oracle::of_docs(corpus.iter());
         assert!(oracle.df["tok0"] * 10 > docs * 9 && oracle.df["tok9"] * 10 > docs);
         if every_query_windowed {
             for q in &queries {
@@ -431,8 +422,7 @@ fn pending_segments_and_the_merged_base_serve_the_oracle() {
     assert_eq!(gen.num_docs(), base_len + out.new_docs);
 
     let segment_docs = || gen.segments().iter().flat_map(|seg| seg.docs());
-    let base_docs = gen.base().docs().iter().map(stored);
-    let oracle = Oracle::over(&sys, base_docs.chain(segment_docs().map(pending)));
+    let oracle = Oracle::over(&sys, gen.base().docs().iter().chain(segment_docs()));
     assert_eq!(oracle.docs.len(), gen.num_docs());
     // The workload, the edge cases, and the title of every fifth pending
     // doc — queries whose best hits live in a segment.
@@ -505,7 +495,7 @@ fn queries_past_64_terms_keep_every_facet_conflict() {
             }
         })
         .collect();
-    let oracle = Oracle::of_docs(docs.iter().map(pending));
+    let oracle = Oracle::of_docs(docs.iter());
     let fillers =
         |range: std::ops::Range<usize>| -> Vec<String> { range.map(|j| format!("f{j}")).collect() };
     let tail = |values: &[&str]| -> String {
@@ -604,7 +594,7 @@ fn annotation_adjustments_at_the_threshold_serve_the_oracle() {
             }
         })
         .collect();
-    let mut oracle = Oracle::of_docs(corpus.iter().map(pending));
+    let mut oracle = Oracle::of_docs(corpus.iter());
     let make = oracle.vocabulary.get_mut("make").expect("make annotated");
     make.insert("tesla".to_string());
     let queries: Vec<String> = [

@@ -269,8 +269,9 @@ proptest! {
             })
             .collect();
         let mut sequential = SearchIndex::new();
+        let one = ThreadPool::new(1);
         for d in batch.iter().cloned() {
-            sequential.add(d.url, d.title, d.text, d.kind, d.site, d.annotations);
+            sequential.add_batch(&one, vec![d]);
         }
         let mut parallel = SearchIndex::new();
         parallel.add_batch(&ThreadPool::new(workers), batch);

@@ -134,14 +134,15 @@ fn pruned_dump_matches_across_all_serving_tiers() {
 fn mutation_invalidates_and_rebuild_restores_pruning() {
     let mut sys = build_system(6, false);
     assert!(sys.index.pruning().is_some());
-    Arc::make_mut(&mut sys.index).add(
-        deepweb::common::Url::new("late.sim", "/extra"),
-        "late arrival".into(),
-        "honda civic late arrival doc".into(),
-        deepweb::index::DocKind::Surface,
-        None,
-        vec![],
-    );
+    let late = deepweb::index::BatchDoc {
+        url: deepweb::common::Url::new("late.sim", "/extra"),
+        title: "late arrival".into(),
+        text: "honda civic late arrival doc".into(),
+        kind: deepweb::index::DocKind::Surface,
+        site: None,
+        annotations: vec![],
+    };
+    Arc::make_mut(&mut sys.index).add_batch(&deepweb::common::ThreadPool::new(1), vec![late]);
     assert!(
         sys.index.pruning().is_none(),
         "mutation must invalidate the block index"

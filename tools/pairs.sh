@@ -6,7 +6,8 @@
 #
 # `all` runs every workload BENCHMARK.json names, back to back, from one
 # build of each side, and prints one table per workload — what a PR that
-# claims no gain quotes to show nothing got worse anywhere.
+# claims no gain quotes to show nothing got worse anywhere — then one closing
+# line naming every row marked `beyond bound` or `unresolved`, or `none`.
 #
 # Builds deepbench twice — from the committed files of <parent-ref>, unpacked
 # (`git archive`, so nothing is registered in `.git`) into a temporary
@@ -17,7 +18,11 @@
 # BENCHMARK.json it prints both medians, both quartile distances (Q3 - Q1),
 # the metric's bound (the share of the parent's median it may worsen by, as
 # BENCHMARK.json declares it) with `beyond bound` on a row whose change
-# median is worse than the parent's by more than that share, the pairs the
+# median is worse than the parent's by more than that share and `unresolved`
+# on a row whose parent quartile distance is wider than that share of the
+# parent's median (the parent's own runs spread past the bound, so no
+# regression can be read off the medians) unless every change run reads
+# better than every parent run, the pairs the
 # change won (ties count for neither side), every run's value
 # with its calibration readings before and after the run, each run's
 # `deepbench: <workload>:` summary line (the counts behind the timings), a
@@ -26,8 +31,9 @@
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians are further apart than the parent's own quartile
-# distance, and a change is refused when any row reads `beyond bound`; this
-# script prints the numbers and that mark, its exit status does not judge
+# distance, and a change is refused when any row reads `beyond bound`; a
+# row that reads `unresolved` shows no regression and no absence of one. This
+# script prints the numbers and those marks, its exit status does not judge
 # them.
 #
 # Metrics are read from the last line of each run's stdout; the digest is on
@@ -126,7 +132,7 @@ measure() {
         done
     done >"$work/values"
 
-    awk -v pairs="$pairs" '
+    awk -v pairs="$pairs" -v workload="$workload" -v flagged="$work/flagged" '
         # Linear-interpolated quantile of v[1..n], sorted ascending.
         function quantile(v, n, q,    h, lo) {
             h = (n - 1) * q + 1; lo = int(h)
@@ -138,6 +144,7 @@ measure() {
             for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
             out["median"] = quantile(v, n, 0.5)
             out["iqd"] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
+            out["min"] = v[1]; out["max"] = v[n]
         }
         FILENAME ~ /metrics$/ { order[++metrics] = $1; better[$1] = $2; bound[$1] = $3; next }
         { val[$1, $2, $3] = $4 + 0 }
@@ -155,8 +162,13 @@ measure() {
                 ratio = p["median"] != 0 ? sprintf("%.3f", c["median"] / p["median"]) : "-"
                 # Worse by more than the bound, a share of the parent median.
                 worse = better[name] == "lower" ? c["median"] - p["median"] : p["median"] - c["median"]
-                beyond = worse > bound[name] * p["median"] ? ", beyond bound" : ""
-                printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s %6.2f  %d of %d (%d lost, %s is better%s)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, bound[name], wins, pairs, losses, better[name], beyond
+                mark = worse > bound[name] * p["median"] ? "beyond bound" : ""
+                # The parent spreads wider than the bound: unresolved, unless
+                # every change run reads better than every parent run.
+                apart = better[name] == "lower" ? c["max"] < p["min"] : c["min"] > p["max"]
+                if (mark == "" && p["iqd"] > bound[name] * p["median"] && !apart) mark = "unresolved"
+                if (mark != "") print workload " " name " (" mark ")" >>flagged
+                printf "%-18s %14.4f %12.4f %14.4f %12.4f %13s %6.2f  %d of %d (%d lost, %s is better%s)\n", name, p["median"], p["iqd"], c["median"], c["iqd"], ratio, bound[name], wins, pairs, losses, better[name], mark == "" ? "" : ", " mark
             }
             print "== every run, in pair order"
             for (m = 1; m <= metrics; m++) {
@@ -215,3 +227,10 @@ measure() {
 for workload in $workloads; do
     measure
 done
+if [ "$2" = all ]; then
+    if [ -s "$work/flagged" ]; then
+        echo "== beyond bound or unresolved: $(awk '{printf "%s%s", (NR > 1 ? ", " : ""), $0}' "$work/flagged")"
+    else
+        echo "== beyond bound or unresolved: none"
+    fi
+fi
