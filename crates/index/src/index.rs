@@ -6,11 +6,11 @@ use crate::docstore::{AnnotationColumn, BatchDoc, DocStore};
 use crate::postings::Postings;
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
+use crate::urls::UrlMap;
 use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
 use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
-use std::sync::Arc;
 
 /// One built doc-range shard as [`SearchIndex::fold_shards`] reads it: its
 /// doc-local postings and, per doc and annotation, the value tokens as
@@ -52,9 +52,9 @@ impl FacetVocabulary {
 pub struct SearchIndex {
     docs: DocStore,
     postings: Postings,
-    /// Rendered URL → doc id. A key is one shared allocation, so a copy of
-    /// the map (one per merge of the freshness tier) allocates no string.
-    by_url: FxHashMap<Arc<str>, DocId>,
+    /// Rendered URL → doc id, its entries `Copy`: a copy of the map (one
+    /// per merge of the freshness tier) is a flat copy.
+    by_url: UrlMap,
     /// Per doc, its annotations as `(key, value-token range)` entries.
     annotations: AnnotationColumn,
     /// Facet key text → [`FacetKeyId`], first-appearance order.
@@ -105,15 +105,19 @@ impl SearchIndex {
         // 1. Sequential dedup + id assignment in batch order.
         let mut ids = Vec::with_capacity(batch.len());
         let mut fresh: Vec<BatchDoc> = Vec::new();
-        self.by_url.reserve(batch.len());
+        let stored = self.docs.len();
         for doc in batch {
             let key = doc.url.key();
-            if let Some(&id) = self.by_url.get(key.as_str()) {
+            let url_of = |id: DocId| match id.as_usize().checked_sub(stored) {
+                Some(i) => &fresh[i].url,
+                None => &self.docs.get(id).url,
+            };
+            if let Some(id) = self.by_url.get(&key, url_of) {
                 ids.push(id);
                 continue;
             }
-            let id = DocId(next_id(self.docs.len() + fresh.len()));
-            self.by_url.insert(key.into(), id);
+            let id = DocId(next_id(stored + fresh.len()));
+            self.by_url.insert(&key, id);
             ids.push(id);
             fresh.push(doc);
         }
@@ -130,26 +134,26 @@ impl SearchIndex {
         // 3. Deterministic fold in shard order.
         let shards: Vec<BuiltShard<'_>> = built.iter().map(|(p, ann)| (p, &ann[..])).collect();
         let base = std::mem::take(&mut self.postings);
-        self.fold_shards(&base, &shards, fresh);
+        self.fold_shards(pool, &base, &shards, fresh);
         ids
     }
 
     /// The one fold of built shards into an index, in shard order, run by
     /// [`SearchIndex::add_batch`] and [`SearchIndex::merged`]: `self`'s
-    /// postings become `base` with every shard appended
+    /// postings become `base` with every shard appended, on `pool`
     /// ([`Postings::absorbed`]), and `docs` — every shard's documents, in
     /// order — are stored, each annotation value rewritten from shard-local
     /// into global term ids through its shard's remap for the per-document
-    /// store/facet bookkeeping. Neither caller registers URLs here; both
-    /// have claimed them in `by_url` already.
+    /// store/facet bookkeeping. No URL is registered here.
     fn fold_shards(
         &mut self,
+        pool: &ThreadPool,
         base: &Postings,
         shards: &[BuiltShard<'_>],
         docs: impl IntoIterator<Item = BatchDoc>,
     ) {
         let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0).collect();
-        let (postings, remaps) = base.absorbed(&shard_postings);
+        let (postings, remaps) = base.absorbed(&shard_postings, pool);
         self.postings = postings;
         let mut docs = docs.into_iter();
         let mut terms: Vec<TermId> = Vec::new();
@@ -171,38 +175,38 @@ impl SearchIndex {
     /// new index — the freshness tier's merge (DESIGN.md §15). `self` is
     /// only read, and what a merge does not change is shared with it or
     /// carried over, not rebuilt: the next base shares every full docstore
-    /// chunk, every URL key and every dictionary string; each posting list is
-    /// copied once at its final length ([`Postings::absorbed`]); the pruning
-    /// structures are extended over the new docs
-    /// ([`PruningIndex::extended`]: the block index's full blocks carried
-    /// over as they are, partial tails and new postings described, every
-    /// block maximum recomputed) and are always present on the result.
-    /// `urls` are the shards' `by_url` entries, keyed by the strings the tier
-    /// already rendered when it deduplicated them.
+    /// chunk and every dictionary string and copies the URL map flat; each
+    /// posting list is copied once at its final length
+    /// ([`Postings::absorbed`]); the pruning structures are extended over
+    /// the new docs ([`PruningIndex::extended`]: full blocks carried over,
+    /// partial tails and new postings described, every block maximum
+    /// recomputed) and are always present on the result. Both passes run on
+    /// `pool`. The new docs' URLs are then registered in id order.
     ///
     /// Equal, field for field, to `add_batch` of the same documents onto a
     /// copy of `self` followed by `enable_pruning`: the fold is
     /// [`SearchIndex::fold_shards`], the one `add_batch` runs.
     pub(crate) fn merged(
         &self,
+        pool: &ThreadPool,
         shards: &[BuiltShard<'_>],
         docs: impl IntoIterator<Item = BatchDoc>,
-        urls: &FxHashMap<Arc<str>, DocId>,
     ) -> SearchIndex {
-        let mut by_url = self.by_url.clone();
-        by_url.extend(urls.iter().map(|(key, &id)| (Arc::clone(key), id)));
         let mut next = SearchIndex {
             docs: self.docs.clone(),
             postings: Postings::default(),
-            by_url,
+            by_url: self.by_url.clone(),
             annotations: self.annotations.clone(),
             facet_keys: self.facet_keys.clone(),
             vocabulary: self.vocabulary.clone(),
             pruning: None,
         };
-        next.fold_shards(&self.postings, shards, docs);
+        next.fold_shards(pool, &self.postings, shards, docs);
+        for id in (self.len()..next.len()).map(|i| DocId(next_id(i))) {
+            next.by_url.insert(&next.docs.get(id).url.key(), id);
+        }
         next.pruning = Some(match &self.pruning {
-            Some(sealed) => sealed.extended(&next),
+            Some(sealed) => sealed.extended(&next, pool),
             None => PruningIndex::build(&next),
         });
         next
@@ -230,13 +234,12 @@ impl SearchIndex {
 
     /// True if the URL is already indexed.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.contains_key(&url.key())
+        self.url_id(&url.key()).is_some()
     }
 
-    /// [`SearchIndex::contains_url`] for a caller that has rendered the URL
-    /// already.
-    pub(crate) fn contains_key(&self, rendered_url: &str) -> bool {
-        self.by_url.contains_key(rendered_url)
+    /// The id of an indexed URL, for a caller that has rendered it already.
+    pub(crate) fn url_id(&self, rendered_url: &str) -> Option<DocId> {
+        self.by_url.get(rendered_url, |id| &self.docs.get(id).url)
     }
 
     /// Document metadata store.

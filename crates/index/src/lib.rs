@@ -32,6 +32,7 @@ mod searcher;
 mod segments;
 mod service;
 mod snippet;
+mod urls;
 mod view;
 
 pub use broker::QueryBroker;

@@ -19,12 +19,12 @@
 //! `BlockPostings::extended` carries every full block of the index it
 //! extends over as is and describes only the partial tails and the new
 //! postings — [`BlockPostings::build`] is that extension from the empty
-//! index, so blocks are made in one place.
+//! index, so blocks are made in one place. Both run on a pool, per term.
 
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::text::{is_stopword, lower_into, raw_tokens};
-use deepweb_common::TermDict;
+use deepweb_common::{TermDict, ThreadPool};
 
 /// BM25 inverse document frequency — one copy of the formula, evaluated by
 /// the index view against base-plus-segment statistics, so a segmented
@@ -270,14 +270,19 @@ impl Postings {
     ///
     /// The copy is made after that id walk, when every list's final length
     /// (its length here plus each shard's) is known: a list is allocated
-    /// once, copied once, and carries no slack.
+    /// once, on the calling thread, and carries no slack; `pool` fills runs
+    /// of terms holding about equal postings (`term_runs`).
     ///
     /// Returns beside it one remap table per shard, `remap[local_id] =
     /// global_id` for every term of the shard's dictionary: the index
     /// rewrites the shard's pre-tokenised annotation ids through it, so the
     /// annotation layer replays the sequential interning order exactly like
     /// postings do (DESIGN.md §12).
-    pub(crate) fn absorbed(&self, shards: &[&Postings]) -> (Postings, Vec<Vec<TermId>>) {
+    pub(crate) fn absorbed(
+        &self,
+        shards: &[&Postings],
+        pool: &ThreadPool,
+    ) -> (Postings, Vec<Vec<TermId>>) {
         let mut out = Postings {
             dict: self.dict.clone(),
             total_len: self.total_len,
@@ -299,27 +304,33 @@ impl Postings {
         }
         out.lists = final_len
             .iter()
-            .enumerate()
-            .map(|(t, &len)| {
-                let mut list = Vec::with_capacity(len);
-                list.extend_from_slice(self.lists.get(t).map_or(&[][..], Vec::as_slice));
-                list
-            })
+            .map(|&len| Vec::with_capacity(len))
             .collect();
         let docs = shards.iter().map(|s| s.doc_len.len()).sum::<usize>();
         out.doc_len = Vec::with_capacity(self.doc_len.len() + docs);
         out.doc_len.extend_from_slice(&self.doc_len);
-        for (shard, remap) in shards.iter().zip(&remaps) {
-            let offset = doc_bound(out.doc_len.len());
+        let mut offsets = Vec::with_capacity(shards.len());
+        for shard in shards {
+            offsets.push(doc_bound(out.doc_len.len()));
             out.total_len += shard.total_len;
             out.doc_len.extend_from_slice(&shard.doc_len);
-            for (list, id) in shard.lists.iter().zip(remap) {
-                out.lists[id.as_usize()].extend(list.iter().map(|p| Posting {
-                    doc: DocId(p.doc.0 + offset),
-                    tf: p.tf,
-                }));
-            }
         }
+        let runs = term_runs(&mut out.lists, &final_len, pool.workers(), |t| t);
+        pool.map(runs, |_, (run, lists)| {
+            for (list, t) in lists.iter_mut().zip(run.clone()) {
+                list.extend_from_slice(self.lists.get(t).map_or(&[][..], Vec::as_slice));
+            }
+            for ((shard, remap), &offset) in shards.iter().zip(&remaps).zip(&offsets) {
+                for (list, id) in shard.lists.iter().zip(remap) {
+                    if run.contains(&id.as_usize()) {
+                        lists[id.as_usize() - run.start].extend(list.iter().map(|p| Posting {
+                            doc: DocId(p.doc.0 + offset),
+                            tf: p.tf,
+                        }));
+                    }
+                }
+            }
+        });
         (out, remaps)
     }
 
@@ -331,6 +342,30 @@ impl Postings {
     }
 }
 
+/// `items`, laid out term by term (term `t`'s from `start(t)`), cut at term
+/// boundaries into at most `parts` runs of about equal postings (`df`): the
+/// tasks of a per-term pass on a pool, each with the terms it covers.
+fn term_runs<'a, T>(
+    mut items: &'a mut [T],
+    df: &[usize],
+    parts: usize,
+    start: impl Fn(usize) -> usize,
+) -> Vec<(std::ops::Range<usize>, &'a mut [T])> {
+    let share = df.iter().sum::<usize>().div_ceil(parts).max(1);
+    let mut runs = Vec::with_capacity(parts);
+    let (mut first, mut held) = (0, 0);
+    for (t, &n) in df.iter().enumerate() {
+        held += n;
+        if (held >= share && runs.len() + 1 < parts) || t + 1 == df.len() {
+            let (run, rest) = std::mem::take(&mut items).split_at_mut(start(t + 1) - start(first));
+            items = rest;
+            runs.push((first..t + 1, run));
+            (first, held) = (t + 1, 0);
+        }
+    }
+    runs
+}
+
 /// Postings per block (DESIGN.md §14). 64 keeps the per-block metadata at
 /// half a byte per posting of a long list while a block stays small enough
 /// for its maximum to be a useful skip bound.
@@ -340,7 +375,7 @@ pub(crate) const POSTINGS_BLOCK_SIZE: usize = 64;
 /// posting list: the three numbers the pruned kernel bounds it by (DESIGN.md
 /// §14). Neither the postings nor where they sit are stored — see
 /// [`BlockPostings`] for which slice of the list a block describes.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct PostingBlock {
     /// Max term frequency in the block.
     pub max_tf: u32,
@@ -383,6 +418,23 @@ fn contribution(p: &Posting, length_norm: &[f64], idf: f64) -> f64 {
     bm25_normalised(idf, f64::from(p.tf), length_norm[p.doc.as_usize()])
 }
 
+/// The largest [`contribution`] over `chunk` (0 if empty), folded in four
+/// independent lanes: contributions are finite and non-negative, so the
+/// maximum has the same bits in any order.
+fn max_contribution(chunk: &[Posting], length_norm: &[f64], idf: f64) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut quads = chunk.chunks_exact(4);
+    for quad in quads.by_ref() {
+        for (lane, p) in lanes.iter_mut().zip(quad) {
+            *lane = lane.max(contribution(p, length_norm, idf));
+        }
+    }
+    for (lane, p) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = lane.max(contribution(p, length_norm, idf));
+    }
+    lanes.into_iter().fold(0.0, f64::max)
+}
+
 /// Per-term block maxima over finished [`Postings`] (DESIGN.md §14):
 /// metadata *describing* the raw lists, not a second copy of them.
 ///
@@ -418,7 +470,7 @@ impl BlockPostings {
     /// (`PostingBlock::max_contrib`). This is `BlockPostings::extended`
     /// from the empty index.
     pub fn build(postings: &Postings, block_size: usize) -> Self {
-        Self::empty(block_size).extended(postings)
+        Self::empty(block_size).extended(postings, &ThreadPool::new(0))
     }
 
     /// The block index of no postings, for [`BlockPostings::extended`] to
@@ -460,50 +512,52 @@ impl BlockPostings {
     /// partial tail and the new postings are described behind them in one
     /// pass that takes all three numbers, so a build from empty reads each
     /// posting once.
-    pub(crate) fn extended(&self, postings: &Postings) -> Self {
+    /// `pool` fills the blocks, allocated here, by runs of terms (`term_runs`).
+    pub(crate) fn extended(&self, postings: &Postings, pool: &ThreadPool) -> Self {
         let size = self.block_size;
         let avg_len = postings.avg_doc_len().max(1.0);
-        let num_terms = postings.num_terms();
-        let terms = (0..next_id(num_terms)).map(TermId);
-        let num_blocks: usize = terms
-            .clone()
-            .map(|id| postings.df_id(id).div_ceil(size))
-            .sum();
+        let df: Vec<usize> = postings.lists.iter().map(Vec::len).collect();
+        let mut term_start = Vec::with_capacity(df.len() + 1);
+        term_start.push(0u32);
+        for &n in &df {
+            term_start.push(term_start[term_start.len() - 1] + next_id(n.div_ceil(size)));
+        }
         let length_norm: Vec<f64> = postings
             .doc_len
             .iter()
             .map(|&dl| bm25_length_norm(f64::from(dl), avg_len))
             .collect();
-        let mut term_start = Vec::with_capacity(num_terms + 1);
-        let mut blocks: Vec<PostingBlock> = Vec::with_capacity(num_blocks);
-        term_start.push(0u32);
-        for id in terms {
-            let list = postings.postings_id(id);
-            let old = self.term_blocks(id);
-            let old_len = list.partition_point(|p| p.doc.0 < self.docs);
-            // Blocks that stay as they are: all of them if the term gained
-            // no posting, else the full ones.
-            let carried = if list.len() == old_len {
-                old.len()
-            } else {
-                old_len / size
-            };
-            let idf = postings.idf_id(id);
-            for j in 0..list.len().div_ceil(size) {
-                let chunk = &list[self.block_span(list.len(), j)];
-                blocks.push(match old[..carried].get(j) {
-                    Some(&block) => PostingBlock {
-                        max_contrib: chunk
-                            .iter()
-                            .map(|p| contribution(p, &length_norm, idf))
-                            .fold(0.0, f64::max),
-                        ..block
-                    },
-                    None => describe_block(postings, chunk, &length_norm, idf),
-                });
+        let mut blocks = vec![PostingBlock::default(); term_start[df.len()] as usize];
+        let start = |t: usize| term_start[t] as usize;
+        let runs = term_runs(&mut blocks, &df, pool.workers(), start);
+        pool.map(runs, |_, (run, slice)| {
+            let first = start(run.start);
+            for t in run {
+                let id = TermId(next_id(t));
+                let list = postings.postings_id(id);
+                let old = self.term_blocks(id);
+                let old_len = list.partition_point(|p| p.doc.0 < self.docs);
+                // Blocks that stay as they are: all of them if the term
+                // gained no posting, else the full ones.
+                let carried = if list.len() == old_len {
+                    old.len()
+                } else {
+                    old_len / size
+                };
+                let idf = postings.idf_id(id);
+                let own = &mut slice[start(t) - first..start(t + 1) - first];
+                for (j, block) in own.iter_mut().enumerate() {
+                    let chunk = &list[self.block_span(list.len(), j)];
+                    *block = match old[..carried].get(j) {
+                        Some(&kept) => PostingBlock {
+                            max_contrib: max_contribution(chunk, &length_norm, idf),
+                            ..kept
+                        },
+                        None => describe_block(postings, chunk, &length_norm, idf),
+                    };
+                }
             }
-            term_start.push(next_id(blocks.len()));
-        }
+        });
         BlockPostings {
             term_start,
             blocks,
@@ -645,7 +699,8 @@ mod tests {
                 shard
             })
             .collect();
-        let (merged, _) = Postings::new().absorbed(&shards.iter().collect::<Vec<_>>());
+        let (merged, _) =
+            Postings::new().absorbed(&shards.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
         assert_eq!(format!("{sequential:?}"), format!("{merged:?}"));
         assert_eq!(merged.postings("honda"), sequential.postings("honda"));
         assert_eq!(merged.num_postings(), sequential.num_postings());
@@ -657,7 +712,7 @@ mod tests {
         let base = sample();
         let mut shard = Postings::new();
         shard.add_document(DocId(0), ["honda", "tesla"]);
-        let (got, remaps) = base.absorbed(&[&shard]);
+        let (got, remaps) = base.absorbed(&[&shard], &ThreadPool::new(2));
         let mut sequential = sample();
         sequential.add_document(DocId(3), ["honda", "tesla"]);
         assert_eq!(format!("{got:?}"), format!("{sequential:?}"));
@@ -807,7 +862,8 @@ mod tests {
                 build
             })
             .collect();
-        let (absorbed, _) = Postings::new().absorbed(&builds.iter().collect::<Vec<_>>());
+        let (absorbed, _) =
+            Postings::new().absorbed(&builds.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
         let a = BlockPostings::build(&sequential, 8);
         let b = BlockPostings::build(&absorbed, 8);
         for t in 0..sequential.num_terms() {
@@ -846,7 +902,7 @@ mod tests {
             shards.push(shard);
         }
         let before = format!("{base:?}");
-        let (got, remaps) = base.absorbed(&shards.iter().collect::<Vec<_>>());
+        let (got, remaps) = base.absorbed(&shards.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert_eq!(remaps, want_remaps);
         assert_eq!(format!("{base:?}"), before);
@@ -898,9 +954,69 @@ mod tests {
                 for i in 0..*interned {
                     postings.intern_term(&format!("annotation-only-{si}-{i}"));
                 }
-                extended = extended.extended(&postings);
+                extended = extended.extended(&postings, &ThreadPool::new(2));
                 let rebuilt = BlockPostings::build(&postings, block_size);
                 proptest::prop_assert_eq!(format!("{extended:?}"), format!("{rebuilt:?}"));
+            }
+        }
+    }
+
+    /// Both per-term passes give the same bytes through pools of 1 and 4
+    /// workers: every list (each with no room to spare), the remaps, and
+    /// every block — `term_start` and the `max_contrib` bits included — of
+    /// an extension that carries blocks over and describes new ones.
+    #[test]
+    fn per_term_passes_do_not_depend_on_the_worker_count() {
+        let base = block_corpus();
+        let shards: Vec<Postings> = (0..3)
+            .map(|s| {
+                let docs: Vec<Vec<String>> = (0..40)
+                    .map(|i| {
+                        let fresh = format!("fresh{}", i % 5 + 10 * s);
+                        vec!["common".into(), format!("filler{}", i % 23), fresh]
+                    })
+                    .collect();
+                let mut shard = Postings::new();
+                add_all(&mut shard, &docs);
+                shard
+            })
+            .collect();
+        let shards: Vec<&Postings> = shards.iter().collect();
+        let sealed = BlockPostings::empty(4).extended(&base, &ThreadPool::new(1));
+        let mut seen = Vec::new();
+        for workers in [1, 4] {
+            let pool = ThreadPool::new(workers);
+            let (absorbed, remaps) = base.absorbed(&shards, &pool);
+            assert!(absorbed.lists.iter().all(|l| l.capacity() == l.len()));
+            let blocks = sealed.extended(&absorbed, &pool);
+            let bits: Vec<u64> = blocks
+                .blocks
+                .iter()
+                .map(|b| b.max_contrib.to_bits())
+                .collect();
+            seen.push((format!("{absorbed:?}"), remaps, format!("{blocks:?}"), bits));
+        }
+        assert_eq!(seen[0], seen[1]);
+    }
+
+    /// The four-lane maximum equals the serial fold on chunks of 1–9 and 64
+    /// postings, every remainder path included.
+    #[test]
+    fn lane_split_maximum_equals_the_serial_fold() {
+        let p = block_corpus();
+        let avg_len = p.avg_doc_len();
+        let norm: Vec<f64> = p
+            .doc_len
+            .iter()
+            .map(|&dl| bm25_length_norm(f64::from(dl), avg_len))
+            .collect();
+        let idf = p.idf("common");
+        for len in (1..=9).chain([64]) {
+            for chunk in p.postings("common").chunks_exact(len).take(8) {
+                let serial = chunk.iter().map(|q| contribution(q, &norm, idf));
+                let serial = serial.fold(0.0, f64::max);
+                let lanes = max_contribution(chunk, &norm, idf);
+                assert_eq!(lanes.to_bits(), serial.to_bits(), "{len} postings");
             }
         }
     }

@@ -58,6 +58,7 @@ use crate::searcher::{
 };
 use crate::view::IndexView;
 use deepweb_common::ids::{DocId, TermId};
+use deepweb_common::ThreadPool;
 use std::collections::BinaryHeap;
 
 /// Inflate a computed score upper bound before comparing it against the
@@ -114,9 +115,9 @@ pub struct PruningIndex {
 impl PruningIndex {
     /// Build the block index (with `POSTINGS_BLOCK_SIZE`-posting blocks
     /// bounded at the default BM25 parameters): `PruningIndex::extended`
-    /// from the structures of the empty index.
+    /// from the structures of the empty index, on the machine's cores.
     pub fn build(index: &SearchIndex) -> Self {
-        Self::empty(POSTINGS_BLOCK_SIZE).extended(index)
+        Self::empty(POSTINGS_BLOCK_SIZE).extended(index, &ThreadPool::new(0))
     }
 
     /// The structures of the empty index, its blocks `block_size` postings
@@ -130,10 +131,10 @@ impl PruningIndex {
     /// The structures over all of `index`, given `self` over its first
     /// `self.blocks.docs` documents — equal to [`PruningIndex::build`] of
     /// `index`, at the cost of what was appended ([`BlockPostings::extended`])
-    /// plus one pass of exact block maxima.
-    pub(crate) fn extended(&self, index: &SearchIndex) -> Self {
+    /// plus one pass of exact block maxima, both run on `pool`.
+    pub(crate) fn extended(&self, index: &SearchIndex, pool: &ThreadPool) -> Self {
         PruningIndex {
-            blocks: self.blocks.extended(index.postings()),
+            blocks: self.blocks.extended(index.postings(), pool),
         }
     }
 
@@ -618,7 +619,7 @@ mod tests {
         let view = IndexView::sealed(&idx);
         let mut scratch = QueryScratch::new();
         for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
-            let pr = PruningIndex::empty(block_size).extended(&idx);
+            let pr = PruningIndex::empty(block_size).extended(&idx, &ThreadPool::new(2));
             let common = idx.postings().term_id("common").unwrap();
             assert_eq!(
                 pr.blocks().term_blocks(common).len(),
@@ -1111,7 +1112,7 @@ mod tests {
             repeated.extend(sigs[2].first());
             sigs.push(repeated);
             for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
-                let pr = PruningIndex::empty(block_size).extended(&idx);
+                let pr = PruningIndex::empty(block_size).extended(&idx, &ThreadPool::new(2));
                 for use_annotations in [false, true] {
                     let opts = SearchOptions {
                         use_annotations,

@@ -56,22 +56,23 @@
 //!
 //! A merge builds the next base *from* the sealed base and the segments; it
 //! never clones the base and mutates the copy. What no merge changes is
-//! shared between the two generations (docstore chunks, URL keys, dictionary
-//! strings) or carried over as is (the block index's full blocks — the
+//! shared between the two generations (docstore chunks, dictionary strings)
+//! or carried over as is (the block index's full blocks — the
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
 //! copied once at its final length; only the delta is analysed, remapped or
 //! described by new blocks. What still scales with the base is that one copy
-//! of the raw lists and the exact-maxima pass over them, plus one flat copy
-//! of the annotation column.
+//! of the raw lists and the exact-maxima pass over them (both on a pool),
+//! plus flat copies of the URL map and the annotation column.
 
 use crate::docstore::{AnnotationColumn, BatchDoc};
 use crate::index::{build_shard, BuiltShard, FacetVocabulary, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
+use crate::urls::UrlMap;
 use crate::view::{doc_bound, next_id, IndexView};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
-use deepweb_common::{FxHashMap, ThreadPool};
+use deepweb_common::{FxHashMap, ThreadPool, Url};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -129,9 +130,8 @@ pub(crate) struct Overlay {
     /// union with the base's vocabulary.
     vocabulary: FacetVocabulary,
     /// Rendered URL → global doc id of every segment doc (the base's
-    /// `by_url` covers the rest) — the entries, shared keys included, that
-    /// the merge adds to the next base's `by_url`.
-    urls: FxHashMap<Arc<str>, DocId>,
+    /// `by_url` covers the rest).
+    urls: UrlMap,
     /// Total documents across base + segments.
     pub(crate) num_docs: usize,
     /// Total tokens across base + segments (integer numerator of the merged
@@ -202,9 +202,22 @@ impl Generation {
     }
 
     /// True if `url` is indexed in the base or any segment.
-    pub fn contains_url(&self, url: &deepweb_common::Url) -> bool {
-        let key = url.key();
-        self.base.contains_key(&key) || self.overlay.urls.contains_key(key.as_str())
+    pub fn contains_url(&self, url: &Url) -> bool {
+        self.url_id(&self.overlay, &url.key(), &[]).is_some()
+    }
+
+    /// The id of a rendered URL in the base or, through `overlay` (this
+    /// generation's or one growing from it), in a segment or in `fresh`.
+    fn url_id(&self, overlay: &Overlay, key: &str, fresh: &[BatchDoc]) -> Option<DocId> {
+        let url_of = |id: DocId| match id.as_usize().checked_sub(self.overlay.num_docs) {
+            Some(i) => &fresh[i].url,
+            None => {
+                let seg = &self.segments[self.segments.partition_point(|s| s.base_doc <= id.0) - 1];
+                &seg.docs[(id.0 - seg.base_doc) as usize].url
+            }
+        };
+        let base = self.base.url_id(key);
+        base.or_else(|| overlay.urls.get(key, url_of))
     }
 
     /// The read-side view of this generation: base ⊕ segments ⊕ overlay.
@@ -273,11 +286,11 @@ impl SegmentedIndex {
         let mut fresh: Vec<BatchDoc> = Vec::new();
         for doc in batch {
             let key = doc.url.key();
-            if gen.base.contains_key(&key) || overlay.urls.contains_key(key.as_str()) {
+            if gen.url_id(&overlay, &key, &fresh).is_some() {
                 continue;
             }
             let id = DocId(next_id(overlay.num_docs + fresh.len()));
-            overlay.urls.insert(key.into(), id);
+            overlay.urls.insert(&key, id);
             fresh.push(doc);
         }
         if fresh.is_empty() {
@@ -374,7 +387,7 @@ impl SegmentedIndex {
             .map(|seg| (&seg.postings, &seg.ann_local[..]))
             .collect();
         let docs = gen.segments.iter().flat_map(|seg| seg.docs.iter().cloned());
-        let merged = gen.base.merged(&shards, docs, &gen.overlay.urls);
+        let merged = gen.base.merged(&ThreadPool::new(0), &shards, docs);
         self.publish(Generation::from_base(Arc::new(merged)));
         folded
     }
@@ -816,7 +829,8 @@ mod tests {
     /// `merge()` the base equals a from-scratch `add_batch` +
     /// `enable_pruning` over the same docs **field for field** — raw lists,
     /// every block and its exact maximum, `by_url`, both dictionaries — and
-    /// holds no slack.
+    /// holds no slack. After every apply and every merge, every indexed URL
+    /// resolves to its doc id, and one never indexed does not.
     #[test]
     fn every_merge_of_a_random_sequence_equals_a_rebuild_field_for_field() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -846,6 +860,25 @@ mod tests {
             let path = if below(8) == 0 { below(i + 1) } else { i };
             doc("r.sim", &format!("/{path}"), "", &words.join(" "), &anns)
         };
+        let resolves = |gen: &Generation, ctx: &str| {
+            let base = gen.base();
+            for (i, doc) in base.docs().iter().enumerate() {
+                assert_eq!(
+                    base.url_id(&doc.url.key()),
+                    Some(DocId(next_id(i))),
+                    "{ctx}"
+                );
+                assert!(gen.contains_url(&doc.url), "{ctx}");
+            }
+            let pending = gen.segments.iter().flat_map(|seg| seg.docs());
+            for (doc, i) in pending.zip(base.len()..) {
+                let id = gen.url_id(&gen.overlay, &doc.url.key(), &[]);
+                assert_eq!(id, Some(DocId(next_id(i))), "{ctx}");
+                assert!(gen.contains_url(&doc.url), "{ctx}");
+            }
+            let never = Url::new("r.sim", "/never");
+            assert!(!gen.contains_url(&never) && base.url_id(&never.key()).is_none());
+        };
         let base_len = crate::docstore::CHUNK_DOCS + 300;
         let mut all: Vec<BatchDoc> = (0..base_len).map(|i| make(i, &mut below)).collect();
         let seg = SegmentedIndex::new(rebuild(&all, &[]));
@@ -864,6 +897,7 @@ mod tests {
                 let after = seg.snapshot();
                 let ctx = format!("step {step}, {} docs", after.num_docs());
                 after.base().assert_same_as(&rebuild(&all, &[]), &ctx);
+                resolves(&after, &ctx);
                 let postings = after.base().postings();
                 assert_eq!(
                     postings.list_bytes(),
@@ -886,6 +920,7 @@ mod tests {
                 let gen = seg.snapshot();
                 let bound = gen.view().annotation_bound();
                 assert_eq!(bound, brute_view_bound(&gen.view()), "step {step}");
+                resolves(&gen, &format!("step {step}, pending"));
             }
         }
         assert!(

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of one deepbench workload — the table a
 # perf PR in this repository quotes (choosing-metrics guide, section 8):
 #
-#   tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20]
+#   tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20] [trace=0]
 #
 # `all` runs every workload BENCHMARK.json names, back to back, from one
 # build of each side, and prints one table per workload — what a PR that
@@ -36,6 +36,12 @@
 # script prints the numbers and those marks, its exit status does not judge
 # them.
 #
+# With trace=1, after a workload's pairs each side makes one more run from
+# its build, traced (`--trace 1`), and the script prints every per-layer
+# metric whose two values differ, side by side with their ratio — where a
+# change in an end-to-end row comes from. Equal rows (most counts) are left
+# out. The trace files go into each side's target directory.
+#
 # Metrics are read from the last line of each run's stdout; the digest is on
 # stderr in an untraced run, so stderr is kept beside it. Nothing under
 # crates/bench/src/bin/deepbench/ is touched. A failed build, or a run whose
@@ -46,7 +52,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    echo "usage: tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20]" >&2
+    echo "usage: tools/pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=11] [seconds=20] [trace=0]" >&2
     exit 2
 fi
 ref=$1
@@ -58,6 +64,7 @@ fi
 pairs=${3:-10}
 seed=${4:-11}
 seconds=${5:-20}
+trace=${6:-0}
 manifest=crates/bench/src/bin/deepbench/Cargo.toml
 
 here=$(pwd)
@@ -94,6 +101,46 @@ run() {
         >"$work/$workload.$1.$4.out" 2>"$work/$workload.$1.$4.err"
 }
 
+# traced <side> <checkout> <target dir>: one `--trace 1` run of $workload,
+# its trace file written under the side's target directory.
+traced() {
+    (cd "$2" && CARGO_TARGET_DIR="$3" "$3/release/deepbench" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 1) \
+        >"$work/$workload.$1.trace.out" 2>"$work/$workload.$1.trace.err"
+}
+
+# `name value` for every metric on the last stdout line of run output $1.
+metric_values() {
+    tail -n 1 "$1" | awk '{
+        s = $0
+        while (match(s, /"[a-z_0-9.]+": \{"value": [-+.0-9eE]+/)) {
+            m = substr(s, RSTART, RLENGTH)
+            s = substr(s, RSTART + RLENGTH)
+            name = m; sub(/^"/, "", name); sub(/".*/, "", name)
+            value = m; sub(/.*"value": /, "", value)
+            print name, value
+        }
+    }'
+}
+
+# layers: one traced run per side, then the per-layer rows that differ.
+layers() {
+    echo "== $workload: one traced run per side" >&2
+    traced parent "$work/parent" "$parent_target"
+    traced change "$here" "$change_target"
+    metric_values "$work/$workload.parent.trace.out" >"$work/layers.parent"
+    metric_values "$work/$workload.change.trace.out" >"$work/layers.change"
+    echo "== $workload, traced, per-layer rows that differ"
+    awk '
+        BEGIN { printf "%-40s %16s %16s %13s\n", "metric", "parent", "change", "change/parent" }
+        FILENAME ~ /parent$/ { parent[$1] = $2; next }
+        ($1 in parent) && parent[$1] != $2 {
+            ratio = parent[$1] + 0 != 0 ? sprintf("%.3f", $2 / parent[$1]) : "-"
+            printf "%-40s %16.6g %16.6g %13s\n", $1, parent[$1], $2, ratio
+        }
+    ' "$work/layers.parent" "$work/layers.change"
+}
+
 digests() {
     sed -n 's/.*result_digest \([0-9a-f]*\).*/\1/p' "$work/$workload.$1".*.err | sort -u | tr '\n' ' '
 }
@@ -118,16 +165,7 @@ measure() {
     for side in parent change; do
         i=1
         while [ "$i" -le "$pairs" ]; do
-            tail -n 1 "$work/$workload.$side.$i.out" | awk -v side="$side" -v pair="$i" '{
-                s = $0
-                while (match(s, /"[a-z_0-9]+": \{"value": [-+.0-9eE]+/)) {
-                    m = substr(s, RSTART, RLENGTH)
-                    s = substr(s, RSTART + RLENGTH)
-                    name = m; sub(/^"/, "", name); sub(/".*/, "", name)
-                    value = m; sub(/.*"value": /, "", value)
-                    print side, pair, name, value
-                }
-            }'
+            metric_values "$work/$workload.$side.$i.out" | sed "s/^/$side $i /"
             i=$((i + 1))
         done
     done >"$work/values"
@@ -226,6 +264,9 @@ measure() {
 
 for workload in $workloads; do
     measure
+    if [ "$trace" = 1 ]; then
+        layers
+    fi
 done
 if [ "$2" = all ]; then
     if [ -s "$work/flagged" ]; then
