@@ -1,7 +1,6 @@
 //! `detlint` CLI: scan the workspace this binary was built from, print every
-//! unsuppressed finding plus a per-rule summary table, and exit nonzero on
-//! any unsuppressed finding. It takes no arguments, so it runs the same from
-//! any directory.
+//! finding, and exit nonzero on any. It takes no arguments, so it runs the
+//! same from any directory.
 
 use analyzer::{find_workspace_root, scan_workspace};
 use std::path::Path;
@@ -17,35 +16,19 @@ fn main() -> ExitCode {
         eprintln!("detlint: no workspace root above {}", manifest.display());
         return ExitCode::FAILURE;
     };
-    let report = match scan_workspace(&root) {
-        Ok(r) => r,
+    let (files, findings) = match scan_workspace(&root) {
+        Ok(scan) => scan,
         Err(e) => {
             eprintln!("detlint: scan failed under {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-    let failing: Vec<_> = report.unsuppressed().collect();
-    for f in &failing {
-        println!(
-            "{}:{}: {} {}: {}",
-            f.path,
-            f.line,
-            f.rule.code(),
-            f.rule.name(),
-            f.snippet
-        );
+    for f in &findings {
+        let (code, name) = (f.rule.code(), f.rule.name());
+        println!("{}:{}: {code} {name}: {}", f.path, f.line, f.snippet);
     }
-    if !failing.is_empty() {
-        println!();
-    }
-    print!("{}", report.summary_table());
-    println!(
-        "scanned {} files / {} lines — {} unsuppressed finding(s)",
-        report.files,
-        report.lines,
-        failing.len()
-    );
-    if failing.is_empty() {
+    println!("scanned {files} files — {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

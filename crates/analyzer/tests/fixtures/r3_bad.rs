@@ -1,12 +1,18 @@
-//! Known-bad fixture: R3 (panic-in-serving) must fire on `.unwrap()`,
-//! `.expect(`, `panic!` and literal slice indexing — four findings.
+//! Known-bad fixture: R3 (literal-index) must fire on the two literal slice
+//! indexes — and on neither the variable index, the array literal, the
+//! string, nor the `#[cfg(test)]` module.
 
-pub fn first(xs: &[u32]) -> u32 {
+pub fn first(xs: &[u32], i: usize) -> u32 {
     let head = xs[0];
-    let parsed: u32 = "7".parse().unwrap();
-    let picked = *xs.iter().next().expect("non-empty");
-    if head > 9 {
-        panic!("boom");
+    let pair = [xs[i], 7];
+    let _label = "xs[0] inside a string is not an index";
+    head + pair[1]
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn scratch() {
+        assert_eq!(super::first(&[3, 4], 1)[0], 7);
     }
-    head + parsed + picked
 }

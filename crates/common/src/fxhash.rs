@@ -68,10 +68,16 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` keyed with [`FxHasher`].
-// detlint:allow(nondet-iteration): alias definition site — the fixed-seed FxHasher replacing RandomState is the fix the rule points at
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: the fixed-seed FxHasher replacing RandomState is the fix the rule points at"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
-// detlint:allow(nondet-iteration): alias definition site — the fixed-seed FxHasher replacing RandomState is the fix the rule points at
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: the fixed-seed FxHasher replacing RandomState is the fix the rule points at"
+)]
 pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// Hash a single value with [`FxHasher`]; useful for content signatures.

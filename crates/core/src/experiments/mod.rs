@@ -22,7 +22,10 @@ use deepweb_common::{FxHashMap, Url};
 use deepweb_webworld::{Fetcher, World};
 
 /// Every experiment driver, as `(id, run)` in paper order.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the table's type is spelled once, here; an alias would only move it"
+)]
 pub const ALL: [(&str, fn(Scale) -> Vec<TextTable>); 13] = [
     ("e01", |s| e01_longtail::run(s).0),
     ("e02", |s| e02_urlgen::run(s).0),

@@ -6,6 +6,16 @@
 //! the paper (see DESIGN.md §5 and EXPERIMENTS.md).
 
 #![warn(missing_docs)]
+// Library code returns typed errors or degrades; it never panics
+// (DESIGN.md §17). `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod experiments;
 mod report;

@@ -19,6 +19,16 @@
 //! and [`extract_tables`].
 
 #![warn(missing_docs)]
+// Library code returns typed errors or degrades; it never panics
+// (DESIGN.md §17). `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod dom;
 mod facts;

@@ -19,6 +19,16 @@
 //! result cache and a pool over that kernel (DESIGN.md §13).
 
 #![warn(missing_docs)]
+// Library code returns typed errors or degrades; it never panics
+// (DESIGN.md §17). `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod analysis;
 mod broker;

@@ -271,6 +271,10 @@ impl SegmentedIndex {
         Arc::clone(&self.current.read())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the guard is a temporary of this one assignment: no dispatch or other lock runs under it"
+    )]
     fn publish(&self, gen: Generation) {
         *self.current.write() = Arc::new(gen);
     }

@@ -61,14 +61,13 @@ pub fn fetch_with_retries(fetcher: &dyn Fetcher, url: &Url) -> (Result<Response>
 mod tests {
     use super::*;
     use deepweb_webworld::http_error;
-    use std::cell::Cell;
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Fails the first `fail_first` fetches with `error`, then succeeds.
     struct Flaky {
         fail_first: u32,
         error: Error,
-        calls: Mutex<Cell<u32>>,
+        calls: AtomicU32,
     }
 
     impl Flaky {
@@ -80,19 +79,17 @@ mod tests {
             Flaky {
                 fail_first,
                 error,
-                calls: Mutex::new(Cell::new(0)),
+                calls: AtomicU32::new(0),
             }
         }
         fn calls(&self) -> u32 {
-            self.calls.lock().unwrap().get()
+            self.calls.load(Ordering::Relaxed)
         }
     }
 
     impl Fetcher for Flaky {
         fn fetch(&self, _url: &Url) -> Result<Response> {
-            let c = self.calls.lock().unwrap();
-            let n = c.get();
-            c.set(n + 1);
+            let n = self.calls.fetch_add(1, Ordering::Relaxed);
             if n < self.fail_first {
                 Err(self.error.clone())
             } else {

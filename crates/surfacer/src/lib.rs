@@ -11,6 +11,16 @@
 //! HTML out — structurally identical to crawling the real web.
 
 #![warn(missing_docs)]
+// Library code returns typed errors or degrades; it never panics
+// (DESIGN.md §17). `clippy.toml` exempts unit tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod correlate;
 mod fetchpolicy;

@@ -31,8 +31,11 @@ use deepweb_webworld::Fetcher;
 /// Surface-crawl depth from the seed.
 const CRAWL_DEPTH: usize = 3;
 
-/// Surface-crawl page budget.
-const CRAWL_BUDGET: usize = 3000;
+/// Surface-crawl budget per host, in URLs taken off the queue. A generated
+/// site links at most 14 pages within [`CRAWL_DEPTH`] (home, search, about,
+/// browse and up to 10 browse-listed details), so the cap binds only on a
+/// host that links far more; [`CrawlStats::capped_hosts`] counts those.
+const CRAWL_PAGES_PER_HOST: usize = 64;
 
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
@@ -165,6 +168,9 @@ pub struct CrawlStats {
     pub transient_failures: u64,
     /// Permanent failures observed during the crawl.
     pub permanent_failures: u64,
+    /// Hosts whose crawl stopped at the per-host page budget with links
+    /// still queued.
+    pub capped_hosts: u64,
 }
 
 /// Whole-run outcome.
@@ -287,13 +293,25 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url]) -> SurfaceCrawl {
     let mut background = DfTable::new();
     let prober = Prober::new(fetcher);
     let mut stats = CrawlStats::default();
+    // Unvisited URLs per host taken off the queue. Past the budget they
+    // are dropped, and the host is counted at its first drop.
+    let mut host_pages: deepweb_common::FxHashMap<String, usize> =
+        deepweb_common::FxHashMap::default();
     let mut qi = 0;
-    while qi < queue.len() && visited.len() < CRAWL_BUDGET {
+    while qi < queue.len() {
         let (url, depth) = queue[qi].clone();
         qi += 1;
-        if !visited.insert(url.to_string()) {
+        let key = url.to_string();
+        if visited.contains(&key) {
             continue;
         }
+        let taken = host_pages.entry(url.host.clone()).or_default();
+        *taken += 1;
+        if *taken > CRAWL_PAGES_PER_HOST {
+            stats.capped_hosts += u64::from(*taken == CRAWL_PAGES_PER_HOST + 1);
+            continue;
+        }
+        visited.insert(key);
         let Ok(resp) = prober.fetch_response(&url) else {
             // A host that stays down after the last retry degrades the
             // crawl (its pages are missing) but never aborts it.
@@ -348,7 +366,6 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url]) -> SurfaceCrawl {
 }
 
 /// Build slots for a form by classifying its inputs.
-#[allow(clippy::too_many_arguments)]
 fn build_slots(
     prober: &Prober<'_>,
     form: &CrawledForm,
@@ -728,6 +745,69 @@ mod tests {
                 assert_eq!(r.pages_surfaced, 0);
             }
         }
+    }
+
+    /// The crawl budget is per host, so a web past 800 sites (about 3 000
+    /// crawled pages) still reaches every site's search form.
+    #[test]
+    fn a_large_web_crawls_every_get_form() {
+        let w = generate(&WebConfig {
+            num_sites: 1000,
+            min_records: 10,
+            max_records: 20,
+            ..WebConfig::default()
+        });
+        let crawl = crawl_surface(&w.server, &[Url::new("dir.sim", "/")]);
+        assert!(crawl.stats.pages_fetched > 3000, "{:?}", crawl.stats);
+        assert_eq!(crawl.stats.capped_hosts, 0);
+        let found: FxHashSet<&str> = crawl
+            .forms
+            .iter()
+            .filter(|f| !f.post)
+            .map(|f| f.host.as_str())
+            .collect();
+        let missed: Vec<&str> = w
+            .truth
+            .sites
+            .iter()
+            .filter(|t| !t.post && !found.contains(t.host.as_str()))
+            .map(|t| t.host.as_str())
+            .collect();
+        assert!(
+            missed.is_empty(),
+            "{} GET forms missed: {missed:?}",
+            missed.len()
+        );
+    }
+
+    /// A host linking more pages than the per-host budget is crawled up to
+    /// the budget and counted once; the other hosts are crawled in full.
+    #[test]
+    fn a_host_past_the_budget_is_capped_and_counted() {
+        /// `wide.sim/` links 100 pages, `small.sim/` one.
+        struct Wide;
+        impl Fetcher for Wide {
+            fn fetch(&self, url: &Url) -> deepweb_common::Result<deepweb_webworld::Response> {
+                let links = match (url.host.as_str(), url.path.as_str()) {
+                    ("wide.sim", "/") => 100,
+                    ("small.sim", "/") => 1,
+                    _ => 0,
+                };
+                let body: String = (0..links)
+                    .map(|i| format!("<a href=\"/p{i}\">page {i}</a>"))
+                    .collect();
+                Ok(deepweb_webworld::Response {
+                    status: 200,
+                    html: format!("<html><body>{body}</body></html>"),
+                })
+            }
+        }
+        let seeds = [Url::new("wide.sim", "/"), Url::new("small.sim", "/")];
+        let crawl = crawl_surface(&Wide, &seeds);
+        assert_eq!(crawl.stats.capped_hosts, 1);
+        let wide = crawl.pages.iter().filter(|p| p.host == "wide.sim").count();
+        assert_eq!(wide, CRAWL_PAGES_PER_HOST);
+        assert_eq!(crawl.pages.len(), CRAWL_PAGES_PER_HOST + 2);
     }
 
     /// A cap of zero values per input leaves every slot without a filling:

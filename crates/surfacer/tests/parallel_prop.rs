@@ -12,8 +12,8 @@ use deepweb_surfacer::{
 use deepweb_webworld::{
     generate, http_error, FaultConfig, FaultyFetcher, Fetcher, Response, WebConfig,
 };
+use parking_lot::Mutex;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// Tight budgets so each generated web surfaces in well under a second.
 fn tiny_cfg() -> SurfacerConfig {
@@ -227,7 +227,7 @@ struct UrlCounter<F> {
 
 impl<F: Fetcher> Fetcher for UrlCounter<F> {
     fn fetch(&self, url: &Url) -> Result<Response> {
-        *self.seen.lock().unwrap().entry(url.clone()).or_default() += 1;
+        *self.seen.lock().entry(url.clone()).or_default() += 1;
         self.inner.fetch(url)
     }
 }
@@ -249,7 +249,7 @@ fn no_result_page_reaches_the_web_twice() {
             ..tiny_cfg()
         };
         crawl_and_surface(&web, &seeds, &cfg);
-        let seen = web.seen.into_inner().unwrap();
+        let seen = web.seen.into_inner();
         let results: Vec<_> = seen.iter().filter(|(u, _)| u.path == "/results").collect();
         assert!(!results.is_empty(), "workers={workers}");
         for (url, n) in results {

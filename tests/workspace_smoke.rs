@@ -92,3 +92,97 @@ fn every_crate_inherits_the_workspace_lints() {
         );
     }
 }
+
+/// The `path = ".."` entries of the `key = [ .. ]` array in a `clippy.toml`,
+/// in file order.
+fn clippy_paths(config: &str, key: &str) -> Vec<String> {
+    let start = format!("{key} = [");
+    config
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .skip_while(|line| *line != start)
+        .skip(1)
+        .take_while(|line| *line != "]")
+        .filter_map(|line| line.split("path = \"").nth(1)?.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Most determinism and panic-safety rules of DESIGN.md §17 are lint
+/// configuration, not analyzer code, so a deleted line would switch a rule
+/// off without failing anything: the root `clippy.toml` must list every
+/// disallowed path, the deepbench package's own `clippy.toml` (which drops
+/// only the clock reads) the same types, the four serving crates their
+/// panic-family `deny`, and the workspace lints table the two lints that
+/// make every allow a reasoned `#[expect]`.
+#[test]
+fn the_lint_configuration_keeps_every_rule() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let config = read("clippy.toml");
+    let types = clippy_paths(&config, "disallowed-types");
+    assert_eq!(
+        types,
+        [
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::sync::Mutex",
+            "std::sync::RwLock"
+        ],
+        "R1 and R5a"
+    );
+    assert_eq!(
+        clippy_paths(&config, "disallowed-methods"),
+        [
+            "std::time::Instant::now",
+            "std::time::SystemTime::now",
+            "parking_lot::RwLock::write"
+        ],
+        "R2 and R5b"
+    );
+    for key in [
+        "allow-unwrap-in-tests",
+        "allow-expect-in-tests",
+        "allow-panic-in-tests",
+    ] {
+        assert!(config.contains(&format!("{key} = true")), "{key}");
+    }
+
+    let bench = read("crates/bench/src/bin/clippy.toml");
+    assert_eq!(clippy_paths(&bench, "disallowed-types"), types, "deepbench");
+    assert_eq!(
+        clippy_paths(&bench, "disallowed-methods"),
+        ["parking_lot::RwLock::write"],
+        "deepbench may read the clock, nothing else"
+    );
+
+    for krate in ["index", "surfacer", "core", "html"] {
+        let lib = read(&format!("crates/{krate}/src/lib.rs"));
+        let deny = lib
+            .split("#![deny(")
+            .nth(1)
+            .and_then(|rest| rest.split(")]").next())
+            .unwrap_or_else(|| panic!("crates/{krate}/src/lib.rs has no `#![deny(..)]`"));
+        let lints: Vec<&str> = deny.split(',').map(str::trim).collect();
+        for lint in [
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::unreachable",
+            "clippy::todo",
+            "clippy::unimplemented",
+        ] {
+            assert!(lints.contains(&lint), "crates/{krate} lost `{lint}`");
+        }
+    }
+
+    let clippy = section(&read("Cargo.toml"), "workspace.lints.clippy");
+    for lint in ["allow_attributes", "allow_attributes_without_reason"] {
+        assert!(
+            clippy.contains(&(lint.to_string(), "\"warn\"".to_string())),
+            "[workspace.lints.clippy] lost {lint}: {clippy:?}"
+        );
+    }
+}
