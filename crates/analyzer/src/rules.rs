@@ -120,12 +120,26 @@ fn is_path_sep(scan: &FileScan<'_>, i: usize) -> bool {
     text(scan, i) == ":" && text(scan, i + 1) == ":"
 }
 
-/// R3: an ident, `)` or `]` followed by `[ <integer> ]`. Variable indexing
-/// is deliberately out of scope: the scoring kernels index by doc id over
-/// vectors they sized themselves.
+/// Keywords after which `[` opens an array expression or type, not an
+/// index: `for x in [1]`, `&mut [0]`, `return [0]`. `self` and `await` are
+/// left out — `self[0]` and `fut.await[0]` do index.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
+    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "static", "struct", "super", "trait", "true", "type", "unsafe", "use",
+    "where", "while", "yield",
+];
+
+/// R3: an ident (not a [`KEYWORDS`] entry), `)` or `]` followed by
+/// `[ <integer> ]`. Variable indexing is deliberately out of scope: the
+/// scoring kernels index by doc id over vectors they sized themselves.
 fn match_literal_index(scan: &FileScan<'_>, i: usize) -> Option<u32> {
     let prev = scan.toks.get(i.checked_sub(1)?)?;
-    if text(scan, i) != "[" || !(prev.kind == TokenKind::Ident || matches!(prev.text, ")" | "]")) {
+    let indexable = match prev.kind {
+        TokenKind::Ident => !KEYWORDS.contains(&prev.text),
+        _ => matches!(prev.text, ")" | "]"),
+    };
+    if text(scan, i) != "[" || !indexable {
         return None;
     }
     let idx = scan.toks.get(i + 1)?;
@@ -218,6 +232,19 @@ mod tests {
         .is_empty());
         // Text inside strings and comments never fires.
         assert!(lib_findings("fn f() { let s = \"xs[0]\"; } // ys[1]\n").is_empty());
+    }
+
+    /// A keyword before `[` starts an array, not an index expression;
+    /// `self` and `.await` still index.
+    #[test]
+    fn r3_skips_arrays_after_keywords() {
+        let arrays =
+            "fn f() -> [u8; 1] {\n    for x in [1] {}\n    h(&mut [0]);\n    return [0];\n}\n";
+        assert_eq!(lib_findings(arrays), vec![]);
+        assert_eq!(
+            lib_findings("fn f(&self) -> u8 { self[0] + g().await[1] }\n"),
+            vec![RuleId::LiteralIndex, RuleId::LiteralIndex]
+        );
     }
 
     #[test]

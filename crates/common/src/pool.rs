@@ -61,8 +61,8 @@ impl Default for ThreadPool {
 
 impl ThreadPool {
     /// A pool with `workers` threads. `0` means auto: use the machine's
-    /// available parallelism (probed once per process — the segmented tier
-    /// constructs a pool per batch, so this must not syscall every time).
+    /// available parallelism (probed once per process, so an owner may
+    /// construct a pool per call without a syscall each time).
     pub fn new(workers: usize) -> Self {
         ThreadPool {
             workers: if workers == 0 {

@@ -160,8 +160,11 @@ impl DeepWebSystem {
         drop(faulty);
         let offline_requests = world.server.total_requests();
         // Index build rides the same worker knob as the pipeline: batch the
-        // docs and let the pool shard tokenisation + postings construction
-        // (deterministic shard merge — identical output at any worker count).
+        // docs and let the pool shard tokenisation, postings construction
+        // and the block index (deterministic shard merge — identical output
+        // at any worker count), so the system serves either pruning mode
+        // without a rebuild. The index keeps the pool: the freshness tier's
+        // merges and batched reads run on it too.
         let pool = ThreadPool::new(cfg.surfacer.num_workers);
         let batch: Vec<BatchDoc> = outcome
             .docs
@@ -182,10 +185,6 @@ impl DeepWebSystem {
             use_annotations: cfg.use_annotations,
             pruning: cfg.pruning,
         };
-        // Build the block-max structures unconditionally (cheap relative to
-        // indexing): the system can then serve either pruning mode without a
-        // rebuild, and BlockMax never silently degrades to the fallback.
-        index.enable_pruning();
         // Every site's home-page fingerprint as the build saw it, so the
         // first refresh round reacts to any change after the build. Taken
         // off the healthy server, after `offline_requests` is read and

@@ -11,11 +11,7 @@ use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
 use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
-
-/// One built doc-range shard as [`SearchIndex::fold_shards`] reads it: its
-/// doc-local postings and, per doc and annotation, the value tokens as
-/// shard-local term ids — what [`build_shard`] made of its documents.
-pub(crate) type BuiltShard<'a> = (&'a Postings, &'a [Vec<Vec<TermId>>]);
+use std::borrow::Borrow;
 
 /// The facet vocabulary: each analysed value token → the facet keys it is a
 /// known value of, in first-appearance order. Keyed by token because a
@@ -61,10 +57,14 @@ pub struct SearchIndex {
     facet_keys: TermDict,
     /// Value token → the facet keys it is a known value of.
     vocabulary: FacetVocabulary,
-    /// Block-max pruning structures (DESIGN.md §14), built on demand by
-    /// [`SearchIndex::enable_pruning`] and dropped by any document added — a
-    /// stale block bound could unsafely skip, so freshness is structural.
-    pruning: Option<PruningIndex>,
+    /// The block index (DESIGN.md §14), always over every document: the
+    /// one fold that adds documents ([`SearchIndex::merged`]) extends it, so
+    /// no block bound is ever stale.
+    pruning: PruningIndex,
+    /// The pool the owner last passed to [`SearchIndex::add_batch`]: the
+    /// fold, the freshness tier's merge and its batched reads run on it, so
+    /// this crate never sizes a pool of its own (DESIGN.md §8).
+    pool: ThreadPool,
 }
 
 impl SearchIndex {
@@ -91,18 +91,22 @@ impl SearchIndex {
     /// Add a batch of documents with tokenisation and postings construction
     /// fanned out over `pool`, returning one id per batch entry (the existing
     /// id for an already-indexed URL). The one way a document enters an
-    /// index.
+    /// index. `pool` becomes the index's own: everything the index runs in
+    /// parallel from now on runs on it.
     ///
     /// The batch is deduplicated sequentially (URL identity, first occurrence
-    /// wins), split into contiguous shards of fresh documents, analysed and
-    /// indexed into per-shard postings in parallel, then folded in shard
-    /// order by the fold `SearchIndex::merged` runs — so the resulting
-    /// index is identical to the sequential loop for any worker count. The
-    /// fold copies this index's posting lists once; on an empty index it
-    /// allocates each list once, at its final length. Any document added
-    /// drops the pruning structures.
+    /// wins; each fresh URL rendered and registered once, here), split into
+    /// contiguous shards of fresh documents, analysed and indexed into
+    /// per-shard postings in parallel, then folded in shard order by the one
+    /// fold, `SearchIndex::merged` — so the resulting index, block index
+    /// included, is identical to the sequential loop for any worker count.
+    /// The fold copies this index's posting lists once; on an empty index it
+    /// allocates each list once, at its final length.
     pub fn add_batch(&mut self, pool: &ThreadPool, batch: Vec<BatchDoc>) -> Vec<DocId> {
-        // 1. Sequential dedup + id assignment in batch order.
+        self.pool = *pool;
+        // 1. Sequential dedup + id assignment in batch order, into the URL
+        // map the folded index takes over.
+        let mut by_url = std::mem::take(&mut self.by_url);
         let mut ids = Vec::with_capacity(batch.len());
         let mut fresh: Vec<BatchDoc> = Vec::new();
         let stored = self.docs.len();
@@ -112,103 +116,84 @@ impl SearchIndex {
                 Some(i) => &fresh[i].url,
                 None => &self.docs.get(id).url,
             };
-            if let Some(id) = self.by_url.get(&key, url_of) {
+            if let Some(id) = by_url.get(&key, url_of) {
                 ids.push(id);
                 continue;
             }
             let id = DocId(next_id(stored + fresh.len()));
-            self.by_url.insert(&key, id);
+            by_url.insert(&key, id);
             ids.push(id);
             fresh.push(doc);
         }
         if fresh.is_empty() {
+            self.by_url = by_url;
             return ids;
         }
-        self.pruning = None;
         // 2. Contiguous shards (≈4 per worker for load-balancing headroom),
         // each analysed into a doc-local postings shard in parallel.
         let shard_len = fresh.len().div_ceil(pool.workers().max(1) * 4).max(1);
         let built = pool.map(fresh.chunks(shard_len).collect(), |_, shard| {
             build_shard(shard)
         });
-        // 3. Deterministic fold in shard order.
-        let shards: Vec<BuiltShard<'_>> = built.iter().map(|(p, ann)| (p, &ann[..])).collect();
-        let base = std::mem::take(&mut self.postings);
-        self.fold_shards(pool, &base, &shards, fresh);
+        // 3. The one fold, in shard order; it frees the shards before its
+        // block pass.
+        *self = self.merged(by_url, built, fresh);
         ids
     }
 
-    /// The one fold of built shards into an index, in shard order, run by
-    /// [`SearchIndex::add_batch`] and [`SearchIndex::merged`]: `self`'s
-    /// postings become `base` with every shard appended, on `pool`
-    /// ([`Postings::absorbed`]), and `docs` — every shard's documents, in
-    /// order — are stored, each annotation value rewritten from shard-local
-    /// into global term ids through its shard's remap for the per-document
-    /// store/facet bookkeeping. No URL is registered here.
-    fn fold_shards(
-        &mut self,
-        pool: &ThreadPool,
-        base: &Postings,
-        shards: &[BuiltShard<'_>],
-        docs: impl IntoIterator<Item = BatchDoc>,
-    ) {
-        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0).collect();
-        let (postings, remaps) = base.absorbed(&shard_postings, pool);
-        self.postings = postings;
-        let mut docs = docs.into_iter();
-        let mut terms: Vec<TermId> = Vec::new();
-        for (&(_, shard_ann_local), remap) in shards.iter().zip(&remaps) {
-            for (ann_local, doc) in shard_ann_local.iter().zip(&mut docs) {
-                for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
-                    terms.clear();
-                    terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
-                    self.record_annotation(&ann.key, &terms);
-                }
-                self.annotations.end_doc();
-                self.docs.push(doc);
-            }
-        }
-        debug_assert_eq!(self.docs.len(), self.postings.num_docs());
-    }
-
     /// This index with `shards` and their `docs` folded in, in order, as a
-    /// new index — the freshness tier's merge (DESIGN.md §15). `self` is
-    /// only read, and what a merge does not change is shared with it or
-    /// carried over, not rebuilt: the next base shares every full docstore
-    /// chunk and every dictionary string and copies the URL map flat; each
-    /// posting list is copied once at its final length
-    /// ([`Postings::absorbed`]); the pruning structures are extended over
-    /// the new docs ([`PruningIndex::extended`]: full blocks carried over,
-    /// partial tails and new postings described, every block maximum
-    /// recomputed) and are always present on the result. Both passes run on
-    /// `pool`. The new docs' URLs are then registered in id order.
-    ///
-    /// Equal, field for field, to `add_batch` of the same documents onto a
-    /// copy of `self` followed by `enable_pruning`: the fold is
-    /// [`SearchIndex::fold_shards`], the one `add_batch` runs.
-    pub(crate) fn merged(
+    /// new index — the one fold: [`SearchIndex::add_batch`] runs it over a
+    /// batch's fresh documents, the freshness tier's merge (DESIGN.md §15)
+    /// over its pending segments. Each shard is what [`build_shard`] made of
+    /// its documents — doc-local postings and, per doc and annotation, the
+    /// value tokens as shard-local term ids — owned (a batch's) or borrowed
+    /// (a pending segment's). `self` is only read, and what a fold does
+    /// not change is shared or carried over, not rebuilt: the result shares
+    /// every full docstore chunk and every dictionary string; each posting
+    /// list is copied once at its final length ([`Postings::absorbed`]); the
+    /// block index is extended over the new docs ([`PruningIndex::extended`]:
+    /// full blocks carried over, every block maximum recomputed) once the
+    /// shards are dropped, so owned shards are freed before it. Both passes
+    /// run on the index's pool. Each annotation value of `docs` (every
+    /// shard's documents, in order) is rewritten from shard-local into global
+    /// term ids through its shard's remap for the store/facet bookkeeping.
+    /// `by_url` is the result's URL map, `docs` already registered in it by
+    /// whoever deduplicated them: no URL is rendered here. The result does
+    /// not depend on the pool.
+    pub(crate) fn merged<P: Borrow<Postings>, A: Borrow<[Vec<Vec<TermId>>]>>(
         &self,
-        pool: &ThreadPool,
-        shards: &[BuiltShard<'_>],
+        by_url: UrlMap,
+        shards: Vec<(P, A)>,
         docs: impl IntoIterator<Item = BatchDoc>,
     ) -> SearchIndex {
+        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0.borrow()).collect();
+        let (postings, remaps) = self.postings.absorbed(&shard_postings, &self.pool);
         let mut next = SearchIndex {
             docs: self.docs.clone(),
-            postings: Postings::default(),
-            by_url: self.by_url.clone(),
+            pruning: PruningIndex::default(),
+            postings,
+            by_url,
             annotations: self.annotations.clone(),
             facet_keys: self.facet_keys.clone(),
             vocabulary: self.vocabulary.clone(),
-            pruning: None,
+            pool: self.pool,
         };
-        next.fold_shards(pool, &self.postings, shards, docs);
-        for id in (self.len()..next.len()).map(|i| DocId(next_id(i))) {
-            next.by_url.insert(&next.docs.get(id).url.key(), id);
+        let mut docs = docs.into_iter();
+        let mut terms: Vec<TermId> = Vec::new();
+        for ((_, shard_ann_local), remap) in shards.iter().zip(&remaps) {
+            for (ann_local, doc) in shard_ann_local.borrow().iter().zip(&mut docs) {
+                for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
+                    terms.clear();
+                    terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
+                    next.record_annotation(&ann.key, &terms);
+                }
+                next.annotations.end_doc();
+                next.docs.push(doc);
+            }
         }
-        next.pruning = Some(match &self.pruning {
-            Some(sealed) => sealed.extended(&next, pool),
-            None => PruningIndex::build(&next),
-        });
+        debug_assert_eq!(next.docs.len(), next.postings.num_docs());
+        drop(shards);
+        next.pruning = self.pruning.extended(&next.postings, &self.pool);
         next
     }
 
@@ -220,9 +205,9 @@ impl SearchIndex {
     /// (lowercase, punctuation-split, stopwords dropped), so mixed-case or
     /// punctuated vocabulary still matches analysed query terms.
     ///
-    /// The pruning structures stay: a term interned here owns no postings
-    /// (so no blocks) and moves no df. The annotation bound counts per-doc
-    /// annotations only, so it does not move either.
+    /// The block index stays as it is: a term interned here owns no
+    /// postings (so no blocks) and moves no df. The annotation bound counts
+    /// per-doc annotations only, so it does not move either.
     pub fn add_facet_values<I: IntoIterator<Item = String>>(&mut self, key: &str, values: I) {
         let key = self.intern_facet_key(key);
         for v in values {
@@ -242,6 +227,11 @@ impl SearchIndex {
         self.by_url.get(rendered_url, |id| &self.docs.get(id).url)
     }
 
+    /// Rendered URL → doc id over every document.
+    pub(crate) fn url_map(&self) -> &UrlMap {
+        &self.by_url
+    }
+
     /// Document metadata store.
     pub fn docs(&self) -> &DocStore {
         &self.docs
@@ -257,22 +247,26 @@ impl SearchIndex {
         &self.postings
     }
 
-    /// Build the block-max pruning structures over the current contents
-    /// (idempotent; cheap relative to indexing). Until this runs — or after
-    /// a document added later drops the structures —
-    /// [`PruningMode::BlockMax`] queries fall back to exhaustive scoring,
-    /// which returns the same bytes.
-    ///
-    /// [`PruningMode::BlockMax`]: crate::searcher::PruningMode::BlockMax
-    pub fn enable_pruning(&mut self) {
-        if self.pruning.is_none() {
-            self.pruning = Some(PruningIndex::build(self));
-        }
+    /// Does nothing: the block index is always current, built by the fold
+    /// that adds documents. Kept only for the benchmark package's build
+    /// steps; goes when they drop it (ROADMAP).
+    pub fn enable_pruning(&mut self) {}
+
+    /// The block index, always `Some`. The `Option` is kept only for the
+    /// benchmark package, which reads it as one; goes when it does
+    /// (ROADMAP).
+    pub fn pruning(&self) -> Option<&PruningIndex> {
+        Some(&self.pruning)
     }
 
-    /// The pruning structures, when built and current.
-    pub fn pruning(&self) -> Option<&PruningIndex> {
-        self.pruning.as_ref()
+    /// The block index over every document (DESIGN.md §14).
+    pub(crate) fn block_index(&self) -> &PruningIndex {
+        &self.pruning
+    }
+
+    /// The pool the owner last passed to [`SearchIndex::add_batch`].
+    pub(crate) fn pool(&self) -> ThreadPool {
+        self.pool
     }
 
     /// This index as a [`SearchService`](crate::service::SearchService): the
@@ -385,6 +379,7 @@ impl SearchIndex {
     /// compares through `Debug`, which prints every private field of
     /// `Postings`, `BlockPostings` (`term_start`, each block
     /// with its `max_contrib` at round-trip precision) and `PruningIndex`.
+    /// The pool is not compared: it never changes what a fold makes.
     pub(crate) fn assert_same_as(&self, want: &SearchIndex, ctx: &str) {
         let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");
         assert_eq!(dbg(&self.postings), dbg(&want.postings), "{ctx}: postings");
@@ -403,11 +398,9 @@ impl SearchIndex {
         );
         assert_eq!(self.vocabulary, want.vocabulary, "{ctx}: vocabulary");
         assert_eq!(dbg(&self.pruning), dbg(&want.pruning), "{ctx}: pruning");
-        let (Some(got), Some(want)) = (self.pruning(), want.pruning()) else {
-            panic!("{ctx}: both sides carry pruning structures");
-        };
         for (id, term) in self.postings.dict().iter() {
-            let (a, b) = (got.blocks().term_blocks(id), want.blocks().term_blocks(id));
+            let (a, b) = (self.pruning.blocks(), want.pruning.blocks());
+            let (a, b) = (a.term_blocks(id), b.term_blocks(id));
             assert_eq!(a, b, "{ctx}: blocks of {term:?}");
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(
@@ -510,11 +503,9 @@ mod tests {
     /// One way in, field for field: a document sequence (repeated URLs,
     /// annotations whose value tokens later turn up as body terms) cut into
     /// runs any way, each run entering one document per `add_batch` or by
-    /// one `add_batch` at 1 or 3 workers, then `enable_pruning`, equals one
-    /// `add_batch` of
-    /// the whole sequence plus `enable_pruning` — postings, docstore,
-    /// `by_url`, both dictionaries, facet values, the annotation column and
-    /// its bound (a brute-force max over docs: an empty value and one of 65
+    /// one `add_batch` at 1 or 3 workers, equals one `add_batch` of the
+    /// whole sequence — postings, docstore, `by_url`, both dictionaries,
+    /// facet values, the annotation column and its bound (a brute-force max over docs: an empty value and one of 65
     /// tokens do not count), every block — and hands back the same ids.
     #[test]
     fn add_batch_in_any_split_equals_one_batch() {
@@ -542,7 +533,6 @@ mod tests {
             .collect();
         let mut want = SearchIndex::new();
         let want_ids = want.add_batch(&ThreadPool::new(1), docs.clone());
-        want.enable_pruning();
         let bound = want.annotation_column().boost_bound();
         assert_eq!(bound, 4.0 * crate::searcher::ANNOTATION_BOOST);
         let splits: Vec<Vec<usize>> = vec![
@@ -571,7 +561,6 @@ mod tests {
                             ids.extend(got.add_batch(&pool, run_docs));
                         }
                     }
-                    got.enable_pruning();
                     let ctx = format!("cuts={cuts:?} workers={workers} one first={first_by_one}");
                     assert_eq!(ids, want_ids, "{ctx}");
                     got.assert_same_as(&want, &ctx);

@@ -18,8 +18,9 @@
 //! walk, so each list is allocated once at its final length.
 //! `BlockPostings::extended` carries every full block of the index it
 //! extends over as is and describes only the partial tails and the new
-//! postings — [`BlockPostings::build`] is that extension from the empty
-//! index, so blocks are made in one place. Both run on a pool, per term.
+//! postings; an index's first blocks are that extension from the empty
+//! index, so blocks are made in one place. Both run on the index's pool,
+//! per term.
 
 use crate::view::{doc_bound, next_id};
 use deepweb_common::ids::{DocId, TermId};
@@ -465,14 +466,6 @@ pub struct BlockPostings {
 }
 
 impl BlockPostings {
-    /// Build blocks over every term of `postings`, their stored
-    /// `max_contrib` exact at the default BM25 parameters
-    /// (`PostingBlock::max_contrib`). This is `BlockPostings::extended`
-    /// from the empty index.
-    pub fn build(postings: &Postings, block_size: usize) -> Self {
-        Self::empty(block_size).extended(postings, &ThreadPool::new(0))
-    }
-
     /// The block index of no postings, for [`BlockPostings::extended`] to
     /// start from.
     pub(crate) fn empty(block_size: usize) -> Self {
@@ -771,11 +764,17 @@ mod tests {
         p
     }
 
+    /// The block index over `postings`, `block_size` postings a block: the
+    /// extension of the empty one.
+    fn blocks_of(postings: &Postings, block_size: usize) -> BlockPostings {
+        BlockPostings::empty(block_size).extended(postings, &ThreadPool::new(1))
+    }
+
     #[test]
     fn block_roundtrip_is_exact_for_every_term() {
         let p = block_corpus();
         for block_size in [1usize, 3, 64, 1000] {
-            let bp = BlockPostings::build(&p, block_size);
+            let bp = blocks_of(&p, block_size);
             for t in 0..p.num_terms() {
                 let id = TermId(t as u32);
                 let raw = p.postings_id(id);
@@ -795,7 +794,7 @@ mod tests {
     #[test]
     fn block_max_dominates_every_contribution() {
         let p = block_corpus();
-        let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE);
+        let bp = blocks_of(&p, POSTINGS_BLOCK_SIZE);
         let avg_len = p.avg_doc_len().max(1.0);
         let mut saw_exact = 0usize;
         for t in 0..p.num_terms() {
@@ -833,7 +832,7 @@ mod tests {
     #[test]
     fn meta_bytes_are_sixteen_per_block_plus_term_offsets() {
         let p = block_corpus();
-        let bp = BlockPostings::build(&p, POSTINGS_BLOCK_SIZE);
+        let bp = blocks_of(&p, POSTINGS_BLOCK_SIZE);
         assert!(bp.num_blocks() > p.num_terms());
         assert_eq!(
             bp.meta_bytes(),
@@ -864,8 +863,8 @@ mod tests {
             .collect();
         let (absorbed, _) =
             Postings::new().absorbed(&builds.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
-        let a = BlockPostings::build(&sequential, 8);
-        let b = BlockPostings::build(&absorbed, 8);
+        let a = blocks_of(&sequential, 8);
+        let b = blocks_of(&absorbed, 8);
         for t in 0..sequential.num_terms() {
             let id = TermId(t as u32);
             assert_eq!(a.term_blocks(id), b.term_blocks(id), "term {t}");
@@ -955,7 +954,7 @@ mod tests {
                     postings.intern_term(&format!("annotation-only-{si}-{i}"));
                 }
                 extended = extended.extended(&postings, &ThreadPool::new(2));
-                let rebuilt = BlockPostings::build(&postings, block_size);
+                let rebuilt = blocks_of(&postings, block_size);
                 proptest::prop_assert_eq!(format!("{extended:?}"), format!("{rebuilt:?}"));
             }
         }
@@ -1025,7 +1024,7 @@ mod tests {
     fn unbuilt_and_postingless_terms_own_no_blocks() {
         let mut p = Postings::new();
         p.add_document(DocId(0), ["alpha"]);
-        let bp = BlockPostings::build(&p, 64);
+        let bp = blocks_of(&p, 64);
         // Interned after the build: out of range, empty.
         let late = p.intern_term("late");
         assert!(bp.term_blocks(late).is_empty());
@@ -1033,11 +1032,11 @@ mod tests {
         let mut q = Postings::new();
         q.add_document(DocId(0), ["alpha"]);
         let ann = q.intern_term("annotation-only");
-        let bq = BlockPostings::build(&q, 64);
+        let bq = blocks_of(&q, 64);
         assert!(bq.term_blocks(ann).is_empty());
         assert_eq!(bq.term_blocks(TermId(0)).len(), 1);
         // An empty postings builds an empty (but valid) structure.
-        let be = BlockPostings::build(&Postings::new(), 64);
+        let be = blocks_of(&Postings::new(), 64);
         assert_eq!(be.num_blocks(), 0);
         assert!(be.term_blocks(TermId(0)).is_empty());
     }

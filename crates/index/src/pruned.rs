@@ -49,9 +49,8 @@
 //!   kernel) or in first-touch order (the exhaustive fold) keeps the same k
 //!   entries bit-for-bit.
 
-use crate::index::SearchIndex;
 use crate::postings::{
-    bm25_contribution, BlockPostings, Posting, PostingBlock, POSTINGS_BLOCK_SIZE,
+    bm25_contribution, BlockPostings, Posting, PostingBlock, Postings, POSTINGS_BLOCK_SIZE,
 };
 use crate::searcher::{
     admit, annotation_boost, drain_heap_topk, HeapEntry, Hit, QueryScratch, SearchOptions,
@@ -99,42 +98,36 @@ impl Bounds {
     }
 }
 
-/// The serving-side pruning structures built over a finished index: the
-/// block index. Built once by [`SearchIndex::enable_pruning`]; a document
-/// added later drops it (stale bounds could unsafely skip). The freshness
-/// tier's merge instead *extends* the sealed base's structures over the
-/// docs it folds in (`PruningIndex::extended`). The annotation bound lives
-/// with the annotations, in each part's `AnnotationColumn`.
-///
-/// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
+/// The serving-side pruning structures of an index: the block index, its
+/// blocks `POSTINGS_BLOCK_SIZE` postings each, bounded at the default BM25
+/// parameters. Every index carries one over all its documents: the fold
+/// that adds documents (`SearchIndex::merged`, for a batch and for the
+/// freshness tier's merge alike) *extends* it over the docs it folds in
+/// (`PruningIndex::extended`), so no block bound is ever stale. The
+/// annotation bound lives with the annotations, in each part's
+/// `AnnotationColumn`.
 #[derive(Clone, Debug)]
 pub struct PruningIndex {
     blocks: BlockPostings,
 }
 
-impl PruningIndex {
-    /// Build the block index (with `POSTINGS_BLOCK_SIZE`-posting blocks
-    /// bounded at the default BM25 parameters): `PruningIndex::extended`
-    /// from the structures of the empty index, on the machine's cores.
-    pub fn build(index: &SearchIndex) -> Self {
-        Self::empty(POSTINGS_BLOCK_SIZE).extended(index, &ThreadPool::new(0))
-    }
-
-    /// The structures of the empty index, its blocks `block_size` postings
-    /// each (tests build other sizes: the kernel serves what it is handed).
-    fn empty(block_size: usize) -> Self {
+impl Default for PruningIndex {
+    /// The structures of the empty index.
+    fn default() -> Self {
         PruningIndex {
-            blocks: BlockPostings::empty(block_size),
+            blocks: BlockPostings::empty(POSTINGS_BLOCK_SIZE),
         }
     }
+}
 
-    /// The structures over all of `index`, given `self` over its first
-    /// `self.blocks.docs` documents — equal to [`PruningIndex::build`] of
-    /// `index`, at the cost of what was appended ([`BlockPostings::extended`])
-    /// plus one pass of exact block maxima, both run on `pool`.
-    pub(crate) fn extended(&self, index: &SearchIndex, pool: &ThreadPool) -> Self {
+impl PruningIndex {
+    /// The structures over all of `postings`, given `self` over its first
+    /// `self.blocks.docs` documents — equal to extending the empty index's,
+    /// at the cost of what was appended ([`BlockPostings::extended`]) plus
+    /// one pass of exact block maxima, both run on `pool`.
+    pub(crate) fn extended(&self, postings: &Postings, pool: &ThreadPool) -> Self {
         PruningIndex {
-            blocks: self.blocks.extended(index.postings(), pool),
+            blocks: self.blocks.extended(postings, pool),
         }
     }
 
@@ -499,8 +492,18 @@ pub(crate) fn pruned_topk(
 mod tests {
     use super::*;
     use crate::docstore::{Annotation, BatchDoc, DocKind};
+    use crate::index::SearchIndex;
     use crate::searcher::{search, search_windowed, top_k, PruningMode};
     use deepweb_common::{ThreadPool, Url};
+
+    /// The block index of `idx`, its blocks `block_size` postings each: the
+    /// kernel serves whatever block index it is handed.
+    fn blocks_of(idx: &SearchIndex, block_size: usize) -> PruningIndex {
+        let empty = PruningIndex {
+            blocks: BlockPostings::empty(block_size),
+        };
+        empty.extended(idx.postings(), &ThreadPool::new(2))
+    }
 
     /// [`search`] through the windowed kernel whatever the query reads: the
     /// corpora here sit below [`MAX_FOLDED_POSTINGS`], where [`top_k`]
@@ -550,7 +553,6 @@ mod tests {
             ));
         }
         idx.add_batch(&ThreadPool::new(1), docs);
-        idx.enable_pruning();
         idx
     }
 
@@ -619,7 +621,7 @@ mod tests {
         let view = IndexView::sealed(&idx);
         let mut scratch = QueryScratch::new();
         for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
-            let pr = PruningIndex::empty(block_size).extended(&idx, &ThreadPool::new(2));
+            let pr = blocks_of(&idx, block_size);
             let common = idx.postings().term_id("common").unwrap();
             assert_eq!(
                 pr.blocks().term_blocks(common).len(),
@@ -647,41 +649,54 @@ mod tests {
         }
     }
 
+    /// A batch added to a built index — a new doc naming known and new
+    /// terms, and a repeated URL — leaves a block index over every doc,
+    /// equal to a one-batch build's, and the windowed kernel over it returns
+    /// the exhaustive fold's bytes, the late doc among them.
     #[test]
-    fn blockmax_without_built_index_falls_back_to_exhaustive() {
+    fn a_late_batch_extends_the_block_index_and_blockmax_equals_exhaustive() {
         let mut idx = build(50);
-        // Mutating the index drops the pruning structures.
         let late = BatchDoc::page(
             Url::new("late.sim", "/new"),
             "",
             "honda listing late addition",
         );
-        idx.add_batch(&ThreadPool::new(1), vec![late]);
-        assert!(idx.pruning().is_none(), "mutation must invalidate");
+        let again = idx.doc(DocId(3)).clone();
+        idx.add_batch(&ThreadPool::new(3), vec![late, again]);
+        assert_eq!(idx.len(), 51);
+        let mut once = SearchIndex::new();
+        once.add_batch(&ThreadPool::new(1), idx.docs().iter().cloned().collect());
+        idx.assert_same_as(&once, "late batch");
+        let late_term = idx.postings().term_id("late").unwrap();
+        assert_eq!(idx.block_index().blocks().term_blocks(late_term).len(), 1);
         let pruned = SearchOptions {
             pruning: PruningMode::BlockMax,
             ..Default::default()
         };
         let mut scratch = QueryScratch::new();
-        for q in QUERIES {
+        for q in QUERIES.iter().chain(&["late addition", "honda late"]) {
             assert_eq!(
                 windowed(&idx, q, 10, pruned, &mut scratch),
                 search(&idx, q, 10, SearchOptions::default()),
                 "q={q:?}"
             );
         }
+        let hits = windowed(&idx, "late addition", 1, pruned, &mut scratch);
+        assert_eq!(hits[0].doc, DocId(50));
     }
 
-    /// Facet vocabulary added after `enable_pruning` — a known key, a new
-    /// key, a value token that is a new term — moves no block maximum, no
-    /// idf and no annotation bound, so the block index stays and the pruned
-    /// kernel keeps serving the exhaustive bytes, conflict penalty included.
+    /// Facet vocabulary added to a built index — a known key, a new key, a
+    /// value token that is a new term — moves no block maximum, no idf and
+    /// no annotation bound, so the block index stays as it is and the
+    /// pruned kernel keeps serving the exhaustive bytes, conflict penalty
+    /// included.
     #[test]
     fn facet_values_added_after_pruning_keep_the_block_index() {
         let mut idx = build(300);
+        let blocks = format!("{:?}", idx.block_index());
         idx.add_facet_values("make", ["Tesla".to_string(), "honda".to_string()]);
         idx.add_facet_values("colour", ["red".to_string()]);
-        assert!(idx.pruning().is_some());
+        assert_eq!(format!("{:?}", idx.block_index()), blocks);
         let tesla = idx.postings().term_id("tesla").unwrap();
         assert!(idx.postings().postings_id(tesla).is_empty());
         let queries = QUERIES
@@ -801,7 +816,6 @@ mod tests {
             docs.push(BatchDoc::page(url, "", &words.join(" ")));
         }
         idx.add_batch(&ThreadPool::new(1), docs);
-        idx.enable_pruning();
         idx
     }
 
@@ -922,7 +936,6 @@ mod tests {
         let index_of = |docs: Vec<BatchDoc>| {
             let mut idx = SearchIndex::new();
             idx.add_batch(&deepweb_common::ThreadPool::new(1), docs);
-            idx.enable_pruning();
             idx
         };
         let sealed = index_of(tiered(0..n));
@@ -1112,7 +1125,7 @@ mod tests {
             repeated.extend(sigs[2].first());
             sigs.push(repeated);
             for block_size in [1usize, 3, POSTINGS_BLOCK_SIZE, 1000] {
-                let pr = PruningIndex::empty(block_size).extended(&idx, &ThreadPool::new(2));
+                let pr = blocks_of(&idx, block_size);
                 for use_annotations in [false, true] {
                     let opts = SearchOptions {
                         use_annotations,

@@ -62,10 +62,9 @@ pub enum PruningMode {
     /// of 256 docs) runs windowed block-max MaxScore steered by the block
     /// index, skipping doc regions, terms and candidates whose guarded score
     /// upper bound cannot reach the running top-k threshold; a shorter one
-    /// is folded exhaustively, which is cheaper there. Also folds when the
-    /// index has no block index built ([`SearchIndex::enable_pruning`]).
-    ///
-    /// [`SearchIndex::enable_pruning`]: crate::index::SearchIndex::enable_pruning
+    /// is folded exhaustively, which is cheaper there. Every index carries
+    /// a block index over all its documents (the fold that adds them
+    /// extends it), so the windowed kernel never lacks one.
     BlockMax,
 }
 
@@ -431,11 +430,14 @@ pub(crate) fn top_k(
 }
 
 /// The branch [`top_k`] takes above the cutoff, whatever the query reads: a
-/// composition over a base with pruning structures. Block-max scores the
+/// composition over the base and its block index, which covers every base
+/// doc whatever is pending (segments move the statistics a stored
+/// `max_contrib` was computed under, never a block's `(max_tf, min_dl)`, so
+/// the kernel re-bounds the base from that pair). Block-max scores the
 /// base's docs, the fold scores any segment docs, and [`merge_topk`] joins
 /// the two lists — a doc's postings for every query term lie on one side of
-/// that cut, so both lists are exact. Without pruning structures it folds
-/// everything. The windowed kernel's own tests come in here.
+/// that cut, so both lists are exact. The windowed kernel's own tests come
+/// in here.
 pub(crate) fn windowed_top_k(
     view: &IndexView<'_>,
     sig: &[TermId],
@@ -446,10 +448,8 @@ pub(crate) fn windowed_top_k(
     let Some(opts) = prepare(view, sig, k, opts, scratch) else {
         return Vec::new();
     };
-    let Some(pr) = view.pruning() else {
-        return fold(view, sig, k, opts, false, scratch);
-    };
-    let base = crate::pruned::pruned_topk(view, pr, sig, k, opts, scratch);
+    let blocks = view.base.block_index();
+    let base = crate::pruned::pruned_topk(view, blocks, sig, k, opts, scratch);
     if view.segments.is_empty() {
         return base;
     }
@@ -796,9 +796,7 @@ mod tests {
             let url = Url::new("g.sim", format!("/{i}"));
             BatchDoc::surfaced(url, "", &(text + " listing"), &[("make", make)])
         });
-        let mut idx = index_of(docs.collect());
-        idx.enable_pruning();
-        idx
+        index_of(docs.collect())
     }
 
     /// `annotations_read` counts the docs whose annotations the last query

@@ -49,7 +49,8 @@
 //! statistics, folds the segments' few hundred docs, and merges the two
 //! exact lists under the one hit order.
 //! Segments get no block index (it would tax every `apply`), and
-//! [`SegmentedIndex::merge`] extends the base's over the folded docs,
+//! [`SegmentedIndex::merge`] runs the fold every index grows by
+//! (`SearchIndex::merged`), which extends the base's over the folded docs,
 //! recomputing every block's maximum so the stored maxima are exact again.
 //!
 //! ## What a merge costs
@@ -60,19 +61,21 @@
 //! or carried over as is (the block index's full blocks — the
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
 //! copied once at its final length; only the delta is analysed, remapped or
-//! described by new blocks. What still scales with the base is that one copy
-//! of the raw lists and the exact-maxima pass over them (both on a pool),
-//! plus flat copies of the URL map and the annotation column.
+//! described by new blocks; the pending URLs enter the URL map as the
+//! hashes `apply` filed them under, not rendered again. What still scales
+//! with the base is that one copy of the raw lists and the exact-maxima pass
+//! over them (both on the base's pool, the one its owner passed to
+//! `add_batch`), plus flat copies of the URL map and the annotation column.
 
 use crate::docstore::{AnnotationColumn, BatchDoc};
-use crate::index::{build_shard, BuiltShard, FacetVocabulary, SearchIndex};
+use crate::index::{build_shard, FacetVocabulary, SearchIndex};
 use crate::postings::Postings;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
 use crate::urls::UrlMap;
 use crate::view::{doc_bound, next_id, IndexView};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
-use deepweb_common::{FxHashMap, ThreadPool, Url};
+use deepweb_common::{FxHashMap, Url};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -206,15 +209,18 @@ impl Generation {
         self.url_id(&self.overlay, &url.key(), &[]).is_some()
     }
 
+    /// The pending document `id` (one past the base), from its segment.
+    fn pending_doc(&self, id: DocId) -> &BatchDoc {
+        let seg = &self.segments[self.segments.partition_point(|s| s.base_doc <= id.0) - 1];
+        &seg.docs[(id.0 - seg.base_doc) as usize]
+    }
+
     /// The id of a rendered URL in the base or, through `overlay` (this
     /// generation's or one growing from it), in a segment or in `fresh`.
     fn url_id(&self, overlay: &Overlay, key: &str, fresh: &[BatchDoc]) -> Option<DocId> {
         let url_of = |id: DocId| match id.as_usize().checked_sub(self.overlay.num_docs) {
             Some(i) => &fresh[i].url,
-            None => {
-                let seg = &self.segments[self.segments.partition_point(|s| s.base_doc <= id.0) - 1];
-                &seg.docs[(id.0 - seg.base_doc) as usize].url
-            }
+            None => &self.pending_doc(id).url,
         };
         let base = self.base.url_id(key);
         base.or_else(|| overlay.urls.get(key, url_of))
@@ -372,9 +378,10 @@ impl SegmentedIndex {
     /// background merge. The fold is computed entirely off the read lock
     /// (readers keep serving the old generation from their snapshots) and
     /// published with one pointer swap. The next base is built from the
-    /// sealed one, sharing what no merge changes (`SearchIndex::merged`,
-    /// module docs); its pruning structures are the sealed base's extended
-    /// over the folded docs, every stored block maximum exact again.
+    /// sealed one by the fold `add_batch` runs (`SearchIndex::merged`, on
+    /// the base's pool), sharing what no merge changes (module docs); its
+    /// block index is the sealed base's extended over the folded docs, every
+    /// stored block maximum exact again.
     ///
     /// Returns the number of documents folded out of segments (0 = nothing
     /// to merge).
@@ -385,13 +392,15 @@ impl SegmentedIndex {
             return 0;
         }
         let folded = gen.pending_docs();
-        let shards: Vec<BuiltShard<'_>> = gen
+        let shards: Vec<_> = gen
             .segments
             .iter()
             .map(|seg| (&seg.postings, &seg.ann_local[..]))
             .collect();
         let docs = gen.segments.iter().flat_map(|seg| seg.docs.iter().cloned());
-        let merged = gen.base.merged(&ThreadPool::new(0), &shards, docs);
+        let mut by_url = gen.base.url_map().clone();
+        by_url.absorb(&gen.overlay.urls, |id| &gen.pending_doc(id).url);
+        let merged = gen.base.merged(by_url, shards, docs);
         self.publish(Generation::from_base(Arc::new(merged)));
         folded
     }
@@ -427,12 +436,13 @@ impl SearchService for SegmentedSearcher<'_> {
 
     /// The tier's one batched read: one snapshot for the whole batch (a
     /// mid-batch apply or merge must not split it across generations),
-    /// served over the machine's cores with one scratch per worker —
+    /// served over the base's pool with one scratch per worker —
     /// byte-identical to serving each query against that snapshot.
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         let gen = self.index.snapshot();
         let view = gen.view();
-        ThreadPool::new(0).map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
+        let pool = gen.base.pool();
+        pool.map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
             search_view(&view, &queries[qi], k, self.opts, scratch)
         })
     }
@@ -445,7 +455,7 @@ mod tests {
     use crate::postings::{bm25_contribution, Posting};
     use crate::searcher::{search, search_windowed, PruningMode, ANNOTATION_BOOST};
     use deepweb_common::ids::SiteId;
-    use deepweb_common::Url;
+    use deepweb_common::{ThreadPool, Url};
 
     fn doc(host: &str, path: &str, title: &str, text: &str, anns: &[(&str, &str)]) -> BatchDoc {
         BatchDoc {
@@ -506,17 +516,13 @@ mod tests {
     fn build_base(docs: &[BatchDoc]) -> SearchIndex {
         let mut idx = SearchIndex::new();
         idx.add_batch(&ThreadPool::new(2), docs.to_vec());
-        idx.enable_pruning();
         idx
     }
 
     fn rebuild(base: &[BatchDoc], delta: &[BatchDoc]) -> SearchIndex {
-        let mut idx = SearchIndex::new();
         let mut all = base.to_vec();
         all.extend(delta.iter().cloned());
-        idx.add_batch(&ThreadPool::new(2), all);
-        idx.enable_pruning();
-        idx
+        build_base(&all)
     }
 
     const QUERIES: &[&str] = &[
@@ -707,7 +713,7 @@ mod tests {
             // contribution exceeds the block's stored maximum.
             let tee = view.term_id("tee").unwrap();
             let (idf, avg_len) = (view.idf(tee), view.avg_doc_len());
-            let blocks = gen.base().pruning().unwrap().blocks();
+            let blocks = gen.base().block_index().blocks();
             assert!(blocks.term_blocks(tee).len() >= 4);
             let list = gen.base().postings().postings_id(tee);
             for (j, block) in blocks.term_blocks(tee).iter().enumerate() {
@@ -830,20 +836,14 @@ mod tests {
     /// merge carries over: terms crossing several 64-posting blocks, partial
     /// tails, terms and facet keys no earlier doc used, annotation-only
     /// terms, duplicate URLs, a base past one docstore chunk. After every
-    /// `merge()` the base equals a from-scratch `add_batch` +
-    /// `enable_pruning` over the same docs **field for field** — raw lists,
-    /// every block and its exact maximum, `by_url`, both dictionaries — and
-    /// holds no slack. After every apply and every merge, every indexed URL
-    /// resolves to its doc id, and one never indexed does not.
+    /// `merge()` the base equals a from-scratch `add_batch` over the same
+    /// docs **field for field** — raw lists, every block and its exact
+    /// maximum, `by_url`, both dictionaries — and holds no slack. After every
+    /// apply and every merge, every indexed URL resolves to its doc id, and
+    /// one never indexed does not. The sequence runs on bases built at 1 and
+    /// at 3 workers, whose pools every merge then runs on.
     #[test]
     fn every_merge_of_a_random_sequence_equals_a_rebuild_field_for_field() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut below = move |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
         let make = |i: usize, below: &mut dyn FnMut(usize) -> usize| {
             let mut words = vec!["shared".to_string()];
             for _ in 0..below(6) {
@@ -883,54 +883,69 @@ mod tests {
             let never = Url::new("r.sim", "/never");
             assert!(!gen.contains_url(&never) && base.url_id(&never.key()).is_none());
         };
-        let base_len = crate::docstore::CHUNK_DOCS + 300;
-        let mut all: Vec<BatchDoc> = (0..base_len).map(|i| make(i, &mut below)).collect();
-        let seg = SegmentedIndex::new(rebuild(&all, &[]));
-        assert!(
-            seg.num_docs() > crate::docstore::CHUNK_DOCS,
-            "doc 0 sits in a full chunk"
-        );
-        let mut merges = 0;
-        for step in 0..24 {
-            if below(3) == 0 {
-                let before = seg.snapshot();
-                if seg.merge() == 0 {
-                    continue;
+        for workers in [1, 3] {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut below = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let base_len = crate::docstore::CHUNK_DOCS + 300;
+            let mut all: Vec<BatchDoc> = (0..base_len).map(|i| make(i, &mut below)).collect();
+            let mut base = SearchIndex::new();
+            base.add_batch(&ThreadPool::new(workers), all.clone());
+            let seg = SegmentedIndex::new(base);
+            assert!(
+                seg.num_docs() > crate::docstore::CHUNK_DOCS,
+                "doc 0 sits in a full chunk"
+            );
+            let mut merges = 0;
+            for step in 0..24 {
+                if below(3) == 0 {
+                    let before = seg.snapshot();
+                    if seg.merge() == 0 {
+                        continue;
+                    }
+                    merges += 1;
+                    let after = seg.snapshot();
+                    let ctx = format!("workers {workers}, step {step}, {} docs", after.num_docs());
+                    after.base().assert_same_as(&rebuild(&all, &[]), &ctx);
+                    resolves(&after, &ctx);
+                    let postings = after.base().postings();
+                    assert_eq!(
+                        postings.list_bytes(),
+                        postings.num_postings() * std::mem::size_of::<Posting>(),
+                        "{ctx}: a merged list is allocated at its final length"
+                    );
+                    // No base document was copied: a doc in a full chunk is the
+                    // same allocation in both generations.
+                    let first = DocId(0);
+                    assert!(std::ptr::eq(
+                        before.base().doc(first),
+                        after.base().doc(first)
+                    ));
+                } else {
+                    let batch: Vec<BatchDoc> = (0..below(90))
+                        .map(|j| make(all.len() + j, &mut below))
+                        .collect();
+                    all.extend(batch.iter().cloned());
+                    seg.apply(batch);
+                    let gen = seg.snapshot();
+                    let bound = gen.view().annotation_bound();
+                    assert_eq!(
+                        bound,
+                        brute_view_bound(&gen.view()),
+                        "workers {workers}, step {step}"
+                    );
+                    resolves(&gen, &format!("workers {workers}, step {step}, pending"));
                 }
-                merges += 1;
-                let after = seg.snapshot();
-                let ctx = format!("step {step}, {} docs", after.num_docs());
-                after.base().assert_same_as(&rebuild(&all, &[]), &ctx);
-                resolves(&after, &ctx);
-                let postings = after.base().postings();
-                assert_eq!(
-                    postings.list_bytes(),
-                    postings.num_postings() * std::mem::size_of::<Posting>(),
-                    "{ctx}: a merged list is allocated at its final length"
-                );
-                // No base document was copied: a doc in a full chunk is the
-                // same allocation in both generations.
-                let first = DocId(0);
-                assert!(std::ptr::eq(
-                    before.base().doc(first),
-                    after.base().doc(first)
-                ));
-            } else {
-                let batch: Vec<BatchDoc> = (0..below(90))
-                    .map(|j| make(all.len() + j, &mut below))
-                    .collect();
-                all.extend(batch.iter().cloned());
-                seg.apply(batch);
-                let gen = seg.snapshot();
-                let bound = gen.view().annotation_bound();
-                assert_eq!(bound, brute_view_bound(&gen.view()), "step {step}");
-                resolves(&gen, &format!("step {step}, pending"));
             }
+            assert!(
+                merges >= 3,
+                "the sequence must merge pending docs: {merges}"
+            );
         }
-        assert!(
-            merges >= 3,
-            "the sequence must merge pending docs: {merges}"
-        );
     }
 
     #[test]

@@ -44,6 +44,21 @@ impl UrlMap {
             self.spill.insert(key.into(), id);
         }
     }
+
+    /// Take in `later`, the map of docs after all of this one's, as if each
+    /// of its URLs were inserted here in id order. Only a URL whose hash this
+    /// map holds already is rendered again (`url` resolves a doc of `later`).
+    pub(crate) fn absorb<'a>(&mut self, later: &UrlMap, url: impl Fn(DocId) -> &'a Url) {
+        for (&hash, &id) in &later.by_hash {
+            if let Entry::Vacant(slot) = self.by_hash.entry(hash) {
+                slot.insert(id);
+            } else {
+                self.spill.insert(url(id).key().into(), id);
+            }
+        }
+        self.spill
+            .extend(later.spill.iter().map(|(key, &id)| (key.clone(), id)));
+    }
 }
 
 #[cfg(test)]
@@ -71,5 +86,27 @@ mod tests {
         assert_eq!(map.find(7, &key(2), url_of), None);
         assert_eq!(map.get(&key(0), url_of), None, "filed under hash 7 only");
         assert_eq!(map.clone(), map);
+    }
+
+    /// A map taking in a later one equals the map every URL was filed into
+    /// in id order: a later URL colliding with an earlier one spills, two
+    /// colliding later URLs keep their own order, a free hash stays put.
+    #[test]
+    fn absorbing_a_later_map_equals_filing_in_id_order() {
+        let urls: Vec<Url> = (0..5).map(|i| Url::new("a.sim", format!("/{i}"))).collect();
+        let url_of = |id: DocId| &urls[id.as_usize()];
+        let hashes = [7, 8, 7, 9, 9];
+        let mut want = UrlMap::default();
+        for (i, &hash) in hashes.iter().enumerate() {
+            want.file(hash, &urls[i].key(), DocId(i as u32));
+        }
+        let (mut earlier, mut later) = (UrlMap::default(), UrlMap::default());
+        for (i, &hash) in hashes.iter().enumerate() {
+            let map = if i < 2 { &mut earlier } else { &mut later };
+            map.file(hash, &urls[i].key(), DocId(i as u32));
+        }
+        earlier.absorb(&later, url_of);
+        assert_eq!(earlier, want);
+        assert_eq!(want.spill.len(), 2);
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::index::SearchIndex;
 use crate::postings::{bm25_idf, Posting, Postings};
-use crate::pruned::PruningIndex;
 use crate::segments::{Overlay, SealedSegment};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use std::sync::Arc;
@@ -161,13 +160,5 @@ impl<'a> IndexView<'a> {
     pub(crate) fn value_keys(&self, id: TermId) -> impl Iterator<Item = FacetKeyId> + 'a {
         let overlay = self.overlay.map_or(&[][..], |o| o.value_keys(id));
         self.base.value_keys(id).iter().chain(overlay).copied()
-    }
-
-    /// The base's block-max structures, valid for docs `[0, base.len())`
-    /// whatever is pending: segments move the statistics a block's stored
-    /// `max_contrib` was computed under, never its `(max_tf, min_dl)`, so
-    /// the kernel re-bounds the base from that pair and folds segment docs.
-    pub(crate) fn pruning(&self) -> Option<&'a PruningIndex> {
-        self.base.pruning()
     }
 }

@@ -35,7 +35,6 @@ fn system_docs(sys: &DeepWebSystem) -> Vec<BatchDoc> {
 fn rebuild(docs: &[BatchDoc]) -> SearchIndex {
     let mut idx = SearchIndex::new();
     idx.add_batch(&ThreadPool::new(1), docs.to_vec());
-    idx.enable_pruning();
     idx
 }
 

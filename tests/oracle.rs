@@ -270,7 +270,6 @@ fn workload_and_edge_queries(sys: &DeepWebSystem) -> Vec<String> {
 #[test]
 fn search_equals_the_brute_force_oracle_bit_for_bit() {
     let sys = DeepWebSystem::build(&quick_config(10));
-    assert!(sys.index.pruning().is_some(), "block index built");
     let oracle = Oracle::read(&sys);
     let queries = workload_and_edge_queries(&sys);
     let (nonempty, adjusted) = assert_search_equals_oracle(&sys, &oracle, &queries);
@@ -373,7 +372,6 @@ fn dense_posting_lists_serve_the_oracle() {
         let build = |docs: &[BatchDoc]| {
             let mut index = SearchIndex::new();
             index.add_batch(&ThreadPool::new(2), docs.to_vec());
-            index.enable_pruning();
             index
         };
         let index = build(&corpus);
@@ -392,7 +390,7 @@ fn dense_posting_lists_serve_the_oracle() {
             assert_eq!(pending, (nonempty, adjusted), "pending");
             assert_eq!(fresh.merge(), 2_000);
             let gen = fresh.snapshot();
-            assert!(gen.segments().is_empty() && gen.base().pruning().is_some());
+            assert!(gen.segments().is_empty());
             let merged = assert_serves_the_oracle(|q, k, o| gen.search(q, k, o), &oracle, &queries);
             assert_eq!(merged, (nonempty, adjusted), "merged");
         }
@@ -418,7 +416,7 @@ fn pending_segments_and_the_merged_base_serve_the_oracle() {
     let out = sys.refresh(sys.world.server.sites().len());
     assert!(out.new_docs > 0, "{out:?}");
     let gen = sys.fresh_index().snapshot();
-    assert!(!gen.segments().is_empty() && gen.base().pruning().is_some());
+    assert!(!gen.segments().is_empty());
     assert_eq!(gen.num_docs(), base_len + out.new_docs);
 
     let segment_docs = || gen.segments().iter().flat_map(|seg| seg.docs());
@@ -520,7 +518,6 @@ fn queries_past_64_terms_keep_every_facet_conflict() {
     queries.push(split.join(" "));
     let mut index = SearchIndex::new();
     index.add_batch(&ThreadPool::new(2), docs);
-    index.enable_pruning();
     for q in &queries {
         let distinct: BTreeSet<String> = analysed(q).into_iter().collect();
         let known = |t: &String| index.postings().term_id(t).is_some();
@@ -610,7 +607,6 @@ fn annotation_adjustments_at_the_threshold_serve_the_oracle() {
         let mut index = SearchIndex::new();
         index.add_batch(&ThreadPool::new(2), docs.to_vec());
         index.add_facet_values("make", ["Tesla".to_string()]);
-        index.enable_pruning();
         index
     };
     let sealed = build(&corpus);

@@ -77,7 +77,6 @@ fn docs_for(w: &World) -> Vec<BatchDoc> {
 fn rebuild(docs: &[BatchDoc]) -> SearchIndex {
     let mut idx = SearchIndex::new();
     idx.add_batch(&ThreadPool::new(1), docs.to_vec());
-    idx.enable_pruning();
     idx
 }
 

@@ -28,7 +28,6 @@ proptest! {
         cfg.web.seed = seed;
         cfg.pruning = PruningMode::BlockMax;
         let sys = DeepWebSystem::build(&cfg);
-        prop_assert!(sys.index.pruning().is_some());
         let wl = generate_workload(&sys.world, &WorkloadConfig {
             distinct,
             ..Default::default()

@@ -3,10 +3,9 @@
 //! The contract under test: [`PruningMode::BlockMax`] returns *byte-identical*
 //! `Vec<Hit>` to exhaustive scoring — for every query, every `k`, with and
 //! without the annotation pass, through every serving tier (sequential
-//! kernel, batched broker, cluster with and without its cache) — and any
-//! index mutation invalidates the block index so pruned serving silently
-//! falls back to the exhaustive kernel rather than ever serving stale
-//! bounds.
+//! kernel, batched broker, cluster with and without its cache) — and a
+//! batch added to a built index extends its block index over the new
+//! documents, so pruned serving never reads a stale bound.
 
 use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{
@@ -50,10 +49,6 @@ fn dump_queries(sys: &DeepWebSystem, label: &str) -> Vec<String> {
 fn pruned_dump_is_byte_identical_to_exhaustive() {
     for use_annotations in [false, true] {
         let sys = build_system(8, use_annotations);
-        assert!(
-            sys.index.pruning().is_some(),
-            "system build must leave the block index in place"
-        );
         let queries = dump_queries(&sys, "pruning-dump");
         let exhaustive = SearchOptions {
             use_annotations,
@@ -127,26 +122,28 @@ fn pruned_dump_matches_across_all_serving_tiers() {
     }
 }
 
-/// Mutating the index drops the block structures; BlockMax queries keep
-/// serving (exhaustive fallback) and `enable_pruning` rebuilds over the new
-/// contents.
+/// A batch added to a built system's index extends its block index over
+/// the new document — blocks for the terms only it names included — and
+/// BlockMax then serves the Exhaustive bytes, the late document among
+/// them.
 #[test]
-fn mutation_invalidates_and_rebuild_restores_pruning() {
+fn a_late_batch_extends_the_block_index_and_blockmax_equals_exhaustive() {
     let mut sys = build_system(6, false);
-    assert!(sys.index.pruning().is_some());
+    let meta_bytes = |sys: &DeepWebSystem| {
+        let blocks = sys.index.pruning().map(|p| p.blocks().meta_bytes());
+        blocks.expect("every index carries a block index")
+    };
+    let before = meta_bytes(&sys);
     let late = deepweb::index::BatchDoc {
         url: deepweb::common::Url::new("late.sim", "/extra"),
         title: "late arrival".into(),
-        text: "honda civic late arrival doc".into(),
+        text: "honda civic late arrival doc zzlatecomer".into(),
         kind: deepweb::index::DocKind::Surface,
         site: None,
         annotations: vec![],
     };
-    Arc::make_mut(&mut sys.index).add_batch(&deepweb::common::ThreadPool::new(1), vec![late]);
-    assert!(
-        sys.index.pruning().is_none(),
-        "mutation must invalidate the block index"
-    );
+    Arc::make_mut(&mut sys.index).add_batch(&ThreadPool::new(2), vec![late]);
+    assert!(meta_bytes(&sys) > before, "the new terms own blocks");
     let pruned = SearchOptions {
         pruning: PruningMode::BlockMax,
         ..sys.options
@@ -155,17 +152,17 @@ fn mutation_invalidates_and_rebuild_restores_pruning() {
         pruning: PruningMode::Exhaustive,
         ..sys.options
     };
-    let want = search(&sys.index, "honda civic", 10, exhaustive);
-    assert_eq!(
-        search(&sys.index, "honda civic", 10, pruned),
-        want,
-        "fallback path must serve the same bytes"
-    );
-    Arc::make_mut(&mut sys.index).enable_pruning();
-    assert!(sys.index.pruning().is_some());
-    assert_eq!(
-        search(&sys.index, "honda civic", 10, pruned),
-        want,
-        "rebuilt block index must serve the same bytes"
-    );
+    let mut queries = dump_queries(&sys, "late-batch");
+    queries.push("honda civic late arrival".into());
+    for q in &queries {
+        for k in [1usize, 10] {
+            assert_eq!(
+                search(&sys.index, q, k, pruned),
+                search(&sys.index, q, k, exhaustive),
+                "q={q:?} k={k}"
+            );
+        }
+    }
+    let top = search(&sys.index, "zzlatecomer", 1, pruned);
+    assert_eq!(top[0].doc.as_usize(), sys.index.len() - 1);
 }

@@ -186,3 +186,42 @@ fn the_lint_configuration_keeps_every_rule() {
         );
     }
 }
+
+/// The index crate runs on the pool its owner passed to `add_batch`
+/// (DESIGN.md §8): no file of its library source — each file up to its
+/// first `#[cfg(test)]` — constructs a pool of a width it picks itself, a
+/// literal one (`ThreadPool::new(0)`) or the default. A width its caller
+/// names (`ClusterConfig::workers`) is the caller's choice.
+#[test]
+fn the_index_crate_sizes_no_pool_of_its_own() {
+    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/index/src")];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source directory is readable") {
+            let path = entry.expect("a source directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    assert!(files.len() >= 10, "found only {} files", files.len());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source is readable");
+        let library = text.split("#[cfg(test)]").next().unwrap_or("");
+        for (n, line) in library.lines().enumerate() {
+            let literal_width = line
+                .split("ThreadPool::new(")
+                .skip(1)
+                .any(|arg| arg.starts_with(|c: char| c.is_ascii_digit()));
+            assert!(
+                !literal_width && !line.contains("ThreadPool::default("),
+                "{}:{}: the index crate sizes a pool: {}",
+                file.display(),
+                n + 1,
+                line.trim()
+            );
+        }
+    }
+}
