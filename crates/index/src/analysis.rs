@@ -1,9 +1,9 @@
 //! Query analysis for the index, allocating one `String` per token — the
 //! reference spelling that snippets, reports and tests read.
 //!
-//! Neither hot path calls it: the index build streams raw token slices
-//! through one recycled lowercase buffer into the dictionary (see
-//! `Postings::add_document`), and serving tokenises into the recycled
+//! Neither hot path calls it: the index build interns raw token slices
+//! straight into the dictionary, lowercasing as it hashes (see
+//! `Postings::count_document`), and serving tokenises into the recycled
 //! buffers of `QueryScratch::analyze` ([`crate::QueryScratch`]). All three agree
 //! exactly on token boundaries, lowercasing and the stopword list
 //! (`deepweb_common::text`), which is what keeps both byte-identical to this

@@ -21,7 +21,9 @@
 //! counts the misses of signatures it does not hold, keyed by their
 //! `fxhash64` (a collision can only mis-rank an admission). A full shard's
 //! victim is its entry with the lowest `(uses, last use)`, found by scanning
-//! the shard on every insert it is offered, and a newcomer displaces it only
+//! the shard's ranks — one contiguous array of those pairs, 16 bytes an
+//! entry, beside the map from signature to slot — on every insert a full
+//! shard is offered, and a newcomer displaces it only
 //! if the newcomer has missed strictly more often than the victim has been
 //! used; an admitted entry starts with its miss count as its use count. Every `10 ×` the shard's capacity lookups the shard halves
 //! every count and forgets the zeros, so a new head gets in once the old one
@@ -98,22 +100,38 @@ impl CacheStats {
     }
 }
 
+/// One stored result, in its slot.
 struct Entry {
+    /// The signature it answers (the map's key, kept to evict it by).
+    sig: Vec<TermId>,
     k: usize,
     hits: Vec<Hit>,
+}
+
+/// What a slot's entry is ranked by for eviction, lowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
     /// Hits since admission, seeded with the miss count that admitted it;
     /// halved at every aging.
     uses: u32,
     /// Last-touched tick of the owning shard's logical clock: among equally
-    /// used entries the least recent is the victim.
+    /// used entries the least recent is the victim. Unique within a shard,
+    /// so the victim is too.
     stamp: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Rank>() == 16);
 
 /// Lookups between two agings, per entry a shard holds.
 const AGING_PERIOD: usize = 10;
 
 struct Shard {
-    map: FxHashMap<Vec<TermId>, Entry>,
+    /// Signature → the slot of its entry.
+    map: FxHashMap<Vec<TermId>, usize>,
+    /// Per slot, its entry.
+    entries: Vec<Entry>,
+    /// Per slot, its entry's rank: the array a victim scan reads.
+    ranks: Vec<Rank>,
     /// Misses per signature not resident, keyed by its `fxhash64`.
     misses: FxHashMap<u64, u32>,
     /// Entries this shard may hold.
@@ -127,6 +145,8 @@ impl Shard {
     fn new(cap: usize) -> Self {
         Shard {
             map: FxHashMap::default(),
+            entries: Vec::new(),
+            ranks: Vec::new(),
             misses: FxHashMap::default(),
             cap,
             clock: 0,
@@ -140,8 +160,8 @@ impl Shard {
         self.lookups += 1;
         if self.lookups >= AGING_PERIOD * self.cap {
             self.lookups = 0;
-            for entry in self.map.values_mut() {
-                entry.uses /= 2;
+            for rank in &mut self.ranks {
+                rank.uses /= 2;
             }
             self.misses.retain(|_, n| {
                 *n /= 2;
@@ -213,13 +233,14 @@ impl ResultCache {
         let shard = &mut *shard;
         if shard.cap > 0 {
             shard.count_lookup();
-            match shard.map.get_mut(sig) {
-                Some(entry) if entry.k == k => {
+            match shard.map.get(sig) {
+                Some(&slot) if shard.entries[slot].k == k => {
                     shard.clock += 1;
-                    entry.uses = entry.uses.saturating_add(1);
-                    entry.stamp = shard.clock;
+                    let rank = &mut shard.ranks[slot];
+                    rank.uses = rank.uses.saturating_add(1);
+                    rank.stamp = shard.clock;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(entry.hits.clone());
+                    return Some(shard.entries[slot].hits.clone());
                 }
                 Some(_) => {}
                 None => {
@@ -248,32 +269,39 @@ impl ResultCache {
         }
         shard.clock += 1;
         let stamp = shard.clock;
-        if let Some(entry) = shard.map.get_mut(sig) {
+        if let Some(&slot) = shard.map.get(sig) {
+            let entry = &mut shard.entries[slot];
             entry.k = k;
             entry.hits = hits.to_vec();
-            entry.stamp = stamp;
+            shard.ranks[slot].stamp = stamp;
             self.insertions.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let uses = shard.misses.get(&hash).copied().unwrap_or(0);
-        if shard.map.len() >= shard.cap {
-            let victim = shard.map.iter().min_by_key(|(_, e)| (e.uses, e.stamp));
-            let Some((key, _)) = victim.filter(|(_, e)| uses > e.uses) else {
+        let rank = Rank { uses, stamp };
+        let entry = || Entry {
+            sig: sig.to_vec(),
+            k,
+            hits: hits.to_vec(),
+        };
+        let slot = if shard.entries.len() < shard.cap {
+            shard.entries.push(entry());
+            shard.ranks.push(rank);
+            shard.entries.len() - 1
+        } else {
+            let victim = shard.ranks.iter().enumerate().min_by_key(|&(_, rank)| rank);
+            let Some((slot, _)) = victim.filter(|(_, rank)| uses > rank.uses) else {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let key = key.clone();
-            shard.map.remove(&key);
+            let evicted = std::mem::replace(&mut shard.entries[slot], entry());
+            shard.map.remove(&evicted.sig);
+            shard.ranks[slot] = rank;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.misses.remove(&hash);
-        let entry = Entry {
-            k,
-            hits: hits.to_vec(),
-            uses,
-            stamp,
+            slot
         };
-        shard.map.insert(sig.to_vec(), entry);
+        shard.misses.remove(&hash);
+        shard.map.insert(sig.to_vec(), slot);
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -285,6 +313,18 @@ impl ResultCache {
             .map(|s| s.lock().misses.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The shard of `sig`: every resident signature with its rank, in map
+    /// order, and the miss count of `sig`.
+    #[cfg(test)]
+    fn shard_state(&self, sig: &[TermId]) -> (Vec<(Vec<TermId>, Rank)>, u32) {
+        let hash = fxhash64(sig);
+        let shard = self.shard(hash).lock();
+        let residents = shard.map.iter();
+        let residents = residents.map(|(key, &slot)| (key.clone(), shard.ranks[slot]));
+        let misses = shard.misses.get(&hash).copied().unwrap_or(0);
+        (residents.collect(), misses)
     }
 
     /// Entries currently stored.
@@ -513,5 +553,54 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.insertions, s.misses), (0, 1));
         assert_eq!(cache.miss_table_max(), 0);
+    }
+
+    /// A random sequence of lookups and offers over three times the
+    /// signatures a shard holds: every eviction takes the resident entry
+    /// whose `(uses, stamp)` is the brute-force minimum over the shard's map
+    /// and admits the newcomer, and every rejection turns away a newcomer
+    /// that missed no more often than that entry was used.
+    #[test]
+    fn the_victim_is_always_the_brute_force_minimum() {
+        let cap = 4;
+        let cache = ResultCache::new(CacheConfig::with_capacity(cap * SHARDS));
+        let sigs = same_shard(3 * cap);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut evicted, mut rejected) = (0, 0);
+        for _ in 0..20_000 {
+            // Skewed picks: the low signatures are asked far more often.
+            let below = draw(sigs.len()) + 1;
+            let sig = &sigs[draw(below)];
+            if cache.get(sig, 5).is_some() || draw(4) == 0 {
+                continue;
+            }
+            let (residents, misses) = cache.shard_state(sig);
+            let before = cache.stats();
+            cache.insert(sig, 5, &hits(&[(sig[0].0, 1.0)]));
+            let after = cache.stats();
+            if residents.len() < cap {
+                assert_eq!(after.insertions, before.insertions + 1);
+                continue;
+            }
+            let (victim, rank) = residents.iter().min_by_key(|(_, rank)| *rank).unwrap();
+            let (now, _) = cache.shard_state(sig);
+            let resident = |s: &[TermId]| now.iter().any(|(key, _)| key == s);
+            if after.evictions > before.evictions {
+                assert!(misses > rank.uses && !resident(victim) && resident(sig));
+                assert_eq!(now.len(), cap);
+                evicted += 1;
+            } else {
+                assert_eq!(after.rejected, before.rejected + 1);
+                assert!(misses <= rank.uses && resident(victim) && !resident(sig));
+                rejected += 1;
+            }
+        }
+        assert!(evicted > 50 && rejected > 50, "{evicted} {rejected}");
     }
 }

@@ -3,14 +3,13 @@
 //! the dedup key, as in real surfacing).
 
 use crate::docstore::{AnnotationColumn, BatchDoc, DocStore};
-use crate::postings::Postings;
+use crate::postings::{Postings, Tally};
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
-use crate::urls::UrlMap;
-use crate::view::next_id;
+use crate::urls::{dedup, url_hashes, UrlMap};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
-use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
+use deepweb_common::{fxhash64, FxHashMap, TermDict, ThreadPool, Url};
 use std::borrow::Borrow;
 
 /// The facet vocabulary: each analysed value token → the facet keys it is a
@@ -88,56 +87,47 @@ impl SearchIndex {
         FacetKeyId(self.facet_keys.intern(key).0)
     }
 
-    /// Add a batch of documents with tokenisation and postings construction
-    /// fanned out over `pool`, returning one id per batch entry (the existing
-    /// id for an already-indexed URL). The one way a document enters an
-    /// index. `pool` becomes the index's own: everything the index runs in
-    /// parallel from now on runs on it.
+    /// Add a batch of documents with URL hashing, tokenisation and postings
+    /// construction fanned out over `pool`, returning one id per batch entry
+    /// (the existing id for an already-indexed URL). The one way a document
+    /// enters an index. `pool` becomes the index's own: everything the index
+    /// runs in parallel from now on runs on it.
     ///
-    /// The batch is deduplicated sequentially (URL identity, first occurrence
-    /// wins; each fresh URL rendered and registered once, here), split into
-    /// contiguous shards of fresh documents, analysed and indexed into
-    /// per-shard postings in parallel, then folded in shard order by the one
-    /// fold, `SearchIndex::merged` — so the resulting index, block index
-    /// included, is identical to the sequential loop for any worker count.
-    /// The fold copies this index's posting lists once; on an empty index it
-    /// allocates each list once, at its final length.
-    pub fn add_batch(&mut self, pool: &ThreadPool, batch: Vec<BatchDoc>) -> Vec<DocId> {
+    /// Every URL is rendered and hashed on the pool (`urls::url_hashes`); the
+    /// serial pass then only probes and files those hashes in batch order
+    /// (URL identity, first occurrence wins), rendering a URL only to
+    /// confirm a hash hit. The fresh documents stay in the batch, which is
+    /// split into contiguous shards, each analysed and indexed into
+    /// doc-local postings in parallel (`build_shard`), then folded in
+    /// shard order by the one fold, `SearchIndex::merged` — so the resulting
+    /// index, block index included, is identical to the sequential loop for
+    /// any worker count. The fold copies this index's posting lists once; on
+    /// an empty index it allocates each list once, at its final length.
+    pub fn add_batch(&mut self, pool: &ThreadPool, mut batch: Vec<BatchDoc>) -> Vec<DocId> {
         self.pool = *pool;
-        // 1. Sequential dedup + id assignment in batch order, into the URL
-        // map the folded index takes over.
+        // 1. Dedup + id assignment in batch order over the pool's hashes,
+        // into the URL map the folded index takes over.
+        let hashes = url_hashes(pool, &batch);
         let mut by_url = std::mem::take(&mut self.by_url);
-        let mut ids = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<BatchDoc> = Vec::new();
-        let stored = self.docs.len();
-        for doc in batch {
-            let key = doc.url.key();
-            let url_of = |id: DocId| match id.as_usize().checked_sub(stored) {
-                Some(i) => &fresh[i].url,
-                None => &self.docs.get(id).url,
-            };
-            if let Some(id) = by_url.get(&key, url_of) {
-                ids.push(id);
-                continue;
-            }
-            let id = DocId(next_id(stored + fresh.len()));
-            by_url.insert(&key, id);
-            ids.push(id);
-            fresh.push(doc);
-        }
-        if fresh.is_empty() {
+        let (docs, stored) = (&self.docs, self.docs.len());
+        let filed = |id| &docs.get(id).url;
+        let ids = dedup(&mut batch, &hashes, &mut by_url, stored, |_, _| None, filed);
+        if batch.is_empty() {
             self.by_url = by_url;
             return ids;
         }
         // 2. Contiguous shards (≈4 per worker for load-balancing headroom),
-        // each analysed into a doc-local postings shard in parallel.
-        let shard_len = fresh.len().div_ceil(pool.workers().max(1) * 4).max(1);
-        let built = pool.map(fresh.chunks(shard_len).collect(), |_, shard| {
-            build_shard(shard)
-        });
+        // each analysed into a doc-local postings shard in parallel; a worker
+        // counts every shard it takes into one tally.
+        let shard_len = batch.len().div_ceil(pool.workers().max(1) * 4).max(1);
+        let built = pool.map_init(
+            batch.chunks(shard_len).collect(),
+            Tally::default,
+            |tally, _, shard| build_shard(shard, tally),
+        );
         // 3. The one fold, in shard order; it frees the shards before its
         // block pass.
-        *self = self.merged(by_url, built, fresh);
+        *self = self.merged(by_url, built, batch);
         ids
     }
 
@@ -219,12 +209,12 @@ impl SearchIndex {
 
     /// True if the URL is already indexed.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.url_id(&url.key()).is_some()
+        self.url_id(fxhash64(url.key().as_str()), url).is_some()
     }
 
-    /// The id of an indexed URL, for a caller that has rendered it already.
-    pub(crate) fn url_id(&self, rendered_url: &str) -> Option<DocId> {
-        self.by_url.get(rendered_url, |id| &self.docs.get(id).url)
+    /// The id of an indexed URL whose rendered form hashes to `hash`.
+    pub(crate) fn url_id(&self, hash: u64, url: &Url) -> Option<DocId> {
+        self.by_url.find(hash, url, |id| &self.docs.get(id).url)
     }
 
     /// Rendered URL → doc id over every document.
@@ -323,27 +313,35 @@ impl SearchIndex {
 
 /// Index a run of documents into a doc-local [`Postings`] plus, per doc and
 /// per annotation, the value's analysed tokens as shard-local term ids.
-/// Title then body token slices stream from `raw_tokens` straight into
-/// [`Postings::add_document`], and each value into `Postings::intern_value`
-/// (stopwords dropped) — no token is a `String` of its own. The per-document
-/// interning order — title and body terms, then annotation value tokens — is
-/// the canonical one, spelled only here (DESIGN.md §12), so folding shards
-/// in order replays one sequential walk over the docs. Shared by
+/// Two passes over the shard: the first counts every document — title then
+/// body token slices stream from `raw_tokens` into
+/// [`Postings::count_document`], one dictionary probe per token, and each
+/// annotation value into `Postings::intern_value` (stopwords dropped) — no
+/// token is a `String` of its own; the second, [`Postings::fill`], writes
+/// every list at the length the count found, so no list ever regrows.
+/// `tally` is the worker's counting scratch, left empty. The per-document
+/// interning order — title and body terms, then annotation value tokens —
+/// is the canonical one, spelled only here (DESIGN.md §12), so folding
+/// shards in order replays one sequential walk over the docs. Shared by
 /// [`SearchIndex::add_batch`]'s parallel shards and the delta-segment build
 /// of [`segments`](crate::segments).
-pub(crate) fn build_shard(shard: &[BatchDoc]) -> (Postings, Vec<Vec<Vec<TermId>>>) {
+pub(crate) fn build_shard(
+    shard: &[BatchDoc],
+    tally: &mut Tally,
+) -> (Postings, Vec<Vec<Vec<TermId>>>) {
     let mut postings = Postings::new();
-    let mut ann_local: Vec<Vec<Vec<TermId>>> = Vec::with_capacity(shard.len());
-    for (local, doc) in shard.iter().enumerate() {
-        let tokens = raw_tokens(&doc.title).chain(raw_tokens(&doc.text));
-        postings.add_document(DocId(next_id(local)), tokens);
-        ann_local.push(
+    let ann_local = shard
+        .iter()
+        .map(|doc| {
+            let tokens = raw_tokens(&doc.title).chain(raw_tokens(&doc.text));
+            postings.count_document(tally, tokens);
             doc.annotations
                 .iter()
                 .map(|ann| postings.intern_value(&ann.value))
-                .collect(),
-        );
-    }
+                .collect()
+        })
+        .collect();
+    postings.fill(tally);
     (postings, ann_local)
 }
 
@@ -566,6 +564,45 @@ mod tests {
                     got.assert_same_as(&want, &ctx);
                 }
             }
+        }
+    }
+
+    /// The dedup at any width: onto a base, a batch repeating base URLs,
+    /// repeating its own (a URL with an encoded parameter among them) and
+    /// adding new ones, at 1, 2 and 4 workers, hands back the ids of the
+    /// 1-worker build — first occurrence wins, base URLs keep their ids —
+    /// and builds the same index, field for field.
+    #[test]
+    fn add_batch_dedups_alike_at_any_width() {
+        let url = |i: usize| match i % 4 {
+            0 => Url::new("a.sim", format!("/{i}")),
+            1 => Url::new("a.sim", "/q").with_param("make", format!("Ford {i}")),
+            2 => Url::new(format!("h{i}.sim"), "/"),
+            _ => Url::new("b.sim", format!("/{i}")).with_param("p", "1&2"),
+        };
+        let doc = |i: usize, text: &str| BatchDoc::page(url(i), "title", text);
+        let base: Vec<BatchDoc> = (0..20).map(|i| doc(i, &format!("base {i}"))).collect();
+        let picks = [25, 3, 25, 21, 0, 40, 21, 19, 33, 33, 7, 40, 22, 25];
+        let batch: Vec<BatchDoc> = (picks.iter().enumerate())
+            .map(|(n, &i)| doc(i, &format!("offer {n}")))
+            .collect();
+        let mut one = SearchIndex::new();
+        one.add_batch(&ThreadPool::new(1), base.clone());
+        let onto = one.clone();
+        let want_ids = one.add_batch(&ThreadPool::new(1), batch.clone());
+        let fresh =
+            |i| DocId(20 + [25, 21, 40, 33, 22].iter().position(|&p| p == i).unwrap() as u32);
+        let model: Vec<DocId> = (picks.iter())
+            .map(|&i| if i < 20 { DocId(i as u32) } else { fresh(i) })
+            .collect();
+        assert_eq!(want_ids, model);
+        assert_eq!(one.doc(DocId(20)).text, "offer 0", "first occurrence wins");
+        for workers in [1, 2, 4] {
+            let mut got = onto.clone();
+            let ids = got.add_batch(&ThreadPool::new(workers), batch.clone());
+            assert_eq!(ids, want_ids, "{workers} workers");
+            got.assert_same_as(&one, &format!("{workers} workers"));
+            assert!(batch.iter().all(|d| got.contains_url(&d.url)));
         }
     }
 

@@ -15,7 +15,9 @@
 //!
 //! Both structures grow by a doc-range suffix without redoing the prefix.
 //! `Postings::absorbed` appends shards onto a copy made *after* the id
-//! walk, so each list is allocated once at its final length.
+//! walk, so each list is allocated once at its final length; a shard's own
+//! lists are too, written by `Postings::fill` after a counting pass over
+//! its documents.
 //! `BlockPostings::extended` carries every full block of the index it
 //! extends over as is and describes only the partial tails and the new
 //! postings; an index's first blocks are that extension from the empty
@@ -87,11 +89,28 @@ pub struct Postings {
     lists: Vec<Vec<Posting>>,
     doc_len: Vec<u32>,
     total_len: u64,
-    /// Per-document interning scratch and the recycled lowercase token
-    /// buffer; both always empty between calls (so two structurally equal
-    /// indexes also compare equal via `Debug`).
-    scratch: Vec<TermId>,
+    /// The recycled lowercase buffer of `intern_value`; always empty
+    /// between calls (so two structurally equal indexes also compare equal
+    /// via `Debug`).
     buf: String,
+}
+
+/// The counting pass of a build over a run of documents: per document, its
+/// distinct terms with their frequencies (first appearance first), and per
+/// term the documents holding it — what [`Postings::fill`] needs to allocate
+/// every list once, at its final length. One worker reuses one tally for
+/// every shard it builds, so its buffers are memory already touched.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Per counted document in order, its distinct terms and their tf.
+    pairs: Vec<(TermId, u32)>,
+    /// Per counted document, the end of its run of `pairs`.
+    ends: Vec<usize>,
+    /// Per term, the last counted document holding it (its position + 1; 0
+    /// for none) and the index of its pair there.
+    last: Vec<(u32, u32)>,
+    /// Per term, the counted documents holding it.
+    df: Vec<u32>,
 }
 
 impl Postings {
@@ -102,47 +121,86 @@ impl Postings {
 
     /// Add a document from its raw token slices, in order, as
     /// [`raw_tokens`] yields them. `doc` must be the next id in sequence
-    /// (enforced so postings stay sorted).
-    ///
-    /// This is the **single** indexing kernel — a parallel build shard and a
-    /// delta segment both run it. Each slice is lowercased into one recycled
-    /// buffer and interned from there, so only a term's first appearance
-    /// allocates (inside the dictionary). Ids are assigned in
-    /// first-appearance order over the token stream (the discipline the
-    /// parallel build's deterministic id remap replays), then tf is
-    /// aggregated by sorting the small id buffer and run-length counting —
-    /// no string-keyed map, no per-document allocation in steady state.
+    /// (enforced so postings stay sorted). One `Postings::count_document`
+    /// and one `Postings::fill`: the indexing kernel of a build shard and a
+    /// delta segment, over one document.
     pub fn add_document<'a>(&mut self, doc: DocId, tokens: impl IntoIterator<Item = &'a str>) {
         assert_eq!(
             doc.as_usize(),
             self.doc_len.len(),
             "documents must be added in id order"
         );
-        let ids = &mut self.scratch;
-        ids.clear();
+        let mut tally = Tally::default();
+        self.count_document(&mut tally, tokens);
+        self.fill(&mut tally);
+    }
+
+    /// The counting half of the indexing kernel: give the next document its
+    /// length and count its terms into `tally`; its postings are written by
+    /// the next [`Postings::fill`]. Each raw slice is interned by
+    /// [`TermDict::intern_lowercase`] — hashed as it is lowercased, found by
+    /// one probe — so only a term's first appearance allocates (inside the
+    /// dictionary). Ids are assigned in first-appearance order over the
+    /// token stream (the discipline the parallel build's deterministic id
+    /// remap replays); a term's frequency is counted in its pair of this
+    /// document, found through `tally`'s per-term last-seen slot — no sort,
+    /// no string-keyed map, no allocation in steady state.
+    pub(crate) fn count_document<'a>(
+        &mut self,
+        tally: &mut Tally,
+        tokens: impl IntoIterator<Item = &'a str>,
+    ) {
+        let doc = next_id(tally.ends.len() + 1);
+        let mut len = 0;
         for raw in tokens {
-            lower_into(&mut self.buf, raw);
-            ids.push(self.dict.intern(&self.buf));
-        }
-        self.buf.clear();
-        self.doc_len.push(next_id(ids.len()));
-        self.total_len += ids.len() as u64;
-        self.lists.resize_with(self.dict.len(), Vec::new);
-        ids.sort_unstable();
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let mut j = i + 1;
-            while j < ids.len() && ids[j] == id {
-                j += 1;
+            let id = self.dict.intern_lowercase(raw);
+            len += 1;
+            let t = id.as_usize();
+            if t >= tally.last.len() {
+                tally.last.resize(self.dict.len(), (0, 0));
+                tally.df.resize(self.dict.len(), 0);
             }
-            self.lists[id.as_usize()].push(Posting {
-                doc,
-                tf: next_id(j - i),
-            });
-            i = j;
+            let (seen, at) = &mut tally.last[t];
+            if *seen == doc {
+                tally.pairs[*at as usize].1 += 1;
+            } else {
+                (*seen, *at) = (doc, next_id(tally.pairs.len()));
+                tally.pairs.push((id, 1));
+                tally.df[t] += 1;
+            }
         }
-        ids.clear();
+        tally.ends.push(tally.pairs.len());
+        self.doc_len.push(len);
+        self.total_len += u64::from(len);
+    }
+
+    /// The writing half of the indexing kernel: append the postings of every
+    /// document counted into `tally` since the last fill, in document order,
+    /// each list first grown by exactly the postings it gains (a fresh
+    /// list, as every list of a build shard is, is allocated once at its
+    /// final length). Leaves `tally` empty, its buffers kept.
+    pub(crate) fn fill(&mut self, tally: &mut Tally) {
+        self.lists.resize_with(self.dict.len(), Vec::new);
+        for (list, &df) in self.lists.iter_mut().zip(&tally.df) {
+            if list.is_empty() {
+                list.reserve_exact(df as usize);
+            } else {
+                list.reserve(df as usize);
+            }
+        }
+        let first = self.doc_len.len() - tally.ends.len();
+        let mut start = 0;
+        for (i, &end) in tally.ends.iter().enumerate() {
+            let doc = DocId(next_id(first + i));
+            for &(id, tf) in &tally.pairs[start..end] {
+                self.lists[id.as_usize()].push(Posting { doc, tf });
+            }
+            start = end;
+        }
+        tally.pairs.clear();
+        tally.ends.clear();
+        tally.last.clear();
+        tally.df.clear();
     }
 
     /// The term dictionary.
@@ -263,7 +321,7 @@ impl Postings {
     /// *contiguous* document ranges, and shards are appended in range order.
     /// A shard's dictionary records terms in first-appearance order within the
     /// shard (documents in order, tokens in document order — exactly what
-    /// [`Postings::add_document`] does), so re-interning shard dictionaries in
+    /// [`Postings::count_document`] does), so re-interning shard dictionaries in
     /// shard order reproduces the sequential build's id assignment, and
     /// concatenating each term's per-shard lists reproduces its doc-sorted
     /// postings. The result is identical to adding every document

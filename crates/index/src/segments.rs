@@ -69,13 +69,13 @@
 
 use crate::docstore::{AnnotationColumn, BatchDoc};
 use crate::index::{build_shard, FacetVocabulary, SearchIndex};
-use crate::postings::Postings;
+use crate::postings::{Postings, Tally};
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use crate::urls::UrlMap;
+use crate::urls::{dedup, url_hashes, UrlMap};
 use crate::view::{doc_bound, next_id, IndexView};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
-use deepweb_common::{FxHashMap, Url};
+use deepweb_common::{fxhash64, FxHashMap, Url};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -206,7 +206,7 @@ impl Generation {
 
     /// True if `url` is indexed in the base or any segment.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.url_id(&self.overlay, &url.key(), &[]).is_some()
+        self.url_id(fxhash64(url.key().as_str()), url).is_some()
     }
 
     /// The pending document `id` (one past the base), from its segment.
@@ -215,15 +215,12 @@ impl Generation {
         &seg.docs[(id.0 - seg.base_doc) as usize]
     }
 
-    /// The id of a rendered URL in the base or, through `overlay` (this
-    /// generation's or one growing from it), in a segment or in `fresh`.
-    fn url_id(&self, overlay: &Overlay, key: &str, fresh: &[BatchDoc]) -> Option<DocId> {
-        let url_of = |id: DocId| match id.as_usize().checked_sub(self.overlay.num_docs) {
-            Some(i) => &fresh[i].url,
-            None => &self.pending_doc(id).url,
-        };
-        let base = self.base.url_id(key);
-        base.or_else(|| overlay.urls.get(key, url_of))
+    /// The id of `url`, whose rendered form hashes to `hash`, in the base or
+    /// a segment.
+    fn url_id(&self, hash: u64, url: &Url) -> Option<DocId> {
+        let pending = |id| &self.pending_doc(id).url;
+        let base = self.base.url_id(hash, url);
+        base.or_else(|| self.overlay.urls.find(hash, url, pending))
     }
 
     /// The read-side view of this generation: base ⊕ segments ⊕ overlay.
@@ -288,26 +285,24 @@ impl SegmentedIndex {
     /// Seal `batch` into one new delta segment and publish the next
     /// generation. URLs already indexed (base, earlier segments, or earlier
     /// in the batch — first occurrence wins, like [`SearchIndex::add_batch`])
-    /// are skipped. Returns the number of fresh documents indexed.
-    pub fn apply(&self, batch: Vec<BatchDoc>) -> usize {
+    /// are skipped, by the same dedup: every URL hashed on the base's pool,
+    /// the hashes probed and filed in batch order, the fresh documents kept
+    /// in the batch. Returns the number of fresh documents indexed.
+    pub fn apply(&self, mut batch: Vec<BatchDoc>) -> usize {
         let _writer = self.writer.lock();
         let gen = self.snapshot();
+        let hashes = url_hashes(&gen.base.pool(), &batch);
         let mut overlay = gen.overlay.clone();
-        let mut fresh: Vec<BatchDoc> = Vec::new();
-        for doc in batch {
-            let key = doc.url.key();
-            if gen.url_id(&overlay, &key, &fresh).is_some() {
-                continue;
-            }
-            let id = DocId(next_id(overlay.num_docs + fresh.len()));
-            overlay.urls.insert(&key, id);
-            fresh.push(doc);
-        }
-        if fresh.is_empty() {
+        let (base, next) = (&gen.base, overlay.num_docs);
+        let known = |hash, url: &Url| base.url_id(hash, url);
+        let pending = |id| &gen.pending_doc(id).url;
+        dedup(&mut batch, &hashes, &mut overlay.urls, next, known, pending);
+        if batch.is_empty() {
             return 0;
         }
+        let fresh = batch;
         let added = fresh.len();
-        let (postings, ann_local) = build_shard(&fresh);
+        let (postings, ann_local) = build_shard(&fresh, &mut Tally::default());
         // Seal: walk the segment's dictionary in local-id (first-appearance)
         // order, resolving each term to its generation id — the exact walk
         // `Postings::absorbed` performs at merge time, so overlay ids replay
@@ -868,7 +863,7 @@ mod tests {
             let base = gen.base();
             for (i, doc) in base.docs().iter().enumerate() {
                 assert_eq!(
-                    base.url_id(&doc.url.key()),
+                    base.url_id(fxhash64(doc.url.key().as_str()), &doc.url),
                     Some(DocId(next_id(i))),
                     "{ctx}"
                 );
@@ -876,12 +871,13 @@ mod tests {
             }
             let pending = gen.segments.iter().flat_map(|seg| seg.docs());
             for (doc, i) in pending.zip(base.len()..) {
-                let id = gen.url_id(&gen.overlay, &doc.url.key(), &[]);
+                let id = gen.url_id(fxhash64(doc.url.key().as_str()), &doc.url);
                 assert_eq!(id, Some(DocId(next_id(i))), "{ctx}");
                 assert!(gen.contains_url(&doc.url), "{ctx}");
             }
             let never = Url::new("r.sim", "/never");
-            assert!(!gen.contains_url(&never) && base.url_id(&never.key()).is_none());
+            let hash = fxhash64(never.key().as_str());
+            assert!(!gen.contains_url(&never) && base.url_id(hash, &never).is_none());
         };
         for workers in [1, 3] {
             let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -945,6 +941,49 @@ mod tests {
                 merges >= 3,
                 "the sequence must merge pending docs: {merges}"
             );
+        }
+    }
+
+    /// `apply`'s dedup at any width of the base's pool: two batches, the
+    /// second repeating base URLs, URLs pending from the first and its own,
+    /// seal the same segments at 1, 2 and 4 workers, and the merge equals a
+    /// one-batch rebuild of the first occurrences.
+    #[test]
+    fn apply_dedups_alike_at_any_width() {
+        let url = |i: usize| match i % 3 {
+            0 => format!("/{i}"),
+            1 => format!("/q?i={i}"),
+            _ => format!("/x%20{i}"),
+        };
+        let offer = |i: usize, n: usize| doc("d.sim", &url(i), "t", &format!("w{i} n{n}"), &[]);
+        let base: Vec<BatchDoc> = (0..10).map(|i| offer(i, 0)).collect();
+        let first: Vec<BatchDoc> = [12, 3, 12, 15, 11].iter().map(|&i| offer(i, 1)).collect();
+        let second: Vec<BatchDoc> = [15, 9, 16, 11, 16, 17, 0]
+            .iter()
+            .map(|&i| offer(i, 2))
+            .collect();
+        let firsts: Vec<BatchDoc> = [12, 15, 11].iter().map(|&i| offer(i, 1)).collect();
+        let thens: Vec<BatchDoc> = [16, 17].iter().map(|&i| offer(i, 2)).collect();
+        let want = rebuild(&base, &[firsts, thens].concat());
+        for workers in [1, 2, 4] {
+            let mut idx = SearchIndex::new();
+            idx.add_batch(&ThreadPool::new(workers), base.clone());
+            let seg = SegmentedIndex::new(idx);
+            assert_eq!(seg.apply(first.clone()), 3, "{workers} workers");
+            assert_eq!(seg.apply(second.clone()), 2, "{workers} workers");
+            let gen = seg.snapshot();
+            let pending: Vec<&str> = (gen.segments().iter())
+                .flat_map(|s| s.docs().iter().map(|d| d.text.as_str()))
+                .collect();
+            assert_eq!(pending, ["w12 n1", "w15 n1", "w11 n1", "w16 n2", "w17 n2"]);
+            assert!(first
+                .iter()
+                .chain(&second)
+                .all(|d| gen.contains_url(&d.url)));
+            assert_eq!(seg.merge(), 5);
+            seg.snapshot()
+                .base()
+                .assert_same_as(&want, &format!("{workers} workers"));
         }
     }
 

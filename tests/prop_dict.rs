@@ -6,10 +6,13 @@
 //! sequential interning order for the annotation layer exactly like it does
 //! for postings. The build's streaming tokeniser is checked against the
 //! allocating reference `common::text::tokenize` on text that exercises
-//! every token-boundary rule.
+//! every token-boundary rule, and its one-probe path
+//! (`raw_tokens` + `TermDict::intern_lowercase`) against splitting,
+//! lowercasing and `TermDict::intern` on arbitrary UTF-8.
 
 use deepweb::common::ids::DocId;
-use deepweb::common::text::{is_stopword, tokenize};
+use deepweb::common::ids::TermId;
+use deepweb::common::text::{is_stopword, raw_tokens, tokenize};
 use deepweb::common::{TermDict, ThreadPool, Url};
 use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex};
 use proptest::prelude::*;
@@ -56,8 +59,65 @@ fn field() -> impl Strategy<Value = Picks> {
     prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..6)
 }
 
+/// Arbitrary UTF-8 that exercises the one-probe path, as
+/// `(runs, printable, which)`: alphanumeric runs of up to twenty bytes (so
+/// terms of one, two and three hashed words), upper and lower case and
+/// digits, each followed by separators that include multi-byte characters
+/// — or, for `which == 1`, any printable text.
+type Utf8Picks = (Vec<(String, String)>, String, usize);
+
+fn utf8_text() -> impl Strategy<Value = Utf8Picks> {
+    let separator = "[ _.,!\\-é€中Üßλ\u{80}-\u{7ff}]{0,3}";
+    let runs = prop::collection::vec(("[A-Za-z0-9]{0,20}", separator), 0..12);
+    (runs, "\\PC{0,60}", 0..2usize)
+}
+
+fn utf8_compose((runs, printable, which): &Utf8Picks) -> String {
+    match which {
+        0 => runs
+            .iter()
+            .map(|(run, sep)| format!("{run}{sep}"))
+            .collect(),
+        _ => printable.clone(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The build's analysis fast path — `raw_tokens`, then
+    /// `TermDict::intern_lowercase` of each raw slice — yields the tokens of
+    /// `split` on non-alphanumerics + `to_ascii_lowercase`, and the ids the
+    /// reference `TermDict::intern` gives those lowercase tokens, text after
+    /// text into one dictionary; interning a whole text that way equals
+    /// `intern` of its lowercase form too. The two dictionaries end equal.
+    #[test]
+    fn one_probe_analysis_equals_split_lowercase_intern(
+        picks in prop::collection::vec(utf8_text(), 1..6),
+    ) {
+        let (mut fast, mut reference) = (TermDict::new(), TermDict::new());
+        for text in picks.iter().map(utf8_compose) {
+            let text = text.as_str();
+            let want: Vec<String> = text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|s| !s.is_empty())
+                .map(str::to_ascii_lowercase)
+                .collect();
+            let raw: Vec<&str> = raw_tokens(text).collect();
+            let lowered: Vec<String> = raw.iter().map(|r| r.to_ascii_lowercase()).collect();
+            prop_assert_eq!(&lowered, &want);
+            let want_ids: Vec<TermId> = want.iter().map(|t| reference.intern(t)).collect();
+            let ids: Vec<TermId> = raw.iter().map(|r| fast.intern_lowercase(r)).collect();
+            prop_assert_eq!(ids, want_ids);
+            let whole = fast.intern_lowercase(text);
+            prop_assert_eq!(whole, reference.intern(&text.to_ascii_lowercase()));
+            prop_assert_eq!(fast.resolve(whole), text.to_ascii_lowercase());
+        }
+        prop_assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
+        for (id, term) in reference.iter() {
+            prop_assert_eq!(fast.get(term), Some(id));
+        }
+    }
 
     /// Interning any word list round-trips: `intern` is idempotent, ids are
     /// dense and first-appearance ordered, `resolve` inverts `intern`, and
