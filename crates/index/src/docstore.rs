@@ -105,6 +105,37 @@ impl AnnotationColumn {
         self.starts.push(next_id(self.entries.len()));
     }
 
+    /// Rewrite every key through `keys` and every value token through
+    /// `terms` (local id → index id), handing each `(token, key)` pair to
+    /// `know` in column order.
+    pub(crate) fn remap(
+        &mut self,
+        keys: &[FacetKeyId],
+        terms: &[TermId],
+        mut know: impl FnMut(TermId, FacetKeyId),
+    ) {
+        for entry in &mut self.entries {
+            entry.key = keys[entry.key.as_usize()];
+            for token in &mut self.tokens[entry.lo as usize..entry.hi as usize] {
+                *token = terms[token.as_usize()];
+                know(*token, entry.key);
+            }
+        }
+    }
+
+    /// Append every document of `more` after this column's.
+    pub(crate) fn append(&mut self, more: &AnnotationColumn) {
+        let (at, tokens) = (self.entries.len(), next_id(self.tokens.len()));
+        let starts = more.starts[1..].iter().map(|&s| s + next_id(at));
+        self.starts.extend(starts);
+        self.entries.extend_from_slice(&more.entries);
+        for entry in &mut self.entries[at..] {
+            (entry.lo, entry.hi) = (entry.lo + tokens, entry.hi + tokens);
+        }
+        self.tokens.extend_from_slice(&more.tokens);
+        self.max_boostable = self.max_boostable.max(more.max_boostable);
+    }
+
     /// Upper bound on any document's annotation adjustment: one
     /// [`ANNOTATION_BOOST`] per boostable annotation of the one holding most.
     pub(crate) fn boost_bound(&self) -> f64 {

@@ -7,6 +7,7 @@ use crate::postings::{Postings, Tally};
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
 use crate::urls::{dedup, url_hashes, UrlMap};
+use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
 use deepweb_common::{fxhash64, FxHashMap, TermDict, ThreadPool, Url};
@@ -32,6 +33,68 @@ impl FacetVocabulary {
     pub(crate) fn keys_of(&self, term: TermId) -> &[FacetKeyId] {
         self.0.get(&term).map_or(&[], Vec::as_slice)
     }
+
+    /// This vocabulary with `more`'s pairs recorded after its own, each
+    /// term's keys in `more`'s order: what one walk over both makes.
+    fn union(&self, more: FacetVocabulary) -> Self {
+        let mut out = self.clone();
+        for (term, keys) in more.0 {
+            for key in keys {
+                out.know(term, key);
+            }
+        }
+        out
+    }
+}
+
+/// What a write adds to the index it extends: the terms and the facet keys
+/// it does not know, each a dictionary whose ids follow the index's own (an
+/// index id is the index's count plus the id here), and the `(value token,
+/// key)` pairs of the new annotations. [`SearchIndex::seal`] fills it and
+/// [`SearchIndex::merged`] replays it (DESIGN.md §15).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Extension {
+    pub(crate) terms: TermDict,
+    pub(crate) facet_keys: TermDict,
+    pub(crate) vocabulary: FacetVocabulary,
+}
+
+/// A run of documents indexed for a write: doc-local postings, its facet
+/// keys and its annotation column, every id local to the run as
+/// [`build_shard`] makes it. [`SearchIndex::seal`] gives each term its
+/// index id (`remap[local]`) and rewrites the column into index ids: what
+/// [`SearchIndex::merged`] folds as it is.
+#[derive(Debug, Default)]
+pub(crate) struct Shard {
+    pub(crate) postings: Postings,
+    /// Facet keys in first-appearance order, until the seal takes them.
+    keys: TermDict,
+    pub(crate) remap: Vec<TermId>,
+    pub(crate) annotations: AnnotationColumn,
+}
+
+/// The seal's id walk: each of `local`'s terms in id order, as the id
+/// `known` gives it or else `known.len()` plus its id in `new`, where it is
+/// filed on first sight.
+pub(crate) fn index_ids(known: &TermDict, new: &mut TermDict, local: &TermDict) -> Vec<TermId> {
+    let id = |term: &str, new: &mut TermDict| match known.get(term) {
+        Some(id) => id,
+        None => TermId(next_id(known.len() + new.intern(term).as_usize())),
+    };
+    local.iter().map(|(_, term)| id(term, new)).collect()
+}
+
+/// `known` followed by `new`'s terms in id order: each lands on the id
+/// [`index_ids`] gave it.
+pub(crate) fn appended(known: &TermDict, new: TermDict) -> TermDict {
+    if known.is_empty() {
+        return new;
+    }
+    let mut dict = known.clone();
+    for (_, term) in new.iter() {
+        dict.intern(term);
+    }
+    dict
 }
 
 /// An in-memory search index.
@@ -72,21 +135,6 @@ impl SearchIndex {
         Self::default()
     }
 
-    /// The bookkeeping of one annotation, run in document order by the
-    /// store/facet fold: intern the facet key, feed the analysed value-token
-    /// ids into the vocabulary, and append the pair to the column.
-    fn record_annotation(&mut self, key: &str, terms: &[TermId]) {
-        let key = self.intern_facet_key(key);
-        for &term in terms {
-            self.vocabulary.know(term, key);
-        }
-        self.annotations.push(key, terms);
-    }
-
-    fn intern_facet_key(&mut self, key: &str) -> FacetKeyId {
-        FacetKeyId(self.facet_keys.intern(key).0)
-    }
-
     /// Add a batch of documents with URL hashing, tokenisation and postings
     /// construction fanned out over `pool`, returning one id per batch entry
     /// (the existing id for an already-indexed URL). The one way a document
@@ -98,11 +146,12 @@ impl SearchIndex {
     /// (URL identity, first occurrence wins), rendering a URL only to
     /// confirm a hash hit. The fresh documents stay in the batch, which is
     /// split into contiguous shards, each analysed and indexed into
-    /// doc-local postings in parallel (`build_shard`), then folded in
-    /// shard order by the one fold, `SearchIndex::merged` — so the resulting
-    /// index, block index included, is identical to the sequential loop for
-    /// any worker count. The fold copies this index's posting lists once; on
-    /// an empty index it allocates each list once, at its final length.
+    /// doc-local postings in parallel (`build_shard`), sealed in shard order
+    /// into one fresh `Extension` (`SearchIndex::seal`), then folded by the
+    /// one fold, `SearchIndex::merged` — so the resulting index, block index
+    /// included, is identical to the sequential loop for any worker count.
+    /// The fold copies this index's posting lists once; on an empty index it
+    /// allocates each list once, at its final length.
     pub fn add_batch(&mut self, pool: &ThreadPool, mut batch: Vec<BatchDoc>) -> Vec<DocId> {
         self.pool = *pool;
         // 1. Dedup + id assignment in batch order over the pool's hashes,
@@ -117,69 +166,77 @@ impl SearchIndex {
             return ids;
         }
         // 2. Contiguous shards (≈4 per worker for load-balancing headroom),
-        // each analysed into a doc-local postings shard in parallel; a worker
-        // counts every shard it takes into one tally.
+        // each analysed into a doc-local shard in parallel; a worker counts
+        // every shard it takes into one tally.
         let shard_len = batch.len().div_ceil(pool.workers().max(1) * 4).max(1);
         let built = pool.map_init(
             batch.chunks(shard_len).collect(),
             Tally::default,
             |tally, _, shard| build_shard(shard, tally),
         );
-        // 3. The one fold, in shard order; it frees the shards before its
-        // block pass.
-        *self = self.merged(by_url, built, batch);
+        // 3. The seal, in shard order, then the one fold; it frees the
+        // shards before its block pass.
+        let mut ext = Extension::default();
+        let shards: Vec<Shard> = built.into_iter().map(|b| self.seal(&mut ext, b)).collect();
+        *self = self.merged(by_url, ext, shards, batch);
         ids
     }
 
-    /// This index with `shards` and their `docs` folded in, in order, as a
-    /// new index — the one fold: [`SearchIndex::add_batch`] runs it over a
-    /// batch's fresh documents, the freshness tier's merge (DESIGN.md §15)
-    /// over its pending segments. Each shard is what [`build_shard`] made of
-    /// its documents — doc-local postings and, per doc and annotation, the
-    /// value tokens as shard-local term ids — owned (a batch's) or borrowed
-    /// (a pending segment's). `self` is only read, and what a fold does
-    /// not change is shared or carried over, not rebuilt: the result shares
-    /// every full docstore chunk and every dictionary string; each posting
-    /// list is copied once at its final length ([`Postings::absorbed`]); the
-    /// block index is extended over the new docs ([`PruningIndex::extended`]:
-    /// full blocks carried over, every block maximum recomputed) once the
-    /// shards are dropped, so owned shards are freed before it. Both passes
-    /// run on the index's pool. Each annotation value of `docs` (every
-    /// shard's documents, in order) is rewritten from shard-local into global
-    /// term ids through its shard's remap for the store/facet bookkeeping.
-    /// `by_url` is the result's URL map, `docs` already registered in it by
-    /// whoever deduplicated them: no URL is rendered here. The result does
-    /// not depend on the pool.
-    pub(crate) fn merged<P: Borrow<Postings>, A: Borrow<[Vec<Vec<TermId>>]>>(
+    /// The seal: the one place a shard-local term or facet key gets its
+    /// index id. Walks `shard`'s dictionary, then its facet keys, in local
+    /// (first-appearance) order against this index extended by `ext`
+    /// ([`index_ids`]), then rewrites its column into those ids, recording
+    /// each `(value token, key)` pair in `ext`'s vocabulary in column order.
+    /// Sealing shards in document order into one extension is one sequential
+    /// walk over their documents (DESIGN.md §12).
+    pub(crate) fn seal(&self, ext: &mut Extension, mut shard: Shard) -> Shard {
+        shard.remap = index_ids(self.postings.dict(), &mut ext.terms, shard.postings.dict());
+        let keys = std::mem::take(&mut shard.keys);
+        let keys = index_ids(&self.facet_keys, &mut ext.facet_keys, &keys);
+        let keys: Vec<FacetKeyId> = keys.into_iter().map(|key| FacetKeyId(key.0)).collect();
+        let know = |term, key| ext.vocabulary.know(term, key);
+        shard.annotations.remap(&keys, &shard.remap, know);
+        shard
+    }
+
+    /// This index with `ext` and the `shards` sealed into it, owned (a
+    /// batch's) or borrowed (a pending segment's), folded in as a new index:
+    /// the one fold, which [`SearchIndex::add_batch`] and the freshness
+    /// merge (DESIGN.md §15) run. `docs` are the shards' documents, in
+    /// order; `by_url` is the result's URL map, `docs` already filed in it.
+    /// No id is given or looked up here: `ext` is appended in id order
+    /// ([`appended`]), each list copied through the remaps once, at its
+    /// final length ([`Postings::absorbed`]), and each sealed column
+    /// appended. `self` is only read; the result shares every full docstore
+    /// chunk and dictionary string, and its block index is `self`'s
+    /// extended ([`PruningIndex::extended`]) once owned shards are freed.
+    /// Both passes run on the index's pool; the result does not depend on it.
+    pub(crate) fn merged<S: Borrow<Shard>>(
         &self,
         by_url: UrlMap,
-        shards: Vec<(P, A)>,
+        ext: Extension,
+        shards: Vec<S>,
         docs: impl IntoIterator<Item = BatchDoc>,
     ) -> SearchIndex {
-        let shard_postings: Vec<&Postings> = shards.iter().map(|s| s.0.borrow()).collect();
-        let (postings, remaps) = self.postings.absorbed(&shard_postings, &self.pool);
+        let lists: Vec<(&Postings, &[TermId])> = (shards.iter())
+            .map(|s| (&s.borrow().postings, &s.borrow().remap[..]))
+            .collect();
+        let dict = appended(self.postings.dict(), ext.terms);
         let mut next = SearchIndex {
             docs: self.docs.clone(),
             pruning: PruningIndex::default(),
-            postings,
+            postings: self.postings.absorbed(dict, &lists, &self.pool),
             by_url,
             annotations: self.annotations.clone(),
-            facet_keys: self.facet_keys.clone(),
-            vocabulary: self.vocabulary.clone(),
+            facet_keys: appended(&self.facet_keys, ext.facet_keys),
+            vocabulary: self.vocabulary.union(ext.vocabulary),
             pool: self.pool,
         };
-        let mut docs = docs.into_iter();
-        let mut terms: Vec<TermId> = Vec::new();
-        for ((_, shard_ann_local), remap) in shards.iter().zip(&remaps) {
-            for (ann_local, doc) in shard_ann_local.borrow().iter().zip(&mut docs) {
-                for (ann, local_ids) in doc.annotations.iter().zip(ann_local) {
-                    terms.clear();
-                    terms.extend(local_ids.iter().map(|local| remap[local.as_usize()]));
-                    next.record_annotation(&ann.key, &terms);
-                }
-                next.annotations.end_doc();
-                next.docs.push(doc);
-            }
+        for shard in &shards {
+            next.annotations.append(&shard.borrow().annotations);
+        }
+        for doc in docs {
+            next.docs.push(doc);
         }
         debug_assert_eq!(next.docs.len(), next.postings.num_docs());
         drop(shards);
@@ -199,7 +256,7 @@ impl SearchIndex {
     /// postings (so no blocks) and moves no df. The annotation bound counts
     /// per-doc annotations only, so it does not move either.
     pub fn add_facet_values<I: IntoIterator<Item = String>>(&mut self, key: &str, values: I) {
-        let key = self.intern_facet_key(key);
+        let key = FacetKeyId(self.facet_keys.intern(key).0);
         for v in values {
             for term in self.postings.intern_value(&v) {
                 self.vocabulary.know(term, key);
@@ -280,9 +337,7 @@ impl SearchIndex {
         self.facet_keys.get(key).map(|id| FacetKeyId(id.0))
     }
 
-    /// Number of interned facet keys — the id a segment overlay assigns to
-    /// its first novel facet key, so the overlay's id assignment replays
-    /// what a merged rebuild would intern.
+    /// Number of interned facet keys: every key id is below it.
     pub(crate) fn num_facet_keys(&self) -> usize {
         self.facet_keys.len()
     }
@@ -311,38 +366,34 @@ impl SearchIndex {
     }
 }
 
-/// Index a run of documents into a doc-local [`Postings`] plus, per doc and
-/// per annotation, the value's analysed tokens as shard-local term ids.
+/// Index a run of documents into a [`Shard`], every id local to it.
 /// Two passes over the shard: the first counts every document — title then
 /// body token slices stream from `raw_tokens` into
-/// [`Postings::count_document`], one dictionary probe per token, and each
-/// annotation value into `Postings::intern_value` (stopwords dropped) — no
-/// token is a `String` of its own; the second, [`Postings::fill`], writes
-/// every list at the length the count found, so no list ever regrows.
-/// `tally` is the worker's counting scratch, left empty. The per-document
-/// interning order — title and body terms, then annotation value tokens —
-/// is the canonical one, spelled only here (DESIGN.md §12), so folding
-/// shards in order replays one sequential walk over the docs. Shared by
+/// [`Postings::count_document`], one dictionary probe per token, then each
+/// annotation's key into the key dictionary and its value into
+/// `Postings::intern_value` (stopwords dropped) — no token is a `String` of
+/// its own; the second, [`Postings::fill`], writes every list at the length
+/// the count found, so no list ever regrows. `tally` is the worker's
+/// counting scratch, left empty. The per-document interning order — title
+/// and body terms, then annotation keys and value tokens — is the canonical
+/// one, spelled only here (DESIGN.md §12), so sealing shards in order
+/// replays one sequential walk over the docs. Shared by
 /// [`SearchIndex::add_batch`]'s parallel shards and the delta-segment build
 /// of [`segments`](crate::segments).
-pub(crate) fn build_shard(
-    shard: &[BatchDoc],
-    tally: &mut Tally,
-) -> (Postings, Vec<Vec<Vec<TermId>>>) {
-    let mut postings = Postings::new();
-    let ann_local = shard
-        .iter()
-        .map(|doc| {
-            let tokens = raw_tokens(&doc.title).chain(raw_tokens(&doc.text));
-            postings.count_document(tally, tokens);
-            doc.annotations
-                .iter()
-                .map(|ann| postings.intern_value(&ann.value))
-                .collect()
-        })
-        .collect();
-    postings.fill(tally);
-    (postings, ann_local)
+pub(crate) fn build_shard(docs: &[BatchDoc], tally: &mut Tally) -> Shard {
+    let mut shard = Shard::default();
+    for doc in docs {
+        let tokens = raw_tokens(&doc.title).chain(raw_tokens(&doc.text));
+        shard.postings.count_document(tally, tokens);
+        for ann in &doc.annotations {
+            let key = FacetKeyId(shard.keys.intern(&ann.key).0);
+            let terms = shard.postings.intern_value(&ann.value);
+            shard.annotations.push(key, &terms);
+        }
+        shard.annotations.end_doc();
+    }
+    shard.postings.fill(tally);
+    shard
 }
 
 /// Index-wide statistics for reports.

@@ -14,10 +14,10 @@
 //! no postings, and no doc ids, of their own (DESIGN.md §10, §14).
 //!
 //! Both structures grow by a doc-range suffix without redoing the prefix.
-//! `Postings::absorbed` appends shards onto a copy made *after* the id
-//! walk, so each list is allocated once at its final length; a shard's own
-//! lists are too, written by `Postings::fill` after a counting pass over
-//! its documents.
+//! `Postings::absorbed` appends shards through the ids their seal gave
+//! their terms, so each list is allocated once at its final length; a
+//! shard's own lists are too, written by `Postings::fill` after a counting
+//! pass over its documents.
 //! `BlockPostings::extended` carries every full block of the index it
 //! extends over as is and describes only the partial tails and the new
 //! postings; an index's first blocks are that extension from the empty
@@ -141,8 +141,8 @@ impl Postings {
     /// [`TermDict::intern_lowercase`] — hashed as it is lowercased, found by
     /// one probe — so only a term's first appearance allocates (inside the
     /// dictionary). Ids are assigned in first-appearance order over the
-    /// token stream (the discipline the parallel build's deterministic id
-    /// remap replays); a term's frequency is counted in its pair of this
+    /// token stream (the order the seal walks a shard's dictionary in); a
+    /// term's frequency is counted in its pair of this
     /// document, found through `tally`'s per-term last-seen slot — no sort,
     /// no string-keyed map, no allocation in steady state.
     pub(crate) fn count_document<'a>(
@@ -212,7 +212,7 @@ impl Postings {
     /// for annotation/facet value tokens, which must live in the same id
     /// space as body terms so the query kernel resolves a term once for
     /// both scoring and facet matching). Keeps the lists vector sized to
-    /// the dictionary, so a later `Postings::absorbed` walk stays in step.
+    /// the dictionary, so every id, a postingless one included, has a list.
     pub(crate) fn intern_term(&mut self, term: &str) -> TermId {
         let id = self.dict.intern(term);
         if self.lists.len() < self.dict.len() {
@@ -313,51 +313,32 @@ impl Postings {
     }
 
     /// `self` with every shard's postings appended in order, as a new
-    /// `Postings` — `self` is only read. A shard is built over doc-local ids
-    /// `0..shard.num_docs()`; its documents become the ids after those of
-    /// `self` and of the shards before it.
-    ///
-    /// Merge discipline (determinism argument, DESIGN.md §8/§10): shards hold
-    /// *contiguous* document ranges, and shards are appended in range order.
-    /// A shard's dictionary records terms in first-appearance order within the
-    /// shard (documents in order, tokens in document order — exactly what
-    /// [`Postings::count_document`] does), so re-interning shard dictionaries in
-    /// shard order reproduces the sequential build's id assignment, and
+    /// `Postings` over `dict` (`self`'s with the seal's new terms appended);
+    /// `self` is only read. A shard's doc-local ids `0..num_docs` become the
+    /// ids after those of `self` and of the shards before it, and its terms
+    /// the ids its seal gave them (`remap[local]`): no term is looked up.
+    /// Shards hold *contiguous* document ranges in range order, so
     /// concatenating each term's per-shard lists reproduces its doc-sorted
-    /// postings. The result is identical to adding every document
-    /// sequentially onto `self`.
-    ///
-    /// The copy is made after that id walk, when every list's final length
-    /// (its length here plus each shard's) is known: a list is allocated
-    /// once, on the calling thread, and carries no slack; `pool` fills runs
-    /// of terms holding about equal postings (`term_runs`).
-    ///
-    /// Returns beside it one remap table per shard, `remap[local_id] =
-    /// global_id` for every term of the shard's dictionary: the index
-    /// rewrites the shard's pre-tokenised annotation ids through it, so the
-    /// annotation layer replays the sequential interning order exactly like
-    /// postings do (DESIGN.md §12).
+    /// postings: the result equals adding every document onto `self` in
+    /// turn (DESIGN.md §8/§10). Each list's final length is known from the
+    /// remaps, so it is allocated once, on the calling thread, with no
+    /// slack; `pool` fills runs of terms holding about equal postings
+    /// (`term_runs`).
     pub(crate) fn absorbed(
         &self,
-        shards: &[&Postings],
+        dict: TermDict,
+        shards: &[(&Postings, &[TermId])],
         pool: &ThreadPool,
-    ) -> (Postings, Vec<Vec<TermId>>) {
+    ) -> Postings {
         let mut out = Postings {
-            dict: self.dict.clone(),
+            dict,
             total_len: self.total_len,
             ..Postings::default()
         };
-        let remaps: Vec<Vec<TermId>> = shards
-            .iter()
-            .map(|shard| {
-                let terms = shard.dict.iter();
-                terms.map(|(_, term)| out.dict.intern(term)).collect()
-            })
-            .collect();
         let mut final_len: Vec<usize> = self.lists.iter().map(Vec::len).collect();
         final_len.resize(out.dict.len(), 0);
-        for (shard, remap) in shards.iter().zip(&remaps) {
-            for (list, id) in shard.lists.iter().zip(remap) {
+        for (shard, remap) in shards {
+            for (list, id) in shard.lists.iter().zip(*remap) {
                 final_len[id.as_usize()] += list.len();
             }
         }
@@ -365,11 +346,11 @@ impl Postings {
             .iter()
             .map(|&len| Vec::with_capacity(len))
             .collect();
-        let docs = shards.iter().map(|s| s.doc_len.len()).sum::<usize>();
+        let docs = shards.iter().map(|s| s.0.doc_len.len()).sum::<usize>();
         out.doc_len = Vec::with_capacity(self.doc_len.len() + docs);
         out.doc_len.extend_from_slice(&self.doc_len);
         let mut offsets = Vec::with_capacity(shards.len());
-        for shard in shards {
+        for (shard, _) in shards {
             offsets.push(doc_bound(out.doc_len.len()));
             out.total_len += shard.total_len;
             out.doc_len.extend_from_slice(&shard.doc_len);
@@ -379,8 +360,8 @@ impl Postings {
             for (list, t) in lists.iter_mut().zip(run.clone()) {
                 list.extend_from_slice(self.lists.get(t).map_or(&[][..], Vec::as_slice));
             }
-            for ((shard, remap), &offset) in shards.iter().zip(&remaps).zip(&offsets) {
-                for (list, id) in shard.lists.iter().zip(remap) {
+            for ((shard, remap), &offset) in shards.iter().zip(&offsets) {
+                for (list, id) in shard.lists.iter().zip(*remap) {
                     if run.contains(&id.as_usize()) {
                         lists[id.as_usize() - run.start].extend(list.iter().map(|p| Posting {
                             doc: DocId(p.doc.0 + offset),
@@ -390,7 +371,7 @@ impl Postings {
                 }
             }
         });
-        (out, remaps)
+        out
     }
 
     /// Bytes the posting lists hold allocated (capacity, not length).
@@ -651,6 +632,7 @@ impl BlockPostings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{appended, index_ids};
 
     fn sample() -> Postings {
         let mut p = Postings::new();
@@ -725,6 +707,26 @@ mod tests {
         }
     }
 
+    /// `base.absorbed` over `shards`, each given its ids by the seal's walk
+    /// against `base` and the shards before it, with the remaps beside.
+    fn absorb(
+        base: &Postings,
+        shards: &[&Postings],
+        pool: &ThreadPool,
+    ) -> (Postings, Vec<Vec<TermId>>) {
+        let mut new = TermDict::new();
+        let remaps: Vec<Vec<TermId>> = (shards.iter())
+            .map(|shard| index_ids(base.dict(), &mut new, shard.dict()))
+            .collect();
+        let lists: Vec<(&Postings, &[TermId])> = shards
+            .iter()
+            .copied()
+            .zip(remaps.iter().map(Vec::as_slice))
+            .collect();
+        let dict = appended(base.dict(), new);
+        (base.absorbed(dict, &lists, pool), remaps)
+    }
+
     fn words(docs: &[&[&str]]) -> Vec<Vec<String>> {
         let doc = |terms: &&[&str]| terms.iter().map(|t| t.to_string()).collect();
         docs.iter().map(doc).collect()
@@ -750,8 +752,8 @@ mod tests {
                 shard
             })
             .collect();
-        let (merged, _) =
-            Postings::new().absorbed(&shards.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
+        let shards: Vec<&Postings> = shards.iter().collect();
+        let (merged, _) = absorb(&Postings::new(), &shards, &ThreadPool::new(2));
         assert_eq!(format!("{sequential:?}"), format!("{merged:?}"));
         assert_eq!(merged.postings("honda"), sequential.postings("honda"));
         assert_eq!(merged.num_postings(), sequential.num_postings());
@@ -763,7 +765,7 @@ mod tests {
         let base = sample();
         let mut shard = Postings::new();
         shard.add_document(DocId(0), ["honda", "tesla"]);
-        let (got, remaps) = base.absorbed(&[&shard], &ThreadPool::new(2));
+        let (got, remaps) = absorb(&base, &[&shard], &ThreadPool::new(2));
         let mut sequential = sample();
         sequential.add_document(DocId(3), ["honda", "tesla"]);
         assert_eq!(format!("{got:?}"), format!("{sequential:?}"));
@@ -919,8 +921,8 @@ mod tests {
                 build
             })
             .collect();
-        let (absorbed, _) =
-            Postings::new().absorbed(&builds.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
+        let builds: Vec<&Postings> = builds.iter().collect();
+        let (absorbed, _) = absorb(&Postings::new(), &builds, &ThreadPool::new(2));
         let a = blocks_of(&sequential, 8);
         let b = blocks_of(&absorbed, 8);
         for t in 0..sequential.num_terms() {
@@ -931,8 +933,8 @@ mod tests {
         assert!(a.packed_bytes() == 0 && a.meta_bytes() > 0);
     }
 
-    /// `absorbed` onto a base equals the sequential `add_document` build
-    /// of the same docs (and the same annotation-only terms, interned in
+    /// Shards sealed and `absorbed` onto a base equal the sequential
+    /// `add_document` build of the same docs (and the same annotation-only terms, interned in
     /// the same order), field for field — the dictionary's table layout
     /// included, `Debug` prints it — with every list allocated at its final
     /// length; the base is only read.
@@ -959,7 +961,8 @@ mod tests {
             shards.push(shard);
         }
         let before = format!("{base:?}");
-        let (got, remaps) = base.absorbed(&shards.iter().collect::<Vec<_>>(), &ThreadPool::new(2));
+        let shards: Vec<&Postings> = shards.iter().collect();
+        let (got, remaps) = absorb(&base, &shards, &ThreadPool::new(2));
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert_eq!(remaps, want_remaps);
         assert_eq!(format!("{base:?}"), before);
@@ -1043,7 +1046,7 @@ mod tests {
         let mut seen = Vec::new();
         for workers in [1, 4] {
             let pool = ThreadPool::new(workers);
-            let (absorbed, remaps) = base.absorbed(&shards, &pool);
+            let (absorbed, remaps) = absorb(&base, &shards, &pool);
             assert!(absorbed.lists.iter().all(|l| l.capacity() == l.len()));
             let blocks = sealed.extended(&absorbed, &pool);
             let bits: Vec<u64> = blocks

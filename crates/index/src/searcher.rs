@@ -543,24 +543,6 @@ fn annotated_top_k_hits(
     drain_heap_topk(heap)
 }
 
-/// [`search_view`] through [`windowed_top_k`] whatever the query reads: how
-/// the windowed kernel's tests reach it on corpora below the cutoff.
-#[cfg(test)]
-pub(crate) fn search_windowed(
-    view: &IndexView<'_>,
-    query: &str,
-    k: usize,
-    opts: SearchOptions,
-    scratch: &mut QueryScratch,
-) -> Vec<Hit> {
-    scratch.analyze(query);
-    scratch.resolve(view);
-    let sig = std::mem::take(&mut scratch.sig);
-    let hits = windowed_top_k(view, &sig, k, opts, scratch);
-    scratch.sig = sig;
-    hits
-}
-
 /// The annotation adjustment for one document: +[`ANNOTATION_BOOST`] per
 /// facet value the query names in full, -[`ANNOTATION_CONFLICT_PENALTY`] per
 /// facet where a query token is a *known value* of that facet but this page
@@ -621,6 +603,24 @@ pub(crate) fn annotation_boost(
         }
     }
     boost
+}
+
+/// [`search_view`] through [`windowed_top_k`] whatever the query reads: how
+/// the windowed kernel's tests reach it on corpora below the cutoff.
+#[cfg(test)]
+pub(crate) fn search_windowed(
+    view: &IndexView<'_>,
+    query: &str,
+    k: usize,
+    opts: SearchOptions,
+    scratch: &mut QueryScratch,
+) -> Vec<Hit> {
+    scratch.analyze(query);
+    scratch.resolve(view);
+    let sig = std::mem::take(&mut scratch.sig);
+    let hits = windowed_top_k(view, &sig, k, opts, scratch);
+    scratch.sig = sig;
+    hits
 }
 
 #[cfg(test)]

@@ -15,18 +15,15 @@
 //! rebuild over the same documents, at every serving tier, both before and
 //! after a merge. The argument composes three existing invariants:
 //!
-//! 1. **Id replay.** A segment is built by the same doc-local kernel as a
-//!    parallel build shard (`build_shard`), and its seal walks the local
-//!    dictionary in id (first-appearance) order, resolving each term against
-//!    the base dictionary *extended by the generation's overlay* — exactly
-//!    the order `Postings::absorbed` re-interns terms at merge time. Overlay
-//!    ids therefore *are* the post-merge global ids, and a segment's interned
-//!    annotation layer ([`SealedSegment`]'s [`AnnotationColumn`]) holds the
-//!    entries the merged index's column holds for those docs.
+//! 1. **One seal.** A segment is built by the same kernel as a build shard
+//!    (`build_shard`) and sealed by the same step (`SearchIndex::seal`)
+//!    into the generation's [`Extension`], which a merge appends in id
+//!    order: the generation's ids — each segment's remap and annotation
+//!    column — *are* the merged base's, by construction.
 //! 2. **Global statistics.** The one kernel evaluates the one BM25
 //!    expression against the generation's `IndexView`: `N` and the average
 //!    doc length are recomputed from exact integer totals (base +
-//!    per-segment [`Postings::total_doc_len`]), and `df` is the base
+//!    per-segment `Postings::total_doc_len`), and `df` is the base
 //!    document frequency plus each segment's — the same integers the merged
 //!    index derives, so `idf` and every contribution are bit-identical.
 //! 3. **Fold order.** Contributions fold per doc in query-term order (terms
@@ -60,46 +57,37 @@
 //! shared between the two generations (docstore chunks, dictionary strings)
 //! or carried over as is (the block index's full blocks — the
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
-//! copied once at its final length; only the delta is analysed, remapped or
-//! described by new blocks; the pending URLs enter the URL map as the
+//! copied once at its final length, through the remaps `apply` sealed; only
+//! the delta gets new blocks; the pending URLs enter the URL map as the
 //! hashes `apply` filed them under, not rendered again. What still scales
 //! with the base is that one copy of the raw lists and the exact-maxima pass
 //! over them (both on the base's pool, the one its owner passed to
 //! `add_batch`), plus flat copies of the URL map and the annotation column.
 
-use crate::docstore::{AnnotationColumn, BatchDoc};
-use crate::index::{build_shard, FacetVocabulary, SearchIndex};
-use crate::postings::{Postings, Tally};
+use crate::docstore::BatchDoc;
+use crate::index::{build_shard, Extension, SearchIndex, Shard};
+use crate::postings::Tally;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
 use crate::urls::{dedup, url_hashes, UrlMap};
 use crate::view::{doc_bound, next_id, IndexView};
-use deepweb_common::ids::{DocId, FacetKeyId, TermId};
+use deepweb_common::ids::{DocId, TermId};
 use deepweb_common::{fxhash64, FxHashMap, Url};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// One sealed delta segment: a contiguous run of fresh documents starting at
-/// global doc id `base_doc`, with doc-local postings and the interned
-/// annotation layer already lifted into the generation's (= post-merge)
-/// id space.
+/// global doc id `base_doc`, sealed into the generation's extension.
 #[derive(Debug)]
 pub struct SealedSegment {
     /// Global doc id of the segment's first document.
     pub(crate) base_doc: u32,
-    /// Doc-local (ids `0..num_docs`), term-local postings — the exact build
-    /// shard a merge absorbs.
-    pub(crate) postings: Postings,
-    /// The raw documents, retained so a merge can replay the canonical
-    /// store/facet bookkeeping.
+    /// Doc-local (ids `0..num_docs`), term-local postings, each term's
+    /// generation id (the id the merged base gives it) and the annotation
+    /// column in generation ids — what a merge folds as it is.
+    pub(crate) shard: Shard,
+    /// The raw documents, which the merged base's store keeps.
     docs: Vec<BatchDoc>,
-    /// Per doc, per annotation: value tokens as *segment-local* term ids —
-    /// what [`SearchIndex::merged`] remaps at merge time.
-    ann_local: Vec<Vec<Vec<TermId>>>,
-    /// Per doc: the interned annotations in generation-global ids — what the
-    /// query-time annotation pass reads. The entries the merged index's
-    /// column will hold for these docs (id replay, see module docs).
-    pub(crate) annotations: AnnotationColumn,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
     pub(crate) inv: FxHashMap<TermId, TermId>,
@@ -108,7 +96,7 @@ pub struct SealedSegment {
 impl SealedSegment {
     /// Documents in this segment.
     pub fn num_docs(&self) -> usize {
-        self.postings.num_docs()
+        self.shard.postings.num_docs()
     }
 
     /// The raw documents, in segment-local order (= global, offset by the
@@ -118,20 +106,22 @@ impl SealedSegment {
     }
 }
 
+/// The segment of `segments` holding pending doc `id` (at or past the first
+/// segment's first doc) and the doc's id within it.
+pub(crate) fn segment_of(segments: &[Arc<SealedSegment>], id: DocId) -> (&SealedSegment, DocId) {
+    let at = segments.partition_point(|s| s.base_doc <= id.0);
+    let seg = &segments[at.saturating_sub(1)];
+    (seg, DocId(id.0 - seg.base_doc))
+}
+
 /// The cumulative delta a generation's segments lay over the base index:
-/// novel terms and facet keys (with ids that replay the merge's interning
-/// order), facet-vocabulary additions, the fresh URLs, and exact global
-/// totals for BM25 statistics.
+/// what they add to it, the fresh URLs, and exact global totals for BM25
+/// statistics.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Overlay {
-    /// Terms absent from the base dictionary → their generation id
-    /// (`base.num_terms() + insertion order` — the id the merge will assign).
-    pub(crate) terms: FxHashMap<String, TermId>,
-    /// Facet keys absent from the base → their generation id (same replay).
-    facet_keys: FxHashMap<String, FacetKeyId>,
-    /// Facet-vocabulary *additions* from segment annotations; read as a
-    /// union with the base's vocabulary.
-    vocabulary: FacetVocabulary,
+    /// The terms, facet keys and vocabulary pairs the segments add to the
+    /// base: every apply seals its segment into it, and a merge appends it.
+    pub(crate) ext: Extension,
     /// Rendered URL → global doc id of every segment doc (the base's
     /// `by_url` covers the rest).
     urls: UrlMap,
@@ -140,18 +130,6 @@ pub(crate) struct Overlay {
     /// Total tokens across base + segments (integer numerator of the merged
     /// average doc length).
     pub(crate) total_len: u64,
-}
-
-impl Overlay {
-    /// Facet keys the base does not know.
-    pub(crate) fn num_facet_keys(&self) -> usize {
-        self.facet_keys.len()
-    }
-
-    /// The facet keys the segments made `id` a known value of.
-    pub(crate) fn value_keys(&self, id: TermId) -> &[FacetKeyId] {
-        self.vocabulary.keys_of(id)
-    }
 }
 
 /// One immutable snapshot of the freshness tier: a base index plus sealed
@@ -211,8 +189,8 @@ impl Generation {
 
     /// The pending document `id` (one past the base), from its segment.
     fn pending_doc(&self, id: DocId) -> &BatchDoc {
-        let seg = &self.segments[self.segments.partition_point(|s| s.base_doc <= id.0) - 1];
-        &seg.docs[(id.0 - seg.base_doc) as usize]
+        let (seg, local) = segment_of(&self.segments, id);
+        &seg.docs[local.as_usize()]
     }
 
     /// The id of `url`, whose rendered form hashes to `hash`, in the base or
@@ -300,65 +278,20 @@ impl SegmentedIndex {
         if batch.is_empty() {
             return 0;
         }
-        let fresh = batch;
-        let added = fresh.len();
-        let (postings, ann_local) = build_shard(&fresh, &mut Tally::default());
-        // Seal: walk the segment's dictionary in local-id (first-appearance)
-        // order, resolving each term to its generation id — the exact walk
-        // `Postings::absorbed` performs at merge time, so overlay ids replay
-        // the merge's id assignment.
-        let base_terms = gen.base.postings().num_terms();
-        let mut remap: Vec<TermId> = Vec::with_capacity(postings.num_terms());
-        let mut inv = FxHashMap::default();
-        for (local, term) in postings.dict().iter() {
-            let known = gen.base.postings().term_id(term);
-            let id = match known.or_else(|| overlay.terms.get(term).copied()) {
-                Some(id) => id,
-                None => {
-                    let next = TermId(next_id(base_terms + overlay.terms.len()));
-                    overlay.terms.insert(term.to_string(), next);
-                    next
-                }
-            };
-            remap.push(id);
-            inv.insert(id, local);
-        }
-        // Lift the annotation layer into generation ids, replaying
-        // `record_annotation`'s per-doc, per-annotation interning order for
-        // facet keys and vocabulary additions.
-        let base_keys = gen.base.num_facet_keys();
-        let mut annotations = AnnotationColumn::default();
-        let mut terms: Vec<TermId> = Vec::new();
-        for (doc, anns) in fresh.iter().zip(&ann_local) {
-            for (ann, local_ids) in doc.annotations.iter().zip(anns) {
-                terms.clear();
-                terms.extend(local_ids.iter().map(|&l| remap[l.as_usize()]));
-                let known = gen.base.facet_key_id(&ann.key);
-                let key = match known.or_else(|| overlay.facet_keys.get(&ann.key).copied()) {
-                    Some(key) => key,
-                    None => {
-                        let next = FacetKeyId(next_id(base_keys + overlay.facet_keys.len()));
-                        overlay.facet_keys.insert(ann.key.clone(), next);
-                        next
-                    }
-                };
-                for &term in &terms {
-                    overlay.vocabulary.know(term, key);
-                }
-                annotations.push(key, &terms);
-            }
-            annotations.end_doc();
-        }
+        let shard = build_shard(&batch, &mut Tally::default());
+        let shard = gen.base.seal(&mut overlay.ext, shard);
+        let inv = shard.remap.iter().enumerate();
         let segment = SealedSegment {
             base_doc: doc_bound(overlay.num_docs),
-            docs: fresh,
-            ann_local,
-            annotations,
-            inv,
-            postings,
+            inv: inv
+                .map(|(local, &id)| (id, TermId(next_id(local))))
+                .collect(),
+            shard,
+            docs: batch,
         };
+        let added = segment.num_docs();
         overlay.num_docs += segment.num_docs();
-        overlay.total_len += segment.postings.total_doc_len();
+        overlay.total_len += segment.shard.postings.total_doc_len();
         let mut segments = gen.segments.clone();
         segments.push(Arc::new(segment));
         self.publish(Generation {
@@ -387,15 +320,12 @@ impl SegmentedIndex {
             return 0;
         }
         let folded = gen.pending_docs();
-        let shards: Vec<_> = gen
-            .segments
-            .iter()
-            .map(|seg| (&seg.postings, &seg.ann_local[..]))
-            .collect();
+        let shards: Vec<&Shard> = gen.segments.iter().map(|seg| &seg.shard).collect();
         let docs = gen.segments.iter().flat_map(|seg| seg.docs.iter().cloned());
         let mut by_url = gen.base.url_map().clone();
         by_url.absorb(&gen.overlay.urls, |id| &gen.pending_doc(id).url);
-        let merged = gen.base.merged(by_url, shards, docs);
+        let ext = gen.overlay.ext.clone();
+        let merged = gen.base.merged(by_url, ext, shards, docs);
         self.publish(Generation::from_base(Arc::new(merged)));
         folded
     }
@@ -579,7 +509,7 @@ mod tests {
         let gen = seg.snapshot();
         assert_eq!(gen.segments.len(), 2);
         for part in &gen.segments {
-            let column = &part.annotations;
+            let column = &part.shard.annotations;
             assert_eq!(column.boost_bound(), column.brute_boost_bound());
         }
         let view = gen.view();

@@ -7,14 +7,14 @@
 //! view they hand it.
 //!
 //! Byte-identity of a segmented view to a from-scratch rebuild rests on the
-//! three invariants argued in [`segments`](crate::segments): overlay ids
-//! replay the merge's interning order, statistics are exact integer totals
-//! over base + segments, and a term's runs come back in ascending global doc
-//! order — the merged posting list's order.
+//! three invariants argued in [`segments`](crate::segments): a generation's
+//! ids are the ones its merge files the overlay under, statistics are exact
+//! integer totals over base + segments, and a term's runs come back in
+//! ascending global doc order — the merged posting list's order.
 
 use crate::index::SearchIndex;
 use crate::postings::{bm25_idf, Posting, Postings};
-use crate::segments::{Overlay, SealedSegment};
+use crate::segments::{segment_of, Overlay, SealedSegment};
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use std::sync::Arc;
 
@@ -80,10 +80,10 @@ impl<'a> IndexView<'a> {
     /// Resolve a term against the base dictionary extended by the overlay —
     /// the query's single string hash.
     pub(crate) fn term_id(&self, term: &str) -> Option<TermId> {
-        self.base
-            .postings()
-            .term_id(term)
-            .or_else(|| self.overlay?.terms.get(term).copied())
+        let base = self.base.postings();
+        let new = || Some(base.num_terms() + self.overlay?.ext.terms.get(term)?.as_usize());
+        base.term_id(term)
+            .or_else(|| new().map(|id| TermId(next_id(id))))
     }
 
     /// Document frequency: base df (for base-dictionary ids) plus each
@@ -97,7 +97,7 @@ impl<'a> IndexView<'a> {
         };
         for seg in self.segments {
             if let Some(&local) = seg.inv.get(&id) {
-                df += seg.postings.df_id(local);
+                df += seg.shard.postings.df_id(local);
             }
         }
         df
@@ -121,7 +121,8 @@ impl<'a> IndexView<'a> {
         };
         let seg_runs = self.segments.iter().filter_map(move |seg| {
             let &local = seg.inv.get(&id)?;
-            Some((seg.base_doc, seg.postings.postings_id(local), &seg.postings))
+            let postings = &seg.shard.postings;
+            Some((seg.base_doc, postings.postings_id(local), postings))
         });
         std::iter::once((0, base_list, base)).chain(seg_runs)
     }
@@ -135,30 +136,31 @@ impl<'a> IndexView<'a> {
         if doc.as_usize() < self.base.len() {
             return self.base.annotation_column().doc(doc);
         }
-        let si = self
-            .segments
-            .partition_point(|s| s.base_doc <= doc.0)
-            .saturating_sub(1);
-        let seg = &self.segments[si];
-        seg.annotations.doc(DocId(doc.0 - seg.base_doc))
+        let (seg, local) = segment_of(self.segments, doc);
+        seg.shard.annotations.doc(local)
     }
 
     /// Upper bound on any doc's annotation adjustment: the max over its parts.
     pub(crate) fn annotation_bound(&self) -> f64 {
-        let parts = self.segments.iter().map(|s| s.annotations.boost_bound());
+        let parts = self
+            .segments
+            .iter()
+            .map(|s| s.shard.annotations.boost_bound());
         parts.fold(self.base.annotation_column().boost_bound(), f64::max)
     }
 
     /// Interned facet keys over base + overlay: every key id is below it.
     pub(crate) fn num_facet_keys(&self) -> usize {
-        self.base.num_facet_keys() + self.overlay.map_or(0, |o| o.num_facet_keys())
+        self.base.num_facet_keys() + self.overlay.map_or(0, |o| o.ext.facet_keys.len())
     }
 
     /// The facet keys `id` is a known value of, over the base ∪ overlay
     /// vocabulary — the merged index's vocabulary, by construction. A key
     /// may come back twice (once from each side).
     pub(crate) fn value_keys(&self, id: TermId) -> impl Iterator<Item = FacetKeyId> + 'a {
-        let overlay = self.overlay.map_or(&[][..], |o| o.value_keys(id));
+        let overlay = self
+            .overlay
+            .map_or(&[][..], |o| o.ext.vocabulary.keys_of(id));
         self.base.value_keys(id).iter().chain(overlay).copied()
     }
 }

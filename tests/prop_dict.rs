@@ -4,7 +4,9 @@
 //! straightforward string-keyed model of the same corpus — i.e. interning is
 //! invisible to every read path — and the parallel index build replays the
 //! sequential interning order for the annotation layer exactly like it does
-//! for postings. The build's streaming tokeniser is checked against the
+//! for postings; a model of term ids, facet-key ids and the facet
+//! vocabulary, written without the index's seal, holds for one batch and
+//! for a base grown by `apply` and `merge`. The build's streaming tokeniser is checked against the
 //! allocating reference `common::text::tokenize` on text that exercises
 //! every token-boundary rule, and its one-probe path
 //! (`raw_tokens` + `TermDict::intern_lowercase`) against splitting,
@@ -14,9 +16,12 @@ use deepweb::common::ids::DocId;
 use deepweb::common::ids::TermId;
 use deepweb::common::text::{is_stopword, raw_tokens, tokenize};
 use deepweb::common::{TermDict, ThreadPool, Url};
-use deepweb::index::{Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex};
+use deepweb::index::{
+    Annotation, BatchDoc, DocKind, Posting, Postings, SearchIndex, SegmentedIndex,
+};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use proptest::test_runner::TestCaseError;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Text fragments covering every token-boundary rule: case, digits, `-` and
 /// `_` splits, non-ASCII letters (which split ASCII runs and never form a
@@ -80,6 +85,82 @@ fn utf8_compose((runs, printable, which): &Utf8Picks) -> String {
             .collect(),
         _ => printable.clone(),
     }
+}
+
+/// Facet key names an annotation in `batch_build_tokenises_as_the_oracle`
+/// is drawn from (the first two or all three).
+const KEYS: [&str; 3] = ["make", "model", "year"];
+
+/// The oracle's model of a built index over a batch.
+#[derive(Default)]
+struct Model {
+    /// Terms in first-appearance order: body tokens, then annotation value
+    /// tokens, document by document.
+    order: Vec<String>,
+    /// Facet keys in first-appearance order.
+    keys: Vec<String>,
+    /// Term → its `(doc, tf)` list.
+    lists: BTreeMap<String, Vec<Posting>>,
+    /// Per doc, its token count.
+    lens: Vec<u32>,
+    /// Per doc and annotation, its key's position in `keys` and its
+    /// analysed value.
+    values: Vec<Vec<(usize, Vec<String>)>>,
+    /// `(key, value token)` for every annotated value token.
+    known: BTreeSet<(String, String)>,
+}
+
+/// The position of `item` in `seen`, appended first if absent.
+fn first_appearance(seen: &mut Vec<String>, item: &str) -> usize {
+    match seen.iter().position(|s| s == item) {
+        Some(at) => at,
+        None => {
+            seen.push(item.to_string());
+            seen.len() - 1
+        }
+    }
+}
+
+/// `index` against `model`: the dictionary in id order, every posting list
+/// and doc length, the token total, each annotation's facet-key id and
+/// value terms, and `facet_value_known` for every key name and term.
+fn equals_the_model(index: &SearchIndex, model: &Model) -> Result<(), TestCaseError> {
+    let postings = index.postings();
+    let dict: Vec<&str> = postings.dict().iter().map(|(_, t)| t).collect();
+    prop_assert_eq!(&dict, &model.order);
+    for (id, t) in postings.dict().iter() {
+        let want = model.lists.get(t).map_or(&[][..], Vec::as_slice);
+        prop_assert_eq!((t, postings.postings_id(id)), (t, want));
+    }
+    let got_lens: Vec<u32> = (0..model.lens.len())
+        .map(|d| postings.doc_len(DocId(d as u32)))
+        .collect();
+    prop_assert_eq!(&got_lens, &model.lens);
+    let total: u64 = model.lens.iter().map(|&l| u64::from(l)).sum();
+    prop_assert_eq!(postings.total_doc_len(), total);
+    let column = index.annotation_column();
+    for (doc, want) in model.values.iter().enumerate() {
+        let got: Vec<(usize, Vec<String>)> = column
+            .doc(DocId(doc as u32))
+            .map(|(key, terms)| {
+                let terms = terms
+                    .iter()
+                    .map(|&t| postings.dict().resolve(t).to_string());
+                (key.as_usize(), terms.collect())
+            })
+            .collect();
+        prop_assert_eq!(&got, want);
+    }
+    for key in KEYS {
+        for (_, term) in postings.dict().iter() {
+            let want = model.known.contains(&(key.to_string(), term.to_string()));
+            prop_assert_eq!(
+                (key, term, index.facet_value_known(key, term)),
+                (key, term, want)
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -197,17 +278,24 @@ proptest! {
     /// The index build tokenises exactly as the oracle does (`tests/oracle.rs`):
     /// a document is `tokenize(title) ++ tokenize(text)` with stopwords
     /// kept, an annotation value is `tokenize(value)` with stopwords dropped,
-    /// and terms are interned in that order, document by document. At 1 and
-    /// 3 workers the built index equals a model of that rule — dictionary id
-    /// order, every posting list, every `doc_len`, `total_doc_len`, and the
-    /// term ids stored for each annotation. The first document is all
-    /// punctuation and has no annotations: zero tokens, `doc_len` 0.
+    /// and terms are interned in that order, document by document; facet
+    /// keys (two or three names) get ids in first-appearance order, and a
+    /// value token is a known value of each key it was annotated under. The
+    /// model is written from that rule alone, not from the index's seal. At
+    /// 1 and 3 workers two builds equal it — one `add_batch`, and a base
+    /// plus one to three `apply` calls and a `merge` — in dictionary id
+    /// order, every posting list, every `doc_len`, `total_doc_len`, each
+    /// annotation's facet-key id and term ids, and `facet_value_known` for
+    /// every key name and term. The first document is all punctuation and
+    /// has no annotations: zero tokens, `doc_len` 0.
     #[test]
     fn batch_build_tokenises_as_the_oracle(
         docs in prop::collection::vec(
-            (field(), field(), prop::collection::vec(field(), 0..3)),
+            (field(), field(), prop::collection::vec((0..3usize, field()), 0..3)),
             1..10,
         ),
+        names in 2..4usize,
+        cuts in prop::collection::vec(0..12usize, 1..4),
     ) {
         let mut batch = vec![BatchDoc {
             url: Url::new("w.sim", "/empty"),
@@ -225,25 +313,30 @@ proptest! {
             site: None,
             annotations: values
                 .iter()
-                .map(|v| Annotation { key: "k".to_string(), value: compose(v) })
+                .map(|(k, v)| Annotation { key: KEYS[k % names].to_string(), value: compose(v) })
                 .collect(),
         }));
-        // The model: first-appearance term order, term → (doc, tf) list,
-        // per-doc lengths, per-annotation analysed values.
-        let mut order: Vec<String> = Vec::new();
-        let mut model: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
-        let mut lens: Vec<u32> = Vec::new();
-        let mut values: Vec<Vec<Vec<String>>> = Vec::new();
+        // The model: first-appearance term and key order, term → (doc, tf)
+        // list, per-doc lengths, per-annotation key and analysed value, and
+        // the known (key, value token) pairs.
+        let mut model = Model::default();
         for (i, d) in batch.iter().enumerate() {
             let tokens: Vec<String> = tokenize(&d.title).chain(tokenize(&d.text)).collect();
-            let analysed: Vec<Vec<String>> = d
+            let analysed: Vec<(usize, Vec<String>)> = d
                 .annotations
                 .iter()
-                .map(|a| tokenize(&a.value).filter(|t| !is_stopword(t)).collect())
+                .map(|a| {
+                    let value: Vec<String> =
+                        tokenize(&a.value).filter(|t| !is_stopword(t)).collect();
+                    (first_appearance(&mut model.keys, &a.key), value)
+                })
                 .collect();
-            for t in tokens.iter().chain(analysed.iter().flatten()) {
-                if !order.contains(t) {
-                    order.push(t.clone());
+            for t in tokens.iter().chain(analysed.iter().flat_map(|(_, v)| v)) {
+                first_appearance(&mut model.order, t);
+            }
+            for (key, value) in &analysed {
+                for t in value {
+                    model.known.insert((model.keys[*key].clone(), t.clone()));
                 }
             }
             let mut tf: BTreeMap<&String, u32> = BTreeMap::new();
@@ -251,35 +344,28 @@ proptest! {
                 *tf.entry(t).or_insert(0) += 1;
             }
             for (t, tf) in tf {
-                model.entry(t.clone()).or_default().push(Posting { doc: DocId(i as u32), tf });
+                model.lists.entry(t.clone()).or_default().push(Posting { doc: DocId(i as u32), tf });
             }
-            lens.push(tokens.len() as u32);
-            values.push(analysed);
+            model.lens.push(tokens.len() as u32);
+            model.values.push(analysed);
         }
-        prop_assert_eq!(lens[0], 0);
+        prop_assert_eq!(model.lens[0], 0);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(batch.len())).collect();
+        cuts.sort_unstable();
+        cuts.push(batch.len());
         for workers in [1, 3] {
+            let pool = ThreadPool::new(workers);
             let mut index = SearchIndex::new();
-            index.add_batch(&ThreadPool::new(workers), batch.clone());
-            let postings = index.postings();
-            let dict: Vec<&str> = postings.dict().iter().map(|(_, t)| t).collect();
-            prop_assert_eq!(&dict, &order);
-            for (id, t) in postings.dict().iter() {
-                let want = model.get(t).map_or(&[][..], Vec::as_slice);
-                prop_assert_eq!((t, postings.postings_id(id)), (t, want));
+            index.add_batch(&pool, batch.clone());
+            equals_the_model(&index, &model)?;
+            let mut base = SearchIndex::new();
+            base.add_batch(&pool, batch[..cuts[0]].to_vec());
+            let tier = SegmentedIndex::new(base);
+            for run in cuts.windows(2) {
+                prop_assert_eq!(tier.apply(batch[run[0]..run[1]].to_vec()), run[1] - run[0]);
             }
-            let got_lens: Vec<u32> =
-                (0..batch.len()).map(|d| postings.doc_len(DocId(d as u32))).collect();
-            prop_assert_eq!(&got_lens, &lens);
-            let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
-            prop_assert_eq!(postings.total_doc_len(), total);
-            let column = index.annotation_column();
-            for (doc, want) in values.iter().enumerate() {
-                let got: Vec<Vec<&str>> = column
-                    .doc(DocId(doc as u32))
-                    .map(|(_, terms)| terms.iter().map(|&t| postings.dict().resolve(t)).collect())
-                    .collect();
-                prop_assert_eq!(&got, want);
-            }
+            prop_assert_eq!(tier.merge(), batch.len() - cuts[0]);
+            equals_the_model(tier.snapshot().base(), &model)?;
         }
     }
 

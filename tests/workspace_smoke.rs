@@ -189,28 +189,20 @@ fn the_lint_configuration_keeps_every_rule() {
 
 /// The index crate runs on the pool its owner passed to `add_batch`
 /// (DESIGN.md §8): no file of its library source — each file up to its
-/// first `#[cfg(test)]` — constructs a pool of a width it picks itself, a
-/// literal one (`ThreadPool::new(0)`) or the default. A width its caller
-/// names (`ClusterConfig::workers`) is the caller's choice.
+/// first column-0 `#[cfg(test)]` — constructs a pool of a width it picks
+/// itself, a literal one (`ThreadPool::new(0)`) or the default. A width its
+/// caller names (`ClusterConfig::workers`) is the caller's choice.
 #[test]
 fn the_index_crate_sizes_no_pool_of_its_own() {
-    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/index/src")];
-    let mut files = Vec::new();
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).expect("a source directory is readable") {
-            let path = entry.expect("a source directory entry").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                files.push(path);
-            }
-        }
-    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = rust_files(&root.join("crates/index/src"));
     assert!(files.len() >= 10, "found only {} files", files.len());
     for file in &files {
         let text = std::fs::read_to_string(file).expect("source is readable");
-        let library = text.split("#[cfg(test)]").next().unwrap_or("");
-        for (n, line) in library.lines().enumerate() {
+        let library = text
+            .lines()
+            .take_while(|line| !line.starts_with("#[cfg(test)]"));
+        for (n, line) in library.enumerate() {
             let literal_width = line
                 .split("ThreadPool::new(")
                 .skip(1)
@@ -224,4 +216,100 @@ fn the_index_crate_sizes_no_pool_of_its_own() {
             );
         }
     }
+}
+
+/// Every `.rs` file under `dir`, at any depth.
+fn rust_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut dirs = vec![dir.to_path_buf()];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source directory is readable") {
+            let path = entry.expect("a source directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files
+}
+
+/// The top-level items after `text`'s first column-0 `#[cfg(test)]` that
+/// do not carry a `#[cfg(test)]` of their own, as `(line, text)`: an item
+/// starts on a column-0 line whose first word is an item keyword, and the
+/// column-0 attributes since the previous item are its own.
+fn items_after_the_first_test_marker(text: &str) -> Vec<(usize, &str)> {
+    const KEYWORDS: &[&str] = &[
+        "pub",
+        "fn",
+        "impl",
+        "mod",
+        "use",
+        "const",
+        "static",
+        "struct",
+        "enum",
+        "type",
+        "trait",
+        "unsafe",
+        "extern",
+        "async",
+        "macro_rules",
+    ];
+    let mut lines = text.lines().enumerate();
+    if !lines.any(|(_, line)| line.starts_with("#[cfg(test)]")) {
+        return Vec::new();
+    }
+    let mut test_only = true;
+    let mut outside = Vec::new();
+    for (n, line) in lines {
+        if line.starts_with("#[cfg(test)]") {
+            test_only = true;
+            continue;
+        }
+        let word = line
+            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .next();
+        if word.is_some_and(|word| KEYWORDS.contains(&word)) {
+            if !test_only {
+                outside.push((n + 1, line));
+            }
+            test_only = false;
+        }
+    }
+    outside
+}
+
+/// `tools/simplicity.sh` counts a library file's lines up to its first
+/// column-0 `#[cfg(test)]`, so everything after that marker must be test
+/// code: a library item placed below a test-only one drops out of the
+/// count. Every top-level item there carries its own `#[cfg(test)]`, in
+/// every `src/**/*.rs` of the workspace the count reads.
+#[test]
+fn library_code_ends_at_the_first_test_marker() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = rust_files(&root.join("src"));
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        files.extend(rust_files(
+            &krate.expect("crates/ entry").path().join("src"),
+        ));
+    }
+    files.retain(|file| !file.to_string_lossy().contains("bin/deepbench"));
+    assert!(files.len() >= 100, "found only {} files", files.len());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source is readable");
+        let outside = items_after_the_first_test_marker(&text);
+        assert!(
+            outside.is_empty(),
+            "{}: library code after the first `#[cfg(test)]`, which the line count skips: {outside:?}",
+            file.display()
+        );
+    }
+    let library =
+        "fn a() {}\n#[cfg(test)]\nfn b() {}\n/// Docs.\n#[inline]\npub(crate) fn c(\n) {}\n";
+    assert_eq!(
+        items_after_the_first_test_marker(library),
+        [(6, "pub(crate) fn c(")]
+    );
 }

@@ -4,6 +4,7 @@
 #
 #   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
 #      file's first `#[cfg(test)]` (the deepbench package is not counted);
+#      `tests/workspace_smoke.rs` fails when a library item follows it;
 #   2. `pub` fields of each configuration struct (`*Config`, `*Params`,
 #      `*Policy`, `SearchOptions`) — the independently settable values —
 #      and their total;
