@@ -17,6 +17,7 @@
 //! reference counting.
 
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of workers worth spawning on this machine.
 pub fn default_parallelism() -> usize {
@@ -111,8 +112,7 @@ impl ThreadPool {
         F: Fn(&mut S, usize, T) -> U + Sync,
     {
         let n = items.len();
-        // Running more workers than cores (or items) only adds overhead.
-        let workers = self.workers.min(n).min(cached_parallelism());
+        let workers = self.running(n);
         if workers <= 1 {
             // Inline fast path: no thread scope, no queue, no locks.
             let mut state = init();
@@ -123,28 +123,12 @@ impl ThreadPool {
                 .collect();
         }
         let queue = Mutex::new(items.into_iter().enumerate());
-        let finished: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
-        let work = || {
-            let mut state = init();
-            let mut local: Vec<(usize, U)> = Vec::new();
-            loop {
-                // Its own statement, so the lock is released before `f` runs.
-                let next = queue.lock().next();
-                let Some((i, t)) = next else { break };
-                local.push((i, f(&mut state, i, t)));
-            }
-            finished.lock().extend(local);
-        };
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(work);
-            }
-            work();
-        });
-        let mut out = finished.into_inner();
-        debug_assert_eq!(out.len(), n, "every task must be executed exactly once");
-        out.sort_unstable_by_key(|&(i, _)| i);
-        out.into_iter().map(|(_, u)| u).collect()
+        fan_out(workers, n, init, |state| {
+            // Its own statement, so the lock is released before `f` runs.
+            let next = queue.lock().next();
+            let (i, t) = next?;
+            Some((i, f(state, i, t)))
+        })
     }
 
     /// Apply `f` to every index in `0..n`, in parallel, with reusable
@@ -152,20 +136,71 @@ impl ThreadPool {
     /// [`ThreadPool::map_init`] without materialising the inputs. This is
     /// what batch serving uses to fan out over a borrowed slice of queries
     /// without cloning them into the task queue, one scratch per worker.
+    /// Workers claim the next index from one atomic cursor, so a claim
+    /// takes no lock.
     pub fn map_indices_init<U, S, I, F>(&self, n: usize, init: I, f: F) -> Vec<U>
     where
         U: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> U + Sync,
     {
-        self.map_init((0..n).collect(), init, |state, _, i| f(state, i))
+        let workers = self.running(n);
+        if workers <= 1 {
+            let mut state = init();
+            return (0..n).map(|i| f(&mut state, i)).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        fan_out(workers, n, init, |state| {
+            // Relaxed: the cursor publishes no data; results come back
+            // through `fan_out`'s lock and the scope's join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            (i < n).then(|| (i, f(state, i)))
+        })
     }
+
+    /// Workers a call over `n` items runs: running more than cores (or
+    /// items) only adds overhead.
+    fn running(&self, n: usize) -> usize {
+        self.workers.min(n).min(cached_parallelism())
+    }
+}
+
+/// Run `workers` workers, the calling thread among them, each with its own
+/// `init` state, until `next` (which claims and runs one task) returns
+/// `None`; the `n` results come back in task order.
+fn fan_out<U, S>(
+    workers: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    next: impl Fn(&mut S) -> Option<(usize, U)> + Sync,
+) -> Vec<U>
+where
+    U: Send,
+{
+    let finished: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
+    let work = || {
+        let mut state = init();
+        let mut local: Vec<(usize, U)> = Vec::new();
+        while let Some(done) = next(&mut state) {
+            local.push(done);
+        }
+        finished.lock().extend(local);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
+    let mut out = finished.into_inner();
+    debug_assert_eq!(out.len(), n, "every task must be executed exactly once");
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, u)| u).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_input_order() {
@@ -269,6 +304,36 @@ mod tests {
         assert!(ThreadPool::new(4)
             .map_indices_init(0, || (), |_, i| i)
             .is_empty());
+    }
+
+    /// The atomic cursor hands out every index once, and results come back
+    /// in index order, while one slow index holds its worker.
+    #[test]
+    fn map_indices_runs_each_index_once_in_order() {
+        let n = 300;
+        for workers in [1, 2, 4] {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = ThreadPool::new(workers).map_indices_init(
+                n,
+                || (),
+                |_, i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    if i == 1 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    i * 3
+                },
+            );
+            assert_eq!(
+                out,
+                (0..n).map(|i| i * 3).collect::<Vec<_>>(),
+                "{workers} workers"
+            );
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

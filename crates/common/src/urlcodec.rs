@@ -5,44 +5,35 @@
 //! them back, and the index uses them as document keys. Encoding must
 //! round-trip exactly or coverage accounting breaks.
 
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// True for the bytes a query component keeps literal: RFC 3986 unreserved.
 fn is_unreserved(b: u8) -> bool {
     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~')
 }
 
-/// Length of [`encode_component`]`(s)`, without building it.
+/// Length of what [`encode_component`] writes for `s`.
 fn encoded_len(s: &str) -> usize {
     s.bytes()
         .map(|b| if is_unreserved(b) || b == b' ' { 1 } else { 3 })
         .sum()
 }
 
-/// Percent-encode a query component (RFC 3986 unreserved kept literal,
-/// space as `+` per form-urlencoding).
-pub fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append the percent-encoding of a query component to `out` (RFC 3986
+/// unreserved kept literal, space as `+` per form-urlencoding).
+pub fn encode_component(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for b in s.bytes() {
         match b {
-            b if is_unreserved(b) => out.push(b as char),
+            b if is_unreserved(b) => out.push(char::from(b)),
             b' ' => out.push('+'),
             _ => {
                 out.push('%');
-                out.push(
-                    char::from_digit((b >> 4) as u32, 16)
-                        .unwrap()
-                        .to_ascii_uppercase(),
-                );
-                out.push(
-                    char::from_digit((b & 0xf) as u32, 16)
-                        .unwrap()
-                        .to_ascii_uppercase(),
-                );
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
     }
-    out
 }
 
 /// Decode a form-urlencoded component. Invalid escapes are passed through
@@ -134,9 +125,8 @@ impl Url {
             .map(|(_, v)| v.as_str())
     }
 
-    /// This URL as a dedup key: its `Display` spelling, written once into a
-    /// `String` allocated at exactly its length (`to_string` grows its
-    /// buffer through `fmt` several times per URL).
+    /// This URL as a dedup key: its `Display` spelling, written by
+    /// [`Url::write_key`] into a `String` allocated at exactly its length.
     pub fn key(&self) -> String {
         let params: usize = self
             .params
@@ -145,9 +135,23 @@ impl Url {
             .sum();
         let mut key =
             String::with_capacity("http://".len() + self.host.len() + self.path.len() + params);
-        // Writing into a `String` cannot fail.
-        let _ = write!(key, "{self}");
+        self.write_key(&mut key);
         key
+    }
+
+    /// Append this URL's `Display` spelling to `out`: the host, the path and
+    /// the percent-encoded parameters written straight into the buffer, with
+    /// no `fmt` machinery and no `String` per component.
+    pub fn write_key(&self, out: &mut String) {
+        out.push_str("http://");
+        out.push_str(&self.host);
+        out.push_str(&self.path);
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            out.push(if i == 0 { '?' } else { '&' });
+            encode_component(k, out);
+            out.push('=');
+            encode_component(v, out);
+        }
     }
 
     /// Parse from string form. Returns `None` for anything that is not an
@@ -171,17 +175,17 @@ impl Url {
     }
 }
 
+/// The reference spelling [`Url::write_key`] must equal, through `fmt`.
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "http://{}{}", self.host, self.path)?;
+        let mut pair = String::new();
         for (i, (k, v)) in self.params.iter().enumerate() {
-            write!(
-                f,
-                "{}{}={}",
-                if i == 0 { '?' } else { '&' },
-                encode_component(k),
-                encode_component(v)
-            )?;
+            pair.clear();
+            encode_component(k, &mut pair);
+            pair.push('=');
+            encode_component(v, &mut pair);
+            write!(f, "{}{pair}", if i == 0 { '?' } else { '&' })?;
         }
         Ok(())
     }
@@ -191,11 +195,21 @@ impl fmt::Display for Url {
 mod tests {
     use super::*;
 
+    /// [`encode_component`] as a function, for the round-trip tests.
+    pub(super) fn encoded(s: &str) -> String {
+        let mut out = String::new();
+        encode_component(s, &mut out);
+        out
+    }
+
     #[test]
     fn encode_decode_roundtrip_basic() {
         for s in ["honda civic", "a&b=c", "100%", "zip 94043", "~tilde._-"] {
-            assert_eq!(decode_component(&encode_component(s)), s);
+            assert_eq!(decode_component(&encoded(s)), s);
         }
+        let mut out = "x=".to_string();
+        encode_component("caf\u{e9} 1%", &mut out);
+        assert_eq!(out, "x=caf%C3%A9+1%25", "appends to what the buffer holds");
     }
 
     #[test]
@@ -271,7 +285,7 @@ mod prop_tests {
     proptest! {
         #[test]
         fn component_roundtrip(s in "\\PC{0,40}") {
-            prop_assert_eq!(decode_component(&encode_component(&s)), s);
+            prop_assert_eq!(decode_component(&super::tests::encoded(&s)), s);
         }
 
         #[test]
@@ -279,7 +293,7 @@ mod prop_tests {
             // Percent- and plus-heavy inputs stress the escape scanner: the
             // encoded form must round-trip, and decoding the raw (possibly
             // invalid) input must never panic.
-            prop_assert_eq!(decode_component(&encode_component(&s)), s.clone());
+            prop_assert_eq!(decode_component(&super::tests::encoded(&s)), s.clone());
             let _ = decode_component(&s);
         }
 
@@ -295,6 +309,26 @@ mod prop_tests {
             }
             let parsed = Url::parse(&u.to_string());
             prop_assert_eq!(parsed, Some(u));
+        }
+
+        /// The key writer, into a reused buffer, spells what `Display`
+        /// does, for parameters with reserved bytes, spaces, `%` and
+        /// non-ASCII text.
+        #[test]
+        fn written_key_is_the_display_spelling(
+            host in "[a-z0-9-]{1,10}\\.sim",
+            path in "/[a-z0-9/%]{0,15}",
+            params in prop::collection::vec(("[a-z&=?%+ é]{0,6}", "[ -~éü中€]{0,12}"), 0..5),
+        ) {
+            let mut u = Url::new(host, path);
+            for (k, v) in params {
+                u = u.with_param(k, v);
+            }
+            let mut buf = "http://stale.sim/?x=1".to_string();
+            buf.clear();
+            u.write_key(&mut buf);
+            prop_assert_eq!(&buf, &format!("{u}"));
+            prop_assert_eq!(u.key(), buf);
         }
 
         #[test]

@@ -1,10 +1,11 @@
 //! Stored documents: everything the serving layer needs to render a hit.
 //!
 //! The store is append-only and its documents never change, so it keeps them
-//! in fixed-size chunks behind `Arc`: a copy of the store shares every chunk,
-//! and appending to a copy clones only the tail chunk it writes into. That is
-//! what lets the freshness tier's merge (DESIGN.md §15) hand the next base
-//! the sealed base's documents instead of a copy of their text.
+//! as a list of shared chunks of any length, each behind `Arc`: a batch
+//! enters as one chunk, moved in whole, and a copy of the store shares every
+//! chunk. That is what lets the freshness tier's merge (DESIGN.md §15) hand
+//! the next base the sealed base's documents and each pending segment's,
+//! instead of a copy of their text.
 
 use crate::searcher::ANNOTATION_BOOST;
 use crate::view::next_id;
@@ -164,61 +165,52 @@ pub struct BatchDoc {
     pub annotations: Vec<Annotation>,
 }
 
-/// Documents per chunk, as a shift: a lookup is `id >> CHUNK_BITS` for the
-/// chunk and the low bits inside it.
-const CHUNK_BITS: u32 = 10;
-pub(crate) const CHUNK_DOCS: usize = 1 << CHUNK_BITS;
-
-/// Append-only document store. `clone()` shares every chunk (module docs);
-/// only the last chunk is ever partly filled.
-#[derive(Default, Clone, Debug)]
+/// Append-only document store: shared chunks, each with the id of its
+/// first document. `clone()` shares every chunk (module docs).
+#[derive(Default, Clone)]
 pub struct DocStore {
-    chunks: Vec<Arc<Vec<BatchDoc>>>,
-    len: usize,
+    chunks: Vec<(usize, Arc<Vec<BatchDoc>>)>,
 }
 
 impl DocStore {
-    /// Create an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a document, assigning its id: the next position.
-    pub fn push(&mut self, doc: BatchDoc) -> DocId {
-        let id = DocId(next_id(self.len));
-        match self.chunks.last_mut() {
-            // Copy-on-append: a tail chunk another store still reads is
-            // cloned here, so a push never changes what a copy returns.
-            Some(tail) if tail.len() < CHUNK_DOCS => Arc::make_mut(tail).push(doc),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_DOCS);
-                chunk.push(doc);
-                self.chunks.push(Arc::new(chunk));
-            }
+    /// Append `chunk`'s documents, in order: the first gets the next id.
+    /// The chunk is shared, not copied.
+    pub(crate) fn append(&mut self, chunk: Arc<Vec<BatchDoc>>) {
+        if !chunk.is_empty() {
+            self.chunks.push((self.len(), chunk));
         }
-        self.len += 1;
-        id
     }
 
     /// Document by id.
     pub fn get(&self, id: DocId) -> &BatchDoc {
         let i = id.as_usize();
-        &self.chunks[i >> CHUNK_BITS][i % CHUNK_DOCS]
+        let at = self.chunks.partition_point(|&(first, _)| first <= i);
+        let (first, chunk) = &self.chunks[at.saturating_sub(1)];
+        &chunk[i - first]
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.len
+        self.chunks
+            .last()
+            .map_or(0, |(first, chunk)| first + chunk.len())
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.chunks.is_empty()
     }
 
     /// Iterate all documents, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &BatchDoc> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
+        self.chunks.iter().flat_map(|(_, chunk)| chunk.iter())
+    }
+}
+
+/// The documents in id order, whatever chunks hold them.
+impl std::fmt::Debug for DocStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -251,6 +243,20 @@ impl BatchDoc {
 }
 
 #[cfg(test)]
+impl DocStore {
+    /// The chunk holding `id`, with its first document's id.
+    pub(crate) fn chunk(&self, id: DocId) -> &(usize, Arc<Vec<BatchDoc>>) {
+        let holds = |(first, chunk): &&(usize, Arc<Vec<BatchDoc>>)| {
+            (*first..first + chunk.len()).contains(&id.as_usize())
+        };
+        self.chunks
+            .iter()
+            .find(holds)
+            .expect("an id the store holds")
+    }
+}
+
+#[cfg(test)]
 impl AnnotationColumn {
     /// [`AnnotationColumn::boost_bound`] by brute force: every document's
     /// annotations counted afresh, those of 1 to 64 value tokens kept.
@@ -268,49 +274,54 @@ impl AnnotationColumn {
 mod tests {
     use super::*;
 
-    #[test]
-    fn push_and_get() {
-        let mut ds = DocStore::new();
-        let id = ds.push(BatchDoc::page(Url::new("x.sim", "/"), "t", "body"));
-        assert_eq!(id, DocId(0));
-        assert_eq!(ds.get(id).title, "t");
-        assert_eq!(ds.len(), 1);
+    /// `n` pages, titled by their position from `from`.
+    fn pages(from: usize, n: usize) -> Vec<BatchDoc> {
+        let page = |i: usize| {
+            let path = format!("/{i}");
+            BatchDoc::page(Url::new("x.sim", &*path), &path, "body")
+        };
+        (from..from + n).map(page).collect()
     }
 
-    fn push_n(ds: &mut DocStore, n: usize) {
-        for _ in 0..n {
-            let path = format!("/{}", ds.len());
-            ds.push(BatchDoc::page(Url::new("x.sim", &*path), &path, "body"));
+    /// A store of `sizes` appended batches, pages numbered on.
+    fn appended(sizes: &[usize]) -> DocStore {
+        let mut ds = DocStore::default();
+        for &n in sizes {
+            ds.append(Arc::new(pages(ds.len(), n)));
         }
+        ds
     }
 
-    /// The tail-chunk copy-on-append case on both sides of a chunk boundary:
-    /// a push on a copy never changes what the original returns, and full
-    /// chunks are shared, not copied.
+    /// Any split of the same pages into appended batches (empty ones
+    /// included) gives the same `get`, `iter`, `len` and `Debug`; a clone
+    /// shares every chunk, and appending to the clone leaves the original
+    /// unchanged.
     #[test]
-    fn push_on_a_copy_leaves_the_original_untouched() {
-        for n in [CHUNK_DOCS - 1, CHUNK_DOCS, CHUNK_DOCS + 1] {
-            let mut original = DocStore::new();
-            push_n(&mut original, n);
+    fn appending_to_a_copy_leaves_the_original_untouched() {
+        let splits: [&[usize]; 5] = [&[9], &[1, 8], &[4, 0, 5], &[3, 3, 3], &[0, 1, 1, 7, 0]];
+        let want = format!("{:?}", pages(0, 9));
+        for sizes in splits {
+            let original = appended(sizes);
+            assert_eq!(
+                (original.len(), original.is_empty()),
+                (9, false),
+                "{sizes:?}"
+            );
+            assert_eq!(format!("{original:?}"), want, "{sizes:?}");
+            for (i, doc) in original.iter().enumerate() {
+                assert_eq!(doc.title, format!("/{i}"), "{sizes:?}");
+                assert!(std::ptr::eq(original.get(DocId(next_id(i))), doc));
+            }
             let mut copy = original.clone();
-            push_n(&mut copy, 3);
-            assert_eq!((original.len(), copy.len()), (n, n + 3));
-            assert_eq!(original.iter().count(), n);
-            for (i, doc) in copy.iter().enumerate() {
-                assert_eq!(doc.title, format!("/{i}"));
-                assert!(std::ptr::eq(copy.get(DocId(next_id(i))), doc));
+            copy.append(Arc::new(pages(9, 3)));
+            assert_eq!((original.len(), copy.len()), (9, 12), "{sizes:?}");
+            assert_eq!(format!("{original:?}"), want, "{sizes:?}");
+            assert_eq!(copy.get(DocId(11)).title, "/11");
+            for (a, b) in original.iter().zip(copy.iter()) {
+                assert!(std::ptr::eq(a, b), "{sizes:?}: a copy shares every chunk");
             }
-            for (i, (a, b)) in original.iter().zip(copy.iter()).enumerate() {
-                assert_eq!(a.title, b.title);
-                let in_full_chunk = i < n / CHUNK_DOCS * CHUNK_DOCS;
-                assert_eq!(std::ptr::eq(a, b), in_full_chunk, "n={n} doc {i}");
-            }
-            // The original keeps appending on its own tail.
-            push_n(&mut original, 1);
-            assert_eq!(original.get(DocId(next_id(n))).title, format!("/{n}"));
-            assert_eq!(copy.get(DocId(next_id(n))).title, format!("/{n}"));
-            assert_eq!(copy.len(), n + 3);
         }
+        assert!(appended(&[0, 0]).is_empty());
     }
 
     /// The store keeps an annotation as surfaced; its interned form lives
@@ -318,12 +329,13 @@ mod tests {
     /// documents with none included.
     #[test]
     fn annotations_stored_with_interned_form() {
-        let mut ds = DocStore::new();
+        let mut ds = DocStore::default();
         let mut column = AnnotationColumn::default();
-        let id = ds.push(BatchDoc {
+        ds.append(Arc::new(vec![BatchDoc {
             site: Some(SiteId(3)),
             ..BatchDoc::surfaced(Url::new("x.sim", "/r"), "t", "body", &[("make", "honda")])
-        });
+        }]));
+        let id = DocId(0);
         column.push(FacetKeyId(0), &[TermId(7)]);
         column.end_doc();
         column.end_doc();

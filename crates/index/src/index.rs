@@ -6,12 +6,13 @@ use crate::docstore::{AnnotationColumn, BatchDoc, DocStore};
 use crate::postings::{Postings, Tally};
 use crate::pruned::PruningIndex;
 use crate::searcher::SearchOptions;
-use crate::urls::{dedup, url_hashes, UrlMap};
+use crate::urls::{dedup, url_hash, url_hashes, UrlMap};
 use crate::view::next_id;
 use deepweb_common::ids::{DocId, FacetKeyId, TermId};
 use deepweb_common::text::raw_tokens;
-use deepweb_common::{fxhash64, FxHashMap, TermDict, ThreadPool, Url};
+use deepweb_common::{FxHashMap, TermDict, ThreadPool, Url};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// The facet vocabulary: each analysed value token → the facet keys it is a
 /// known value of, in first-appearance order. Keyed by token because a
@@ -142,16 +143,17 @@ impl SearchIndex {
     /// runs in parallel from now on runs on it.
     ///
     /// Every URL is rendered and hashed on the pool (`urls::url_hashes`); the
-    /// serial pass then only probes and files those hashes in batch order
-    /// (URL identity, first occurrence wins), rendering a URL only to
-    /// confirm a hash hit. The fresh documents stay in the batch, which is
-    /// split into contiguous shards, each analysed and indexed into
+    /// dedup then probes and files those hashes table by table (URL
+    /// identity, first occurrence wins, ids in batch order), rendering a URL
+    /// only to confirm a hash hit. The fresh documents stay in the batch,
+    /// which is split into contiguous shards, each analysed and indexed into
     /// doc-local postings in parallel (`build_shard`), sealed in shard order
     /// into one fresh `Extension` (`SearchIndex::seal`), then folded by the
     /// one fold, `SearchIndex::merged` — so the resulting index, block index
     /// included, is identical to the sequential loop for any worker count.
     /// The fold copies this index's posting lists once; on an empty index it
-    /// allocates each list once, at its final length.
+    /// allocates each list once, at its final length. The deduplicated
+    /// batch itself becomes one docstore chunk: no document is copied.
     pub fn add_batch(&mut self, pool: &ThreadPool, mut batch: Vec<BatchDoc>) -> Vec<DocId> {
         self.pool = *pool;
         // 1. Dedup + id assignment in batch order over the pool's hashes,
@@ -178,7 +180,7 @@ impl SearchIndex {
         // shards before its block pass.
         let mut ext = Extension::default();
         let shards: Vec<Shard> = built.into_iter().map(|b| self.seal(&mut ext, b)).collect();
-        *self = self.merged(by_url, ext, shards, batch);
+        *self = self.merged(by_url, ext, shards, [Arc::new(batch)]);
         ids
     }
 
@@ -203,11 +205,12 @@ impl SearchIndex {
     /// batch's) or borrowed (a pending segment's), folded in as a new index:
     /// the one fold, which [`SearchIndex::add_batch`] and the freshness
     /// merge (DESIGN.md §15) run. `docs` are the shards' documents, in
-    /// order; `by_url` is the result's URL map, `docs` already filed in it.
+    /// order, as docstore chunks the result appends without copying;
+    /// `by_url` is the result's URL map, `docs` already filed in it.
     /// No id is given or looked up here: `ext` is appended in id order
     /// ([`appended`]), each list copied through the remaps once, at its
     /// final length ([`Postings::absorbed`]), and each sealed column
-    /// appended. `self` is only read; the result shares every full docstore
+    /// appended. `self` is only read; the result shares every docstore
     /// chunk and dictionary string, and its block index is `self`'s
     /// extended ([`PruningIndex::extended`]) once owned shards are freed.
     /// Both passes run on the index's pool; the result does not depend on it.
@@ -216,7 +219,7 @@ impl SearchIndex {
         by_url: UrlMap,
         ext: Extension,
         shards: Vec<S>,
-        docs: impl IntoIterator<Item = BatchDoc>,
+        docs: impl IntoIterator<Item = Arc<Vec<BatchDoc>>>,
     ) -> SearchIndex {
         let lists: Vec<(&Postings, &[TermId])> = (shards.iter())
             .map(|s| (&s.borrow().postings, &s.borrow().remap[..]))
@@ -235,8 +238,8 @@ impl SearchIndex {
         for shard in &shards {
             next.annotations.append(&shard.borrow().annotations);
         }
-        for doc in docs {
-            next.docs.push(doc);
+        for chunk in docs {
+            next.docs.append(chunk);
         }
         debug_assert_eq!(next.docs.len(), next.postings.num_docs());
         drop(shards);
@@ -266,7 +269,8 @@ impl SearchIndex {
 
     /// True if the URL is already indexed.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.url_id(fxhash64(url.key().as_str()), url).is_some()
+        self.url_id(url_hash(url, &mut String::new()), url)
+            .is_some()
     }
 
     /// The id of an indexed URL whose rendered form hashes to `hash`.

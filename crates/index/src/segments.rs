@@ -54,8 +54,9 @@
 //!
 //! A merge builds the next base *from* the sealed base and the segments; it
 //! never clones the base and mutates the copy. What no merge changes is
-//! shared between the two generations (docstore chunks, dictionary strings)
-//! or carried over as is (the block index's full blocks — the
+//! shared between the two generations (docstore chunks, each pending
+//! segment's documents among them, and dictionary strings) or carried over
+//! as is (the block index's full blocks — the
 //! `(max_tf, min_dl)` of postings no merge touches); each raw posting list is
 //! copied once at its final length, through the remaps `apply` sealed; only
 //! the delta gets new blocks; the pending URLs enter the URL map as the
@@ -69,10 +70,10 @@ use crate::index::{build_shard, Extension, SearchIndex, Shard};
 use crate::postings::Tally;
 use crate::searcher::{search_view, with_thread_scratch, Hit, QueryScratch, SearchOptions};
 use crate::service::SearchService;
-use crate::urls::{dedup, url_hashes, UrlMap};
+use crate::urls::{dedup, url_hash, url_hashes, UrlMap};
 use crate::view::{doc_bound, next_id, IndexView};
 use deepweb_common::ids::{DocId, TermId};
-use deepweb_common::{fxhash64, FxHashMap, Url};
+use deepweb_common::{FxHashMap, Url};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -86,8 +87,9 @@ pub struct SealedSegment {
     /// generation id (the id the merged base gives it) and the annotation
     /// column in generation ids — what a merge folds as it is.
     pub(crate) shard: Shard,
-    /// The raw documents, which the merged base's store keeps.
-    docs: Vec<BatchDoc>,
+    /// The raw documents, one docstore chunk: a merge appends it to the
+    /// next base's store as it is.
+    docs: Arc<Vec<BatchDoc>>,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
     pub(crate) inv: FxHashMap<TermId, TermId>,
@@ -184,7 +186,8 @@ impl Generation {
 
     /// True if `url` is indexed in the base or any segment.
     pub fn contains_url(&self, url: &Url) -> bool {
-        self.url_id(fxhash64(url.key().as_str()), url).is_some()
+        self.url_id(url_hash(url, &mut String::new()), url)
+            .is_some()
     }
 
     /// The pending document `id` (one past the base), from its segment.
@@ -287,7 +290,7 @@ impl SegmentedIndex {
                 .map(|(local, &id)| (id, TermId(next_id(local))))
                 .collect(),
             shard,
-            docs: batch,
+            docs: Arc::new(batch),
         };
         let added = segment.num_docs();
         overlay.num_docs += segment.num_docs();
@@ -307,9 +310,10 @@ impl SegmentedIndex {
     /// (readers keep serving the old generation from their snapshots) and
     /// published with one pointer swap. The next base is built from the
     /// sealed one by the fold `add_batch` runs (`SearchIndex::merged`, on
-    /// the base's pool), sharing what no merge changes (module docs); its
-    /// block index is the sealed base's extended over the folded docs, every
-    /// stored block maximum exact again.
+    /// the base's pool), sharing what no merge changes (module docs) and
+    /// each segment's documents, whose chunk the next base's store appends;
+    /// its block index is the sealed base's extended over the folded docs,
+    /// every stored block maximum exact again.
     ///
     /// Returns the number of documents folded out of segments (0 = nothing
     /// to merge).
@@ -321,7 +325,7 @@ impl SegmentedIndex {
         }
         let folded = gen.pending_docs();
         let shards: Vec<&Shard> = gen.segments.iter().map(|seg| &seg.shard).collect();
-        let docs = gen.segments.iter().flat_map(|seg| seg.docs.iter().cloned());
+        let docs = gen.segments.iter().map(|seg| Arc::clone(&seg.docs));
         let mut by_url = gen.base.url_map().clone();
         by_url.absorb(&gen.overlay.urls, |id| &gen.pending_doc(id).url);
         let ext = gen.overlay.ext.clone();
@@ -380,7 +384,7 @@ mod tests {
     use crate::postings::{bm25_contribution, Posting};
     use crate::searcher::{search, search_windowed, PruningMode, ANNOTATION_BOOST};
     use deepweb_common::ids::SiteId;
-    use deepweb_common::{ThreadPool, Url};
+    use deepweb_common::{fxhash64, ThreadPool, Url};
 
     fn doc(host: &str, path: &str, title: &str, text: &str, anns: &[(&str, &str)]) -> BatchDoc {
         BatchDoc {
@@ -760,7 +764,7 @@ mod tests {
     /// A random apply/merge sequence over a corpus that exercises what the
     /// merge carries over: terms crossing several 64-posting blocks, partial
     /// tails, terms and facet keys no earlier doc used, annotation-only
-    /// terms, duplicate URLs, a base past one docstore chunk. After every
+    /// terms, duplicate URLs, a base of 1 324 docs. After every
     /// `merge()` the base equals a from-scratch `add_batch` over the same
     /// docs **field for field** — raw lists, every block and its exact
     /// maximum, `by_url`, both dictionaries — and holds no slack. After every
@@ -817,14 +821,14 @@ mod tests {
                 state ^= state << 17;
                 (state % n as u64) as usize
             };
-            let base_len = crate::docstore::CHUNK_DOCS + 300;
+            let base_len = 1324;
             let mut all: Vec<BatchDoc> = (0..base_len).map(|i| make(i, &mut below)).collect();
             let mut base = SearchIndex::new();
             base.add_batch(&ThreadPool::new(workers), all.clone());
             let seg = SegmentedIndex::new(base);
             assert!(
-                seg.num_docs() > crate::docstore::CHUNK_DOCS,
-                "doc 0 sits in a full chunk"
+                seg.num_docs() > 1024,
+                "doc 0 sits in the base's one chunk of 1 324 docs"
             );
             let mut merges = 0;
             for step in 0..24 {
@@ -844,8 +848,8 @@ mod tests {
                         postings.num_postings() * std::mem::size_of::<Posting>(),
                         "{ctx}: a merged list is allocated at its final length"
                     );
-                    // No base document was copied: a doc in a full chunk is the
-                    // same allocation in both generations.
+                    // No base document was copied: a base doc is the same
+                    // allocation in both generations.
                     let first = DocId(0);
                     assert!(std::ptr::eq(
                         before.base().doc(first),
@@ -871,6 +875,29 @@ mod tests {
                 merges >= 3,
                 "the sequence must merge pending docs: {merges}"
             );
+        }
+    }
+
+    /// A merge moves no document: the next base's store appends each
+    /// pending segment's chunk (the same allocation, starting at the
+    /// segment's first id) after the sealed base's chunks, which it shares.
+    #[test]
+    fn a_merge_shares_each_pending_chunk_with_the_next_base() {
+        let (base, delta) = corpus();
+        let seg = SegmentedIndex::new(build_base(&base));
+        seg.apply(delta);
+        seg.apply(vec![doc("d.sim", "/x", "library", "rare maps", &[])]);
+        let pending = seg.snapshot();
+        assert_eq!(seg.merge(), 3);
+        let merged = seg.snapshot();
+        let chunk = |gen: &Generation, id: u32| gen.base().docs().chunk(DocId(id)).clone();
+        let (_, sealed) = chunk(&pending, 0);
+        assert!(Arc::ptr_eq(&chunk(&merged, 0).1, &sealed));
+        assert_eq!(pending.segments().len(), 2);
+        for part in pending.segments() {
+            let (first, docs) = chunk(&merged, part.base_doc);
+            assert_eq!(first, part.base_doc as usize);
+            assert!(Arc::ptr_eq(&docs, &part.docs), "segment at {first}");
         }
     }
 
@@ -955,10 +982,11 @@ mod tests {
         assert_eq!(pending.search(q, 10, opts), pending_hits);
         assert_eq!(seg.snapshot().search(q, 10, opts), pending_hits);
         assert_ne!(old_hits, pending_hits, "delta must change this query");
-        // Generations share documents, URL keys and dictionary strings, so
-        // isolation has to survive a second merge (which appends to the tail
-        // chunk the first one copied) and the tier itself going away: the
-        // first snapshot still serves its hits and its docs' own strings.
+        // Generations share document chunks and dictionary strings, so
+        // isolation has to survive a second merge (which appends a chunk to
+        // a copy of the store the first one made) and the tier itself going
+        // away: the first snapshot still serves its hits and its docs' own
+        // strings.
         seg.apply(vec![doc("e.sim", "/9", "honda dealer", "honda", &[])]);
         seg.merge();
         let merged_twice = seg.snapshot();

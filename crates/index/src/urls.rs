@@ -1,21 +1,36 @@
 //! Rendered URL → doc id: the dedup map of an index and of the freshness
-//! tier's overlay (DESIGN.md §15).
+//! tier's overlay (DESIGN.md §15), split into [`PARTS`] tables so [`dedup`]
+//! files a batch table by table, each small enough to stay in cache.
 
 use crate::docstore::BatchDoc;
 use crate::view::next_id;
 use deepweb_common::ids::DocId;
 use deepweb_common::{fxhash64, FxHashMap, ThreadPool, Url};
 use std::collections::hash_map::Entry;
-use std::fmt::Write;
 
-/// Keyed by the rendered URL's [`fxhash64`], so an entry is `Copy`: a copy
-/// of the map (one per merge) is a flat copy, and dropping it frees one
-/// table. A hash hit is confirmed against the URL of the doc it names; a
-/// URL whose hash an earlier URL holds goes to a small exact spill map.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Tables a [`UrlMap`] is split into, chosen by a hash's top bits.
+const PARTS: usize = 64;
+
+/// The table of `hash`: its top `log2(PARTS)` bits.
+fn part(hash: u64) -> usize {
+    (hash >> (64 - PARTS.trailing_zeros())) as usize
+}
+
+/// Keyed by the rendered URL's [`url_hash`], so an entry is `Copy`: a copy
+/// of the map (one per merge) is a flat copy of its tables. A hash hit is
+/// confirmed against the URL of the doc it names; a URL whose hash an
+/// earlier URL holds goes to a small exact spill map.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct UrlMap {
-    by_hash: FxHashMap<u64, DocId>,
+    by_hash: Vec<FxHashMap<u64, DocId>>,
     spill: FxHashMap<Box<str>, DocId>,
+}
+
+impl Default for UrlMap {
+    fn default() -> Self {
+        let (by_hash, spill) = (vec![FxHashMap::default(); PARTS], FxHashMap::default());
+        UrlMap { by_hash, spill }
+    }
 }
 
 /// The fewest URLs one hashing task takes: rendering and hashing fewer
@@ -23,31 +38,35 @@ pub(crate) struct UrlMap {
 /// dozen docs stays on the calling thread).
 const HASH_RUN: usize = 1024;
 
-/// The hash a [`UrlMap`] files each of `docs`' URLs under, in order: every
-/// URL rendered and hashed on `pool`, each worker rendering into one reused
-/// buffer — the part of deduplication that costs, taken off the serial
-/// path that files the hashes.
+/// The hash a [`UrlMap`] files `url` under: `fxhash64` of its rendered
+/// form, written into `key`, a buffer the caller reuses.
+pub(crate) fn url_hash(url: &Url, key: &mut String) -> u64 {
+    key.clear();
+    url.write_key(key);
+    fxhash64(key.as_str())
+}
+
+/// [`url_hash`] of each of `docs`' URLs, in order, on `pool`: each worker
+/// renders into one reused buffer — the part of deduplication that costs,
+/// taken off the path that files the hashes.
 pub(crate) fn url_hashes(pool: &ThreadPool, docs: &[BatchDoc]) -> Vec<u64> {
     let run = docs.len().div_ceil(pool.workers()).max(HASH_RUN);
-    let runs = pool.map_init(docs.chunks(run).collect(), String::new, |key, _, docs| {
-        let hash = |doc: &BatchDoc| {
-            key.clear();
-            // Writing into a `String` cannot fail.
-            let _ = write!(key, "{}", doc.url);
-            fxhash64(key.as_str())
-        };
-        docs.iter().map(hash).collect::<Vec<u64>>()
-    });
+    let runs: Vec<Vec<u64>> =
+        pool.map_init(docs.chunks(run).collect(), String::new, |key, _, docs| {
+            docs.iter().map(|doc| url_hash(&doc.url, key)).collect()
+        });
     runs.concat()
 }
 
 /// Deduplicate `batch` into `map` by URL identity, first occurrence wins,
-/// returning each entry's id. `hashes` are its URLs' ([`url_hashes`]); in
-/// batch order, a URL that `earlier` knows or `map` holds gets that id, and
-/// any other the next id from `next` and is filed into `map` — this serial
-/// pass only probes and files hashes. The fresh documents stay in `batch`,
-/// in order. `filed` resolves an id below `next` that `map` holds to its
-/// doc's URL.
+/// returning each entry's id. `hashes` are its URLs' ([`url_hashes`]); a
+/// URL that `earlier` knows or `map` holds gets that id, any other the next
+/// id from `next` in batch order, filed into `map`. The fresh docs stay in
+/// `batch`, in order. `filed` resolves an id below `next` that `map` holds
+/// to its doc's URL. Positions are probed and filed table by table, each
+/// table's in batch order while it stays in cache, a fresh URL under `next`
+/// plus its position; one prefix count then numbers the fresh docs, and a
+/// walk over the map renumbers the filed ones if a URL was dropped.
 pub(crate) fn dedup<'a>(
     batch: &mut Vec<BatchDoc>,
     hashes: &[u64],
@@ -56,35 +75,59 @@ pub(crate) fn dedup<'a>(
     earlier: impl Fn(u64, &Url) -> Option<DocId>,
     filed: impl Fn(DocId) -> &'a Url,
 ) -> Vec<DocId> {
-    map.by_hash.reserve(batch.len());
-    let mut ids = Vec::with_capacity(batch.len());
-    // The batch position of each fresh document, in id order.
-    let mut fresh: Vec<usize> = Vec::new();
-    for (i, (doc, &hash)) in batch.iter().zip(hashes).enumerate() {
+    let mut groups = vec![Vec::new(); PARTS];
+    for (i, &hash) in hashes.iter().enumerate() {
+        groups[part(hash)].push(i);
+    }
+    for (group, table) in groups.iter().zip(&mut map.by_hash) {
+        table.reserve(group.len());
+    }
+    let mut ids = vec![DocId(0); batch.len()];
+    for &i in groups.iter().flatten() {
+        let (url, hash, staged) = (&batch[i].url, hashes[i], DocId(next_id(next + i)));
         let url_of = |id: DocId| match id.as_usize().checked_sub(next) {
-            Some(f) => &batch[fresh[f]].url,
+            Some(at) => &batch[at].url,
             None => filed(id),
         };
-        if let Some(id) = earlier(hash, &doc.url).or_else(|| map.find(hash, &doc.url, url_of)) {
-            ids.push(id);
-            continue;
+        let known = earlier(hash, url).or_else(|| map.find(hash, url, url_of));
+        ids[i] = known.unwrap_or(staged);
+        if known.is_none() {
+            map.file(hash, url, staged);
         }
-        let id = DocId(next_id(next + fresh.len()));
-        map.file(hash, &doc.url, id);
-        ids.push(id);
-        fresh.push(i);
     }
-    let (mut fresh, mut at) = (fresh.into_iter().peekable(), 0);
+    // A fresh doc takes the next number; a repeat its first occurrence's.
+    let mut fresh = 0;
+    for i in 0..ids.len() {
+        if let Some(first) = ids[i].as_usize().checked_sub(next) {
+            if first == i {
+                (ids[i], fresh) = (DocId(next_id(next + fresh)), fresh + 1);
+            }
+            ids[i] = ids[first];
+        }
+    }
+    if fresh < ids.len() {
+        let tables = map.by_hash.iter_mut().flat_map(|table| table.values_mut());
+        for id in tables.chain(map.spill.values_mut()) {
+            if let Some(at) = id.as_usize().checked_sub(next) {
+                *id = ids[at];
+            }
+        }
+    }
+    // A fresh doc's id is the next one the docs kept before it leave.
+    let (mut at, mut kept) = (0, 0);
     batch.retain(|_| {
-        at += 1;
-        fresh.next_if_eq(&(at - 1)).is_some()
+        let keep = ids[at].as_usize() == next + kept;
+        (at, kept) = (at + 1, kept + usize::from(keep));
+        keep
     });
+    // The batch becomes a docstore chunk: it keeps no slack.
+    batch.shrink_to_fit();
     ids
 }
 
 impl UrlMap {
     /// The id of `url`, whose rendered form hashes to `hash`
-    /// ([`url_hashes`]); `url_of` resolves an indexed id to its doc's URL.
+    /// ([`url_hash`]); `url_of` resolves an indexed id to its doc's URL.
     /// Only a hash hit renders anything, and only when the doc it names has
     /// another URL.
     pub(crate) fn find<'a>(
@@ -93,7 +136,7 @@ impl UrlMap {
         url: &Url,
         url_of: impl FnOnce(DocId) -> &'a Url,
     ) -> Option<DocId> {
-        let &id = self.by_hash.get(&hash)?;
+        let &id = self.by_hash[part(hash)].get(&hash)?;
         let filed = url_of(id);
         if filed == url {
             return Some(id);
@@ -108,7 +151,7 @@ impl UrlMap {
     /// Index `url` (this map does not hold it), whose rendered form hashes
     /// to `hash`, as `id`. Rendered only when an earlier URL holds the hash.
     pub(crate) fn file(&mut self, hash: u64, url: &Url, id: DocId) {
-        if let Entry::Vacant(slot) = self.by_hash.entry(hash) {
+        if let Entry::Vacant(slot) = self.by_hash[part(hash)].entry(hash) {
             slot.insert(id);
         } else {
             self.spill.insert(url.key().into(), id);
@@ -119,12 +162,8 @@ impl UrlMap {
     /// of its URLs were inserted here in id order. Only a URL whose hash this
     /// map holds already is rendered again (`url` resolves a doc of `later`).
     pub(crate) fn absorb<'a>(&mut self, later: &UrlMap, url: impl Fn(DocId) -> &'a Url) {
-        for (&hash, &id) in &later.by_hash {
-            if let Entry::Vacant(slot) = self.by_hash.entry(hash) {
-                slot.insert(id);
-            } else {
-                self.spill.insert(url(id).key().into(), id);
-            }
+        for (&hash, &id) in later.by_hash.iter().flatten() {
+            self.file(hash, url(id), id);
         }
         self.spill
             .extend(later.spill.iter().map(|(key, &id)| (key.clone(), id)));
@@ -163,8 +202,8 @@ mod tests {
     }
 
     /// [`url_hashes`] at any width, over more URLs than a task takes, is
-    /// `fxhash64` of each rendered URL, in order — the hash a rendered URL
-    /// is looked up by.
+    /// `fxhash64` of each URL's `Display` spelling, in order — the hash a
+    /// rendered URL is looked up by.
     #[test]
     fn url_hashes_are_the_hashes_of_the_rendered_urls() {
         let docs: Vec<BatchDoc> = (0..2 * HASH_RUN + 9)
@@ -173,75 +212,88 @@ mod tests {
                 BatchDoc::page(url, "t", "x")
             })
             .collect();
-        let want: Vec<u64> = docs
-            .iter()
-            .map(|d| fxhash64(d.url.key().as_str()))
-            .collect();
+        let want: Vec<u64> = docs.iter().map(|d| fxhash64(&d.url.to_string())).collect();
         for workers in [1, 2, 4] {
             assert_eq!(url_hashes(&ThreadPool::new(workers), &docs), want);
         }
         assert!(url_hashes(&ThreadPool::new(2), &[]).is_empty());
     }
 
-    /// The dedup's serial pass under forced hashes — every URL on one of
-    /// two, so nearly every probe is a hash hit and every other URL spills —
-    /// gives what deduplicating the rendered URLs gives: first occurrence
-    /// wins over earlier ids (a map of its own, as the freshness tier's
-    /// base is, or none), over the ids already in the map and within the
-    /// batch; the fresh documents stay in order; each URL then resolves to
-    /// its id under its forced hash.
+    /// The dedup against a model that deduplicates rendered URLs, first
+    /// occurrence wins: repeats inside the batch, hits on ids `earlier`
+    /// knows (a map of its own, as the freshness tier's base is, or none)
+    /// and on ids already in `map`. First under hashes forced into two
+    /// tables, four per table, so URLs collide inside each table and the
+    /// two tables share low bits; then under the real hashes, rendered at
+    /// 1, 2 and 4 workers. The fresh documents stay in order, every URL
+    /// resolves to its id, and `map` is what filing each fresh URL in batch
+    /// order makes.
     #[test]
-    fn dedup_under_forced_collisions_equals_deduplicating_rendered_urls() {
+    fn dedup_equals_deduplicating_rendered_urls() {
         let url = |i: usize| match i % 3 {
             0 => Url::new("a.sim", format!("/{i}")),
             1 => Url::new("a.sim", "/p").with_param("q", format!("x {i}")),
             _ => Url::new(format!("h{i}.sim"), "/"),
         };
-        let forced = |u: &Url| 7 + fxhash64(u.key().as_str()) % 2;
-        let docs: Vec<BatchDoc> = (0..12).map(|i| BatchDoc::page(url(i), "t", "x")).collect();
-        // Ids 0..4 in `earlier`, 4..8 already filed in `map`.
-        let (mut earlier, mut map) = (UrlMap::default(), UrlMap::default());
-        for (i, doc) in docs[..8].iter().enumerate() {
-            let into = if i < 4 { &mut earlier } else { &mut map };
-            into.file(forced(&doc.url), &doc.url, DocId(i as u32));
-        }
-        let picks = [9, 2, 9, 5, 10, 0, 8, 10, 11, 7, 8, 9];
+        let docs: Vec<BatchDoc> = (0..24).map(|i| BatchDoc::page(url(i), "t", "x")).collect();
+        let real = |u: &Url| fxhash64(&u.to_string());
+        let forced = |u: &Url| ((real(u) % 2 * 63) << 58) | ((real(u) >> 8) & 3);
+        assert_eq!(part(forced(&docs[0].url)) % 63, 0);
+        let picks = [
+            9, 2, 9, 5, 10, 0, 8, 10, 11, 7, 8, 9, 20, 17, 23, 20, 14, 13, 17, 22,
+        ];
         let batch: Vec<BatchDoc> = picks.iter().map(|&i| docs[i].clone()).collect();
-        let hashes: Vec<u64> = batch.iter().map(|d| forced(&d.url)).collect();
-        for with_earlier in [true, false] {
-            let mut model: FxHashMap<String, DocId> = FxHashMap::default();
-            let known = if with_earlier { 0..8 } else { 4..8 };
-            for i in known {
-                model.insert(docs[i].url.key(), DocId(i as u32));
+        for workers in [0, 1, 2, 4] {
+            let hash = |u: &Url| if workers == 0 { forced(u) } else { real(u) };
+            // Ids 0..4 in `earlier`, 4..8 already filed in `map`.
+            let (mut earlier, mut map) = (UrlMap::default(), UrlMap::default());
+            for (i, doc) in docs[..8].iter().enumerate() {
+                let into = if i < 4 { &mut earlier } else { &mut map };
+                into.file(hash(&doc.url), &doc.url, DocId(i as u32));
             }
-            let mut want_fresh = Vec::new();
-            let want: Vec<DocId> = batch
-                .iter()
-                .map(|d| {
-                    let next = DocId(8 + want_fresh.len() as u32);
-                    *model.entry(d.url.key()).or_insert_with(|| {
-                        want_fresh.push(d.url.clone());
-                        next
-                    })
-                })
-                .collect();
-            let (mut got, mut into) = (batch.clone(), map.clone());
-            let known = |hash, u: &Url| {
-                let first = |id: DocId| &docs[id.as_usize()].url;
-                with_earlier.then(|| earlier.find(hash, u, first)).flatten()
+            let hashes: Vec<u64> = match workers {
+                0 => batch.iter().map(|d| forced(&d.url)).collect(),
+                _ => url_hashes(&ThreadPool::new(workers), &batch),
             };
-            let filed = |id: DocId| &docs[id.as_usize()].url;
-            let ids = dedup(&mut got, &hashes, &mut into, 8, known, filed);
-            assert_eq!(ids, want, "earlier: {with_earlier}");
-            let fresh: Vec<Url> = got.iter().map(|d| d.url.clone()).collect();
-            assert_eq!(fresh, want_fresh, "earlier: {with_earlier}");
-            let all: Vec<&Url> = docs[..8].iter().map(|d| &d.url).chain(&fresh).collect();
-            for (doc, &id) in batch.iter().zip(&ids) {
-                let hit = into.find(forced(&doc.url), &doc.url, |id| all[id.as_usize()]);
-                let hit = hit.or_else(|| known(forced(&doc.url), &doc.url));
-                assert_eq!(hit, Some(id), "earlier: {with_earlier}");
+            for with_earlier in [true, false] {
+                let ctx = format!("workers {workers}, earlier: {with_earlier}");
+                let mut model: FxHashMap<String, DocId> = FxHashMap::default();
+                let known = if with_earlier { 0..8 } else { 4..8 };
+                for i in known {
+                    model.insert(docs[i].url.to_string(), DocId(i as u32));
+                }
+                let (mut want_fresh, mut want_map) = (Vec::new(), map.clone());
+                let want: Vec<DocId> = (batch.iter())
+                    .map(|d| {
+                        let next = DocId(8 + want_fresh.len() as u32);
+                        *model.entry(d.url.to_string()).or_insert_with(|| {
+                            want_map.file(hash(&d.url), &d.url, next);
+                            want_fresh.push(d.url.clone());
+                            next
+                        })
+                    })
+                    .collect();
+                let (mut got, mut into) = (batch.clone(), map.clone());
+                let known = |hash, u: &Url| {
+                    let first = |id: DocId| &docs[id.as_usize()].url;
+                    with_earlier.then(|| earlier.find(hash, u, first)).flatten()
+                };
+                let filed = |id: DocId| &docs[id.as_usize()].url;
+                let ids = dedup(&mut got, &hashes, &mut into, 8, known, filed);
+                assert_eq!(ids, want, "{ctx}");
+                let fresh: Vec<Url> = got.iter().map(|d| d.url.clone()).collect();
+                assert_eq!(fresh, want_fresh, "{ctx}");
+                assert_eq!(into, want_map, "{ctx}");
+                let all: Vec<&Url> = docs[..8].iter().map(|d| &d.url).chain(&fresh).collect();
+                for (doc, &id) in batch.iter().zip(&ids) {
+                    let hit = into.find(hash(&doc.url), &doc.url, |id| all[id.as_usize()]);
+                    let hit = hit.or_else(|| known(hash(&doc.url), &doc.url));
+                    assert_eq!(hit, Some(id), "{ctx}");
+                }
+                if workers == 0 {
+                    assert!(into.spill.len() >= 4, "{ctx}: URLs collide");
+                }
             }
-            assert!(into.spill.len() >= 4, "earlier: {with_earlier}");
         }
     }
 

@@ -201,12 +201,16 @@ pub(crate) fn results_page(site: &Site, params: &[(String, String)], page: &Page
         }
     }
     // Pagination links preserve the query parameters.
-    let base: String = params
-        .iter()
-        .filter(|(k, _)| k != "page")
-        .map(|(k, v)| format!("{}={}", encode_component(k), encode_component(v)))
-        .collect::<Vec<_>>()
-        .join("&");
+    let mut base = String::new();
+    for (k, v) in params.iter().filter(|(k, _)| k != "page") {
+        // Each pair writes a `=`, so `base` is empty only before the first.
+        if !base.is_empty() {
+            base.push('&');
+        }
+        encode_component(k, &mut base);
+        base.push('=');
+        encode_component(v, &mut base);
+    }
     let mut nav: Vec<(String, String)> = Vec::new();
     if page.page > 0 {
         nav.push((
