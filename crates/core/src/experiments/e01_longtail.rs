@@ -55,7 +55,8 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, LongtailResult) {
     );
     for frac in [0.01, 0.05, 0.10, 0.25, 0.50, 1.00] {
         let k = ((total_forms as f64 * frac).ceil() as usize).clamp(1, total_forms);
-        t1.row(&[k.to_string(), pct(frac), pct(curve[k - 1])]);
+        let share = curve.get(k - 1).copied().unwrap_or_default();
+        t1.row(&[k.to_string(), pct(frac), pct(share)]);
     }
 
     let forms_for_50 = report.forms_for_share(0.5);

@@ -121,12 +121,12 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, Vec<StrategyResult>) {
             (cov4.len() as f64 / records, prober4.requests() as f64),
         ]
     });
-    let mut totals: Vec<(f64, f64, usize)> = vec![(0.0, 0.0, 0); 4]; // (coverage, probes, n)
+    let mut totals = [(0.0, 0.0, 0usize); 4]; // (coverage, probes, n)
     for site in &per_site {
-        for (k, &(cov, probes)) in site.iter().enumerate() {
-            totals[k].0 += cov;
-            totals[k].1 += probes;
-            totals[k].2 += 1;
+        for (total, &(cov, probes)) in totals.iter_mut().zip(site) {
+            total.0 += cov;
+            total.1 += probes;
+            total.2 += 1;
         }
     }
 

@@ -52,7 +52,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, AnnotationResult) {
                 let conflict = |opts: SearchOptions| -> Option<bool> {
                     let hits = search(&sys.index, &q, 1, opts);
                     let top = hits.first()?;
-                    let doc = sys.index.doc(top.doc);
+                    let doc = sys.index.doc(top.doc)?;
                     Some(
                         doc.annotations
                             .iter()

@@ -10,6 +10,7 @@ use deepweb_extract::{extract_form_aware, extract_generic, field_prf};
 use deepweb_surfacer::probe::analyze_response;
 use deepweb_surfacer::DocOrigin;
 use deepweb_webworld::{DomainKind, Fetcher};
+use std::collections::BTreeMap;
 
 /// Key numbers.
 #[derive(Clone, Copy, Debug)]
@@ -27,9 +28,9 @@ pub struct ExtractionResult {
 /// field map (ambiguous values like a shared make are dropped, so an
 /// extracted row is matched through its unique cells — typically the
 /// description).
-fn site_truth(site: &deepweb_webworld::Site) -> FxHashMap<String, FxHashMap<String, String>> {
+fn site_truth(site: &deepweb_webworld::Site) -> FxHashMap<String, BTreeMap<String, String>> {
     let schema = site.table.schema();
-    let mut first_owner: FxHashMap<String, Option<usize>> = FxHashMap::default();
+    let mut first_owner: BTreeMap<String, Option<usize>> = BTreeMap::new();
     for (rid, row) in site.table.iter() {
         for v in row.iter() {
             let key = v.render().to_ascii_lowercase();
@@ -49,7 +50,7 @@ fn site_truth(site: &deepweb_webworld::Site) -> FxHashMap<String, FxHashMap<Stri
     for (key, owner) in first_owner {
         let Some(rid) = owner else { continue };
         let row = site.table.row(deepweb_common::RecordId(rid as u32));
-        let mut fields = FxHashMap::default();
+        let mut fields = BTreeMap::new();
         for (c, v) in row.iter().enumerate() {
             fields.insert(schema.column(c).name.clone(), v.render());
         }

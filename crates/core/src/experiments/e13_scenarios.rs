@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> (Vec<TextTable>, ScenarioResult) {
     let mut rank = 0usize;
     for (i, h) in hits.iter().enumerate() {
         let doc = sys.index.doc(h.doc);
-        if doc.text.contains("sigmod innovations award") {
+        if doc.is_some_and(|doc| doc.text.contains("sigmod innovations award")) {
             rank = i + 1;
             break;
         }

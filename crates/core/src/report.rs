@@ -37,32 +37,30 @@ impl TextTable {
         self.rows.is_empty()
     }
 
-    /// Cell access for tests.
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        &self.rows[row][col]
+    /// Cell access for tests (`None` past the table's edge).
+    pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
+        self.rows.get(row)?.get(col).map(String::as_str)
     }
 
     /// Render with padded columns.
     pub fn render(&self) -> String {
-        let cols = self
-            .header
-            .len()
-            .max(self.rows.iter().map(Vec::len).max().unwrap_or(0));
-        let mut widths = vec![0usize; cols];
-        for (i, h) in self.header.iter().enumerate() {
-            widths[i] = widths[i].max(h.len());
-        }
+        // One width per column of the widest row, header included.
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+                match widths.get_mut(i) {
+                    Some(width) => *width = (*width).max(c.len()),
+                    None => widths.push(c.len()),
+                }
             }
         }
+        let cols = widths.len();
         let mut out = String::new();
         let _ = writeln!(out, "== {} ==", self.title);
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                let _ = write!(line, "{:<width$}  ", c, width = widths[i]);
+            for (c, &width) in cells.iter().zip(widths) {
+                let _ = write!(line, "{c:<width$}  ");
             }
             line.trim_end().to_string()
         };
@@ -104,7 +102,7 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("longer"));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.cell(1, 1), "22");
+        assert_eq!(t.cell(1, 1), Some("22"));
     }
 
     #[test]

@@ -332,8 +332,12 @@ impl DeepWebSystem {
         // docs were applied.
         let known = state.segmented.snapshot();
         let fingerprints = &state.fingerprints;
-        let probes = ThreadPool::new(surfacer.num_workers).map(scheduled, |_, idx| {
-            let host = &hosts[idx];
+        let sites = scheduled.into_iter().filter_map(|idx| {
+            let (host, &known_print) = (hosts.get(idx)?, fingerprints.get(idx)?);
+            Some((idx, host, known_print))
+        });
+        let pool = ThreadPool::new(surfacer.num_workers);
+        let probes = pool.map(sites.collect(), |_, (idx, host, known_print)| {
             let resp = fetch_with_retries(fetcher, &Url::new(host.clone(), "/")).0;
             let mut probe = SiteProbe {
                 idx,
@@ -341,7 +345,7 @@ impl DeepWebSystem {
                 stale: 0,
                 fresh: Vec::new(),
             };
-            if probe.fingerprint == fingerprints[idx] {
+            if probe.fingerprint == known_print {
                 return Some(probe);
             }
             for doc in &resurface_host(fetcher, host, surfacer).docs {
@@ -361,10 +365,13 @@ impl DeepWebSystem {
                 out.failed += 1;
                 continue;
             };
-            if probe.fingerprint == state.fingerprints[probe.idx] {
+            let Some(print) = state.fingerprints.get_mut(probe.idx) else {
+                continue;
+            };
+            if probe.fingerprint == *print {
                 continue;
             }
-            state.fingerprints[probe.idx] = probe.fingerprint;
+            *print = probe.fingerprint;
             out.changed += 1;
             out.stale_docs += probe.stale;
             fresh_docs.extend(probe.fresh);

@@ -11,6 +11,7 @@
 
 use deepweb_common::FxHashMap;
 use deepweb_html::{extract_tables, Document};
+use std::collections::BTreeMap;
 
 /// One extracted record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -142,7 +143,7 @@ pub fn extract_form_aware(
 /// by key.
 pub fn field_prf(
     extracted: &[ExtractedRecord],
-    truth: &FxHashMap<String, FxHashMap<String, String>>,
+    truth: &FxHashMap<String, BTreeMap<String, String>>,
 ) -> deepweb_common::stats::PrecisionRecall {
     let mut pr = deepweb_common::stats::PrecisionRecall::default();
     for rec in extracted {
@@ -235,8 +236,8 @@ mod tests {
 
     #[test]
     fn prf_scores_matches() {
-        let mut truth: FxHashMap<String, FxHashMap<String, String>> = FxHashMap::default();
-        let mut fields = FxHashMap::default();
+        let mut truth: FxHashMap<String, BTreeMap<String, String>> = FxHashMap::default();
+        let mut fields = BTreeMap::new();
         fields.insert("make".to_string(), "honda".to_string());
         fields.insert("yr".to_string(), "1993".to_string());
         truth.insert("honda".to_string(), fields);

@@ -279,11 +279,8 @@ fn find_raw_close(s: &str, name: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(p) = s[from..].find("</") {
         let at = from + p;
-        let after = &s.as_bytes()[at + 2..];
-        if after
-            .get(..name.len())
-            .is_some_and(|head| head.eq_ignore_ascii_case(name.as_bytes()))
-        {
+        let head = s.as_bytes().get(at + 2..at + 2 + name.len());
+        if head.is_some_and(|head| head.eq_ignore_ascii_case(name.as_bytes())) {
             return Some(at);
         }
         from = at + 2;

@@ -45,7 +45,8 @@ impl SearchService for QueryBroker<'_> {
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-                search_with_scratch(self.index, &queries[qi], k, self.opts, scratch)
+                let query = queries.get(qi).map_or("", String::as_str);
+                search_with_scratch(self.index, query, k, self.opts, scratch)
             })
     }
 }

@@ -169,6 +169,29 @@ impl Shard {
             });
         }
     }
+
+    /// [`ResultCache::get`] on this shard: the stored hits of `(sig, k)`,
+    /// whose `fxhash64` is `hash`, counting a hit as one use of its entry
+    /// and a miss of a signature not held toward its admission.
+    fn lookup(&mut self, sig: &[TermId], k: usize, hash: u64) -> Option<Vec<Hit>> {
+        if self.cap == 0 {
+            return None;
+        }
+        self.count_lookup();
+        let Some(&slot) = self.map.get(sig) else {
+            let n = self.misses.entry(hash).or_insert(0);
+            *n = n.saturating_add(1);
+            return None;
+        };
+        let (entry, rank) = (self.entries.get(slot)?, self.ranks.get_mut(slot)?);
+        if entry.k != k {
+            return None;
+        }
+        self.clock += 1;
+        rank.uses = rank.uses.saturating_add(1);
+        rank.stamp = self.clock;
+        Some(entry.hits.clone())
+    }
 }
 
 /// A sharded, signature-keyed result cache whose full shards admit a
@@ -218,8 +241,8 @@ impl ResultCache {
     }
 
     /// The shard of a signature whose `fxhash64` is `hash`.
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash % SHARDS as u64) as usize]
+    fn shard(&self, hash: u64) -> Option<&Mutex<Shard>> {
+        self.shards.get((hash % SHARDS as u64) as usize)
     }
 
     /// Look up `(sig, k)`. A hit counts one use of the entry, refreshes its
@@ -229,28 +252,14 @@ impl ResultCache {
     /// overwrites it).
     pub(crate) fn get(&self, sig: &[TermId], k: usize) -> Option<Vec<Hit>> {
         let hash = fxhash64(sig);
-        let mut shard = self.shard(hash).lock();
-        let shard = &mut *shard;
-        if shard.cap > 0 {
-            shard.count_lookup();
-            match shard.map.get(sig) {
-                Some(&slot) if shard.entries[slot].k == k => {
-                    shard.clock += 1;
-                    let rank = &mut shard.ranks[slot];
-                    rank.uses = rank.uses.saturating_add(1);
-                    rank.stamp = shard.clock;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(shard.entries[slot].hits.clone());
-                }
-                Some(_) => {}
-                None => {
-                    let n = shard.misses.entry(hash).or_insert(0);
-                    *n = n.saturating_add(1);
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let hit = (self.shard(hash)).and_then(|shard| shard.lock().lookup(sig, k, hash));
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Offer the served result for `(sig, k)`, copied only if it is stored.
@@ -262,7 +271,10 @@ impl ResultCache {
     /// through the deterministic kernel), never different results.
     pub(crate) fn insert(&self, sig: &[TermId], k: usize, hits: &[Hit]) {
         let hash = fxhash64(sig);
-        let mut shard = self.shard(hash).lock();
+        let Some(shard) = self.shard(hash) else {
+            return;
+        };
+        let mut shard = shard.lock();
         let shard = &mut *shard;
         if shard.cap == 0 {
             return;
@@ -270,10 +282,13 @@ impl ResultCache {
         shard.clock += 1;
         let stamp = shard.clock;
         if let Some(&slot) = shard.map.get(sig) {
-            let entry = &mut shard.entries[slot];
-            entry.k = k;
-            entry.hits = hits.to_vec();
-            shard.ranks[slot].stamp = stamp;
+            if let (Some(entry), Some(rank)) =
+                (shard.entries.get_mut(slot), shard.ranks.get_mut(slot))
+            {
+                entry.k = k;
+                entry.hits = hits.to_vec();
+                rank.stamp = stamp;
+            }
             self.insertions.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -289,14 +304,16 @@ impl ResultCache {
             shard.ranks.push(rank);
             shard.entries.len() - 1
         } else {
-            let victim = shard.ranks.iter().enumerate().min_by_key(|&(_, rank)| rank);
-            let Some((slot, _)) = victim.filter(|(_, rank)| uses > rank.uses) else {
+            let slots = shard.ranks.iter_mut().zip(&mut shard.entries).enumerate();
+            let victim = slots.min_by_key(|(_, (rank, _))| **rank);
+            let Some((slot, (victim_rank, victim))) = victim.filter(|(_, (r, _))| uses > r.uses)
+            else {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let evicted = std::mem::replace(&mut shard.entries[slot], entry());
+            let evicted = std::mem::replace(victim, entry());
+            *victim_rank = rank;
             shard.map.remove(&evicted.sig);
-            shard.ranks[slot] = rank;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             slot
         };
@@ -315,14 +332,14 @@ impl ResultCache {
             .unwrap_or(0)
     }
 
-    /// The shard of `sig`: every resident signature with its rank, in map
+    /// The shard of `sig`: every resident signature with its rank, in slot
     /// order, and the miss count of `sig`.
     #[cfg(test)]
     fn shard_state(&self, sig: &[TermId]) -> (Vec<(Vec<TermId>, Rank)>, u32) {
         let hash = fxhash64(sig);
-        let shard = self.shard(hash).lock();
-        let residents = shard.map.iter();
-        let residents = residents.map(|(key, &slot)| (key.clone(), shard.ranks[slot]));
+        let shard = self.shard(hash).unwrap().lock();
+        let residents = shard.entries.iter().zip(&shard.ranks);
+        let residents = residents.map(|(entry, &rank)| (entry.sig.clone(), rank));
         let misses = shard.misses.get(&hash).copied().unwrap_or(0);
         (residents.collect(), misses)
     }

@@ -179,7 +179,7 @@ impl SearchService for ClusterServer<'_> {
     fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<Hit>> {
         self.pool
             .map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-                self.serve(&queries[qi], k, scratch)
+                self.serve(queries.get(qi).map_or("", String::as_str), k, scratch)
             })
     }
 }

@@ -80,12 +80,16 @@ impl Default for AnnotationColumn {
 
 impl AnnotationColumn {
     /// Document `doc`'s annotations in stored order, each as its facet key
-    /// and its value tokens (doc ids local to the column's owner).
+    /// and its value tokens (doc ids local to the column's owner); none for
+    /// a doc the column does not hold.
     pub fn doc(&self, doc: DocId) -> impl Iterator<Item = (FacetKeyId, &[TermId])> + '_ {
-        let (lo, hi) = (self.starts[doc.as_usize()], self.starts[doc.as_usize() + 1]);
-        self.entries[lo as usize..hi as usize]
-            .iter()
-            .map(|e| (e.key, &self.tokens[e.lo as usize..e.hi as usize]))
+        let bounds = self.starts.get(doc.as_usize()..doc.as_usize() + 2);
+        let entries = match bounds {
+            Some(&[lo, hi]) => self.entries.get(lo as usize..hi as usize),
+            _ => None,
+        };
+        let tokens = |e: &ColumnEntry| self.tokens.get(e.lo as usize..e.hi as usize);
+        (entries.unwrap_or_default().iter()).map(move |e| (e.key, tokens(e).unwrap_or_default()))
     }
 
     /// Append one annotation to the document being written.
@@ -101,7 +105,7 @@ impl AnnotationColumn {
     pub(crate) fn end_doc(&mut self) {
         let lo = self.starts.last().map_or(0, |&lo| lo as usize);
         let boostable = |e: &&ColumnEntry| (1..=64).contains(&(e.hi - e.lo));
-        let n = self.entries[lo..].iter().filter(boostable).count();
+        let n = self.entries.iter().skip(lo).filter(boostable).count();
         self.max_boostable = self.max_boostable.max(n);
         self.starts.push(next_id(self.entries.len()));
     }
@@ -115,10 +119,12 @@ impl AnnotationColumn {
         terms: &[TermId],
         mut know: impl FnMut(TermId, FacetKeyId),
     ) {
+        // The entries' token ranges tile `tokens` in order (`push`).
+        let mut tokens = self.tokens.iter_mut();
         for entry in &mut self.entries {
-            entry.key = keys[entry.key.as_usize()];
-            for token in &mut self.tokens[entry.lo as usize..entry.hi as usize] {
-                *token = terms[token.as_usize()];
+            entry.key = keys.get(entry.key.as_usize()).copied().unwrap_or(entry.key);
+            for token in tokens.by_ref().take((entry.hi - entry.lo) as usize) {
+                *token = terms.get(token.as_usize()).copied().unwrap_or(*token);
                 know(*token, entry.key);
             }
         }
@@ -127,10 +133,10 @@ impl AnnotationColumn {
     /// Append every document of `more` after this column's.
     pub(crate) fn append(&mut self, more: &AnnotationColumn) {
         let (at, tokens) = (self.entries.len(), next_id(self.tokens.len()));
-        let starts = more.starts[1..].iter().map(|&s| s + next_id(at));
+        let starts = more.starts.iter().skip(1).map(|&s| s + next_id(at));
         self.starts.extend(starts);
         self.entries.extend_from_slice(&more.entries);
-        for entry in &mut self.entries[at..] {
+        for entry in self.entries.iter_mut().skip(at) {
             (entry.lo, entry.hi) = (entry.lo + tokens, entry.hi + tokens);
         }
         self.tokens.extend_from_slice(&more.tokens);
@@ -181,12 +187,12 @@ impl DocStore {
         }
     }
 
-    /// Document by id.
-    pub fn get(&self, id: DocId) -> &BatchDoc {
+    /// Document by id (`None` past the last one).
+    pub fn get(&self, id: DocId) -> Option<&BatchDoc> {
         let i = id.as_usize();
         let at = self.chunks.partition_point(|&(first, _)| first <= i);
-        let (first, chunk) = &self.chunks[at.saturating_sub(1)];
-        &chunk[i - first]
+        let (first, chunk) = self.chunks.get(at.checked_sub(1)?)?;
+        chunk.get(i - first)
     }
 
     /// Number of documents.
@@ -310,13 +316,13 @@ mod tests {
             assert_eq!(format!("{original:?}"), want, "{sizes:?}");
             for (i, doc) in original.iter().enumerate() {
                 assert_eq!(doc.title, format!("/{i}"), "{sizes:?}");
-                assert!(std::ptr::eq(original.get(DocId(next_id(i))), doc));
+                assert!(std::ptr::eq(original.get(DocId(next_id(i))).unwrap(), doc));
             }
             let mut copy = original.clone();
             copy.append(Arc::new(pages(9, 3)));
             assert_eq!((original.len(), copy.len()), (9, 12), "{sizes:?}");
             assert_eq!(format!("{original:?}"), want, "{sizes:?}");
-            assert_eq!(copy.get(DocId(11)).title, "/11");
+            assert_eq!(copy.get(DocId(11)).unwrap().title, "/11");
             for (a, b) in original.iter().zip(copy.iter()) {
                 assert!(std::ptr::eq(a, b), "{sizes:?}: a copy shares every chunk");
             }
@@ -342,8 +348,8 @@ mod tests {
         column.push(FacetKeyId(1), &[TermId(2), TermId(9), TermId(2)]);
         column.push(FacetKeyId(0), &[]);
         column.end_doc();
-        assert_eq!(ds.get(id).annotations[0].value, "honda");
-        assert_eq!(ds.get(id).site, Some(SiteId(3)));
+        assert_eq!(ds.get(id).unwrap().annotations[0].value, "honda");
+        assert_eq!(ds.get(id).unwrap().site, Some(SiteId(3)));
         let doc = |d: u32| -> Vec<(FacetKeyId, Vec<TermId>)> {
             column.doc(DocId(d)).map(|(k, v)| (k, v.to_vec())).collect()
         };

@@ -39,7 +39,9 @@ impl FacetVocabulary {
     /// term's keys in `more`'s order: what one walk over both makes.
     fn union(&self, more: FacetVocabulary) -> Self {
         let mut out = self.clone();
-        for (term, keys) in more.0 {
+        let mut more: Vec<_> = more.0.into_iter().collect();
+        more.sort_unstable_by_key(|&(term, _)| term);
+        for (term, keys) in more {
             for key in keys {
                 out.know(term, key);
             }
@@ -158,11 +160,18 @@ impl SearchIndex {
         self.pool = *pool;
         // 1. Dedup + id assignment in batch order over the pool's hashes,
         // into the URL map the folded index takes over.
-        let hashes = url_hashes(pool, &batch);
+        let mut hashes = url_hashes(pool, &batch);
         let mut by_url = std::mem::take(&mut self.by_url);
         let (docs, stored) = (&self.docs, self.docs.len());
-        let filed = |id| &docs.get(id).url;
-        let ids = dedup(&mut batch, &hashes, &mut by_url, stored, |_, _| None, filed);
+        let filed = |id| docs.get(id).map(|doc| &doc.url);
+        let ids = dedup(
+            &mut batch,
+            &mut hashes,
+            &mut by_url,
+            stored,
+            |_, _| None,
+            filed,
+        );
         if batch.is_empty() {
             self.by_url = by_url;
             return ids;
@@ -275,7 +284,8 @@ impl SearchIndex {
 
     /// The id of an indexed URL whose rendered form hashes to `hash`.
     pub(crate) fn url_id(&self, hash: u64, url: &Url) -> Option<DocId> {
-        self.by_url.find(hash, url, |id| &self.docs.get(id).url)
+        self.by_url
+            .find(hash, url, |id| self.docs.get(id).map(|doc| &doc.url))
     }
 
     /// Rendered URL → doc id over every document.
@@ -288,8 +298,8 @@ impl SearchIndex {
         &self.docs
     }
 
-    /// Document by id.
-    pub fn doc(&self, id: DocId) -> &BatchDoc {
+    /// Document by id (`None` past the last one).
+    pub fn doc(&self, id: DocId) -> Option<&BatchDoc> {
         self.docs.get(id)
     }
 
@@ -651,7 +661,11 @@ mod tests {
             .map(|&i| if i < 20 { DocId(i as u32) } else { fresh(i) })
             .collect();
         assert_eq!(want_ids, model);
-        assert_eq!(one.doc(DocId(20)).text, "offer 0", "first occurrence wins");
+        assert_eq!(
+            one.doc(DocId(20)).unwrap().text,
+            "offer 0",
+            "first occurrence wins"
+        );
         for workers in [1, 2, 4] {
             let mut got = onto.clone();
             let ids = got.add_batch(&ThreadPool::new(workers), batch.clone());

@@ -160,13 +160,19 @@ impl Postings {
                 tally.last.resize(self.dict.len(), (0, 0));
                 tally.df.resize(self.dict.len(), 0);
             }
-            let (seen, at) = &mut tally.last[t];
+            let Some((seen, at)) = tally.last.get_mut(t) else {
+                continue;
+            };
             if *seen == doc {
-                tally.pairs[*at as usize].1 += 1;
+                if let Some((_, tf)) = tally.pairs.get_mut(*at as usize) {
+                    *tf += 1;
+                }
             } else {
                 (*seen, *at) = (doc, next_id(tally.pairs.len()));
                 tally.pairs.push((id, 1));
-                tally.df[t] += 1;
+                if let Some(df) = tally.df.get_mut(t) {
+                    *df += 1;
+                }
             }
         }
         tally.ends.push(tally.pairs.len());
@@ -189,11 +195,14 @@ impl Postings {
             }
         }
         let first = self.doc_len.len() - tally.ends.len();
+        let mut pairs = tally.pairs.iter();
         let mut start = 0;
         for (i, &end) in tally.ends.iter().enumerate() {
             let doc = DocId(next_id(first + i));
-            for &(id, tf) in &tally.pairs[start..end] {
-                self.lists[id.as_usize()].push(Posting { doc, tf });
+            for &(id, tf) in pairs.by_ref().take(end - start) {
+                if let Some(list) = self.lists.get_mut(id.as_usize()) {
+                    list.push(Posting { doc, tf });
+                }
             }
             start = end;
         }
@@ -243,9 +252,9 @@ impl Postings {
         self.dict.get(term)
     }
 
-    /// Postings for an interned term.
+    /// Postings for an interned term (empty for an id past the dictionary).
     pub fn postings_id(&self, id: TermId) -> &[Posting] {
-        &self.lists[id.as_usize()]
+        self.lists.get(id.as_usize()).map_or(&[], Vec::as_slice)
     }
 
     /// Postings for a term (empty if unseen).
@@ -258,7 +267,7 @@ impl Postings {
 
     /// Document frequency of an interned term.
     pub(crate) fn df_id(&self, id: TermId) -> usize {
-        self.lists[id.as_usize()].len()
+        self.postings_id(id).len()
     }
 
     /// Document frequency of a term.
@@ -276,9 +285,9 @@ impl Postings {
         self.dict.len()
     }
 
-    /// Length (token count) of a document.
+    /// Length (token count) of a document (0 past the last one).
     pub fn doc_len(&self, doc: DocId) -> u32 {
-        self.doc_len[doc.as_usize()]
+        self.doc_len.get(doc.as_usize()).copied().unwrap_or(0)
     }
 
     /// Total token count across all documents — the exact integer numerator
@@ -339,7 +348,9 @@ impl Postings {
         final_len.resize(out.dict.len(), 0);
         for (shard, remap) in shards {
             for (list, id) in shard.lists.iter().zip(*remap) {
-                final_len[id.as_usize()] += list.len();
+                if let Some(len) = final_len.get_mut(id.as_usize()) {
+                    *len += list.len();
+                }
             }
         }
         out.lists = final_len
@@ -355,15 +366,17 @@ impl Postings {
             out.total_len += shard.total_len;
             out.doc_len.extend_from_slice(&shard.doc_len);
         }
-        let runs = term_runs(&mut out.lists, &final_len, pool.workers(), |t| t);
+        let runs = term_runs(&mut out.lists, &final_len, pool.workers(), |_| 1);
         pool.map(runs, |_, (run, lists)| {
             for (list, t) in lists.iter_mut().zip(run.clone()) {
                 list.extend_from_slice(self.lists.get(t).map_or(&[][..], Vec::as_slice));
             }
             for ((shard, remap), &offset) in shards.iter().zip(&offsets) {
                 for (list, id) in shard.lists.iter().zip(*remap) {
-                    if run.contains(&id.as_usize()) {
-                        lists[id.as_usize() - run.start].extend(list.iter().map(|p| Posting {
+                    // `lists` holds this run's terms only.
+                    let at = id.as_usize().checked_sub(run.start);
+                    if let Some(run_list) = at.and_then(|at| lists.get_mut(at)) {
+                        run_list.extend(list.iter().map(|p| Posting {
                             doc: DocId(p.doc.0 + offset),
                             tf: p.tf,
                         }));
@@ -382,25 +395,27 @@ impl Postings {
     }
 }
 
-/// `items`, laid out term by term (term `t`'s from `start(t)`), cut at term
-/// boundaries into at most `parts` runs of about equal postings (`df`): the
-/// tasks of a per-term pass on a pool, each with the terms it covers.
+/// `items`, laid out term by term (a term of `n` postings owns `width(n)`
+/// of them), cut at term boundaries into at most `parts` runs of about equal
+/// postings (`df`): the tasks of a per-term pass on a pool, each with the
+/// terms it covers.
 fn term_runs<'a, T>(
     mut items: &'a mut [T],
     df: &[usize],
     parts: usize,
-    start: impl Fn(usize) -> usize,
+    width: impl Fn(usize) -> usize,
 ) -> Vec<(std::ops::Range<usize>, &'a mut [T])> {
     let share = df.iter().sum::<usize>().div_ceil(parts).max(1);
     let mut runs = Vec::with_capacity(parts);
-    let (mut first, mut held) = (0, 0);
+    let (mut first, mut held, mut owned) = (0, 0, 0);
     for (t, &n) in df.iter().enumerate() {
         held += n;
+        owned += width(n);
         if (held >= share && runs.len() + 1 < parts) || t + 1 == df.len() {
-            let (run, rest) = std::mem::take(&mut items).split_at_mut(start(t + 1) - start(first));
+            let (run, rest) = std::mem::take(&mut items).split_at_mut(owned);
             items = rest;
             runs.push((first..t + 1, run));
-            (first, held) = (t + 1, 0);
+            (first, held, owned) = (t + 1, 0, 0);
         }
     }
     runs
@@ -455,7 +470,8 @@ fn describe_block(
 /// One posting's BM25 contribution, its doc's length norm precomputed.
 #[inline]
 fn contribution(p: &Posting, length_norm: &[f64], idf: f64) -> f64 {
-    bm25_normalised(idf, f64::from(p.tf), length_norm[p.doc.as_usize()])
+    let norm = length_norm.get(p.doc.as_usize());
+    norm.map_or(0.0, |&norm| bm25_normalised(idf, f64::from(p.tf), norm))
 }
 
 /// The largest [`contribution`] over `chunk` (0 if empty), folded in four
@@ -528,7 +544,8 @@ impl BlockPostings {
     /// `id` that postings `span` (not empty) of its raw list fall in.
     #[inline]
     pub(crate) fn blocks_over(&self, id: TermId, span: std::ops::Range<usize>) -> &[PostingBlock] {
-        &self.term_blocks(id)[span.start / self.block_size..span.end.div_ceil(self.block_size)]
+        let blocks = span.start / self.block_size..span.end.div_ceil(self.block_size);
+        self.term_blocks(id).get(blocks).unwrap_or_default()
     }
 
     /// The block index over all of `postings`, given `self` over its first
@@ -550,23 +567,25 @@ impl BlockPostings {
         let avg_len = postings.avg_doc_len().max(1.0);
         let df: Vec<usize> = postings.lists.iter().map(Vec::len).collect();
         let mut term_start = Vec::with_capacity(df.len() + 1);
-        term_start.push(0u32);
+        let mut end = 0;
+        term_start.push(end);
         for &n in &df {
-            term_start.push(term_start[term_start.len() - 1] + next_id(n.div_ceil(size)));
+            end += next_id(n.div_ceil(size));
+            term_start.push(end);
         }
         let length_norm: Vec<f64> = postings
             .doc_len
             .iter()
             .map(|&dl| bm25_length_norm(f64::from(dl), avg_len))
             .collect();
-        let mut blocks = vec![PostingBlock::default(); term_start[df.len()] as usize];
-        let start = |t: usize| term_start[t] as usize;
-        let runs = term_runs(&mut blocks, &df, pool.workers(), start);
-        pool.map(runs, |_, (run, slice)| {
-            let first = start(run.start);
+        let mut blocks = vec![PostingBlock::default(); end as usize];
+        let runs = term_runs(&mut blocks, &df, pool.workers(), |n| n.div_ceil(size));
+        pool.map(runs, |_, (run, mut rest)| {
             for t in run {
                 let id = TermId(next_id(t));
                 let list = postings.postings_id(id);
+                let (own, tail) = rest.split_at_mut(list.len().div_ceil(size));
+                rest = tail;
                 let old = self.term_blocks(id);
                 let old_len = list.partition_point(|p| p.doc.0 < self.docs);
                 // Blocks that stay as they are: all of them if the term
@@ -577,10 +596,9 @@ impl BlockPostings {
                     old_len / size
                 };
                 let idf = postings.idf_id(id);
-                let own = &mut slice[start(t) - first..start(t + 1) - first];
                 for (j, block) in own.iter_mut().enumerate() {
-                    let chunk = &list[self.block_span(list.len(), j)];
-                    *block = match old[..carried].get(j) {
+                    let chunk = list.get(self.block_span(list.len(), j)).unwrap_or_default();
+                    *block = match old.get(j).filter(|_| j < carried) {
                         Some(&kept) => PostingBlock {
                             max_contrib: max_contribution(chunk, &length_norm, idf),
                             ..kept
@@ -604,7 +622,10 @@ impl BlockPostings {
     pub(crate) fn term_blocks(&self, id: TermId) -> &[PostingBlock] {
         let t = id.as_usize();
         match (self.term_start.get(t), self.term_start.get(t + 1)) {
-            (Some(&lo), Some(&hi)) => &self.blocks[lo as usize..hi as usize],
+            (Some(&lo), Some(&hi)) => self
+                .blocks
+                .get(lo as usize..hi as usize)
+                .unwrap_or_default(),
             _ => &[],
         }
     }

@@ -250,11 +250,13 @@ struct Tally<'h> {
 /// distance moved, not in the slice.
 fn gallop(list: &[Posting], from: usize, to: usize, doc: u32) -> usize {
     let (mut lo, mut step) = (from, 1);
-    while lo + step <= to && list[lo + step - 1].doc.0 < doc {
+    let below = |at: usize| list.get(at).is_some_and(|p| p.doc.0 < doc);
+    while lo + step <= to && below(lo + step - 1) {
         lo += step;
         step *= 2;
     }
-    lo + list[lo..to.min(lo + step)].partition_point(|p| p.doc.0 < doc)
+    let last = list.get(lo..to.min(lo + step)).unwrap_or_default();
+    lo + last.partition_point(|p| p.doc.0 < doc)
 }
 
 /// Windowed block-max MaxScore over the base: the pruned equivalent of
@@ -352,8 +354,11 @@ pub(crate) fn pruned_topk(
             let list = postings.postings_id(t.id);
             t.pos = gallop(list, t.pos, t.win_end, doc);
             t.contrib = 0.0;
-            if t.pos < t.win_end && list[t.pos].doc.0 == doc {
-                t.contrib = contribution(t.idf, &list[t.pos]);
+            let held = list
+                .get(t.pos)
+                .filter(|p| t.pos < t.win_end && p.doc.0 == doc);
+            if let Some(p) = held {
+                t.contrib = contribution(t.idf, p);
                 partial += t.contrib;
                 tally.postings_folded += 1;
             }
@@ -427,7 +432,7 @@ pub(crate) fn pruned_topk(
             rest_ub += t.ub;
         }
         let mut essential = terms.iter().enumerate().filter(|(_, t)| t.essential);
-        if let (Some((ei, _)), None) = (essential.next(), essential.next()) {
+        if let (Some((ei, one)), None) = (essential.next(), essential.next()) {
             // One essential term: its slice, in doc order, is the window's
             // candidates, each with the one contribution it is known to
             // hold. A doc that cannot reach the threshold with every dropped
@@ -439,15 +444,20 @@ pub(crate) fn pruned_topk(
                 pos,
                 win_end,
                 ..
-            } = terms[ei];
-            let slice = &postings.postings_id(id)[pos..win_end];
+            } = *one;
+            let slice = postings
+                .postings_id(id)
+                .get(pos..win_end)
+                .unwrap_or_default();
             for p in slice {
                 let c = contribution(idf, p);
                 if guard_ub(c + dropped_ub) < tally.threshold {
                     tally.candidates_dropped += 1;
                     continue;
                 }
-                terms[ei].contrib = c;
+                if let Some(t) = terms.get_mut(ei) {
+                    t.contrib = c;
+                }
                 candidate(terms, p.doc.0, c, dropped_ub, &mut tally);
             }
             tally.postings_folded += slice.len();
@@ -456,10 +466,15 @@ pub(crate) fn pruned_topk(
         // Two or more: fold the essential slices, one store per posting into
         // the term's lane of the doc's row and one bit in the window bitmap.
         for (ti, t) in terms.iter_mut().enumerate().filter(|(_, t)| t.essential) {
-            for p in &postings.postings_id(t.id)[t.pos..t.win_end] {
+            let slice = postings.postings_id(t.id).get(t.pos..t.win_end);
+            for p in slice.unwrap_or_default() {
                 let off = (p.doc.0 - win_lo) as usize;
-                lanes[off * n + ti] = contribution(t.idf, p);
-                marked[off / 64] |= 1 << (off % 64);
+                if let (Some(lane), Some(word)) =
+                    (lanes.get_mut(off * n + ti), marked.get_mut(off / 64))
+                {
+                    *lane = contribution(t.idf, p);
+                    *word |= 1 << (off % 64);
+                }
             }
             tally.postings_folded += t.win_end - t.pos;
         }
@@ -471,7 +486,8 @@ pub(crate) fn pruned_topk(
                 bits &= bits - 1;
                 // Taking the lanes leaves the row zeroed for the next window.
                 let mut partial = 0.0f64;
-                for (t, lane) in terms.iter_mut().zip(&mut lanes[off * n..][..n]) {
+                let row = lanes.get_mut(off * n..off * n + n).unwrap_or_default();
+                for (t, lane) in terms.iter_mut().zip(row) {
                     t.contrib = std::mem::take(lane);
                     partial += t.contrib;
                 }
@@ -661,7 +677,7 @@ mod tests {
             "",
             "honda listing late addition",
         );
-        let again = idx.doc(DocId(3)).clone();
+        let again = idx.doc(DocId(3)).unwrap().clone();
         idx.add_batch(&ThreadPool::new(3), vec![late, again]);
         assert_eq!(idx.len(), 51);
         let mut once = SearchIndex::new();

@@ -173,7 +173,9 @@ impl FacetMasks {
     /// its id is a known value of — one vocabulary lookup per position.
     pub(crate) fn fill(&mut self, view: &IndexView<'_>, sig: &[TermId]) {
         for key in self.named.drain(..) {
-            self.table[key.as_usize() * self.words..][..self.words].fill(0);
+            if let Some(mask) = self.table.get_mut(mask_span(key, self.words)) {
+                mask.fill(0);
+            }
         }
         self.words = sig.len().div_ceil(64);
         let len = view.num_facet_keys() * self.words;
@@ -183,11 +185,15 @@ impl FacetMasks {
         }
         for (pos, &id) in sig.iter().enumerate() {
             for key in view.value_keys(id) {
-                let mask = &mut self.table[key.as_usize() * self.words..][..self.words];
+                let Some(mask) = self.table.get_mut(mask_span(key, self.words)) else {
+                    continue;
+                };
                 if mask.iter().all(|&w| w == 0) {
                     self.named.push(key);
                 }
-                mask[pos / 64] |= 1 << (pos % 64);
+                if let Some(word) = mask.get_mut(pos / 64) {
+                    *word |= 1 << (pos % 64);
+                }
             }
         }
     }
@@ -201,8 +207,16 @@ impl FacetMasks {
     /// The mask of `key`: the positions that are its known values.
     #[inline]
     fn of(&self, key: FacetKeyId) -> &[u64] {
-        &self.table[key.as_usize() * self.words..][..self.words]
+        self.table
+            .get(mask_span(key, self.words))
+            .unwrap_or_default()
     }
+}
+
+/// Where `key`'s mask of `words` words sits in [`FacetMasks`]' table.
+fn mask_span(key: FacetKeyId, words: usize) -> std::ops::Range<usize> {
+    let lo = key.as_usize() * words;
+    lo..lo + words
 }
 
 impl QueryScratch {
@@ -221,9 +235,12 @@ impl QueryScratch {
             if self.n_terms == self.terms.len() {
                 self.terms.push(String::new());
             }
-            lower_into(&mut self.terms[self.n_terms], raw);
-            let tok = &self.terms[self.n_terms];
-            if is_stopword(tok) || self.terms[..self.n_terms].iter().any(|t| t == tok) {
+            let (seen, rest) = self.terms.split_at_mut(self.n_terms);
+            let Some(tok) = rest.first_mut() else {
+                continue;
+            };
+            lower_into(tok, raw);
+            if is_stopword(tok) || seen.iter().any(|t| t == tok) {
                 continue;
             }
             self.n_terms += 1;
@@ -237,11 +254,8 @@ impl QueryScratch {
     /// posting lists.)
     pub(crate) fn resolve(&mut self, view: &IndexView<'_>) {
         self.sig.clear();
-        self.sig.extend(
-            self.terms[..self.n_terms]
-                .iter()
-                .filter_map(|t| view.term_id(t)),
-        );
+        let terms = self.terms.iter().take(self.n_terms);
+        self.sig.extend(terms.filter_map(|t| view.term_id(t)));
     }
 
     /// Accumulate one contribution for `doc` — the `scores[doc] += c` fold.
@@ -249,7 +263,9 @@ impl QueryScratch {
     /// "untouched" marker.
     #[inline]
     fn add(&mut self, doc: DocId, c: f64) {
-        let s = &mut self.scores[doc.as_usize()];
+        let Some(s) = self.scores.get_mut(doc.as_usize()) else {
+            return;
+        };
         if *s == 0.0 {
             self.touched.push(doc);
         }
@@ -273,7 +289,7 @@ fn top_k_hits(scratch: &mut QueryScratch, k: usize) -> Vec<Hit> {
     for &doc in touched.iter() {
         // Zero the entry while draining: the scratch's between-queries
         // invariant (all scores zero) is restored exactly here.
-        let score = std::mem::replace(&mut scores[doc.as_usize()], 0.0);
+        let score = scores.get_mut(doc.as_usize()).map_or(0.0, std::mem::take);
         admit(heap, k, HeapEntry(score, doc.0));
     }
     touched.clear();
@@ -531,7 +547,7 @@ fn annotated_top_k_hits(
     let heap = &mut scratch.heap;
     heap.clear();
     for &doc in &scratch.touched {
-        let sum = std::mem::replace(&mut scratch.scores[doc.as_usize()], 0.0);
+        let sum = (scratch.scores.get_mut(doc.as_usize())).map_or(0.0, std::mem::take);
         if heap.len() == k && heap.peek().is_some_and(|kth| guard_ub(sum + bound) < kth.0) {
             continue;
         }
@@ -581,8 +597,11 @@ pub(crate) fn annotation_boost(
         for (wi, &word) in mask.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                let qid = sig[wi * 64 + bits.trailing_zeros() as usize];
+                let pos = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
+                let Some(&qid) = sig.get(pos) else {
+                    continue;
+                };
                 let mut is_value_token = false;
                 for (vi, &v) in value_ids.iter().enumerate() {
                     if v == qid {

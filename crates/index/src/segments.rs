@@ -90,6 +90,9 @@ pub struct SealedSegment {
     /// The raw documents, one docstore chunk: a merge appends it to the
     /// next base's store as it is.
     docs: Arc<Vec<BatchDoc>>,
+    /// Each document's URL hash ([`url_hash`]), which a merge files the
+    /// next base's URL map by, in id order.
+    hashes: Vec<u64>,
     /// Generation-global term id → segment-local id, for query-time posting
     /// lookups.
     pub(crate) inv: FxHashMap<TermId, TermId>,
@@ -108,12 +111,15 @@ impl SealedSegment {
     }
 }
 
-/// The segment of `segments` holding pending doc `id` (at or past the first
-/// segment's first doc) and the doc's id within it.
-pub(crate) fn segment_of(segments: &[Arc<SealedSegment>], id: DocId) -> (&SealedSegment, DocId) {
+/// The segment of `segments` holding pending doc `id` and the doc's id
+/// within it (`None` before the first segment's first doc).
+pub(crate) fn segment_of(
+    segments: &[Arc<SealedSegment>],
+    id: DocId,
+) -> Option<(&SealedSegment, DocId)> {
     let at = segments.partition_point(|s| s.base_doc <= id.0);
-    let seg = &segments[at.saturating_sub(1)];
-    (seg, DocId(id.0 - seg.base_doc))
+    let seg = segments.get(at.checked_sub(1)?)?;
+    Some((seg, DocId(id.0 - seg.base_doc)))
 }
 
 /// The cumulative delta a generation's segments lay over the base index:
@@ -191,15 +197,15 @@ impl Generation {
     }
 
     /// The pending document `id` (one past the base), from its segment.
-    fn pending_doc(&self, id: DocId) -> &BatchDoc {
-        let (seg, local) = segment_of(&self.segments, id);
-        &seg.docs[local.as_usize()]
+    fn pending_doc(&self, id: DocId) -> Option<&BatchDoc> {
+        let (seg, local) = segment_of(&self.segments, id)?;
+        seg.docs.get(local.as_usize())
     }
 
     /// The id of `url`, whose rendered form hashes to `hash`, in the base or
     /// a segment.
     fn url_id(&self, hash: u64, url: &Url) -> Option<DocId> {
-        let pending = |id| &self.pending_doc(id).url;
+        let pending = |id| self.pending_doc(id).map(|doc| &doc.url);
         let base = self.base.url_id(hash, url);
         base.or_else(|| self.overlay.urls.find(hash, url, pending))
     }
@@ -272,12 +278,19 @@ impl SegmentedIndex {
     pub fn apply(&self, mut batch: Vec<BatchDoc>) -> usize {
         let _writer = self.writer.lock();
         let gen = self.snapshot();
-        let hashes = url_hashes(&gen.base.pool(), &batch);
+        let mut hashes = url_hashes(&gen.base.pool(), &batch);
         let mut overlay = gen.overlay.clone();
         let (base, next) = (&gen.base, overlay.num_docs);
         let known = |hash, url: &Url| base.url_id(hash, url);
-        let pending = |id| &gen.pending_doc(id).url;
-        dedup(&mut batch, &hashes, &mut overlay.urls, next, known, pending);
+        let pending = |id| gen.pending_doc(id).map(|doc| &doc.url);
+        dedup(
+            &mut batch,
+            &mut hashes,
+            &mut overlay.urls,
+            next,
+            known,
+            pending,
+        );
         if batch.is_empty() {
             return 0;
         }
@@ -291,6 +304,7 @@ impl SegmentedIndex {
                 .collect(),
             shard,
             docs: Arc::new(batch),
+            hashes,
         };
         let added = segment.num_docs();
         overlay.num_docs += segment.num_docs();
@@ -327,7 +341,12 @@ impl SegmentedIndex {
         let shards: Vec<&Shard> = gen.segments.iter().map(|seg| &seg.shard).collect();
         let docs = gen.segments.iter().map(|seg| Arc::clone(&seg.docs));
         let mut by_url = gen.base.url_map().clone();
-        by_url.absorb(&gen.overlay.urls, |id| &gen.pending_doc(id).url);
+        for seg in &gen.segments {
+            let ids = (seg.base_doc..).map(DocId);
+            for ((doc, &hash), id) in seg.docs.iter().zip(&seg.hashes).zip(ids) {
+                by_url.file(hash, &doc.url, id);
+            }
+        }
         let ext = gen.overlay.ext.clone();
         let merged = gen.base.merged(by_url, ext, shards, docs);
         self.publish(Generation::from_base(Arc::new(merged)));
@@ -372,7 +391,8 @@ impl SearchService for SegmentedSearcher<'_> {
         let view = gen.view();
         let pool = gen.base.pool();
         pool.map_indices_init(queries.len(), QueryScratch::new, |scratch, qi| {
-            search_view(&view, &queries[qi], k, self.opts, scratch)
+            let query = queries.get(qi).map_or("", String::as_str);
+            search_view(&view, query, k, self.opts, scratch)
         })
     }
 }
@@ -852,8 +872,8 @@ mod tests {
                     // allocation in both generations.
                     let first = DocId(0);
                     assert!(std::ptr::eq(
-                        before.base().doc(first),
-                        after.base().doc(first)
+                        before.base().doc(first).unwrap(),
+                        after.base().doc(first).unwrap()
                     ));
                 } else {
                     let batch: Vec<BatchDoc> = (0..below(90))

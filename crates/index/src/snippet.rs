@@ -11,24 +11,25 @@ pub fn snippet(text: &str, query: &str, window: usize) -> String {
     if tokens.is_empty() || window == 0 {
         return String::new();
     }
-    if qterms.is_empty() {
-        return tokens[..tokens.len().min(window)].join(" ");
-    }
-    // Score each window start by the number of query-term hits inside it.
-    let is_hit: Vec<bool> = tokens
-        .iter()
-        .map(|t| qterms.iter().any(|q| q == t))
-        .collect();
     let w = window.min(tokens.len());
-    let mut hits: usize = is_hit[..w].iter().filter(|&&h| h).count();
+    if qterms.is_empty() {
+        return tokens.get(..w).unwrap_or_default().join(" ");
+    }
+    // Score each window start by the number of query-term hits inside it,
+    // sliding one token at a time: one leaves, the one `w` later enters.
+    let is_hit: Vec<usize> = tokens
+        .iter()
+        .map(|t| usize::from(qterms.iter().any(|q| q == t)))
+        .collect();
+    let mut hits: usize = is_hit.iter().take(w).sum();
     let mut best = (hits, 0usize);
-    for start in 1..=tokens.len() - w {
-        hits = hits - usize::from(is_hit[start - 1]) + usize::from(is_hit[start + w - 1]);
+    for (start, (&leaves, &enters)) in (1..).zip(is_hit.iter().zip(is_hit.iter().skip(w))) {
+        hits = hits - leaves + enters;
         if hits > best.0 {
             best = (hits, start);
         }
     }
-    tokens[best.1..best.1 + w].join(" ")
+    tokens.get(best.1..best.1 + w).unwrap_or_default().join(" ")
 }
 
 #[cfg(test)]

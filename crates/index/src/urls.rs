@@ -62,64 +62,69 @@ pub(crate) fn url_hashes(pool: &ThreadPool, docs: &[BatchDoc]) -> Vec<u64> {
 /// returning each entry's id. `hashes` are its URLs' ([`url_hashes`]); a
 /// URL that `earlier` knows or `map` holds gets that id, any other the next
 /// id from `next` in batch order, filed into `map`. The fresh docs stay in
-/// `batch`, in order. `filed` resolves an id below `next` that `map` holds
-/// to its doc's URL. Positions are probed and filed table by table, each
-/// table's in batch order while it stays in cache, a fresh URL under `next`
-/// plus its position; one prefix count then numbers the fresh docs, and a
-/// walk over the map renumbers the filed ones if a URL was dropped.
+/// `batch` and their hashes in `hashes`, in order. `filed` resolves an id
+/// below `next` that `map` holds to its doc's URL. Positions are probed and
+/// filed table by table, each table's in batch order while it stays in
+/// cache, a fresh URL under `next` plus its position; one prefix count then
+/// numbers the fresh docs, re-filing each one a dropped URL moved down.
 pub(crate) fn dedup<'a>(
     batch: &mut Vec<BatchDoc>,
-    hashes: &[u64],
+    hashes: &mut Vec<u64>,
     map: &mut UrlMap,
     next: usize,
     earlier: impl Fn(u64, &Url) -> Option<DocId>,
-    filed: impl Fn(DocId) -> &'a Url,
+    filed: impl Fn(DocId) -> Option<&'a Url>,
 ) -> Vec<DocId> {
     let mut groups = vec![Vec::new(); PARTS];
-    for (i, &hash) in hashes.iter().enumerate() {
-        groups[part(hash)].push(i);
+    for (i, (doc, &hash)) in batch.iter().zip(&*hashes).enumerate() {
+        if let Some(group) = groups.get_mut(part(hash)) {
+            group.push((i, hash, &doc.url));
+        }
     }
     for (group, table) in groups.iter().zip(&mut map.by_hash) {
         table.reserve(group.len());
     }
-    let mut ids = vec![DocId(0); batch.len()];
-    for &i in groups.iter().flatten() {
-        let (url, hash, staged) = (&batch[i].url, hashes[i], DocId(next_id(next + i)));
-        let url_of = |id: DocId| match id.as_usize().checked_sub(next) {
-            Some(at) => &batch[at].url,
-            None => filed(id),
-        };
+    let url_of = |id: DocId| match id.as_usize().checked_sub(next) {
+        Some(at) => batch.get(at).map(|doc| &doc.url),
+        None => filed(id),
+    };
+    let mut staged = vec![DocId(0); batch.len()];
+    for &(i, hash, url) in groups.iter().flatten() {
         let known = earlier(hash, url).or_else(|| map.find(hash, url, url_of));
-        ids[i] = known.unwrap_or(staged);
+        let id = known.unwrap_or(DocId(next_id(next + i)));
         if known.is_none() {
-            map.file(hash, url, staged);
+            map.file(hash, url, id);
+        }
+        if let Some(slot) = staged.get_mut(i) {
+            *slot = id;
         }
     }
     // A fresh doc takes the next number; a repeat its first occurrence's.
+    let (mut ids, mut keep) = (
+        Vec::with_capacity(batch.len()),
+        Vec::with_capacity(batch.len()),
+    );
     let mut fresh = 0;
-    for i in 0..ids.len() {
-        if let Some(first) = ids[i].as_usize().checked_sub(next) {
-            if first == i {
-                (ids[i], fresh) = (DocId(next_id(next + fresh)), fresh + 1);
+    for (i, ((&id, &hash), doc)) in staged.iter().zip(&*hashes).zip(&*batch).enumerate() {
+        let first = id.as_usize().checked_sub(next);
+        ids.push(match first {
+            None => id,
+            Some(first) if first == i => {
+                let number = DocId(next_id(next + fresh));
+                if number != id {
+                    map.refile(hash, &doc.url, id, number);
+                }
+                fresh += 1;
+                number
             }
-            ids[i] = ids[first];
-        }
+            Some(first) => ids.get(first).copied().unwrap_or(id),
+        });
+        keep.push(first == Some(i));
     }
-    if fresh < ids.len() {
-        let tables = map.by_hash.iter_mut().flat_map(|table| table.values_mut());
-        for id in tables.chain(map.spill.values_mut()) {
-            if let Some(at) = id.as_usize().checked_sub(next) {
-                *id = ids[at];
-            }
-        }
-    }
-    // A fresh doc's id is the next one the docs kept before it leave.
-    let (mut at, mut kept) = (0, 0);
-    batch.retain(|_| {
-        let keep = ids[at].as_usize() == next + kept;
-        (at, kept) = (at + 1, kept + usize::from(keep));
-        keep
-    });
+    let mut kept = keep.iter();
+    batch.retain(|_| kept.next() == Some(&true));
+    let mut kept = keep.iter();
+    hashes.retain(|_| kept.next() == Some(&true));
     // The batch becomes a docstore chunk: it keeps no slack.
     batch.shrink_to_fit();
     ids
@@ -134,15 +139,15 @@ impl UrlMap {
         &self,
         hash: u64,
         url: &Url,
-        url_of: impl FnOnce(DocId) -> &'a Url,
+        url_of: impl FnOnce(DocId) -> Option<&'a Url>,
     ) -> Option<DocId> {
-        let &id = self.by_hash[part(hash)].get(&hash)?;
+        let &id = self.by_hash.get(part(hash))?.get(&hash)?;
         let filed = url_of(id);
-        if filed == url {
+        if filed == Some(url) {
             return Some(id);
         }
         let key = url.key();
-        if filed.key() == key {
+        if filed.is_some_and(|filed| filed.key() == key) {
             return Some(id);
         }
         self.spill.get(key.as_str()).copied()
@@ -151,22 +156,28 @@ impl UrlMap {
     /// Index `url` (this map does not hold it), whose rendered form hashes
     /// to `hash`, as `id`. Rendered only when an earlier URL holds the hash.
     pub(crate) fn file(&mut self, hash: u64, url: &Url, id: DocId) {
-        if let Entry::Vacant(slot) = self.by_hash[part(hash)].entry(hash) {
+        let Some(table) = self.by_hash.get_mut(part(hash)) else {
+            return;
+        };
+        if let Entry::Vacant(slot) = table.entry(hash) {
             slot.insert(id);
         } else {
             self.spill.insert(url.key().into(), id);
         }
     }
 
-    /// Take in `later`, the map of docs after all of this one's, as if each
-    /// of its URLs were inserted here in id order. Only a URL whose hash this
-    /// map holds already is rendered again (`url` resolves a doc of `later`).
-    pub(crate) fn absorb<'a>(&mut self, later: &UrlMap, url: impl Fn(DocId) -> &'a Url) {
-        for (&hash, &id) in later.by_hash.iter().flatten() {
-            self.file(hash, url(id), id);
+    /// Index `url`, filed under `hash` as `staged`, as `id` instead.
+    /// Rendered only when it went to the spill map.
+    fn refile(&mut self, hash: u64, url: &Url, staged: DocId, id: DocId) {
+        let table = self.by_hash.get_mut(part(hash));
+        match table.and_then(|table| table.get_mut(&hash)) {
+            Some(slot) if *slot == staged => *slot = id,
+            _ => {
+                if let Some(slot) = self.spill.get_mut(url.key().as_str()) {
+                    *slot = id;
+                }
+            }
         }
-        self.spill
-            .extend(later.spill.iter().map(|(key, &id)| (key.clone(), id)));
     }
 }
 
@@ -184,7 +195,7 @@ mod tests {
             Url::new("a.sim", "/2").with_param("q", "x y"),
             Url::new("b.sim", "/3"),
         ];
-        let url_of = |id: DocId| &urls[id.as_usize()];
+        let url_of = |id: DocId| urls.get(id.as_usize());
         let mut map = UrlMap::default();
         map.file(7, &urls[0], DocId(0));
         map.file(7, &urls[1], DocId(1));
@@ -225,9 +236,9 @@ mod tests {
     /// and on ids already in `map`. First under hashes forced into two
     /// tables, four per table, so URLs collide inside each table and the
     /// two tables share low bits; then under the real hashes, rendered at
-    /// 1, 2 and 4 workers. The fresh documents stay in order, every URL
-    /// resolves to its id, and `map` is what filing each fresh URL in batch
-    /// order makes.
+    /// 1, 2 and 4 workers. The fresh documents and their hashes stay in
+    /// order, every URL resolves to its id, and `map` is what filing each
+    /// fresh URL in batch order makes.
     #[test]
     fn dedup_equals_deduplicating_rendered_urls() {
         let url = |i: usize| match i % 3 {
@@ -275,18 +286,23 @@ mod tests {
                     .collect();
                 let (mut got, mut into) = (batch.clone(), map.clone());
                 let known = |hash, u: &Url| {
-                    let first = |id: DocId| &docs[id.as_usize()].url;
+                    let first = |id: DocId| docs.get(id.as_usize()).map(|d| &d.url);
                     with_earlier.then(|| earlier.find(hash, u, first)).flatten()
                 };
-                let filed = |id: DocId| &docs[id.as_usize()].url;
-                let ids = dedup(&mut got, &hashes, &mut into, 8, known, filed);
+                let filed = |id: DocId| docs.get(id.as_usize()).map(|d| &d.url);
+                let mut kept = hashes.clone();
+                let ids = dedup(&mut got, &mut kept, &mut into, 8, known, filed);
                 assert_eq!(ids, want, "{ctx}");
                 let fresh: Vec<Url> = got.iter().map(|d| d.url.clone()).collect();
                 assert_eq!(fresh, want_fresh, "{ctx}");
+                let fresh_hashes: Vec<u64> = fresh.iter().map(hash).collect();
+                assert_eq!(kept, fresh_hashes, "{ctx}: the fresh docs' hashes stay");
                 assert_eq!(into, want_map, "{ctx}");
                 let all: Vec<&Url> = docs[..8].iter().map(|d| &d.url).chain(&fresh).collect();
                 for (doc, &id) in batch.iter().zip(&ids) {
-                    let hit = into.find(hash(&doc.url), &doc.url, |id| all[id.as_usize()]);
+                    let hit = into.find(hash(&doc.url), &doc.url, |id| {
+                        all.get(id.as_usize()).copied()
+                    });
                     let hit = hit.or_else(|| known(hash(&doc.url), &doc.url));
                     assert_eq!(hit, Some(id), "{ctx}");
                 }
@@ -295,27 +311,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A map taking in a later one equals the map every URL was filed into
-    /// in id order: a later URL colliding with an earlier one spills, two
-    /// colliding later URLs keep their own order, a free hash stays put.
-    #[test]
-    fn absorbing_a_later_map_equals_filing_in_id_order() {
-        let urls: Vec<Url> = (0..5).map(|i| Url::new("a.sim", format!("/{i}"))).collect();
-        let url_of = |id: DocId| &urls[id.as_usize()];
-        let hashes = [7, 8, 7, 9, 9];
-        let mut want = UrlMap::default();
-        for (i, &hash) in hashes.iter().enumerate() {
-            want.file(hash, &urls[i], DocId(i as u32));
-        }
-        let (mut earlier, mut later) = (UrlMap::default(), UrlMap::default());
-        for (i, &hash) in hashes.iter().enumerate() {
-            let map = if i < 2 { &mut earlier } else { &mut later };
-            map.file(hash, &urls[i], DocId(i as u32));
-        }
-        earlier.absorb(&later, url_of);
-        assert_eq!(earlier, want);
-        assert_eq!(want.spill.len(), 2);
     }
 }

@@ -133,11 +133,13 @@ impl<'a> IndexView<'a> {
         &self,
         doc: DocId,
     ) -> impl Iterator<Item = (FacetKeyId, &'a [TermId])> + 'a {
-        if doc.as_usize() < self.base.len() {
-            return self.base.annotation_column().doc(doc);
-        }
-        let (seg, local) = segment_of(self.segments, doc);
-        seg.shard.annotations.doc(local)
+        let part = if doc.as_usize() < self.base.len() {
+            Some((self.base.annotation_column(), doc))
+        } else {
+            segment_of(self.segments, doc).map(|(seg, local)| (&seg.shard.annotations, local))
+        };
+        part.into_iter()
+            .flat_map(|(column, local)| column.doc(local))
     }
 
     /// Upper bound on any doc's annotation adjustment: the max over its parts.

@@ -5,9 +5,10 @@
 
 use crate::workload::Workload;
 use deepweb_common::ids::{QueryId, SiteId};
-use deepweb_common::{stats, FxHashMap};
+use deepweb_common::stats;
 use deepweb_index::{DocKind, Hit, SearchIndex, SearchService};
 use rand::rngs::StdRng;
+use std::collections::BTreeMap;
 
 /// Impact accounting for one stream replay.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -27,7 +28,7 @@ pub struct ImpactReport {
     /// Head queries with a deep-web result.
     pub head_with_deepweb: usize,
     /// Deep-web results attributed per site (form).
-    pub per_site_impact: FxHashMap<SiteId, u64>,
+    pub per_site_impact: BTreeMap<SiteId, u64>,
 }
 
 impl ImpactReport {
@@ -82,8 +83,7 @@ fn attribute(
     }
     report.answered += 1;
     let mut saw_deepweb = false;
-    for h in hits {
-        let doc = index.doc(h.doc);
+    for doc in hits.iter().filter_map(|h| index.doc(h.doc)) {
         if matches!(doc.kind, DocKind::Surfaced | DocKind::Discovered) {
             saw_deepweb = true;
             if let Some(site) = doc.site {

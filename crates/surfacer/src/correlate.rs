@@ -254,9 +254,8 @@ pub fn detect_database_selection(
     }
     let mut pairs = 0usize;
     let mut overlap_sum = 0.0f64;
-    for i in 0..top_sets.len() {
-        for j in i + 1..top_sets.len() {
-            let (a, b) = (&top_sets[i], &top_sets[j]);
+    for (i, a) in top_sets.iter().enumerate() {
+        for b in top_sets.iter().skip(i + 1) {
             if a.is_empty() || b.is_empty() {
                 continue;
             }

@@ -54,11 +54,12 @@ pub fn select_templates(evals: &[TemplateEval], cfg: &IndexabilityConfig) -> Vec
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut chosen: Vec<usize> = Vec::new();
     let mut url_cost = 0usize;
-    let mut remaining: Vec<usize> = (0..evals.len()).filter(|&i| evals[i].informative).collect();
+    let mut remaining: Vec<(usize, &TemplateEval)> = (evals.iter().enumerate())
+        .filter(|(_, e)| e.informative)
+        .collect();
     loop {
         let mut best: Option<(usize, f64)> = None; // (position in remaining, score)
-        for (pos, &i) in remaining.iter().enumerate() {
-            let e = &evals[i];
+        for (pos, &(_, e)) in remaining.iter().enumerate() {
             if url_cost + e.url_potential > cfg.max_urls && !chosen.is_empty() {
                 continue;
             }
@@ -81,8 +82,7 @@ pub fn select_templates(evals: &[TemplateEval], cfg: &IndexabilityConfig) -> Vec
         if score <= 0.0 {
             break;
         }
-        let i = remaining.remove(pos);
-        let e = &evals[i];
+        let (i, e) = remaining.remove(pos);
         let gain = e
             .sample_records
             .iter()

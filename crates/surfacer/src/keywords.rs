@@ -15,6 +15,7 @@ use crate::formmodel::CrawledForm;
 use crate::probe::{Assignment, Prober};
 use deepweb_common::text::DfTable;
 use deepweb_common::FxHashSet;
+use std::collections::BTreeSet;
 
 /// Tuning for iterative probing.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +73,7 @@ pub fn iterative_probing(
     let mut queue: Vec<String> = background.characteristic_terms(site_text, cfg.seeds);
     let mut tried: FxHashSet<String> = FxHashSet::default();
     // keyword -> (records, signature)
-    let mut productive: Vec<(String, FxHashSet<u32>, u64)> = Vec::new();
+    let mut productive: Vec<(String, BTreeSet<u32>, u64)> = Vec::new();
     let mut rounds_left = cfg.iterations + 1; // seed round counts as one
 
     while rounds_left > 0 && !queue.is_empty() {
@@ -90,7 +91,7 @@ pub fn iterative_probing(
             assignment.push((input_name.to_string(), kw.clone()));
             let out = prober.submit(form, &assignment);
             if out.ok && out.has_results() {
-                let records: FxHashSet<u32> = out.record_ids.iter().copied().collect();
+                let records: BTreeSet<u32> = out.record_ids.iter().copied().collect();
                 productive.push((kw, records, out.signature));
                 result_text.push_str(&out.text);
                 result_text.push(' ');
@@ -111,9 +112,8 @@ pub fn iterative_probing(
     // re-search of the productive list, no second union pass.
     let (chosen, covered) = greedy_diverse_indices(&productive, cfg.max_keywords);
     KeywordSelection {
-        keywords: chosen
-            .into_iter()
-            .map(|i| productive[i].0.clone())
+        keywords: (chosen.into_iter())
+            .filter_map(|i| Some(productive.get(i)?.0.clone()))
             .collect(),
         covered_records: covered.len(),
         probes_used: prober.requests() - start_requests,
@@ -126,19 +126,18 @@ pub fn iterative_probing(
 /// in greedy-cover order (no keyword cloning until the caller decides) and
 /// the union of records the selection covers.
 fn greedy_diverse_indices(
-    productive: &[(String, FxHashSet<u32>, u64)],
+    productive: &[(String, BTreeSet<u32>, u64)],
     max_keywords: usize,
 ) -> (Vec<usize>, FxHashSet<u32>) {
     let mut chosen: Vec<usize> = Vec::new();
     let mut covered: FxHashSet<u32> = FxHashSet::default();
     let mut seen_sigs: FxHashSet<u64> = FxHashSet::default();
-    let mut remaining: Vec<usize> = (0..productive.len()).collect();
+    let mut remaining: Vec<_> = productive.iter().enumerate().collect();
     while chosen.len() < max_keywords && !remaining.is_empty() {
         let (best_pos, best_gain) = remaining
             .iter()
             .enumerate()
-            .map(|(pos, &i)| {
-                let (_, recs, sig) = &productive[i];
+            .map(|(pos, &(_, (_, recs, sig)))| {
                 let rec_gain = recs.iter().filter(|r| !covered.contains(r)).count();
                 // Signature novelty breaks ties / substitutes when no records.
                 let sig_gain = usize::from(!seen_sigs.contains(sig));
@@ -149,8 +148,7 @@ fn greedy_diverse_indices(
         if best_gain == 0 {
             break;
         }
-        let idx = remaining.remove(best_pos);
-        let (_, recs, sig) = &productive[idx];
+        let (idx, (_, recs, sig)) = remaining.remove(best_pos);
         covered.extend(recs.iter().copied());
         seen_sigs.insert(*sig);
         chosen.push(idx);
@@ -301,7 +299,7 @@ mod tests {
 
     #[test]
     fn greedy_prefers_coverage() {
-        let mk = |ids: &[u32]| ids.iter().copied().collect::<FxHashSet<u32>>();
+        let mk = |ids: &[u32]| ids.iter().copied().collect::<BTreeSet<u32>>();
         let productive = vec![
             ("a".to_string(), mk(&[1, 2]), 10),
             ("b".to_string(), mk(&[1, 2, 3, 4]), 20),

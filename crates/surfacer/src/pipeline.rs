@@ -298,8 +298,7 @@ fn crawl_surface(fetcher: &dyn Fetcher, seeds: &[Url]) -> SurfaceCrawl {
     let mut host_pages: deepweb_common::FxHashMap<String, usize> =
         deepweb_common::FxHashMap::default();
     let mut qi = 0;
-    while qi < queue.len() {
-        let (url, depth) = queue[qi].clone();
+    while let Some((url, depth)) = queue.get(qi).cloned() {
         qi += 1;
         let key = url.to_string();
         if visited.contains(&key) {

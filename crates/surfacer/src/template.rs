@@ -12,6 +12,7 @@
 use crate::formmodel::CrawledForm;
 use crate::probe::{Assignment, Prober};
 use deepweb_common::FxHashSet;
+use std::collections::BTreeSet;
 
 /// A fillable unit of a form.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -49,15 +50,21 @@ impl Slot {
         }
     }
 
-    /// The `i`-th filling as an assignment.
+    /// The `i`-th filling as an assignment, counting round the fillings;
+    /// empty for a slot with none.
     pub fn assignment(&self, i: usize) -> Assignment {
         match self {
-            Slot::Single { input, values } => {
-                vec![(input.clone(), values[i % values.len()].clone())]
-            }
-            Slot::Group { assignments, .. } => assignments[i % assignments.len()].clone(),
+            Slot::Single { input, values } => cycle(values, i)
+                .map(|value| vec![(input.clone(), value.clone())])
+                .unwrap_or_default(),
+            Slot::Group { assignments, .. } => cycle(assignments, i).cloned().unwrap_or_default(),
         }
     }
+}
+
+/// The `i`-th of `xs` counting round them; `None` when `xs` is empty.
+fn cycle<T>(xs: &[T], i: usize) -> Option<&T> {
+    xs.get(i.checked_rem(xs.len())?)
 }
 
 /// Largest number of slots bound at once (the paper finds small templates
@@ -106,7 +113,7 @@ pub struct TemplateEval {
     /// Result counts observed in the sample (for indexability analysis).
     pub result_counts: Vec<usize>,
     /// Records observed in the sample (coverage estimate input).
-    pub sample_records: FxHashSet<u32>,
+    pub sample_records: BTreeSet<u32>,
     /// Total fillings the template could generate (product of cardinalities).
     pub url_potential: usize,
 }
@@ -117,8 +124,12 @@ pub struct TemplateEval {
 /// enumerating the cross product.
 pub(crate) fn template_assignment(template: &Template, slots: &[Slot], i: usize) -> Assignment {
     let mut assignment = Assignment::new();
-    for (k, &si) in template.slots.iter().enumerate() {
-        let slot = &slots[si];
+    for (k, slot) in template
+        .slots
+        .iter()
+        .filter_map(|&si| slots.get(si))
+        .enumerate()
+    {
         let idx = i.wrapping_mul(k * 7 + 1) % slot.cardinality().max(1);
         assignment.extend(slot.assignment(idx));
     }
@@ -141,14 +152,15 @@ pub(crate) fn evaluate_template(
     let potential: usize = template
         .slots
         .iter()
-        .map(|&si| slots[si].cardinality().max(1))
+        .filter_map(|&si| slots.get(si))
+        .map(|slot| slot.cardinality().max(1))
         .product();
     let n = cfg.test_sample.min(potential);
     let mut signatures: FxHashSet<u64> = FxHashSet::default();
     let mut ok_pages = 0usize;
     let mut with_results = 0usize;
     let mut result_counts = Vec::new();
-    let mut sample_records: FxHashSet<u32> = FxHashSet::default();
+    let mut sample_records: BTreeSet<u32> = BTreeSet::new();
     let mut seen_assignments: FxHashSet<String> = FxHashSet::default();
     for i in 0..n {
         let assignment = template_assignment(&template, slots, i);
@@ -177,7 +189,9 @@ pub(crate) fn evaluate_template(
     // (≥2 signatures whenever ≥2 pages were sampled), the pages are not all
     // identical to the unconstrained submission, and the distinct fraction
     // clears the threshold.
-    let all_match_empty = empty_sig.is_some_and(|es| signatures.iter().all(|&s| s == es));
+    // Every signature is the empty one's: there is none, or only that one.
+    let all_match_empty =
+        empty_sig.is_some_and(|es| signatures.len() == usize::from(signatures.contains(&es)));
     let diverse = ok_pages < 2 || signatures.len() >= 2;
     let informative = ok_pages > 0
         && with_results > 0
@@ -273,6 +287,30 @@ mod tests {
             }
         }
         panic!("no select site");
+    }
+
+    /// A slot with no fillings yields an empty assignment at any index
+    /// instead of dividing by its zero cardinality.
+    #[test]
+    fn an_empty_slot_assigns_nothing() {
+        let single = Slot::Single {
+            input: "q".to_string(),
+            values: Vec::new(),
+        };
+        let group = Slot::Group {
+            label: "range:price".to_string(),
+            assignments: Vec::new(),
+        };
+        for i in [0, 1, 7] {
+            assert!(single.assignment(i).is_empty());
+            assert!(group.assignment(i).is_empty());
+        }
+        let values = vec!["a".to_string(), "b".to_string()];
+        let two = Slot::Single {
+            input: "q".to_string(),
+            values,
+        };
+        assert_eq!(two.assignment(3), [("q".to_string(), "b".to_string())]);
     }
 
     #[test]

@@ -27,27 +27,24 @@ pub fn generate_urls(
     max_urls: usize,
 ) -> Vec<GeneratedUrl> {
     let mut seen: FxHashSet<String> = FxHashSet::default();
-    let mut per_template: Vec<Vec<GeneratedUrl>> = Vec::new();
+    let mut per_template = Vec::new();
     for &ti in chosen {
-        let eval = &evals[ti];
+        let Some(eval) = evals.get(ti) else { continue };
         let mut urls = Vec::new();
-        let card: Vec<usize> = eval
-            .template
-            .slots
-            .iter()
-            .map(|&si| slots[si].cardinality().max(1))
+        let template: Vec<&Slot> = (eval.template.slots.iter())
+            .filter_map(|&si| slots.get(si))
             .collect();
+        let card = |slot: &Slot| slot.cardinality().max(1);
         // Saturating: `max_urls: usize::MAX` means "no cap", and a wide
         // template's cross product can itself exceed `usize`.
-        let total = card.iter().fold(1usize, |t, &c| t.saturating_mul(c));
+        let total = (template.iter()).fold(1usize, |t, slot| t.saturating_mul(card(slot)));
         for flat in 0..total.min(max_urls.saturating_mul(2)) {
             // Odometer decode of `flat` into one index per slot.
             let mut rem = flat;
             let mut assignment = Assignment::new();
-            for (k, &si) in eval.template.slots.iter().enumerate() {
-                let idx = rem % card[k];
-                rem /= card[k];
-                assignment.extend(slots[si].assignment(idx));
+            for slot in &template {
+                assignment.extend(slot.assignment(rem % card(slot)));
+                rem /= card(slot);
             }
             urls.push(GeneratedUrl {
                 url: form.submission_url(&assignment),
@@ -55,25 +52,20 @@ pub fn generate_urls(
                 template: ti,
             });
         }
-        per_template.push(urls);
+        per_template.push(urls.into_iter());
     }
-    // Round-robin merge under the global budget.
+    // Round-robin merge under the global budget: each template in turn
+    // gives its next URL not seen yet.
     let mut out = Vec::new();
-    let mut cursors = vec![0usize; per_template.len()];
     loop {
         let mut progressed = false;
-        for (t, urls) in per_template.iter().enumerate() {
+        for urls in &mut per_template {
             if out.len() >= max_urls {
                 return out;
             }
-            while cursors[t] < urls.len() {
-                let g = &urls[cursors[t]];
-                cursors[t] += 1;
-                if seen.insert(g.url.to_string()) {
-                    out.push(g.clone());
-                    progressed = true;
-                    break;
-                }
+            if let Some(g) = urls.find(|g| seen.insert(g.url.to_string())) {
+                out.push(g);
+                progressed = true;
             }
         }
         if !progressed {
@@ -128,7 +120,7 @@ mod tests {
                 distinct_fraction: 1.0,
                 sampled: 2,
                 result_counts: vec![1, 1],
-                sample_records: FxHashSet::default(),
+                sample_records: Default::default(),
                 url_potential: 2,
             },
             TemplateEval {
@@ -137,7 +129,7 @@ mod tests {
                 distinct_fraction: 1.0,
                 sampled: 4,
                 result_counts: vec![1; 4],
-                sample_records: FxHashSet::default(),
+                sample_records: Default::default(),
                 url_potential: 6,
             },
         ];

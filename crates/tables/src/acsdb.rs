@@ -3,20 +3,20 @@
 //! schema frequencies, attribute co-occurrence, and per-attribute value
 //! distributions.
 
-use deepweb_common::FxHashMap;
+use std::collections::BTreeMap;
 
 /// Accumulated statistics over a corpus of schemas (from harvested HTML
 //  tables and form input groups).
 #[derive(Clone, Debug, Default)]
 pub struct Acsdb {
     /// Distinct schemas (sorted attribute lists) with occurrence counts.
-    schema_counts: FxHashMap<Vec<String>, u32>,
+    schema_counts: BTreeMap<Vec<String>, u32>,
     /// Attribute → number of schemas containing it.
-    attr_counts: FxHashMap<String, u32>,
+    attr_counts: BTreeMap<String, u32>,
     /// Ordered pair (a,b), a<b → co-occurrence count.
-    pair_counts: FxHashMap<(String, String), u32>,
+    pair_counts: BTreeMap<(String, String), u32>,
     /// Attribute → value → count (from table columns).
-    values: FxHashMap<String, FxHashMap<String, u32>>,
+    values: BTreeMap<String, BTreeMap<String, u32>>,
     /// Total schemas added.
     total_schemas: u32,
 }
@@ -112,9 +112,9 @@ impl Acsdb {
     }
 
     /// The co-occurrence context of an attribute: every other attribute with
-    /// its pair count.
-    pub fn context(&self, attr: &str) -> FxHashMap<&str, u32> {
-        let mut ctx = FxHashMap::default();
+    /// its pair count, in name order (a fold over it is the same every run).
+    pub fn context(&self, attr: &str) -> BTreeMap<&str, u32> {
+        let mut ctx = BTreeMap::new();
         for ((a, b), &c) in &self.pair_counts {
             if a == attr {
                 ctx.insert(b.as_str(), c);
@@ -216,6 +216,10 @@ mod tests {
         assert_eq!(ctx.get("model"), Some(&3));
         assert_eq!(ctx.get("price"), Some(&1));
         assert!(!ctx.contains_key("author"));
+        // Name order, whatever order the pairs were counted in: a fold over
+        // the context is the same sum every run.
+        let pairs: Vec<(&str, u32)> = ctx.into_iter().collect();
+        assert_eq!(pairs, [("model", 3), ("price", 1), ("year", 1)]);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::render;
 use crate::site::{CompiledQuery, Site, RESULTS_PATH};
 use deepweb_common::ids::{RecordId, SiteId};
 use deepweb_common::{FxHashMap, Result, Url};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A static surface-web page.
@@ -23,7 +24,7 @@ pub struct SurfacePage {
 pub struct WebServer {
     sites: Vec<Site>,
     host_to_site: FxHashMap<String, usize>,
-    surface: FxHashMap<String, FxHashMap<String, String>>,
+    surface: BTreeMap<String, FxHashMap<String, String>>,
     /// Requests served, one counter per site (indexed like `sites`) plus a
     /// last one for every other host — surface pages and 404s to unknown
     /// hosts count too. A host is probed from one thread, so parallel crawl
@@ -39,7 +40,7 @@ impl WebServer {
             .enumerate()
             .map(|(i, s)| (s.host.clone(), i))
             .collect();
-        let mut surface: FxHashMap<String, FxHashMap<String, String>> = FxHashMap::default();
+        let mut surface: BTreeMap<String, FxHashMap<String, String>> = BTreeMap::new();
         for p in surface_pages {
             surface.entry(p.host).or_default().insert(p.path, p.html);
         }
@@ -73,12 +74,8 @@ impl WebServer {
 
     /// All hosts (site hosts + surface hosts), sorted.
     pub fn hosts(&self) -> Vec<String> {
-        let mut hosts: Vec<String> = self
-            .host_to_site
-            .keys()
-            .chain(self.surface.keys())
-            .cloned()
-            .collect();
+        let sites = self.sites.iter().map(|site| &site.host);
+        let mut hosts: Vec<String> = sites.chain(self.surface.keys()).cloned().collect();
         hosts.sort();
         hosts.dedup();
         hosts

@@ -35,7 +35,9 @@ fn main() {
     ] {
         println!("\nquery: {query:?}");
         for hit in sys.search(query, 3) {
-            let doc = sys.index.doc(hit.doc);
+            let Some(doc) = sys.index.doc(hit.doc) else {
+                continue;
+            };
             let snippet = deepweb::index::snippet(&doc.text, query, 12);
             println!("  [{:5.2}] {} ({:?})", hit.score, doc.url, doc.kind);
             println!("          {snippet}");

@@ -17,19 +17,7 @@ use deepweb::{quick_config, DeepWebSystem, SystemConfig};
 
 /// Build the full doc batch a system indexed, in canonical order.
 fn system_docs(sys: &DeepWebSystem) -> Vec<BatchDoc> {
-    (0..sys.index.len())
-        .map(|i| {
-            let d = sys.index.docs().get(deepweb::common::DocId(i as u32));
-            BatchDoc {
-                url: d.url.clone(),
-                title: d.title.clone(),
-                text: d.text.clone(),
-                kind: d.kind,
-                site: d.site,
-                annotations: d.annotations.clone(),
-            }
-        })
-        .collect()
+    sys.index.docs().iter().cloned().collect()
 }
 
 fn rebuild(docs: &[BatchDoc]) -> SearchIndex {
