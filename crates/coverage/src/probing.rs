@@ -9,11 +9,11 @@
 //! estimate is what it would be had the site been asked again.
 
 use crate::capture::{coverage_statement, lincoln_petersen, CoverageStatement};
-use deepweb_common::FxHashSet;
 use deepweb_surfacer::{CrawledForm, Prober, Slot};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Result of a probe-based estimation run.
 #[derive(Clone, Debug)]
@@ -39,8 +39,8 @@ fn sample_batch(
     slots: &[Slot],
     k: usize,
     rng: &mut StdRng,
-) -> FxHashSet<u32> {
-    let mut records = FxHashSet::default();
+) -> BTreeSet<u32> {
+    let mut records = BTreeSet::new();
     if slots.is_empty() {
         return records;
     }

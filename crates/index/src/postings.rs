@@ -119,17 +119,12 @@ impl Postings {
         Self::default()
     }
 
-    /// Add a document from its raw token slices, in order, as
-    /// [`raw_tokens`] yields them. `doc` must be the next id in sequence
-    /// (enforced so postings stay sorted). One `Postings::count_document`
-    /// and one `Postings::fill`: the indexing kernel of a build shard and a
-    /// delta segment, over one document.
-    pub fn add_document<'a>(&mut self, doc: DocId, tokens: impl IntoIterator<Item = &'a str>) {
-        assert_eq!(
-            doc.as_usize(),
-            self.doc_len.len(),
-            "documents must be added in id order"
-        );
+    /// Add the next document — id [`Postings::num_docs`], so postings stay
+    /// sorted — from its raw token slices, in order, as [`raw_tokens`]
+    /// yields them. One `Postings::count_document` and one
+    /// `Postings::fill`: the indexing kernel of a build shard and a delta
+    /// segment, over one document.
+    pub fn add_document<'a>(&mut self, tokens: impl IntoIterator<Item = &'a str>) {
         let mut tally = Tally::default();
         self.count_document(&mut tally, tokens);
         self.fill(&mut tally);
@@ -657,9 +652,9 @@ mod tests {
 
     fn sample() -> Postings {
         let mut p = Postings::new();
-        p.add_document(DocId(0), ["honda", "civic", "honda"]);
-        p.add_document(DocId(1), ["ford", "focus"]);
-        p.add_document(DocId(2), ["honda", "accord"]);
+        p.add_document(["honda", "civic", "honda"]);
+        p.add_document(["ford", "focus"]);
+        p.add_document(["honda", "accord"]);
         p
     }
 
@@ -712,19 +707,11 @@ mod tests {
         assert!(p.idf("focus") > p.idf("honda"));
     }
 
-    #[test]
-    #[should_panic]
-    fn out_of_order_docs_rejected() {
-        let mut p = Postings::new();
-        p.add_document(DocId(1), ["x"]);
-    }
-
     /// Postings over `docs`, one `add_document` each, doc ids following
     /// those already in `p`.
     fn add_all(p: &mut Postings, docs: &[Vec<String>]) {
         for terms in docs {
-            let doc = DocId(doc_bound(p.num_docs()));
-            p.add_document(doc, terms.iter().map(String::as_str));
+            p.add_document(terms.iter().map(String::as_str));
         }
     }
 
@@ -785,10 +772,10 @@ mod tests {
     fn absorb_into_nonempty_base() {
         let base = sample();
         let mut shard = Postings::new();
-        shard.add_document(DocId(0), ["honda", "tesla"]);
+        shard.add_document(["honda", "tesla"]);
         let (got, remaps) = absorb(&base, &[&shard], &ThreadPool::new(2));
         let mut sequential = sample();
-        sequential.add_document(DocId(3), ["honda", "tesla"]);
+        sequential.add_document(["honda", "tesla"]);
         assert_eq!(format!("{got:?}"), format!("{sequential:?}"));
         assert_eq!(remaps, [vec![TermId(0), TermId(5)]]);
         assert_eq!(got.num_docs(), 4);
@@ -840,7 +827,7 @@ mod tests {
                 terms.push(format!("filler{}", (doc as u64 + f) % 23));
             }
             terms.push("anchor".into());
-            p.add_document(DocId(doc), terms.iter().map(String::as_str));
+            p.add_document(terms.iter().map(String::as_str));
         }
         p
     }
@@ -1030,7 +1017,7 @@ mod tests {
                     // the index keep arriving.
                     let terms: Vec<String> =
                         doc.iter().map(|t| format!("t{}", usize::from(*t) + 3 * si)).collect();
-                    postings.add_document(DocId(doc_bound(postings.num_docs())), terms.iter().map(String::as_str));
+                    postings.add_document(terms.iter().map(String::as_str));
                 }
                 for i in 0..*interned {
                     postings.intern_term(&format!("annotation-only-{si}-{i}"));
@@ -1105,14 +1092,14 @@ mod tests {
     #[test]
     fn unbuilt_and_postingless_terms_own_no_blocks() {
         let mut p = Postings::new();
-        p.add_document(DocId(0), ["alpha"]);
+        p.add_document(["alpha"]);
         let bp = blocks_of(&p, 64);
         // Interned after the build: out of range, empty.
         let late = p.intern_term("late");
         assert!(bp.term_blocks(late).is_empty());
         // Annotation-only terms (interned, no postings) own zero blocks.
         let mut q = Postings::new();
-        q.add_document(DocId(0), ["alpha"]);
+        q.add_document(["alpha"]);
         let ann = q.intern_term("annotation-only");
         let bq = blocks_of(&q, 64);
         assert!(bq.term_blocks(ann).is_empty());

@@ -10,7 +10,7 @@
 use crate::formmodel::{CrawledForm, CrawledInput};
 use crate::probe::Prober;
 use crate::typed::{wide_window, TypeClass, TypedValueLibrary};
-use deepweb_common::FxHashSet;
+use std::collections::BTreeSet;
 
 /// A detected (min, max) range pair.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -227,7 +227,7 @@ pub fn detect_database_selection(
         return false;
     }
     const TOP_M: usize = 3;
-    let mut top_sets: Vec<FxHashSet<usize>> = Vec::new();
+    let mut top_sets: Vec<BTreeSet<usize>> = Vec::new();
     for opt in &options {
         let mut counts: Vec<(usize, usize)> = Vec::new(); // (word idx, results)
         for (wi, w) in probe_words.iter().enumerate() {

@@ -1,10 +1,8 @@
-//! Cluster serving tier determinism tests (DESIGN.md §13).
-//!
-//! The contract: every cluster configuration — any worker count, cache
-//! on/off/tiny — returns byte-identical `Vec<Hit>` to the sequential
-//! `search()` reference, single-query and batched, and a replay through any
-//! tier produces the exact `ImpactReport` of the sequential reference
-//! replay.
+//! Cluster serving tier determinism tests (DESIGN.md §13): the cache's
+//! counters under one worker, a replay through any tier producing the exact
+//! `ImpactReport` of the sequential reference replay, and one cluster under
+//! 8 threads. That every cluster configuration serves the oracle's bytes is
+//! `tests/oracle.rs`' model test.
 
 use deepweb::common::{derive_rng, ThreadPool};
 use deepweb::index::{CacheConfig, ClusterConfig, Hit, QueryBroker, SearchService};
@@ -23,106 +21,6 @@ fn workload(sys: &DeepWebSystem, distinct: usize) -> Workload {
             ..Default::default()
         },
     )
-}
-
-/// A 300+ query dump (Zipf stream plus edge queries), served across several
-/// worker/cache configurations — each must be byte-identical to the
-/// sequential reference, single-query and batched, including a second pass
-/// where the cache answers from storage.
-#[test]
-fn cluster_is_byte_identical_to_sequential_for_300_query_dump() {
-    let sys = build_system(8);
-    let wl = workload(&sys, 150);
-    let mut rng = derive_rng(101, "cluster-equality");
-    let mut dump = wl.sample_batch(300, &mut rng);
-    dump.push(String::new());
-    dump.push("the of and".into());
-    dump.push("zzzzzz qqqqqq".into());
-    dump.push("HONDA honda HoNdA".into());
-    assert!(dump.len() >= 300);
-    let expected: Vec<Vec<Hit>> = dump.iter().map(|q| sys.search(q, 10)).collect();
-    let caches = [
-        None,
-        Some(CacheConfig::default()),
-        Some(CacheConfig::with_capacity(32)),
-    ];
-    for cache in caches {
-        for workers in [1usize, 4] {
-            let cluster = sys.cluster(ClusterConfig {
-                workers,
-                cache,
-                ..Default::default()
-            });
-            assert_eq!(
-                cluster.search_batch(&dump, 10),
-                expected,
-                "batch cache={cache:?} w={workers}",
-            );
-            // Second pass: cached entries (when enabled) must serve the
-            // same bytes.
-            assert_eq!(
-                cluster.search_batch(&dump, 10),
-                expected,
-                "batch rerun cache={cache:?} w={workers}",
-            );
-            for (q, want) in dump.iter().zip(&expected) {
-                assert_eq!(
-                    &cluster.search(q, 10),
-                    want,
-                    "single cache={cache:?} w={workers} q={q:?}"
-                );
-            }
-            assert_eq!(cluster.stats().queries, 3 * dump.len() as u64);
-        }
-    }
-}
-
-/// Annotation-aware scoring flows through the cluster unchanged: resolve
-/// once, boost in the kernel, same bytes.
-#[test]
-fn cluster_serves_annotation_scoring_identically() {
-    let mut cfg = quick_config(8);
-    cfg.use_annotations = true;
-    let sys = DeepWebSystem::build(&cfg);
-    let wl = workload(&sys, 120);
-    let mut rng = derive_rng(101, "cluster-annotations");
-    let batch = wl.sample_batch(120, &mut rng);
-    assert!(sys.options.use_annotations);
-    let expected: Vec<Vec<Hit>> = batch.iter().map(|q| sys.search(q, 10)).collect();
-    let cluster = sys.cluster(ClusterConfig {
-        workers: 2,
-        cache: Some(CacheConfig::default()),
-        ..Default::default()
-    });
-    assert_eq!(cluster.search_batch(&batch, 10), expected);
-    for (q, want) in batch.iter().zip(&expected) {
-        assert_eq!(&cluster.search(q, 10), want, "q={q:?}");
-    }
-}
-
-/// A tiny cache under a head-heavy stream: hits accumulate, evictions churn,
-/// and neither ever changes a byte of any result.
-#[test]
-fn tiny_cache_eviction_never_changes_results() {
-    let sys = build_system(6);
-    let wl = workload(&sys, 80);
-    let mut rng = derive_rng(101, "cluster-cache-churn");
-    let stream = wl.sample_batch(400, &mut rng);
-    let expected: Vec<Vec<Hit>> = stream.iter().map(|q| sys.search(q, 5)).collect();
-    let cluster = sys.cluster(ClusterConfig {
-        workers: 1,
-        cache: Some(CacheConfig::with_capacity(8)),
-        ..Default::default()
-    });
-    for (q, want) in stream.iter().zip(&expected) {
-        assert_eq!(&cluster.search(q, 5), want, "q={q:?}");
-    }
-    let cache = cluster.cache_stats().expect("cache is configured");
-    assert!(cache.hits > 0, "a Zipf stream must produce repeat hits");
-    assert!(
-        cache.evictions > 0,
-        "an 8-entry cache under 80 distinct queries must evict"
-    );
 }
 
 /// The cache's admission rule is deterministic under one worker: one fixed

@@ -1,16 +1,11 @@
-//! Freshness-tier byte-identity (DESIGN.md §15).
-//!
-//! The contract under test: a [`SegmentedIndex`] serving a base index plus
-//! delta segments ranks **byte-identically** to a from-scratch rebuild over
-//! the same docs — at every serving tier (sequential, and the tier's one
-//! batched read through the service trait), at every point in the segment lifecycle
-//! (before, during and after a background merge), and for every pruning
-//! mode. Queries must keep serving while a merge runs on another thread.
+//! The freshness tier's life cycle (DESIGN.md §15): queries keep serving,
+//! byte-identical to a from-scratch rebuild, while a merge runs on another
+//! thread, and a refresh makes grown content searchable. That a
+//! [`SegmentedIndex`] serves the oracle's bytes before and after a merge, at
+//! every tier and pruning mode, is `tests/oracle.rs`' model test.
 
 use deepweb::common::{derive_rng, ThreadPool, Url};
-use deepweb::index::{
-    BatchDoc, DocKind, Hit, PruningMode, SearchIndex, SearchOptions, SearchService, SegmentedIndex,
-};
+use deepweb::index::{BatchDoc, DocKind, Hit, SearchIndex, SearchService, SegmentedIndex};
 use deepweb::queries::{generate_workload, WorkloadConfig};
 use deepweb::webworld::grow_site;
 use deepweb::{quick_config, DeepWebSystem, SystemConfig};
@@ -40,60 +35,6 @@ fn workload(sys: &DeepWebSystem, n: usize, label: &str) -> Vec<String> {
     qs.push("the of and".into());
     qs.push("zzzzzz qqqqqq".into());
     qs
-}
-
-/// Delta segments vs from-scratch rebuild: identical hits at every tier and
-/// every pruning mode, before and after merge.
-#[test]
-fn segmented_serving_matches_rebuild_at_every_tier() {
-    let sys = DeepWebSystem::build(&quick_config(6));
-    let docs = system_docs(&sys);
-    assert!(docs.len() > 30, "need a non-trivial corpus");
-    let split = docs.len() * 2 / 3;
-    let reference = rebuild(&docs);
-
-    let segmented = SegmentedIndex::new(rebuild(&docs[..split]));
-    // Two delta segments, stacked.
-    let mid = split + (docs.len() - split) / 2;
-    assert_eq!(segmented.apply(docs[split..mid].to_vec()), mid - split);
-    assert_eq!(segmented.apply(docs[mid..].to_vec()), docs.len() - mid);
-    assert_eq!(segmented.num_segments(), 2);
-    assert_eq!(segmented.num_docs(), docs.len());
-
-    let queries = workload(&sys, 40, "freshness-tiers");
-    let mut option_sets = Vec::new();
-    for use_annotations in [false, true] {
-        for pruning in [PruningMode::Exhaustive, PruningMode::BlockMax] {
-            option_sets.push(SearchOptions {
-                use_annotations,
-                pruning,
-            });
-        }
-    }
-    for phase in ["pre-merge", "post-merge"] {
-        for opts in &option_sets {
-            let expected: Vec<Vec<Hit>> = queries
-                .iter()
-                .map(|q| reference.searcher(*opts).search(q, 10))
-                .collect();
-            // Sequential tier.
-            let got: Vec<Vec<Hit>> = queries
-                .iter()
-                .map(|q| segmented.snapshot().search(q, 10, *opts))
-                .collect();
-            assert_eq!(got, expected, "{phase} sequential opts={opts:?}");
-            // Service-trait tier.
-            assert_eq!(
-                segmented.searcher(*opts).search_batch(&queries, 10),
-                expected,
-                "{phase} service opts={opts:?}"
-            );
-        }
-        if phase == "pre-merge" {
-            assert_eq!(segmented.merge(), docs.len() - split);
-            assert_eq!(segmented.num_segments(), 0);
-        }
-    }
 }
 
 /// A merge running on another OS thread never perturbs a single result:

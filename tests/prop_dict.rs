@@ -252,7 +252,7 @@ proptest! {
         let mut model: BTreeMap<String, Vec<Posting>> = BTreeMap::new();
         for (i, words) in docs.iter().enumerate() {
             let doc = DocId(i as u32);
-            postings.add_document(doc, words.iter().map(String::as_str));
+            postings.add_document(words.iter().map(String::as_str));
             let mut tf: BTreeMap<&String, u32> = BTreeMap::new();
             for w in words {
                 *tf.entry(w).or_insert(0) += 1;

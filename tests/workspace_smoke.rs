@@ -108,10 +108,11 @@ fn clippy_paths(config: &str, key: &str) -> Vec<String> {
         .collect()
 }
 
-/// The methods that iterate a hash container, in hash order (R4): both
+/// The methods that iterate a hash container, in hash order (R4) — the
+/// set operations too, whose iterators walk one operand in hash order: both
 /// `clippy.toml` files disallow them. `FxHashMap`/`FxHashSet` are aliases of
 /// the std types, so the paths match them too.
-const HASH_ITERATION: [&str; 10] = [
+const HASH_ITERATION: [&str; 14] = [
     "std::collections::HashMap::iter",
     "std::collections::HashMap::iter_mut",
     "std::collections::HashMap::keys",
@@ -122,6 +123,10 @@ const HASH_ITERATION: [&str; 10] = [
     "std::collections::HashMap::drain",
     "std::collections::HashSet::iter",
     "std::collections::HashSet::drain",
+    "std::collections::HashSet::intersection",
+    "std::collections::HashSet::union",
+    "std::collections::HashSet::difference",
+    "std::collections::HashSet::symmetric_difference",
 ];
 
 /// The clock reads only the deepbench package may make (R2).
@@ -296,6 +301,41 @@ fn the_index_crate_sizes_no_pool_of_its_own() {
             );
         }
     }
+}
+
+/// `clippy::panic` in the `#![deny(..)]` of `index`, `surfacer`, `core` and
+/// `html` does not see `assert!`, `assert_eq!` or `assert_ne!`: in their
+/// library code — each file up to its first column-0 `#[cfg(test)]` — one
+/// is a panic the lints let through. `debug_assert*` and a compile-time
+/// `const _: () = assert!(..)` are allowed.
+#[test]
+fn the_panic_free_crates_assert_nothing_at_run_time() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let asserts = |code: &str| {
+        let code = code.trim_start();
+        let exempt = code.starts_with("//") || code.starts_with("const _: () = assert!(");
+        let at_word =
+            |(at, _): (usize, _)| !code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        let called = |mac| code.match_indices(mac).any(at_word);
+        !exempt
+            && ["assert!(", "assert_eq!(", "assert_ne!("]
+                .into_iter()
+                .any(called)
+    };
+    assert!(asserts("    assert_eq!(a, b);") && !asserts("debug_assert!(x);"));
+    let mut found = Vec::new();
+    for krate in ["index", "surfacer", "core", "html"] {
+        for file in rust_files(&root.join(format!("crates/{krate}/src"))) {
+            let text = std::fs::read_to_string(&file).expect("source is readable");
+            let library = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            let lines = library.enumerate().filter(|(_, line)| asserts(line));
+            found.extend(lines.map(|(n, line)| format!("{}:{}: {line}", file.display(), n + 1)));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "run-time asserts in library code: {found:#?}"
+    );
 }
 
 /// Every `.rs` file under `dir`, at any depth.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# The six numbers a deletion change in this repository quotes, from one
+# The seven numbers a deletion change in this repository quotes, from one
 # command:
 #
 #   1. non-test lines per crate — every line of each `src/**/*.rs` up to the
@@ -24,7 +24,11 @@
 #      crates' and the root's `tests/`, `examples/` and the deepbench package
 #      all count as outside. The match is lexical, so this is a lower bound
 #      (a name such as `new` always matches somewhere); the names are listed
-#      beside each count as candidates for `pub(crate)` or deletion.
+#      beside each count as candidates for `pub(crate)` or deletion;
+#   7. test lines (informational): every line of the root `tests/*.rs`, of
+#      `crates/*/tests/**/*.rs`, and of each `src/**/*.rs` file (the root's and
+#      every crate's, the deepbench package aside) from its first
+#      `#[cfg(test)]` on — the complement of count 1 — and their total.
 #
 # Run from anywhere inside the checkout: `tools/simplicity.sh`.
 set -eu
@@ -90,3 +94,14 @@ for dir in crates/*/; do
     total=$((total + n))
 done
 printf '%-10s %6d\n' total "$total"
+
+echo "== test lines"
+root_tests=$(cat tests/*.rs | wc -l)
+crate_tests=$(find crates/*/ -path '*/tests/*' -name '*.rs' -not -path '*/src/*' |
+    xargs cat | wc -l)
+unit_tests=$(find src crates/*/src -name '*.rs' -not -path '*/bin/deepbench/*' |
+    while read -r file; do
+        awk '/^#\[cfg\(test\)\]/{t=1} t{n++} END{print n+0}' "$file"
+    done | awk '{s+=$1} END{print s+0}')
+printf '%-16s %6d\n' "tests/" "$root_tests" "crates/*/tests/" "$crate_tests" \
+    "unit (src/)" "$unit_tests" total "$((root_tests + crate_tests + unit_tests))"
